@@ -19,7 +19,7 @@ The renderer is split into two halves so the kernel-cache layer
 freshly projected dynamic points each frame.  Because the z-buffer is a
 single stable lexsort over the concatenated splat arrays, the cached
 path is byte-identical to projecting the full point set from scratch
-(asserted in tests/test_kernel_cache.py).
+(asserted by ``TestIncrementalCapture`` under tests/).
 """
 
 from __future__ import annotations

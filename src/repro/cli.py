@@ -69,37 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the per-stage wall-clock timing breakdown after the run",
     )
     run.add_argument(
-        "--no-kernel-cache", action="store_true",
-        help="disable the kernel-cache layer (incremental capture, quality "
-        "feature cache, codec scratch reuse); outputs are byte-identical "
-        "either way",
-    )
-    run.add_argument(
-        "--no-transport-fast-path", action="store_true",
-        help="disable the batched transport fast path (per-packet scalar "
-        "simulation); outputs are byte-identical either way",
-    )
-    run.add_argument(
         "--quality-max-points", type=int, default=None,
         help="stratified-subsample clouds above this size before PointSSIM "
         "(deterministic approximation; default: exact scoring)",
-    )
-    run.add_argument(
-        "--no-batch-kernels", action="store_true",
-        help="disable the batched capture/unproject/PointSSIM kernels "
-        "(per-item reference paths); outputs are byte-identical either way",
-    )
-    run.add_argument(
-        "--no-shm", action="store_true",
-        help="disable the shared-memory zero-copy lane of the process "
-        "executor (payloads cross as pickles); outputs are byte-identical "
-        "either way",
-    )
-    run.add_argument(
-        "--no-batch-plane", action="store_true",
-        help="disable the batch plane (encoders run the per-stream serial "
-        "schedule instead of co-batched kernel buckets); outputs are "
-        "byte-identical either way",
     )
 
     analyze = sub.add_parser(
@@ -165,11 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--tick-interval", type=float, default=1.0 / 30.0,
         help="seconds between tick rounds (0 = free-running)",
     )
-    serve.add_argument(
-        "--jobs", type=int, default=1,
-        help="thread fan-out for serial ticks (batch plane ignores it)",
-    )
-    serve.add_argument("--no-batch-plane", action="store_true")
 
     # ``loadgen`` is routed in main() before this parser (its flags
     # belong to repro.service.loadgen); registered here for --help only.
@@ -250,12 +217,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         num_cameras=args.cameras, camera_width=64, camera_height=48,
         scene_sample_budget=20_000, gop_size=15, scheme=flags,
         jobs=args.jobs, executor=args.executor, profile=args.profile,
-        kernel_cache=not args.no_kernel_cache,
         quality_max_points=args.quality_max_points,
-        transport_fast_path=not args.no_transport_fast_path,
-        batch_kernels=not args.no_batch_kernels,
-        shm=not args.no_shm,
-        batch_plane=not args.no_batch_plane,
         trace=tracing,
     )
     if args.scheme in ("LiVo", "LiVo-NoCull", "LiVo-NoAdapt"):
@@ -275,9 +237,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.profile:
         print()
         print(report.timing_table())
-        if report.cache_stats:
-            print()
-            print(report.cache_table())
+        print()
+        print(report.cache_table())
     if tracing and report.trace is not None:
         from repro.obs.export import write_chrome_trace, write_spans_jsonl
 
@@ -417,13 +378,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         video=args.video,
         num_cameras=args.cameras,
         tick_interval_s=args.tick_interval,
-        jobs=args.jobs,
-        batch_plane=not args.no_batch_plane,
     )
     handle = ServiceHandle(config).start()
     print(
         f"session service on http://{handle.host}:{handle.port} "
-        f"(video={args.video}, batch_plane={config.batch_plane}); Ctrl-C stops"
+        f"(video={args.video}); Ctrl-C stops"
     )
     done = threading.Event()
     signal.signal(signal.SIGINT, lambda *_: done.set())

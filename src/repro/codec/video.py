@@ -29,18 +29,8 @@ from repro.codec.blocks import merge_blocks, split_blocks
 from repro.codec.dct import inverse_dct
 from repro.codec.entropy import decode_levels
 from repro.codec.frame import EncodedFrame, FrameType, PixelFormat
-from repro.codec.motion import (
-    gather_prediction,
-    search_offsets,
-    shifted_planes,
-)
-from repro.codec.quant import (
-    QP_MAX,
-    QP_MAX_EXTENDED,
-    QP_MIN,
-    dequantize,
-    weight_matrix,
-)
+from repro.codec.motion import gather_prediction, shifted_planes
+from repro.codec.quant import QP_MAX, QP_MAX_EXTENDED, QP_MIN, dequantize
 from repro.codec.rate_control import RateController
 from repro.codec.yuv import rgb_to_ycbcr, ycbcr_to_rgb
 from repro.perf.scratch import ScratchArena
@@ -79,11 +69,6 @@ class VideoCodecConfig:
             (4:2:0, the mode production H.265 deployments use).  Off by
             default so rate/quality calibrations are subsampling-free;
             see benchmarks/bench_ablation_chroma.py for the trade-off.
-        scratch_reuse: memoize quantization tables / motion offsets and
-            reuse motion-search buffers via a per-stream
-            :class:`~repro.perf.scratch.ScratchArena`.  Bitstreams are
-            byte-identical either way; the flag exists as an escape
-            hatch (``SessionConfig.kernel_cache``, ``--no-kernel-cache``).
     """
 
     block_size: int = 8
@@ -95,7 +80,6 @@ class VideoCodecConfig:
     chroma_qp_offset: int = 6
     qp_max: int = QP_MAX
     chroma_subsampling: bool = False
-    scratch_reuse: bool = True
 
     def __post_init__(self) -> None:
         if self.block_size < 2:
@@ -135,20 +119,17 @@ class _PlaneCode:
 class _CodecCore:
     """Plane-level encode/decode shared by encoder and decoder.
 
-    With ``config.scratch_reuse`` a per-core :class:`ScratchArena`
-    memoizes the weight matrices, quantization scales, and motion
-    offset table, and hosts the reusable motion-search stack.  The
-    arena is private to this core -- fork-process encoder workers each
-    build their own (DESIGN.md section 9).
+    A per-core :class:`ScratchArena` memoizes the weight matrices,
+    quantization scales, and motion offset table, and hosts the
+    reusable motion-search stack.  The arena is private to this core --
+    fork-process encoder workers each build their own (DESIGN.md
+    section 9).
     """
 
     def __init__(self, config: VideoCodecConfig) -> None:
         self.config = config
-        self.arena = ScratchArena() if config.scratch_reuse else None
-        if self.arena is not None:
-            self._offsets = self.arena.search_offsets(config.search_range)
-        else:
-            self._offsets = search_offsets(config.search_range)
+        self.arena = ScratchArena()
+        self._offsets = self.arena.search_offsets(config.search_range)
 
     def plane_weights(self, plane_index: int, pixel_format: PixelFormat) -> np.ndarray | None:
         strength = (
@@ -160,9 +141,7 @@ class _CodecCore:
             strength = self.config.weight_strength
         if strength == 0.0:
             return None
-        if self.arena is not None:
-            return self.arena.weight_matrix(self.config.block_size, strength)
-        return weight_matrix(self.config.block_size, strength)
+        return self.arena.weight_matrix(self.config.block_size, strength)
 
     def plane_qp(self, base_qp: int, plane_index: int, pixel_format: PixelFormat) -> int:
         if pixel_format is PixelFormat.RGB8 and plane_index > 0:
@@ -247,7 +226,11 @@ class _CodecCore:
         if reference is None:
             predictor = np.zeros_like(levels, dtype=np.float64)
         else:
-            shifted = self._shifted(reference)
+            shifted = shifted_planes(
+                reference,
+                self._offsets,
+                out=self.arena.shift_buffer(len(self._offsets), reference.shape),
+            )
             if mv_bytes:
                 mv_index = np.frombuffer(zlib.decompress(mv_bytes), dtype=np.uint8)
             else:
@@ -255,24 +238,9 @@ class _CodecCore:
             predictor = gather_prediction(shifted, mv_index, block_size)
 
         recon_blocks = predictor + inverse_dct(
-            dequantize(levels, qp, weights, scale=self._scale(qp, weights))
+            dequantize(levels, qp, weights, scale=self.arena.quant_scale(qp, weights))
         )
         return np.clip(merge_blocks(recon_blocks, height, width, block_size), *value_range)
-
-    def _shifted(self, reference: np.ndarray) -> np.ndarray:
-        """Motion-search stack, into the arena's reusable buffer if any."""
-        out = (
-            self.arena.shift_buffer(len(self._offsets), reference.shape)
-            if self.arena is not None
-            else None
-        )
-        return shifted_planes(reference, self._offsets, out=out)
-
-    def _scale(self, qp: int, weights: np.ndarray | None):
-        """Memoized quantization divisor, or None for the direct path."""
-        if self.arena is None:
-            return None
-        return self.arena.quant_scale(qp, weights)
 
 
 def _downsample_half(plane: np.ndarray) -> np.ndarray:
@@ -385,8 +353,8 @@ class VideoEncoder:
 
     @property
     def cache_counters(self):
-        """Scratch-arena hit/miss counters, or None when reuse is off."""
-        return None if self._core.arena is None else self._core.arena.counters
+        """Scratch-arena hit/miss counters."""
+        return self._core.arena.counters
 
     def _next_frame_type(self, force_intra: bool) -> FrameType:
         if force_intra or self._reference is None:
@@ -510,8 +478,8 @@ class VideoDecoder:
 
     @property
     def cache_counters(self):
-        """Scratch-arena hit/miss counters, or None when reuse is off."""
-        return None if self._core.arena is None else self._core.arena.counters
+        """Scratch-arena hit/miss counters."""
+        return self._core.arena.counters
 
     def decode(self, frame: EncodedFrame) -> np.ndarray:
         """Decode one frame to an image array."""

@@ -88,12 +88,9 @@ class SessionConfig:
     executor: str = "auto"
     profile: bool = False
 
-    # Kernel-cache layer (repro.perf; see DESIGN.md section 9).  On by
-    # default because every cached path is byte-identical to its
-    # uncached twin; ``--no-kernel-cache`` is the escape hatch.
-    # ``quality_max_points`` enables the *approximate* PointSSIM
-    # subsample mode (deterministic, seeded); None keeps scoring exact.
-    kernel_cache: bool = True
+    # PointSSIM scoring: ``quality_max_points`` enables the
+    # *approximate* subsample mode (deterministic, seeded); None keeps
+    # scoring exact.
     quality_max_points: int | None = None
 
     # Observability (repro.obs; see DESIGN.md section 11).  Off by
@@ -102,37 +99,6 @@ class SessionConfig:
     # one sim-clock root span per frame with stage/kernel/worker/
     # transport/render spans beneath it (``--trace`` exports them).
     trace: bool = False
-
-    # Batched kernels (repro.perf critical-path fast path; see
-    # DESIGN.md section 14).  ``batch_kernels`` routes hole filling,
-    # multi-camera unprojection, and PointSSIM scoring through
-    # structure-of-arrays passes that handle all cameras of a frame in
-    # one numpy call; ``shm`` moves capture batches and quality inputs
-    # across process boundaries as shared-memory handles instead of
-    # pickles (only meaningful with a process executor).  Both are on
-    # by default because every fast path is byte-identical to its
-    # scalar twin; ``--no-batch-kernels`` / ``--no-shm`` are the
-    # escape hatches (and the legacy baseline for benchmarks).
-    batch_kernels: bool = True
-    shm: bool = True
-
-    # Batch plane (repro.runtime.batchplane; see DESIGN.md section 15).
-    # Routes the in-process stream encoders through request-yielding
-    # generators whose kernel jobs are bucketed and co-batched -- color
-    # with depth within a session, and across sessions on the fleet's
-    # lockstep driver.  Byte-identical to the per-stream schedule by
-    # construction (the serial driver resolves the same requests
-    # one at a time); ``--no-batch-plane`` is the escape hatch.  With
-    # worker-hosted encoders (process executor) the flag is inert: the
-    # kernel work lives in other processes.
-    batch_plane: bool = True
-
-    # Batched transport fast path (repro.transport; see DESIGN.md
-    # section 10).  Simulates each frame's packet burst as one
-    # vectorized link event over the cumulative-capacity trace model.
-    # On by default because it is bit-identical to the per-packet
-    # scalar path; ``--no-transport-fast-path`` is the escape hatch.
-    transport_fast_path: bool = True
 
     # Evaluation.
     quality_every: int = 3        # PointSSIM every Nth rendered frame
@@ -163,6 +129,8 @@ class SessionConfig:
             )
         if self.quality_max_points is not None and self.quality_max_points < 1:
             raise ValueError("quality_max_points must be at least 1 (or None)")
+        if self.quality_every < 1:
+            raise ValueError("quality_every must be at least 1")
 
     @property
     def frame_interval_s(self) -> float:

@@ -59,14 +59,12 @@ class LiVoReceiver:
             VideoCodecConfig(
                 gop_size=config.gop_size,
                 search_range=config.codec_search_range,
-                scratch_reuse=config.kernel_cache,
             )
         )
         self.depth_decoder = VideoDecoder(
             VideoCodecConfig.for_depth(
                 gop_size=config.gop_size,
                 search_range=config.codec_search_range,
-                scratch_reuse=config.kernel_cache,
             )
         )
         self._last_color_sequence: int | None = None
@@ -157,24 +155,10 @@ class LiVoReceiver:
         return self.last_good_pair
 
     def reconstruct(self, pair: DecodedPair) -> PointCloud:
-        """Unproject every camera tile and merge into one point cloud.
-
-        With ``config.batch_kernels`` the per-camera unprojections run
-        as one structure-of-arrays pass
-        (:func:`~repro.geometry.camera.unproject_views`), bit-identical
-        to the per-camera loop.
-        """
-        if self.config.batch_kernels:
-            return unproject_views(
-                self.cameras, pair.depth_tiles_mm, pair.color_tiles
-            )
-        clouds = [
-            camera.unproject(depth, color)
-            for camera, depth, color in zip(
-                self.cameras, pair.depth_tiles_mm, pair.color_tiles
-            )
-        ]
-        return PointCloud.merge(clouds)
+        """Unproject every camera tile and merge into one point cloud
+        (all cameras in one :func:`~repro.geometry.camera.unproject_views`
+        structure-of-arrays pass)."""
+        return unproject_views(self.cameras, pair.depth_tiles_mm, pair.color_tiles)
 
     def render_view(
         self,

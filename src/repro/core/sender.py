@@ -12,13 +12,15 @@ The pipeline is split into two stage entry points so the stage-graph
 runtime can schedule them independently:
 
 - :meth:`LiVoSender.prepare` -- cull + tile (pure per-frame work);
-- :meth:`LiVoSender.encode` -- the two stream encodes, the dominant
-  cost, dispatched through per-stream encoder *handles* so a parallel
-  executor can run color and depth concurrently in dedicated worker
-  processes (:meth:`LiVoSender.attach_executor`).
+- :meth:`LiVoSender.encode_steps` -- the two stream encodes, the
+  dominant cost, as one request-yielding generator: in-process encoders
+  yield their kernel jobs to whichever driver runs the generator
+  (:meth:`LiVoSender.encode` resolves them one at a time; a fleet's
+  lockstep driver stacks them across sessions), while encoders hosted
+  in dedicated worker processes (:meth:`LiVoSender.attach_executor`)
+  are dispatched through their handles and run concurrently.
 
-:meth:`LiVoSender.process` remains as the one-call convenience wrapper
-and behaves exactly as before.
+:meth:`LiVoSender.process` is the one-call convenience wrapper.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from repro.obs.span import TraceContext
 from repro.prediction.culling import cull_views
 from repro.prediction.pose import Pose
 from repro.prediction.predictor import FrustumPredictor, ViewingDevice
-from repro.runtime.batchplane import interleave_steps
+from repro.runtime.batchplane import drive_serial, interleave_steps
 from repro.runtime.executors import Executor, _LocalStatefulHandle
 from repro.runtime.workers import WorkerCrash
 from repro.tiling.tiler import TileLayout, Tiler
@@ -135,12 +137,10 @@ class LiVoSender:
         self._color_codec = VideoCodecConfig(
             gop_size=config.gop_size,
             search_range=config.codec_search_range,
-            scratch_reuse=config.kernel_cache,
         )
         self._depth_codec = VideoCodecConfig.for_depth(
             gop_size=config.gop_size,
             search_range=config.codec_search_range,
-            scratch_reuse=config.kernel_cache,
         )
         self.color_encoder = VideoEncoder(self._color_codec)
         self.depth_encoder = VideoEncoder(self._depth_codec)
@@ -313,7 +313,34 @@ class LiVoSender:
         fail_encode: bool = False,
         color_budget_scale: float = 1.0,
     ) -> SenderResult | None:
-        """Encode stage: both streams through their encoder handles.
+        """Encode stage: :meth:`encode_steps` on the per-session schedule."""
+        return drive_serial(
+            self.encode_steps(
+                prepared,
+                target_rate_bps,
+                force_intra=force_intra,
+                fail_encode=fail_encode,
+                color_budget_scale=color_budget_scale,
+            )
+        )
+
+    def encode_steps(
+        self,
+        prepared: PreparedFrame,
+        target_rate_bps: float,
+        force_intra: bool = False,
+        fail_encode: bool = False,
+        color_budget_scale: float = 1.0,
+    ):
+        """Encode stage as a request-yielding generator: both streams.
+
+        In-process encoders run as interleaved sub-generators, so their
+        kernel jobs land in the same bucketing round -- co-batched
+        across sessions on a lockstep driver
+        (:class:`~repro.runtime.batchplane.BatchPlane`), resolved one
+        at a time by :meth:`encode`.  Worker-hosted encoders (parallel
+        executor) are dispatched through their handles instead and the
+        generator yields nothing: their kernel work lives elsewhere.
 
         Returns None when the encode fails (injected via ``fail_encode``
         or a genuine encoder exception): the capture is skipped rather
@@ -348,15 +375,14 @@ class LiVoSender:
             depth_budget, color_budget = self.split.allocate(budget_bytes)
             if color_budget_scale < 1.0:
                 color_budget = max(color_budget * color_budget_scale, 1.0)
-            color_call = ("encode_to_target", prepared.tiled_color, color_budget)
-            depth_call = ("encode_to_target", prepared.tiled_depth, depth_budget)
+            method = "encode_to_target"
+            color_arg, depth_arg = color_budget, depth_budget
         else:
-            color_call = ("encode", prepared.tiled_color, self.config.scheme.fixed_color_qp)
-            depth_call = ("encode", prepared.tiled_depth, self.config.scheme.fixed_depth_qp)
+            method = "encode"
+            color_arg = self.config.scheme.fixed_color_qp
+            depth_arg = self.config.scheme.fixed_depth_qp
         tracer = self.tracer
         color_span = depth_span = None
-        color_kwargs: dict = {"force_intra": force_intra}
-        depth_kwargs: dict = {"force_intra": force_intra}
         if tracer is not None:
             # Both kernel spans are siblings under the encode stage
             # span (the tracer's current span when the stage runs us),
@@ -375,155 +401,49 @@ class LiVoSender:
                 trace_id=prepared.sequence,
                 parent_id=parent_id,
             )
-            color_kwargs["_obs_ctx"] = TraceContext(
-                prepared.sequence, color_span.span_id
-            )
-            depth_kwargs["_obs_ctx"] = TraceContext(
-                prepared.sequence, depth_span.span_id
-            )
         try:
-            # Dispatch both streams before collecting either: on a
-            # process executor the two encodes run concurrently.
-            color_pending = self._color_handle.call_async(*color_call, **color_kwargs)
-            depth_pending = self._depth_handle.call_async(*depth_call, **depth_kwargs)
-            color_frame, color_recon = color_pending.result()
-            depth_frame, depth_recon = depth_pending.result()
-        except WorkerCrash:
+            if self._remote_encoders:
+                color_kwargs: dict = {"force_intra": force_intra}
+                depth_kwargs: dict = {"force_intra": force_intra}
+                if tracer is not None:
+                    color_kwargs["_obs_ctx"] = TraceContext(
+                        prepared.sequence, color_span.span_id
+                    )
+                    depth_kwargs["_obs_ctx"] = TraceContext(
+                        prepared.sequence, depth_span.span_id
+                    )
+                # Dispatch both streams before collecting either: on a
+                # process executor the two encodes run concurrently.
+                color_pending = self._color_handle.call_async(
+                    method, prepared.tiled_color, color_arg, **color_kwargs
+                )
+                depth_pending = self._depth_handle.call_async(
+                    method, prepared.tiled_depth, depth_arg, **depth_kwargs
+                )
+                color_frame, color_recon = color_pending.result()
+                depth_frame, depth_recon = depth_pending.result()
+            else:
+                steps = f"{method}_steps"
+                streams = interleave_steps(
+                    [
+                        getattr(self.color_encoder, steps)(
+                            prepared.tiled_color, color_arg, force_intra=force_intra
+                        ),
+                        getattr(self.depth_encoder, steps)(
+                            prepared.tiled_depth, depth_arg, force_intra=force_intra
+                        ),
+                    ]
+                )
+                (color_frame, color_recon), (depth_frame, depth_recon) = yield from streams
+        except Exception as error:
             # The dispatching side owns the kernel spans: a dead worker
             # never ships its own, so close ours with an error status
             # rather than leaking open spans into the trace.
             if tracer is not None:
                 tracer.end_span(depth_span, status="error")
                 tracer.end_span(color_span, status="error")
-            self._fall_back_to_local_encoders()
-            self._on_encode_failure()
-            return None
-        except Exception:
-            if tracer is not None:
-                tracer.end_span(depth_span, status="error")
-                tracer.end_span(color_span, status="error")
-            self._on_encode_failure()
-            return None
-        if tracer is not None:
-            tracer.end_span(depth_span)
-            tracer.end_span(color_span)
-        self._recover_with_intra = False
-
-        color_error: float | None = None
-        depth_error: float | None = None
-        if (
-            self.config.scheme.adaptation
-            and self._frames_processed % self.config.rmse_every_k == 0
-        ):
-            color_error = rmse(prepared.tiled_color, color_recon)
-            depth_error = rmse(prepared.tiled_depth, depth_recon) * DEPTH_RMSE_SCALE
-            self.split.update(depth_error, color_error)
-        self._frames_processed += 1
-
-        return SenderResult(
-            sequence=prepared.sequence,
-            color_frame=color_frame,
-            depth_frame=depth_frame,
-            split=self.split.split,
-            culled_points=prepared.culled_points,
-            total_points=prepared.total_points,
-            color_rmse=color_error,
-            depth_rmse=depth_error,
-            culled_multiview=prepared.culled_multiview,
-        )
-
-    def encode_steps(
-        self,
-        prepared: PreparedFrame,
-        target_rate_bps: float,
-        force_intra: bool = False,
-        fail_encode: bool = False,
-        color_budget_scale: float = 1.0,
-    ):
-        """:meth:`encode` as a request-yielding generator (batch plane).
-
-        The two stream encoders run as interleaved sub-generators, so
-        their same-shape kernel jobs land in the same bucketing round
-        and can co-batch -- across sessions on a fleet's lockstep
-        driver, and color-with-depth even within one session.  Stream
-        state, failure recovery, and the RMSE/split tail are the exact
-        code the synchronous path runs; with worker-hosted encoders
-        (process executor) the whole call falls through to
-        :meth:`encode`, since their kernel work lives in other
-        processes.
-        """
-        if self._remote_encoders:
-            return self.encode(
-                prepared,
-                target_rate_bps,
-                force_intra=force_intra,
-                fail_encode=fail_encode,
-                color_budget_scale=color_budget_scale,
-            )
-        if fail_encode:
-            self._on_encode_failure()
-            return None
-        if prepared.is_empty:
-            return SenderResult(
-                sequence=prepared.sequence,
-                color_frame=None,
-                depth_frame=None,
-                split=self.split.split,
-                culled_points=0,
-                total_points=prepared.total_points,
-                color_rmse=None,
-                depth_rmse=None,
-                culled_multiview=prepared.culled_multiview,
-                empty=True,
-            )
-        force_intra = force_intra or self._recover_with_intra
-        if self.config.scheme.adaptation:
-            budget_bytes = max(target_rate_bps / 8.0 * self.config.frame_interval_s, 2.0)
-            depth_budget, color_budget = self.split.allocate(budget_bytes)
-            if color_budget_scale < 1.0:
-                color_budget = max(color_budget * color_budget_scale, 1.0)
-            color_gen = self.color_encoder.encode_to_target_steps(
-                prepared.tiled_color, color_budget, force_intra=force_intra
-            )
-            depth_gen = self.depth_encoder.encode_to_target_steps(
-                prepared.tiled_depth, depth_budget, force_intra=force_intra
-            )
-        else:
-            color_gen = self.color_encoder.encode_steps(
-                prepared.tiled_color,
-                self.config.scheme.fixed_color_qp,
-                force_intra=force_intra,
-            )
-            depth_gen = self.depth_encoder.encode_steps(
-                prepared.tiled_depth,
-                self.config.scheme.fixed_depth_qp,
-                force_intra=force_intra,
-            )
-        tracer = self.tracer
-        color_span = depth_span = None
-        if tracer is not None:
-            parent = tracer.current()
-            parent_id = parent.span_id if parent is not None else None
-            color_span = tracer.start_span(
-                "encode:color",
-                category="kernel",
-                trace_id=prepared.sequence,
-                parent_id=parent_id,
-            )
-            depth_span = tracer.start_span(
-                "encode:depth",
-                category="kernel",
-                trace_id=prepared.sequence,
-                parent_id=parent_id,
-            )
-        try:
-            (color_frame, color_recon), (depth_frame, depth_recon) = yield from (
-                interleave_steps([color_gen, depth_gen])
-            )
-        except Exception:
-            if tracer is not None:
-                tracer.end_span(depth_span, status="error")
-                tracer.end_span(color_span, status="error")
+            if isinstance(error, WorkerCrash):
+                self._fall_back_to_local_encoders()
             self._on_encode_failure()
             return None
         if tracer is not None:
@@ -590,9 +510,7 @@ class LiVoSender:
         merged = CacheCounters("codec_scratch")
         if not self._remote_encoders:
             for encoder in (self.color_encoder, self.depth_encoder):
-                counters = encoder.cache_counters
-                if counters is not None:
-                    merged.merge(counters)
+                merged.merge(encoder.cache_counters)
         return merged
 
     def close(self) -> None:

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.capture.renderer import render_rgbd
 from repro.capture.rgbd import MultiViewFrame, RGBDFrame
 from repro.capture.rig import CaptureRig, default_rig
 from repro.capture.scene import Scene
@@ -69,7 +68,6 @@ from repro.perf.shmframes import (
 )
 from repro.prediction.pose import PoseTrace
 from repro.prediction.predictor import ViewingDevice
-from repro.runtime.batchplane import BatchPlane
 from repro.runtime.executors import Executor, make_executor
 from repro.runtime.profile import merge_timings
 from repro.runtime.shm import attach_array
@@ -93,33 +91,28 @@ def ground_truth_cloud(
     cameras: list[RGBDCamera],
     actual_frustum: Frustum,
     render_voxel_m: float,
-    batched: bool = True,
 ) -> PointCloud:
     """What a perfect system would display for this frame and viewpoint.
 
-    The original capture, fused, voxelized at render granularity, and
-    culled to the viewer's actual frustum.  ``batched`` routes the
-    multi-camera fusion through :func:`~repro.geometry.camera.
-    unproject_views` (one structure-of-arrays pass, bit-identical to
-    the per-camera loop); ``False`` keeps the scalar reference path.
+    The original capture, fused (all cameras in one
+    :func:`~repro.geometry.camera.unproject_views` pass), voxelized at
+    render granularity, and culled to the viewer's actual frustum.
     """
-    if batched:
-        pairs = list(zip(cameras, frame.views))
-        merged = unproject_views(
-            [camera for camera, _ in pairs],
-            [view.depth_mm for _, view in pairs],
-            [view.color for _, view in pairs],
-        )
-    else:
-        clouds = [
-            camera.unproject(view.depth_mm, view.color)
-            for camera, view in zip(cameras, frame.views)
-        ]
-        merged = PointCloud.merge(clouds)
+    merged = _fuse_views(frame, cameras)
     if merged.is_empty:
         return merged
     voxelized = voxel_downsample(merged, render_voxel_m)
     return voxelized.select(actual_frustum.contains(voxelized.positions))
+
+
+def _fuse_views(frame: MultiViewFrame, cameras: list[RGBDCamera]) -> PointCloud:
+    """Unproject every view of a capture into one world-frame cloud."""
+    pairs = list(zip(cameras, frame.views))
+    return unproject_views(
+        [camera for camera, _ in pairs],
+        [view.depth_mm for _, view in pairs],
+        [view.color for _, view in pairs],
+    )
 
 
 def _auto_trace_scale(frame: MultiViewFrame) -> float:
@@ -133,7 +126,7 @@ def _auto_trace_scale(frame: MultiViewFrame) -> float:
 # Worker processes are forked, so they inherit this module-level context
 # by memory -- the scene and cameras never cross a pipe.  It is set
 # right before the executor's first use; per-task arguments carry only
-# the small varying state (sequence, timestamp).
+# the small varying state (camera chunk, sequence).
 # ----------------------------------------------------------------------
 
 _CAPTURE_CTX: dict = {}
@@ -153,39 +146,22 @@ _QUALITY_DEFER_MAX = 16
 def _capture_chunk(task: tuple) -> list:
     """Render a contiguous chunk of cameras for one capture tick.
 
-    Runs inside a worker: re-samples the scene (deterministic in the
-    timestamp, so every worker sees the same surface points) and splats
-    it through its assigned cameras.  With the kernel cache on, a
-    :class:`~repro.perf.capture.CachedFrameSource` in the context skips
-    resampling and reprojecting the static batches -- each worker's
-    inherited source warms its own projection caches, deterministically,
-    so the fan-out stays byte-identical to the serial path.
+    Runs inside a worker, through the
+    :class:`~repro.perf.capture.CachedFrameSource` in the context:
+    batch sampling is deterministic in the timestamp, so every worker
+    sees the same surface points, and each worker's inherited source
+    warms its own projection caches, deterministically, so the fan-out
+    stays byte-identical to the serial path.
 
-    A four-element task carries shared-memory refs
+    A three-element task carries shared-memory refs
     ``(depth_refs, color_refs)`` aligned with the camera indices: the
     rendered arrays are written into the shared segment in place and
     only the camera ids cross back over the pipe (the parent views the
     same pages -- zero result pickling).
     """
-    camera_indices, sequence, timestamp_s = task[0], task[1], task[2]
-    refs = task[3] if len(task) > 3 else None
-    source = _CAPTURE_CTX.get("source")
-    if source is not None:
-        views = source.capture_views(list(camera_indices), sequence)
-    else:
-        scene = _CAPTURE_CTX["scene"]
-        cameras = _CAPTURE_CTX["cameras"]
-        points, colors = scene.sample(timestamp_s)
-        views = [
-            render_rgbd(
-                cameras[index],
-                points,
-                colors,
-                sequence=sequence,
-                timestamp_s=timestamp_s,
-            )
-            for index in camera_indices
-        ]
+    camera_indices, sequence = task[0], task[1]
+    refs = task[2] if len(task) > 2 else None
+    views = _CAPTURE_CTX["source"].capture_views(list(camera_indices), sequence)
     if refs is None:
         return views
     depth_refs, color_refs = refs
@@ -209,28 +185,24 @@ def _chunk_indices(count: int, chunks: int) -> list[list[int]]:
 
 def _capture_frame(
     rig: CaptureRig,
-    scene: Scene,
     sequence: int,
-    executor: Executor | None,
-    source: CachedFrameSource | None = None,
+    executor: Executor,
+    source: CachedFrameSource,
 ) -> MultiViewFrame:
     """One synchronized multi-view capture, fanned out when parallel.
 
     The per-camera splats are independent and deterministic, so the
-    fan-out is byte-identical to :meth:`CaptureRig.capture` -- chunks
-    are contiguous and reassembled in camera order.  ``source`` routes
-    the work through the incremental kernel-cache path (it must also be
-    in ``_CAPTURE_CTX`` for the parallel branch).
+    fan-out is byte-identical to ``source.capture`` -- chunks are
+    contiguous and reassembled in camera order.  ``source`` must also
+    be in ``_CAPTURE_CTX`` for the parallel branch.
     """
-    if executor is None or not executor.parallel:
-        if source is not None:
-            return source.capture(sequence)
-        return rig.capture(scene, sequence)
+    if not executor.parallel:
+        return source.capture(sequence)
     timestamp = sequence * rig.frame_interval_s
     chunk_lists = _chunk_indices(rig.num_cameras, executor.jobs)
     arena = executor.arena
     if arena is None:
-        tasks = [(chunk, sequence, timestamp) for chunk in chunk_lists]
+        tasks = [(chunk, sequence) for chunk in chunk_lists]
         chunks = executor.map(_capture_chunk, tasks)
         views = [view for chunk in chunks for view in chunk]
         return MultiViewFrame(views, sequence=sequence, timestamp_s=timestamp)
@@ -252,13 +224,13 @@ def _capture_frame(
         refs, _ = arena.allocate(shapes)
         depth_refs = tuple(refs[: len(chunk)])
         color_refs = tuple(refs[len(chunk) :])
-        tasks.append((chunk, sequence, timestamp, (depth_refs, color_refs)))
+        tasks.append((chunk, sequence, (depth_refs, color_refs)))
         group_refs.append(refs[0])
     metas = executor.map(_capture_chunk, tasks)
     views = []
     view_refs = []
     for task, camera_ids in zip(tasks, metas):
-        depth_refs, color_refs = task[3]
+        depth_refs, color_refs = task[2]
         for camera_id, depth_ref, color_ref in zip(camera_ids, depth_refs, color_refs):
             views.append(
                 RGBDFrame(
@@ -283,7 +255,6 @@ def _render_shown_cloud(
     cameras: list[RGBDCamera],
     actual_frustum: Frustum,
     voxel_m: float,
-    batched: bool,
 ) -> PointCloud:
     """Receiver render prep as a pure function: reconstruct + cull.
 
@@ -293,17 +264,7 @@ def _render_shown_cloud(
     shipped :class:`~repro.perf.shmframes.ShmPairHandle` produces the
     byte-identical cloud the parent would have rendered inline.
     """
-    if batched:
-        cloud = unproject_views(cameras, pair.depth_tiles_mm, pair.color_tiles)
-    else:
-        cloud = PointCloud.merge(
-            [
-                camera.unproject(depth, color)
-                for camera, depth, color in zip(
-                    cameras, pair.depth_tiles_mm, pair.color_tiles
-                )
-            ]
-        )
+    cloud = unproject_views(cameras, pair.depth_tiles_mm, pair.color_tiles)
     if cloud.is_empty:
         return cloud
     voxelized = voxel_downsample(cloud, voxel_m)
@@ -348,7 +309,6 @@ def _quality_job(
         shown = load_cloud(shown)
 
     def compute():
-        batched = _QUALITY_CTX.get("batch_kernels", True)
         local_shown = shown
         if isinstance(local_shown, ShmPairHandle):
             local_shown = _render_shown_cloud(
@@ -356,25 +316,15 @@ def _quality_job(
                 cameras,
                 actual_frustum,
                 shown_voxel_m or render_voxel_m,
-                batched,
             )
-        truth = ground_truth_cloud(
-            frame, cameras, actual_frustum, render_voxel_m, batched=batched
-        )
+        truth = ground_truth_cloud(frame, cameras, actual_frustum, render_voxel_m)
         if truth.is_empty:
             return None
-        if batched:
-            return pointssim_batch(
-                [(truth, local_shown)],
-                cache=_QUALITY_CTX.get("cache"),
-                max_points=_QUALITY_CTX.get("max_points"),
-            )[0]
-        return pointssim(
-            truth,
-            local_shown,
-            cache=_QUALITY_CTX.get("cache"),
-            max_points=_QUALITY_CTX.get("max_points"),
-        )
+        return pointssim_batch(
+            [(truth, local_shown)],
+            cache=_QUALITY_CTX["cache"],
+            max_points=_QUALITY_CTX["max_points"],
+        )[0]
 
     if obs_ctx is None:
         return compute(), None
@@ -433,44 +383,30 @@ class _SessionBase:
     def _make_executor(self, on_crash=None) -> Executor:
         """The executor this session's config asked for."""
         return make_executor(
-            jobs=self.config.jobs,
-            kind=self.config.executor,
-            on_crash=on_crash,
-            shm=self.config.shm,
+            jobs=self.config.jobs, kind=self.config.executor, on_crash=on_crash
         )
 
-    def _make_source(
-        self, rig: CaptureRig, scene: Scene
-    ) -> CachedFrameSource | None:
-        """The kernel-cached capture source, or None when disabled."""
-        if not self.config.kernel_cache:
-            return None
-        return CachedFrameSource(rig, scene, batch_kernels=self.config.batch_kernels)
-
-    def _attach_caches(self, source: CachedFrameSource | None) -> FeatureCache | None:
+    def _attach_caches(self, source: CachedFrameSource) -> FeatureCache:
         """Publish capture/quality cache context for this run's workers."""
         _CAPTURE_CTX["source"] = source
-        cache = FeatureCache() if self.config.kernel_cache else None
+        cache = FeatureCache()
         _QUALITY_CTX["cache"] = cache
         _QUALITY_CTX["max_points"] = self.config.quality_max_points
-        _QUALITY_CTX["batch_kernels"] = self.config.batch_kernels
         return cache
 
     def _attach_report_caches(
         self,
         report: SessionReport,
-        source: CachedFrameSource | None,
-        quality_cache: FeatureCache | None,
+        source: CachedFrameSource,
+        quality_cache: FeatureCache,
     ) -> None:
         """Attach capture/quality cache counters to a finished report."""
-        if not self.config.kernel_cache:
-            return
-        cache_stats = {}
-        if source is not None:
-            cache_stats["capture_projection"] = source.counters().to_dict()
-        if quality_cache is not None:
-            cache_stats["quality_features"] = quality_cache.counters.to_dict()
-        report.attach_cache_stats(cache_stats)
+        report.attach_cache_stats(
+            {
+                "capture_projection": source.counters().to_dict(),
+                "quality_features": quality_cache.counters.to_dict(),
+            }
+        )
 
     def _scaled_trace(
         self, trace: BandwidthTrace, first_frame: MultiViewFrame
@@ -545,8 +481,8 @@ class LiVoSession(_SessionBase):
         events: list[FaultEvent] = []
         boundary = StageFaultBoundary(injector, events)
 
-        source = self._make_source(rig, scene)
-        first = source.capture(0) if source is not None else rig.capture(scene, 0)
+        source = CachedFrameSource(rig, scene)
+        first = source.capture(0)
         scaled_trace, scale = self._scaled_trace(bandwidth_trace, first)
         link = EmulatedLink(
             scaled_trace,
@@ -563,7 +499,6 @@ class LiVoSession(_SessionBase):
                 min_rate_bps=0.05 * mean_capacity_bps,
                 max_rate_bps=10.0 * mean_capacity_bps,
             ),
-            fast_path=config.transport_fast_path,
         )
 
         if scheme_name is None:
@@ -582,8 +517,6 @@ class LiVoSession(_SessionBase):
         # The executor fans out per-camera capture + quality scoring and
         # hosts the two encoders in dedicated workers when parallel.
         executor = self._make_executor()
-        _CAPTURE_CTX["scene"] = scene
-        _CAPTURE_CTX["cameras"] = rig.cameras
         quality_cache = self._attach_caches(source)
         sender.attach_executor(executor)
         if tracer is not None:
@@ -616,7 +549,7 @@ class LiVoSession(_SessionBase):
             tick.frame = (
                 first
                 if tick.sequence == 0
-                else _capture_frame(rig, scene, tick.sequence, executor, source)
+                else _capture_frame(rig, tick.sequence, executor, source)
             )
             # Record the release tokens here, before the camera-fault
             # hook may swap the frame object (and its attribute) out.
@@ -633,33 +566,14 @@ class LiVoSession(_SessionBase):
             tick.prepared = sender.prepare(tick.frame, horizon_s)
             return tick
 
-        # Batch plane (DESIGN.md section 15): the encode stage drives
-        # the sender's request-yielding generator so color and depth
-        # kernel jobs co-batch within a round.  Byte-identical to the
-        # direct path (the serial driver runs the same generator), so
-        # the flag only moves work between schedules.
-        batch_plane = BatchPlane(tracer) if config.batch_plane else None
-
         def do_encode(tick: _Tick) -> _Tick:
-            fail = boundary.encode_fails(tick.sequence)
-            if batch_plane is not None:
-                tick.result = batch_plane.run(
-                    sender.encode_steps(
-                        tick.prepared,
-                        tick.target_rate_bps,
-                        force_intra=tick.force_intra,
-                        fail_encode=fail,
-                        color_budget_scale=tick.color_budget_scale,
-                    )
-                )
-            else:
-                tick.result = sender.encode(
-                    tick.prepared,
-                    tick.target_rate_bps,
-                    force_intra=tick.force_intra,
-                    fail_encode=fail,
-                    color_budget_scale=tick.color_budget_scale,
-                )
+            tick.result = sender.encode(
+                tick.prepared,
+                tick.target_rate_bps,
+                force_intra=tick.force_intra,
+                fail_encode=boundary.encode_fails(tick.sequence),
+                color_budget_scale=tick.color_budget_scale,
+            )
             return tick
 
         graph = StageGraph(
@@ -1104,17 +1018,14 @@ class LiVoSession(_SessionBase):
                 {s.name: s.timing for s in (decode_stage, quality_stage)},
             )
         )
-        if config.kernel_cache:
-            cache_stats = {"codec_scratch": sender.cache_counters().to_dict()}
-            if source is not None:
-                cache_stats["capture_projection"] = source.counters().to_dict()
-            if quality_cache is not None:
-                cache_stats["quality_features"] = quality_cache.counters.to_dict()
-            cache_stats["transport_batch"] = channel.batch_counters.to_dict()
-            if batch_plane is not None:
-                for name, counters in batch_plane.counters.items():
-                    cache_stats[counters.name] = counters.to_dict()
-            report.attach_cache_stats(cache_stats)
+        report.attach_cache_stats(
+            {
+                "codec_scratch": sender.cache_counters().to_dict(),
+                "capture_projection": source.counters().to_dict(),
+                "quality_features": quality_cache.counters.to_dict(),
+                "transport_batch": channel.batch_counters.to_dict(),
+            }
+        )
 
         # Unified metrics registry: the older telemetry channels (cache
         # counters, stage timings, transport batch counters, fault
@@ -1122,16 +1033,15 @@ class LiVoSession(_SessionBase):
         # already-collected aggregates, so the hot path is untouched.
         registry = MetricsRegistry()
         registry.absorb_stage_timings(report.stage_timings or {})
-        if report.cache_stats:
-            # transport_batch is registered by channel.metrics_into;
-            # absorbing it from cache_stats too would double-count.
-            registry.absorb_cache_stats(
-                {
-                    name: entry
-                    for name, entry in report.cache_stats.items()
-                    if name != "transport_batch"
-                }
-            )
+        # transport_batch is registered by channel.metrics_into;
+        # absorbing it from cache_stats too would double-count.
+        registry.absorb_cache_stats(
+            {
+                name: entry
+                for name, entry in report.cache_stats.items()
+                if name != "transport_batch"
+            }
+        )
         channel.metrics_into(registry)
         if injector is not None:
             injector.metrics_into(registry)
@@ -1175,8 +1085,8 @@ class DracoOracleSession(_SessionBase):
             raise ValueError("num_frames must be positive")
         config = self.config
         rig = self._make_rig()
-        source = self._make_source(rig, scene)
-        first = source.capture(0) if source is not None else rig.capture(scene, 0)
+        source = CachedFrameSource(rig, scene)
+        first = source.capture(0)
         scaled_trace, scale = self._scaled_trace(bandwidth_trace, first)
 
         stride = max(1, int(round(config.fps / oracle_fps)))
@@ -1184,19 +1094,7 @@ class DracoOracleSession(_SessionBase):
         # frustum (no prediction error), per the paper's definition.
         def culled_cloud(frame: MultiViewFrame, sequence: int) -> PointCloud:
             frustum = self.device.frustum_for(user_trace.pose_at_frame(sequence))
-            if config.batch_kernels:
-                pairs = list(zip(rig.cameras, frame.views))
-                merged = unproject_views(
-                    [camera for camera, _ in pairs],
-                    [view.depth_mm for _, view in pairs],
-                    [view.color for _, view in pairs],
-                )
-            else:
-                clouds = [
-                    camera.unproject(view.depth_mm, view.color)
-                    for camera, view in zip(rig.cameras, frame.views)
-                ]
-                merged = PointCloud.merge(clouds)
+            merged = _fuse_views(frame, rig.cameras)
             if merged.is_empty:
                 return merged
             return merged.select(frustum.contains(merged.positions))
@@ -1209,15 +1107,13 @@ class DracoOracleSession(_SessionBase):
         oracle = DracoOracle(profile, fps=oracle_fps, time_multiplier=compute_scale)
 
         executor = self._make_executor()
-        _CAPTURE_CTX["scene"] = scene
-        _CAPTURE_CTX["cameras"] = rig.cameras
         quality_cache = self._attach_caches(source)
 
         capture_stage = Stage(
             "capture",
             lambda seq: first
             if seq == 0
-            else _capture_frame(rig, scene, seq, executor, source),
+            else _capture_frame(rig, seq, executor, source),
         )
         cull_stage = Stage("cull", lambda args: culled_cloud(*args))
         encode_stage = Stage(
@@ -1270,11 +1166,7 @@ class DracoOracleSession(_SessionBase):
                                 shown = voxel_downsample(decoded, config.render_voxel_m)
                                 shown = shown.select(actual.contains(shown.positions))
                                 truth = ground_truth_cloud(
-                                    frame,
-                                    rig.cameras,
-                                    actual,
-                                    config.render_voxel_m,
-                                    batched=config.batch_kernels,
+                                    frame, rig.cameras, actual, config.render_voxel_m
                                 )
                                 if not truth.is_empty:
                                     score = pointssim(
@@ -1331,8 +1223,8 @@ class MeshReduceSession(_SessionBase):
             raise ValueError("num_frames must be positive")
         config = self.config
         rig = self._make_rig()
-        source = self._make_source(rig, scene)
-        first = source.capture(0) if source is not None else rig.capture(scene, 0)
+        source = CachedFrameSource(rig, scene)
+        first = source.capture(0)
         scaled_trace, scale = self._scaled_trace(bandwidth_trace, first)
 
         profile = MeshReduceProfile.build([first], rig.cameras)
@@ -1343,15 +1235,13 @@ class MeshReduceSession(_SessionBase):
         pipeline = MeshReducePipeline(rig.cameras, stream, voxel)
 
         executor = self._make_executor()
-        _CAPTURE_CTX["scene"] = scene
-        _CAPTURE_CTX["cameras"] = rig.cameras
         quality_cache = self._attach_caches(source)
 
         capture_stage = Stage(
             "capture",
             lambda seq: first
             if seq == 0
-            else _capture_frame(rig, scene, seq, executor, source),
+            else _capture_frame(rig, seq, executor, source),
         )
         compress_stage = Stage(
             "compress", lambda args: pipeline.offer_frame(args[0], args[1])
@@ -1390,11 +1280,7 @@ class MeshReduceSession(_SessionBase):
                                 user_trace.pose_at_frame(sequence)
                             )
                             truth = ground_truth_cloud(
-                                frame,
-                                rig.cameras,
-                                actual,
-                                config.render_voxel_m,
-                                batched=config.batch_kernels,
+                                frame, rig.cameras, actual, config.render_voxel_m
                             )
                             if not truth.is_empty:
                                 sampled = pipeline.reconstruct(

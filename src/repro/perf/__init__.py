@@ -1,7 +1,7 @@
 """Kernel-cache layer: incremental computation and buffer reuse.
 
 The serial per-frame budget is dominated by the capture splat renderer
-and the PointSSIM quality kernel (see BENCH_runtime.json); both redo
+and the PointSSIM quality kernel; both redo
 work that is identical frame to frame.  This package holds the caches
 that remove the redundancy without changing a single output byte:
 
@@ -19,7 +19,8 @@ that remove the redundancy without changing a single output byte:
 
 Caches are process-local by design: a fork-process executor's workers
 each grow their own copies (see DESIGN.md section 9), which keeps the
-layer coherency-free and byte-identical to the uncached paths.
+layer coherency-free and byte-identical to the pure functions it
+memoizes.
 """
 
 from repro.perf.counters import CacheCounters

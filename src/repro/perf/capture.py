@@ -11,7 +11,7 @@ batch once per scene epoch, re-projecting only the dynamic batches
 every frame.  The z-buffer splat runs over the concatenated splat
 arrays exactly as a full render would, so frames are byte-identical to
 :meth:`CaptureRig.capture` run on the same batch-mode point set
-(asserted in tests/test_kernel_cache.py).
+(asserted by ``TestIncrementalCapture`` under tests/).
 
 Process model: a source is cheap, process-local state.  Fork-process
 capture workers inherit the parent's source by memory and warm their
@@ -50,12 +50,10 @@ class CachedFrameSource:
         rig: CaptureRig,
         scene: Scene,
         cached: bool = True,
-        batch_kernels: bool = True,
     ) -> None:
         self.rig = rig
         self.scene = scene
         self.cached = cached
-        self.batch_kernels = batch_kernels
         self._caches = [ProjectionCache(camera) for camera in rig.cameras]
 
     def capture(self, sequence: int) -> MultiViewFrame:
@@ -88,14 +86,15 @@ class CachedFrameSource:
     ) -> list[RGBDFrame]:
         """Render a set of cameras, hole-filling the whole set in one pass.
 
-        With ``batch_kernels`` the per-camera z-buffers are produced
-        unfilled (:meth:`ProjectionCache.render_arrays`) and the hole
-        filling runs once over the stacked ``(N, H, W)`` images
+        The per-camera z-buffers are produced unfilled
+        (:meth:`ProjectionCache.render_arrays`) and the hole filling
+        runs once over the stacked ``(N, H, W)`` images
         (:func:`fill_holes_batch`) -- bit-identical to filling each
         camera separately, grouped by image shape so mixed-resolution
-        rigs still batch what they can.
+        rigs still batch what they can.  A single camera has nothing to
+        stack and renders directly.
         """
-        if not self.batch_kernels or len(camera_indices) < 2:
+        if len(camera_indices) < 2:
             return [
                 self._caches[index].render(
                     batches, sequence=sequence, timestamp_s=timestamp

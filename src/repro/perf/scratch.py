@@ -6,10 +6,11 @@ divisor, the motion offset list -- and re-allocates the motion-search
 plane stack each call.  One arena per codec core memoizes the tables
 (keyed by the parameters that define them) and hands out persistent
 buffers for the search stack.  Every memoized array is identical in
-value to what the uncached path computes, so bitstreams are
-byte-identical with the arena on or off (asserted in
-tests/test_kernel_cache.py); memoized tables are marked read-only so a
-misbehaving caller cannot corrupt later frames.
+value to what the pure ``weight_matrix`` / ``search_offsets`` /
+``qp_to_step`` functions compute, so bitstreams equal those of a codec
+calling them fresh per plane (pinned by ``TestScratchArena`` under
+tests/); memoized tables are marked read-only so a misbehaving caller
+cannot corrupt later frames.
 
 Arenas are owned by a single ``_CodecCore`` and are not shared across
 processes: fork-process encoder workers build their own (DESIGN.md

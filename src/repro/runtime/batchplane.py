@@ -1,4 +1,4 @@
-"""Cross-session batch plane: lockstep SoA kernel execution (DESIGN.md §15).
+"""Cross-session batch plane: lockstep SoA kernel execution (DESIGN.md §9).
 
 One fleet host ticks hundreds of conferences whose per-frame kernel
 work is *homogeneous*: every session runs the same blockwise DCT /
@@ -187,7 +187,7 @@ class _PlaneTransformKernel:
         """
         _, qp, weights = request.payload
         core = request.ctx
-        if core is not None and getattr(core, "arena", None) is not None:
+        if core is not None:
             return core.arena.quant_scale(qp, weights)
         step = qp_to_step(qp)
         return step if weights is None else step * weights
@@ -221,7 +221,7 @@ class _MotionKernel:
     @staticmethod
     def _offsets(request: BatchRequest):
         core = request.ctx
-        if core is not None and getattr(core, "_offsets", None) is not None:
+        if core is not None:
             return core._offsets
         return search_offsets(request.key[1])
 
@@ -230,10 +230,9 @@ class _MotionKernel:
         _, _, block_size = request.key
         offsets = self._offsets(request)
         core = request.ctx
-        arena = getattr(core, "arena", None) if core is not None else None
         out = (
-            arena.shift_buffer(len(offsets), reference.shape)
-            if arena is not None
+            core.arena.shift_buffer(len(offsets), reference.shape)
+            if core is not None
             else None
         )
         shifted = shifted_planes(reference, offsets, out=out)
@@ -250,10 +249,8 @@ class _MotionKernel:
         for request in requests:
             # Keep each stream's arena counters identical to the serial
             # schedule (the buffer itself is not needed here).
-            core = request.ctx
-            arena = getattr(core, "arena", None) if core is not None else None
-            if arena is not None:
-                arena.shift_buffer(len(offsets), request.payload[1].shape)
+            if request.ctx is not None:
+                request.ctx.arena.shift_buffer(len(offsets), request.payload[1].shape)
         planes = np.stack([request.payload[0] for request in requests])
         references = np.stack([request.payload[1] for request in requests])
         mv_index, predictor = motion_batch(planes, references, offsets, block_size)

@@ -103,8 +103,8 @@ class Executor:
         # Items recomputed in-process after a pool crash (a crash event
         # bumps ``crashes`` once; ``recomputed`` counts the work redone).
         self.recomputed = 0
-        # Shared-memory arena for zero-copy payload passing; only the
-        # process executor ever sets one.  Serial/thread executors pass
+        # Shared-memory arena for zero-copy payload passing; the process
+        # executor always owns one.  Serial/thread executors pass
         # arrays through untouched (``arena is None``), so payload
         # routing degrades to plain arguments and results stay
         # byte-identical across executor kinds.
@@ -207,15 +207,14 @@ class ProcessExecutor(Executor):
 
     kind = "process"
 
-    def __init__(self, jobs: int, on_crash=None, shm: bool = False) -> None:
+    def __init__(self, jobs: int, on_crash=None) -> None:
         super().__init__(jobs=jobs)
         self._ctx = mp.get_context("fork")
         self._pool = ProcessPoolExecutor(max_workers=jobs, mp_context=self._ctx)
         self._broken = False
         self._on_crash = on_crash
         self._workers: list[StatefulWorker] = []
-        if shm:
-            self.arena = ShmArena()
+        self.arena = ShmArena()
 
     def _note_crash(self) -> None:
         self.crashes += 1
@@ -276,24 +275,19 @@ class ProcessExecutor(Executor):
             except Exception:
                 pass
         self._pool.shutdown(wait=True)
-        if self.arena is not None:
-            # Free after the pool is down so no worker still views a
-            # segment; anything still referenced is a lifecycle bug the
-            # leak counter (and the leak tests) surface.
-            self.shm_leaked += len(self.arena.close())
+        # Free after the pool is down so no worker still views a
+        # segment; anything still referenced is a lifecycle bug the
+        # leak counter (and the leak tests) surface.
+        self.shm_leaked += len(self.arena.close())
 
 
-def make_executor(
-    jobs: int = 1, kind: str = "auto", on_crash=None, shm: bool = False
-) -> Executor:
+def make_executor(jobs: int = 1, kind: str = "auto", on_crash=None) -> Executor:
     """Build the executor a session asked for.
 
     ``kind``: ``serial`` forces the deterministic reference;
     ``thread``/``process`` force a substrate; ``auto`` picks serial at
     ``jobs == 1`` and the fork-based process pool otherwise (falling
-    back to threads where fork is unavailable).  ``shm`` arms the
-    process executor's shared-memory arena (zero-copy payload lane);
-    it is ignored for executors that share an address space already.
+    back to threads where fork is unavailable).
     """
     if kind not in ("auto", "serial", "thread", "process"):
         raise ValueError(f"unknown executor kind {kind!r}")
@@ -305,6 +299,6 @@ def make_executor(
         return ThreadExecutor(jobs)
     if kind == "process" or kind == "auto":
         if "fork" in mp.get_all_start_methods():
-            return ProcessExecutor(jobs, on_crash=on_crash, shm=shm)
+            return ProcessExecutor(jobs, on_crash=on_crash)
         return ThreadExecutor(jobs)
     raise AssertionError("unreachable")

@@ -78,7 +78,7 @@ def _run_multiway(spec: ScenarioSpec) -> SessionReport:
         width=spec.camera_width,
         height=spec.camera_height,
     )
-    source = CachedFrameSource(rig, scene) if config.kernel_cache else None
+    source = CachedFrameSource(rig, scene)
     pose_traces = user_traces_for_video(spec.video, spec.frames + 10)
 
     bandwidth = spec.build_trace()
@@ -159,9 +159,7 @@ def _run_multiway(spec: ScenarioSpec) -> SessionReport:
             continue
         for peer in active:
             sender.observe_pose(peer, peer_traces[peer].pose_at_frame(sequence), now)
-        frame = source.capture(sequence) if source is not None else rig.capture(
-            scene, sequence
-        )
+        frame = source.capture(sequence)
         capacity_bps = bandwidth.capacity_bps_at(now)
         target = 0.5 * capacity_bps
         result = sender.process(frame, target, horizon_s)

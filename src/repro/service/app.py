@@ -74,8 +74,6 @@ class ServiceConfig:
     downlink_mbps: float = 4.0
     pose_trace_frames: int = 300
     seed: int = 0
-    batch_plane: bool = True        # co-schedule sessions on the batch plane
-    jobs: int = 1                   # >1 fans serial ticks over threads
     tick_interval_s: float = 0.0    # 0 = free-running (benchmark mode)
     max_clients_per_session: int = 64
     max_sessions: int = 4096
@@ -166,9 +164,7 @@ class ServiceApp:
         self.pool = TickWorkerPool(
             self.registry,
             self.factory.source,
-            batch_plane=self.config.batch_plane,
             tick_interval_s=self.config.tick_interval_s,
-            jobs=self.config.jobs,
         )
         self._started_at = None
 

@@ -379,8 +379,6 @@ def main(argv=None) -> int:
     parser.add_argument("--kill-fraction", type=float, default=0.15)
     parser.add_argument("--url", default=None,
                         help="target an external service (default: in-process)")
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--no-batch-plane", action="store_true")
     parser.add_argument(
         "--max-p99-ms", type=float, default=None,
         help="fail (exit 1) if session tick p99 exceeds this budget "
@@ -399,14 +397,7 @@ def main(argv=None) -> int:
         kill_fraction=args.kill_fraction,
         url=args.url,
     )
-    service_config = None
-    if args.url is None:
-        from repro.service.app import ServiceConfig
-
-        service_config = ServiceConfig(
-            batch_plane=not args.no_batch_plane, jobs=args.jobs
-        )
-    result = run_loadgen(config, service_config)
+    result = run_loadgen(config)
     payload = {
         "bench": "service",
         "config": {

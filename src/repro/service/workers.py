@@ -6,11 +6,10 @@ round
 1. reaps draining sessions (closing their encoder workers),
 2. applies each running session's queued membership ops (the registry
    mailboxes -- so HTTP joins/leaves never race the tick),
-3. ticks every running session one frame -- co-scheduled through the
-   cross-session :class:`~repro.runtime.batchplane.BatchPlane` when
-   more than one session is due (the fleet harness's lockstep SoA
-   trick, DESIGN.md section 15), per-session otherwise, optionally
-   fanned out over a thread executor (``repro.runtime.executors``),
+3. ticks every running session one frame, all of them co-scheduled
+   through the cross-session
+   :class:`~repro.runtime.batchplane.BatchPlane` (the fleet harness's
+   lockstep SoA schedule, DESIGN.md section 9),
 4. records per-session tick latency into ``service.tick_ms`` and
    paces to ``tick_interval_s`` (0 = free-running, the benchmark
    mode).
@@ -48,7 +47,6 @@ def _guarded_steps(driver, frame, now, target_rate_bps, horizon_s):
     """
     try:
         yield from driver.tick_steps(frame, now, target_rate_bps, horizon_s)
-        return None
     except Exception as error:  # noqa: BLE001 -- the whole point
         return error
 
@@ -60,20 +58,16 @@ class TickWorkerPool:
         self,
         registry,
         source,
-        batch_plane: bool = True,
         tick_interval_s: float = 0.0,
-        jobs: int = 1,
         horizon_s: float = 0.1,
     ) -> None:
         from repro.runtime.batchplane import BatchPlane
-        from repro.runtime.executors import make_executor
 
         self.registry = registry
         self.source = source
         self.tick_interval_s = float(tick_interval_s)
         self.horizon_s = horizon_s
-        self.plane = BatchPlane() if batch_plane else None
-        self.executor = make_executor(jobs, "thread") if jobs > 1 else None
+        self.plane = BatchPlane()
         self.rounds = 0
         self._stop = threading.Event()
         self._wake = threading.Event()
@@ -100,7 +94,7 @@ class TickWorkerPool:
         self._wake.set()
 
     def stop(self, timeout: float = 10.0) -> None:
-        """Stop the scheduler and release the executor; idempotent."""
+        """Stop the scheduler; idempotent."""
         self._stop.set()
         self._wake.set()
         if self._thread is not None:
@@ -108,8 +102,6 @@ class TickWorkerPool:
             if self._thread.is_alive():  # pragma: no cover - watchdog only
                 raise RuntimeError("tick worker failed to stop")
             self._thread = None
-        if self.executor is not None:
-            self.executor.close()
 
     # ------------------------------------------------------------------
 
@@ -126,19 +118,6 @@ class TickWorkerPool:
                 self.registry._audit_event(
                     "membership_error", record.session_id, f"{op} {client}: {error}"
                 )
-
-    def _tick_one(self, record):
-        """One serial session tick; returns (error, elapsed_s)."""
-        driver = record.driver
-        sequence = driver.frames_ticked
-        try:
-            frame = self.source.capture(sequence)
-            elapsed = driver.tick(
-                frame, sequence / FPS, record.target_rate_bps, self.horizon_s
-            )
-        except Exception as error:  # noqa: BLE001
-            return error, 0.0
-        return None, elapsed
 
     def _note_tick(self, record, elapsed: float) -> None:
         record.frames_ticked = record.driver.frames_ticked
@@ -160,40 +139,25 @@ class TickWorkerPool:
         for record in records:
             self._apply_pending_ops(record)
         self.rounds += 1
-        if self.plane is not None and len(records) > 1:
-            generators = []
-            for record in records:
-                driver = record.driver
-                frame = self.source.capture(driver.frames_ticked)
-                generators.append(
-                    _guarded_steps(
-                        driver,
-                        frame,
-                        driver.frames_ticked / FPS,
-                        record.target_rate_bps,
-                        self.horizon_s,
-                    )
+        generators = []
+        for record in records:
+            driver = record.driver
+            frame = self.source.capture(driver.frames_ticked)
+            generators.append(
+                _guarded_steps(
+                    driver,
+                    frame,
+                    driver.frames_ticked / FPS,
+                    record.target_rate_bps,
+                    self.horizon_s,
                 )
-            outcome = self.plane.run_lockstep(generators)
-            for record, error, elapsed in zip(
-                records, outcome.values, outcome.elapsed
-            ):
-                if error is not None:
-                    self.registry.mark_failed(record, error)
-                else:
-                    self._note_tick(record, elapsed)
-        else:
-            if self.executor is not None and self.executor.parallel and len(records) > 1:
-                outcomes = self.executor.map(self._tick_one, records)
+            )
+        outcome = self.plane.run_lockstep(generators)
+        for record, error, elapsed in zip(records, outcome.values, outcome.elapsed):
+            if error is not None:
+                self.registry.mark_failed(record, error)
             else:
-                outcomes = [self._tick_one(record) for record in records]
-            # Metrics and state moves stay on the scheduler thread --
-            # counters are plain ints, not atomics.
-            for record, (error, elapsed) in zip(records, outcomes):
-                if error is not None:
-                    self.registry.mark_failed(record, error)
-                else:
-                    self._note_tick(record, elapsed)
+                self._note_tick(record, elapsed)
         return len(records)
 
     def _run(self) -> None:

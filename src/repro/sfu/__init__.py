@@ -16,7 +16,7 @@ right-sized stream down each receiver's own emulated link.
   factories for the runtime, ``sfu.*`` metrics and per-receiver spans;
 - :mod:`repro.sfu.fleet` -- the fleet capacity harness: hundreds of
   concurrent churned conferences through shared kernel caches
-  (``benchmarks/bench_fleet.py`` drives it).
+  (the ``fleet`` workload of ``benchmarks/e2e`` drives it).
 
 ``repro.core.multiway.MultiwaySender`` remains the user-facing entry
 point: its ``shared``/``unicast`` modes are byte-identical to the

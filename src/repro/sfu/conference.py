@@ -10,19 +10,21 @@ conference share one implementation:
   schedule.
 
 A driver owns the conference's sender, SFU node, per-receiver
-downlinks, and its running output digest; it exposes three tick entry
-points:
+downlinks, and its running output digest; it exposes:
 
-- :meth:`tick` -- synchronous, one frame, returns wall seconds;
-- :meth:`tick_steps` -- generator twin for the cross-session batch
-  plane (:class:`repro.runtime.batchplane.BatchPlane`);
+- :meth:`tick_steps` -- one frame as a request-yielding generator, the
+  form the cross-session batch plane
+  (:class:`repro.runtime.batchplane.BatchPlane`) drives in lockstep;
+- :meth:`tick` -- the same generator resolved on the spot, for a
+  caller with a single conference; returns wall seconds;
 - :meth:`churn` -- the fleet's internal seeded join/leave schedule
   (service sessions skip it and call :meth:`join`/:meth:`leave`
   directly).
 
 Determinism: everything is seeded at construction; two drivers built
 with identical arguments and ticked with identical frames produce
-byte-identical digests regardless of which entry point drove them.
+byte-identical digests regardless of which driver resolved the
+generator's kernel requests.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 
 from repro.obs.span import CLOCK_WALL
 from repro.prediction.predictor import ViewingDevice
-from repro.runtime.stage import Stage, StageGraph
+from repro.runtime.batchplane import drive_serial
 from repro.sfu.node import SFUNode, SFUTick
 from repro.transport.downlink import DownlinkSet
 from repro.transport.link import LinkConfig
@@ -43,7 +45,7 @@ __all__ = ["ConferenceDriver"]
 
 
 class ConferenceDriver:
-    """One SFU conference: uplink sender + node, driven as a stage graph."""
+    """One SFU conference: uplink sender + node stages, one frame per tick."""
 
     def __init__(
         self, index, rig, config, trace, pose_traces, seed, receivers,
@@ -79,17 +81,10 @@ class ConferenceDriver:
         for j in range(receivers):
             self.join(f"s{index}r{j}")
 
-        def uplink_stage(tick: SFUTick) -> SFUTick:
-            prepared = self._cull_and_prepare(tick)
-            tick.uplink = self.sender.encode(prepared, tick.target_rate_bps)
-            return tick
-
-        self.graph = StageGraph(
-            [Stage("sfu:uplink", uplink_stage), *self.node.stages()]
-        )
+        self.node_stages = self.node.stages()
         self.tracer = tracer
         if tracer is not None:
-            for stage in self.graph.stages:
+            for stage in self.node_stages:
                 stage.attach_tracer(tracer, attrs={"session": index})
 
     # ------------------------------------------------------------------
@@ -179,48 +174,41 @@ class ConferenceDriver:
         self.frames_ticked += 1
 
     def tick(self, frame, now, target_rate_bps, horizon_s) -> float:
-        """One frame for this conference; returns wall seconds spent."""
-        tick = self._make_tick(frame, now, target_rate_bps, horizon_s)
+        """One frame for this conference alone; returns wall seconds spent."""
         start = time.perf_counter()
-        tick = self.graph.run_item(tick)
-        elapsed = time.perf_counter() - start
-        self._account(tick)
-        return elapsed
+        drive_serial(self.tick_steps(frame, now, target_rate_bps, horizon_s))
+        return time.perf_counter() - start
 
     def tick_steps(self, frame, now, target_rate_bps, horizon_s):
-        """Generator twin of :meth:`tick` for the lockstep batch driver.
+        """One frame as a request-yielding generator.
 
-        Culling, tiling, and the SFU node stages run inline exactly as
-        the per-session schedule does; only the encode stage yields its
-        kernel jobs upward for cross-session bucketing.  Stage timings
-        record the generator-resident portion of the uplink stage (the
+        Culling, tiling, and the SFU node stages run inline; only the
+        encode yields its kernel jobs upward, for cross-session
+        bucketing on a lockstep driver.  When traced, the ``sfu:uplink``
+        span covers the generator-resident portion of the uplink (the
         co-batched kernel share is attributed through the lockstep
-        outcome's per-session ``elapsed`` and visible as ``batch``
-        spans under ``analyze-trace --fleet``).
+        outcome's per-session ``elapsed`` and visible as ``batch`` spans
+        under ``analyze-trace --fleet``).
         """
         tick = self._make_tick(frame, now, target_rate_bps, horizon_s)
-        uplink_stage = self.graph.stages[0]
         start = time.perf_counter()
         prepared = self._cull_and_prepare(tick)
-        own = time.perf_counter() - start
         if self.tracer is not None:
             self.tracer.add_span(
                 "sfu:uplink",
                 "stage",
                 tick.sequence,
                 start_s=start,
-                end_s=start + own,
+                end_s=time.perf_counter(),
                 clock=CLOCK_WALL,
                 attrs={"session": self.index},
             )
         tick.uplink = yield from self.sender.encode_steps(
             prepared, tick.target_rate_bps
         )
-        for stage in self.graph.stages[1:]:
+        for stage in self.node_stages:
             tick = stage(tick)
-        uplink_stage.timing.record(own)
         self._account(tick)
-        return None
 
     # ------------------------------------------------------------------
     # Lifecycle

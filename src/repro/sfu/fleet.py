@@ -19,8 +19,11 @@ session-frame:
   p99 session-frame latency, and aggregate uplink savings vs a unicast
   control group running the same schedule.
 
-``benchmarks/bench_fleet.py`` drives this module and writes
-``BENCH_fleet.json``.
+All conferences tick in lockstep on one cross-session
+:class:`~repro.runtime.batchplane.BatchPlane`, which coalesces their
+equal-shape codec kernel jobs into stacked SoA calls (DESIGN.md
+section 9; per-session outputs are pinned by the session digests).
+The ``fleet`` workload of ``benchmarks/e2e`` drives this module.
 """
 
 from __future__ import annotations
@@ -46,10 +49,6 @@ from repro.transport.traces import constant_trace
 
 __all__ = ["FleetConfig", "FleetResult", "run_fleet"]
 
-# Back-compat alias: the per-conference driver moved to
-# repro.sfu.conference so the session service can share it.
-_Conference = ConferenceDriver
-
 FPS = 30.0
 
 
@@ -72,12 +71,6 @@ class FleetConfig:
     target_rate_bps: float = 2e6
     unicast_control: int = 4    # control conferences run unicast for the baseline
     executor_jobs: int = 1      # >1 fans per-receiver culls out on threads
-    # Cross-session batch plane (DESIGN.md section 15): tick all
-    # conferences in lockstep and coalesce their equal-shape codec
-    # kernel jobs into stacked SoA calls.  On by default (byte-identical
-    # per session to the per-session loop, pinned by session digests);
-    # ``--no-batch-plane`` on the bench is the escape hatch.
-    batch_plane: bool = True
     # Fleet trace export: when set, every conference's stage spans are
     # recorded (tagged with a ``session`` attribute) alongside the batch
     # plane's lockstep bucket spans, and written as span JSONL for
@@ -118,14 +111,12 @@ class FleetResult:
     sfu_wall_per_frame_ms: float
     capture_cache: dict = field(default_factory=dict)
     sfu_metrics: dict = field(default_factory=dict)
-    batch_plane: bool = False
     batch_plane_stats: dict = field(default_factory=dict)
     cache_stats: dict = field(default_factory=dict)
     # One sha256 hex digest per conference over its per-tick outputs
-    # (uplink payload bytes, split, forward decisions).  Equal digests
-    # between a batch-plane run and a per-session run prove per-session
-    # byte-identity; ``fleet_digest`` in to_dict compresses them to one
-    # line for the committed JSON.
+    # (uplink payload bytes, split, forward decisions): the contract a
+    # change to the lockstep schedule must keep byte for byte;
+    # ``fleet_digest`` in to_dict compresses them to one line.
     session_digests: list = field(default_factory=list)
 
     @property
@@ -168,7 +159,6 @@ class FleetResult:
             # occupancy gauges summed, peaks maxed, hit rates from
             # merged counts) -- NOT a single-session sample.
             "sfu_metrics_fleet": self.sfu_metrics,
-            "batch_plane": self.batch_plane,
             "batch_plane_stats": self.batch_plane_stats,
             "cache_stats": self.cache_stats,
             "fleet_digest": self.fleet_digest,
@@ -268,7 +258,7 @@ def run_fleet(fleet: FleetConfig) -> FleetResult:
                 )
             )
 
-        batch_plane = BatchPlane(tracer) if fleet.batch_plane else None
+        batch_plane = BatchPlane(tracer)
         horizon_s = 0.1
         latencies = []
         churn_events = 0
@@ -278,21 +268,13 @@ def run_fleet(fleet: FleetConfig) -> FleetResult:
             frame = source.capture(sequence)
             for conference in conferences:
                 churn_events += conference.churn(sequence)
-            if batch_plane is None:
-                for conference in conferences:
-                    latencies.append(
-                        conference.tick(frame, now, fleet.target_rate_bps, horizon_s)
-                    )
-            else:
-                outcome = batch_plane.run_lockstep(
-                    [
-                        conference.tick_steps(
-                            frame, now, fleet.target_rate_bps, horizon_s
-                        )
-                        for conference in conferences
-                    ]
-                )
-                latencies.extend(outcome.elapsed)
+            outcome = batch_plane.run_lockstep(
+                [
+                    conference.tick_steps(frame, now, fleet.target_rate_bps, horizon_s)
+                    for conference in conferences
+                ]
+            )
+            latencies.extend(outcome.elapsed)
         wall_s = time.perf_counter() - wall_start
 
         if tracer is not None:
@@ -328,16 +310,14 @@ def run_fleet(fleet: FleetConfig) -> FleetResult:
         cull_projection = CacheCounters("cull_projection")
         for conference in conferences:
             codec_scratch.merge(conference.sender.cache_counters())
-            if conference.node.cull_cache is not None:
-                cull_projection.merge(conference.node.cull_cache.counters)
+            cull_projection.merge(conference.node.cull_cache.counters)
         cache_stats = {
             "codec_scratch": codec_scratch.to_dict(),
             "cull_projection": cull_projection.to_dict(),
             "capture_projection": capture_cache["capture"],
         }
-        if batch_plane is not None:
-            for counters in batch_plane.counters.values():
-                cache_stats[counters.name] = counters.to_dict()
+        for counters in batch_plane.counters.values():
+            cache_stats[counters.name] = counters.to_dict()
 
         total_uplink = sum(c.uplink_bytes for c in conferences)
         total_downlink = sum(c.downlink_bytes for c in conferences)
@@ -382,8 +362,7 @@ def run_fleet(fleet: FleetConfig) -> FleetResult:
         sfu_wall_per_frame_ms=float(latencies_ms.mean()),
         capture_cache=capture_cache,
         sfu_metrics=fleet_metrics,
-        batch_plane=fleet.batch_plane,
-        batch_plane_stats=batch_plane.stats() if batch_plane is not None else {},
+        batch_plane_stats=batch_plane.stats(),
         cache_stats=cache_stats,
         session_digests=session_digests,
     )

@@ -117,7 +117,7 @@ class SFUNode:
             step=config.split_step,
             epsilon=config.split_epsilon,
         )
-        self.cull_cache = CullCache() if config.kernel_cache else None
+        self.cull_cache = CullCache()
         # When set, forward decisions carry the per-receiver culled
         # multiview (what the receiver would reconstruct from) -- used
         # by quality benchmarks, too heavy for fleet runs.
@@ -227,12 +227,8 @@ class SFUNode:
         assert uplink is not None
         kept = 0
         for view, camera in zip(uplink.culled_multiview.views, self.cameras):
-            if self.cull_cache is not None:
-                points, valid = self.cull_cache.local_points(camera, view.depth_mm)
-                local = self.cull_cache.transformed_frustum(frustum, camera)
-            else:
-                points, valid = camera.local_points(view.depth_mm)
-                local = frustum.transformed(camera.extrinsics.world_to_camera)
+            points, valid = self.cull_cache.local_points(camera, view.depth_mm)
+            local = self.cull_cache.transformed_frustum(frustum, camera)
             kept += int((local.contains_grid(points) & valid).sum())
         return kept
 
@@ -243,12 +239,8 @@ class SFUNode:
         source = uplink.culled_multiview
         culled = []
         for view, camera in zip(source.views, self.cameras):
-            if self.cull_cache is not None:
-                points, valid = self.cull_cache.local_points(camera, view.depth_mm)
-                local = self.cull_cache.transformed_frustum(frustum, camera)
-            else:
-                points, valid = camera.local_points(view.depth_mm)
-                local = frustum.transformed(camera.extrinsics.world_to_camera)
+            points, valid = self.cull_cache.local_points(camera, view.depth_mm)
+            local = self.cull_cache.transformed_frustum(frustum, camera)
             culled.append(view.culled(local.contains_grid(points) & valid))
         return MultiViewFrame(
             culled, sequence=source.sequence, timestamp_s=source.timestamp_s
@@ -284,12 +276,11 @@ class SFUNode:
         union_points = uplink.culled_multiview.total_points()
         uplink_bytes = uplink.total_bytes
         frustums = self.predicted_frustums(sequence, horizon_s)
-        if self.cull_cache is not None:
-            self.cull_cache.begin_frame(sequence)
-            # Prime the per-camera point grids sequentially so threaded
-            # per-receiver culls only read the memo (no write races).
-            for view, camera in zip(uplink.culled_multiview.views, self.cameras):
-                self.cull_cache.local_points(camera, view.depth_mm)
+        self.cull_cache.begin_frame(sequence)
+        # Prime the per-camera point grids sequentially so threaded
+        # per-receiver culls only read the memo (no write races).
+        for view, camera in zip(uplink.culled_multiview.views, self.cameras):
+            self.cull_cache.local_points(camera, view.depth_mm)
 
         names = self.book.names
         ready_jobs = [
@@ -439,10 +430,9 @@ class SFUNode:
             registry.gauge(f"{prefix}.kept_fraction").set(state.last_kept_fraction)
         if self.downlinks is not None:
             self.downlinks.metrics_into(registry)
-        if self.cull_cache is not None:
-            registry.absorb_cache_stats(
-                {"cull_projection": self.cull_cache.counters.to_dict()}
-            )
+        registry.absorb_cache_stats(
+            {"cull_projection": self.cull_cache.counters.to_dict()}
+        )
 
     def close(self) -> None:
         """Drop frame-scoped geometry and per-receiver transports."""

@@ -14,19 +14,10 @@ Ties the transport pieces together the way the paper's stack does
   acknowledgments, Picture Loss Indication (PLI)...", appendix A.1).
 
 Everything is event-driven on simulated time: ``process_until(now)``
-advances the channel clock and makes completed frames visible.
-
-Two equivalent execution paths exist (DESIGN.md §10).  The default
-*fast path* simulates each frame's packets as one structure-of-arrays
-batch: a single link event computes every finish time with one
-vectorized cumulative-capacity lookup, delivered fragments feed the
-assembler as one run, and feedback returns as one chunked run that
-replays GCC / loss-window / SRTT updates in exact scalar event order.
-``Packet`` objects are materialized only where per-packet identity
-matters: losses (NACK state), retransmissions, FEC repair, and fault
-hooks.  The *scalar path* (``fast_path=False``) keeps one heap event
-per packet.  Both paths consume the link's RNG stream in the same
-order and produce bit-identical deliveries, drops, and estimates.
+advances the channel clock and makes completed frames visible.  Every
+packet is one heap event (offer, then feedback or NACK), so per-packet
+identity -- losses, retransmissions, FEC repair, fault hooks -- needs
+no special casing.
 """
 
 from __future__ import annotations
@@ -35,12 +26,10 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.perf.counters import BatchCounters
 from repro.transport.fec import FECGroupTracker, parity_packet_for
 from repro.transport.gcc import GCCConfig, GoogleCongestionControl
-from repro.transport.link import STATUS_DELIVERED, EmulatedLink
+from repro.transport.link import EmulatedLink
 from repro.transport.packet import DEFAULT_MTU, Packet
 from repro.transport.rtp import RTP_HEADER_BYTES, FrameAssembler, packetize
 
@@ -77,76 +66,6 @@ class FrameDelivery:
     completion_time_s: float
 
 
-class _FrameBatch:
-    """One frame's packets as structure-of-arrays (fast path).
-
-    Media fragments occupy indexes ``0 .. n_media-1`` in fragment
-    order; when FEC is on, per-group parity packets follow at indexes
-    ``n_media .. n_media+groups-1`` (the scalar path's offer order).
-    """
-
-    __slots__ = (
-        "stream_id",
-        "frame_sequence",
-        "num_fragments",
-        "sequences",
-        "fragments",
-        "sizes",
-        "n_media",
-        "retries",
-        "group_sizes",
-    )
-
-    def __init__(
-        self,
-        stream_id: int,
-        frame_sequence: int,
-        num_fragments: int,
-        sequences: np.ndarray,
-        fragments: np.ndarray,
-        sizes: np.ndarray,
-        n_media: int,
-        retries: int,
-        group_sizes: list[int] | None,
-    ) -> None:
-        self.stream_id = stream_id
-        self.frame_sequence = frame_sequence
-        self.num_fragments = num_fragments
-        self.sequences = sequences
-        self.fragments = fragments
-        self.sizes = sizes
-        self.n_media = n_media
-        self.retries = retries
-        self.group_sizes = group_sizes
-
-
-class _FeedbackRun:
-    """A frame burst's pending feedback as arrays (fast path).
-
-    Entry ``i`` is the feedback of one delivered packet: it fires at
-    ``times[i]`` with the per-packet tiebreak reserved at offer time,
-    so chunked processing interleaves with other heap events exactly
-    where the scalar path's individual feedback events would.
-    """
-
-    __slots__ = ("send_time", "times", "arrivals", "sizes", "tiebreaks", "index")
-
-    def __init__(
-        self,
-        send_time: float,
-        times: list[float],
-        arrivals: list[float],
-        sizes: list[int],
-        tiebreaks: list[int],
-    ) -> None:
-        self.send_time = send_time
-        self.times = times
-        self.arrivals = arrivals
-        self.sizes = sizes
-        self.tiebreaks = tiebreaks
-        self.index = 0
-
-
 class WebRTCChannel:
     """One-direction media channel over an emulated link."""
 
@@ -156,12 +75,10 @@ class WebRTCChannel:
         config: WebRTCConfig | None = None,
         gcc_config: GCCConfig | None = None,
         num_streams: int = 2,
-        fast_path: bool = True,
     ) -> None:
         self.link = link
         self.config = config or WebRTCConfig()
         self.gcc = GoogleCongestionControl(gcc_config)
-        self.fast_path = fast_path
         self._assemblers = [FrameAssembler() for _ in range(num_streams)]
         self._events: list[tuple[float, int, str, object]] = []
         self._tiebreak = 0
@@ -170,10 +87,10 @@ class WebRTCChannel:
         self._deliveries: list[FrameDelivery] = []
         self._needs_keyframe = [False] * num_streams
         self._srtt: float | None = None
-        # Loss window: aggregated (time, lost, total) runs plus running
-        # totals, so _loss_fraction is O(1) instead of an O(window)
-        # recount on every feedback and NACK.
-        self._loss_events: deque[tuple[float, int, int]] = deque()
+        # Loss window: one (time, lost) entry per packet outcome plus
+        # running totals, so _loss_fraction is O(1) instead of an
+        # O(window) recount on every feedback and NACK.
+        self._loss_events: deque[tuple[float, int]] = deque()
         self._loss_lost = 0
         self._loss_total = 0
         self.frames_lost: list[tuple[int, int]] = []
@@ -197,9 +114,10 @@ class WebRTCChannel:
     def metrics_into(self, registry) -> None:
         """Fold this channel's counters into a ``repro.obs`` registry.
 
-        Registers the batch/scalar fast-path counters under their
-        established ``cache.transport_batch.*`` names plus per-stream
-        byte totals and loss/abandon counts.
+        Registers the per-packet offer count under its established
+        ``cache.transport_batch.*`` names (every offer is a ``miss``:
+        nothing is batched) plus per-stream byte totals and
+        loss/abandon counts.
         """
         registry.absorb_counters(self.batch_counters)
         for stream_id, sent in enumerate(self.bytes_sent_per_stream):
@@ -223,9 +141,6 @@ class WebRTCChannel:
         """
         if size_bytes < 0:
             raise ValueError("size_bytes must be non-negative")
-        if self.fast_path:
-            self._send_frame_batched(stream_id, frame_sequence, size_bytes, now)
-            return
         if size_bytes == 0:
             self._send_marker_frame(stream_id, frame_sequence, now)
             return
@@ -244,55 +159,6 @@ class WebRTCChannel:
             self._schedule(now, "offer", (packet, self.config.nack_retries))
         if self.config.fec_group_size:
             self._send_fec_parity(stream_id, packets, now)
-
-    def _send_frame_batched(
-        self, stream_id: int, frame_sequence: int, size_bytes: int, now: float
-    ) -> None:
-        """Packetize straight to arrays; one heap event for the burst."""
-        config = self.config
-        if size_bytes == 0:
-            sizes = np.array([RTP_HEADER_BYTES], dtype=np.int64)
-            fragments = np.zeros(1, dtype=np.int64)
-            n_media = 1
-            num_fragments = 1
-            group_sizes = None
-            self.marker_frames.append((stream_id, frame_sequence))
-        else:
-            if config.mtu <= RTP_HEADER_BYTES:
-                raise ValueError("mtu must exceed the RTP header size")
-            payload_per_packet = config.mtu - RTP_HEADER_BYTES
-            num_fragments = -(-size_bytes // payload_per_packet)
-            sizes = np.full(num_fragments, config.mtu, dtype=np.int64)
-            sizes[-1] = size_bytes - payload_per_packet * (num_fragments - 1) + RTP_HEADER_BYTES
-            fragments = np.arange(num_fragments, dtype=np.int64)
-            n_media = num_fragments
-            group_sizes = None
-            if config.fec_group_size:
-                group_starts = np.arange(0, n_media, config.fec_group_size)
-                parity_sizes = np.maximum.reduceat(sizes, group_starts)
-                group_sizes = np.diff(np.append(group_starts, n_media)).tolist()
-                sizes = np.concatenate([sizes, parity_sizes])
-                fragments = np.concatenate(
-                    [fragments, np.full(len(group_starts), -1, dtype=np.int64)]
-                )
-                self._fec_group_counter += len(group_starts)
-        first_sequence = self._packet_sequence
-        self._packet_sequence += int(sizes.shape[0])
-        sequences = np.arange(first_sequence, self._packet_sequence, dtype=np.int64)
-        self._frame_send_times[(stream_id, frame_sequence)] = now
-        self.bytes_sent_per_stream[stream_id] += int(sizes.sum())
-        batch = _FrameBatch(
-            stream_id,
-            frame_sequence,
-            num_fragments,
-            sequences,
-            fragments,
-            sizes,
-            n_media,
-            config.nack_retries,
-            group_sizes,
-        )
-        self._schedule(now, "offer_batch", batch)
 
     def _send_marker_frame(self, stream_id: int, frame_sequence: int, now: float) -> None:
         """Send a header-only marker for an empty frame (recorded)."""
@@ -397,20 +263,14 @@ class WebRTCChannel:
     # Event machinery
     # ------------------------------------------------------------------
 
-    def _next_tiebreak(self) -> int:
-        tiebreak = self._tiebreak
-        self._tiebreak += 1
-        return tiebreak
-
     def _schedule(self, time_s: float, kind: str, payload: object) -> None:
-        heapq.heappush(self._events, (time_s, self._next_tiebreak(), kind, payload))
+        heapq.heappush(self._events, (time_s, self._tiebreak, kind, payload))
+        self._tiebreak += 1
 
-    def _schedule_nack(
-        self, time_s: float, tiebreak: int, packet: Packet, retries_left: int
-    ) -> None:
+    def _schedule_nack(self, time_s: float, packet: Packet, retries_left: int) -> None:
         key = (packet.stream_id, packet.frame_sequence)
         self._pending_nacks[key] = self._pending_nacks.get(key, 0) + 1
-        heapq.heappush(self._events, (time_s, tiebreak, "nack", (packet, retries_left)))
+        self._schedule(time_s, "nack", (packet, retries_left))
 
     def process_until(self, now: float) -> None:
         """Run all channel events with timestamps up to ``now``."""
@@ -419,170 +279,10 @@ class WebRTCChannel:
             time_s, _, kind, payload = heapq.heappop(self._events)
             if kind == "offer":
                 self._handle_offer(time_s, *payload)  # type: ignore[misc]
-            elif kind == "offer_batch":
-                self._handle_offer_batch(time_s, payload)  # type: ignore[arg-type]
             elif kind == "feedback":
                 self._handle_feedback(time_s, payload)  # type: ignore[arg-type]
-            elif kind == "feedback_batch":
-                self._drain_feedback_run(payload, now)  # type: ignore[arg-type]
             elif kind == "nack":
                 self._handle_nack(time_s, *payload)  # type: ignore[misc]
-
-    # ------------------------------------------------------------------
-    # Batched path
-    # ------------------------------------------------------------------
-
-    def _packet_from_batch(self, batch: _FrameBatch, index: int, send_time: float) -> Packet:
-        return Packet(
-            sequence=int(batch.sequences[index]),
-            stream_id=batch.stream_id,
-            frame_sequence=batch.frame_sequence,
-            fragment=int(batch.fragments[index]),
-            num_fragments=batch.num_fragments,
-            size_bytes=int(batch.sizes[index]),
-            send_time_s=send_time,
-        )
-
-    def _handle_offer_batch(self, time_s: float, batch: _FrameBatch) -> None:
-        """Offer a whole frame burst to the link as one vectorized call.
-
-        Reserves one tiebreak per packet up front: packet ``i``'s
-        follow-up event (feedback if delivered, NACK if lost) carries
-        tiebreak ``base + i``, reproducing the scalar path's per-packet
-        allocation order for events landing at equal times.
-        """
-        n = int(batch.sizes.shape[0])
-        self.batch_counters.batch(n)
-        base_tiebreak = self._tiebreak
-        self._tiebreak += n
-        packets = None
-        if self.link.fault_hook is not None:
-            packets = [self._packet_from_batch(batch, i, time_s) for i in range(n)]
-        arrivals_arr, status_arr = self.link.send_batch(time_s, batch.sizes, packets)
-        # Python floats/ints from here on, so everything downstream is
-        # type- and bit-identical to the scalar path.
-        arrivals = arrivals_arr.tolist()
-        delivered = (status_arr == STATUS_DELIVERED).tolist()
-        config = self.config
-        n_media = batch.n_media
-        dropped = n - sum(delivered)
-        if dropped:
-            self._record_loss_run(time_s, lost=dropped, total=dropped)
-        lost_media: dict[int, Packet] = {}
-        if dropped:
-            nack_time = (
-                time_s
-                + self.link.config.propagation_delay_s
-                + config.loss_detection_grace_s
-                + config.reverse_delay_s
-            )
-            for i in range(n_media):
-                if delivered[i]:
-                    continue
-                packet = packets[i] if packets else self._packet_from_batch(batch, i, time_s)
-                lost_media[i] = packet
-                self._schedule_nack(nack_time, base_tiebreak + i, packet, batch.retries)
-        arrived = [i for i in range(n_media) if delivered[i]]
-        if arrived:
-            completed_at = self._assemblers[batch.stream_id].on_fragment_run(
-                batch.frame_sequence,
-                batch.num_fragments,
-                [int(batch.fragments[i]) for i in arrived],
-                [arrivals[i] for i in arrived],
-            )
-            if completed_at is not None:
-                self._append_delivery(
-                    batch.stream_id, batch.frame_sequence, completed_at, time_s
-                )
-        if batch.group_sizes:
-            self._fec_repair_batch(batch, delivered, arrivals, lost_media, time_s)
-        feedback = [i for i in range(n) if delivered[i]]
-        if feedback:
-            reverse = config.reverse_delay_s
-            run = _FeedbackRun(
-                send_time=time_s,
-                times=[arrivals[i] + reverse for i in feedback],
-                arrivals=[arrivals[i] for i in feedback],
-                sizes=[int(batch.sizes[i]) for i in feedback],
-                tiebreaks=[base_tiebreak + i for i in feedback],
-            )
-            heapq.heappush(self._events, (run.times[0], run.tiebreaks[0], "feedback_batch", run))
-
-    def _fec_repair_batch(
-        self,
-        batch: _FrameBatch,
-        delivered: list[bool],
-        arrivals: list[float],
-        lost_media: dict[int, Packet],
-        time_s: float,
-    ) -> None:
-        """Resolve FEC groups inline: a batch decides every group's
-        outcome at once (groups never span frames), so repairs need no
-        retained tracker state."""
-        start = 0
-        for group_index, group_total in enumerate(batch.group_sizes):
-            parity_index = batch.n_media + group_index
-            lost_in_group = [
-                i for i in range(start, start + group_total) if not delivered[i]
-            ]
-            start += group_total
-            if not self._fec_tracker.account_group(
-                group_total, len(lost_in_group), delivered[parity_index]
-            ):
-                continue
-            packet = lost_media[lost_in_group[0]]
-            key = (batch.stream_id, batch.frame_sequence)
-            self._fec_repaired.add(packet.sequence)
-            self._fec_repaired_frames.setdefault(key, []).append(packet.sequence)
-            parity_arrival = arrivals[parity_index]
-            completed = self._assemblers[batch.stream_id].on_packet(packet, parity_arrival)
-            if completed is not None:
-                self._append_delivery(batch.stream_id, completed, parity_arrival, time_s)
-
-    def _drain_feedback_run(self, run: _FeedbackRun, now: float) -> None:
-        """Process as many feedback entries as can fire before the next
-        heap event, then park the remainder back on the heap under its
-        own (time, tiebreak) so scalar event interleaving is preserved."""
-        events = self._events
-        times = run.times
-        tiebreaks = run.tiebreaks
-        n = len(times)
-        i = run.index
-        j = i
-        if events:
-            top_time, top_tiebreak = events[0][0], events[0][1]
-            while (
-                j < n
-                and times[j] <= now
-                and (times[j], tiebreaks[j]) < (top_time, top_tiebreak)
-            ):
-                j += 1
-        else:
-            while j < n and times[j] <= now:
-                j += 1
-        self._process_feedback_chunk(run, i, j)
-        run.index = j
-        if j < n:
-            heapq.heappush(events, (times[j], tiebreaks[j], "feedback_batch", run))
-
-    def _process_feedback_chunk(self, run: _FeedbackRun, i: int, j: int) -> None:
-        self.gcc.on_feedback_batch(run.send_time, run.arrivals[i:j], run.sizes[i:j])
-        smoothing = self.config.rtt_smoothing
-        srtt = self._srtt
-        send_time = run.send_time
-        for feedback_time in run.times[i:j]:
-            self._record_loss_run(feedback_time, lost=0, total=1)
-            self.gcc.on_loss_report(self._loss_fraction(feedback_time))
-            sample = feedback_time - send_time
-            if srtt is None:
-                srtt = sample
-            else:
-                srtt += smoothing * (sample - srtt)
-        self._srtt = srtt
-
-    # ------------------------------------------------------------------
-    # Scalar path (also: retransmissions and markers under fast path)
-    # ------------------------------------------------------------------
 
     def _handle_offer(self, time_s: float, packet: Packet, retries_left: int) -> None:
         self.batch_counters.scalar(1)
@@ -599,7 +299,7 @@ class WebRTCChannel:
                 return  # parity is best-effort; never NACKed
             detection = time_s + self.link.config.propagation_delay_s + self.config.loss_detection_grace_s
             nack_arrival = detection + self.config.reverse_delay_s
-            self._schedule_nack(nack_arrival, self._next_tiebreak(), packet, retries_left)
+            self._schedule_nack(nack_arrival, packet, retries_left)
             return
         if not is_parity:
             self._deliver_media(packet, arrival)
@@ -704,18 +404,15 @@ class WebRTCChannel:
         self._schedule(time_s, "offer", (retransmit, retries_left - 1))
 
     def _record_loss_event(self, time_s: float, delivered: bool) -> None:
-        self._record_loss_run(time_s, lost=0 if delivered else 1, total=1)
-
-    def _record_loss_run(self, time_s: float, lost: int, total: int) -> None:
-        self._loss_events.append((time_s, lost, total))
+        lost = 0 if delivered else 1
+        self._loss_events.append((time_s, lost))
         self._loss_lost += lost
-        self._loss_total += total
+        self._loss_total += 1
         cutoff = time_s - self.config.loss_window_s
         events = self._loss_events
         while events and events[0][0] < cutoff:
-            _, run_lost, run_total = events.popleft()
-            self._loss_lost -= run_lost
-            self._loss_total -= run_total
+            self._loss_lost -= events.popleft()[1]
+            self._loss_total -= 1
 
     def _loss_fraction(self, now: float) -> float:
         if not self._loss_total:

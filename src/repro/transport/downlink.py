@@ -3,7 +3,7 @@
 An SFU node owns one :class:`~repro.transport.link.EmulatedLink` per
 receiver: each downlink is its own bottleneck (the receiver's access
 network), with its own trace, queue state, and loss RNG, all sharing
-the vectorized cumulative-capacity model of DESIGN.md §10.
+the vectorized cumulative-capacity model of DESIGN.md §9.
 
 :class:`DownlinkSet` is the registry the SFU drives: links are created
 on receiver join (seeded deterministically from the base seed and the

@@ -124,20 +124,6 @@ class FECGroupTracker:
             state.parity_received = True
         return self._try_repair(state)
 
-    def account_group(
-        self, media_total: int, lost_media: int, parity_delivered: bool
-    ) -> bool:
-        """Account a whole group's outcomes at once (batched path).
-
-        When a frame's packets are simulated as one batch every group's
-        outcome is known in one shot, so no per-group state needs to be
-        retained; returns True iff the single loss is parity-repairable.
-        """
-        if parity_delivered and lost_media == 1 and media_total >= 1:
-            self.repaired += 1
-            return True
-        return False
-
     def release(self, group_id: int) -> None:
         """Forget a fully-accounted group (memory reclamation)."""
         self._groups.pop(group_id, None)

@@ -17,8 +17,8 @@ zero-rate outage intervals) and O(log intervals) per packet.
 one send time as structure-of-arrays: finish times come from one
 ``cumsum`` + vectorized inverse lookup, loss draws come from the same
 RNG stream in the same order as repeated :meth:`EmulatedLink.send`
-calls, and the returned arrivals/statuses are bit-identical to the
-scalar path (see DESIGN.md §10 for the parity contract).
+calls, and the returned arrivals/statuses are bit-identical to what
+those calls return (see DESIGN.md §9 for the parity contract).
 """
 
 from __future__ import annotations

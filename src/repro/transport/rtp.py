@@ -89,33 +89,6 @@ class FrameAssembler:
             return packet.frame_sequence
         return None
 
-    def on_fragment_run(
-        self,
-        frame_sequence: int,
-        num_fragments: int,
-        fragments: list[int],
-        arrival_times_s: list[float],
-    ) -> float | None:
-        """Register a run of arrived fragments of one frame at once.
-
-        Equivalent to :meth:`on_packet` per fragment, for the batched
-        transport path where a frame's delivered fragments arrive as
-        arrays (in arrival order).  Returns the completing arrival time
-        if the run completed the frame, else None.
-        """
-        state = self._frames.get(frame_sequence)
-        if state is None:
-            state = _FrameState(num_fragments=num_fragments)
-            self._frames[frame_sequence] = state
-        if state.first_arrival_s is None:
-            state.first_arrival_s = arrival_times_s[0]
-        state.last_arrival_s = arrival_times_s[-1]
-        state.received.update(fragments)
-        if state.complete and frame_sequence not in self._completed:
-            self._completed.add(frame_sequence)
-            return state.last_arrival_s
-        return None
-
     def missing_fragments(self, frame_sequence: int) -> list[int]:
         """Fragments of a frame not yet received (for NACK generation)."""
         state = self._frames.get(frame_sequence)

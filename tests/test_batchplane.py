@@ -8,8 +8,6 @@ bucketing rules (heterogeneous shapes/QPs never co-batch) and the
 failure semantics (a faulted job re-raises in its owning generator).
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -41,6 +39,7 @@ from repro.runtime.batchplane import (
 )
 from repro.sfu.fleet import FleetConfig, run_fleet
 from repro.transport.traces import trace_1
+from tests.twins import assert_pinned
 
 
 # ----------------------------------------------------------------------
@@ -284,11 +283,13 @@ class TestEncoderLockstepParity:
         config = VideoCodecConfig(gop_size=4, search_range=1)
         streams = [self._frames(seed) for seed in (11, 12)]
         serial_payloads = [[], []]
+        serial_counters = []
         for index, frames in enumerate(streams):
             encoder = VideoEncoder(VideoCodecConfig(gop_size=4, search_range=1))
             for frame in frames:
                 encoded, _ = encoder.encode(frame, qp=26)
                 serial_payloads[index].append(encoded.payload)
+            serial_counters.append(encoder.cache_counters.to_dict())
 
         encoders = [VideoEncoder(config), VideoEncoder(VideoCodecConfig(gop_size=4, search_range=1))]
         plane = BatchPlane()
@@ -306,6 +307,9 @@ class TestEncoderLockstepParity:
         # Frames 1+ are INTER: motion jobs must actually have co-batched.
         assert plane.counters["motion"].batched_items > 0
         assert plane.counters["plane_transform"].batched_items > 0
+        # Bucketed jobs still touch their own stream's scratch arena, so
+        # its counters do not depend on the schedule.
+        assert [e.cache_counters.to_dict() for e in encoders] == serial_counters
 
     def test_encode_to_target_retry_parity(self):
         frames = self._frames(13, count=4)
@@ -327,7 +331,8 @@ class TestEncoderLockstepParity:
 
 
 # ----------------------------------------------------------------------
-# Whole-session parity: batch plane on/off x executors x faults
+# Whole-session pins: the session's serial encode schedule reproduces
+# what the pre-plane per-stream encode produced (tests/twins.py)
 # ----------------------------------------------------------------------
 
 
@@ -342,10 +347,7 @@ class TestSessionParity:
     def workload(self):
         _, scene = load_video("office1", sample_budget=3000)
         user = user_traces_for_video("office1", self.FRAMES + 10)[0]
-        baseline = LiVoSession(
-            SessionConfig(**self.CONFIG, batch_plane=False)
-        ).run(scene, user, trace_1(duration_s=5), self.FRAMES)
-        return scene, user, dataclasses.asdict(baseline)
+        return scene, user
 
     @pytest.mark.parametrize(
         "executor,jobs",
@@ -354,78 +356,65 @@ class TestSessionParity:
     def test_batch_plane_report_identical_across_executors(
         self, workload, executor, jobs
     ):
-        scene, user, baseline = workload
+        scene, user = workload
         report = LiVoSession(
-            SessionConfig(
-                **self.CONFIG, batch_plane=True, executor=executor, jobs=jobs
-            )
+            SessionConfig(**self.CONFIG, executor=executor, jobs=jobs)
         ).run(scene, user, trace_1(duration_s=5), self.FRAMES)
-        assert dataclasses.asdict(report) == baseline
+        assert_pinned("batchplane:session", report.asdict())
 
     def test_faulted_session_parity(self, workload):
-        scene, user, _ = workload
+        scene, user = workload
         plan = FaultPlan(
             encoder_faults=(EncoderFault(1),),
             corrupted_frames=(FrameCorruption(2),),
         )
-        reports = [
-            LiVoSession(
-                SessionConfig(**self.CONFIG, batch_plane=batch_plane)
-            ).run(scene, user, trace_1(duration_s=5), self.FRAMES, fault_plan=plan)
-            for batch_plane in (False, True)
-        ]
-        assert dataclasses.asdict(reports[0]) == dataclasses.asdict(reports[1])
+        report = LiVoSession(SessionConfig(**self.CONFIG)).run(
+            scene, user, trace_1(duration_s=5), self.FRAMES, fault_plan=plan
+        )
+        assert_pinned("batchplane:session_faulted", report.asdict())
 
 
 # ----------------------------------------------------------------------
-# Fleet parity: lockstep cross-session batching vs per-session loop
+# Fleet pins: lockstep cross-session batching reproduces what the
+# per-session loop produced
 # ----------------------------------------------------------------------
 
 
 class TestFleetParity:
     @pytest.fixture(scope="class")
-    def fleet_pair(self):
-        kwargs = dict(
-            sessions=3, frames=6, receivers=2, churn_every=2,
-            sample_budget=2000, unicast_control=1,
+    def fleet(self):
+        return run_fleet(
+            FleetConfig(
+                sessions=3, frames=6, receivers=2, churn_every=2,
+                sample_budget=2000, unicast_control=1,
+            )
         )
-        off = run_fleet(FleetConfig(**kwargs, batch_plane=False))
-        on = run_fleet(FleetConfig(**kwargs, batch_plane=True))
-        return off, on
 
-    def test_session_digests_identical(self, fleet_pair):
-        off, on = fleet_pair
-        assert on.session_digests == off.session_digests
-        assert on.fleet_digest == off.fleet_digest
+    def test_session_digests_identical(self, fleet):
+        assert_pinned("batchplane:fleet_session_digests", fleet.session_digests)
 
-    def test_byte_and_churn_accounting_identical(self, fleet_pair):
-        off, on = fleet_pair
-        assert on.sfu_uplink_bytes_per_frame == off.sfu_uplink_bytes_per_frame
-        assert on.sfu_downlink_bytes_per_frame == off.sfu_downlink_bytes_per_frame
-        assert on.churn_events == off.churn_events
-        assert on.mean_receivers == off.mean_receivers
+    def test_byte_and_churn_accounting_identical(self, fleet):
+        assert_pinned(
+            "batchplane:fleet_accounting",
+            [
+                fleet.sfu_uplink_bytes_per_frame,
+                fleet.sfu_downlink_bytes_per_frame,
+                fleet.churn_events,
+                fleet.mean_receivers,
+            ],
+        )
 
-    def test_lockstep_actually_batched_across_sessions(self, fleet_pair):
-        _, on = fleet_pair
-        stats = on.batch_plane_stats
+    def test_lockstep_actually_batched_across_sessions(self, fleet):
+        stats = fleet.batch_plane_stats
         assert stats["plane_transform"]["hits"] > 0
         assert stats["motion"]["hits"] > 0
         assert stats["entropy_encode"]["hits"] > 0
         # Cross-session co-batching: average bucket width exceeds one
         # session's own jobs-per-round, i.e. > 1 item per batch.
         assert stats["plane_transform"]["hits"] > stats["plane_transform"]["batches"]
-        # The off-run records no batch-plane stats at all.
-        assert fleet_pair[0].batch_plane_stats == {}
 
-    def test_cache_stats_reported_once_fleet_wide(self, fleet_pair):
-        off, on = fleet_pair
-        for result in (off, on):
-            assert set(result.cache_stats) >= {
-                "codec_scratch", "cull_projection", "capture_projection",
-            }
-        # Identical codec work -> identical fleet-wide scratch tallies.
-        assert on.cache_stats["codec_scratch"] == off.cache_stats["codec_scratch"]
-        assert (
-            on.cache_stats["capture_projection"]
-            == off.cache_stats["capture_projection"]
-        )
+    def test_cache_stats_reported_once_fleet_wide(self, fleet):
+        assert set(fleet.cache_stats) >= {
+            "codec_scratch", "cull_projection", "capture_projection",
+        }
+        assert fleet.cache_stats["codec_scratch"]["hits"] > 0

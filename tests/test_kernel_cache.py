@@ -6,7 +6,7 @@ uncached twin; these tests hold the layer to that promise:
 - incremental capture vs full re-render across a dynamic scene,
 - cached PointSSIM features vs the one-shot metric, to full precision,
 - determinism of the stratified subsample mode,
-- scratch-arena bitstreams vs plain encoder bitstreams,
+- scratch-arena bitstreams vs the pinned plain-encoder bitstreams,
 
 plus regression tests for the satellite fixes (read-only zigzag cache,
 exact integer bit lengths, fill_holes buffer reuse).
@@ -36,6 +36,7 @@ from repro.perf.features import FeatureCache
 from repro.perf.fingerprint import array_fingerprint, cloud_fingerprint
 from repro.prediction.pose import user_traces_for_video
 from repro.transport.traces import trace_1
+from tests.twins import assert_pinned
 
 
 def _test_scene(sample_budget: int = 15_000) -> Scene:
@@ -233,36 +234,36 @@ def _video_frames(num: int = 4, seed: int = 5) -> list[np.ndarray]:
 
 
 class TestScratchArena:
+    """The arena-backed codec reproduces the bitstreams the arena-less
+    codec (``weight_matrix``/``search_offsets``/``quantize`` called
+    fresh per plane) produced before it was deleted (tests/twins.py)."""
+
     @pytest.mark.parametrize("depth_mode", [False, True])
     def test_bitstreams_byte_identical(self, depth_mode):
         if depth_mode:
-            make = lambda reuse: VideoCodecConfig.for_depth(
-                gop_size=3, search_range=1, scratch_reuse=reuse
-            )
+            config = VideoCodecConfig.for_depth(gop_size=3, search_range=1)
             rng = np.random.default_rng(9)
             frames = [
                 (rng.integers(0, 60000, size=(48, 64))).astype(np.uint16)
                 for _ in range(4)
             ]
         else:
-            make = lambda reuse: VideoCodecConfig(
-                gop_size=3, search_range=1, scratch_reuse=reuse
-            )
+            config = VideoCodecConfig(gop_size=3, search_range=1)
             frames = _video_frames()
-        outputs = {}
-        for reuse in (True, False):
-            encoder = VideoEncoder(make(reuse))
-            decoder = VideoDecoder(make(reuse))
-            payloads, decodes = [], []
-            for image in frames:
-                frame, recon = encoder.encode(image, qp=28)
-                payloads.append(frame.payload)
-                decodes.append(decoder.decode(frame).tobytes())
-                assert np.array_equal(recon, np.frombuffer(
-                    decodes[-1], dtype=recon.dtype
-                ).reshape(recon.shape))
-            outputs[reuse] = (payloads, decodes)
-        assert outputs[True] == outputs[False]
+        encoder = VideoEncoder(config)
+        decoder = VideoDecoder(config)
+        payloads, decodes = [], []
+        for image in frames:
+            frame, recon = encoder.encode(image, qp=28)
+            payloads.append(frame.payload)
+            decodes.append(decoder.decode(frame).tobytes())
+            assert np.array_equal(recon, np.frombuffer(
+                decodes[-1], dtype=recon.dtype
+            ).reshape(recon.shape))
+        assert_pinned(
+            f"codec:bitstreams_{'depth' if depth_mode else 'color'}",
+            [payloads, decodes],
+        )
 
     def test_arena_counters_record_hits(self):
         config = VideoCodecConfig(gop_size=4, search_range=1)
@@ -270,50 +271,41 @@ class TestScratchArena:
         for image in _video_frames(num=5):
             encoder.encode(image, qp=30)
         counters = encoder.cache_counters
-        assert counters is not None
         assert counters.hits > counters.misses
 
     def test_rate_controlled_encode_identical(self):
-        frames = _video_frames(num=3)
-        sizes = {}
-        for reuse in (True, False):
-            encoder = VideoEncoder(
-                VideoCodecConfig(gop_size=3, search_range=1, scratch_reuse=reuse)
-            )
-            sizes[reuse] = [
-                encoder.encode_to_target(image, 6000)[0].payload for image in frames
-            ]
-        assert sizes[True] == sizes[False]
+        encoder = VideoEncoder(VideoCodecConfig(gop_size=3, search_range=1))
+        assert_pinned(
+            "codec:rate_controlled",
+            [
+                encoder.encode_to_target(image, 6000)[0].payload
+                for image in _video_frames(num=3)
+            ],
+        )
 
 
 # ----------------------------------------------------------------------
-# Session-level parity: kernel cache on vs off
+# Session-level pin: the cached session reproduces the uncached one
 # ----------------------------------------------------------------------
 
 
 class TestSessionParity:
     def test_cached_session_matches_uncached(self):
-        from dataclasses import asdict
-
-        scene_kwargs = dict(
+        scene = make_scene(
+            "parity",
             num_people=1, num_props=2,
             motion_amplitude_m=0.25, motion_frequency_hz=1.0,
             sample_budget=8_000, seed=13,
         )
-        user = user_traces_for_video("band2", 20)[0]
-        bandwidth = trace_1(duration_s=10)
-        reports = {}
-        for kernel_cache in (True, False):
-            config = SessionConfig(
-                num_cameras=4, camera_width=48, camera_height=36,
-                scene_sample_budget=8_000, gop_size=5,
-                kernel_cache=kernel_cache,
-            )
-            scene = make_scene("parity", **scene_kwargs)
-            reports[kernel_cache] = LiVoSession(config).run(
-                scene, user, bandwidth, 8, video_name="parity"
-            )
-        assert asdict(reports[True]) == asdict(reports[False])
+        config = SessionConfig(
+            num_cameras=4, camera_width=48, camera_height=36,
+            scene_sample_budget=8_000, gop_size=5,
+        )
+        report = LiVoSession(config).run(
+            scene, user_traces_for_video("band2", 20)[0], trace_1(duration_s=10),
+            8, video_name="parity",
+        )
+        assert_pinned("kernel_cache:session", report.asdict())
 
 
 # ----------------------------------------------------------------------

@@ -376,6 +376,8 @@ class TestConfigAndModel:
             SessionConfig(jobs=0)
         with pytest.raises(ValueError):
             SessionConfig(executor="gpu")
+        with pytest.raises(ValueError):
+            SessionConfig(quality_every=0)  # used to die mid-run, modulo by zero
         config = SessionConfig(jobs=4, executor="process", profile=True)
         assert config.jobs == 4
 

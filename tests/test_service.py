@@ -46,17 +46,14 @@ class _FakeDriver:
     def leave(self, name: str) -> None:
         self.receivers.remove(name)
 
-    def tick(self, frame, now, target_rate_bps, horizon_s) -> float:
+    def tick_steps(self, frame, now, target_rate_bps, horizon_s):
+        """The pool's only entry point: a generator with no kernel jobs."""
         if self.fail_at is not None and self.frames_ticked >= self.fail_at:
             raise RuntimeError("injected tick failure")
         self.frames_ticked += 1
         self.uplink_bytes += 100
         self.downlink_bytes += 50 * len(self.receivers)
         self.receiver_frames += len(self.receivers)
-        return 0.001
-
-    def tick_steps(self, frame, now, target_rate_bps, horizon_s):
-        self.tick(frame, now, target_rate_bps, horizon_s)
         return
         yield  # pragma: no cover - generator shape only
 
@@ -94,7 +91,6 @@ def _registry(**kwargs):
 def _pool(registry, **kwargs):
     from repro.service.workers import TickWorkerPool
 
-    kwargs.setdefault("batch_plane", False)
     return TickWorkerPool(registry, _FakeSource(), **kwargs)
 
 
@@ -299,14 +295,28 @@ class TestWorkerPool:
                 fail_at=0 if index == 0 else None
             )
         )
-        from repro.service.workers import TickWorkerPool
-
-        pool = TickWorkerPool(registry, _FakeSource(), batch_plane=True)
+        pool = _pool(registry)
         doomed = registry.create()
         healthy = registry.create()
         pool.run_round()
         assert doomed.state == DRAINING
         assert healthy.frames_ticked == 1
+        pool.stop()
+
+    def test_single_session_round_is_guarded_too(self):
+        """One due session is still a lockstep round: it ticks, and its
+        crash becomes a failed session, not a raised round."""
+        registry = SessionRegistry(
+            lambda index, seed, receivers, target_rate_bps: _FakeDriver(fail_at=1)
+        )
+        pool = _pool(registry)
+        only = registry.create()
+        assert pool.run_round() == 1
+        assert only.frames_ticked == 1
+        assert registry.metrics.get("service.tick_ms").count == 1
+        assert pool.run_round() == 1          # raises inside the generator
+        assert only.state == DRAINING
+        assert "injected tick failure" in only.error
         pool.stop()
 
     def test_scheduler_thread_ticks_and_stops_cleanly(self):
@@ -601,11 +611,6 @@ class TestFleetTeardownRegression:
                 built.append(self)
                 self._boom = index == 1
 
-            def tick(self, frame, now, target_rate_bps, horizon_s):
-                if self._boom and self.frames_ticked >= 2:
-                    raise RuntimeError("injected stage failure")
-                return super().tick(frame, now, target_rate_bps, horizon_s)
-
             def tick_steps(self, frame, now, target_rate_bps, horizon_s):
                 if self._boom and self.frames_ticked >= 2:
                     raise RuntimeError("injected stage failure")
@@ -627,7 +632,6 @@ class TestFleetTeardownRegression:
         config = FleetConfig(
             sessions=3, frames=6, receivers=2, churn_every=3,
             sample_budget=1500, unicast_control=1, executor_jobs=2,
-            batch_plane=False,
         )
         with pytest.raises(RuntimeError, match="injected stage failure"):
             run_fleet(config)
@@ -661,7 +665,7 @@ class TestFleetTeardownRegression:
         monkeypatch.setattr(fleet_module, "ConferenceDriver", _Exploding)
         config = FleetConfig(
             sessions=2, frames=5, receivers=2, churn_every=3,
-            sample_budget=1500, unicast_control=1, batch_plane=True,
+            sample_budget=1500, unicast_control=1,
         )
         with pytest.raises(RuntimeError, match="injected lockstep failure"):
             run_fleet(config)

@@ -20,6 +20,7 @@ from repro.sfu.node import SFUTick
 from repro.transport.downlink import DownlinkSet, MTU_BYTES
 from repro.transport.link import LinkConfig
 from repro.transport.traces import constant_trace
+from tests.twins import assert_pinned
 
 
 @pytest.fixture(scope="module")
@@ -258,18 +259,8 @@ def decisions_signature(runs):
 
 
 class TestSFUNode:
-    def node(self, setup, downlinks=False, cache=True):
+    def node(self, setup, downlinks=False):
         config, rig, _ = setup
-        if not cache:
-            config = SessionConfig(
-                **{
-                    **{f: getattr(config, f) for f in (
-                        "num_cameras", "camera_width", "camera_height",
-                        "scene_sample_budget", "gop_size",
-                    )},
-                    "kernel_cache": False,
-                }
-            )
         links = (
             DownlinkSet(constant_trace(4.0, 30.0), LinkConfig(seed=5))
             if downlinks
@@ -296,14 +287,12 @@ class TestSFUNode:
         assert run() == run()
 
     def test_cull_cache_parity(self, setup):
+        """The node's memoized culls reproduce what the cache-less node
+        decided before it was deleted (tests/twins.py)."""
         config, rig, scene = setup
-        cached_node, _ = self.node(setup)
-        plain_node, plain_config = self.node(setup, cache=False)
-        assert cached_node.cull_cache is not None
-        assert plain_node.cull_cache is None
-        cached = drive_node(cached_node, rig, scene, config, frames=3)
-        plain = drive_node(plain_node, rig, scene, plain_config, frames=3)
-        assert decisions_signature(cached) == decisions_signature(plain)
+        node, _ = self.node(setup)
+        decisions = drive_node(node, rig, scene, config, frames=3)
+        assert_pinned("sfu:node_decisions", decisions_signature(decisions))
 
     def test_cold_receiver_gets_full_union(self, setup):
         """A receiver that has never reported a pose receives the whole

@@ -1,14 +1,17 @@
-"""Parity suite for the batched transport fast path (DESIGN.md §10).
+"""Transport parity: the link's batched send vs its per-packet send,
+and the channel against its pinned outputs.
 
-The fast path must be *bit-identical* to the scalar path: same
-deliveries, same drops, same arrival times, same GCC/RTT estimates,
-same RNG stream consumption.  Every comparison here is exact equality,
-never approx.  Also covers the satellite fixes: zero-capacity trace
-handling, O(1) loss-window counters, and per-frame bookkeeping pruning.
+``EmulatedLink.send_batch`` (the SFU downlinks' entry point) must be
+*bit-identical* to ``send``: same drops, same arrival times, same RNG
+stream consumption -- exact equality, never approx.  The channel has
+one event path (one heap event per packet); its deliveries, estimates
+and link state are pinned to what it produced while a batched twin
+still ran beside it (tests/twins.py).  Also covers the satellite
+fixes: zero-capacity trace handling, O(1) loss-window counters, and
+per-frame bookkeeping pruning.
 """
 
 import math
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from repro.transport.link import (
 )
 from repro.transport.packet import Packet
 from repro.transport.traces import BandwidthTrace, constant_trace, trace_1
+from tests.twins import assert_pinned
 
 # ----------------------------------------------------------------------
 # Cumulative-capacity trace model
@@ -237,7 +241,6 @@ class TestLinkBatchParity:
 
 
 def _run_channel(
-    fast_path,
     trace_factory,
     link_config=None,
     channel_config=None,
@@ -250,16 +253,14 @@ def _run_channel(
         link_config or LinkConfig(),
         fault_hook=hook_factory() if hook_factory else None,
     )
-    channel = WebRTCChannel(
-        link, config=channel_config or WebRTCConfig(), fast_path=fast_path
-    )
+    channel = WebRTCChannel(link, config=channel_config or WebRTCConfig())
     deliveries = []
     interval = 1.0 / fps
     for sequence in range(frames):
         now = sequence * interval
         deliveries.extend(channel.poll_deliveries(now))
-        # Rate-coupled frame sizes: any estimator divergence between the
-        # paths amplifies into different packetizations immediately.
+        # Rate-coupled frame sizes: any estimator divergence from the
+        # pinned run amplifies into different packetizations immediately.
         target = channel.target_rate_bps()
         color = int(target * 0.6 / fps / 8.0)
         depth = max(1, int(target * 0.25 / fps / 8.0))
@@ -287,24 +288,24 @@ def _run_channel(
     }
 
 
-def _assert_channel_parity(**kwargs):
-    fast = _run_channel(True, **kwargs)
-    scalar = _run_channel(False, **kwargs)
-    assert fast == scalar
+def _assert_channel_parity(name, **kwargs):
+    assert_pinned(f"channel:{name}", _run_channel(**kwargs))
 
 
 class TestChannelParity:
     def test_clean(self):
-        _assert_channel_parity(trace_factory=lambda: constant_trace(60.0))
+        _assert_channel_parity("clean", trace_factory=lambda: constant_trace(60.0))
 
     def test_lossy(self):
         _assert_channel_parity(
+            "lossy",
             trace_factory=lambda: trace_1(duration_s=5.0),
             link_config=LinkConfig(loss_rate=0.08, seed=7),
         )
 
     def test_heavy_loss_few_retries(self):
         _assert_channel_parity(
+            "heavy_loss_few_retries",
             trace_factory=lambda: constant_trace(40.0),
             link_config=LinkConfig(loss_rate=0.3, seed=11),
             channel_config=WebRTCConfig(nack_retries=1),
@@ -312,6 +313,7 @@ class TestChannelParity:
 
     def test_fec(self):
         _assert_channel_parity(
+            "fec",
             trace_factory=lambda: constant_trace(60.0),
             link_config=LinkConfig(loss_rate=0.12, seed=5),
             channel_config=WebRTCConfig(fec_group_size=4),
@@ -319,6 +321,7 @@ class TestChannelParity:
 
     def test_fault_outage_window(self):
         _assert_channel_parity(
+            "fault_outage_window",
             trace_factory=lambda: constant_trace(60.0),
             link_config=LinkConfig(loss_rate=0.05, seed=3),
             hook_factory=lambda: (lambda p: 0.4 <= p.send_time_s < 0.62),
@@ -326,18 +329,21 @@ class TestChannelParity:
 
     def test_stateful_fault_hook(self):
         _assert_channel_parity(
+            "stateful_fault_hook",
             trace_factory=lambda: constant_trace(60.0),
             hook_factory=lambda: _EveryNth(29),
         )
 
     def test_queue_pressure(self):
         _assert_channel_parity(
+            "queue_pressure",
             trace_factory=lambda: constant_trace(4.0),
             link_config=LinkConfig(max_queue_delay_s=0.08),
         )
 
     def test_socket_buffer(self):
         _assert_channel_parity(
+            "socket_buffer",
             trace_factory=lambda: constant_trace(80.0),
             link_config=LinkConfig(
                 receive_buffer_bytes=16_000, receive_drain_rate_bps=4e6
@@ -346,6 +352,7 @@ class TestChannelParity:
 
     def test_zero_capacity_outage_trace(self):
         _assert_channel_parity(
+            "zero_capacity_outage_trace",
             trace_factory=lambda: BandwidthTrace(
                 np.array([40.0, 40.0, 0.0, 40.0, 40.0, 40.0]), interval_s=0.25
             ),
@@ -382,19 +389,18 @@ class TestGCCBatchParity:
 
 class TestLossWindowCounters:
     def test_counters_match_recount(self):
-        for fast_path in (True, False):
-            link = EmulatedLink(constant_trace(40.0), LinkConfig(loss_rate=0.2, seed=21))
-            channel = WebRTCChannel(link, fast_path=fast_path)
-            for sequence in range(30):
-                now = sequence / 30.0
-                channel.send_frame(0, sequence, 6000, now)
-                channel.poll_deliveries(now)
-            channel.poll_deliveries(5.0)
-            lost = sum(entry[1] for entry in channel._loss_events)
-            total = sum(entry[2] for entry in channel._loss_events)
-            assert (channel._loss_lost, channel._loss_total) == (lost, total)
-            if total:
-                assert channel._loss_fraction(5.0) == lost / total
+        link = EmulatedLink(constant_trace(40.0), LinkConfig(loss_rate=0.2, seed=21))
+        channel = WebRTCChannel(link)
+        for sequence in range(30):
+            now = sequence / 30.0
+            channel.send_frame(0, sequence, 6000, now)
+            channel.poll_deliveries(now)
+        channel.poll_deliveries(5.0)
+        lost = sum(was_lost for _, was_lost in channel._loss_events)
+        total = len(channel._loss_events)
+        assert total > 0
+        assert (channel._loss_lost, channel._loss_total) == (lost, total)
+        assert channel._loss_fraction(5.0) == lost / total
 
     def test_window_pruning(self):
         link = EmulatedLink(constant_trace(40.0))
@@ -420,19 +426,18 @@ class TestBookkeepingPruning:
             channel.release_frame(sequence)
 
     def test_clean_session_bookkeeping_empty(self):
-        for fast_path in (True, False):
-            link = EmulatedLink(constant_trace(60.0))
-            channel = WebRTCChannel(link, fast_path=fast_path)
-            for sequence in range(20):
-                channel.send_frame(0, sequence, 5000, sequence / 30.0)
-                channel.send_frame(1, sequence, 2000, sequence / 30.0)
-            self._drain_and_release(channel, 20)
-            assert channel._frame_send_times == {}
-            assert channel._pending_nacks == {}
-            assert channel._released == set()
-            for assembler in channel._assemblers:
-                assert assembler._frames == {}
-                assert assembler._completed == set()
+        link = EmulatedLink(constant_trace(60.0))
+        channel = WebRTCChannel(link)
+        for sequence in range(20):
+            channel.send_frame(0, sequence, 5000, sequence / 30.0)
+            channel.send_frame(1, sequence, 2000, sequence / 30.0)
+        self._drain_and_release(channel, 20)
+        assert channel._frame_send_times == {}
+        assert channel._pending_nacks == {}
+        assert channel._released == set()
+        for assembler in channel._assemblers:
+            assert assembler._frames == {}
+            assert assembler._completed == set()
 
     def test_abandoned_frame_released_after_chains_drain(self):
         """Releasing a frame while its NACK chains are still in flight
@@ -441,7 +446,7 @@ class TestBookkeepingPruning:
         link = EmulatedLink(
             constant_trace(60.0), fault_hook=lambda p: p.frame_sequence == 0
         )
-        channel = WebRTCChannel(link, fast_path=True)
+        channel = WebRTCChannel(link)
         channel.send_frame(0, 0, 5000, 0.0)
         channel.process_until(0.01)  # offers done; NACKs still pending
         channel.release_frame(0)
@@ -455,9 +460,7 @@ class TestBookkeepingPruning:
 
     def test_fec_maps_pruned_after_group_accounting(self):
         link = EmulatedLink(constant_trace(60.0), fault_hook=lambda p: p.sequence == 1)
-        channel = WebRTCChannel(
-            link, config=WebRTCConfig(fec_group_size=4), fast_path=False
-        )
+        channel = WebRTCChannel(link, config=WebRTCConfig(fec_group_size=4))
         channel.send_frame(0, 0, 4000, 0.0)
         channel.poll_deliveries(3.0)
         assert channel._packet_fec_group == {}
@@ -470,18 +473,17 @@ class TestBookkeepingPruning:
 
 
 # ----------------------------------------------------------------------
-# Session-level report parity (fast path on vs off)
+# Session-level report pins
 # ----------------------------------------------------------------------
 
 
-def _session_report(transport_fast_path, link_config=None, fault_plan=None, frames=8):
+def _session_report(link_config=None, fault_plan=None, frames=8):
     config = SessionConfig(
         num_cameras=4,
         camera_width=48,
         camera_height=36,
         scene_sample_budget=6_000,
         gop_size=5,
-        transport_fast_path=transport_fast_path,
         **({"link": link_config} if link_config else {}),
     )
     _, scene = load_video("office1", sample_budget=6_000)
@@ -494,9 +496,7 @@ def _session_report(transport_fast_path, link_config=None, fault_plan=None, fram
 
 class TestSessionReportParity:
     def test_clean_session_reports_identical(self):
-        fast = _session_report(True)
-        scalar = _session_report(False)
-        assert asdict(fast) == asdict(scalar)
+        assert_pinned("transport:session_clean", _session_report().asdict())
 
     def test_lossy_faulted_session_reports_identical(self):
         plan = FaultPlan(
@@ -504,7 +504,5 @@ class TestSessionReportParity:
             link_outages=(LinkOutage(0.2, 0.35),),
             burst_loss=(BurstLossWindow(0.4, 0.6, p_enter=0.15, p_exit=0.3),),
         )
-        link_config = LinkConfig(loss_rate=0.05, seed=3)
-        fast = _session_report(True, link_config, plan, frames=20)
-        scalar = _session_report(False, link_config, plan, frames=20)
-        assert asdict(fast) == asdict(scalar)
+        report = _session_report(LinkConfig(loss_rate=0.05, seed=3), plan, frames=20)
+        assert_pinned("transport:session_lossy_faulted", report.asdict())

@@ -1,0 +1,167 @@
+"""The single path per kernel reproduces what its deleted twin produced.
+
+One parametrised test over the workloads named in
+``tests/goldens/twin_digests.json`` (see :mod:`tests.twins` for how the
+file was made): three two-party sessions, one churned fleet, one
+service tick pool.  The narrower pins (channel, codec, SFU node) live
+next to the behaviour they cover, in the test files that used to run
+both twins.
+"""
+
+import dataclasses
+import functools
+import inspect
+
+import pytest
+
+from repro import cli
+from repro.capture.dataset import load_video
+from repro.codec.video import VideoCodecConfig
+from repro.core import session as session_module
+from repro.core.config import SessionConfig
+from repro.core.session import LiVoSession
+from repro.faults.plan import (
+    BurstLossWindow,
+    EncoderFault,
+    FaultPlan,
+    FrameCorruption,
+    LinkOutage,
+)
+from repro.prediction.pose import user_traces_for_video
+from repro.service.app import ServiceApp, ServiceConfig
+from repro.service.workers import TickWorkerPool
+from repro.sfu.fleet import FleetConfig, run_fleet
+from repro.transport.channel import WebRTCChannel, WebRTCConfig
+from repro.transport.link import LinkConfig
+from repro.transport.traces import trace_1
+from tests.twins import assert_pinned
+
+SMALL = dict(
+    num_cameras=4, camera_width=32, camera_height=24,
+    scene_sample_budget=3000, gop_size=4, quality_every=2,
+)
+
+
+def _session(frames, fault_plan=None, **overrides):
+    _, scene = load_video("office1", sample_budget=SMALL["scene_sample_budget"])
+    user = user_traces_for_video("office1", frames + 10)[0]
+    report = LiVoSession(SessionConfig(**{**SMALL, **overrides})).run(
+        scene, user, trace_1(duration_s=5), frames,
+        video_name="office1", fault_plan=fault_plan,
+    )
+    return report.asdict()
+
+
+def _session_burst_loss_fec(monkeypatch):
+    # FEC is a channel option no SessionConfig field reaches; hand the
+    # session a channel class with it switched on.
+    monkeypatch.setattr(
+        session_module, "WebRTCChannel",
+        functools.partial(WebRTCChannel, config=WebRTCConfig(fec_group_size=4)),
+    )
+    plan = FaultPlan(
+        seed=23,
+        link_outages=(LinkOutage(0.2, 0.3),),
+        burst_loss=(
+            BurstLossWindow(0.1, 0.3, p_enter=0.2, p_exit=0.2, loss_in_bad=0.9),
+            BurstLossWindow(0.4, 0.6, p_enter=0.2, p_exit=0.2, loss_in_bad=0.9),
+        ),
+        encoder_faults=(EncoderFault(3),),
+        corrupted_frames=(FrameCorruption(12),),
+    )
+    # Multi-packet frames over a 15 % lossy link: parity repairs, NACK
+    # retransmissions and one abandoned frame all occur in 20 frames.
+    return _session(
+        20, fault_plan=plan, link=LinkConfig(loss_rate=0.15, seed=3),
+        camera_width=48, camera_height=36,
+    )
+
+
+def _tick_pool():
+    app = ServiceApp(ServiceConfig(seed=0))
+    try:
+        records = [
+            app.registry.create(receivers=2 + index % 2, scheme=scheme)
+            for index, scheme in enumerate(("livo-1m", "livo-2m", "livo-4m", "livo-2m"))
+        ]
+        for _ in range(10):
+            assert app.pool.run_round() == len(records)
+        return [record.driver.digest.hexdigest() for record in records]
+    finally:
+        app.close()
+
+
+WORKLOADS = {
+    "session:clean": lambda monkeypatch: _session(8),
+    "session:burst_loss_fec": _session_burst_loss_fec,
+    "session:process_jobs2": lambda monkeypatch: _session(5, executor="process", jobs=2),
+    "fleet:6x12": lambda monkeypatch: run_fleet(
+        FleetConfig(sessions=6, frames=12, seed=0)
+    ).fleet_digest,
+    "tick_pool:4x10": lambda monkeypatch: _tick_pool(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_single_path_reproduces_deleted_twin(name, monkeypatch):
+    assert_pinned(name, WORKLOADS[name](monkeypatch))
+
+
+# ----------------------------------------------------------------------
+# The options stay gone
+# ----------------------------------------------------------------------
+
+REMOVED_OPTIONS = {
+    "kernel_cache", "batch_kernels", "shm", "batch_plane",
+    "transport_fast_path", "scratch_reuse", "fast_path",
+}
+
+
+def _option_names(target) -> set:
+    if dataclasses.is_dataclass(target):
+        return {field.name for field in dataclasses.fields(target)}
+    return set(inspect.signature(target).parameters)
+
+
+@pytest.mark.parametrize(
+    "target,also_gone",
+    [
+        pytest.param(SessionConfig, (), id="SessionConfig"),
+        pytest.param(FleetConfig, (), id="FleetConfig"),
+        pytest.param(ServiceConfig, ("jobs",), id="ServiceConfig"),
+        pytest.param(VideoCodecConfig, (), id="VideoCodecConfig"),
+        pytest.param(WebRTCChannel.__init__, (), id="WebRTCChannel"),
+        pytest.param(TickWorkerPool.__init__, ("jobs",), id="TickWorkerPool"),
+    ],
+)
+def test_twin_path_options_do_not_grow_back(target, also_gone):
+    assert not _option_names(target) & (REMOVED_OPTIONS | set(also_gone))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--no-kernel-cache"],
+        ["run", "--no-kernel-cache"],
+        ["run", "--no-transport-fast-path"],
+        ["run", "--no-batch-kernels"],
+        ["run", "--no-shm"],
+        ["run", "--no-batch-plane"],
+        ["serve", "--no-batch-plane"],
+        ["serve", "--jobs", "2"],
+    ],
+    ids=" ".join,
+)
+def test_twin_path_cli_hatches_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as usage:
+        cli.build_parser().parse_args(argv)
+    assert usage.value.code == 2
+
+
+@pytest.mark.parametrize("hatch", [["--no-batch-plane"], ["--jobs", "2"]], ids=" ".join)
+def test_loadgen_hatches_are_usage_errors(hatch):
+    # Loadgen parses its own flags inside main(); the small schedule only
+    # bounds the run should one of the options ever come back.
+    with pytest.raises(SystemExit) as usage:
+        cli.main(["loadgen", "--clients", "8", "--duration", "0.2", *hatch])
+    assert usage.value.code == 2
