@@ -21,6 +21,7 @@ the comparison LiVo's depth scaling makes).
 
 from __future__ import annotations
 
+import struct
 import zlib
 
 import numpy as np
@@ -62,41 +63,59 @@ def _zigzag_key(row: int, col: int) -> tuple[int, int]:
 
 
 # ----------------------------------------------------------------------
-# Vectorized variable-length bitfield packing
+# Word-level variable-length bitfield packing
 # ----------------------------------------------------------------------
 #
 # Codewords are laid out MSB-first at bit offsets given by the running
-# sum of the codeword lengths.  The fast path materializes the whole
-# ``(N, max_length)`` bit-plane matrix in one shot -- bit b of codeword
-# n lives at flat position ``offsets[n] + b`` -- and scatters it with a
-# single fancy-indexed assignment; the ``_scalar`` twins keep the
-# original one-Python-iteration-per-bit-plane loop as the reference the
-# tests pin byte-identity against.
+# sum of the codeword lengths, and the stream is read as big-endian
+# 32-bit words.  A codeword of at most 32 bits starting at bit ``o``
+# touches word ``o >> 5`` and at most the next one, so it always fits a
+# 64-bit window laid over that word pair: packing shifts each codeword
+# into its window and sums the window halves per word (codewords never
+# overlap, so the sum is the OR, and a sum below 2**32 is exact in the
+# float64 ``np.bincount`` accumulates in); unpacking reads the window
+# back, shifts and masks.  Codewords wider than 32 bits are split into
+# a high part and a low 32-bit part that go through the same windows.
+# Time and memory are linear in the number of codewords.
+
+_WORD = np.uint64(32)
+_LOW_WORD = np.uint64(0xFFFFFFFF)
+
+
+def _low_bits_mask(lengths: np.ndarray) -> np.ndarray:
+    return (np.uint64(1) << lengths.astype(np.uint64)) - np.uint64(1)
+
+
+def _window_slots(ends: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First word of each codeword's 64-bit window, and its shift inside it."""
+    offsets = ends - lengths
+    return offsets >> 5, (64 - (offsets & 31) - lengths).astype(np.uint64)
 
 
 def _pack_bitfields(codes: np.ndarray, lengths: np.ndarray) -> bytes:
-    """Concatenate variable-length codewords MSB-first into bytes."""
+    """Concatenate variable-length codewords (1..64 bits) MSB-first into bytes."""
     if len(codes) == 0:
         return b""
     codes = codes.astype(np.uint64)
     lengths = lengths.astype(np.int64)
-    total_bits = int(lengths.sum())
-    offsets = np.zeros(len(codes), dtype=np.int64)
-    np.cumsum(lengths[:-1], out=offsets[1:])
-    max_length = int(lengths.max())
-    positions = np.arange(max_length, dtype=np.int64)
-    # Shift amounts per (codeword, bit position); positions past a
-    # codeword's length are masked out, so their clamped shift of 0 is
-    # never read.
-    shifts = lengths[:, None] - 1 - positions[None, :]
-    valid = shifts >= 0
-    np.maximum(shifts, 0, out=shifts)
-    bit_matrix = (
-        (codes[:, None] >> shifts.astype(np.uint64)) & np.uint64(1)
-    ).astype(np.uint8)
-    bits = np.zeros(total_bits, dtype=np.uint8)
-    bits[(offsets[:, None] + positions[None, :])[valid]] = bit_matrix[valid]
-    return np.packbits(bits).tobytes()
+    ends = np.cumsum(lengths)
+    total_bits = int(ends[-1])
+    wide = lengths > 32
+    if wide.any():
+        # The high part keeps the codeword's slot; the low 32 bits are
+        # appended (the per-word sum does not care about order).
+        low_ends = ends[wide]
+        codes = np.concatenate([np.where(wide, codes >> _WORD, codes), codes[wide] & _LOW_WORD])
+        ends = np.concatenate([np.where(wide, ends - 32, ends), low_ends])
+        lengths = np.concatenate(
+            [np.where(wide, lengths - 32, lengths), np.full(len(low_ends), 32)]
+        )
+    word, shifts = _window_slots(ends, lengths)
+    windows = (codes & _low_bits_mask(lengths)) << shifts
+    num_words = (total_bits + 31) // 32 + 1
+    words = np.bincount(word, weights=windows >> _WORD, minlength=num_words)
+    words[1:] += np.bincount(word, weights=windows & _LOW_WORD, minlength=num_words)[:-1]
+    return words.astype(">u4").tobytes()[: (total_bits + 7) // 8]
 
 
 def _pack_bitfields_segmented(
@@ -107,12 +126,12 @@ def _pack_bitfields_segmented(
     ``counts[s]`` codewords belong to segment ``s``; the return value is
     one byte string per segment, byte-identical to calling
     :func:`_pack_bitfields` on that segment alone.  Packing runs per
-    segment on purpose: each segment's bit-plane matrix is a few
-    kilobytes and stays cache resident, whereas a single fused scatter
-    over a fleet-sized bucket spills every intermediate to memory and
-    measures *slower* than this loop.  The batched entropy coder's win
-    comes from sharing the surrounding zigzag/significance/magnitude
-    math, not from fusing the bit scatter.
+    segment on purpose: every segment starts its own byte-aligned
+    stream, and a fused scatter over a fleet-sized bucket holds every
+    bucket-wide intermediate at once (its resident-set cost on the
+    ``fleet`` workload is in DESIGN.md section 9).  The batched entropy
+    coder's win comes from sharing the surrounding
+    zigzag/significance/magnitude math, not from fusing the bit scatter.
     """
     counts = np.asarray(counts, dtype=np.int64)
     bounds = np.zeros(len(counts) + 1, dtype=np.int64)
@@ -127,55 +146,30 @@ def _pack_bitfields_segmented(
 
 
 def _unpack_bitfields(data: bytes, lengths: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_pack_bitfields` given the codeword lengths."""
+    """Inverse of :func:`_pack_bitfields` given the codeword lengths.
+
+    Raises ``ValueError`` when ``data`` is shorter than the lengths sum to.
+    """
     lengths = lengths.astype(np.int64)
     if len(lengths) == 0:
         return np.zeros(0, dtype=np.uint64)
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-    offsets = np.zeros(len(lengths), dtype=np.int64)
-    np.cumsum(lengths[:-1], out=offsets[1:])
-    max_length = int(lengths.max())
-    positions = np.arange(max_length, dtype=np.int64)
-    shifts = lengths[:, None] - 1 - positions[None, :]
-    valid = shifts >= 0
-    np.maximum(shifts, 0, out=shifts)
-    index = np.where(valid, offsets[:, None] + positions[None, :], 0)
-    gathered = np.where(valid, bits[index], 0).astype(np.uint64)
-    return np.bitwise_or.reduce(gathered << shifts.astype(np.uint64), axis=1)
+    ends = np.cumsum(lengths)
+    total_bits = int(ends[-1])
+    if total_bits > 8 * len(data):
+        raise ValueError(f"bit stream holds {8 * len(data)} bits, codewords need {total_bits}")
+    num_bytes = 4 * ((total_bits + 31) // 32 + 1)
+    words = np.frombuffer(data[:num_bytes].ljust(num_bytes, b"\0"), dtype=">u4").astype(np.uint64)
+    windows = (words[:-1] << _WORD) | words[1:]
 
+    def gather(ends: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        word, shifts = _window_slots(ends, lengths)
+        return (windows[word] >> shifts) & _low_bits_mask(lengths)
 
-def _pack_bitfields_scalar(codes: np.ndarray, lengths: np.ndarray) -> bytes:
-    """Reference bit-plane loop for :func:`_pack_bitfields` (tests only)."""
-    if len(codes) == 0:
-        return b""
-    codes = codes.astype(np.uint64)
-    lengths = lengths.astype(np.int64)
-    total_bits = int(lengths.sum())
-    offsets = np.zeros(len(codes), dtype=np.int64)
-    np.cumsum(lengths[:-1], out=offsets[1:])
-    bits = np.zeros(total_bits, dtype=np.uint8)
-    max_length = int(lengths.max())
-    for bit in range(max_length):
-        mask = lengths > bit
-        shift = (lengths[mask] - 1 - bit).astype(np.uint64)
-        bits[offsets[mask] + bit] = ((codes[mask] >> shift) & np.uint64(1)).astype(np.uint8)
-    return np.packbits(bits).tobytes()
-
-
-def _unpack_bitfields_scalar(data: bytes, lengths: np.ndarray) -> np.ndarray:
-    """Reference bit-plane loop for :func:`_unpack_bitfields` (tests only)."""
-    lengths = lengths.astype(np.int64)
-    if len(lengths) == 0:
-        return np.zeros(0, dtype=np.uint64)
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-    offsets = np.zeros(len(lengths), dtype=np.int64)
-    np.cumsum(lengths[:-1], out=offsets[1:])
-    codes = np.zeros(len(lengths), dtype=np.uint64)
-    max_length = int(lengths.max())
-    for bit in range(max_length):
-        mask = lengths > bit
-        shift = (lengths[mask] - 1 - bit).astype(np.uint64)
-        codes[mask] |= bits[offsets[mask] + bit].astype(np.uint64) << shift
+    wide = lengths > 32
+    if not wide.any():
+        return gather(ends, lengths)
+    codes = gather(np.where(wide, ends - 32, ends), np.where(wide, lengths - 32, lengths))
+    codes[wide] = (codes[wide] << _WORD) | gather(ends[wide], np.full(int(wide.sum()), 32))
     return codes
 
 
@@ -200,6 +194,23 @@ def _bit_length(values: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
+def _magnitude_codes(nonzero: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bit lengths and magnitude codewords of nonzero int64 levels."""
+    magnitudes = np.abs(nonzero).astype(np.uint64)
+    bit_lengths = _bit_length(magnitudes)
+    if len(bit_lengths) and bit_lengths.max() > 32:
+        # The class stream has 5 bits: a wider magnitude would wrap its
+        # class and decode to different levels.
+        raise ValueError("level magnitudes must fit 32 bits (int32 levels)")
+    # Magnitude without its implicit leading 1, then the sign bit.
+    mantissas = magnitudes & _low_bits_mask(bit_lengths - 1)
+    return bit_lengths, (mantissas << np.uint64(1)) | (nonzero < 0).astype(np.uint64)
+
+
+# num_blocks, block_size, num_nonzero, len(significance blob), len(class blob)
+_HEADER = struct.Struct("<IHIII")
+
+
 def encode_levels(levels: np.ndarray, effort: int = 6) -> bytes:
     """Serialize an ``(N, B, B)`` int32 level stack to compressed bytes.
 
@@ -208,53 +219,17 @@ def encode_levels(levels: np.ndarray, effort: int = 6) -> bytes:
     """
     if levels.ndim != 3 or levels.shape[1] != levels.shape[2]:
         raise ValueError(f"expected (N, B, B) levels, got {levels.shape}")
-    if not 1 <= effort <= 9:
-        raise ValueError("effort must be in [1, 9]")
-    num_blocks, block_size, _ = levels.shape
-    zigzag = zigzag_indices(block_size)
-    flat = levels.reshape(num_blocks, -1)[:, zigzag].T.ravel()
-
-    significant = flat != 0
-    significance_blob = zlib.compress(np.packbits(significant).tobytes(), effort)
-
-    nonzero = flat[significant].astype(np.int64)
-    magnitudes = np.abs(nonzero)
-    signs = (nonzero < 0).astype(np.uint64)
-    if len(nonzero):
-        bit_lengths = _bit_length(magnitudes)
-        class_blob = zlib.compress(
-            _pack_bitfields((bit_lengths - 1).astype(np.uint64), np.full(len(nonzero), 5)),
-            effort,
-        )
-        # Magnitude without its implicit leading 1, then the sign bit.
-        mantissa_mask = (np.uint64(1) << (bit_lengths - 1).astype(np.uint64)) - np.uint64(1)
-        mantissas = magnitudes.astype(np.uint64) & mantissa_mask
-        codes = (mantissas << np.uint64(1)) | signs
-        magnitude_blob = zlib.compress(_pack_bitfields(codes, bit_lengths), effort)
-    else:
-        class_blob = zlib.compress(b"", effort)
-        magnitude_blob = zlib.compress(b"", effort)
-
-    header = (
-        num_blocks.to_bytes(4, "little")
-        + block_size.to_bytes(2, "little")
-        + len(nonzero).to_bytes(4, "little")
-        + len(significance_blob).to_bytes(4, "little")
-        + len(class_blob).to_bytes(4, "little")
-    )
-    return header + significance_blob + class_blob + magnitude_blob
+    return encode_levels_batch(levels[None], effort)[0]
 
 
 def encode_levels_batch(stacks: np.ndarray, effort: int = 6) -> list[bytes]:
     """Serialize ``(S, N, B, B)`` level stacks to ``S`` compressed payloads.
 
-    The structure-of-arrays twin of :func:`encode_levels`: the zigzag
-    reorder, significance bitmap, and magnitude-class math run once over
-    the whole stack.  The variable-length bit packing and the DEFLATE
-    calls stay per stack (each payload is an independent bit stream, and
-    small per-segment packs beat a fused fleet-wide scatter -- see
-    :func:`_pack_bitfields_segmented`).  Every returned payload is
-    byte-identical to ``encode_levels(stacks[s])``.
+    The zigzag reorder, significance bitmap, and magnitude-class math run
+    once over the whole stack.  The variable-length bit packing and the
+    DEFLATE calls stay per stack (each payload is an independent bit
+    stream -- see :func:`_pack_bitfields_segmented`), so a payload does
+    not depend on which other stacks it was encoded with.
     """
     if stacks.ndim != 4 or stacks.shape[2] != stacks.shape[3]:
         raise ValueError(f"expected (S, N, B, B) level stacks, got {stacks.shape}")
@@ -263,7 +238,7 @@ def encode_levels_batch(stacks: np.ndarray, effort: int = 6) -> list[bytes]:
     num_stacks, num_blocks, block_size, _ = stacks.shape
     zigzag = zigzag_indices(block_size)
     flat = (
-        stacks.reshape(num_stacks, num_blocks, -1)[:, :, zigzag]
+        stacks.reshape(num_stacks, num_blocks, block_size * block_size)[:, :, zigzag]
         .transpose(0, 2, 1)
         .reshape(num_stacks, -1)
     )
@@ -273,68 +248,77 @@ def encode_levels_batch(stacks: np.ndarray, effort: int = 6) -> list[bytes]:
     counts = significant.sum(axis=1)
 
     nonzero = flat[significant].astype(np.int64)               # stack-major
-    magnitudes = np.abs(nonzero)
-    signs = (nonzero < 0).astype(np.uint64)
-    bit_lengths = _bit_length(magnitudes)
+    bit_lengths, codes = _magnitude_codes(nonzero)
     class_streams = _pack_bitfields_segmented(
-        (bit_lengths - 1).astype(np.uint64),
-        np.full(len(nonzero), 5, dtype=np.int64),
-        counts,
+        bit_lengths - 1, np.full(len(nonzero), 5, dtype=np.int64), counts
     )
-    mantissa_mask = (np.uint64(1) << (bit_lengths - 1).astype(np.uint64)) - np.uint64(1)
-    codes = ((magnitudes.astype(np.uint64) & mantissa_mask) << np.uint64(1)) | signs
     magnitude_streams = _pack_bitfields_segmented(codes, bit_lengths, counts)
 
     payloads = []
     for index in range(num_stacks):
         significance_blob = zlib.compress(significance_rows[index].tobytes(), effort)
         class_blob = zlib.compress(class_streams[index], effort)
-        magnitude_blob = zlib.compress(magnitude_streams[index], effort)
-        header = (
-            num_blocks.to_bytes(4, "little")
-            + block_size.to_bytes(2, "little")
-            + int(counts[index]).to_bytes(4, "little")
-            + len(significance_blob).to_bytes(4, "little")
-            + len(class_blob).to_bytes(4, "little")
+        header = _HEADER.pack(
+            num_blocks, block_size, counts[index], len(significance_blob), len(class_blob)
         )
+        magnitude_blob = zlib.compress(magnitude_streams[index], effort)
         payloads.append(header + significance_blob + class_blob + magnitude_blob)
     return payloads
 
 
+def _inflate(blob: bytes, stream: str) -> bytes:
+    try:
+        return zlib.decompress(blob)
+    except zlib.error as error:
+        raise ValueError(f"corrupt {stream} stream: {error}") from error
+
+
 def decode_levels(data: bytes) -> np.ndarray:
-    """Inverse of :func:`encode_levels`."""
-    if len(data) < 18:
+    """Inverse of :func:`encode_levels`.
+
+    The payload comes off the network: every header field is checked
+    against the streams it describes *before* anything is sized from it,
+    and any malformed payload raises ``ValueError``.
+    """
+    if len(data) < _HEADER.size:
         raise ValueError("truncated entropy payload")
-    num_blocks = int.from_bytes(data[0:4], "little")
-    block_size = int.from_bytes(data[4:6], "little")
-    num_nonzero = int.from_bytes(data[6:10], "little")
-    significance_len = int.from_bytes(data[10:14], "little")
-    class_len = int.from_bytes(data[14:18], "little")
-    cursor = 18
+    num_blocks, block_size, num_nonzero, significance_len, class_len = _HEADER.unpack_from(data)
+    cursor = _HEADER.size
     significance_blob = data[cursor : cursor + significance_len]
     cursor += significance_len
     class_blob = data[cursor : cursor + class_len]
     cursor += class_len
     magnitude_blob = data[cursor:]
 
+    if block_size < 1:
+        raise ValueError("entropy payload declares block size 0")
     total = num_blocks * block_size * block_size
-    significance_bits = np.unpackbits(
-        np.frombuffer(zlib.decompress(significance_blob), dtype=np.uint8)
-    )[:total]
+    significance = np.frombuffer(_inflate(significance_blob, "significance"), dtype=np.uint8)
+    if total > 8 * len(significance):
+        raise ValueError(
+            f"entropy payload declares {total} coefficients, "
+            f"significance bitmap holds {8 * len(significance)}"
+        )
+    significant = np.unpackbits(significance, count=total).view(bool)
+    if num_nonzero != np.count_nonzero(significant):
+        raise ValueError("entropy payload nonzero count disagrees with its significance bitmap")
+    if num_blocks == 0:
+        # Nothing bounds block_size here, so do not build its zigzag.
+        return np.zeros((0, block_size, block_size), dtype=np.int32)
     flat = np.zeros(total, dtype=np.int64)
 
     if num_nonzero:
         class_codes = _unpack_bitfields(
-            zlib.decompress(class_blob), np.full(num_nonzero, 5, dtype=np.int64)
+            _inflate(class_blob, "class"), np.full(num_nonzero, 5, dtype=np.int64)
         )
         bit_lengths = class_codes.astype(np.int64) + 1
-        codes = _unpack_bitfields(zlib.decompress(magnitude_blob), bit_lengths)
+        codes = _unpack_bitfields(_inflate(magnitude_blob, "magnitude"), bit_lengths)
         signs = (codes & np.uint64(1)).astype(bool)
         mantissas = codes >> np.uint64(1)
         magnitudes = mantissas | (np.uint64(1) << (bit_lengths - 1).astype(np.uint64))
         values = magnitudes.astype(np.int64)
         values[signs] = -values[signs]
-        flat[significance_bits.astype(bool)] = values
+        flat[significant] = values
 
     zigzag = zigzag_indices(block_size)
     per_block = flat.reshape(block_size * block_size, num_blocks).T

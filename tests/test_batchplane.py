@@ -14,9 +14,7 @@ import pytest
 from repro.capture.dataset import load_video
 from repro.codec.entropy import (
     _pack_bitfields,
-    _pack_bitfields_scalar,
     _unpack_bitfields,
-    _unpack_bitfields_scalar,
     decode_levels,
     encode_levels,
     encode_levels_batch,
@@ -39,6 +37,10 @@ from repro.runtime.batchplane import (
 )
 from repro.sfu.fleet import FleetConfig, run_fleet
 from repro.transport.traces import trace_1
+from tests.reference.bitfields import (
+    pack_bitfields_scalar as _pack_bitfields_scalar,
+    unpack_bitfields_scalar as _unpack_bitfields_scalar,
+)
 from tests.twins import assert_pinned
 
 

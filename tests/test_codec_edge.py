@@ -1,16 +1,29 @@
 """Edge-case and property tests for the codec stack."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
-from repro.codec.entropy import _pack_bitfields, _unpack_bitfields, decode_levels, encode_levels
-from repro.codec.frame import EncodedFrame, FrameType, PixelFormat
+from repro.codec.entropy import (
+    _pack_bitfields,
+    _pack_bitfields_segmented,
+    _unpack_bitfields,
+    decode_levels,
+    encode_levels,
+    encode_levels_batch,
+)
+from repro.codec.frame import EncodedFrame, FrameType
 from repro.codec.quant import QP_MAX_EXTENDED
 from repro.codec.rate_control import RateController
 from repro.codec.video import VideoCodecConfig, VideoDecoder, VideoEncoder
+from tests.reference.bitfields import pack_bitfields_scalar, unpack_bitfields_scalar
 
 
 class TestBitfieldPacking:
@@ -39,6 +52,71 @@ class TestBitfieldPacking:
         np.testing.assert_array_equal(unpacked, codes)
 
 
+def _fields(pairs):
+    """(length, code) pairs -> the (codes, lengths) arrays the packers take."""
+    lengths = np.array([length for length, _ in pairs], dtype=np.int64)
+    codes = np.array([code for _, code in pairs], dtype=np.uint64)
+    return codes, lengths
+
+
+_codeword = st.integers(1, 64).flatmap(
+    lambda length: st.tuples(st.just(length), st.integers(0, 2**length - 1))
+)
+
+
+class TestBitfieldsAgainstReference:
+    """The word-level packer vs the per-bit oracle in ``tests/reference``."""
+
+    @given(st.lists(_codeword, min_size=1, max_size=150))
+    # One codeword, at each width class: inside a word, exactly a word,
+    # just past it (the high/low split), the full 64 bits.
+    @example([(1, 1)])
+    @example([(32, 2**32 - 1)])
+    @example([(33, 2**32 + 1)])
+    @example([(64, 2**64 - 1)])
+    # Runs that straddle 32-bit word boundaries: a narrow codeword across
+    # one boundary, a wide one across two, a split whose low half starts
+    # exactly on a boundary.
+    @example([(31, 2**31 - 1), (2, 0b10), (31, 1)])
+    @example([(30, 0), (64, 2**63 + 1), (3, 0b101)])
+    @example([(27, 5), (37, 2**36 + 3), (1, 1)])
+    # Totals that are exact multiples of 32 bits: no padding bits and no
+    # partial last word.
+    @example([(5, 0b10101), (27, 2**27 - 1)])
+    @example([(64, 1), (33, 2**32), (31, 7), (32, 2**31)])
+    @settings(max_examples=150, deadline=None)
+    def test_pack_unpack_match_reference(self, pairs):
+        codes, lengths = _fields(pairs)
+        packed = _pack_bitfields(codes, lengths)
+        assert packed == pack_bitfields_scalar(codes, lengths)
+        assert len(packed) == (int(lengths.sum()) + 7) // 8
+        unpacked = _unpack_bitfields(packed, lengths)
+        np.testing.assert_array_equal(unpacked, unpack_bitfields_scalar(packed, lengths))
+        np.testing.assert_array_equal(unpacked, codes)
+
+    @given(st.lists(_codeword, min_size=1, max_size=40))
+    @settings(max_examples=30, deadline=None)
+    def test_unpack_rejects_short_stream(self, pairs):
+        codes, lengths = _fields(pairs)
+        packed = _pack_bitfields(codes, lengths)
+        with pytest.raises(ValueError):
+            _unpack_bitfields(packed[:-1], lengths)
+
+    @given(
+        st.lists(st.lists(_codeword, max_size=12), min_size=1, max_size=6),
+        st.sampled_from(["first", "middle", "last", "none"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_segmented_pack_matches_per_segment_calls(self, segments, emptied):
+        if emptied != "none":
+            segments = [*segments, [(7, 3)], [(40, 2**39)]]  # at least three segments
+            segments[{"first": 0, "middle": len(segments) // 2, "last": -1}[emptied]] = []
+        codes, lengths = _fields([pair for segment in segments for pair in segment])
+        counts = [len(segment) for segment in segments]
+        expected = [pack_bitfields_scalar(*_fields(segment)) for segment in segments]
+        assert _pack_bitfields_segmented(codes, lengths, counts) == expected
+
+
 class TestEntropyEdgeCases:
     def test_all_zero_levels(self):
         levels = np.zeros((10, 8, 8), dtype=np.int32)
@@ -58,6 +136,24 @@ class TestEntropyEdgeCases:
         levels[1, 7, 7] = -(2**20)
         np.testing.assert_array_equal(decode_levels(encode_levels(levels)), levels)
 
+    def test_int32_extremes_roundtrip(self):
+        levels = np.zeros((3, 4, 4), dtype=np.int32)
+        levels[0, 0, 0] = 2**31 - 1
+        levels[1, 1, 2] = -(2**31 - 1)
+        levels[2, 3, 3] = -(2**31)
+        np.testing.assert_array_equal(decode_levels(encode_levels(levels)), levels)
+
+    @pytest.mark.parametrize("value", [2**32, -(2**32), 2**40, -(2**63)])
+    def test_magnitudes_past_32_bits_are_rejected(self, value):
+        # The class stream has 5 bits; a wider magnitude used to wrap its
+        # class and decode to different levels.
+        levels = np.zeros((2, 4, 4), dtype=np.int64)
+        levels[1, 2, 1] = value
+        with pytest.raises(ValueError):
+            encode_levels(levels)
+        with pytest.raises(ValueError):
+            encode_levels_batch(levels[None])
+
     def test_sparser_is_smaller(self):
         rng = np.random.default_rng(0)
         base = rng.integers(-100, 100, size=(40, 8, 8)).astype(np.int32)
@@ -67,6 +163,107 @@ class TestEntropyEdgeCases:
         very_sparse[np.abs(very_sparse) < 95] = 0
         sizes = [len(encode_levels(x)) for x in (base, sparse, very_sparse)]
         assert sizes[0] > sizes[1] > sizes[2]
+
+
+def _valid_payloads() -> list[bytes]:
+    rng = np.random.default_rng(11)
+    sparse = np.where(
+        rng.random((20, 8, 8)) < 0.15, rng.integers(-900, 900, (20, 8, 8)), 0
+    ).astype(np.int32)
+    dense = rng.integers(-40, 40, (6, 4, 4)).astype(np.int32)
+    return [
+        encode_levels(sparse),
+        encode_levels(dense, effort=1),
+        encode_levels(np.zeros((5, 8, 8), dtype=np.int32)),
+    ]
+
+
+_PAYLOADS = _valid_payloads()
+
+_mutation = st.one_of(
+    st.tuples(st.just("truncate"), st.floats(0, 1, exclude_max=True), st.just(0)),
+    st.tuples(st.just("flip"), st.floats(0, 1, exclude_max=True), st.integers(0, 7)),
+    # The 18 header bytes: counts, block size and stream lengths.
+    st.tuples(st.just("header"), st.integers(0, 17), st.integers(0, 255)),
+)
+
+
+def _mutate(payload: bytes, mutation) -> bytes:
+    kind, where, value = mutation
+    if kind == "truncate":
+        return payload[: int(where * len(payload))]
+    mutated = bytearray(payload)
+    if kind == "flip" and mutated:
+        mutated[int(where * len(mutated))] ^= 1 << value
+    elif kind == "header" and where < len(mutated):  # not cut off by a truncation
+        mutated[where] = value
+    return bytes(mutated)
+
+
+class TestDecodeLevelsFuzz:
+    """``decode_levels`` reads the network: malformed input is a ``ValueError``."""
+
+    @given(st.sampled_from(_PAYLOADS), st.lists(_mutation, min_size=1, max_size=3))
+    @settings(max_examples=400, deadline=None)
+    def test_mutated_payload_decodes_or_raises_value_error(self, payload, mutations):
+        for mutation in mutations:
+            payload = _mutate(payload, mutation)
+        try:
+            levels = decode_levels(payload)
+        except ValueError:
+            return
+        assert levels.dtype == np.int32 and levels.ndim == 3
+        assert levels.shape[1] == levels.shape[2] >= 1
+
+    def test_hostile_header_fields_under_address_space_limit(self):
+        # Each rewrite used to size an allocation from the header alone;
+        # the worst ones get the interpreter OOM-killed rather than
+        # raising.  A child under RLIMIT_AS turns a regression into a
+        # failed test instead of a killed runner.
+        script = textwrap.dedent(
+            """
+            import resource
+            import struct
+
+            import numpy as np
+
+            from repro.codec.entropy import decode_levels, encode_levels
+
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            rng = np.random.default_rng(5)
+            payload = encode_levels(rng.integers(-50, 50, (12, 8, 8)).astype(np.int32))
+            rewrites = {
+                "num_blocks=2**32-1": (0, "<I", 2**32 - 1),
+                "block_size=65535": (4, "<H", 65535),
+                "block_size=0": (4, "<H", 0),
+                "num_nonzero=2**32-1": (6, "<I", 2**32 - 1),
+                "num_blocks=2**26": (0, "<I", 2**26),
+            }
+            for name, (offset, fmt, value) in rewrites.items():
+                hostile = bytearray(payload)
+                struct.pack_into(fmt, hostile, offset, value)
+                try:
+                    decode_levels(bytes(hostile))
+                except ValueError:
+                    continue
+                raise SystemExit(f"{name}: decoded instead of raising ValueError")
+            # No coefficient bounds the block size of an empty stack.
+            empty = bytearray(encode_levels(np.zeros((0, 8, 8), dtype=np.int32)))
+            struct.pack_into("<H", empty, 4, 65535)
+            assert decode_levels(bytes(empty)).shape == (0, 65535, 65535)
+            print("survived")
+            """
+        )
+        source_root = str(Path(__file__).resolve().parents[1] / "src")
+        child = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": source_root},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == 0, child.stderr[-2000:]
+        assert child.stdout.strip() == "survived"
 
 
 class TestCodecEdgeCases:

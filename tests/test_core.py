@@ -1,5 +1,6 @@
 """Tests for the core LiVo pipeline: split control, sender, receiver, config."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -233,6 +234,28 @@ class TestSenderReceiver:
         assert forced.color_frame.frame_type is FrameType.INTRA
         pair = receiver.decode_pair(forced.color_frame, forced.depth_frame)
         assert pair.sequence == 2
+
+    def test_overwritten_entropy_header_is_absorbed(self, small_setup):
+        """A hostile entropy header costs one pair, not the process."""
+        config, rig, scene = small_setup
+        sender = LiVoSender(rig.cameras, config)
+        receiver = LiVoReceiver(rig.cameras, config)
+        first = sender.process(rig.capture(scene, 0), 8e6, 0.1)
+        payload = bytearray(first.color_frame.payload)
+        # INTRA plane 0 carries no motion vectors: plane count (1 byte),
+        # plane header (9), then the entropy header -- num_blocks (u32)
+        # and block_size (u16) overwritten with their maxima.
+        payload[10:16] = b"\xff" * 6
+        poisoned = dataclasses.replace(first.color_frame, payload=bytes(payload))
+        assert receiver.decode_pair_safe(poisoned, first.depth_frame) is None
+        assert receiver.decode_failures == 1
+        assert receiver.last_good_pair is None
+        inter = sender.process(rig.capture(scene, 1), 8e6, 0.1)
+        assert not receiver.can_decode(inter.color_frame, inter.depth_frame)  # streams reset
+        forced = sender.process(rig.capture(scene, 2), 8e6, 0.1, force_intra=True)
+        pair = receiver.decode_pair_safe(forced.color_frame, forced.depth_frame)
+        assert pair is not None and pair.sequence == 2
+        assert receiver.decode_failures == 1
 
     def test_render_view_culls_and_voxelizes(self, small_setup):
         config, rig, scene = small_setup

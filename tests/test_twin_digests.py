@@ -16,6 +16,7 @@ import pytest
 
 from repro import cli
 from repro.capture.dataset import load_video
+from repro.codec import entropy
 from repro.codec.video import VideoCodecConfig
 from repro.core import session as session_module
 from repro.core.config import SessionConfig
@@ -136,6 +137,12 @@ def _option_names(target) -> set:
 )
 def test_twin_path_options_do_not_grow_back(target, also_gone):
     assert not _option_names(target) & (REMOVED_OPTIONS | set(also_gone))
+
+
+def test_bitfield_reference_stays_out_of_the_package():
+    # The per-bit packers are the tests' oracle (tests/reference/bitfields.py);
+    # inside the package they were a second bit-packing path.
+    assert not [name for name in vars(entropy) if name.endswith("_scalar")]
 
 
 @pytest.mark.parametrize(
