@@ -15,9 +15,11 @@ The renderer is split into two halves so the kernel-cache layer
   RGB-D frame.
 
 :class:`ProjectionCache` caches the :func:`project_splats` output of
-*static* sample batches per ``(camera, scene epoch)``, merging them with
-freshly projected dynamic points each frame.  Because the z-buffer is a
-single stable lexsort over the concatenated splat arrays, the cached
+*static* sample batches per ``(camera, scene epoch)`` and resolves it to
+a static z-buffer image once; each frame it projects the dynamic points
+in one call, reduces them to their per-pixel winners and merges those
+into the static image under the comparator of :func:`splat_image`'s
+stable lexsort (nearest ``z``, ties to the later point), so the cached
 path is byte-identical to projecting the full point set from scratch
 (asserted by ``TestIncrementalCapture`` under tests/).
 """
@@ -59,49 +61,19 @@ def fill_holes(
     surfaces.  Each pass fills invalid pixels having at least
     ``min_neighbors`` valid neighbors with the neighbor mean (depth and
     color alike), which restores the piecewise-smooth structure 2D
-    codecs rely on.
-
-    The padded planes and accumulators are allocated once and reused
-    across iterations; the borders of the padded buffers stay zero
-    (equivalent to ``np.pad``'s constant fill), so the output is
-    identical to re-padding every pass.
+    codecs rely on.  One image is a stack of one
+    (:func:`fill_holes_batch`).
     """
-    depth = depth.astype(np.float64)
-    color = color.astype(np.float64)
-    height, width = depth.shape
+    depths, colors = fill_holes_batch(depth[None], color[None], iterations, min_neighbors)
+    return depths[0], colors[0]
 
-    neighbor_count = np.empty((height, width))
-    depth_sum = np.empty((height, width))
-    color_sum = np.empty(color.shape)
-    padded_depth = np.zeros((height + 2, width + 2))
-    padded_color = np.zeros((height + 2, width + 2, color.shape[2]))
-    padded_valid = np.zeros((height + 2, width + 2), dtype=bool)
 
-    for _ in range(iterations):
-        valid = depth > 0
-        if valid.all():
-            break
-        neighbor_count.fill(0.0)
-        depth_sum.fill(0.0)
-        color_sum.fill(0.0)
-        padded_depth[1:-1, 1:-1] = depth
-        padded_color[1:-1, 1:-1] = color
-        padded_valid[1:-1, 1:-1] = valid
-        for dy, dx in _NEIGHBOR_SHIFTS:
-            window = (slice(1 + dy, 1 + dy + height), slice(1 + dx, 1 + dx + width))
-            neighbor_valid = padded_valid[window]
-            neighbor_count += neighbor_valid
-            depth_sum += padded_depth[window] * neighbor_valid
-            color_sum += padded_color[window] * neighbor_valid[..., None]
-        fill = (~valid) & (neighbor_count >= min_neighbors)
-        if not fill.any():
-            break
-        depth[fill] = depth_sum[fill] / neighbor_count[fill]
-        color[fill] = color_sum[fill] / neighbor_count[fill][:, None]
-    return (
-        np.clip(np.rint(depth), 0, 65535).astype(np.uint16),
-        np.clip(np.rint(color), 0, 255).astype(np.uint8),
-    )
+def _quantized(values: np.ndarray, dtype: type) -> np.ndarray:
+    """``values`` rounded and clipped into ``dtype``, always a new array."""
+    if values.dtype == dtype:
+        return values.copy()
+    rounded = np.rint(values.astype(np.float64, copy=False))
+    return np.clip(rounded, 0, np.iinfo(dtype).max).astype(dtype)
 
 
 def fill_holes_batch(
@@ -109,55 +81,56 @@ def fill_holes_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`fill_holes` over a ``(N, H, W)`` stack of images at once.
 
-    Bit-identical to filling each image separately: the neighbor shifts
-    slide only along the spatial axes (each image keeps its own zero
-    border in the padded stack, so images never bleed into each other),
-    the eight accumulations run in the same fixed order per pixel, and
-    the early-exit checks merely become batch-global -- an image that
-    would have converged early sees extra no-op passes (its fill mask
-    is empty, so nothing is written).  One camera rig's worth of images
-    per call replaces N Python-level passes with one.
+    Only the holes are visited.  Each pass gathers the eight neighbors
+    of every still-invalid pixel out of a zero-bordered float64 copy of
+    the stack (each image keeps its own border, so images never bleed
+    into each other), sums the fillable ones in ``_NEIGHBOR_SHIFTS``
+    order and writes the mean back unrounded -- the next pass reads the
+    float64 values a dense pass over the whole stack would, so every
+    sum is the same sum.  The outputs are the inputs as ``uint16`` /
+    ``uint8`` with only the filled pixels rewritten.
     """
-    depths = depths.astype(np.float64)
-    colors = colors.astype(np.float64)
     count, height, width = depths.shape
-
-    neighbor_count = np.empty((count, height, width))
-    depth_sum = np.empty((count, height, width))
-    color_sum = np.empty(colors.shape)
+    channels = colors.shape[3]
     padded_depth = np.zeros((count, height + 2, width + 2))
-    padded_color = np.zeros((count, height + 2, width + 2, colors.shape[3]))
-    padded_valid = np.zeros((count, height + 2, width + 2), dtype=bool)
+    padded_color = np.zeros((count, height + 2, width + 2, channels))
+    padded_depth[:, 1:-1, 1:-1] = depths
+    padded_color[:, 1:-1, 1:-1] = colors
+    flat_depth = padded_depth.reshape(-1)
+    flat_color = padded_color.reshape(-1, channels)
+    out_depth = _quantized(depths, np.uint16)
+    out_color = _quantized(colors, np.uint8)
 
+    # Every hole twice: its flat index in the outputs and in the padded stack.
+    pixels = np.flatnonzero(~(depths > 0))
+    image, within = np.divmod(pixels, height * width)
+    row, col = np.divmod(within, width)
+    holes = (image * (height + 2) + row + 1) * (width + 2) + col + 1
+    shifts = np.array([dy * (width + 2) + dx for dy, dx in _NEIGHBOR_SHIFTS])[:, None]
     for _ in range(iterations):
-        valid = depths > 0
-        if valid.all():
-            break
-        neighbor_count.fill(0.0)
-        depth_sum.fill(0.0)
-        color_sum.fill(0.0)
-        padded_depth[:, 1:-1, 1:-1] = depths
-        padded_color[:, 1:-1, 1:-1] = colors
-        padded_valid[:, 1:-1, 1:-1] = valid
-        for dy, dx in _NEIGHBOR_SHIFTS:
-            window = (
-                slice(None),
-                slice(1 + dy, 1 + dy + height),
-                slice(1 + dx, 1 + dx + width),
-            )
-            neighbor_valid = padded_valid[window]
-            neighbor_count += neighbor_valid
-            depth_sum += padded_depth[window] * neighbor_valid
-            color_sum += padded_color[window] * neighbor_valid[..., None]
-        fill = (~valid) & (neighbor_count >= min_neighbors)
+        neighbor_depth = flat_depth[holes + shifts]                # (8, holes)
+        neighbor_valid = neighbor_depth > 0
+        neighbor_count = neighbor_valid.sum(axis=0)
+        fill = neighbor_count >= min_neighbors
         if not fill.any():
             break
-        depths[fill] = depth_sum[fill] / neighbor_count[fill]
-        colors[fill] = color_sum[fill] / neighbor_count[fill][:, None]
-    return (
-        np.clip(np.rint(depths), 0, 65535).astype(np.uint16),
-        np.clip(np.rint(colors), 0, 255).astype(np.uint8),
-    )
+        filled, neighbor_count = holes[fill], neighbor_count[fill]
+        neighbor_color = flat_color[filled + shifts]               # (8, filled, C)
+        depth_sum = np.zeros(len(filled))
+        color_sum = np.zeros((len(filled), channels))
+        neighbor_depth, neighbor_valid = neighbor_depth[:, fill], neighbor_valid[:, fill]
+        for depth, color, valid in zip(neighbor_depth, neighbor_color, neighbor_valid):
+            depth_sum += depth * valid
+            color_sum += color * valid[:, None]
+        depth_mean = depth_sum / neighbor_count
+        color_mean = color_sum / neighbor_count[:, None]
+        flat_depth[filled] = depth_mean
+        flat_color[filled] = color_mean
+        out_depth.reshape(-1)[pixels[fill]] = _quantized(depth_mean, np.uint16)
+        out_color.reshape(-1, channels)[pixels[fill]] = _quantized(color_mean, np.uint8)
+        remaining = ~(flat_depth[holes] > 0)
+        holes, pixels = holes[remaining], pixels[remaining]
+    return out_depth, out_color
 
 
 def project_splats(
@@ -183,6 +156,11 @@ def project_splats(
     vi = vi[visible]
     flat = vi * width + ui
     return flat, z[visible], np.asarray(colors)[visible]
+
+
+def _depth_mm(z: np.ndarray) -> np.ndarray:
+    """Camera-local depth in meters as the sensor's uint16 millimeters (0 = invalid)."""
+    return np.clip(np.rint(z * 1000.0), 1, 65535).astype(np.uint16)
 
 
 def splat_image(
@@ -214,7 +192,7 @@ def splat_image(
 
         depth_flat = depth.reshape(-1)
         color_flat = color.reshape(-1, 3)
-        depth_flat[flat] = np.clip(np.rint(zv * 1000.0), 1, 65535).astype(np.uint16)
+        depth_flat[flat] = _depth_mm(zv)
         color_flat[flat] = cv
         if hole_fill_iterations > 0:
             depth, color = fill_holes(depth, color, iterations=hole_fill_iterations)
@@ -266,6 +244,29 @@ def render_views(
     return MultiViewFrame(views, sequence=sequence, timestamp_s=timestamp_s)
 
 
+def _nearest_per_pixel(
+    flat: np.ndarray, z: np.ndarray, num_pixels: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per occupied pixel, the index of its nearest splat; ties go to the last.
+
+    Returns ``(pixels, winner)``: the distinct values of ``flat`` and,
+    for each, an index into the inputs.  A stable sort on the pixel
+    alone keeps input order inside every equal-pixel run, so the last
+    position that attains the run's minimum ``z`` is the splat a stable
+    ``lexsort((-z, flat))`` would write last.  The pixel index is sorted
+    in the narrowest type that holds ``num_pixels``: numpy's stable sort
+    of 16-bit keys, which covers sensor-sized images, is a radix sort.
+    """
+    order = np.argsort(flat.astype(np.min_scalar_type(num_pixels - 1)), kind="stable")
+    flat, z = flat[order], z[order]
+    first = np.ones(len(flat), dtype=bool)
+    first[1:] = flat[1:] != flat[:-1]
+    starts = np.flatnonzero(first)
+    nearest = np.minimum.reduceat(z, starts)
+    at_nearest = np.where(z == nearest[np.cumsum(first) - 1], np.arange(len(z)), -1)
+    return flat[starts], order[np.maximum.reduceat(at_nearest, starts)]
+
+
 class ProjectionCache:
     """Per-camera splat cache for incremental capture.
 
@@ -273,30 +274,27 @@ class ProjectionCache:
     with ``static=True``) are projected through the camera once and
     their visible ``(flat, z, color)`` arrays cached, keyed by
     ``(batch key, scene epoch, batch size)``; dynamic batches are
-    projected fresh every frame.
+    concatenated and projected fresh every frame, in one call.
 
     On top of the per-batch splat cache sits a *static z-buffer image*:
     the static splats pre-resolved to their per-pixel winner, cached
-    per scene epoch.  Each frame then only projects and sorts the
-    dynamic splats and merges their per-pixel winners into a copy of
-    the static image.
+    per scene epoch.  Each frame then only projects the dynamic points,
+    reduces them to their per-pixel winners and merges those into a
+    copy of the static image.
 
     Byte-identity argument: the full render's winner at a pixel is the
     splat with minimum ``z``, ties broken toward the *largest index* in
     the batch-order concatenation (stable lexsort + last-write-wins).
-    Encoding each splat's ``(batch position, within-batch index)`` as a
-    single integer rank reproduces that total order exactly -- batch
-    sizes never reorder across frames, so an earlier batch always means
-    a smaller concatenation index.  Restricting a max to the static
-    subset first and comparing the two subset winners under the same
-    ``(z, rank)`` comparator selects the same global winner, so the
-    merged image equals the full lexsort z-buffer bit for bit (asserted
-    against :func:`render_rgbd` in the parity suite).
+    Within the static and within the dynamic subset, concatenation
+    order is input order, which :func:`_nearest_per_pixel` honors;
+    between a static and a dynamic winner with equal ``z``, the later
+    batch position wins -- an earlier batch always means a smaller
+    concatenation index.  Restricting the choice to each subset first
+    and comparing the two subset winners under the same ``(z, order)``
+    comparator selects the same global winner, so the merged image
+    equals the full lexsort z-buffer bit for bit (asserted against
+    :func:`render_rgbd` in the parity suite).
     """
-
-    # Rank stride: batch position in the high bits, within-batch index
-    # in the low 32.  Sample budgets are far below 2**32 points.
-    _RANK_STRIDE = np.int64(1) << 32
 
     def __init__(self, camera: RGBDCamera) -> None:
         self.camera = camera
@@ -308,9 +306,7 @@ class ProjectionCache:
     def batch_splats(
         self, batch: SampleBatch
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Visible splat arrays for one batch, cached when static."""
-        if not batch.static:
-            return project_splats(self.camera, batch.points, batch.colors)
+        """Visible splat arrays for one static batch, projected once."""
         key = (batch.key, batch.epoch, len(batch.points))
         cached = self._static.get(key)
         if cached is not None:
@@ -332,12 +328,12 @@ class ProjectionCache:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The static splats resolved to flat per-pixel winner images.
 
-        Returns ``(z, rank, depth, color)`` flat arrays of ``height *
-        width`` entries: winner depth in meters (+inf where no static
-        splat lands), its concatenation rank (-1 where empty), and the
-        quantized depth/color exactly as the full scatter would write
-        them.  Cached until the static batch set changes (scene epoch
-        bump, scene edit, or a different background color).
+        Returns ``(z, position, depth, color)`` flat arrays of ``height
+        * width`` entries: winner depth in meters (+inf where no static
+        splat lands), the batch position it came from (-1 where empty),
+        and the quantized depth/color exactly as the full scatter would
+        write them.  Cached until the static batch set changes (scene
+        epoch bump, scene edit, or a different background color).
         """
         static = [(pos, b) for pos, b in enumerate(batches) if b.static]
         key = (
@@ -351,35 +347,22 @@ class ProjectionCache:
 
         num_pixels = self.camera.intrinsics.height * self.camera.intrinsics.width
         z_image = np.full(num_pixels, np.inf)
-        rank_image = np.full(num_pixels, -1, dtype=np.int64)
+        position_image = np.full(num_pixels, -1, dtype=np.int64)
         depth_image = np.zeros(num_pixels, dtype=np.uint16)
         color_image = np.full((num_pixels, 3), background_color, dtype=np.uint8)
-        parts = []
-        for pos, batch in static:
-            flat, z, colors = self.batch_splats(batch)
-            rank = np.int64(pos) * self._RANK_STRIDE + np.arange(
-                len(flat), dtype=np.int64
-            )
-            parts.append((flat, z, colors, rank))
-        if parts:
-            flat = np.concatenate([p[0] for p in parts])
-            z = np.concatenate([p[1] for p in parts])
-            colors = np.concatenate([p[2] for p in parts])
-            rank = np.concatenate([p[3] for p in parts])
-            # Ascending (pixel, -z, rank): the last write per pixel is
-            # the nearest splat, ties to the largest rank -- identical
-            # to the stable ``lexsort((-z, flat))`` winner because rank
-            # increases with concatenation order.
-            order = np.lexsort((rank, -z, flat))
-            flat, z, colors, rank = flat[order], z[order], colors[order], rank[order]
-            z_image[flat] = z
-            rank_image[flat] = rank
-            depth_image[flat] = np.clip(np.rint(z * 1000.0), 1, 65535).astype(np.uint16)
-            color_image[flat] = colors
-        for array in (z_image, rank_image, depth_image, color_image):
+        if static:
+            parts = [self.batch_splats(batch) for _, batch in static]
+            flat, z, colors = (np.concatenate(arrays) for arrays in zip(*parts))
+            position = np.repeat([pos for pos, _ in static], [len(p[0]) for p in parts])
+            pixels, winner = _nearest_per_pixel(flat, z, num_pixels)
+            z_image[pixels] = z[winner]
+            position_image[pixels] = position[winner]
+            depth_image[pixels] = _depth_mm(z[winner])
+            color_image[pixels] = colors[winner]
+        for array in (z_image, position_image, depth_image, color_image):
             array.setflags(write=False)
         self._image_key = key
-        self._image = (z_image, rank_image, depth_image, color_image)
+        self._image = (z_image, position_image, depth_image, color_image)
         return self._image
 
     def render_arrays(
@@ -397,43 +380,36 @@ class ProjectionCache:
         """
         height = self.camera.intrinsics.height
         width = self.camera.intrinsics.width
-        static_z, static_rank, static_depth, static_color = self._static_image(
+        static_z, static_position, static_depth, static_color = self._static_image(
             batches, background_color
         )
         depth = static_depth.copy()
         color = static_color.copy()
 
-        parts = []
-        for pos, batch in enumerate(batches):
-            if batch.static:
-                continue
-            flat, z, colors = self.batch_splats(batch)
-            rank = np.int64(pos) * self._RANK_STRIDE + np.arange(
-                len(flat), dtype=np.int64
-            )
-            parts.append((flat, z, colors, rank))
-        if parts:
-            flat = np.concatenate([p[0] for p in parts])
-            z = np.concatenate([p[1] for p in parts])
-            colors = np.concatenate([p[2] for p in parts])
-            rank = np.concatenate([p[3] for p in parts])
-            order = np.lexsort((rank, -z, flat))
-            flat, z, colors, rank = flat[order], z[order], colors[order], rank[order]
-            # Reduce the dynamic splats to their per-pixel winner (the
-            # last entry of each equal-pixel run), then race each winner
-            # against the static winner under the same (z, rank) order.
-            last = np.ones(len(flat), dtype=bool)
-            last[:-1] = flat[1:] != flat[:-1]
-            flat, z, colors, rank = flat[last], z[last], colors[last], rank[last]
-            zs = static_z[flat]
-            wins = (z < zs) | ((z == zs) & (rank > static_rank[flat]))
-            flat, z, colors = flat[wins], z[wins], colors[wins]
-            depth[flat] = np.clip(np.rint(z * 1000.0), 1, 65535).astype(np.uint16)
-            color[flat] = colors
+        dynamic = [(pos, b) for pos, b in enumerate(batches) if not b.static]
+        if dynamic:
+            points = np.concatenate([b.points for _, b in dynamic])
+            # Each point's concatenation index rides through the
+            # visibility filter in place of its color: only the winners
+            # need their color and batch position looked up.
+            flat, z, index = project_splats(self.camera, points, np.arange(len(points)))
+            pixels, winner = _nearest_per_pixel(flat, z, len(depth))
+            z, index = z[winner], index[winner]
+            ends = np.cumsum([len(b.points) for _, b in dynamic])
+            position = np.array([pos for pos, _ in dynamic])[
+                np.searchsorted(ends, index, side="right")
+            ]
+            # Race each dynamic winner against the static winner under
+            # the same (z, concatenation order) comparator.
+            rival_z = static_z[pixels]
+            wins = (z < rival_z) | ((z == rival_z) & (position > static_position[pixels]))
+            pixels, index = pixels[wins], index[wins]
+            depth[pixels] = _depth_mm(z[wins])
+            color[pixels] = np.concatenate([b.colors for _, b in dynamic])[index]
 
         depth = depth.reshape(height, width)
         color = color.reshape(height, width, 3)
-        needs_fill = bool(len(parts) or self._image_key[0])
+        needs_fill = bool(dynamic or self._image_key[0])
         return depth, color, needs_fill
 
     def render(

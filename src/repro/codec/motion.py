@@ -38,6 +38,10 @@ def search_offsets(search_range: int) -> list[tuple[int, int]]:
     return offsets
 
 
+def _search_radius(offsets: list[tuple[int, int]]) -> int:
+    return max((max(abs(dy), abs(dx)) for dy, dx in offsets), default=0)
+
+
 def shifted_planes(
     reference: np.ndarray,
     offsets: list[tuple[int, int]],
@@ -52,7 +56,7 @@ def shifted_planes(
     overwritten, so a reused buffer cannot leak state between calls.
     """
     height, width = reference.shape
-    radius = max((max(abs(dy), abs(dx)) for dy, dx in offsets), default=0)
+    radius = _search_radius(offsets)
     padded = np.pad(reference, radius, mode="edge") if radius else reference
     if out is None:
         stack = np.empty((len(offsets), height, width), dtype=np.float64)
@@ -95,6 +99,64 @@ def estimate_motion(
     return mv_index.astype(np.uint8), costs[mv_index, np.arange(num_blocks)]
 
 
+def _block_index_templates(
+    height: int, width: int, block_size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(N, B)`` row and column indices of every block's pixels.
+
+    Blocks are in :func:`split_blocks`' row-major order.  Clipping to
+    the plane's last valid pixel replicates the edge, exactly what
+    ``np.pad(..., mode="edge")`` up to a block multiple would produce.
+    """
+    rows, cols = block_grid_shape(height, width, block_size)
+    base_rows = np.minimum(np.arange(rows * block_size), height - 1)
+    base_cols = np.minimum(np.arange(cols * block_size), width - 1)
+    block_rows = np.repeat(base_rows.reshape(rows, block_size), cols, axis=0)
+    block_cols = np.tile(base_cols.reshape(cols, block_size), (rows, 1))
+    return block_rows, block_cols
+
+
+def _gather_winners(
+    padded: np.ndarray,
+    radius: int,
+    offsets: list[tuple[int, int]],
+    mv_index: np.ndarray,
+    block_rows: np.ndarray,
+    block_cols: np.ndarray,
+) -> np.ndarray:
+    """``(S, N, B, B)`` blocks picked by ``(S, N)`` offset indices.
+
+    ``padded`` is the ``(S, H + 2r, W + 2r)`` radius-padded reference
+    stack; only the N winning blocks of each plane are read.
+    """
+    shift = radius + np.asarray(offsets)[mv_index]                 # (S, N, 2)
+    return padded[
+        np.arange(len(padded))[:, None, None, None],
+        (shift[:, :, 0, None] + block_rows)[:, :, :, None],
+        (shift[:, :, 1, None] + block_cols)[:, :, None, :],
+    ]
+
+
+def gather_prediction(
+    reference: np.ndarray,
+    offsets: list[tuple[int, int]],
+    mv_index: np.ndarray,
+    block_size: int,
+) -> np.ndarray:
+    """The ``(N, B, B)`` predictor blocks selected by ``mv_index``.
+
+    Block ``n`` is the block at its own position in the reference
+    shifted by ``offsets[mv_index[n]]`` (edge clamped).  Only those N
+    blocks are read, so the cost does not depend on the size of the
+    search window.  The decoder calls this with the same reference
+    reconstruction as the encoder, so prediction drift is zero.
+    """
+    radius = _search_radius(offsets)
+    padded = np.pad(reference, radius, mode="edge") if radius else reference
+    templates = _block_index_templates(*reference.shape, block_size)
+    return _gather_winners(padded[None], radius, offsets, mv_index[None], *templates)[0]
+
+
 def motion_batch(
     planes: np.ndarray,
     references: np.ndarray,
@@ -127,25 +189,17 @@ def motion_batch(
             f"{references.shape}"
         )
     num_sessions, height, width = planes.shape
-    radius = max((max(abs(dy), abs(dx)) for dy, dx in offsets), default=0)
+    radius = _search_radius(offsets)
     padded = (
         np.pad(references, ((0, 0), (radius, radius), (radius, radius)), mode="edge")
         if radius
         else references
     )
     # Clip-indexed gathers read each offset's blocks straight out of the
-    # radius-padded reference, already in block order.  Clipping the
-    # row/column index to the plane's last valid pixel replicates the
-    # *shifted* plane's edge -- exactly what per-plane
-    # ``np.pad(..., mode="edge")`` after slicing would produce -- and
-    # gathering in block order skips the strided plane-to-block reshape
-    # copy, which dominates at fleet scale.
-    rows, cols = block_grid_shape(height, width, block_size)
-    base_rows = np.minimum(np.arange(rows * block_size), height - 1)
-    base_cols = np.minimum(np.arange(cols * block_size), width - 1)
-    # (N, B) index templates in split_blocks' row-major block order.
-    block_rows = np.repeat(base_rows.reshape(rows, block_size), cols, axis=0)
-    block_cols = np.tile(base_cols.reshape(cols, block_size), (rows, 1))
+    # radius-padded reference, already in block order: gathering in
+    # block order skips the strided plane-to-block reshape copy, which
+    # dominates at fleet scale.
+    block_rows, block_cols = _block_index_templates(height, width, block_size)
     current_blocks = split_blocks_nd(planes, block_size)       # (S, N, B, B)
     num_blocks = current_blocks.shape[1]
     if len(offsets) > 1:
@@ -170,27 +224,5 @@ def motion_batch(
         mv_index = np.zeros((num_sessions, num_blocks), dtype=np.int64)
     # One final gather re-reads only the winning blocks instead of
     # holding every offset's block set live for a take_along_axis.
-    offset_array = np.asarray(offsets)
-    winner_rows = radius + offset_array[mv_index, 0][:, :, None] + block_rows[None]
-    winner_cols = radius + offset_array[mv_index, 1][:, :, None] + block_cols[None]
-    predictor = padded[
-        np.arange(num_sessions)[:, None, None, None],
-        winner_rows[:, :, :, None],
-        winner_cols[:, :, None, :],
-    ]
+    predictor = _gather_winners(padded, radius, offsets, mv_index, block_rows, block_cols)
     return mv_index.astype(np.uint8), predictor
-
-
-def gather_prediction(
-    shifted: np.ndarray, mv_index: np.ndarray, block_size: int
-) -> np.ndarray:
-    """Assemble the per-block predictor stack selected by ``mv_index``.
-
-    Returns ``(N, B, B)`` predictor blocks.  The decoder calls this with
-    the same reference reconstruction, so prediction drift is zero.
-    """
-    num_offsets = shifted.shape[0]
-    all_blocks = np.stack(
-        [split_blocks(shifted[index], block_size) for index in range(num_offsets)]
-    )
-    return all_blocks[mv_index, np.arange(all_blocks.shape[1])]

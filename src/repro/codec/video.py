@@ -29,7 +29,7 @@ from repro.codec.blocks import merge_blocks, split_blocks
 from repro.codec.dct import inverse_dct
 from repro.codec.entropy import decode_levels
 from repro.codec.frame import EncodedFrame, FrameType, PixelFormat
-from repro.codec.motion import gather_prediction, shifted_planes
+from repro.codec.motion import gather_prediction
 from repro.codec.quant import QP_MAX, QP_MAX_EXTENDED, QP_MIN, dequantize
 from repro.codec.rate_control import RateController
 from repro.codec.yuv import rgb_to_ycbcr, ycbcr_to_rgb
@@ -209,6 +209,25 @@ class _CodecCore:
         )
         return _PlaneCode(mv_bytes, level_bytes, reconstruction)
 
+    def _motion_vectors(self, mv_bytes: bytes, num_blocks: int) -> np.ndarray:
+        """One offset index per block out of a plane's motion-vector stream.
+
+        The stream is outside input: a wrong length or an index past the
+        search window raises ``ValueError``, the decode chain's one
+        error type, before anything is gathered with it.
+        """
+        if not mv_bytes:
+            return np.zeros(num_blocks, dtype=np.uint8)
+        try:
+            mv_index = np.frombuffer(zlib.decompress(mv_bytes), dtype=np.uint8)
+        except zlib.error as error:
+            raise ValueError(f"corrupt motion-vector stream: {error}") from error
+        if len(mv_index) != num_blocks:
+            raise ValueError(f"{len(mv_index)} motion vectors for {num_blocks} blocks")
+        if num_blocks and mv_index.max() >= len(self._offsets):
+            raise ValueError(f"motion vector {mv_index.max()} outside the search window")
+        return mv_index
+
     def decode_plane(
         self,
         mv_bytes: bytes,
@@ -226,16 +245,10 @@ class _CodecCore:
         if reference is None:
             predictor = np.zeros_like(levels, dtype=np.float64)
         else:
-            shifted = shifted_planes(
-                reference,
-                self._offsets,
-                out=self.arena.shift_buffer(len(self._offsets), reference.shape),
+            predictor = gather_prediction(
+                reference, self._offsets, self._motion_vectors(mv_bytes, levels.shape[0]),
+                block_size,
             )
-            if mv_bytes:
-                mv_index = np.frombuffer(zlib.decompress(mv_bytes), dtype=np.uint8)
-            else:
-                mv_index = np.zeros(levels.shape[0], dtype=np.uint8)
-            predictor = gather_prediction(shifted, mv_index, block_size)
 
         recon_blocks = predictor + inverse_dct(
             dequantize(levels, qp, weights, scale=self.arena.quant_scale(qp, weights))

@@ -8,10 +8,11 @@ splits capture along that line: the scene hands out per-primitive
 dynamic, and a per-camera
 :class:`~repro.capture.renderer.ProjectionCache` projects each static
 batch once per scene epoch, re-projecting only the dynamic batches
-every frame.  The z-buffer splat runs over the concatenated splat
-arrays exactly as a full render would, so frames are byte-identical to
-:meth:`CaptureRig.capture` run on the same batch-mode point set
-(asserted by ``TestIncrementalCapture`` under tests/).
+every frame, in one call per camera.  The dynamic per-pixel winners
+are merged into the cached static z-buffer under the comparator a full
+render's z-buffer applies, so frames are byte-identical to
+:func:`~repro.capture.renderer.render_views` over the concatenated
+batches (asserted by ``TestIncrementalCapture`` under tests/).
 
 Process model: a source is cheap, process-local state.  Fork-process
 capture workers inherit the parent's source by memory and warm their
@@ -27,7 +28,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from repro.capture.renderer import ProjectionCache, fill_holes_batch, render_views
+from repro.capture.renderer import ProjectionCache, fill_holes_batch
 from repro.capture.rgbd import MultiViewFrame, RGBDFrame
 from repro.capture.rig import CaptureRig
 from repro.capture.scene import Scene
@@ -40,28 +41,18 @@ class CachedFrameSource:
     """Multi-view frame source with per-camera static-splat caching.
 
     Drop-in for the ``rig.capture(scene, sequence)`` call sites: same
-    cameras, same clock, same output type.  Set ``cached=False`` to get
-    the uncached reference path (full render of the identical batch-mode
-    point set) -- the parity baseline used by tests and benchmarks.
+    cameras, same clock, same output type.
     """
 
-    def __init__(
-        self,
-        rig: CaptureRig,
-        scene: Scene,
-        cached: bool = True,
-    ) -> None:
+    def __init__(self, rig: CaptureRig, scene: Scene) -> None:
         self.rig = rig
         self.scene = scene
-        self.cached = cached
         self._caches = [ProjectionCache(camera) for camera in rig.cameras]
 
     def capture(self, sequence: int) -> MultiViewFrame:
         """One synchronized multi-view capture at this sequence number."""
         timestamp = sequence * self.rig.frame_interval_s
         batches = self.scene.sample_batches(timestamp)
-        if not self.cached:
-            return self._full_render(batches, sequence, timestamp)
         views = self._render_chunk(
             list(range(self.rig.num_cameras)), batches, sequence, timestamp
         )
@@ -76,9 +67,6 @@ class CachedFrameSource:
         """
         timestamp = sequence * self.rig.frame_interval_s
         batches = self.scene.sample_batches(timestamp)
-        if not self.cached:
-            full = self._full_render(batches, sequence, timestamp)
-            return [full.views[index] for index in camera_indices]
         return self._render_chunk(list(camera_indices), batches, sequence, timestamp)
 
     def _render_chunk(
@@ -91,16 +79,8 @@ class CachedFrameSource:
         runs once over the stacked ``(N, H, W)`` images
         (:func:`fill_holes_batch`) -- bit-identical to filling each
         camera separately, grouped by image shape so mixed-resolution
-        rigs still batch what they can.  A single camera has nothing to
-        stack and renders directly.
+        rigs still batch what they can.
         """
-        if len(camera_indices) < 2:
-            return [
-                self._caches[index].render(
-                    batches, sequence=sequence, timestamp_s=timestamp
-                )
-                for index in camera_indices
-            ]
         frames: list[RGBDFrame | None] = [None] * len(camera_indices)
         pending: dict[tuple, list[tuple[int, np.ndarray, np.ndarray]]] = defaultdict(list)
         for slot, index in enumerate(camera_indices):
@@ -130,13 +110,6 @@ class CachedFrameSource:
                     timestamp_s=timestamp,
                 )
         return frames
-
-    def _full_render(self, batches, sequence: int, timestamp: float) -> MultiViewFrame:
-        points = np.concatenate([batch.points for batch in batches], axis=0)
-        colors = np.concatenate([batch.colors for batch in batches], axis=0)
-        return render_views(
-            self.rig.cameras, points, colors, sequence=sequence, timestamp_s=timestamp
-        )
 
     def counters(self) -> CacheCounters:
         """All per-camera projection counters merged into one line."""

@@ -229,19 +229,22 @@ class _MotionKernel:
         plane, reference = request.payload
         _, _, block_size = request.key
         offsets = self._offsets(request)
-        core = request.ctx
-        out = (
-            core.arena.shift_buffer(len(offsets), reference.shape)
-            if core is not None
-            else None
-        )
-        shifted = shifted_planes(reference, offsets, out=out)
         if len(offsets) > 1:
+            # The search scores every offset's whole shifted plane (on
+            # one large plane that beats ``motion_batch`` at S = 1); the
+            # predictor is then gathered for the winners only.
+            core = request.ctx
+            out = (
+                core.arena.shift_buffer(len(offsets), reference.shape)
+                if core is not None
+                else None
+            )
+            shifted = shifted_planes(reference, offsets, out=out)
             mv_index, _ = estimate_motion(plane, shifted, block_size)
         else:
             rows, cols = block_grid_shape(*plane.shape, block_size)
             mv_index = np.zeros(rows * cols, dtype=np.uint8)
-        return mv_index, gather_prediction(shifted, mv_index, block_size)
+        return mv_index, gather_prediction(reference, offsets, mv_index, block_size)
 
     def batched(self, requests: list[BatchRequest]):
         _, _, block_size = requests[0].key
@@ -249,7 +252,7 @@ class _MotionKernel:
         for request in requests:
             # Keep each stream's arena counters identical to the serial
             # schedule (the buffer itself is not needed here).
-            if request.ctx is not None:
+            if request.ctx is not None and len(offsets) > 1:
                 request.ctx.arena.shift_buffer(len(offsets), request.payload[1].shape)
         planes = np.stack([request.payload[0] for request in requests])
         references = np.stack([request.payload[1] for request in requests])

@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.capture.dataset import PANOPTIC_VIDEOS, load_video, video_names
-from repro.capture.renderer import render_rgbd
+from repro.capture.renderer import fill_holes, fill_holes_batch, render_rgbd
 from repro.capture.rgbd import MultiViewFrame, RGBDFrame
 from repro.capture.rig import default_rig
 from repro.capture.scene import Box, Ellipsoid, Person, RoomShell, make_scene
 from repro.geometry.camera import CameraExtrinsics, CameraIntrinsics, RGBDCamera
+from tests.reference.fill_holes import fill_holes_batch_dense
 
 
 class TestRGBDFrame:
@@ -177,6 +181,106 @@ class TestRenderer:
         # Filled pixels carry plausible depth (near 2000 mm).
         filled = dense.valid_mask & ~sparse.valid_mask
         assert np.abs(dense.depth_mm[filled].astype(int) - 2000).max() < 50
+
+
+HOLE_PATTERNS = ("as drawn", "all holes", "no holes", "border holes", "one image valid")
+
+
+def _apply_pattern(depths: np.ndarray, pattern: str) -> np.ndarray:
+    depths = depths.copy()
+    if pattern == "all holes":
+        depths[:] = 0
+    elif pattern == "no holes":
+        depths[~(depths > 0)] = 7
+    elif pattern == "border holes":
+        depths[~(depths > 0)] = 7
+        depths[:, [0, -1], :] = 0
+        depths[:, :, [0, -1]] = 0
+    elif pattern == "one image valid":
+        depths[0][~(depths[0] > 0)] = 7
+    return depths
+
+
+@st.composite
+def _hole_stacks(draw):
+    """A ``(N, H, W)`` depth stack with holes and its ``(N, H, W, 3)`` colors."""
+    shape = draw(st.tuples(st.integers(1, 3), st.integers(1, 7), st.integers(1, 7)))
+    if draw(st.booleans()):
+        # What the renderer feeds the fill: already quantized images.
+        depth_dtype, color_dtype = np.uint16, np.uint8
+        depth_values = st.one_of(st.just(0), st.integers(0, 65535))
+        color_values = st.integers(0, 255)
+    else:
+        # The rounding path: fractional, negative and out-of-range values.
+        depth_dtype = color_dtype = draw(st.sampled_from([np.float64, np.float32]))
+        width = np.dtype(depth_dtype).itemsize * 8
+        depth_values = st.one_of(st.just(0.0), st.floats(-40.0, 70000.0, width=width))
+        color_values = st.floats(-20.0, 300.0, width=width)
+    depths = draw(hnp.arrays(depth_dtype, shape, elements=depth_values))
+    colors = draw(hnp.arrays(color_dtype, (*shape, 3), elements=color_values))
+    return _apply_pattern(depths, draw(st.sampled_from(HOLE_PATTERNS))), colors
+
+
+def _assert_same_fill(got, want):
+    for got_array, want_array in zip(got, want, strict=True):
+        assert got_array.dtype == want_array.dtype
+        np.testing.assert_array_equal(got_array, want_array)
+
+
+class TestHoleFillAgainstReference:
+    """The hole-only fill vs the dense oracle in ``tests/reference``."""
+
+    @given(_hole_stacks(), st.integers(0, 3), st.integers(1, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_batch_fill_matches_dense_reference(self, stack, iterations, min_neighbors):
+        depths, colors = stack
+        _assert_same_fill(
+            fill_holes_batch(depths, colors, iterations, min_neighbors),
+            fill_holes_batch_dense(depths, colors, iterations, min_neighbors),
+        )
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 1, 9), (2, 9, 1), (3, 6, 8)])
+    @pytest.mark.parametrize("pattern", HOLE_PATTERNS)
+    def test_named_shapes_and_patterns(self, shape, pattern):
+        rng = np.random.default_rng(3)
+        depths = rng.integers(1, 4000, size=shape).astype(np.uint16)
+        depths[rng.uniform(size=shape) < 0.4] = 0
+        depths = _apply_pattern(depths, pattern)
+        colors = rng.integers(0, 256, size=(*shape, 3)).astype(np.uint8)
+        for min_neighbors in (1, 3, 8):
+            _assert_same_fill(
+                fill_holes_batch(depths, colors, 3, min_neighbors),
+                fill_holes_batch_dense(depths, colors, 3, min_neighbors),
+            )
+
+    def test_images_do_not_bleed_into_each_other(self):
+        # Image 0 is a dense bright surface, image 1 is empty: were the
+        # padded images to share a border, image 1's rim would fill.
+        depths = np.zeros((2, 4, 5), dtype=np.uint16)
+        depths[0] = 3000
+        colors = np.zeros((2, 4, 5, 3), dtype=np.uint8)
+        colors[0] = 200
+        out_depths, out_colors = fill_holes_batch(depths, colors, iterations=3, min_neighbors=1)
+        np.testing.assert_array_equal(out_depths, depths)
+        np.testing.assert_array_equal(out_colors, colors)
+
+    def test_inputs_are_left_untouched_and_outputs_are_new(self):
+        depths = np.array([[[0, 900, 900], [900, 900, 900]]], dtype=np.uint16)
+        colors = np.full((1, 2, 3, 3), 50, dtype=np.uint8)
+        before = depths.copy()
+        out_depths, out_colors = fill_holes_batch(depths, colors)
+        np.testing.assert_array_equal(depths, before)
+        assert out_depths[0, 0, 0] == 900
+        assert not np.shares_memory(out_depths, depths)
+        assert not np.shares_memory(out_colors, colors)
+
+    def test_single_image_is_a_stack_of_one(self):
+        rng = np.random.default_rng(4)
+        depth = rng.integers(1, 4000, size=(12, 10)).astype(np.uint16)
+        depth[rng.uniform(size=depth.shape) < 0.3] = 0
+        color = rng.integers(0, 256, size=(12, 10, 3)).astype(np.uint8)
+        want_depth, want_color = fill_holes_batch_dense(depth[None], color[None])
+        _assert_same_fill(fill_holes(depth, color), (want_depth[0], want_color[0]))
 
 
 class TestRigAndDataset:

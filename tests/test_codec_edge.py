@@ -1,9 +1,11 @@
 """Edge-case and property tests for the codec stack."""
 
+import dataclasses
 import os
 import subprocess
 import sys
 import textwrap
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,12 @@ from repro.codec.entropy import (
 from repro.codec.frame import EncodedFrame, FrameType
 from repro.codec.quant import QP_MAX_EXTENDED
 from repro.codec.rate_control import RateController
-from repro.codec.video import VideoCodecConfig, VideoDecoder, VideoEncoder
+from repro.codec.video import (
+    _PLANE_HEADER,
+    VideoCodecConfig,
+    VideoDecoder,
+    VideoEncoder,
+)
 from tests.reference.bitfields import pack_bitfields_scalar, unpack_bitfields_scalar
 
 
@@ -337,6 +344,57 @@ class TestCodecEdgeCases:
         encoder, decoder = VideoEncoder(config), VideoDecoder(config)
         encoded, recon = encoder.encode(image, qp=qp)
         np.testing.assert_array_equal(decoder.decode(encoded), recon)
+
+
+def _forge_motion_vectors(frame: EncodedFrame, mv_bytes: bytes) -> EncodedFrame:
+    """``frame`` with plane 0's motion-vector stream replaced."""
+    _, mv_len, level_len = _PLANE_HEADER.unpack_from(frame.payload, 1)
+    rest = frame.payload[1 + _PLANE_HEADER.size + mv_len :]
+    header = _PLANE_HEADER.pack(1, len(mv_bytes), level_len)
+    return dataclasses.replace(frame, payload=frame.payload[:1] + header + mv_bytes + rest)
+
+
+class TestForgedMotionVectors:
+    """A motion-vector stream is outside input: it decodes or raises ValueError."""
+
+    NUM_BLOCKS = 3 * 4          # 24 x 32 depth plane, 8 x 8 blocks
+
+    @pytest.fixture
+    def stream(self):
+        rng = np.random.default_rng(11)
+        images = [rng.integers(0, 65536, (24, 32)).astype(np.uint16) for _ in range(2)]
+        config = VideoCodecConfig.for_depth(gop_size=10)
+        encoder, decoder = VideoEncoder(config), VideoDecoder(config)
+        decoder.decode(encoder.encode(images[0], qp=20)[0])
+        inter, recon = encoder.encode(images[1], qp=20)
+        assert inter.frame_type is FrameType.INTER
+        return decoder, inter, recon
+
+    def test_untouched_stream_survives_the_forging_helper(self, stream):
+        decoder, inter, recon = stream
+        _, mv_len, _ = _PLANE_HEADER.unpack_from(inter.payload, 1)
+        mv_bytes = inter.payload[1 + _PLANE_HEADER.size :][:mv_len]
+        assert len(zlib.decompress(mv_bytes)) == self.NUM_BLOCKS
+        np.testing.assert_array_equal(
+            decoder.decode(_forge_motion_vectors(inter, mv_bytes)), recon
+        )
+
+    @pytest.mark.parametrize(
+        "forged",
+        [
+            pytest.param(zlib.compress(b"\x00"), id="one-index-for-every-block"),
+            pytest.param(zlib.compress(bytes(NUM_BLOCKS - 1)), id="one-short"),
+            pytest.param(zlib.compress(bytes(NUM_BLOCKS + 1)), id="one-long"),
+            pytest.param(zlib.compress(b""), id="empty"),
+            pytest.param(zlib.compress(bytes([9] * NUM_BLOCKS)), id="index-past-window"),
+            pytest.param(zlib.compress(bytes([255] * NUM_BLOCKS)), id="index-255"),
+            pytest.param(b"not a zlib stream", id="not-zlib"),
+        ],
+    )
+    def test_forged_stream_raises_value_error(self, stream, forged):
+        decoder, inter, _ = stream
+        with pytest.raises(ValueError):
+            decoder.decode(_forge_motion_vectors(inter, forged))
 
 
 class TestRateControllerEdges:

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.codec.blocks import block_grid_shape
 from repro.codec.frame import EncodedFrame, FrameType, PixelFormat
 from repro.codec.motion import (
     estimate_motion,
@@ -12,6 +15,7 @@ from repro.codec.motion import (
 )
 from repro.codec.rate_control import RateController
 from repro.codec.video import VideoCodecConfig, VideoDecoder, VideoEncoder
+from tests.reference.motion import gather_prediction_stacked
 
 
 def moving_gradient_video(num_frames=6, height=48, width=64, channels=3, shift=2):
@@ -69,8 +73,49 @@ class TestMotion:
         offsets = [(0, 0), (1, 0)]
         stack = shifted_planes(ref, offsets)
         mv_index = np.array([1], dtype=np.uint8)
-        predictor = gather_prediction(stack, mv_index, block_size=8)
+        predictor = gather_prediction(ref, offsets, mv_index, block_size=8)
         np.testing.assert_array_equal(predictor[0], stack[1])
+
+    @given(
+        st.integers(1, 40), st.integers(1, 40), st.integers(0, 2),
+        st.sampled_from([2, 4, 8]), st.integers(0, 2**32 - 1),
+    )
+    @example(250, 333, 1, 8, 0)
+    @example(250, 333, 2, 8, 1)
+    @example(250, 333, 0, 8, 2)
+    @settings(max_examples=120, deadline=None)
+    def test_gather_prediction_matches_stacked_reference(
+        self, height, width, search_range, block_size, seed
+    ):
+        rng = np.random.default_rng(seed)
+        reference = rng.normal(scale=50.0, size=(height, width))
+        offsets = search_offsets(search_range)
+        rows, cols = block_grid_shape(height, width, block_size)
+        mv_index = rng.integers(0, len(offsets), size=rows * cols).astype(np.uint8)
+        got = gather_prediction(reference, offsets, mv_index, block_size)
+        want = gather_prediction_stacked(reference, offsets, mv_index, block_size)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("search_range", [1, 2])
+    @pytest.mark.parametrize("corner", [-1, 1])
+    def test_gather_prediction_reads_the_clamped_edge(self, search_range, corner):
+        # Every block points diagonally off the plane: border blocks read
+        # the radius padding, and a 250 x 333 plane's last block row and
+        # column read past the plane on the other side as well.
+        reference = np.arange(250 * 333, dtype=np.float64).reshape(250, 333)
+        offsets = search_offsets(search_range)
+        winner = offsets.index((corner * search_range, corner * search_range))
+        rows, cols = block_grid_shape(250, 333, 8)
+        mv_index = np.full(rows * cols, winner, dtype=np.uint8)
+        got = gather_prediction(reference, offsets, mv_index, 8)
+        np.testing.assert_array_equal(
+            got, gather_prediction_stacked(reference, offsets, mv_index, 8)
+        )
+        if corner == 1:
+            assert got[-1, -1, -1] == reference[-1, -1]      # clamped, not wrapped
+        else:
+            assert got[0, 0, 0] == reference[0, 0]
 
 
 class TestFrameSerialization:

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -252,6 +254,35 @@ class TestSenderReceiver:
         assert receiver.last_good_pair is None
         inter = sender.process(rig.capture(scene, 1), 8e6, 0.1)
         assert not receiver.can_decode(inter.color_frame, inter.depth_frame)  # streams reset
+        forced = sender.process(rig.capture(scene, 2), 8e6, 0.1, force_intra=True)
+        pair = receiver.decode_pair_safe(forced.color_frame, forced.depth_frame)
+        assert pair is not None and pair.sequence == 2
+        assert receiver.decode_failures == 1
+
+    def test_forged_motion_vectors_are_absorbed(self, small_setup):
+        """One index for every block used to be broadcast into a picture."""
+        config, rig, scene = small_setup
+        sender = LiVoSender(rig.cameras, config)
+        receiver = LiVoReceiver(rig.cameras, config)
+        first = sender.process(rig.capture(scene, 0), 8e6, 0.1)
+        assert receiver.decode_pair_safe(first.color_frame, first.depth_frame) is not None
+        inter = sender.process(rig.capture(scene, 1), 8e6, 0.1)
+        assert inter.depth_frame.frame_type is FrameType.INTER
+        # Plane count (1 byte), then plane 0's header: has-mv flag, mv
+        # length, level length; the mv stream follows it.
+        plane_header = struct.Struct("<BII")
+        payload = inter.depth_frame.payload
+        _, mv_len, level_len = plane_header.unpack_from(payload, 1)
+        forged_mv = zlib.compress(b"\x00")
+        forged = dataclasses.replace(
+            inter.depth_frame,
+            payload=payload[:1]
+            + plane_header.pack(1, len(forged_mv), level_len)
+            + forged_mv
+            + payload[1 + plane_header.size + mv_len :],
+        )
+        assert receiver.decode_pair_safe(inter.color_frame, forged) is None
+        assert receiver.decode_failures == 1
         forced = sender.process(rig.capture(scene, 2), 8e6, 0.1, force_intra=True)
         pair = receiver.decode_pair_safe(forced.color_frame, forced.depth_frame)
         assert pair is not None and pair.sequence == 2

@@ -17,13 +17,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.capture.renderer import ProjectionCache, fill_holes, render_rgbd
+from repro.capture.renderer import ProjectionCache, fill_holes, render_rgbd, render_views
 from repro.capture.rig import default_rig
-from repro.capture.scene import Scene, make_scene
+from repro.capture.scene import SampleBatch, Scene, make_scene
 from repro.codec.entropy import _bit_length, decode_levels, encode_levels, zigzag_indices
 from repro.codec.video import VideoCodecConfig, VideoDecoder, VideoEncoder
 from repro.core.config import SessionConfig
 from repro.core.session import LiVoSession
+from repro.geometry.camera import CameraExtrinsics, CameraIntrinsics, RGBDCamera
 from repro.geometry.pointcloud import PointCloud
 from repro.metrics.pointssim import (
     pointssim,
@@ -51,6 +52,19 @@ def _test_scene(sample_budget: int = 15_000) -> Scene:
     )
 
 
+def _full_render(rig, scene, sequence):
+    """The uncached oracle: every sampled point through every camera."""
+    timestamp = sequence * rig.frame_interval_s
+    batches = scene.sample_batches(timestamp)
+    return render_views(
+        rig.cameras,
+        np.concatenate([batch.points for batch in batches]),
+        np.concatenate([batch.colors for batch in batches]),
+        sequence=sequence,
+        timestamp_s=timestamp,
+    )
+
+
 def _frames_equal(a, b) -> bool:
     return all(
         np.array_equal(va.depth_mm, vb.depth_mm) and np.array_equal(va.color, vb.color)
@@ -63,14 +77,51 @@ def _frames_equal(a, b) -> bool:
 # ----------------------------------------------------------------------
 
 
+# Z-merge ties: hand-built batches against the full lexsort render.  With
+# identity extrinsics z is the third coordinate, so TIE and its sub-pixel
+# neighbor NEAR_TIE land on one pixel at exactly equal z.
+TIE = (0.0, 0.0, 2.0)
+NEAR_TIE = (0.001, 0.0, 2.0)
+HIDDEN = (0.0, 0.0, -1.0)        # behind the camera: never a splat
+
+
+def _tie_batch(key, static, points, seed):
+    rng = np.random.default_rng(seed)
+    # Some ordinary surface around the contested pixel, so the images are
+    # more than one splat and the hole filling has work to do.
+    cloud = rng.uniform(-0.6, 0.6, size=(150, 3)) + np.array([0.0, 0.0, 2.5])
+    points = np.concatenate([np.array(points, dtype=np.float64).reshape(-1, 3), cloud])
+    colors = rng.integers(0, 256, size=(len(points), 3)).astype(np.uint8)
+    return SampleBatch(points, colors, static=static, key=key)
+
+
+TIE_CASES = {
+    "duplicate inside one dynamic batch": [("room", True, []), ("a", False, [TIE, TIE])],
+    "same pixel and z inside one dynamic batch": [("a", False, [TIE, NEAR_TIE])],
+    "across two dynamic batches": [
+        ("room", True, []), ("a", False, [TIE]), ("b", False, [NEAR_TIE]),
+    ],
+    "static before dynamic": [("room", True, [TIE]), ("a", False, [TIE])],
+    "dynamic before static": [("a", False, [TIE]), ("room", True, [TIE])],
+    "static between two dynamic": [
+        ("a", False, [TIE]), ("room", True, [NEAR_TIE]), ("b", False, [TIE]),
+    ],
+    "dynamic between two static": [
+        ("room", True, [TIE]), ("a", False, [TIE]), ("shelf", True, [TIE]),
+    ],
+    "no dynamic batches": [("room", True, [TIE]), ("shelf", True, [TIE])],
+    "no static batches": [("a", False, [TIE, TIE, TIE])],
+    "no batches at all": [],
+}
+
+
 class TestIncrementalCapture:
     def test_cached_capture_byte_identical_across_dynamic_scene(self):
         scene = _test_scene()
         rig = default_rig(num_cameras=5)
-        cached = CachedFrameSource(rig, scene, cached=True)
-        uncached = CachedFrameSource(rig, scene, cached=False)
+        cached = CachedFrameSource(rig, scene)
         for sequence in range(6):
-            assert _frames_equal(cached.capture(sequence), uncached.capture(sequence))
+            assert _frames_equal(cached.capture(sequence), _full_render(rig, scene, sequence))
 
     def test_static_splats_are_cached(self):
         scene = _test_scene()
@@ -94,8 +145,7 @@ class TestIncrementalCapture:
         # New epoch reseeds the static batches: frames must change, and
         # must match a fresh uncached render of the new epoch.
         assert not _frames_equal(before, after)
-        reference = CachedFrameSource(rig, scene, cached=False)
-        assert _frames_equal(after, reference.capture(0))
+        assert _frames_equal(after, _full_render(rig, scene, 0))
 
     def test_capture_views_matches_full_capture(self):
         scene = _test_scene()
@@ -116,6 +166,41 @@ class TestIncrementalCapture:
         via_cache = ProjectionCache(rig.cameras[0]).render(batches, sequence=6)
         assert np.array_equal(direct.depth_mm, via_cache.depth_mm)
         assert np.array_equal(direct.color, via_cache.color)
+
+    @pytest.mark.parametrize("size", [(80, 60), (320, 260)], ids=["80x60", "320x260"])
+    @pytest.mark.parametrize("case", sorted(TIE_CASES))
+    def test_z_ties_resolve_like_the_full_render(self, case, size):
+        # 320 x 260 puts pixel indices above 16 bits.
+        camera = RGBDCamera(CameraIntrinsics.from_fov(*size), CameraExtrinsics(np.eye(4)))
+        batches = [
+            _tie_batch(key, static, points, seed)
+            for seed, (key, static, points) in enumerate(TIE_CASES[case])
+        ]
+        points = np.concatenate([b.points for b in batches] + [np.zeros((0, 3))])
+        colors = np.concatenate([b.colors for b in batches] + [np.zeros((0, 3), np.uint8)])
+        cache = ProjectionCache(camera)
+        for _ in range(2):                      # cold, then from the cached static image
+            depth, color, _ = cache.render_arrays(batches)
+            unfilled = render_rgbd(camera, points, colors, hole_fill_iterations=0)
+            assert np.array_equal(depth, unfilled.depth_mm)
+            assert np.array_equal(color, unfilled.color)
+            filled = render_rgbd(camera, points, colors)
+            via_cache = cache.render(batches)
+            assert np.array_equal(via_cache.depth_mm, filled.depth_mm)
+            assert np.array_equal(via_cache.color, filled.color)
+
+    def test_invisible_dynamic_splats_leave_the_static_image(self):
+        camera = RGBDCamera(CameraIntrinsics.from_fov(80, 60), CameraExtrinsics(np.eye(4)))
+        room = _tie_batch("room", True, [TIE], 20)
+        hidden = SampleBatch(
+            np.array([HIDDEN] * 4), np.full((4, 3), 255, np.uint8), static=False, key="a"
+        )
+        cache = ProjectionCache(camera)
+        depth, color, needs_fill = cache.render_arrays([room, hidden])
+        alone = render_rgbd(camera, room.points, room.colors, hole_fill_iterations=0)
+        assert needs_fill
+        assert np.array_equal(depth, alone.depth_mm)
+        assert np.array_equal(color, alone.color)
 
     def test_static_batches_identical_across_frames(self):
         scene = _test_scene()

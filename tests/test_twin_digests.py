@@ -17,6 +17,7 @@ import pytest
 from repro import cli
 from repro.capture.dataset import load_video
 from repro.codec import entropy
+from repro.codec.motion import gather_prediction
 from repro.codec.video import VideoCodecConfig
 from repro.core import session as session_module
 from repro.core.config import SessionConfig
@@ -28,6 +29,7 @@ from repro.faults.plan import (
     FrameCorruption,
     LinkOutage,
 )
+from repro.perf.capture import CachedFrameSource
 from repro.prediction.pose import user_traces_for_video
 from repro.service.app import ServiceApp, ServiceConfig
 from repro.service.workers import TickWorkerPool
@@ -133,6 +135,8 @@ def _option_names(target) -> set:
         pytest.param(VideoCodecConfig, (), id="VideoCodecConfig"),
         pytest.param(WebRTCChannel.__init__, (), id="WebRTCChannel"),
         pytest.param(TickWorkerPool.__init__, ("jobs",), id="TickWorkerPool"),
+        pytest.param(CachedFrameSource.__init__, ("cached",), id="CachedFrameSource"),
+        pytest.param(gather_prediction, ("shifted",), id="gather_prediction"),
     ],
 )
 def test_twin_path_options_do_not_grow_back(target, also_gone):
