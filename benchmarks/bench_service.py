@@ -9,8 +9,9 @@ churn-survival ledger (5xx count, casualties, leaked drivers/segments).
 
 Writes ``BENCH_service.json`` next to the repo root.  ``--smoke`` runs
 a reduced schedule (~50 clients over 10 simulated seconds) and exits
-nonzero on any 5xx, any leaked worker or shared-memory segment, or a
-tick p99 past the regression budget -- cheap enough for CI.
+nonzero on any 5xx, any leaked driver, any ``repro-shm-*`` segment left
+under ``/dev/shm``, or a tick p99 past the regression budget -- cheap
+enough for CI.
 """
 
 from __future__ import annotations

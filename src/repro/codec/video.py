@@ -121,9 +121,7 @@ class _CodecCore:
 
     A per-core :class:`ScratchArena` memoizes the weight matrices,
     quantization scales, and motion offset table, and hosts the
-    reusable motion-search stack.  The arena is private to this core --
-    fork-process encoder workers each build their own (DESIGN.md
-    section 9).
+    reusable motion-search stack.  The arena is private to this core.
     """
 
     def __init__(self, config: VideoCodecConfig) -> None:

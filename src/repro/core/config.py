@@ -80,13 +80,12 @@ class SessionConfig:
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
 
     # Runtime (stage-graph execution engine; see DESIGN.md section 8).
-    # ``jobs`` > 1 fans per-camera capture and quality work out across
-    # worker processes and hosts the two encoders in dedicated workers;
-    # ``executor`` picks the substrate (auto/serial/thread/process);
-    # ``profile`` keeps per-stage wall-clock timings on the report.
+    # ``jobs`` > 1 scores PointSSIM on that many threads (the only work
+    # that leaves the session thread); ``executor`` can pin the
+    # substrate (auto = serial at jobs 1, threads above / serial /
+    # thread).
     jobs: int = 1
     executor: str = "auto"
-    profile: bool = False
 
     # PointSSIM scoring: ``quality_max_points`` enables the
     # *approximate* subsample mode (deterministic, seeded); None keeps
@@ -123,10 +122,8 @@ class SessionConfig:
             raise ValueError("fps must be positive")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
-        if self.executor not in ("auto", "serial", "thread", "process"):
-            raise ValueError(
-                "executor must be one of auto/serial/thread/process"
-            )
+        if self.executor not in ("auto", "serial", "thread"):
+            raise ValueError("executor must be one of auto/serial/thread")
         if self.quality_max_points is not None and self.quality_max_points < 1:
             raise ValueError("quality_max_points must be at least 1 (or None)")
         if self.quality_every < 1:

@@ -238,7 +238,7 @@ class MultiwaySender:
             self._senders.pop(name).close()
 
     def close(self) -> None:
-        """Release every underlying sender's encoder workers."""
+        """Close every underlying sender and the node."""
         for sender in self._senders.values():
             sender.close()
         if self._shared_sender is not None:

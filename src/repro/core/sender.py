@@ -13,12 +13,10 @@ runtime can schedule them independently:
 
 - :meth:`LiVoSender.prepare` -- cull + tile (pure per-frame work);
 - :meth:`LiVoSender.encode_steps` -- the two stream encodes, the
-  dominant cost, as one request-yielding generator: in-process encoders
-  yield their kernel jobs to whichever driver runs the generator
+  dominant cost, as one request-yielding generator: the encoders yield
+  their kernel jobs to whichever driver runs the generator
   (:meth:`LiVoSender.encode` resolves them one at a time; a fleet's
-  lockstep driver stacks them across sessions), while encoders hosted
-  in dedicated worker processes (:meth:`LiVoSender.attach_executor`)
-  are dispatched through their handles and run concurrently.
+  lockstep driver stacks them across sessions).
 
 :meth:`LiVoSender.process` is the one-call convenience wrapper.
 """
@@ -37,13 +35,10 @@ from repro.core.config import SessionConfig
 from repro.depthcodec.scaling import scale_depth
 from repro.geometry.camera import RGBDCamera
 from repro.metrics.image import rmse
-from repro.obs.span import TraceContext
 from repro.prediction.culling import cull_views
 from repro.prediction.pose import Pose
 from repro.prediction.predictor import FrustumPredictor, ViewingDevice
 from repro.runtime.batchplane import drive_serial, interleave_steps
-from repro.runtime.executors import Executor, _LocalStatefulHandle
-from repro.runtime.workers import WorkerCrash
 from repro.tiling.tiler import TileLayout, Tiler
 
 __all__ = ["LiVoSender", "PreparedFrame", "SenderResult"]
@@ -122,11 +117,8 @@ class LiVoSender:
         self.cameras = cameras
         self.config = config
         # Which receiver this pipeline serves (multi-way unicast runs
-        # one pipeline per receiver).  None keeps the legacy single-
-        # receiver naming so existing traces/handles are unchanged.
+        # one pipeline per receiver).
         self.receiver_id = receiver_id
-        suffix = "" if receiver_id is None else f"[{receiver_id}]"
-        self._handle_names = (f"color-encoder{suffix}", f"depth-encoder{suffix}")
         intrinsics = cameras[0].intrinsics
         self.layout = TileLayout.for_cameras(
             len(cameras), intrinsics.height, intrinsics.width
@@ -134,26 +126,18 @@ class LiVoSender:
         self.color_tiler = Tiler(self.layout, is_color=True)
         self.depth_tiler = Tiler(self.layout, is_color=False)
 
-        self._color_codec = VideoCodecConfig(
-            gop_size=config.gop_size,
-            search_range=config.codec_search_range,
+        self.color_encoder = VideoEncoder(
+            VideoCodecConfig(
+                gop_size=config.gop_size,
+                search_range=config.codec_search_range,
+            )
         )
-        self._depth_codec = VideoCodecConfig.for_depth(
-            gop_size=config.gop_size,
-            search_range=config.codec_search_range,
+        self.depth_encoder = VideoEncoder(
+            VideoCodecConfig.for_depth(
+                gop_size=config.gop_size,
+                search_range=config.codec_search_range,
+            )
         )
-        self.color_encoder = VideoEncoder(self._color_codec)
-        self.depth_encoder = VideoEncoder(self._depth_codec)
-        # Encode work flows through per-stream handles so an executor
-        # can host each encoder in a dedicated worker process; the
-        # default handles just wrap the in-process encoders.
-        self._color_handle = _LocalStatefulHandle(
-            lambda: self.color_encoder, self._handle_names[0]
-        )
-        self._depth_handle = _LocalStatefulHandle(
-            lambda: self.depth_encoder, self._handle_names[1]
-        )
-        self._remote_encoders = False
         self.split = SplitController(
             initial=config.split_initial,
             minimum=config.split_min,
@@ -167,71 +151,15 @@ class LiVoSender:
         self._frames_processed = 0
         self._recover_with_intra = False
         self.encode_failures = 0
-        self.worker_crashes = 0
         self.tracer = None
 
     def attach_tracer(self, tracer) -> None:
         """Record per-stream encode spans (``repro.obs``) when tracing.
 
         The two stream encodes become ``kernel`` spans parented under
-        the encode stage span; worker-hosted encoders additionally ship
-        their own ``worker`` spans back with each result.
+        the encode stage span.
         """
         self.tracer = tracer
-        for handle in (self._color_handle, self._depth_handle):
-            handle.attach_tracer(tracer)
-
-    # ------------------------------------------------------------------
-    # Executor attachment (parallel encode)
-    # ------------------------------------------------------------------
-
-    def attach_executor(self, executor: Executor) -> None:
-        """Host the two encoders in dedicated executor workers.
-
-        With a process executor, color and depth encode one frame
-        concurrently -- the paper's "dedicated thread per stage".  Must
-        be called before the first frame (the workers start from fresh
-        encoder state).  A serial executor leaves the in-process
-        handles untouched.
-        """
-        if self._frames_processed > 0:
-            raise RuntimeError("attach_executor before processing frames")
-        if not executor.parallel:
-            return
-        color_codec, depth_codec = self._color_codec, self._depth_codec
-        self._color_handle = executor.stateful(
-            lambda: VideoEncoder(color_codec), self._handle_names[0]
-        )
-        self._depth_handle = executor.stateful(
-            lambda: VideoEncoder(depth_codec), self._handle_names[1]
-        )
-        self._remote_encoders = True
-
-    def _fall_back_to_local_encoders(self) -> None:
-        """Replace crashed encode workers with fresh in-process encoders.
-
-        The fresh encoders start without reference state, which is
-        exactly the post-failure contract: the next frame is forced
-        INTRA, so sender and receiver chains restart cleanly.
-        """
-        self.worker_crashes += 1
-        for handle in (self._color_handle, self._depth_handle):
-            try:
-                handle.close()
-            except Exception:
-                pass
-        self.color_encoder = VideoEncoder(self._color_codec)
-        self.depth_encoder = VideoEncoder(self._depth_codec)
-        self._color_handle = _LocalStatefulHandle(
-            lambda: self.color_encoder, self._handle_names[0]
-        )
-        self._depth_handle = _LocalStatefulHandle(
-            lambda: self.depth_encoder, self._handle_names[1]
-        )
-        self._remote_encoders = False
-        if self.tracer is not None:
-            for handle in (self._color_handle, self._depth_handle):
-                handle.attach_tracer(self.tracer)
 
     # ------------------------------------------------------------------
     # Pose feedback
@@ -251,13 +179,8 @@ class LiVoSender:
         """
         self.encode_failures += 1
         self._recover_with_intra = True
-        for handle in (self._color_handle, self._depth_handle):
-            try:
-                handle.call("reset")
-            except WorkerCrash:
-                self._fall_back_to_local_encoders()
-                # Fresh local encoders are already reset.
-                break
+        self.color_encoder.reset()
+        self.depth_encoder.reset()
 
     # ------------------------------------------------------------------
     # Stage bodies
@@ -334,20 +257,16 @@ class LiVoSender:
     ):
         """Encode stage as a request-yielding generator: both streams.
 
-        In-process encoders run as interleaved sub-generators, so their
+        The two encoders run as interleaved sub-generators, so their
         kernel jobs land in the same bucketing round -- co-batched
         across sessions on a lockstep driver
         (:class:`~repro.runtime.batchplane.BatchPlane`), resolved one
-        at a time by :meth:`encode`.  Worker-hosted encoders (parallel
-        executor) are dispatched through their handles instead and the
-        generator yields nothing: their kernel work lives elsewhere.
+        at a time by :meth:`encode`.
 
         Returns None when the encode fails (injected via ``fail_encode``
         or a genuine encoder exception): the capture is skipped rather
         than crashing the session, and the next successful frame is
-        forced INTRA so both reference chains restart cleanly.  A dead
-        encode worker is handled the same way, after falling back to
-        in-process encoders -- the session degrades instead of hanging.
+        forced INTRA so both reference chains restart cleanly.
         An ``is_empty`` prepared frame yields a valid, skippable
         result without touching the encoders.
         ``color_budget_scale`` trims the color stream's byte budget
@@ -402,48 +321,24 @@ class LiVoSender:
                 parent_id=parent_id,
             )
         try:
-            if self._remote_encoders:
-                color_kwargs: dict = {"force_intra": force_intra}
-                depth_kwargs: dict = {"force_intra": force_intra}
-                if tracer is not None:
-                    color_kwargs["_obs_ctx"] = TraceContext(
-                        prepared.sequence, color_span.span_id
-                    )
-                    depth_kwargs["_obs_ctx"] = TraceContext(
-                        prepared.sequence, depth_span.span_id
-                    )
-                # Dispatch both streams before collecting either: on a
-                # process executor the two encodes run concurrently.
-                color_pending = self._color_handle.call_async(
-                    method, prepared.tiled_color, color_arg, **color_kwargs
-                )
-                depth_pending = self._depth_handle.call_async(
-                    method, prepared.tiled_depth, depth_arg, **depth_kwargs
-                )
-                color_frame, color_recon = color_pending.result()
-                depth_frame, depth_recon = depth_pending.result()
-            else:
-                steps = f"{method}_steps"
-                streams = interleave_steps(
-                    [
-                        getattr(self.color_encoder, steps)(
-                            prepared.tiled_color, color_arg, force_intra=force_intra
-                        ),
-                        getattr(self.depth_encoder, steps)(
-                            prepared.tiled_depth, depth_arg, force_intra=force_intra
-                        ),
-                    ]
-                )
-                (color_frame, color_recon), (depth_frame, depth_recon) = yield from streams
-        except Exception as error:
-            # The dispatching side owns the kernel spans: a dead worker
-            # never ships its own, so close ours with an error status
-            # rather than leaking open spans into the trace.
+            steps = f"{method}_steps"
+            streams = interleave_steps(
+                [
+                    getattr(self.color_encoder, steps)(
+                        prepared.tiled_color, color_arg, force_intra=force_intra
+                    ),
+                    getattr(self.depth_encoder, steps)(
+                        prepared.tiled_depth, depth_arg, force_intra=force_intra
+                    ),
+                ]
+            )
+            (color_frame, color_recon), (depth_frame, depth_recon) = yield from streams
+        except Exception:
+            # Close our kernel spans with an error status rather than
+            # leaking open spans into the trace.
             if tracer is not None:
                 tracer.end_span(depth_span, status="error")
                 tracer.end_span(color_span, status="error")
-            if isinstance(error, WorkerCrash):
-                self._fall_back_to_local_encoders()
             self._on_encode_failure()
             return None
         if tracer is not None:
@@ -499,24 +394,15 @@ class LiVoSender:
         )
 
     def cache_counters(self):
-        """Merged scratch-arena counters of the in-process encoders.
-
-        Worker-hosted encoders keep their arenas in their own processes
-        (caches are process-local; DESIGN.md section 9), so with remote
-        encoders this reports zeros rather than guessing.
-        """
+        """Merged scratch-arena counters of the two encoders."""
         from repro.perf.counters import CacheCounters
 
         merged = CacheCounters("codec_scratch")
-        if not self._remote_encoders:
-            for encoder in (self.color_encoder, self.depth_encoder):
-                merged.merge(encoder.cache_counters)
+        for encoder in (self.color_encoder, self.depth_encoder):
+            merged.merge(encoder.cache_counters)
         return merged
 
     def close(self) -> None:
-        """Release any encoder workers."""
-        for handle in (self._color_handle, self._depth_handle):
-            try:
-                handle.close()
-            except Exception:
-                pass
+        """End of this sender's life.  The encoders live in this process,
+        so there is nothing to release; owners (sessions, conferences,
+        multiway senders) still call it exactly once per sender."""

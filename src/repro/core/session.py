@@ -14,10 +14,10 @@ receive side.  The session itself remains the scheduler -- the
 feedback loops (GCC rate, bandwidth split, the stall watchdog's
 degradation ladder, PLI keyframe requests) all close within one
 capture tick, so stages are driven tick-by-tick rather than free-run.
-With ``config.jobs > 1`` an executor fans the per-camera rendering and
-the quality scoring out across worker processes and hosts the two
-video encoders in dedicated stateful workers; at ``jobs == 1`` the
-serial executor reproduces the reference schedule byte-identically.
+One thing may leave the session thread: with ``config.jobs > 1`` the
+PointSSIM scoring (ground truth + metric, evaluation only) is submitted
+to a thread pool; at ``jobs == 1`` it runs in-line.  Reports are
+byte-identical either way.
 
 Bandwidth scaling: our frames are resolution-reduced, so traces are
 scaled by the raw-frame-size ratio (``trace_scale``), keeping the
@@ -31,9 +31,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.capture.rgbd import MultiViewFrame, RGBDFrame
+from repro.capture.rgbd import MultiViewFrame
 from repro.capture.rig import CaptureRig, default_rig
 from repro.capture.scene import Scene
 from repro.compression.draco import DracoCodec
@@ -51,26 +49,17 @@ from repro.geometry.camera import RGBDCamera, unproject_views
 from repro.geometry.frustum import Frustum
 from repro.geometry.pointcloud import PointCloud
 from repro.geometry.voxel import voxel_downsample
-from repro.metrics.pointssim import pointssim, pointssim_batch
+# ``pointssim`` is not called here but stays importable from this module:
+# benchmarks/e2e/spans.py resolves both names on it.
+from repro.metrics.pointssim import pointssim, pointssim_batch  # noqa: F401
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import Tracer, worker_tracer
 from repro.perf.capture import CachedFrameSource
 from repro.perf.features import FeatureCache
-from repro.perf.shmframes import (
-    ShmCloudHandle,
-    ShmFrameHandle,
-    ShmPairHandle,
-    load_cloud,
-    load_multiview,
-    load_pair,
-    share_multiview,
-    share_pair,
-)
 from repro.prediction.pose import PoseTrace
 from repro.prediction.predictor import ViewingDevice
-from repro.runtime.executors import Executor, make_executor
+from repro.runtime.executors import make_executor
 from repro.runtime.profile import merge_timings
-from repro.runtime.shm import attach_array
 from repro.runtime.stage import Stage, StageGraph
 from repro.transport.channel import WebRTCChannel
 from repro.transport.gcc import GCCConfig
@@ -120,216 +109,40 @@ def _auto_trace_scale(frame: MultiViewFrame) -> float:
     return max(frame.raw_size_bytes() / PAPER_FRAME_SIZE_BYTES, 1e-6)
 
 
-# ----------------------------------------------------------------------
-# Executor fan-out helpers.
-#
-# Worker processes are forked, so they inherit this module-level context
-# by memory -- the scene and cameras never cross a pipe.  It is set
-# right before the executor's first use; per-task arguments carry only
-# the small varying state (camera chunk, sequence).
-# ----------------------------------------------------------------------
-
-_CAPTURE_CTX: dict = {}
-
-# Quality-scoring context, same fork-inheritance pattern: the feature
-# cache and subsample knobs are process-local (each worker grows its own
-# cache; DESIGN.md section 9).
-_QUALITY_CTX: dict = {}
-
-# Zero-copy lane: quality jobs are parked and submitted in bursts at
-# idle/drain points so worker renders never compete with capture for
-# pool slots mid-tick.  The bound caps how many shared frame/pair
-# segments a burst can pin at once.
-_QUALITY_DEFER_MAX = 16
-
-
-def _capture_chunk(task: tuple) -> list:
-    """Render a contiguous chunk of cameras for one capture tick.
-
-    Runs inside a worker, through the
-    :class:`~repro.perf.capture.CachedFrameSource` in the context:
-    batch sampling is deterministic in the timestamp, so every worker
-    sees the same surface points, and each worker's inherited source
-    warms its own projection caches, deterministically, so the fan-out
-    stays byte-identical to the serial path.
-
-    A three-element task carries shared-memory refs
-    ``(depth_refs, color_refs)`` aligned with the camera indices: the
-    rendered arrays are written into the shared segment in place and
-    only the camera ids cross back over the pipe (the parent views the
-    same pages -- zero result pickling).
-    """
-    camera_indices, sequence = task[0], task[1]
-    refs = task[2] if len(task) > 2 else None
-    views = _CAPTURE_CTX["source"].capture_views(list(camera_indices), sequence)
-    if refs is None:
-        return views
-    depth_refs, color_refs = refs
-    for view, depth_ref, color_ref in zip(views, depth_refs, color_refs):
-        attach_array(depth_ref)[...] = view.depth_mm
-        attach_array(color_ref)[...] = view.color
-    return [view.camera_id for view in views]
-
-
-def _chunk_indices(count: int, chunks: int) -> list[list[int]]:
-    """Split ``range(count)`` into ``chunks`` contiguous, ordered runs."""
-    chunks = max(1, min(chunks, count))
-    size, extra = divmod(count, chunks)
-    out, start = [], 0
-    for index in range(chunks):
-        end = start + size + (1 if index < extra else 0)
-        out.append(list(range(start, end)))
-        start = end
-    return out
-
-
-def _capture_frame(
-    rig: CaptureRig,
-    sequence: int,
-    executor: Executor,
-    source: CachedFrameSource,
-) -> MultiViewFrame:
-    """One synchronized multi-view capture, fanned out when parallel.
-
-    The per-camera splats are independent and deterministic, so the
-    fan-out is byte-identical to ``source.capture`` -- chunks are
-    contiguous and reassembled in camera order.  ``source`` must also
-    be in ``_CAPTURE_CTX`` for the parallel branch.
-    """
-    if not executor.parallel:
-        return source.capture(sequence)
-    timestamp = sequence * rig.frame_interval_s
-    chunk_lists = _chunk_indices(rig.num_cameras, executor.jobs)
-    arena = executor.arena
-    if arena is None:
-        tasks = [(chunk, sequence) for chunk in chunk_lists]
-        chunks = executor.map(_capture_chunk, tasks)
-        views = [view for chunk in chunks for view in chunk]
-        return MultiViewFrame(views, sequence=sequence, timestamp_s=timestamp)
-    # Zero-copy lane: preallocate one shared segment per chunk (depth +
-    # color for every camera in it); workers render straight into the
-    # shared pages and return only camera ids.  The frame's views alias
-    # the segments, so ``shm_refs`` (one release token per segment) is
-    # attached for the caller to release once the frame is pruned.
-    tasks = []
-    group_refs = []
-    for chunk in chunk_lists:
-        shapes = [
-            ((rig.cameras[index].intrinsics.height, rig.cameras[index].intrinsics.width), np.uint16)
-            for index in chunk
-        ] + [
-            ((rig.cameras[index].intrinsics.height, rig.cameras[index].intrinsics.width, 3), np.uint8)
-            for index in chunk
-        ]
-        refs, _ = arena.allocate(shapes)
-        depth_refs = tuple(refs[: len(chunk)])
-        color_refs = tuple(refs[len(chunk) :])
-        tasks.append((chunk, sequence, (depth_refs, color_refs)))
-        group_refs.append(refs[0])
-    metas = executor.map(_capture_chunk, tasks)
-    views = []
-    view_refs = []
-    for task, camera_ids in zip(tasks, metas):
-        depth_refs, color_refs = task[2]
-        for camera_id, depth_ref, color_ref in zip(camera_ids, depth_refs, color_refs):
-            views.append(
-                RGBDFrame(
-                    arena.view(color_ref),
-                    arena.view(depth_ref),
-                    camera_id=camera_id,
-                    sequence=sequence,
-                    timestamp_s=timestamp,
-                )
-            )
-            view_refs.append((depth_ref, color_ref))
-    frame = MultiViewFrame(views, sequence=sequence, timestamp_s=timestamp)
-    frame.shm_refs = group_refs
-    # Per-view refs let downstream sharers (the quality lane) alias the
-    # capture segments instead of copying the frame into fresh ones.
-    frame.shm_view_refs = view_refs
-    return frame
-
-
-def _render_shown_cloud(
-    pair,
-    cameras: list[RGBDCamera],
-    actual_frustum: Frustum,
-    voxel_m: float,
-) -> PointCloud:
-    """Receiver render prep as a pure function: reconstruct + cull.
-
-    Mirrors :meth:`~repro.core.receiver.LiVoReceiver.reconstruct`
-    followed by :meth:`~repro.core.receiver.LiVoReceiver.render_view`
-    exactly (same kernels, same order), so a worker rendering from a
-    shipped :class:`~repro.perf.shmframes.ShmPairHandle` produces the
-    byte-identical cloud the parent would have rendered inline.
-    """
-    cloud = unproject_views(cameras, pair.depth_tiles_mm, pair.color_tiles)
-    if cloud.is_empty:
-        return cloud
-    voxelized = voxel_downsample(cloud, voxel_m)
-    return voxelized.select(actual_frustum.contains(voxelized.positions))
-
-
 def _quality_job(
     frame: MultiViewFrame,
     cameras: list[RGBDCamera],
     actual_frustum: Frustum,
     render_voxel_m: float,
-    shown: PointCloud,
+    shown,
+    cache: FeatureCache,
+    max_points: int | None,
     obs_ctx=None,
-    shown_voxel_m: float | None = None,
 ):
     """Pure quality-scoring job: build the ground truth, score the shown
-    cloud against it.  No session state touched, so it can run in any
-    worker; the score is None when the truth is empty (nothing to
-    score).  The feature cache / subsample knobs come from
-    ``_QUALITY_CTX`` (process-local, fork-inherited like
-    ``_CAPTURE_CTX``).
+    cloud against it.  No session state touched, so it can run on any
+    executor thread; everything it needs arrives as an argument.  The
+    score is None when the truth is empty (nothing to score).
+
+    ``shown(truth)`` returns the cloud the scheme displayed (MeshReduce
+    sizes its mesh sampling by the truth; the others ignore it).
 
     Returns ``(score, spans)``: with ``obs_ctx`` (a
     :class:`repro.obs.span.TraceContext`) set, the scoring runs inside
-    a worker-local span shipped back for the session tracer to absorb;
+    a job-local span handed back for the session tracer to absorb;
     otherwise ``spans`` is None.
-
-    ``frame`` and ``shown`` may arrive as shared-memory handles
-    (:class:`~repro.perf.shmframes.ShmFrameHandle`,
-    :class:`~repro.perf.shmframes.ShmCloudHandle`, or a
-    :class:`~repro.perf.shmframes.ShmPairHandle` of decoded tiles):
-    the worker attaches and views the shared pages in place, so only
-    the ~100-byte handles ever crossed the pipe.  A pair handle means
-    the parent skipped render prep entirely -- the worker reconstructs
-    and culls the shown cloud itself (``shown_voxel_m`` carries the
-    degradation ladder's effective render voxel), taking that work off
-    the session's critical path.
     """
-    if isinstance(frame, ShmFrameHandle):
-        frame = load_multiview(frame)
-    if isinstance(shown, ShmCloudHandle):
-        shown = load_cloud(shown)
 
     def compute():
-        local_shown = shown
-        if isinstance(local_shown, ShmPairHandle):
-            local_shown = _render_shown_cloud(
-                load_pair(local_shown),
-                cameras,
-                actual_frustum,
-                shown_voxel_m or render_voxel_m,
-            )
         truth = ground_truth_cloud(frame, cameras, actual_frustum, render_voxel_m)
         if truth.is_empty:
             return None
         return pointssim_batch(
-            [(truth, local_shown)],
-            cache=_QUALITY_CTX["cache"],
-            max_points=_QUALITY_CTX["max_points"],
+            [(truth, shown(truth))], cache=cache, max_points=max_points
         )[0]
 
     if obs_ctx is None:
         return compute(), None
-    from repro.obs.tracer import worker_tracer
-
     tracer = worker_tracer()
     with tracer.span(
         "quality:pointssim",
@@ -339,15 +152,6 @@ def _quality_job(
     ):
         score = compute()
     return score, tracer.spans()
-
-
-def _release_frame_shm(executor: Executor, frame) -> None:
-    """Release the shared segments backing a frame's views, if any."""
-    arena = executor.arena
-    if arena is None or frame is None:
-        return
-    for ref in getattr(frame, "shm_refs", ()):
-        arena.release(ref)
 
 
 @dataclass
@@ -364,61 +168,177 @@ class _Tick:
     result: SenderResult | None = None
 
 
+@dataclass
+class _Replay:
+    """What every scheme's replay starts from (:meth:`_SessionBase._open`)."""
+
+    rig: CaptureRig
+    source: CachedFrameSource
+    first: MultiViewFrame
+    user_trace: PoseTrace
+    bandwidth_trace: BandwidthTrace
+    scaled_trace: BandwidthTrace
+    scale: float
+    duration_s: float
+
+    def capture(self, sequence: int) -> MultiViewFrame:
+        """One synchronized multi-view capture (frame 0 is already held)."""
+        return self.first if sequence == 0 else self.source.capture(sequence)
+
+
+class _QualityLane:
+    """PointSSIM on every Nth rendered frame (the paper's cadence).
+
+    The one place a replay scores quality, and the one place work may
+    leave the session thread: a due sample renders what the scheme
+    showed, then submits ground truth + PointSSIM to the executor
+    ``config.jobs`` / ``config.executor`` ask for.  The job gets its
+    feature cache and subsample bound as arguments -- nothing about a
+    run lives at module level, so overlapping runs cannot touch each
+    other's scoring.
+    """
+
+    def __init__(
+        self,
+        session: "_SessionBase",
+        replay: _Replay,
+        tracer: Tracer | None = None,
+    ) -> None:
+        self.config = session.config
+        self.device = session.device
+        self.replay = replay
+        self.tracer = tracer
+        self.cache = FeatureCache()
+        self.stage = Stage("quality", self._submit)
+        if tracer is not None:
+            self.stage.attach_tracer(tracer, seq_fn=lambda args: args[2])
+        self._counter = 0
+        self._pending: list[tuple[FrameRecord, object]] = []
+        self.executor = make_executor(self.config.jobs, self.config.executor)
+
+    def sample(self, record: FrameRecord, frame: MultiViewFrame, sequence: int, render) -> None:
+        """Count one rendered frame; score it when the cadence says so.
+
+        ``render(actual_frustum)`` runs here, on the session thread, and
+        returns the job's ``shown`` callable (see :func:`_quality_job`).
+        """
+        self._counter += 1
+        if (self._counter - 1) % self.config.quality_every == 0:
+            self.stage((record, frame, sequence, render))
+
+    def _submit(self, args) -> None:
+        record, frame, sequence, render = args
+        actual = self.device.frustum_for(
+            self.replay.user_trace.pose_at_frame(sequence)
+        )
+        obs_ctx = self.tracer.current_context() if self.tracer is not None else None
+        future = self.executor.submit(
+            _quality_job,
+            frame,
+            self.replay.rig.cameras,
+            actual,
+            self.config.render_voxel_m,
+            render(actual),
+            self.cache,
+            self.config.quality_max_points,
+            obs_ctx,
+        )
+        self._pending.append((record, future))
+
+    def collect(self, final: bool) -> None:
+        """Write finished scores onto their records; ``final`` blocks on
+        everything still pending."""
+        unresolved = []
+        for record, future in self._pending:
+            if not final and not future.done():
+                unresolved.append((record, future))
+                continue
+            score, spans = future.result()
+            if spans and self.tracer is not None:
+                self.tracer.absorb(spans)
+            if score is not None:
+                record.pssim_geometry = score.geometry
+                record.pssim_color = score.color
+        self._pending = unresolved
+
+    def close(self) -> None:
+        self.executor.close()
+
+
 class _SessionBase:
-    """Shared rig construction, trace scaling, and runtime plumbing."""
+    """What the three schemes' replays share: set-up, scoring, report."""
 
     def __init__(self, config: SessionConfig | None = None) -> None:
         self.config = config or SessionConfig()
         self.device = ViewingDevice()
 
-    def _make_rig(self) -> CaptureRig:
+    def _open(
+        self,
+        scene: Scene,
+        user_trace: PoseTrace,
+        bandwidth_trace: BandwidthTrace,
+        num_frames: int,
+    ) -> _Replay:
+        """Rig, cached capture source, frame 0 and the scaled trace."""
+        if num_frames <= 0:
+            raise ValueError("num_frames must be positive")
         config = self.config
-        return default_rig(
+        rig = default_rig(
             num_cameras=config.num_cameras,
             width=config.camera_width,
             height=config.camera_height,
             fps=config.fps,
         )
-
-    def _make_executor(self, on_crash=None) -> Executor:
-        """The executor this session's config asked for."""
-        return make_executor(
-            jobs=self.config.jobs, kind=self.config.executor, on_crash=on_crash
+        source = CachedFrameSource(rig, scene)
+        first = source.capture(0)
+        scale = config.trace_scale
+        if scale is None:
+            scale = _auto_trace_scale(first) * config.codec_efficiency_compensation
+        return _Replay(
+            rig=rig,
+            source=source,
+            first=first,
+            user_trace=user_trace,
+            bandwidth_trace=bandwidth_trace,
+            scaled_trace=bandwidth_trace.scaled(scale),
+            scale=scale,
+            duration_s=num_frames * config.frame_interval_s,
         )
 
-    def _attach_caches(self, source: CachedFrameSource) -> FeatureCache:
-        """Publish capture/quality cache context for this run's workers."""
-        _CAPTURE_CTX["source"] = source
-        cache = FeatureCache()
-        _QUALITY_CTX["cache"] = cache
-        _QUALITY_CTX["max_points"] = self.config.quality_max_points
-        return cache
-
-    def _attach_report_caches(
+    def _report(
         self,
-        report: SessionReport,
-        source: CachedFrameSource,
-        quality_cache: FeatureCache,
-    ) -> None:
-        """Attach capture/quality cache counters to a finished report."""
+        replay: _Replay,
+        quality: _QualityLane,
+        scheme: str,
+        video_name: str,
+        fps_target: float,
+        frames: list[FrameRecord],
+        stage_timings: dict,
+        fault_events: list[FaultEvent] | None = None,
+        cache_stats: dict | None = None,
+    ) -> SessionReport:
+        """The finished report with stage timings and cache counters."""
+        report = SessionReport(
+            scheme=scheme,
+            video=video_name,
+            user_trace=replay.user_trace.name,
+            network_trace=replay.bandwidth_trace.name,
+            fps_target=fps_target,
+            duration_s=replay.duration_s,
+            frames=frames,
+            mean_capacity_mbps=replay.scaled_trace.stats().mean,
+            trace_scale=replay.scale,
+            fault_events=fault_events or [],
+        )
+        report.attach_stage_timings(stage_timings)
         report.attach_cache_stats(
             {
-                "capture_projection": source.counters().to_dict(),
-                "quality_features": quality_cache.counters.to_dict(),
+                **(cache_stats or {}),
+                "capture_projection": replay.source.counters().to_dict(),
+                "quality_features": quality.cache.counters.to_dict(),
             }
         )
-
-    def _scaled_trace(
-        self, trace: BandwidthTrace, first_frame: MultiViewFrame
-    ) -> tuple[BandwidthTrace, float]:
-        if self.config.trace_scale is not None:
-            scale = self.config.trace_scale
-        else:
-            scale = (
-                _auto_trace_scale(first_frame)
-                * self.config.codec_efficiency_compensation
-            )
-        return trace.scaled(scale), scale
+        return report
 
 
 class LiVoSession(_SessionBase):
@@ -462,9 +382,9 @@ class LiVoSession(_SessionBase):
         kernel, worker, transport, and render spans beneath it.  Off by
         default -- an untraced run's report is byte-identical.
         """
-        if num_frames <= 0:
-            raise ValueError("num_frames must be positive")
         config = self.config
+        replay = self._open(scene, user_trace, bandwidth_trace, num_frames)
+        rig, scaled_trace = replay.rig, replay.scaled_trace
         if tracer is None and config.trace:
             tracer = Tracer()
         resilience = config.resilience
@@ -475,15 +395,11 @@ class LiVoSession(_SessionBase):
             if resilience.enabled and resilience.ladder_enabled
             else None
         )
-        rig = self._make_rig()
         sender = LiVoSender(rig.cameras, config, self.device, receiver_id=receiver_id)
         receiver = LiVoReceiver(rig.cameras, config, receiver_id=receiver_id)
         events: list[FaultEvent] = []
         boundary = StageFaultBoundary(injector, events)
 
-        source = CachedFrameSource(rig, scene)
-        first = source.capture(0)
-        scaled_trace, scale = self._scaled_trace(bandwidth_trace, first)
         link = EmulatedLink(
             scaled_trace,
             config.link,
@@ -512,16 +428,9 @@ class LiVoSession(_SessionBase):
         interval = config.frame_interval_s
         lag = config.pose_feedback_lag_frames
         horizon_s = lag * interval
-        duration = num_frames * interval
+        duration = replay.duration_s
 
-        # The executor fans out per-camera capture + quality scoring and
-        # hosts the two encoders in dedicated workers when parallel.
-        executor = self._make_executor()
-        quality_cache = self._attach_caches(source)
-        sender.attach_executor(executor)
         if tracer is not None:
-            # After attach_executor: the encoder handles it installs are
-            # the ones whose worker spans must flow back.
             sender.attach_tracer(tracer)
 
         captures: dict[int, MultiViewFrame] = {}
@@ -529,15 +438,6 @@ class LiVoSession(_SessionBase):
         records: dict[int, FrameRecord] = {}
         pair_arrivals: dict[int, dict[int, float]] = {}
         pending: deque[int] = deque()
-        # (record, future, shm refs to release once the future resolves)
-        quality_pending: list[tuple[FrameRecord, object, tuple]] = []
-        # Zero-copy lane: parked (record, submit args, shm refs) quality
-        # jobs awaiting an idle/drain submission point.
-        quality_deferred: list[tuple[FrameRecord, tuple, tuple]] = []
-        # sequence -> release tokens for the shared segments backing that
-        # capture's views (zero-copy lane only).
-        capture_shm: dict[int, list] = {}
-        quality_counter = 0
         rx_request_intra = False  # PLI-style request after a poisoned pair
 
         # ------------------------------------------------------------------
@@ -546,16 +446,7 @@ class LiVoSession(_SessionBase):
         # ------------------------------------------------------------------
 
         def do_capture(tick: _Tick) -> _Tick:
-            tick.frame = (
-                first
-                if tick.sequence == 0
-                else _capture_frame(rig, tick.sequence, executor, source)
-            )
-            # Record the release tokens here, before the camera-fault
-            # hook may swap the frame object (and its attribute) out.
-            refs = getattr(tick.frame, "shm_refs", None)
-            if refs:
-                capture_shm[tick.sequence] = refs
+            tick.frame = replay.capture(tick.sequence)
             return tick
 
         def camera_fault_hook(tick: _Tick) -> _Tick:
@@ -599,70 +490,11 @@ class LiVoSession(_SessionBase):
                 return receiver.decode_pair(color_frame, depth_frame)
             return None
 
-        def do_quality(args):
-            record, pair, now_sequence = args
-            actual = self.device.frustum_for(user_trace.pose_at_frame(now_sequence))
-            voxel_m = None
-            if watchdog is not None and watchdog.voxel_scale() > 1.0:
-                voxel_m = config.render_voxel_m * watchdog.voxel_scale()
-            frame_payload = captures[now_sequence]
-            cleanup: tuple = ()
-            obs_ctx = tracer.current_context() if tracer is not None else None
-            if executor.arena is not None:
-                # Zero-copy lane: the frame aliases its capture
-                # segments and the *decoded pair* (not a rendered
-                # cloud) crosses as ~100-byte handles -- the worker
-                # reconstructs and culls the shown view itself, so
-                # render prep leaves the session's critical path
-                # entirely.  Scoring is telemetry, not playout, so the
-                # job is parked (bounded) and submitted at idle/drain
-                # points rather than competing with capture for
-                # workers mid-tick.  Segments are released when the
-                # future's result has been collected.
-                frame_handle = share_multiview(executor.arena, frame_payload)
-                pair_handle = share_pair(executor.arena, pair)
-                cleanup = frame_handle.segment_refs + pair_handle.segment_refs
-                args = (
-                    _quality_job,
-                    frame_handle,
-                    rig.cameras,
-                    actual,
-                    config.render_voxel_m,
-                    pair_handle,
-                    obs_ctx,
-                    voxel_m,
-                )
-                quality_deferred.append((record, args, cleanup))
-                if len(quality_deferred) >= _QUALITY_DEFER_MAX:
-                    flush_quality()
-                return
-            shown = receiver.render_view(
-                receiver.reconstruct(pair), actual, voxel_m
-            )
-            future = executor.submit(
-                _quality_job,
-                frame_payload,
-                rig.cameras,
-                actual,
-                config.render_voxel_m,
-                shown,
-                obs_ctx,
-            )
-            quality_pending.append((record, future, cleanup))
-
-        def flush_quality() -> None:
-            """Submit every parked quality job to the worker pool."""
-            for record, args, cleanup in quality_deferred:
-                quality_pending.append((record, executor.submit(*args), cleanup))
-            quality_deferred.clear()
-
         decode_stage = Stage("decode", do_decode)
-        quality_stage = Stage("quality", do_quality)
         if tracer is not None:
-            # Both receive stages take positional arg tuples with the
-            # frame sequence riding at index 2.
+            # The stage takes a positional arg tuple with the frame
+            # sequence riding at index 2.
             decode_stage.attach_tracer(tracer, seq_fn=lambda args: args[2])
-            quality_stage.attach_tracer(tracer, seq_fn=lambda args: args[2])
 
         def ingest(deliveries) -> None:
             for delivery in deliveries:
@@ -703,13 +535,19 @@ class LiVoSession(_SessionBase):
                 )
             )
 
-        def sample_quality(record: FrameRecord, pair, now_sequence: int) -> None:
-            """PointSSIM every Nth rendered frame (paper's cadence)."""
-            nonlocal quality_counter
-            quality_counter += 1
-            if (quality_counter - 1) % config.quality_every != 0:
-                return
-            quality_stage((record, pair, now_sequence))
+        def sample_quality(record: FrameRecord, pair, sequence: int) -> None:
+            """Offer one rendered frame to the quality lane."""
+
+            def render(actual: Frustum):
+                voxel_m = None
+                if watchdog is not None and watchdog.voxel_scale() > 1.0:
+                    voxel_m = config.render_voxel_m * watchdog.voxel_scale()
+                shown = receiver.render_view(
+                    receiver.reconstruct(pair), actual, voxel_m
+                )
+                return lambda truth: shown
+
+            quality.sample(record, captures[sequence], sequence, render)
 
         def prune(sequence: int) -> None:
             """Drop a resolved frame's buffered state (bounded memory)."""
@@ -717,36 +555,6 @@ class LiVoSession(_SessionBase):
             encoded.pop(sequence, None)
             pair_arrivals.pop(sequence, None)
             channel.release_frame(sequence)
-            if executor.arena is not None:
-                for ref in capture_shm.pop(sequence, ()):
-                    executor.arena.release(ref)
-
-        def collect_quality(final: bool) -> None:
-            """Absorb finished quality futures; release their segments.
-
-            Runs every tick so in-flight shared segments stay bounded by
-            the number of genuinely unresolved jobs; ``final`` submits
-            the parked jobs and blocks on everything still pending.
-            """
-            if final and quality_deferred:
-                flush_quality()
-            if not quality_pending:
-                return
-            unresolved = []
-            for record, future, cleanup in quality_pending:
-                if not final and not future.done():
-                    unresolved.append((record, future, cleanup))
-                    continue
-                score, shipped_spans = future.result()
-                if shipped_spans and tracer is not None:
-                    tracer.absorb(shipped_spans)
-                if score is not None:
-                    record.pssim_geometry = score.geometry
-                    record.pssim_color = score.color
-                if executor.arena is not None:
-                    for ref in cleanup:
-                        executor.arena.release(ref)
-            quality_pending[:] = unresolved
 
         def resolve_head(now: float, final: bool) -> bool:
             """Resolve the oldest in-flight frame if its fate is known.
@@ -848,13 +656,14 @@ class LiVoSession(_SessionBase):
         # --------------------------------------------------------------
         # Interleaved replay: resolve receives, then capture and send.
         # --------------------------------------------------------------
+        quality = _QualityLane(self, replay, tracer)
         try:
             for sequence in range(num_frames):
                 now = sequence * interval
                 ingest(channel.poll_deliveries(now))
                 while pending and resolve_head(now, final=False):
                     pass
-                collect_quality(final=False)
+                quality.collect(final=False)
                 if sequence >= lag:
                     sender.observe_pose(
                         user_trace.pose_at_frame(sequence - lag),
@@ -957,27 +766,12 @@ class LiVoSession(_SessionBase):
             while pending:
                 resolve_head(duration + 5.0, final=True)
 
-            # Collect deferred quality scores (computed in workers when
-            # parallel; already resolved when serial).
-            collect_quality(final=True)
+            # Collect the quality scores still out on the executor
+            # (already resolved when serial).
+            quality.collect(final=True)
         finally:
-            if executor.arena is not None:
-                # Frames that never resolved (skipped/empty/encode-failed
-                # sequences, or an aborted run) still hold segments;
-                # release them before close() so they don't count as
-                # lifecycle leaks.
-                for _, _, cleanup in quality_pending:
-                    for ref in cleanup:
-                        executor.arena.release(ref)
-                for _, _, cleanup in quality_deferred:
-                    for ref in cleanup:
-                        executor.arena.release(ref)
-                for refs in capture_shm.values():
-                    for ref in refs:
-                        executor.arena.release(ref)
-                capture_shm.clear()
             sender.close()
-            executor.close()
+            quality.close()
 
         for stream_id, marker_sequence in channel.marker_frames:
             events.append(
@@ -1000,31 +794,22 @@ class LiVoSession(_SessionBase):
                 )
             tracer.finish(duration + 5.0)
 
-        report = SessionReport(
-            scheme=scheme_name,
-            video=video_name,
-            user_trace=user_trace.name,
-            network_trace=bandwidth_trace.name,
-            fps_target=config.fps,
-            duration_s=duration,
-            frames=[records[sequence] for sequence in range(num_frames)],
-            mean_capacity_mbps=scaled_trace.stats().mean,
-            trace_scale=scale,
-            fault_events=events,
-        )
-        report.attach_stage_timings(
+        report = self._report(
+            replay,
+            quality,
+            scheme_name,
+            video_name,
+            config.fps,
+            [records[sequence] for sequence in range(num_frames)],
             merge_timings(
                 graph.timings(),
-                {s.name: s.timing for s in (decode_stage, quality_stage)},
-            )
-        )
-        report.attach_cache_stats(
-            {
+                {s.name: s.timing for s in (decode_stage, quality.stage)},
+            ),
+            fault_events=events,
+            cache_stats={
                 "codec_scratch": sender.cache_counters().to_dict(),
-                "capture_projection": source.counters().to_dict(),
-                "quality_features": quality_cache.counters.to_dict(),
                 "transport_batch": channel.batch_counters.to_dict(),
-            }
+            },
         )
 
         # Unified metrics registry: the older telemetry channels (cache
@@ -1046,17 +831,6 @@ class LiVoSession(_SessionBase):
         if injector is not None:
             injector.metrics_into(registry)
         registry.absorb_fault_events(events)
-        # Executor health: crash events, items transparently redone
-        # in-process after a pool break, and the shm arena's lifecycle
-        # (the executor is closed by now, so these are final values).
-        registry.counter("executor.crashes").inc(executor.crashes)
-        registry.counter("executor.recomputed").inc(executor.recomputed)
-        if executor.arena is not None:
-            registry.counter("shm.segments_created").inc(executor.arena.created)
-            registry.counter("shm.segments_freed").inc(executor.arena.freed)
-            registry.counter("shm.segments_recycled").inc(executor.arena.recycled)
-            registry.counter("shm.bytes_shared").inc(executor.arena.bytes_shared)
-            registry.counter("shm.segments_leaked").inc(executor.shm_leaked)
         if watchdog is not None:
             # The drain observes deadlines at duration + 5 s; close the
             # time-per-rung accounting on the same sim clock.
@@ -1081,13 +855,9 @@ class DracoOracleSession(_SessionBase):
         oracle_fps: float = 15.0,
     ) -> SessionReport:
         """Replay; ``num_frames`` counts 30 fps capture ticks."""
-        if num_frames <= 0:
-            raise ValueError("num_frames must be positive")
         config = self.config
-        rig = self._make_rig()
-        source = CachedFrameSource(rig, scene)
-        first = source.capture(0)
-        scaled_trace, scale = self._scaled_trace(bandwidth_trace, first)
+        replay = self._open(scene, user_trace, bandwidth_trace, num_frames)
+        rig, first, scaled_trace = replay.rig, replay.first, replay.scaled_trace
 
         stride = max(1, int(round(config.fps / oracle_fps)))
         # Perfect culling: the oracle is handed the receiver's actual
@@ -1106,15 +876,7 @@ class DracoOracleSession(_SessionBase):
         compute_scale = PAPER_FRAME_SIZE_BYTES / max(first.raw_size_bytes(), 1)
         oracle = DracoOracle(profile, fps=oracle_fps, time_multiplier=compute_scale)
 
-        executor = self._make_executor()
-        quality_cache = self._attach_caches(source)
-
-        capture_stage = Stage(
-            "capture",
-            lambda seq: first
-            if seq == 0
-            else _capture_frame(rig, seq, executor, source),
-        )
+        capture_stage = Stage("capture", replay.capture)
         cull_stage = Stage("cull", lambda args: culled_cloud(*args))
         encode_stage = Stage(
             "encode",
@@ -1122,10 +884,9 @@ class DracoOracleSession(_SessionBase):
             if not args[0].is_empty
             else None,
         )
-        quality_stage = Stage("quality", lambda fn: fn())
 
         records = []
-        quality_counter = 0
+        quality = _QualityLane(self, replay)
         try:
             for sequence in range(0, num_frames, stride):
                 capture_time = sequence * config.frame_interval_s
@@ -1152,58 +913,31 @@ class DracoOracleSession(_SessionBase):
                     if delivery <= capture_time + config.playout_delay_s:
                         record.rendered = True
                         record.stalled = False
-                        quality_counter += 1
-                        if (quality_counter - 1) % config.quality_every == 0:
 
-                            def score_frame(
-                                frame=frame, encoded=encoded, sequence=sequence,
-                                record=record,
-                            ):
-                                actual = self.device.frustum_for(
-                                    user_trace.pose_at_frame(sequence)
-                                )
-                                decoded = DracoCodec.decode(encoded)
-                                shown = voxel_downsample(decoded, config.render_voxel_m)
-                                shown = shown.select(actual.contains(shown.positions))
-                                truth = ground_truth_cloud(
-                                    frame, rig.cameras, actual, config.render_voxel_m
-                                )
-                                if not truth.is_empty:
-                                    score = pointssim(
-                                        truth,
-                                        shown,
-                                        cache=quality_cache,
-                                        max_points=config.quality_max_points,
-                                    )
-                                    record.pssim_geometry = score.geometry
-                                    record.pssim_color = score.color
+                        def render(actual: Frustum):
+                            decoded = DracoCodec.decode(encoded)
+                            shown = voxel_downsample(decoded, config.render_voxel_m)
+                            shown = shown.select(actual.contains(shown.positions))
+                            return lambda truth: shown
 
-                            quality_stage(score_frame)
+                        quality.sample(record, frame, sequence, render)
                 records.append(record)
-                _release_frame_shm(executor, frame)
+            quality.collect(final=True)
         finally:
-            executor.close()
+            quality.close()
 
-        duration = num_frames * config.frame_interval_s
-        report = SessionReport(
-            scheme="Draco-Oracle",
-            video=video_name,
-            user_trace=user_trace.name,
-            network_trace=bandwidth_trace.name,
-            fps_target=oracle_fps,
-            duration_s=duration,
-            frames=records,
-            mean_capacity_mbps=scaled_trace.stats().mean,
-            trace_scale=scale,
-        )
-        report.attach_stage_timings(
+        return self._report(
+            replay,
+            quality,
+            "Draco-Oracle",
+            video_name,
+            oracle_fps,
+            records,
             {
                 s.name: s.timing
-                for s in (capture_stage, cull_stage, encode_stage, quality_stage)
-            }
+                for s in (capture_stage, cull_stage, encode_stage, quality.stage)
+            },
         )
-        self._attach_report_caches(report, source, quality_cache)
-        return report
 
 
 class MeshReduceSession(_SessionBase):
@@ -1219,37 +953,24 @@ class MeshReduceSession(_SessionBase):
         conservativeness: float = 0.35,
     ) -> SessionReport:
         """Replay ``num_frames`` 30 fps capture ticks."""
-        if num_frames <= 0:
-            raise ValueError("num_frames must be positive")
         config = self.config
-        rig = self._make_rig()
-        source = CachedFrameSource(rig, scene)
-        first = source.capture(0)
-        scaled_trace, scale = self._scaled_trace(bandwidth_trace, first)
+        replay = self._open(scene, user_trace, bandwidth_trace, num_frames)
+        rig, scaled_trace = replay.rig, replay.scaled_trace
 
-        profile = MeshReduceProfile.build([first], rig.cameras)
+        profile = MeshReduceProfile.build([replay.first], rig.cameras)
         voxel = profile.select_voxel(
             scaled_trace.stats().mean * 1e6, fps=15.0, conservativeness=conservativeness
         )
         stream = ReliableByteStream(scaled_trace, config.link.propagation_delay_s)
         pipeline = MeshReducePipeline(rig.cameras, stream, voxel)
 
-        executor = self._make_executor()
-        quality_cache = self._attach_caches(source)
-
-        capture_stage = Stage(
-            "capture",
-            lambda seq: first
-            if seq == 0
-            else _capture_frame(rig, seq, executor, source),
-        )
+        capture_stage = Stage("capture", replay.capture)
         compress_stage = Stage(
             "compress", lambda args: pipeline.offer_frame(args[0], args[1])
         )
-        quality_stage = Stage("quality", lambda fn: fn())
 
         records = []
-        quality_counter = 0
+        quality = _QualityLane(self, replay)
         try:
             for sequence in range(num_frames):
                 capture_time = sequence * config.frame_interval_s
@@ -1269,58 +990,33 @@ class MeshReduceSession(_SessionBase):
                     delivery_time_s=result.delivery_time_s,
                 )
                 if result.sent and result.mesh is not None:
-                    quality_counter += 1
-                    if (quality_counter - 1) % config.quality_every == 0:
 
-                        def score_frame(
-                            frame=frame, result=result, sequence=sequence,
-                            record=record,
-                        ):
-                            actual = self.device.frustum_for(
-                                user_trace.pose_at_frame(sequence)
+                    def render(actual: Frustum, mesh=result.mesh, seed=sequence):
+                        # ``shown`` may run later, on an executor thread:
+                        # it must not read this loop's variables.
+                        def shown(truth: PointCloud) -> PointCloud:
+                            sampled = pipeline.reconstruct(
+                                mesh, max(2 * len(truth), 1000), seed=seed
                             )
-                            truth = ground_truth_cloud(
-                                frame, rig.cameras, actual, config.render_voxel_m
-                            )
-                            if not truth.is_empty:
-                                sampled = pipeline.reconstruct(
-                                    result.mesh, max(2 * len(truth), 1000), seed=sequence
-                                )
-                                shown = sampled.select(
-                                    actual.contains(sampled.positions)
-                                )
-                                score = pointssim(
-                                    truth,
-                                    shown,
-                                    cache=quality_cache,
-                                    max_points=config.quality_max_points,
-                                )
-                                record.pssim_geometry = score.geometry
-                                record.pssim_color = score.color
+                            return sampled.select(actual.contains(sampled.positions))
 
-                        quality_stage(score_frame)
+                        return shown
+
+                    quality.sample(record, frame, sequence, render)
                 records.append(record)
-                _release_frame_shm(executor, frame)
+            quality.collect(final=True)
         finally:
-            executor.close()
+            quality.close()
 
-        duration = num_frames * config.frame_interval_s
-        report = SessionReport(
-            scheme="MeshReduce",
-            video=video_name,
-            user_trace=user_trace.name,
-            network_trace=bandwidth_trace.name,
-            fps_target=15.0,
-            duration_s=duration,
-            frames=records,
-            mean_capacity_mbps=scaled_trace.stats().mean,
-            trace_scale=scale,
-        )
-        report.attach_stage_timings(
+        return self._report(
+            replay,
+            quality,
+            "MeshReduce",
+            video_name,
+            15.0,
+            records,
             {
                 s.name: s.timing
-                for s in (capture_stage, compress_stage, quality_stage)
-            }
+                for s in (capture_stage, compress_stage, quality.stage)
+            },
         )
-        self._attach_report_caches(report, source, quality_cache)
-        return report

@@ -20,9 +20,8 @@ class Clock:
 
 
 class WallClock(Clock):
-    """Real wall time via ``perf_counter`` (CLOCK_MONOTONIC on Linux,
-    system-wide, so parent- and forked-child-side timestamps share one
-    origin and worker spans land on the same timeline)."""
+    """Real wall time via ``perf_counter`` (one origin for every thread,
+    so executor-job spans land on the session's timeline)."""
 
     def now(self) -> float:
         return perf_counter()

@@ -8,9 +8,9 @@ The span taxonomy (DESIGN.md section 11) is three levels deep:
 - **stage** -- one span per stage execution (capture, prepare, encode,
   decode, quality) on the *wall* clock, parented under the frame root;
 - **kernel** / **worker** -- sub-spans for work inside a stage (the two
-  stream encodes, remote worker calls), parented under the stage span;
-  worker-side spans are shipped back over the result pipe and carry
-  the worker's real pid.
+  stream encodes; the quality job an executor runs), parented under
+  the stage span; ``worker`` spans are recorded by the job and
+  returned with its result.
 
 ``transport`` spans ride the sim clock (send tick to last-byte
 delivery per stream); ``fault`` instants mark injected/observed fault
@@ -58,8 +58,8 @@ class TraceContext:
 class Span:
     """One closed-or-open interval of attributed work.
 
-    Spans are plain data (picklable) so worker processes can record
-    them locally and ship them back with results.  ``end_s`` is None
+    Spans are plain data, so an executor job can record them locally
+    and return them with its result.  ``end_s`` is None
     while the span is open; an exported trace never contains open
     spans -- :meth:`repro.obs.tracer.Tracer.finish` closes stragglers
     with :data:`STATUS_INCOMPLETE`.

@@ -5,10 +5,10 @@ thread-safe (the threaded stage schedule runs stages on dedicated
 threads) and keeps a context-local "current span" so sub-spans opened
 inside a stage body parent correctly without explicit plumbing.
 
-Cross-process propagation: work dispatched to another process carries
-a :class:`~repro.obs.span.TraceContext`; the worker records spans into
-its own lightweight tracer (:func:`worker_tracer`) and ships the
-closed spans back with the result, where :meth:`Tracer.absorb` remaps
+Propagation into executor jobs: work submitted to an executor carries
+a :class:`~repro.obs.span.TraceContext`; the job records spans into
+its own lightweight tracer (:func:`worker_tracer`) and returns the
+closed spans with the result, where :meth:`Tracer.absorb` remaps
 their ids into the session trace while preserving parent links.
 """
 
@@ -255,7 +255,7 @@ class Tracer:
     # ------------------------------------------------------------------
 
     def absorb(self, spans: list[Span]) -> None:
-        """Merge externally recorded spans (worker processes, pool jobs).
+        """Merge externally recorded spans (executor-thread jobs).
 
         Ids are remapped so they cannot collide with this tracer's;
         parent links *within* the absorbed batch follow the remap,
@@ -303,11 +303,9 @@ class Tracer:
 
 
 def worker_tracer() -> Tracer:
-    """A lightweight tracer for worker-process-local span recording.
+    """A lightweight tracer for job-local span recording.
 
-    Spans recorded here are drained and shipped back with the result;
-    ``perf_counter`` is CLOCK_MONOTONIC system-wide on Linux, so the
-    child's timestamps share the parent's wall origin.  Ids are
+    Spans recorded here are returned with the job's result.  Ids are
     allocated from a *negative* range so :meth:`Tracer.absorb` can
     distinguish batch-internal parent links (negative, remapped) from
     the external session-side parent in the dispatched

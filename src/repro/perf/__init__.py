@@ -17,10 +17,10 @@ that remove the redundancy without changing a single output byte:
   memoized quantization matrices / motion offset tables and reusable
   motion-search buffers.
 
-Caches are process-local by design: a fork-process executor's workers
-each grow their own copies (see DESIGN.md section 9), which keeps the
-layer coherency-free and byte-identical to the pure functions it
-memoizes.
+Every cache is byte-identical to the pure function it memoizes.  All
+of them belong to one session (or fleet) and are touched from its
+thread only, except :class:`~repro.perf.features.FeatureCache`, which
+the session's scoring threads share and which locks accordingly.
 """
 
 from repro.perf.counters import CacheCounters

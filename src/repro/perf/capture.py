@@ -13,13 +13,6 @@ are merged into the cached static z-buffer under the comparator a full
 render's z-buffer applies, so frames are byte-identical to
 :func:`~repro.capture.renderer.render_views` over the concatenated
 batches (asserted by ``TestIncrementalCapture`` under tests/).
-
-Process model: a source is cheap, process-local state.  Fork-process
-capture workers inherit the parent's source by memory and warm their
-own projection caches independently -- cached arrays are deterministic
-functions of (scene seed, epoch, camera), so every worker converges on
-identical values and parallel replays stay byte-identical to serial
-(DESIGN.md section 9).
 """
 
 from __future__ import annotations

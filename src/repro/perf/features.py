@@ -9,13 +9,16 @@ The cache keys features by a content fingerprint
 have to thread identity through their code: scoring the same *content*
 twice hits regardless of where the arrays came from.
 
-The cache is process-local.  Fork-process executor workers each inherit
-an empty (or partially warm) copy at fork time and grow it privately;
-features never cross a pipe (see DESIGN.md section 9).
+One cache serves a whole replay, including the scoring threads a
+session starts at ``jobs > 1``: lookup, insert, eviction and the
+counters run under one lock.  The feature build itself does not, so two
+threads that miss on the same content may both build it (same bytes,
+last insert wins) rather than wait on each other.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 
 from repro.perf.counters import CacheCounters
@@ -33,6 +36,7 @@ class FeatureCache:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity
         self._entries: OrderedDict[tuple, object] = OrderedDict()
+        self._lock = threading.Lock()
         self.counters = CacheCounters("quality_features")
 
     def __len__(self) -> int:
@@ -47,16 +51,18 @@ class FeatureCache:
         from repro.metrics.pointssim import precompute_features
 
         key = self._key(cloud, k)
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-            self.counters.hit()
-            return entry
-        self.counters.miss()
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                self.counters.hit()
+                return entry
+            self.counters.miss()
         entry = precompute_features(cloud, k)
-        self._entries[key] = entry
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+        with self._lock:
+            self._entries[key] = entry
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
         return entry
 
     @staticmethod
@@ -67,4 +73,5 @@ class FeatureCache:
 
     def clear(self) -> None:
         """Drop every entry (counters keep their history)."""
-        self._entries.clear()
+        with self._lock:
+            self._entries.clear()

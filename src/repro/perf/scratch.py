@@ -12,9 +12,7 @@ calling them fresh per plane (pinned by ``TestScratchArena`` under
 tests/); memoized tables are marked read-only so a misbehaving caller
 cannot corrupt later frames.
 
-Arenas are owned by a single ``_CodecCore`` and are not shared across
-processes: fork-process encoder workers build their own (DESIGN.md
-section 9).
+Arenas are owned by a single ``_CodecCore`` and never shared.
 """
 
 from __future__ import annotations

@@ -10,11 +10,7 @@ that model as an engine the sessions actually run on:
 - :mod:`repro.runtime.queues` -- :class:`BoundedQueue`, the
   backpressure primitive;
 - :mod:`repro.runtime.executors` -- pluggable executors: the serial
-  deterministic reference, a thread pool, and a fork-based process
-  pool that fans out per-camera work and hosts stateful encoder
-  workers;
-- :mod:`repro.runtime.workers` -- dedicated stateful worker processes
-  with explicit crash (degrade, don't hang) semantics;
+  deterministic reference and a thread pool;
 - :mod:`repro.runtime.profile` -- stage-timing aggregation for
   ``--profile`` and the calibrated latency model
   (:meth:`repro.core.pipeline.StagedPipeline.from_measured`).
@@ -22,7 +18,6 @@ that model as an engine the sessions actually run on:
 
 from repro.runtime.executors import (
     Executor,
-    ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
     make_executor,
@@ -30,22 +25,17 @@ from repro.runtime.executors import (
 from repro.runtime.profile import format_stage_profile, merge_timings
 from repro.runtime.queues import BoundedQueue, QueueClosed
 from repro.runtime.stage import Stage, StageError, StageGraph, StageTiming
-from repro.runtime.workers import RemoteError, StatefulWorker, WorkerCrash
 
 __all__ = [
     "BoundedQueue",
     "Executor",
-    "ProcessExecutor",
     "QueueClosed",
-    "RemoteError",
     "SerialExecutor",
     "Stage",
     "StageError",
     "StageGraph",
     "StageTiming",
-    "StatefulWorker",
     "ThreadExecutor",
-    "WorkerCrash",
     "format_stage_profile",
     "make_executor",
     "merge_timings",

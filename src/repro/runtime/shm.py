@@ -1,366 +1,12 @@
-"""Shared-memory array arenas: zero-copy payloads across processes.
+"""Name prefix of the shared-memory segments the fork lane used to create.
 
-The fork-based process pool inherits the heavy *static* context (scene,
-cameras, caches) by memory, but every per-task payload -- capture
-frames out of workers, clouds into quality scoring -- still crosses the
-pipe as a multi-megabyte pickle.  This module replaces those pickles
-with ``multiprocessing.shared_memory`` segments and a ~100-byte handle
-protocol:
-
-- :class:`ShmArrayRef` names one array inside a segment
-  (``name/shape/dtype/offset``) -- the only thing that gets pickled;
-- :class:`ShmArena` is the parent-side owner: it allocates segments,
-  packs arrays, hands out refs, and refcounts each segment so a
-  segment shared with several consumers (a capture frame referenced by
-  multiple in-flight quality jobs) is unlinked exactly once, when the
-  last consumer releases it;
-- :func:`attach_array` is the worker side: attach a segment once (a
-  bounded per-process cache keeps the mapping), view the array in
-  place, never copy.
-
-Lifecycle rules:
-
-- The arena (parent) is the only owner: it alone unlinks.  Worker
-  attaches are untracked (``resource_tracker`` would otherwise unlink
-  live segments when the first pool worker exits).
-- ``release`` drops one reference; at zero the segment is recycled
-  into a bounded free pool for the next same-layout allocation (frames
-  repeat the same few layouts, so steady state does zero segment
-  syscalls) or, past the pool cap, unlinked -- its mapping closed as
-  soon as no live numpy view pins the buffer (views created through
-  :meth:`ShmArena.view` may outlive the release -- the mapping lingers
-  as a "zombie" until the views die, but the ``/dev/shm`` name is
-  already gone).  Releasing a ref asserts its data is dead: views must
-  not be read after the release that retired them.
-- ``close()`` force-frees everything and reports segments that were
-  still referenced -- the leak detector the executor tests assert on.
+Nothing in the package creates ``/dev/shm`` segments any more (DESIGN.md
+section 9, "Why the fork lane and the fan-outs went").  The prefix stays
+because the leak gauges of ``repro.service.loadgen`` and
+``benchmarks/e2e`` scan ``/dev/shm`` for it: a change that reintroduces
+segments under this name and leaks them is still caught.
 """
 
-from __future__ import annotations
+__all__ = ["SHM_NAME_PREFIX"]
 
-import inspect
-import itertools
-import os
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
-
-import numpy as np
-
-__all__ = [
-    "ShmArrayRef",
-    "ShmArena",
-    "SHM_NAME_PREFIX",
-    "attach_array",
-    "detach_all",
-]
-
-# Pack arrays at 16-byte boundaries inside a shared segment: enough for
-# every numpy dtype's alignment requirement.
-_ALIGN = 16
-
-# Worker-side attach cache bound: segments are per-tick, so a long
-# session would otherwise grow one mapping per tick per worker.
-_ATTACH_CACHE_LIMIT = 64
-
-# Parent-side free pool bound.  Session payloads cycle through a handful
-# of fixed layouts (capture chunks, quality clouds), so the pool
-# stabilizes at a few segments; the cap only guards pathological mixes.
-_POOL_MAX_SEGMENTS = 32
-
-
-def _align(offset: int) -> int:
-    return (offset + _ALIGN - 1) & ~(_ALIGN - 1)
-
-
-# Session-unique segment names (``repro-shm-<pid>-<arena>-<n>``) instead
-# of the stdlib's random ones: a name is never reused within a session,
-# so a worker's attach cache can never alias a stale mapping onto a new
-# segment, and leak tests can scan ``/dev/shm`` by prefix.
-_ARENA_SERIAL = itertools.count()
 SHM_NAME_PREFIX = "repro-shm-"
-
-
-@dataclass(frozen=True)
-class ShmArrayRef:
-    """A ~100-byte handle naming one array inside a shared segment.
-
-    ``name`` is the OS-level segment name, ``offset`` the byte offset
-    of the array's first element inside it.  The handle is all that
-    crosses the process boundary; both sides reconstruct the same
-    ``np.ndarray`` view over the same physical pages.
-    """
-
-    name: str
-    shape: tuple
-    dtype: str
-    offset: int = 0
-
-    @property
-    def nbytes(self) -> int:
-        return int(np.prod(self.shape, dtype=np.int64)) * np.dtype(self.dtype).itemsize
-
-
-def _view(segment: shared_memory.SharedMemory, ref: ShmArrayRef) -> np.ndarray:
-    return np.ndarray(
-        ref.shape, dtype=np.dtype(ref.dtype), buffer=segment.buf, offset=ref.offset
-    )
-
-
-class ShmArena:
-    """Parent-side owner of shared-memory segments with refcounts.
-
-    Every segment starts at refcount 1 (the allocating caller);
-    :meth:`retain`/:meth:`release` move it.  The arena is the single
-    unlink authority -- workers only ever attach.
-    """
-
-    def __init__(self) -> None:
-        self._prefix = f"{SHM_NAME_PREFIX}{os.getpid()}-{next(_ARENA_SERIAL)}-"
-        self._serial = 0
-        # name -> [segment, refcount]
-        self._segments: dict[str, list] = {}
-        # Free pool: size -> stack of idle segments.  A segment whose
-        # refcount hits zero is recycled here instead of unlinked --
-        # session payloads repeat the same few layouts every frame, so
-        # pooling turns per-frame segment create/unlink syscalls (and
-        # the workers' re-attach mmaps, since names recur and hit their
-        # attach cache) into one-time warmup costs.  Reuse is safe
-        # because release declares the data dead: a zero refcount means
-        # every consumer is done with the segment's contents.
-        self._pool: dict[int, list[shared_memory.SharedMemory]] = {}
-        self._pool_segments = 0
-        # Unlinked segments whose mapping is still pinned by a live
-        # numpy view; closed opportunistically.
-        self._zombies: list[shared_memory.SharedMemory] = []
-        self.created = 0
-        self.freed = 0
-        self.recycled = 0
-        self.bytes_shared = 0
-
-    # -- allocation ----------------------------------------------------
-
-    def allocate(
-        self, shapes_dtypes: list[tuple[tuple, np.dtype]]
-    ) -> tuple[list[ShmArrayRef], list[np.ndarray]]:
-        """One segment holding several arrays, packed at aligned offsets.
-
-        Returns the refs and writable parent-side views, in order.  The
-        whole group shares one refcount (one ``release`` of any of the
-        group's refs drops the group).
-        """
-        offsets = []
-        cursor = 0
-        for shape, dtype in shapes_dtypes:
-            cursor = _align(cursor)
-            offsets.append(cursor)
-            cursor += int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
-        size = max(cursor, 1)
-        segment = self._pool_take(size)
-        if segment is None:
-            name = f"{self._prefix}{self._serial}"
-            self._serial += 1
-            segment = shared_memory.SharedMemory(name=name, create=True, size=size)
-            self.created += 1
-        else:
-            self.recycled += 1
-        self._segments[segment.name] = [segment, 1]
-        self.bytes_shared += size
-        refs = [
-            ShmArrayRef(segment.name, tuple(shape), np.dtype(dtype).str, offset)
-            for (shape, dtype), offset in zip(shapes_dtypes, offsets)
-        ]
-        return refs, [_view(segment, ref) for ref in refs]
-
-    def share(self, *arrays: np.ndarray) -> list[ShmArrayRef]:
-        """Copy arrays into one fresh segment; returns their refs."""
-        arrays = [np.ascontiguousarray(array) for array in arrays]
-        refs, views = self.allocate([(a.shape, a.dtype) for a in arrays])
-        for view, array in zip(views, arrays):
-            view[...] = array
-        return refs
-
-    # -- access --------------------------------------------------------
-
-    def view(self, ref: ShmArrayRef) -> np.ndarray:
-        """Parent-side array view of a ref (no copy, no refcount change)."""
-        entry = self._segments.get(ref.name)
-        if entry is None:
-            raise KeyError(f"segment {ref.name!r} is not owned by this arena")
-        return _view(entry[0], ref)
-
-    # -- lifecycle -----------------------------------------------------
-
-    def owns(self, ref: ShmArrayRef) -> bool:
-        """Whether the ref's segment is live (allocated, not yet freed)."""
-        return ref.name in self._segments
-
-    def retain(self, ref: ShmArrayRef) -> None:
-        """Add one reference to the ref's segment."""
-        entry = self._segments.get(ref.name)
-        if entry is None:
-            raise KeyError(f"segment {ref.name!r} is not owned by this arena")
-        entry[1] += 1
-
-    def release(self, ref: ShmArrayRef) -> None:
-        """Drop one reference; unlink the segment when none remain.
-
-        Releasing a segment this arena no longer owns is a no-op (the
-        crash-degraded path can release after a forced ``close()``).
-        """
-        entry = self._segments.get(ref.name)
-        if entry is None:
-            return
-        entry[1] -= 1
-        if entry[1] <= 0:
-            self._free(ref.name)
-
-    def _pool_take(self, size: int) -> shared_memory.SharedMemory | None:
-        """Smallest pooled segment that fits ``size``, or None."""
-        best = None
-        for key in self._pool:
-            if key >= size and (best is None or key < best):
-                best = key
-        if best is None:
-            return None
-        stack = self._pool[best]
-        segment = stack.pop()
-        if not stack:
-            del self._pool[best]
-        self._pool_segments -= 1
-        return segment
-
-    def _free(self, name: str) -> None:
-        segment, _ = self._segments.pop(name)
-        self.freed += 1
-        if self._pool_segments < _POOL_MAX_SEGMENTS:
-            self._pool.setdefault(segment.size, []).append(segment)
-            self._pool_segments += 1
-            return
-        self._unlink(segment)
-        self._reap_zombies()
-
-    def _unlink(self, segment: shared_memory.SharedMemory) -> None:
-        segment.unlink()
-        try:
-            segment.close()
-        except BufferError:
-            # A live numpy view still pins the mapping; the /dev/shm
-            # name is gone, so this cannot leak past process exit.
-            self._zombies.append(segment)
-
-    def _reap_zombies(self) -> None:
-        still_pinned = []
-        for segment in self._zombies:
-            try:
-                segment.close()
-            except BufferError:
-                still_pinned.append(segment)
-        self._zombies = still_pinned
-
-    @property
-    def active_segments(self) -> int:
-        """Segments currently owned (allocated and not yet freed)."""
-        return len(self._segments)
-
-    def close(self) -> list[str]:
-        """Force-free every segment; returns names that were leaked.
-
-        A non-empty return means some consumer never released its
-        reference -- surfaced (not raised) so teardown always completes
-        and tests can assert on it.  Pooled (idle) segments are unlinked
-        too but are not leaks.
-        """
-        leaked = list(self._segments)
-        for name in leaked:
-            segment, _ = self._segments.pop(name)
-            self.freed += 1
-            self._unlink(segment)
-        for stack in self._pool.values():
-            for segment in stack:
-                self._unlink(segment)
-        self._pool.clear()
-        self._pool_segments = 0
-        self._reap_zombies()
-        return leaked
-
-
-# ----------------------------------------------------------------------
-# Worker side: attach-once, view in place.
-# ----------------------------------------------------------------------
-
-_ATTACHED: OrderedDict[str, shared_memory.SharedMemory] = OrderedDict()
-
-# Serializes both the attach cache and the resource-tracker swap below.
-# The swap mutates a process-global; two unsynchronized attaches could
-# each save the other's shim as "original", leaving the tracker
-# permanently wrapped -- or worse, restore a window where a concurrent
-# attach IS tracked and the tracker later unlinks a segment out from
-# under its readers.
-_ATTACH_LOCK = threading.Lock()
-
-# Python 3.13+ exposes the fix directly: ``track=False`` skips the
-# resource-tracker registration without touching any global state.
-_HAS_TRACK_KWARG = (
-    "track" in inspect.signature(shared_memory.SharedMemory.__init__).parameters
-)
-
-
-def _attach(name: str) -> shared_memory.SharedMemory:
-    # Python <= 3.12 registers *attachments* with the resource tracker,
-    # which then unlinks the segment when the first attaching process
-    # exits -- yanking it out from under everyone else (bpo-39959).  The
-    # arena is the only unlink authority, so suppress the registration
-    # for the duration of the attach.  (Unregistering afterwards is not
-    # equivalent: the tracker's cache is a set, so the extra unregister
-    # unbalances the owner's and spews KeyErrors at teardown.)  Callers
-    # hold _ATTACH_LOCK: the swap touches a process-wide global.
-    if _HAS_TRACK_KWARG:
-        return shared_memory.SharedMemory(name=name, track=False)
-    original = resource_tracker.register
-
-    def _register_except_shm(rname, rtype):
-        if rtype != "shared_memory":
-            original(rname, rtype)
-
-    resource_tracker.register = _register_except_shm
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original
-
-
-def attach_array(ref: ShmArrayRef) -> np.ndarray:
-    """Attach (once per process) and view a ref's array in place.
-
-    The segment mapping is cached per process in a small LRU, so a
-    worker touching the same segment for several arrays -- or the same
-    ref twice -- maps it exactly once.  Thread-safe: pool threads (and
-    the service's tick workers) may attach concurrently.
-    """
-    with _ATTACH_LOCK:
-        segment = _ATTACHED.get(ref.name)
-        if segment is None:
-            segment = _attach(ref.name)
-            _ATTACHED[ref.name] = segment
-            while len(_ATTACHED) > _ATTACH_CACHE_LIMIT:
-                _, oldest = _ATTACHED.popitem(last=False)
-                try:
-                    oldest.close()
-                except BufferError:
-                    pass  # a view is still alive; drop our handle only
-        else:
-            _ATTACHED.move_to_end(ref.name)
-    return _view(segment, ref)
-
-
-def detach_all() -> None:
-    """Close every cached attachment (tests / worker teardown)."""
-    with _ATTACH_LOCK:
-        while _ATTACHED:
-            _, segment = _ATTACHED.popitem()
-            try:
-                segment.close()
-            except BufferError:
-                pass

@@ -192,8 +192,8 @@ class StageGraph:
       frames overlap across stages; FIFO order is preserved end to
       end, so outputs arrive in input order.
 
-    Fan-out *within* a stage (e.g. per-camera encode work) is the
-    executor's job, not the graph's; see
+    Work a stage hands off (the session's PointSSIM jobs) goes through
+    an executor, not the graph; see
     :mod:`repro.runtime.executors`.  A stage that raises in threaded
     mode emits a :class:`StageError` marker downstream instead of
     wedging the pipeline.

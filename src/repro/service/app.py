@@ -125,7 +125,6 @@ class SessionFactory:
         self.downlink_trace = constant_trace(
             config.downlink_mbps, duration_s=config.pose_trace_frames / 30.0 + 10.0
         )
-        self.executor = None  # per-driver fan-out stays off in the service
 
     def __call__(self, index: int, seed: int, receivers: list[str],
                  target_rate_bps: float) -> object:
@@ -140,7 +139,6 @@ class SessionFactory:
             seed=self.config.seed + seed,
             receivers=0,                  # named clients join below
             churn_every=1 << 30,          # service churn is HTTP-driven
-            executor=self.executor,
         )
         for name in receivers:
             driver.join(name)

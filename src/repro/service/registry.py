@@ -17,7 +17,7 @@ Lifecycle (one-way)::
 - **running**: the worker pool ticks the session every scheduling
   round; joins and leaves are accepted.
 - **draining**: no more ticks; the worker pool reaps the record at the
-  next boundary (closing its encoder workers) and moves it to dead.
+  next boundary (closing its driver) and moves it to dead.
   Both an operator ``kill`` and a crash mid-tick land here -- a broken
   session *degrades* into draining, it never takes the service down.
 - **dead**: terminal.  ``stats`` keeps answering (a dead session's

@@ -3,7 +3,7 @@
 The media plane of the service.  One scheduler thread runs rounds; a
 round
 
-1. reaps draining sessions (closing their encoder workers),
+1. reaps draining sessions (closing their drivers),
 2. applies each running session's queued membership ops (the registry
    mailboxes -- so HTTP joins/leaves never race the tick),
 3. ticks every running session one frame, all of them co-scheduled

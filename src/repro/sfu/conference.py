@@ -49,7 +49,7 @@ class ConferenceDriver:
 
     def __init__(
         self, index, rig, config, trace, pose_traces, seed, receivers,
-        churn_every, executor, tracer=None,
+        churn_every, tracer=None,
     ):
         from repro.core.sender import LiVoSender
 
@@ -66,8 +66,6 @@ class ConferenceDriver:
             self.device,
             downlinks=DownlinkSet(trace, LinkConfig(seed=seed)),
         )
-        if executor is not None:
-            self.node.attach_executor(executor)
         self.rng = np.random.default_rng(seed)
         self.guest_counter = 0
         self.churn_events = 0
@@ -219,7 +217,7 @@ class ConferenceDriver:
         return self._closed
 
     def close(self):
-        """Release encoder workers and node state; safe to call twice."""
+        """Close the sender and drop node state; safe to call twice."""
         if self._closed:
             return
         self._closed = True

@@ -43,7 +43,6 @@ from repro.perf.capture import CachedFrameSource
 from repro.perf.counters import CacheCounters
 from repro.prediction.pose import user_traces_for_video
 from repro.runtime.batchplane import BatchPlane
-from repro.runtime.executors import make_executor
 from repro.sfu.conference import ConferenceDriver
 from repro.transport.traces import constant_trace
 
@@ -70,7 +69,6 @@ class FleetConfig:
     downlink_mbps: float = 4.0
     target_rate_bps: float = 2e6
     unicast_control: int = 4    # control conferences run unicast for the baseline
-    executor_jobs: int = 1      # >1 fans per-receiver culls out on threads
     # Fleet trace export: when set, every conference's stage spans are
     # recorded (tagged with a ``session`` attribute) alongside the batch
     # plane's lockstep bucket spans, and written as span JSONL for
@@ -224,9 +222,6 @@ def run_fleet(fleet: FleetConfig) -> FleetResult:
     source = CachedFrameSource(rig, scene)
     pose_traces = user_traces_for_video(fleet.video, fleet.frames + 10)
     trace = constant_trace(fleet.downlink_mbps, duration_s=fleet.frames / FPS + 10.0)
-    executor = (
-        make_executor(fleet.executor_jobs, "thread") if fleet.executor_jobs > 1 else None
-    )
 
     tracer = None
     if fleet.trace_jsonl is not None:
@@ -235,11 +230,8 @@ def run_fleet(fleet: FleetConfig) -> FleetResult:
         tracer = Tracer()
 
     # Everything from driver construction to stats collection runs
-    # under one try/finally: a worker crash surfacing mid-run (or a
-    # failure building conference 151 of 200) must still release every
-    # stateful encoder worker and the executor's threads.  Without the
-    # finally, an exception used to skip every ``close()`` below and
-    # leak them all (ISSUE 10).
+    # under one try/finally: a failure surfacing mid-run (or building
+    # conference 151 of 200) must still close every driver.
     conferences: list[ConferenceDriver] = []
     try:
         for index in range(fleet.sessions):
@@ -253,7 +245,6 @@ def run_fleet(fleet: FleetConfig) -> FleetResult:
                     seed=fleet.seed + index,
                     receivers=fleet.receivers,
                     churn_every=fleet.churn_every,
-                    executor=executor,
                     tracer=tracer,
                 )
             )
@@ -327,8 +318,6 @@ def run_fleet(fleet: FleetConfig) -> FleetResult:
     finally:
         for conference in conferences:
             conference.close()
-        if executor is not None:
-            executor.close()
 
     unicast_bytes_per_frame, control_ms = _run_unicast_control(
         fleet, config, rig, source, pose_traces

@@ -123,7 +123,6 @@ class SFUNode:
         # by quality benchmarks, too heavy for fleet runs.
         self.keep_views = keep_views
         self.tracer = None
-        self._executor = None
         # Frame-scoped state written by ingest, read by forward.
         self._cached_sequence: int | None = None
         self._cached_uplink: SenderResult | None = None
@@ -178,16 +177,6 @@ class SFUNode:
     # ------------------------------------------------------------------
     # Runtime attachment
     # ------------------------------------------------------------------
-
-    def attach_executor(self, executor) -> None:
-        """Fan the per-receiver cull out through a (thread) executor.
-
-        Process pools are deliberately not used here: the node's cached
-        union geometry lives in post-fork state, so shipping it per
-        receiver would cost more than the cull itself (the same
-        process-local-cache argument as DESIGN.md section 9).
-        """
-        self._executor = executor
 
     def attach_tracer(self, tracer) -> None:
         """Emit one ``sfu:forward:<receiver>`` sim-clock span per
@@ -277,33 +266,8 @@ class SFUNode:
         uplink_bytes = uplink.total_bytes
         frustums = self.predicted_frustums(sequence, horizon_s)
         self.cull_cache.begin_frame(sequence)
-        # Prime the per-camera point grids sequentially so threaded
-        # per-receiver culls only read the memo (no write races).
-        for view, camera in zip(uplink.culled_multiview.views, self.cameras):
-            self.cull_cache.local_points(camera, view.depth_mm)
 
-        names = self.book.names
-        ready_jobs = [
-            frustums[name] for name in names if name in frustums
-        ]
-        executor = self._executor
-        if (
-            executor is not None
-            and executor.parallel
-            and executor.kind == "thread"
-            and not uplink.empty
-            and len(ready_jobs) > 1
-        ):
-            kept_by_frustum = dict(
-                zip(
-                    (id(f) for f in ready_jobs),
-                    executor.map(self._kept_points, ready_jobs),
-                )
-            )
-        else:
-            kept_by_frustum = None
-
-        for name in names:
+        for name in self.book.names:
             state = self.book.get(name)
             frustum = frustums.get(name)
             if uplink.empty or union_points == 0 or uplink_bytes == 0:
@@ -315,10 +279,7 @@ class SFUNode:
                 kept = union_points
                 full_bytes = uplink_bytes
             else:
-                if kept_by_frustum is not None:
-                    kept = kept_by_frustum[id(frustum)]
-                else:
-                    kept = self._kept_points(frustum)
+                kept = self._kept_points(frustum)
                 full_bytes = (
                     math.ceil(uplink_bytes * kept / union_points) if kept else 0
                 )
@@ -393,8 +354,7 @@ class SFUNode:
         """The node's frame phases as runtime stages over :class:`SFUTick`.
 
         ``StageGraph([.., *node.stages()])`` lets a session schedule
-        ingest/forward like any other stage (timed, traceable, executor
-        fan-out via :meth:`attach_executor`).
+        ingest/forward like any other stage (timed, traceable).
         """
 
         def ingest_stage(tick: SFUTick) -> SFUTick:
@@ -438,4 +398,3 @@ class SFUNode:
         """Drop frame-scoped geometry and per-receiver transports."""
         self._cached_uplink = None
         self._frame_frustums = {}
-        self._executor = None

@@ -353,7 +353,7 @@ class TestSessionParity:
 
     @pytest.mark.parametrize(
         "executor,jobs",
-        [("serial", 1), ("thread", 2), ("process", 2)],
+        [("serial", 1), ("thread", 2), ("thread", 3)],
     )
     def test_batch_plane_report_identical_across_executors(
         self, workload, executor, jobs

@@ -1,20 +1,16 @@
-"""The quality/capture fast path: batched PointSSIM, the shared-memory
-payload lane, incremental crash recovery, and trace-driven verification.
+"""The quality fast path: batched PointSSIM, executor parity, and
+trace-driven verification.
 
 The contracts under test are the ones the fast path is stated against:
 the batched scorer is float-identical to the per-pair loop (and builds
 shared references once), stratified subsampling has exact strata (no
 duplicate picks) while reproducing the old outputs where those were
-already correct, shm-routed sessions replay byte-identically to plain
-argument passing with zero leaked segments, a broken pool recomputes
-only the unfinished items, and the trace analyzer names the stages a
-change actually moved.
+already correct, a session scoring on threads replays byte-identically
+to the serial one and leaves no thread behind even when the run raises,
+and the trace analyzer names the stages a change actually moved.
 """
 
-import multiprocessing
-import os
-import pickle
-import signal
+import threading
 
 import numpy as np
 import pytest
@@ -28,9 +24,8 @@ from repro.analysis.tracetools import (
     format_diff,
 )
 from repro.capture.dataset import load_video
-from repro.capture.rgbd import MultiViewFrame, RGBDFrame
 from repro.core.config import SessionConfig
-from repro.core.receiver import DecodedPair
+from repro.core import session as session_module
 from repro.core.session import LiVoSession
 from repro.geometry.pointcloud import PointCloud
 from repro.metrics.pointssim import (
@@ -41,22 +36,8 @@ from repro.metrics.pointssim import (
 from repro.obs.export import write_spans_jsonl
 from repro.obs.span import CLOCK_SIM, Span
 from repro.perf.features import FeatureCache
-from repro.perf.shmframes import (
-    load_cloud,
-    load_multiview,
-    load_pair,
-    share_cloud,
-    share_multiview,
-    share_pair,
-)
 from repro.prediction.pose import user_traces_for_video
-from repro.runtime.executors import ProcessExecutor
-from repro.runtime.shm import (
-    SHM_NAME_PREFIX,
-    ShmArena,
-    attach_array,
-    detach_all,
-)
+from repro.runtime.executors import make_executor
 from repro.transport.traces import trace_1
 from tests.twins import assert_pinned
 
@@ -66,13 +47,6 @@ def _cloud(num_points: int, seed: int = 0) -> PointCloud:
     positions = rng.uniform(-1.0, 1.0, size=(num_points, 3))
     colors = rng.uniform(0.0, 1.0, size=(num_points, 3))
     return PointCloud(positions, colors)
-
-
-def _shm_names() -> set:
-    try:
-        return {n for n in os.listdir("/dev/shm") if n.startswith(SHM_NAME_PREFIX)}
-    except FileNotFoundError:  # non-Linux: no name-level scan available
-        return set()
 
 
 # ----------------------------------------------------------------------
@@ -208,307 +182,6 @@ class TestStratifiedSubsample:
 
 
 # ----------------------------------------------------------------------
-# Shared-memory arena lifecycle
-# ----------------------------------------------------------------------
-
-
-class TestShmArena:
-    def test_handles_are_tiny_and_roundtrip(self):
-        arena = ShmArena()
-        try:
-            depth = np.arange(24, dtype=np.float32).reshape(4, 6)
-            color = np.arange(72, dtype=np.uint8).reshape(4, 6, 3)
-            depth_ref, color_ref = arena.share(depth, color)
-            assert len(pickle.dumps(depth_ref)) < 200
-            assert np.array_equal(arena.view(depth_ref), depth)
-            assert np.array_equal(attach_array(color_ref), color)
-            arena.release(depth_ref)
-            assert arena.active_segments == 0
-        finally:
-            detach_all()
-            assert arena.close() == []
-
-    def test_group_refcount_released_once(self):
-        arena = ShmArena()
-        try:
-            refs, views = arena.allocate([((8,), np.float64), ((8,), np.float64)])
-            views[0][:] = 1.0
-            arena.retain(refs[0])
-            arena.release(refs[1])  # any ref of the group drops the group
-            assert arena.active_segments == 1
-            arena.release(refs[0])
-            assert arena.active_segments == 0
-            # Releasing past zero (no longer owned) is a tolerated no-op.
-            arena.release(refs[0])
-        finally:
-            assert arena.close() == []
-
-    def test_pool_recycles_instead_of_unlinking(self):
-        arena = ShmArena()
-        try:
-            names = set()
-            for round_index in range(6):
-                (ref,) = arena.share(np.full(1024, round_index, dtype=np.int64))
-                names.add(ref.name)
-                arena.release(ref)
-            # Same layout every round: one segment created, then reused.
-            assert arena.created == 1
-            assert arena.recycled == 5
-            assert arena.freed == 6
-            assert len(names) == 1
-        finally:
-            assert arena.close() == []
-        assert not _shm_names() & {next(iter(names))}
-
-    def test_close_reports_leaked_segments(self):
-        arena = ShmArena()
-        (ref,) = arena.share(np.ones(16))
-        leaked = arena.close()
-        assert leaked == [ref.name]
-        assert arena.close() == []  # idempotent once drained
-        assert ref.name not in _shm_names()
-
-    def test_close_unlinks_pooled_segments(self):
-        arena = ShmArena()
-        (ref,) = arena.share(np.ones(512))
-        arena.release(ref)  # parked in the pool, name still on /dev/shm
-        assert arena.close() == []
-        assert ref.name not in _shm_names()
-
-    def test_owns_and_foreign_refs(self):
-        arena, other = ShmArena(), ShmArena()
-        try:
-            (ref,) = arena.share(np.ones(4))
-            assert arena.owns(ref) and not other.owns(ref)
-            with pytest.raises(KeyError):
-                other.retain(ref)
-            with pytest.raises(KeyError):
-                other.view(ref)
-        finally:
-            arena.close()
-            other.close()
-
-    def test_threaded_attach_storm_is_safe(self):
-        """ISSUE 10 satellite: ``_attach`` swaps a process-global
-        (``resource_tracker.register``) on Python <= 3.12; concurrent
-        attaches from pool threads must serialize on the module lock,
-        attach every segment exactly once, and leave the tracker's
-        ``register`` exactly as it found it."""
-        import threading
-        from multiprocessing import resource_tracker
-
-        from repro.runtime import shm as shm_module
-
-        original_register = resource_tracker.register
-        arena = ShmArena()
-        try:
-            arrays = [
-                np.full((8, 8), fill, dtype=np.float32) for fill in range(12)
-            ]
-            refs = [arena.share(array)[0] for array in arrays]
-            errors = []
-            barrier = threading.Barrier(8)
-
-            def storm(worker: int) -> None:
-                try:
-                    barrier.wait(5.0)
-                    for round_index in range(40):
-                        ref = refs[(worker + round_index) % len(refs)]
-                        view = attach_array(ref)
-                        expected = (worker + round_index) % len(refs)
-                        if view[0, 0] != expected:
-                            raise AssertionError(
-                                f"worker {worker} saw {view[0, 0]}, "
-                                f"wanted {expected}"
-                            )
-                except Exception as error:  # pragma: no cover - failure path
-                    errors.append(error)
-
-            threads = [
-                threading.Thread(target=storm, args=(n,)) for n in range(8)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(30.0)
-            assert errors == []
-            # The tracker global is restored, not left wrapped by a
-            # half-finished swap.
-            assert resource_tracker.register is original_register
-            # Each segment attached once, not once per thread.
-            assert len(shm_module._ATTACHED) <= len(refs)
-        finally:
-            detach_all()
-            arena.close()
-            assert resource_tracker.register is original_register
-
-
-# ----------------------------------------------------------------------
-# Payload codecs over the arena
-# ----------------------------------------------------------------------
-
-
-def _frame(num_views: int = 2, sequence: int = 0) -> MultiViewFrame:
-    rng = np.random.default_rng(40 + sequence)
-    views = [
-        RGBDFrame(
-            rng.integers(0, 255, size=(6, 8, 3), dtype=np.uint8),
-            rng.uniform(100.0, 4000.0, size=(6, 8)).astype(np.float32),
-            camera_id=i,
-            sequence=sequence,
-            timestamp_s=sequence / 30.0,
-        )
-        for i in range(num_views)
-    ]
-    return MultiViewFrame(views, sequence=sequence, timestamp_s=sequence / 30.0)
-
-
-class TestShmPayloads:
-    def test_multiview_copy_path_roundtrip(self):
-        arena = ShmArena()
-        try:
-            frame = _frame()
-            handle = share_multiview(arena, frame)
-            loaded = load_multiview(handle)
-            assert loaded.sequence == frame.sequence
-            for original, view in zip(frame.views, loaded.views):
-                assert np.array_equal(view.depth_mm, original.depth_mm)
-                assert np.array_equal(view.color, original.color)
-                assert view.camera_id == original.camera_id
-            for ref in handle.segment_refs:
-                arena.release(ref)
-            assert arena.active_segments == 0
-        finally:
-            detach_all()
-            assert arena.close() == []
-
-    def test_multiview_alias_path_copies_nothing(self):
-        """A frame captured through the arena (shm_view_refs attached)
-        is shared by retaining its existing segments, not by packing a
-        fresh copy."""
-        arena = ShmArena()
-        try:
-            template = _frame()
-            shapes = []
-            for view in template.views:
-                shapes.append((view.depth_mm.shape, view.depth_mm.dtype))
-            for view in template.views:
-                shapes.append((view.color.shape, view.color.dtype))
-            refs, views = arena.allocate(shapes)
-            count = len(template.views)
-            for i, view in enumerate(template.views):
-                views[i][...] = view.depth_mm
-                views[count + i][...] = view.color
-            frame = MultiViewFrame(
-                [
-                    RGBDFrame(views[count + i], views[i], camera_id=i,
-                              sequence=0, timestamp_s=0.0)
-                    for i in range(count)
-                ],
-                sequence=0,
-                timestamp_s=0.0,
-            )
-            frame.shm_refs = [refs[0]]
-            frame.shm_view_refs = [(refs[i], refs[count + i]) for i in range(count)]
-
-            created_before = arena.created
-            handle = share_multiview(arena, frame)
-            assert arena.created == created_before  # aliased, no new segment
-            loaded = load_multiview(handle)
-            for original, view in zip(template.views, loaded.views):
-                assert np.array_equal(view.depth_mm, original.depth_mm)
-            for ref in handle.segment_refs:
-                arena.release(ref)
-            assert arena.active_segments == 1  # capture's own ref still live
-            arena.release(refs[0])
-            assert arena.active_segments == 0
-        finally:
-            detach_all()
-            assert arena.close() == []
-
-    def test_share_frame_without_views_raises(self):
-        arena = ShmArena()
-        try:
-            with pytest.raises(ValueError):
-                share_multiview(arena, MultiViewFrame([], sequence=0, timestamp_s=0.0))
-        finally:
-            arena.close()
-
-    def test_cloud_roundtrip(self):
-        arena = ShmArena()
-        try:
-            cloud = _cloud(64, seed=14)
-            handle = share_cloud(arena, cloud)
-            loaded = load_cloud(handle)
-            assert np.array_equal(loaded.positions, cloud.positions)
-            assert np.array_equal(loaded.colors, cloud.colors)
-            for ref in handle.segment_refs:
-                arena.release(ref)
-        finally:
-            detach_all()
-            assert arena.close() == []
-
-    def test_decoded_pair_roundtrip(self):
-        arena = ShmArena()
-        try:
-            rng = np.random.default_rng(15)
-            pair = DecodedPair(
-                sequence=7,
-                color_tiles=[rng.integers(0, 255, size=(4, 5, 3), dtype=np.uint8)
-                             for _ in range(3)],
-                depth_tiles_mm=[rng.uniform(0, 4000, size=(4, 5)).astype(np.float32)
-                                for _ in range(3)],
-            )
-            handle = share_pair(arena, pair)
-            loaded = load_pair(handle)
-            assert loaded.sequence == 7
-            for a, b in zip(loaded.color_tiles, pair.color_tiles):
-                assert np.array_equal(a, b)
-            for a, b in zip(loaded.depth_tiles_mm, pair.depth_tiles_mm):
-                assert np.array_equal(a, b)
-            for ref in handle.segment_refs:
-                arena.release(ref)
-            assert arena.active_segments == 0
-        finally:
-            detach_all()
-            assert arena.close() == []
-
-
-# ----------------------------------------------------------------------
-# Incremental crash recovery
-# ----------------------------------------------------------------------
-
-
-def _square_or_kill(item):
-    """Kill the hosting *worker* on negative items; square otherwise.
-
-    The in-process recomputation path sees no parent process, so the
-    retried item succeeds there -- modelling a poison task that only
-    crashes the pool, not the session.
-    """
-    if item < 0 and multiprocessing.parent_process() is not None:
-        os.kill(os.getpid(), signal.SIGKILL)
-    return item * item
-
-
-class TestIncrementalCrashRecovery:
-    def test_map_recomputes_only_unfinished_items(self):
-        executor = ProcessExecutor(jobs=1)
-        try:
-            results = executor.map(_square_or_kill, [1, 2, -3, 4])
-            assert results == [1, 4, 9, 16]
-            assert executor.crashes == 1
-            # Items 1 and 2 completed before the worker died; only the
-            # poisoned item and its successor were redone in-process.
-            assert executor.recomputed == 2
-            # Subsequent maps stay in-process, no further crashes.
-            assert executor.map(_square_or_kill, [5]) == [25]
-            assert executor.crashes == 1
-        finally:
-            executor.close()
-
-
-# ----------------------------------------------------------------------
 # Executor parity on a six-camera session
 # ----------------------------------------------------------------------
 
@@ -529,8 +202,7 @@ class TestExecutorParitySixCameras:
         [
             ("serial", 1),
             ("thread", 2),
-            ("process", 2),  # zero-copy lane: a process pool owns a ShmArena
-            ("process", 3),
+            ("thread", 3),
         ],
     )
     def test_report_byte_identical_across_executors(self, workload, executor, jobs):
@@ -538,20 +210,48 @@ class TestExecutorParitySixCameras:
         report = LiVoSession(
             SessionConfig(**config, executor=executor, jobs=jobs)
         ).run(scene, user, trace_1(duration_s=5), 5)
-        # Pinned from the pickling lane (and the scalar kernels) before
-        # they were deleted -- see tests/twins.py.
+        # Pinned from the fork pool's pickling lane (and the scalar
+        # kernels) before they were deleted -- see tests/twins.py.
         assert_pinned("fastpath:six_camera_session", report.asdict())
 
-    def test_shm_session_leaks_nothing(self, workload):
+    def test_raising_session_leaks_no_thread_or_future(
+        self, workload, monkeypatch
+    ):
         config, scene, user = workload
-        before = _shm_names()
-        report = LiVoSession(
-            SessionConfig(**config, executor="process", jobs=2)
-        ).run(scene, user, trace_1(duration_s=5), 5)
-        assert report.metrics.counter("shm.segments_created").value > 0
-        assert report.metrics.counter("shm.segments_leaked").value == 0
-        residue = _shm_names() - before
-        assert residue == set()
+
+        class _Raising:
+            name = user.name
+
+            def pose_at_frame(self, index):
+                if index == 4:
+                    raise RuntimeError("pose trace ends here")
+                return user.pose_at_frame(index)
+
+        executors = []
+        futures = []
+
+        def tracking_make(jobs, kind):
+            executor = make_executor(jobs, kind)
+            submit = executor.submit
+
+            def tracking_submit(fn, *args):
+                future = submit(fn, *args)
+                futures.append(future)
+                return future
+
+            executor.submit = tracking_submit
+            executors.append(executor)
+            return executor
+
+        monkeypatch.setattr(session_module, "make_executor", tracking_make)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="pose trace ends here"):
+            LiVoSession(
+                SessionConfig(**{**config, "quality_every": 1}, jobs=2)
+            ).run(scene, _Raising(), trace_1(duration_s=5), 12)
+        assert [executor.kind for executor in executors] == ["thread"]
+        assert futures and all(future.done() for future in futures)
+        assert set(threading.enumerate()) == before
 
 
 # ----------------------------------------------------------------------

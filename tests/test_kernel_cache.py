@@ -14,6 +14,9 @@ exact integer bit lengths, fill_holes buffer reuse).
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -266,6 +269,36 @@ class TestQualityScoring:
         assert len(cache) == 2
         cache.features(clouds[0], k=9)  # evicted -> rebuild
         assert cache.counters.misses == 4
+
+    def test_feature_cache_survives_concurrent_scoring_threads(self):
+        """The scoring threads of one session share the cache: lookups
+        racing inserts and evictions must neither raise nor lose counts."""
+        cache = FeatureCache(capacity=1)
+        clouds = [_cloud_pair(n=40, seed=s)[0] for s in range(2)]
+        threads, lookups = 4, 3000
+        errors = []
+
+        def hammer():
+            try:
+                for index in range(lookups):
+                    cache.features(clouds[index % 2], k=9)
+            except Exception as error:  # reported below, on the test thread
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=hammer) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == []
+        assert cache.counters.hits + cache.counters.misses == threads * lookups
+        assert len(cache) == 1
 
     def test_fingerprint_distinguishes_content(self):
         reference, distorted = _cloud_pair(n=800)

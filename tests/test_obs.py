@@ -3,15 +3,15 @@
 Contracts under test:
 
 - spans are deterministic under an injected clock, nest through the
-  thread-local context, and survive cross-process shipping with
-  parent links intact;
+  thread-local context, and survive being absorbed from an executor
+  job's tracer with parent links intact;
 - the metrics registry keeps exact quantiles and absorbs every
   pre-existing telemetry channel behind its shims;
 - a traced session emits at least one span per frame for every
   pipeline stage (capture, encode, transport, decode, render), closes
   every span, and -- the prime directive -- leaves the SessionReport
   byte-identical to an untraced run;
-- a StatefulWorker killed mid-frame leaves a *closed* error span in
+- an encoder that raises mid-frame leaves *closed* error spans in
   the trace, never a leaked open one;
 - the stats/analysis bugfixes: MTTR must not count open episodes as
   recoveries, and a measured 0.0 ms latency is a measurement, not a
@@ -22,7 +22,6 @@ import dataclasses
 import json
 import math
 import os
-import signal
 
 import numpy as np
 import pytest
@@ -43,7 +42,6 @@ from repro.obs import (
     STATUS_INCOMPLETE,
     FakeClock,
     MetricsRegistry,
-    TraceContext,
     Tracer,
     chrome_trace_events,
     frame_timelines,
@@ -55,7 +53,7 @@ from repro.obs import (
 )
 from repro.obs.export import SIM_PID
 from repro.prediction.pose import user_traces_for_video
-from repro.runtime import Stage, StageTiming, StatefulWorker, make_executor
+from repro.runtime import Stage, StageTiming
 from repro.transport.traces import trace_1
 
 
@@ -349,63 +347,6 @@ class TestStageTracing:
         assert tracer.open_spans() == []
 
 
-class _TracedToy:
-    """Stateful object for worker span-shipping tests."""
-
-    def work(self, x):
-        return x + 1
-
-    def fail(self):
-        raise ValueError("remote failure")
-
-
-class TestWorkerSpanShipping:
-    def test_traced_call_ships_spans_back(self):
-        session = Tracer()
-        dispatch = session.start_span("encode", trace_id=5)
-        worker = StatefulWorker(_TracedToy, name="traced-toy")
-        worker.attach_tracer(session)
-        try:
-            ctx = TraceContext(5, dispatch.span_id)
-            assert worker.call("work", 1, _obs_ctx=ctx) == 2
-        finally:
-            worker.close()
-        session.end_span(dispatch)
-        shipped = [s for s in session.spans() if s.category == "worker"]
-        assert len(shipped) == 1
-        span = shipped[0]
-        assert span.name == "worker:work"
-        assert span.trace_id == 5 and span.parent_id == dispatch.span_id
-        assert span.end_s is not None and span.status == "ok"
-        assert span.pid != os.getpid()  # recorded in the child
-
-    def test_untraced_call_ships_nothing(self):
-        session = Tracer()
-        worker = StatefulWorker(_TracedToy, name="untraced-toy")
-        worker.attach_tracer(session)
-        try:
-            assert worker.call("work", 1) == 2
-        finally:
-            worker.close()
-        assert session.spans() == []
-
-    def test_remote_error_still_ships_closed_error_span(self):
-        from repro.runtime import RemoteError
-
-        session = Tracer()
-        dispatch = session.start_span("encode", trace_id=1)
-        worker = StatefulWorker(_TracedToy, name="failing-toy")
-        worker.attach_tracer(session)
-        try:
-            with pytest.raises(RemoteError):
-                worker.call("fail", _obs_ctx=TraceContext(1, dispatch.span_id))
-        finally:
-            worker.close()
-        session.end_span(dispatch)
-        (span,) = [s for s in session.spans() if s.category == "worker"]
-        assert span.status == "error" and span.end_s is not None
-
-
 def _synthetic_frame(rig, sequence=0):
     height = rig.cameras[0].intrinsics.height
     width = rig.cameras[0].intrinsics.width
@@ -418,41 +359,38 @@ def _synthetic_frame(rig, sequence=0):
     return MultiViewFrame(views, sequence=sequence)
 
 
-class TestWorkerCrashSpans:
-    def test_killed_worker_leaves_closed_error_span_not_leak(self):
-        """Satellite contract: kill the encode worker mid-frame -- the
-        trace must contain *closed* kernel spans with an error status
-        for the doomed frame, and zero open spans.  The dispatching
-        side owns the close; the dead child never ships anything."""
+class TestEncodeErrorSpans:
+    def test_raising_encoder_leaves_closed_error_spans_not_leak(self, monkeypatch):
+        """An encoder exception mid-frame: the trace must contain
+        *closed* kernel spans with an error status for the doomed frame,
+        and zero open spans."""
         rig = default_rig(num_cameras=2, width=32, height=24)
         config = SessionConfig(
             num_cameras=2, camera_width=32, camera_height=24, gop_size=5
         )
         sender = LiVoSender(rig.cameras, config)
         tracer = Tracer()
-        executor = make_executor(jobs=2, kind="process")
-        try:
-            sender.attach_executor(executor)
-            sender.attach_tracer(tracer)
-            first = sender.process(_synthetic_frame(rig, 0), 2e6, 0.1)
-            assert first is not None and first.total_bytes > 0
-            os.kill(sender._color_handle.pid, signal.SIGKILL)
+        sender.attach_tracer(tracer)
+        first = sender.process(_synthetic_frame(rig, 0), 2e6, 0.1)
+        assert first is not None and first.total_bytes > 0
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("encoder died")
+            yield  # pragma: no cover -- makes this a generator, like the real one
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sender.color_encoder, "encode_to_target_steps", broken)
             crashed = sender.process(_synthetic_frame(rig, 1), 2e6, 0.1)
-            assert crashed is None and sender.worker_crashes == 1
-            recovered = sender.process(_synthetic_frame(rig, 2), 2e6, 0.1)
-            assert recovered is not None and recovered.total_bytes > 0
-        finally:
-            sender.close()
-            executor.close()
+        assert crashed is None and sender.encode_failures == 1
+        recovered = sender.process(_synthetic_frame(rig, 2), 2e6, 0.1)
+        assert recovered is not None and recovered.total_bytes > 0
 
         spans = tracer.spans()
         doomed = [s for s in spans if s.trace_id == 1 and s.category == "kernel"]
         assert {s.name for s in doomed} == {"encode:color", "encode:depth"}
         for span in doomed:
-            assert span.end_s is not None, "crash leaked an open span"
             assert span.status == "error"
-        # The healthy frames' kernel spans closed ok, and nothing --
-        # on any frame -- was left open.
+            assert span.end_s is not None
         healthy = [s for s in spans if s.trace_id == 0 and s.category == "kernel"]
         assert healthy and all(s.status == "ok" for s in healthy)
         assert tracer.open_spans() == []

@@ -1,16 +1,14 @@
-"""Stage-graph runtime: queues, stages, executors, workers, and the
-parallel session path.
+"""Stage-graph runtime: queues, stages, executors, and the parallel
+session path.
 
 The contracts under test are the ones the refactor is stated against:
 bounded queues exert real backpressure (no unbounded growth), the
 threaded stage schedule produces the serial schedule's outputs in
-order, a crashed worker degrades the session instead of hanging it,
-and a parallel session replay is byte-identical to the serial one.
+order, and a session replay scoring on threads is byte-identical to
+the serial one.
 """
 
 import dataclasses
-import os
-import signal
 import threading
 import time
 
@@ -23,20 +21,17 @@ from repro.capture.rig import default_rig
 from repro.core.config import SessionConfig
 from repro.core.pipeline import StagedPipeline
 from repro.core.sender import LiVoSender
-from repro.core.session import LiVoSession
+from repro.core.session import DracoOracleSession, LiVoSession, MeshReduceSession
 from repro.prediction.pose import user_traces_for_video
 from repro.runtime import (
     BoundedQueue,
-    ProcessExecutor,
     QueueClosed,
     SerialExecutor,
     Stage,
     StageError,
     StageGraph,
     StageTiming,
-    StatefulWorker,
     ThreadExecutor,
-    WorkerCrash,
     make_executor,
 )
 from repro.transport.traces import trace_1
@@ -48,20 +43,6 @@ def _square(x):
 
 def _boom(x):
     raise ValueError(f"no {x}")
-
-
-class _Counter:
-    """Tiny stateful object for StatefulWorker tests."""
-
-    def __init__(self) -> None:
-        self.value = 0
-
-    def incr(self, by: int = 1) -> int:
-        self.value += by
-        return self.value
-
-    def fail(self) -> None:
-        raise RuntimeError("deliberate")
 
 
 class TestBoundedQueue:
@@ -191,7 +172,7 @@ class TestExecutors:
         with make_executor(2, "thread") as ex:
             assert ex.kind == "thread" and ex.parallel
         with make_executor(2, "auto") as ex:
-            assert ex.kind in ("process", "thread")
+            assert ex.kind == "thread"
         with pytest.raises(ValueError):
             make_executor(2, "gpu")
         with pytest.raises(ValueError):
@@ -200,57 +181,13 @@ class TestExecutors:
     def test_map_and_submit_parity_across_substrates(self):
         items = list(range(12))
         expected = [x * x for x in items]
-        for executor in (SerialExecutor(), ThreadExecutor(2), ProcessExecutor(2)):
+        for executor in (SerialExecutor(), ThreadExecutor(2)):
             with executor:
-                assert executor.map(_square, items) == expected
-                assert executor.submit(_square, 7).result() == 49
-
-    def test_process_pool_crash_degrades_to_inline(self):
-        """Killing every pool worker mid-session must not hang or raise:
-        work transparently re-runs in-process and the crash is counted."""
-        observed = []
-        with ProcessExecutor(2, on_crash=lambda: observed.append(True)) as executor:
-            assert executor.map(_square, [1, 2, 3]) == [1, 4, 9]
-            for process in executor._pool._processes.values():
-                os.kill(process.pid, signal.SIGKILL)
-            assert executor.map(_square, [4, 5]) == [16, 25]
-            assert executor.crashes == 1
-            assert observed == [True]
-            # Subsequent work stays inline, still correct.
-            assert executor.submit(_square, 6).result() == 36
-
-
-class TestStatefulWorker:
-    def test_calls_hit_the_same_object(self):
-        worker = StatefulWorker(_Counter, name="counter")
-        try:
-            assert worker.call("incr") == 1
-            assert worker.call("incr", 4) == 5
-            assert worker.alive()
-        finally:
-            worker.close()
-        assert not worker.alive()
-
-    def test_remote_exception_preserved_worker_survives(self):
-        worker = StatefulWorker(_Counter, name="counter")
-        try:
-            from repro.runtime import RemoteError
-
-            with pytest.raises(RemoteError, match="deliberate"):
-                worker.call("fail")
-            assert worker.call("incr") == 1  # still serving
-        finally:
-            worker.close()
-
-    def test_killed_worker_raises_worker_crash_not_hang(self):
-        worker = StatefulWorker(_Counter, name="victim")
-        try:
-            assert worker.call("incr") == 1
-            os.kill(worker.pid, signal.SIGKILL)
-            with pytest.raises(WorkerCrash):
-                worker.call("incr")
-        finally:
-            worker.close()
+                futures = [executor.submit(_square, item) for item in items]
+                assert [future.result() for future in futures] == expected
+                failed = executor.submit(_boom, 7)
+                with pytest.raises(ValueError, match="no 7"):
+                    failed.result()
 
 
 def _synthetic_frame(rig, sequence=0, empty=False):
@@ -301,37 +238,6 @@ class TestSenderDegeneratePaths:
         assert real2 is not None and not real2.empty
         assert real2.total_bytes > 0
 
-    def test_encode_worker_crash_degrades_not_hangs(self):
-        """Killing the encode worker mid-session: the frame is skipped
-        (PR 1's skip-and-INTRA ladder), in-process encoders take over,
-        and the next frame encodes successfully."""
-        rig, sender = self._sender()
-        executor = make_executor(jobs=2, kind="process")
-        try:
-            sender.attach_executor(executor)
-            first = sender.process(_synthetic_frame(rig, 0), 2e6, 0.1)
-            assert first is not None and first.total_bytes > 0
-            pid = sender._color_handle.pid
-            assert pid is not None
-            os.kill(pid, signal.SIGKILL)
-            crashed = sender.process(_synthetic_frame(rig, 1), 2e6, 0.1)
-            assert crashed is None  # skip-not-crash, like an encode failure
-            assert sender.worker_crashes == 1
-            assert sender.encode_failures == 1
-            recovered = sender.process(_synthetic_frame(rig, 2), 2e6, 0.1)
-            assert recovered is not None and recovered.total_bytes > 0
-            # The post-failure frame restarts the chain with an INTRA.
-            assert recovered.color_frame.frame_type.value == "I"
-        finally:
-            sender.close()
-            executor.close()
-
-    def test_attach_executor_after_first_frame_rejected(self):
-        rig, sender = self._sender()
-        sender.process(_synthetic_frame(rig, 0), 2e6, 0.1)
-        with pytest.raises(RuntimeError):
-            sender.attach_executor(make_executor(jobs=2, kind="thread"))
-
 
 class TestParallelSessionParity:
     @pytest.fixture(scope="class")
@@ -345,16 +251,32 @@ class TestParallelSessionParity:
         return config, scene, user
 
     def test_parallel_replay_is_byte_identical_to_serial(self, workload):
-        """The tentpole guarantee: jobs=N process execution produces
-        the exact serial SessionReport, frame records and all."""
+        """The tentpole guarantee: scoring on N threads produces the
+        exact serial SessionReport, frame records and all."""
         base, scene, user = workload
-        serial = LiVoSession(SessionConfig(**base)).run(
+        serial = LiVoSession(SessionConfig(**base, executor="serial")).run(
             scene, user, trace_1(duration_s=5), 6
         )
-        parallel = LiVoSession(
-            SessionConfig(**base, jobs=2, executor="process")
-        ).run(scene, user, trace_1(duration_s=5), 6)
-        assert dataclasses.asdict(parallel) == dataclasses.asdict(serial)
+        for jobs in (2, 3):
+            parallel = LiVoSession(
+                SessionConfig(**base, jobs=jobs, executor="thread")
+            ).run(scene, user, trace_1(duration_s=5), 6)
+            assert dataclasses.asdict(parallel) == dataclasses.asdict(serial)
+
+    @pytest.mark.parametrize("session_class", [DracoOracleSession, MeshReduceSession])
+    def test_baseline_schemes_score_on_threads_identically(
+        self, workload, session_class
+    ):
+        base, scene, user = workload
+        base = {**base, "quality_every": 1}
+        serial = session_class(SessionConfig(**base)).run(
+            scene, user, trace_1(duration_s=5), 6
+        )
+        threaded = session_class(SessionConfig(**base, jobs=2)).run(
+            scene, user, trace_1(duration_s=5), 6
+        )
+        assert any(frame.pssim_geometry is not None for frame in serial.frames)
+        assert dataclasses.asdict(threaded) == dataclasses.asdict(serial)
 
     def test_stage_timings_attached_but_asdict_invisible(self, workload):
         base, scene, user = workload
@@ -378,17 +300,17 @@ class TestConfigAndModel:
             SessionConfig(executor="gpu")
         with pytest.raises(ValueError):
             SessionConfig(quality_every=0)  # used to die mid-run, modulo by zero
-        config = SessionConfig(jobs=4, executor="process", profile=True)
+        config = SessionConfig(jobs=4, executor="thread")
         assert config.jobs == 4
 
     def test_cli_exposes_runtime_flags(self):
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["run", "--jobs", "4", "--executor", "process", "--profile"]
+            ["run", "--jobs", "4", "--executor", "thread", "--profile"]
         )
         assert args.jobs == 4
-        assert args.executor == "process"
+        assert args.executor == "thread"
         assert args.profile
 
     def test_from_measured_calibrates_pipeline(self):

@@ -72,6 +72,36 @@ class TestExplicitTraceScale:
         )
 
 
+class TestOverlappingRuns:
+    def test_nested_run_leaves_the_outer_scoring_alone(self, tiny_workload):
+        """A second session started in the same process while the first
+        is mid-run (here: from inside its pose trace) must not re-point
+        the first one's PointSSIM cache or subsample bound."""
+        scene, user = tiny_workload
+        frames = 12
+        config = tiny_config(quality_every=1)
+        solo = LiVoSession(config).run(scene, user, constant_trace(100.0), frames)
+
+        class _Nesting:
+            name = user.name
+
+            def __init__(self) -> None:
+                self.nested = 0
+
+            def pose_at_frame(self, index):
+                if index == 3 and not self.nested:
+                    self.nested += 1
+                    LiVoSession(tiny_config(quality_every=1, quality_max_points=150)).run(
+                        scene, user, constant_trace(100.0), frames
+                    )
+                return user.pose_at_frame(index)
+
+        trace = _Nesting()
+        outer = LiVoSession(config).run(scene, trace, constant_trace(100.0), frames)
+        assert trace.nested == 1
+        assert outer.asdict() == solo.asdict()
+
+
 class TestBaselineSessionEdges:
     def test_oracle_invalid_frames(self, tiny_workload):
         scene, user = tiny_workload

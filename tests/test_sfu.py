@@ -13,7 +13,6 @@ from repro.geometry.frustum import Frustum
 from repro.obs.metrics import MetricsRegistry
 from repro.perf.culling import CullCache
 from repro.prediction.pose import Pose
-from repro.runtime.executors import make_executor
 from repro.runtime.stage import StageGraph
 from repro.sfu import SFUNode, TIER_SCALES
 from repro.sfu.node import SFUTick
@@ -354,22 +353,6 @@ class TestSFUNode:
         assert "r1" not in node.splits
         with pytest.raises(ValueError):
             node.remove_receiver("r1")
-
-    def test_thread_executor_parity(self, setup):
-        config, rig, scene = setup
-        serial_node, _ = self.node(setup)
-        for name in ("r2", "r3"):
-            serial_node.add_receiver(name)
-        serial = drive_node(serial_node, rig, scene, config, frames=3)
-
-        threaded_node, _ = self.node(setup)
-        for name in ("r2", "r3"):
-            threaded_node.add_receiver(name)
-        executor = make_executor(4, "thread")
-        threaded_node.attach_executor(executor)
-        threaded = drive_node(threaded_node, rig, scene, config, frames=3)
-        executor.close()
-        assert decisions_signature(serial) == decisions_signature(threaded)
 
     def test_stage_graph_integration(self, setup):
         config, rig, scene = setup

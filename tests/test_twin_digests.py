@@ -11,9 +11,13 @@ both twins.
 import dataclasses
 import functools
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
+import repro
+import repro.runtime
 from repro import cli
 from repro.capture.dataset import load_video
 from repro.codec import entropy
@@ -21,6 +25,7 @@ from repro.codec.motion import gather_prediction
 from repro.codec.video import VideoCodecConfig
 from repro.core import session as session_module
 from repro.core.config import SessionConfig
+from repro.core.sender import LiVoSender
 from repro.core.session import LiVoSession
 from repro.faults.plan import (
     BurstLossWindow,
@@ -31,6 +36,7 @@ from repro.faults.plan import (
 )
 from repro.perf.capture import CachedFrameSource
 from repro.prediction.pose import user_traces_for_video
+from repro.runtime.executors import make_executor
 from repro.service.app import ServiceApp, ServiceConfig
 from repro.service.workers import TickWorkerPool
 from repro.sfu.fleet import FleetConfig, run_fleet
@@ -97,7 +103,8 @@ def _tick_pool():
 WORKLOADS = {
     "session:clean": lambda monkeypatch: _session(8),
     "session:burst_loss_fec": _session_burst_loss_fec,
-    "session:process_jobs2": lambda monkeypatch: _session(5, executor="process", jobs=2),
+    # Recorded from the fork pool; threads are the one substrate left.
+    "session:process_jobs2": lambda monkeypatch: _session(5, executor="thread", jobs=2),
     "fleet:6x12": lambda monkeypatch: run_fleet(
         FleetConfig(sessions=6, frames=12, seed=0)
     ).fleet_digest,
@@ -129,8 +136,8 @@ def _option_names(target) -> set:
 @pytest.mark.parametrize(
     "target,also_gone",
     [
-        pytest.param(SessionConfig, (), id="SessionConfig"),
-        pytest.param(FleetConfig, (), id="FleetConfig"),
+        pytest.param(SessionConfig, ("profile",), id="SessionConfig"),
+        pytest.param(FleetConfig, ("executor_jobs",), id="FleetConfig"),
         pytest.param(ServiceConfig, ("jobs",), id="ServiceConfig"),
         pytest.param(VideoCodecConfig, (), id="VideoCodecConfig"),
         pytest.param(WebRTCChannel.__init__, (), id="WebRTCChannel"),
@@ -141,6 +148,24 @@ def _option_names(target) -> set:
 )
 def test_twin_path_options_do_not_grow_back(target, also_gone):
     assert not _option_names(target) & (REMOVED_OPTIONS | set(also_gone))
+
+
+def test_fork_lane_and_fan_outs_stay_gone():
+    # One place work runs: PointSSIM scoring on threads when jobs > 1.
+    with pytest.raises(ValueError):
+        SessionConfig(executor="process")
+    with pytest.raises(ValueError):
+        make_executor(2, "process")
+    for name in ("ProcessExecutor", "StatefulWorker", "WorkerCrash", "ShmArena"):
+        assert not hasattr(repro.runtime, name)
+    assert not hasattr(LiVoSender, "attach_executor")
+    substrate = re.compile(r"multiprocessing|shared_memory|ProcessPoolExecutor")
+    package = Path(repro.__file__).parent
+    assert not [
+        str(path.relative_to(package))
+        for path in sorted(package.rglob("*.py"))
+        if substrate.search(path.read_text())
+    ]
 
 
 def test_bitfield_reference_stays_out_of_the_package():
@@ -157,6 +182,7 @@ def test_bitfield_reference_stays_out_of_the_package():
         ["run", "--no-transport-fast-path"],
         ["run", "--no-batch-kernels"],
         ["run", "--no-shm"],
+        ["run", "--executor", "process"],
         ["run", "--no-batch-plane"],
         ["serve", "--no-batch-plane"],
         ["serve", "--jobs", "2"],
