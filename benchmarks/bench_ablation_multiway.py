@@ -17,10 +17,10 @@ from conftest import write_result
 from repro.capture.dataset import load_video
 from repro.capture.rig import default_rig
 from repro.core.config import SessionConfig
-from repro.core.multiway import MultiwaySender
 from repro.geometry.pointcloud import PointCloud
 from repro.metrics.pointssim import pointssim_batch
 from repro.prediction.pose import user_traces_for_video
+from repro.sfu.conference import ConferenceDriver, UnicastBaseline
 
 RECEIVER_COUNTS = (1, 2, 4)
 NUM_FRAMES = 8
@@ -37,20 +37,16 @@ def test_ablation_multiway_fanout(benchmark, results_dir):
     rig = default_rig(num_cameras=8, width=64, height=48)
     traces = user_traces_for_video("band2", NUM_FRAMES + 10, num_traces=3)
 
-    def run(mode: str, num_receivers: int) -> tuple[float, int]:
-        names = [f"r{i}" for i in range(num_receivers)]
-        sender = MultiwaySender(rig.cameras, config, names, mode=mode)
-        total_bytes = 0
-        encoder_runs = 0
+    def seated(party, num_receivers: int):
+        for index in range(num_receivers):
+            party.join(f"r{index}", traces[index % len(traces)])
+        return party
+
+    def run(party, num_receivers: int) -> tuple[float, int]:
+        seated(party, num_receivers)
         for sequence in range(NUM_FRAMES):
-            for index, name in enumerate(names):
-                trace = traces[index % len(traces)]
-                sender.observe_pose(name, trace.pose_at_frame(sequence), sequence / 30.0)
-            frame = rig.capture(scene, sequence)
-            result = sender.process(frame, TARGET_BPS, 0.1)
-            total_bytes += result.total_bytes
-            encoder_runs += result.encoder_runs
-        return total_bytes / NUM_FRAMES, encoder_runs // NUM_FRAMES
+            party.tick(rig.capture(scene, sequence), sequence / 30.0, TARGET_BPS, 0.1)
+        return party.uplink_bytes / NUM_FRAMES, party.encoder_runs // NUM_FRAMES
 
     def cloud_of(multiview) -> PointCloud:
         return PointCloud.merge(
@@ -67,28 +63,19 @@ def test_ablation_multiway_fanout(benchmark, results_dir):
         multiview so it can be compared against the stream unicast
         would have encoded for that receiver.
         """
-        names = [f"r{i}" for i in range(num_receivers)]
-        sfu = MultiwaySender(rig.cameras, config, names, mode="sfu")
+        sfu = seated(ConferenceDriver(0, rig, config), num_receivers)
         sfu.node.keep_views = True
-        unicast = MultiwaySender(rig.cameras, config, names, mode="unicast")
-        sfu_bytes = 0
-        sfu_runs = 0
+        unicast = seated(UnicastBaseline(rig, config), num_receivers)
+        names = sfu.receiver_names
         pssim_sfu: list[float] = []
         pssim_unicast: list[float] = []
         for sequence in range(NUM_FRAMES):
-            for index, name in enumerate(names):
-                trace = traces[index % len(traces)]
-                pose = trace.pose_at_frame(sequence)
-                sfu.observe_pose(name, pose, sequence / 30.0)
-                unicast.observe_pose(name, pose, sequence / 30.0)
             frame = rig.capture(scene, sequence)
-            sfu_result = sfu.process(frame, TARGET_BPS, 0.1)
-            unicast_result = unicast.process(frame, TARGET_BPS, 0.1)
-            sfu_bytes += sfu_result.total_bytes
-            sfu_runs += sfu_result.encoder_runs
+            forwards = sfu.tick(frame, sequence / 30.0, TARGET_BPS, 0.1).decisions
+            unicast_results = unicast.tick(frame, sequence / 30.0, TARGET_BPS, 0.1)
             for name in names:
-                forwarded = sfu_result.downlinks[name].forwarded_multiview
-                reference = unicast_result.per_receiver[name].culled_multiview
+                forwarded = forwards[name].forwarded_multiview
+                reference = unicast_results[name].culled_multiview
                 for sfu_view, uni_view in zip(forwarded.views, reference.views):
                     assert np.array_equal(sfu_view.color, uni_view.color)
                     assert np.array_equal(sfu_view.depth_mm, uni_view.depth_mm)
@@ -102,25 +89,16 @@ def test_ablation_multiway_fanout(benchmark, results_dir):
                 # (float-identical to the per-receiver loop).
                 pairs = []
                 for name in names:
+                    pairs.append((full, cloud_of(forwards[name].forwarded_multiview)))
                     pairs.append(
-                        (full, cloud_of(sfu_result.downlinks[name].forwarded_multiview))
-                    )
-                    pairs.append(
-                        (
-                            full,
-                            cloud_of(
-                                unicast_result.per_receiver[name].culled_multiview
-                            ),
-                        )
+                        (full, cloud_of(unicast_results[name].culled_multiview))
                     )
                 scores = pointssim_batch(pairs, max_points=PSSIM_MAX_POINTS)
                 pssim_sfu.extend(s.geometry for s in scores[0::2])
                 pssim_unicast.extend(s.geometry for s in scores[1::2])
-        sfu.close()
-        unicast.close()
         return {
-            "bytes_per_frame": sfu_bytes / NUM_FRAMES,
-            "encoder_runs": sfu_runs // NUM_FRAMES,
+            "bytes_per_frame": sfu.uplink_bytes / NUM_FRAMES,
+            "encoder_runs": sfu.encoder_runs // NUM_FRAMES,
             "pssim": float(np.mean(pssim_sfu)),
             "pssim_unicast": float(np.mean(pssim_unicast)),
         }
@@ -129,8 +107,8 @@ def test_ablation_multiway_fanout(benchmark, results_dir):
         table = {}
         for count in RECEIVER_COUNTS:
             table[count] = {
-                "unicast": run("unicast", count),
-                "shared": run("shared", count),
+                "unicast": run(UnicastBaseline(rig, config), count),
+                "shared": run(ConferenceDriver(0, rig, config), count),
                 "sfu": run_sfu_paired(count),
             }
         return table

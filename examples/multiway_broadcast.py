@@ -12,8 +12,8 @@ Run:  python examples/multiway_broadcast.py
 from repro.capture.dataset import load_video
 from repro.capture.rig import default_rig
 from repro.core.config import SessionConfig
-from repro.core.multiway import MultiwaySender
 from repro.prediction.pose import user_traces_for_video
+from repro.sfu.conference import ConferenceDriver, UnicastBaseline
 
 NUM_FRAMES = 10
 RECEIVERS = ["alice", "bob", "carol"]
@@ -28,22 +28,22 @@ def main() -> None:
     rig = default_rig(num_cameras=8, width=64, height=48)
     traces = user_traces_for_video("band2", NUM_FRAMES + 10, num_traces=3)
 
+    # Both share one surface: join(name, pose feed), then one tick per frame.
+    # A ConferenceDriver built without downlinks is the shared stream alone.
+    parties = {
+        "unicast": UnicastBaseline(rig, config),
+        "shared": ConferenceDriver(0, rig, config),
+    }
     totals = {}
-    for mode in ("unicast", "shared"):
-        sender = MultiwaySender(rig.cameras, config, RECEIVERS, mode=mode)
-        total_bytes = 0
+    for mode, party in parties.items():
+        for name, trace in zip(RECEIVERS, traces):
+            party.join(name, trace)
         for sequence in range(NUM_FRAMES):
-            for index, name in enumerate(RECEIVERS):
-                sender.observe_pose(
-                    name, traces[index].pose_at_frame(sequence), sequence / 30.0
-                )
-            frame = rig.capture(scene, sequence)
-            result = sender.process(frame, 8e6, 0.1)
-            total_bytes += result.total_bytes
-        totals[mode] = total_bytes
+            party.tick(rig.capture(scene, sequence), sequence / 30.0, 8e6, 0.1)
+        totals[mode] = party.uplink_bytes
         print(
-            f"{mode:8s}: {total_bytes / NUM_FRAMES:9.0f} bytes/frame, "
-            f"{result.encoder_runs} encoder sessions"
+            f"{mode:8s}: {party.uplink_bytes / NUM_FRAMES:9.0f} bytes/frame, "
+            f"{party.encoder_runs // NUM_FRAMES} encoder sessions"
         )
 
     saving = 1.0 - totals["shared"] / totals["unicast"]

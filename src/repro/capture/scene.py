@@ -396,16 +396,6 @@ class Scene:
         areas = np.array([p.area() for p in self.primitives])
         self._weights = areas / areas.sum()
 
-    def static_fraction(self) -> float:
-        """Fraction of the sample budget that lands on static primitives."""
-        return float(
-            sum(
-                w
-                for w, p in zip(self._weights, self.primitives)
-                if p.is_static()
-            )
-        )
-
     def sample(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Sample the whole scene at time ``t``.
 

@@ -20,6 +20,13 @@ from pathlib import Path
 __all__ = ["build_parser", "main"]
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser."""
     parser = argparse.ArgumentParser(
@@ -118,8 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
         "union-culled stream (shared), or an SFU node forwarding tailored "
         "per-receiver downlinks (sfu)",
     )
-    multiway.add_argument("--receivers", type=int, default=3)
-    multiway.add_argument("--frames", type=int, default=30)
+    multiway.add_argument("--receivers", type=_positive_int, default=3)
+    multiway.add_argument("--frames", type=_positive_int, default=30)
     multiway.add_argument("--cameras", type=int, default=4)
     multiway.add_argument(
         "--target-mbps", type=float, default=2.0,
@@ -320,9 +327,11 @@ def _cmd_multiway(args: argparse.Namespace) -> int:
     from repro.capture.dataset import load_video
     from repro.capture.rig import default_rig
     from repro.core.config import SessionConfig
-    from repro.core.multiway import MultiwaySender
     from repro.perf.capture import CachedFrameSource
     from repro.prediction.pose import user_traces_for_video
+    from repro.sfu.conference import ConferenceDriver, UnicastBaseline
+    from repro.transport.downlink import DownlinkSet
+    from repro.transport.link import LinkConfig
     from repro.transport.traces import constant_trace
 
     config = SessionConfig(
@@ -333,36 +342,38 @@ def _cmd_multiway(args: argparse.Namespace) -> int:
     rig = default_rig(num_cameras=args.cameras, width=48, height=36)
     source = CachedFrameSource(rig, scene)
     pose_traces = user_traces_for_video(args.video, args.frames + 10)
-    names = [f"rx{index}" for index in range(args.receivers)]
-    target_bps = args.target_mbps * 1e6
-    kwargs = {}
-    if args.mode == "sfu":
-        kwargs["default_downlink_trace"] = constant_trace(
+    if args.mode == "unicast":
+        party = UnicastBaseline(rig, config)
+    elif args.mode == "sfu":
+        trace = constant_trace(
             args.target_mbps, duration_s=args.frames / config.fps + 10.0
         )
-    sender = MultiwaySender(rig.cameras, config, names, mode=args.mode, **kwargs)
+        party = ConferenceDriver(
+            0, rig, config, DownlinkSet(trace, LinkConfig(seed=config.link.seed))
+        )
+    else:
+        party = ConferenceDriver(0, rig, config)
+    for index in range(args.receivers):
+        party.join(f"rx{index}", pose_traces[index % len(pose_traces)])
     horizon_s = config.pose_feedback_lag_frames * config.frame_interval_s
-    uplink = downlink = encoder_runs = 0
     for sequence in range(args.frames):
-        now = sequence * config.frame_interval_s
-        for index, name in enumerate(names):
-            pose = pose_traces[index % len(pose_traces)].pose_at_frame(sequence)
-            sender.observe_pose(name, pose, now)
-        result = sender.process(source.capture(sequence), target_bps, horizon_s)
-        uplink += result.total_bytes
-        downlink += result.downlink_bytes
-        encoder_runs += result.encoder_runs
-    sender.close()
+        party.tick(
+            source.capture(sequence),
+            sequence * config.frame_interval_s,
+            args.target_mbps * 1e6,
+            horizon_s,
+        )
     print(
         f"mode={args.mode} receivers={args.receivers} frames={args.frames}\n"
-        f"uplink: {uplink} B total, {uplink / args.frames:.0f} B/frame\n"
-        f"encoder runs: {encoder_runs} "
-        f"({encoder_runs / args.frames:.1f}/frame)"
+        f"uplink: {party.uplink_bytes} B total, "
+        f"{party.uplink_bytes / args.frames:.0f} B/frame\n"
+        f"encoder runs: {party.encoder_runs} "
+        f"({party.encoder_runs / args.frames:.1f}/frame)"
     )
     if args.mode == "sfu":
         print(
-            f"downlink: {downlink} B total across {args.receivers} receivers "
-            f"({downlink / args.frames:.0f} B/frame)"
+            f"downlink: {party.downlink_bytes} B total across {args.receivers} "
+            f"receivers ({party.downlink_bytes / args.frames:.0f} B/frame)"
         )
     return 0
 

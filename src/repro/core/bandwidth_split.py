@@ -115,11 +115,6 @@ class SplitBook:
     def __len__(self) -> int:
         return len(self._controllers)
 
-    @property
-    def receiver_ids(self) -> list[str]:
-        """Receivers with a live controller, in creation order."""
-        return list(self._controllers)
-
     def controller(self, receiver_id: str) -> SplitController:
         """The receiver's controller, created on first use."""
         controller = self._controllers.get(receiver_id)

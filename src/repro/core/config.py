@@ -92,7 +92,7 @@ class SessionConfig:
     # scoring exact.
     quality_max_points: int | None = None
 
-    # Observability (repro.obs; see DESIGN.md section 11).  Off by
+    # Observability (repro.obs; see DESIGN.md section 10).  Off by
     # default: an untraced session's report is byte-identical to one
     # from a build without the obs layer.  When on, the session records
     # one sim-clock root span per frame with stage/kernel/worker/

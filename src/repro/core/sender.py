@@ -401,8 +401,3 @@ class LiVoSender:
         for encoder in (self.color_encoder, self.depth_encoder):
             merged.merge(encoder.cache_counters)
         return merged
-
-    def close(self) -> None:
-        """End of this sender's life.  The encoders live in this process,
-        so there is nothing to release; owners (sessions, conferences,
-        multiway senders) still call it exactly once per sender."""

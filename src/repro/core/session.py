@@ -770,7 +770,6 @@ class LiVoSession(_SessionBase):
             # (already resolved when serial).
             quality.collect(final=True)
         finally:
-            sender.close()
             quality.close()
 
         for stream_id, marker_sequence in channel.marker_frames:

@@ -20,7 +20,7 @@ into one causally-linked, per-frame timeline:
 The layer is default-off (``SessionConfig.trace``); with tracing
 disabled every instrumentation site is a single ``is None`` check and
 reports are byte-identical to an uninstrumented run.  See DESIGN.md
-section 11 for the span taxonomy (frame -> stage -> kernel) and the
+section 10 for the span taxonomy (frame -> stage -> kernel) and the
 context-propagation rules across thread/process executors.
 """
 

@@ -1,6 +1,6 @@
 """Span records and trace-context propagation.
 
-The span taxonomy (DESIGN.md section 11) is three levels deep:
+The span taxonomy (DESIGN.md section 10) is three levels deep:
 
 - **frame** -- one root span per capture sequence (``trace_id`` is the
   sequence number), on the *simulated* clock: capture tick to

@@ -43,29 +43,7 @@ class CachedFrameSource:
         self._caches = [ProjectionCache(camera) for camera in rig.cameras]
 
     def capture(self, sequence: int) -> MultiViewFrame:
-        """One synchronized multi-view capture at this sequence number."""
-        timestamp = sequence * self.rig.frame_interval_s
-        batches = self.scene.sample_batches(timestamp)
-        views = self._render_chunk(
-            list(range(self.rig.num_cameras)), batches, sequence, timestamp
-        )
-        return MultiViewFrame(views, sequence=sequence, timestamp_s=timestamp)
-
-    def capture_views(self, camera_indices: list[int], sequence: int) -> list[RGBDFrame]:
-        """Render a subset of cameras for one tick (executor fan-out unit).
-
-        Batch sampling is deterministic in ``(seed, epoch, t)``, so
-        workers rendering disjoint camera chunks of the same tick all
-        see identical surface points.
-        """
-        timestamp = sequence * self.rig.frame_interval_s
-        batches = self.scene.sample_batches(timestamp)
-        return self._render_chunk(list(camera_indices), batches, sequence, timestamp)
-
-    def _render_chunk(
-        self, camera_indices: list[int], batches, sequence: int, timestamp: float
-    ) -> list[RGBDFrame]:
-        """Render a set of cameras, hole-filling the whole set in one pass.
+        """One synchronized multi-view capture at this sequence number.
 
         The per-camera z-buffers are produced unfilled
         (:meth:`ProjectionCache.render_arrays`) and the hole filling
@@ -74,35 +52,34 @@ class CachedFrameSource:
         camera separately, grouped by image shape so mixed-resolution
         rigs still batch what they can.
         """
-        frames: list[RGBDFrame | None] = [None] * len(camera_indices)
+        timestamp = sequence * self.rig.frame_interval_s
+        batches = self.scene.sample_batches(timestamp)
+
+        def view(cache: ProjectionCache, color, depth) -> RGBDFrame:
+            return RGBDFrame(
+                color,
+                depth,
+                camera_id=cache.camera.camera_id,
+                sequence=sequence,
+                timestamp_s=timestamp,
+            )
+
+        views: list[RGBDFrame | None] = [None] * len(self._caches)
         pending: dict[tuple, list[tuple[int, np.ndarray, np.ndarray]]] = defaultdict(list)
-        for slot, index in enumerate(camera_indices):
-            depth, color, needs_fill = self._caches[index].render_arrays(batches)
+        for index, cache in enumerate(self._caches):
+            depth, color, needs_fill = cache.render_arrays(batches)
             if needs_fill:
-                pending[depth.shape].append((slot, depth, color))
+                pending[depth.shape].append((index, depth, color))
             else:
-                frames[slot] = RGBDFrame(
-                    color,
-                    depth,
-                    camera_id=self._caches[index].camera.camera_id,
-                    sequence=sequence,
-                    timestamp_s=timestamp,
-                )
+                views[index] = view(cache, color, depth)
         for members in pending.values():
             depths, colors = fill_holes_batch(
                 np.stack([depth for _, depth, _ in members]),
                 np.stack([color for _, _, color in members]),
             )
-            for row, (slot, _, _) in enumerate(members):
-                index = camera_indices[slot]
-                frames[slot] = RGBDFrame(
-                    colors[row],
-                    depths[row],
-                    camera_id=self._caches[index].camera.camera_id,
-                    sequence=sequence,
-                    timestamp_s=timestamp,
-                )
-        return frames
+            for row, (index, _, _) in enumerate(members):
+                views[index] = view(self._caches[index], colors[row], depths[row])
+        return MultiViewFrame(views, sequence=sequence, timestamp_s=timestamp)
 
     def counters(self) -> CacheCounters:
         """All per-camera projection counters merged into one line."""

@@ -97,8 +97,3 @@ class CullCache:
             return cached
         self.counters.hit()
         return cached
-
-    def forget_camera(self, camera) -> None:
-        """Drop a camera's persistent entries (rig re-calibration)."""
-        self._w2c.pop(id(camera), None)
-        self._points.pop(id(camera), None)

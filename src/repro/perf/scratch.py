@@ -34,7 +34,6 @@ class ScratchArena:
         self._scales: dict[tuple[float, bytes | None], np.ndarray | float] = {}
         self._offsets: dict[int, list[tuple[int, int]]] = {}
         self._shift_buffers: dict[tuple[int, tuple[int, int]], np.ndarray] = {}
-        self._block_buffers: dict[tuple[str, tuple[int, ...]], np.ndarray] = {}
         self.counters = CacheCounters("codec_scratch")
 
     # ------------------------------------------------------------------
@@ -103,22 +102,6 @@ class ScratchArena:
             self.counters.miss()
             buffer = np.empty((num_offsets, *shape), dtype=np.float64)
             self._shift_buffers[key] = buffer
-        else:
-            self.counters.hit()
-        return buffer
-
-    def block_buffer(self, tag: str, shape: tuple[int, ...]) -> np.ndarray:
-        """Persistent float64 block-stack buffer, keyed by role + shape.
-
-        Callers must fully overwrite the buffer (e.g. via ``np.subtract
-        (..., out=buf)``) before reading it.
-        """
-        key = (tag, shape)
-        buffer = self._block_buffers.get(key)
-        if buffer is None:
-            self.counters.miss()
-            buffer = np.empty(shape, dtype=np.float64)
-            self._block_buffers[key] = buffer
         else:
             self.counters.hit()
         return buffer

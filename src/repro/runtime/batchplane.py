@@ -76,7 +76,6 @@ __all__ = [
     "plane_transform_request",
     "motion_request",
     "entropy_encode_request",
-    "pointssim_features_request",
 ]
 
 
@@ -86,7 +85,7 @@ class BatchRequest:
 
     Attributes:
         kind: kernel name (``plane_transform`` / ``motion`` /
-            ``entropy_encode`` / ``pointssim_features``).
+            ``entropy_encode``).
         key: hashable bucket key; two requests may be co-batched iff
             their ``(kind, key)`` are equal.  The key must carry every
             parameter that changes the kernel's math.
@@ -150,21 +149,6 @@ def entropy_encode_request(levels, effort, ctx=None) -> BatchRequest:
         key=(levels.shape, int(effort)),
         payload=(levels, effort),
         ctx=ctx,
-    )
-
-
-def pointssim_features_request(cloud, k, cache=None) -> BatchRequest:
-    """PointSSIM feature build (the KD-tree half) for one cloud.
-
-    Result: a :class:`~repro.metrics.pointssim.CloudFeatures`.  Feature
-    builds are not stackable (KD-trees are per-cloud), but a bucket
-    deduplicates by cloud object identity: a shared reference scored by
-    many sessions builds its tree once for the whole fleet.
-    """
-    return BatchRequest(
-        kind="pointssim_features",
-        key=(int(k),),
-        payload=(cloud, k, cache),
     )
 
 
@@ -282,43 +266,12 @@ class _EntropyEncodeKernel:
         return encode_levels_batch(stacked, effort=effort)
 
 
-class _PointSSIMFeaturesKernel:
-    """Feature builds, deduplicated by cloud identity across a bucket."""
-
-    name = "pointssim_features"
-
-    @staticmethod
-    def _build(cloud, k, cache):
-        from repro.metrics.pointssim import precompute_features
-
-        if cache is not None:
-            return cache.features(cloud, k)
-        return precompute_features(cloud, k)
-
-    def single(self, request: BatchRequest):
-        cloud, k, cache = request.payload
-        return self._build(cloud, k, cache)
-
-    def batched(self, requests: list[BatchRequest]):
-        memo: dict[int, object] = {}
-        results = []
-        for request in requests:
-            cloud, k, cache = request.payload
-            features = memo.get(id(cloud))
-            if features is None:
-                features = self._build(cloud, k, cache)
-                memo[id(cloud)] = features
-            results.append(features)
-        return results
-
-
 KERNELS = {
     kernel.name: kernel
     for kernel in (
         _PlaneTransformKernel(),
         _MotionKernel(),
         _EntropyEncodeKernel(),
-        _PointSSIMFeaturesKernel(),
     )
 }
 

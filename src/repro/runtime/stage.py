@@ -134,14 +134,6 @@ class Stage:
         self.seq_fn = seq_fn
         self.span_attrs = dict(attrs) if attrs else None
 
-    def add_pre_hook(self, hook) -> None:
-        """Attach a boundary hook running before the stage body."""
-        self.pre_hooks.append(hook)
-
-    def add_post_hook(self, hook) -> None:
-        """Attach a boundary hook running after the stage body."""
-        self.post_hooks.append(hook)
-
     def __call__(self, item):
         start = perf_counter()
         tracer = self.tracer

@@ -6,14 +6,18 @@ Two execution paths:
   :class:`repro.core.session.LiVoSession` -- the full interleaved
   replay with fault injection, the watchdog ladder, and the obs
   timeline.
-- ``kind="multiway"`` drives :class:`repro.core.multiway.MultiwaySender`
-  through the spec's join/leave churn on a simulated clock with a
-  simple serialization+propagation delivery model.  In ``sfu`` mode
-  each receiver additionally gets its own emulated downlink (the
-  spec's ``receiver_links`` pin heterogeneous capacities; unlisted
-  peers inherit the main trace) and a frame renders only when the
-  *slowest* receiver's forward lands inside the playout budget.  What
-  matters for the regression corpus is that every path is
+- ``kind="multiway"`` ticks one
+  :class:`repro.sfu.conference.ConferenceDriver` (``sfu``: with
+  downlinks; ``shared``: without) or the
+  :class:`~repro.sfu.conference.UnicastBaseline` (``unicast``) through
+  the spec's join/leave churn on a simulated clock with a simple
+  serialization+propagation delivery model.  In ``sfu`` mode each
+  receiver gets its own emulated downlink (the spec's
+  ``receiver_links`` pin heterogeneous capacities; unlisted peers
+  inherit the main trace) and a frame renders only when the *slowest*
+  receiver's forward lands inside the playout budget.  The spec has
+  already checked its roster, so no join or leave can fail mid-run.
+  What matters for the regression corpus is that every path is
   deterministic in the spec.
 
 Both paths are byte-deterministic: same spec, same report.
@@ -23,12 +27,13 @@ from __future__ import annotations
 
 from repro.capture.dataset import load_video
 from repro.capture.rig import default_rig
-from repro.core.multiway import MultiwaySender
 from repro.core.session import LiVoSession
 from repro.core.stats import FaultEvent, FrameRecord, SessionReport
 from repro.perf.capture import CachedFrameSource
 from repro.prediction.pose import user_traces_for_video
 from repro.scenario.spec import ScenarioSpec
+from repro.sfu.conference import ConferenceDriver, UnicastBaseline
+from repro.transport.downlink import DownlinkSet
 from repro.transport.traces import constant_trace
 
 __all__ = ["run_scenario"]
@@ -63,13 +68,13 @@ def _run_livo(spec: ScenarioSpec) -> SessionReport:
 
 
 def _run_multiway(spec: ScenarioSpec) -> SessionReport:
-    """Churn harness: peers join/leave a MultiwaySender mid-session.
+    """Churn harness: peers join/leave a conference mid-session.
 
     Delivery model per tick: the (shared or summed) stream serializes
     at the trace's instantaneous capacity plus one propagation delay; a
     frame renders when that lands inside the playout budget.  Faults
     are limited to churn events themselves (recorded as FaultEvents),
-    which is plenty to regression-pin add/remove_receiver behavior.
+    which is plenty to regression-pin join/leave behavior.
     """
     config = spec.build_config()
     _, scene = load_video(spec.video, sample_budget=spec.sample_budget)
@@ -82,42 +87,36 @@ def _run_multiway(spec: ScenarioSpec) -> SessionReport:
     pose_traces = user_traces_for_video(spec.video, spec.frames + 10)
 
     bandwidth = spec.build_trace()
-    sender_kwargs: dict = {}
-    extra_propagation: dict[str, float] = {}
-    if spec.multiway_mode == "sfu":
-        downlink_traces = {}
-        for link in spec.receiver_links:
-            downlink_traces[link.peer] = constant_trace(
-                link.mbps, duration_s=spec.duration_s + 10.0
-            )
-            if link.propagation_s is not None:
-                extra_propagation[link.peer] = link.propagation_s
-        sender_kwargs = dict(
-            downlink_traces=downlink_traces,
-            default_downlink_trace=bandwidth,
-            downlink_config=config.link,
+    downlink_traces = {
+        link.peer: constant_trace(link.mbps, duration_s=spec.duration_s + 10.0)
+        for link in spec.receiver_links
+    }
+    extra_propagation = {
+        link.peer: link.propagation_s
+        for link in spec.receiver_links
+        if link.propagation_s is not None
+    }
+    if spec.multiway_mode == "unicast":
+        party = UnicastBaseline(rig, config)
+    else:
+        # "sfu" forwards down per-receiver links; "shared" is the same
+        # driver with none, so only the uplink stream is on the wire.
+        downlinks = (
+            DownlinkSet(bandwidth, config.link) if spec.multiway_mode == "sfu" else None
         )
+        party = ConferenceDriver(0, rig, config, downlinks)
 
-    sender = MultiwaySender(
-        rig.cameras,
-        config,
-        list(spec.initial_peers),
-        mode=spec.multiway_mode,
-        **sender_kwargs,
-    )
-    # Peers get pose traces by join order, so a rejoining peer resumes a
-    # deterministic trajectory.
+    # Peers get pose traces by first-join order, so a rejoining peer
+    # resumes a deterministic trajectory.
     peer_traces: dict[str, object] = {}
-    join_counter = 0
 
-    def assign_trace(peer: str) -> None:
-        nonlocal join_counter
+    def join(peer: str) -> None:
         if peer not in peer_traces:
-            peer_traces[peer] = pose_traces[join_counter % len(pose_traces)]
-            join_counter += 1
+            peer_traces[peer] = pose_traces[len(peer_traces) % len(pose_traces)]
+        party.join(peer, peer_traces[peer], downlink_traces.get(peer))
 
     for peer in spec.initial_peers:
-        assign_trace(peer)
+        join(peer)
 
     interval = config.frame_interval_s
     horizon_s = config.pose_feedback_lag_frames * interval
@@ -132,21 +131,19 @@ def _run_multiway(spec: ScenarioSpec) -> SessionReport:
             event = churn[churn_index]
             churn_index += 1
             if event.action == "join":
-                sender.add_receiver(event.peer)
-                assign_trace(event.peer)
+                join(event.peer)
             else:
-                sender.remove_receiver(event.peer)
+                party.leave(event.peer)
             events.append(
                 FaultEvent(
                     time_s=now,
                     category=f"peer_{event.action}",
-                    detail=f"{event.peer} ({len(sender.receiver_names)} active)",
+                    detail=f"{event.peer} ({len(party.receiver_names)} active)",
                     sequence=sequence,
                     recovered=event.action == "join",
                 )
             )
-        active = sender.receiver_names
-        if not active:
+        if not party.receiver_names:
             records.append(
                 FrameRecord(
                     sequence=sequence,
@@ -157,13 +154,11 @@ def _run_multiway(spec: ScenarioSpec) -> SessionReport:
                 )
             )
             continue
-        for peer in active:
-            sender.observe_pose(peer, peer_traces[peer].pose_at_frame(sequence), now)
         frame = source.capture(sequence)
         capacity_bps = bandwidth.capacity_bps_at(now)
-        target = 0.5 * capacity_bps
-        result = sender.process(frame, target, horizon_s)
-        wire_bytes = result.total_bytes
+        sent_before = party.uplink_bytes
+        produced = party.tick(frame, now, 0.5 * capacity_bps, horizon_s)
+        wire_bytes = party.uplink_bytes - sent_before
         record = FrameRecord(
             sequence=sequence,
             capture_time_s=now,
@@ -178,13 +173,13 @@ def _run_multiway(spec: ScenarioSpec) -> SessionReport:
                 + wire_bytes * 8.0 / capacity_bps
                 + config.link.propagation_delay_s
             )
-            if result.downlinks:
-                # SFU: the conference renders when the slowest receiver's
+            if spec.multiway_mode == "sfu":
+                # The conference renders when the slowest receiver's
                 # forwarded burst lands (per-link emulated delivery plus
                 # any extra per-receiver propagation from the spec).
                 forwarded = [
                     decision.delivery_time_s + extra_propagation.get(peer, 0.0)
-                    for peer, decision in result.downlinks.items()
+                    for peer, decision in produced.decisions.items()
                     if decision.delivery_time_s is not None
                 ]
                 if forwarded:
@@ -197,8 +192,6 @@ def _run_multiway(spec: ScenarioSpec) -> SessionReport:
             record.stalled = False
             record.empty = True
         records.append(record)
-
-    sender.close()
 
     return SessionReport(
         scheme=f"Multiway-{spec.multiway_mode}",

@@ -5,8 +5,14 @@ chaos run: workload (video, scheme, camera rig size, frame count),
 network (a :class:`TraceSpec` built from piecewise segments or one of
 the paper's named traces), faults (a :class:`repro.faults.plan.
 FaultPlan`), mobility (which user pose trace drives the receiver), and
--- for multi-party scenarios -- join/leave churn over
-:class:`repro.core.multiway.MultiwaySender`.
+-- for multi-party scenarios -- an initial roster plus join/leave churn
+(``multiway_mode`` picks what it is applied to: a
+:class:`repro.sfu.conference.ConferenceDriver` with downlinks, ``sfu``;
+one without, ``shared``; or the
+:class:`~repro.sfu.conference.UnicastBaseline`, ``unicast``).  A
+roster that cannot be played -- a duplicate peer, a ``leave`` of a
+non-member, a ``join`` of a member -- is rejected when the spec is
+built, naming the event.
 
 Specs are frozen dataclasses with a dict loader
 (:meth:`ScenarioSpec.from_dict`), so a recording artifact can embed the
@@ -254,8 +260,29 @@ class ScenarioSpec:
             times = [event.time_s for event in self.churn]
             if times != sorted(times):
                 raise ValueError("churn events must be time-ordered")
+            self._check_roster()
         elif self.churn or self.initial_peers:
             raise ValueError("churn/initial_peers only apply to multiway scenarios")
+
+    def _check_roster(self) -> None:
+        """Walk the roster through the churn: names are unique, only a
+        member leaves, only a non-member joins -- found here, not by a
+        conference halfway through the run."""
+        roster: set[str] = set()
+        for peer in self.initial_peers:
+            if peer in roster:
+                raise ValueError(f"duplicate peer {peer!r} in initial_peers")
+            roster.add(peer)
+        for event in self.churn:
+            where = f"churn event {event.action} {event.peer!r} at {event.time_s}s"
+            if event.action == "join":
+                if event.peer in roster:
+                    raise ValueError(f"{where}: peer is already in the conference")
+                roster.add(event.peer)
+            else:
+                if event.peer not in roster:
+                    raise ValueError(f"{where}: peer is not in the conference")
+                roster.remove(event.peer)
 
     @property
     def duration_s(self) -> float:

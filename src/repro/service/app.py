@@ -43,6 +43,9 @@ from repro.service.registry import (
     SessionRegistry,
 )
 from repro.service.workers import TickWorkerPool
+from repro.sfu.conference import ConferenceDriver
+from repro.transport.downlink import DownlinkSet
+from repro.transport.link import LinkConfig
 
 __all__ = ["ServiceConfig", "SessionFactory", "ServiceApp", "ServiceHandle", "SCHEME_RATES"]
 
@@ -83,6 +86,24 @@ class ServiceConfig:
             raise ValueError("num_cameras/sample_budget must be positive")
         if self.tick_interval_s < 0:
             raise ValueError("tick_interval_s must be >= 0")
+
+
+class _HostedConference(ConferenceDriver):
+    """A conference whose clients arrive by name only.
+
+    HTTP clients bring no pose feed, so each is seated on the next of
+    the service's simulated pose traces, round-robin in join order;
+    ``join`` therefore takes just the name, which is all the registry's
+    mailboxes and the tick pool carry.
+    """
+
+    def __init__(self, index, rig, config, downlinks, pose_traces):
+        super().__init__(index, rig, config, downlinks)
+        self._pose_traces = pose_traces
+
+    def join(self, name: str) -> None:
+        traces = self._pose_traces
+        super().join(name, traces[self.node.book.total_joins % len(traces)])
 
 
 class SessionFactory:
@@ -128,17 +149,12 @@ class SessionFactory:
 
     def __call__(self, index: int, seed: int, receivers: list[str],
                  target_rate_bps: float) -> object:
-        from repro.sfu.conference import ConferenceDriver
-
-        driver = ConferenceDriver(
+        driver = _HostedConference(
             index,
             self.rig,
             self.session_config,
-            self.downlink_trace,
+            DownlinkSet(self.downlink_trace, LinkConfig(seed=self.config.seed + seed)),
             self.pose_traces,
-            seed=self.config.seed + seed,
-            receivers=0,                  # named clients join below
-            churn_every=1 << 30,          # service churn is HTTP-driven
         )
         for name in receivers:
             driver.join(name)

@@ -1,30 +1,39 @@
-"""One SFU conference as a tickable driver: uplink encode -> node.
+"""The multi-party frame loop: one uplink encode -> SFU node, per tick.
 
-Extracted from the fleet harness so that both consumers of a live
-conference share one implementation:
+:class:`ConferenceDriver` is the one place a conference's frame runs --
+predict -> union cull -> prepare -> encode -> node ingest -> node
+forward -- and every multi-party caller drives it:
 
-- :mod:`repro.sfu.fleet` drives hundreds of :class:`ConferenceDriver`
-  instances in lockstep for the capacity benchmark;
-- :mod:`repro.service` wraps one driver per service session, with
-  joins/leaves arriving over HTTP instead of the seeded churn
-  schedule.
+- :mod:`repro.sfu.fleet` ticks hundreds in lockstep for the capacity
+  benchmark, applying its seeded join/leave schedule from outside;
+- :mod:`repro.service` hosts one per session, joins/leaves arriving
+  over HTTP;
+- the scenario runner, the ``multiway`` CLI command and the ablation
+  benchmark tick one directly.
 
 A driver owns the conference's sender, SFU node, per-receiver
-downlinks, and its running output digest; it exposes:
+downlinks and its running output digest.  Built with a
+:class:`~repro.transport.downlink.DownlinkSet` it is the SFU; built
+without, nothing leaves the node and what remains is the *shared*
+stream -- one union-culled encode every receiver consumes -- whose
+uplink is byte for byte the SFU's.  It exposes:
 
+- :meth:`join` / :meth:`leave` -- membership, applied between ticks;
 - :meth:`tick_steps` -- one frame as a request-yielding generator, the
   form the cross-session batch plane
   (:class:`repro.runtime.batchplane.BatchPlane`) drives in lockstep;
 - :meth:`tick` -- the same generator resolved on the spot, for a
-  caller with a single conference; returns wall seconds;
-- :meth:`churn` -- the fleet's internal seeded join/leave schedule
-  (service sessions skip it and call :meth:`join`/:meth:`leave`
-  directly).
+  caller with a single conference.
 
-Determinism: everything is seeded at construction; two drivers built
-with identical arguments and ticked with identical frames produce
-byte-identical digests regardless of which driver resolved the
-generator's kernel requests.
+:class:`UnicastBaseline` is the control group behind the same
+``join``/``leave``/``tick`` surface: one full sender pipeline per
+receiver, each stream culled to exactly its receiver's frustum, so
+encodes and uplink bytes scale with the roster.
+
+Determinism: the only randomness is the downlinks' seeded loss; two
+drivers built with identical arguments, given identical joins and
+ticked with identical frames produce byte-identical digests regardless
+of which driver resolved the generator's kernel requests.
 """
 
 from __future__ import annotations
@@ -32,52 +41,33 @@ from __future__ import annotations
 import hashlib
 import time
 
-import numpy as np
-
+from repro.core import multiway
+from repro.core.sender import LiVoSender, SenderResult
 from repro.obs.span import CLOCK_WALL
 from repro.prediction.predictor import ViewingDevice
 from repro.runtime.batchplane import drive_serial
 from repro.sfu.node import SFUNode, SFUTick
-from repro.transport.downlink import DownlinkSet
-from repro.transport.link import LinkConfig
 
-__all__ = ["ConferenceDriver"]
+__all__ = ["ConferenceDriver", "UnicastBaseline"]
 
 
 class ConferenceDriver:
-    """One SFU conference: uplink sender + node stages, one frame per tick."""
+    """One conference: uplink sender + node stages, one frame per tick."""
 
-    def __init__(
-        self, index, rig, config, trace, pose_traces, seed, receivers,
-        churn_every, tracer=None,
-    ):
-        from repro.core.sender import LiVoSender
-
+    def __init__(self, index, rig, config, downlinks=None, tracer=None):
         self.index = index
         self.rig = rig
         self.config = config
-        self.churn_every = churn_every
-        self.pose_traces = pose_traces
         self.device = ViewingDevice()
         self.sender = LiVoSender(rig.cameras, config, self.device)
-        self.node = SFUNode(
-            rig.cameras,
-            config,
-            self.device,
-            downlinks=DownlinkSet(trace, LinkConfig(seed=seed)),
-        )
-        self.rng = np.random.default_rng(seed)
-        self.guest_counter = 0
-        self.churn_events = 0
+        self.node = SFUNode(rig.cameras, config, self.device, downlinks=downlinks)
         self.uplink_bytes = 0
         self.downlink_bytes = 0
+        self.encoder_runs = 0
         self.receiver_frames = 0
         self.frames_ticked = 0
         self.digest = hashlib.sha256()
-        self._trace_cursor = 0
         self._closed = False
-        for j in range(receivers):
-            self.join(f"s{index}r{j}")
 
         self.node_stages = self.node.stages()
         self.tracer = tracer
@@ -94,29 +84,17 @@ class ConferenceDriver:
         """Receivers currently in the conference, join order."""
         return self.node.receiver_names
 
-    def join(self, name: str) -> None:
-        """A receiver joins: fresh downlink/GCC plus a pose trace."""
-        self.node.add_receiver(name)
-        trace = self.pose_traces[self._trace_cursor % len(self.pose_traces)]
-        self._trace_cursor += 1
-        self.node.book.get(name).extras["trace"] = trace
+    def join(self, name: str, pose_trace, downlink_trace=None) -> None:
+        """A receiver joins: cold predictor, the pose feed it reports
+        from, and (with downlinks) a fresh link + GCC -- over
+        ``downlink_trace`` if given, else the set's default trace.
+        A name already present raises ValueError."""
+        state = self.node.add_receiver(name, downlink_trace)
+        state.extras["trace"] = pose_trace
 
     def leave(self, name: str) -> None:
-        """A receiver leaves; unknown names raise KeyError (node contract)."""
+        """A receiver leaves; a name not present raises ValueError."""
         self.node.remove_receiver(name)
-
-    def churn(self, sequence) -> int:
-        """Maybe one join or leave this tick (seeded, deterministic)."""
-        if sequence == 0 or sequence % self.churn_every != 0:
-            return 0
-        names = self.node.receiver_names
-        if len(names) > 1 and self.rng.random() < 0.5:
-            self.leave(names[int(self.rng.integers(len(names)))])
-        else:
-            self.guest_counter += 1
-            self.join(f"s{self.index}g{self.guest_counter}")
-        self.churn_events += 1
-        return 1
 
     # ------------------------------------------------------------------
     # Ticking
@@ -127,9 +105,9 @@ class ConferenceDriver:
         frustums = self.node.predicted_frustums(tick.sequence, tick.horizon_s)
         frame = tick.frame
         if frustums:
-            from repro.core.multiway import cull_views_union
-
-            frame = cull_views_union(
+            # Looked up on the module per call: that name is where the
+            # outside-in span tracer of benchmarks/e2e hooks the cull.
+            frame = multiway.cull_views_union(
                 tick.frame,
                 self.rig.cameras,
                 list(frustums.values()),
@@ -158,6 +136,7 @@ class ConferenceDriver:
             digest.update(tick.uplink.depth_frame.payload)
             digest.update(f"{tick.uplink.split:.17g}".encode("ascii"))
             self.uplink_bytes += tick.uplink.total_bytes
+            self.encoder_runs += 2
         else:
             digest.update(b"\x00")
         if tick.decisions:
@@ -171,11 +150,10 @@ class ConferenceDriver:
         self.receiver_frames += len(self.node.receiver_names)
         self.frames_ticked += 1
 
-    def tick(self, frame, now, target_rate_bps, horizon_s) -> float:
-        """One frame for this conference alone; returns wall seconds spent."""
-        start = time.perf_counter()
-        drive_serial(self.tick_steps(frame, now, target_rate_bps, horizon_s))
-        return time.perf_counter() - start
+    def tick(self, frame, now, target_rate_bps, horizon_s) -> SFUTick:
+        """One frame for this conference alone; returns the finished tick
+        (its ``uplink`` result and per-receiver forward ``decisions``)."""
+        return drive_serial(self.tick_steps(frame, now, target_rate_bps, horizon_s))
 
     def tick_steps(self, frame, now, target_rate_bps, horizon_s):
         """One frame as a request-yielding generator.
@@ -186,7 +164,7 @@ class ConferenceDriver:
         span covers the generator-resident portion of the uplink (the
         co-batched kernel share is attributed through the lockstep
         outcome's per-session ``elapsed`` and visible as ``batch`` spans
-        under ``analyze-trace --fleet``).
+        under ``analyze-trace --fleet``).  Returns the finished tick.
         """
         tick = self._make_tick(frame, now, target_rate_bps, horizon_s)
         start = time.perf_counter()
@@ -207,6 +185,7 @@ class ConferenceDriver:
         for stage in self.node_stages:
             tick = stage(tick)
         self._account(tick)
+        return tick
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -216,10 +195,55 @@ class ConferenceDriver:
     def closed(self) -> bool:
         return self._closed
 
-    def close(self):
-        """Close the sender and drop node state; safe to call twice."""
-        if self._closed:
-            return
+    def close(self) -> None:
+        """Drop node state; safe to call twice."""
         self._closed = True
-        self.sender.close()
         self.node.close()
+
+
+class UnicastBaseline:
+    """The control group: one full sender pipeline per receiver.
+
+    Same ``join``/``leave``/``tick`` surface as :class:`ConferenceDriver`,
+    so one roster schedule drives either; every receiver gets a stream
+    culled to its own frustum at the full target rate.
+    """
+
+    def __init__(self, rig, config):
+        self.rig = rig
+        self.config = config
+        self.device = ViewingDevice()
+        # name -> (that receiver's pipeline, its pose feed), join order
+        self._pipelines: dict[str, tuple[LiVoSender, object]] = {}
+        self.uplink_bytes = 0
+        self.encoder_runs = 0
+
+    @property
+    def receiver_names(self) -> list[str]:
+        """Receivers currently served, join order."""
+        return list(self._pipelines)
+
+    def join(self, name: str, pose_trace, downlink_trace=None) -> None:
+        """A receiver joins with a cold pipeline of its own (there is no
+        node, so no downlink to provision)."""
+        if name in self._pipelines:
+            raise ValueError(f"receiver {name!r} already present")
+        sender = LiVoSender(self.rig.cameras, self.config, self.device, receiver_id=name)
+        self._pipelines[name] = (sender, pose_trace)
+
+    def leave(self, name: str) -> None:
+        """A receiver leaves and its pipeline goes with it."""
+        if name not in self._pipelines:
+            raise ValueError(f"receiver {name!r} not present")
+        del self._pipelines[name]
+
+    def tick(self, frame, now, target_rate_bps, horizon_s) -> dict[str, SenderResult]:
+        """One frame through every receiver's pipeline, join order."""
+        results = {}
+        for name, (sender, pose_trace) in self._pipelines.items():
+            sender.observe_pose(pose_trace.pose_at_frame(frame.sequence), now)
+            result = results[name] = sender.process(frame, target_rate_bps, horizon_s)
+            if result is not None and not result.empty:
+                self.uplink_bytes += result.total_bytes
+                self.encoder_runs += 2
+        return results

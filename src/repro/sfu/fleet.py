@@ -12,12 +12,14 @@ session-frame:
   renderer runs once per frame for the whole fleet -- the cross-session
   sharing a real media server gets from one speaker fanning out to
   many rooms;
-- **per-session state**: each conference owns its uplink encoder, SFU
-  node, per-receiver downlinks/GCC, and churn schedule (seeded per
-  session, so the fleet replays deterministically);
+- **per-session state**: each conference
+  (:class:`~repro.sfu.conference.ConferenceDriver`) owns its uplink
+  encoder, SFU node and per-receiver downlinks/GCC; the fleet owns the
+  join/leave schedule (:func:`_seeded_roster`, seeded per conference, so
+  the fleet replays deterministically);
 - **capacity metrics**: sessions/core at the 30 fps frame budget, p50/
   p99 session-frame latency, and aggregate uplink savings vs a unicast
-  control group running the same schedule.
+  control group churned by the same rule from its own seeds.
 
 All conferences tick in lockstep on one cross-session
 :class:`~repro.runtime.batchplane.BatchPlane`, which coalesces their
@@ -43,12 +45,15 @@ from repro.perf.capture import CachedFrameSource
 from repro.perf.counters import CacheCounters
 from repro.prediction.pose import user_traces_for_video
 from repro.runtime.batchplane import BatchPlane
-from repro.sfu.conference import ConferenceDriver
+from repro.sfu.conference import ConferenceDriver, UnicastBaseline
+from repro.transport.downlink import DownlinkSet
+from repro.transport.link import LinkConfig
 from repro.transport.traces import constant_trace
 
 __all__ = ["FleetConfig", "FleetResult", "run_fleet"]
 
 FPS = 30.0
+HORIZON_S = 0.1  # pose prediction horizon every fleet tick uses
 
 
 @dataclass(frozen=True)
@@ -163,43 +168,60 @@ class FleetResult:
         }
 
 
-def _run_unicast_control(fleet: FleetConfig, config, rig, source, pose_traces):
-    """The unicast baseline: same schedule, N cloned sender pipelines."""
-    from repro.core.multiway import MultiwaySender
+def _seeded_roster(party, index, seed, fleet: FleetConfig, pose_traces):
+    """Seat ``party``'s initial receivers; return its seeded churn step.
 
+    ``party`` is a :class:`ConferenceDriver` or a
+    :class:`UnicastBaseline`.  Receivers take the pose traces round-robin
+    in join order.  The returned ``step(sequence)`` applies at most one
+    join or leave every ``fleet.churn_every`` frames, drawn from
+    ``default_rng(seed)``, and returns how many events it applied.
+    """
+    rng = np.random.default_rng(seed)
+    joined = 0
+
+    def join(name: str) -> None:
+        nonlocal joined
+        party.join(name, pose_traces[joined % len(pose_traces)])
+        joined += 1
+
+    for j in range(fleet.receivers):
+        join(f"s{index}r{j}")
+
+    def step(sequence: int) -> int:
+        if sequence == 0 or sequence % fleet.churn_every != 0:
+            return 0
+        names = party.receiver_names
+        if len(names) > 1 and rng.random() < 0.5:
+            party.leave(names[int(rng.integers(len(names)))])
+        else:
+            join(f"s{index}g{joined - fleet.receivers + 1}")
+        return 1
+
+    return step
+
+
+def _run_unicast_control(fleet: FleetConfig, config, rig, source, pose_traces):
+    """The unicast baseline: same churn rule, N cloned sender pipelines.
+
+    Its schedules draw from ``seed + 100_003 + index``, not the
+    conferences' ``seed + index``: a sample of the same churn process,
+    not a replay of particular conferences (DESIGN.md section 12).
+    """
+    total_frames = fleet.unicast_control * fleet.frames
     total_bytes = 0
-    total_frames = 0
     wall = 0.0
     for index in range(fleet.unicast_control):
-        names = [f"s{index}r{j}" for j in range(fleet.receivers)]
-        sender = MultiwaySender(rig.cameras, config, names, mode="unicast")
-        rng = np.random.default_rng(fleet.seed + 100_003 + index)
-        traces = {
-            name: pose_traces[j % len(pose_traces)] for j, name in enumerate(names)
-        }
-        cursor = len(names)
-        guests = 0
+        control = UnicastBaseline(rig, config)
+        seed = fleet.seed + 100_003 + index
+        churn = _seeded_roster(control, index, seed, fleet, pose_traces)
         for sequence in range(fleet.frames):
-            now = sequence / FPS
-            if sequence and sequence % fleet.churn_every == 0:
-                active = sender.receiver_names
-                if len(active) > 1 and rng.random() < 0.5:
-                    sender.remove_receiver(active[int(rng.integers(len(active)))])
-                else:
-                    guests += 1
-                    name = f"s{index}g{guests}"
-                    sender.add_receiver(name)
-                    traces[name] = pose_traces[cursor % len(pose_traces)]
-                    cursor += 1
-            for name in sender.receiver_names:
-                sender.observe_pose(name, traces[name].pose_at_frame(sequence), now)
+            churn(sequence)
             frame = source.capture(sequence)
             start = time.perf_counter()
-            result = sender.process(frame, fleet.target_rate_bps, 0.1)
+            control.tick(frame, sequence / FPS, fleet.target_rate_bps, HORIZON_S)
             wall += time.perf_counter() - start
-            total_bytes += result.total_bytes
-            total_frames += 1
-        sender.close()
+        total_bytes += control.uplink_bytes
     return total_bytes / total_frames, wall / total_frames
 
 
@@ -233,35 +255,31 @@ def run_fleet(fleet: FleetConfig) -> FleetResult:
     # under one try/finally: a failure surfacing mid-run (or building
     # conference 151 of 200) must still close every driver.
     conferences: list[ConferenceDriver] = []
+    churns = []
     try:
         for index in range(fleet.sessions):
-            conferences.append(
-                ConferenceDriver(
-                    index,
-                    rig,
-                    config,
-                    trace,
-                    pose_traces,
-                    seed=fleet.seed + index,
-                    receivers=fleet.receivers,
-                    churn_every=fleet.churn_every,
-                    tracer=tracer,
-                )
+            seed = fleet.seed + index
+            conference = ConferenceDriver(
+                index,
+                rig,
+                config,
+                DownlinkSet(trace, LinkConfig(seed=seed)),
+                tracer=tracer,
             )
+            conferences.append(conference)
+            churns.append(_seeded_roster(conference, index, seed, fleet, pose_traces))
 
         batch_plane = BatchPlane(tracer)
-        horizon_s = 0.1
         latencies = []
         churn_events = 0
         wall_start = time.perf_counter()
         for sequence in range(fleet.frames):
             now = sequence / FPS
             frame = source.capture(sequence)
-            for conference in conferences:
-                churn_events += conference.churn(sequence)
+            churn_events += sum(churn(sequence) for churn in churns)
             outcome = batch_plane.run_lockstep(
                 [
-                    conference.tick_steps(frame, now, fleet.target_rate_bps, horizon_s)
+                    conference.tick_steps(frame, now, fleet.target_rate_bps, HORIZON_S)
                     for conference in conferences
                 ]
             )

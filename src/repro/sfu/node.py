@@ -143,13 +143,10 @@ class SFUNode:
         return self.book.names
 
     def add_receiver(
-        self,
-        name: str,
-        downlink_trace: BandwidthTrace | None = None,
-        now: float = 0.0,
+        self, name: str, downlink_trace: BandwidthTrace | None = None
     ) -> ReceiverState:
         """A receiver joins: cold predictor, fresh downlink + GCC."""
-        state = self.book.add(name, joined_at_s=now)
+        state = self.book.add(name)
         self.receivers_peak = max(self.receivers_peak, len(self.book))
         if self.downlinks is not None:
             link = self.downlinks.add(name, downlink_trace)

@@ -1,4 +1,4 @@
-"""Per-receiver state: the book an SFU (or sender shim) keeps.
+"""Per-receiver state: the book an SFU node keeps.
 
 Each receiver in a conference owns a :class:`ReceiverState`: its
 frustum predictor (fed by delayed pose reports), its congestion
@@ -8,9 +8,12 @@ its degradation rung, and forwarding counters.  The
 states -- insertion order is the iteration order everywhere, which is
 what makes conference runs byte-deterministic under churn.
 
-``repro.core.multiway.MultiwaySender`` and ``repro.sfu.node.SFUNode``
-share this book, so "who is in the conference and what do we know about
-them" has exactly one implementation across all three fan-out modes.
+``repro.sfu.node.SFUNode`` owns the book (and
+``repro.sfu.conference.ConferenceDriver`` reaches it through the node),
+so "who is in the conference and what do we know about them" has
+exactly one implementation, with or without downlinks.  Membership
+errors -- adding a name already present, removing one that is not --
+raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -30,8 +33,6 @@ class ReceiverState:
 
     name: str
     predictor: FrustumPredictor
-    joined_at_s: float = 0.0
-    join_ordinal: int = 0
     # Degradation-ladder rung the node last chose for this receiver
     # (0 = full tier); see ``repro.sfu.node.TIER_SCALES``.
     rung: int = 0
@@ -62,7 +63,6 @@ class ReceiverBook:
         self.device = device
         self.guard_band_m = float(guard_band_m)
         self._states: dict[str, ReceiverState] = {}
-        self._join_counter = 0
         self.total_joins = 0
         self.total_leaves = 0
 
@@ -80,22 +80,14 @@ class ReceiverBook:
         """Receivers currently present, in join order."""
         return list(self._states)
 
-    @property
-    def predictors(self) -> dict[str, FrustumPredictor]:
-        """Name -> predictor view (the ``MultiwaySender`` legacy surface)."""
-        return {name: state.predictor for name, state in self._states.items()}
-
-    def add(self, name: str, joined_at_s: float = 0.0) -> ReceiverState:
+    def add(self, name: str) -> ReceiverState:
         """Register a joining receiver with a cold predictor."""
         if name in self._states:
             raise ValueError(f"receiver {name!r} already present")
         state = ReceiverState(
             name=name,
             predictor=FrustumPredictor(self.device, guard_band_m=self.guard_band_m),
-            joined_at_s=joined_at_s,
-            join_ordinal=self._join_counter,
         )
-        self._join_counter += 1
         self.total_joins += 1
         self._states[name] = state
         return state

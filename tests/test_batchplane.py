@@ -23,7 +23,6 @@ from repro.codec.video import VideoCodecConfig, VideoDecoder, VideoEncoder
 from repro.core.config import SessionConfig
 from repro.core.session import LiVoSession
 from repro.faults.plan import EncoderFault, FaultPlan, FrameCorruption
-from repro.geometry.pointcloud import PointCloud
 from repro.prediction.pose import user_traces_for_video
 from repro.runtime.batchplane import (
     KERNELS,
@@ -32,7 +31,6 @@ from repro.runtime.batchplane import (
     entropy_encode_request,
     motion_request,
     plane_transform_request,
-    pointssim_features_request,
     resolve_single,
 )
 from repro.sfu.fleet import FleetConfig, run_fleet
@@ -157,26 +155,6 @@ class TestKernelParity:
         singles = [resolve_single(request) for request in requests]
         batched = KERNELS["entropy_encode"].batched(requests)
         assert batched == singles
-
-    def test_pointssim_features_dedup_by_cloud_identity(self):
-        rng = np.random.default_rng(5)
-        shared = PointCloud(
-            rng.normal(0, 1, size=(200, 3)),
-            rng.integers(0, 255, size=(200, 3)).astype(np.uint8),
-        )
-        other = PointCloud(
-            rng.normal(0, 1, size=(150, 3)),
-            rng.integers(0, 255, size=(150, 3)).astype(np.uint8),
-        )
-        requests = [
-            pointssim_features_request(shared, k=5),
-            pointssim_features_request(other, k=5),
-            pointssim_features_request(shared, k=5),
-        ]
-        results = KERNELS["pointssim_features"].batched(requests)
-        # The shared reference builds its KD-tree once for the bucket.
-        assert results[0] is results[2]
-        assert results[1] is not results[0]
 
 
 # ----------------------------------------------------------------------
@@ -404,6 +382,14 @@ class TestFleetParity:
                 fleet.churn_events,
                 fleet.mean_receivers,
             ],
+        )
+
+    def test_unicast_control_identical(self, fleet):
+        # The control group's own churned schedule and byte accounting
+        # (recorded from the MultiwaySender-based control it replaced).
+        assert_pinned(
+            "batchplane:fleet_unicast_control",
+            [fleet.unicast_uplink_bytes_per_frame, fleet.uplink_savings],
         )
 
     def test_lockstep_actually_batched_across_sessions(self, fleet):

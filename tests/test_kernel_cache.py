@@ -150,15 +150,6 @@ class TestIncrementalCapture:
         assert not _frames_equal(before, after)
         assert _frames_equal(after, _full_render(rig, scene, 0))
 
-    def test_capture_views_matches_full_capture(self):
-        scene = _test_scene()
-        rig = default_rig(num_cameras=4)
-        source = CachedFrameSource(rig, scene)
-        full = source.capture(2)
-        chunk = CachedFrameSource(rig, scene).capture_views([1, 3], 2)
-        assert np.array_equal(chunk[0].depth_mm, full.views[1].depth_mm)
-        assert np.array_equal(chunk[1].color, full.views[3].color)
-
     def test_projection_cache_render_matches_render_rgbd(self):
         scene = _test_scene()
         rig = default_rig(num_cameras=1)

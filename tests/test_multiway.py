@@ -6,9 +6,12 @@ import pytest
 from repro.capture.dataset import load_video
 from repro.capture.rig import default_rig
 from repro.core.config import SessionConfig
-from repro.core.multiway import MultiwaySender, cull_views_union
+from repro.core.multiway import cull_views_union
 from repro.geometry.frustum import Frustum
-from repro.prediction.pose import Pose
+from repro.prediction.pose import Pose, PoseTrace
+from repro.sfu.conference import ConferenceDriver, UnicastBaseline
+from repro.transport.downlink import DownlinkSet
+from repro.transport.traces import constant_trace
 
 
 @pytest.fixture(scope="module")
@@ -62,102 +65,118 @@ class TestUnionCulling:
             cull_views_union(frame, rig.cameras, [])
 
 
-class TestMultiwaySender:
-    def poses(self):
-        return {
-            "alice": Pose.looking_at(np.array([1.2, 1.4, -1.6]), np.array([0, 1, 0])),
-            "bob": Pose.looking_at(np.array([-1.2, 1.4, -1.6]), np.array([0, 1, 0])),
-        }
+def still(pose):
+    """A pose feed that reports ``pose`` at every frame."""
+    return PoseTrace([pose])
 
+
+POSES = {
+    "alice": Pose.looking_at(np.array([1.2, 1.4, -1.6]), np.array([0, 1, 0])),
+    "bob": Pose.looking_at(np.array([-1.2, 1.4, -1.6]), np.array([0, 1, 0])),
+    "carol": Pose.looking_at(np.array([0.0, 1.6, 1.8]), np.array([0, 1, 0])),
+}
+
+
+def party_for(mode, rig, config):
+    """The three fan-out strategies: SFU, shared stream, unicast control."""
+    if mode == "unicast":
+        return UnicastBaseline(rig, config)
+    if mode == "sfu":
+        downlinks = DownlinkSet(constant_trace(8.0, duration_s=5.0), config.link)
+        return ConferenceDriver(0, rig, config, downlinks)
+    return ConferenceDriver(0, rig, config)
+
+
+def seated(mode, rig, config, names=("alice", "bob")):
+    party = party_for(mode, rig, config)
+    for name in names:
+        party.join(name, still(POSES[name]))
+    return party
+
+
+class TestMultiwaySender:
     def test_shared_mode_single_encode(self, setup):
         config, rig, scene = setup
-        sender = MultiwaySender(rig.cameras, config, ["alice", "bob"], mode="shared")
-        for name, pose in self.poses().items():
-            sender.observe_pose(name, pose, 0.0)
-        result = sender.process(rig.capture(scene, 0), 8e6, 0.1)
-        assert result.mode == "shared"
-        assert result.encoder_runs == 2
-        assert result.shared is not None and result.per_receiver is None
+        driver = seated("shared", rig, config)
+        tick = driver.tick(rig.capture(scene, 0), 0.0, 8e6, 0.1)
+        assert driver.encoder_runs == 2
+        assert tick.uplink.total_bytes == driver.uplink_bytes > 0
+        # No downlinks: every receiver is offered its share of the one
+        # stream, and nothing is put on a link.
+        assert set(tick.decisions) == {"alice", "bob"}
+        assert all(d.downlink is None for d in tick.decisions.values())
 
     def test_unicast_mode_per_receiver_encodes(self, setup):
         config, rig, scene = setup
-        sender = MultiwaySender(rig.cameras, config, ["alice", "bob"], mode="unicast")
-        for name, pose in self.poses().items():
-            sender.observe_pose(name, pose, 0.0)
-        result = sender.process(rig.capture(scene, 0), 8e6, 0.1)
-        assert result.mode == "unicast"
-        assert result.encoder_runs == 4
-        assert set(result.per_receiver) == {"alice", "bob"}
+        baseline = seated("unicast", rig, config)
+        results = baseline.tick(rig.capture(scene, 0), 0.0, 8e6, 0.1)
+        assert baseline.encoder_runs == 4
+        assert set(results) == {"alice", "bob"}
 
     def test_shared_cheaper_uplink_than_unicast(self, setup):
         """The cross-receiver optimization the paper points at."""
         config, rig, scene = setup
-        shared = MultiwaySender(rig.cameras, config, ["alice", "bob"], mode="shared")
-        unicast = MultiwaySender(rig.cameras, config, ["alice", "bob"], mode="unicast")
-        for sender in (shared, unicast):
-            for name, pose in self.poses().items():
-                sender.observe_pose(name, pose, 0.0)
+        shared = seated("shared", rig, config)
+        unicast = seated("unicast", rig, config)
         frame = rig.capture(scene, 0)
-        shared_result = shared.process(frame, 8e6, 0.1)
-        unicast_result = unicast.process(frame, 8e6, 0.1)
-        assert shared_result.total_bytes < unicast_result.total_bytes
+        shared.tick(frame, 0.0, 8e6, 0.1)
+        unicast.tick(frame, 0.0, 8e6, 0.1)
+        assert 0 < shared.uplink_bytes < unicast.uplink_bytes
 
     def test_shared_culls_union_before_encoding(self, setup):
         config, rig, scene = setup
-        sender = MultiwaySender(rig.cameras, config, ["alice"], mode="shared")
-        sender.observe_pose("alice", self.poses()["alice"], 0.0)
+        driver = seated("shared", rig, config, names=("alice",))
         frame = rig.capture(scene, 0)
-        result = sender.process(frame, 8e6, 0.1)
-        assert result.shared.culled_multiview.total_points() < frame.total_points()
+        tick = driver.tick(frame, 0.0, 8e6, 0.1)
+        assert tick.uplink.culled_multiview.total_points() < frame.total_points()
 
     def test_before_any_pose_sends_full_scene(self, setup):
+        """Nobody to predict for: the union cull is skipped."""
         config, rig, scene = setup
-        sender = MultiwaySender(rig.cameras, config, ["alice"], mode="shared")
+        driver = ConferenceDriver(0, rig, config)
         frame = rig.capture(scene, 0)
-        result = sender.process(frame, 8e6, 0.1)
-        assert result.shared.culled_multiview.total_points() == frame.total_points()
+        tick = driver.tick(frame, 0.0, 8e6, 0.1)
+        assert tick.uplink.culled_multiview.total_points() == frame.total_points()
+        assert tick.decisions == {}
 
     def test_invalid_construction(self, setup):
+        """Rosters hold unique names; only a member can leave."""
         config, rig, _ = setup
-        with pytest.raises(ValueError):
-            MultiwaySender(rig.cameras, config, [], mode="shared")
-        with pytest.raises(ValueError):
-            MultiwaySender(rig.cameras, config, ["a", "a"], mode="shared")
-        with pytest.raises(ValueError):
-            MultiwaySender(rig.cameras, config, ["a"], mode="broadcast")
+        for mode in ("shared", "sfu", "unicast"):
+            party = seated(mode, rig, config, names=("alice",))
+            with pytest.raises(ValueError):
+                party.join("alice", still(POSES["alice"]))
+            with pytest.raises(ValueError):
+                party.leave("bob")
+            assert party.receiver_names == ["alice"], mode
 
     def test_receiver_names(self, setup):
         config, rig, _ = setup
-        sender = MultiwaySender(rig.cameras, config, ["x", "y"], mode="unicast")
-        assert sender.receiver_names == ["x", "y"]
+        for mode in ("shared", "sfu", "unicast"):
+            party = seated(mode, rig, config, names=("bob", "alice"))
+            assert party.receiver_names == ["bob", "alice"], mode
 
     def test_shared_matches_manual_pipeline_byte_for_byte(self, setup):
-        """Shared mode is exactly predict -> union-cull -> one encode.
+        """The driver's uplink is exactly predict -> union-cull -> one encode.
 
         Rebuilding that pipeline by hand from the public pieces must
-        produce bit-identical payloads -- the refactor to the SFU shim
-        may not have changed shared mode's wire bytes."""
+        produce bit-identical payloads."""
         from repro.core.sender import LiVoSender
-        from repro.prediction.predictor import FrustumPredictor, ViewingDevice
+        from repro.prediction.predictor import FrustumPredictor
 
         config, rig, scene = setup
-        device = ViewingDevice()
-        sender = MultiwaySender(
-            rig.cameras, config, ["alice", "bob"], mode="shared", device=device
-        )
-        manual = LiVoSender(rig.cameras, config, device)
+        driver = seated("shared", rig, config)
+        manual = LiVoSender(rig.cameras, config, driver.device)
         predictors = {
-            name: FrustumPredictor(device, guard_band_m=config.guard_band_m)
+            name: FrustumPredictor(driver.device, guard_band_m=config.guard_band_m)
             for name in ("alice", "bob")
         }
-        poses = self.poses()
         for sequence in range(3):
             now = sequence / 30.0
-            for name, pose in poses.items():
-                sender.observe_pose(name, pose, now)
-                predictors[name].observe(pose, now)
+            for name, predictor in predictors.items():
+                predictor.observe(POSES[name], now)
             frame = rig.capture(scene, sequence)
-            result = sender.process(frame, 8e6, 0.1)
+            tick = driver.tick(frame, now, 8e6, 0.1)
             frustums = [
                 p.predict_frustum(0.1) for p in predictors.values() if p.ready
             ]
@@ -165,48 +184,35 @@ class TestMultiwaySender:
                 cull_views_union(frame, rig.cameras, frustums) if frustums else frame
             )
             expected = manual.process(culled, 8e6, 0.1)
-            assert result.shared.color_frame.payload == expected.color_frame.payload
-            assert result.shared.depth_frame.payload == expected.depth_frame.payload
-        sender.close()
-        manual.close()
+            assert tick.uplink.color_frame.payload == expected.color_frame.payload
+            assert tick.uplink.depth_frame.payload == expected.depth_frame.payload
 
 
 class TestChurnParity:
     """Mid-session join/leave must behave identically across modes."""
 
-    CHURN = {2: ("add", "carol"), 4: ("remove", "bob")}
+    CHURN = {2: ("join", "carol"), 4: ("leave", "bob")}
     FRAMES = 6
-
-    def poses(self):
-        return {
-            "alice": Pose.looking_at(np.array([1.2, 1.4, -1.6]), np.array([0, 1, 0])),
-            "bob": Pose.looking_at(np.array([-1.2, 1.4, -1.6]), np.array([0, 1, 0])),
-            "carol": Pose.looking_at(np.array([0.0, 1.6, 1.8]), np.array([0, 1, 0])),
-        }
 
     def run_mode(self, setup, mode):
         config, rig, scene = setup
-        sender = MultiwaySender(rig.cameras, config, ["alice", "bob"], mode=mode)
-        poses = self.poses()
+        party = seated(mode, rig, config)
         rosters = []
         runs = []
         bytes_per_frame = []
         for sequence in range(self.FRAMES):
-            now = sequence / 30.0
             event = self.CHURN.get(sequence)
             if event:
                 action, name = event
-                if action == "add":
-                    sender.add_receiver(name, now=now)
+                if action == "join":
+                    party.join(name, still(POSES[name]))
                 else:
-                    sender.remove_receiver(name)
-            for name in sender.receiver_names:
-                sender.observe_pose(name, poses[name], now)
-            result = sender.process(rig.capture(scene, sequence), 8e6, 0.1)
-            rosters.append(list(sender.receiver_names))
-            runs.append(result.encoder_runs)
-            bytes_per_frame.append(result.total_bytes)
-        sender.close()
+                    party.leave(name)
+            runs_before, bytes_before = party.encoder_runs, party.uplink_bytes
+            party.tick(rig.capture(scene, sequence), sequence / 30.0, 8e6, 0.1)
+            rosters.append(party.receiver_names)
+            runs.append(party.encoder_runs - runs_before)
+            bytes_per_frame.append(party.uplink_bytes - bytes_before)
         return rosters, runs, bytes_per_frame
 
     def test_rosters_identical_and_encoder_runs_scale(self, setup):
@@ -229,44 +235,36 @@ class TestChurnParity:
         assert by_mode["sfu"][2] == by_mode["shared"][2]
 
     def test_no_leaked_encoder_workers(self, setup, monkeypatch):
-        """Every LiVoSender opened by a multiway sender is closed --
-        on receiver leave for its unicast sender, and on close() for
-        the rest.  No worker may be closed twice or never."""
+        """A conference opens one sender pipeline whatever its roster and
+        reports ``closed`` once closed (the service's ``live_drivers()``
+        leak gauge reads exactly that); the unicast control opens one per
+        receiver and drops the leaver's the moment it leaves."""
         from repro.core.sender import LiVoSender
 
         opened = []
-        closed = []
         original_init = LiVoSender.__init__
-        original_close = LiVoSender.close
 
         def tracking_init(self, *args, **kwargs):
             original_init(self, *args, **kwargs)
             opened.append(self)
 
-        def tracking_close(self):
-            closed.append(self)
-            original_close(self)
-
         monkeypatch.setattr(LiVoSender, "__init__", tracking_init)
-        monkeypatch.setattr(LiVoSender, "close", tracking_close)
 
         config, rig, scene = setup
         for mode in ("shared", "unicast", "sfu"):
             opened.clear()
-            closed.clear()
-            sender = MultiwaySender(
-                rig.cameras, config, ["alice", "bob"], mode=mode
-            )
-            sender.add_receiver("carol")
-            sender.process(rig.capture(scene, 0), 8e6, 0.1)
-            sender.remove_receiver("bob")
+            party = seated(mode, rig, config)
+            party.join("carol", still(POSES["carol"]))
+            party.tick(rig.capture(scene, 0), 0.0, 8e6, 0.1)
+            party.leave("bob")
             if mode == "unicast":
-                # Leaving closes the leaver's dedicated sender at once.
-                assert len(closed) == 1
-                assert closed[0].receiver_id == "bob"
-                assert "bob" not in sender._senders
-            sender.close()
-            # unicast: alice + bob + carol; shared/sfu: one uplink sender.
-            assert len(opened) == (3 if mode == "unicast" else 1), mode
-            # Every opened sender closed exactly once, none twice.
-            assert sorted(map(id, closed)) == sorted(map(id, opened)), mode
+                assert [sender.receiver_id for sender in opened] == [
+                    "alice", "bob", "carol",
+                ]
+                assert party.receiver_names == ["alice", "carol"]
+                continue
+            assert opened == [party.sender], mode
+            assert not party.closed
+            party.close()
+            party.close()  # idempotent: the registry may reap twice
+            assert party.closed

@@ -120,6 +120,38 @@ class TestScenarioSpec:
         with pytest.raises(ValueError):
             ChurnEvent(0.0, "rejoin", "a")
 
+    @pytest.mark.parametrize(
+        "peers,churn,message",
+        [
+            (("a", "a"), (), "duplicate peer 'a'"),
+            (("a",), (ChurnEvent(1.0, "leave", "nobody"),), "leave 'nobody' at 1.0s"),
+            (("a",), (ChurnEvent(0.5, "join", "a"),), "join 'a' at 0.5s"),
+            (
+                ("a", "b"),
+                (ChurnEvent(0.2, "leave", "b"), ChurnEvent(0.4, "leave", "b")),
+                "leave 'b' at 0.4s",
+            ),
+        ],
+        ids=["duplicate-initial", "leave-of-stranger", "join-of-member", "leave-twice"],
+    )
+    def test_inconsistent_roster_rejected_before_any_frame(self, peers, churn, message):
+        """The spec names the offending event; nothing reaches the runner."""
+        fields = get_scenario("multiparty-churn").to_dict() | {
+            "initial_peers": list(peers),
+            "churn": [event.to_dict() for event in churn],
+        }
+        with pytest.raises(ValueError, match=message):
+            ScenarioSpec.from_dict(fields)
+
+    def test_rejoin_after_leave_is_a_consistent_roster(self):
+        from dataclasses import replace
+
+        spec = replace(
+            get_scenario("multiparty-churn"),
+            churn=(ChurnEvent(0.2, "leave", "bob"), ChurnEvent(0.4, "join", "bob")),
+        )
+        assert ScenarioSpec.from_dict(spec.to_dict()) == spec
+
 
 class TestZoo:
     def test_at_least_eight_scenarios(self):

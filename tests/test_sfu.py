@@ -243,7 +243,6 @@ def drive_node(node, rig, scene, config, frames, target_bps=8e6, churn=None,
         out.append(
             node.forward(now, horizon, forward_bps if forward_bps else target_bps)
         )
-    sender.close()
     return out
 
 
@@ -312,7 +311,6 @@ class TestSFUNode:
         uplink = sender.process(culled, 8e6, 0.1)
         node.ingest(frame, uplink, 0.0)
         decisions = node.forward(0.0, 0.1, 8e6)
-        sender.close()
         assert decisions["mute"].kept_points == decisions["mute"].union_points
         assert decisions["r0"].kept_points < decisions["r0"].union_points
 
@@ -372,7 +370,6 @@ class TestSFUNode:
             SFUTick(frame=frame, uplink=uplink, now=0.0,
                     target_rate_bps=8e6, horizon_s=0.1)
         )
-        sender.close()
         assert set(tick.decisions) == {"r0", "r1"}
         assert graph.stage("sfu:ingest").timing.count == 1
         assert graph.stage("sfu:forward").timing.count == 1

@@ -20,10 +20,13 @@ import repro
 import repro.runtime
 from repro import cli
 from repro.capture.dataset import load_video
+from repro.capture.scene import Scene
 from repro.codec import entropy
 from repro.codec.motion import gather_prediction
 from repro.codec.video import VideoCodecConfig
+from repro.core import multiway
 from repro.core import session as session_module
+from repro.core.bandwidth_split import SplitBook
 from repro.core.config import SessionConfig
 from repro.core.sender import LiVoSender
 from repro.core.session import LiVoSession
@@ -35,11 +38,17 @@ from repro.faults.plan import (
     LinkOutage,
 )
 from repro.perf.capture import CachedFrameSource
+from repro.perf.culling import CullCache
+from repro.perf.scratch import ScratchArena
 from repro.prediction.pose import user_traces_for_video
+from repro.runtime import batchplane
 from repro.runtime.executors import make_executor
+from repro.runtime.stage import Stage
 from repro.service.app import ServiceApp, ServiceConfig
 from repro.service.workers import TickWorkerPool
+from repro.sfu.conference import ConferenceDriver
 from repro.sfu.fleet import FleetConfig, run_fleet
+from repro.sfu.receivers import ReceiverBook
 from repro.transport.channel import WebRTCChannel, WebRTCConfig
 from repro.transport.link import LinkConfig
 from repro.transport.traces import trace_1
@@ -166,6 +175,47 @@ def test_fork_lane_and_fan_outs_stay_gone():
         for path in sorted(package.rglob("*.py"))
         if substrate.search(path.read_text())
     ]
+
+
+def test_one_multi_party_driver_and_the_shim_stay_gone():
+    # ConferenceDriver is the one multi-party frame loop; the fleet owns
+    # its churn; core/multiway.py is the union cull and nothing else.
+    assert multiway.__all__ == ["cull_views_union"]
+    for name in ("MultiwaySender", "MultiwayResult", "MODES"):
+        assert not hasattr(multiway, name)
+    assert not _option_names(ConferenceDriver.__init__) & {
+        "receivers", "churn_every", "seed", "pose_traces", "trace",
+    }
+    assert not hasattr(ConferenceDriver, "churn")
+    # A sender pipeline is built by the two-party session and by the
+    # conference module (driver + unicast baseline), nowhere else.
+    package = Path(repro.__file__).parent
+    assert sorted(
+        str(path.relative_to(package))
+        for path in package.rglob("*.py")
+        if re.search(r"\bLiVoSender\(", path.read_text())
+    ) == ["core/session.py", "sfu/conference.py"]
+
+
+@pytest.mark.parametrize(
+    "owner,name",
+    [
+        (ScratchArena, "block_buffer"),
+        (Scene, "static_fraction"),
+        (CullCache, "forget_camera"),
+        (Stage, "add_pre_hook"),
+        (Stage, "add_post_hook"),
+        (SplitBook, "receiver_ids"),
+        (ReceiverBook, "predictors"),
+        (CachedFrameSource, "capture_views"),
+        (batchplane, "pointssim_features_request"),
+        (LiVoSender, "close"),
+    ],
+    ids=lambda value: getattr(value, "__name__", value).rsplit(".", 1)[-1],
+)
+def test_uncalled_surface_stays_gone(owner, name):
+    assert not hasattr(owner, name)
+    assert "pointssim_features" not in batchplane.KERNELS
 
 
 def test_bitfield_reference_stays_out_of_the_package():

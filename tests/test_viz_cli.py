@@ -6,6 +6,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.geometry.pointcloud import PointCloud
 from repro.viz import depth_to_color, write_pgm, write_ply, write_ppm
+from tests.twins import assert_pinned
 
 
 class TestViz:
@@ -95,3 +96,19 @@ class TestCLI:
     def test_invalid_scheme_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--scheme", "nope"])
+
+    @pytest.mark.parametrize("mode", ["shared", "unicast", "sfu"])
+    def test_multiway_command_output_pinned(self, mode, capsys):
+        # Recorded before the port onto ConferenceDriver / UnicastBaseline:
+        # shared 60627 B uplink / 12 encoder runs; unicast 181400 B / 36;
+        # sfu 60627 B / 12 with 62504 B forwarded down three links.
+        argv = ["multiway", "--video", "pizza1", "--receivers", "3", "--frames", "6"]
+        assert main([*argv, "--mode", mode]) == 0
+        assert_pinned(f"cli:multiway_{mode}", capsys.readouterr().out)
+
+    @pytest.mark.parametrize("flag", ["--receivers", "--frames"])
+    def test_multiway_rejects_nonpositive_counts(self, flag, capsys):
+        with pytest.raises(SystemExit) as usage:
+            main(["multiway", flag, "0"])
+        assert usage.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
