@@ -29,17 +29,31 @@ def block_grid_shape(height: int, width: int, block_size: int) -> tuple[int, int
     return rows, cols
 
 
+def _edge_padded(planes: np.ndarray, block_size: int) -> np.ndarray:
+    """``(..., H, W)`` planes grown at the bottom and right to block
+    multiples by edge replication; returned as is when already legal.
+
+    What ``np.pad(mode="edge")`` produces -- the last column copied
+    rightward, then the last (widened) row copied downward -- as three
+    slice assignments: a stream encodes dozens of small planes a frame,
+    and ``np.pad``'s generic Python machinery cost more than the copy.
+    """
+    *lead, height, width = planes.shape
+    rows, cols = block_grid_shape(height, width, block_size)
+    if rows * block_size == height and cols * block_size == width:
+        return planes
+    padded = np.empty((*lead, rows * block_size, cols * block_size), dtype=planes.dtype)
+    padded[..., :height, :width] = planes
+    padded[..., :height, width:] = planes[..., :, width - 1 :]
+    padded[..., height:, :] = padded[..., height - 1 : height, :]
+    return padded
+
+
 def pad_to_blocks(plane: np.ndarray, block_size: int = DEFAULT_BLOCK_SIZE) -> np.ndarray:
     """Pad a 2D plane with edge replication to a multiple of the block size."""
     if plane.ndim != 2:
         raise ValueError(f"expected a 2D plane, got shape {plane.shape}")
-    height, width = plane.shape
-    rows, cols = block_grid_shape(height, width, block_size)
-    pad_h = rows * block_size - height
-    pad_w = cols * block_size - width
-    if pad_h == 0 and pad_w == 0:
-        return plane
-    return np.pad(plane, ((0, pad_h), (0, pad_w)), mode="edge")
+    return _edge_padded(plane, block_size)
 
 
 def split_blocks(plane: np.ndarray, block_size: int = DEFAULT_BLOCK_SIZE) -> np.ndarray:
@@ -63,17 +77,13 @@ def split_blocks_nd(planes: np.ndarray, block_size: int = DEFAULT_BLOCK_SIZE) ->
     function would, so ``split_blocks_nd(x)[i] == split_blocks(x[i])``
     element for element.  One call covers a whole structure-of-arrays
     bucket (e.g. all sessions' planes, or all motion-shifted references)
-    instead of one ``np.pad`` per plane.
+    instead of one pad per plane.
     """
     if planes.ndim < 2:
         raise ValueError(f"expected (..., H, W) planes, got shape {planes.shape}")
     *lead, height, width = planes.shape
     rows, cols = block_grid_shape(height, width, block_size)
-    pad_h = rows * block_size - height
-    pad_w = cols * block_size - width
-    if pad_h or pad_w:
-        pad = [(0, 0)] * len(lead) + [(0, pad_h), (0, pad_w)]
-        planes = np.pad(planes, pad, mode="edge")
+    planes = _edge_padded(planes, block_size)
     return (
         planes.reshape(*lead, rows, block_size, cols, block_size)
         .swapaxes(-3, -2)

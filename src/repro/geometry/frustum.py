@@ -9,6 +9,19 @@ We store inward-pointing normals, so a point is inside when its signed
 distance to every plane is >= 0.  The frustum is built from a viewer pose
 (position + orientation) and the viewing-device parameters (vertical FoV,
 aspect ratio, near/far), exactly the values a headset reports.
+
+A frustum is one ``(6, 4)`` float64 array: row ``k`` is plane
+``PLANE_NAMES[k]`` as ``[unit normal | offset]``, the plane being
+``normal . x + offset = 0``.  Everything a conference does to frustums
+per frame -- build them from predicted poses, push them out by the guard
+band, carry them into each camera's frame, test pixel grids -- is a
+row-wise array operation, so the module-level functions take any stack
+``(..., 6, 4)`` of frustums and broadcast: the SFU builds all of a
+conference's receivers at once and tests them against all cameras in one
+pass (:mod:`repro.perf.culling`).  :class:`Frustum` wraps a single
+``(6, 4)`` array with the same operations; :class:`Plane` is the public
+value type for one row and is built on request (:attr:`Frustum.planes`),
+never per frame.
 """
 
 from __future__ import annotations
@@ -17,7 +30,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Plane", "Frustum"]
+__all__ = [
+    "Plane",
+    "Frustum",
+    "unit_planes",
+    "camera_planes",
+    "expand_planes",
+    "transform_planes",
+    "planes_contain",
+]
 
 
 @dataclass(frozen=True)
@@ -59,15 +80,160 @@ class Plane:
         return Plane(new_normal, new_offset)
 
 
+# ----------------------------------------------------------------------
+# Plane rows: every function takes and returns (..., 4) / (..., 6, 4)
+# ----------------------------------------------------------------------
+
+
+def unit_planes(rows: np.ndarray) -> np.ndarray:
+    """``[normal | offset]`` rows rescaled to unit normals.
+
+    A row whose normal is (numerically) zero raises ``ValueError``, as
+    :class:`Plane` does: dividing it through would turn every test
+    against the plane into a NaN comparison that silently culls.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    normals = rows[..., :3]
+    norms = np.sqrt((normals * normals).sum(axis=-1, keepdims=True))
+    if (norms < 1e-12).any():
+        raise ValueError("plane normal must be nonzero")
+    return rows / norms
+
+
+def camera_planes(
+    position: np.ndarray,
+    rotation: np.ndarray,
+    vertical_fov_deg: float = 60.0,
+    aspect: float = 16.0 / 9.0,
+    near_m: float = 0.1,
+    far_m: float = 10.0,
+) -> np.ndarray:
+    """Frustum rows for viewer poses ``(..., 3)`` / ``(..., 3, 3)``.
+
+    ``rotation`` maps viewer-local axes to world axes; viewer-local +Z
+    is the view direction, +X right, +Y down (computer-vision
+    convention, consistent with :mod:`repro.geometry.camera`).  Returns
+    ``(..., 6, 4)`` in ``Frustum.PLANE_NAMES`` order.
+    """
+    if not 0 < vertical_fov_deg < 180:
+        raise ValueError("vertical_fov_deg must be in (0, 180)")
+    if not 0 < near_m < far_m:
+        raise ValueError("require 0 < near_m < far_m")
+    position = np.asarray(position, dtype=np.float64)
+    rotation = np.asarray(rotation, dtype=np.float64)
+    right = rotation[..., :, 0]
+    down = rotation[..., :, 1]
+    forward = rotation[..., :, 2]
+    tan_v = np.tan(np.deg2rad(vertical_fov_deg) / 2.0)
+    forward_h = forward * (tan_v * aspect)
+    forward_v = forward * tan_v
+
+    rows = np.empty(forward.shape[:-1] + (6, 4))
+    normals = rows[..., :3]
+    normals[..., 0, :] = forward
+    np.negative(forward, out=normals[..., 1, :])
+    # Side planes contain the eye; normals tilt inward by the half angle.
+    np.add(forward_h, right, out=normals[..., 2, :])
+    np.subtract(forward_h, right, out=normals[..., 3, :])
+    np.add(forward_v, down, out=normals[..., 4, :])
+    np.subtract(forward_v, down, out=normals[..., 5, :])
+    rows[..., 3] = 0.0
+    rows = unit_planes(rows)
+    # Each plane passes through a known point: the eye pushed along the
+    # view direction by near / far, and the eye itself for the sides.
+    through = np.repeat(position[..., None, :], 6, axis=-2)
+    through[..., 0, :] += forward * near_m
+    through[..., 1, :] += forward * far_m
+    rows[..., 3] = -(rows[..., :3] * through).sum(axis=-1)
+    return rows
+
+
+def expand_planes(planes: np.ndarray, guard_band_m: float) -> np.ndarray:
+    """Every plane moved outward by ``guard_band_m`` (unit-normal rows).
+
+    Implements the paper's guard band (default 20 cm) that absorbs
+    pose-prediction error (section 3.4, Fig. 15).
+    """
+    if guard_band_m < 0:
+        raise ValueError("guard_band_m must be non-negative")
+    expanded = np.array(planes, dtype=np.float64)
+    expanded[..., 3] += guard_band_m
+    return expanded
+
+
+def transform_planes(planes: np.ndarray, transforms: np.ndarray) -> np.ndarray:
+    """Rows ``(..., 6, 4)`` mapped through rigid transforms ``(..., 4, 4)``.
+
+    For a rigid transform T = [R | t], the plane (n, d) maps to
+    (R n, d - (R n).t).  Leading axes broadcast, so ``planes[:, None]``
+    against a ``(C, 4, 4)`` stack carries R frustums into C camera
+    frames at once.
+    """
+    planes = np.asarray(planes, dtype=np.float64)
+    transforms = np.asarray(transforms, dtype=np.float64)
+    rotation_t = np.swapaxes(transforms[..., :3, :3], -1, -2)
+    normals = np.matmul(planes[..., :3], rotation_t)
+    shifts = np.matmul(normals, transforms[..., :3, 3, None])
+    moved = np.empty(normals.shape[:-1] + (4,))
+    moved[..., :3] = normals
+    moved[..., 3] = planes[..., 3] - shifts[..., 0]
+    return unit_planes(moved)
+
+
+def planes_contain(planes: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The six-plane test: which ``(..., P, 3)`` points lie inside which
+    ``(..., 6, 4)`` frustums.  Leading axes broadcast; returns ``(..., P)``.
+
+    The planes are the outer loop and every frustum of the stack is
+    tested against its points in one product per plane; the loop stops
+    as soon as no point anywhere is still inside.  (One ``(P, 3) @
+    (3, 6)`` product for all six planes is slower on sensor-sized grids
+    than six matrix-vector products that can stop early -- DESIGN.md §9.)
+    """
+    planes = np.asarray(planes, dtype=np.float64)
+    points = np.asarray(points, dtype=np.float64)
+    inside = None
+    for k in range(6):
+        plane = planes[..., k, :]
+        distance = np.matmul(points, plane[..., :3, None])[..., 0]
+        beyond = distance >= -plane[..., 3, None]
+        if inside is None:
+            inside = beyond
+        else:
+            inside &= beyond
+        if not inside.any():
+            break
+    return inside
+
+
 class Frustum:
     """Six-plane truncated viewing pyramid with inward normals."""
 
     PLANE_NAMES = ("near", "far", "left", "right", "top", "bottom")
 
-    def __init__(self, planes: list[Plane]) -> None:
-        if len(planes) != 6:
+    def __init__(self, planes) -> None:
+        """From six :class:`Plane` objects or ``(6, 4)`` ``[normal |
+        offset]`` rows (any positive scale; stored with unit normals)."""
+        if not isinstance(planes, np.ndarray):
+            planes = np.array(
+                [[*plane.normal, plane.offset] for plane in planes], dtype=np.float64
+            ).reshape(-1, 4)
+        if planes.shape != (6, 4):
             raise ValueError(f"a frustum has exactly 6 planes, got {len(planes)}")
-        self.planes = list(planes)
+        self.array = unit_planes(planes)
+
+    @classmethod
+    def of_unit_rows(cls, array: np.ndarray) -> "Frustum":
+        """Wrap ``(6, 4)`` rows already known to have unit normals (the
+        output of this module's functions) without touching them."""
+        frustum = cls.__new__(cls)
+        frustum.array = array
+        return frustum
+
+    @property
+    def planes(self) -> list[Plane]:
+        """The six planes as :class:`Plane` values, built on request."""
+        return [Plane(row[:3], row[3]) for row in self.array]
 
     @staticmethod
     def from_camera(
@@ -78,38 +244,11 @@ class Frustum:
         near_m: float = 0.1,
         far_m: float = 10.0,
     ) -> "Frustum":
-        """Build a frustum from a viewer pose and device parameters.
-
-        ``rotation`` maps viewer-local axes to world axes; viewer-local +Z
-        is the view direction, +X right, +Y down (computer-vision
-        convention, consistent with :mod:`repro.geometry.camera`).
-        """
-        if not 0 < vertical_fov_deg < 180:
-            raise ValueError("vertical_fov_deg must be in (0, 180)")
-        if not 0 < near_m < far_m:
-            raise ValueError("require 0 < near_m < far_m")
-        position = np.asarray(position, dtype=np.float64)
-        rotation = np.asarray(rotation, dtype=np.float64)
-        right = rotation[:, 0]
-        down = rotation[:, 1]
-        forward = rotation[:, 2]
-
-        half_v = np.deg2rad(vertical_fov_deg) / 2.0
-        tan_v = np.tan(half_v)
-        tan_h = tan_v * aspect
-
-        def plane_through_eye(normal: np.ndarray) -> Plane:
-            # Inward normal passing through the eye position.
-            return Plane(normal, -float(normal @ position))
-
-        near = Plane(forward, -float(forward @ (position + forward * near_m)))
-        far = Plane(-forward, float(forward @ (position + forward * far_m)))
-        # Side planes contain the eye; normals tilt inward by the half angle.
-        left = plane_through_eye(_normalize(forward * tan_h + right))
-        right_pl = plane_through_eye(_normalize(forward * tan_h - right))
-        top = plane_through_eye(_normalize(forward * tan_v + down))
-        bottom = plane_through_eye(_normalize(forward * tan_v - down))
-        return Frustum([near, far, left, right_pl, top, bottom])
+        """Build a frustum from a viewer pose and device parameters
+        (:func:`camera_planes` for one pose)."""
+        return Frustum.of_unit_rows(
+            camera_planes(position, rotation, vertical_fov_deg, aspect, near_m, far_m)
+        )
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Boolean mask: True for points inside or on the frustum.
@@ -119,12 +258,7 @@ class Frustum:
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[1] != 3:
             raise ValueError(f"expected (N, 3) points, got {points.shape}")
-        inside = np.ones(len(points), dtype=bool)
-        for plane in self.planes:
-            inside &= plane.signed_distance(points) >= 0.0
-            if not inside.any():
-                break
-        return inside
+        return planes_contain(self.array, points)
 
     def contains_grid(self, points: np.ndarray) -> np.ndarray:
         """Like :meth:`contains` but for an ``(H, W, 3)`` pixel-point grid.
@@ -138,14 +272,8 @@ class Frustum:
         return self.contains(flat).reshape(points.shape[:2])
 
     def expanded(self, guard_band_m: float) -> "Frustum":
-        """Frustum enlarged by moving every plane outward by ``guard_band_m``.
-
-        Implements the paper's guard band (default 20 cm) that absorbs
-        pose-prediction error (section 3.4, Fig. 15).
-        """
-        if guard_band_m < 0:
-            raise ValueError("guard_band_m must be non-negative")
-        return Frustum([plane.translated(-guard_band_m) for plane in self.planes])
+        """Frustum enlarged by moving every plane outward by ``guard_band_m``."""
+        return Frustum.of_unit_rows(expand_planes(self.array, guard_band_m))
 
     def transformed(self, transform: np.ndarray) -> "Frustum":
         """Frustum mapped through a rigid 4x4 transform.
@@ -153,8 +281,4 @@ class Frustum:
         LiVo transforms the (world-frame) frustum into each camera's
         local coordinate system once per frame, then tests pixels locally.
         """
-        return Frustum([plane.transformed(transform) for plane in self.planes])
-
-
-def _normalize(vector: np.ndarray) -> np.ndarray:
-    return vector / np.linalg.norm(vector)
+        return Frustum.of_unit_rows(transform_planes(self.array, transform))

@@ -23,22 +23,33 @@ __all__ = [
 ]
 
 
+def _axis_rotation(angle, axis: int) -> np.ndarray:
+    """Rotation about coordinate axis ``axis`` by ``angle`` radians; an
+    array of angles gives a stack of matrices ``angle.shape + (3, 3)``."""
+    c, s = np.cos(angle), np.sin(angle)
+    i, j = (axis + 1) % 3, (axis + 2) % 3
+    rotation = np.zeros(np.shape(angle) + (3, 3))
+    rotation[..., axis, axis] = 1.0
+    rotation[..., i, i] = c
+    rotation[..., i, j] = -s
+    rotation[..., j, i] = s
+    rotation[..., j, j] = c
+    return rotation
+
+
 def rotation_x(angle: float) -> np.ndarray:
     """Rotation matrix about the X axis by ``angle`` radians."""
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    return _axis_rotation(angle, 0)
 
 
 def rotation_y(angle: float) -> np.ndarray:
     """Rotation matrix about the Y axis by ``angle`` radians."""
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+    return _axis_rotation(angle, 1)
 
 
 def rotation_z(angle: float) -> np.ndarray:
     """Rotation matrix about the Z axis by ``angle`` radians."""
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return _axis_rotation(angle, 2)
 
 
 def euler_to_rotation(pitch: float, yaw: float, roll: float) -> np.ndarray:
@@ -46,7 +57,9 @@ def euler_to_rotation(pitch: float, yaw: float, roll: float) -> np.ndarray:
 
     ``R = Rx(pitch) @ Ry(yaw) @ Rz(roll)``.  This is the convention used
     for headset poses throughout the reproduction (paper section 3.4
-    tracks position and orientation as 6 scalar dimensions).
+    tracks position and orientation as 6 scalar dimensions).  Arrays of
+    angles give a stack of matrices, each the product the scalar call
+    computes.
     """
     return rotation_x(pitch) @ rotation_y(yaw) @ rotation_z(roll)
 

@@ -1,43 +1,58 @@
-"""Per-frame projection/transform memo for frustum culling.
+"""Per-frame visibility table for frustum culling.
 
-Union culling (``repro.core.multiway.cull_views_union``) and the SFU's
-per-receiver re-cull (``repro.sfu.node.SFUNode.forward``) both walk the
-same (camera, frustum) grid every frame.  Three quantities in that walk
-are pure functions of state that changes rarely or not at all:
+A conference frame asks one question twice: which pixels of which camera
+lie inside which receiver's predicted frustum.  The union cull
+(``repro.core.multiway.cull_views_union``) keeps a pixel some receiver
+sees; the SFU's forward stage (``repro.sfu.node.SFUNode.forward``) then
+needs, per receiver, how many of those pixels it sees.  Both are reads
+of one boolean table
+
+    ``inside[r, c, y, x]``   shape ``(R, C, H, W)``
+
+built once per conference-frame: the receivers' world-frame plane rows
+``(R, 6, 4)`` are carried into every camera's local frame in one
+batched transform ``(R, C, 6, 4)`` and tested against the stacked
+per-camera pixel grids ``(C, H, W, 3)`` by the one six-plane kernel,
+:func:`repro.geometry.frustum.planes_contain`.  The two-party sender's
+cull (``repro.prediction.culling.cull_views``) is the same build with
+``R = 1``.
+
+:class:`CullCache` owns the table and the inputs that make it cheap:
 
 - ``camera.extrinsics.world_to_camera`` -- a 4x4 inversion recomputed
-  on every property access, but constant for a calibrated rig;
+  on every property access, but constant for a calibrated rig; kept for
+  the cache's lifetime;
 - ``camera.local_points(depth)`` -- the (H, W, 3) per-pixel ray scale,
   identical across every cull of the same capture instant (culling
   only *zeroes* depth pixels, so all depth images derived from one
   capture agree wherever depth is nonzero -- and zero-depth pixels are
-  masked out by the caller's ``valid`` mask anyway);
-- ``frustum.transformed(world_to_camera)`` -- six plane transforms per
-  (frustum, camera) pair, reused when the SFU re-culls the same
-  predicted frustum against the cached union geometry.
+  masked out by the caller's ``valid`` mask anyway); kept per frame;
+- the table itself, kept until the next frame (R*C*H*W bools) and
+  handed back whenever the same plane rows are asked about again.
 
-:class:`CullCache` memoizes all three with the same contract as every
-cache in this package: byte-identical outputs to the uncached path
-(the memoized values are bit-for-bit the ones the direct calls would
-produce), process-local, hit/miss counted.
+Same contract as every cache in this package: the table is bit for bit
+what an uncached build returns, process-local, hit/miss counted.  A
+(receiver, camera) row that had to be built is a miss, a row read back
+from the table is a hit; point grids count as they always did.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.geometry.frustum import planes_contain, transform_planes
 from repro.perf.counters import CacheCounters
 
 __all__ = ["CullCache"]
 
 
 class CullCache:
-    """Memo for the per-(camera, frustum) work of one cull pass.
+    """The visibility table of one frame, and the memos it is built from.
 
     Per-camera ``world_to_camera`` matrices persist for the cache's
-    lifetime (rig calibration is fixed); per-pixel point grids and
-    transformed frustums are scoped to one frame sequence and dropped
-    on :meth:`begin_frame`.
+    lifetime (rig calibration is fixed); per-pixel point grids and the
+    table are scoped to one frame sequence and dropped on
+    :meth:`begin_frame`.
 
     The point-grid memo relies on a documented invariant of the culling
     pipeline: every depth image offered for one (camera, sequence) pair
@@ -51,14 +66,14 @@ class CullCache:
         self._sequence: int | None = None
         self._w2c: dict[int, np.ndarray] = {}
         self._points: dict[int, np.ndarray] = {}
-        self._frustums: dict[tuple[int, int], object] = {}
+        self._table: tuple[np.ndarray, np.ndarray] | None = None
 
     def begin_frame(self, sequence: int) -> None:
         """Drop per-frame memos when a new capture instant starts."""
         if sequence != self._sequence:
             self._sequence = sequence
             self._points.clear()
-            self._frustums.clear()
+            self._table = None
 
     def world_to_camera(self, camera) -> np.ndarray:
         """The camera's (cached) world-to-camera transform."""
@@ -86,14 +101,33 @@ class CullCache:
         self.counters.hit()
         return points, np.asarray(depth_mm) > 0
 
-    def transformed_frustum(self, frustum, camera):
-        """``frustum.transformed(world_to_camera)``, memoized per frame."""
-        key = (id(frustum), id(camera))
-        cached = self._frustums.get(key)
-        if cached is None:
-            self.counters.miss()
-            cached = frustum.transformed(self.world_to_camera(camera))
-            self._frustums[key] = cached
-            return cached
-        self.counters.hit()
-        return cached
+    def visibility(self, cameras, depths, planes: np.ndarray) -> np.ndarray:
+        """``inside[r, c, y, x]``: pixel of camera ``c`` in frustum ``r``.
+
+        ``planes`` are world-frame rows ``(R, 6, 4)``; ``depths`` one
+        depth image per camera, any derivative of this frame's capture.
+        Validity (nonzero depth) is *not* folded in: it differs between
+        the raw capture and its culled derivatives, so callers and it
+        with their own mask.  Asking again about the same rows within a
+        frame returns the table already built; treat it as read-only.
+        """
+        if self._table is not None:
+            built_for, inside = self._table
+            if np.array_equal(built_for, planes):
+                self.counters.hit(inside.shape[0] * inside.shape[1])
+                return inside
+        points = np.stack(
+            [
+                self.local_points(camera, depth_mm)[0]
+                for camera, depth_mm in zip(cameras, depths)
+            ]
+        )
+        transforms = np.stack([self.world_to_camera(camera) for camera in cameras])
+        local = transform_planes(planes[:, None], transforms)
+        count, height, width = points.shape[:3]
+        inside = planes_contain(local, points.reshape(count, -1, 3)).reshape(
+            len(planes), count, height, width
+        )
+        self.counters.miss(len(planes) * count)
+        self._table = (planes, inside)
+        return inside

@@ -15,8 +15,41 @@ import numpy as np
 from repro.capture.rgbd import MultiViewFrame
 from repro.geometry.camera import RGBDCamera
 from repro.geometry.frustum import Frustum
+from repro.perf.culling import CullCache
 
-__all__ = ["cull_views", "culling_accuracy"]
+__all__ = ["cull_views", "cull_to_planes", "culling_accuracy"]
+
+
+def cull_to_planes(
+    frame: MultiViewFrame,
+    cameras: list[RGBDCamera],
+    planes: np.ndarray,
+    cache: CullCache | None = None,
+) -> MultiViewFrame:
+    """Zero the pixels no frustum of ``planes`` ``(R, 6, 4)`` contains.
+
+    The one cull: the frustums are carried into every camera's local
+    frame and the per-pixel back-projections tested there
+    (:meth:`CullCache.visibility`) -- no point cloud is materialized --
+    and a pixel survives if any frustum sees it.  With a ``cache`` the
+    visibility table stays readable for the rest of the frame; without
+    one it is dropped on return.
+    """
+    if len(frame.views) != len(cameras):
+        raise ValueError(
+            f"frame has {len(frame.views)} views but {len(cameras)} cameras given"
+        )
+    if cache is None:
+        cache = CullCache()
+    cache.begin_frame(frame.sequence)
+    depths = [view.depth_mm for view in frame.views]
+    inside = cache.visibility(cameras, depths, planes)
+    keep = inside.any(axis=0) & (np.stack(depths) > 0)
+    return MultiViewFrame(
+        [view.culled(mask) for view, mask in zip(frame.views, keep)],
+        sequence=frame.sequence,
+        timestamp_s=frame.timestamp_s,
+    )
 
 
 def cull_views(
@@ -28,19 +61,9 @@ def cull_views(
 
     The frustum is transformed once into each camera's local frame; each
     pixel is then back-projected to its camera-local 3D point and tested
-    against the six planes -- no point cloud is ever materialized.
+    against the six planes -- :func:`cull_to_planes` with one frustum.
     """
-    if len(frame.views) != len(cameras):
-        raise ValueError(
-            f"frame has {len(frame.views)} views but {len(cameras)} cameras given"
-        )
-    culled_views = []
-    for view, camera in zip(frame.views, cameras):
-        local_frustum = frustum.transformed(camera.extrinsics.world_to_camera)
-        points, valid = camera.local_points(view.depth_mm)
-        keep = local_frustum.contains_grid(points) & valid
-        culled_views.append(view.culled(keep))
-    return MultiViewFrame(culled_views, sequence=frame.sequence, timestamp_s=frame.timestamp_s)
+    return cull_to_planes(frame, cameras, frustum.array[None])
 
 
 def culling_accuracy(
@@ -62,20 +85,15 @@ def culling_accuracy(
     """
     if len(frame.views) != len(cameras):
         raise ValueError("views/cameras mismatch")
-    visible_and_kept = 0
-    visible_total = 0
-    kept_total = 0
-    valid_total = 0
-    for view, camera in zip(frame.views, cameras):
-        points, valid = camera.local_points(view.depth_mm)
-        predicted_local = predicted_frustum.transformed(camera.extrinsics.world_to_camera)
-        actual_local = actual_frustum.transformed(camera.extrinsics.world_to_camera)
-        kept = predicted_local.contains_grid(points) & valid
-        visible = actual_local.contains_grid(points) & valid
-        visible_and_kept += int(np.count_nonzero(kept & visible))
-        visible_total += int(np.count_nonzero(visible))
-        kept_total += int(np.count_nonzero(kept))
-        valid_total += int(np.count_nonzero(valid))
+    depths = [view.depth_mm for view in frame.views]
+    valid = np.stack(depths) > 0
+    kept, visible = CullCache().visibility(
+        cameras, depths, np.stack([predicted_frustum.array, actual_frustum.array])
+    ) & valid
+    visible_and_kept = int(np.count_nonzero(kept & visible))
+    visible_total = int(np.count_nonzero(visible))
+    kept_total = int(np.count_nonzero(kept))
+    valid_total = int(np.count_nonzero(valid))
     accuracy = 1.0 if visible_total == 0 else visible_and_kept / visible_total
     kept_fraction = 0.0 if valid_total == 0 else kept_total / valid_total
     return accuracy, kept_fraction

@@ -110,6 +110,11 @@ class PoseKalmanPredictor:
         self._filter.update(pose.as_vector(), dt)
         self._last_time = timestamp_s
 
+    def predict_vector(self, horizon_s: float) -> np.ndarray:
+        """The predicted pose as its flat 6-vector (``Pose.as_vector``
+        layout), for callers that stack many receivers' predictions."""
+        return self._filter.predict(horizon_s)
+
     def predict(self, horizon_s: float) -> Pose:
         """Predicted pose ``horizon_s`` beyond the last observation."""
-        return Pose.from_vector(self._filter.predict(horizon_s))
+        return Pose.from_vector(self.predict_vector(horizon_s))

@@ -10,11 +10,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.geometry.frustum import Frustum
+import numpy as np
+
+from repro.geometry.frustum import Frustum, camera_planes, expand_planes
+from repro.geometry.transforms import euler_to_rotation
 from repro.prediction.kalman import PoseKalmanPredictor
 from repro.prediction.pose import Pose
 
-__all__ = ["ViewingDevice", "FrustumPredictor", "DEFAULT_GUARD_BAND_M"]
+__all__ = [
+    "ViewingDevice",
+    "FrustumPredictor",
+    "guarded_planes",
+    "DEFAULT_GUARD_BAND_M",
+]
 
 DEFAULT_GUARD_BAND_M = 0.20
 
@@ -28,16 +36,34 @@ class ViewingDevice:
     near_m: float = 0.1
     far_m: float = 10.0
 
-    def frustum_for(self, pose: Pose) -> Frustum:
-        """Exact frustum for a pose on this device."""
-        return Frustum.from_camera(
-            pose.position,
-            pose.rotation_matrix(),
+    def __post_init__(self) -> None:
+        # Checked where the optics are stated (connection setup), not on
+        # the first frame a predictor happens to be warm.
+        if not 0 < self.vertical_fov_deg < 180:
+            raise ValueError("vertical_fov_deg must be in (0, 180)")
+        if not self.aspect > 0:
+            raise ValueError("aspect must be positive")
+        if not 0 < self.near_m < self.far_m:
+            raise ValueError("require 0 < near_m < far_m")
+
+    def planes_for(self, pose_vectors: np.ndarray) -> np.ndarray:
+        """Exact frustum rows ``(..., 6, 4)`` for pose 6-vectors
+        ``(..., 6)`` (``Pose.as_vector`` layout) on this device."""
+        pose_vectors = np.asarray(pose_vectors, dtype=np.float64)
+        return camera_planes(
+            pose_vectors[..., :3],
+            euler_to_rotation(
+                pose_vectors[..., 3], pose_vectors[..., 4], pose_vectors[..., 5]
+            ),
             vertical_fov_deg=self.vertical_fov_deg,
             aspect=self.aspect,
             near_m=self.near_m,
             far_m=self.far_m,
         )
+
+    def frustum_for(self, pose: Pose) -> Frustum:
+        """Exact frustum for a pose on this device."""
+        return Frustum.of_unit_rows(self.planes_for(pose.as_vector()))
 
 
 class FrustumPredictor:
@@ -71,10 +97,29 @@ class FrustumPredictor:
         """Predicted receiver pose ``horizon_s`` past the last report."""
         return self._kalman.predict(horizon_s)
 
+    def predict_vector(self, horizon_s: float) -> np.ndarray:
+        """:meth:`predict_pose` as a flat 6-vector."""
+        return self._kalman.predict_vector(horizon_s)
+
     def predict_frustum(self, horizon_s: float) -> Frustum:
         """Guard-band-expanded frustum at the prediction horizon."""
-        pose = self.predict_pose(horizon_s)
-        frustum = self.device.frustum_for(pose)
-        if self.guard_band_m > 0:
-            frustum = frustum.expanded(self.guard_band_m)
-        return frustum
+        return Frustum.of_unit_rows(
+            guarded_planes(
+                self.device, self.guard_band_m, self.predict_vector(horizon_s)
+            )
+        )
+
+
+def guarded_planes(
+    device: ViewingDevice, guard_band_m: float, pose_vectors: np.ndarray
+) -> np.ndarray:
+    """Guard-band-expanded frustum rows for predicted pose vectors.
+
+    One predictor's frame is ``pose_vectors`` of shape ``(6,)``; an SFU
+    node stacks all its ready receivers ``(R, 6)`` and gets their
+    ``(R, 6, 4)`` rows from one pass.
+    """
+    planes = device.planes_for(pose_vectors)
+    if guard_band_m > 0:
+        planes = expand_planes(planes, guard_band_m)
+    return planes

@@ -6,10 +6,12 @@ stage-graph stages (:meth:`SFUNode.stages`):
 - **ingest** -- cache the union-culled geometry and encoded sizes of
   the sender's single uplink stream (one encode per frame, regardless
   of receiver count);
-- **forward** -- for every receiver: re-cull the *cached* union
-  geometry against the receiver's predicted frustum (the per-receiver
-  cull happens once, at the node -- receivers never see pixels outside
-  their own view), pick a degradation-ladder tier that fits the
+- **forward** -- read every receiver's share of the cached union
+  geometry out of the frame's receivers x cameras visibility table
+  (:class:`~repro.perf.culling.CullCache`; the union cull built it a
+  moment earlier from the same predicted frustums, so no frustum is
+  tested twice and receivers never see pixels outside their own view),
+  then for every receiver: pick a degradation-ladder tier that fits the
   receiver's bandwidth estimate, split the forwarded budget across
   depth/color with the receiver's own
   :class:`~repro.core.bandwidth_split.SplitController`, and offer the
@@ -21,9 +23,10 @@ scaled by its tier -- the selective-tile model SLAMCast's multi-client
 architecture uses, which is what makes an SFU cheap enough to run
 hundreds of conferences per core (``repro.sfu.fleet``).
 
-Determinism: receivers are processed in join order, per-frame frustum
-predictions are memoized per receiver, and all tier/byte arithmetic is
-integer -- a conference replays byte-identically under churn.
+Determinism: receivers are processed in join order, a frame's frustum
+predictions are made once, for all ready receivers together, and all
+tier/byte arithmetic is integer -- a conference replays byte-identically
+under churn.
 """
 
 from __future__ import annotations
@@ -31,13 +34,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.capture.rgbd import MultiViewFrame
 from repro.core.bandwidth_split import SplitBook
 from repro.core.config import SessionConfig
 from repro.core.sender import SenderResult
 from repro.geometry.camera import RGBDCamera
+from repro.geometry.frustum import Frustum
 from repro.perf.culling import CullCache
-from repro.prediction.predictor import ViewingDevice
+from repro.prediction.predictor import ViewingDevice, guarded_planes
 from repro.runtime.stage import Stage
 from repro.sfu.receivers import ReceiverBook, ReceiverState
 from repro.transport.downlink import DownlinkSend, DownlinkSet
@@ -126,7 +132,10 @@ class SFUNode:
         # Frame-scoped state written by ingest, read by forward.
         self._cached_sequence: int | None = None
         self._cached_uplink: SenderResult | None = None
-        self._frame_frustums: dict[str, object] = {}
+        self._frame_frustums: dict[str, Frustum] = {}
+        # The same frustums as one (R, 6, 4) stack, row r belonging to
+        # the r-th key of _frame_frustums: the visibility table's key.
+        self._frame_planes = np.empty((0, 6, 4))
         # Aggregate counters for metrics_into.
         self.frames_ingested = 0
         self.uplink_bytes = 0
@@ -164,7 +173,9 @@ class SFUNode:
         if self.downlinks is not None and name in self.downlinks:
             self.downlinks.remove(name)
         self.splits.drop(name)
-        self._frame_frustums.pop(name, None)
+        # Rows are positional: forget the whole frame's prediction
+        # rather than leave the stack one row longer than the roster.
+        self._frame_frustums = {}
         return state
 
     def observe_pose(self, name, pose, timestamp_s: float) -> None:
@@ -184,17 +195,23 @@ class SFUNode:
     # Frame phases
     # ------------------------------------------------------------------
 
-    def predicted_frustums(self, sequence: int, horizon_s: float) -> dict[str, object]:
+    def predicted_frustums(self, sequence: int, horizon_s: float) -> dict[str, Frustum]:
         """Per-receiver predicted frustums for this frame (memoized).
 
-        Ready receivers only, join order.  The union cull and the
-        per-receiver forward cull share these exact frustum objects, so
-        the cull cache's transform memo spans both passes.
+        Ready receivers only, join order.  All of them are extrapolated,
+        rotated and turned into guard-banded plane rows in one pass; the
+        returned frustums wrap the rows of that one stack, which is also
+        what the forward stage looks the frame's visibility table up by.
         """
         if sequence != self._cached_sequence or not self._frame_frustums:
+            ready = self.book.ready_states()
+            poses = [state.predictor.predict_vector(horizon_s) for state in ready]
+            self._frame_planes = guarded_planes(
+                self.device, self.book.guard_band_m, np.array(poses).reshape(-1, 6)
+            )
             self._frame_frustums = {
-                state.name: state.predictor.predict_frustum(horizon_s)
-                for state in self.book.ready_states()
+                state.name: Frustum.of_unit_rows(rows)
+                for state, rows in zip(ready, self._frame_planes)
             }
             self._cached_sequence = sequence
         return self._frame_frustums
@@ -207,29 +224,14 @@ class SFUNode:
         if uplink is not None:
             self.uplink_bytes += uplink.total_bytes
 
-    def _kept_points(self, frustum) -> int:
-        """Points of the cached union geometry inside one frustum."""
-        uplink = self._cached_uplink
-        assert uplink is not None
-        kept = 0
-        for view, camera in zip(uplink.culled_multiview.views, self.cameras):
-            points, valid = self.cull_cache.local_points(camera, view.depth_mm)
-            local = self.cull_cache.transformed_frustum(frustum, camera)
-            kept += int((local.contains_grid(points) & valid).sum())
-        return kept
-
-    def _culled_views(self, frustum) -> MultiViewFrame:
-        """The per-receiver culled multiview (quality-bench path)."""
-        uplink = self._cached_uplink
-        assert uplink is not None
-        source = uplink.culled_multiview
-        culled = []
-        for view, camera in zip(source.views, self.cameras):
-            points, valid = self.cull_cache.local_points(camera, view.depth_mm)
-            local = self.cull_cache.transformed_frustum(frustum, camera)
-            culled.append(view.culled(local.contains_grid(points) & valid))
+    def _culled_views(self, seen: np.ndarray) -> MultiViewFrame:
+        """One receiver's culled multiview (quality-bench path): its
+        ``(C, H, W)`` slice of the visibility table applied to the union."""
+        source = self._cached_uplink.culled_multiview
         return MultiViewFrame(
-            culled, sequence=source.sequence, timestamp_s=source.timestamp_s
+            [view.culled(mask) for view, mask in zip(source.views, seen)],
+            sequence=source.sequence,
+            timestamp_s=source.timestamp_s,
         )
 
     def _pick_rung(self, state: ReceiverState, full_bytes: int, budget_bytes: float) -> int:
@@ -259,29 +261,45 @@ class SFUNode:
         if uplink is None:
             return decisions
         sequence = uplink.sequence
-        union_points = uplink.culled_multiview.total_points()
+        source = uplink.culled_multiview
+        union_points = source.total_points()
         uplink_bytes = uplink.total_bytes
+        nothing_sent = uplink.empty or union_points == 0 or uplink_bytes == 0
         frustums = self.predicted_frustums(sequence, horizon_s)
         self.cull_cache.begin_frame(sequence)
 
-        for name in self.book.names:
-            state = self.book.get(name)
-            frustum = frustums.get(name)
-            if uplink.empty or union_points == 0 or uplink_bytes == 0:
+        # Every warm receiver's share of the union in one read of the
+        # frame's visibility table (built by the union cull a moment
+        # ago; rebuilt here only if nobody culled with this cache).
+        rows: dict[str, int] = {}
+        seen = kept_points = None
+        if frustums and not uplink.empty:
+            depths = [view.depth_mm for view in source.views]
+            inside = self.cull_cache.visibility(self.cameras, depths, self._frame_planes)
+            seen = inside & (np.stack(depths) > 0)
+            kept_points = seen.reshape(len(seen), -1).sum(axis=1).tolist()
+            rows = {name: row for row, name in enumerate(frustums)}
+
+        frame_interval_s = self.config.frame_interval_s
+        downlinks = self.downlinks
+        for state in self.book:
+            name = state.name
+            row = rows.get(name)
+            if nothing_sent:
                 kept = 0
                 full_bytes = 0
-            elif frustum is None:
+            elif row is None:
                 # Cold predictor: the receiver gets the whole union
                 # stream until its first pose report lands.
                 kept = union_points
                 full_bytes = uplink_bytes
             else:
-                kept = self._kept_points(frustum)
+                kept = kept_points[row]
                 full_bytes = (
                     math.ceil(uplink_bytes * kept / union_points) if kept else 0
                 )
             rate = state.estimated_rate_bps(target_rate_bps)
-            budget_bytes = max(rate / 8.0 * self.config.frame_interval_s, 2.0)
+            budget_bytes = max(rate / 8.0 * frame_interval_s, 2.0)
             if full_bytes > 0:
                 rung = self._pick_rung(state, full_bytes, budget_bytes)
                 size = max(1, int(full_bytes * TIER_SCALES[rung]))
@@ -291,8 +309,8 @@ class SFUNode:
                 size = depth_bytes = color_bytes = 0
             send: DownlinkSend | None = None
             delivery: float | None = None
-            if self.downlinks is not None and name in self.downlinks and size > 0:
-                send = self.downlinks.send(name, now, size)
+            if downlinks is not None and size > 0 and name in downlinks:
+                send = downlinks.send(name, now, size)
                 delivery = send.delivery_time_s
                 if state.gcc is not None:
                     if send.delivered_packets:
@@ -304,6 +322,9 @@ class SFUNode:
                     state.gcc.on_loss_report(
                         (send.packets - send.delivered_packets) / send.packets
                     )
+            forwarded = None
+            if self.keep_views:
+                forwarded = source if row is None else self._culled_views(seen[row])
             decision = ForwardDecision(
                 receiver=name,
                 sequence=sequence,
@@ -316,11 +337,7 @@ class SFUNode:
                 color_bytes=color_bytes,
                 delivery_time_s=delivery,
                 downlink=send,
-                forwarded_multiview=(
-                    self._culled_views(frustum)
-                    if self.keep_views and frustum is not None and not uplink.empty
-                    else (uplink.culled_multiview if self.keep_views else None)
-                ),
+                forwarded_multiview=forwarded,
             )
             decisions[name] = decision
             state.rung = rung

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.codec.blocks import block_grid_shape, merge_blocks, pad_to_blocks, split_blocks
+from repro.codec.blocks import (
+    block_grid_shape,
+    merge_blocks,
+    pad_to_blocks,
+    split_blocks,
+    split_blocks_nd,
+)
 from repro.codec.dct import forward_dct, inverse_dct
 from repro.codec.entropy import decode_levels, encode_levels, zigzag_indices
 from repro.codec.quant import dequantize, qp_to_step, quantize, weight_matrix
@@ -48,6 +54,29 @@ class TestBlocks:
     def test_pad_exact_multiple_is_identity(self):
         plane = np.arange(64, dtype=float).reshape(8, 8)
         assert pad_to_blocks(plane, 8) is plane
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (18, 24), (17, 401), (26, 72), (3, 18, 24), (2, 5, 1, 1)],
+        ids=lambda shape: "x".join(map(str, shape)),
+    )
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint8])
+    def test_edge_padding_matches_np_pad(self, shape, dtype):
+        """Not block multiples: the slice-assigned pad is np.pad's, byte for byte."""
+        planes = np.random.default_rng(7).integers(0, 255, shape).astype(dtype)
+        *lead, height, width = shape
+        expected = np.pad(
+            planes,
+            [(0, 0)] * len(lead) + [(0, -height % 8), (0, -width % 8)],
+            mode="edge",
+        )
+        blocks = split_blocks_nd(planes, 8)
+        assert blocks.dtype == dtype
+        for index in np.ndindex(*lead):
+            if not lead:
+                padded = pad_to_blocks(planes, 8)
+                assert padded.dtype == dtype
+                assert np.array_equal(padded, expected)
+            assert np.array_equal(blocks[index], split_blocks(expected[index], 8))
 
     def test_split_merge_roundtrip(self):
         rng = np.random.default_rng(1)

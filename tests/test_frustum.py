@@ -8,6 +8,10 @@ from hypothesis import strategies as st
 from repro.geometry.frustum import Frustum, Plane
 from repro.geometry.transforms import euler_to_rotation, make_transform, transform_points
 
+# Plane rows are normalised with vectorised norms: a degenerate plane
+# must stay a ValueError, never a warning and a NaN mask.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def forward_frustum(**kwargs):
     """Frustum at origin looking down +Z with default device parameters."""

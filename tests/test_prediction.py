@@ -197,6 +197,24 @@ class TestFrustumPredictor:
         predictor.observe(Pose(np.zeros(3), np.zeros(3)), 0.0)
         assert predictor.ready
 
+    @pytest.mark.parametrize(
+        "optics",
+        [
+            dict(near_m=1.0, far_m=0.5),
+            dict(near_m=0.0),
+            dict(aspect=-1.0),
+            dict(aspect=0.0),
+            dict(vertical_fov_deg=0.0),
+            dict(vertical_fov_deg=180.0),
+        ],
+        ids=lambda optics: ",".join(f"{k}={v}" for k, v in optics.items()),
+    )
+    def test_device_optics_validated_at_construction(self, optics):
+        """Not on the first tick a predictor is warm (near/far), and not
+        never (a negative aspect gave a frustum that contains nothing)."""
+        with pytest.raises(ValueError):
+            ViewingDevice(**optics)
+
 
 class TestCulling:
     @pytest.fixture

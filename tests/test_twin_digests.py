@@ -48,6 +48,7 @@ from repro.service.app import ServiceApp, ServiceConfig
 from repro.service.workers import TickWorkerPool
 from repro.sfu.conference import ConferenceDriver
 from repro.sfu.fleet import FleetConfig, run_fleet
+from repro.sfu.node import SFUNode
 from repro.sfu.receivers import ReceiverBook
 from repro.transport.channel import WebRTCChannel, WebRTCConfig
 from repro.transport.link import LinkConfig
@@ -203,6 +204,10 @@ def test_one_multi_party_driver_and_the_shim_stay_gone():
         (ScratchArena, "block_buffer"),
         (Scene, "static_fraction"),
         (CullCache, "forget_camera"),
+        # One receivers x cameras visibility table per frame: forward
+        # reads it, nothing re-tests a frustum or memoizes one by id().
+        (CullCache, "transformed_frustum"),
+        (SFUNode, "_kept_points"),
         (Stage, "add_pre_hook"),
         (Stage, "add_post_hook"),
         (SplitBook, "receiver_ids"),
