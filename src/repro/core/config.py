@@ -79,7 +79,7 @@ class SessionConfig:
     # DESIGN.md "Fault model & degradation ladder").
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
 
-    # Runtime (stage-graph execution engine; see DESIGN.md section 8).
+    # Runtime (see DESIGN.md section 8).
     # ``jobs`` > 1 scores PointSSIM on that many threads (the only work
     # that leaves the session thread); ``executor`` can pin the
     # substrate (auto = serial at jobs 1, threads above / serial /
@@ -120,6 +120,15 @@ class SessionConfig:
             raise ValueError("rmse_every_k must be at least 1")
         if self.fps <= 0:
             raise ValueError("fps must be positive")
+        for name in (
+            "num_cameras", "camera_width", "camera_height",
+            "max_depth_mm", "render_voxel_m", "playout_delay_s",
+        ):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("guard_band_m", "pose_feedback_lag_frames", "jitter_target_s"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
         if self.executor not in ("auto", "serial", "thread"):

@@ -6,18 +6,18 @@ and renders at the receiver against the selected user trace -- exactly
 the methodology the paper uses to compare LiVo, LiVo-NoCull/NoAdapt,
 Draco-Oracle, and MeshReduce under identical workloads.
 
-The per-frame work runs on the stage-graph runtime
-(:mod:`repro.runtime`): capture -> prepare (cull+tile) -> encode form a
+The per-frame work runs as timed stages (:mod:`repro.runtime`):
+capture -> prepare (cull+tile) -> encode form a
 :class:`~repro.runtime.stage.StageGraph` whose stages are individually
 wall-clock instrumented; decode and quality sampling are stages on the
-receive side.  The session itself remains the scheduler -- the
-feedback loops (GCC rate, bandwidth split, the stall watchdog's
-degradation ladder, PLI keyframe requests) all close within one
-capture tick, so stages are driven tick-by-tick rather than free-run.
-One thing may leave the session thread: with ``config.jobs > 1`` the
-PointSSIM scoring (ground truth + metric, evaluation only) is submitted
-to a thread pool; at ``jobs == 1`` it runs in-line.  Reports are
-byte-identical either way.
+receive side.  The session is the scheduler -- the feedback loops (GCC
+rate, bandwidth split, the stall watchdog's degradation ladder, PLI
+keyframe requests) all close within one capture tick, so stages are
+driven tick by tick, in-line, on the session thread.  One thing may
+leave it: with ``config.jobs > 1`` the PointSSIM scoring (ground truth
++ metric, evaluation only) is submitted to a
+``concurrent.futures.ThreadPoolExecutor`` the quality lane owns; at
+``jobs == 1`` it runs in-line.  Reports are byte-identical either way.
 
 Bandwidth scaling: our frames are resolution-reduced, so traces are
 scaled by the raw-frame-size ratio (``trace_scale``), keeping the
@@ -29,6 +29,7 @@ scale-invariant; reports also expose paper-equivalent absolute numbers.
 from __future__ import annotations
 
 from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.capture.rgbd import MultiViewFrame
@@ -58,8 +59,6 @@ from repro.perf.capture import CachedFrameSource
 from repro.perf.features import FeatureCache
 from repro.prediction.pose import PoseTrace
 from repro.prediction.predictor import ViewingDevice
-from repro.runtime.executors import make_executor
-from repro.runtime.profile import merge_timings
 from repro.runtime.stage import Stage, StageGraph
 from repro.transport.channel import WebRTCChannel
 from repro.transport.gcc import GCCConfig
@@ -104,11 +103,6 @@ def _fuse_views(frame: MultiViewFrame, cameras: list[RGBDCamera]) -> PointCloud:
     )
 
 
-def _auto_trace_scale(frame: MultiViewFrame) -> float:
-    """Bandwidth scale factor from raw frame size (see module docstring)."""
-    return max(frame.raw_size_bytes() / PAPER_FRAME_SIZE_BYTES, 1e-6)
-
-
 def _quality_job(
     frame: MultiViewFrame,
     cameras: list[RGBDCamera],
@@ -121,7 +115,7 @@ def _quality_job(
 ):
     """Pure quality-scoring job: build the ground truth, score the shown
     cloud against it.  No session state touched, so it can run on any
-    executor thread; everything it needs arrives as an argument.  The
+    pool thread; everything it needs arrives as an argument.  The
     score is None when the truth is empty (nothing to score).
 
     ``shown(truth)`` returns the cloud the scheme displayed (MeshReduce
@@ -191,11 +185,14 @@ class _QualityLane:
 
     The one place a replay scores quality, and the one place work may
     leave the session thread: a due sample renders what the scheme
-    showed, then submits ground truth + PointSSIM to the executor
-    ``config.jobs`` / ``config.executor`` ask for.  The job gets its
-    feature cache and subsample bound as arguments -- nothing about a
-    run lives at module level, so overlapping runs cannot touch each
-    other's scoring.
+    showed, then scores ground truth + PointSSIM -- on a thread pool of
+    ``config.jobs`` workers when ``config.executor`` is ``"thread"`` (or
+    ``"auto"`` with ``jobs > 1``), in-line otherwise.  Either way the
+    score comes back through a future: an exception raised by a job is
+    re-raised by :meth:`collect`, and :meth:`close` joins the pool with
+    every submitted job finished.  The job gets its feature cache and
+    subsample bound as arguments -- nothing about a run lives at module
+    level, so overlapping runs cannot touch each other's scoring.
     """
 
     def __init__(
@@ -213,8 +210,10 @@ class _QualityLane:
         if tracer is not None:
             self.stage.attach_tracer(tracer, seq_fn=lambda args: args[2])
         self._counter = 0
-        self._pending: list[tuple[FrameRecord, object]] = []
-        self.executor = make_executor(self.config.jobs, self.config.executor)
+        self._pending: list[tuple[FrameRecord, Future]] = []
+        kind, jobs = self.config.executor, self.config.jobs
+        threaded = kind == "thread" or (kind == "auto" and jobs > 1)
+        self.pool = ThreadPoolExecutor(max_workers=jobs) if threaded else None
 
     def sample(self, record: FrameRecord, frame: MultiViewFrame, sequence: int, render) -> None:
         """Count one rendered frame; score it when the cadence says so.
@@ -232,8 +231,7 @@ class _QualityLane:
             self.replay.user_trace.pose_at_frame(sequence)
         )
         obs_ctx = self.tracer.current_context() if self.tracer is not None else None
-        future = self.executor.submit(
-            _quality_job,
+        job = (
             frame,
             self.replay.rig.cameras,
             actual,
@@ -243,6 +241,14 @@ class _QualityLane:
             self.config.quality_max_points,
             obs_ctx,
         )
+        if self.pool is not None:
+            future = self.pool.submit(_quality_job, *job)
+        else:
+            future = Future()
+            try:
+                future.set_result(_quality_job(*job))
+            except Exception as error:
+                future.set_exception(error)
         self._pending.append((record, future))
 
     def collect(self, final: bool) -> None:
@@ -254,7 +260,7 @@ class _QualityLane:
                 unresolved.append((record, future))
                 continue
             score, spans = future.result()
-            if spans and self.tracer is not None:
+            if spans:  # only a traced job returns any
                 self.tracer.absorb(spans)
             if score is not None:
                 record.pssim_geometry = score.geometry
@@ -262,7 +268,9 @@ class _QualityLane:
         self._pending = unresolved
 
     def close(self) -> None:
-        self.executor.close()
+        """Run everything already submitted, then join the threads."""
+        if self.pool is not None:
+            self.pool.shutdown(wait=True)
 
 
 class _SessionBase:
@@ -293,7 +301,9 @@ class _SessionBase:
         first = source.capture(0)
         scale = config.trace_scale
         if scale is None:
-            scale = _auto_trace_scale(first) * config.codec_efficiency_compensation
+            # From the raw frame size: see the module docstring.
+            auto = max(first.raw_size_bytes() / PAPER_FRAME_SIZE_BYTES, 1e-6)
+            scale = auto * config.codec_efficiency_compensation
         return _Replay(
             rig=rig,
             source=source,
@@ -313,11 +323,12 @@ class _SessionBase:
         video_name: str,
         fps_target: float,
         frames: list[FrameRecord],
-        stage_timings: dict,
+        stages: list[Stage],
         fault_events: list[FaultEvent] | None = None,
         cache_stats: dict | None = None,
     ) -> SessionReport:
-        """The finished report with stage timings and cache counters."""
+        """The finished report with the timings of ``stages`` (and of
+        the quality lane's) and the cache counters."""
         report = SessionReport(
             scheme=scheme,
             video=video_name,
@@ -330,7 +341,9 @@ class _SessionBase:
             trace_scale=replay.scale,
             fault_events=fault_events or [],
         )
-        report.attach_stage_timings(stage_timings)
+        report.attach_stage_timings(
+            {stage.name: stage.timing for stage in (*stages, quality.stage)}
+        )
         report.attach_cache_stats(
             {
                 **(cache_stats or {}),
@@ -341,18 +354,445 @@ class _SessionBase:
         return report
 
 
+class _Call:
+    """One two-party call in flight: the state the frame loop shares.
+
+    :meth:`LiVoSession.run` drives it tick by tick -- :meth:`receive`
+    resolves what arrived (decode + render-deadline accounting, feeding
+    the stall watchdog), :meth:`send` runs the capture -> prepare ->
+    encode stage graph and hands the pair to the channel -- so the
+    receiver's outcomes of tick *t* (PLI flag, watchdog rung, color
+    budget) steer tick *t*'s encode.  Frames resolve strictly in
+    sequence order, so the decoder reference chains advance exactly as
+    a live receiver's would.
+    """
+
+    def __init__(
+        self,
+        session: "LiVoSession",
+        replay: _Replay,
+        fault_plan: FaultPlan | None = None,
+        tracer: Tracer | None = None,
+        receiver_id: str | None = None,
+    ) -> None:
+        config = self.config = session.config
+        self.session = session
+        self.replay = replay
+        self.tracer = tracer
+        cameras, scaled_trace = replay.rig.cameras, replay.scaled_trace
+        resilience = config.resilience
+        self.hardened = resilience.enabled
+        self.injector = FaultInjector(fault_plan) if fault_plan is not None else None
+        self.watchdog = (
+            StallWatchdog(resilience)
+            if resilience.enabled and resilience.ladder_enabled
+            else None
+        )
+        self.sender = LiVoSender(cameras, config, session.device, receiver_id=receiver_id)
+        self.receiver = LiVoReceiver(cameras, config, receiver_id=receiver_id)
+        self.events: list[FaultEvent] = []
+        self.boundary = StageFaultBoundary(self.injector, self.events)
+        link = EmulatedLink(
+            scaled_trace,
+            config.link,
+            fault_hook=self.injector.link_drop if self.injector is not None else None,
+        )
+        mean_capacity_bps = scaled_trace.stats().mean * 1e6
+        # Start GCC conservatively relative to the (scaled) link, as a
+        # real session starts below capacity and probes upward.
+        self.channel = WebRTCChannel(
+            link,
+            gcc_config=GCCConfig(
+                initial_rate_bps=0.5 * mean_capacity_bps,
+                min_rate_bps=0.05 * mean_capacity_bps,
+                max_rate_bps=10.0 * mean_capacity_bps,
+            ),
+        )
+        self.interval = config.frame_interval_s
+        # The drain polls and observes deadlines this long after the
+        # last capture tick, on the same sim clock.
+        self.drain_time_s = replay.duration_s + 5.0
+
+        self.captures: dict[int, MultiViewFrame] = {}
+        self.encoded: dict[int, tuple] = {}
+        self.records: dict[int, FrameRecord] = {}
+        self.pair_arrivals: dict[int, dict[int, float]] = {}
+        self.pending: deque[int] = deque()
+        self.rx_request_intra = False  # PLI-style request after a poisoned pair
+
+        # Send side: one graph item per encoded tick.  The receive-side
+        # decode stage is driven on delivery and takes a positional arg
+        # tuple with the frame sequence riding at index 2.
+        self.graph = StageGraph(
+            [
+                Stage("capture", self._capture),
+                Stage("prepare", self._prepare),
+                Stage("encode", self._encode),
+            ]
+        )
+        self.decode_stage = Stage("decode", self._decode)
+        if tracer is not None:
+            self.sender.attach_tracer(tracer)
+            for stage in self.graph.stages:
+                stage.attach_tracer(tracer)
+            self.decode_stage.attach_tracer(tracer, seq_fn=lambda args: args[2])
+        self.quality = _QualityLane(session, replay, tracer)
+
+    # ------------------------------------------------------------------
+    # Stage bodies
+    # ------------------------------------------------------------------
+
+    def _capture(self, tick: _Tick) -> _Tick:
+        frame = self.replay.capture(tick.sequence)
+        tick.frame = self.boundary.apply_camera_faults(frame, tick.now)
+        return tick
+
+    def _prepare(self, tick: _Tick) -> _Tick:
+        horizon_s = self.config.pose_feedback_lag_frames * self.interval
+        tick.prepared = self.sender.prepare(tick.frame, horizon_s)
+        return tick
+
+    def _encode(self, tick: _Tick) -> _Tick:
+        tick.result = self.sender.encode(
+            tick.prepared,
+            tick.target_rate_bps,
+            force_intra=tick.force_intra,
+            fail_encode=self.boundary.encode_fails(tick.sequence),
+            color_budget_scale=tick.color_budget_scale,
+        )
+        return tick
+
+    def _decode(self, args):
+        color_frame, depth_frame, sequence, now = args
+        color_frame = self.boundary.corrupt_delivered_pair(color_frame, sequence, now)
+        if self.hardened:
+            return self.receiver.decode_pair_safe(color_frame, depth_frame)
+        if self.receiver.can_decode(color_frame, depth_frame):
+            return self.receiver.decode_pair(color_frame, depth_frame)
+        return None
+
+    # ------------------------------------------------------------------
+    # Bookkeeping shared by both sides
+    # ------------------------------------------------------------------
+
+    def _fate(self, sequence: int, time_s: float, status: str) -> None:
+        """Close a frame's root span with its fate (nothing untraced)."""
+        tracer = self.tracer
+        if tracer is None:
+            return
+        if status == "rendered":
+            # Render span: one frame interval on screen from the
+            # jitter-buffered playout point.
+            shown_until = time_s + self.interval
+            tracer.add_span(
+                "render", "stage", sequence, time_s, shown_until,
+                parent_id=tracer.frame_root(sequence),
+            )
+            time_s = shown_until
+        tracer.close_frame(sequence, time_s, status=status)
+
+    def _event(self, now: float, category: str, detail: str, **fields) -> None:
+        self.events.append(
+            FaultEvent(time_s=now, category=category, detail=detail, **fields)
+        )
+
+    def _observe_deadline(self, on_time: bool, now: float) -> None:
+        """Feed the watchdog; record ladder transitions as events."""
+        if self.watchdog is None:
+            return
+        new_level = self.watchdog.observe(on_time, now)
+        if new_level is not None:
+            self._event(
+                now,
+                "recover_step" if on_time else "degrade_step",
+                f"ladder -> {level_name(new_level)}",
+                recovered=on_time,
+            )
+
+    def _freeze(self, record: FrameRecord) -> bool:
+        """Show the last good frame instead, when hardened and there is one."""
+        record.frozen = self.hardened and self.receiver.freeze_frame() is not None
+        return record.frozen
+
+    def _prune(self, sequence: int) -> None:
+        """Drop a resolved frame's buffered state (bounded memory)."""
+        self.captures.pop(sequence, None)
+        self.encoded.pop(sequence, None)
+        self.pair_arrivals.pop(sequence, None)
+        self.channel.release_frame(sequence)
+
+    # ------------------------------------------------------------------
+    # Receive side
+    # ------------------------------------------------------------------
+
+    def receive(self, now: float, final: bool = False) -> None:
+        """Take what the channel delivered by ``now``, resolve every
+        head-of-line frame whose fate is known, collect finished scores."""
+        self._ingest(self.channel.poll_deliveries(now))
+        while self.pending and self.resolve_head(now, final):
+            pass
+        self.quality.collect(final)
+
+    def drain(self) -> None:
+        """Resolve every frame still in flight (``final`` leaves none
+        behind), then wait for the scores still out on the pool."""
+        self.receive(self.drain_time_s, final=True)
+
+    def _ingest(self, deliveries) -> None:
+        for delivery in deliveries:
+            sequence = delivery.frame_sequence
+            self.pair_arrivals.setdefault(sequence, {})[
+                delivery.stream_id
+            ] = delivery.completion_time_s
+            record = self.records.get(sequence)
+            if self.tracer is not None and record is not None:
+                # One sim-clock transport span per delivered stream:
+                # send tick to last-byte delivery.
+                self.tracer.add_span(
+                    "transport:color" if delivery.stream_id == 0 else "transport:depth",
+                    "transport",
+                    sequence,
+                    record.capture_time_s,
+                    delivery.completion_time_s,
+                    parent_id=self.tracer.frame_root(sequence),
+                )
+
+    def resolve_head(self, now: float, final: bool) -> bool:
+        """Resolve the oldest in-flight frame if its fate is known.
+
+        A frame resolves when its pair is fully delivered (decode +
+        deadline check), when either stream was abandoned by the
+        channel (freeze fallback), or unconditionally during the final
+        drain.
+        """
+        sequence = self.pending[0]
+        arrivals = self.pair_arrivals.get(sequence, {})
+        if 0 in arrivals and 1 in arrivals:
+            pair = self.decode_stage((*self.encoded[sequence], sequence, now))
+            if pair is not None:
+                self._delivered(sequence, pair, max(arrivals.values()), now)
+            else:
+                self._undecodable(sequence, now)
+        else:
+            abandoned = self.channel.frame_abandoned(
+                0, sequence
+            ) or self.channel.frame_abandoned(1, sequence)
+            if not (abandoned or final):
+                return False
+            self._undelivered(sequence, abandoned, now)
+        self.pending.popleft()
+        self._prune(sequence)
+        return True
+
+    def _delivered(self, sequence: int, pair, pair_time: float, now: float) -> None:
+        """A decodable pair: rendered if its playout point makes the
+        deadline, late otherwise."""
+        record = self.records[sequence]
+        record.delivery_time_s = pair_time
+        playout_time = pair_time + self.config.jitter_target_s
+        deadline = record.capture_time_s + self.config.playout_delay_s
+        on_time = playout_time <= deadline + 1e-9
+        if on_time:
+            record.rendered = True
+            record.stalled = False
+            self._sample_quality(record, pair, sequence)
+        self._observe_deadline(on_time, now)
+        self._fate(sequence, playout_time, "rendered" if on_time else "late")
+
+    def _undecodable(self, sequence: int, now: float) -> None:
+        """Freeze the last good frame and ask the sender for a keyframe
+        (PLI semantics)."""
+        record = self.records[sequence]
+        if self.hardened:
+            self.rx_request_intra = True
+        if self._freeze(record):
+            self._event(
+                now, "frame_freeze", "undecodable pair; showing last good frame",
+                sequence=sequence,
+            )
+        self._observe_deadline(False, now)
+        self._fate(sequence, now, "frozen" if record.frozen else "undecodable")
+
+    def _undelivered(self, sequence: int, abandoned: bool, now: float) -> None:
+        """Abandoned by the channel, or still in flight at the drain."""
+        record = self.records[sequence]
+        if abandoned:
+            self._event(
+                now, "frame_abandoned", "retransmissions exhausted; PLI raised",
+                sequence=sequence,
+            )
+        self._freeze(record)
+        self._observe_deadline(False, now)
+        self._fate(sequence, now, "frozen" if record.frozen else "undelivered")
+
+    def _sample_quality(self, record: FrameRecord, pair, sequence: int) -> None:
+        """Offer one rendered frame to the quality lane."""
+        watchdog, receiver = self.watchdog, self.receiver
+
+        def render(actual: Frustum):
+            voxel_m = None
+            if watchdog is not None and watchdog.voxel_scale() > 1.0:
+                voxel_m = self.config.render_voxel_m * watchdog.voxel_scale()
+            shown = receiver.render_view(receiver.reconstruct(pair), actual, voxel_m)
+            return lambda truth: shown
+
+        self.quality.sample(record, self.captures[sequence], sequence, render)
+
+    # ------------------------------------------------------------------
+    # Send side
+    # ------------------------------------------------------------------
+
+    def send(self, sequence: int, now: float) -> None:
+        """One capture tick: pose feedback, fault window edges, then the
+        stage graph, unless the ladder skips the tick; what the encode
+        produced decides the frame's record."""
+        config, watchdog, channel = self.config, self.watchdog, self.channel
+        lag = config.pose_feedback_lag_frames
+        if sequence >= lag:
+            self.sender.observe_pose(
+                self.replay.user_trace.pose_at_frame(sequence - lag),
+                (sequence - lag) * self.interval,
+            )
+        self.boundary.tick(now)
+        if self.tracer is not None:
+            self.tracer.open_frame(sequence, now)
+        record = self.records[sequence] = FrameRecord(
+            sequence=sequence,
+            capture_time_s=now,
+            rendered=False,
+            stalled=False,
+            degradation_level=watchdog.level if watchdog is not None else 0,
+        )
+        if watchdog is not None and watchdog.skips_tick(sequence):
+            record.skipped = True
+            self._fate(sequence, now, "skipped")
+            return
+        force_intra = (
+            channel.needs_keyframe(0)
+            or channel.needs_keyframe(1)
+            or self.rx_request_intra
+        )
+        tick = self.graph.run_item(
+            _Tick(
+                sequence=sequence,
+                now=now,
+                target_rate_bps=channel.target_rate_bps(),
+                force_intra=force_intra,
+                color_budget_scale=(
+                    watchdog.color_budget_scale() if watchdog is not None else 1.0
+                ),
+            )
+        )
+        self.captures[sequence] = tick.frame
+        result = tick.result
+        if result is None:
+            record.stalled = record.encode_failed = True
+            self._event(
+                now, "encode_failure",
+                "encode failed; capture skipped, next frame INTRA",
+                sequence=sequence,
+            )
+            self._observe_deadline(False, now)
+            self._fate(sequence, now, "encode_failed")
+            return
+        record.total_points = result.total_points
+        if result.empty:
+            # Degenerate capture: culling removed every visible point
+            # (or no camera contributed one).  Nothing to send -- a
+            # valid, skippable outcome, not a failure; the encoder
+            # reference chains are untouched.
+            record.empty = True
+            self._fate(sequence, now, "empty")
+            return
+        if force_intra:
+            self.rx_request_intra = False
+        self.encoded[sequence] = (result.color_frame, result.depth_frame)
+        # In flight: a stall until the receive side says otherwise.
+        record.stalled = True
+        record.wire_bytes = result.total_bytes
+        record.split = result.split
+        record.culled_points = result.culled_points
+        channel.send_frame(0, sequence, result.color_frame.size_bytes, now)
+        channel.send_frame(1, sequence, result.depth_frame.size_bytes, now)
+        self.pending.append(sequence)
+
+    # ------------------------------------------------------------------
+    # Report
+    # ------------------------------------------------------------------
+
+    def report(self, scheme_name: str, video_name: str) -> SessionReport:
+        """The finished call: frame records, sorted fault events, stage
+        timings, cache counters, the metrics registry and the trace."""
+        events, tracer = self.events, self.tracer
+        for stream_id, marker_sequence in self.channel.marker_frames:
+            self._event(
+                marker_sequence * self.interval,
+                "zero_byte_frame",
+                f"stream {stream_id} frame culled to zero bytes; marker sent",
+                sequence=marker_sequence,
+            )
+        events.sort(key=lambda event: event.time_s)
+        report = self.session._report(
+            self.replay,
+            self.quality,
+            scheme_name,
+            video_name,
+            self.config.fps,
+            list(self.records.values()),
+            [*self.graph.stages, self.decode_stage],
+            fault_events=events,
+            cache_stats={
+                "codec_scratch": self.sender.cache_counters().to_dict(),
+                "transport_batch": self.channel.batch_counters.to_dict(),
+            },
+        )
+        report.attach_metrics(self._metrics(report))
+        if tracer is not None:
+            for event in events:
+                tracer.instant(
+                    f"fault:{event.category}",
+                    "fault",
+                    trace_id=event.sequence,
+                    time_s=event.time_s,
+                    attrs={"detail": event.detail},
+                )
+            tracer.finish(self.drain_time_s)
+            report.attach_trace(tracer)
+        return report
+
+    def _metrics(self, report: SessionReport) -> MetricsRegistry:
+        """One queryable namespace over the call's telemetry, built from
+        already-collected aggregates (the hot path never sees it)."""
+        registry = MetricsRegistry()
+        for name, timing in report.stage_timings.items():
+            registry.histogram(f"stage.{name}.ms").observe_many(
+                sample * 1e3 for sample in timing.samples
+            )
+        for category, count in report.fault_counts().items():
+            registry.counter(f"faults.{category}").inc(count)
+        for counters in (
+            self.sender.cache_counters(),
+            self.replay.source.counters(),
+            self.quality.cache.counters,
+        ):
+            counters.metrics_into(registry)
+        self.channel.metrics_into(registry)
+        if self.injector is not None:
+            self.injector.metrics_into(registry)
+        if self.watchdog is not None:
+            # Close the time-per-rung accounting where the drain
+            # observed its last deadlines.
+            self.watchdog.finalize(self.drain_time_s)
+            self.watchdog.metrics_into(registry)
+        return registry
+
+
 class LiVoSession(_SessionBase):
     """LiVo / LiVo-NoCull / LiVo-NoAdapt replay (the scheme comes from
     ``config.scheme``).
 
     The replay interleaves the sender and receiver on one simulated
-    clock: every capture tick first resolves the oldest in-flight
-    frames (decode + render-deadline accounting), then feeds the stall
-    watchdog, then runs the capture -> prepare -> encode stage graph
-    and sends.  Interleaving is what lets the receiver's observed
-    outcomes steer the sender mid-session -- the degradation ladder --
-    and is behavior-identical to the older three-phase replay when no
-    faults fire and the ladder stays at level 0.
+    clock, a receive then a send per capture tick (:class:`_Call`).
 
     ``fault_plan`` injects deterministic faults (camera dropouts, link
     outages, burst loss, encoder failures, corrupt bitstreams), attached
@@ -384,39 +824,8 @@ class LiVoSession(_SessionBase):
         """
         config = self.config
         replay = self._open(scene, user_trace, bandwidth_trace, num_frames)
-        rig, scaled_trace = replay.rig, replay.scaled_trace
         if tracer is None and config.trace:
             tracer = Tracer()
-        resilience = config.resilience
-        hardened = resilience.enabled
-        injector = FaultInjector(fault_plan) if fault_plan is not None else None
-        watchdog = (
-            StallWatchdog(resilience)
-            if resilience.enabled and resilience.ladder_enabled
-            else None
-        )
-        sender = LiVoSender(rig.cameras, config, self.device, receiver_id=receiver_id)
-        receiver = LiVoReceiver(rig.cameras, config, receiver_id=receiver_id)
-        events: list[FaultEvent] = []
-        boundary = StageFaultBoundary(injector, events)
-
-        link = EmulatedLink(
-            scaled_trace,
-            config.link,
-            fault_hook=injector.link_drop if injector is not None else None,
-        )
-        mean_capacity_bps = scaled_trace.stats().mean * 1e6
-        # Start GCC conservatively relative to the (scaled) link, as a
-        # real session starts below capacity and probes upward.
-        channel = WebRTCChannel(
-            link,
-            gcc_config=GCCConfig(
-                initial_rate_bps=0.5 * mean_capacity_bps,
-                min_rate_bps=0.05 * mean_capacity_bps,
-                max_rate_bps=10.0 * mean_capacity_bps,
-            ),
-        )
-
         if scheme_name is None:
             if config.scheme.culling and config.scheme.adaptation:
                 scheme_name = "LiVo"
@@ -424,421 +833,16 @@ class LiVoSession(_SessionBase):
                 scheme_name = "LiVo-NoCull"
             else:
                 scheme_name = "LiVo-NoAdapt"
-
-        interval = config.frame_interval_s
-        lag = config.pose_feedback_lag_frames
-        horizon_s = lag * interval
-        duration = replay.duration_s
-
-        if tracer is not None:
-            sender.attach_tracer(tracer)
-
-        captures: dict[int, MultiViewFrame] = {}
-        encoded: dict[int, tuple] = {}
-        records: dict[int, FrameRecord] = {}
-        pair_arrivals: dict[int, dict[int, float]] = {}
-        pending: deque[int] = deque()
-        rx_request_intra = False  # PLI-style request after a poisoned pair
-
-        # ------------------------------------------------------------------
-        # Send-side stage graph: capture -> prepare -> encode.  Camera
-        # faults attach at the capture stage's exit boundary.
-        # ------------------------------------------------------------------
-
-        def do_capture(tick: _Tick) -> _Tick:
-            tick.frame = replay.capture(tick.sequence)
-            return tick
-
-        def camera_fault_hook(tick: _Tick) -> _Tick:
-            tick.frame = boundary.apply_camera_faults(tick.frame, tick.now)
-            return tick
-
-        def do_prepare(tick: _Tick) -> _Tick:
-            tick.prepared = sender.prepare(tick.frame, horizon_s)
-            return tick
-
-        def do_encode(tick: _Tick) -> _Tick:
-            tick.result = sender.encode(
-                tick.prepared,
-                tick.target_rate_bps,
-                force_intra=tick.force_intra,
-                fail_encode=boundary.encode_fails(tick.sequence),
-                color_budget_scale=tick.color_budget_scale,
-            )
-            return tick
-
-        graph = StageGraph(
-            [
-                Stage("capture", do_capture, post_hooks=[camera_fault_hook]),
-                Stage("prepare", do_prepare),
-                Stage("encode", do_encode),
-            ]
-        )
-        if tracer is not None:
-            for stage in graph.stages:
-                stage.attach_tracer(tracer)
-
-        # Receive-side stages, driven on delivery rather than capture
-        # ticks; instrumented the same way.
-
-        def do_decode(args):
-            color_frame, depth_frame, sequence, now = args
-            color_frame = boundary.corrupt_delivered_pair(color_frame, sequence, now)
-            if hardened:
-                return receiver.decode_pair_safe(color_frame, depth_frame)
-            if receiver.can_decode(color_frame, depth_frame):
-                return receiver.decode_pair(color_frame, depth_frame)
-            return None
-
-        decode_stage = Stage("decode", do_decode)
-        if tracer is not None:
-            # The stage takes a positional arg tuple with the frame
-            # sequence riding at index 2.
-            decode_stage.attach_tracer(tracer, seq_fn=lambda args: args[2])
-
-        def ingest(deliveries) -> None:
-            for delivery in deliveries:
-                pair_arrivals.setdefault(delivery.frame_sequence, {})[
-                    delivery.stream_id
-                ] = delivery.completion_time_s
-                if tracer is not None:
-                    # One sim-clock transport span per delivered stream:
-                    # send tick to last-byte delivery.
-                    seq = delivery.frame_sequence
-                    record = records.get(seq)
-                    if record is not None:
-                        tracer.add_span(
-                            "transport:color"
-                            if delivery.stream_id == 0
-                            else "transport:depth",
-                            "transport",
-                            seq,
-                            record.capture_time_s,
-                            delivery.completion_time_s,
-                            parent_id=tracer.frame_root(seq),
-                        )
-
-        def observe_deadline(on_time: bool, now: float) -> None:
-            """Feed the watchdog; record ladder transitions as events."""
-            if watchdog is None:
-                return
-            new_level = watchdog.observe(on_time, now)
-            if new_level is None:
-                return
-            recovered = on_time
-            events.append(
-                FaultEvent(
-                    time_s=now,
-                    category="recover_step" if recovered else "degrade_step",
-                    detail=f"ladder -> {level_name(new_level)}",
-                    recovered=recovered,
-                )
-            )
-
-        def sample_quality(record: FrameRecord, pair, sequence: int) -> None:
-            """Offer one rendered frame to the quality lane."""
-
-            def render(actual: Frustum):
-                voxel_m = None
-                if watchdog is not None and watchdog.voxel_scale() > 1.0:
-                    voxel_m = config.render_voxel_m * watchdog.voxel_scale()
-                shown = receiver.render_view(
-                    receiver.reconstruct(pair), actual, voxel_m
-                )
-                return lambda truth: shown
-
-            quality.sample(record, captures[sequence], sequence, render)
-
-        def prune(sequence: int) -> None:
-            """Drop a resolved frame's buffered state (bounded memory)."""
-            captures.pop(sequence, None)
-            encoded.pop(sequence, None)
-            pair_arrivals.pop(sequence, None)
-            channel.release_frame(sequence)
-
-        def resolve_head(now: float, final: bool) -> bool:
-            """Resolve the oldest in-flight frame if its fate is known.
-
-            A frame resolves when its pair is fully delivered (decode +
-            deadline check), when either stream was abandoned by the
-            channel (freeze fallback), or unconditionally during the
-            final drain.  Resolution strictly follows sequence order so
-            the decoder reference chains advance exactly as a live
-            receiver's would.
-            """
-            nonlocal rx_request_intra
-            sequence = pending[0]
-            record = records[sequence]
-            arrivals = pair_arrivals.get(sequence, {})
-            complete = 0 in arrivals and 1 in arrivals
-            abandoned = channel.frame_abandoned(0, sequence) or channel.frame_abandoned(
-                1, sequence
-            )
-            if complete:
-                pair_time = max(arrivals.values())
-                deadline = record.capture_time_s + config.playout_delay_s
-                playout_time = pair_time + config.jitter_target_s
-                color_frame, depth_frame = encoded[sequence]
-                pair = decode_stage((color_frame, depth_frame, sequence, now))
-                if pair is not None:
-                    record.delivery_time_s = pair_time
-                    if playout_time <= deadline + 1e-9:
-                        record.rendered = True
-                        record.stalled = False
-                        sample_quality(record, pair, sequence)
-                        observe_deadline(True, now)
-                    else:
-                        observe_deadline(False, now)
-                    if tracer is not None:
-                        if record.rendered:
-                            # Render span: one frame interval on screen
-                            # from the jitter-buffered playout point.
-                            tracer.add_span(
-                                "render",
-                                "stage",
-                                sequence,
-                                playout_time,
-                                playout_time + interval,
-                                parent_id=tracer.frame_root(sequence),
-                            )
-                            tracer.close_frame(
-                                sequence, playout_time + interval, status="rendered"
-                            )
-                        else:
-                            tracer.close_frame(sequence, playout_time, status="late")
-                else:
-                    # Undecodable pair: freeze the last good frame and
-                    # ask the sender for a keyframe (PLI semantics).
-                    if hardened:
-                        rx_request_intra = True
-                        if receiver.freeze_frame() is not None:
-                            record.frozen = True
-                            events.append(
-                                FaultEvent(
-                                    time_s=now,
-                                    category="frame_freeze",
-                                    detail="undecodable pair; showing last good frame",
-                                    sequence=sequence,
-                                )
-                            )
-                    observe_deadline(False, now)
-                    if tracer is not None:
-                        tracer.close_frame(
-                            sequence,
-                            now,
-                            status="frozen" if record.frozen else "undecodable",
-                        )
-            elif abandoned or final:
-                if abandoned:
-                    events.append(
-                        FaultEvent(
-                            time_s=now,
-                            category="frame_abandoned",
-                            detail="retransmissions exhausted; PLI raised",
-                            sequence=sequence,
-                        )
-                    )
-                if hardened and receiver.freeze_frame() is not None:
-                    record.frozen = True
-                observe_deadline(False, now)
-                if tracer is not None:
-                    tracer.close_frame(
-                        sequence,
-                        now,
-                        status="frozen" if record.frozen else "undelivered",
-                    )
-            else:
-                return False
-            pending.popleft()
-            prune(sequence)
-            return True
-
-        # --------------------------------------------------------------
-        # Interleaved replay: resolve receives, then capture and send.
-        # --------------------------------------------------------------
-        quality = _QualityLane(self, replay, tracer)
+        call = _Call(self, replay, fault_plan, tracer, receiver_id)
         try:
             for sequence in range(num_frames):
-                now = sequence * interval
-                ingest(channel.poll_deliveries(now))
-                while pending and resolve_head(now, final=False):
-                    pass
-                quality.collect(final=False)
-                if sequence >= lag:
-                    sender.observe_pose(
-                        user_trace.pose_at_frame(sequence - lag),
-                        (sequence - lag) * interval,
-                    )
-                boundary.tick(now)
-                if tracer is not None:
-                    tracer.open_frame(sequence, now)
-                level = watchdog.level if watchdog is not None else 0
-                if watchdog is not None and watchdog.skips_tick(sequence):
-                    records[sequence] = FrameRecord(
-                        sequence=sequence,
-                        capture_time_s=now,
-                        rendered=False,
-                        stalled=False,
-                        skipped=True,
-                        degradation_level=level,
-                    )
-                    if tracer is not None:
-                        tracer.close_frame(sequence, now, status="skipped")
-                    continue
-                force_intra = (
-                    channel.needs_keyframe(0)
-                    or channel.needs_keyframe(1)
-                    or rx_request_intra
-                )
-                tick = graph.run_item(
-                    _Tick(
-                        sequence=sequence,
-                        now=now,
-                        target_rate_bps=channel.target_rate_bps(),
-                        force_intra=force_intra,
-                        color_budget_scale=(
-                            watchdog.color_budget_scale()
-                            if watchdog is not None
-                            else 1.0
-                        ),
-                    )
-                )
-                captures[sequence] = tick.frame
-                result = tick.result
-                if result is None:
-                    records[sequence] = FrameRecord(
-                        sequence=sequence,
-                        capture_time_s=now,
-                        rendered=False,
-                        stalled=True,
-                        encode_failed=True,
-                        degradation_level=level,
-                    )
-                    events.append(
-                        FaultEvent(
-                            time_s=now,
-                            category="encode_failure",
-                            detail="encode failed; capture skipped, next frame INTRA",
-                            sequence=sequence,
-                        )
-                    )
-                    observe_deadline(False, now)
-                    if tracer is not None:
-                        tracer.close_frame(sequence, now, status="encode_failed")
-                    continue
-                if result.empty:
-                    # Degenerate capture: culling removed every visible
-                    # point (or no camera contributed one).  Nothing to
-                    # send -- a valid, skippable outcome, not a failure;
-                    # the encoder reference chains are untouched.
-                    records[sequence] = FrameRecord(
-                        sequence=sequence,
-                        capture_time_s=now,
-                        rendered=False,
-                        stalled=False,
-                        total_points=result.total_points,
-                        degradation_level=level,
-                        empty=True,
-                    )
-                    if tracer is not None:
-                        tracer.close_frame(sequence, now, status="empty")
-                    continue
-                if force_intra:
-                    rx_request_intra = False
-                encoded[sequence] = (result.color_frame, result.depth_frame)
-                records[sequence] = FrameRecord(
-                    sequence=sequence,
-                    capture_time_s=now,
-                    rendered=False,
-                    stalled=True,
-                    wire_bytes=result.total_bytes,
-                    split=result.split,
-                    culled_points=result.culled_points,
-                    total_points=result.total_points,
-                    degradation_level=level,
-                )
-                channel.send_frame(0, sequence, result.color_frame.size_bytes, now)
-                channel.send_frame(1, sequence, result.depth_frame.size_bytes, now)
-                pending.append(sequence)
-
-            # Final drain: resolve every frame still in flight.
-            ingest(channel.poll_deliveries(duration + 5.0))
-            while pending:
-                resolve_head(duration + 5.0, final=True)
-
-            # Collect the quality scores still out on the executor
-            # (already resolved when serial).
-            quality.collect(final=True)
+                now = sequence * config.frame_interval_s
+                call.receive(now)
+                call.send(sequence, now)
+            call.drain()
         finally:
-            quality.close()
-
-        for stream_id, marker_sequence in channel.marker_frames:
-            events.append(
-                FaultEvent(
-                    time_s=marker_sequence * interval,
-                    category="zero_byte_frame",
-                    detail=f"stream {stream_id} frame culled to zero bytes; marker sent",
-                    sequence=marker_sequence,
-                )
-            )
-        events.sort(key=lambda event: event.time_s)
-        if tracer is not None:
-            for event in events:
-                tracer.instant(
-                    f"fault:{event.category}",
-                    "fault",
-                    trace_id=event.sequence,
-                    time_s=event.time_s,
-                    attrs={"detail": event.detail},
-                )
-            tracer.finish(duration + 5.0)
-
-        report = self._report(
-            replay,
-            quality,
-            scheme_name,
-            video_name,
-            config.fps,
-            [records[sequence] for sequence in range(num_frames)],
-            merge_timings(
-                graph.timings(),
-                {s.name: s.timing for s in (decode_stage, quality.stage)},
-            ),
-            fault_events=events,
-            cache_stats={
-                "codec_scratch": sender.cache_counters().to_dict(),
-                "transport_batch": channel.batch_counters.to_dict(),
-            },
-        )
-
-        # Unified metrics registry: the older telemetry channels (cache
-        # counters, stage timings, transport batch counters, fault
-        # events) folded into one queryable namespace.  Built from
-        # already-collected aggregates, so the hot path is untouched.
-        registry = MetricsRegistry()
-        registry.absorb_stage_timings(report.stage_timings or {})
-        # transport_batch is registered by channel.metrics_into;
-        # absorbing it from cache_stats too would double-count.
-        registry.absorb_cache_stats(
-            {
-                name: entry
-                for name, entry in report.cache_stats.items()
-                if name != "transport_batch"
-            }
-        )
-        channel.metrics_into(registry)
-        if injector is not None:
-            injector.metrics_into(registry)
-        registry.absorb_fault_events(events)
-        if watchdog is not None:
-            # The drain observes deadlines at duration + 5 s; close the
-            # time-per-rung accounting on the same sim clock.
-            watchdog.finalize(duration + 5.0)
-            watchdog.metrics_into(registry)
-        report.attach_metrics(registry)
-        if tracer is not None:
-            report.attach_trace(tracer)
-        return report
+            call.quality.close()
+        return call.report(scheme_name, video_name)
 
 
 class DracoOracleSession(_SessionBase):
@@ -932,10 +936,7 @@ class DracoOracleSession(_SessionBase):
             video_name,
             oracle_fps,
             records,
-            {
-                s.name: s.timing
-                for s in (capture_stage, cull_stage, encode_stage, quality.stage)
-            },
+            [capture_stage, cull_stage, encode_stage],
         )
 
 
@@ -991,7 +992,7 @@ class MeshReduceSession(_SessionBase):
                 if result.sent and result.mesh is not None:
 
                     def render(actual: Frustum, mesh=result.mesh, seed=sequence):
-                        # ``shown`` may run later, on an executor thread:
+                        # ``shown`` may run later, on a pool thread:
                         # it must not read this loop's variables.
                         def shown(truth: PointCloud) -> PointCloud:
                             sampled = pipeline.reconstruct(
@@ -1014,8 +1015,5 @@ class MeshReduceSession(_SessionBase):
             video_name,
             15.0,
             records,
-            {
-                s.name: s.timing
-                for s in (capture_stage, compress_stage, quality.stage)
-            },
+            [capture_stage, compress_stage],
         )

@@ -1,14 +1,16 @@
 """Fault injection at stage boundaries.
 
-PR 1 scattered the :class:`~repro.faults.injector.FaultInjector` calls
-through the session loop; the stage-graph runtime gives each fault
-family a natural seam instead -- the boundary between two stages:
+Each fault family attaches at one seam -- the boundary between two
+stages -- and the stage body on that side of the seam makes the call
+(so the fault's cost sits inside that stage's time and span):
 
-- **capture boundary** (post-capture hook): camera dropout/stale
-  substitution, plus the per-camera window-edge events;
-- **encode boundary** (pre-encode hook): injected encoder failures;
-- **delivery boundary** (pre-decode hook): bitstream corruption of a
-  pair that reached the receiver;
+- **capture boundary** (the capture stage, on the frame it just
+  captured): camera dropout/stale substitution, plus the per-camera
+  window-edge events;
+- **encode boundary** (the encode stage, before encoding): injected
+  encoder failures;
+- **delivery boundary** (the decode stage, before decoding): bitstream
+  corruption of a pair that reached the receiver;
 - **tick boundary**: link outage / burst-loss window-edge events (the
   drops themselves stay inside the link's ``fault_hook``).
 

@@ -21,7 +21,7 @@ The layer is default-off (``SessionConfig.trace``); with tracing
 disabled every instrumentation site is a single ``is None`` check and
 reports are byte-identical to an uninstrumented run.  See DESIGN.md
 section 10 for the span taxonomy (frame -> stage -> kernel) and the
-context-propagation rules across thread/process executors.
+context-propagation rule into the quality lane's pool threads.
 """
 
 from repro.obs.clock import Clock, FakeClock, WallClock

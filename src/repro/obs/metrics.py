@@ -1,5 +1,4 @@
-"""One metrics registry: counters, gauges, histograms, and the shims
-that absorb the repo's pre-existing telemetry channels.
+"""One metrics registry: counters, gauges, histograms.
 
 Histograms keep every observation (sessions observe at most a few
 thousand values per metric), so quantiles are *exact* -- no sketch
@@ -7,18 +6,10 @@ error to reason about when a table in the paper is reproduced from
 them.  The sorted view is cached and invalidated on write, so repeated
 quantile reads cost one sort total.
 
-Compatibility shims (``absorb_*``) map the older channels onto
-registry metrics without touching their producers:
-
-- ``cache_stats`` dicts (``{hits, misses, hit_rate}`` per cache, from
-  :meth:`repro.core.stats.SessionReport.cache_stats`) become
-  ``cache.<name>.hits`` / ``.misses`` counters and a ``.hit_rate``
-  gauge;
-- stage-timing tables (:class:`repro.runtime.stage.StageTiming`)
-  become ``stage.<name>.ms`` histograms (one observation per item);
-- :class:`repro.perf.counters.CacheCounters` /
-  :class:`~repro.perf.counters.BatchCounters` objects feed the same
-  ``cache.*`` namespace directly.
+Producers write themselves in: anything with telemetry has a
+``metrics_into(registry)`` (the channel, the SFU node, the batch plane,
+the watchdog, :class:`repro.perf.counters.CacheCounters`), and the
+registry knows none of them.
 """
 
 from __future__ import annotations
@@ -199,32 +190,6 @@ class MetricsRegistry:
             if isinstance(hits, Counter) and isinstance(misses, Counter):
                 total = hits.value + misses.value
                 self.gauge(name).set(hits.value / total if total else 0.0)
-
-    # ------------------------------------------------------------------
-    # Compatibility shims for the pre-obs telemetry channels
-    # ------------------------------------------------------------------
-
-    def absorb_cache_stats(self, stats: dict[str, dict]) -> None:
-        """Fold a ``SessionReport.cache_stats`` dict into the registry."""
-        for cache_name, entry in stats.items():
-            self.counter(f"cache.{cache_name}.hits").inc(int(entry.get("hits", 0)))
-            self.counter(f"cache.{cache_name}.misses").inc(int(entry.get("misses", 0)))
-            self.gauge(f"cache.{cache_name}.hit_rate").set(entry.get("hit_rate", 0.0))
-
-    def absorb_counters(self, counters) -> None:
-        """Fold a live CacheCounters/BatchCounters object in (by name)."""
-        self.absorb_cache_stats({counters.name: counters.to_dict()})
-
-    def absorb_stage_timings(self, timings: dict) -> None:
-        """Fold a per-stage :class:`StageTiming` map into histograms."""
-        for name, timing in timings.items():
-            histogram = self.histogram(f"stage.{name}.ms")
-            histogram.observe_many(sample * 1e3 for sample in timing.samples)
-
-    def absorb_fault_events(self, events) -> None:
-        """Count :class:`FaultEvent` streams per category."""
-        for event in events:
-            self.counter(f"faults.{event.category}").inc()
 
     def format_table(self) -> str:
         """Human-readable metric table (``--profile`` companion)."""

@@ -1,11 +1,12 @@
 """The tracer: span lifecycle, frame contexts, and cross-boundary merge.
 
 One :class:`Tracer` instance serves a whole session.  It is
-thread-safe (the threaded stage schedule runs stages on dedicated
-threads) and keeps a context-local "current span" so sub-spans opened
-inside a stage body parent correctly without explicit plumbing.
+thread-safe (ids and the span list sit behind a lock) and keeps a
+thread-local "current span" so sub-spans opened inside a stage body
+parent correctly without explicit plumbing.
 
-Propagation into executor jobs: work submitted to an executor carries
+Propagation into pool jobs: a quality-scoring job submitted to the
+session's thread pool carries
 a :class:`~repro.obs.span.TraceContext`; the job records spans into
 its own lightweight tracer (:func:`worker_tracer`) and returns the
 closed spans with the result, where :meth:`Tracer.absorb` remaps
@@ -46,7 +47,7 @@ class Tracer:
         self._id_step = id_step
         self._frame_roots: dict[int, Span] = {}
         # Context-local span stack; threading.local rather than a
-        # ContextVar because stage threads are plain threads and each
+        # ContextVar because callers are plain threads and each
         # opens/closes its spans strictly LIFO.
         self._local = threading.local()
 

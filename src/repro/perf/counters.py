@@ -14,6 +14,16 @@ from dataclasses import dataclass
 __all__ = ["CacheCounters", "BatchCounters"]
 
 
+def _metrics_into(counters, registry) -> None:
+    """Register ``to_dict()``'s tallies in a ``repro.obs`` registry as
+    ``cache.<name>.hits`` / ``.misses`` counters and a ``.hit_rate`` gauge."""
+    entry = counters.to_dict()
+    prefix = f"cache.{counters.name}"
+    registry.counter(f"{prefix}.hits").inc(entry["hits"])
+    registry.counter(f"{prefix}.misses").inc(entry["misses"])
+    registry.gauge(f"{prefix}.hit_rate").set(entry["hit_rate"])
+
+
 @dataclass
 class CacheCounters:
     """Hit/miss tally for one cache."""
@@ -51,6 +61,8 @@ class CacheCounters:
             "misses": self.misses,
             "hit_rate": round(self.hit_rate, 4),
         }
+
+    metrics_into = _metrics_into
 
 
 @dataclass
@@ -96,3 +108,5 @@ class BatchCounters:
             "hit_rate": round(self.batched_fraction, 4),
             "batches": self.batches,
         }
+
+    metrics_into = _metrics_into

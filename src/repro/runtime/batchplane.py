@@ -509,8 +509,7 @@ class BatchPlane:
         Per-kind tallies land as ``cache.batchplane_<kind>.*`` gauges
         (profile-table compatible); round/bucket totals as counters.
         """
-        registry.absorb_cache_stats(
-            {f"batchplane_{name}": c.to_dict() for name, c in self.counters.items()}
-        )
+        for counters in self.counters.values():
+            counters.metrics_into(registry)
         registry.counter("batchplane.rounds").inc(self.rounds)
         registry.counter("batchplane.buckets").inc(self.buckets)

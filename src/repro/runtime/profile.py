@@ -4,21 +4,7 @@ from __future__ import annotations
 
 from repro.runtime.stage import StageTiming
 
-__all__ = ["format_stage_profile", "format_cache_stats", "merge_timings"]
-
-
-def merge_timings(*timing_maps: dict[str, StageTiming]) -> dict[str, StageTiming]:
-    """Merge several per-stage timing maps into one (samples appended)."""
-    merged: dict[str, StageTiming] = {}
-    for timing_map in timing_maps:
-        for name, timing in timing_map.items():
-            if name in merged:
-                merged[name].merge(timing)
-            else:
-                fresh = StageTiming(name)
-                fresh.merge(timing)
-                merged[name] = fresh
-    return merged
+__all__ = ["format_stage_profile", "format_cache_stats"]
 
 
 def format_stage_profile(

@@ -404,9 +404,7 @@ class SFUNode:
             registry.gauge(f"{prefix}.kept_fraction").set(state.last_kept_fraction)
         if self.downlinks is not None:
             self.downlinks.metrics_into(registry)
-        registry.absorb_cache_stats(
-            {"cull_projection": self.cull_cache.counters.to_dict()}
-        )
+        self.cull_cache.counters.metrics_into(registry)
 
     def close(self) -> None:
         """Drop frame-scoped geometry and per-receiver transports."""

@@ -119,7 +119,7 @@ class WebRTCChannel:
         nothing is batched) plus per-stream byte totals and
         loss/abandon counts.
         """
-        registry.absorb_counters(self.batch_counters)
+        self.batch_counters.metrics_into(registry)
         for stream_id, sent in enumerate(self.bytes_sent_per_stream):
             registry.counter(f"transport.stream{stream_id}.bytes_sent").inc(sent)
         registry.counter("transport.frames_lost").inc(len(self.frames_lost))

@@ -37,7 +37,6 @@ from repro.obs.export import write_spans_jsonl
 from repro.obs.span import CLOCK_SIM, Span
 from repro.perf.features import FeatureCache
 from repro.prediction.pose import user_traces_for_video
-from repro.runtime.executors import make_executor
 from repro.transport.traces import trace_1
 from tests.twins import assert_pinned
 
@@ -227,29 +226,26 @@ class TestExecutorParitySixCameras:
                     raise RuntimeError("pose trace ends here")
                 return user.pose_at_frame(index)
 
-        executors = []
+        pools = []
         futures = []
 
-        def tracking_make(jobs, kind):
-            executor = make_executor(jobs, kind)
-            submit = executor.submit
+        class TrackingPool(session_module.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
 
-            def tracking_submit(fn, *args):
-                future = submit(fn, *args)
+            def submit(self, fn, *args):
+                future = super().submit(fn, *args)
                 futures.append(future)
                 return future
 
-            executor.submit = tracking_submit
-            executors.append(executor)
-            return executor
-
-        monkeypatch.setattr(session_module, "make_executor", tracking_make)
+        monkeypatch.setattr(session_module, "ThreadPoolExecutor", TrackingPool)
         before = set(threading.enumerate())
         with pytest.raises(RuntimeError, match="pose trace ends here"):
             LiVoSession(
                 SessionConfig(**{**config, "quality_every": 1}, jobs=2)
             ).run(scene, _Raising(), trace_1(duration_s=5), 12)
-        assert [executor.kind for executor in executors] == ["thread"]
+        assert len(pools) == 1  # jobs=2 built the pool, once
         assert futures and all(future.done() for future in futures)
         assert set(threading.enumerate()) == before
 

@@ -5,8 +5,8 @@ Contracts under test:
 - spans are deterministic under an injected clock, nest through the
   thread-local context, and survive being absorbed from an executor
   job's tracer with parent links intact;
-- the metrics registry keeps exact quantiles and absorbs every
-  pre-existing telemetry channel behind its shims;
+- the metrics registry keeps exact quantiles, and every telemetry
+  producer writes itself in under its established names;
 - a traced session emits at least one span per frame for every
   pipeline stage (capture, encode, transport, decode, render), closes
   every span, and -- the prime directive -- leaves the SessionReport
@@ -52,8 +52,9 @@ from repro.obs import (
     write_spans_jsonl,
 )
 from repro.obs.export import SIM_PID
+from repro.perf.counters import BatchCounters, CacheCounters
 from repro.prediction.pose import user_traces_for_video
-from repro.runtime import Stage, StageTiming
+from repro.runtime import Stage
 from repro.transport.traces import trace_1
 
 
@@ -215,25 +216,39 @@ class TestMetrics:
             registry.get("missing")
 
     def test_cache_stats_shim(self):
+        # The counters own the ``cache.<name>.*`` naming; a batch tally
+        # reads as hits (batched) / misses (scalar) under the same names.
         registry = MetricsRegistry()
-        registry.absorb_cache_stats(
-            {"quality_features": {"hits": 10, "misses": 2, "hit_rate": 10 / 12}}
-        )
+        CacheCounters("quality_features", hits=10, misses=2).metrics_into(registry)
         assert registry.get("cache.quality_features.hits").value == 10
         assert registry.get("cache.quality_features.misses").value == 2
-        assert registry.get("cache.quality_features.hit_rate").value == pytest.approx(
-            10 / 12
-        )
+        assert registry.get("cache.quality_features.hit_rate").value == round(10 / 12, 4)
+        batch = BatchCounters("transport_batch")
+        batch.batch(3)
+        batch.scalar(1)
+        batch.metrics_into(registry)
+        assert registry.get("cache.transport_batch.hits").value == 3
+        assert registry.get("cache.transport_batch.misses").value == 1
+        assert registry.get("cache.transport_batch.hit_rate").value == 0.75
 
     def test_stage_timings_shim(self):
-        timing = StageTiming("encode")
-        timing.record(0.010)
-        timing.record(0.030)
-        registry = MetricsRegistry()
-        registry.absorb_stage_timings({"encode": timing})
-        histogram = registry.get("stage.encode.ms")
-        assert histogram.count == 2
-        assert histogram.mean == pytest.approx(20.0)
+        # The session writes one ``stage.<name>.ms`` histogram per stage,
+        # one observation per item, straight from its StageTiming.
+        _, scene = load_video("office1", sample_budget=2000)
+        config = SessionConfig(
+            num_cameras=3, camera_width=32, camera_height=24,
+            scene_sample_budget=2000, gop_size=4,
+        )
+        report = LiVoSession(config).run(
+            scene, user_traces_for_video("office1", 12)[0], trace_1(duration_s=5), 3
+        )
+        assert set(report.stage_timings) == {
+            "capture", "prepare", "encode", "decode", "quality",
+        }
+        for name, timing in report.stage_timings.items():
+            histogram = report.metrics.get(f"stage.{name}.ms")
+            assert histogram.count == timing.count
+            assert histogram.mean == pytest.approx(timing.mean_s * 1e3)
 
     def test_format_table_lists_every_metric(self):
         registry = MetricsRegistry()

@@ -1,16 +1,9 @@
-"""Stage-graph runtime: queues, stages, executors, and the parallel
-session path.
-
-The contracts under test are the ones the refactor is stated against:
-bounded queues exert real backpressure (no unbounded growth), the
-threaded stage schedule produces the serial schedule's outputs in
-order, and a session replay scoring on threads is byte-identical to
-the serial one.
+"""Stage runtime and the parallel session path: stages time every
+item, and a session replay scoring on threads is byte-identical to the
+serial one.
 """
 
 import dataclasses
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -23,171 +16,27 @@ from repro.core.pipeline import StagedPipeline
 from repro.core.sender import LiVoSender
 from repro.core.session import DracoOracleSession, LiVoSession, MeshReduceSession
 from repro.prediction.pose import user_traces_for_video
-from repro.runtime import (
-    BoundedQueue,
-    QueueClosed,
-    SerialExecutor,
-    Stage,
-    StageError,
-    StageGraph,
-    StageTiming,
-    ThreadExecutor,
-    make_executor,
-)
+from repro.runtime import Stage, StageGraph, StageTiming
 from repro.transport.traces import trace_1
-
-
-def _square(x):
-    return x * x
-
-
-def _boom(x):
-    raise ValueError(f"no {x}")
-
-
-class TestBoundedQueue:
-    def test_fifo_and_capacity_validation(self):
-        queue = BoundedQueue(3)
-        for item in (1, 2, 3):
-            queue.put(item)
-        assert [queue.get(), queue.get(), queue.get()] == [1, 2, 3]
-        with pytest.raises(ValueError):
-            BoundedQueue(0)
-
-    def test_backpressure_bounds_occupancy(self):
-        """A fast producer can never run more than ``capacity`` ahead:
-        occupancy stays bounded and the producer measurably blocks."""
-        queue = BoundedQueue(2)
-        consumed = []
-
-        def produce():
-            for item in range(50):
-                queue.put(item)
-            queue.put(None)
-
-        producer = threading.Thread(target=produce)
-        producer.start()
-        while True:
-            item = queue.get()
-            if item is None:
-                break
-            time.sleep(0.001)  # slow consumer forces the queue full
-            consumed.append(item)
-        producer.join()
-        assert consumed == list(range(50))
-        assert queue.high_watermark <= 2
-        assert queue.blocked_puts > 0
-        assert queue.total_put == 51
-
-    def test_close_wakes_blocked_producer(self):
-        queue = BoundedQueue(1)
-        queue.put("occupied")
-        errors = []
-
-        def produce():
-            try:
-                queue.put("blocked")
-            except QueueClosed as error:
-                errors.append(error)
-
-        producer = threading.Thread(target=produce)
-        producer.start()
-        time.sleep(0.05)
-        queue.close()
-        producer.join(timeout=2.0)
-        assert not producer.is_alive()
-        assert len(errors) == 1
-        # Pending items drain, then the closed queue raises.
-        assert queue.get() == "occupied"
-        with pytest.raises(QueueClosed):
-            queue.get()
 
 
 class TestStageGraph:
     def _graph(self):
         return StageGraph(
-            [Stage("double", lambda x: 2 * x), Stage("inc", lambda x: x + 1)],
-            queue_capacity=2,
+            [Stage("double", lambda x: 2 * x), Stage("inc", lambda x: x + 1)]
         )
-
-    def test_serial_and_threaded_schedules_agree(self):
-        items = list(range(20))
-        serial = self._graph().run_stream(items)
-        threaded_graph = self._graph()
-        threaded = threaded_graph.run_stream(items, threaded=True)
-        assert serial == threaded == [2 * x + 1 for x in items]
-        # Bounded buffers: no stage ran unboundedly ahead.
-        assert threaded_graph.max_queue_watermark() <= 2
 
     def test_timings_recorded_per_stage(self):
         graph = self._graph()
-        graph.run_stream(list(range(5)))
+        assert [graph.run_item(item) for item in range(5)] == [1, 3, 5, 7, 9]
         timings = graph.timings()
         assert set(timings) == {"double", "inc"}
         assert all(t.count == 5 for t in timings.values())
         assert all(t.mean_s >= 0 for t in timings.values())
 
-    def test_failed_item_becomes_stage_error_not_hang(self):
-        """A raising stage emits a StageError marker downstream; the
-        stream completes for every other item in both schedules."""
-
-        def picky(x):
-            if x == 3:
-                raise ValueError("no 3")
-            return x * 10
-
-        for threaded in (False, True):
-            graph = StageGraph(
-                [Stage("picky", picky), Stage("inc", lambda x: x + 1)]
-            )
-            results = graph.run_stream(list(range(6)), threaded=threaded)
-            assert len(results) == 6
-            errors = [r for r in results if isinstance(r, StageError)]
-            assert len(errors) == 1
-            assert errors[0].item == 3
-            assert [r for r in results if not isinstance(r, StageError)] == [
-                x * 10 + 1 for x in range(6) if x != 3
-            ]
-
     def test_duplicate_stage_names_rejected(self):
         with pytest.raises(ValueError):
             StageGraph([Stage("a", lambda x: x), Stage("a", lambda x: x)])
-
-    def test_boundary_hooks_run_in_order(self):
-        trace = []
-        stage = Stage(
-            "hooked",
-            lambda x: trace.append("body") or x,
-            pre_hooks=[lambda x: trace.append("pre") or x],
-            post_hooks=[lambda x: trace.append("post") or x],
-        )
-        stage(1)
-        assert trace == ["pre", "body", "post"]
-        assert stage.timing.count == 1
-
-
-class TestExecutors:
-    def test_make_executor_selection(self):
-        assert make_executor(1, "auto").kind == "serial"
-        with make_executor(2, "thread") as ex:
-            assert ex.kind == "thread" and ex.parallel
-        with make_executor(2, "auto") as ex:
-            assert ex.kind == "thread"
-        with pytest.raises(ValueError):
-            make_executor(2, "gpu")
-        with pytest.raises(ValueError):
-            make_executor(0, "serial")
-
-    def test_map_and_submit_parity_across_substrates(self):
-        items = list(range(12))
-        expected = [x * x for x in items]
-        for executor in (SerialExecutor(), ThreadExecutor(2)):
-            with executor:
-                futures = [executor.submit(_square, item) for item in items]
-                assert [future.result() for future in futures] == expected
-                failed = executor.submit(_boom, 7)
-                with pytest.raises(ValueError, match="no 7"):
-                    failed.result()
 
 
 def _synthetic_frame(rig, sequence=0, empty=False):

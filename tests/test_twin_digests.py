@@ -10,6 +10,7 @@ both twins.
 
 import dataclasses
 import functools
+import importlib.util
 import inspect
 import re
 from pathlib import Path
@@ -37,13 +38,13 @@ from repro.faults.plan import (
     FrameCorruption,
     LinkOutage,
 )
+from repro.obs.metrics import MetricsRegistry
 from repro.perf.capture import CachedFrameSource
 from repro.perf.culling import CullCache
 from repro.perf.scratch import ScratchArena
 from repro.prediction.pose import user_traces_for_video
 from repro.runtime import batchplane
-from repro.runtime.executors import make_executor
-from repro.runtime.stage import Stage
+from repro.runtime.stage import Stage, StageGraph
 from repro.service.app import ServiceApp, ServiceConfig
 from repro.service.workers import TickWorkerPool
 from repro.sfu.conference import ConferenceDriver
@@ -61,14 +62,36 @@ SMALL = dict(
 )
 
 
-def _session(frames, fault_plan=None, **overrides):
+def _session_report(frames, fault_plan=None, **overrides):
     _, scene = load_video("office1", sample_budget=SMALL["scene_sample_budget"])
     user = user_traces_for_video("office1", frames + 10)[0]
-    report = LiVoSession(SessionConfig(**{**SMALL, **overrides})).run(
+    return LiVoSession(SessionConfig(**{**SMALL, **overrides})).run(
         scene, user, trace_1(duration_s=5), frames,
         video_name="office1", fault_plan=fault_plan,
     )
-    return report.asdict()
+
+
+def _session(frames, fault_plan=None, **overrides):
+    return _session_report(frames, fault_plan, **overrides).asdict()
+
+
+def _registry_facts(metrics: dict) -> dict:
+    # Every metric name with its value; a histogram (wall-clock samples)
+    # contributes its name and observation count only.
+    return {
+        name: entry["count"] if entry["type"] == "histogram" else entry["value"]
+        for name, entry in metrics.items()
+    }
+
+
+def _registry_session_faulted():
+    plan = FaultPlan(
+        seed=23,
+        link_outages=(LinkOutage(0.2, 0.5),),
+        encoder_faults=(EncoderFault(3),),
+        corrupted_frames=(FrameCorruption(12),),
+    )
+    return _registry_facts(_session_report(30, fault_plan=plan).metrics.to_dict())
 
 
 def _session_burst_loss_fec(monkeypatch):
@@ -110,15 +133,24 @@ def _tick_pool():
         app.close()
 
 
+@functools.lru_cache(maxsize=None)
+def _fleet_6x12():
+    return run_fleet(FleetConfig(sessions=6, frames=12, seed=0))
+
+
 WORKLOADS = {
     "session:clean": lambda monkeypatch: _session(8),
     "session:burst_loss_fec": _session_burst_loss_fec,
     # Recorded from the fork pool; threads are the one substrate left.
     "session:process_jobs2": lambda monkeypatch: _session(5, executor="thread", jobs=2),
-    "fleet:6x12": lambda monkeypatch: run_fleet(
-        FleetConfig(sessions=6, frames=12, seed=0)
-    ).fleet_digest,
+    "fleet:6x12": lambda monkeypatch: _fleet_6x12().fleet_digest,
     "tick_pool:4x10": lambda monkeypatch: _tick_pool(),
+    # Recorded through the registry's absorb_* shims; the producers'
+    # metrics_into must write the same names and values.
+    "registry:session_faulted": lambda monkeypatch: _registry_session_faulted(),
+    "registry:fleet_6x12": lambda monkeypatch: _registry_facts(
+        _fleet_6x12().sfu_metrics
+    ),
 }
 
 
@@ -164,10 +196,13 @@ def test_fork_lane_and_fan_outs_stay_gone():
     # One place work runs: PointSSIM scoring on threads when jobs > 1.
     with pytest.raises(ValueError):
         SessionConfig(executor="process")
-    with pytest.raises(ValueError):
-        make_executor(2, "process")
     for name in ("ProcessExecutor", "StatefulWorker", "WorkerCrash", "ShmArena"):
         assert not hasattr(repro.runtime, name)
+    # The session is the scheduler: no stream runner's queue, no executor
+    # hierarchy, no stage hooks -- the quality lane owns a plain pool.
+    for module in ("queues", "executors"):
+        assert importlib.util.find_spec(f"repro.runtime.{module}") is None
+    assert not _option_names(Stage.__init__) & {"pre_hooks", "post_hooks"}
     assert not hasattr(LiVoSender, "attach_executor")
     substrate = re.compile(r"multiprocessing|shared_memory|ProcessPoolExecutor")
     package = Path(repro.__file__).parent
@@ -210,6 +245,12 @@ def test_one_multi_party_driver_and_the_shim_stay_gone():
         (SFUNode, "_kept_points"),
         (Stage, "add_pre_hook"),
         (Stage, "add_post_hook"),
+        (StageGraph, "run_stream"),
+        # Producers write themselves into the registry (metrics_into).
+        (MetricsRegistry, "absorb_cache_stats"),
+        (MetricsRegistry, "absorb_counters"),
+        (MetricsRegistry, "absorb_stage_timings"),
+        (MetricsRegistry, "absorb_fault_events"),
         (SplitBook, "receiver_ids"),
         (ReceiverBook, "predictors"),
         (CachedFrameSource, "capture_views"),
