@@ -251,7 +251,8 @@ class ServiceApp:
             and all(isinstance(name, str) for name in clients)
         ):
             raise HttpError(400, "clients must be a list of strings")
-        if len(self.registry.list_sessions()) >= self.config.max_sessions:
+        counts = self.registry.counts()
+        if sum(counts.values()) - counts["dead"] >= self.config.max_sessions:
             raise HttpError(503, "session capacity reached")
         record = self.registry.create(
             receivers=int(body.get("receivers", 0)),

@@ -73,6 +73,10 @@ _TRANSITIONS = {
 # growing without bound on a long-lived service.
 _AUDIT_LIMIT = 50_000
 
+# The driver counters a session's stats report; copied onto the record
+# when the driver is reaped, so the closed driver can be dropped.
+_DRIVER_COUNTS = ("uplink_bytes", "downlink_bytes", "receiver_frames")
+
 
 class LifecycleError(RuntimeError):
     """An operation arrived in a state that cannot accept it."""
@@ -104,12 +108,19 @@ class SessionRecord:
     # Membership ops awaiting application at the next tick boundary:
     # ("join"|"leave", client_name).
     pending_ops: list = field(default_factory=list)
+    # The driver's final counters, kept after reap drops the driver.
+    final_counts: dict = field(default_factory=lambda: dict.fromkeys(_DRIVER_COUNTS, 0))
+
+    def driver_counts(self) -> dict:
+        """The live driver's counters, or the final ones once reaped."""
+        if self.driver is None:
+            return dict(self.final_counts)
+        return {name: getattr(self.driver, name) for name in _DRIVER_COUNTS}
 
     def stats(self) -> dict:
         """JSON stats payload; field names mirror ``SessionReport``
         (``scheme``, ``duration_s``, ``fps_target``) so dashboards can
         treat service sessions and offline reports uniformly."""
-        driver = self.driver
         return {
             "session": self.session_id,
             "state": self.state,
@@ -129,9 +140,7 @@ class SessionRecord:
             "joins": self.joins,
             "leaves": self.leaves,
             "pending_ops": len(self.pending_ops),
-            "uplink_bytes": driver.uplink_bytes if driver is not None else 0,
-            "downlink_bytes": driver.downlink_bytes if driver is not None else 0,
-            "receiver_frames": driver.receiver_frames if driver is not None else 0,
+            **self.driver_counts(),
             "error": self.error,
         }
 
@@ -359,13 +368,19 @@ class SessionRegistry:
         return ops
 
     def reap(self, record: SessionRecord) -> None:
-        """Close a draining session's driver and finalize it."""
+        """Close a draining session's driver and finalize it.
+
+        The record keeps the driver's final counters, not the driver: a
+        dead record lives as long as the service does.
+        """
         with self._lock:
             if record.state != DRAINING:
                 return
         if record.driver is not None:
             record.driver.close()
         with self._lock:
+            record.final_counts = record.driver_counts()
+            record.driver = None
             self._set_state(record, DEAD)
         self.metrics.counter("service.sessions.reaped").inc()
 

@@ -249,6 +249,16 @@ class SFUNode:
             return state.rung - 1
         return ideal
 
+    def _visible_shares(self, source: MultiViewFrame) -> tuple[np.ndarray, list[int]]:
+        """Every warm receiver's ``(C, H, W)`` share of the union and its
+        point count, in one read of the frame's visibility table (built
+        by the union cull a moment ago; rebuilt here only if nobody
+        culled with this cache)."""
+        depths = [view.depth_mm for view in source.views]
+        inside = self.cull_cache.visibility(self.cameras, depths, self._frame_planes)
+        seen = inside & (np.stack(depths) > 0)
+        return seen, seen.reshape(len(seen), -1).sum(axis=1).tolist()
+
     def forward(
         self,
         now: float,
@@ -267,17 +277,10 @@ class SFUNode:
         nothing_sent = uplink.empty or union_points == 0 or uplink_bytes == 0
         frustums = self.predicted_frustums(sequence, horizon_s)
         self.cull_cache.begin_frame(sequence)
-
-        # Every warm receiver's share of the union in one read of the
-        # frame's visibility table (built by the union cull a moment
-        # ago; rebuilt here only if nobody culled with this cache).
         rows: dict[str, int] = {}
         seen = kept_points = None
         if frustums and not uplink.empty:
-            depths = [view.depth_mm for view in source.views]
-            inside = self.cull_cache.visibility(self.cameras, depths, self._frame_planes)
-            seen = inside & (np.stack(depths) > 0)
-            kept_points = seen.reshape(len(seen), -1).sum(axis=1).tolist()
+            seen, kept_points = self._visible_shares(source)
             rows = {name: row for row, name in enumerate(frustums)}
 
         frame_interval_s = self.config.frame_interval_s
@@ -308,20 +311,8 @@ class SFUNode:
                 rung = state.rung
                 size = depth_bytes = color_bytes = 0
             send: DownlinkSend | None = None
-            delivery: float | None = None
             if downlinks is not None and size > 0 and name in downlinks:
-                send = downlinks.send(name, now, size)
-                delivery = send.delivery_time_s
-                if state.gcc is not None:
-                    if send.delivered_packets:
-                        state.gcc.on_feedback_batch(
-                            now,
-                            list(send.arrival_times_s),
-                            list(send.delivered_sizes),
-                        )
-                    state.gcc.on_loss_report(
-                        (send.packets - send.delivered_packets) / send.packets
-                    )
+                send = state.offer_downlink(downlinks, now, size)
             forwarded = None
             if self.keep_views:
                 forwarded = source if row is None else self._culled_views(seen[row])
@@ -335,30 +326,36 @@ class SFUNode:
                 bytes=size,
                 depth_bytes=depth_bytes,
                 color_bytes=color_bytes,
-                delivery_time_s=delivery,
+                delivery_time_s=send.delivery_time_s if send is not None else None,
                 downlink=send,
                 forwarded_multiview=forwarded,
             )
             decisions[name] = decision
-            state.rung = rung
-            state.last_kept_fraction = decision.kept_fraction
-            state.frames_forwarded += 1
-            state.bytes_forwarded += size
-            self.forwarded_bytes += size
-            if self.tracer is not None:
-                self.tracer.add_span(
-                    f"sfu:forward:{name}",
-                    category="sfu",
-                    trace_id=sequence,
-                    start_s=now,
-                    end_s=delivery if delivery is not None else now,
-                    attrs={
-                        "bytes": size,
-                        "rung": rung,
-                        "kept_fraction": round(decision.kept_fraction, 4),
-                    },
-                )
+            self._account(state, decision, now)
         return decisions
+
+    def _account(self, state: ReceiverState, decision: ForwardDecision, now: float) -> None:
+        """Fold one forward into the receiver's book, the node's byte
+        count and, when a tracer is attached, its per-receiver lane."""
+        state.rung = decision.rung
+        state.last_kept_fraction = decision.kept_fraction
+        state.frames_forwarded += 1
+        state.bytes_forwarded += decision.bytes
+        self.forwarded_bytes += decision.bytes
+        if self.tracer is not None:
+            delivery = decision.delivery_time_s
+            self.tracer.add_span(
+                f"sfu:forward:{decision.receiver}",
+                category="sfu",
+                trace_id=decision.sequence,
+                start_s=now,
+                end_s=delivery if delivery is not None else now,
+                attrs={
+                    "bytes": decision.bytes,
+                    "rung": decision.rung,
+                    "kept_fraction": round(decision.kept_fraction, 4),
+                },
+            )
 
     # ------------------------------------------------------------------
     # Stage-graph integration

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 from repro.prediction.pose import Pose
 from repro.prediction.predictor import FrustumPredictor, ViewingDevice
+from repro.transport.downlink import DownlinkSend, DownlinkSet
 from repro.transport.gcc import GoogleCongestionControl
 
 __all__ = ["ReceiverState", "ReceiverBook"]
@@ -54,6 +55,17 @@ class ReceiverState:
         if self.gcc is None:
             return default
         return min(self.gcc.target_rate_bps(), default)
+
+    def offer_downlink(self, downlinks: DownlinkSet, now: float, size_bytes: int) -> DownlinkSend:
+        """Send one forwarded burst down this receiver's link and feed
+        the outcome to its GCC the way the two-party channel does: each
+        delivered packet's timing, then the burst's loss fraction."""
+        send = downlinks.send(self.name, now, size_bytes)
+        if self.gcc is not None and send.packets:
+            for arrival, size in zip(send.arrival_times_s, send.delivered_sizes):
+                self.gcc.on_packet_feedback(now, arrival, size)
+            self.gcc.on_loss_report((send.packets - send.delivered_packets) / send.packets)
+        return send
 
 
 class ReceiverBook:

@@ -44,7 +44,8 @@ class WebRTCConfig:
     every group of that many media packets is followed by one parity
     packet, and single losses per group are repaired locally instead of
     waiting a NACK round trip (see :mod:`repro.transport.fec`).  None
-    disables FEC (the paper's configuration).
+    disables FEC (the paper's configuration); otherwise it must be at
+    least 2 (a group of one is a full-size copy of every packet).
     """
 
     mtu: int = DEFAULT_MTU
@@ -54,6 +55,10 @@ class WebRTCConfig:
     rtt_smoothing: float = 0.125  # classic SRTT EWMA gain
     loss_window_s: float = 1.0
     fec_group_size: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.fec_group_size is not None and self.fec_group_size < 2:
+            raise ValueError("fec_group_size must be None or at least 2")
 
 
 @dataclass(frozen=True)
@@ -157,7 +162,7 @@ class WebRTCChannel:
         self.bytes_sent_per_stream[stream_id] += sum(p.size_bytes for p in packets)
         for packet in packets:
             self._schedule(now, "offer", (packet, self.config.nack_retries))
-        if self.config.fec_group_size:
+        if self.config.fec_group_size is not None:
             self._send_fec_parity(stream_id, packets, now)
 
     def _send_marker_frame(self, stream_id: int, frame_sequence: int, now: float) -> None:

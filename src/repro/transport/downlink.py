@@ -2,14 +2,17 @@
 
 An SFU node owns one :class:`~repro.transport.link.EmulatedLink` per
 receiver: each downlink is its own bottleneck (the receiver's access
-network), with its own trace, queue state, and loss RNG, all sharing
-the vectorized cumulative-capacity model of DESIGN.md §9.
+network), with its own trace, queue state, and loss RNG, all on the
+cumulative-capacity model of DESIGN.md §9.
 
 :class:`DownlinkSet` is the registry the SFU drives: links are created
 on receiver join (seeded deterministically from the base seed and the
 join ordinal, so a conference replays byte-identically regardless of
-wall clock), removed on leave, and each forward is offered as one
-MTU-packetized burst through :meth:`EmulatedLink.send_batch`.
+wall clock), removed on leave, and each forward is MTU-packetized and
+offered one packet at a time through :meth:`EmulatedLink.send`, the
+admission the two-party channel uses.  A forward is about three packets
+in the fleet, where a vectorized burst admission cost more than this
+loop (DESIGN.md §9).
 """
 
 from __future__ import annotations
@@ -17,9 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from repro.transport.link import STATUS_DELIVERED, EmulatedLink, LinkConfig
+from repro.transport.link import EmulatedLink, LinkConfig
+from repro.transport.packet import Packet
 from repro.transport.traces import BandwidthTrace
 
 __all__ = ["DownlinkSet", "DownlinkSend"]
@@ -112,24 +114,31 @@ class DownlinkSet:
         link = self._links[name]
         if size_bytes == 0:
             return DownlinkSend(name, 0, 0, 0, now + link.config.propagation_delay_s, ())
-        count = max(1, math.ceil(size_bytes / self.mtu_bytes))
-        sizes = np.full(count, self.mtu_bytes, dtype=np.int64)
-        sizes[-1] = size_bytes - self.mtu_bytes * (count - 1)
-        arrivals, status = link.send_batch(now, sizes)
-        delivered = status == STATUS_DELIVERED
-        delivered_arrivals = arrivals[delivered]
+        size_bytes = int(size_bytes)
+        mtu = self.mtu_bytes
+        count = max(1, math.ceil(size_bytes / mtu))
+        arrivals: list[float] = []
+        sizes: list[int] = []
+        for fragment in range(count):
+            size = mtu if fragment < count - 1 else size_bytes - mtu * (count - 1)
+            # Nothing downstream of the link reads a downlink packet's
+            # identity; the sequence is the link's own offer count.
+            arrival = link.send(Packet(link.packets_sent, 0, 0, fragment, count, size, now))
+            if arrival is not None:
+                arrivals.append(arrival)
+                sizes.append(size)
         self.bursts_sent += 1
         self.packets_sent += count
-        self.packets_dropped += int(count - delivered.sum())
-        self.bytes_offered += int(size_bytes)
+        self.packets_dropped += count - len(arrivals)
+        self.bytes_offered += size_bytes
         return DownlinkSend(
             receiver=name,
-            size_bytes=int(size_bytes),
+            size_bytes=size_bytes,
             packets=count,
-            delivered_packets=int(delivered.sum()),
-            delivery_time_s=float(delivered_arrivals[-1]) if delivered.any() else None,
-            arrival_times_s=tuple(float(t) for t in delivered_arrivals),
-            delivered_sizes=tuple(int(s) for s in sizes[delivered]),
+            delivered_packets=len(arrivals),
+            delivery_time_s=arrivals[-1] if arrivals else None,
+            arrival_times_s=tuple(arrivals),
+            delivered_sizes=tuple(sizes),
         )
 
     def queue_delay_at(self, name: str, t: float) -> float:

@@ -7,6 +7,10 @@ module implements the classic single-parity scheme: every ``group_size``
 media packets are followed by one XOR parity packet, letting the
 receiver repair any single loss per group without a retransmission
 round trip -- trading ~1/group_size bandwidth overhead for latency.
+The sending channel groups each frame's packets itself
+(``WebRTCConfig.fec_group_size`` validates the group size) and builds
+each group's parity with :func:`parity_packet_for`;
+:class:`FECGroupTracker` is the receiving side.
 
 The simulation tracks packet *accounting* (sizes, sequence numbers,
 which losses are repairable), not payload bytes; that is all the
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field
 
 from repro.transport.packet import Packet
 
-__all__ = ["FECEncoder", "FECGroupTracker", "parity_packet_for"]
+__all__ = ["FECGroupTracker", "parity_packet_for"]
 
 
 def parity_packet_for(group: list[Packet], sequence: int) -> Packet:
@@ -40,42 +44,6 @@ def parity_packet_for(group: list[Packet], sequence: int) -> Packet:
         size_bytes=max(p.size_bytes for p in group),
         send_time_s=last.send_time_s,
     )
-
-
-class FECEncoder:
-    """Groups outgoing media packets and emits parity packets."""
-
-    def __init__(self, group_size: int = 5) -> None:
-        if group_size < 2:
-            raise ValueError("group_size must be at least 2")
-        self.group_size = group_size
-        self._pending: list[Packet] = []
-        self.parity_sent = 0
-
-    def add(self, packet: Packet, next_sequence: int) -> Packet | None:
-        """Account one media packet; returns a parity packet when the
-        group completes."""
-        self._pending.append(packet)
-        if len(self._pending) < self.group_size:
-            return None
-        parity = parity_packet_for(self._pending, next_sequence)
-        self._pending = []
-        self.parity_sent += 1
-        return parity
-
-    def flush(self, next_sequence: int) -> Packet | None:
-        """Emit parity for a partial trailing group (end of burst)."""
-        if not self._pending:
-            return None
-        parity = parity_packet_for(self._pending, next_sequence)
-        self._pending = []
-        self.parity_sent += 1
-        return parity
-
-    @property
-    def overhead_fraction(self) -> float:
-        """Nominal bandwidth overhead of the scheme."""
-        return 1.0 / self.group_size
 
 
 @dataclass

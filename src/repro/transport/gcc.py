@@ -13,6 +13,12 @@ Carlucci et al. (MMSys'16) describe GCC as two coupled controllers:
   <2 percent.  It acts as a cap; with no loss it stays out of the way.
 
 The sender's target rate is the minimum of the two.
+
+Delay feedback arrives one delivered packet at a time
+(:meth:`on_packet_feedback`), followed by a loss report
+(:meth:`on_loss_report`): the two-party ``WebRTCChannel`` reports on
+each feedback and NACK event, the SFU once per forwarded burst
+(``repro.sfu.receivers.ReceiverState.offer_downlink``).
 """
 
 from __future__ import annotations
@@ -98,36 +104,6 @@ class GoogleCongestionControl:
             self._update_gradient(inter_arrival - inter_departure, completed.last_arrival_s)
         self._previous_group = self._current_group
         self._current_group = _Group(send_time_s, arrival_time_s)
-
-    def on_feedback_batch(
-        self,
-        send_time_s: float,
-        arrival_times_s: list[float],
-        sizes_bytes: list[int],
-    ) -> None:
-        """Fold a run of delivered packets sharing one send time.
-
-        Equivalent to calling :meth:`on_packet_feedback` once per entry
-        (arrivals must be nondecreasing -- FIFO link order).  Because
-        every entry belongs to the same packet group, only the first can
-        close the previous group and move the state machine; the rest
-        just extend the current group and the receive-rate window, which
-        batches to one ``deque.extend`` and one prune.
-        """
-        self.on_packet_feedback(send_time_s, arrival_times_s[0], sizes_bytes[0])
-        if len(arrival_times_s) == 1:
-            return
-        recent = self._recent_arrivals
-        recent.extend(zip(arrival_times_s[1:], sizes_bytes[1:]))
-        self._recent_bytes += sum(sizes_bytes[1:])
-        last_arrival = arrival_times_s[-1]
-        cutoff = last_arrival - self.config.receive_window_s
-        while recent and recent[0][0] < cutoff:
-            _, dropped_size = recent.popleft()
-            self._recent_bytes -= dropped_size
-        group = self._current_group
-        if last_arrival > group.last_arrival_s:
-            group.last_arrival_s = last_arrival
 
     def _update_gradient(self, gradient_sample: float, now: float) -> None:
         self._smoothed_gradient += self.config.gradient_smoothing * (

@@ -38,7 +38,7 @@ class BandwidthTrace:
     capacity schedule.  ``C`` is piecewise linear and nondecreasing, so
     "when does the bottleneck finish serving ``b`` bits started at
     ``t``" is ``C^-1(C(t) + b)`` -- one ``searchsorted`` instead of an
-    O(intervals) walk, and vectorizable over whole packet batches.
+    O(intervals) walk.
     Zero-rate intervals (outages) are plateaus of ``C``: the inverse
     lookup skips them without iterating or dividing by zero.
     """
@@ -103,25 +103,6 @@ class BandwidthTrace:
         rate = float(self._rates_bps[k])
         delta = rem - float(self._cum_bits[k])
         within = delta / rate if rate > 0.0 else 0.0
-        return (loops * self._loop_duration + k * self.interval_s) + within
-
-    def times_for_cumulative(self, target_bits: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`time_for_cumulative`.
-
-        Operation-for-operation identical arithmetic to the scalar
-        version, so batched and per-packet callers get bit-identical
-        finish times.
-        """
-        targets = np.asarray(target_bits, dtype=np.float64)
-        loops = np.floor(targets / self._loop_bits)
-        rem = targets - loops * self._loop_bits
-        k = np.searchsorted(self._cum_tail, rem, side="left")
-        np.minimum(k, len(self.capacities_mbps) - 1, out=k)
-        rates = self._rates_bps[k]
-        delta = rem - self._cum_bits[k]
-        within = np.divide(
-            delta, rates, out=np.zeros_like(delta), where=rates > 0.0
-        )
         return (loops * self._loop_duration + k * self.interval_s) + within
 
     def stats(self) -> TraceStats:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.transport.channel import WebRTCChannel, WebRTCConfig
-from repro.transport.fec import FECEncoder, FECGroupTracker, parity_packet_for
+from repro.transport.fec import FECGroupTracker, parity_packet_for
 from repro.transport.link import EmulatedLink, LinkConfig
 from repro.transport.packet import Packet
 from repro.transport.traces import constant_trace
@@ -17,35 +17,25 @@ def media_packet(seq, frame=0, fragment=0, num_fragments=3, size=1200, t=0.0):
 
 
 class TestFECEncoder:
-    def test_parity_emitted_per_group(self):
-        encoder = FECEncoder(group_size=3)
-        outputs = [encoder.add(media_packet(i), 100 + i) for i in range(6)]
-        assert outputs[0] is None and outputs[1] is None
-        assert outputs[2] is not None and outputs[2].fragment == -1
-        assert outputs[5] is not None
-        assert encoder.parity_sent == 2
-
-    def test_flush_partial_group(self):
-        encoder = FECEncoder(group_size=5)
-        encoder.add(media_packet(0), 10)
-        parity = encoder.flush(11)
-        assert parity is not None
-        assert encoder.flush(12) is None  # nothing pending
+    """The send side: the channel groups packets, ``parity_packet_for``
+    builds each group's parity."""
 
     def test_parity_size_is_group_max(self):
         group = [media_packet(0, size=500), media_packet(1, size=900)]
         parity = parity_packet_for(group, sequence=7)
         assert parity.size_bytes == 900
         assert parity.sequence == 7
+        assert parity.fragment == -1
 
     def test_invalid_group_size(self):
-        with pytest.raises(ValueError):
-            FECEncoder(group_size=1)
+        # 1 sent a full-size parity per packet, 0 silently disabled FEC,
+        # a negative size counted as "on" and sent no parity at all.
+        for group_size in (1, 0, -3):
+            with pytest.raises(ValueError, match="fec_group_size"):
+                WebRTCConfig(fec_group_size=group_size)
+        assert WebRTCConfig(fec_group_size=2).fec_group_size == 2
         with pytest.raises(ValueError):
             parity_packet_for([], 0)
-
-    def test_overhead_fraction(self):
-        assert FECEncoder(group_size=4).overhead_fraction == 0.25
 
 
 class TestFECGroupTracker:

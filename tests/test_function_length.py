@@ -1,8 +1,8 @@
-"""A function-length ratchet over the packages that hold frame loops.
+"""A function-length ratchet over the packages a frame runs through.
 
-No function or method under ``core``, ``sfu``, ``scenario`` or
-``runtime`` may exceed ``LIMIT`` lines (``def`` line to last line,
-docstring included).  ``CEILINGS`` freezes the offenders that predate
+No function or method under ``core``, ``sfu``, ``scenario``,
+``runtime``, ``transport`` or ``service`` may exceed ``LIMIT`` lines
+(``def`` line to last line, docstring included).  ``CEILINGS`` freezes the offenders that predate
 the ratchet at their current lengths: a listed function may shrink --
 lower its ceiling, or drop the entry once it fits -- and never grow.
 Nothing is ever added to the map.
@@ -14,12 +14,11 @@ from pathlib import Path
 import repro
 
 LIMIT = 80
-PACKAGES = ("core", "sfu", "scenario", "runtime")
+PACKAGES = ("core", "sfu", "scenario", "runtime", "transport", "service")
 CEILINGS = {
     "sfu.fleet.run_fleet": 148,
     "scenario.runner._run_multiway": 138,
     "core.sender.LiVoSender.encode_steps": 121,
-    "sfu.node.SFUNode.forward": 110,
     "core.session.DracoOracleSession.run": 93,
 }
 

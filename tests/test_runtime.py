@@ -12,11 +12,10 @@ from repro.capture.dataset import load_video
 from repro.capture.rgbd import MultiViewFrame, RGBDFrame
 from repro.capture.rig import default_rig
 from repro.core.config import SessionConfig
-from repro.core.pipeline import StagedPipeline
 from repro.core.sender import LiVoSender
 from repro.core.session import DracoOracleSession, LiVoSession, MeshReduceSession
 from repro.prediction.pose import user_traces_for_video
-from repro.runtime import Stage, StageGraph, StageTiming
+from repro.runtime import Stage, StageGraph
 from repro.transport.traces import trace_1
 
 
@@ -161,29 +160,3 @@ class TestConfigAndModel:
         assert args.jobs == 4
         assert args.executor == "thread"
         assert args.profile
-
-    def test_from_measured_calibrates_pipeline(self):
-        capture = StageTiming("capture", samples=[0.020] * 19 + [0.030])
-        encode = StageTiming("encode", samples=[0.010] * 20)
-        pipeline = StagedPipeline.from_measured(
-            {"capture": capture, "encode": encode}
-        )
-        by_name = {stage.name: stage for stage in pipeline.stages}
-        assert by_name["capture"].service_time_s == pytest.approx(0.0205)
-        assert by_name["encode"].jitter_s == 0.0
-        assert pipeline.bottleneck().name == "capture"
-        assert pipeline.sustains(30.0)
-
-    def test_from_measured_parallelism_divides_service_time(self):
-        capture = StageTiming("capture", samples=[0.080] * 10)
-        slow = StagedPipeline.from_measured({"capture": capture})
-        fast = StagedPipeline.from_measured(
-            {"capture": capture}, parallelism={"capture": 4}
-        )
-        assert not slow.sustains(30.0)
-        assert fast.sustains(30.0)
-        assert fast.stages[0].service_time_s == pytest.approx(0.020)
-
-    def test_from_measured_rejects_empty(self):
-        with pytest.raises(ValueError):
-            StagedPipeline.from_measured({})

@@ -10,7 +10,9 @@ Plus the fleet teardown regression the refactor fixed.
 from __future__ import annotations
 
 import asyncio
+import gc
 import threading
+import weakref
 
 import pytest
 
@@ -111,9 +113,11 @@ class TestRegistryLifecycle:
         assert record.state == DRAINING
         registry.kill(record.session_id)  # idempotent
         assert record.state == DRAINING
+        driver = record.driver
         registry.reap(record)
         assert record.state == DEAD
-        assert record.driver.closed
+        assert driver.closed
+        assert record.driver is None  # the record does not pin it
         assert registry.live_drivers() == 0
 
     def test_illegal_transitions_raise(self):
@@ -280,7 +284,7 @@ class TestWorkerPool:
         assert doomed.state == DEAD            # failed, drained, reaped
         assert doomed.error is not None
         assert "injected tick failure" in doomed.error
-        assert doomed.driver.closed
+        assert factory.built[0].closed
         assert healthy.state == RUNNING
         assert healthy.frames_ticked == 4
         # Stats still answer for the dead session (degrade, not 500).
@@ -353,6 +357,38 @@ class TestStatsConsistency:
         assert stats["tick_ms_mean"] > 0.0
         assert stats["clients"] == sorted(record.clients)
         pool.stop()
+
+
+class TestCapacity:
+    def test_dead_sessions_free_their_slot_and_their_driver(self):
+        """Capacity counts sessions that are not dead, and a reaped
+        record keeps its final counts, not its closed driver."""
+        from repro.service.app import ServiceApp, ServiceConfig
+        from repro.service.http import HttpRequest
+
+        app = ServiceApp(ServiceConfig(max_sessions=3, sample_budget=400, pose_trace_frames=60))
+        create = HttpRequest("POST", "/v1/sessions", body=b'{"receivers": 1}')
+        try:
+            ids = [app.handle(create)[1]["session"] for _ in range(3)]
+            app.pool.run_round()
+            drivers = [weakref.ref(app.registry.get(sid).driver) for sid in ids]
+            uplink = [app.registry.stats(sid)["uplink_bytes"] for sid in ids]
+            assert all(uplink)
+            for sid in ids:
+                app.handle(HttpRequest("POST", f"/v1/sessions/{sid}/kill"))
+            app.pool.run_round()
+            assert app.registry.counts()["dead"] == 3
+
+            status, created = app.handle(create)
+            assert (status, created["state"]) == (201, "running")
+            gc.collect()
+            assert [ref() for ref in drivers] == [None] * 3
+            for sid, sent in zip(ids, uplink):
+                status, stats = app.handle(HttpRequest("GET", f"/v1/sessions/{sid}/stats"))
+                assert (status, stats["state"], stats["uplink_bytes"]) == (200, "dead", sent)
+        finally:
+            app.close()
+        assert app.registry.live_drivers() == 0
 
 
 class TestHttpLayer:

@@ -1,14 +1,15 @@
-"""Transport parity: the link's batched send vs its per-packet send,
-and the channel against its pinned outputs.
+"""Transport pins: the channel and the SFU downlinks against what their
+deleted batched twins produced.
 
-``EmulatedLink.send_batch`` (the SFU downlinks' entry point) must be
-*bit-identical* to ``send``: same drops, same arrival times, same RNG
-stream consumption -- exact equality, never approx.  The channel has
-one event path (one heap event per packet); its deliveries, estimates
-and link state are pinned to what it produced while a batched twin
-still ran beside it (tests/twins.py).  Also covers the satellite
-fixes: zero-capacity trace handling, O(1) loss-window counters, and
-per-frame bookkeeping pruning.
+There is one packet path: ``EmulatedLink.send`` admits every packet and
+GCC folds in every delivered one through ``on_packet_feedback``.  The
+channel's deliveries, estimates and link state are pinned to what it
+produced while a batched event twin still ran beside it, and the SFU
+downlinks' bursts, GCC estimates and link state to what the batched
+link admission (``send_batch``) and bulk GCC feedback produced
+(tests/twins.py) -- exact equality, never approx.  Also covers the
+satellite fixes: zero-capacity trace handling, O(1) loss-window
+counters, and per-frame bookkeeping pruning.
 """
 
 import math
@@ -21,13 +22,10 @@ from repro.core.config import SessionConfig
 from repro.core.session import LiVoSession
 from repro.faults.plan import BurstLossWindow, FaultPlan, LinkOutage
 from repro.prediction.pose import user_traces_for_video
+from repro.sfu.node import SFUNode
 from repro.transport.channel import WebRTCChannel, WebRTCConfig
-from repro.transport.gcc import GoogleCongestionControl
-from repro.transport.link import (
-    STATUS_DELIVERED,
-    EmulatedLink,
-    LinkConfig,
-)
+from repro.transport.downlink import DownlinkSet
+from repro.transport.link import EmulatedLink, LinkConfig
 from repro.transport.packet import Packet
 from repro.transport.traces import BandwidthTrace, constant_trace, trace_1
 from tests.twins import assert_pinned
@@ -70,15 +68,6 @@ class TestCumulativeModel:
                     float(target), rel=1e-9, abs=1e-3
                 )
 
-    def test_vectorized_inverse_bit_identical_to_scalar(self):
-        rng = np.random.default_rng(17)
-        for _ in range(25):
-            trace = _random_trace(rng)
-            targets = rng.uniform(0.0, 7.0 * trace._loop_bits, size=64)
-            vec = trace.times_for_cumulative(targets)
-            scalar = [trace.time_for_cumulative(float(x)) for x in targets]
-            assert vec.tolist() == scalar
-
     def test_zero_rate_interval_service(self):
         """A packet spilling into an outage finishes after the outage --
         the old per-interval walk burned iterations (or divided by zero
@@ -106,27 +95,8 @@ class TestCumulativeModel:
 
 
 # ----------------------------------------------------------------------
-# Link batch parity
+# SFU downlink pins
 # ----------------------------------------------------------------------
-
-
-class _EveryNth:
-    """Stateful fault hook: drops every nth packet it inspects."""
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.count = 0
-
-    def __call__(self, packet: Packet) -> bool:
-        self.count += 1
-        return self.count % self.n == 0
-
-
-def _mk_packets(sizes, send_time, first_seq=0):
-    return [
-        Packet(first_seq + i, 0, 0, i, len(sizes), int(s), send_time_s=send_time)
-        for i, s in enumerate(sizes)
-    ]
 
 
 def _link_state(link: EmulatedLink):
@@ -144,100 +114,79 @@ def _link_state(link: EmulatedLink):
     )
 
 
-def _parity_run(trace_factory, link_config, hook_factory=None, seed=0):
-    """Drive twin links through an identical mixed scalar/batched
-    schedule; every burst must produce identical arrivals and state."""
-    rng = np.random.default_rng(seed)
-    scalar_link = EmulatedLink(
-        trace_factory(), link_config, fault_hook=hook_factory() if hook_factory else None
+def _burst_size(rng: np.random.Generator) -> int:
+    """Empty, one short packet, a few packets, an exact MTU multiple, or
+    more than 20 packets (MTU 1200)."""
+    sizes = (
+        0,
+        int(rng.integers(1, 1200)),
+        int(rng.integers(1200, 12_000)),
+        1200 * int(rng.integers(1, 30)),
+        int(rng.integers(24_001, 60_000)),
     )
-    batch_link = EmulatedLink(
-        trace_factory(), link_config, fault_hook=hook_factory() if hook_factory else None
+    return sizes[int(rng.integers(0, len(sizes)))]
+
+
+def _run_downlinks(link_config: LinkConfig, bursts: int = 240, fps: float = 30.0):
+    """Three receivers -- default trace, a repeating zero-capacity outage,
+    a 3 Mbps trace whose queue overflows -- each fed a seeded burst per
+    frame and its GCC fed as ``SFUNode.forward`` feeds it."""
+    rng = np.random.default_rng(41)
+    downlinks = DownlinkSet(trace_1(duration_s=5.0), link_config)
+    node = SFUNode([], SessionConfig(), downlinks=downlinks)
+    node.add_receiver("default")
+    node.add_receiver(
+        "outage", BandwidthTrace(np.array([60.0, 0.0, 0.0, 60.0, 60.0]), interval_s=0.25)
     )
-    now = 0.0
-    sequence = 0
-    for _ in range(60):
-        now += float(rng.uniform(0.0, 0.05))
-        burst = int(rng.integers(1, 40))
-        sizes = rng.integers(40, 1500, size=burst)
-        scalar_packets = _mk_packets(sizes, now, sequence)
-        batch_packets = _mk_packets(sizes, now, sequence)
-        sequence += burst
-        scalar_arrivals = [scalar_link.send(p) for p in scalar_packets]
-        arrivals, status = batch_link.send_batch(now, sizes, batch_packets)
-        for i in range(burst):
-            if status[i] == STATUS_DELIVERED:
-                assert scalar_arrivals[i] == arrivals[i]
-            else:
-                assert scalar_arrivals[i] is None
-                assert np.isnan(arrivals[i])
-        # Interleave the occasional lone packet (a retransmission) so
-        # cumulative queue state is exercised across both call styles.
-        if rng.random() < 0.4:
-            now += float(rng.uniform(0.0, 0.02))
-            size = int(rng.integers(40, 1500))
-            lone_scalar = _mk_packets([size], now, sequence)[0]
-            lone_batch = _mk_packets([size], now, sequence)[0]
-            sequence += 1
-            a_scalar = scalar_link.send(lone_scalar)
-            a_batch = batch_link.send(lone_batch)
-            assert a_scalar == a_batch
-        assert _link_state(scalar_link) == _link_state(batch_link)
+    node.add_receiver("slow", constant_trace(3.0))
+    sends, estimates = [], []
+    for frame in range(bursts):
+        now = frame / fps + float(rng.uniform(0.0, 0.004))
+        for state in node.book:
+            # A zero-byte burst touches neither the link nor the GCC.
+            sends.append(state.offer_downlink(downlinks, now, _burst_size(rng)))
+            estimates.append((state.gcc.target_rate_bps(), state.gcc.state))
+    return {
+        "sends": sends,
+        "estimates": estimates,
+        "set": (
+            downlinks.bursts_sent,
+            downlinks.packets_sent,
+            downlinks.packets_dropped,
+            downlinks.bytes_offered,
+        ),
+        "links": {name: _link_state(downlinks.link(name)) for name in downlinks.names},
+    }
 
 
-class TestLinkBatchParity:
-    def test_clean_constant_trace(self):
-        _parity_run(lambda: constant_trace(50.0), LinkConfig(), seed=1)
-
-    def test_random_loss(self):
-        _parity_run(
-            lambda: trace_1(duration_s=5.0),
-            LinkConfig(loss_rate=0.15, seed=9),
-            seed=2,
+class TestDownlinkPins:
+    def test_lossy_socket_buffer(self):
+        config = LinkConfig(
+            loss_rate=0.05, seed=19, max_queue_delay_s=0.06,
+            receive_buffer_bytes=24_000, receive_drain_rate_bps=40e6,
         )
+        assert_pinned("downlink:lossy_socket_buffer", _run_downlinks(config))
 
-    def test_queue_overflow(self):
-        _parity_run(
-            lambda: constant_trace(2.0),
-            LinkConfig(max_queue_delay_s=0.05, loss_rate=0.05, seed=4),
-            seed=3,
-        )
-
-    def test_stateful_fault_hook(self):
-        _parity_run(
-            lambda: constant_trace(30.0),
-            LinkConfig(loss_rate=0.1, seed=2),
-            hook_factory=lambda: _EveryNth(13),
-            seed=4,
-        )
-
-    def test_socket_buffer(self):
-        _parity_run(
-            lambda: constant_trace(80.0),
-            LinkConfig(receive_buffer_bytes=6000, receive_drain_rate_bps=2e6),
-            seed=5,
-        )
-
-    def test_zero_capacity_trace(self):
-        _parity_run(
-            lambda: BandwidthTrace(
-                np.array([25.0, 0.0, 60.0, 0.0, 10.0]), interval_s=0.2
-            ),
-            LinkConfig(loss_rate=0.1, seed=6, max_queue_delay_s=1.0),
-            seed=6,
-        )
-
-    def test_rng_block_draw_matches_sequential(self):
-        """The parity contract's RNG premise: one block draw of n
-        consumes the PCG64 stream exactly like n sequential draws."""
-        block = np.random.default_rng(123).random(32)
-        seq_rng = np.random.default_rng(123)
-        assert block.tolist() == [seq_rng.random() for _ in range(32)]
+    def test_clean(self):
+        config = LinkConfig(seed=19, max_queue_delay_s=0.06)
+        assert_pinned("downlink:clean", _run_downlinks(config))
 
 
 # ----------------------------------------------------------------------
 # Channel parity (fast vs scalar event paths)
 # ----------------------------------------------------------------------
+
+
+class _EveryNth:
+    """Stateful fault hook: drops every nth packet it inspects."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.count = 0
+
+    def __call__(self, packet: Packet) -> bool:
+        self.count += 1
+        return self.count % self.n == 0
 
 
 def _run_channel(
@@ -358,28 +307,6 @@ class TestChannelParity:
             ),
             link_config=LinkConfig(loss_rate=0.05, seed=13, max_queue_delay_s=0.6),
         )
-
-
-class TestGCCBatchParity:
-    def test_on_feedback_batch_matches_sequential(self):
-        rng = np.random.default_rng(3)
-        batched = GoogleCongestionControl()
-        sequential = GoogleCongestionControl()
-        send_time = 0.0
-        for _ in range(50):
-            send_time += float(rng.uniform(0.02, 0.05))
-            n = int(rng.integers(1, 30))
-            base = send_time + 0.02
-            arrivals = (base + np.cumsum(rng.uniform(0.0, 0.002, size=n))).tolist()
-            sizes = [int(s) for s in rng.integers(100, 1300, size=n)]
-            batched.on_feedback_batch(send_time, arrivals, sizes)
-            for arrival, size in zip(arrivals, sizes):
-                sequential.on_packet_feedback(send_time, arrival, size)
-            assert batched.target_rate_bps() == sequential.target_rate_bps()
-            assert batched.state == sequential.state
-            assert batched._recent_bytes == sequential._recent_bytes
-            assert batched._smoothed_gradient == sequential._smoothed_gradient
-        assert list(batched._recent_arrivals) == list(sequential._recent_arrivals)
 
 
 # ----------------------------------------------------------------------

@@ -51,9 +51,11 @@ from repro.sfu.conference import ConferenceDriver
 from repro.sfu.fleet import FleetConfig, run_fleet
 from repro.sfu.node import SFUNode
 from repro.sfu.receivers import ReceiverBook
+from repro.transport import fec, link
 from repro.transport.channel import WebRTCChannel, WebRTCConfig
-from repro.transport.link import LinkConfig
-from repro.transport.traces import trace_1
+from repro.transport.gcc import GoogleCongestionControl
+from repro.transport.link import EmulatedLink, LinkConfig
+from repro.transport.traces import BandwidthTrace, trace_1
 from tests.twins import assert_pinned
 
 SMALL = dict(
@@ -256,12 +258,25 @@ def test_one_multi_party_driver_and_the_shim_stay_gone():
         (CachedFrameSource, "capture_views"),
         (batchplane, "pointssim_features_request"),
         (LiVoSender, "close"),
+        # One packet path: the SFU downlinks admit and feed GCC one
+        # packet at a time, as the channel does.
+        (EmulatedLink, "send_batch"),
+        (GoogleCongestionControl, "on_feedback_batch"),
+        (BandwidthTrace, "times_for_cumulative"),
+        (link, "STATUS_DELIVERED"),
+        # The channel groups FEC packets itself.
+        (fec, "FECEncoder"),
     ],
     ids=lambda value: getattr(value, "__name__", value).rsplit(".", 1)[-1],
 )
 def test_uncalled_surface_stays_gone(owner, name):
     assert not hasattr(owner, name)
     assert "pointssim_features" not in batchplane.KERNELS
+
+
+def test_tandem_queue_model_stays_gone():
+    # Appendix A.1's model of the deleted stage-per-thread runtime.
+    assert importlib.util.find_spec("repro.core.pipeline") is None
 
 
 def test_bitfield_reference_stays_out_of_the_package():
