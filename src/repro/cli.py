@@ -325,7 +325,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 def _cmd_multiway(args: argparse.Namespace) -> int:
     from repro.capture.dataset import load_video
-    from repro.capture.rig import default_rig
     from repro.core.config import SessionConfig
     from repro.perf.capture import CachedFrameSource
     from repro.prediction.pose import user_traces_for_video
@@ -339,8 +338,8 @@ def _cmd_multiway(args: argparse.Namespace) -> int:
         scene_sample_budget=6000, gop_size=10,
     )
     _, scene = load_video(args.video, sample_budget=6000)
-    rig = default_rig(num_cameras=args.cameras, width=48, height=36)
-    source = CachedFrameSource(rig, scene)
+    source = CachedFrameSource.for_config(config, scene)
+    rig = source.rig
     pose_traces = user_traces_for_video(args.video, args.frames + 10)
     if args.mode == "unicast":
         party = UnicastBaseline(rig, config)

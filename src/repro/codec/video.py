@@ -146,18 +146,6 @@ class _CodecCore:
             return min(self.config.qp_max, base_qp + self.config.chroma_qp_offset)
         return base_qp
 
-    def encode_plane(
-        self,
-        plane: np.ndarray,
-        reference: np.ndarray | None,
-        qp: int,
-        weights: np.ndarray | None,
-        value_range: tuple[float, float],
-    ) -> _PlaneCode:
-        return drive_serial(
-            self.encode_plane_steps(plane, reference, qp, weights, value_range)
-        )
-
     def encode_plane_steps(
         self,
         plane: np.ndarray,
@@ -171,7 +159,7 @@ class _CodecCore:
         The kernel-heavy steps -- motion search and the DCT/quant round
         trip -- are yielded as :class:`BatchRequest` jobs so a driver
         can resolve them per session (:func:`drive_serial`, which
-        :meth:`encode_plane` wraps) or stacked across sessions
+        :meth:`VideoEncoder.encode` runs) or stacked across sessions
         (:class:`repro.runtime.batchplane.BatchPlane`).  Stream state
         never leaves the generator, so both drivers produce the same
         bytes by construction.

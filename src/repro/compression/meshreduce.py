@@ -109,6 +109,8 @@ class MeshReduceProfile:
         """
         if mean_bandwidth_bps <= 0:
             raise ValueError("mean_bandwidth_bps must be positive")
+        if not conservativeness > 0:
+            raise ValueError("conservativeness must be positive")
         budget = mean_bandwidth_bps / 8.0 / fps * conservativeness
         for voxel, size in zip(self.voxel_sizes, self.bytes_per_frame):
             if size <= budget:

@@ -16,7 +16,7 @@ bandwidth.
 
 from __future__ import annotations
 
-__all__ = ["SplitController", "SplitBook"]
+__all__ = ["SplitController"]
 
 
 class SplitController:
@@ -81,60 +81,3 @@ class SplitController:
         color = max(1, int(target_bytes - depth))
         return depth, color
 
-
-class SplitBook:
-    """Per-receiver split controllers, keyed by receiver id.
-
-    An SFU holds one depth/color split per downlink: each receiver's
-    split walks its own line search (driven by that receiver's error
-    feedback or left at the configured initial), so a bandwidth-starved
-    receiver can favor depth harder than a well-provisioned one.
-    Controllers are created lazily with identical parameters, which
-    keeps a conference's split state a pure function of the per-receiver
-    update history.
-    """
-
-    def __init__(
-        self,
-        initial: float = 0.7,
-        minimum: float = 0.5,
-        maximum: float = 0.9,
-        step: float = 0.005,
-        epsilon: float = 0.5,
-        frozen: bool = False,
-    ) -> None:
-        self._template = dict(
-            initial=initial, minimum=minimum, maximum=maximum,
-            step=step, epsilon=epsilon, frozen=frozen,
-        )
-        self._controllers: dict[str, SplitController] = {}
-
-    def __contains__(self, receiver_id: str) -> bool:
-        return receiver_id in self._controllers
-
-    def __len__(self) -> int:
-        return len(self._controllers)
-
-    def controller(self, receiver_id: str) -> SplitController:
-        """The receiver's controller, created on first use."""
-        controller = self._controllers.get(receiver_id)
-        if controller is None:
-            controller = SplitController(**self._template)
-            self._controllers[receiver_id] = controller
-        return controller
-
-    def allocate(self, receiver_id: str, target_bytes: float) -> tuple[int, int]:
-        """Split one receiver's per-frame byte budget."""
-        return self.controller(receiver_id).allocate(target_bytes)
-
-    def update(self, receiver_id: str, depth_rmse: float, color_rmse: float) -> float:
-        """Step one receiver's line search from fresh RMSE feedback."""
-        return self.controller(receiver_id).update(depth_rmse, color_rmse)
-
-    def drop(self, receiver_id: str) -> None:
-        """Forget a departed receiver's split state."""
-        self._controllers.pop(receiver_id, None)
-
-    def splits(self) -> dict[str, float]:
-        """Current split per receiver (for stats/metrics export)."""
-        return {name: c.split for name, c in self._controllers.items()}

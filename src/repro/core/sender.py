@@ -257,116 +257,75 @@ class LiVoSender:
     ):
         """Encode stage as a request-yielding generator: both streams.
 
-        The two encoders run as interleaved sub-generators, so their
-        kernel jobs land in the same bucketing round -- co-batched
-        across sessions on a lockstep driver
-        (:class:`~repro.runtime.batchplane.BatchPlane`), resolved one
-        at a time by :meth:`encode`.
-
-        Returns None when the encode fails (injected via ``fail_encode``
-        or a genuine encoder exception): the capture is skipped rather
-        than crashing the session, and the next successful frame is
-        forced INTRA so both reference chains restart cleanly.
-        An ``is_empty`` prepared frame yields a valid, skippable
-        result without touching the encoders.
-        ``color_budget_scale`` trims the color stream's byte budget
+        The color and depth encoders run as interleaved sub-generators,
+        so their kernel jobs share a bucketing round (co-batched across
+        sessions by :class:`~repro.runtime.batchplane.BatchPlane`, one at
+        a time by :meth:`encode`).  Returns None when the encode fails
+        (``fail_encode`` or an encoder exception): the capture is skipped,
+        not the session, and the next frame is forced INTRA.  An
+        ``is_empty`` frame yields a skippable result without touching the
+        encoders.  ``color_budget_scale`` trims the color byte budget
         (the degradation ladder's chroma-lite rung).
         """
         if fail_encode:
             self._on_encode_failure()
             return None
-        if prepared.is_empty:
-            return SenderResult(
-                sequence=prepared.sequence,
-                color_frame=None,
-                depth_frame=None,
-                split=self.split.split,
-                culled_points=0,
-                total_points=prepared.total_points,
-                color_rmse=None,
-                depth_rmse=None,
-                culled_multiview=prepared.culled_multiview,
-                empty=True,
+        frames = errors = (None, None)  # (color, depth), as every pair here
+        if not prepared.is_empty:
+            scheme = self.config.scheme
+            if scheme.adaptation:
+                budget_bytes = max(target_rate_bps / 8.0 * self.config.frame_interval_s, 2.0)
+                depth_budget, color_budget = self.split.allocate(budget_bytes)
+                if color_budget_scale < 1.0:
+                    color_budget = max(color_budget * color_budget_scale, 1.0)
+                steps, args = "encode_to_target_steps", (color_budget, depth_budget)
+            else:
+                steps, args = "encode_steps", (scheme.fixed_color_qp, scheme.fixed_depth_qp)
+            # Name, encoder (looked up per frame), plane, RMSE factor.
+            streams = (
+                ("color", self.color_encoder, prepared.tiled_color, 1.0),
+                ("depth", self.depth_encoder, prepared.tiled_depth, DEPTH_RMSE_SCALE),
             )
-        force_intra = force_intra or self._recover_with_intra
-        if self.config.scheme.adaptation:
-            budget_bytes = max(target_rate_bps / 8.0 * self.config.frame_interval_s, 2.0)
-            depth_budget, color_budget = self.split.allocate(budget_bytes)
-            if color_budget_scale < 1.0:
-                color_budget = max(color_budget * color_budget_scale, 1.0)
-            method = "encode_to_target"
-            color_arg, depth_arg = color_budget, depth_budget
-        else:
-            method = "encode"
-            color_arg = self.config.scheme.fixed_color_qp
-            depth_arg = self.config.scheme.fixed_depth_qp
-        tracer = self.tracer
-        color_span = depth_span = None
-        if tracer is not None:
-            # Both kernel spans are siblings under the encode stage
-            # span (the tracer's current span when the stage runs us),
-            # so capture that parent explicitly before opening either.
-            parent = tracer.current()
-            parent_id = parent.span_id if parent is not None else None
-            color_span = tracer.start_span(
-                "encode:color",
-                category="kernel",
-                trace_id=prepared.sequence,
-                parent_id=parent_id,
-            )
-            depth_span = tracer.start_span(
-                "encode:depth",
-                category="kernel",
-                trace_id=prepared.sequence,
-                parent_id=parent_id,
-            )
-        try:
-            steps = f"{method}_steps"
-            streams = interleave_steps(
-                [
-                    getattr(self.color_encoder, steps)(
-                        prepared.tiled_color, color_arg, force_intra=force_intra
-                    ),
-                    getattr(self.depth_encoder, steps)(
-                        prepared.tiled_depth, depth_arg, force_intra=force_intra
-                    ),
-                ]
-            )
-            (color_frame, color_recon), (depth_frame, depth_recon) = yield from streams
-        except Exception:
-            # Close our kernel spans with an error status rather than
-            # leaking open spans into the trace.
+            force_intra = force_intra or self._recover_with_intra
+            tracer, spans = self.tracer, []
             if tracer is not None:
-                tracer.end_span(depth_span, status="error")
-                tracer.end_span(color_span, status="error")
-            self._on_encode_failure()
-            return None
-        if tracer is not None:
-            tracer.end_span(depth_span)
-            tracer.end_span(color_span)
-        self._recover_with_intra = False
-
-        color_error: float | None = None
-        depth_error: float | None = None
-        if (
-            self.config.scheme.adaptation
-            and self._frames_processed % self.config.rmse_every_k == 0
-        ):
-            color_error = rmse(prepared.tiled_color, color_recon)
-            depth_error = rmse(prepared.tiled_depth, depth_recon) * DEPTH_RMSE_SCALE
-            self.split.update(depth_error, color_error)
-        self._frames_processed += 1
-
+                # Sibling kernel spans under the encode stage span (the
+                # current span when the stage runs us).
+                parent = tracer.current()
+                parent_id = parent.span_id if parent is not None else None
+                spans = [
+                    tracer.start_span(f"encode:{name}", category="kernel",
+                                      trace_id=prepared.sequence, parent_id=parent_id)
+                    for name, _, _, _ in streams
+                ]
+            try:
+                coded = yield from interleave_steps(
+                    getattr(encoder, steps)(plane, arg, force_intra=force_intra)
+                    for (_, encoder, plane, _), arg in zip(streams, args)
+                )
+            except Exception:
+                # Close the kernel spans as errors: never leak open spans.
+                for span in reversed(spans):
+                    tracer.end_span(span, status="error")
+                self._on_encode_failure()
+                return None
+            for span in reversed(spans):
+                tracer.end_span(span)
+            self._recover_with_intra = False
+            frames = tuple(frame for frame, _ in coded)
+            if scheme.adaptation and self._frames_processed % self.config.rmse_every_k == 0:
+                errors = tuple(rmse(plane, recon) * scale
+                               for (_, _, plane, scale), (_, recon) in zip(streams, coded))
+                self.split.update(errors[1], errors[0])
+            self._frames_processed += 1
         return SenderResult(
             sequence=prepared.sequence,
-            color_frame=color_frame,
-            depth_frame=depth_frame,
+            color_frame=frames[0], depth_frame=frames[1],
             split=self.split.split,
-            culled_points=prepared.culled_points,
-            total_points=prepared.total_points,
-            color_rmse=color_error,
-            depth_rmse=depth_error,
+            culled_points=prepared.culled_points, total_points=prepared.total_points,
+            color_rmse=errors[0], depth_rmse=errors[1],
             culled_multiview=prepared.culled_multiview,
+            empty=prepared.is_empty,
         )
 
     def process(

@@ -33,7 +33,6 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.capture.rgbd import MultiViewFrame
-from repro.capture.rig import CaptureRig, default_rig
 from repro.capture.scene import Scene
 from repro.compression.draco import DracoCodec
 from repro.compression.meshreduce import MeshReducePipeline, MeshReduceProfile
@@ -166,7 +165,6 @@ class _Tick:
 class _Replay:
     """What every scheme's replay starts from (:meth:`_SessionBase._open`)."""
 
-    rig: CaptureRig
     source: CachedFrameSource
     first: MultiViewFrame
     user_trace: PoseTrace
@@ -233,7 +231,7 @@ class _QualityLane:
         obs_ctx = self.tracer.current_context() if self.tracer is not None else None
         job = (
             frame,
-            self.replay.rig.cameras,
+            self.replay.source.rig.cameras,
             actual,
             self.config.render_voxel_m,
             render(actual),
@@ -274,7 +272,8 @@ class _QualityLane:
 
 
 class _SessionBase:
-    """What the three schemes' replays share: set-up, scoring, report."""
+    """What the schemes' replays share: set-up, scoring, report, and
+    the two baselines' replay loop."""
 
     def __init__(self, config: SessionConfig | None = None) -> None:
         self.config = config or SessionConfig()
@@ -291,13 +290,7 @@ class _SessionBase:
         if num_frames <= 0:
             raise ValueError("num_frames must be positive")
         config = self.config
-        rig = default_rig(
-            num_cameras=config.num_cameras,
-            width=config.camera_width,
-            height=config.camera_height,
-            fps=config.fps,
-        )
-        source = CachedFrameSource(rig, scene)
+        source = CachedFrameSource.for_config(config, scene)
         first = source.capture(0)
         scale = config.trace_scale
         if scale is None:
@@ -305,7 +298,6 @@ class _SessionBase:
             auto = max(first.raw_size_bytes() / PAPER_FRAME_SIZE_BYTES, 1e-6)
             scale = auto * config.codec_efficiency_compensation
         return _Replay(
-            rig=rig,
             source=source,
             first=first,
             user_trace=user_trace,
@@ -353,6 +345,43 @@ class _SessionBase:
         )
         return report
 
+    def _replay_baseline(
+        self,
+        replay: _Replay,
+        sequences: range,
+        step,
+        stages: list[Stage],
+        scheme: str,
+        video_name: str,
+        fps_target: float,
+    ) -> SessionReport:
+        """The baseline schemes' replay loop.
+
+        Per capture tick in ``sequences``: the capture stage, then the
+        scheme's ``step(frame, sequence, capture_time)``, which runs the
+        scheme's ``stages`` and returns the tick's :class:`FrameRecord`
+        with, for a rendered frame, the ``render`` callable the quality
+        lane samples (None otherwise).
+        """
+        capture_stage = Stage("capture", replay.capture)
+        quality = _QualityLane(self, replay)
+        records = []
+        try:
+            for sequence in sequences:
+                frame = capture_stage(sequence)
+                capture_time = sequence * self.config.frame_interval_s
+                record, render = step(frame, sequence, capture_time)
+                if render is not None:
+                    quality.sample(record, frame, sequence, render)
+                records.append(record)
+            quality.collect(final=True)
+        finally:
+            quality.close()
+        return self._report(
+            replay, quality, scheme, video_name, fps_target, records,
+            [capture_stage, *stages],
+        )
+
 
 class _Call:
     """One two-party call in flight: the state the frame loop shares.
@@ -379,7 +408,7 @@ class _Call:
         self.session = session
         self.replay = replay
         self.tracer = tracer
-        cameras, scaled_trace = replay.rig.cameras, replay.scaled_trace
+        cameras, scaled_trace = replay.source.rig.cameras, replay.scaled_trace
         resilience = config.resilience
         self.hardened = resilience.enabled
         self.injector = FaultInjector(fault_plan) if fault_plan is not None else None
@@ -858,16 +887,17 @@ class DracoOracleSession(_SessionBase):
         oracle_fps: float = 15.0,
     ) -> SessionReport:
         """Replay; ``num_frames`` counts 30 fps capture ticks."""
+        if not oracle_fps > 0:
+            raise ValueError("oracle_fps must be positive")
         config = self.config
         replay = self._open(scene, user_trace, bandwidth_trace, num_frames)
-        rig, first, scaled_trace = replay.rig, replay.first, replay.scaled_trace
+        cameras, first = replay.source.rig.cameras, replay.first
 
-        stride = max(1, int(round(config.fps / oracle_fps)))
         # Perfect culling: the oracle is handed the receiver's actual
         # frustum (no prediction error), per the paper's definition.
         def culled_cloud(frame: MultiViewFrame, sequence: int) -> PointCloud:
             frustum = self.device.frustum_for(user_trace.pose_at_frame(sequence))
-            merged = _fuse_views(frame, rig.cameras)
+            merged = _fuse_views(frame, cameras)
             if merged.is_empty:
                 return merged
             return merged.select(frustum.contains(merged.positions))
@@ -878,65 +908,47 @@ class DracoOracleSession(_SessionBase):
         # deadline is wall-clock (see DracoOracle.time_multiplier).
         compute_scale = PAPER_FRAME_SIZE_BYTES / max(first.raw_size_bytes(), 1)
         oracle = DracoOracle(profile, fps=oracle_fps, time_multiplier=compute_scale)
-
-        capture_stage = Stage("capture", replay.capture)
         cull_stage = Stage("cull", lambda args: culled_cloud(*args))
         encode_stage = Stage(
             "encode",
-            lambda args: oracle.encode_frame(args[0], args[1])
-            if not args[0].is_empty
-            else None,
+            lambda args: oracle.encode_frame(*args) if not args[0].is_empty else None,
         )
 
-        records = []
-        quality = _QualityLane(self, replay)
-        try:
-            for sequence in range(0, num_frames, stride):
-                capture_time = sequence * config.frame_interval_s
-                frame = capture_stage(sequence)
-                cloud = cull_stage((frame, sequence))
-                capacity_bps = scaled_trace.capacity_bps_at(capture_time)
-                encoded = encode_stage((cloud, capacity_bps))
-                record = FrameRecord(
-                    sequence=sequence,
-                    capture_time_s=capture_time,
-                    rendered=False,
-                    stalled=True,
-                    total_points=cloud.num_points,
-                    culled_points=cloud.num_points,
-                )
-                if encoded is not None:
-                    record.wire_bytes = encoded.size_bytes
-                    transmit = encoded.size_bytes * 8.0 / capacity_bps
-                    delivery = (
-                        capture_time + encoded.encode_time_s * compute_scale + transmit
-                        + config.link.propagation_delay_s
-                    )
-                    record.delivery_time_s = delivery
-                    if delivery <= capture_time + config.playout_delay_s:
-                        record.rendered = True
-                        record.stalled = False
+        def step(frame: MultiViewFrame, sequence: int, capture_time: float):
+            cloud = cull_stage((frame, sequence))
+            capacity_bps = replay.scaled_trace.capacity_bps_at(capture_time)
+            encoded = encode_stage((cloud, capacity_bps))
+            record = FrameRecord(
+                sequence=sequence,
+                capture_time_s=capture_time,
+                rendered=False,
+                stalled=True,
+                total_points=cloud.num_points,
+                culled_points=cloud.num_points,
+            )
+            if encoded is None:
+                return record, None
+            record.wire_bytes = encoded.size_bytes
+            record.delivery_time_s = (
+                capture_time + encoded.encode_time_s * compute_scale
+                + encoded.size_bytes * 8.0 / capacity_bps
+                + config.link.propagation_delay_s
+            )
+            if not record.delivery_time_s <= capture_time + config.playout_delay_s:
+                return record, None
+            record.rendered, record.stalled = True, False
 
-                        def render(actual: Frustum):
-                            decoded = DracoCodec.decode(encoded)
-                            shown = voxel_downsample(decoded, config.render_voxel_m)
-                            shown = shown.select(actual.contains(shown.positions))
-                            return lambda truth: shown
+            def render(actual: Frustum):
+                shown = voxel_downsample(DracoCodec.decode(encoded), config.render_voxel_m)
+                shown = shown.select(actual.contains(shown.positions))
+                return lambda truth: shown
 
-                        quality.sample(record, frame, sequence, render)
-                records.append(record)
-            quality.collect(final=True)
-        finally:
-            quality.close()
+            return record, render
 
-        return self._report(
-            replay,
-            quality,
-            "Draco-Oracle",
-            video_name,
-            oracle_fps,
-            records,
-            [capture_stage, cull_stage, encode_stage],
+        stride = max(1, int(round(config.fps / oracle_fps)))
+        return self._replay_baseline(
+            replay, range(0, num_frames, stride), step, [cull_stage, encode_stage],
+            "Draco-Oracle", video_name, oracle_fps,
         )
 
 
@@ -955,65 +967,47 @@ class MeshReduceSession(_SessionBase):
         """Replay ``num_frames`` 30 fps capture ticks."""
         config = self.config
         replay = self._open(scene, user_trace, bandwidth_trace, num_frames)
-        rig, scaled_trace = replay.rig, replay.scaled_trace
-
-        profile = MeshReduceProfile.build([replay.first], rig.cameras)
+        cameras, scaled_trace = replay.source.rig.cameras, replay.scaled_trace
+        profile = MeshReduceProfile.build([replay.first], cameras)
         voxel = profile.select_voxel(
             scaled_trace.stats().mean * 1e6, fps=15.0, conservativeness=conservativeness
         )
         stream = ReliableByteStream(scaled_trace, config.link.propagation_delay_s)
-        pipeline = MeshReducePipeline(rig.cameras, stream, voxel)
+        pipeline = MeshReducePipeline(cameras, stream, voxel)
+        compress_stage = Stage("compress", lambda args: pipeline.offer_frame(*args))
 
-        capture_stage = Stage("capture", replay.capture)
-        compress_stage = Stage(
-            "compress", lambda args: pipeline.offer_frame(args[0], args[1])
-        )
+        def step(frame: MultiViewFrame, sequence: int, capture_time: float):
+            result = compress_stage((frame, capture_time))
+            # MeshReduce never stalls; skipped frames lower its rate
+            # (section 4.3: "instead of experiencing stalls, it exhibits
+            # varying frame rates").
+            record = FrameRecord(
+                sequence=sequence,
+                capture_time_s=capture_time,
+                rendered=result.sent,
+                stalled=False,
+                wire_bytes=result.size_bytes,
+                total_points=frame.total_points(),
+                culled_points=frame.total_points(),
+                delivery_time_s=result.delivery_time_s,
+            )
+            if not result.sent or result.mesh is None:
+                return record, None
 
-        records = []
-        quality = _QualityLane(self, replay)
-        try:
-            for sequence in range(num_frames):
-                capture_time = sequence * config.frame_interval_s
-                frame = capture_stage(sequence)
-                result = compress_stage((frame, capture_time))
-                # MeshReduce never stalls; skipped frames lower its rate
-                # (section 4.3: "instead of experiencing stalls, it exhibits
-                # varying frame rates").
-                record = FrameRecord(
-                    sequence=sequence,
-                    capture_time_s=capture_time,
-                    rendered=result.sent,
-                    stalled=False,
-                    wire_bytes=result.size_bytes,
-                    total_points=frame.total_points(),
-                    culled_points=frame.total_points(),
-                    delivery_time_s=result.delivery_time_s,
-                )
-                if result.sent and result.mesh is not None:
+            def render(actual: Frustum):
+                # ``shown`` may run later, on a pool thread: it reads
+                # only this tick's mesh and sequence.
+                def shown(truth: PointCloud) -> PointCloud:
+                    sampled = pipeline.reconstruct(
+                        result.mesh, max(2 * len(truth), 1000), seed=sequence
+                    )
+                    return sampled.select(actual.contains(sampled.positions))
 
-                    def render(actual: Frustum, mesh=result.mesh, seed=sequence):
-                        # ``shown`` may run later, on a pool thread:
-                        # it must not read this loop's variables.
-                        def shown(truth: PointCloud) -> PointCloud:
-                            sampled = pipeline.reconstruct(
-                                mesh, max(2 * len(truth), 1000), seed=seed
-                            )
-                            return sampled.select(actual.contains(sampled.positions))
+                return shown
 
-                        return shown
+            return record, render
 
-                    quality.sample(record, frame, sequence, render)
-                records.append(record)
-            quality.collect(final=True)
-        finally:
-            quality.close()
-
-        return self._report(
-            replay,
-            quality,
-            "MeshReduce",
-            video_name,
-            15.0,
-            records,
-            [capture_stage, compress_stage],
+        return self._replay_baseline(
+            replay, range(num_frames), step, [compress_stage],
+            "MeshReduce", video_name, 15.0,
         )

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.capture.renderer import ProjectionCache, fill_holes_batch
 from repro.capture.rgbd import MultiViewFrame, RGBDFrame
-from repro.capture.rig import CaptureRig
+from repro.capture.rig import CaptureRig, default_rig
 from repro.capture.scene import Scene
 from repro.perf.counters import CacheCounters
 
@@ -41,6 +41,20 @@ class CachedFrameSource:
         self.rig = rig
         self.scene = scene
         self._caches = [ProjectionCache(camera) for camera in rig.cameras]
+
+    @classmethod
+    def for_config(cls, config, scene: Scene) -> "CachedFrameSource":
+        """The conference room a ``SessionConfig`` describes: its camera
+        ring at the config's resolution and clock, and one cached source
+        over ``scene`` that every party in the room reads (``.rig`` is
+        the ring)."""
+        rig = default_rig(
+            num_cameras=config.num_cameras,
+            width=config.camera_width,
+            height=config.camera_height,
+            fps=config.fps,
+        )
+        return cls(rig, scene)
 
     def capture(self, sequence: int) -> MultiViewFrame:
         """One synchronized multi-view capture at this sequence number.

@@ -11,11 +11,11 @@ Two execution paths:
   downlinks; ``shared``: without) or the
   :class:`~repro.sfu.conference.UnicastBaseline` (``unicast``) through
   the spec's join/leave churn on a simulated clock with a simple
-  serialization+propagation delivery model.  In ``sfu`` mode each
-  receiver gets its own emulated downlink (the spec's
-  ``receiver_links`` pin heterogeneous capacities; unlisted peers
-  inherit the main trace) and a frame renders only when the *slowest*
-  receiver's forward lands inside the playout budget.  The spec has
+  serialization+propagation delivery model (:func:`_formula_delivery`).
+  In ``sfu`` mode each receiver gets its own emulated downlink (the
+  spec's ``receiver_links`` pin heterogeneous capacities; unlisted
+  peers inherit the main trace) and a frame renders only when the
+  *slowest* receiver's forward lands inside the playout budget.  The spec has
   already checked its roster, so no join or leave can fail mid-run.
   What matters for the regression corpus is that every path is
   deterministic in the spec.
@@ -26,7 +26,6 @@ Both paths are byte-deterministic: same spec, same report.
 from __future__ import annotations
 
 from repro.capture.dataset import load_video
-from repro.capture.rig import default_rig
 from repro.core.session import LiVoSession
 from repro.core.stats import FaultEvent, FrameRecord, SessionReport
 from repro.perf.capture import CachedFrameSource
@@ -70,44 +69,30 @@ def _run_livo(spec: ScenarioSpec) -> SessionReport:
 def _run_multiway(spec: ScenarioSpec) -> SessionReport:
     """Churn harness: peers join/leave a conference mid-session.
 
-    Delivery model per tick: the (shared or summed) stream serializes
-    at the trace's instantaneous capacity plus one propagation delay; a
-    frame renders when that lands inside the playout budget.  Faults
-    are limited to churn events themselves (recorded as FaultEvents),
-    which is plenty to regression-pin join/leave behavior.
+    Each tick's delivery is :func:`_formula_delivery`.  Faults are
+    limited to churn events themselves (recorded as FaultEvents), which
+    is plenty to regression-pin join/leave behavior.
     """
     config = spec.build_config()
     _, scene = load_video(spec.video, sample_budget=spec.sample_budget)
-    rig = default_rig(
-        num_cameras=spec.num_cameras,
-        width=spec.camera_width,
-        height=spec.camera_height,
-    )
-    source = CachedFrameSource(rig, scene)
+    source = CachedFrameSource.for_config(config, scene)
     pose_traces = user_traces_for_video(spec.video, spec.frames + 10)
-
     bandwidth = spec.build_trace()
     downlink_traces = {
         link.peer: constant_trace(link.mbps, duration_s=spec.duration_s + 10.0)
         for link in spec.receiver_links
     }
-    extra_propagation = {
-        link.peer: link.propagation_s
-        for link in spec.receiver_links
-        if link.propagation_s is not None
-    }
     if spec.multiway_mode == "unicast":
-        party = UnicastBaseline(rig, config)
+        party = UnicastBaseline(source.rig, config)
     else:
         # "sfu" forwards down per-receiver links; "shared" is the same
         # driver with none, so only the uplink stream is on the wire.
         downlinks = (
             DownlinkSet(bandwidth, config.link) if spec.multiway_mode == "sfu" else None
         )
-        party = ConferenceDriver(0, rig, config, downlinks)
+        party = ConferenceDriver(0, source.rig, config, downlinks)
 
-    # Peers get pose traces by first-join order, so a rejoining peer
-    # resumes a deterministic trajectory.
+    # Pose traces go by first-join order: a rejoining peer resumes its own.
     peer_traces: dict[str, object] = {}
 
     def join(peer: str) -> None:
@@ -119,12 +104,10 @@ def _run_multiway(spec: ScenarioSpec) -> SessionReport:
         join(peer)
 
     interval = config.frame_interval_s
-    horizon_s = config.pose_feedback_lag_frames * interval
     churn = sorted(spec.churn, key=lambda event: event.time_s)
     churn_index = 0
     events: list[FaultEvent] = []
     records: list[FrameRecord] = []
-
     for sequence in range(spec.frames):
         now = sequence * interval
         while churn_index < len(churn) and churn[churn_index].time_s <= now:
@@ -143,55 +126,13 @@ def _run_multiway(spec: ScenarioSpec) -> SessionReport:
                     recovered=event.action == "join",
                 )
             )
-        if not party.receiver_names:
-            records.append(
-                FrameRecord(
-                    sequence=sequence,
-                    capture_time_s=now,
-                    rendered=False,
-                    stalled=False,
-                    empty=True,
-                )
-            )
-            continue
-        frame = source.capture(sequence)
-        capacity_bps = bandwidth.capacity_bps_at(now)
-        sent_before = party.uplink_bytes
-        produced = party.tick(frame, now, 0.5 * capacity_bps, horizon_s)
-        wire_bytes = party.uplink_bytes - sent_before
-        record = FrameRecord(
-            sequence=sequence,
-            capture_time_s=now,
-            rendered=False,
-            stalled=True,
-            wire_bytes=wire_bytes,
-            total_points=frame.total_points(),
-        )
-        if wire_bytes > 0 and capacity_bps > 0.0:
-            delivery = (
-                now
-                + wire_bytes * 8.0 / capacity_bps
-                + config.link.propagation_delay_s
-            )
-            if spec.multiway_mode == "sfu":
-                # The conference renders when the slowest receiver's
-                # forwarded burst lands (per-link emulated delivery plus
-                # any extra per-receiver propagation from the spec).
-                forwarded = [
-                    decision.delivery_time_s + extra_propagation.get(peer, 0.0)
-                    for peer, decision in produced.decisions.items()
-                    if decision.delivery_time_s is not None
-                ]
-                if forwarded:
-                    delivery = max(delivery, max(forwarded))
-            record.delivery_time_s = delivery
-            if delivery <= now + config.playout_delay_s:
-                record.rendered = True
-                record.stalled = False
-        elif wire_bytes == 0:
-            record.stalled = False
-            record.empty = True
-        records.append(record)
+        if party.receiver_names:
+            frame = source.capture(sequence)
+            records.append(_formula_delivery(spec, config, party, frame, bandwidth))
+        else:
+            records.append(FrameRecord(
+                sequence=sequence, capture_time_s=now, rendered=False, stalled=False, empty=True
+            ))
 
     return SessionReport(
         scheme=f"Multiway-{spec.multiway_mode}",
@@ -205,3 +146,54 @@ def _run_multiway(spec: ScenarioSpec) -> SessionReport:
         trace_scale=1.0,
         fault_events=events,
     )
+
+
+def _formula_delivery(spec: ScenarioSpec, config, party, frame, bandwidth) -> FrameRecord:
+    """One multiway tick, delivered by a serialization+propagation formula.
+
+    The (shared or summed) stream serializes at the trace's
+    instantaneous capacity plus one propagation delay; a frame renders
+    when that lands inside the playout budget.  In ``sfu`` mode it lands
+    only when the *slowest* receiver's forwarded burst does (per-link
+    emulated delivery plus any extra per-receiver propagation from the
+    spec).
+    """
+    sequence = frame.sequence
+    now = sequence * config.frame_interval_s
+    capacity_bps = bandwidth.capacity_bps_at(now)
+    sent_before = party.uplink_bytes
+    horizon_s = config.pose_feedback_lag_frames * config.frame_interval_s
+    produced = party.tick(frame, now, 0.5 * capacity_bps, horizon_s)
+    wire_bytes = party.uplink_bytes - sent_before
+    record = FrameRecord(
+        sequence=sequence,
+        capture_time_s=now,
+        rendered=False,
+        stalled=True,
+        wire_bytes=wire_bytes,
+        total_points=frame.total_points(),
+    )
+    if wire_bytes == 0:
+        record.stalled = False
+        record.empty = True
+    if wire_bytes <= 0 or capacity_bps <= 0.0:
+        return record
+    delivery = now + wire_bytes * 8.0 / capacity_bps + config.link.propagation_delay_s
+    if spec.multiway_mode == "sfu":
+        extra_propagation = {
+            link.peer: link.propagation_s
+            for link in spec.receiver_links
+            if link.propagation_s is not None
+        }
+        forwarded = [
+            decision.delivery_time_s + extra_propagation.get(peer, 0.0)
+            for peer, decision in produced.decisions.items()
+            if decision.delivery_time_s is not None
+        ]
+        if forwarded:
+            delivery = max(delivery, max(forwarded))
+    record.delivery_time_s = delivery
+    if delivery <= now + config.playout_delay_s:
+        record.rendered = True
+        record.stalled = False
+    return record

@@ -117,7 +117,6 @@ class SessionFactory:
 
     def __init__(self, config: ServiceConfig) -> None:
         from repro.capture.dataset import load_video
-        from repro.capture.rig import default_rig
         from repro.core.config import SessionConfig
         from repro.perf.capture import CachedFrameSource
         from repro.prediction.pose import user_traces_for_video
@@ -132,12 +131,7 @@ class SessionFactory:
             gop_size=config.gop_size,
         )
         _, self.scene = load_video(config.video, sample_budget=config.sample_budget)
-        self.rig = default_rig(
-            num_cameras=config.num_cameras,
-            width=config.camera_width,
-            height=config.camera_height,
-        )
-        self.source = CachedFrameSource(self.rig, self.scene)
+        self.source = CachedFrameSource.for_config(self.session_config, self.scene)
         self.pose_traces = user_traces_for_video(
             config.video, config.pose_trace_frames
         )
@@ -151,7 +145,7 @@ class SessionFactory:
                  target_rate_bps: float) -> object:
         driver = _HostedConference(
             index,
-            self.rig,
+            self.source.rig,
             self.session_config,
             DownlinkSet(self.downlink_trace, LinkConfig(seed=self.config.seed + seed)),
             self.pose_traces,

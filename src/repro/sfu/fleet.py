@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.capture.dataset import load_video
-from repro.capture.rig import default_rig
 from repro.core.config import SessionConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.perf.capture import CachedFrameSource
@@ -111,8 +110,6 @@ class FleetResult:
     mean_receivers: float
     control_sessions: int
     control_wall_per_frame_ms: float
-    sfu_wall_per_frame_ms: float
-    capture_cache: dict = field(default_factory=dict)
     sfu_metrics: dict = field(default_factory=dict)
     batch_plane_stats: dict = field(default_factory=dict)
     cache_stats: dict = field(default_factory=dict)
@@ -121,6 +118,75 @@ class FleetResult:
     # change to the lockstep schedule must keep byte for byte;
     # ``fleet_digest`` in to_dict compresses them to one line.
     session_digests: list = field(default_factory=list)
+
+    @classmethod
+    def fold(
+        cls, fleet: FleetConfig, conferences, batch_plane: BatchPlane, capture: dict,
+        latencies: list[float], wall_s: float, churn_events: int, control: tuple,
+    ) -> "FleetResult":
+        """The fleet-wide numbers from every conference, the lockstep
+        loop's wall clock and latencies, and the unicast ``control``
+        group's ``(bytes, seconds)`` per frame.
+
+        One merged tally per metric and per cache: counters and
+        occupancy gauges sum, peaks take the max, hit rates come from
+        merged counts -- a fleet-wide figure, never one conference's
+        sample or 200 copies of a shared gauge.  ``capture`` is the
+        shared source's counters, snapshotted before the control group
+        reused the source.
+        """
+        registry = MetricsRegistry()
+        codec_scratch = CacheCounters("codec_scratch")
+        cull_projection = CacheCounters("cull_projection")
+        for conference in conferences:
+            per_conference = MetricsRegistry()
+            conference.node.metrics_into(per_conference)
+            registry.merge(per_conference)
+            codec_scratch.merge(conference.sender.cache_counters())
+            cull_projection.merge(conference.node.cull_cache.counters)
+        cache_stats = {
+            "codec_scratch": codec_scratch.to_dict(),
+            "cull_projection": cull_projection.to_dict(),
+            "capture_projection": capture,
+        }
+        for counters in batch_plane.counters.values():
+            cache_stats[counters.name] = counters.to_dict()
+        session_frames = fleet.sessions * fleet.frames
+        uplink = sum(c.uplink_bytes for c in conferences) / session_frames
+        unicast_bytes_per_frame, control_s = control
+        latencies_ms = np.asarray(latencies) * 1e3
+        throughput = session_frames / wall_s if wall_s > 0 else float("inf")
+        return cls(
+            sessions=fleet.sessions,
+            frames=fleet.frames,
+            session_frames=session_frames,
+            churn_events=churn_events,
+            wall_s=wall_s,
+            cores_available=os.cpu_count() or 1,
+            session_frames_per_s=throughput,
+            sessions_per_core=throughput / FPS,
+            latency_ms_p50=float(np.percentile(latencies_ms, 50)),
+            latency_ms_p99=float(np.percentile(latencies_ms, 99)),
+            latency_ms_mean=float(latencies_ms.mean()),
+            sfu_uplink_bytes_per_frame=uplink,
+            unicast_uplink_bytes_per_frame=unicast_bytes_per_frame,
+            uplink_savings=(
+                1.0 - uplink / unicast_bytes_per_frame if unicast_bytes_per_frame > 0 else 0.0
+            ),
+            sfu_downlink_bytes_per_frame=sum(c.downlink_bytes for c in conferences)
+            / session_frames,
+            mean_receivers=sum(c.receiver_frames for c in conferences) / session_frames,
+            control_sessions=fleet.unicast_control,
+            control_wall_per_frame_ms=control_s * 1e3,
+            sfu_metrics={
+                name: registry.get(name).to_dict()
+                for name in registry.names()
+                if not name.startswith("sfu.rx.")
+            },
+            batch_plane_stats=batch_plane.stats(),
+            cache_stats=cache_stats,
+            session_digests=[c.digest.hexdigest() for c in conferences],
+        )
 
     @property
     def fleet_digest(self) -> str:
@@ -153,11 +219,7 @@ class FleetResult:
             "sfu_downlink_bytes_per_frame": round(self.sfu_downlink_bytes_per_frame, 1),
             "mean_receivers": round(self.mean_receivers, 2),
             "control_sessions": self.control_sessions,
-            "wall_per_frame_ms": {
-                "sfu": round(self.sfu_wall_per_frame_ms, 3),
-                "unicast_control": round(self.control_wall_per_frame_ms, 3),
-            },
-            "capture_cache": self.capture_cache,
+            "control_wall_per_frame_ms": round(self.control_wall_per_frame_ms, 3),
             # Merged across every conference in the fleet (counters and
             # occupancy gauges summed, peaks maxed, hit rates from
             # merged counts) -- NOT a single-session sample.
@@ -235,13 +297,8 @@ def run_fleet(fleet: FleetConfig) -> FleetResult:
         gop_size=fleet.gop_size,
     )
     _, scene = load_video(fleet.video, sample_budget=fleet.sample_budget)
-    rig = default_rig(
-        num_cameras=fleet.num_cameras,
-        width=fleet.camera_width,
-        height=fleet.camera_height,
-    )
     # ONE capture source for the whole fleet: the shared kernel cache.
-    source = CachedFrameSource(rig, scene)
+    source = CachedFrameSource.for_config(config, scene)
     pose_traces = user_traces_for_video(fleet.video, fleet.frames + 10)
     trace = constant_trace(fleet.downlink_mbps, duration_s=fleet.frames / FPS + 10.0)
 
@@ -251,8 +308,8 @@ def run_fleet(fleet: FleetConfig) -> FleetResult:
 
         tracer = Tracer()
 
-    # Everything from driver construction to stats collection runs
-    # under one try/finally: a failure surfacing mid-run (or building
+    # Everything from driver construction to the last tick runs under
+    # one try/finally: a failure surfacing mid-run (or building
     # conference 151 of 200) must still close every driver.
     conferences: list[ConferenceDriver] = []
     churns = []
@@ -261,7 +318,7 @@ def run_fleet(fleet: FleetConfig) -> FleetResult:
             seed = fleet.seed + index
             conference = ConferenceDriver(
                 index,
-                rig,
+                source.rig,
                 config,
                 DownlinkSet(trace, LinkConfig(seed=seed)),
                 tracer=tracer,
@@ -285,91 +342,18 @@ def run_fleet(fleet: FleetConfig) -> FleetResult:
             )
             latencies.extend(outcome.elapsed)
         wall_s = time.perf_counter() - wall_start
-
-        if tracer is not None:
-            from repro.obs.export import write_spans_jsonl
-
-            tracer.finish()
-            write_spans_jsonl(tracer.spans(), fleet.trace_jsonl)
-
-        # Aggregate ``sfu.*`` metrics across the WHOLE fleet: counters
-        # sum, occupancy gauges sum, peaks take the max, hit rates are
-        # recomputed from merged counts (MetricsRegistry.merge).  Under
-        # churn, conference 0 is not representative -- the old
-        # single-sample snapshot silently described one session.
-        registry = MetricsRegistry()
-        for conference in conferences:
-            per_conference = MetricsRegistry()
-            conference.node.metrics_into(per_conference)
-            registry.merge(per_conference)
-        fleet_metrics = {
-            name: registry.get(name).to_dict()
-            for name in registry.names()
-            if not name.startswith("sfu.rx.")
-        }
-
-        # Fleet-wide cache stats: one merged tally per cache, so hit
-        # rates are reported once for the whole fleet rather than
-        # re-absorbed per session (which would sum 200 copies of the
-        # same gauge).  The capture counters are snapshotted HERE,
-        # before the unicast control group reuses the shared source and
-        # pollutes them.
-        capture_cache = {"capture": source.counters().to_dict()}
-        codec_scratch = CacheCounters("codec_scratch")
-        cull_projection = CacheCounters("cull_projection")
-        for conference in conferences:
-            codec_scratch.merge(conference.sender.cache_counters())
-            cull_projection.merge(conference.node.cull_cache.counters)
-        cache_stats = {
-            "codec_scratch": codec_scratch.to_dict(),
-            "cull_projection": cull_projection.to_dict(),
-            "capture_projection": capture_cache["capture"],
-        }
-        for counters in batch_plane.counters.values():
-            cache_stats[counters.name] = counters.to_dict()
-
-        total_uplink = sum(c.uplink_bytes for c in conferences)
-        total_downlink = sum(c.downlink_bytes for c in conferences)
-        receiver_frames = sum(c.receiver_frames for c in conferences)
-        session_digests = [c.digest.hexdigest() for c in conferences]
-        session_frames = fleet.sessions * fleet.frames
+        # Before the unicast control group reuses the shared source.
+        capture = source.counters().to_dict()
     finally:
         for conference in conferences:
             conference.close()
 
-    unicast_bytes_per_frame, control_ms = _run_unicast_control(
-        fleet, config, rig, source, pose_traces
-    )
+    if tracer is not None:
+        from repro.obs.export import write_spans_jsonl
 
-    latencies_ms = np.asarray(latencies) * 1e3
-    throughput = session_frames / wall_s if wall_s > 0 else float("inf")
-    return FleetResult(
-        sessions=fleet.sessions,
-        frames=fleet.frames,
-        session_frames=session_frames,
-        churn_events=churn_events,
-        wall_s=wall_s,
-        cores_available=os.cpu_count() or 1,
-        session_frames_per_s=throughput,
-        sessions_per_core=throughput / FPS,
-        latency_ms_p50=float(np.percentile(latencies_ms, 50)),
-        latency_ms_p99=float(np.percentile(latencies_ms, 99)),
-        latency_ms_mean=float(latencies_ms.mean()),
-        sfu_uplink_bytes_per_frame=total_uplink / session_frames,
-        unicast_uplink_bytes_per_frame=unicast_bytes_per_frame,
-        uplink_savings=(
-            1.0 - (total_uplink / session_frames) / unicast_bytes_per_frame
-            if unicast_bytes_per_frame > 0
-            else 0.0
-        ),
-        sfu_downlink_bytes_per_frame=total_downlink / session_frames,
-        mean_receivers=receiver_frames / session_frames,
-        control_sessions=fleet.unicast_control,
-        control_wall_per_frame_ms=control_ms * 1e3,
-        sfu_wall_per_frame_ms=float(latencies_ms.mean()),
-        capture_cache=capture_cache,
-        sfu_metrics=fleet_metrics,
-        batch_plane_stats=batch_plane.stats(),
-        cache_stats=cache_stats,
-        session_digests=session_digests,
+        tracer.finish()
+        write_spans_jsonl(tracer.spans(), fleet.trace_jsonl)
+    control = _run_unicast_control(fleet, config, source.rig, source, pose_traces)
+    return FleetResult.fold(
+        fleet, conferences, batch_plane, capture, latencies, wall_s, churn_events, control
     )

@@ -12,10 +12,9 @@ stage-graph stages (:meth:`SFUNode.stages`):
   moment earlier from the same predicted frustums, so no frustum is
   tested twice and receivers never see pixels outside their own view),
   then for every receiver: pick a degradation-ladder tier that fits the
-  receiver's bandwidth estimate, split the forwarded budget across
-  depth/color with the receiver's own
-  :class:`~repro.core.bandwidth_split.SplitController`, and offer the
-  burst down the receiver's emulated downlink.
+  receiver's bandwidth estimate and offer the burst down the receiver's
+  emulated downlink.  The depth/color split is the sender's: a node
+  that never re-encodes cannot re-split a stream.
 
 Forwarding is selective, not transcoding: the node never re-encodes.
 A receiver's downlink bytes are the kept fraction of the uplink tiles
@@ -37,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.capture.rgbd import MultiViewFrame
-from repro.core.bandwidth_split import SplitBook
 from repro.core.config import SessionConfig
 from repro.core.sender import SenderResult
 from repro.geometry.camera import RGBDCamera
@@ -70,8 +68,6 @@ class ForwardDecision:
     rung: int
     rate_bps: float
     bytes: int
-    depth_bytes: int
-    color_bytes: int
     delivery_time_s: float | None = None
     downlink: DownlinkSend | None = None
     forwarded_multiview: MultiViewFrame | None = None
@@ -116,13 +112,6 @@ class SFUNode:
         self.device = device or ViewingDevice()
         self.book = ReceiverBook(self.device, config.guard_band_m)
         self.downlinks = downlinks
-        self.splits = SplitBook(
-            initial=config.split_initial,
-            minimum=config.split_min,
-            maximum=config.split_max,
-            step=config.split_step,
-            epsilon=config.split_epsilon,
-        )
         self.cull_cache = CullCache()
         # When set, forward decisions carry the per-receiver culled
         # multiview (what the receiver would reconstruct from) -- used
@@ -168,11 +157,10 @@ class SFUNode:
         return state
 
     def remove_receiver(self, name: str) -> ReceiverState:
-        """A receiver leaves: drop its predictor, downlink, and split."""
+        """A receiver leaves: drop its predictor and downlink."""
         state = self.book.remove(name)
         if self.downlinks is not None and name in self.downlinks:
             self.downlinks.remove(name)
-        self.splits.drop(name)
         # Rows are positional: forget the whole frame's prediction
         # rather than leave the stack one row longer than the roster.
         self._frame_frustums = {}
@@ -306,10 +294,9 @@ class SFUNode:
             if full_bytes > 0:
                 rung = self._pick_rung(state, full_bytes, budget_bytes)
                 size = max(1, int(full_bytes * TIER_SCALES[rung]))
-                depth_bytes, color_bytes = self.splits.allocate(name, size)
             else:
                 rung = state.rung
-                size = depth_bytes = color_bytes = 0
+                size = 0
             send: DownlinkSend | None = None
             if downlinks is not None and size > 0 and name in downlinks:
                 send = state.offer_downlink(downlinks, now, size)
@@ -324,8 +311,6 @@ class SFUNode:
                 rung=rung,
                 rate_bps=rate,
                 bytes=size,
-                depth_bytes=depth_bytes,
-                color_bytes=color_bytes,
                 delivery_time_s=send.delivery_time_s if send is not None else None,
                 downlink=send,
                 forwarded_multiview=forwarded,

@@ -200,7 +200,7 @@ class TestResolveHead:
 
 
 def _empty_frame(call):
-    cameras = call.replay.rig.cameras
+    cameras = call.replay.source.rig.cameras
     height, width = cameras[0].intrinsics.height, cameras[0].intrinsics.width
     views = [
         RGBDFrame(

@@ -5,6 +5,7 @@ import pytest
 from repro.capture.dataset import load_video
 from repro.core.config import SchemeFlags, SessionConfig
 from repro.core.session import DracoOracleSession, LiVoSession, MeshReduceSession
+from repro.perf.capture import CachedFrameSource
 from repro.prediction.pose import user_traces_for_video
 from repro.transport.traces import constant_trace
 
@@ -121,6 +122,33 @@ class TestBaselineSessionEdges:
         assert report.fps_target == 10.0
         # 30 fps capture ticks strided by 3.
         assert report.num_frames == -(-FRAMES // 3)
+
+    @pytest.mark.parametrize("oracle_fps", [0.0, -15.0])
+    def test_oracle_rejects_non_positive_fps_before_capture(
+        self, tiny_workload, monkeypatch, oracle_fps
+    ):
+        # Divided by zero after frame 0 had been rendered.
+        def no_capture(*args, **kwargs):
+            raise AssertionError("captured before the parameter check")
+
+        monkeypatch.setattr(CachedFrameSource, "capture", no_capture)
+        scene, user = tiny_workload
+        with pytest.raises(ValueError, match="oracle_fps"):
+            DracoOracleSession(tiny_config()).run(
+                scene, user, constant_trace(10.0), FRAMES, oracle_fps=oracle_fps
+            )
+
+    @pytest.mark.parametrize("conservativeness", [0.0, -1.0])
+    def test_meshreduce_rejects_non_positive_conservativeness(
+        self, tiny_workload, conservativeness
+    ):
+        # Ran to completion on a non-positive byte budget.
+        scene, user = tiny_workload
+        with pytest.raises(ValueError, match="conservativeness"):
+            MeshReduceSession(tiny_config()).run(
+                scene, user, constant_trace(10.0), FRAMES,
+                conservativeness=conservativeness,
+            )
 
 
 @pytest.mark.parametrize(

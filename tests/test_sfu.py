@@ -5,7 +5,6 @@ import pytest
 
 from repro.capture.dataset import load_video
 from repro.capture.rig import default_rig
-from repro.core.bandwidth_split import SplitBook, SplitController
 from repro.core.config import SessionConfig
 from repro.core.multiway import cull_views_union
 from repro.core.sender import LiVoSender
@@ -119,42 +118,6 @@ class TestCullCache:
         _, valid_zero = cache.local_points(camera, zeroed)
         assert valid.any()
         assert not valid_zero.any()
-
-
-# ----------------------------------------------------------------------
-# SplitBook
-# ----------------------------------------------------------------------
-
-
-class TestSplitBook:
-    def book(self):
-        return SplitBook(
-            initial=0.7, minimum=0.5, maximum=0.9, step=0.005, epsilon=0.5
-        )
-
-    def test_matches_standalone_controller(self):
-        book = self.book()
-        solo = SplitController(
-            initial=0.7, minimum=0.5, maximum=0.9, step=0.005, epsilon=0.5
-        )
-        for _ in range(5):
-            book.update("a", depth_rmse=4.0, color_rmse=1.0)
-            solo.update(depth_rmse=4.0, color_rmse=1.0)
-        assert book.allocate("a", 10_000) == solo.allocate(10_000)
-
-    def test_receivers_independent(self):
-        book = self.book()
-        for _ in range(5):
-            book.update("skewed", depth_rmse=6.0, color_rmse=0.5)
-        assert book.allocate("skewed", 10_000) != book.allocate("fresh", 10_000)
-
-    def test_drop_forgets_state(self):
-        book = self.book()
-        book.update("a", depth_rmse=6.0, color_rmse=0.5)
-        skewed = book.allocate("a", 10_000)
-        book.drop("a")
-        assert "a" not in book
-        assert book.allocate("a", 10_000) != skewed
 
 
 # ----------------------------------------------------------------------
@@ -345,17 +308,12 @@ class TestSFUNode:
                 assert 0 <= decision.kept_points <= decision.union_points
                 if decision.kept_points:
                     assert decision.bytes > 0
-                # The split controller partitions the forwarded budget.
-                parts = decision.depth_bytes + decision.color_bytes
-                assert decision.bytes <= parts <= decision.bytes + 1
 
     def test_remove_receiver_clears_state(self, setup):
         node, _ = self.node(setup, downlinks=True)
-        node.splits.allocate("r1", 1000)
         node.remove_receiver("r1")
         assert "r1" not in node.book
         assert "r1" not in node.downlinks
-        assert "r1" not in node.splits
         with pytest.raises(ValueError):
             node.remove_receiver("r1")
 

@@ -2,10 +2,10 @@
 
 One parametrised test over the workloads named in
 ``tests/goldens/twin_digests.json`` (see :mod:`tests.twins` for how the
-file was made): three two-party sessions, one churned fleet, one
-service tick pool.  The narrower pins (channel, codec, SFU node) live
-next to the behaviour they cover, in the test files that used to run
-both twins.
+file was made): three two-party sessions, the two baseline replays,
+one churned fleet, one service tick pool.  The narrower pins (channel,
+codec, SFU node) live next to the behaviour they cover, in the test
+files that used to run both twins.
 """
 
 import dataclasses
@@ -24,13 +24,12 @@ from repro.capture.dataset import load_video
 from repro.capture.scene import Scene
 from repro.codec import entropy
 from repro.codec.motion import gather_prediction
-from repro.codec.video import VideoCodecConfig
-from repro.core import multiway
+from repro.codec.video import VideoCodecConfig, _CodecCore
+from repro.core import bandwidth_split, multiway
 from repro.core import session as session_module
-from repro.core.bandwidth_split import SplitBook
 from repro.core.config import SessionConfig
 from repro.core.sender import LiVoSender
-from repro.core.session import LiVoSession
+from repro.core.session import DracoOracleSession, LiVoSession, MeshReduceSession
 from repro.faults.plan import (
     BurstLossWindow,
     EncoderFault,
@@ -48,8 +47,8 @@ from repro.runtime.stage import Stage, StageGraph
 from repro.service.app import ServiceApp, ServiceConfig
 from repro.service.workers import TickWorkerPool
 from repro.sfu.conference import ConferenceDriver
-from repro.sfu.fleet import FleetConfig, run_fleet
-from repro.sfu.node import SFUNode
+from repro.sfu.fleet import FleetConfig, FleetResult, run_fleet
+from repro.sfu.node import ForwardDecision, SFUNode
 from repro.sfu.receivers import ReceiverBook
 from repro.transport import fec, link
 from repro.transport.channel import WebRTCChannel, WebRTCConfig
@@ -121,6 +120,25 @@ def _session_burst_loss_fec(monkeypatch):
     )
 
 
+def _baseline(session_cls):
+    # A baseline replay at jobs 1 and 2: the report, its stage names with
+    # their sample counts (in order) and its cache-stat keys.  Pinned at
+    # 602d350, from the two separate loops the shared one replaced.
+    _, scene = load_video("office1", sample_budget=SMALL["scene_sample_budget"])
+    user = user_traces_for_video("office1", 22)[0]
+    pinned = []
+    for jobs in (1, 2):
+        report = session_cls(SessionConfig(**SMALL, jobs=jobs)).run(
+            scene, user, trace_1(duration_s=5), 12, video_name="office1"
+        )
+        pinned.append({
+            "report": report.asdict(),
+            "stages": [(name, t.count) for name, t in report.stage_timings.items()],
+            "cache_stats": list(report.cache_stats),
+        })
+    return pinned
+
+
 def _tick_pool():
     app = ServiceApp(ServiceConfig(seed=0))
     try:
@@ -145,6 +163,8 @@ WORKLOADS = {
     "session:burst_loss_fec": _session_burst_loss_fec,
     # Recorded from the fork pool; threads are the one substrate left.
     "session:process_jobs2": lambda monkeypatch: _session(5, executor="thread", jobs=2),
+    "session:draco_oracle": lambda monkeypatch: _baseline(DracoOracleSession),
+    "session:meshreduce": lambda monkeypatch: _baseline(MeshReduceSession),
     "fleet:6x12": lambda monkeypatch: _fleet_6x12().fleet_digest,
     "tick_pool:4x10": lambda monkeypatch: _tick_pool(),
     # Recorded through the registry's absorb_* shims; the producers'
@@ -253,7 +273,12 @@ def test_one_multi_party_driver_and_the_shim_stay_gone():
         (MetricsRegistry, "absorb_counters"),
         (MetricsRegistry, "absorb_stage_timings"),
         (MetricsRegistry, "absorb_fault_events"),
-        (SplitBook, "receiver_ids"),
+        # The SFU never re-encodes, so it holds no depth/color split:
+        # the split is the sender's.
+        (bandwidth_split, "SplitBook"),
+        (SFUNode, "splits"),
+        (ForwardDecision, "depth_bytes"),
+        (ForwardDecision, "color_bytes"),
         (ReceiverBook, "predictors"),
         (CachedFrameSource, "capture_views"),
         (batchplane, "pointssim_features_request"),
@@ -266,11 +291,22 @@ def test_one_multi_party_driver_and_the_shim_stay_gone():
         (link, "STATUS_DELIVERED"),
         # The channel groups FEC packets itself.
         (fec, "FECEncoder"),
+        # A serial wrapper nothing called, and two copies of other fields.
+        (_CodecCore, "encode_plane"),
+        (FleetResult, "capture_cache"),
+        (FleetResult, "sfu_wall_per_frame_ms"),
     ],
     ids=lambda value: getattr(value, "__name__", value).rsplit(".", 1)[-1],
 )
 def test_uncalled_surface_stays_gone(owner, name):
-    assert not hasattr(owner, name)
+    surface = set(dir(owner))
+    if inspect.isclass(owner):
+        # Dataclass fields without a default, and attributes set only
+        # on instances, are not on the class itself.
+        if dataclasses.is_dataclass(owner):
+            surface |= _option_names(owner)
+        surface |= set(re.findall(r"\bself\.(\w+)\s*=", inspect.getsource(owner)))
+    assert name not in surface
     assert "pointssim_features" not in batchplane.KERNELS
 
 
