@@ -173,10 +173,6 @@ class _Replay:
     scale: float
     duration_s: float
 
-    def capture(self, sequence: int) -> MultiViewFrame:
-        """One synchronized multi-view capture (frame 0 is already held)."""
-        return self.first if sequence == 0 else self.source.capture(sequence)
-
 
 class _QualityLane:
     """PointSSIM on every Nth rendered frame (the paper's cadence).
@@ -363,7 +359,7 @@ class _SessionBase:
         with, for a rendered frame, the ``render`` callable the quality
         lane samples (None otherwise).
         """
-        capture_stage = Stage("capture", replay.capture)
+        capture_stage = Stage("capture", replay.source.capture)
         quality = _QualityLane(self, replay)
         records = []
         try:
@@ -472,7 +468,7 @@ class _Call:
     # ------------------------------------------------------------------
 
     def _capture(self, tick: _Tick) -> _Tick:
-        frame = self.replay.capture(tick.sequence)
+        frame = self.replay.source.capture(tick.sequence)
         tick.frame = self.boundary.apply_camera_faults(frame, tick.now)
         return tick
 

@@ -102,6 +102,7 @@ class LoadgenResult:
     tick_ms_mean: float = 0.0
     ticks_total: int = 0
     sessions_failed: int = 0
+    capture_hit_rate: float = 0.0  # shared frame memo, end of run
     leaked_drivers: int = -1       # -1 = not checkable (external target)
     leaked_shm_segments: int = -1
     final_session_counts: dict = field(default_factory=dict)
@@ -333,6 +334,7 @@ def run_loadgen(config: LoadgenConfig, service_config=None) -> LoadgenResult:
     tick = metrics.get("service.tick_ms", {})
     ticks = metrics.get("service.ticks", {})
     failed = metrics.get("service.sessions.failed", {})
+    capture = metrics.get("cache.capture_frames.hit_rate", {})
     errors_5xx = sum(
         count for status, count in run.status_counts.items() if status >= 500
     )
@@ -354,14 +356,19 @@ def run_loadgen(config: LoadgenConfig, service_config=None) -> LoadgenResult:
         tick_ms_mean=round(tick.get("mean", 0.0), 4),
         ticks_total=int(tick.get("count", ticks.get("value", 0) or 0)),
         sessions_failed=int(failed.get("value", 0)),
+        capture_hit_rate=round(capture.get("value", 0.0), 4),
         leaked_drivers=leaked_drivers,
         leaked_shm_segments=leaked_shm,
         final_session_counts=getattr(run, "final_counts", {}),
     )
 
 
-def main(argv=None) -> int:
-    """CLI entry: ``python -m repro loadgen`` lands here."""
+def main(argv=None, min_capture_hit_rate: float | None = None) -> int:
+    """CLI entry: ``python -m repro loadgen`` lands here.
+
+    ``min_capture_hit_rate`` fails the run (exit 1) when the shared
+    frame memo's end-of-run hit rate is below it.
+    """
     import argparse
     import json
 
@@ -398,18 +405,13 @@ def main(argv=None) -> int:
         url=args.url,
     )
     result = run_loadgen(config)
+    written = (
+        "clients", "receivers_per_session", "duration_s", "slot_s", "seed",
+        "kill_storms", "kill_fraction", "url",
+    )
     payload = {
         "bench": "service",
-        "config": {
-            "clients": config.clients,
-            "receivers_per_session": config.receivers_per_session,
-            "duration_s": config.duration_s,
-            "slot_s": config.slot_s,
-            "seed": config.seed,
-            "kill_storms": config.kill_storms,
-            "kill_fraction": config.kill_fraction,
-            "url": config.url,
-        },
+        "config": {name: getattr(config, name) for name in written},
         "result": result.to_dict(),
     }
     with open(args.out, "w") as handle:
@@ -418,7 +420,8 @@ def main(argv=None) -> int:
     print(
         f"loadgen: {result.requests_total} requests in {result.wall_s}s "
         f"({result.requests_per_s}/s), tick p50={result.tick_ms_p50}ms "
-        f"p99={result.tick_ms_p99}ms, 5xx={result.errors_5xx}, "
+        f"p99={result.tick_ms_p99}ms, capture hit rate="
+        f"{result.capture_hit_rate}, 5xx={result.errors_5xx}, "
         f"casualties={result.churn_casualties}, "
         f"leaked drivers={result.leaked_drivers} "
         f"shm={result.leaked_shm_segments} -> {args.out}"
@@ -431,6 +434,9 @@ def main(argv=None) -> int:
             f"loadgen: tick p99 {result.tick_ms_p99}ms exceeds budget "
             f"{args.max_p99_ms}ms"
         )
+        ok = False
+    if min_capture_hit_rate is not None and result.capture_hit_rate < min_capture_hit_rate:
+        print(f"loadgen: capture hit rate {result.capture_hit_rate} < {min_capture_hit_rate}")
         ok = False
     return 0 if ok else 1
 

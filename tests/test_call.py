@@ -252,9 +252,10 @@ class TestSend:
         call.send(1, INTERVAL)  # the next frame restarts the chain
         assert call.encoded[1][0].frame_type.name == "INTRA"
 
-    def test_empty_capture_is_skippable_not_a_failure(self, make_call):
+    def test_empty_capture_is_skippable_not_a_failure(self, make_call, monkeypatch):
         call = make_call()
-        call.replay.first = _empty_frame(call)
+        empty = _empty_frame(call)
+        monkeypatch.setattr(call.replay.source, "capture", lambda sequence: empty)
         call.send(0, 0.0)
         record = call.records[0]
         assert record.empty and not record.stalled and not record.encode_failed

@@ -35,7 +35,7 @@ from repro.metrics.pointssim import (
     precompute_features,
     stratified_subsample,
 )
-from repro.perf.capture import CachedFrameSource
+from repro.perf.capture import FRAME_MEMO_BYTES, CachedFrameSource
 from repro.perf.features import FeatureCache
 from repro.perf.fingerprint import array_fingerprint, cloud_fingerprint
 from repro.prediction.pose import user_traces_for_video
@@ -149,6 +149,51 @@ class TestIncrementalCapture:
         # must match a fresh uncached render of the new epoch.
         assert not _frames_equal(before, after)
         assert _frames_equal(after, _full_render(rig, scene, 0))
+        # The frame memo keys on the epoch too: the repeat re-rendered.
+        assert source.frame_counters.misses == 2
+        assert source.capture(0) is after
+
+    def test_memo_serves_repeats_out_of_order(self):
+        scene = _test_scene()
+        rig = default_rig(num_cameras=3)
+        source = CachedFrameSource(rig, scene)
+        seen = {}
+        for sequence in [3, 0, 3, 1, 0, 5]:
+            frame = source.capture(sequence)
+            assert _frames_equal(frame, _full_render(rig, scene, sequence))
+            assert seen.setdefault(sequence, frame) is frame
+        assert (source.frame_counters.hits, source.frame_counters.misses) == (2, 4)
+
+    def test_captured_views_are_read_only(self):
+        source = CachedFrameSource(default_rig(num_cameras=2), _test_scene())
+        view = source.capture(0).views[0]
+        with pytest.raises(ValueError):
+            view.color[0, 0] = 1
+        with pytest.raises(ValueError):
+            view.depth_mm[0, 0] = 1
+        copy = view.copy()
+        copy.color[0, 0] = 1
+        copy.depth_mm[0, 0] = 1
+
+    def test_memo_bytes_stay_within_budget(self):
+        # A call-sized rig: 10 x 80x60, 240 KB a frame.
+        scene = _test_scene(sample_budget=3000)
+        rig = default_rig()
+        source = CachedFrameSource(rig, scene)
+        first = source.capture(0)
+        for sequence in range(1, 40):
+            source.capture(sequence)
+            held = sum(
+                view.color.nbytes + view.depth_mm.nbytes
+                for frame in source._frames.values()
+                for view in frame.views
+            )
+            assert held <= FRAME_MEMO_BYTES
+        assert 0 < len(source._frames) < 40
+        again = source.capture(0)            # evicted long ago
+        assert again is not first
+        assert _frames_equal(again, first)
+        assert source.frame_counters.misses == 41
 
     def test_projection_cache_render_matches_render_rgbd(self):
         scene = _test_scene()

@@ -391,6 +391,41 @@ class TestCapacity:
         assert app.registry.live_drivers() == 0
 
 
+class TestSharedCapture:
+    def test_round_renders_each_distinct_sequence_once(self, monkeypatch):
+        """Sessions created rounds apart tick different frame numbers;
+        the shared source still renders each sequence exactly once."""
+        from repro.service.app import ServiceApp, ServiceConfig
+        from repro.service.http import HttpRequest
+
+        app = ServiceApp(ServiceConfig(sample_budget=400, pose_trace_frames=60))
+        source = app.factory.source
+        rendered = []
+        render = source._render
+
+        def counted(sequence):
+            rendered.append(sequence)
+            return render(sequence)
+
+        monkeypatch.setattr(source, "_render", counted)
+        create = HttpRequest("POST", "/v1/sessions", body=b'{"receivers": 1}')
+        try:
+            for rounds in (2, 1, 3):         # a new session every few rounds
+                app.handle(create)
+                for _ in range(rounds):
+                    app.pool.run_round()
+            ticked = [record.frames_ticked for record in app.registry.running_records()]
+            assert sorted(ticked) == [3, 4, 6]
+            assert rendered == list(range(6))
+            status, metrics = app.handle(HttpRequest("GET", "/metrics"))
+            assert status == 200
+            assert metrics["cache.capture_frames.misses"]["value"] == 6
+            assert metrics["cache.capture_frames.hits"]["value"] == sum(ticked) - 6
+            assert metrics["cache.capture_frames.hit_rate"]["value"] == round(7 / 13, 4)
+        finally:
+            app.close()
+
+
 class TestHttpLayer:
     def _serve(self, handler):
         from repro.service.http import HttpServer
