@@ -146,15 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds between tick rounds (0 = free-running)",
     )
 
-    # ``loadgen`` is routed in main() before this parser (its flags
-    # belong to repro.service.loadgen); registered here for --help only.
-    sub.add_parser(
-        "loadgen",
-        help="drive the session service with deterministic seeded churn "
-        "and write BENCH_service.json (see `repro loadgen --help`)",
-        add_help=False,
-    )
-
     return parser
 
 
@@ -429,12 +420,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.scenario.cli import main as scenario_main
 
         return scenario_main(argv[1:] if argv[0] == "scenario" else argv)
-    # Loadgen owns its own flag set (repro.service.loadgen); route it
-    # before the subcommand parser so its options pass through.
-    if argv and argv[0] == "loadgen":
-        from repro.service.loadgen import main as loadgen_main
-
-        return loadgen_main(argv[1:])
     args = build_parser().parse_args(argv)
     if args.command == "videos":
         return _cmd_videos()

@@ -3,8 +3,8 @@
 The ROADMAP's "production-scale" north star as a running process:
 ``repro serve`` hosts conferencing sessions behind a REST-ish JSON API,
 ticks them on a worker pool (co-scheduled through the cross-session
-batch plane), and exposes metrics + audit.  ``repro loadgen`` drives it
-with deterministic seeded churn and writes ``BENCH_service.json``.
+batch plane), and exposes metrics + audit.  ``build_schedule`` draws
+the seeded churn the end-to-end benchmark fires at it.
 
 Lazy exports keep ``import repro.service`` cheap; the numpy-heavy media
 stack only loads when a session factory is built.
@@ -26,9 +26,7 @@ _EXPORTS = {
     "ServiceHandle": "repro.service.app",
     "SessionFactory": "repro.service.app",
     "LoadgenConfig": "repro.service.loadgen",
-    "LoadgenResult": "repro.service.loadgen",
     "build_schedule": "repro.service.loadgen",
-    "run_loadgen": "repro.service.loadgen",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -21,13 +21,14 @@ Routes (JSON both ways)::
     POST /v1/sessions/<id>/kill        drain + reap
 
 Error mapping: unknown session -> 404, wrong lifecycle state -> 409,
-duplicate/unknown client -> 409/404, bad JSON -> 400.  A session whose
-worker crashed answers ``stats`` with 200 + ``state: dead`` -- sessions
+duplicate/unknown client -> 409/404, bad JSON, a create body out of
+range or a driver build that raises -> 400.  A session whose worker
+crashed answers ``stats`` with 200 + ``state: dead`` -- sessions
 degrade; routes never 500 for media failures.
 
 ``ServiceHandle`` runs the whole stack on a background thread with its
-own event loop so the CLI, tests, and the in-process load generator
-share one start/stop path.
+own event loop so the CLI, tests, and the end-to-end benchmark share
+one start/stop path.
 """
 
 from __future__ import annotations
@@ -58,6 +59,11 @@ SCHEME_RATES = {
     "livo-2m": 2e6,
     "livo-4m": 4e6,
 }
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: ``true`` / ``false`` parse to bools, not ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -205,8 +211,10 @@ class ServiceApp:
         if path == "/metrics" and method == "GET":
             return 200, self._metrics()
         if path == "/audit" and method == "GET":
-            limit = int(request.query.get("limit", "100"))
-            return 200, {"events": self.registry.audit_log(limit=limit)}
+            limit = request.query.get("limit", "100")
+            if not (limit.isascii() and limit.isdigit()):
+                raise HttpError(400, "limit must be a non-negative integer")
+            return 200, {"events": self.registry.audit_log(limit=int(limit))}
         if path == "/v1/sessions":
             if method == "POST":
                 return self._create(request)
@@ -250,24 +258,36 @@ class ServiceApp:
             raise HttpError(
                 400, f"unknown scheme {scheme!r}; one of {sorted(SCHEME_RATES)}"
             )
+        cap = self.config.max_clients_per_session
+        receivers = body.get("receivers", 0)
+        if not _is_int(receivers) or not 0 <= receivers <= cap:
+            raise HttpError(400, f"receivers must be an integer in [0, {cap}]")
+        seed = body.get("seed")
+        if seed is not None and not _is_int(seed):
+            raise HttpError(400, "seed must be an integer or null")
         clients = body.get("clients")
         if clients is not None and not (
             isinstance(clients, list)
             and all(isinstance(name, str) for name in clients)
+            and len(set(clients)) == len(clients) <= cap
         ):
-            raise HttpError(400, "clients must be a list of strings")
+            raise HttpError(
+                400, f"clients must be a list of at most {cap} distinct strings"
+            )
         counts = self.registry.counts()
         if sum(counts.values()) - counts["dead"] >= self.config.max_sessions:
             raise HttpError(503, "session capacity reached")
         record = self.registry.create(
-            receivers=int(body.get("receivers", 0)),
-            seed=body.get("seed"),
+            receivers=receivers,
+            seed=seed,
             scheme=scheme,
             target_rate_bps=SCHEME_RATES[scheme],
             initial_clients=clients,
         )
-        status = 201 if record.state == "running" else 410
-        return status, {"session": record.session_id, "state": record.state}
+        payload = {"session": record.session_id, "state": record.state}
+        if record.error is not None:       # the driver build raised
+            return 400, {**payload, "error": record.error}
+        return (201 if record.state == "running" else 410), payload
 
     def _session_route(self, method: str, path: str,
                        request: HttpRequest) -> tuple[int, dict]:
@@ -307,8 +327,8 @@ class ServiceApp:
 class ServiceHandle:
     """The full service running on a background thread's event loop.
 
-    The one start/stop path shared by ``repro serve``, the in-process
-    load generator, and the tests::
+    The one start/stop path shared by ``repro serve``, the end-to-end
+    benchmark, and the tests::
 
         handle = ServiceHandle(ServiceConfig())
         handle.start()            # workers + HTTP listener

@@ -107,7 +107,10 @@ async def _read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
         headers[name.strip().lower()] = value.strip()
     else:
         raise HttpError(400, "too many headers")
-    length = int(headers.get("content-length", "0") or "0")
+    declared = headers.get("content-length", "0") or "0"
+    if not (declared.isascii() and declared.isdigit()):
+        raise HttpError(400, "Content-Length must be a non-negative integer")
+    length = int(declared)
     if length > _MAX_BODY_BYTES:
         raise HttpError(413, "body too large")
     body = await reader.readexactly(length) if length else b""

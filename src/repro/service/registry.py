@@ -189,10 +189,10 @@ class SessionRegistry:
         self.metrics.counter(f"service.audit.{event}").inc()
 
     def audit_log(self, limit: int = 100) -> list[dict]:
-        """The most recent audit entries, oldest first."""
+        """The most recent ``limit`` audit entries, oldest first."""
         with self._lock:
             entries = list(self._audit)
-        return entries[-limit:]
+        return entries[max(0, len(entries) - limit):]
 
     def _set_state(self, record: SessionRecord, state: str, detail: str = "") -> None:
         """Transition under the caller's lock; illegal moves raise."""
@@ -215,7 +215,9 @@ class SessionRegistry:
 
         The record is published in ``creating`` first, so a concurrent
         ``kill`` can target it; the driver is built outside the lock;
-        the final transition honors any kill that raced in.
+        the final transition honors any kill that raced in.  A factory
+        that raises leaves the record dead with ``error`` set, never
+        stuck in ``creating``.
         """
         with self._lock:
             index = next(self._serial)
@@ -231,12 +233,18 @@ class SessionRegistry:
             self._records[session_id] = record
             self._audit_event(CREATING, session_id, f"scheme={scheme}")
         names = list(initial_clients or [f"{session_id}r{j}" for j in range(receivers)])
-        driver = self._factory(
-            index=index,
-            seed=record.seed,
-            receivers=names,
-            target_rate_bps=record.target_rate_bps,
-        )
+        try:
+            driver = self._factory(
+                index=index,
+                seed=record.seed,
+                receivers=names,
+                target_rate_bps=record.target_rate_bps,
+            )
+        except Exception as error:  # noqa: BLE001 -- the record must not stay creating
+            with self._lock:
+                record.error = f"{type(error).__name__}: {error}"
+                self._set_state(record, DEAD, record.error)
+            return record
         with self._lock:
             if record.state == CREATING:
                 record.driver = driver

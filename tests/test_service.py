@@ -11,8 +11,13 @@ from __future__ import annotations
 
 import asyncio
 import gc
+import importlib.util
+import json
+import socket
+import sys
 import threading
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -213,6 +218,18 @@ class TestCreateKillRaces:
         assert record.state == DEAD
         assert built and built[0].closed
         assert registry.live_drivers() == 0
+
+    def test_failed_build_leaves_a_dead_record_not_a_creating_one(self):
+        """A factory that raises must not strand the record in
+        ``creating``, where it would count against capacity forever."""
+        registry = _registry()
+        record = registry.create(initial_clients=["a", "a"])   # the driver rejects the twin
+        assert record.state == DEAD
+        assert record.error == "ValueError: duplicate receiver a"
+        assert registry.counts() == {"creating": 0, "running": 0, "draining": 0, "dead": 1}
+        assert [entry["event"] for entry in registry.audit_log()] == ["creating", "dead"]
+        assert registry.audit_log()[-1]["detail"] == record.error
+        assert registry.create(receivers=1).state == RUNNING
 
     def test_concurrent_creates_and_kills_never_corrupt(self):
         registry = _registry()
@@ -603,6 +620,79 @@ class TestServiceEndToEnd:
         self._request(handle, "POST", f"/v1/sessions/{session}/kill")
 
 
+def _post_session(body: dict) -> tuple[str, bytes, bool]:
+    data = json.dumps(body).encode()
+    return f"POST /v1/sessions HTTP/1.1\r\nContent-Length: {len(data)}", data, False
+
+
+# name -> (request head, body, whether the request itself is malformed).
+# Every one answers 400 except ``audit-limit-zero``, which answers no events.
+HOSTILE = {
+    "clients-duplicate": _post_session({"clients": ["a", "a"]}),
+    "clients-over-cap": _post_session({"clients": ["a", "b", "c", "d", "e"]}),
+    "seed-string": _post_session({"seed": "x"}),
+    "seed-float": _post_session({"seed": 1.5}),
+    "receivers-string": _post_session({"receivers": "x"}),
+    "receivers-over-cap": _post_session({"receivers": 5}),
+    "receivers-negative": _post_session({"receivers": -1}),
+    "receivers-bool": _post_session({"receivers": True}),
+    "audit-limit-word": ("GET /audit?limit=x HTTP/1.1", b"", False),
+    "audit-limit-negative": ("GET /audit?limit=-1 HTTP/1.1", b"", False),
+    "audit-limit-zero": ("GET /audit?limit=0 HTTP/1.1", b"", False),
+    "content-length-word": ("POST /v1/sessions HTTP/1.1\r\nContent-Length: abc", b"", True),
+    "content-length-negative": ("POST /v1/sessions HTTP/1.1\r\nContent-Length: -5", b"", True),
+}
+
+
+class TestHostileRequests:
+    """Bad input at the HTTP boundary is a 400, never a 500, a dropped
+    connection or a session stuck in ``creating``."""
+
+    @pytest.fixture(scope="class")
+    def handle(self):
+        from repro.service.app import ServiceConfig, ServiceHandle
+
+        config = ServiceConfig(sample_budget=400, pose_trace_frames=60, max_clients_per_session=4)
+        with ServiceHandle(config) as handle:
+            yield handle
+        assert handle.app.registry.live_drivers() == 0
+
+    @staticmethod
+    def _exchange(handle, head: str, body: bytes = b""):
+        """One raw request; (status, payload), or (None, {}) when the
+        server closed the connection without answering."""
+        request = f"{head}\r\nHost: test\r\nConnection: close\r\n\r\n".encode("latin-1") + body
+        with socket.create_connection((handle.host, handle.port), timeout=10) as sock:
+            sock.sendall(request)
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        if not reply:
+            return None, {}
+        status_head, _, payload = reply.partition(b"\r\n\r\n")
+        return int(status_head.split()[1]), json.loads(payload or b"{}")
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE))
+    def test_answers_400_and_the_service_stays_whole(self, handle, name):
+        head, body, malformed = HOSTILE[name]
+        _, metrics = self._exchange(handle, "GET /metrics HTTP/1.1")
+        bad_before = metrics.get("service.http.bad_requests", {}).get("value", 0)
+
+        status, payload = self._exchange(handle, head, body)
+        if name == "audit-limit-zero":
+            assert (status, payload) == (200, {"events": []})
+        else:
+            assert status == 400, payload
+
+        status, health = self._exchange(handle, "GET /healthz HTTP/1.1")
+        assert status == 200
+        assert health["sessions"]["creating"] == 0
+        _, metrics = self._exchange(handle, "GET /metrics HTTP/1.1")
+        assert "service.http.responses_5xx" not in metrics
+        bad_after = metrics.get("service.http.bad_requests", {}).get("value", 0)
+        assert bad_after == bad_before + malformed
+
+
 class TestLoadgen:
     def test_schedule_is_deterministic_per_seed(self):
         from repro.service.loadgen import LoadgenConfig, build_schedule
@@ -648,22 +738,35 @@ class TestLoadgen:
                 if op["op"] == "join":
                     assert index > create_slot[op["session"]]
 
-    def test_small_run_survives_churn_without_5xx(self):
-        from repro.service.app import ServiceConfig
-        from repro.service.loadgen import LoadgenConfig, run_loadgen
+    def test_small_run_survives_churn_without_5xx(self, monkeypatch):
+        """The benchmark's own open-loop driver, loaded by path, so one
+        driver serves both the benchmark and this check."""
+        from repro.service.app import ServiceConfig, ServiceHandle
+        from repro.service.loadgen import LoadgenConfig, build_schedule
 
-        result = run_loadgen(
-            LoadgenConfig(
-                clients=24, receivers_per_session=8, duration_s=2.0, seed=5,
-                kill_storms=1, kill_fraction=0.5,
-            ),
-            ServiceConfig(sample_budget=400, pose_trace_frames=60),
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e" / "loadgen_open.py"
+        spec = importlib.util.spec_from_file_location("loadgen_open", path)
+        loadgen_open = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, loadgen_open)   # its dataclass looks itself up
+        spec.loader.exec_module(loadgen_open)
+
+        config = LoadgenConfig(
+            clients=24, receivers_per_session=8, duration_s=2.0, seed=5,
+            kill_storms=1, kill_fraction=0.5,
         )
-        assert result.errors_5xx == 0
-        assert result.leaked_drivers == 0
-        assert result.requests_total > 30
-        assert result.final_session_counts.get("running", 1) == 0
-        assert result.final_session_counts.get("draining", 1) == 0
+        handle = ServiceHandle(ServiceConfig(sample_budget=400, pose_trace_frames=60)).start()
+        try:
+            result = asyncio.run(
+                loadgen_open.drive(handle.host, handle.port, build_schedule(config), config.slot_s)
+            )
+        finally:
+            handle.stop()
+        assert result.errors_5xx == result.unexpected_4xx == result.connection_errors == 0
+        assert handle.app.registry.live_drivers() == 0
+        assert len(result.requests) > 30
+        assert result.sessions_created == 3
+        for state in ("creating", "running", "draining"):
+            assert result.final_counts[state] == 0
 
 
 class TestFleetTeardownRegression:

@@ -333,6 +333,9 @@ def test_bitfield_reference_stays_out_of_the_package():
         ["run", "--no-batch-plane"],
         ["serve", "--no-batch-plane"],
         ["serve", "--jobs", "2"],
+        # The closed-loop load generator; the benchmark's open-loop
+        # driver is the only one.
+        ["loadgen"],
     ],
     ids=" ".join,
 )
@@ -344,8 +347,8 @@ def test_twin_path_cli_hatches_are_usage_errors(argv):
 
 @pytest.mark.parametrize("hatch", [["--no-batch-plane"], ["--jobs", "2"]], ids=" ".join)
 def test_loadgen_hatches_are_usage_errors(hatch):
-    # Loadgen parses its own flags inside main(); the small schedule only
-    # bounds the run should one of the options ever come back.
+    # The whole subcommand is gone, so its old flags are usage errors too;
+    # the small schedule only bounds the run should it ever come back.
     with pytest.raises(SystemExit) as usage:
         cli.main(["loadgen", "--clients", "8", "--duration", "0.2", *hatch])
     assert usage.value.code == 2
