@@ -28,7 +28,6 @@ from repro.obs.export import read_spans_jsonl
 from repro.obs.span import CLOCK_WALL, Span
 
 __all__ = [
-    "FLEET_CATEGORIES",
     "StageStat",
     "CriticalPath",
     "StageDelta",
@@ -43,10 +42,6 @@ __all__ = [
 
 # Wall-clock span categories that constitute executed pipeline work.
 DEFAULT_CATEGORIES = ("stage",)
-
-# Fleet traces add lockstep batch-plane spans ("batch") on top of the
-# per-conference stage spans; ``analyze-trace --fleet`` selects these.
-FLEET_CATEGORIES = ("stage", "batch")
 
 # A stage moving less than this (relative) is reported as unchanged:
 # wall-clock spans jitter, and a diff full of ±2% noise buries the
@@ -79,9 +74,6 @@ class CriticalPath:
 
     stages: dict[str, StageStat] = field(default_factory=dict)
     frames: int = 0
-    # Distinct sessions that contributed spans (1 for single-session
-    # traces; the conference count for fleet traces).
-    sessions: int = 1
     # Sum over frames of that frame's critical-path length.
     total_s: float = 0.0
 
@@ -100,18 +92,11 @@ def critical_path(
     simulated session, not executed work.  Stages within one frame run
     sequentially in the runtime, so a frame's critical-path length is
     the sum of its stage durations; the aggregate keys stages by name
-    across frames.
-
-    Fleet traces interleave many conferences into one export, with each
-    stage span tagged with a ``session`` attribute; a "frame" is then a
-    distinct ``(session, trace_id)`` pair so per-frame means stay
-    per-session-frame.  Spans without a trace id (e.g. lockstep batch
-    buckets, which span sessions) count toward stage totals but not the
-    frame denominator.
+    across frames.  Spans without a trace id count toward stage totals
+    but not the frame denominator.
     """
     path = CriticalPath()
     frames: set = set()
-    sessions: set = set()
     for span in spans:
         if span.clock != CLOCK_WALL or span.category not in categories:
             continue
@@ -122,13 +107,9 @@ def critical_path(
             stat = path.stages[span.name] = StageStat(span.name)
         stat.add(span.duration_s)
         path.total_s += span.duration_s
-        session = span.attrs.get("session")
-        if session is not None:
-            sessions.add(session)
         if span.trace_id is not None:
-            frames.add((session, span.trace_id))
+            frames.add(span.trace_id)
     path.frames = len(frames)
-    path.sessions = max(1, len(sessions))
     return path
 
 
@@ -249,11 +230,8 @@ def diff_jsonl(
 
 def format_critical_path(path: CriticalPath, title: str = "critical path") -> str:
     """Human-readable per-stage breakdown, heaviest first."""
-    frames = f"{path.frames} frames"
-    if path.sessions > 1:
-        frames += f" across {path.sessions} sessions"
     lines = [
-        f"{title}: {path.total_s * 1e3:.1f} ms over {frames}",
+        f"{title}: {path.total_s * 1e3:.1f} ms over {path.frames} frames",
         f"{'stage':16s} {'count':>6s} {'total ms':>10s} {'mean ms':>9s} {'max ms':>9s}",
     ]
     for stat in path.ordered():

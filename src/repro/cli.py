@@ -56,14 +56,16 @@ def build_parser() -> argparse.ArgumentParser:
         "(open in Perfetto / chrome://tracing); LiVo schemes only",
     )
     run.add_argument(
-        "--trace-jsonl", metavar="PATH", default=None,
+        "--trace-jsonl", metavar="PATH", default=None, dest="spans_jsonl",
         help="also/instead write the raw span records as JSONL",
     )
-    run.add_argument("--frames", type=int, default=30)
-    run.add_argument("--user", type=int, default=0, help="user trace index (0-2)")
-    run.add_argument("--cameras", type=int, default=8)
+    run.add_argument("--frames", type=_positive_int, default=30)
     run.add_argument(
-        "--jobs", type=int, default=1,
+        "--user", type=int, default=0, choices=range(3), help="user trace index (0-2)"
+    )
+    run.add_argument("--cameras", type=_positive_int, default=8)
+    run.add_argument(
+        "--jobs", type=_positive_int, default=1,
         help="threads scoring PointSSIM (1 = everything in-line; reports "
         "are byte-identical at any value)",
     )
@@ -77,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the per-stage wall-clock timing breakdown after the run",
     )
     run.add_argument(
-        "--quality-max-points", type=int, default=None,
+        "--quality-max-points", type=_positive_int, default=None,
         help="stratified-subsample clouds above this size before PointSSIM "
         "(deterministic approximation; default: exact scoring)",
     )
@@ -96,12 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--categories", default="stage",
         help="comma-separated span categories to include (default: stage; "
         "e.g. stage,kernel,worker)",
-    )
-    analyze.add_argument(
-        "--fleet", action="store_true",
-        help="fleet-trace mode: include lockstep batch-plane spans "
-        "(categories stage,batch unless --categories overrides) and count "
-        "frames per (session, frame) pair",
     )
     analyze.add_argument(
         "--tolerance", type=float, default=0.05,
@@ -127,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     multiway.add_argument("--receivers", type=_positive_int, default=3)
     multiway.add_argument("--frames", type=_positive_int, default=30)
-    multiway.add_argument("--cameras", type=int, default=4)
+    multiway.add_argument("--cameras", type=_positive_int, default=4)
     multiway.add_argument(
         "--target-mbps", type=float, default=2.0,
         help="per-stream encode target (and SFU downlink capacity)",
@@ -193,7 +189,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.prediction.pose import user_traces_for_video
     from repro.transport.traces import trace_1, trace_2
 
-    tracing = args.trace is not None or args.trace_jsonl is not None
+    tracing = args.trace is not None or args.spans_jsonl is not None
     if tracing and args.scheme not in ("LiVo", "LiVo-NoCull", "LiVo-NoAdapt"):
         print(
             "error: --trace/--trace-jsonl instrument the LiVo pipeline only "
@@ -249,9 +245,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 metadata={"scheme": args.scheme, "video": args.video},
             )
             print(f"wrote Chrome trace ({len(spans)} spans) to {args.trace}")
-        if args.trace_jsonl is not None:
-            write_spans_jsonl(spans, args.trace_jsonl)
-            print(f"wrote span JSONL ({len(spans)} spans) to {args.trace_jsonl}")
+        if args.spans_jsonl is not None:
+            write_spans_jsonl(spans, args.spans_jsonl)
+            print(f"wrote span JSONL ({len(spans)} spans) to {args.spans_jsonl}")
         print()
         print(report.timeline_table(limit=10))
     return 0
@@ -259,7 +255,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_analyze_trace(args: argparse.Namespace) -> int:
     from repro.analysis.tracetools import (
-        FLEET_CATEGORIES,
         critical_path_from_jsonl,
         diff_critical_paths,
         format_critical_path,
@@ -272,12 +267,14 @@ def _cmd_analyze_trace(args: argparse.Namespace) -> int:
     categories = tuple(
         part.strip() for part in args.categories.split(",") if part.strip()
     )
-    if args.fleet and args.categories == "stage":
-        categories = FLEET_CATEGORIES
-    paths = [
-        critical_path_from_jsonl(trace, categories=categories)
-        for trace in args.traces
-    ]
+    try:
+        paths = [
+            critical_path_from_jsonl(trace, categories=categories)
+            for trace in args.traces
+        ]
+    except OSError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     if len(paths) == 1:
         print(format_critical_path(paths[0], title=str(args.traces[0])))
         return 0

@@ -47,7 +47,6 @@ class SplitController:
         self.epsilon = float(epsilon)
         self.frozen = bool(frozen)
         self._split = float(initial)
-        self.history: list[float] = [self._split]
 
     @property
     def split(self) -> float:
@@ -63,14 +62,12 @@ class SplitController:
         if depth_rmse < 0 or color_rmse < 0:
             raise ValueError("RMSE values must be non-negative")
         if self.frozen:
-            self.history.append(self._split)
             return self._split
         difference = depth_rmse - color_rmse
         if difference > self.epsilon:
             self._split = min(self._split + self.step, self.maximum)
         elif difference < -self.epsilon:
             self._split = max(self._split - self.step, self.minimum)
-        self.history.append(self._split)
         return self._split
 
     def allocate(self, target_bytes: float) -> tuple[int, int]:

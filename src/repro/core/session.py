@@ -53,7 +53,8 @@ from repro.geometry.voxel import voxel_downsample
 # benchmarks/e2e/spans.py resolves both names on it.
 from repro.metrics.pointssim import pointssim, pointssim_batch  # noqa: F401
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Tracer, worker_tracer
+from repro.obs.span import Span
+from repro.obs.tracer import Tracer
 from repro.perf.capture import CachedFrameSource
 from repro.perf.features import FeatureCache
 from repro.prediction.pose import PoseTrace
@@ -110,7 +111,8 @@ def _quality_job(
     shown,
     cache: FeatureCache,
     max_points: int | None,
-    obs_ctx=None,
+    tracer: Tracer | None = None,
+    parent: Span | None = None,
 ):
     """Pure quality-scoring job: build the ground truth, score the shown
     cloud against it.  No session state touched, so it can run on any
@@ -120,10 +122,9 @@ def _quality_job(
     ``shown(truth)`` returns the cloud the scheme displayed (MeshReduce
     sizes its mesh sampling by the truth; the others ignore it).
 
-    Returns ``(score, spans)``: with ``obs_ctx`` (a
-    :class:`repro.obs.span.TraceContext`) set, the scoring runs inside
-    a job-local span handed back for the session tracer to absorb;
-    otherwise ``spans`` is None.
+    With a ``tracer``, the scoring runs inside a ``quality:pointssim``
+    span on it, parented under ``parent`` (the submitting ``quality``
+    stage span, captured on the session thread).
     """
 
     def compute():
@@ -134,17 +135,15 @@ def _quality_job(
             [(truth, shown(truth))], cache=cache, max_points=max_points
         )[0]
 
-    if obs_ctx is None:
-        return compute(), None
-    tracer = worker_tracer()
+    if tracer is None:
+        return compute()
     with tracer.span(
         "quality:pointssim",
         category="worker",
-        trace_id=obs_ctx.trace_id,
-        parent_id=obs_ctx.span_id,
+        trace_id=parent.trace_id,
+        parent_id=parent.span_id,
     ):
-        score = compute()
-    return score, tracer.spans()
+        return compute()
 
 
 @dataclass
@@ -224,7 +223,6 @@ class _QualityLane:
         actual = self.device.frustum_for(
             self.replay.user_trace.pose_at_frame(sequence)
         )
-        obs_ctx = self.tracer.current_context() if self.tracer is not None else None
         job = (
             frame,
             self.replay.source.rig.cameras,
@@ -233,7 +231,8 @@ class _QualityLane:
             render(actual),
             self.cache,
             self.config.quality_max_points,
-            obs_ctx,
+            self.tracer,
+            self.tracer.current() if self.tracer is not None else None,
         )
         if self.pool is not None:
             future = self.pool.submit(_quality_job, *job)
@@ -253,9 +252,7 @@ class _QualityLane:
             if not final and not future.done():
                 unresolved.append((record, future))
                 continue
-            score, spans = future.result()
-            if spans:  # only a traced job returns any
-                self.tracer.absorb(spans)
+            score = future.result()
             if score is not None:
                 record.pssim_geometry = score.geometry
                 record.pssim_color = score.color

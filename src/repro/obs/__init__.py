@@ -41,19 +41,16 @@ from repro.obs.span import (
     STATUS_INCOMPLETE,
     STATUS_OK,
     Span,
-    TraceContext,
 )
 from repro.obs.timeline import format_timeline, frame_timelines
-from repro.obs.tracer import Tracer, worker_tracer
+from repro.obs.tracer import Tracer
 
 __all__ = [
     "Clock",
     "FakeClock",
     "WallClock",
     "Span",
-    "TraceContext",
     "Tracer",
-    "worker_tracer",
     "MetricsRegistry",
     "Counter",
     "Gauge",

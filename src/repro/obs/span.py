@@ -1,4 +1,4 @@
-"""Span records and trace-context propagation.
+"""Span records.
 
 The span taxonomy (DESIGN.md section 10) is three levels deep:
 
@@ -8,9 +8,9 @@ The span taxonomy (DESIGN.md section 10) is three levels deep:
 - **stage** -- one span per stage execution (capture, prepare, encode,
   decode, quality) on the *wall* clock, parented under the frame root;
 - **kernel** / **worker** -- sub-spans for work inside a stage (the two
-  stream encodes; the quality job an executor runs), parented under
-  the stage span; ``worker`` spans are recorded by the job and
-  returned with its result.
+  stream encodes; the PointSSIM job the quality stage submits),
+  parented under the stage span; a ``worker`` span may close on a pool
+  thread after its stage span has.
 
 ``transport`` spans ride the sim clock (send tick to last-byte
 delivery per stream); ``fault`` instants mark injected/observed fault
@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 __all__ = [
     "Span",
-    "TraceContext",
     "CLOCK_WALL",
     "CLOCK_SIM",
     "STATUS_OK",
@@ -40,29 +39,13 @@ STATUS_ERROR = "error"
 STATUS_INCOMPLETE = "incomplete"
 
 
-@dataclass(frozen=True)
-class TraceContext:
-    """Picklable parent pointer carried across executor boundaries.
-
-    ``trace_id`` is the frame sequence the work belongs to;
-    ``span_id`` the parent span on the dispatching side.  Workers open
-    their spans under this context so the trace stays causally linked
-    across process boundaries.
-    """
-
-    trace_id: int | None
-    span_id: int | None
-
-
 @dataclass
 class Span:
     """One closed-or-open interval of attributed work.
 
-    Spans are plain data, so an executor job can record them locally
-    and return them with its result.  ``end_s`` is None
-    while the span is open; an exported trace never contains open
-    spans -- :meth:`repro.obs.tracer.Tracer.finish` closes stragglers
-    with :data:`STATUS_INCOMPLETE`.
+    ``end_s`` is None while the span is open; an exported trace never
+    contains open spans -- :meth:`repro.obs.tracer.Tracer.finish`
+    closes stragglers with :data:`STATUS_INCOMPLETE`.
     """
 
     name: str

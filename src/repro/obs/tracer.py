@@ -1,16 +1,14 @@
-"""The tracer: span lifecycle, frame contexts, and cross-boundary merge.
+"""The tracer: span lifecycle and frame contexts.
 
 One :class:`Tracer` instance serves a whole session.  It is
 thread-safe (ids and the span list sit behind a lock) and keeps a
 thread-local "current span" so sub-spans opened inside a stage body
 parent correctly without explicit plumbing.
 
-Propagation into pool jobs: a quality-scoring job submitted to the
-session's thread pool carries
-a :class:`~repro.obs.span.TraceContext`; the job records spans into
-its own lightweight tracer (:func:`worker_tracer`) and returns the
-closed spans with the result, where :meth:`Tracer.absorb` remaps
-their ids into the session trace while preserving parent links.
+Pool jobs record on the same tracer: a quality-scoring job running on
+the session's thread pool opens its span with the ``trace_id`` and
+``parent_id`` of the ``quality`` stage span that submitted it, both
+captured on the session thread.
 """
 
 from __future__ import annotations
@@ -26,25 +24,19 @@ from repro.obs.span import (
     STATUS_INCOMPLETE,
     STATUS_OK,
     Span,
-    TraceContext,
 )
 
-__all__ = ["Tracer", "worker_tracer"]
+__all__ = ["Tracer"]
 
 
 class Tracer:
     """Collects spans for one session with explicit clocks."""
 
-    def __init__(self, clock: Clock | None = None, id_start: int = 1, id_step: int = 1) -> None:
+    def __init__(self, clock: Clock | None = None) -> None:
         self.clock = clock or WallClock()
         self._lock = threading.Lock()
         self._spans: list[Span] = []
-        # Session tracers count up from 1; worker tracers count *down*
-        # from -1 (see :func:`worker_tracer`), so a shipped batch's
-        # internal ids can never be numerically confused with the
-        # external (session-side) parent id in its TraceContext.
-        self._next_id = id_start
-        self._id_step = id_step
+        self._next_id = 1
         self._frame_roots: dict[int, Span] = {}
         # Context-local span stack; threading.local rather than a
         # ContextVar because callers are plain threads and each
@@ -58,7 +50,7 @@ class Tracer:
     def _allocate_id(self) -> int:
         with self._lock:
             span_id = self._next_id
-            self._next_id += self._id_step
+            self._next_id += 1
             return span_id
 
     def _stack(self) -> list:
@@ -72,13 +64,6 @@ class Tracer:
         """The innermost open span on this thread, if any."""
         stack = self._stack()
         return stack[-1] if stack else None
-
-    def current_context(self) -> TraceContext | None:
-        """The current span as a picklable cross-boundary context."""
-        span = self.current()
-        if span is None:
-            return None
-        return TraceContext(span.trace_id, span.span_id)
 
     def start_span(
         self,
@@ -252,28 +237,8 @@ class Tracer:
         return span.span_id if span is not None else None
 
     # ------------------------------------------------------------------
-    # Cross-boundary merge and finalization
+    # Finalization
     # ------------------------------------------------------------------
-
-    def absorb(self, spans: list[Span]) -> None:
-        """Merge externally recorded spans (executor-thread jobs).
-
-        Ids are remapped so they cannot collide with this tracer's;
-        parent links *within* the absorbed batch follow the remap,
-        while parents pointing at this tracer's spans (the dispatched
-        :class:`TraceContext`) pass through untouched.
-        """
-        if not spans:
-            return
-        remap: dict[int, int] = {}
-        for span in spans:
-            remap[span.span_id] = self._allocate_id()
-        with self._lock:
-            for span in spans:
-                span.span_id = remap[span.span_id]
-                if span.parent_id in remap:
-                    span.parent_id = remap[span.parent_id]
-                self._spans.append(span)
 
     def spans(self) -> list[Span]:
         """Snapshot of every recorded span."""
@@ -302,14 +267,3 @@ class Tracer:
                     span.end_s = wall_now
                 span.status = STATUS_INCOMPLETE
 
-
-def worker_tracer() -> Tracer:
-    """A lightweight tracer for job-local span recording.
-
-    Spans recorded here are returned with the job's result.  Ids are
-    allocated from a *negative* range so :meth:`Tracer.absorb` can
-    distinguish batch-internal parent links (negative, remapped) from
-    the external session-side parent in the dispatched
-    :class:`~repro.obs.span.TraceContext` (positive, passed through).
-    """
-    return Tracer(id_start=-1, id_step=-1)

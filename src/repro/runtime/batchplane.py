@@ -369,23 +369,16 @@ class BatchPlane:
     """The lockstep scheduler plus its per-kind accounting.
 
     One instance serves a whole fleet run (or one session): it owns the
-    batched-vs-scalar counters surfaced as ``batchplane.*`` metrics and,
-    when a tracer is attached, emits one wall-clock ``batch`` span per
-    executed bucket (attrs: kind, jobs) for ``analyze-trace --fleet``.
+    batched-vs-scalar counters surfaced as ``batchplane.*`` metrics.
     """
 
-    def __init__(self, tracer=None) -> None:
+    def __init__(self) -> None:
         self.kernels = dict(KERNELS)
         self.counters = {
             name: BatchCounters(f"batchplane_{name}") for name in self.kernels
         }
         self.rounds = 0
         self.buckets = 0
-        self.tracer = tracer
-
-    def attach_tracer(self, tracer) -> None:
-        """Emit per-bucket ``batch`` spans into ``tracer``."""
-        self.tracer = tracer
 
     # ------------------------------------------------------------------
 
@@ -477,20 +470,9 @@ class BatchPlane:
             for (index, slot, _), out in zip(entries, outs):
                 replies[index][slot] = out
             counters.batch(len(entries))
-        duration = perf_counter() - start
-        share = duration / len(entries)
+        share = (perf_counter() - start) / len(entries)
         for index, _, _ in entries:
             elapsed[index] += share
-        if self.tracer is not None:
-            self.tracer.add_span(
-                f"batch:{kind}",
-                category="batch",
-                trace_id=None,
-                start_s=start,
-                end_s=start + duration,
-                clock="wall",
-                attrs={"jobs": len(entries)},
-            )
 
     # ------------------------------------------------------------------
 

@@ -6,6 +6,10 @@ tracer is attached, one span per item.  A :class:`StageGraph` chains
 stages and runs them in-line: one item traverses the whole chain before
 the next enters.  The caller is the scheduler (see DESIGN.md section 8
 for why LiVo's stage-per-thread model, appendix A.1, is not run here).
+
+A stage's timing keeps every sample, so stages serve finite replays
+(the two-party session and the baselines); the multi-party tick that a
+service hosts indefinitely calls the SFU node directly instead.
 """
 
 from __future__ import annotations
@@ -98,18 +102,11 @@ class Stage:
         # attribute.
         self.tracer = None
         self.seq_fn = None
-        self.span_attrs = None
 
-    def attach_tracer(self, tracer, seq_fn=None, attrs=None) -> None:
-        """Emit one span per item under the item's frame trace.
-
-        ``attrs`` are attached to every span this stage emits -- fleet
-        runs use it to tag each conference's stages with a ``session``
-        id so ``analyze-trace --fleet`` can aggregate per session-frame.
-        """
+    def attach_tracer(self, tracer, seq_fn=None) -> None:
+        """Emit one span per item under the item's frame trace."""
         self.tracer = tracer
         self.seq_fn = seq_fn
-        self.span_attrs = dict(attrs) if attrs else None
 
     def __call__(self, item):
         start = perf_counter()
@@ -126,7 +123,6 @@ class Stage:
                 category="stage",
                 trace_id=sequence,
                 parent_id=tracer.frame_root(sequence),
-                attrs=self.span_attrs,
             )
         try:
             item = self.fn(item)

@@ -16,7 +16,9 @@ downlinks and its running output digest.  Built with a
 :class:`~repro.transport.downlink.DownlinkSet` it is the SFU; built
 without, nothing leaves the node and what remains is the *shared*
 stream -- one union-culled encode every receiver consumes -- whose
-uplink is byte for byte the SFU's.  It exposes:
+uplink is byte for byte the SFU's.  It keeps counters and a running
+digest, never a per-tick history, so a hosted conference's memory
+stays flat however long it runs.  It exposes:
 
 - :meth:`join` / :meth:`leave` -- membership, applied between ticks;
 - :meth:`tick_steps` -- one frame as a request-yielding generator, the
@@ -39,11 +41,9 @@ of which driver resolved the generator's kernel requests.
 from __future__ import annotations
 
 import hashlib
-import time
 
 from repro.core import multiway
 from repro.core.sender import LiVoSender, SenderResult
-from repro.obs.span import CLOCK_WALL
 from repro.prediction.predictor import ViewingDevice
 from repro.runtime.batchplane import drive_serial
 from repro.sfu.node import SFUNode, SFUTick
@@ -52,9 +52,9 @@ __all__ = ["ConferenceDriver", "UnicastBaseline"]
 
 
 class ConferenceDriver:
-    """One conference: uplink sender + node stages, one frame per tick."""
+    """One conference: uplink sender + SFU node, one frame per tick."""
 
-    def __init__(self, index, rig, config, downlinks=None, tracer=None):
+    def __init__(self, index, rig, config, downlinks=None):
         self.index = index
         self.rig = rig
         self.config = config
@@ -68,12 +68,6 @@ class ConferenceDriver:
         self.frames_ticked = 0
         self.digest = hashlib.sha256()
         self._closed = False
-
-        self.node_stages = self.node.stages()
-        self.tracer = tracer
-        if tracer is not None:
-            for stage in self.node_stages:
-                stage.attach_tracer(tracer, attrs={"session": index})
 
     # ------------------------------------------------------------------
     # Membership
@@ -158,32 +152,19 @@ class ConferenceDriver:
     def tick_steps(self, frame, now, target_rate_bps, horizon_s):
         """One frame as a request-yielding generator.
 
-        Culling, tiling, and the SFU node stages run inline; only the
-        encode yields its kernel jobs upward, for cross-session
-        bucketing on a lockstep driver.  When traced, the ``sfu:uplink``
-        span covers the generator-resident portion of the uplink (the
-        co-batched kernel share is attributed through the lockstep
-        outcome's per-session ``elapsed`` and visible as ``batch`` spans
-        under ``analyze-trace --fleet``).  Returns the finished tick.
+        Culling, tiling, node ingest and node forward run inline; only
+        the encode yields its kernel jobs upward, for cross-session
+        bucketing on a lockstep driver.  Returns the finished tick.
         """
         tick = self._make_tick(frame, now, target_rate_bps, horizon_s)
-        start = time.perf_counter()
         prepared = self._cull_and_prepare(tick)
-        if self.tracer is not None:
-            self.tracer.add_span(
-                "sfu:uplink",
-                "stage",
-                tick.sequence,
-                start_s=start,
-                end_s=time.perf_counter(),
-                clock=CLOCK_WALL,
-                attrs={"session": self.index},
-            )
         tick.uplink = yield from self.sender.encode_steps(
             prepared, tick.target_rate_bps
         )
-        for stage in self.node_stages:
-            tick = stage(tick)
+        self.node.ingest(tick.frame, tick.uplink, tick.now)
+        tick.decisions = self.node.forward(
+            tick.now, tick.horizon_s, tick.target_rate_bps
+        )
         self._account(tick)
         return tick
 

@@ -3,9 +3,8 @@
 The ROADMAP's question is blunt: how many conferences does one core
 sustain?  This harness answers it the way a capacity test should --
 by running N full SFU sessions (uplink encode -> node ingest -> node
-forward, as stage-graph stages) concurrently over one shared capture
-source, with join/leave churn, and measuring wall-clock per
-session-frame:
+forward) concurrently over one shared capture source, with join/leave
+churn, and measuring wall-clock per session-frame:
 
 - **shared kernel caches**: every session consumes the *same*
   :class:`~repro.perf.capture.CachedFrameSource` capture, so the splat
@@ -73,11 +72,6 @@ class FleetConfig:
     downlink_mbps: float = 4.0
     target_rate_bps: float = 2e6
     unicast_control: int = 4    # control conferences run unicast for the baseline
-    # Fleet trace export: when set, every conference's stage spans are
-    # recorded (tagged with a ``session`` attribute) alongside the batch
-    # plane's lockstep bucket spans, and written as span JSONL for
-    # ``repro analyze-trace --fleet``.
-    trace_jsonl: str | None = None
 
     def __post_init__(self) -> None:
         if self.sessions <= 0 or self.frames <= 0 or self.receivers <= 0:
@@ -302,12 +296,6 @@ def run_fleet(fleet: FleetConfig) -> FleetResult:
     pose_traces = user_traces_for_video(fleet.video, fleet.frames + 10)
     trace = constant_trace(fleet.downlink_mbps, duration_s=fleet.frames / FPS + 10.0)
 
-    tracer = None
-    if fleet.trace_jsonl is not None:
-        from repro.obs.tracer import Tracer
-
-        tracer = Tracer()
-
     # Everything from driver construction to the last tick runs under
     # one try/finally: a failure surfacing mid-run (or building
     # conference 151 of 200) must still close every driver.
@@ -317,16 +305,12 @@ def run_fleet(fleet: FleetConfig) -> FleetResult:
         for index in range(fleet.sessions):
             seed = fleet.seed + index
             conference = ConferenceDriver(
-                index,
-                source.rig,
-                config,
-                DownlinkSet(trace, LinkConfig(seed=seed)),
-                tracer=tracer,
+                index, source.rig, config, DownlinkSet(trace, LinkConfig(seed=seed))
             )
             conferences.append(conference)
             churns.append(_seeded_roster(conference, index, seed, fleet, pose_traces))
 
-        batch_plane = BatchPlane(tracer)
+        batch_plane = BatchPlane()
         latencies = []
         churn_events = 0
         wall_start = time.perf_counter()
@@ -348,11 +332,6 @@ def run_fleet(fleet: FleetConfig) -> FleetResult:
         for conference in conferences:
             conference.close()
 
-    if tracer is not None:
-        from repro.obs.export import write_spans_jsonl
-
-        tracer.finish()
-        write_spans_jsonl(tracer.spans(), fleet.trace_jsonl)
     control = _run_unicast_control(fleet, config, source.rig, source, pose_traces)
     return FleetResult.fold(
         fleet, conferences, batch_plane, capture, latencies, wall_s, churn_events, control

@@ -1,7 +1,7 @@
 """The SFU node: ingest one uplink stream, forward N tailored downlinks.
 
-Per frame the node runs two phases, exposed both as methods and as
-stage-graph stages (:meth:`SFUNode.stages`):
+Per frame the node runs two phases, called in turn by
+:meth:`repro.sfu.conference.ConferenceDriver.tick_steps`:
 
 - **ingest** -- cache the union-culled geometry and encoded sizes of
   the sender's single uplink stream (one encode per frame, regardless
@@ -42,7 +42,6 @@ from repro.geometry.camera import RGBDCamera
 from repro.geometry.frustum import Frustum
 from repro.perf.culling import CullCache
 from repro.prediction.predictor import ViewingDevice, guarded_planes
-from repro.runtime.stage import Stage
 from repro.sfu.receivers import ReceiverBook, ReceiverState
 from repro.transport.downlink import DownlinkSend, DownlinkSet
 from repro.transport.gcc import GCCConfig, GoogleCongestionControl
@@ -82,7 +81,7 @@ class ForwardDecision:
 
 @dataclass
 class SFUTick:
-    """One frame's trip through the node's stage pair."""
+    """One frame's trip through the node: its uplink and forwards."""
 
     frame: MultiViewFrame
     uplink: SenderResult | None
@@ -117,7 +116,6 @@ class SFUNode:
         # multiview (what the receiver would reconstruct from) -- used
         # by quality benchmarks, too heavy for fleet runs.
         self.keep_views = keep_views
-        self.tracer = None
         # Frame-scoped state written by ingest, read by forward.
         self._cached_sequence: int | None = None
         self._cached_uplink: SenderResult | None = None
@@ -171,15 +169,6 @@ class SFUNode:
         self.book.observe_pose(name, pose, timestamp_s)
 
     # ------------------------------------------------------------------
-    # Runtime attachment
-    # ------------------------------------------------------------------
-
-    def attach_tracer(self, tracer) -> None:
-        """Emit one ``sfu:forward:<receiver>`` sim-clock span per
-        forwarded frame -- per-receiver track lanes in the timeline."""
-        self.tracer = tracer
-
-    # ------------------------------------------------------------------
     # Frame phases
     # ------------------------------------------------------------------
 
@@ -189,7 +178,7 @@ class SFUNode:
         Ready receivers only, join order.  All of them are extrapolated,
         rotated and turned into guard-banded plane rows in one pass; the
         returned frustums wrap the rows of that one stack, which is also
-        what the forward stage looks the frame's visibility table up by.
+        what :meth:`forward` looks the frame's visibility table up by.
         """
         if sequence != self._cached_sequence or not self._frame_frustums:
             ready = self.book.ready_states()
@@ -316,54 +305,17 @@ class SFUNode:
                 forwarded_multiview=forwarded,
             )
             decisions[name] = decision
-            self._account(state, decision, now)
+            self._account(state, decision)
         return decisions
 
-    def _account(self, state: ReceiverState, decision: ForwardDecision, now: float) -> None:
-        """Fold one forward into the receiver's book, the node's byte
-        count and, when a tracer is attached, its per-receiver lane."""
+    def _account(self, state: ReceiverState, decision: ForwardDecision) -> None:
+        """Fold one forward into the receiver's book and the node's byte
+        count."""
         state.rung = decision.rung
         state.last_kept_fraction = decision.kept_fraction
         state.frames_forwarded += 1
         state.bytes_forwarded += decision.bytes
         self.forwarded_bytes += decision.bytes
-        if self.tracer is not None:
-            delivery = decision.delivery_time_s
-            self.tracer.add_span(
-                f"sfu:forward:{decision.receiver}",
-                category="sfu",
-                trace_id=decision.sequence,
-                start_s=now,
-                end_s=delivery if delivery is not None else now,
-                attrs={
-                    "bytes": decision.bytes,
-                    "rung": decision.rung,
-                    "kept_fraction": round(decision.kept_fraction, 4),
-                },
-            )
-
-    # ------------------------------------------------------------------
-    # Stage-graph integration
-    # ------------------------------------------------------------------
-
-    def stages(self) -> list[Stage]:
-        """The node's frame phases as runtime stages over :class:`SFUTick`.
-
-        ``StageGraph([.., *node.stages()])`` lets a session schedule
-        ingest/forward like any other stage (timed, traceable).
-        """
-
-        def ingest_stage(tick: SFUTick) -> SFUTick:
-            self.ingest(tick.frame, tick.uplink, tick.now)
-            return tick
-
-        def forward_stage(tick: SFUTick) -> SFUTick:
-            tick.decisions = self.forward(
-                tick.now, tick.horizon_s, tick.target_rate_bps
-            )
-            return tick
-
-        return [Stage("sfu:ingest", ingest_stage), Stage("sfu:forward", forward_stage)]
 
     # ------------------------------------------------------------------
     # Observability / lifecycle

@@ -84,11 +84,11 @@ class TestSplitController:
         split = controller.update(depth, color)
         assert 0.5 <= split <= 0.9
 
-    def test_history_recorded(self):
+    def test_repeated_updates_step_the_split(self):
         controller = SplitController()
         controller.update(5.0, 1.0)
         controller.update(5.0, 1.0)
-        assert len(controller.history) == 3
+        assert controller.split == pytest.approx(0.7 + 2 * 0.005)
 
 
 class TestSessionConfig:

@@ -1,9 +1,15 @@
 """Tests for multi-way conferencing (one sender, several receivers)."""
 
+import gc
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import repro
 from repro.capture.dataset import load_video
+from repro.capture.rgbd import MultiViewFrame
 from repro.capture.rig import default_rig
 from repro.core.config import SessionConfig
 from repro.core.multiway import cull_views_union
@@ -268,3 +274,46 @@ class TestChurnParity:
             party.close()
             party.close()  # idempotent: the registry may reap twice
             assert party.closed
+
+
+def test_hosted_conference_memory_stays_bounded():
+    """A live conference keeps no per-tick history: once warm, a second
+    window of ticks retains (almost) nothing the package allocated on
+    top of the first.  Only allocations made in the package's own files
+    count, so numpy's small-buffer caches do not blur the figure."""
+    config = SessionConfig(
+        num_cameras=2, camera_width=32, camera_height=16,
+        scene_sample_budget=1500, gop_size=8,
+    )
+    rig = default_rig(num_cameras=2, width=32, height=16)
+    _, scene = load_video("pizza1", sample_budget=1500)
+    views = [rig.capture(scene, index).views for index in range(4)]
+    driver = ConferenceDriver(
+        0, rig, config, DownlinkSet(constant_trace(8.0, duration_s=60.0), config.link)
+    )
+    for name in ("alice", "bob"):
+        driver.join(name, still(POSES[name]))
+    package = tracemalloc.Filter(True, os.path.join(os.path.dirname(repro.__file__), "*"))
+
+    def tick(sequences):
+        for sequence in sequences:
+            frame = MultiViewFrame(views[sequence % 4], sequence=sequence)
+            driver.tick(frame, sequence / 30.0, 2e6, 0.1)
+
+    def held():
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot().filter_traces([package])
+        return sum(stat.size for stat in snapshot.statistics("filename"))
+
+    tick(range(50))  # warm: codec scratch, cull cache, GCC state
+    tracemalloc.start()
+    try:
+        start = held()
+        tick(range(50, 300))
+        first = held()
+        tick(range(300, 550))
+        second = held()
+    finally:
+        tracemalloc.stop()
+    assert driver.frames_ticked == 550
+    assert second - first < 4096, (first - start, second - first)

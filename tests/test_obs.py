@@ -2,9 +2,9 @@
 
 Contracts under test:
 
-- spans are deterministic under an injected clock, nest through the
-  thread-local context, and survive being absorbed from an executor
-  job's tracer with parent links intact;
+- spans are deterministic under an injected clock and nest through the
+  thread-local context; a quality job on a pool thread records its
+  span on the session tracer under the stage span that submitted it;
 - the metrics registry keeps exact quantiles, and every telemetry
   producer writes itself in under its established names;
 - a traced session emits at least one span per frame for every
@@ -22,6 +22,8 @@ import dataclasses
 import json
 import math
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -47,7 +49,6 @@ from repro.obs import (
     frame_timelines,
     format_timeline,
     read_spans_jsonl,
-    worker_tracer,
     write_chrome_trace,
     write_spans_jsonl,
 )
@@ -140,32 +141,42 @@ class TestTracer:
         assert sim.end_s == 1.5 and sim.status == STATUS_INCOMPLETE
         assert tracer.open_spans() == []
 
-    def test_absorb_remaps_internal_parents_keeps_external(self):
-        session = Tracer(FakeClock())
-        dispatch = session.start_span("encode", trace_id=2)
-        remote = worker_tracer()
-        outer = remote.start_span(
-            "worker:encode", category="worker",
-            trace_id=2, parent_id=dispatch.span_id,
-        )
-        inner = remote.start_span("worker:dct", category="worker")
-        remote.end_span(inner)
-        remote.end_span(outer)
-        shipped = remote.spans()
-        old_ids = {span.span_id for span in shipped}
-        session.absorb(shipped)
-        session.end_span(dispatch)
-        absorbed = [s for s in session.spans() if s.category == "worker"]
-        outer_new = next(s for s in absorbed if s.name == "worker:encode")
-        inner_new = next(s for s in absorbed if s.name == "worker:dct")
-        # External parent (the dispatch context) passes through; the
-        # internal link follows the remap; no id collides with the
-        # session's own.
-        assert outer_new.parent_id == dispatch.span_id
-        assert inner_new.parent_id == outer_new.span_id
-        assert outer_new.span_id != dispatch.span_id
-        assert outer_new.span_id > 0 and inner_new.span_id > 0
-        assert {outer_new.span_id, inner_new.span_id}.isdisjoint(old_ids)
+    def test_pool_threads_share_one_tracer(self):
+        """More threads than cores open nested spans on one tracer with a
+        tiny switch interval: ids stay unique and every inner span nests
+        under its own thread's outer span (one stack per thread)."""
+        tracer = Tracer(FakeClock())
+        threads_n, rounds = 8, 200
+
+        def work(index):
+            for _ in range(rounds):
+                with tracer.span("outer", category="worker", trace_id=index):
+                    with tracer.span("inner", category="kernel"):
+                        pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(index,)) for index in range(threads_n)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        spans = tracer.spans()
+        assert len(spans) == 2 * threads_n * rounds
+        assert len({span.span_id for span in spans}) == len(spans)
+        by_id = {span.span_id: span for span in spans}
+        for span in spans:
+            if span.name == "inner":
+                outer = by_id[span.parent_id]
+                assert outer.name == "outer" and outer.tid == span.tid
+                assert span.trace_id == outer.trace_id
+        assert tracer.open_spans() == []
 
     def test_instant_is_zero_duration(self):
         tracer = Tracer(FakeClock())
@@ -508,6 +519,30 @@ class TestSessionTracing:
         document = json.loads(path.read_text())
         phases = {event["ph"] for event in document["traceEvents"]}
         assert {"X", "b", "e", "M"} <= phases
+
+
+class TestQualityJobSpans:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_pointssim_span_per_scored_frame(self, session_workload, jobs):
+        """In-line or on a pool thread, each sampled frame's scoring job
+        leaves one closed span on the session tracer, in that frame's
+        trace, under the ``quality`` stage span that submitted it."""
+        config, scene, user = session_workload
+        traced = LiVoSession(dataclasses.replace(config, trace=True, jobs=jobs)).run(
+            scene, user, trace_1(duration_s=5), FRAMES
+        )
+        spans = traced.trace.spans()
+        assert len({span.span_id for span in spans}) == len(spans)
+        stages = {s.span_id: s for s in spans if s.name == "quality"}
+        jobs_spans = [s for s in spans if s.name == "quality:pointssim"]
+        assert stages and len(jobs_spans) == len(stages)
+        assert {s.parent_id for s in jobs_spans} == set(stages)
+        for span in jobs_spans:
+            assert span.category == "worker"
+            assert span.trace_id == stages[span.parent_id].trace_id
+            assert span.end_s is not None and span.status == "ok"
+        scored = {f.sequence for f in traced.frames if f.pssim_geometry is not None}
+        assert scored and scored <= {s.trace_id for s in jobs_spans}
 
 
 class TestMttrOpenEpisode:

@@ -12,9 +12,7 @@ from repro.geometry.frustum import Frustum
 from repro.obs.metrics import MetricsRegistry
 from repro.perf.culling import CullCache
 from repro.prediction.pose import Pose
-from repro.runtime.stage import StageGraph
 from repro.sfu import SFUNode, TIER_SCALES
-from repro.sfu.node import SFUTick
 from repro.transport.downlink import DownlinkSet, MTU_BYTES
 from repro.transport.link import LinkConfig
 from repro.transport.traces import constant_trace
@@ -317,28 +315,6 @@ class TestSFUNode:
         with pytest.raises(ValueError):
             node.remove_receiver("r1")
 
-    def test_stage_graph_integration(self, setup):
-        config, rig, scene = setup
-        node, _ = self.node(setup)
-        sender = LiVoSender(rig.cameras, config, node.device)
-        graph = StageGraph(node.stages())
-        poses = poses_for(["r0", "r1"])
-        for name, pose in poses.items():
-            node.observe_pose(name, pose, 0.0)
-        frame = rig.capture(scene, 0)
-        frustums = node.predicted_frustums(0, 0.1)
-        culled = cull_views_union(
-            frame, rig.cameras, list(frustums.values()), cache=node.cull_cache
-        )
-        uplink = sender.process(culled, 8e6, 0.1)
-        tick = graph.run_item(
-            SFUTick(frame=frame, uplink=uplink, now=0.0,
-                    target_rate_bps=8e6, horizon_s=0.1)
-        )
-        assert set(tick.decisions) == {"r0", "r1"}
-        assert graph.stage("sfu:ingest").timing.count == 1
-        assert graph.stage("sfu:forward").timing.count == 1
-
     def test_metrics_exported(self, setup):
         config, rig, scene = setup
         node, _ = self.node(setup, downlinks=True)
@@ -352,18 +328,6 @@ class TestSFUNode:
         assert "sfu.rx.r0.bytes" in names
         assert registry.get("sfu.frames_ingested").value == 2
         assert registry.get("sfu.receivers").value == 2.0
-
-    def test_tracer_spans_per_receiver(self, setup):
-        from repro.obs.tracer import Tracer
-
-        config, rig, scene = setup
-        node, _ = self.node(setup)
-        tracer = Tracer()
-        node.attach_tracer(tracer)
-        drive_node(node, rig, scene, config, frames=1)
-        names = {span.name for span in tracer.spans()}
-        assert "sfu:forward:r0" in names
-        assert "sfu:forward:r1" in names
 
 
 # ----------------------------------------------------------------------

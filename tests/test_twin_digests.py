@@ -20,6 +20,7 @@ import pytest
 import repro
 import repro.runtime
 from repro import cli
+from repro.analysis import tracetools
 from repro.capture.dataset import load_video
 from repro.capture.scene import Scene
 from repro.codec import entropy
@@ -37,7 +38,10 @@ from repro.faults.plan import (
     FrameCorruption,
     LinkOutage,
 )
+from repro.obs import span as span_module
+from repro.obs import tracer as tracer_module
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import Tracer
 from repro.perf.capture import CachedFrameSource
 from repro.perf.culling import CullCache
 from repro.perf.scratch import ScratchArena
@@ -242,7 +246,7 @@ def test_one_multi_party_driver_and_the_shim_stay_gone():
     for name in ("MultiwaySender", "MultiwayResult", "MODES"):
         assert not hasattr(multiway, name)
     assert not _option_names(ConferenceDriver.__init__) & {
-        "receivers", "churn_every", "seed", "pose_traces", "trace",
+        "receivers", "churn_every", "seed", "pose_traces", "trace", "tracer",
     }
     assert not hasattr(ConferenceDriver, "churn")
     # A sender pipeline is built by the two-party session and by the
@@ -295,6 +299,19 @@ def test_one_multi_party_driver_and_the_shim_stay_gone():
         (_CodecCore, "encode_plane"),
         (FleetResult, "capture_cache"),
         (FleetResult, "sfu_wall_per_frame_ms"),
+        # Trace plumbing nothing turned on: the fleet span export, the
+        # SFU node's stage wrappers and the worker-span shipping of the
+        # deleted process lane.  Pool jobs record on the session tracer.
+        (tracer_module, "worker_tracer"),
+        (Tracer, "absorb"),
+        (Tracer, "current_context"),
+        (span_module, "TraceContext"),
+        (SFUNode, "stages"),
+        (SFUNode, "attach_tracer"),
+        (batchplane.BatchPlane, "attach_tracer"),
+        (FleetConfig, "trace_jsonl"),
+        (tracetools, "FLEET_CATEGORIES"),
+        (bandwidth_split.SplitController, "history"),
     ],
     ids=lambda value: getattr(value, "__name__", value).rsplit(".", 1)[-1],
 )
@@ -336,6 +353,9 @@ def test_bitfield_reference_stays_out_of_the_package():
         # The closed-loop load generator; the benchmark's open-loop
         # driver is the only one.
         ["loadgen"],
+        # The fleet span export is gone; `run.py --workload fleet
+        # --trace 1` answers where a fleet tick's time goes.
+        ["analyze-trace", "x.jsonl", "--fleet"],
     ],
     ids=" ".join,
 )

@@ -112,3 +112,27 @@ class TestCLI:
             main(["multiway", flag, "0"])
         assert usage.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--frames", "0"],
+            ["run", "--cameras", "0"],
+            ["run", "--jobs", "0"],
+            ["run", "--quality-max-points", "0"],
+            ["run", "--user", "5"],
+            ["run", "--user", "-1"],
+            ["multiway", "--cameras", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_out_of_range_counts_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as usage:
+            main(argv)
+        assert usage.value.code == 2
+        assert f"argument {argv[1]}" in capsys.readouterr().err
+
+    def test_analyze_trace_missing_file_is_an_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.jsonl"
+        assert main(["analyze-trace", str(missing)]) == 2
+        assert str(missing) in capsys.readouterr().err
