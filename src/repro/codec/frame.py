@@ -86,6 +86,10 @@ class EncodedFrame:
         payload = data[_HEADER.size : _HEADER.size + payload_len]
         if len(payload) != payload_len:
             raise ValueError("truncated frame payload")
+        if type_code not in _FRAME_TYPE_FROM:
+            raise ValueError(f"unknown frame type code {type_code}")
+        if format_code not in _FORMAT_FROM:
+            raise ValueError(f"unknown pixel format code {format_code}")
         return EncodedFrame(
             frame_type=_FRAME_TYPE_FROM[type_code],
             pixel_format=_FORMAT_FROM[format_code],

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from repro.runtime.batchplane import (
 __all__ = ["VideoCodecConfig", "VideoEncoder", "VideoDecoder"]
 
 _PLANE_HEADER = struct.Struct("<BII")
+_PLANE_COUNT = {PixelFormat.RGB8: 3, PixelFormat.GRAY16: 1}
 
 
 @dataclass(frozen=True)
@@ -313,20 +314,25 @@ def _pack_planes(codes: list[_PlaneCode]) -> bytes:
     return b"".join(parts)
 
 
-def _unpack_planes(payload: bytes) -> list[tuple[bytes, bytes]]:
+def _unpack_planes(payload: bytes, pixel_format: PixelFormat) -> list[tuple[bytes, bytes]]:
+    """``(mv_bytes, level_bytes)`` per plane; ``ValueError`` on a bad table."""
     if not payload:
         raise ValueError("empty frame payload")
     count = payload[0]
+    if count != _PLANE_COUNT[pixel_format]:
+        raise ValueError(f"{count} planes in a {pixel_format.value} frame")
     cursor = 1
     segments = []
     for _ in range(count):
+        if cursor + _PLANE_HEADER.size > len(payload):
+            raise ValueError("truncated plane header")
         _, mv_len, level_len = _PLANE_HEADER.unpack_from(payload, cursor)
         cursor += _PLANE_HEADER.size
-        mv_bytes = payload[cursor : cursor + mv_len]
-        cursor += mv_len
-        level_bytes = payload[cursor : cursor + level_len]
-        cursor += level_len
-        segments.append((mv_bytes, level_bytes))
+        end = cursor + mv_len + level_len
+        if end > len(payload):
+            raise ValueError("truncated plane segment")
+        segments.append((payload[cursor : cursor + mv_len], payload[cursor + mv_len : end]))
+        cursor = end
     return segments
 
 
@@ -485,7 +491,7 @@ class VideoDecoder:
         if frame.frame_type is FrameType.INTER and self._reference is None:
             raise ValueError("cannot decode an INTER frame without a reference")
         value_range = (0.0, 255.0) if frame.pixel_format is PixelFormat.RGB8 else (0.0, 65535.0)
-        segments = _unpack_planes(frame.payload)
+        segments = _unpack_planes(frame.payload, frame.pixel_format)
 
         planes = []
         for index, (mv_bytes, level_bytes) in enumerate(segments):

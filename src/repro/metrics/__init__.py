@@ -9,12 +9,14 @@
   mapping objective measurements to Likert opinion scores;
 - :mod:`repro.metrics.latency` -- the per-component latency model
   behind Table 6.
+
+PointSSIM is imported from its own module: it loads ``scipy.spatial``,
+which a process that only encodes and forwards never needs.
 """
 
 from repro.metrics.image import psnr, rmse
 from repro.metrics.latency import LatencyBreakdown, latency_table
 from repro.metrics.mos import CommentModel, MOSModel, SessionQoE
-from repro.metrics.pointssim import PSSIMResult, pointssim
 
 __all__ = [
     "psnr",
@@ -24,6 +26,4 @@ __all__ = [
     "CommentModel",
     "MOSModel",
     "SessionQoE",
-    "PSSIMResult",
-    "pointssim",
 ]

@@ -1,12 +1,14 @@
-"""Per-encoder scratch arena: memoized tables + reusable buffers.
+"""Per-encoder scratch arena: memoized codec tables.
 
 The block codec rebuilds the same small tables on every plane of every
 frame -- the frequency weight matrix, the step-scaled quantization
-divisor, the motion offset list -- and re-allocates the motion-search
-plane stack each call.  One arena per codec core memoizes the tables
-(keyed by the parameters that define them) and hands out persistent
-buffers for the search stack.  Every memoized array is identical in
-value to what the pure ``weight_matrix`` / ``search_offsets`` /
+divisor, the motion offset list.  One arena per codec core memoizes
+them, keyed by the parameters that define them.  It holds no work
+buffers: the motion kernel reads its candidates through strided views
+and allocates only per-call scratch, so an arena stays a few small
+tables however many plane shapes its stream has seen.  Motion searches
+are counted per (window, shape) all the same.  Every memoized array is
+identical in value to what the pure ``weight_matrix`` / ``search_offsets`` /
 ``qp_to_step`` functions compute, so bitstreams equal those of a codec
 calling them fresh per plane (pinned by ``TestScratchArena`` under
 tests/); memoized tables are marked read-only so a misbehaving caller
@@ -27,13 +29,13 @@ __all__ = ["ScratchArena"]
 
 
 class ScratchArena:
-    """Memoized codec tables and reusable work buffers for one stream."""
+    """Memoized codec tables for one stream."""
 
     def __init__(self) -> None:
         self._weights: dict[tuple[int, float], np.ndarray] = {}
         self._scales: dict[tuple[float, bytes | None], np.ndarray | float] = {}
         self._offsets: dict[int, list[tuple[int, int]]] = {}
-        self._shift_buffers: dict[tuple[int, tuple[int, int]], np.ndarray] = {}
+        self._motion_keys: set[tuple[int, tuple[int, int]]] = set()
         self.counters = CacheCounters("codec_scratch")
 
     # ------------------------------------------------------------------
@@ -85,23 +87,17 @@ class ScratchArena:
             self.counters.hit()
         return table
 
-    # ------------------------------------------------------------------
-    # Reusable buffers
-    # ------------------------------------------------------------------
+    def count_motion_search(self, num_offsets: int, shape: tuple[int, int]) -> None:
+        """Count one motion search of ``shape`` planes over ``num_offsets``.
 
-    def shift_buffer(self, num_offsets: int, shape: tuple[int, int]) -> np.ndarray:
-        """Persistent ``(num_offsets, H, W)`` stack for shifted_planes.
-
-        The stack is fully overwritten by every
-        :func:`~repro.codec.motion.shifted_planes` call, so reuse cannot
-        leak state between planes or frames.
+        Nothing is held -- the kernel allocates its own per-call
+        scratch -- but the first search of each (window, shape) counts
+        a miss and later ones hit, so ``codec_scratch`` counters track
+        the set of search shapes a stream has seen.
         """
         key = (num_offsets, shape)
-        buffer = self._shift_buffers.get(key)
-        if buffer is None:
-            self.counters.miss()
-            buffer = np.empty((num_offsets, *shape), dtype=np.float64)
-            self._shift_buffers[key] = buffer
-        else:
+        if key in self._motion_keys:
             self.counters.hit()
-        return buffer
+        else:
+            self.counters.miss()
+            self._motion_keys.add(key)

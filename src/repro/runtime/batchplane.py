@@ -37,8 +37,8 @@ Determinism rules (tested in tests/test_batchplane.py):
    a bucket's execution never reads another request's stream state --
    so lockstep results equal the serial schedule's regardless of how
    rounds interleave across sessions;
-4. bucketed jobs still touch their stream's scratch arena tables
-   (scale memo, shift buffer), so ``--profile`` cache counters are
+4. bucketed jobs still touch their stream's scratch arena (scale memo,
+   motion-search count), so ``--profile`` cache counters are
    independent of batching.
 
 A kernel exception is re-raised *inside* the owning generator (via
@@ -54,16 +54,9 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.codec.blocks import block_grid_shape
 from repro.codec.dct import forward_dct, inverse_dct
 from repro.codec.entropy import encode_levels, encode_levels_batch
-from repro.codec.motion import (
-    estimate_motion,
-    gather_prediction,
-    motion_batch,
-    search_offsets,
-    shifted_planes,
-)
+from repro.codec.motion import motion_batch, search_offsets
 from repro.codec.quant import dequantize, qp_to_step, quantize
 from repro.perf.counters import BatchCounters
 
@@ -210,34 +203,17 @@ class _MotionKernel:
         return search_offsets(request.key[1])
 
     def single(self, request: BatchRequest):
-        plane, reference = request.payload
-        _, _, block_size = request.key
-        offsets = self._offsets(request)
-        if len(offsets) > 1:
-            # The search scores every offset's whole shifted plane (on
-            # one large plane that beats ``motion_batch`` at S = 1); the
-            # predictor is then gathered for the winners only.
-            core = request.ctx
-            out = (
-                core.arena.shift_buffer(len(offsets), reference.shape)
-                if core is not None
-                else None
-            )
-            shifted = shifted_planes(reference, offsets, out=out)
-            mv_index, _ = estimate_motion(plane, shifted, block_size)
-        else:
-            rows, cols = block_grid_shape(*plane.shape, block_size)
-            mv_index = np.zeros(rows * cols, dtype=np.uint8)
-        return mv_index, gather_prediction(reference, offsets, mv_index, block_size)
+        return self._search([request])[0]
 
     def batched(self, requests: list[BatchRequest]):
+        return self._search(requests)
+
+    def _search(self, requests: list[BatchRequest]):
         _, _, block_size = requests[0].key
         offsets = self._offsets(requests[0])
         for request in requests:
-            # Keep each stream's arena counters identical to the serial
-            # schedule (the buffer itself is not needed here).
             if request.ctx is not None and len(offsets) > 1:
-                request.ctx.arena.shift_buffer(len(offsets), request.payload[1].shape)
+                request.ctx.arena.count_motion_search(len(offsets), request.payload[0].shape)
         planes = np.stack([request.payload[0] for request in requests])
         references = np.stack([request.payload[1] for request in requests])
         mv_index, predictor = motion_batch(planes, references, offsets, block_size)

@@ -320,7 +320,29 @@ class TestCodecEdgeCases:
             encoded.frame_type, encoded.pixel_format, encoded.qp, encoded.sequence,
             encoded.height, encoded.width, encoded.payload[:3],
         )
-        with pytest.raises(Exception):
+        with pytest.raises(ValueError):
+            VideoDecoder(config).decode(broken)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda payload: payload[:1], id="cut_to_count"),
+            pytest.param(lambda payload: payload[:5], id="cut_to_5_bytes"),
+            pytest.param(lambda payload: payload[: len(payload) // 2], id="cut_in_half"),
+            pytest.param(lambda payload: b"\x09" + payload[1:], id="count_9"),
+        ],
+    )
+    def test_decoder_rejects_a_bad_plane_table(self, corrupt):
+        config = VideoCodecConfig(gop_size=1)
+        encoded, _ = VideoEncoder(config).encode(
+            np.zeros((16, 16, 3), dtype=np.uint8), qp=20
+        )
+        assert encoded.payload[0] == 3
+        broken = EncodedFrame(
+            encoded.frame_type, encoded.pixel_format, encoded.qp, encoded.sequence,
+            encoded.height, encoded.width, corrupt(encoded.payload),
+        )
+        with pytest.raises(ValueError):
             VideoDecoder(config).decode(broken)
 
     def test_reset_mid_stream(self):

@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 
 from repro.codec.blocks import block_grid_shape
 from repro.codec.frame import EncodedFrame, FrameType, PixelFormat
-from repro.codec.motion import (
-    estimate_motion,
-    gather_prediction,
-    search_offsets,
-    shifted_planes,
-)
+from repro.codec.motion import gather_prediction, motion_batch, search_offsets
 from repro.codec.rate_control import RateController
 from repro.codec.video import VideoCodecConfig, VideoDecoder, VideoEncoder
-from tests.reference.motion import gather_prediction_stacked
+from tests.reference.motion import (
+    estimate_motion,
+    gather_prediction_stacked,
+    motion_single,
+    shifted_planes,
+)
 
 
 def moving_gradient_video(num_frames=6, height=48, width=64, channels=3, shift=2):
@@ -67,6 +67,8 @@ class TestMotion:
         mv_index, cost = estimate_motion(current, stack, block_size=8)
         # Interior blocks should all pick offset (1, 0).
         assert offsets[int(np.bincount(mv_index).argmax())] == (1, 0)
+        batch_mv, _ = motion_batch(current[None], ref[None], offsets, block_size=8)
+        np.testing.assert_array_equal(batch_mv[0], mv_index)
 
     def test_gather_prediction_selects_per_block(self):
         ref = np.arange(64, dtype=float).reshape(8, 8)
@@ -96,6 +98,46 @@ class TestMotion:
         want = gather_prediction_stacked(reference, offsets, mv_index, block_size)
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
+
+    @given(
+        st.integers(1, 40), st.integers(1, 40), st.integers(0, 2),
+        st.sampled_from([2, 4, 8]), st.sampled_from(["noise", "constant", "two_level"]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_motion_batch_matches_stacked_reference(
+        self, height, width, search_range, block_size, content, seed
+    ):
+        # Constant and two-level planes make many offsets tie on SAD:
+        # each block must then keep the lowest offset index, as the
+        # oracle's argmin does.
+        rng = np.random.default_rng(seed)
+        shape = (3, height, width)
+        if content == "noise":
+            references = rng.normal(scale=50.0, size=shape)
+            planes = references + rng.normal(scale=5.0, size=shape)
+        elif content == "constant":
+            references = np.full(shape, 7.0)
+            planes = np.full(shape, float(rng.integers(0, 3)) * 7.0)
+        else:
+            references = rng.integers(0, 2, size=shape) * 100.0
+            planes = rng.integers(0, 2, size=shape) * 100.0
+        offsets = search_offsets(search_range)
+        expected = [
+            motion_single(plane, reference, offsets, block_size)
+            for plane, reference in zip(planes, references)
+        ]
+        for stack in (slice(0, 1), slice(0, 3)):
+            mv_index, predictor = motion_batch(
+                planes[stack], references[stack], offsets, block_size
+            )
+            for index, (want_mv, want_predictor) in enumerate(expected[stack]):
+                assert mv_index.dtype == want_mv.dtype
+                assert mv_index[index].tobytes() == want_mv.tobytes()
+                assert predictor[index].tobytes() == want_predictor.tobytes()
+        for reference, (want_mv, want_predictor) in zip(references, expected):
+            got = gather_prediction(reference, offsets, want_mv, block_size)
+            assert got.tobytes() == want_predictor.tobytes()
 
     @pytest.mark.parametrize("search_range", [1, 2])
     @pytest.mark.parametrize("corner", [-1, 1])
@@ -139,6 +181,15 @@ class TestFrameSerialization:
         data = b"XXXX" + frame.to_bytes()[4:]
         with pytest.raises(ValueError):
             EncodedFrame.from_bytes(data)
+
+    @pytest.mark.parametrize("field,name", [(4, "frame type"), (5, "pixel format")])
+    def test_unknown_code_rejected(self, field, name):
+        data = bytearray(
+            EncodedFrame(FrameType.INTRA, PixelFormat.RGB8, 10, 0, 4, 4, b"").to_bytes()
+        )
+        data[field] = 7
+        with pytest.raises(ValueError, match=f"unknown {name} code 7"):
+            EncodedFrame.from_bytes(bytes(data))
 
     def test_truncated_rejected(self):
         with pytest.raises(ValueError):

@@ -427,6 +427,25 @@ class TestScratchArena:
         counters = encoder.cache_counters
         assert counters.hits > counters.misses
 
+    def test_arena_holds_tables_not_plane_buffers(self):
+        # The motion kernel allocates per call: an arena keeps only its
+        # small tables, however many plane shapes its stream has coded.
+        rng = np.random.default_rng(2)
+        encoder = VideoEncoder(VideoCodecConfig(gop_size=4, search_range=1))
+        for height, width in ((48, 64), (40, 56), (64, 96)):
+            encoder.reset()
+            for _ in range(10):
+                image = rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8)
+                encoder.encode(image, qp=30)
+        held = [
+            value
+            for table in vars(encoder._core.arena).values()
+            if isinstance(table, dict)
+            for value in table.values()
+            if isinstance(value, np.ndarray)
+        ]
+        assert sum(array.nbytes for array in held) < 64 * 1024
+
     def test_rate_controlled_encode_identical(self):
         encoder = VideoEncoder(VideoCodecConfig(gop_size=3, search_range=1))
         assert_pinned(
