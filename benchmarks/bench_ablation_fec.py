@@ -27,7 +27,7 @@ def run_config(loss_rate: float, nack_retries: int, fec_group_size: int | None,
         link, WebRTCConfig(nack_retries=nack_retries, fec_group_size=fec_group_size)
     )
     for frame in range(NUM_FRAMES):
-        channel.send_frame(0, frame, FRAME_BYTES, now=frame / 30.0)
+        channel.send_frame(0, frame, bytes(FRAME_BYTES), now=frame / 30.0)
     deliveries = channel.poll_deliveries(NUM_FRAMES / 30.0 + 3.0)
     complete = {d.frame_sequence for d in deliveries}
     # On-time: within a 250 ms playout budget.

@@ -38,7 +38,7 @@ def run_with_buffer(buffer_bytes: int | None):
     # observation predates recovery tuning).
     channel = WebRTCChannel(link, WebRTCConfig(nack_retries=0))
     for frame in range(NUM_FRAMES):
-        channel.send_frame(0, frame, FRAME_BYTES, now=frame / BURST_FPS)
+        channel.send_frame(0, frame, bytes(FRAME_BYTES), now=frame / BURST_FPS)
     deliveries = channel.poll_deliveries(NUM_FRAMES / BURST_FPS + 3.0)
     complete = {d.frame_sequence for d in deliveries}
     on_time = sum(

@@ -1,8 +1,11 @@
 """Encoded-frame container and bitstream serialization.
 
-An :class:`EncodedFrame` is what the encoder emits and the transport
-packetizes: a self-describing byte payload plus the metadata the decoder
-and the rate controller need (frame type, QP, pixel format, size).
+An :class:`EncodedFrame` is what the encoder emits: a self-describing
+byte payload plus the metadata the decoder and the rate controller need
+(frame type, QP, pixel format, size).  It crosses the transport only as
+:meth:`EncodedFrame.to_bytes` -- a fixed ``LVF1`` header, then the
+payload -- and the receiver rebuilds it with
+:meth:`EncodedFrame.from_bytes`.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import enum
 import struct
 from dataclasses import dataclass
 
-__all__ = ["FrameType", "PixelFormat", "EncodedFrame"]
+__all__ = ["FrameType", "PixelFormat", "EncodedFrame", "HEADER_BYTES", "MAX_PLANE_SIDE"]
 
 
 class FrameType(enum.Enum):
@@ -29,6 +32,9 @@ class PixelFormat(enum.Enum):
 
 
 _HEADER = struct.Struct("<4sBBBBIHHI")
+HEADER_BYTES = _HEADER.size
+# Height and width travel as uint16: the largest plane a header can name.
+MAX_PLANE_SIDE = 0xFFFF
 _MAGIC = b"LVF1"
 _FRAME_TYPE_CODE = {FrameType.INTRA: 0, FrameType.INTER: 1}
 _FRAME_TYPE_FROM = {value: key for key, value in _FRAME_TYPE_CODE.items()}
@@ -59,23 +65,34 @@ class EncodedFrame:
         return self.size_bytes * 8
 
     def to_bytes(self) -> bytes:
-        """Serialize for transport."""
-        header = _HEADER.pack(
-            _MAGIC,
-            _FRAME_TYPE_CODE[self.frame_type],
-            _FORMAT_CODE[self.pixel_format],
-            self.qp,
-            0,
-            self.sequence,
-            self.height,
-            self.width,
-            len(self.payload),
-        )
+        """Serialize for transport.
+
+        Raises ValueError when a field does not fit its header slot
+        (height/width over :data:`MAX_PLANE_SIDE`, qp over 255).
+        """
+        try:
+            header = _HEADER.pack(
+                _MAGIC,
+                _FRAME_TYPE_CODE[self.frame_type],
+                _FORMAT_CODE[self.pixel_format],
+                self.qp,
+                0,
+                self.sequence,
+                self.height,
+                self.width,
+                len(self.payload),
+            )
+        except struct.error as error:
+            raise ValueError(f"frame field out of range for the LVF1 header: {error}") from None
         return header + self.payload
 
     @staticmethod
     def from_bytes(data: bytes) -> "EncodedFrame":
-        """Parse a frame serialized by :meth:`to_bytes`."""
+        """Parse a frame serialized by :meth:`to_bytes`.
+
+        Raises ValueError on anything else: a cut or mislabelled header,
+        a payload shorter than the header declares, or bytes past it.
+        """
         if len(data) < _HEADER.size:
             raise ValueError("truncated frame header")
         magic, type_code, format_code, qp, _, sequence, height, width, payload_len = (
@@ -83,9 +100,11 @@ class EncodedFrame:
         )
         if magic != _MAGIC:
             raise ValueError(f"bad frame magic {magic!r}")
-        payload = data[_HEADER.size : _HEADER.size + payload_len]
-        if len(payload) != payload_len:
+        payload = bytes(data[_HEADER.size :])
+        if len(payload) < payload_len:
             raise ValueError("truncated frame payload")
+        if len(payload) > payload_len:
+            raise ValueError("trailing bytes after the frame payload")
         if type_code not in _FRAME_TYPE_FROM:
             raise ValueError(f"unknown frame type code {type_code}")
         if format_code not in _FORMAT_FROM:

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.codec.frame import MAX_PLANE_SIDE
 from repro.faults.degradation import ResilienceConfig
+from repro.tiling.tiler import TileLayout
 from repro.transport.link import LinkConfig
 
 __all__ = ["SchemeFlags", "SessionConfig"]
@@ -126,6 +128,13 @@ class SessionConfig:
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        layout = TileLayout.for_cameras(self.num_cameras, self.camera_height, self.camera_width)
+        if max(layout.frame_height, layout.frame_width) > MAX_PLANE_SIDE:
+            raise ValueError(
+                f"{self.num_cameras} cameras of {self.camera_width}x{self.camera_height} tile "
+                f"to a {layout.frame_height}x{layout.frame_width} plane; a frame header "
+                f"holds at most {MAX_PLANE_SIDE} per side"
+            )
         for name in ("guard_band_m", "pose_feedback_lag_frames", "jitter_target_s"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must not be negative")

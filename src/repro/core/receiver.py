@@ -129,23 +129,28 @@ class LiVoReceiver:
         self._last_color_sequence = None
         self._last_depth_sequence = None
 
-    def decode_pair_safe(self, color: EncodedFrame, depth: EncodedFrame) -> DecodedPair | None:
-        """Decode a pair, absorbing corrupt or chain-breaking input.
+    def decode_pair_safe(self, color: bytes, depth: bytes) -> DecodedPair | None:
+        """Parse and decode a pair as it came off the wire, absorbing
+        corrupt or chain-breaking input.
 
         Returns None instead of raising when the pair is undecodable
-        (truncated payload, entropy-stream damage, marker desync, or a
-        broken reference chain); decoder state is reset so the streams
-        resynchronize on the next keyframe.  The caller is expected to
-        fall back to :meth:`freeze_frame`.
+        (a cut or mangled frame buffer, entropy-stream damage, marker
+        desync, or a broken reference chain); after damage, decoder
+        state is reset so the streams resynchronize on the next
+        keyframe.  The caller is expected to fall back to
+        :meth:`freeze_frame`.
         """
-        if not self.can_decode(color, depth):
-            return None
         try:
-            return self.decode_pair(color, depth)
+            color_frame = EncodedFrame.from_bytes(color)
+            depth_frame = EncodedFrame.from_bytes(depth)
+            if not self.can_decode(color_frame, depth_frame):
+                return None
+            return self.decode_pair(color_frame, depth_frame)
         except Exception:
-            # A corrupt bitstream can fail anywhere in the decode chain
-            # (struct framing, zlib streams, marker checks); all of it
-            # means the same thing -- this pair is lost.
+            # A corrupt bitstream can fail anywhere from the frame
+            # header through the decode chain (struct framing, zlib
+            # streams, marker checks); all of it means the same thing --
+            # this pair is lost.
             self.decode_failures += 1
             self.reset_streams()
             return None

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 from repro.capture.rgbd import MultiViewFrame
 from repro.capture.scene import Scene
+from repro.codec.frame import EncodedFrame
 from repro.compression.draco import DracoCodec
 from repro.compression.meshreduce import MeshReducePipeline, MeshReduceProfile
 from repro.compression.oracle import DracoOracle, OracleProfile
@@ -60,7 +61,7 @@ from repro.perf.features import FeatureCache
 from repro.prediction.pose import PoseTrace
 from repro.prediction.predictor import ViewingDevice
 from repro.runtime.stage import Stage, StageGraph
-from repro.transport.channel import WebRTCChannel
+from repro.transport.channel import FrameDelivery, WebRTCChannel
 from repro.transport.gcc import GCCConfig
 from repro.transport.link import EmulatedLink
 from repro.transport.tcp import ReliableByteStream
@@ -382,7 +383,7 @@ class _Call:
     :meth:`LiVoSession.run` drives it tick by tick -- :meth:`receive`
     resolves what arrived (decode + render-deadline accounting, feeding
     the stall watchdog), :meth:`send` runs the capture -> prepare ->
-    encode stage graph and hands the pair to the channel -- so the
+    encode stage graph and hands the pair to the channel as bytes -- so the
     receiver's outcomes of tick *t* (PLI flag, watchdog rung, color
     budget) steer tick *t*'s encode.  Frames resolve strictly in
     sequence order, so the decoder reference chains advance exactly as
@@ -436,9 +437,10 @@ class _Call:
         self.drain_time_s = replay.duration_s + 5.0
 
         self.captures: dict[int, MultiViewFrame] = {}
-        self.encoded: dict[int, tuple] = {}
         self.records: dict[int, FrameRecord] = {}
-        self.pair_arrivals: dict[int, dict[int, float]] = {}
+        # What the channel delivered, per frame and stream: the bytes
+        # the receiver decodes and when their last packet arrived.
+        self.pair_arrivals: dict[int, dict[int, FrameDelivery]] = {}
         self.pending: deque[int] = deque()
         self.rx_request_intra = False  # PLI-style request after a poisoned pair
 
@@ -485,10 +487,11 @@ class _Call:
         return tick
 
     def _decode(self, args):
-        color_frame, depth_frame, sequence, now = args
-        color_frame = self.boundary.corrupt_delivered_pair(color_frame, sequence, now)
+        color, depth, sequence, now = args
+        color = self.boundary.corrupt_delivered_pair(color, sequence, now)
         if self.hardened:
-            return self.receiver.decode_pair_safe(color_frame, depth_frame)
+            return self.receiver.decode_pair_safe(color, depth)
+        color_frame, depth_frame = EncodedFrame.from_bytes(color), EncodedFrame.from_bytes(depth)
         if self.receiver.can_decode(color_frame, depth_frame):
             return self.receiver.decode_pair(color_frame, depth_frame)
         return None
@@ -539,7 +542,6 @@ class _Call:
     def _prune(self, sequence: int) -> None:
         """Drop a resolved frame's buffered state (bounded memory)."""
         self.captures.pop(sequence, None)
-        self.encoded.pop(sequence, None)
         self.pair_arrivals.pop(sequence, None)
         self.channel.release_frame(sequence)
 
@@ -563,9 +565,7 @@ class _Call:
     def _ingest(self, deliveries) -> None:
         for delivery in deliveries:
             sequence = delivery.frame_sequence
-            self.pair_arrivals.setdefault(sequence, {})[
-                delivery.stream_id
-            ] = delivery.completion_time_s
+            self.pair_arrivals.setdefault(sequence, {})[delivery.stream_id] = delivery
             record = self.records.get(sequence)
             if self.tracer is not None and record is not None:
                 # One sim-clock transport span per delivered stream:
@@ -590,9 +590,11 @@ class _Call:
         sequence = self.pending[0]
         arrivals = self.pair_arrivals.get(sequence, {})
         if 0 in arrivals and 1 in arrivals:
-            pair = self.decode_stage((*self.encoded[sequence], sequence, now))
+            color, depth = arrivals[0], arrivals[1]
+            pair = self.decode_stage((color.data, depth.data, sequence, now))
             if pair is not None:
-                self._delivered(sequence, pair, max(arrivals.values()), now)
+                pair_time = max(color.completion_time_s, depth.completion_time_s)
+                self._delivered(sequence, pair, pair_time, now)
             else:
                 self._undecodable(sequence, now)
         else:
@@ -728,14 +730,13 @@ class _Call:
             return
         if force_intra:
             self.rx_request_intra = False
-        self.encoded[sequence] = (result.color_frame, result.depth_frame)
         # In flight: a stall until the receive side says otherwise.
         record.stalled = True
         record.wire_bytes = result.total_bytes
         record.split = result.split
         record.culled_points = result.culled_points
-        channel.send_frame(0, sequence, result.color_frame.size_bytes, now)
-        channel.send_frame(1, sequence, result.depth_frame.size_bytes, now)
+        channel.send_frame(0, sequence, result.color_frame.to_bytes(), now)
+        channel.send_frame(1, sequence, result.depth_frame.to_bytes(), now)
         self.pending.append(sequence)
 
     # ------------------------------------------------------------------

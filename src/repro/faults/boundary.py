@@ -9,8 +9,8 @@ stages -- and the stage body on that side of the seam makes the call
   window-edge events;
 - **encode boundary** (the encode stage, before encoding): injected
   encoder failures;
-- **delivery boundary** (the decode stage, before decoding): bitstream
-  corruption of a pair that reached the receiver;
+- **delivery boundary** (the decode stage, before decoding): corruption
+  of the reassembled color buffer of a pair that reached the receiver;
 - **tick boundary**: link outage / burst-loss window-edge events (the
   drops themselves stay inside the link's ``fault_hook``).
 
@@ -23,7 +23,6 @@ clean path byte-identical to a no-plan run.
 from __future__ import annotations
 
 from repro.capture.rgbd import MultiViewFrame
-from repro.codec.frame import EncodedFrame
 from repro.core.stats import FaultEvent
 from repro.faults.injector import FaultInjector
 
@@ -120,13 +119,11 @@ class StageFaultBoundary:
     # Delivery boundary (pre-decode)
     # ------------------------------------------------------------------
 
-    def corrupt_delivered_pair(
-        self, color_frame: EncodedFrame, sequence: int, now: float
-    ) -> EncodedFrame:
-        """Corrupt a delivered pair's color bitstream when planned."""
+    def corrupt_delivered_pair(self, color: bytes, sequence: int, now: float) -> bytes:
+        """Corrupt a delivered pair's color buffer when planned."""
         if self.injector is None or not self.injector.corrupts_pair(sequence):
-            return color_frame
-        corrupted = self.injector.corrupt_frame(color_frame)
+            return color
+        corrupted = self.injector.corrupt_frame(color)
         self.events.append(
             FaultEvent(
                 time_s=now,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.capture.rgbd import MultiViewFrame, RGBDFrame
-from repro.codec.frame import EncodedFrame
+from repro.codec.frame import HEADER_BYTES
 from repro.faults.plan import BurstLossWindow, FaultPlan
 from repro.transport.packet import Packet
 
@@ -157,25 +157,17 @@ class FaultInjector:
         """Whether this frame pair reaches the receiver corrupted."""
         return sequence in self._corrupt_sequences
 
-    def corrupt_frame(self, frame: EncodedFrame) -> EncodedFrame:
-        """Return an undecodable copy of ``frame`` (mangled payload)."""
-        payload = frame.payload
+    def corrupt_frame(self, data: bytes) -> bytes:
+        """Return a mangled copy of a serialized frame.
+
+        The header stays intact; the payload region is truncated and
+        one deterministic byte flipped, which breaks both the plane
+        framing and the entropy payload -- and, cut short of the length
+        the header declares, the frame no longer parses.
+        """
+        header, payload = data[:HEADER_BYTES], data[HEADER_BYTES:]
         if len(payload) <= 1:
-            mangled = b""
-        else:
-            # Truncate and flip a deterministic byte: breaks both the
-            # plane framing and the entropy payload.
-            cut = max(1, len(payload) // 2)
-            index = int(self._corrupt_rng.integers(0, cut))
-            mangled = bytes(
-                payload[:index] + bytes([payload[index] ^ 0xFF]) + payload[index + 1 : cut]
-            )
-        return EncodedFrame(
-            frame_type=frame.frame_type,
-            pixel_format=frame.pixel_format,
-            qp=frame.qp,
-            sequence=frame.sequence,
-            height=frame.height,
-            width=frame.width,
-            payload=mangled,
-        )
+            return header
+        cut = max(1, len(payload) // 2)
+        index = int(self._corrupt_rng.integers(0, cut))
+        return header + payload[:index] + bytes([payload[index] ^ 0xFF]) + payload[index + 1 : cut]

@@ -263,6 +263,9 @@ class ScenarioSpec:
             self._check_roster()
         elif self.churn or self.initial_peers:
             raise ValueError("churn/initial_peers only apply to multiway scenarios")
+        # The rig and link must be ones a session accepts (SessionConfig
+        # rejects, e.g., a tiled plane too large for the frame header).
+        self.build_config()
 
     def _check_roster(self) -> None:
         """Walk the roster through the churn: names are unique, only a

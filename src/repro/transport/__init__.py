@@ -10,11 +10,15 @@ machinery as a discrete-time simulation:
   drop-tail queue, propagation delay, and random loss (Mahimahi's role);
 - :mod:`repro.transport.gcc` -- a delay-gradient + loss congestion
   controller in the structure of GCC;
-- :mod:`repro.transport.rtp` -- MTU packetization with loss detection;
+- :mod:`repro.transport.rtp` -- MTU packetization of a frame's
+  serialized bytes and their reassembly at the receiver;
+- :mod:`repro.transport.fec` -- XOR-parity FEC with length recovery,
+  which rebuilds a lost slice byte for byte;
 - :mod:`repro.transport.jitter` -- the receiver's jitter buffer
   (100 ms target, appendix A.1);
 - :mod:`repro.transport.channel` -- the WebRTC-like channel tying those
-  together, with NACK/PLI-style recovery and an RTT estimator;
+  together: frames cross as bytes, with NACK/PLI-style recovery and an
+  RTT estimator;
 - :mod:`repro.transport.tcp` -- a reliable in-order byte stream (fluid
   model) used by the MeshReduce baseline;
 - :mod:`repro.transport.downlink` -- per-receiver downlink registry for

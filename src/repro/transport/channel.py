@@ -3,12 +3,15 @@
 Ties the transport pieces together the way the paper's stack does
 (section 3.3 background, appendix A.1):
 
-- frames are fragmented into RTP-like packets and offered to the
-  emulated bottleneck link in send-time order;
+- each frame crosses as its serialized bytes: the buffer is cut into
+  RTP-like packets carrying slices of it, offered to the emulated
+  bottleneck link in send-time order, and the receiver joins the
+  slices that arrive back into the buffer it hands on;
 - per-packet timing feedback returns over the reverse path and drives
   the GCC bandwidth estimate and a smoothed application-level RTT
   (halved by LiVo to predict the one-way delay, section 3.4);
-- lost packets trigger NACK retransmissions; when retries are exhausted
+- lost packets trigger NACK retransmissions of the stored slice (or an
+  XOR repair from their FEC group's parity); when retries are exhausted
   the frame is abandoned and a PLI-style keyframe request is raised
   ("we enable several WebRTC features, including negative
   acknowledgments, Picture Loss Indication (PLI)...", appendix A.1).
@@ -24,10 +27,10 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.perf.counters import BatchCounters
-from repro.transport.fec import FECGroupTracker, parity_packet_for
+from repro.transport.fec import parity_packet_for
 from repro.transport.gcc import GCCConfig, GoogleCongestionControl
 from repro.transport.link import EmulatedLink
 from repro.transport.packet import DEFAULT_MTU, Packet
@@ -42,7 +45,7 @@ class WebRTCConfig:
 
     ``fec_group_size`` enables XOR-parity forward error correction:
     every group of that many media packets is followed by one parity
-    packet, and single losses per group are repaired locally instead of
+    packet, and single losses per group are rebuilt by XOR instead of
     waiting a NACK round trip (see :mod:`repro.transport.fec`).  None
     disables FEC (the paper's configuration); otherwise it must be at
     least 2 (a group of one is a full-size copy of every packet).
@@ -63,12 +66,13 @@ class WebRTCConfig:
 
 @dataclass(frozen=True)
 class FrameDelivery:
-    """A frame that fully arrived at the receiver."""
+    """A frame that fully arrived at the receiver: its reassembled bytes."""
 
     stream_id: int
     frame_sequence: int
     send_time_s: float
     completion_time_s: float
+    data: bytes = field(repr=False)
 
 
 class WebRTCChannel:
@@ -108,13 +112,9 @@ class WebRTCChannel:
         self.bytes_sent_per_stream = [0] * num_streams
         self._clock = 0.0
         self.batch_counters = BatchCounters("transport_batch")
-        # FEC state (only touched when fec_group_size is set).
-        self._fec_tracker = FECGroupTracker()
-        self._fec_group_counter = 0
-        self._packet_fec_group: dict[int, tuple[int, int]] = {}
-        self._fec_group_members: dict[int, list[int]] = {}
-        self._fec_repaired: set[int] = set()
-        self._fec_repaired_frames: dict[tuple[int, int], list[int]] = {}
+        # Fragments parity rebuilt, per frame: their NACKs are cancelled.
+        self._fec_repaired: dict[tuple[int, int], set[int]] = {}
+        self.fec_repairs = 0
 
     def metrics_into(self, registry) -> None:
         """Fold this channel's counters into a ``repro.obs`` registry.
@@ -136,23 +136,23 @@ class WebRTCChannel:
     # Sender API
     # ------------------------------------------------------------------
 
-    def send_frame(self, stream_id: int, frame_sequence: int, size_bytes: int, now: float) -> None:
-        """Offer one encoded frame for transmission at time ``now``.
+    def send_frame(self, stream_id: int, frame_sequence: int, data: bytes, now: float) -> None:
+        """Offer one serialized frame for transmission at time ``now``.
 
-        A zero-byte frame is legitimate -- an aggressively culled view
-        can encode to (effectively) nothing -- and is carried as a
-        single header-only marker packet so the receiver still observes
-        the frame boundary instead of the sender crashing.
+        The packets carry slices of ``data``; the receiver's delivery
+        carries the buffer they reassemble to.  A zero-byte frame is
+        legitimate -- an aggressively culled view can encode to
+        (effectively) nothing -- and is carried as a single header-only
+        marker packet so the receiver still observes the frame boundary
+        instead of the sender crashing.
         """
-        if size_bytes < 0:
-            raise ValueError("size_bytes must be non-negative")
-        if size_bytes == 0:
+        if not data:
             self._send_marker_frame(stream_id, frame_sequence, now)
             return
         packets = packetize(
             stream_id,
             frame_sequence,
-            size_bytes,
+            data,
             now,
             self._packet_sequence,
             mtu=self.config.mtu,
@@ -187,18 +187,8 @@ class WebRTCChannel:
         group_size = self.config.fec_group_size
         assert group_size is not None
         for start in range(0, len(packets), group_size):
-            group = packets[start : start + group_size]
-            group_id = self._fec_group_counter
-            self._fec_group_counter += 1
-            members = []
-            for packet in group:
-                self._packet_fec_group[packet.sequence] = (group_id, len(group))
-                members.append(packet.sequence)
-            parity = parity_packet_for(group, self._packet_sequence)
+            parity = parity_packet_for(packets[start : start + group_size], self._packet_sequence)
             self._packet_sequence += 1
-            self._packet_fec_group[parity.sequence] = (group_id, len(group))
-            members.append(parity.sequence)
-            self._fec_group_members[group_id] = members
             self.bytes_sent_per_stream[stream_id] += parity.size_bytes
             # Parity is best-effort: no NACK retries for it.
             self._schedule(now, "offer", (parity, 0))
@@ -261,8 +251,7 @@ class WebRTCChannel:
 
     def _release_key(self, key: tuple[int, int]) -> None:
         self._abandoned.discard(key)
-        for sequence in self._fec_repaired_frames.pop(key, ()):
-            self._fec_repaired.discard(sequence)
+        self._fec_repaired.pop(key, None)
 
     # ------------------------------------------------------------------
     # Event machinery
@@ -294,11 +283,7 @@ class WebRTCChannel:
         packet.send_time_s = time_s
         is_parity = packet.fragment < 0
         arrival = self.link.send(packet)
-        delivered = arrival is not None
-        self._fec_account(
-            packet, delivered=delivered, event_time=arrival if delivered else time_s
-        )
-        if not delivered:
+        if arrival is None:
             self._record_loss_event(time_s, delivered=False)
             if is_parity:
                 return  # parity is best-effort; never NACKed
@@ -306,51 +291,41 @@ class WebRTCChannel:
             nack_arrival = detection + self.config.reverse_delay_s
             self._schedule_nack(nack_arrival, packet, retries_left)
             return
-        if not is_parity:
+        if is_parity:
+            self._fec_repair(packet, arrival)
+        else:
             self._deliver_media(packet, arrival)
         self._schedule(arrival + self.config.reverse_delay_s, "feedback", packet)
 
-    def _deliver_media(self, packet: Packet, arrival: float) -> None:
-        completed = self._assemblers[packet.stream_id].on_packet(packet, arrival)
-        if completed is not None:
-            self._append_delivery(packet.stream_id, completed, arrival, packet.send_time_s)
+    def _fec_repair(self, parity: Packet, arrival: float) -> None:
+        """Rebuild the parity group's one lost member, if exactly one is.
 
-    def _append_delivery(
-        self, stream_id: int, frame_sequence: int, completion: float, fallback_send_time: float
-    ) -> None:
-        key = (stream_id, frame_sequence)
-        send_time = self._frame_send_times.pop(key, fallback_send_time)
+        A frame's parities are offered right after all its media, so
+        the assembler already holds every member that made it.
+        """
+        assert self.config.fec_group_size is not None
+        repaired = self._assemblers[parity.stream_id].repair(parity, self.config.fec_group_size)
+        if repaired is None:
+            return
+        self.fec_repairs += 1
+        key = (parity.stream_id, parity.frame_sequence)
+        self._fec_repaired.setdefault(key, set()).add(repaired.fragment)
+        self._deliver_media(repaired, arrival)
+
+    def _deliver_media(self, packet: Packet, arrival: float) -> None:
+        data = self._assemblers[packet.stream_id].on_packet(packet)
+        if data is None:
+            return
+        key = (packet.stream_id, packet.frame_sequence)
         self._deliveries.append(
             FrameDelivery(
-                stream_id=stream_id,
-                frame_sequence=frame_sequence,
-                send_time_s=send_time,
-                completion_time_s=completion,
+                stream_id=packet.stream_id,
+                frame_sequence=packet.frame_sequence,
+                send_time_s=self._frame_send_times.pop(key, packet.send_time_s),
+                completion_time_s=arrival,
+                data=data,
             )
         )
-
-    def _fec_account(self, packet: Packet, delivered: bool, event_time: float) -> None:
-        """Feed FEC bookkeeping; deliver any packet a parity repairs."""
-        group = self._packet_fec_group.get(packet.sequence)
-        if group is None:
-            return
-        group_id, media_total = group
-        if packet.fragment < 0:
-            recovered = self._fec_tracker.on_parity(group_id, media_total, delivered)
-        else:
-            recovered = self._fec_tracker.on_media(group_id, media_total, delivered, packet)
-        if recovered is not None:
-            self._fec_repaired.add(recovered.sequence)
-            self._fec_repaired_frames.setdefault(
-                (recovered.stream_id, recovered.frame_sequence), []
-            ).append(recovered.sequence)
-            self._deliver_media(recovered, event_time)
-        if packet.fragment < 0:
-            # The parity is the group's last offer: every member is now
-            # accounted, so the per-sequence map entries are dead.
-            for sequence in self._fec_group_members.pop(group_id, ()):
-                self._packet_fec_group.pop(sequence, None)
-            self._fec_tracker.release(group_id)
 
     def _handle_feedback(self, time_s: float, packet: Packet) -> None:
         assert packet.arrival_time_s is not None
@@ -381,7 +356,7 @@ class WebRTCChannel:
     def _nack_decision(
         self, time_s: float, packet: Packet, retries_left: int, key: tuple[int, int]
     ) -> None:
-        if packet.sequence in self._fec_repaired:
+        if packet.fragment in self._fec_repaired.get(key, ()):
             return  # FEC already repaired this loss; no retransmission
         if key in self._abandoned:
             # The frame was already given up on (PLI raised); spending
@@ -403,7 +378,7 @@ class WebRTCChannel:
             num_fragments=packet.num_fragments,
             size_bytes=packet.size_bytes,
             send_time_s=time_s,
-            is_retransmit=True,
+            payload=packet.payload,
         )
         self._packet_sequence += 1
         self._schedule(time_s, "offer", (retransmit, retries_left - 1))

@@ -23,7 +23,13 @@ class Packet:
         num_fragments: total fragments of the frame.
         size_bytes: payload + header size.
         send_time_s: when the sender handed it to the link.
-        is_retransmit: True for NACK-triggered retransmissions.
+        payload: the bytes carried -- a slice of the serialized frame,
+            or a parity's XOR of its group.  SFU downlink packets carry
+            none yet; only their size matters there.
+        fec_header: set on parity packets only -- the first fragment
+            the parity protects and the XOR of the protected payload
+            lengths (RFC 5109's base and length-recovery fields; the
+            base counts fragments, not sequence numbers).
     """
 
     sequence: int
@@ -33,5 +39,6 @@ class Packet:
     num_fragments: int
     size_bytes: int
     send_time_s: float
-    is_retransmit: bool = False
+    payload: bytes | memoryview = b""
+    fec_header: tuple[int, int] | None = None
     arrival_time_s: float | None = field(default=None, compare=False)

@@ -1,15 +1,16 @@
-"""RTP-like packetization: frames <-> MTU-sized packets.
+"""RTP-like packetization: frame buffers <-> MTU-sized packets.
 
-The sender fragments each encoded frame into MTU-sized packets; the
-receiver reassembles fragments and reports frames complete once every
-fragment has arrived.  Missing fragments are what NACKs (and eventually
-PLI) react to in the channel layer.
+The sender cuts each serialized frame into MTU-sized packets whose
+payloads are slices of the frame's buffer; the receiver keeps the
+fragments that arrive and joins them into the frame's buffer once every
+fragment is in.  Missing fragments are what NACKs (and eventually PLI)
+react to in the channel layer; a missing fragment whose FEC group's
+parity arrived is rebuilt here by XOR.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro.transport.fec import recover_payload
 from repro.transport.packet import DEFAULT_MTU, Packet
 
 __all__ = ["packetize", "FrameAssembler", "RTP_HEADER_BYTES"]
@@ -20,23 +21,22 @@ RTP_HEADER_BYTES = 12
 def packetize(
     stream_id: int,
     frame_sequence: int,
-    frame_bytes: int,
+    data: bytes,
     send_time_s: float,
     first_packet_sequence: int,
     mtu: int = DEFAULT_MTU,
 ) -> list[Packet]:
-    """Fragment a frame of ``frame_bytes`` into RTP-like packets."""
-    if frame_bytes <= 0:
-        raise ValueError("frame_bytes must be positive")
+    """Cut a frame buffer into RTP-like packets carrying slices of it."""
+    view = memoryview(data)
+    if not view.nbytes:
+        raise ValueError("a frame needs at least one byte")
     if mtu <= RTP_HEADER_BYTES:
         raise ValueError("mtu must exceed the RTP header size")
     payload_per_packet = mtu - RTP_HEADER_BYTES
-    num_fragments = -(-frame_bytes // payload_per_packet)
+    num_fragments = -(-view.nbytes // payload_per_packet)
     packets = []
-    remaining = frame_bytes
     for fragment in range(num_fragments):
-        payload = min(payload_per_packet, remaining)
-        remaining -= payload
+        payload = view[fragment * payload_per_packet : (fragment + 1) * payload_per_packet]
         packets.append(
             Packet(
                 sequence=first_packet_sequence + fragment,
@@ -44,68 +44,65 @@ def packetize(
                 frame_sequence=frame_sequence,
                 fragment=fragment,
                 num_fragments=num_fragments,
-                size_bytes=payload + RTP_HEADER_BYTES,
+                size_bytes=len(payload) + RTP_HEADER_BYTES,
                 send_time_s=send_time_s,
+                payload=payload,
             )
         )
     return packets
 
 
-@dataclass
-class _FrameState:
-    num_fragments: int
-    received: set[int] = field(default_factory=set)
-    first_arrival_s: float | None = None
-    last_arrival_s: float | None = None
-
-    @property
-    def complete(self) -> bool:
-        return len(self.received) == self.num_fragments
-
-
 class FrameAssembler:
-    """Reassembles one stream's packets into complete frames."""
+    """Reassembles one stream's packets into complete frame buffers."""
 
     def __init__(self) -> None:
-        self._frames: dict[int, _FrameState] = {}
+        # Incomplete frames: fragment index -> payload.
+        self._frames: dict[int, dict[int, bytes | memoryview]] = {}
         self._completed: set[int] = set()
 
-    def on_packet(self, packet: Packet, arrival_time_s: float) -> int | None:
-        """Register an arrived packet.
+    def on_packet(self, packet: Packet) -> bytes | None:
+        """Keep an arrived packet's payload.
 
-        Returns the frame sequence if this packet completed a frame,
+        Returns the frame's buffer if this packet completed the frame,
         else None.
         """
-        state = self._frames.get(packet.frame_sequence)
-        if state is None:
-            state = _FrameState(num_fragments=packet.num_fragments)
-            self._frames[packet.frame_sequence] = state
-        if state.first_arrival_s is None:
-            state.first_arrival_s = arrival_time_s
-        state.last_arrival_s = arrival_time_s
-        state.received.add(packet.fragment)
-        if state.complete and packet.frame_sequence not in self._completed:
-            self._completed.add(packet.frame_sequence)
-            return packet.frame_sequence
-        return None
-
-    def missing_fragments(self, frame_sequence: int) -> list[int]:
-        """Fragments of a frame not yet received (for NACK generation)."""
-        state = self._frames.get(frame_sequence)
-        if state is None:
-            return []
-        return [f for f in range(state.num_fragments) if f not in state.received]
-
-    def frame_complete(self, frame_sequence: int) -> bool:
-        """Whether all fragments of a frame have arrived."""
-        return frame_sequence in self._completed
-
-    def completion_time(self, frame_sequence: int) -> float | None:
-        """Arrival time of the frame's last fragment, if complete."""
-        state = self._frames.get(frame_sequence)
-        if state is None or not state.complete:
+        sequence = packet.frame_sequence
+        if sequence in self._completed:
             return None
-        return state.last_arrival_s
+        fragments = self._frames.setdefault(sequence, {})
+        fragments[packet.fragment] = packet.payload
+        if len(fragments) < packet.num_fragments:
+            return None
+        del self._frames[sequence]
+        self._completed.add(sequence)
+        return b"".join(fragments[index] for index in range(packet.num_fragments))
+
+    def repair(self, parity: Packet, group_size: int) -> Packet | None:
+        """Rebuild the parity's group member that did not arrive.
+
+        Returns the rebuilt packet when exactly one member is missing,
+        else None: nothing lost, or more than XOR parity can repair.
+        """
+        sequence = parity.frame_sequence
+        if sequence in self._completed:
+            return None
+        fragments = self._frames.get(sequence, {})
+        first = parity.fec_header[0]
+        members = range(first, min(first + group_size, parity.num_fragments))
+        lost = [index for index in members if index not in fragments]
+        if len(lost) != 1:
+            return None
+        payload = recover_payload(parity, [fragments[i] for i in members if i in fragments])
+        return Packet(
+            sequence=parity.sequence,
+            stream_id=parity.stream_id,
+            frame_sequence=sequence,
+            fragment=lost[0],
+            num_fragments=parity.num_fragments,
+            size_bytes=len(payload) + RTP_HEADER_BYTES,
+            send_time_s=parity.send_time_s,
+            payload=payload,
+        )
 
     def drop_frame(self, frame_sequence: int) -> None:
         """Forget an incomplete frame (gave up; PLI path)."""

@@ -7,15 +7,18 @@ was an object could only be reached by replaying a whole session under
 a fault plan that happened to hit it.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.capture.dataset import load_video
 from repro.capture.rgbd import MultiViewFrame, RGBDFrame
+from repro.codec.frame import EncodedFrame
 from repro.core.config import SessionConfig
 from repro.core.session import LiVoSession, _Call
 from repro.faults.degradation import LEVEL_HALF_FPS, ResilienceConfig
-from repro.faults.plan import EncoderFault, FaultPlan
+from repro.faults.plan import EncoderFault, FaultPlan, FrameCorruption
 from repro.obs import Tracer
 from repro.prediction.pose import user_traces_for_video
 from repro.transport.traces import constant_trace
@@ -31,8 +34,8 @@ def workload():
 
 @pytest.fixture
 def make_call(workload, monkeypatch):
-    """Build a call; ``observed`` / ``released`` spy on the watchdog and
-    the channel without changing what they do."""
+    """Build a call; ``observed`` / ``released`` / ``sent`` spy on the
+    watchdog and the channel without changing what they do."""
 
     def build(fault_plan=None, tracer=None, **config):
         scene, user = workload
@@ -44,18 +47,24 @@ def make_call(workload, monkeypatch):
         )
         replay = session._open(scene, user, constant_trace(100.0), 6)
         call = _Call(session, replay, fault_plan=fault_plan, tracer=tracer)
-        call.observed, call.released = [], []
+        call.observed, call.released, call.sent = [], [], {}
         if call.watchdog is not None:
             observe = call.watchdog.observe
             monkeypatch.setattr(
                 call.watchdog, "observe",
                 lambda on_time, now: call.observed.append(on_time) or observe(on_time, now),
             )
-        release = call.channel.release_frame
+        release, send = call.channel.release_frame, call.channel.send_frame
         monkeypatch.setattr(
             call.channel, "release_frame",
             lambda sequence: call.released.append(sequence) or release(sequence),
         )
+
+        def send_frame(stream_id, sequence, data, now):
+            call.sent[stream_id, sequence] = data
+            send(stream_id, sequence, data, now)
+
+        monkeypatch.setattr(call.channel, "send_frame", send_frame)
         return call
 
     return build
@@ -67,13 +76,29 @@ def _send(call, count):
 
 
 def _arrive(call, sequence, color_s, depth_s):
-    call.pair_arrivals[sequence] = {0: color_s, 1: depth_s}
+    """The pair's bytes as the channel carried them, with the test's
+    choice of when each stream's last packet arrived."""
+    call.channel.process_until(1.0)
+    carried = {
+        d.stream_id: d for d in call.channel._deliveries if d.frame_sequence == sequence
+    }
+    call.pair_arrivals[sequence] = {
+        0: dataclasses.replace(carried[0], completion_time_s=color_s),
+        1: dataclasses.replace(carried[1], completion_time_s=depth_s),
+    }
+
+
+def _sent_type(call, sequence):
+    """Frame type of the color frame that went on the wire."""
+    return EncodedFrame.from_bytes(call.sent[0, sequence]).frame_type.name
 
 
 def _assert_pruned(call, sequence):
     assert sequence not in call.pending
     assert sequence not in call.captures
-    assert sequence not in call.encoded
+    assert not any(
+        sequence in a._frames or sequence in a._completed for a in call.channel._assemblers
+    )
     assert sequence not in call.pair_arrivals
     assert call.released[-1] == sequence
 
@@ -144,14 +169,41 @@ class TestResolveHead:
         _assert_pruned(call, 2)
         assert not call.pending
 
+    def test_corrupted_pair_is_undecodable_because_parsing_raised(
+        self, make_call, monkeypatch
+    ):
+        """The corruption fault mangles the color buffer the channel
+        carried; the pair is lost because that buffer no longer parses."""
+        call = make_call(fault_plan=FaultPlan(seed=1, corrupted_frames=(FrameCorruption(0),)))
+        _send(call, 1)
+        _arrive(call, 0, 0.04, 0.05)
+        parse, raised = EncodedFrame.from_bytes, []
+
+        def spy(data):
+            try:
+                return parse(data)
+            except ValueError as error:
+                raised.append(str(error))
+                raise
+
+        monkeypatch.setattr(EncodedFrame, "from_bytes", staticmethod(spy))
+        assert call.resolve_head(0.05, final=False)
+        assert raised == ["truncated frame payload"]
+        record = call.records[0]
+        assert not record.rendered and record.stalled and not record.frozen
+        assert call.receiver.decode_failures == 1 and call.rx_request_intra
+        assert _categories(call) == ["corrupt_frame"]
+        assert call.observed == [False]
+        _assert_pruned(call, 0)
+
     def test_pli_flag_forces_the_next_encode_intra_then_clears(self, make_call):
         call = make_call()
         _send(call, 2)
         call.rx_request_intra = True
         call.send(2, 2 * INTERVAL)
         assert not call.rx_request_intra
-        assert call.encoded[2][0].frame_type.name == "INTRA"
-        assert call.encoded[1][0].frame_type.name != "INTRA"
+        assert _sent_type(call, 2) == "INTRA"
+        assert _sent_type(call, 1) != "INTRA"
 
     def test_abandoned_stream_freezes_and_logs(self, make_call, monkeypatch):
         call = make_call()
@@ -222,7 +274,7 @@ class TestSend:
         assert record.wire_bytes > 0 and record.total_points > 0
         assert record.split is not None and record.degradation_level == 0
         assert list(call.pending) == [0]
-        assert set(call.encoded) == set(call.captures) == {0}
+        assert set(call.sent) == {(0, 0), (1, 0)} and set(call.captures) == {0}
         assert call.channel.bytes_sent_per_stream[0] > 0
         assert call.channel.bytes_sent_per_stream[1] > 0
         assert [call.graph.stage(n).timing.count for n in ("capture", "prepare", "encode")] == [1, 1, 1]
@@ -234,7 +286,7 @@ class TestSend:
         record = call.records[1]
         assert record.skipped and not record.stalled and not record.rendered
         assert record.degradation_level == LEVEL_HALF_FPS
-        assert not call.pending and not call.encoded and not call.captures
+        assert not call.pending and not call.sent and not call.captures
         assert call.graph.stage("capture").timing.count == 0
         call.send(2, 2 * INTERVAL)  # even ticks still run at half fps
         assert list(call.pending) == [2]
@@ -248,9 +300,9 @@ class TestSend:
         assert _categories(call) == ["encode_failure"]
         assert call.events[0].sequence == 0
         assert call.observed == [False]
-        assert not call.pending and not call.encoded
+        assert not call.pending and not call.sent
         call.send(1, INTERVAL)  # the next frame restarts the chain
-        assert call.encoded[1][0].frame_type.name == "INTRA"
+        assert _sent_type(call, 1) == "INTRA"
 
     def test_empty_capture_is_skippable_not_a_failure(self, make_call, monkeypatch):
         call = make_call()
@@ -261,5 +313,5 @@ class TestSend:
         assert record.empty and not record.stalled and not record.encode_failed
         assert record.total_points == 0 and record.wire_bytes == 0
         assert call.events == [] and call.observed == []
-        assert not call.pending and not call.encoded
+        assert not call.pending and not call.sent
         assert call.channel.bytes_sent_per_stream == [0, 0]

@@ -1,5 +1,7 @@
 """Tests for the video encoder/decoder and rate control."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -194,6 +196,25 @@ class TestFrameSerialization:
     def test_truncated_rejected(self):
         with pytest.raises(ValueError):
             EncodedFrame.from_bytes(b"\x00\x01")
+
+    def test_trailing_bytes_rejected(self):
+        data = EncodedFrame(FrameType.INTRA, PixelFormat.RGB8, 10, 0, 4, 4, b"xy").to_bytes()
+        with pytest.raises(ValueError, match="trailing bytes"):
+            EncodedFrame.from_bytes(data + b"\x00")
+        with pytest.raises(ValueError, match="truncated frame payload"):
+            EncodedFrame.from_bytes(data[:-1])
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"height": 9, "width": 70_000}, {"height": 65_536, "width": 4}, {"qp": 256}],
+        ids=["width", "height", "qp"],
+    )
+    def test_out_of_range_header_field_is_a_value_error(self, fields):
+        frame = dataclasses.replace(
+            EncodedFrame(FrameType.INTRA, PixelFormat.RGB8, 10, 0, 4, 4, b"xy"), **fields
+        )
+        with pytest.raises(ValueError, match="out of range for the LVF1 header"):
+            frame.to_bytes()
 
 
 class TestVideoCodecColor:

@@ -111,6 +111,16 @@ class TestSessionConfig:
         with pytest.raises(ValueError):
             SessionConfig(fps=0)
 
+    def test_rig_must_fit_the_frame_header(self):
+        # 7 cameras of 10,000 x 1 tile into one 9 x 70,000 plane, wider
+        # than the header's uint16: every frame's to_bytes would fail.
+        with pytest.raises(ValueError, match="9x70000 plane"):
+            SessionConfig(num_cameras=7, camera_width=10_000, camera_height=1)
+        with pytest.raises(ValueError, match="at most 65535"):
+            SessionConfig(num_cameras=4, camera_width=8, camera_height=40_000)
+        edge = SessionConfig(num_cameras=1, camera_width=65_535, camera_height=1)
+        assert edge.camera_width == 65_535
+
     def test_scheme_registry_rows(self):
         assert SCHEMES["LiVo"].bandwidth_adaptive == "Direct"
         assert SCHEMES["MeshReduce"].bandwidth_adaptive == "Indirect"
@@ -129,6 +139,11 @@ def small_setup():
     rig = default_rig(num_cameras=4, width=48, height=36)
     _, scene = load_video("office1", sample_budget=12000)
     return config, rig, scene
+
+
+def _wire(result):
+    """A sender result's pair as it crosses the channel."""
+    return result.color_frame.to_bytes(), result.depth_frame.to_bytes()
 
 
 class TestSenderReceiver:
@@ -249,13 +264,13 @@ class TestSenderReceiver:
         # and block_size (u16) overwritten with their maxima.
         payload[10:16] = b"\xff" * 6
         poisoned = dataclasses.replace(first.color_frame, payload=bytes(payload))
-        assert receiver.decode_pair_safe(poisoned, first.depth_frame) is None
+        assert receiver.decode_pair_safe(poisoned.to_bytes(), first.depth_frame.to_bytes()) is None
         assert receiver.decode_failures == 1
         assert receiver.last_good_pair is None
         inter = sender.process(rig.capture(scene, 1), 8e6, 0.1)
         assert not receiver.can_decode(inter.color_frame, inter.depth_frame)  # streams reset
         forced = sender.process(rig.capture(scene, 2), 8e6, 0.1, force_intra=True)
-        pair = receiver.decode_pair_safe(forced.color_frame, forced.depth_frame)
+        pair = receiver.decode_pair_safe(*_wire(forced))
         assert pair is not None and pair.sequence == 2
         assert receiver.decode_failures == 1
 
@@ -265,7 +280,7 @@ class TestSenderReceiver:
         sender = LiVoSender(rig.cameras, config)
         receiver = LiVoReceiver(rig.cameras, config)
         first = sender.process(rig.capture(scene, 0), 8e6, 0.1)
-        assert receiver.decode_pair_safe(first.color_frame, first.depth_frame) is not None
+        assert receiver.decode_pair_safe(*_wire(first)) is not None
         inter = sender.process(rig.capture(scene, 1), 8e6, 0.1)
         assert inter.depth_frame.frame_type is FrameType.INTER
         # Plane count (1 byte), then plane 0's header: has-mv flag, mv
@@ -281,10 +296,10 @@ class TestSenderReceiver:
             + forged_mv
             + payload[1 + plane_header.size + mv_len :],
         )
-        assert receiver.decode_pair_safe(inter.color_frame, forged) is None
+        assert receiver.decode_pair_safe(inter.color_frame.to_bytes(), forged.to_bytes()) is None
         assert receiver.decode_failures == 1
         forced = sender.process(rig.capture(scene, 2), 8e6, 0.1, force_intra=True)
-        pair = receiver.decode_pair_safe(forced.color_frame, forced.depth_frame)
+        pair = receiver.decode_pair_safe(*_wire(forced))
         assert pair is not None and pair.sequence == 2
         assert receiver.decode_failures == 1
 

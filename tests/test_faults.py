@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.capture.rgbd import MultiViewFrame, RGBDFrame
-from repro.codec.frame import EncodedFrame, FrameType, PixelFormat
+from repro.codec.frame import HEADER_BYTES, EncodedFrame, FrameType, PixelFormat
 from repro.faults.degradation import (
     LEVEL_CHROMA_LITE,
     LEVEL_COARSE_VOXEL,
@@ -165,10 +165,16 @@ class TestFaultInjector:
             payload=bytes(range(200)),
         )
         injector = FaultInjector(FaultPlan(seed=3))
-        mangled = injector.corrupt_frame(frame)
-        assert mangled.payload != frame.payload
-        assert len(mangled.payload) < len(frame.payload)
-        assert frame.payload == bytes(range(200))  # original untouched
+        data = frame.to_bytes()
+        mangled = injector.corrupt_frame(data)
+        # The header survives; the payload region is cut and flipped...
+        assert mangled[:HEADER_BYTES] == data[:HEADER_BYTES]
+        assert mangled[HEADER_BYTES:] != frame.payload
+        assert len(mangled) < len(data)
+        assert data == frame.to_bytes()  # original untouched
+        # ...so the buffer no longer parses.
+        with pytest.raises(ValueError, match="truncated frame payload"):
+            EncodedFrame.from_bytes(mangled)
 
 
 class TestStallWatchdog:

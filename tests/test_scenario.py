@@ -143,6 +143,15 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match=message):
             ScenarioSpec.from_dict(fields)
 
+    def test_rig_too_large_for_the_frame_header_rejected(self):
+        """The spec inherits SessionConfig's check: a rig whose tiled
+        plane no frame header can name fails at load, not mid-run."""
+        fields = get_scenario("clean-baseline").to_dict() | {
+            "num_cameras": 7, "camera_width": 10_000, "camera_height": 1,
+        }
+        with pytest.raises(ValueError, match="9x70000 plane"):
+            ScenarioSpec.from_dict(fields)
+
     def test_rejoin_after_leave_is_a_consistent_roster(self):
         from dataclasses import replace
 

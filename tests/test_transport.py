@@ -125,49 +125,62 @@ class TestGCC:
             GoogleCongestionControl().on_loss_report(1.5)
 
 
+def frame_bytes(n):
+    """A frame buffer whose every byte tells where it came from."""
+    return bytes(i % 251 for i in range(n))
+
+
 class TestRTP:
     def test_packetize_fragment_count(self):
-        packets = packetize(0, 5, frame_bytes=3000, send_time_s=1.0,
+        data = frame_bytes(3000)
+        packets = packetize(0, 5, data, send_time_s=1.0,
                             first_packet_sequence=10, mtu=1200)
         payload = 1200 - RTP_HEADER_BYTES
         assert len(packets) == -(-3000 // payload)
         assert [p.sequence for p in packets] == list(range(10, 10 + len(packets)))
         assert sum(p.size_bytes - RTP_HEADER_BYTES for p in packets) == 3000
+        # Each packet carries its slice of the buffer, the last one short.
+        assert b"".join(p.payload for p in packets) == data
+        assert [len(p.payload) for p in packets] == [payload, payload, 3000 - 2 * payload]
 
     def test_packetize_small_frame_single_packet(self):
-        packets = packetize(1, 0, frame_bytes=100, send_time_s=0.0, first_packet_sequence=0)
+        packets = packetize(1, 0, bytes(100), send_time_s=0.0, first_packet_sequence=0)
         assert len(packets) == 1
         assert packets[0].num_fragments == 1
 
     def test_packetize_invalid(self):
         with pytest.raises(ValueError):
-            packetize(0, 0, 0, 0.0, 0)
+            packetize(0, 0, b"", 0.0, 0)
         with pytest.raises(ValueError):
-            packetize(0, 0, 100, 0.0, 0, mtu=10)
+            packetize(0, 0, bytes(100), 0.0, 0, mtu=10)
 
     def test_assembler_completes_frame(self):
         assembler = FrameAssembler()
-        packets = packetize(0, 7, 3000, 0.0, 0)
-        completed = [assembler.on_packet(p, 0.01 * i) for i, p in enumerate(packets)]
+        data = frame_bytes(3000)
+        packets = packetize(0, 7, data, 0.0, 0)
+        completed = [assembler.on_packet(p) for p in packets]
         assert completed[:-1] == [None] * (len(packets) - 1)
-        assert completed[-1] == 7
-        assert assembler.frame_complete(7)
-        assert assembler.completion_time(7) == pytest.approx(0.01 * (len(packets) - 1))
+        assert completed[-1] == data
+        # A duplicate of a completed frame's packet completes nothing.
+        assert assembler.on_packet(packets[0]) is None
 
     def test_assembler_missing_fragments(self):
+        """Out-of-order fragments join in fragment order, and only once
+        the missing one arrives."""
         assembler = FrameAssembler()
-        packets = packetize(0, 3, 5000, 0.0, 0)
-        assembler.on_packet(packets[0], 0.0)
-        assembler.on_packet(packets[2], 0.0)
-        missing = assembler.missing_fragments(3)
-        assert 1 in missing and 0 not in missing
+        data = frame_bytes(5000)
+        packets = packetize(0, 3, data, 0.0, 0)
+        assert assembler.on_packet(packets[0]) is None
+        for packet in packets[2:]:
+            assert assembler.on_packet(packet) is None
+        assert assembler.on_packet(packets[1]) == data
 
     def test_assembler_drop_frame(self):
         assembler = FrameAssembler()
-        packets = packetize(0, 3, 5000, 0.0, 0)
-        assembler.on_packet(packets[0], 0.0)
+        packets = packetize(0, 3, bytes(5000), 0.0, 0)
+        assembler.on_packet(packets[0])
         assembler.drop_frame(3)
-        assert assembler.missing_fragments(3) == []
+        assert assembler._frames == {}
 
 
 class TestJitterBuffer:
@@ -206,11 +219,13 @@ class TestWebRTCChannel:
     def test_frame_delivery_end_to_end(self):
         link = EmulatedLink(constant_trace(100.0), LinkConfig(propagation_delay_s=0.01))
         channel = WebRTCChannel(link)
-        channel.send_frame(stream_id=0, frame_sequence=0, size_bytes=40_000, now=0.0)
+        data = frame_bytes(40_000)
+        channel.send_frame(stream_id=0, frame_sequence=0, data=data, now=0.0)
         deliveries = channel.poll_deliveries(1.0)
         assert len(deliveries) == 1
         delivery = deliveries[0]
         assert delivery.frame_sequence == 0
+        assert delivery.data == data
         # 40 kB at 100 Mbps ~ 3.3 ms serialization (+ headers) + 10 ms prop.
         assert 0.012 < delivery.completion_time_s < 0.03
 
@@ -218,7 +233,7 @@ class TestWebRTCChannel:
         link = EmulatedLink(constant_trace(100.0), LinkConfig(propagation_delay_s=0.03))
         channel = WebRTCChannel(link, WebRTCConfig(reverse_delay_s=0.03))
         for frame in range(10):
-            channel.send_frame(0, frame, 20_000, now=frame / 30.0)
+            channel.send_frame(0, frame, bytes(20_000), now=frame / 30.0)
         channel.process_until(2.0)
         assert 0.055 < channel.rtt_s < 0.12
         assert channel.one_way_delay_estimate_s == pytest.approx(channel.rtt_s / 2)
@@ -231,8 +246,8 @@ class TestWebRTCChannel:
             now = frame / 30.0
             channel.process_until(now)
             target = channel.target_rate_bps()
-            frame_bytes = max(1000, int(target / 8 / 30 * rng.uniform(0.9, 1.0)))
-            channel.send_frame(0, frame, frame_bytes, now)
+            size = max(1000, int(target / 8 / 30 * rng.uniform(0.9, 1.0)))
+            channel.send_frame(0, frame, bytes(size), now)
         channel.process_until(4.0)
         estimate_mbps = channel.target_rate_bps() / 1e6
         assert 15 < estimate_mbps < 75
@@ -243,10 +258,13 @@ class TestWebRTCChannel:
             LinkConfig(propagation_delay_s=0.01, loss_rate=0.1, seed=3),
         )
         channel = WebRTCChannel(link)
-        for frame in range(30):
-            channel.send_frame(0, frame, 30_000, now=frame / 30.0)
+        sent = [frame_bytes(30_000 - frame) for frame in range(30)]
+        for frame, data in enumerate(sent):
+            channel.send_frame(0, frame, data, now=frame / 30.0)
         deliveries = channel.poll_deliveries(5.0)
         delivered = {d.frame_sequence for d in deliveries}
+        # Retransmitted slices reassemble to the very buffer sent.
+        assert all(d.data == sent[d.frame_sequence] for d in deliveries)
         # With 3 NACK retries at 10% loss, nearly every frame completes.
         assert len(delivered) >= 28
 
@@ -257,7 +275,7 @@ class TestWebRTCChannel:
         )
         channel = WebRTCChannel(link, WebRTCConfig(nack_retries=1))
         for frame in range(10):
-            channel.send_frame(0, frame, 20_000, now=frame / 30.0)
+            channel.send_frame(0, frame, bytes(20_000), now=frame / 30.0)
         channel.process_until(5.0)
         assert channel.frames_lost
         assert channel.needs_keyframe(0)
@@ -266,24 +284,26 @@ class TestWebRTCChannel:
     def test_per_stream_accounting(self):
         link = EmulatedLink(constant_trace(100.0))
         channel = WebRTCChannel(link)
-        channel.send_frame(0, 0, 10_000, 0.0)
-        channel.send_frame(1, 0, 5_000, 0.0)
+        channel.send_frame(0, 0, bytes(10_000), 0.0)
+        channel.send_frame(1, 0, bytes(5_000), 0.0)
         assert channel.bytes_sent_per_stream[0] > channel.bytes_sent_per_stream[1] > 0
 
     def test_invalid_frame_size(self):
+        # A frame crosses as its bytes: a bare size is no frame.
         channel = WebRTCChannel(EmulatedLink(constant_trace(10.0)))
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             channel.send_frame(0, 0, -1, 0.0)
 
     def test_zero_byte_frame_sends_marker(self):
         """A fully-culled (zero-byte) frame becomes a marker packet, not
         an exception, so the receiver still sees the sequence advance."""
         channel = WebRTCChannel(EmulatedLink(constant_trace(10.0)))
-        channel.send_frame(0, 0, 0, 0.0)
+        channel.send_frame(0, 0, b"", 0.0)
         assert channel.marker_frames == [(0, 0)]
         deliveries = channel.poll_deliveries(5.0)
         assert [d.frame_sequence for d in deliveries] == [0]
         assert deliveries[0].stream_id == 0
+        assert deliveries[0].data == b""
 
 
 class TestReliableByteStream:

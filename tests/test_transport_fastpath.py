@@ -12,6 +12,7 @@ satellite fixes: zero-capacity trace handling, O(1) loss-window
 counters, and per-frame bookkeeping pruning.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -203,7 +204,8 @@ def _run_channel(
         fault_hook=hook_factory() if hook_factory else None,
     )
     channel = WebRTCChannel(link, config=channel_config or WebRTCConfig())
-    deliveries = []
+    rng = np.random.default_rng(17)
+    deliveries, sent = [], {}
     interval = 1.0 / fps
     for sequence in range(frames):
         now = sequence * interval
@@ -215,11 +217,17 @@ def _run_channel(
         depth = max(1, int(target * 0.25 / fps / 8.0))
         if sequence % 11 == 5:
             color = 0  # empty (fully culled) frame -> marker packet
-        channel.send_frame(0, sequence, color, now)
-        channel.send_frame(1, sequence, depth, now)
+        for stream_id, size in enumerate((color, depth)):
+            data = sent[stream_id, sequence] = rng.bytes(size)
+            channel.send_frame(stream_id, sequence, data, now)
     deliveries.extend(channel.poll_deliveries(frames * interval + 5.0))
+    # Every delivered frame is exactly the buffer that was sent (NACK
+    # retransmits and FEC repairs included); the pin covers the rest.
+    assert all(d.data == sent[d.stream_id, d.frame_sequence] for d in deliveries)
     return {
-        "deliveries": deliveries,
+        "deliveries": [
+            {k: v for k, v in dataclasses.asdict(d).items() if k != "data"} for d in deliveries
+        ],
         "frames_lost": list(channel.frames_lost),
         "markers": list(channel.marker_frames),
         "bytes_per_stream": list(channel.bytes_sent_per_stream),
@@ -227,7 +235,7 @@ def _run_channel(
         "gcc_state": channel.gcc.state,
         "srtt": channel._srtt,
         "loss_window": (channel._loss_lost, channel._loss_total),
-        "fec_repaired": channel._fec_tracker.repaired,
+        "fec_repaired": channel.fec_repairs,
         "packets_sent": link.packets_sent,
         "packets_dropped": link.packets_dropped,
         "fault_drops": link.fault_drops,
@@ -320,7 +328,7 @@ class TestLossWindowCounters:
         channel = WebRTCChannel(link)
         for sequence in range(30):
             now = sequence / 30.0
-            channel.send_frame(0, sequence, 6000, now)
+            channel.send_frame(0, sequence, bytes(6000), now)
             channel.poll_deliveries(now)
         channel.poll_deliveries(5.0)
         lost = sum(was_lost for _, was_lost in channel._loss_events)
@@ -356,8 +364,8 @@ class TestBookkeepingPruning:
         link = EmulatedLink(constant_trace(60.0))
         channel = WebRTCChannel(link)
         for sequence in range(20):
-            channel.send_frame(0, sequence, 5000, sequence / 30.0)
-            channel.send_frame(1, sequence, 2000, sequence / 30.0)
+            channel.send_frame(0, sequence, bytes(5000), sequence / 30.0)
+            channel.send_frame(1, sequence, bytes(2000), sequence / 30.0)
         self._drain_and_release(channel, 20)
         assert channel._frame_send_times == {}
         assert channel._pending_nacks == {}
@@ -374,7 +382,7 @@ class TestBookkeepingPruning:
             constant_trace(60.0), fault_hook=lambda p: p.frame_sequence == 0
         )
         channel = WebRTCChannel(link)
-        channel.send_frame(0, 0, 5000, 0.0)
+        channel.send_frame(0, 0, bytes(5000), 0.0)
         channel.process_until(0.01)  # offers done; NACKs still pending
         channel.release_frame(0)
         assert (0, 0) not in channel._abandoned  # not yet abandoned at all
@@ -388,15 +396,15 @@ class TestBookkeepingPruning:
     def test_fec_maps_pruned_after_group_accounting(self):
         link = EmulatedLink(constant_trace(60.0), fault_hook=lambda p: p.sequence == 1)
         channel = WebRTCChannel(link, config=WebRTCConfig(fec_group_size=4))
-        channel.send_frame(0, 0, 4000, 0.0)
+        channel.send_frame(0, 0, bytes(4000), 0.0)
         channel.poll_deliveries(3.0)
-        assert channel._packet_fec_group == {}
-        assert channel._fec_group_members == {}
-        assert channel._fec_tracker._groups == {}
-        assert 1 in channel._fec_repaired  # kept until the frame is released
+        # No per-group state outlives the group's parity: the assembler
+        # let go of the completed frame's fragments.
+        assert channel._assemblers[0]._frames == {}
+        assert channel.fec_repairs == 1
+        assert channel._fec_repaired == {(0, 0): {1}}  # kept until the frame is released
         channel.release_frame(0)
-        assert channel._fec_repaired == set()
-        assert channel._fec_repaired_frames == {}
+        assert channel._fec_repaired == {}
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,7 @@ from repro.core import bandwidth_split, multiway
 from repro.core import session as session_module
 from repro.core.config import SessionConfig
 from repro.core.sender import LiVoSender
-from repro.core.session import DracoOracleSession, LiVoSession, MeshReduceSession
+from repro.core.session import DracoOracleSession, LiVoSession, MeshReduceSession, _Call
 from repro.faults.plan import (
     BurstLossWindow,
     EncoderFault,
@@ -57,6 +57,8 @@ from repro.sfu.receivers import ReceiverBook
 from repro.transport import fec, link
 from repro.transport.channel import WebRTCChannel, WebRTCConfig
 from repro.transport.gcc import GoogleCongestionControl
+from repro.transport.packet import Packet
+from repro.transport.rtp import FrameAssembler
 from repro.transport.link import EmulatedLink, LinkConfig
 from repro.transport.traces import BandwidthTrace, trace_1
 from tests.twins import assert_pinned
@@ -295,6 +297,15 @@ def test_one_multi_party_driver_and_the_shim_stay_gone():
         (link, "STATUS_DELIVERED"),
         # The channel groups FEC packets itself.
         (fec, "FECEncoder"),
+        # Frames cross as bytes: parity repairs by XOR in the assembler,
+        # the receiver parses what the channel carried, and no sender
+        # object rides beside it.
+        (fec, "FECGroupTracker"),
+        (_Call, "encoded"),
+        (FrameAssembler, "missing_fragments"),
+        (FrameAssembler, "frame_complete"),
+        (FrameAssembler, "completion_time"),
+        (Packet, "is_retransmit"),
         # A serial wrapper nothing called, and two copies of other fields.
         (_CodecCore, "encode_plane"),
         (FleetResult, "capture_cache"),
