@@ -16,7 +16,15 @@ import numpy as np
 from repro.capture.dataset import load_video
 from repro.capture.rig import default_rig
 from repro.core.bandwidth_split import SplitController
-from repro.core.config import SessionConfig
+from repro.core.config import (
+    FPS,
+    HORIZON_S,
+    MAX_DEPTH_MM,
+    RENDER_VOXEL_M,
+    SPLIT_MAX,
+    SPLIT_MIN,
+    SessionConfig,
+)
 from repro.core.sender import DEPTH_RMSE_SCALE, LiVoSender
 from repro.core.session import ground_truth_cloud
 from repro.depthcodec.scaling import scale_depth, unscale_depth
@@ -79,23 +87,23 @@ def run_static_split(
     if split is not None:
         sender.split = SplitController(
             initial=split,
-            minimum=min(split, config.split_min),
-            maximum=max(split, config.split_max),
+            minimum=min(split, SPLIT_MIN),
+            maximum=max(split, SPLIT_MAX),
             frozen=True,
         )
     device = ViewingDevice()
 
-    target_rate_bps = budget_bytes_per_frame * 8.0 * config.fps
+    target_rate_bps = budget_bytes_per_frame * 8.0 * FPS
     last = None
     for frame in frames:
-        last = sender.process(frame, target_rate_bps, prediction_horizon_s=0.1)
+        last = sender.process(frame, target_rate_bps, prediction_horizon_s=HORIZON_S)
     assert last is not None
 
     final_frame = frames[-1]
     tiled_color = sender.color_tiler.compose(
         [v.color for v in final_frame.views], final_frame.sequence
     )
-    scaled = [scale_depth(v.depth_mm, config.max_depth_mm) for v in final_frame.views]
+    scaled = [scale_depth(v.depth_mm, MAX_DEPTH_MM) for v in final_frame.views]
     tiled_depth = sender.depth_tiler.compose(scaled, final_frame.sequence)
     color_recon = sender.color_encoder.last_reconstruction
     depth_recon = sender.depth_encoder.last_reconstruction
@@ -105,8 +113,8 @@ def run_static_split(
 
     # Receiver-equivalent reconstruction for PointSSIM.
     actual = device.frustum_for(user.pose_at_frame(final_frame.sequence))
-    truth = ground_truth_cloud(final_frame, rig.cameras, actual, config.render_voxel_m)
-    recon_views = _untile_views(sender, color_recon, depth_recon, config)
+    truth = ground_truth_cloud(final_frame, rig.cameras, actual, RENDER_VOXEL_M)
+    recon_views = _untile_views(sender, color_recon, depth_recon)
     clouds = [
         camera.unproject(depth, color)
         for camera, (color, depth) in zip(rig.cameras, recon_views)
@@ -114,14 +122,14 @@ def run_static_split(
     merged = PointCloud.merge(clouds)
     from repro.geometry.voxel import voxel_downsample
 
-    shown = voxel_downsample(merged, config.render_voxel_m)
+    shown = voxel_downsample(merged, RENDER_VOXEL_M)
     shown = shown.select(actual.contains(shown.positions))
     score = pointssim(truth, shown) if not truth.is_empty else PSSIMResult(0.0, 0.0)
 
     return LabRun(
         color_rmse=color_error,
         depth_rmse=depth_error_scaled * DEPTH_RMSE_SCALE,
-        depth_error_mm=depth_error_scaled * config.max_depth_mm / 65535.0,
+        depth_error_mm=depth_error_scaled * MAX_DEPTH_MM / 65535.0,
         pssim=score,
         color_bytes=last.color_frame.size_bytes,
         depth_bytes=last.depth_frame.size_bytes,
@@ -129,12 +137,12 @@ def run_static_split(
     )
 
 
-def _untile_views(sender, color_recon, depth_recon, config):
+def _untile_views(sender, color_recon, depth_recon):
     """Split reconstructed tiled frames back into per-camera views."""
     color_tiles, _ = sender.color_tiler.decompose(color_recon)
     depth_tiles, _ = sender.depth_tiler.decompose(depth_recon)
     return [
-        (color, unscale_depth(depth, config.max_depth_mm))
+        (color, unscale_depth(depth, MAX_DEPTH_MM))
         for color, depth in zip(color_tiles, depth_tiles)
     ]
 

@@ -16,7 +16,7 @@ import numpy as np
 from conftest import write_result
 from repro.capture.dataset import load_video
 from repro.capture.rig import default_rig
-from repro.core.config import SessionConfig
+from repro.core.config import FPS, HORIZON_S, SessionConfig
 from repro.geometry.pointcloud import PointCloud
 from repro.metrics.pointssim import pointssim_batch
 from repro.prediction.pose import user_traces_for_video
@@ -45,7 +45,7 @@ def test_ablation_multiway_fanout(benchmark, results_dir):
     def run(party, num_receivers: int) -> tuple[float, int]:
         seated(party, num_receivers)
         for sequence in range(NUM_FRAMES):
-            party.tick(rig.capture(scene, sequence), sequence / 30.0, TARGET_BPS, 0.1)
+            party.tick(rig.capture(scene, sequence), sequence / FPS, TARGET_BPS, HORIZON_S)
         return party.uplink_bytes / NUM_FRAMES, party.encoder_runs // NUM_FRAMES
 
     def cloud_of(multiview) -> PointCloud:
@@ -71,8 +71,8 @@ def test_ablation_multiway_fanout(benchmark, results_dir):
         pssim_unicast: list[float] = []
         for sequence in range(NUM_FRAMES):
             frame = rig.capture(scene, sequence)
-            forwards = sfu.tick(frame, sequence / 30.0, TARGET_BPS, 0.1).decisions
-            unicast_results = unicast.tick(frame, sequence / 30.0, TARGET_BPS, 0.1)
+            forwards = sfu.tick(frame, sequence / FPS, TARGET_BPS, HORIZON_S).decisions
+            unicast_results = unicast.tick(frame, sequence / FPS, TARGET_BPS, HORIZON_S)
             for name in names:
                 forwarded = forwards[name].forwarded_multiview
                 reference = unicast_results[name].culled_multiview

@@ -20,7 +20,7 @@ from _sender_lab import make_workload
 from repro.compression.draco import DracoCodec, DracoConfig
 from repro.compression.gpcc import GPCCCodec
 from repro.compression.vpcc import VPCCCodec
-from repro.core.config import SessionConfig
+from repro.core.config import HORIZON_S, SessionConfig
 from repro.core.sender import LiVoSender
 from repro.geometry.pointcloud import PointCloud
 
@@ -83,7 +83,7 @@ def test_intro_compression_ratio_claim(benchmark, results_dir):
         sender = LiVoSender(rig.cameras, config)
         livo_bytes = 0
         for frame in frames:
-            result = sender.process(frame, 12e6, 0.1)
+            result = sender.process(frame, 12e6, HORIZON_S)
             livo_bytes = result.total_bytes
         return cloud.raw_size_bytes(), draco_bytes, livo_bytes
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from conftest import write_result
 from repro.capture.dataset import load_video
-from repro.core.config import SchemeFlags, SessionConfig
+from repro.core.config import JITTER_TARGET_S, SchemeFlags, SessionConfig
 from repro.core.session import LiVoSession
 from repro.metrics.latency import latency_table
 from repro.prediction.pose import user_traces_for_video
@@ -40,7 +40,7 @@ def _measure_transmission_ms(culling: bool) -> float:
         if frame.delivery_time_s is not None
     ]
     network_ms = 1000.0 * float(np.mean(latencies)) if latencies else 40.0
-    return network_ms + 1000.0 * config.jitter_target_s
+    return network_ms + 1000.0 * JITTER_TARGET_S
 
 
 def test_table6_latency_breakdown(benchmark, results_dir):

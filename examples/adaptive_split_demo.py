@@ -12,7 +12,7 @@ Run:  python examples/adaptive_split_demo.py
 
 from repro.capture.dataset import load_video
 from repro.capture.rig import default_rig
-from repro.core.config import SessionConfig
+from repro.core.config import HORIZON_S, SessionConfig
 from repro.core.sender import LiVoSender
 
 NUM_FRAMES = 24
@@ -36,7 +36,7 @@ def main() -> None:
     for sequence in range(NUM_FRAMES):
         rate = HIGH_RATE_BPS if sequence < NUM_FRAMES // 2 else LOW_RATE_BPS
         frame = rig.capture(scene, sequence)
-        result = sender.process(frame, rate, prediction_horizon_s=0.1)
+        result = sender.process(frame, rate, prediction_horizon_s=HORIZON_S)
         depth_rmse = f"{result.depth_rmse:11.1f}" if result.depth_rmse is not None else " " * 11
         color_rmse = f"{result.color_rmse:11.2f}" if result.color_rmse is not None else " " * 11
         print(

@@ -14,6 +14,7 @@ import numpy as np
 from repro.capture.dataset import load_video
 from repro.capture.rig import default_rig
 from repro.codec.video import VideoCodecConfig, VideoEncoder
+from repro.core.config import FPS, GUARD_BAND_M, HORIZON_S, POSE_FEEDBACK_LAG_FRAMES
 from repro.depthcodec.scaling import scale_depth
 from repro.prediction.culling import cull_views, culling_accuracy
 from repro.prediction.pose import user_traces_for_video
@@ -21,8 +22,6 @@ from repro.prediction.predictor import FrustumPredictor, ViewingDevice
 from repro.tiling.tiler import TileLayout, Tiler
 
 NUM_FRAMES = 20
-FEEDBACK_LAG_FRAMES = 3
-FPS = 30.0
 
 
 def encoded_size(tiler, encoder, views, sequence, color=True):
@@ -39,7 +38,7 @@ def main() -> None:
     rig = default_rig(num_cameras=8, width=64, height=48)
     user = user_traces_for_video("pizza1", NUM_FRAMES + 10)[0]
     device = ViewingDevice()
-    predictor = FrustumPredictor(device, guard_band_m=0.20)
+    predictor = FrustumPredictor(device, guard_band_m=GUARD_BAND_M)
 
     intr = rig.cameras[0].intrinsics
     layout = TileLayout.for_cameras(rig.num_cameras, intr.height, intr.width)
@@ -50,22 +49,21 @@ def main() -> None:
     print(f"{'frame':>5s} {'pos err cm':>11s} {'accuracy':>9s} {'kept':>6s} "
           f"{'full B':>8s} {'culled B':>9s} {'saving':>7s}")
     for sequence in range(NUM_FRAMES):
-        # The sender only knows poses FEEDBACK_LAG_FRAMES old.
-        if sequence >= FEEDBACK_LAG_FRAMES:
-            lagged = sequence - FEEDBACK_LAG_FRAMES
+        # The sender only knows poses POSE_FEEDBACK_LAG_FRAMES old.
+        if sequence >= POSE_FEEDBACK_LAG_FRAMES:
+            lagged = sequence - POSE_FEEDBACK_LAG_FRAMES
             predictor.observe(user.pose_at_frame(lagged), lagged / FPS)
         frame = rig.capture(scene, sequence)
         if not predictor.ready:
             continue
 
-        horizon = FEEDBACK_LAG_FRAMES / FPS
-        predicted_pose = predictor.predict_pose(horizon)
+        predicted_pose = predictor.predict_pose(HORIZON_S)
         actual_pose = user.pose_at_frame(sequence)
         position_error_cm = 100 * np.linalg.norm(
             predicted_pose.position - actual_pose.position
         )
 
-        predicted = predictor.predict_frustum(horizon)
+        predicted = predictor.predict_frustum(HORIZON_S)
         actual = device.frustum_for(actual_pose)
         accuracy, kept = culling_accuracy(frame, rig.cameras, predicted, actual)
 

@@ -11,7 +11,7 @@ Run:  python examples/multiway_broadcast.py
 
 from repro.capture.dataset import load_video
 from repro.capture.rig import default_rig
-from repro.core.config import SessionConfig
+from repro.core.config import FPS, HORIZON_S, SessionConfig
 from repro.prediction.pose import user_traces_for_video
 from repro.sfu.conference import ConferenceDriver, UnicastBaseline
 
@@ -39,7 +39,7 @@ def main() -> None:
         for name, trace in zip(RECEIVERS, traces):
             party.join(name, trace)
         for sequence in range(NUM_FRAMES):
-            party.tick(rig.capture(scene, sequence), sequence / 30.0, 8e6, 0.1)
+            party.tick(rig.capture(scene, sequence), sequence / FPS, 8e6, HORIZON_S)
         totals[mode] = party.uplink_bytes
         print(
             f"{mode:8s}: {party.uplink_bytes / NUM_FRAMES:9.0f} bytes/frame, "

@@ -30,8 +30,10 @@ def main() -> None:
     # 3. A bandwidth trace (Table 4's trace-1: ~217 Mbps broadband).
     bandwidth = trace_1(duration_s=20)
 
-    # 4. Run the session.  SessionConfig carries every design constant
-    #    from the paper (split bounds, guard band, jitter target, ...).
+    # 4. Run the session.  SessionConfig carries what a caller varies
+    #    (rig, scheme, GOP); the paper's fixed design constants (split
+    #    bounds, guard band, jitter target, ...) live beside it as
+    #    repro.core.config module constants.
     config = SessionConfig(
         num_cameras=8,
         camera_width=64,

@@ -16,31 +16,29 @@ from repro.capture.rgbd import MultiViewFrame
 from repro.capture.scene import Scene
 from repro.geometry.camera import CameraIntrinsics, RGBDCamera, ring_of_cameras
 
-__all__ = ["CaptureRig", "default_rig", "DEFAULT_FPS"]
+__all__ = ["CaptureRig", "default_rig", "FPS", "FRAME_INTERVAL_S"]
 
-DEFAULT_FPS = 30.0
+# The capture clock (sections 3.1/4.1), re-exported by repro.core.config.
+# ``s / FPS`` and ``s * FRAME_INTERVAL_S`` differ in the last ulp for
+# some ``s`` (23 is the first): each call site keeps the form it had.
+FPS = 30.0
+FRAME_INTERVAL_S = 1.0 / FPS
 
 
 class CaptureRig:
-    """N synchronized RGB-D cameras capturing a scene at a fixed frame rate."""
+    """N synchronized RGB-D cameras capturing a scene at the paper's ``FPS``."""
 
-    def __init__(self, cameras: list[RGBDCamera], fps: float = DEFAULT_FPS) -> None:
+    frame_interval_s = FRAME_INTERVAL_S
+
+    def __init__(self, cameras: list[RGBDCamera]) -> None:
         if not cameras:
             raise ValueError("a rig needs at least one camera")
-        if fps <= 0:
-            raise ValueError("fps must be positive")
         self.cameras = list(cameras)
-        self.fps = float(fps)
 
     @property
     def num_cameras(self) -> int:
         """Number of cameras in the rig."""
         return len(self.cameras)
-
-    @property
-    def frame_interval_s(self) -> float:
-        """Inter-frame interval (1/30 s at 30 fps)."""
-        return 1.0 / self.fps
 
     def capture(self, scene: Scene, sequence: int) -> MultiViewFrame:
         """Capture one synchronized multi-view frame of ``scene``."""
@@ -62,7 +60,6 @@ def default_rig(
     height: int = 60,
     radius_m: float = 2.4,
     camera_height_m: float = 1.4,
-    fps: float = DEFAULT_FPS,
 ) -> CaptureRig:
     """Ten-camera ring, mirroring the Panoptic dataset's Kinect v2 setup.
 
@@ -77,4 +74,4 @@ def default_rig(
         height_m=camera_height_m,
         intrinsics=intrinsics,
     )
-    return CaptureRig(cameras, fps=fps)
+    return CaptureRig(cameras)

@@ -20,15 +20,29 @@ from pathlib import Path
 __all__ = ["build_parser", "main"]
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, not {text}")
-    return value
+def _ranged(kind, low, high=float("inf")):
+    """An argparse type: ``kind(text)`` within ``[low, high]``."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not low <= value <= high:
+            bound = f">= {low}" if high == float("inf") else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"must be {bound}, not {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in its errors
+    return parse
+
+
+_positive_int = _ranged(int, 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser."""
+    from repro.capture.dataset import video_names
+    from repro.core.config import FRAME_INTERVAL_S
+
+    videos = video_names()
     parser = argparse.ArgumentParser(
         prog="repro",
         description="LiVo reproduction: bandwidth-adaptive volumetric conferencing",
@@ -40,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("traces", help="print Table 4 bandwidth trace statistics")
 
     run = sub.add_parser("run", help="replay one session and print its report")
-    run.add_argument("--video", default="band2")
+    run.add_argument("--video", choices=videos, default="band2")
     run.add_argument(
         "--scheme",
         default="LiVo",
@@ -107,14 +121,14 @@ def build_parser() -> argparse.ArgumentParser:
     export = sub.add_parser(
         "export", help="dump one capture's frames and point cloud to files"
     )
-    export.add_argument("--video", default="band2")
+    export.add_argument("--video", choices=videos, default="band2")
     export.add_argument("--out", required=True, help="output directory")
-    export.add_argument("--frame", type=int, default=0)
+    export.add_argument("--frame", type=_ranged(int, 0), default=0)
 
     multiway = sub.add_parser(
         "multiway", help="run a one-sender/N-receiver conference and print stats"
     )
-    multiway.add_argument("--video", default="pizza1")
+    multiway.add_argument("--video", choices=videos, default="pizza1")
     multiway.add_argument(
         "--mode", default="shared", choices=["shared", "unicast", "sfu"],
         help="fan-out architecture: per-receiver pipelines (unicast), one "
@@ -134,11 +148,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="host the session service (REST-ish control plane + tick workers)",
     )
     serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8350)
-    serve.add_argument("--video", default="office1")
-    serve.add_argument("--cameras", type=int, default=2)
+    serve.add_argument("--port", type=_ranged(int, 0, 65535), default=8350)
+    serve.add_argument("--video", choices=videos, default="office1")
+    serve.add_argument("--cameras", type=_positive_int, default=2)
     serve.add_argument(
-        "--tick-interval", type=float, default=1.0 / 30.0,
+        "--tick-interval", type=_ranged(float, 0.0), default=FRAME_INTERVAL_S,
         help="seconds between tick rounds (0 = free-running)",
     )
 
@@ -313,7 +327,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 def _cmd_multiway(args: argparse.Namespace) -> int:
     from repro.capture.dataset import load_video
-    from repro.core.config import SessionConfig
+    from repro.core.config import FPS, FRAME_INTERVAL_S, HORIZON_S, SessionConfig
     from repro.perf.capture import CachedFrameSource
     from repro.prediction.pose import user_traces_for_video
     from repro.sfu.conference import ConferenceDriver, UnicastBaseline
@@ -333,7 +347,7 @@ def _cmd_multiway(args: argparse.Namespace) -> int:
         party = UnicastBaseline(rig, config)
     elif args.mode == "sfu":
         trace = constant_trace(
-            args.target_mbps, duration_s=args.frames / config.fps + 10.0
+            args.target_mbps, duration_s=args.frames / FPS + 10.0
         )
         party = ConferenceDriver(
             0, rig, config, DownlinkSet(trace, LinkConfig(seed=config.link.seed))
@@ -342,13 +356,12 @@ def _cmd_multiway(args: argparse.Namespace) -> int:
         party = ConferenceDriver(0, rig, config)
     for index in range(args.receivers):
         party.join(f"rx{index}", pose_traces[index % len(pose_traces)])
-    horizon_s = config.pose_feedback_lag_frames * config.frame_interval_s
     for sequence in range(args.frames):
         party.tick(
             source.capture(sequence),
-            sequence * config.frame_interval_s,
+            sequence * FRAME_INTERVAL_S,
             args.target_mbps * 1e6,
-            horizon_s,
+            HORIZON_S,
         )
     print(
         f"mode={args.mode} receivers={args.receivers} frames={args.frames}\n"
@@ -381,7 +394,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     handle = ServiceHandle(config).start()
     print(
         f"session service on http://{handle.host}:{handle.port} "
-        f"(video={args.video}); Ctrl-C stops"
+        f"(video={args.video}); Ctrl-C stops",
+        flush=True,
     )
     done = threading.Event()
     signal.signal(signal.SIGINT, lambda *_: done.set())

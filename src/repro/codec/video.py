@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.codec.blocks import merge_blocks, split_blocks
+from repro.codec.blocks import DEFAULT_BLOCK_SIZE, merge_blocks, split_blocks
 from repro.codec.dct import inverse_dct
 from repro.codec.entropy import decode_levels
 from repro.codec.frame import EncodedFrame, FrameType, PixelFormat
@@ -43,6 +43,8 @@ from repro.runtime.batchplane import (
 
 __all__ = ["VideoCodecConfig", "VideoEncoder", "VideoDecoder"]
 
+EFFORT = 6  # entropy-coder (DEFLATE) effort, 1 (fast) to 9 (thorough)
+
 _PLANE_HEADER = struct.Struct("<BII")
 _PLANE_COUNT = {PixelFormat.RGB8: 3, PixelFormat.GRAY16: 1}
 
@@ -52,10 +54,8 @@ class VideoCodecConfig:
     """Shared encoder/decoder parameters.
 
     Attributes:
-        block_size: macroblock edge length.
         gop_size: I-frame period (an INTRA frame every ``gop_size`` frames).
         search_range: motion search window radius in pixels (0 = zero-motion).
-        effort: entropy-coder effort, 1 (fast) to 9 (thorough).
         weight_strength: frequency-weighting strength for the luma plane;
             0 gives flat quantization (used for depth, where high-frequency
             discontinuities carry geometry).
@@ -72,10 +72,8 @@ class VideoCodecConfig:
             see benchmarks/bench_ablation_chroma.py for the trade-off.
     """
 
-    block_size: int = 8
     gop_size: int = 30
     search_range: int = 1
-    effort: int = 6
     weight_strength: float = 0.6
     chroma_weight_strength: float = 1.2
     chroma_qp_offset: int = 6
@@ -83,8 +81,6 @@ class VideoCodecConfig:
     chroma_subsampling: bool = False
 
     def __post_init__(self) -> None:
-        if self.block_size < 2:
-            raise ValueError("block_size must be at least 2")
         if self.gop_size < 1:
             raise ValueError("gop_size must be at least 1")
         if self.search_range < 0:
@@ -140,7 +136,7 @@ class _CodecCore:
             strength = self.config.weight_strength
         if strength == 0.0:
             return None
-        return self.arena.weight_matrix(self.config.block_size, strength)
+        return self.arena.weight_matrix(DEFAULT_BLOCK_SIZE, strength)
 
     def plane_qp(self, base_qp: int, plane_index: int, pixel_format: PixelFormat) -> int:
         if pixel_format is PixelFormat.RGB8 and plane_index > 0:
@@ -165,7 +161,7 @@ class _CodecCore:
         never leaves the generator, so both drivers produce the same
         bytes by construction.
         """
-        block_size = self.config.block_size
+        block_size = DEFAULT_BLOCK_SIZE
         height, width = plane.shape
         current_blocks = split_blocks(plane, block_size)
 
@@ -180,14 +176,14 @@ class _CodecCore:
                     )
                 ]
             )[0]
-            mv_bytes = zlib.compress(mv_index.tobytes(), level=self.config.effort)
+            mv_bytes = zlib.compress(mv_index.tobytes(), level=EFFORT)
 
         residual = current_blocks - predictor
         (levels, recon_delta) = (
             yield [plane_transform_request(residual, qp, weights, block_size, ctx=self)]
         )[0]
         level_bytes = (
-            yield [entropy_encode_request(levels, self.config.effort, ctx=self)]
+            yield [entropy_encode_request(levels, EFFORT, ctx=self)]
         )[0]
 
         recon_blocks = predictor + recon_delta
@@ -226,7 +222,7 @@ class _CodecCore:
         width: int,
         value_range: tuple[float, float],
     ) -> np.ndarray:
-        block_size = self.config.block_size
+        block_size = DEFAULT_BLOCK_SIZE
         levels = decode_levels(level_bytes)
 
         if reference is None:

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.codec.frame import EncodedFrame, FrameType
 from repro.codec.video import VideoCodecConfig, VideoDecoder
-from repro.core.config import SessionConfig
+from repro.core.config import CODEC_SEARCH_RANGE, MAX_DEPTH_MM, RENDER_VOXEL_M, SessionConfig
 from repro.depthcodec.scaling import unscale_depth
 from repro.geometry.camera import RGBDCamera, unproject_views
 from repro.geometry.frustum import Frustum
@@ -58,13 +58,13 @@ class LiVoReceiver:
         self.color_decoder = VideoDecoder(
             VideoCodecConfig(
                 gop_size=config.gop_size,
-                search_range=config.codec_search_range,
+                search_range=CODEC_SEARCH_RANGE,
             )
         )
         self.depth_decoder = VideoDecoder(
             VideoCodecConfig.for_depth(
                 gop_size=config.gop_size,
-                search_range=config.codec_search_range,
+                search_range=CODEC_SEARCH_RANGE,
             )
         )
         self._last_color_sequence: int | None = None
@@ -111,7 +111,7 @@ class LiVoReceiver:
                 f"depth marker {depth_marker}"
             )
         depth_tiles_mm = [
-            unscale_depth(tile, self.config.max_depth_mm) for tile in depth_tiles_scaled
+            unscale_depth(tile, MAX_DEPTH_MM) for tile in depth_tiles_scaled
         ]
         pair = DecodedPair(color_marker, color_tiles, depth_tiles_mm)
         self.last_good_pair = pair
@@ -181,5 +181,5 @@ class LiVoReceiver:
         """
         if cloud.is_empty:
             return cloud
-        voxelized = voxel_downsample(cloud, voxel_m or self.config.render_voxel_m)
+        voxelized = voxel_downsample(cloud, voxel_m or RENDER_VOXEL_M)
         return voxelized.select(actual_frustum.contains(voxelized.positions))

@@ -31,7 +31,10 @@ from repro.capture.rgbd import MultiViewFrame
 from repro.codec.frame import EncodedFrame
 from repro.codec.video import VideoCodecConfig, VideoEncoder
 from repro.core.bandwidth_split import SplitController
-from repro.core.config import SessionConfig
+from repro.core.config import (
+    CODEC_SEARCH_RANGE, FIXED_COLOR_QP, FIXED_DEPTH_QP, FRAME_INTERVAL_S,
+    MAX_DEPTH_MM, SPLIT_EPSILON, SPLIT_INITIAL, SPLIT_MAX, SPLIT_MIN, SessionConfig,
+)
 from repro.depthcodec.scaling import scale_depth
 from repro.geometry.camera import RGBDCamera
 from repro.metrics.image import rmse
@@ -129,25 +132,23 @@ class LiVoSender:
         self.color_encoder = VideoEncoder(
             VideoCodecConfig(
                 gop_size=config.gop_size,
-                search_range=config.codec_search_range,
+                search_range=CODEC_SEARCH_RANGE,
             )
         )
         self.depth_encoder = VideoEncoder(
             VideoCodecConfig.for_depth(
                 gop_size=config.gop_size,
-                search_range=config.codec_search_range,
+                search_range=CODEC_SEARCH_RANGE,
             )
         )
         self.split = SplitController(
-            initial=config.split_initial,
-            minimum=config.split_min,
-            maximum=config.split_max,
+            initial=SPLIT_INITIAL,
+            minimum=SPLIT_MIN,
+            maximum=SPLIT_MAX,
             step=config.split_step,
-            epsilon=config.split_epsilon,
+            epsilon=SPLIT_EPSILON,
         )
-        self.predictor = FrustumPredictor(
-            device or ViewingDevice(), guard_band_m=config.guard_band_m
-        )
+        self.predictor = FrustumPredictor(device or ViewingDevice())
         self._frames_processed = 0
         self._recover_with_intra = False
         self.encode_failures = 0
@@ -216,7 +217,7 @@ class LiVoSender:
             [view.color for view in culled.views], frame.sequence
         )
         scaled_views = [
-            scale_depth(view.depth_mm, self.config.max_depth_mm) for view in culled.views
+            scale_depth(view.depth_mm, MAX_DEPTH_MM) for view in culled.views
         ]
         tiled_depth = self.depth_tiler.compose(scaled_views, frame.sequence)
         return PreparedFrame(
@@ -274,13 +275,13 @@ class LiVoSender:
         if not prepared.is_empty:
             scheme = self.config.scheme
             if scheme.adaptation:
-                budget_bytes = max(target_rate_bps / 8.0 * self.config.frame_interval_s, 2.0)
+                budget_bytes = max(target_rate_bps / 8.0 * FRAME_INTERVAL_S, 2.0)
                 depth_budget, color_budget = self.split.allocate(budget_bytes)
                 if color_budget_scale < 1.0:
                     color_budget = max(color_budget * color_budget_scale, 1.0)
                 steps, args = "encode_to_target_steps", (color_budget, depth_budget)
             else:
-                steps, args = "encode_steps", (scheme.fixed_color_qp, scheme.fixed_depth_qp)
+                steps, args = "encode_steps", (FIXED_COLOR_QP, FIXED_DEPTH_QP)
             # Name, encoder (looked up per frame), plane, RMSE factor.
             streams = (
                 ("color", self.color_encoder, prepared.tiled_color, 1.0),

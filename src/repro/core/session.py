@@ -38,7 +38,11 @@ from repro.codec.frame import EncodedFrame
 from repro.compression.draco import DracoCodec
 from repro.compression.meshreduce import MeshReducePipeline, MeshReduceProfile
 from repro.compression.oracle import DracoOracle, OracleProfile
-from repro.core.config import PAPER_FRAME_SIZE_BYTES, SessionConfig
+from repro.core.config import (
+    CODEC_EFFICIENCY_COMPENSATION, FPS, FRAME_INTERVAL_S, HORIZON_S, JITTER_TARGET_S,
+    PAPER_FRAME_SIZE_BYTES, PLAYOUT_DELAY_S, POSE_FEEDBACK_LAG_FRAMES, RENDER_VOXEL_M,
+    SessionConfig,
+)
 from repro.core.receiver import LiVoReceiver
 from repro.core.sender import LiVoSender, PreparedFrame, SenderResult
 from repro.core.stats import FaultEvent, FrameRecord, SessionReport
@@ -228,7 +232,7 @@ class _QualityLane:
             frame,
             self.replay.source.rig.cameras,
             actual,
-            self.config.render_voxel_m,
+            RENDER_VOXEL_M,
             render(actual),
             self.cache,
             self.config.quality_max_points,
@@ -290,7 +294,7 @@ class _SessionBase:
         if scale is None:
             # From the raw frame size: see the module docstring.
             auto = max(first.raw_size_bytes() / PAPER_FRAME_SIZE_BYTES, 1e-6)
-            scale = auto * config.codec_efficiency_compensation
+            scale = auto * CODEC_EFFICIENCY_COMPENSATION
         return _Replay(
             source=source,
             first=first,
@@ -298,7 +302,7 @@ class _SessionBase:
             bandwidth_trace=bandwidth_trace,
             scaled_trace=bandwidth_trace.scaled(scale),
             scale=scale,
-            duration_s=num_frames * config.frame_interval_s,
+            duration_s=num_frames * FRAME_INTERVAL_S,
         )
 
     def _report(
@@ -363,7 +367,7 @@ class _SessionBase:
         try:
             for sequence in sequences:
                 frame = capture_stage(sequence)
-                capture_time = sequence * self.config.frame_interval_s
+                capture_time = sequence * FRAME_INTERVAL_S
                 record, render = step(frame, sequence, capture_time)
                 if render is not None:
                     quality.sample(record, frame, sequence, render)
@@ -431,7 +435,6 @@ class _Call:
                 max_rate_bps=10.0 * mean_capacity_bps,
             ),
         )
-        self.interval = config.frame_interval_s
         # The drain polls and observes deadlines this long after the
         # last capture tick, on the same sim clock.
         self.drain_time_s = replay.duration_s + 5.0
@@ -472,8 +475,7 @@ class _Call:
         return tick
 
     def _prepare(self, tick: _Tick) -> _Tick:
-        horizon_s = self.config.pose_feedback_lag_frames * self.interval
-        tick.prepared = self.sender.prepare(tick.frame, horizon_s)
+        tick.prepared = self.sender.prepare(tick.frame, HORIZON_S)
         return tick
 
     def _encode(self, tick: _Tick) -> _Tick:
@@ -508,7 +510,7 @@ class _Call:
         if status == "rendered":
             # Render span: one frame interval on screen from the
             # jitter-buffered playout point.
-            shown_until = time_s + self.interval
+            shown_until = time_s + FRAME_INTERVAL_S
             tracer.add_span(
                 "render", "stage", sequence, time_s, shown_until,
                 parent_id=tracer.frame_root(sequence),
@@ -613,8 +615,8 @@ class _Call:
         deadline, late otherwise."""
         record = self.records[sequence]
         record.delivery_time_s = pair_time
-        playout_time = pair_time + self.config.jitter_target_s
-        deadline = record.capture_time_s + self.config.playout_delay_s
+        playout_time = pair_time + JITTER_TARGET_S
+        deadline = record.capture_time_s + PLAYOUT_DELAY_S
         on_time = playout_time <= deadline + 1e-9
         if on_time:
             record.rendered = True
@@ -656,7 +658,7 @@ class _Call:
         def render(actual: Frustum):
             voxel_m = None
             if watchdog is not None and watchdog.voxel_scale() > 1.0:
-                voxel_m = self.config.render_voxel_m * watchdog.voxel_scale()
+                voxel_m = RENDER_VOXEL_M * watchdog.voxel_scale()
             shown = receiver.render_view(receiver.reconstruct(pair), actual, voxel_m)
             return lambda truth: shown
 
@@ -670,12 +672,12 @@ class _Call:
         """One capture tick: pose feedback, fault window edges, then the
         stage graph, unless the ladder skips the tick; what the encode
         produced decides the frame's record."""
-        config, watchdog, channel = self.config, self.watchdog, self.channel
-        lag = config.pose_feedback_lag_frames
+        watchdog, channel = self.watchdog, self.channel
+        lag = POSE_FEEDBACK_LAG_FRAMES
         if sequence >= lag:
             self.sender.observe_pose(
                 self.replay.user_trace.pose_at_frame(sequence - lag),
-                (sequence - lag) * self.interval,
+                (sequence - lag) * FRAME_INTERVAL_S,
             )
         self.boundary.tick(now)
         if self.tracer is not None:
@@ -749,7 +751,7 @@ class _Call:
         events, tracer = self.events, self.tracer
         for stream_id, marker_sequence in self.channel.marker_frames:
             self._event(
-                marker_sequence * self.interval,
+                marker_sequence * FRAME_INTERVAL_S,
                 "zero_byte_frame",
                 f"stream {stream_id} frame culled to zero bytes; marker sent",
                 sequence=marker_sequence,
@@ -760,7 +762,7 @@ class _Call:
             self.quality,
             scheme_name,
             video_name,
-            self.config.fps,
+            FPS,
             list(self.records.values()),
             [*self.graph.stages, self.decode_stage],
             fault_events=events,
@@ -859,7 +861,7 @@ class LiVoSession(_SessionBase):
         call = _Call(self, replay, fault_plan, tracer, receiver_id)
         try:
             for sequence in range(num_frames):
-                now = sequence * config.frame_interval_s
+                now = sequence * FRAME_INTERVAL_S
                 call.receive(now)
                 call.send(sequence, now)
             call.drain()
@@ -928,18 +930,18 @@ class DracoOracleSession(_SessionBase):
                 + encoded.size_bytes * 8.0 / capacity_bps
                 + config.link.propagation_delay_s
             )
-            if not record.delivery_time_s <= capture_time + config.playout_delay_s:
+            if not record.delivery_time_s <= capture_time + PLAYOUT_DELAY_S:
                 return record, None
             record.rendered, record.stalled = True, False
 
             def render(actual: Frustum):
-                shown = voxel_downsample(DracoCodec.decode(encoded), config.render_voxel_m)
+                shown = voxel_downsample(DracoCodec.decode(encoded), RENDER_VOXEL_M)
                 shown = shown.select(actual.contains(shown.positions))
                 return lambda truth: shown
 
             return record, render
 
-        stride = max(1, int(round(config.fps / oracle_fps)))
+        stride = max(1, int(round(FPS / oracle_fps)))
         return self._replay_baseline(
             replay, range(0, num_frames, stride), step, [cull_stage, encode_stage],
             "Draco-Oracle", video_name, oracle_fps,

@@ -39,6 +39,9 @@ LEVEL_HALF_FPS = 1
 LEVEL_COARSE_VOXEL = 2
 LEVEL_CHROMA_LITE = 3
 
+# The coarse-voxel rung renders at this multiple of the render voxel.
+VOXEL_COARSEN = 2.0
+
 _LEVEL_NAMES = {
     LEVEL_NORMAL: "normal",
     LEVEL_HALF_FPS: "half-fps",
@@ -69,7 +72,6 @@ class ResilienceConfig:
     recover_hysteresis: int = 8
     max_level: int = LEVEL_CHROMA_LITE
     fps_divisor: int = 2
-    voxel_coarsen: float = 2.0
     chroma_budget_scale: float = 0.5
 
     def __post_init__(self) -> None:
@@ -81,8 +83,6 @@ class ResilienceConfig:
             raise ValueError("max_level must be within the ladder")
         if self.fps_divisor < 2:
             raise ValueError("fps_divisor must be at least 2")
-        if self.voxel_coarsen < 1.0:
-            raise ValueError("voxel_coarsen must be >= 1")
         if not 0.0 < self.chroma_budget_scale <= 1.0:
             raise ValueError("chroma_budget_scale must be in (0, 1]")
 
@@ -149,7 +149,7 @@ class StallWatchdog:
 
     def voxel_scale(self) -> float:
         """Render-voxel multiplier at the current level."""
-        return self.config.voxel_coarsen if self.level >= LEVEL_COARSE_VOXEL else 1.0
+        return VOXEL_COARSEN if self.level >= LEVEL_COARSE_VOXEL else 1.0
 
     def color_budget_scale(self) -> float:
         """Color-stream byte-budget multiplier at the current level."""

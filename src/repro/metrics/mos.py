@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.config import FPS
+
 __all__ = ["SessionQoE", "MOSModel", "CommentModel"]
 
 
@@ -68,7 +70,7 @@ class MOSModel:
             + self.geometry_gain * max(qoe.pssim_geometry - self.quality_floor, 0.0)
             + self.color_gain * max(qoe.pssim_color - self.quality_floor, 0.0)
             - self.stall_penalty * qoe.stall_rate
-            - self.fps_penalty * max(30.0 - qoe.mean_fps, 0.0) / 30.0
+            - self.fps_penalty * max(FPS - qoe.mean_fps, 0.0) / FPS
         )
         return float(np.clip(score, 1.0, 5.0))
 

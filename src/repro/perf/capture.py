@@ -66,14 +66,13 @@ class CachedFrameSource:
     @classmethod
     def for_config(cls, config, scene: Scene) -> "CachedFrameSource":
         """The conference room a ``SessionConfig`` describes: its camera
-        ring at the config's resolution and clock, and one cached source
+        ring at the config's resolution, and one cached source
         over ``scene`` that every party in the room reads (``.rig`` is
         the ring)."""
         rig = default_rig(
             num_cameras=config.num_cameras,
             width=config.camera_width,
             height=config.camera_height,
-            fps=config.fps,
         )
         return cls(rig, scene)
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.config import FPS
 from repro.geometry.transforms import euler_to_rotation, look_at, rotation_to_euler
 
 __all__ = ["Pose", "PoseTrace", "synthetic_user_trace", "user_traces_for_video"]
@@ -60,15 +61,12 @@ class Pose:
 
 
 class PoseTrace:
-    """A pose per frame at a fixed rate (the headset's tracking stream)."""
+    """A pose per frame at the capture rate (the headset's tracking stream)."""
 
-    def __init__(self, poses: list[Pose], fps: float = 30.0, name: str = "trace") -> None:
+    def __init__(self, poses: list[Pose], name: str = "trace") -> None:
         if not poses:
             raise ValueError("a trace needs at least one pose")
-        if fps <= 0:
-            raise ValueError("fps must be positive")
         self.poses = list(poses)
-        self.fps = float(fps)
         self.name = name
 
     def __len__(self) -> int:
@@ -80,7 +78,7 @@ class PoseTrace:
 
     def pose_at_time(self, t: float) -> Pose:
         """Pose at a continuous time, nearest-frame sampling."""
-        return self.pose_at_frame(int(round(t * self.fps)))
+        return self.pose_at_frame(int(round(t * FPS)))
 
     def as_matrix(self) -> np.ndarray:
         """All poses as an ``(N, 6)`` matrix (for training predictors)."""
@@ -94,7 +92,6 @@ def _ease(t: np.ndarray) -> np.ndarray:
 
 def synthetic_user_trace(
     num_frames: int,
-    fps: float = 30.0,
     scene_center: np.ndarray | None = None,
     orbit_radius_m: float = 2.0,
     seed: int = 0,
@@ -143,8 +140,8 @@ def synthetic_user_trace(
             ]
         )
 
-    dwell_frames = max(1, int(round(dwell_s * fps)))
-    move_frames = max(1, int(round(move_s * fps)))
+    dwell_frames = max(1, int(round(dwell_s * FPS)))
+    move_frames = max(1, int(round(move_s * FPS)))
 
     positions = np.empty((num_frames, 3))
     targets = np.empty((num_frames, 3))
@@ -180,11 +177,11 @@ def synthetic_user_trace(
     poses = [
         Pose.looking_at(positions[index], targets[index]) for index in range(num_frames)
     ]
-    return PoseTrace(poses, fps=fps, name=name)
+    return PoseTrace(poses, name=name)
 
 
 def user_traces_for_video(
-    video_name: str, num_frames: int, num_traces: int = 3, fps: float = 30.0
+    video_name: str, num_frames: int, num_traces: int = 3
 ) -> list[PoseTrace]:
     """The paper's three user traces per video, as deterministic synthetics."""
     # zlib.crc32 is stable across interpreter runs (str hash is not).
@@ -194,7 +191,6 @@ def user_traces_for_video(
     return [
         synthetic_user_trace(
             num_frames,
-            fps=fps,
             seed=base_seed + index,
             name=f"{video_name}-user{index}",
         )

@@ -12,19 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.config import GUARD_BAND_M
 from repro.geometry.frustum import Frustum, camera_planes, expand_planes
 from repro.geometry.transforms import euler_to_rotation
 from repro.prediction.kalman import PoseKalmanPredictor
 from repro.prediction.pose import Pose
 
-__all__ = [
-    "ViewingDevice",
-    "FrustumPredictor",
-    "guarded_planes",
-    "DEFAULT_GUARD_BAND_M",
-]
-
-DEFAULT_GUARD_BAND_M = 0.20
+__all__ = ["ViewingDevice", "FrustumPredictor", "guarded_planes"]
 
 
 @dataclass(frozen=True)
@@ -72,7 +66,7 @@ class FrustumPredictor:
     def __init__(
         self,
         device: ViewingDevice | None = None,
-        guard_band_m: float = DEFAULT_GUARD_BAND_M,
+        guard_band_m: float = GUARD_BAND_M,
         process_noise: float = 1.0,
         measurement_noise: float = 1e-4,
     ) -> None:

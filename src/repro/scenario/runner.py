@@ -26,6 +26,7 @@ Both paths are byte-deterministic: same spec, same report.
 from __future__ import annotations
 
 from repro.capture.dataset import load_video
+from repro.core.config import FPS, FRAME_INTERVAL_S, HORIZON_S, PLAYOUT_DELAY_S
 from repro.core.session import LiVoSession
 from repro.core.stats import FaultEvent, FrameRecord, SessionReport
 from repro.perf.capture import CachedFrameSource
@@ -103,13 +104,12 @@ def _run_multiway(spec: ScenarioSpec) -> SessionReport:
     for peer in spec.initial_peers:
         join(peer)
 
-    interval = config.frame_interval_s
     churn = sorted(spec.churn, key=lambda event: event.time_s)
     churn_index = 0
     events: list[FaultEvent] = []
     records: list[FrameRecord] = []
     for sequence in range(spec.frames):
-        now = sequence * interval
+        now = sequence * FRAME_INTERVAL_S
         while churn_index < len(churn) and churn[churn_index].time_s <= now:
             event = churn[churn_index]
             churn_index += 1
@@ -139,8 +139,8 @@ def _run_multiway(spec: ScenarioSpec) -> SessionReport:
         video=spec.video,
         user_trace=",".join(spec.initial_peers),
         network_trace=bandwidth.name,
-        fps_target=config.fps,
-        duration_s=spec.frames * interval,
+        fps_target=FPS,
+        duration_s=spec.frames * FRAME_INTERVAL_S,
         frames=records,
         mean_capacity_mbps=bandwidth.stats().mean,
         trace_scale=1.0,
@@ -159,11 +159,10 @@ def _formula_delivery(spec: ScenarioSpec, config, party, frame, bandwidth) -> Fr
     spec).
     """
     sequence = frame.sequence
-    now = sequence * config.frame_interval_s
+    now = sequence * FRAME_INTERVAL_S
     capacity_bps = bandwidth.capacity_bps_at(now)
     sent_before = party.uplink_bytes
-    horizon_s = config.pose_feedback_lag_frames * config.frame_interval_s
-    produced = party.tick(frame, now, 0.5 * capacity_bps, horizon_s)
+    produced = party.tick(frame, now, 0.5 * capacity_bps, HORIZON_S)
     wire_bytes = party.uplink_bytes - sent_before
     record = FrameRecord(
         sequence=sequence,
@@ -193,7 +192,7 @@ def _formula_delivery(spec: ScenarioSpec, config, party, frame, bandwidth) -> Fr
         if forwarded:
             delivery = max(delivery, max(forwarded))
     record.delivery_time_s = delivery
-    if delivery <= now + config.playout_delay_s:
+    if delivery <= now + PLAYOUT_DELAY_S:
         record.rendered = True
         record.stalled = False
     return record

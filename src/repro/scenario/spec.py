@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.config import SchemeFlags, SessionConfig
+from repro.core.config import FPS, SchemeFlags, SessionConfig
 from repro.faults.plan import FaultPlan
 from repro.transport.link import LinkConfig
 from repro.transport.traces import BandwidthTrace, trace_1, trace_2
@@ -289,8 +289,8 @@ class ScenarioSpec:
 
     @property
     def duration_s(self) -> float:
-        """Session length at the 30 fps capture cadence."""
-        return self.frames / 30.0
+        """Session length at the capture cadence."""
+        return self.frames / FPS
 
     # Multiplicative capacity dither keyed to ``seed``: large enough to
     # move GCC's initial rate and per-frame budgets (so any seed change

@@ -37,6 +37,7 @@ import asyncio
 import threading
 from dataclasses import dataclass
 
+from repro.core.config import FPS
 from repro.service.http import HttpError, HttpRequest, HttpServer
 from repro.service.registry import (
     LifecycleError,
@@ -60,6 +61,13 @@ SCHEME_RATES = {
     "livo-4m": 4e6,
 }
 
+# Every hosted rig and link.  The atlas embeds a 64-px sequence marker,
+# so cameras must tile to >= 64 px across: 2 x 32 is the cheapest.
+CAMERA_WIDTH = 32
+CAMERA_HEIGHT = 16
+GOP_SIZE = 4
+DOWNLINK_MBPS = 4.0
+
 
 def _is_int(value) -> bool:
     """A JSON integer: ``true`` / ``false`` parse to bools, not ints."""
@@ -73,14 +81,8 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     port: int = 0                   # 0 = pick a free port
     video: str = "office1"
-    # The tiled atlas embeds a 64-px sequence marker, so the cameras
-    # must tile to >= 64 px across: 2 x 32 clears it at minimum cost.
     num_cameras: int = 2
-    camera_width: int = 32
-    camera_height: int = 16
     sample_budget: int = 600
-    gop_size: int = 4
-    downlink_mbps: float = 4.0
     pose_trace_frames: int = 300
     seed: int = 0
     tick_interval_s: float = 0.0    # 0 = free-running (benchmark mode)
@@ -133,10 +135,10 @@ class SessionFactory:
         self.config = config
         self.session_config = SessionConfig(
             num_cameras=config.num_cameras,
-            camera_width=config.camera_width,
-            camera_height=config.camera_height,
+            camera_width=CAMERA_WIDTH,
+            camera_height=CAMERA_HEIGHT,
             scene_sample_budget=config.sample_budget,
-            gop_size=config.gop_size,
+            gop_size=GOP_SIZE,
         )
         _, self.scene = load_video(config.video, sample_budget=config.sample_budget)
         self.source = CachedFrameSource.for_config(self.session_config, self.scene)
@@ -146,7 +148,7 @@ class SessionFactory:
         # Long-lived sessions clamp at the trace tail (PoseTrace
         # clamps); give downlinks a long template trace too.
         self.downlink_trace = constant_trace(
-            config.downlink_mbps, duration_s=config.pose_trace_frames / 30.0 + 10.0
+            DOWNLINK_MBPS, duration_s=config.pose_trace_frames / FPS + 10.0
         )
 
     def __call__(self, index: int, seed: int, receivers: list[str],

@@ -32,6 +32,8 @@ OP_KILL = "kill"
 OP_STATS = "stats"
 OP_HEALTHZ = "healthz"
 
+POLL_EVERY_SLOTS = 5  # stats+healthz cadence
+
 
 @dataclass(frozen=True)
 class LoadgenConfig:
@@ -44,7 +46,6 @@ class LoadgenConfig:
     seed: int = 0
     kill_storms: int = 1
     kill_fraction: float = 0.15    # of sessions per storm
-    poll_every_slots: int = 5      # stats+healthz cadence
 
     def __post_init__(self) -> None:
         if self.clients <= 0 or self.receivers_per_session <= 0:
@@ -111,7 +112,7 @@ def build_schedule(config: LoadgenConfig) -> list[list[dict]]:
 
     # Observability traffic: periodic stats polls on a drawn session
     # plus a healthz, like a dashboard would.
-    for slot in range(0, num_slots, max(1, config.poll_every_slots)):
+    for slot in range(0, num_slots, POLL_EVERY_SLOTS):
         slots[slot].append(
             {"op": OP_STATS, "session": rng.randrange(num_sessions)}
         )

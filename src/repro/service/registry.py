@@ -43,6 +43,8 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro.core.config import FPS
+
 __all__ = [
     "CREATING",
     "RUNNING",
@@ -129,8 +131,8 @@ class SessionRecord:
             "seed": self.seed,
             "created_at_s": self.created_at_s,
             "frames_ticked": self.frames_ticked,
-            "duration_s": self.frames_ticked / 30.0,
-            "fps_target": 30.0,
+            "duration_s": self.frames_ticked / FPS,
+            "fps_target": FPS,
             "tick_ms_mean": (
                 1e3 * self.tick_seconds / self.frames_ticked
                 if self.frames_ticked

@@ -28,9 +28,9 @@ import threading
 import time
 from time import perf_counter
 
-__all__ = ["TickWorkerPool"]
+from repro.core.config import FPS, HORIZON_S
 
-FPS = 30.0
+__all__ = ["TickWorkerPool"]
 
 # Scheduler idle sleep when no session is running.
 _IDLE_SLEEP_S = 0.002
@@ -59,14 +59,12 @@ class TickWorkerPool:
         registry,
         source,
         tick_interval_s: float = 0.0,
-        horizon_s: float = 0.1,
     ) -> None:
         from repro.runtime.batchplane import BatchPlane
 
         self.registry = registry
         self.source = source
         self.tick_interval_s = float(tick_interval_s)
-        self.horizon_s = horizon_s
         self.plane = BatchPlane()
         self.rounds = 0
         self._stop = threading.Event()
@@ -149,7 +147,7 @@ class TickWorkerPool:
                     frame,
                     driver.frames_ticked / FPS,
                     record.target_rate_bps,
-                    self.horizon_s,
+                    HORIZON_S,
                 )
             )
         outcome = self.plane.run_lockstep(generators)

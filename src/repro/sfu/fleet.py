@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.capture.dataset import load_video
-from repro.core.config import SessionConfig
+from repro.core.config import FPS, HORIZON_S, SessionConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.perf.capture import CachedFrameSource
 from repro.perf.counters import CacheCounters
@@ -50,8 +50,14 @@ from repro.transport.traces import constant_trace
 
 __all__ = ["FleetConfig", "FleetResult", "run_fleet"]
 
-FPS = 30.0
-HORIZON_S = 0.1  # pose prediction horizon every fleet tick uses
+# Every fleet conference is the same small room.
+VIDEO = "office1"
+NUM_CAMERAS = 3
+CAMERA_WIDTH = 24
+CAMERA_HEIGHT = 18
+GOP_SIZE = 6
+DOWNLINK_MBPS = 4.0
+TARGET_RATE_BPS = 2e6
 
 
 @dataclass(frozen=True)
@@ -62,15 +68,8 @@ class FleetConfig:
     frames: int = 30
     receivers: int = 3          # initial receivers per conference
     churn_every: int = 10       # one join/leave per session every k frames
-    video: str = "office1"
-    num_cameras: int = 3
-    camera_width: int = 24
-    camera_height: int = 18
     sample_budget: int = 3000
-    gop_size: int = 6
     seed: int = 0
-    downlink_mbps: float = 4.0
-    target_rate_bps: float = 2e6
     unicast_control: int = 4    # control conferences run unicast for the baseline
 
     def __post_init__(self) -> None:
@@ -275,7 +274,7 @@ def _run_unicast_control(fleet: FleetConfig, config, rig, source, pose_traces):
             churn(sequence)
             frame = source.capture(sequence)
             start = time.perf_counter()
-            control.tick(frame, sequence / FPS, fleet.target_rate_bps, HORIZON_S)
+            control.tick(frame, sequence / FPS, TARGET_RATE_BPS, HORIZON_S)
             wall += time.perf_counter() - start
         total_bytes += control.uplink_bytes
     return total_bytes / total_frames, wall / total_frames
@@ -284,17 +283,17 @@ def _run_unicast_control(fleet: FleetConfig, config, rig, source, pose_traces):
 def run_fleet(fleet: FleetConfig) -> FleetResult:
     """Run the fleet and return its capacity numbers."""
     config = SessionConfig(
-        num_cameras=fleet.num_cameras,
-        camera_width=fleet.camera_width,
-        camera_height=fleet.camera_height,
+        num_cameras=NUM_CAMERAS,
+        camera_width=CAMERA_WIDTH,
+        camera_height=CAMERA_HEIGHT,
         scene_sample_budget=fleet.sample_budget,
-        gop_size=fleet.gop_size,
+        gop_size=GOP_SIZE,
     )
-    _, scene = load_video(fleet.video, sample_budget=fleet.sample_budget)
+    _, scene = load_video(VIDEO, sample_budget=fleet.sample_budget)
     # ONE capture source for the whole fleet: the shared kernel cache.
     source = CachedFrameSource.for_config(config, scene)
-    pose_traces = user_traces_for_video(fleet.video, fleet.frames + 10)
-    trace = constant_trace(fleet.downlink_mbps, duration_s=fleet.frames / FPS + 10.0)
+    pose_traces = user_traces_for_video(VIDEO, fleet.frames + 10)
+    trace = constant_trace(DOWNLINK_MBPS, duration_s=fleet.frames / FPS + 10.0)
 
     # Everything from driver construction to the last tick runs under
     # one try/finally: a failure surfacing mid-run (or building
@@ -320,7 +319,7 @@ def run_fleet(fleet: FleetConfig) -> FleetResult:
             churn_events += sum(churn(sequence) for churn in churns)
             outcome = batch_plane.run_lockstep(
                 [
-                    conference.tick_steps(frame, now, fleet.target_rate_bps, HORIZON_S)
+                    conference.tick_steps(frame, now, TARGET_RATE_BPS, HORIZON_S)
                     for conference in conferences
                 ]
             )

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.capture.rgbd import MultiViewFrame
-from repro.core.config import SessionConfig
+from repro.core.config import FRAME_INTERVAL_S, GUARD_BAND_M, SessionConfig
 from repro.core.sender import SenderResult
 from repro.geometry.camera import RGBDCamera
 from repro.geometry.frustum import Frustum
@@ -109,7 +109,7 @@ class SFUNode:
         self.cameras = cameras
         self.config = config
         self.device = device or ViewingDevice()
-        self.book = ReceiverBook(self.device, config.guard_band_m)
+        self.book = ReceiverBook(self.device)
         self.downlinks = downlinks
         self.cull_cache = CullCache()
         # When set, forward decisions carry the per-receiver culled
@@ -184,7 +184,7 @@ class SFUNode:
             ready = self.book.ready_states()
             poses = [state.predictor.predict_vector(horizon_s) for state in ready]
             self._frame_planes = guarded_planes(
-                self.device, self.book.guard_band_m, np.array(poses).reshape(-1, 6)
+                self.device, GUARD_BAND_M, np.array(poses).reshape(-1, 6)
             )
             self._frame_frustums = {
                 state.name: Frustum.of_unit_rows(rows)
@@ -260,7 +260,6 @@ class SFUNode:
             seen, kept_points = self._visible_shares(source)
             rows = {name: row for row, name in enumerate(frustums)}
 
-        frame_interval_s = self.config.frame_interval_s
         downlinks = self.downlinks
         for state in self.book:
             name = state.name
@@ -279,7 +278,7 @@ class SFUNode:
                     math.ceil(uplink_bytes * kept / union_points) if kept else 0
                 )
             rate = state.estimated_rate_bps(target_rate_bps)
-            budget_bytes = max(rate / 8.0 * frame_interval_s, 2.0)
+            budget_bytes = max(rate / 8.0 * FRAME_INTERVAL_S, 2.0)
             if full_bytes > 0:
                 rung = self._pick_rung(state, full_bytes, budget_bytes)
                 size = max(1, int(full_bytes * TIER_SCALES[rung]))

@@ -71,9 +71,8 @@ class ReceiverState:
 class ReceiverBook:
     """Insertion-ordered registry of conference receivers."""
 
-    def __init__(self, device: ViewingDevice, guard_band_m: float) -> None:
+    def __init__(self, device: ViewingDevice) -> None:
         self.device = device
-        self.guard_band_m = float(guard_band_m)
         self._states: dict[str, ReceiverState] = {}
         self.total_joins = 0
         self.total_leaves = 0
@@ -98,7 +97,7 @@ class ReceiverBook:
             raise ValueError(f"receiver {name!r} already present")
         state = ReceiverState(
             name=name,
-            predictor=FrustumPredictor(self.device, guard_band_m=self.guard_band_m),
+            predictor=FrustumPredictor(self.device),
         )
         self.total_joins += 1
         self._states[name] = state

@@ -33,10 +33,14 @@ from repro.perf.counters import BatchCounters
 from repro.transport.fec import parity_packet_for
 from repro.transport.gcc import GCCConfig, GoogleCongestionControl
 from repro.transport.link import EmulatedLink
-from repro.transport.packet import DEFAULT_MTU, Packet
+from repro.transport.packet import Packet
 from repro.transport.rtp import RTP_HEADER_BYTES, FrameAssembler, packetize
 
 __all__ = ["WebRTCConfig", "FrameDelivery", "WebRTCChannel"]
+
+LOSS_DETECTION_GRACE_S = 0.02  # a loss is seen one propagation delay + this late
+RTT_SMOOTHING = 0.125  # classic SRTT EWMA gain
+LOSS_WINDOW_S = 1.0    # the loss fraction GCC sees covers this much history
 
 
 @dataclass(frozen=True)
@@ -51,12 +55,8 @@ class WebRTCConfig:
     least 2 (a group of one is a full-size copy of every packet).
     """
 
-    mtu: int = DEFAULT_MTU
     reverse_delay_s: float = 0.02
     nack_retries: int = 3
-    loss_detection_grace_s: float = 0.02
-    rtt_smoothing: float = 0.125  # classic SRTT EWMA gain
-    loss_window_s: float = 1.0
     fec_group_size: int | None = None
 
     def __post_init__(self) -> None:
@@ -155,7 +155,6 @@ class WebRTCChannel:
             data,
             now,
             self._packet_sequence,
-            mtu=self.config.mtu,
         )
         self._packet_sequence += len(packets)
         self._frame_send_times[(stream_id, frame_sequence)] = now
@@ -287,7 +286,7 @@ class WebRTCChannel:
             self._record_loss_event(time_s, delivered=False)
             if is_parity:
                 return  # parity is best-effort; never NACKed
-            detection = time_s + self.link.config.propagation_delay_s + self.config.loss_detection_grace_s
+            detection = time_s + self.link.config.propagation_delay_s + LOSS_DETECTION_GRACE_S
             nack_arrival = detection + self.config.reverse_delay_s
             self._schedule_nack(nack_arrival, packet, retries_left)
             return
@@ -336,7 +335,7 @@ class WebRTCChannel:
         if self._srtt is None:
             self._srtt = sample
         else:
-            self._srtt += self.config.rtt_smoothing * (sample - self._srtt)
+            self._srtt += RTT_SMOOTHING * (sample - self._srtt)
 
     def _handle_nack(self, time_s: float, packet: Packet, retries_left: int) -> None:
         key = (packet.stream_id, packet.frame_sequence)
@@ -388,7 +387,7 @@ class WebRTCChannel:
         self._loss_events.append((time_s, lost))
         self._loss_lost += lost
         self._loss_total += 1
-        cutoff = time_s - self.config.loss_window_s
+        cutoff = time_s - LOSS_WINDOW_S
         events = self._loss_events
         while events and events[0][0] < cutoff:
             self._loss_lost -= events.popleft()[1]

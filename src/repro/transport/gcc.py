@@ -28,21 +28,23 @@ from dataclasses import dataclass
 
 __all__ = ["GoogleCongestionControl", "GCCConfig"]
 
+# GCC tuning constants (values follow the published defaults).
+INCREASE_FACTOR = 1.05          # multiplicative increase per group
+DECREASE_FACTOR = 0.85          # beta in the paper
+GRADIENT_THRESHOLD_S = 0.002    # overuse threshold on group delay gradient
+GRADIENT_SMOOTHING = 0.5        # EMA on the raw gradient
+LOSS_DECREASE_THRESHOLD = 0.10
+LOSS_INCREASE_THRESHOLD = 0.02
+RECEIVE_WINDOW_S = 1.0
+
 
 @dataclass(frozen=True)
 class GCCConfig:
-    """GCC tuning constants (values follow the published defaults)."""
+    """The rate range a controller works in; callers size it to the link."""
 
     initial_rate_bps: float = 10e6
     min_rate_bps: float = 1e6
     max_rate_bps: float = 500e6
-    increase_factor: float = 1.05      # multiplicative increase per group
-    decrease_factor: float = 0.85      # beta in the paper
-    gradient_threshold_s: float = 0.002  # overuse threshold on group delay gradient
-    gradient_smoothing: float = 0.5    # EMA on the raw gradient
-    loss_decrease_threshold: float = 0.10
-    loss_increase_threshold: float = 0.02
-    receive_window_s: float = 1.0
 
 
 @dataclass
@@ -81,7 +83,7 @@ class GoogleCongestionControl:
         """
         self._recent_arrivals.append((arrival_time_s, size_bytes))
         self._recent_bytes += size_bytes
-        cutoff = arrival_time_s - self.config.receive_window_s
+        cutoff = arrival_time_s - RECEIVE_WINDOW_S
         while self._recent_arrivals and self._recent_arrivals[0][0] < cutoff:
             _, dropped_size = self._recent_arrivals.popleft()
             self._recent_bytes -= dropped_size
@@ -106,17 +108,17 @@ class GoogleCongestionControl:
         self._current_group = _Group(send_time_s, arrival_time_s)
 
     def _update_gradient(self, gradient_sample: float, now: float) -> None:
-        self._smoothed_gradient += self.config.gradient_smoothing * (
+        self._smoothed_gradient += GRADIENT_SMOOTHING * (
             gradient_sample - self._smoothed_gradient
         )
-        threshold = self.config.gradient_threshold_s
+        threshold = GRADIENT_THRESHOLD_S
         if self._smoothed_gradient > threshold:
             self._state = "decrease"
             receive_rate = self._receive_rate_bps(now)
             if receive_rate > 0:
                 self._delay_rate = max(
                     self.config.min_rate_bps,
-                    self.config.decrease_factor * receive_rate,
+                    DECREASE_FACTOR * receive_rate,
                 )
         elif self._smoothed_gradient < -threshold:
             self._state = "hold"
@@ -124,7 +126,7 @@ class GoogleCongestionControl:
             self._state = "increase"
             self._delay_rate = min(
                 self.config.max_rate_bps,
-                self._delay_rate * self.config.increase_factor,
+                self._delay_rate * INCREASE_FACTOR,
             )
 
     def _receive_rate_bps(self, now: float) -> float:
@@ -138,7 +140,7 @@ class GoogleCongestionControl:
         """Fold a periodic loss report into the loss-based controller."""
         if not 0.0 <= loss_fraction <= 1.0:
             raise ValueError("loss_fraction must be in [0, 1]")
-        if loss_fraction > self.config.loss_decrease_threshold:
+        if loss_fraction > LOSS_DECREASE_THRESHOLD:
             # Cut from the current effective target, not from the cap's
             # idle value, so heavy loss bites immediately.
             base = min(self._loss_rate_bps, self._delay_rate)
@@ -146,9 +148,9 @@ class GoogleCongestionControl:
                 base * (1.0 - 0.5 * loss_fraction),
                 self.config.min_rate_bps,
             )
-        elif loss_fraction < self.config.loss_increase_threshold:
+        elif loss_fraction < LOSS_INCREASE_THRESHOLD:
             self._loss_rate_bps = min(
-                self._loss_rate_bps * self.config.increase_factor,
+                self._loss_rate_bps * INCREASE_FACTOR,
                 self.config.max_rate_bps,
             )
 

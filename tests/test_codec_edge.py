@@ -276,7 +276,7 @@ class TestDecodeLevelsFuzz:
 class TestCodecEdgeCases:
     def test_tiny_image(self):
         image = np.random.default_rng(0).integers(0, 256, (5, 7, 3)).astype(np.uint8)
-        config = VideoCodecConfig(block_size=8, gop_size=2)
+        config = VideoCodecConfig(gop_size=2)
         encoder, decoder = VideoEncoder(config), VideoDecoder(config)
         encoded, recon = encoder.encode(image, qp=10)
         np.testing.assert_array_equal(decoder.decode(encoded), recon)

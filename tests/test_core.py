@@ -14,6 +14,7 @@ from repro.capture.dataset import load_video
 from repro.capture.rig import default_rig
 from repro.codec.frame import FrameType
 from repro.core.bandwidth_split import SplitController
+from repro.core import config as paper
 from repro.core.config import SchemeFlags, SessionConfig
 from repro.core.receiver import LiVoReceiver
 from repro.core.schemes import SCHEMES
@@ -94,22 +95,21 @@ class TestSplitController:
 class TestSessionConfig:
     def test_paper_defaults(self):
         config = SessionConfig()
-        assert config.split_min == 0.5 and config.split_max == 0.9
+        assert paper.SPLIT_MIN == 0.5 and paper.SPLIT_MAX == 0.9
         assert config.split_step == 0.005
         assert config.rmse_every_k == 3
-        assert config.guard_band_m == 0.20
-        assert config.jitter_target_s == 0.1
+        assert paper.GUARD_BAND_M == 0.20
+        assert paper.JITTER_TARGET_S == 0.1
         assert config.num_cameras == 10
+        assert config.fps == paper.FPS == 30.0
+        assert config.frame_interval_s == paper.FRAME_INTERVAL_S == 1.0 / 30.0
+        assert paper.HORIZON_S == 0.1
 
     def test_invalid_configs(self):
         with pytest.raises(ValueError):
-            SessionConfig(split_min=0.9, split_max=0.5)
-        with pytest.raises(ValueError):
-            SessionConfig(split_initial=0.4)
+            SessionConfig(split_step=0.0)
         with pytest.raises(ValueError):
             SessionConfig(rmse_every_k=0)
-        with pytest.raises(ValueError):
-            SessionConfig(fps=0)
 
     def test_rig_must_fit_the_frame_header(self):
         # 7 cameras of 10,000 x 1 tile into one 9 x 70,000 plane, wider
@@ -125,8 +125,8 @@ class TestSessionConfig:
         assert SCHEMES["LiVo"].bandwidth_adaptive == "Direct"
         assert SCHEMES["MeshReduce"].bandwidth_adaptive == "Indirect"
         assert SCHEMES["LiVo"].culls and not SCHEMES["LiVo-NoCull"].culls
-        assert SCHEMES["LiVo-NoAdapt"].flags.fixed_color_qp == 22
-        assert SCHEMES["LiVo-NoAdapt"].flags.fixed_depth_qp == 14
+        assert not SCHEMES["LiVo-NoAdapt"].flags.adaptation
+        assert (paper.FIXED_COLOR_QP, paper.FIXED_DEPTH_QP) == (22, 14)
 
 
 @pytest.fixture(scope="module")

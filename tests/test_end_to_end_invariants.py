@@ -10,7 +10,7 @@ from scipy.spatial import cKDTree
 
 from repro.capture.dataset import load_video
 from repro.capture.rig import default_rig
-from repro.core.config import SessionConfig
+from repro.core.config import RENDER_VOXEL_M, SessionConfig
 from repro.core.receiver import LiVoReceiver
 from repro.core.sender import LiVoSender
 from repro.geometry.pointcloud import PointCloud
@@ -120,7 +120,7 @@ class TestRenderViewInvariants:
         # One point per voxel: the scene fits in a bounded voxel count.
         lo, hi = cloud.bounds()
         voxels_upper_bound = np.prod(
-            np.ceil((hi - lo) / config.render_voxel_m) + 1
+            np.ceil((hi - lo) / RENDER_VOXEL_M) + 1
         )
         assert len(shown) <= voxels_upper_bound
 

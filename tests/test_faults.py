@@ -10,6 +10,7 @@ from repro.faults.degradation import (
     LEVEL_COARSE_VOXEL,
     LEVEL_HALF_FPS,
     LEVEL_NORMAL,
+    VOXEL_COARSEN,
     ResilienceConfig,
     StallWatchdog,
     level_name,
@@ -216,7 +217,7 @@ class TestStallWatchdog:
         dog.observe(False)  # -> half fps
         assert dog.skips_tick(1) and not dog.skips_tick(2)
         dog.observe(False)  # -> coarse voxel
-        assert dog.voxel_scale() == config.voxel_coarsen
+        assert dog.voxel_scale() == VOXEL_COARSEN
         dog.observe(False)  # -> chroma lite
         assert dog.color_budget_scale() == config.chroma_budget_scale
         assert dog.level == LEVEL_CHROMA_LITE

@@ -174,7 +174,7 @@ class TestMultiwaySender:
         driver = seated("shared", rig, config)
         manual = LiVoSender(rig.cameras, config, driver.device)
         predictors = {
-            name: FrustumPredictor(driver.device, guard_band_m=config.guard_band_m)
+            name: FrustumPredictor(driver.device)
             for name in ("alice", "bob")
         }
         for sequence in range(3):

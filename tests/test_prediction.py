@@ -41,7 +41,7 @@ class TestPoseTrace:
         assert trace.pose_at_frame(99) is trace.poses[-1]
 
     def test_pose_at_time(self):
-        trace = synthetic_user_trace(30, fps=30.0, seed=0)
+        trace = synthetic_user_trace(30, seed=0)
         assert trace.pose_at_time(0.5) is trace.poses[15]
 
     def test_matrix_shape(self):

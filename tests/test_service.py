@@ -620,6 +620,43 @@ class TestServiceEndToEnd:
         self._request(handle, "POST", f"/v1/sessions/{session}/kill")
 
 
+class TestServeCommand:
+    def test_serve_answers_and_drains_on_sigint(self):
+        """``python -m repro serve``: the banner names the port, the
+        service answers, and SIGINT drains it with no leaked driver."""
+        import os
+        import re
+        import select
+        import signal
+        import subprocess
+        import urllib.request
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        try:
+            ready, _, _ = select.select([server.stdout], [], [], 120)
+            assert ready, "no banner within 120 s"
+            banner = server.stdout.readline()
+            match = re.search(r"http://([\d.]+):(\d+)", banner)
+            assert match, banner
+            url = f"http://{match[1]}:{match[2]}/healthz"
+            with urllib.request.urlopen(url, timeout=30) as reply:
+                assert reply.status == 200
+                assert json.loads(reply.read())["status"] == "ok"
+            server.send_signal(signal.SIGINT)
+            out, err = server.communicate(timeout=60)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.communicate()
+        assert server.returncode == 0, err
+        assert "stopped (0 leaked drivers)" in out
+
+
 def _post_session(body: dict) -> tuple[str, bytes, bool]:
     data = json.dumps(body).encode()
     return f"POST /v1/sessions HTTP/1.1\r\nContent-Length: {len(data)}", data, False

@@ -154,16 +154,6 @@ class TestBaselineSessionEdges:
 @pytest.mark.parametrize(
     "field,value",
     [
-        # Rendered every frame before it arrived (PSSIM on frames no
-        # receiver could have shown) / rendered none, silently.
-        ("jitter_target_s", -5.0),
-        ("playout_delay_s", -1.0),
-        ("playout_delay_s", 0.0),
-        # Died mid-run in the predictor, the voxeliser, the depth scaler.
-        ("pose_feedback_lag_frames", -2),
-        ("render_voxel_m", 0.0),
-        ("guard_band_m", -1.0),
-        ("max_depth_mm", 0),
         ("num_cameras", 0),
         ("camera_width", 0),
         ("camera_height", -4),
@@ -172,5 +162,3 @@ class TestBaselineSessionEdges:
 def test_config_rejects_out_of_range_at_construction(field, value):
     with pytest.raises(ValueError, match=field):
         SessionConfig(**{field: value})
-    # The boundary values that mean something stay legal.
-    SessionConfig(jitter_target_s=0.0, guard_band_m=0.0, pose_feedback_lag_frames=0)

@@ -339,7 +339,7 @@ class TestLossWindowCounters:
 
     def test_window_pruning(self):
         link = EmulatedLink(constant_trace(40.0))
-        channel = WebRTCChannel(link, config=WebRTCConfig(loss_window_s=1.0))
+        channel = WebRTCChannel(link)  # LOSS_WINDOW_S = 1.0
         channel._record_loss_event(0.0, delivered=False)
         channel._record_loss_event(0.5, delivered=True)
         assert (channel._loss_lost, channel._loss_total) == (1, 2)

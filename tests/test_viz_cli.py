@@ -132,6 +132,28 @@ class TestCLI:
         assert usage.value.code == 2
         assert f"argument {argv[1]}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--video", "nope"],
+            ["export", "--video", "nope"],
+            ["multiway", "--video", "nope"],
+            ["serve", "--video", "nope"],
+            ["serve", "--cameras", "0"],
+            ["serve", "--tick-interval", "-1"],
+            ["serve", "--port", "99999"],
+            ["export", "--frame", "-1"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_input_is_a_usage_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "dump"
+        with pytest.raises(SystemExit) as usage:
+            main([*argv, "--out", str(out)] if argv[0] == "export" else argv)
+        assert usage.value.code == 2
+        assert f"argument {argv[1]}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_analyze_trace_missing_file_is_an_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.jsonl"
         assert main(["analyze-trace", str(missing)]) == 2
