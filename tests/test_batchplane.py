@@ -334,7 +334,7 @@ class TestSessionParity:
         [("serial", 1), ("thread", 2), ("thread", 3)],
     )
     def test_batch_plane_report_identical_across_executors(
-        self, workload, executor, jobs
+        self, workload, executor, jobs, oracle_transform
     ):
         scene, user = workload
         report = LiVoSession(
@@ -342,7 +342,7 @@ class TestSessionParity:
         ).run(scene, user, trace_1(duration_s=5), self.FRAMES)
         assert_pinned("batchplane:session", report.asdict())
 
-    def test_faulted_session_parity(self, workload):
+    def test_faulted_session_parity(self, workload, oracle_transform):
         scene, user = workload
         plan = FaultPlan(
             encoder_faults=(EncoderFault(1),),
@@ -361,8 +361,8 @@ class TestSessionParity:
 
 
 class TestFleetParity:
-    @pytest.fixture(scope="class")
-    def fleet(self):
+    @pytest.fixture
+    def fleet(self, oracle_transform):
         return run_fleet(
             FleetConfig(
                 sessions=3, frames=6, receivers=2, churn_every=2,

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.codec.blocks import block_grid_shape
+from repro.codec.blocks import DEFAULT_BLOCK_SIZE, block_grid_shape
 from repro.codec.frame import EncodedFrame, FrameType, PixelFormat
 from repro.codec.motion import gather_prediction, motion_batch, search_offsets
+from repro.codec.quant import DEAD_ZONE_OFFSET, qp_to_step, weight_matrix
 from repro.codec.rate_control import RateController
 from repro.codec.video import VideoCodecConfig, VideoDecoder, VideoEncoder
 from tests.reference.motion import (
@@ -319,6 +320,67 @@ class TestVideoCodec16Bit:
     def test_depth_config_uses_flat_weights(self):
         config = VideoCodecConfig.for_depth()
         assert config.weight_strength == 0.0
+
+
+# Plane sides that are not a multiple of the 8-pixel block, so every
+# frame has edge-padded blocks.
+RAGGED_SIDES = st.integers(1, 44).filter(lambda side: side % DEFAULT_BLOCK_SIZE)
+
+
+class TestIntraRoundTripProperty:
+    @given(
+        height=RAGGED_SIDES, width=RAGGED_SIDES,
+        qp=st.sampled_from([0, 12, 22, 37, 51]),
+        depth_preset=st.booleans(), seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_gray16_decodes_to_reconstruction_within_quantisation_bound(
+        self, height, width, qp, depth_preset, seed
+    ):
+        """Decoded GRAY16 pixels stay within the dead-zone quantiser's reach.
+
+        Quantising coefficient ``c`` with step ``s = qp_to_step(qp) * w``
+        (``w`` the frequency weight, 1 under the depth preset) keeps
+        ``level = sign(c) * floor(|c| / s + o)`` with ``o =
+        DEAD_ZONE_OFFSET = 1/3``, so ``|c| / s - |level|`` lies in ``(o -
+        1, o]`` and ``|c - level * s| <= (1 - o) * s``.  The inverse DCT
+        is orthonormal, so a block's pixel error has the L2 norm of its
+        coefficient error, at most ``(1 - o) * qp_to_step(qp) * ||w||_F``,
+        and no single pixel can exceed that.  Clipping to ``[0, 65535]``
+        moves no pixel away from an in-range original, and rounding to
+        ``uint16`` adds at most 0.5.
+        """
+        config = (
+            VideoCodecConfig.for_depth(gop_size=1)
+            if depth_preset
+            else VideoCodecConfig(gop_size=1)
+        )
+        image = np.random.default_rng(seed).integers(
+            0, 65536, size=(height, width), dtype=np.uint16
+        )
+        encoded, reconstruction = VideoEncoder(config).encode(image, qp=qp)
+        decoded = VideoDecoder(config).decode(encoded)
+        assert encoded.frame_type is FrameType.INTRA
+        np.testing.assert_array_equal(decoded, reconstruction)
+
+        weights = weight_matrix(DEFAULT_BLOCK_SIZE, config.weight_strength)
+        bound = (1 - DEAD_ZONE_OFFSET) * qp_to_step(qp) * np.linalg.norm(weights) + 0.5
+        error = np.abs(decoded.astype(np.float64) - image.astype(np.float64))
+        assert error.max() <= bound + 1e-6
+
+    @given(
+        height=RAGGED_SIDES, width=RAGGED_SIDES,
+        qp=st.sampled_from([0, 12, 22, 37, 51]), seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_rgb8_decodes_to_reconstruction(self, height, width, qp, seed):
+        config = VideoCodecConfig(gop_size=1)
+        image = np.random.default_rng(seed).integers(
+            0, 256, size=(height, width, 3), dtype=np.uint8
+        )
+        encoded, reconstruction = VideoEncoder(config).encode(image, qp=qp)
+        assert encoded.frame_type is FrameType.INTRA
+        np.testing.assert_array_equal(VideoDecoder(config).decode(encoded), reconstruction)
 
 
 class TestRateControl:

@@ -204,7 +204,9 @@ class TestExecutorParitySixCameras:
             ("thread", 3),
         ],
     )
-    def test_report_byte_identical_across_executors(self, workload, executor, jobs):
+    def test_report_byte_identical_across_executors(
+        self, workload, executor, jobs, oracle_transform
+    ):
         config, scene, user = workload
         report = LiVoSession(
             SessionConfig(**config, executor=executor, jobs=jobs)

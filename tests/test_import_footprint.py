@@ -3,7 +3,8 @@
 An SFU or service process never scores PointSSIM, so importing the
 service app and the fleet must not pull in ``repro.core.session``, the
 metric or its ``scipy.spatial`` stack; ``repro.core`` exports resolve
-lazily instead.
+lazily instead.  The codec runs on numpy alone (its DCT is a matrix
+product), so those processes load no scipy module at all.
 """
 
 from __future__ import annotations
@@ -21,19 +22,30 @@ import repro.core
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def test_service_and_fleet_leave_the_quality_stack_unloaded():
+def _loaded_after(imports: str, prefixes: tuple[str, ...]) -> list[str]:
+    """Modules under ``prefixes`` a fresh interpreter holds after ``imports``."""
     probe = (
         "import json, sys\n"
-        "import repro.service.app, repro.sfu.fleet\n"
-        "names = ('repro.core.session', 'repro.metrics.pointssim', 'scipy.spatial')\n"
-        "print(json.dumps([name for name in names if name in sys.modules]))\n"
+        f"import {imports}\n"
+        f"prefixes = {prefixes!r}\n"
+        "print(json.dumps(sorted(name for name in sys.modules\n"
+        "    if any(name == p or name.startswith(p + '.') for p in prefixes))))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(SRC)},
     )
-    assert json.loads(result.stdout) == []
+    return json.loads(result.stdout)
+
+
+def test_service_and_fleet_leave_the_quality_stack_unloaded():
+    names = ("repro.core.session", "repro.metrics.pointssim", "scipy.spatial")
+    assert _loaded_after("repro.service.app, repro.sfu.fleet", names) == []
+
+
+def test_service_fleet_and_codec_load_no_scipy():
+    assert _loaded_after("repro.service.app, repro.sfu.fleet, repro.codec.video", ("scipy",)) == []
 
 
 def test_core_exports_resolve():

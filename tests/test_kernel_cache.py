@@ -393,7 +393,7 @@ class TestScratchArena:
     fresh per plane) produced before it was deleted (tests/twins.py)."""
 
     @pytest.mark.parametrize("depth_mode", [False, True])
-    def test_bitstreams_byte_identical(self, depth_mode):
+    def test_bitstreams_byte_identical(self, depth_mode, oracle_transform):
         if depth_mode:
             config = VideoCodecConfig.for_depth(gop_size=3, search_range=1)
             rng = np.random.default_rng(9)
@@ -446,7 +446,7 @@ class TestScratchArena:
         ]
         assert sum(array.nbytes for array in held) < 64 * 1024
 
-    def test_rate_controlled_encode_identical(self):
+    def test_rate_controlled_encode_identical(self, oracle_transform):
         encoder = VideoEncoder(VideoCodecConfig(gop_size=3, search_range=1))
         assert_pinned(
             "codec:rate_controlled",
@@ -463,7 +463,7 @@ class TestScratchArena:
 
 
 class TestSessionParity:
-    def test_cached_session_matches_uncached(self):
+    def test_cached_session_matches_uncached(self, oracle_transform):
         scene = make_scene(
             "parity",
             num_people=1, num_props=2,

@@ -252,7 +252,7 @@ class TestSFUNode:
 
         assert run() == run()
 
-    def test_cull_cache_parity(self, setup):
+    def test_cull_cache_parity(self, setup, oracle_transform):
         """The node's memoized culls reproduce what the cache-less node
         decided before it was deleted (tests/twins.py)."""
         config, rig, scene = setup

@@ -160,6 +160,7 @@ def _run_downlinks(link_config: LinkConfig, bursts: int = 240, fps: float = 30.0
     }
 
 
+@pytest.mark.usefixtures("oracle_transform")
 class TestDownlinkPins:
     def test_lossy_socket_buffer(self):
         config = LinkConfig(
@@ -249,6 +250,7 @@ def _assert_channel_parity(name, **kwargs):
     assert_pinned(f"channel:{name}", _run_channel(**kwargs))
 
 
+@pytest.mark.usefixtures("oracle_transform")
 class TestChannelParity:
     def test_clean(self):
         _assert_channel_parity("clean", trace_factory=lambda: constant_trace(60.0))
@@ -429,6 +431,7 @@ def _session_report(link_config=None, fault_plan=None, frames=8):
     )
 
 
+@pytest.mark.usefixtures("oracle_transform")
 class TestSessionReportParity:
     def test_clean_session_reports_identical(self):
         assert_pinned("transport:session_clean", _session_report().asdict())

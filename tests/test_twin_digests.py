@@ -183,7 +183,7 @@ WORKLOADS = {
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_single_path_reproduces_deleted_twin(name, monkeypatch):
+def test_single_path_reproduces_deleted_twin(name, monkeypatch, oracle_transform):
     assert_pinned(name, WORKLOADS[name](monkeypatch))
 
 

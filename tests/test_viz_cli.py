@@ -98,7 +98,7 @@ class TestCLI:
             build_parser().parse_args(["run", "--scheme", "nope"])
 
     @pytest.mark.parametrize("mode", ["shared", "unicast", "sfu"])
-    def test_multiway_command_output_pinned(self, mode, capsys):
+    def test_multiway_command_output_pinned(self, mode, capsys, oracle_transform):
         # Recorded before the port onto ConferenceDriver / UnicastBaseline:
         # shared 60627 B uplink / 12 encoder runs; unicast 181400 B / 36;
         # sfu 60627 B / 12 with 62504 B forwarded down three links.

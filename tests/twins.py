@@ -10,6 +10,11 @@ the output of the implementation that no longer exists.  The one path
 left must reproduce every digest byte for byte.
 
 The file is never re-recorded: the code that produced it is gone.
+
+The digests were recorded with ``scipy.fft``'s DCT, whose last-bit
+rounding the package's matrix-product DCT does not share, so every test
+that calls :func:`assert_pinned` requests the ``oracle_transform``
+fixture (``tests/conftest.py``), which swaps that transform back in.
 """
 
 from __future__ import annotations
