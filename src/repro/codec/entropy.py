@@ -127,10 +127,11 @@ def _pack_bitfields_segmented(
     one byte string per segment, byte-identical to calling
     :func:`_pack_bitfields` on that segment alone.  Packing runs per
     segment on purpose: every segment starts its own byte-aligned
-    stream, and a fused scatter over a fleet-sized bucket holds every
-    bucket-wide intermediate at once (its resident-set cost on the
-    ``fleet`` workload is in DESIGN.md section 9).  The batched entropy
-    coder's win comes from sharing the surrounding
+    stream, and a fused scatter holds every bucket-wide intermediate at
+    once.  Buckets are cohort-sized (the batch plane's
+    ``LOCKSTEP_COHORT``), which bounds that cost, but the fused scatter
+    bought no throughput when it was measured (DESIGN.md section 9).
+    The batched entropy coder's win comes from sharing the surrounding
     zigzag/significance/magnitude math, not from fusing the bit scatter.
     """
     counts = np.asarray(counts, dtype=np.int64)

@@ -22,7 +22,10 @@ The batch plane realizes that stacking without forking the codec:
   many generators one round at a time, buckets the outstanding
   requests by ``(kind, key)``, executes each bucket through the
   kernel's ``batched`` structure-of-arrays path (or ``single`` for a
-  bucket of one), and scatters results back in request order.
+  bucket of one), and scatters results back in request order.  It
+  takes the generators in cohorts of at most :data:`LOCKSTEP_COHORT`,
+  one cohort to completion after another, so a drive's transient
+  memory is bounded by the cohort, not by the number of generators.
 
 Determinism rules (tested in tests/test_batchplane.py):
 
@@ -61,6 +64,7 @@ from repro.codec.quant import dequantize, qp_to_step, quantize
 from repro.perf.counters import BatchCounters
 
 __all__ = [
+    "LOCKSTEP_COHORT",
     "BatchRequest",
     "BatchPlane",
     "LockstepOutcome",
@@ -326,19 +330,38 @@ class _Failure:
     error: Exception
 
 
+def _single_or_failure(kernel, request: BatchRequest):
+    """The request's scalar result, or its exception as a ``_Failure``."""
+    try:
+        return kernel.single(request)
+    except Exception as error:
+        return _Failure(error)
+
+
 @dataclass
 class LockstepOutcome:
     """One lockstep drive: per-generator results and attributed time.
 
-    ``elapsed`` charges each generator its own resume time plus an
-    equal share of every bucket it participated in, so the entries sum
-    to the drive's wall time and per-session latency percentiles stay
-    meaningful under batching.
+    ``values`` and ``elapsed`` are in input order.  ``elapsed`` charges
+    each generator its own resume time plus an equal share of every
+    bucket it participated in, so the entries sum to the drive's wall
+    time and per-session latency percentiles stay meaningful under
+    batching.  ``rounds`` is summed over the drive's cohorts.
     """
 
     values: list
     elapsed: list[float]
     rounds: int
+
+
+# Generators advanced together by one lockstep drive: buckets, and the
+# frame state generators hold between rounds, grow with this and not
+# with the fleet (sweep in DESIGN.md section 9, "Gather/scatter
+# lifecycle").
+LOCKSTEP_COHORT = 32
+
+# What _resume returns for a generator that has finished.
+_RETURNED = object()
 
 
 class BatchPlane:
@@ -363,60 +386,78 @@ class BatchPlane:
         return self.run_lockstep([generator]).values[0]
 
     def run_lockstep(self, generators) -> LockstepOutcome:
-        """Advance all generators in rounds, batching across them.
+        """Advance generators in rounds, batching across them.
 
-        Scatter order equals request order per generator; a failed job
-        is re-raised inside its owning generator.  Generators finishing
-        early simply drop out of later rounds.
+        Generators run in cohorts of at most ``LOCKSTEP_COHORT``, in
+        input order; each cohort runs to completion before the next
+        starts.  Within a cohort, scatter order equals request order per
+        generator; a failed job is re-raised inside its owning
+        generator, and generators finishing early drop out of later
+        rounds.
         """
         generators = list(generators)
         count = len(generators)
         values = [None] * count
         elapsed = [0.0] * count
-        live: dict[int, object] = {}
-        pending: dict[int, list] = {}
-        for index, generator in enumerate(generators):
-            start = perf_counter()
-            try:
-                pending[index] = generator.send(None)
-                live[index] = generator
-            except StopIteration as stop:
-                values[index] = stop.value
-            elapsed[index] += perf_counter() - start
         rounds = 0
-        while live:
-            rounds += 1
-            replies = {index: [None] * len(reqs) for index, reqs in pending.items()}
-            buckets: dict[tuple, list] = {}
-            for index, requests in pending.items():
-                for slot, request in enumerate(requests):
-                    buckets.setdefault((request.kind, request.key), []).append(
-                        (index, slot, request)
-                    )
-            for (kind, _), entries in buckets.items():
-                self._execute_bucket(kind, entries, replies, elapsed)
-            pending = {}
-            next_live: dict[int, object] = {}
-            for index in list(live):
-                generator = live[index]
-                outs = replies[index]
-                failure = next(
-                    (out for out in outs if isinstance(out, _Failure)), None
-                )
-                start = perf_counter()
-                try:
-                    if failure is not None:
-                        requests = generator.throw(failure.error)
-                    else:
-                        requests = generator.send(outs)
-                    pending[index] = requests
-                    next_live[index] = generator
-                except StopIteration as stop:
-                    values[index] = stop.value
-                elapsed[index] += perf_counter() - start
-            live = next_live
+        for first in range(0, count, LOCKSTEP_COHORT):
+            cohort = {
+                index: generators[index]
+                for index in range(first, min(first + LOCKSTEP_COHORT, count))
+            }
+            rounds += self._run_cohort(cohort, values, elapsed)
         self.rounds += rounds
         return LockstepOutcome(values=values, elapsed=elapsed, rounds=rounds)
+
+    def _run_cohort(self, cohort: dict, values, elapsed) -> int:
+        """Drive one cohort's generators to completion; return its rounds."""
+        pending: dict[int, list] = {}
+        for index, generator in cohort.items():
+            requests = self._resume(generator, None, index, values, elapsed)
+            if requests is not _RETURNED:
+                pending[index] = requests
+        rounds = 0
+        while pending:
+            rounds += 1
+            replies = self._execute_round(pending, elapsed)
+            pending = {}
+            for index, outs in replies.items():
+                requests = self._resume(cohort[index], outs, index, values, elapsed)
+                if requests is not _RETURNED:
+                    pending[index] = requests
+        return rounds
+
+    def _execute_round(self, pending: dict, elapsed) -> dict:
+        """Bucket one round's requests, run every bucket, return the replies."""
+        replies = {index: [None] * len(reqs) for index, reqs in pending.items()}
+        buckets: dict[tuple, list] = {}
+        for index, requests in pending.items():
+            for slot, request in enumerate(requests):
+                buckets.setdefault((request.kind, request.key), []).append(
+                    (index, slot, request)
+                )
+        for (kind, _), entries in buckets.items():
+            self._execute_bucket(kind, entries, replies, elapsed)
+        return replies
+
+    @staticmethod
+    def _resume(generator, outs, index, values, elapsed):
+        """Send ``outs`` (or throw its failure) into one generator.
+
+        Returns the generator's next requests, or ``_RETURNED`` after
+        storing its return value in ``values``.
+        """
+        failure = next((out for out in outs or () if isinstance(out, _Failure)), None)
+        start = perf_counter()
+        try:
+            if failure is not None:
+                return generator.throw(failure.error)
+            return generator.send(outs)
+        except StopIteration as stop:
+            values[index] = stop.value
+            return _RETURNED
+        finally:
+            elapsed[index] += perf_counter() - start
 
     def _execute_bucket(self, kind, entries, replies, elapsed) -> None:
         """Run one bucket and scatter its results (or failures) back."""
@@ -424,28 +465,22 @@ class BatchPlane:
         counters = self.counters[kind]
         self.buckets += 1
         start = perf_counter()
-        if len(entries) == 1:
-            index, slot, request = entries[0]
-            try:
-                replies[index][slot] = kernel.single(request)
-            except Exception as error:
-                replies[index][slot] = _Failure(error)
+        requests = [request for _, _, request in entries]
+        if len(requests) == 1:
+            outs = [_single_or_failure(kernel, requests[0])]
             counters.scalar(1)
         else:
             try:
-                outs = kernel.batched([request for _, _, request in entries])
+                outs = kernel.batched(requests)
             except Exception:
                 # One odd job must not poison the bucket: retry each
                 # item on the scalar path and pin failures to owners.
-                outs = []
-                for _, _, request in entries:
-                    try:
-                        outs.append(kernel.single(request))
-                    except Exception as error:
-                        outs.append(_Failure(error))
-            for (index, slot, _), out in zip(entries, outs):
-                replies[index][slot] = out
-            counters.batch(len(entries))
+                outs = [_single_or_failure(kernel, request) for request in requests]
+                counters.scalar(len(requests))
+            else:
+                counters.batch(len(requests))
+        for (index, slot, _), out in zip(entries, outs):
+            replies[index][slot] = out
         share = (perf_counter() - start) / len(entries)
         for index, _, _ in entries:
             elapsed[index] += share

@@ -6,10 +6,12 @@ round
 1. reaps draining sessions (closing their drivers),
 2. applies each running session's queued membership ops (the registry
    mailboxes -- so HTTP joins/leaves never race the tick),
-3. ticks every running session one frame, all of them co-scheduled
-   through the cross-session
+3. ticks every running session one frame through the cross-session
    :class:`~repro.runtime.batchplane.BatchPlane` (the fleet harness's
-   lockstep SoA schedule, DESIGN.md section 9),
+   schedule, DESIGN.md section 9): sessions co-schedule in lockstep
+   cohorts of at most
+   :data:`~repro.runtime.batchplane.LOCKSTEP_COHORT`, one cohort after
+   another,
 4. records per-session tick latency into ``service.tick_ms`` and
    paces to ``tick_interval_s`` (0 = free-running, the benchmark
    mode).

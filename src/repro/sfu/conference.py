@@ -4,8 +4,9 @@
 predict -> union cull -> prepare -> encode -> node ingest -> node
 forward -- and every multi-party caller drives it:
 
-- :mod:`repro.sfu.fleet` ticks hundreds in lockstep for the capacity
-  benchmark, applying its seeded join/leave schedule from outside;
+- :mod:`repro.sfu.fleet` ticks hundreds, in lockstep cohorts, for the
+  capacity benchmark, applying its seeded join/leave schedule from
+  outside;
 - :mod:`repro.service` hosts one per session, joins/leaves arriving
   over HTTP;
 - the scenario runner, the ``multiway`` CLI command and the ablation

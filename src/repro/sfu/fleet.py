@@ -20,10 +20,12 @@ churn, and measuring wall-clock per session-frame:
   p99 session-frame latency, and aggregate uplink savings vs a unicast
   control group churned by the same rule from its own seeds.
 
-All conferences tick in lockstep on one cross-session
-:class:`~repro.runtime.batchplane.BatchPlane`, which coalesces their
-equal-shape codec kernel jobs into stacked SoA calls (DESIGN.md
-section 9; per-session outputs are pinned by the session digests).
+Each frame, the conferences tick on one cross-session
+:class:`~repro.runtime.batchplane.BatchPlane` in cohorts of at most
+:data:`~repro.runtime.batchplane.LOCKSTEP_COHORT`: a cohort ticks in
+lockstep, its equal-shape codec kernel jobs coalesced into stacked SoA
+calls, before the next one starts (DESIGN.md section 9; per-session
+outputs are pinned by the session digests).
 The ``fleet`` workload of ``benchmarks/e2e`` drives this module.
 """
 

@@ -8,6 +8,8 @@ bucketing rules (heterogeneous shapes/QPs never co-batch) and the
 failure semantics (a faulted job re-raises in its owning generator).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from repro.core.config import SessionConfig
 from repro.core.session import LiVoSession
 from repro.faults.plan import EncoderFault, FaultPlan, FrameCorruption
 from repro.prediction.pose import user_traces_for_video
+from repro.runtime import batchplane
 from repro.runtime.batchplane import (
     KERNELS,
     BatchPlane,
@@ -168,6 +171,15 @@ def _one_shot(request):
     return result
 
 
+def _catching(request):
+    """Like :func:`_one_shot`, but returns ``"caught"`` if the job fails."""
+    try:
+        (result,) = yield [request]
+    except Exception:
+        return "caught"
+    return result
+
+
 class TestBucketing:
     def test_heterogeneous_shapes_and_qps_never_co_batch(self):
         rng = np.random.default_rng(6)
@@ -220,25 +232,92 @@ class TestBucketing:
 
     def test_failed_job_raises_in_owning_generator_only(self):
         rng = np.random.default_rng(9)
-
-        def bad_steps():
-            # A request whose payload cannot be transformed (wrong rank
-            # for the blockwise DCT) -- both the batched call and the
-            # scalar fallback fail, so the error lands here.
-            try:
-                yield [plane_transform_request(np.zeros(3), 22, None, 8)]
-            except Exception:
-                return "caught"
-            return "unreachable"
-
+        # A payload the blockwise DCT cannot transform (wrong rank): both
+        # the batched call and the scalar fallback fail, so the error
+        # lands in its generator.
+        bad = _catching(plane_transform_request(np.zeros(3), 22, None, 8))
         good = _one_shot(
             plane_transform_request(rng.normal(size=(2, 8, 8)), 22, None, 8)
         )
         plane = BatchPlane()
-        outcome = plane.run_lockstep([bad_steps(), good])
+        outcome = plane.run_lockstep([bad, good])
         assert outcome.values[0] == "caught"
         levels, delta = outcome.values[1]
         assert levels.shape[0] == 2 and delta.shape[0] == 2
+
+    def test_fallback_bucket_counts_its_items_as_scalar(self):
+        class _Poisoned(type(KERNELS["plane_transform"])):
+            def batched(self, requests):
+                raise RuntimeError("poisoned bucket")
+
+        rng = np.random.default_rng(10)
+        requests = [
+            plane_transform_request(rng.normal(size=(2, 8, 8)), 22, None, 8)
+            for _ in range(2)
+        ]
+        plane = BatchPlane()
+        plane.kernels["plane_transform"] = _Poisoned()
+        outcome = plane.run_lockstep([_one_shot(request) for request in requests])
+        counters = plane.counters["plane_transform"]
+        assert (counters.batched_items, counters.scalar_items, counters.batches) == (0, 2, 0)
+        for request, (levels, delta) in zip(requests, outcome.values):
+            s_levels, s_delta = resolve_single(request)
+            assert np.array_equal(levels, s_levels) and np.array_equal(delta, s_delta)
+
+
+# ----------------------------------------------------------------------
+# Cohorts: run_lockstep drives at most LOCKSTEP_COHORT generators at once
+# ----------------------------------------------------------------------
+
+
+def _holding(seed):
+    """Hold 64 KiB across a yield, as a session holds its frame state."""
+    held = np.full(8192, float(seed))
+    residual = np.random.default_rng(seed).normal(0, 30, size=(4, 8, 8))
+    ((levels, _),) = yield [plane_transform_request(residual, 22, None, 8)]
+    return float(held[0] + levels[0, 0, 0])
+
+
+class TestCohorts:
+    def test_failure_in_second_cohort_lands_in_its_owner_only(self):
+        cohort = batchplane.LOCKSTEP_COHORT
+        count, bad = cohort + 3, cohort + 1
+        rng = np.random.default_rng(11)
+        requests = [
+            plane_transform_request(rng.normal(0, 30, size=(3, 8, 8)), 22, None, 8)
+            for _ in range(count)
+        ]
+        # Wrong rank for the blockwise DCT: batched and scalar paths fail.
+        requests[bad] = plane_transform_request(np.zeros(3), 22, None, 8)
+        plane = BatchPlane()
+        outcome = plane.run_lockstep([_catching(request) for request in requests])
+        assert len(outcome.values) == len(outcome.elapsed) == count
+        assert outcome.rounds == 2
+        assert outcome.values[bad] == "caught"
+        for index, request in enumerate(requests):
+            if index == bad:
+                continue
+            s_levels, s_delta = drive_serial(_catching(request))
+            levels, delta = outcome.values[index]
+            assert np.array_equal(levels, s_levels) and np.array_equal(delta, s_delta)
+        # The first cohort's bucket ran stacked; the poisoned second one
+        # fell back to the scalar path item by item.
+        counters = plane.counters["plane_transform"]
+        assert (counters.batches, counters.batched_items, counters.scalar_items) == (1, cohort, 3)
+
+    def test_peak_memory_bounded_by_the_cohort(self):
+        cohort = batchplane.LOCKSTEP_COHORT
+
+        def peak(count):
+            generators = [_holding(seed) for seed in range(count)]
+            tracemalloc.start()
+            try:
+                BatchPlane().run_lockstep(generators)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8 * cohort) <= 1.25 * peak(cohort)
 
 
 # ----------------------------------------------------------------------
@@ -360,37 +439,56 @@ class TestSessionParity:
 # ----------------------------------------------------------------------
 
 
+def _parity_fleet():
+    return run_fleet(
+        FleetConfig(
+            sessions=3, frames=6, receivers=2, churn_every=2,
+            sample_budget=2000, unicast_control=1,
+        )
+    )
+
+
+FLEET_PINS = {
+    "batchplane:fleet_session_digests": lambda fleet: fleet.session_digests,
+    "batchplane:fleet_accounting": lambda fleet: [
+        fleet.sfu_uplink_bytes_per_frame,
+        fleet.sfu_downlink_bytes_per_frame,
+        fleet.churn_events,
+        fleet.mean_receivers,
+    ],
+    # The control group's own churned schedule and byte accounting
+    # (recorded from the MultiwaySender-based control it replaced).
+    "batchplane:fleet_unicast_control": lambda fleet: [
+        fleet.unicast_uplink_bytes_per_frame,
+        fleet.uplink_savings,
+    ],
+}
+
+
 class TestFleetParity:
     @pytest.fixture
     def fleet(self, oracle_transform):
-        return run_fleet(
-            FleetConfig(
-                sessions=3, frames=6, receivers=2, churn_every=2,
-                sample_budget=2000, unicast_control=1,
-            )
-        )
+        return _parity_fleet()
 
     def test_session_digests_identical(self, fleet):
-        assert_pinned("batchplane:fleet_session_digests", fleet.session_digests)
+        name = "batchplane:fleet_session_digests"
+        assert_pinned(name, FLEET_PINS[name](fleet))
 
     def test_byte_and_churn_accounting_identical(self, fleet):
-        assert_pinned(
-            "batchplane:fleet_accounting",
-            [
-                fleet.sfu_uplink_bytes_per_frame,
-                fleet.sfu_downlink_bytes_per_frame,
-                fleet.churn_events,
-                fleet.mean_receivers,
-            ],
-        )
+        name = "batchplane:fleet_accounting"
+        assert_pinned(name, FLEET_PINS[name](fleet))
 
     def test_unicast_control_identical(self, fleet):
-        # The control group's own churned schedule and byte accounting
-        # (recorded from the MultiwaySender-based control it replaced).
-        assert_pinned(
-            "batchplane:fleet_unicast_control",
-            [fleet.unicast_uplink_bytes_per_frame, fleet.uplink_savings],
-        )
+        name = "batchplane:fleet_unicast_control"
+        assert_pinned(name, FLEET_PINS[name](fleet))
+
+    @pytest.mark.parametrize("cohort", [1, 2, 4])
+    def test_pins_hold_across_cohort_boundaries(self, cohort, monkeypatch, oracle_transform):
+        # The pinned fleet fits one default cohort; these sizes split it.
+        monkeypatch.setattr(batchplane, "LOCKSTEP_COHORT", cohort)
+        fleet = _parity_fleet()
+        for name, pinned_value in FLEET_PINS.items():
+            assert_pinned(name, pinned_value(fleet))
 
     def test_lockstep_actually_batched_across_sessions(self, fleet):
         stats = fleet.batch_plane_stats

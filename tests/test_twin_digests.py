@@ -187,6 +187,16 @@ def test_single_path_reproduces_deleted_twin(name, monkeypatch, oracle_transform
     assert_pinned(name, WORKLOADS[name](monkeypatch))
 
 
+@pytest.mark.parametrize("cohort", [1, 2, 4])
+def test_cohort_boundaries_reproduce_the_fleet_pins(cohort, monkeypatch, oracle_transform):
+    # Every pinned fleet fits one default cohort; these sizes split it.
+    monkeypatch.setattr(batchplane, "LOCKSTEP_COHORT", cohort)
+    fleet = run_fleet(FleetConfig(sessions=6, frames=12, seed=0))
+    assert_pinned("fleet:6x12", fleet.fleet_digest)
+    assert_pinned("registry:fleet_6x12", _registry_facts(fleet.sfu_metrics))
+    assert_pinned("tick_pool:4x10", _tick_pool())
+
+
 # ----------------------------------------------------------------------
 # The options stay gone
 # ----------------------------------------------------------------------
