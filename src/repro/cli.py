@@ -79,16 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--cameras", type=_positive_int, default=8)
     run.add_argument(
-        "--jobs", type=_positive_int, default=1,
-        help="threads scoring PointSSIM (1 = everything in-line; reports "
-        "are byte-identical at any value)",
-    )
-    run.add_argument(
-        "--executor", default="auto",
-        choices=["auto", "serial", "thread"],
-        help="executor substrate (auto picks serial at --jobs 1, threads above)",
-    )
-    run.add_argument(
         "--profile", action="store_true",
         help="print the per-stage wall-clock timing breakdown after the run",
     )
@@ -225,7 +215,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = SessionConfig(
         num_cameras=args.cameras, camera_width=64, camera_height=48,
         scene_sample_budget=20_000, gop_size=15, scheme=flags,
-        jobs=args.jobs, executor=args.executor,
         quality_max_points=args.quality_max_points,
         trace=tracing,
     )

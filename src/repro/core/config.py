@@ -7,7 +7,7 @@ tests; the dataclasses carry only what some caller varies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import ClassVar
 
 from repro.capture.rig import FPS, FRAME_INTERVAL_S
@@ -104,13 +104,12 @@ class SessionConfig:
     # DESIGN.md "Fault model & degradation ladder").
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
 
-    # Runtime (see DESIGN.md section 8).
-    # ``jobs`` > 1 scores PointSSIM on that many threads (the only work
-    # that leaves the session thread); ``executor`` can pin the
-    # substrate (auto = serial at jobs 1, threads above / serial /
-    # thread).
-    jobs: int = 1
-    executor: str = "auto"
+    # Runtime (see DESIGN.md section 8).  PointSSIM always scores on
+    # the quality lane's one thread, so these choose nothing: they are
+    # accepted and validated for callers that still pass them, never
+    # stored (``config.jobs`` reads the class default).
+    jobs: InitVar[int] = 1
+    executor: InitVar[str] = "auto"
 
     # PointSSIM scoring: ``quality_max_points`` enables the
     # *approximate* subsample mode (deterministic, seeded); None keeps
@@ -127,7 +126,7 @@ class SessionConfig:
     quality_every: int = 3        # PointSSIM every Nth rendered frame
     trace_scale: float | None = None  # None = auto from raw frame size
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, jobs: int, executor: str) -> None:
         if self.split_step <= 0:
             raise ValueError("split_step must be positive")
         if self.rmse_every_k < 1:
@@ -142,9 +141,9 @@ class SessionConfig:
                 f"to a {layout.frame_height}x{layout.frame_width} plane; a frame header "
                 f"holds at most {MAX_PLANE_SIDE} per side"
             )
-        if self.jobs < 1:
+        if jobs < 1:
             raise ValueError("jobs must be at least 1")
-        if self.executor not in ("auto", "serial", "thread"):
+        if executor not in ("auto", "serial", "thread"):
             raise ValueError("executor must be one of auto/serial/thread")
         if self.quality_max_points is not None and self.quality_max_points < 1:
             raise ValueError("quality_max_points must be at least 1 (or None)")

@@ -13,11 +13,12 @@ wall-clock instrumented; decode and quality sampling are stages on the
 receive side.  The session is the scheduler -- the feedback loops (GCC
 rate, bandwidth split, the stall watchdog's degradation ladder, PLI
 keyframe requests) all close within one capture tick, so stages are
-driven tick by tick, in-line, on the session thread.  One thing may
-leave it: with ``config.jobs > 1`` the PointSSIM scoring (ground truth
-+ metric, evaluation only) is submitted to a
-``concurrent.futures.ThreadPoolExecutor`` the quality lane owns; at
-``jobs == 1`` it runs in-line.  Reports are byte-identical either way.
+driven tick by tick, in-line, on the session thread.  One thing
+leaves it: the PointSSIM scoring (ground truth + metric, evaluation
+only) runs on the one thread of a
+``concurrent.futures.ThreadPoolExecutor`` the quality lane owns.  The
+score never feeds back into the session, so reports are byte-identical
+to scoring in-line.
 
 Bandwidth scaling: our frames are resolution-reduced, so traces are
 scaled by the raw-frame-size ratio (``trace_scale``), keeping the
@@ -29,7 +30,7 @@ scale-invariant; reports also expose paper-equivalent absolute numbers.
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 from repro.capture.rgbd import MultiViewFrame
@@ -120,8 +121,8 @@ def _quality_job(
     parent: Span | None = None,
 ):
     """Pure quality-scoring job: build the ground truth, score the shown
-    cloud against it.  No session state touched, so it can run on any
-    pool thread; everything it needs arrives as an argument.  The
+    cloud against it.  No session state touched, so it can run on the
+    scoring thread; everything it needs arrives as an argument.  The
     score is None when the truth is empty (nothing to score).
 
     ``shown(truth)`` returns the cloud the scheme displayed (MeshReduce
@@ -181,17 +182,20 @@ class _Replay:
 class _QualityLane:
     """PointSSIM on every Nth rendered frame (the paper's cadence).
 
-    The one place a replay scores quality, and the one place work may
-    leave the session thread: a due sample renders what the scheme
-    showed, then scores ground truth + PointSSIM -- on a thread pool of
-    ``config.jobs`` workers when ``config.executor`` is ``"thread"`` (or
-    ``"auto"`` with ``jobs > 1``), in-line otherwise.  Either way the
-    score comes back through a future: an exception raised by a job is
-    re-raised by :meth:`collect`, and :meth:`close` joins the pool with
-    every submitted job finished.  The job gets its feature cache and
+    The one place a replay scores quality, and the one place work
+    leaves the session thread: a due sample renders what the scheme
+    showed on the session thread, then hands ground truth + PointSSIM
+    to the lane's one scoring thread.  The hand-off is bounded: while
+    one job runs and another waits behind it, :meth:`_submit` blocks on
+    the oldest, so at most two jobs are in flight.  Scores come back
+    through futures: an exception raised by a job is re-raised by
+    :meth:`collect`, and :meth:`close` joins the thread with every
+    submitted job finished.  The job gets its feature cache and
     subsample bound as arguments -- nothing about a run lives at module
     level, so overlapping runs cannot touch each other's scoring.
     """
+
+    MAX_IN_FLIGHT = 2
 
     def __init__(
         self,
@@ -209,9 +213,7 @@ class _QualityLane:
             self.stage.attach_tracer(tracer, seq_fn=lambda args: args[2])
         self._counter = 0
         self._pending: list[tuple[FrameRecord, Future]] = []
-        kind, jobs = self.config.executor, self.config.jobs
-        threaded = kind == "thread" or (kind == "auto" and jobs > 1)
-        self.pool = ThreadPoolExecutor(max_workers=jobs) if threaded else None
+        self.pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="pointssim")
 
     def sample(self, record: FrameRecord, frame: MultiViewFrame, sequence: int, render) -> None:
         """Count one rendered frame; score it when the cadence says so.
@@ -239,15 +241,11 @@ class _QualityLane:
             self.tracer,
             self.tracer.current() if self.tracer is not None else None,
         )
-        if self.pool is not None:
-            future = self.pool.submit(_quality_job, *job)
-        else:
-            future = Future()
-            try:
-                future.set_result(_quality_job(*job))
-            except Exception as error:
-                future.set_exception(error)
-        self._pending.append((record, future))
+        in_flight = [future for _, future in self._pending if not future.done()]
+        if len(in_flight) >= self.MAX_IN_FLIGHT:
+            # One thread, first in first out: the oldest is the one running.
+            wait(in_flight[:1])
+        self._pending.append((record, self.pool.submit(_quality_job, *job)))
 
     def collect(self, final: bool) -> None:
         """Write finished scores onto their records; ``final`` blocks on
@@ -264,9 +262,8 @@ class _QualityLane:
         self._pending = unresolved
 
     def close(self) -> None:
-        """Run everything already submitted, then join the threads."""
-        if self.pool is not None:
-            self.pool.shutdown(wait=True)
+        """Run everything already submitted, then join the thread."""
+        self.pool.shutdown(wait=True)
 
 
 class _SessionBase:
@@ -561,7 +558,7 @@ class _Call:
 
     def drain(self) -> None:
         """Resolve every frame still in flight (``final`` leaves none
-        behind), then wait for the scores still out on the pool."""
+        behind), then wait for the scores still out on the scoring thread."""
         self.receive(self.drain_time_s, final=True)
 
     def _ingest(self, deliveries) -> None:
@@ -991,7 +988,7 @@ class MeshReduceSession(_SessionBase):
                 return record, None
 
             def render(actual: Frustum):
-                # ``shown`` may run later, on a pool thread: it reads
+                # ``shown`` runs later, on the scoring thread: it reads
                 # only this tick's mesh and sequence.
                 def shown(truth: PointCloud) -> PointCloud:
                     sampled = pipeline.reconstruct(

@@ -5,8 +5,8 @@ thread-safe (ids and the span list sit behind a lock) and keeps a
 thread-local "current span" so sub-spans opened inside a stage body
 parent correctly without explicit plumbing.
 
-Pool jobs record on the same tracer: a quality-scoring job running on
-the session's thread pool opens its span with the ``trace_id`` and
+Scoring jobs record on the same tracer: a quality-scoring job running
+on the session's scoring thread opens its span with the ``trace_id`` and
 ``parent_id`` of the ``quality`` stage span that submitted it, both
 captured on the session thread.
 """

@@ -20,7 +20,7 @@ that remove the redundancy without changing a single output byte:
 Every cache is byte-identical to the pure function it memoizes.  All
 of them belong to one session (or fleet) and are touched from its
 thread only, except :class:`~repro.perf.features.FeatureCache`, which
-the session's scoring threads share and which locks accordingly.
+the session's scoring thread fills and which locks accordingly.
 """
 
 from repro.perf.counters import CacheCounters

@@ -9,11 +9,16 @@ The cache keys features by a content fingerprint
 have to thread identity through their code: scoring the same *content*
 twice hits regardless of where the arrays came from.
 
-One cache serves a whole replay, including the scoring threads a
-session starts at ``jobs > 1``: lookup, insert, eviction and the
-counters run under one lock.  The feature build itself does not, so two
-threads that miss on the same content may both build it (same bytes,
-last insert wins) rather than wait on each other.
+One cache serves a whole replay, and the replay's scoring thread fills
+it: lookup, insert, eviction and the counters run under one lock.  The
+feature build itself does not, so two threads that miss on the same
+content may both build it (same bytes, last insert wins) rather than
+wait on each other.
+
+A scoring job looks up exactly two clouds, the truth and then what the
+scheme showed, so a hit can only come from the previous job's pair:
+the default capacity holds that pair and no more (each entry keeps a
+KD-tree alive).
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from repro.perf.counters import CacheCounters
 
 __all__ = ["FeatureCache"]
 
-DEFAULT_CAPACITY = 8
+DEFAULT_CAPACITY = 2
 
 
 class FeatureCache:

@@ -144,7 +144,7 @@ class StageGraph:
     One item traverses every stage before the next is admitted -- the
     schedule the byte-identical determinism guarantees are stated
     against.  Work a stage hands off (the session's PointSSIM jobs)
-    goes to the session's thread pool, not through the graph.
+    goes to the session's scoring thread, not through the graph.
     """
 
     def __init__(self, stages: list[Stage]) -> None:

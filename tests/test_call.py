@@ -35,7 +35,9 @@ def workload():
 @pytest.fixture
 def make_call(workload, monkeypatch):
     """Build a call; ``observed`` / ``released`` / ``sent`` spy on the
-    watchdog and the channel without changing what they do."""
+    watchdog and the channel without changing what they do.  Every
+    call's scoring thread is joined when the test ends."""
+    calls = []
 
     def build(fault_plan=None, tracer=None, **config):
         scene, user = workload
@@ -65,9 +67,12 @@ def make_call(workload, monkeypatch):
             send(stream_id, sequence, data, now)
 
         monkeypatch.setattr(call.channel, "send_frame", send_frame)
+        calls.append(call)
         return call
 
-    return build
+    yield build
+    for call in calls:
+        call.quality.close()
 
 
 def _send(call, count):
@@ -248,6 +253,8 @@ class TestResolveHead:
         assert roots[1].end_s == pytest.approx(0.40 + 0.1)
         renders = [s for s in tracer.spans() if s.name == "render"]
         assert [s.trace_id for s in renders] == [0]
+        # Frame 0's quality:pointssim span closes on the scoring thread.
+        call.quality.collect(final=True)
         assert tracer.open_spans() == []
 
 

@@ -28,8 +28,7 @@ FIELDS = {
     SessionConfig: (
         "num_cameras", "camera_width", "camera_height", "scene_sample_budget",
         "scheme", "split_step", "rmse_every_k", "gop_size", "link", "resilience",
-        "jobs", "executor", "quality_max_points", "trace", "quality_every",
-        "trace_scale",
+        "quality_max_points", "trace", "quality_every", "trace_scale",
     ),
     SchemeFlags: ("culling", "adaptation"),
     VideoCodecConfig: (
@@ -94,7 +93,7 @@ def test_field_names_are_pinned(config_class):
 
 
 def test_settable_surface_total():
-    assert sum(len(names) for names in FIELDS.values()) == 70
+    assert sum(len(names) for names in FIELDS.values()) == 68
 
 
 @pytest.mark.parametrize(

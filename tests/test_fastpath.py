@@ -215,21 +215,10 @@ class TestExecutorParitySixCameras:
         # kernels) before they were deleted -- see tests/twins.py.
         assert_pinned("fastpath:six_camera_session", report.asdict())
 
-    def test_raising_session_leaks_no_thread_or_future(
-        self, workload, monkeypatch
-    ):
-        config, scene, user = workload
-
-        class _Raising:
-            name = user.name
-
-            def pose_at_frame(self, index):
-                if index == 4:
-                    raise RuntimeError("pose trace ends here")
-                return user.pose_at_frame(index)
-
-        pools = []
-        futures = []
+    @pytest.fixture
+    def tracked_pool(self, monkeypatch):
+        """Every pool the session module builds, and every future submitted."""
+        pools, futures = [], []
 
         class TrackingPool(session_module.ThreadPoolExecutor):
             def __init__(self, *args, **kwargs):
@@ -242,14 +231,52 @@ class TestExecutorParitySixCameras:
                 return future
 
         monkeypatch.setattr(session_module, "ThreadPoolExecutor", TrackingPool)
+        return pools, futures
+
+    def _assert_run_raises_and_leaks_nothing(self, workload, user, tracked_pool, match):
+        config, scene, _ = workload
+        pools, futures = tracked_pool
         before = set(threading.enumerate())
-        with pytest.raises(RuntimeError, match="pose trace ends here"):
-            LiVoSession(
-                SessionConfig(**{**config, "quality_every": 1}, jobs=2)
-            ).run(scene, _Raising(), trace_1(duration_s=5), 12)
-        assert len(pools) == 1  # jobs=2 built the pool, once
+        with pytest.raises(RuntimeError, match=match):
+            LiVoSession(SessionConfig(**{**config, "quality_every": 1})).run(
+                scene, user, trace_1(duration_s=5), 12
+            )
+        assert len(pools) == 1  # the lane's one scoring thread, built once
         assert futures and all(future.done() for future in futures)
         assert set(threading.enumerate()) == before
+
+    def test_raising_session_leaks_no_thread_or_future(self, workload, tracked_pool):
+        user = workload[2]
+
+        class _Raising:
+            name = user.name
+
+            def pose_at_frame(self, index):
+                if index == 4:
+                    raise RuntimeError("pose trace ends here")
+                return user.pose_at_frame(index)
+
+        self._assert_run_raises_and_leaks_nothing(
+            workload, _Raising(), tracked_pool, "pose trace ends here"
+        )
+
+    def test_raising_scoring_job_is_reraised_by_run(
+        self, workload, tracked_pool, monkeypatch
+    ):
+        calls = []
+        score = session_module.pointssim_batch
+
+        def failing_score(*args, **kwargs):
+            calls.append(threading.get_ident())
+            if len(calls) == 2:
+                raise RuntimeError("scorer failed")
+            return score(*args, **kwargs)
+
+        monkeypatch.setattr(session_module, "pointssim_batch", failing_score)
+        self._assert_run_raises_and_leaks_nothing(
+            workload, workload[2], tracked_pool, "scorer failed"
+        )
+        assert threading.get_ident() not in calls
 
 
 # ----------------------------------------------------------------------

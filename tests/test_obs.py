@@ -524,9 +524,10 @@ class TestSessionTracing:
 class TestQualityJobSpans:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_one_pointssim_span_per_scored_frame(self, session_workload, jobs):
-        """In-line or on a pool thread, each sampled frame's scoring job
-        leaves one closed span on the session tracer, in that frame's
-        trace, under the ``quality`` stage span that submitted it."""
+        """Each sampled frame's scoring job, run on the lane's scoring
+        thread (``jobs`` is accepted and chooses nothing), leaves one
+        closed span on the session tracer, in that frame's trace, under
+        the ``quality`` stage span that submitted it."""
         config, scene, user = session_workload
         traced = LiVoSession(dataclasses.replace(config, trace=True, jobs=jobs)).run(
             scene, user, trace_1(duration_s=5), FRAMES

@@ -1,9 +1,11 @@
-"""Stage runtime and the parallel session path: stages time every
-item, and a session replay scoring on threads is byte-identical to the
-serial one.
+"""Stage runtime and the scoring thread: stages time every item, a
+session replay is byte-identical however its scoring thread is paced,
+and the scoring never runs on the session thread.
 """
 
 import dataclasses
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from repro.capture.rgbd import MultiViewFrame, RGBDFrame
 from repro.capture.rig import default_rig
 from repro.core.config import SessionConfig
 from repro.core.sender import LiVoSender
+import repro.core.session as session_module
 from repro.core.session import DracoOracleSession, LiVoSession, MeshReduceSession
 from repro.prediction.pose import user_traces_for_video
 from repro.runtime import Stage, StageGraph
@@ -99,8 +102,9 @@ class TestParallelSessionParity:
         return config, scene, user
 
     def test_parallel_replay_is_byte_identical_to_serial(self, workload):
-        """The tentpole guarantee: scoring on N threads produces the
-        exact serial SessionReport, frame records and all."""
+        """Scoring off the session thread never reaches the report:
+        repeated runs (``jobs``/``executor`` are accepted and choose
+        nothing) give the same SessionReport, frame records and all."""
         base, scene, user = workload
         serial = LiVoSession(SessionConfig(**base, executor="serial")).run(
             scene, user, trace_1(duration_s=5), 6
@@ -126,6 +130,38 @@ class TestParallelSessionParity:
         assert any(frame.pssim_geometry is not None for frame in serial.frames)
         assert dataclasses.asdict(threaded) == dataclasses.asdict(serial)
 
+    @pytest.mark.parametrize(
+        "session_class", [LiVoSession, DracoOracleSession, MeshReduceSession]
+    )
+    def test_session_thread_never_scores_and_hand_off_is_bounded(
+        self, workload, session_class, monkeypatch
+    ):
+        base, scene, user = workload
+        config = SessionConfig(**{**base, "quality_every": 1})
+        plain = session_class(config).run(scene, user, trace_1(duration_s=5), 12)
+        scored_on, futures, in_flight = [], [], []
+        score = session_module.pointssim_batch
+
+        def slow_score(*args, **kwargs):
+            scored_on.append(threading.get_ident())
+            time.sleep(0.1)
+            return score(*args, **kwargs)
+
+        class CountingPool(session_module.ThreadPoolExecutor):
+            def submit(self, fn, *args):
+                future = super().submit(fn, *args)
+                futures.append(future)
+                in_flight.append(sum(not queued.done() for queued in futures))
+                return future
+
+        monkeypatch.setattr(session_module, "pointssim_batch", slow_score)
+        monkeypatch.setattr(session_module, "ThreadPoolExecutor", CountingPool)
+        slow = session_class(config).run(scene, user, trace_1(duration_s=5), 12)
+        assert len(scored_on) > 2 and threading.get_ident() not in scored_on
+        # The scorer is slower than a tick: jobs pile up to the bound, not past it.
+        assert max(in_flight) == 2
+        assert dataclasses.asdict(slow) == dataclasses.asdict(plain)
+
     def test_stage_timings_attached_but_asdict_invisible(self, workload):
         base, scene, user = workload
         report = LiVoSession(SessionConfig(**base)).run(
@@ -148,15 +184,10 @@ class TestConfigAndModel:
             SessionConfig(executor="gpu")
         with pytest.raises(ValueError):
             SessionConfig(quality_every=0)  # used to die mid-run, modulo by zero
-        config = SessionConfig(jobs=4, executor="thread")
-        assert config.jobs == 4
+        # Accepted, never stored: scoring has one substrate.
+        assert SessionConfig(jobs=4, executor="thread") == SessionConfig()
 
     def test_cli_exposes_runtime_flags(self):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(
-            ["run", "--jobs", "4", "--executor", "thread", "--profile"]
-        )
-        assert args.jobs == 4
-        assert args.executor == "thread"
-        assert args.profile
+        assert build_parser().parse_args(["run", "--profile"]).profile

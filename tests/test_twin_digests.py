@@ -231,7 +231,7 @@ def test_twin_path_options_do_not_grow_back(target, also_gone):
 
 
 def test_fork_lane_and_fan_outs_stay_gone():
-    # One place work runs: PointSSIM scoring on threads when jobs > 1.
+    # One place work runs: PointSSIM scoring on the quality lane's thread.
     with pytest.raises(ValueError):
         SessionConfig(executor="process")
     for name in ("ProcessExecutor", "StatefulWorker", "WorkerCrash", "ShmArena"):
@@ -368,6 +368,9 @@ def test_bitfield_reference_stays_out_of_the_package():
         ["run", "--no-batch-kernels"],
         ["run", "--no-shm"],
         ["run", "--executor", "process"],
+        # Scoring has one thread; there is nothing left to choose.
+        ["run", "--jobs", "2"],
+        ["run", "--executor", "thread"],
         ["run", "--no-batch-plane"],
         ["serve", "--no-batch-plane"],
         ["serve", "--jobs", "2"],

@@ -118,7 +118,6 @@ class TestCLI:
         [
             ["run", "--frames", "0"],
             ["run", "--cameras", "0"],
-            ["run", "--jobs", "0"],
             ["run", "--quality-max-points", "0"],
             ["run", "--user", "5"],
             ["run", "--user", "-1"],
