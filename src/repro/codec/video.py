@@ -116,9 +116,9 @@ class _PlaneCode:
 class _CodecCore:
     """Plane-level encode/decode shared by encoder and decoder.
 
-    A per-core :class:`ScratchArena` memoizes the weight matrices,
-    quantization scales, and motion offset table, and hosts the
-    reusable motion-search stack.  The arena is private to this core.
+    A per-core :class:`ScratchArena` reads the process-wide weight
+    matrices, quantization scales and motion offset table, and counts
+    this core's hits and misses on them.
     """
 
     def __init__(self, config: VideoCodecConfig) -> None:
@@ -190,6 +190,9 @@ class _CodecCore:
         reconstruction = np.clip(
             merge_blocks(recon_blocks, height, width, block_size), *value_range
         )
+        # A reference plane: read-only, so a retry may keep the previous
+        # frame's planes by reference instead of copying them.
+        reconstruction.setflags(write=False)
         return _PlaneCode(mv_bytes, level_bytes, reconstruction)
 
     def _motion_vectors(self, mv_bytes: bytes, num_blocks: int) -> np.ndarray:
@@ -345,7 +348,9 @@ class VideoEncoder:
         self._core = _CodecCore(self.config)
         self._reference: list[np.ndarray] | None = None
         self._frame_index = 0
-        self.last_reconstruction: np.ndarray | None = None
+        # The last frame's reconstructed planes and their format; the
+        # image is built from them only when read.
+        self._reconstructed: tuple[list[np.ndarray], PixelFormat] | None = None
 
     def reset(self) -> None:
         """Drop reference state; the next frame becomes an I-frame."""
@@ -356,6 +361,18 @@ class VideoEncoder:
     def cache_counters(self):
         """Scratch-arena hit/miss counters."""
         return self._core.arena.counters
+
+    @property
+    def last_reconstruction(self) -> np.ndarray | None:
+        """The last encoded frame's decoded-side image (None before any).
+
+        Built afresh on each read from the reference planes, so an
+        encoder whose caller never reads it never builds it.
+        """
+        if self._reconstructed is None:
+            return None
+        planes, pixel_format = self._reconstructed
+        return _planes_to_image(planes, pixel_format, self.config.chroma_subsampling)
 
     def _next_frame_type(self, force_intra: bool) -> FrameType:
         if force_intra or self._reference is None:
@@ -374,10 +391,15 @@ class VideoEncoder:
         what LiVo's sender uses to estimate encoding quality without a
         round trip (section 3.3).
         """
-        return drive_serial(self.encode_steps(image, qp, force_intra=force_intra))
+        frame = drive_serial(self.encode_steps(image, qp, force_intra=force_intra))
+        return frame, self.last_reconstruction
 
     def encode_steps(self, image: np.ndarray, qp: int, force_intra: bool = False):
-        """:meth:`encode` as a request-yielding generator (batch plane)."""
+        """:meth:`encode` as a request-yielding generator (batch plane).
+
+        Returns the encoded frame alone; a caller that needs the
+        reconstruction reads :attr:`last_reconstruction`.
+        """
         if not QP_MIN <= qp <= self.config.qp_max:
             raise ValueError(
                 f"QP must be within [{QP_MIN}, {self.config.qp_max}], got {qp}"
@@ -408,9 +430,7 @@ class VideoEncoder:
             )
 
         self._reference = [code.reconstruction for code in codes]
-        self.last_reconstruction = _planes_to_image(
-            self._reference, pixel_format, self.config.chroma_subsampling
-        )
+        self._reconstructed = (self._reference, pixel_format)
 
         frame = EncodedFrame(
             frame_type=frame_type,
@@ -422,7 +442,7 @@ class VideoEncoder:
             payload=_pack_planes(codes),
         )
         self._frame_index += 1
-        return frame, self.last_reconstruction
+        return frame
 
     def encode_to_target(
         self, image: np.ndarray, target_bytes: int, force_intra: bool = False
@@ -434,35 +454,35 @@ class VideoEncoder:
         re-encode is attempted when the first try misses the budget badly,
         mirroring how production rate control recovers from scene changes.
         """
-        return drive_serial(
+        frame = drive_serial(
             self.encode_to_target_steps(image, target_bytes, force_intra=force_intra)
         )
+        return frame, self.last_reconstruction
 
     def encode_to_target_steps(
         self, image: np.ndarray, target_bytes: int, force_intra: bool = False
     ):
-        """:meth:`encode_to_target` as a request-yielding generator."""
+        """:meth:`encode_to_target` as a request-yielding generator;
+        returns the encoded frame alone, as :meth:`encode_steps` does."""
         if target_bytes <= 0:
             raise ValueError("target_bytes must be positive")
         qp = self.rate_controller.propose_qp(target_bytes)
         # Snapshot stream state: a retry must replace the first attempt,
         # re-predicting from the *previous* frame's reconstruction --
-        # otherwise encoder and decoder reference chains diverge.
-        saved_reference = None if self._reference is None else [p.copy() for p in self._reference]
+        # otherwise encoder and decoder reference chains diverge.  An
+        # encode replaces the reference list and never writes a plane
+        # (they are read-only), so keeping the list is the snapshot.
+        saved_reference = self._reference
         saved_index = self._frame_index
-        frame, reconstruction = yield from self.encode_steps(
-            image, qp, force_intra=force_intra
-        )
+        frame = yield from self.encode_steps(image, qp, force_intra=force_intra)
         retry_qp = self.rate_controller.retry_qp(qp, frame.size_bytes, target_bytes)
         if retry_qp is not None:
             self._reference = saved_reference
             self._frame_index = saved_index
-            frame, reconstruction = yield from self.encode_steps(
-                image, retry_qp, force_intra=force_intra
-            )
+            frame = yield from self.encode_steps(image, retry_qp, force_intra=force_intra)
             qp = retry_qp
         self.rate_controller.update(qp, frame.size_bytes, target_bytes)
-        return frame, reconstruction
+        return frame
 
 
 class VideoDecoder:

@@ -38,6 +38,7 @@ from repro.core.config import (
 from repro.depthcodec.scaling import scale_depth
 from repro.geometry.camera import RGBDCamera
 from repro.metrics.image import rmse
+from repro.perf.culling import CullCache
 from repro.prediction.culling import cull_views
 from repro.prediction.pose import Pose
 from repro.prediction.predictor import FrustumPredictor, ViewingDevice
@@ -149,6 +150,8 @@ class LiVoSender:
             epsilon=SPLIT_EPSILON,
         )
         self.predictor = FrustumPredictor(device or ViewingDevice())
+        # The rig's inverted extrinsics, kept from frame to frame.
+        self.cull_cache = CullCache()
         self._frames_processed = 0
         self._recover_with_intra = False
         self.encode_failures = 0
@@ -201,7 +204,7 @@ class LiVoSender:
         culled = frame
         if self.config.scheme.culling and self.predictor.ready:
             frustum = self.predictor.predict_frustum(prediction_horizon_s)
-            culled = cull_views(frame, self.cameras, frustum)
+            culled = cull_views(frame, self.cameras, frustum, self.cull_cache)
         culled_points = culled.total_points()
         if culled_points == 0:
             return PreparedFrame(
@@ -228,6 +231,21 @@ class LiVoSender:
             total_points=total_points,
             culled_multiview=culled,
         )
+
+    def _kernel_spans(self, names: list[str], sequence: int) -> list:
+        """One ``kernel`` span per stream encode (none without a tracer):
+        siblings under the encode stage span, the tracer's current span
+        when the stage runs us."""
+        tracer = self.tracer
+        if tracer is None:
+            return []
+        parent = tracer.current()
+        parent_id = parent.span_id if parent is not None else None
+        return [
+            tracer.start_span(f"encode:{name}", category="kernel",
+                              trace_id=sequence, parent_id=parent_id)
+            for name in names
+        ]
 
     def encode(
         self,
@@ -288,17 +306,8 @@ class LiVoSender:
                 ("depth", self.depth_encoder, prepared.tiled_depth, DEPTH_RMSE_SCALE),
             )
             force_intra = force_intra or self._recover_with_intra
-            tracer, spans = self.tracer, []
-            if tracer is not None:
-                # Sibling kernel spans under the encode stage span (the
-                # current span when the stage runs us).
-                parent = tracer.current()
-                parent_id = parent.span_id if parent is not None else None
-                spans = [
-                    tracer.start_span(f"encode:{name}", category="kernel",
-                                      trace_id=prepared.sequence, parent_id=parent_id)
-                    for name, _, _, _ in streams
-                ]
+            tracer = self.tracer
+            spans = self._kernel_spans([name for name, *_ in streams], prepared.sequence)
             try:
                 coded = yield from interleave_steps(
                     getattr(encoder, steps)(plane, arg, force_intra=force_intra)
@@ -313,10 +322,11 @@ class LiVoSender:
             for span in reversed(spans):
                 tracer.end_span(span)
             self._recover_with_intra = False
-            frames = tuple(frame for frame, _ in coded)
+            frames = tuple(coded)
             if scheme.adaptation and self._frames_processed % self.config.rmse_every_k == 0:
-                errors = tuple(rmse(plane, recon) * scale
-                               for (_, _, plane, scale), (_, recon) in zip(streams, coded))
+                # Only RMSE frames build the reconstruction images.
+                errors = tuple(rmse(plane, encoder.last_reconstruction) * scale
+                               for _, encoder, plane, scale in streams)
                 self.split.update(errors[1], errors[0])
             self._frames_processed += 1
         return SenderResult(

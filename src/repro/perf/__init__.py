@@ -13,14 +13,20 @@ that remove the redundancy without changing a single output byte:
   (KD-tree + per-point geometry/color features) memoized by a cheap
   content fingerprint, so a reference cloud scored against several
   baselines builds its tree once.
-- :class:`~repro.perf.scratch.ScratchArena` -- codec scratch reuse:
-  memoized quantization matrices / motion offset tables and reusable
-  motion-search buffers.
+- :class:`~repro.perf.scratch.ScratchArena` -- codec scratch: one
+  stream's hit/miss-counted reads of the process-wide weight matrices,
+  quantization divisors and motion offset tables.
+- :class:`~repro.perf.culling.CullCache` -- one frame's visibility
+  table, built from per-pixel point grids that every cache culling the
+  same capture shares.
 
-Every cache is byte-identical to the pure function it memoizes.  All
-of them belong to one session (or fleet) and are touched from its
-thread only, except :class:`~repro.perf.features.FeatureCache`, which
-the session's scoring thread fills and which locks accordingly.
+Every cache is byte-identical to the pure function it memoizes.  The
+codec tables and the point grids are shared process-wide and read-only
+(the tables kept for the process's life, a grid only while some cache
+culls its capture).  Everything else belongs to one session (or fleet)
+and is touched from its thread only, except
+:class:`~repro.perf.features.FeatureCache`, which the session's scoring
+thread fills and which locks accordingly.
 """
 
 from repro.perf.counters import CacheCounters

@@ -22,21 +22,33 @@ cull (``repro.prediction.culling.cull_views``) is the same build with
 - ``camera.extrinsics.world_to_camera`` -- a 4x4 inversion recomputed
   on every property access, but constant for a calibrated rig; kept for
   the cache's lifetime;
-- ``camera.local_points(depth)`` -- the (H, W, 3) per-pixel ray scale,
-  identical across every cull of the same capture instant (culling
-  only *zeroes* depth pixels, so all depth images derived from one
-  capture agree wherever depth is nonzero -- and zero-depth pixels are
-  masked out by the caller's ``valid`` mask anyway); kept per frame;
+- ``camera.local_points(depth)`` -- the (H, W, 3) per-pixel point grid.
+  It is a property of the capture, not of the cache: a fleet's
+  conferences all cull the one shared capture, so the grid is built
+  once per camera per capture and every cache culling that capture
+  reads the same read-only array.  It is keyed by the capture's depth
+  image itself (object identity, never a sequence number: a scene-epoch
+  bump or a stale-camera fault makes two captures with one sequence),
+  and lives only while some cache holds it for its current frame;
 - the table itself, kept until the next frame (R*C*H*W bools) and
   handed back whenever the same plane rows are asked about again.
 
+Within a frame a cache reuses the first grid it read per camera for
+every depth image it is offered -- the raw capture and its culled
+derivatives agree wherever depth is nonzero (culling only *zeroes*
+pixels), and zero-depth pixels are masked out by the caller's ``valid``
+mask anyway.
+
 Same contract as every cache in this package: the table is bit for bit
-what an uncached build returns, process-local, hit/miss counted.  A
+what an uncached build returns, hit/miss counted per cache.  A
 (receiver, camera) row that had to be built is a miss, a row read back
-from the table is a hit; point grids count as they always did.
+from the table is a hit; a camera's first grid read in a frame is a
+miss and later ones hit, whether or not another cache built the grid.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -46,34 +58,66 @@ from repro.perf.counters import CacheCounters
 __all__ = ["CullCache"]
 
 
+class _PointGrid:
+    """One camera's point grid of one depth image.
+
+    It holds the image and the camera it was built from, so the ids in
+    its key cannot name another object while it lives.
+    """
+
+    __slots__ = ("points", "depth_mm", "camera", "__weakref__")
+
+    def __init__(self, camera, depth_mm) -> None:
+        self.depth_mm = depth_mm
+        self.camera = camera
+        self.points, _ = camera.local_points(depth_mm)
+        self.points.setflags(write=False)
+
+
+# Every live point grid, by (depth image, camera) identity.  Weak: a
+# grid goes when the last cache holding it for its frame moves on.
+# Two threads racing to build one grid build equal ones, so no lock.
+_GRIDS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _point_grid(camera, depth_mm) -> _PointGrid:
+    """The shared grid of ``depth_mm`` through ``camera``, built once."""
+    key = (id(depth_mm), id(camera))
+    grid = _GRIDS.get(key)
+    if grid is None:
+        grid = _PointGrid(camera, depth_mm)
+        _GRIDS[key] = grid
+    return grid
+
+
 class CullCache:
     """The visibility table of one frame, and the memos it is built from.
 
     Per-camera ``world_to_camera`` matrices persist for the cache's
-    lifetime (rig calibration is fixed); per-pixel point grids and the
-    table are scoped to one frame sequence and dropped on
-    :meth:`begin_frame`.
-
-    The point-grid memo relies on a documented invariant of the culling
-    pipeline: every depth image offered for one (camera, sequence) pair
-    agrees on its nonzero pixels (culling only zeroes pixels, never
-    rewrites them), and callers mask with their own fresh ``valid``
-    mask, so reusing the first-seen grid is exact.
+    lifetime (rig calibration is fixed); the frame's point grids and
+    table are scoped to one capture and dropped when
+    :meth:`begin_frame` is handed another one, or on :meth:`end_frame`.
     """
 
     def __init__(self) -> None:
         self.counters = CacheCounters("cull_projection")
-        self._sequence: int | None = None
+        self._capture = None
         self._w2c: dict[int, np.ndarray] = {}
-        self._points: dict[int, np.ndarray] = {}
+        self._points: dict[int, _PointGrid] = {}
         self._table: tuple[np.ndarray, np.ndarray] | None = None
 
-    def begin_frame(self, sequence: int) -> None:
-        """Drop per-frame memos when a new capture instant starts."""
-        if sequence != self._sequence:
-            self._sequence = sequence
-            self._points.clear()
-            self._table = None
+    def begin_frame(self, capture) -> None:
+        """Start culling ``capture`` (compared by identity, never by
+        sequence): per-frame memos of any other capture are dropped."""
+        if capture is not self._capture:
+            self.end_frame()
+            self._capture = capture
+
+    def end_frame(self) -> None:
+        """Drop every per-frame memo: the capture, its grids, the table."""
+        self._capture = None
+        self._points.clear()
+        self._table = None
 
     def world_to_camera(self, camera) -> np.ndarray:
         """The camera's (cached) world-to-camera transform."""
@@ -85,21 +129,20 @@ class CullCache:
         return cached
 
     def local_points(self, camera, depth_mm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``camera.local_points`` with the point grid memoized per frame.
+        """``camera.local_points``, its read-only grid shared per capture.
 
         The validity mask is always computed fresh from ``depth_mm`` --
         it is the part that differs between the raw capture and its
         culled derivatives, and it is cheap.
         """
         key = id(camera)
-        points = self._points.get(key)
-        if points is None:
+        grid = self._points.get(key)
+        if grid is None:
             self.counters.miss()
-            points, valid = camera.local_points(depth_mm)
-            self._points[key] = points
-            return points, valid
-        self.counters.hit()
-        return points, np.asarray(depth_mm) > 0
+            grid = self._points[key] = _point_grid(camera, depth_mm)
+        else:
+            self.counters.hit()
+        return grid.points, np.asarray(depth_mm) > 0
 
     def visibility(self, cameras, depths, planes: np.ndarray) -> np.ndarray:
         """``inside[r, c, y, x]``: pixel of camera ``c`` in frustum ``r``.

@@ -32,8 +32,8 @@ def cull_to_planes(
     frame and the per-pixel back-projections tested there
     (:meth:`CullCache.visibility`) -- no point cloud is materialized --
     and a pixel survives if any frustum sees it.  With a ``cache`` the
-    visibility table stays readable for the rest of the frame; without
-    one it is dropped on return.
+    visibility table stays readable until the cache is handed another
+    capture; without one it is dropped on return.
     """
     if len(frame.views) != len(cameras):
         raise ValueError(
@@ -41,7 +41,7 @@ def cull_to_planes(
         )
     if cache is None:
         cache = CullCache()
-    cache.begin_frame(frame.sequence)
+    cache.begin_frame(frame)
     depths = [view.depth_mm for view in frame.views]
     inside = cache.visibility(cameras, depths, planes)
     keep = inside.any(axis=0) & (np.stack(depths) > 0)
@@ -56,14 +56,22 @@ def cull_views(
     frame: MultiViewFrame,
     cameras: list[RGBDCamera],
     frustum: Frustum,
+    cache: CullCache | None = None,
 ) -> MultiViewFrame:
     """Zero out pixels outside the (world-frame) frustum, per camera.
 
     The frustum is transformed once into each camera's local frame; each
     pixel is then back-projected to its camera-local 3D point and tested
     against the six planes -- :func:`cull_to_planes` with one frustum.
+    A ``cache`` carries the rig's inverted extrinsics from frame to
+    frame; this cull is the frame's only read of its table and grids,
+    so neither outlives the call.
     """
-    return cull_to_planes(frame, cameras, frustum.array[None])
+    try:
+        return cull_to_planes(frame, cameras, frustum.array[None], cache)
+    finally:
+        if cache is not None:
+            cache.end_frame()
 
 
 def culling_accuracy(

@@ -34,15 +34,16 @@ Determinism rules (tested in tests/test_batchplane.py):
    elementwise/blockwise math (DCT over trailing axes, elementwise
    quantization, per-block SAD with lowest-index argmin ties);
 2. bucket keys carry every parameter that changes the math (shape,
-   block size, QP, weight table bytes), so heterogeneous jobs are
+   block size, QP, weight table -- by its small shared-memo name,
+   :func:`repro.perf.scratch.table_key`), so heterogeneous jobs are
    never co-batched;
 3. sessions are independent -- scatter order equals request order, and
    a bucket's execution never reads another request's stream state --
    so lockstep results equal the serial schedule's regardless of how
    rounds interleave across sessions;
-4. bucketed jobs still touch their stream's scratch arena (scale memo,
-   motion-search count), so ``--profile`` cache counters are
-   independent of batching.
+4. bucketed jobs still ask through their stream's scratch arena (the
+   shared scale memo, the motion-search count), so ``--profile`` cache
+   counters are independent of batching.
 
 A kernel exception is re-raised *inside* the owning generator (via
 ``generator.throw``) at the yield point, so existing skip-not-crash
@@ -62,6 +63,7 @@ from repro.codec.entropy import encode_levels, encode_levels_batch
 from repro.codec.motion import motion_batch, search_offsets
 from repro.codec.quant import dequantize, qp_to_step, quantize
 from repro.perf.counters import BatchCounters
+from repro.perf.scratch import table_key
 
 __all__ = [
     "LOCKSTEP_COHORT",
@@ -110,10 +112,9 @@ def plane_transform_request(residual, qp, weights, block_size, ctx=None) -> Batc
     across a bucket's items (blockwise ops are independent along axis
     0), so it is deliberately absent from the key.
     """
-    weights_key = None if weights is None else weights.tobytes()
     return BatchRequest(
         kind="plane_transform",
-        key=(block_size, int(qp), weights_key),
+        key=(block_size, int(qp), table_key(weights)),
         payload=(residual, qp, weights),
         ctx=ctx,
     )
@@ -161,7 +162,7 @@ class _PlaneTransformKernel:
 
     @staticmethod
     def _scale(request: BatchRequest):
-        """The stream's memoized quantization divisor, or a fresh one.
+        """The shared quantization divisor, or a fresh one.
 
         Routed through the request's arena even on the batched path so
         cache counters match the serial schedule (determinism rule 4).

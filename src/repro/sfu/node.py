@@ -194,7 +194,10 @@ class SFUNode:
         return self._frame_frustums
 
     def ingest(self, frame: MultiViewFrame, uplink: SenderResult | None, now: float) -> None:
-        """Cache one frame's union-culled uplink stream for forwarding."""
+        """Cache one frame's union-culled uplink stream for forwarding,
+        and start the cull cache on its capture (a no-op when the union
+        cull already did)."""
+        self.cull_cache.begin_frame(frame)
         self._cached_uplink = uplink
         self._cached_sequence = frame.sequence
         self.frames_ingested += 1
@@ -253,7 +256,6 @@ class SFUNode:
         uplink_bytes = uplink.total_bytes
         nothing_sent = uplink.empty or union_points == 0 or uplink_bytes == 0
         frustums = self.predicted_frustums(sequence, horizon_s)
-        self.cull_cache.begin_frame(sequence)
         rows: dict[str, int] = {}
         seen = kept_points = None
         if frustums and not uplink.empty:
@@ -343,3 +345,4 @@ class SFUNode:
         """Drop frame-scoped geometry and per-receiver transports."""
         self._cached_uplink = None
         self._frame_frustums = {}
+        self.cull_cache.end_frame()

@@ -66,9 +66,12 @@ class GoogleCongestionControl:
         self._state = "increase"
         self._previous_group: _Group | None = None
         self._current_group: _Group | None = None
-        self._recent_arrivals: deque[tuple[float, int]] = deque()
-        # Running byte total of _recent_arrivals, so the receive-rate
+        # The receive window: arrival times and sizes of the last
+        # RECEIVE_WINDOW_S of packets, one flat deque each (no tuple per
+        # packet), plus their running byte total, so the receive-rate
         # estimate is O(1) instead of an O(window) re-sum per group.
+        self._recent_arrivals: deque[float] = deque()
+        self._recent_sizes: deque[int] = deque()
         self._recent_bytes = 0
 
     @property
@@ -81,12 +84,14 @@ class GoogleCongestionControl:
 
         Packets sharing a send time form one group (a frame's burst).
         """
-        self._recent_arrivals.append((arrival_time_s, size_bytes))
+        arrivals, sizes = self._recent_arrivals, self._recent_sizes
+        arrivals.append(arrival_time_s)
+        sizes.append(size_bytes)
         self._recent_bytes += size_bytes
         cutoff = arrival_time_s - RECEIVE_WINDOW_S
-        while self._recent_arrivals and self._recent_arrivals[0][0] < cutoff:
-            _, dropped_size = self._recent_arrivals.popleft()
-            self._recent_bytes -= dropped_size
+        while arrivals and arrivals[0] < cutoff:
+            arrivals.popleft()
+            self._recent_bytes -= sizes.popleft()
 
         if self._current_group is None:
             self._current_group = _Group(send_time_s, arrival_time_s)
@@ -132,7 +137,7 @@ class GoogleCongestionControl:
     def _receive_rate_bps(self, now: float) -> float:
         if not self._recent_arrivals:
             return 0.0
-        window_start = self._recent_arrivals[0][0]
+        window_start = self._recent_arrivals[0]
         window = max(now - window_start, 0.05)
         return self._recent_bytes * 8.0 / window
 

@@ -359,7 +359,7 @@ class TestEncoderLockstepParity:
                     for index in range(2)
                 ]
             )
-            for index, (encoded, _) in enumerate(outcome.values):
+            for index, encoded in enumerate(outcome.values):
                 assert encoded.payload == serial_payloads[index][tick], (
                     f"stream {index} tick {tick} diverged under lockstep"
                 )
@@ -381,12 +381,14 @@ class TestEncoderLockstepParity:
         plane = BatchPlane()
         decoder = VideoDecoder(VideoCodecConfig(gop_size=4, search_range=1))
         for tick, frame in enumerate(frames):
-            encoded, reconstruction = plane.run(
+            encoded = plane.run(
                 lockstep.encode_to_target_steps(frame, target_bytes=700)
             )
             assert encoded.payload == serial_payloads[tick]
             # The advertised reconstruction stays bit-exact decodable.
-            assert np.array_equal(decoder.decode(encoded), reconstruction)
+            assert np.array_equal(
+                decoder.decode(encoded), lockstep.last_reconstruction
+            )
 
 
 # ----------------------------------------------------------------------

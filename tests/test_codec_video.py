@@ -13,6 +13,7 @@ from repro.codec.motion import gather_prediction, motion_batch, search_offsets
 from repro.codec.quant import DEAD_ZONE_OFFSET, qp_to_step, weight_matrix
 from repro.codec.rate_control import RateController
 from repro.codec.video import VideoCodecConfig, VideoDecoder, VideoEncoder
+from repro.runtime.batchplane import drive_serial
 from tests.reference.motion import (
     estimate_motion,
     gather_prediction_stacked,
@@ -429,6 +430,57 @@ class TestRateControl:
             sequence = [encoder.encode_to_target(f, target)[0].size_bytes for f in frames]
             sizes[target] = np.mean(sequence[4:])
         assert sizes[1200] < sizes[6000]
+
+
+class TestReferenceState:
+    @pytest.mark.parametrize("depth", [False, True])
+    def test_reference_planes_read_only_after_every_encode(self, depth):
+        """Every encode -- fixed QP, rate-controlled, retried -- leaves
+        read-only reference planes, which is what lets a retry keep the
+        previous frame's plane list instead of copying it: a planted
+        in-place write raises."""
+        if depth:
+            config = VideoCodecConfig.for_depth(gop_size=4)
+            frames = moving_gradient_video(8, channels=1)
+        else:
+            config = VideoCodecConfig(gop_size=4)
+            frames = moving_gradient_video(8)
+        encoder = VideoEncoder(config)
+        retries = []
+        retry_qp = encoder.rate_controller.retry_qp
+
+        def counted(*args):
+            retries.append(retry_qp(*args))
+            return retries[-1]
+
+        encoder.rate_controller.retry_qp = counted
+        # Big budgets then a starved one: the starved frame overshoots.
+        for index, image in enumerate(frames):
+            if index % 3 == 2:
+                encoder.encode(image, qp=30)
+            else:
+                encoder.encode_to_target(image, 20_000 if index < 4 else 60)
+            for plane in encoder._reference:
+                assert not plane.flags.writeable
+                with pytest.raises(ValueError):
+                    plane[0, 0] = 0.0
+        assert any(qp is not None for qp in retries)
+
+    def test_reconstruction_built_only_when_asked(self):
+        """The generator path returns the frame alone;
+        ``last_reconstruction`` builds the image on demand, equal to
+        what ``encode_to_target`` returns and to what the decoder
+        produces."""
+        config = VideoCodecConfig(gop_size=3)
+        lazy, eager = VideoEncoder(config), VideoEncoder(config)
+        decoder = VideoDecoder(config)
+        assert lazy.last_reconstruction is None
+        for image in moving_gradient_video(5):
+            frame = drive_serial(lazy.encode_to_target_steps(image, 900))
+            expected_frame, expected = eager.encode_to_target(image, 900)
+            assert frame.payload == expected_frame.payload
+            assert np.array_equal(lazy.last_reconstruction, expected)
+            assert np.array_equal(decoder.decode(frame), expected)
 
 
 class TestChromaSubsampling:

@@ -3,6 +3,7 @@
 import gc
 import os
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from repro.core.config import SessionConfig
 from repro.core.multiway import cull_views_union
 from repro.geometry.frustum import Frustum
 from repro.prediction.pose import Pose, PoseTrace
+from repro.runtime.batchplane import BatchPlane
 from repro.sfu.conference import ConferenceDriver, UnicastBaseline
 from repro.transport.downlink import DownlinkSet
+from repro.transport.link import LinkConfig
 from repro.transport.traces import constant_trace
 
 
@@ -317,3 +320,61 @@ def test_hosted_conference_memory_stays_bounded():
         tracemalloc.stop()
     assert driver.frames_ticked == 550
     assert second - first < 4096, (first - start, second - first)
+
+
+def test_conferences_hold_shared_tables_once():
+    """N and 4N conferences ticked in lockstep over one shared capture:
+    between ticks, the quantization scale memos (perf/scratch.py) and
+    the per-pixel point grids (built in geometry/camera.py) are held
+    once for the process, not once per conference, and everything a
+    conference holds stays under 112 KiB.  Live bytes are traced to the
+    innermost frame in the package's own files."""
+    config = SessionConfig(
+        num_cameras=2, camera_width=32, camera_height=16,
+        scene_sample_budget=1500, gop_size=8,
+    )
+    rig = default_rig(num_cameras=2, width=32, height=16)
+    _, scene = load_video("pizza1", sample_budget=1500)
+    captures = [rig.capture(scene, index).views for index in range(4)]
+    package = os.path.dirname(repro.__file__)
+    plane = BatchPlane()
+
+    def held_after_ticks(count: int) -> Counter:
+        drivers = []
+        for index in range(count):
+            driver = ConferenceDriver(
+                index, rig, config,
+                DownlinkSet(constant_trace(8.0, duration_s=60.0), LinkConfig(seed=index)),
+            )
+            for name in ("alice", "bob"):
+                driver.join(name, still(POSES[name]))
+            drivers.append(driver)
+        for sequence in range(10):
+            frame = MultiViewFrame(captures[sequence % 4], sequence=sequence)
+            plane.run_lockstep(
+                [driver.tick_steps(frame, sequence / 30.0, 2e6, 0.1) for driver in drivers]
+            )
+        gc.collect()
+        held = Counter()
+        for trace in tracemalloc.take_snapshot().traces:
+            for frame in reversed(trace.traceback):
+                if frame.filename.startswith(package):
+                    held[os.path.relpath(frame.filename, package)] += trace.size
+                    break
+        return held
+
+    count = 2
+    tracemalloc.start(8)
+    try:
+        few = held_after_ticks(count)
+        many = held_after_ticks(4 * count)
+    finally:
+        tracemalloc.stop()
+
+    def per_conference(*files) -> float:
+        keys = files or set(few) | set(many)
+        return sum(many[key] - few[key] for key in keys) / (3 * count)
+
+    assert per_conference(os.path.join("perf", "scratch.py")) < 2048, (few, many)
+    assert per_conference(os.path.join("geometry", "camera.py")) < 1024, (few, many)
+    assert per_conference() < 112 * 1024, (few, many)

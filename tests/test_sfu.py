@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from repro.capture.dataset import load_video
+from repro.capture.rgbd import MultiViewFrame
 from repro.capture.rig import default_rig
 from repro.core.config import SessionConfig
 from repro.core.multiway import cull_views_union
 from repro.core.sender import LiVoSender
 from repro.geometry.frustum import Frustum
 from repro.obs.metrics import MetricsRegistry
+from repro.perf import culling
 from repro.perf.culling import CullCache
 from repro.prediction.pose import Pose
 from repro.sfu import SFUNode, TIER_SCALES
@@ -116,6 +118,61 @@ class TestCullCache:
         _, valid_zero = cache.local_points(camera, zeroed)
         assert valid.any()
         assert not valid_zero.any()
+
+    def test_grids_keyed_by_capture_not_sequence(self, setup):
+        """Two captures with one sequence number -- a scene-epoch bump
+        re-rendering frame 0, a stale camera replaying an older view --
+        never share a point grid or a table: every cull through one
+        long-lived cache equals the same cull with a fresh CullCache()."""
+        _, rig, scene = setup
+        frustum = narrow_frustum([0.0, 1.2, -2.0])
+        first = rig.capture(scene, 0)
+        later = rig.capture(scene, 9)
+        rerendered = MultiViewFrame(later.views, sequence=0)
+        stale = MultiViewFrame(
+            [later.views[0], *first.views[1:]], sequence=0
+        )
+        cache = CullCache()
+        for capture in (first, rerendered, stale, first):
+            culled = cull_views_union(capture, rig.cameras, [frustum], cache=cache)
+            fresh = cull_views_union(capture, rig.cameras, [frustum], cache=CullCache())
+            for a, b in zip(culled.views, fresh.views):
+                assert np.array_equal(a.depth_mm, b.depth_mm)
+                assert np.array_equal(a.color, b.color)
+        assert not np.array_equal(first.views[0].depth_mm, later.views[0].depth_mm)
+
+    def test_caches_culling_one_capture_share_its_grids(self, setup):
+        """Every cache culling one capture reads the same read-only grid
+        per camera; each still counts its own first read a miss."""
+        _, rig, scene = setup
+        frame = rig.capture(scene, 0)
+        frustum = narrow_frustum([0.0, 1.2, -2.0])
+        caches = [CullCache(), CullCache()]
+        for cache in caches:
+            cull_views_union(frame, rig.cameras, [frustum], cache=cache)
+            assert cache.counters.misses == 2 * len(rig.cameras)
+        for camera, view in zip(rig.cameras, frame.views):
+            grids = [cache.local_points(camera, view.depth_mm)[0] for cache in caches]
+            assert grids[0] is grids[1]
+            assert not grids[0].flags.writeable
+
+    def test_two_party_cull_holds_no_grid(self, setup):
+        """The two-party sender keeps one CullCache for its lifetime
+        (the rig's inverted extrinsics), and once its cull returns no
+        grid of the capture is held anywhere."""
+        config, rig, scene = setup
+        sender = LiVoSender(rig.cameras, config)
+        cache = sender.cull_cache
+        sender.observe_pose(poses_for(["r0"])["r0"], 0.0)
+        for sequence in range(3):
+            frame = rig.capture(scene, sequence)
+            prepared = sender.prepare(frame, 0.1)
+            assert prepared.culled_points < prepared.total_points
+            assert sender.cull_cache is cache
+            assert not cache._points and cache._table is None
+            for camera, view in zip(rig.cameras, frame.views):
+                assert (id(view.depth_mm), id(camera)) not in culling._GRIDS
+        assert len(cache._w2c) == len(rig.cameras)
 
 
 # ----------------------------------------------------------------------
