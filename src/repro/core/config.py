@@ -7,6 +7,7 @@ tests; the dataclasses carry only what some caller varies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass, field
 from typing import ClassVar
 
@@ -149,3 +150,5 @@ class SessionConfig:
             raise ValueError("quality_max_points must be at least 1 (or None)")
         if self.quality_every < 1:
             raise ValueError("quality_every must be at least 1")
+        if self.trace_scale is not None and not 0 < self.trace_scale < math.inf:
+            raise ValueError("trace_scale must be finite and positive (or None)")

@@ -62,7 +62,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.span import Span
 from repro.obs.tracer import Tracer
 from repro.perf.capture import CachedFrameSource
-from repro.perf.features import FeatureCache
+from repro.perf.counters import CacheCounters
 from repro.prediction.pose import PoseTrace
 from repro.prediction.predictor import ViewingDevice
 from repro.runtime.stage import Stage, StageGraph
@@ -115,15 +115,17 @@ def _quality_job(
     actual_frustum: Frustum,
     render_voxel_m: float,
     shown,
-    cache: FeatureCache,
     max_points: int | None,
     tracer: Tracer | None = None,
     parent: Span | None = None,
 ):
     """Pure quality-scoring job: build the ground truth, score the shown
     cloud against it.  No session state touched, so it can run on the
-    scoring thread; everything it needs arrives as an argument.  The
-    score is None when the truth is empty (nothing to score).
+    scoring thread; everything it needs arrives as an argument, and
+    nothing outlives the job.  Returns ``(score, featurized)``: the
+    score is None when the truth is empty (nothing to score), and
+    ``featurized`` counts the clouds PointSSIM built features for (two,
+    or none when either cloud is empty).
 
     ``shown(truth)`` returns the cloud the scheme displayed (MeshReduce
     sizes its mesh sampling by the truth; the others ignore it).
@@ -136,10 +138,10 @@ def _quality_job(
     def compute():
         truth = ground_truth_cloud(frame, cameras, actual_frustum, render_voxel_m)
         if truth.is_empty:
-            return None
-        return pointssim_batch(
-            [(truth, shown(truth))], cache=cache, max_points=max_points
-        )[0]
+            return None, 0
+        displayed = shown(truth)
+        score = pointssim_batch([(truth, displayed)], max_points=max_points)[0]
+        return score, 0 if displayed.is_empty else 2
 
     if tracer is None:
         return compute()
@@ -190,9 +192,11 @@ class _QualityLane:
     the oldest, so at most two jobs are in flight.  Scores come back
     through futures: an exception raised by a job is re-raised by
     :meth:`collect`, and :meth:`close` joins the thread with every
-    submitted job finished.  The job gets its feature cache and
-    subsample bound as arguments -- nothing about a run lives at module
-    level, so overlapping runs cannot touch each other's scoring.
+    submitted job finished.  The job gets its subsample bound as an
+    argument and PointSSIM keeps nothing between calls, so overlapping
+    runs cannot touch each other's scoring.  ``featurized`` tallies the
+    clouds the jobs built features for, as misses: no job reuses
+    another's features.
     """
 
     MAX_IN_FLIGHT = 2
@@ -207,7 +211,7 @@ class _QualityLane:
         self.device = session.device
         self.replay = replay
         self.tracer = tracer
-        self.cache = FeatureCache()
+        self.featurized = CacheCounters("quality_features")
         self.stage = Stage("quality", self._submit)
         if tracer is not None:
             self.stage.attach_tracer(tracer, seq_fn=lambda args: args[2])
@@ -236,7 +240,6 @@ class _QualityLane:
             actual,
             RENDER_VOXEL_M,
             render(actual),
-            self.cache,
             self.config.quality_max_points,
             self.tracer,
             self.tracer.current() if self.tracer is not None else None,
@@ -255,7 +258,8 @@ class _QualityLane:
             if not final and not future.done():
                 unresolved.append((record, future))
                 continue
-            score = future.result()
+            score, featurized = future.result()
+            self.featurized.miss(featurized)
             if score is not None:
                 record.pssim_geometry = score.geometry
                 record.pssim_color = score.color
@@ -335,7 +339,7 @@ class _SessionBase:
             {
                 **(cache_stats or {}),
                 "capture_projection": replay.source.counters().to_dict(),
-                "quality_features": quality.cache.counters.to_dict(),
+                "quality_features": quality.featurized.to_dict(),
             }
         )
         return report
@@ -795,7 +799,7 @@ class _Call:
         for counters in (
             self.sender.cache_counters(),
             self.replay.source.counters(),
-            self.quality.cache.counters,
+            self.quality.featurized,
         ):
             counters.metrics_into(registry)
         self.channel.metrics_into(registry)

@@ -18,15 +18,14 @@ geometry score additionally folds in a normalized point-to-point
 proximity term so rigid drifts (which leave local dispersion intact)
 are still penalized.
 
-The metric is split into :func:`precompute_features` (the expensive
-half: KD-tree build + k-NN feature extraction, ~O(n log n)) and
-:func:`pointssim_from_features` (the comparison half), so a cloud
-scored more than once -- a reference against several baselines, both
-directions of the symmetric pooling -- builds its features exactly
-once.  :func:`pointssim` remains the one-shot entry point and accepts
-an optional :class:`~repro.perf.features.FeatureCache`; with a cache
-the scores are bit-for-bit identical because the cached features are
-the same arrays the uncached path would compute.
+The metric has one implementation, :func:`pointssim_batch`, and keeps
+nothing between calls.  :func:`precompute_features` is the expensive
+half (KD-tree build + k-NN feature extraction, ~O(n log n)); within one
+call it runs once per distinct cloud object, so a reference shared by
+several pairs builds its features once.  :func:`pointssim` scores one
+pair through the same batch path.  The scalar comparison the batch
+fuses is kept outside the package, as the oracle in
+``tests/reference/pointssim.py``.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ __all__ = [
     "PSSIMResult",
     "CloudFeatures",
     "precompute_features",
-    "pointssim_from_features",
     "stratified_subsample",
     "pointssim",
     "pointssim_batch",
@@ -133,38 +131,6 @@ def precompute_features(cloud: PointCloud, k: int = 9) -> CloudFeatures:
     )
 
 
-def pointssim_from_features(
-    reference: CloudFeatures,
-    distorted: CloudFeatures,
-    proximity_scale: float | None = None,
-) -> PSSIMResult:
-    """PointSSIM from precomputed features (the comparison half).
-
-    Identical float math to :func:`pointssim` on the same clouds --
-    the features *are* the intermediates the one-shot path computes.
-    """
-    diagonal = float(np.linalg.norm(reference.hi - reference.lo))
-    if proximity_scale is None:
-        proximity_scale = max(diagonal * 0.015, 1e-6)
-
-    scores_geometry = []
-    scores_color = []
-    for a, b in ((reference, distorted), (distorted, reference)):
-        nn_distance, nn_index = b.tree.query(a.positions)
-        geometry_similarity = _feature_similarity(a.geometry, b.geometry[nn_index])
-        # Gaussian proximity: errors well below the scale (e.g. voxel
-        # jitter) barely register; errors beyond it are punished hard.
-        proximity = np.exp(-((nn_distance / proximity_scale) ** 2))
-        scores_geometry.append(float((geometry_similarity * proximity).mean()))
-        color_similarity = _feature_similarity(a.color, b.color[nn_index])
-        scores_color.append(float(color_similarity.mean()))
-
-    return PSSIMResult(
-        geometry=100.0 * float(np.mean(scores_geometry)),
-        color=100.0 * float(np.mean(scores_color)),
-    )
-
-
 def stratified_subsample(
     cloud: PointCloud, max_points: int, seed: int = 0
 ) -> PointCloud:
@@ -200,14 +166,13 @@ def pointssim_batch(
     pairs,
     k: int = 9,
     proximity_scale: float | None = None,
-    cache=None,
     max_points: int | None = None,
     seed: int = 0,
 ) -> list[PSSIMResult]:
     """Score many (reference, distorted) pairs in one structure-of-arrays pass.
 
-    Float-identical to calling :func:`pointssim` once per pair, by
-    construction:
+    Float-identical to scoring each pair on its own with the scalar
+    comparison (``tests/reference/pointssim.py``), by construction:
 
     * feature extraction (the KD-tree half) runs through the exact
       per-cloud :func:`precompute_features` path, but only **once per
@@ -227,9 +192,11 @@ def pointssim_batch(
       values the scalar path reduces, so numpy's pairwise summation
       visits them in the same order.
 
-    Empty distorted clouds score ``PSSIMResult(0, 0)`` in place, as in
-    the scalar path; an empty reference raises.
+    Empty distorted clouds score ``PSSIMResult(0, 0)`` in place; an
+    empty reference raises, and so does a ``k`` below 1.
     """
+    if k < 1:
+        raise ValueError("k must be at least 1")
     pairs = list(pairs)
     results: list[PSSIMResult | None] = [None] * len(pairs)
 
@@ -246,10 +213,7 @@ def pointssim_batch(
         scored = cloud
         if max_points is not None:
             scored = stratified_subsample(scored, max_points, seed)
-        if cache is not None:
-            feats = cache.features(scored, k)
-        else:
-            feats = precompute_features(scored, k)
+        feats = precompute_features(scored, k)
         memo[key] = (cloud, feats)
         return feats
 
@@ -299,6 +263,8 @@ def pointssim_batch(
 
     geometry_similarity = _feature_similarity(geometry_a, geometry_b)
     color_similarity = _feature_similarity(color_a, color_b)
+    # Gaussian proximity: errors well below the scale (e.g. voxel
+    # jitter) barely register; errors beyond it are punished hard.
     proximity = np.exp(-((nn_distances / scales) ** 2))
     geometry_scored = geometry_similarity * proximity
 
@@ -325,7 +291,6 @@ def pointssim(
     distorted: PointCloud,
     k: int = 9,
     proximity_scale: float | None = None,
-    cache=None,
     max_points: int | None = None,
     seed: int = 0,
 ) -> PSSIMResult:
@@ -334,13 +299,10 @@ def pointssim(
     Args:
         reference: ground-truth cloud.
         distorted: reconstructed cloud.
-        k: neighborhood size for local features.
+        k: neighborhood size for local features (at least 1).
         proximity_scale: length scale (m) for the geometric proximity
             term; defaults to 1.5 percent of the reference bbox diagonal
             (roughly twice the render voxel for room-scale scenes).
-        cache: optional :class:`~repro.perf.features.FeatureCache`;
-            feature builds for content already seen are skipped.  Scores
-            are bit-identical with or without a cache.
         max_points: optional approximation knob -- clouds larger than
             this are deterministically stratified-subsampled before
             scoring (seeded by ``seed``).  Off by default; exact when
@@ -351,19 +313,6 @@ def pointssim(
         Geometry and color scores on 0-100.  An empty distorted cloud
         scores 0 (the paper assigns stalled frames a PSSIM of 0).
     """
-    if reference.is_empty:
-        raise ValueError("reference cloud must not be empty")
-    if distorted.is_empty:
-        return PSSIMResult(0.0, 0.0)
-
-    if max_points is not None:
-        reference = stratified_subsample(reference, max_points, seed)
-        distorted = stratified_subsample(distorted, max_points, seed)
-
-    if cache is not None:
-        ref_features = cache.features(reference, k)
-        dist_features = cache.features(distorted, k)
-    else:
-        ref_features = precompute_features(reference, k)
-        dist_features = precompute_features(distorted, k)
-    return pointssim_from_features(ref_features, dist_features, proximity_scale)
+    return pointssim_batch(
+        [(reference, distorted)], k, proximity_scale, max_points, seed
+    )[0]

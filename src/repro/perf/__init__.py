@@ -1,18 +1,13 @@
 """Kernel-cache layer: incremental computation and buffer reuse.
 
 The serial per-frame budget is dominated by the capture splat renderer
-and the PointSSIM quality kernel; both redo
-work that is identical frame to frame.  This package holds the caches
-that remove the redundancy without changing a single output byte:
+and the codec, which redo work that is identical frame to frame.  This
+package holds the caches that remove the redundancy:
 
 - :class:`~repro.perf.capture.CachedFrameSource` -- incremental capture:
   static scene points are projected through each camera once and their
   splat arrays reused every frame (``repro.capture.renderer.ProjectionCache``
   does the per-camera caching).
-- :class:`~repro.perf.features.FeatureCache` -- PointSSIM features
-  (KD-tree + per-point geometry/color features) memoized by a cheap
-  content fingerprint, so a reference cloud scored against several
-  baselines builds its tree once.
 - :class:`~repro.perf.scratch.ScratchArena` -- codec scratch: one
   stream's hit/miss-counted reads of the process-wide weight matrices,
   quantization divisors and motion offset tables.
@@ -20,28 +15,22 @@ that remove the redundancy without changing a single output byte:
   table, built from per-pixel point grids that every cache culling the
   same capture shares.
 
-Every cache is byte-identical to the pure function it memoizes.  The
-codec tables and the point grids are shared process-wide and read-only
-(the tables kept for the process's life, a grid only while some cache
-culls its capture).  Everything else belongs to one session (or fleet)
-and is touched from its thread only, except
-:class:`~repro.perf.features.FeatureCache`, which the session's scoring
-thread fills and which locks accordingly.
+The codec tables and the point grids are shared process-wide and
+read-only (the tables kept for the process's life, a grid only
+while some cache culls its capture).  Everything else belongs to one
+session (or fleet) and is touched from its thread only.  PointSSIM
+caches nothing: :mod:`repro.metrics.pointssim` keeps no state between
+calls.
 """
 
 from repro.perf.counters import CacheCounters
 from repro.perf.culling import CullCache
-from repro.perf.features import FeatureCache
-from repro.perf.fingerprint import array_fingerprint, cloud_fingerprint
 
 __all__ = [
     "CachedFrameSource",
     "CacheCounters",
     "CullCache",
-    "FeatureCache",
     "ScratchArena",
-    "array_fingerprint",
-    "cloud_fingerprint",
 ]
 
 # CachedFrameSource and ScratchArena pull in the renderer and codec

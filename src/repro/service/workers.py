@@ -89,10 +89,6 @@ class TickWorkerPool:
         )
         self._thread.start()
 
-    def wake(self) -> None:
-        """Nudge the scheduler out of its idle sleep (tests, shutdown)."""
-        self._wake.set()
-
     def stop(self, timeout: float = 10.0) -> None:
         """Stop the scheduler; idempotent."""
         self._stop.set()

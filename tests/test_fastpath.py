@@ -35,7 +35,6 @@ from repro.metrics.pointssim import (
 )
 from repro.obs.export import write_spans_jsonl
 from repro.obs.span import CLOCK_SIM, Span
-from repro.perf.features import FeatureCache
 from repro.prediction.pose import user_traces_for_video
 from repro.transport.traces import trace_1
 from tests.twins import assert_pinned
@@ -65,13 +64,12 @@ class TestBatchedPointSSIM:
             assert batched.color == single.color
 
     def test_batch_with_subsample_and_cache_identical(self):
+        """Subsampled, with the shared truth served from the batch's
+        per-call memo: still float-identical to the loop."""
         truth = _cloud(900, seed=6)
         pairs = [(truth, _cloud(800, seed=7)), (truth, _cloud(700, seed=8))]
-        loop = [
-            pointssim(ref, dist, cache=FeatureCache(), max_points=256)
-            for ref, dist in pairs
-        ]
-        batch = pointssim_batch(pairs, cache=FeatureCache(), max_points=256)
+        loop = [pointssim(ref, dist, max_points=256) for ref, dist in pairs]
+        batch = pointssim_batch(pairs, max_points=256)
         for single, batched in zip(loop, batch):
             assert batched.geometry == single.geometry
             assert batched.color == single.color

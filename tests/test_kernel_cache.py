@@ -4,7 +4,7 @@ Every cache in the layer promises *byte-identical* output to its
 uncached twin; these tests hold the layer to that promise:
 
 - incremental capture vs full re-render across a dynamic scene,
-- cached PointSSIM features vs the one-shot metric, to full precision,
+- the PointSSIM scalar oracle vs the one-shot metric, to full precision,
 - determinism of the stratified subsample mode,
 - scratch-arena bitstreams vs the pinned plain-encoder bitstreams,
 
@@ -13,9 +13,6 @@ exact integer bit lengths, fill_holes buffer reuse).
 """
 
 from __future__ import annotations
-
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -29,17 +26,11 @@ from repro.core.config import SessionConfig
 from repro.core.session import LiVoSession
 from repro.geometry.camera import CameraExtrinsics, CameraIntrinsics, RGBDCamera
 from repro.geometry.pointcloud import PointCloud
-from repro.metrics.pointssim import (
-    pointssim,
-    pointssim_from_features,
-    precompute_features,
-    stratified_subsample,
-)
+from repro.metrics.pointssim import pointssim, precompute_features, stratified_subsample
 from repro.perf.capture import FRAME_MEMO_BYTES, CachedFrameSource
-from repro.perf.features import FeatureCache
-from repro.perf.fingerprint import array_fingerprint, cloud_fingerprint
 from repro.prediction.pose import user_traces_for_video
 from repro.transport.traces import trace_1
+from tests.reference.pointssim import pointssim_from_features
 from tests.twins import assert_pinned
 
 
@@ -278,6 +269,9 @@ def _cloud_pair(n: int = 4000, seed: int = 3) -> tuple[PointCloud, PointCloud]:
 
 
 class TestQualityScoring:
+    """PointSSIM caches nothing; what stays here is the subsample mode
+    and one fixed-input check against the scalar oracle."""
+
     def test_from_features_equals_one_shot_exactly(self):
         reference, distorted = _cloud_pair()
         one_shot = pointssim(reference, distorted)
@@ -286,66 +280,6 @@ class TestQualityScoring:
         )
         assert one_shot.geometry == split.geometry
         assert one_shot.color == split.color
-
-    def test_feature_cache_is_exact_and_hits(self):
-        reference, distorted = _cloud_pair()
-        baseline = pointssim(reference, distorted)
-        cache = FeatureCache()
-        first = pointssim(reference, distorted, cache=cache)
-        second = pointssim(reference, distorted, cache=cache)
-        assert baseline == first == second
-        assert cache.counters.misses == 2
-        assert cache.counters.hits == 2
-
-    def test_feature_cache_lru_eviction(self):
-        cache = FeatureCache(capacity=2)
-        clouds = [_cloud_pair(n=500, seed=s)[0] for s in range(3)]
-        for cloud in clouds:
-            cache.features(cloud, k=9)
-        assert len(cache) == 2
-        cache.features(clouds[0], k=9)  # evicted -> rebuild
-        assert cache.counters.misses == 4
-
-    def test_feature_cache_survives_concurrent_scoring_threads(self):
-        """The scoring threads of one session share the cache: lookups
-        racing inserts and evictions must neither raise nor lose counts."""
-        cache = FeatureCache(capacity=1)
-        clouds = [_cloud_pair(n=40, seed=s)[0] for s in range(2)]
-        threads, lookups = 4, 3000
-        errors = []
-
-        def hammer():
-            try:
-                for index in range(lookups):
-                    cache.features(clouds[index % 2], k=9)
-            except Exception as error:  # reported below, on the test thread
-                errors.append(error)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            workers = [threading.Thread(target=hammer) for _ in range(threads)]
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(worker.is_alive() for worker in workers)
-        assert errors == []
-        assert cache.counters.hits + cache.counters.misses == threads * lookups
-        assert len(cache) == 1
-
-    def test_fingerprint_distinguishes_content(self):
-        reference, distorted = _cloud_pair(n=800)
-        assert cloud_fingerprint(reference) == cloud_fingerprint(
-            PointCloud(reference.positions.copy(), reference.colors.copy())
-        )
-        assert cloud_fingerprint(reference) != cloud_fingerprint(distorted)
-        a = np.arange(10.0)
-        b = a.copy()
-        b[7] += 1e-9
-        assert array_fingerprint(a) != array_fingerprint(b)
 
     def test_subsample_deterministic_under_fixed_seed(self):
         reference, _ = _cloud_pair(n=5000)

@@ -1,5 +1,7 @@
 """Edge cases for session drivers and scheme naming."""
 
+import math
+
 import pytest
 
 from repro.capture.dataset import load_video
@@ -72,12 +74,18 @@ class TestExplicitTraceScale:
             report.throughput_mbps / 0.5
         )
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+    def test_config_rejects_unusable_scale(self, scale):
+        # Caught when the config is built, not deep inside run().
+        with pytest.raises(ValueError, match="trace_scale"):
+            tiny_config(trace_scale=scale)
+
 
 class TestOverlappingRuns:
     def test_nested_run_leaves_the_outer_scoring_alone(self, tiny_workload):
         """A second session started in the same process while the first
         is mid-run (here: from inside its pose trace) must not re-point
-        the first one's PointSSIM cache or subsample bound."""
+        the first one's PointSSIM subsample bound."""
         scene, user = tiny_workload
         frames = 12
         config = tiny_config(quality_every=1)

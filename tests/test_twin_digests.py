@@ -38,6 +38,7 @@ from repro.faults.plan import (
     FrameCorruption,
     LinkOutage,
 )
+from repro.metrics import pointssim as pointssim_module
 from repro.obs import span as span_module
 from repro.obs import tracer as tracer_module
 from repro.obs.metrics import MetricsRegistry
@@ -333,6 +334,8 @@ def test_one_multi_party_driver_and_the_shim_stay_gone():
         (FleetConfig, "trace_jsonl"),
         (tracetools, "FLEET_CATEGORIES"),
         (bandwidth_split.SplitController, "history"),
+        # stop() sets the wake event itself; nothing else nudged the pool.
+        (TickWorkerPool, "wake"),
     ],
     ids=lambda value: getattr(value, "__name__", value).rsplit(".", 1)[-1],
 )
@@ -346,6 +349,17 @@ def test_uncalled_surface_stays_gone(owner, name):
         surface |= set(re.findall(r"\bself\.(\w+)\s*=", inspect.getsource(owner)))
     assert name not in surface
     assert "pointssim_features" not in batchplane.KERNELS
+
+
+def test_quality_feature_cache_stays_gone():
+    # PointSSIM keeps nothing between calls: no feature cache, no
+    # sampled content key, no cache argument, and the scalar comparison
+    # is the tests' oracle (tests/reference/pointssim.py).
+    for module in ("features", "fingerprint"):
+        assert importlib.util.find_spec(f"repro.perf.{module}") is None
+    for scorer in (pointssim_module.pointssim, pointssim_module.pointssim_batch):
+        assert "cache" not in _option_names(scorer)
+    assert not hasattr(pointssim_module, "pointssim_from_features")
 
 
 def test_tandem_queue_model_stays_gone():
