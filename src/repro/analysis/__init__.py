@@ -1,26 +1,18 @@
-"""Analysis helpers: aggregate session reports, format result tables.
+"""Analysis helpers: resilience summaries, result tables, trace tools.
 
-The evaluation aggregates many replay sessions into per-scheme
-summaries (Figs. 5-14 all do this).  This package makes that a public
-API so downstream users can run their own grids:
-
-- :mod:`repro.analysis.aggregate` -- scheme-level aggregation of
-  :class:`repro.core.stats.SessionReport` objects;
 - :mod:`repro.analysis.resilience` -- chaos-suite robustness numbers
   (MTTR, frames survived degraded, crash-free rate);
 - :mod:`repro.analysis.tables` -- plain-text table formatting used by
-  the CLI, examples, and benches.
+  the CLI, examples, and benches;
+- :mod:`repro.analysis.tracetools` -- critical paths from span exports
+  and their before/after diff (``analyze-trace``).
 """
 
-from repro.analysis.aggregate import SchemeSummary, aggregate_reports, compare_schemes
 from repro.analysis.resilience import ResilienceSummary, summarize_resilience
 from repro.analysis.tables import format_table
 
 __all__ = [
     "ResilienceSummary",
-    "SchemeSummary",
-    "aggregate_reports",
-    "compare_schemes",
     "format_table",
     "summarize_resilience",
 ]

@@ -35,7 +35,6 @@ __all__ = [
     "critical_path",
     "critical_path_from_jsonl",
     "diff_critical_paths",
-    "diff_jsonl",
     "format_critical_path",
     "format_diff",
 ]
@@ -212,20 +211,6 @@ def diff_critical_paths(
         )
     deltas.sort(key=lambda d: -abs(d.delta_s))
     return CriticalPathDiff(before=before, after=after, deltas=deltas)
-
-
-def diff_jsonl(
-    before_path,
-    after_path,
-    categories: tuple = DEFAULT_CATEGORIES,
-    rel_tolerance: float = DEFAULT_REL_TOLERANCE,
-) -> CriticalPathDiff:
-    """Load two span JSONL exports and diff their critical paths."""
-    return diff_critical_paths(
-        critical_path_from_jsonl(before_path, categories=categories),
-        critical_path_from_jsonl(after_path, categories=categories),
-        rel_tolerance=rel_tolerance,
-    )
 
 
 def format_critical_path(path: CriticalPath, title: str = "critical path") -> str:

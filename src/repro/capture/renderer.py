@@ -372,11 +372,11 @@ class ProjectionCache:
     ) -> tuple[np.ndarray, np.ndarray, bool]:
         """Z-buffered but *unfilled* ``(depth, color, needs_fill)`` arrays.
 
-        The raw render half of :meth:`render`: callers that batch the
-        hole filling across cameras (:func:`fill_holes_batch`) take the
-        arrays here and fill a whole rig's stack in one pass.
-        ``needs_fill`` mirrors the scalar path's skip condition (no
-        splats at all means nothing to fill).
+        The capture source fills the holes of a whole rig's stack in
+        one pass (:func:`fill_holes_batch`); :func:`fill_holes` on one
+        view's arrays is the same fill.  ``needs_fill`` mirrors the
+        scalar path's skip condition (no splats at all means nothing to
+        fill).
         """
         height = self.camera.intrinsics.height
         width = self.camera.intrinsics.width
@@ -411,23 +411,3 @@ class ProjectionCache:
         color = color.reshape(height, width, 3)
         needs_fill = bool(dynamic or self._image_key[0])
         return depth, color, needs_fill
-
-    def render(
-        self,
-        batches: list[SampleBatch],
-        sequence: int = 0,
-        timestamp_s: float = 0.0,
-        background_color: int = 0,
-        hole_fill_iterations: int = 2,
-    ) -> RGBDFrame:
-        """Render sample batches through this camera, reusing static splats."""
-        depth, color, needs_fill = self.render_arrays(batches, background_color)
-        if hole_fill_iterations > 0 and needs_fill:
-            depth, color = fill_holes(depth, color, iterations=hole_fill_iterations)
-        return RGBDFrame(
-            color,
-            depth,
-            camera_id=self.camera.camera_id,
-            sequence=sequence,
-            timestamp_s=timestamp_s,
-        )

@@ -1,201 +1,28 @@
-"""A V-PCC-like video-based point cloud codec.
+"""A V-PCC-like video-based point cloud codec: its encode-time model.
 
 MPEG's V-PCC "encodes point clouds using 2D video codecs", which makes
 it *directly rate-adaptive* -- the property LiVo wants -- "but it takes
 several minutes to encode one point cloud frame" (paper section 1: 8
 minutes for an 11 MB frame), which rules it out for conferencing.
 
-This miniature version keeps both properties:
-
-- geometry and attributes are orthographically projected onto the
-  three axis-aligned map pairs (a simplified patch decomposition) and
-  coded with the repository's rate-adaptive 2D codec, so a target
-  bitrate is honored directly;
-- the encode-time model is anchored to the paper's measurement, so any
-  scheduler consulting it sees V-PCC's prohibitive latency.
-
-Points occluded along all three axes are lost (real V-PCC's patch
-segmentation recovers more); the decoder deduplicates points that are
-visible along several axes.
+The paper uses V-PCC only for that latency, so this class is its time
+model, anchored to the paper's measurement, the same shape as
+:class:`repro.compression.gpcc.GPCCCodec`: any scheduler consulting it
+sees V-PCC's prohibitive latency.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-import zlib
-
-from repro.codec.frame import EncodedFrame
-from repro.codec.video import VideoCodecConfig, VideoDecoder, VideoEncoder
-from repro.geometry.pointcloud import PointCloud
-from repro.geometry.voxel import voxel_downsample
-
-__all__ = ["VPCCConfig", "VPCCEncodedCloud", "VPCCCodec"]
+__all__ = ["VPCCCodec"]
 
 # Paper section 1: "8 minutes using V-PCC for an 11 MB point cloud"
 # (~770k points at 15 B/point).
 _SECONDS_PER_POINT = 480.0 / 770_000
 
 
-@dataclass(frozen=True)
-class VPCCConfig:
-    """Projection and codec parameters."""
-
-    map_resolution: int = 128        # square occupancy/geometry map edge
-    max_range_m: float = 8.0         # scene extent mapped onto 16-bit depth
-
-    def __post_init__(self) -> None:
-        if self.map_resolution < 8:
-            raise ValueError("map_resolution must be at least 8")
-        if self.max_range_m <= 0:
-            raise ValueError("max_range_m must be positive")
-
-
-@dataclass
-class VPCCEncodedCloud:
-    """Encoded maps plus the metadata needed to unproject them.
-
-    As in real V-PCC, the per-view *occupancy maps* are coded
-    losslessly (bit-packed + DEFLATE): lossy geometry maps ring at
-    patch borders, and without exact occupancy those artifacts decode
-    into phantom points in mid-air.
-    """
-
-    geometry_frames: list[EncodedFrame]
-    color_frames: list[EncodedFrame]
-    occupancy_blobs: list[bytes]
-    origin: np.ndarray
-    scale_m: float
-    num_points_in: int
-    encode_time_s: float
-
-    @property
-    def size_bytes(self) -> int:
-        """Total compressed size across all maps."""
-        return (
-            sum(f.size_bytes for f in self.geometry_frames)
-            + sum(f.size_bytes for f in self.color_frames)
-            + sum(len(blob) for blob in self.occupancy_blobs)
-        )
-
-
 class VPCCCodec:
-    """Video-based point cloud codec with direct rate adaptation."""
-
-    # Axis permutations: (projection axis, row axis, column axis).
-    _VIEWS = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
-
-    def __init__(self, config: VPCCConfig | None = None) -> None:
-        self.config = config or VPCCConfig()
+    """Video-based point cloud codec's cost profile."""
 
     def estimate_encode_time_s(self, num_points: int) -> float:
         """Calibrated wall-clock estimate (paper: minutes per frame)."""
         return num_points * _SECONDS_PER_POINT
-
-    # ------------------------------------------------------------------
-    # Projection
-    # ------------------------------------------------------------------
-
-    def _project(self, cloud: PointCloud, origin: np.ndarray, scale: float):
-        """Rasterize the cloud into 3 (depth16, color) axis-aligned maps."""
-        resolution = self.config.map_resolution
-        normalized = (cloud.positions - origin) / scale  # in [0, 1]
-        grid = np.clip((normalized * (resolution - 1)).astype(np.int64), 0, resolution - 1)
-        depth16 = np.clip(np.rint(normalized * 65534.0) + 1, 1, 65535).astype(np.uint16)
-
-        maps = []
-        for axis, row_axis, col_axis in self._VIEWS:
-            depth_map = np.zeros((resolution, resolution), dtype=np.uint16)
-            color_map = np.zeros((resolution, resolution, 3), dtype=np.uint8)
-            rows = grid[:, row_axis]
-            cols = grid[:, col_axis]
-            depth_along = depth16[:, axis]
-            # Nearest point along the projection axis wins (z-buffer).
-            flat = rows * resolution + cols
-            order = np.lexsort((-depth_along.astype(np.int64), flat))
-            flat_sorted = flat[order]
-            depth_map.reshape(-1)[flat_sorted] = depth_along[order]
-            color_map.reshape(-1, 3)[flat_sorted] = cloud.colors[order]
-            maps.append((depth_map, color_map))
-        return maps
-
-    # ------------------------------------------------------------------
-    # Encode / decode
-    # ------------------------------------------------------------------
-
-    def encode(
-        self, cloud: PointCloud, target_bytes: int | None = None, qp: int = 20
-    ) -> VPCCEncodedCloud:
-        """Encode a cloud; with ``target_bytes`` the 2D codecs rate-adapt
-        (the property the paper credits V-PCC with)."""
-        if cloud.is_empty:
-            raise ValueError("cannot encode an empty cloud")
-        lo, hi = cloud.bounds()
-        scale = float(max(np.max(hi - lo), 1e-6))
-        maps = self._project(cloud, lo, scale)
-
-        geometry_frames = []
-        color_frames = []
-        occupancy_blobs = []
-        per_map_budget = None if target_bytes is None else max(
-            target_bytes // (2 * len(maps)), 64
-        )
-        for depth_map, color_map in maps:
-            occupancy_blobs.append(
-                zlib.compress(np.packbits(depth_map > 0).tobytes(), 9)
-            )
-            geometry_encoder = VideoEncoder(VideoCodecConfig.for_depth(gop_size=1))
-            color_encoder = VideoEncoder(VideoCodecConfig(gop_size=1))
-            if per_map_budget is not None:
-                geometry_frame, _ = geometry_encoder.encode_to_target(
-                    depth_map, per_map_budget
-                )
-                color_frame, _ = color_encoder.encode_to_target(color_map, per_map_budget)
-            else:
-                geometry_frame, _ = geometry_encoder.encode(depth_map, qp)
-                color_frame, _ = color_encoder.encode(color_map, qp)
-            geometry_frames.append(geometry_frame)
-            color_frames.append(color_frame)
-
-        return VPCCEncodedCloud(
-            geometry_frames=geometry_frames,
-            color_frames=color_frames,
-            occupancy_blobs=occupancy_blobs,
-            origin=np.asarray(lo, dtype=np.float64),
-            scale_m=scale,
-            num_points_in=cloud.num_points,
-            encode_time_s=self.estimate_encode_time_s(cloud.num_points),
-        )
-
-    def decode(self, encoded: VPCCEncodedCloud) -> PointCloud:
-        """Unproject all maps and merge (deduplicated by fine voxel)."""
-        resolution = self.config.map_resolution
-        scale = encoded.scale_m
-        clouds = []
-        for (axis, row_axis, col_axis), geometry_frame, color_frame, occupancy_blob in zip(
-            self._VIEWS, encoded.geometry_frames, encoded.color_frames,
-            encoded.occupancy_blobs,
-        ):
-            depth_map = VideoDecoder(VideoCodecConfig.for_depth(gop_size=1)).decode(
-                geometry_frame
-            )
-            color_map = VideoDecoder(VideoCodecConfig(gop_size=1)).decode(color_frame)
-            occupancy = np.unpackbits(
-                np.frombuffer(zlib.decompress(occupancy_blob), dtype=np.uint8)
-            )[: resolution * resolution].reshape(resolution, resolution)
-            rows, cols = np.nonzero(occupancy)
-            if len(rows) == 0:
-                continue
-            normalized = np.zeros((len(rows), 3))
-            normalized[:, axis] = (depth_map[rows, cols].astype(np.float64) - 1.0) / 65534.0
-            normalized[:, row_axis] = rows / (resolution - 1)
-            normalized[:, col_axis] = cols / (resolution - 1)
-            positions = normalized * scale + encoded.origin
-            clouds.append(PointCloud(positions, color_map[rows, cols]))
-        merged = PointCloud.merge(clouds)
-        if merged.is_empty:
-            return merged
-        # Points visible along several axes collapse to one.
-        return voxel_downsample(merged, scale / self.config.map_resolution)

@@ -47,7 +47,7 @@ class LiVoReceiver:
         self.cameras = cameras
         self.config = config
         # Identity of this receiver within a multi-party conference
-        # (None for the legacy two-party session).
+        # (None in a two-party session).
         self.receiver_id = receiver_id
         intrinsics = cameras[0].intrinsics
         self.layout = TileLayout.for_cameras(

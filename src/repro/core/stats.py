@@ -104,12 +104,6 @@ class SessionReport:
 
         return format_stage_profile(self._stage_timings, fps=self.fps_target)
 
-    def timing_dict(self) -> dict:
-        """JSON-friendly stage-timing summary (empty if uninstrumented)."""
-        if not self._stage_timings:
-            return {}
-        return {name: t.to_dict() for name, t in self._stage_timings.items()}
-
     # Kernel-cache hit/miss counters, same non-field pattern as stage
     # timings: run-varying instrumentation, invisible to asdict.
     _cache_stats = None

@@ -16,7 +16,7 @@ reproduction builds on:
 """
 
 from repro.geometry.camera import CameraExtrinsics, CameraIntrinsics, RGBDCamera
-from repro.geometry.frustum import Frustum, Plane
+from repro.geometry.frustum import Frustum
 from repro.geometry.pointcloud import PointCloud
 from repro.geometry.transforms import (
     euler_to_rotation,
@@ -31,7 +31,6 @@ __all__ = [
     "CameraIntrinsics",
     "RGBDCamera",
     "Frustum",
-    "Plane",
     "PointCloud",
     "euler_to_rotation",
     "look_at",

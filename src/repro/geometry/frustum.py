@@ -19,19 +19,14 @@ row-wise array operation, so the module-level functions take any stack
 ``(..., 6, 4)`` of frustums and broadcast: the SFU builds all of a
 conference's receivers at once and tests them against all cameras in one
 pass (:mod:`repro.perf.culling`).  :class:`Frustum` wraps a single
-``(6, 4)`` array with the same operations; :class:`Plane` is the public
-value type for one row and is built on request (:attr:`Frustum.planes`),
-never per frame.
+``(6, 4)`` array for the callers that test one viewer's points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "Plane",
     "Frustum",
     "unit_planes",
     "camera_planes",
@@ -39,45 +34,6 @@ __all__ = [
     "transform_planes",
     "planes_contain",
 ]
-
-
-@dataclass(frozen=True)
-class Plane:
-    """Oriented plane ``normal . x + offset = 0`` with unit normal."""
-
-    normal: np.ndarray
-    offset: float
-
-    def __post_init__(self) -> None:
-        normal = np.asarray(self.normal, dtype=np.float64)
-        norm = np.linalg.norm(normal)
-        if norm < 1e-12:
-            raise ValueError("plane normal must be nonzero")
-        object.__setattr__(self, "normal", normal / norm)
-        object.__setattr__(self, "offset", float(self.offset) / norm)
-
-    def signed_distance(self, points: np.ndarray) -> np.ndarray:
-        """Signed distance of ``(N, 3)`` points; positive on the normal side."""
-        return np.asarray(points, dtype=np.float64) @ self.normal + self.offset
-
-    def translated(self, delta: float) -> "Plane":
-        """Plane moved ``delta`` meters along its (inward) normal.
-
-        Negative ``delta`` moves the plane outward, enlarging the frustum;
-        this implements LiVo's guard band (section 3.4).
-        """
-        return Plane(self.normal.copy(), self.offset - delta)
-
-    def transformed(self, transform: np.ndarray) -> "Plane":
-        """Plane mapped through a rigid 4x4 transform.
-
-        For a rigid transform T, the plane (n, d) maps to (R n, d - (R n).t).
-        """
-        rotation = transform[:3, :3]
-        translation = transform[:3, 3]
-        new_normal = rotation @ self.normal
-        new_offset = self.offset - float(new_normal @ translation)
-        return Plane(new_normal, new_offset)
 
 
 # ----------------------------------------------------------------------
@@ -88,9 +44,9 @@ class Plane:
 def unit_planes(rows: np.ndarray) -> np.ndarray:
     """``[normal | offset]`` rows rescaled to unit normals.
 
-    A row whose normal is (numerically) zero raises ``ValueError``, as
-    :class:`Plane` does: dividing it through would turn every test
-    against the plane into a NaN comparison that silently culls.
+    A row whose normal is (numerically) zero raises ``ValueError``:
+    dividing it through would turn every test against the plane into a
+    NaN comparison that silently culls.
     """
     rows = np.asarray(rows, dtype=np.float64)
     normals = rows[..., :3]
@@ -211,15 +167,12 @@ class Frustum:
 
     PLANE_NAMES = ("near", "far", "left", "right", "top", "bottom")
 
-    def __init__(self, planes) -> None:
-        """From six :class:`Plane` objects or ``(6, 4)`` ``[normal |
-        offset]`` rows (any positive scale; stored with unit normals)."""
-        if not isinstance(planes, np.ndarray):
-            planes = np.array(
-                [[*plane.normal, plane.offset] for plane in planes], dtype=np.float64
-            ).reshape(-1, 4)
+    def __init__(self, planes: np.ndarray) -> None:
+        """From ``(6, 4)`` ``[normal | offset]`` rows (any positive scale;
+        stored with unit normals)."""
+        planes = np.asarray(planes, dtype=np.float64)
         if planes.shape != (6, 4):
-            raise ValueError(f"a frustum has exactly 6 planes, got {len(planes)}")
+            raise ValueError(f"a frustum has exactly 6 planes, got shape {planes.shape}")
         self.array = unit_planes(planes)
 
     @classmethod
@@ -229,11 +182,6 @@ class Frustum:
         frustum = cls.__new__(cls)
         frustum.array = array
         return frustum
-
-    @property
-    def planes(self) -> list[Plane]:
-        """The six planes as :class:`Plane` values, built on request."""
-        return [Plane(row[:3], row[3]) for row in self.array]
 
     @staticmethod
     def from_camera(
@@ -259,26 +207,3 @@ class Frustum:
         if points.ndim != 2 or points.shape[1] != 3:
             raise ValueError(f"expected (N, 3) points, got {points.shape}")
         return planes_contain(self.array, points)
-
-    def contains_grid(self, points: np.ndarray) -> np.ndarray:
-        """Like :meth:`contains` but for an ``(H, W, 3)`` pixel-point grid.
-
-        Used by RGB-D view culling: points are camera-local pixel
-        back-projections and the frustum has been transformed into the
-        camera's local frame (section 3.4).
-        """
-        points = np.asarray(points, dtype=np.float64)
-        flat = points.reshape(-1, 3)
-        return self.contains(flat).reshape(points.shape[:2])
-
-    def expanded(self, guard_band_m: float) -> "Frustum":
-        """Frustum enlarged by moving every plane outward by ``guard_band_m``."""
-        return Frustum.of_unit_rows(expand_planes(self.array, guard_band_m))
-
-    def transformed(self, transform: np.ndarray) -> "Frustum":
-        """Frustum mapped through a rigid 4x4 transform.
-
-        LiVo transforms the (world-frame) frustum into each camera's
-        local coordinate system once per frame, then tests pixels locally.
-        """
-        return Frustum.of_unit_rows(transform_planes(self.array, transform))

@@ -1,4 +1,4 @@
-"""Quality metrics: image RMSE/PSNR, PointSSIM, MOS model, latency.
+"""Quality metrics: image RMSE, PointSSIM, MOS model, latency.
 
 - :mod:`repro.metrics.image` -- 2D pixel metrics; the RMSE here is what
   LiVo's bandwidth splitter balances (section 3.3);
@@ -14,12 +14,11 @@ PointSSIM is imported from its own module: it loads ``scipy.spatial``,
 which a process that only encodes and forwards never needs.
 """
 
-from repro.metrics.image import psnr, rmse
+from repro.metrics.image import rmse
 from repro.metrics.latency import LatencyBreakdown, latency_table
 from repro.metrics.mos import CommentModel, MOSModel, SessionQoE
 
 __all__ = [
-    "psnr",
     "rmse",
     "LatencyBreakdown",
     "latency_table",

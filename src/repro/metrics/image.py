@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["rmse", "psnr", "masked_rmse"]
+__all__ = ["rmse"]
 
 
 def rmse(reference: np.ndarray, distorted: np.ndarray) -> float:
@@ -23,32 +23,3 @@ def rmse(reference: np.ndarray, distorted: np.ndarray) -> float:
             f"shape mismatch: {reference.shape} vs {distorted.shape}"
         )
     return float(np.sqrt(((reference - distorted) ** 2).mean()))
-
-
-def masked_rmse(reference: np.ndarray, distorted: np.ndarray, mask: np.ndarray) -> float:
-    """RMSE over pixels where ``mask`` is True (e.g. inside the cull).
-
-    Returns 0.0 for an empty mask.
-    """
-    reference = np.asarray(reference, dtype=np.float64)
-    distorted = np.asarray(distorted, dtype=np.float64)
-    if reference.shape != distorted.shape:
-        raise ValueError("shape mismatch")
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != reference.shape[: mask.ndim]:
-        raise ValueError("mask shape mismatch")
-    if not mask.any():
-        return 0.0
-    difference = (reference - distorted)[mask]
-    return float(np.sqrt((difference**2).mean()))
-
-
-def psnr(reference: np.ndarray, distorted: np.ndarray, peak: float | None = None) -> float:
-    """Peak signal-to-noise ratio in dB; infinity for identical images."""
-    reference = np.asarray(reference)
-    if peak is None:
-        peak = 65535.0 if reference.dtype == np.uint16 else 255.0
-    error = rmse(reference, distorted)
-    if error == 0:
-        return float("inf")
-    return float(20.0 * np.log10(peak / error))

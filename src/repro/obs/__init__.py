@@ -11,8 +11,9 @@ into one causally-linked, per-frame timeline:
   spans place transport and playout on the session's simulated
   timeline.  Traces are deterministic under a :class:`FakeClock`.
 - :class:`MetricsRegistry`: counters, gauges, and histograms with
-  exact streaming quantiles, absorbing ``cache_stats``, stage-timing
-  tables, and transport batch counters behind compatibility shims.
+  exact streaming quantiles; cache and transport batch counters write
+  themselves into it (``metrics_into``) and the session adds its stage
+  timings.
 - Exporters: JSONL and Chrome ``trace_event`` JSON (loads in Perfetto
   / ``chrome://tracing``), plus a per-frame timeline summary attached
   to :class:`~repro.core.stats.SessionReport`.

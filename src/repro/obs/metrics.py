@@ -190,19 +190,3 @@ class MetricsRegistry:
             if isinstance(hits, Counter) and isinstance(misses, Counter):
                 total = hits.value + misses.value
                 self.gauge(name).set(hits.value / total if total else 0.0)
-
-    def format_table(self) -> str:
-        """Human-readable metric table (``--profile`` companion)."""
-        lines = [f"{'metric':<40s} {'value':>24s}"]
-        lines.append("-" * len(lines[0]))
-        for name, entry in self.to_dict().items():
-            if entry["type"] == "histogram":
-                rendered = (
-                    f"n={entry['count']} mean={entry['mean']:.3f} "
-                    f"p95={entry['p95']:.3f}"
-                )
-            else:
-                value = entry["value"]
-                rendered = f"{value:.4f}" if isinstance(value, float) else str(value)
-            lines.append(f"{name:<40s} {rendered:>24s}")
-        return "\n".join(lines)

@@ -69,18 +69,6 @@ class StageTiming:
         """Worst-case service time."""
         return float(max(self.samples)) if self.samples else 0.0
 
-    def to_dict(self) -> dict:
-        """JSON-friendly summary (milliseconds)."""
-        return {
-            "name": self.name,
-            "count": self.count,
-            "total_ms": self.total_s * 1e3,
-            "mean_ms": self.mean_s * 1e3,
-            "p50_ms": self.p50_s * 1e3,
-            "p95_ms": self.p95_s * 1e3,
-            "max_ms": self.max_s * 1e3,
-        }
-
 
 class Stage:
     """One named unit of per-frame work with timing instrumentation.
@@ -155,19 +143,8 @@ class StageGraph:
             raise ValueError(f"duplicate stage names: {names}")
         self.stages = list(stages)
 
-    def stage(self, name: str) -> Stage:
-        """Look up a stage by name."""
-        for stage in self.stages:
-            if stage.name == name:
-                return stage
-        raise KeyError(name)
-
     def run_item(self, item):
         """Push one item through every stage, in-line (deterministic)."""
         for stage in self.stages:
             item = stage(item)
         return item
-
-    def timings(self) -> dict[str, StageTiming]:
-        """Per-stage measured service times, keyed by stage name."""
-        return {stage.name: stage.timing for stage in self.stages}

@@ -94,6 +94,14 @@ class ServiceConfig:
             raise ValueError("num_cameras/sample_budget must be positive")
         if self.tick_interval_s < 0:
             raise ValueError("tick_interval_s must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        if self.pose_trace_frames <= 0:
+            raise ValueError("pose_trace_frames must be positive")
+        if self.max_clients_per_session < 1 or self.max_sessions < 1:
+            raise ValueError("max_clients_per_session/max_sessions must be >= 1")
+        if not 0 <= self.port <= 65535:
+            raise ValueError("port must be in 0-65535")
 
 
 class _HostedConference(ConferenceDriver):

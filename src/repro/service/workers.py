@@ -70,7 +70,6 @@ class TickWorkerPool:
         self.plane = BatchPlane()
         self.rounds = 0
         self._stop = threading.Event()
-        self._wake = threading.Event()
         self._thread: threading.Thread | None = None
         self._tick_ms = registry.metrics.histogram("service.tick_ms")
 
@@ -92,7 +91,6 @@ class TickWorkerPool:
     def stop(self, timeout: float = 10.0) -> None:
         """Stop the scheduler; idempotent."""
         self._stop.set()
-        self._wake.set()
         if self._thread is not None:
             self._thread.join(timeout)
             if self._thread.is_alive():  # pragma: no cover - watchdog only
@@ -169,8 +167,7 @@ class TickWorkerPool:
                 self.registry._audit_event("round_error", "-", repr(error))
                 ticked = 0
             if ticked == 0:
-                self._wake.wait(_IDLE_SLEEP_S)
-                self._wake.clear()
+                self._stop.wait(_IDLE_SLEEP_S)
                 continue
             if self.tick_interval_s > 0.0:
                 budget = self.tick_interval_s - (perf_counter() - started)

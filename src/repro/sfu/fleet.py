@@ -81,6 +81,10 @@ class FleetConfig:
             raise ValueError("churn_every must be positive")
         if self.unicast_control <= 0:
             raise ValueError("unicast_control must be positive")
+        if self.sample_budget <= 0:
+            raise ValueError("sample_budget must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass

@@ -14,8 +14,6 @@ machinery as a discrete-time simulation:
   serialized bytes and their reassembly at the receiver;
 - :mod:`repro.transport.fec` -- XOR-parity FEC with length recovery,
   which rebuilds a lost slice byte for byte;
-- :mod:`repro.transport.jitter` -- the receiver's jitter buffer
-  (100 ms target, appendix A.1);
 - :mod:`repro.transport.channel` -- the WebRTC-like channel tying those
   together: frames cross as bytes, with NACK/PLI-style recovery and an
   RTT estimator;
@@ -28,7 +26,6 @@ machinery as a discrete-time simulation:
 from repro.transport.channel import FrameDelivery, WebRTCChannel, WebRTCConfig
 from repro.transport.downlink import DownlinkSend, DownlinkSet
 from repro.transport.gcc import GoogleCongestionControl
-from repro.transport.jitter import JitterBuffer
 from repro.transport.link import EmulatedLink, LinkConfig
 from repro.transport.packet import Packet
 from repro.transport.tcp import ReliableByteStream
@@ -41,7 +38,6 @@ __all__ = [
     "WebRTCChannel",
     "WebRTCConfig",
     "GoogleCongestionControl",
-    "JitterBuffer",
     "EmulatedLink",
     "LinkConfig",
     "Packet",

@@ -1,8 +1,8 @@
 """Artifact export: images and point clouds, dependency-free.
 
 The paper's receiver renders with Open3D/Unity; this module provides
-the inspection equivalents that work anywhere: NetPBM image writers
-(PPM for color, PGM via a turbo-like colormap for depth) and an ASCII
+the inspection equivalents that work anywhere: a NetPBM image writer
+(PPM, for color and for depth through a turbo-like colormap) and an ASCII
 PLY writer for point clouds, so every stage of the pipeline can be
 dumped to files and eyeballed in any viewer.
 """
@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.geometry.pointcloud import PointCloud
 
-__all__ = ["write_ppm", "write_pgm", "depth_to_color", "write_ply"]
+__all__ = ["write_ppm", "depth_to_color", "write_ply"]
 
 
 def write_ppm(path: str | Path, image: np.ndarray) -> Path:
@@ -28,24 +28,6 @@ def write_ppm(path: str | Path, image: np.ndarray) -> Path:
     with path.open("wb") as handle:
         handle.write(f"P6\n{width} {height}\n255\n".encode())
         handle.write(image.tobytes())
-    return path
-
-
-def write_pgm(path: str | Path, image: np.ndarray, max_value: int | None = None) -> Path:
-    """Write an ``(H, W)`` uint8/uint16 image as binary PGM (P5)."""
-    image = np.asarray(image)
-    if image.ndim != 2 or image.dtype not in (np.uint8, np.uint16):
-        raise ValueError("write_pgm expects an (H, W) uint8/uint16 image")
-    if max_value is None:
-        max_value = 255 if image.dtype == np.uint8 else 65535
-    if not 0 < max_value < 65536:
-        raise ValueError("max_value must be in (0, 65536)")
-    path = Path(path)
-    height, width = image.shape
-    payload = image.astype(">u2").tobytes() if max_value > 255 else image.astype(np.uint8).tobytes()
-    with path.open("wb") as handle:
-        handle.write(f"P5\n{width} {height}\n{max_value}\n".encode())
-        handle.write(payload)
     return path
 
 

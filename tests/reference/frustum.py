@@ -2,20 +2,59 @@
 
 The oracle for ``repro.geometry.frustum`` (one ``(6, 4)`` array per
 frustum) and for the per-frame visibility table of
-``repro.perf.culling.CullCache``.  Every plane is a public
-:class:`~repro.geometry.frustum.Plane` that renormalises itself on each
-``translated`` / ``transformed``; a grid is tested one (frustum, camera)
-pair at a time, one ``points @ normal + offset`` gemv per plane, the
-masks and-ed together.  It defines which pixels a receiver sees; the
-package's batched arithmetic may differ from it in the last ulp of a
-plane coefficient and nowhere in a mask (away from a plane's surface).
+``repro.perf.culling.CullCache``.  Every plane is a :class:`Plane` that
+renormalises itself on each ``translated`` / ``transformed``; a grid is
+tested one (frustum, camera) pair at a time, one ``points @ normal +
+offset`` gemv per plane, the masks and-ed together.  It defines which
+pixels a receiver sees; the package's batched arithmetic may differ from
+it in the last ulp of a plane coefficient and nowhere in a mask (away
+from a plane's surface).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from repro.geometry.frustum import Plane
+
+@dataclass(frozen=True)
+class Plane:
+    """Oriented plane ``normal . x + offset = 0`` with unit normal."""
+
+    normal: np.ndarray
+    offset: float
+
+    def __post_init__(self) -> None:
+        normal = np.asarray(self.normal, dtype=np.float64)
+        norm = np.linalg.norm(normal)
+        if norm < 1e-12:
+            raise ValueError("plane normal must be nonzero")
+        object.__setattr__(self, "normal", normal / norm)
+        object.__setattr__(self, "offset", float(self.offset) / norm)
+
+    def signed_distance(self, points: np.ndarray) -> np.ndarray:
+        """Signed distance of ``(N, 3)`` points; positive on the normal side."""
+        return np.asarray(points, dtype=np.float64) @ self.normal + self.offset
+
+    def translated(self, delta: float) -> "Plane":
+        """Plane moved ``delta`` meters along its (inward) normal.
+
+        Negative ``delta`` moves the plane outward, enlarging the frustum:
+        LiVo's guard band (section 3.4).
+        """
+        return Plane(self.normal.copy(), self.offset - delta)
+
+    def transformed(self, transform: np.ndarray) -> "Plane":
+        """Plane mapped through a rigid 4x4 transform.
+
+        For a rigid transform T, the plane (n, d) maps to (R n, d - (R n).t).
+        """
+        rotation = transform[:3, :3]
+        translation = transform[:3, 3]
+        new_normal = rotation @ self.normal
+        new_offset = self.offset - float(new_normal @ translation)
+        return Plane(new_normal, new_offset)
 
 
 def _normalize(vector: np.ndarray) -> np.ndarray:

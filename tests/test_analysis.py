@@ -1,74 +1,8 @@
-"""Tests for session-report aggregation and table formatting."""
+"""Tests for result-table formatting."""
 
 import pytest
 
-from repro.analysis.aggregate import aggregate_reports, compare_schemes
 from repro.analysis.tables import format_table
-from repro.core.stats import FrameRecord, SessionReport
-
-
-def make_report(scheme="LiVo", pssim=90.0, stalled=False, fps_frames=3):
-    frames = [
-        FrameRecord(
-            sequence=i, capture_time_s=i / 30.0,
-            rendered=not stalled, stalled=stalled,
-            wire_bytes=1000,
-            pssim_geometry=None if stalled else pssim,
-            pssim_color=None if stalled else pssim - 5,
-        )
-        for i in range(fps_frames)
-    ]
-    return SessionReport(
-        scheme=scheme, video="v", user_trace="u", network_trace="t",
-        fps_target=30.0, duration_s=fps_frames / 30.0, frames=frames,
-        mean_capacity_mbps=10.0, trace_scale=1.0,
-    )
-
-
-class TestAggregate:
-    def test_single_report(self):
-        summary = aggregate_reports([make_report(pssim=88.0)])
-        assert summary.scheme == "LiVo"
-        assert summary.num_sessions == 1
-        assert summary.pssim_geometry_mean == pytest.approx(88.0)
-        assert summary.stall_rate == 0.0
-
-    def test_mean_across_reports(self):
-        summary = aggregate_reports([make_report(pssim=80.0), make_report(pssim=90.0)])
-        assert summary.pssim_geometry_mean == pytest.approx(85.0)
-        assert summary.pssim_geometry_std == pytest.approx(5.0)
-
-    def test_stalls_zero_convention(self):
-        stalled = make_report(stalled=True)
-        summary = aggregate_reports([stalled])
-        assert summary.pssim_geometry_mean == 0.0
-        relaxed = aggregate_reports([stalled], stalls_as_zero=False)
-        assert relaxed.pssim_geometry_mean == 0.0  # nothing measured at all
-
-    def test_mixed_schemes_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_reports([make_report("A"), make_report("B")])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_reports([])
-
-    def test_compare_schemes_sorted_by_quality(self):
-        reports = [
-            make_report("worse", pssim=50.0),
-            make_report("better", pssim=95.0),
-            make_report("worse", pssim=55.0),
-        ]
-        summaries = compare_schemes(reports)
-        assert [s.scheme for s in summaries] == ["better", "worse"]
-        assert summaries[1].num_sessions == 2
-
-    def test_row_shape(self):
-        row = aggregate_reports([make_report()]).row()
-        assert set(row) == {
-            "scheme", "sessions", "pssim_g", "pssim_c", "stalls%", "fps",
-            "tput_mbps", "util%",
-        }
 
 
 class TestFormatTable:
@@ -93,8 +27,3 @@ class TestFormatTable:
 
     def test_empty_rows(self):
         assert format_table([]) == "(no rows)"
-
-    def test_scheme_summary_rows_render(self):
-        rows = [aggregate_reports([make_report()]).row()]
-        text = format_table(rows)
-        assert "LiVo" in text

@@ -19,7 +19,6 @@ from repro.analysis.tracetools import (
     critical_path,
     critical_path_from_jsonl,
     diff_critical_paths,
-    diff_jsonl,
     format_critical_path,
     format_diff,
 )
@@ -355,7 +354,7 @@ class TestTraceTools:
         write_spans_jsonl(_synthetic_trace(0.5), after_path)
         loaded = critical_path_from_jsonl(before_path)
         assert loaded.total_s == pytest.approx(critical_path(_synthetic_trace(1.0)).total_s)
-        diff = diff_jsonl(before_path, after_path)
+        diff = diff_critical_paths(loaded, critical_path_from_jsonl(after_path))
         assert diff.speedup == pytest.approx(2.0)
         assert {d.name for d in diff.improved} == {"capture", "encode", "quality"}
 

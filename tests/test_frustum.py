@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry.frustum import Frustum, Plane
+from repro.geometry.frustum import Frustum, expand_planes, planes_contain, transform_planes
 from repro.geometry.transforms import euler_to_rotation, make_transform, transform_points
+from tests.reference.frustum import Plane
 
 # Plane rows are normalised with vectorised norms: a degenerate plane
 # must stay a ValueError, never a warning and a NaN mask.
@@ -27,7 +28,13 @@ def forward_frustum(**kwargs):
     return Frustum.from_camera(**defaults)
 
 
+def expanded(frustum, guard_band_m):
+    return Frustum.of_unit_rows(expand_planes(frustum.array, guard_band_m))
+
+
 class TestPlane:
+    """The oracle's plane (``tests/reference/frustum.py``)."""
+
     def test_signed_distance_sign(self):
         plane = Plane(np.array([0.0, 0.0, 1.0]), 0.0)  # z = 0, normal +z
         d = plane.signed_distance(np.array([[0, 0, 2.0], [0, 0, -2.0]]))
@@ -94,13 +101,13 @@ class TestFrustumContains:
         frustum = forward_frustum()
         grid = np.zeros((4, 5, 3))
         grid[..., 2] = 3.0
-        mask = frustum.contains_grid(grid)
+        mask = planes_contain(frustum.array, grid)
         assert mask.shape == (4, 5)
         assert mask.all()
 
     def test_six_planes_required(self):
         with pytest.raises(ValueError):
-            Frustum([Plane(np.array([0, 0, 1.0]), 0.0)] * 5)
+            Frustum(np.tile([0.0, 0.0, 1.0, 0.0], (5, 1)))
 
     def test_invalid_fov(self):
         with pytest.raises(ValueError):
@@ -114,12 +121,12 @@ class TestFrustumContains:
 class TestGuardBand:
     def test_expanded_superset(self):
         frustum = forward_frustum()
-        expanded = frustum.expanded(0.2)
+        grown_frustum = expanded(frustum, 0.2)
         rng = np.random.default_rng(1)
         points = rng.uniform(-5, 5, size=(500, 3))
         points[:, 2] = rng.uniform(-1, 11, size=500)
         base = frustum.contains(points)
-        grown = expanded.contains(points)
+        grown = grown_frustum.contains(points)
         assert np.all(grown[base])  # everything inside stays inside
 
     def test_expanded_strictly_larger(self):
@@ -127,18 +134,18 @@ class TestGuardBand:
         # A point just outside the top plane comes inside after expansion.
         point = np.array([[0.0, 1.25, 2.0]])
         assert not frustum.contains(point)[0]
-        assert frustum.expanded(0.3).contains(point)[0]
+        assert expanded(frustum, 0.3).contains(point)[0]
 
     def test_zero_guard_band_identity(self):
         frustum = forward_frustum()
         points = np.random.default_rng(2).uniform(-4, 8, size=(200, 3))
         np.testing.assert_array_equal(
-            frustum.contains(points), frustum.expanded(0.0).contains(points)
+            frustum.contains(points), expanded(frustum, 0.0).contains(points)
         )
 
     def test_negative_guard_band_rejected(self):
         with pytest.raises(ValueError):
-            forward_frustum().expanded(-0.1)
+            expanded(forward_frustum(), -0.1)
 
     @given(guard=st.floats(0.0, 1.0))
     @settings(max_examples=20, deadline=None)
@@ -146,8 +153,8 @@ class TestGuardBand:
         frustum = forward_frustum()
         rng = np.random.default_rng(7)
         points = rng.uniform(-3, 3, size=(200, 3)) + np.array([0, 0, 4.0])
-        small = frustum.expanded(guard).contains(points)
-        large = frustum.expanded(guard + 0.5).contains(points)
+        small = expanded(frustum, guard).contains(points)
+        large = expanded(frustum, guard + 0.5).contains(points)
         assert np.all(large[small])
 
 
@@ -164,7 +171,7 @@ class TestFrustumTransform:
         world_points = rng.uniform(-4, 8, size=(500, 3))
         local_points = transform_points(np.linalg.inv(t), world_points)
         # Frustum in world coordinates was frustum transformed by t.
-        world_frustum = frustum.transformed(t)
+        world_frustum = Frustum.of_unit_rows(transform_planes(frustum.array, t))
         np.testing.assert_array_equal(
             world_frustum.contains(world_points), frustum.contains(local_points)
         )

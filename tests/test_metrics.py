@@ -1,10 +1,10 @@
-"""Tests for image metrics, PointSSIM, the MOS model, and latency model."""
+"""Tests for image RMSE, PointSSIM, the MOS model, and latency model."""
 
 import numpy as np
 import pytest
 
 from repro.geometry.pointcloud import PointCloud
-from repro.metrics.image import masked_rmse, psnr, rmse
+from repro.metrics.image import rmse
 from repro.metrics.latency import LatencyBreakdown, latency_table
 from repro.metrics.mos import CommentModel, MOSModel, SessionQoE
 from repro.metrics.pointssim import pointssim
@@ -44,25 +44,6 @@ class TestImageMetrics:
     def test_rmse_shape_mismatch(self):
         with pytest.raises(ValueError):
             rmse(np.zeros((2, 2)), np.zeros((3, 3)))
-
-    def test_masked_rmse(self):
-        a = np.zeros((4, 4))
-        b = np.full((4, 4), 2.0)
-        mask = np.zeros((4, 4), dtype=bool)
-        mask[0, 0] = True
-        assert masked_rmse(a, b, mask) == pytest.approx(2.0)
-        assert masked_rmse(a, b, np.zeros((4, 4), dtype=bool)) == 0.0
-
-    def test_psnr_infinite_for_identical(self):
-        image = np.random.default_rng(0).integers(0, 255, (8, 8)).astype(np.uint8)
-        assert psnr(image, image) == float("inf")
-
-    def test_psnr_uses_peak_by_dtype(self):
-        a8 = np.zeros((4, 4), dtype=np.uint8)
-        b8 = np.full((4, 4), 10, dtype=np.uint8)
-        a16 = np.zeros((4, 4), dtype=np.uint16)
-        b16 = np.full((4, 4), 10, dtype=np.uint16)
-        assert psnr(a16, b16) > psnr(a8, b8)
 
 
 class TestPointSSIM:

@@ -261,13 +261,6 @@ class TestMetrics:
             assert histogram.count == timing.count
             assert histogram.mean == pytest.approx(timing.mean_s * 1e3)
 
-    def test_format_table_lists_every_metric(self):
-        registry = MetricsRegistry()
-        registry.counter("frames").inc(3)
-        registry.histogram("ms").observe(1.0)
-        table = registry.format_table()
-        assert "frames" in table and "ms" in table and "n=1" in table
-
 
 def _sample_spans():
     """A tiny deterministic trace: frame root + stage + instant."""
@@ -501,8 +494,7 @@ class TestSessionTracing:
             assert any(name.startswith("stage.") for name in names)
             assert any(name.startswith("transport.") for name in names)
             assert registry.get("transport.target_rate_bps").value > 0
-        table = plain.metrics.format_table()
-        assert "transport.frames_lost" in table
+        assert "transport.frames_lost" in plain.metrics.names()
 
     def test_timeline_summary_on_report(self, traced_pair):
         plain, traced = traced_pair

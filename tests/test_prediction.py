@@ -5,7 +5,7 @@ import pytest
 
 from repro.capture.rig import default_rig
 from repro.capture.scene import make_scene
-from repro.geometry.frustum import Frustum
+from repro.geometry.frustum import Frustum, expand_planes
 from repro.prediction.culling import cull_views, culling_accuracy
 from repro.prediction.kalman import ConstantVelocityKalman, PoseKalmanPredictor
 from repro.prediction.mlp import MLPPosePredictor
@@ -287,7 +287,8 @@ class TestCulling:
         kepts = []
         for guard in (0.0, 0.2, 0.5):
             accuracy, kept = culling_accuracy(
-                frame, rig.cameras, predicted.expanded(guard), actual
+                frame, rig.cameras,
+                Frustum.of_unit_rows(expand_planes(predicted.array, guard)), actual
             )
             accuracies.append(accuracy)
             kepts.append(kept)

@@ -31,10 +31,10 @@ class TestStageGraph:
     def test_timings_recorded_per_stage(self):
         graph = self._graph()
         assert [graph.run_item(item) for item in range(5)] == [1, 3, 5, 7, 9]
-        timings = graph.timings()
-        assert set(timings) == {"double", "inc"}
-        assert all(t.count == 5 for t in timings.values())
-        assert all(t.mean_s >= 0 for t in timings.values())
+        timings = [stage.timing for stage in graph.stages]
+        assert [t.name for t in timings] == ["double", "inc"]
+        assert all(t.count == 5 for t in timings)
+        assert all(t.mean_s >= 0 for t in timings)
 
     def test_duplicate_stage_names_rejected(self):
         with pytest.raises(ValueError):
@@ -173,7 +173,7 @@ class TestParallelSessionParity:
         assert timings["capture"].count == 4
         assert "_stage_timings" not in dataclasses.asdict(report)
         assert "capture" in report.timing_table()
-        assert report.timing_dict()["encode"]["count"] == 4
+        assert timings["encode"].count == 4
 
 
 class TestConfigAndModel:

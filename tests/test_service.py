@@ -16,6 +16,7 @@ import json
 import socket
 import sys
 import threading
+import time
 import weakref
 from pathlib import Path
 
@@ -353,6 +354,46 @@ class TestWorkerPool:
         assert record.frames_ticked >= 3
         assert not pool.running
         pool.stop()  # idempotent
+
+    def test_stop_on_an_idle_pool_returns_promptly(self, monkeypatch):
+        """The idle wait is the stop event's: stop() ends it at once,
+        however long the idle sleep."""
+        from repro.service import workers
+
+        monkeypatch.setattr(workers, "_IDLE_SLEEP_S", 60.0)
+        pool = _pool(_registry())
+        pool.start()
+        threading.Event().wait(0.05)          # the thread is in its idle wait
+        started = time.perf_counter()
+        pool.stop(timeout=30.0)
+        assert time.perf_counter() - started < 5.0
+        assert not pool.running and pool.rounds == 0
+
+
+class TestServiceConfig:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("seed", -3),
+            ("pose_trace_frames", 0),
+            ("max_clients_per_session", 0),
+            ("max_sessions", 0),
+            ("port", -1),
+            ("port", 65536),
+        ],
+    )
+    def test_unusable_value_rejected(self, field, value):
+        # Each would leave a service whose every session is born dead or refused.
+        from repro.service.app import ServiceConfig
+
+        with pytest.raises(ValueError):
+            ServiceConfig(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        from repro.service.app import ServiceConfig
+
+        ServiceConfig(seed=0, pose_trace_frames=1, max_clients_per_session=1,
+                      max_sessions=1, port=65535)
 
 
 class TestStatsConsistency:

@@ -433,3 +433,13 @@ class TestFleet:
             FleetConfig(sessions=0)
         with pytest.raises(ValueError):
             FleetConfig(churn_every=0)
+
+    @pytest.mark.parametrize(
+        "field,value", [("sample_budget", 0), ("sample_budget", -5), ("seed", -1)]
+    )
+    def test_unusable_budget_or_seed_rejected(self, field, value):
+        # Rejected at construction, not deep inside a run or numpy's rng.
+        from repro.sfu import FleetConfig
+
+        with pytest.raises(ValueError, match=field):
+            FleetConfig(sessions=2, frames=2, **{field: value})

@@ -5,7 +5,6 @@ import pytest
 
 from repro.transport.channel import WebRTCChannel, WebRTCConfig
 from repro.transport.gcc import GCCConfig, GoogleCongestionControl
-from repro.transport.jitter import JitterBuffer
 from repro.transport.link import EmulatedLink, LinkConfig
 from repro.transport.packet import Packet
 from repro.transport.rtp import RTP_HEADER_BYTES, FrameAssembler, packetize
@@ -181,38 +180,6 @@ class TestRTP:
         assembler.on_packet(packets[0])
         assembler.drop_frame(3)
         assert assembler._frames == {}
-
-
-class TestJitterBuffer:
-    def test_holds_until_target_delay(self):
-        buffer = JitterBuffer(target_delay_s=0.1)
-        buffer.insert(0, arrival_time_s=1.0)
-        assert buffer.pop_ready(1.05) is None
-        assert buffer.pop_ready(1.11) == 0
-
-    def test_in_order_release(self):
-        buffer = JitterBuffer(target_delay_s=0.0)
-        buffer.insert(1, 0.0)
-        buffer.insert(0, 0.0)
-        assert buffer.pop_ready(0.1) == 0
-        assert buffer.pop_ready(0.1) == 1
-
-    def test_stale_frames_dropped(self):
-        buffer = JitterBuffer(target_delay_s=0.0)
-        buffer.insert(0, 0.0)
-        assert buffer.pop_ready(1.0) == 0
-        buffer.insert(0, 2.0)  # duplicate of released frame
-        assert buffer.pop_ready(10.0) is None
-
-    def test_skip_to(self):
-        buffer = JitterBuffer(target_delay_s=0.0)
-        buffer.insert(5, 0.0)
-        buffer.skip_to(5)
-        assert buffer.pop_ready(1.0) is None
-
-    def test_negative_target_rejected(self):
-        with pytest.raises(ValueError):
-            JitterBuffer(target_delay_s=-0.1)
 
 
 class TestWebRTCChannel:

@@ -19,18 +19,21 @@ import pytest
 
 import repro
 import repro.runtime
-from repro import cli
+from repro import cli, viz
 from repro.analysis import tracetools
 from repro.capture.dataset import load_video
+from repro.capture.renderer import ProjectionCache
 from repro.capture.scene import Scene
 from repro.codec import entropy
 from repro.codec.motion import gather_prediction
 from repro.codec.video import VideoCodecConfig, _CodecCore
+from repro.compression import vpcc
 from repro.core import bandwidth_split, multiway
 from repro.core import session as session_module
 from repro.core.config import SessionConfig
 from repro.core.sender import LiVoSender
 from repro.core.session import DracoOracleSession, LiVoSession, MeshReduceSession, _Call
+from repro.core.stats import SessionReport
 from repro.faults.plan import (
     BurstLossWindow,
     EncoderFault,
@@ -38,6 +41,8 @@ from repro.faults.plan import (
     FrameCorruption,
     LinkOutage,
 )
+from repro.geometry import frustum as frustum_module
+from repro.metrics import image
 from repro.metrics import pointssim as pointssim_module
 from repro.obs import span as span_module
 from repro.obs import tracer as tracer_module
@@ -48,7 +53,7 @@ from repro.perf.culling import CullCache
 from repro.perf.scratch import ScratchArena
 from repro.prediction.pose import user_traces_for_video
 from repro.runtime import batchplane
-from repro.runtime.stage import Stage, StageGraph
+from repro.runtime.stage import Stage, StageGraph, StageTiming
 from repro.service.app import ServiceApp, ServiceConfig
 from repro.service.workers import TickWorkerPool
 from repro.sfu.conference import ConferenceDriver
@@ -334,8 +339,34 @@ def test_one_multi_party_driver_and_the_shim_stay_gone():
         (FleetConfig, "trace_jsonl"),
         (tracetools, "FLEET_CATEGORIES"),
         (bandwidth_split.SplitController, "history"),
-        # stop() sets the wake event itself; nothing else nudged the pool.
+        # stop() ends the idle wait through the stop event; nothing
+        # else nudged the pool.
         (TickWorkerPool, "wake"),
+        (TickWorkerPool, "_wake"),
+        # Conveniences only tests called: the product path uses the row
+        # functions, the capture source's render_arrays, and the
+        # report's stage_timings.
+        (frustum_module, "Plane"),
+        (frustum_module.Frustum, "planes"),
+        (frustum_module.Frustum, "expanded"),
+        (frustum_module.Frustum, "transformed"),
+        (frustum_module.Frustum, "contains_grid"),
+        # V-PCC is its encode-time model (paper section 1).
+        (vpcc, "VPCCConfig"),
+        (vpcc, "VPCCEncodedCloud"),
+        (vpcc.VPCCCodec, "_project"),
+        (vpcc.VPCCCodec, "encode"),
+        (vpcc.VPCCCodec, "decode"),
+        (StageGraph, "stage"),
+        (StageGraph, "timings"),
+        (StageTiming, "to_dict"),
+        (SessionReport, "timing_dict"),
+        (MetricsRegistry, "format_table"),
+        (tracetools, "diff_jsonl"),
+        (ProjectionCache, "render"),
+        (image, "psnr"),
+        (image, "masked_rmse"),
+        (viz, "write_pgm"),
     ],
     ids=lambda value: getattr(value, "__name__", value).rsplit(".", 1)[-1],
 )
@@ -360,6 +391,21 @@ def test_quality_feature_cache_stays_gone():
     for scorer in (pointssim_module.pointssim, pointssim_module.pointssim_batch):
         assert "cache" not in _option_names(scorer)
     assert not hasattr(pointssim_module, "pointssim_from_features")
+
+
+def test_second_jitter_buffer_and_scheme_aggregator_stay_gone():
+    # The playout rule in _Call._delivered (JITTER_TARGET_S) is the
+    # jitter buffer that runs; benchmarks/_grid.py aggregates the grid.
+    for module in ("repro.transport.jitter", "repro.analysis.aggregate"):
+        with pytest.raises(ImportError):
+            importlib.import_module(module)
+    import repro.analysis
+    import repro.transport
+
+    assert "JitterBuffer" not in repro.transport.__all__
+    assert not {"SchemeSummary", "aggregate_reports", "compare_schemes"} & set(
+        repro.analysis.__all__
+    )
 
 
 def test_tandem_queue_model_stays_gone():

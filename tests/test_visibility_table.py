@@ -19,7 +19,6 @@ from repro.core import multiway
 from repro.core.multiway import cull_views_union
 from repro.geometry.frustum import (
     Frustum,
-    Plane,
     camera_planes,
     planes_contain,
     transform_planes,
@@ -178,17 +177,6 @@ class TestTableAgainstOracle:
 
 
 class TestFrustumArray:
-    def test_planes_are_built_on_request(self):
-        frustum = Frustum.from_camera(np.array([0.0, 1.5, -2.0]), np.eye(3))
-        assert frustum.array.shape == (6, 4)
-        planes = frustum.planes
-        assert [type(plane) for plane in planes] == [Plane] * 6
-        assert_rows_close(
-            np.array([[*plane.normal, plane.offset] for plane in planes]),
-            frustum.array, reach_m=12.0,
-        )
-        assert_rows_close(Frustum(planes).array, frustum.array, reach_m=12.0)
-
     def test_rows_are_normalised_on_construction(self):
         frustum = Frustum.from_camera(np.zeros(3), np.eye(3))
         scaled = Frustum(frustum.array * np.arange(1.0, 7.0)[:, None])

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.geometry.pointcloud import PointCloud
-from repro.viz import depth_to_color, write_pgm, write_ply, write_ppm
+from repro.viz import depth_to_color, write_ply, write_ppm
 from tests.twins import assert_pinned
 
 
@@ -20,16 +20,6 @@ class TestViz:
     def test_write_ppm_rejects_bad_input(self, tmp_path):
         with pytest.raises(ValueError):
             write_ppm(tmp_path / "x.ppm", np.zeros((4, 4), dtype=np.uint8))
-
-    def test_write_pgm_16bit(self, tmp_path):
-        image = np.arange(12, dtype=np.uint16).reshape(3, 4) * 1000
-        path = write_pgm(tmp_path / "d.pgm", image)
-        data = path.read_bytes()
-        assert data.startswith(b"P5\n4 3\n65535\n")
-
-    def test_write_pgm_invalid_max(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_pgm(tmp_path / "d.pgm", np.zeros((2, 2), dtype=np.uint8), max_value=0)
 
     def test_depth_to_color_invalid_is_black(self):
         depth = np.array([[0, 3000]], dtype=np.uint16)

@@ -2,11 +2,10 @@
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
 
 from repro.compression.draco import DracoCodec, DracoConfig
 from repro.compression.gpcc import GPCCCodec
-from repro.compression.vpcc import VPCCCodec, VPCCConfig
+from repro.compression.vpcc import VPCCCodec
 from repro.geometry.pointcloud import PointCloud
 
 
@@ -25,51 +24,11 @@ def surface_cloud(n=4000, seed=0):
 
 
 class TestVPCC:
-    def test_roundtrip_geometry_error_bounded(self):
-        cloud = surface_cloud()
-        codec = VPCCCodec(VPCCConfig(map_resolution=128))
-        encoded = codec.encode(cloud, qp=8)
-        decoded = codec.decode(encoded)
-        assert not decoded.is_empty
-        # Reconstructed surface within a couple of map cells of the truth.
-        cell = encoded.scale_m / codec.config.map_resolution
-        distances, _ = cKDTree(cloud.positions).query(decoded.positions)
-        assert np.percentile(distances, 95) < 4 * cell
-
-    def test_covers_most_of_the_surface(self):
-        cloud = surface_cloud()
-        codec = VPCCCodec(VPCCConfig(map_resolution=128))
-        decoded = codec.decode(codec.encode(cloud, qp=8))
-        # Most source points have a reconstructed neighbor nearby
-        # (occlusion along all 3 axes is rare for this geometry).
-        cell = 4.0 / 128
-        distances, _ = cKDTree(decoded.positions).query(cloud.positions)
-        assert (distances < 4 * cell).mean() > 0.9
-
-    def test_direct_rate_adaptation(self):
-        """The property the paper credits V-PCC with (section 1)."""
-        cloud = surface_cloud()
-        codec = VPCCCodec()
-        small = codec.encode(cloud, target_bytes=6_000)
-        large = codec.encode(cloud, target_bytes=60_000)
-        assert small.size_bytes < large.size_bytes
-        assert small.size_bytes < 25_000
-
     def test_encode_time_prohibitive(self):
         """~8 minutes for a full-scene frame (section 1)."""
         codec = VPCCCodec()
         assert codec.estimate_encode_time_s(770_000) == pytest.approx(480.0, rel=0.05)
         assert codec.estimate_encode_time_s(770_000) > 60.0
-
-    def test_empty_cloud_rejected(self):
-        with pytest.raises(ValueError):
-            VPCCCodec().encode(PointCloud())
-
-    def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            VPCCConfig(map_resolution=4)
-        with pytest.raises(ValueError):
-            VPCCConfig(max_range_m=0)
 
 
 class TestGPCC:
