@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from repro.capture.dataset import load_video
 from repro.capture.rig import default_rig
 from repro.core.bandwidth_split import SplitController
@@ -28,7 +26,7 @@ from repro.core.config import (
 from repro.core.sender import DEPTH_RMSE_SCALE, LiVoSender
 from repro.core.session import ground_truth_cloud
 from repro.depthcodec.scaling import scale_depth, unscale_depth
-from repro.geometry.pointcloud import PointCloud
+from repro.geometry.camera import unproject_views
 from repro.metrics.image import rmse
 from repro.metrics.pointssim import PSSIMResult, pointssim
 from repro.prediction.pose import user_traces_for_video
@@ -115,11 +113,11 @@ def run_static_split(
     actual = device.frustum_for(user.pose_at_frame(final_frame.sequence))
     truth = ground_truth_cloud(final_frame, rig.cameras, actual, RENDER_VOXEL_M)
     recon_views = _untile_views(sender, color_recon, depth_recon)
-    clouds = [
-        camera.unproject(depth, color)
-        for camera, (color, depth) in zip(rig.cameras, recon_views)
-    ]
-    merged = PointCloud.merge(clouds)
+    merged = unproject_views(
+        rig.cameras,
+        [depth for _, depth in recon_views],
+        [color for color, _ in recon_views],
+    )
     from repro.geometry.voxel import voxel_downsample
 
     shown = voxel_downsample(merged, RENDER_VOXEL_M)

@@ -17,6 +17,7 @@ from conftest import write_result
 from repro.capture.dataset import load_video
 from repro.capture.rig import default_rig
 from repro.core.config import FPS, HORIZON_S, SessionConfig
+from repro.geometry.camera import unproject_views
 from repro.geometry.pointcloud import PointCloud
 from repro.metrics.pointssim import pointssim_batch
 from repro.prediction.pose import user_traces_for_video
@@ -49,11 +50,9 @@ def test_ablation_multiway_fanout(benchmark, results_dir):
         return party.uplink_bytes / NUM_FRAMES, party.encoder_runs // NUM_FRAMES
 
     def cloud_of(multiview) -> PointCloud:
-        return PointCloud.merge(
-            [
-                camera.unproject(view.depth_mm, view.color)
-                for camera, view in zip(rig.cameras, multiview.views)
-            ]
+        views = multiview.views
+        return unproject_views(
+            rig.cameras, [view.depth_mm for view in views], [view.color for view in views]
         )
 
     def run_sfu_paired(num_receivers: int) -> dict:

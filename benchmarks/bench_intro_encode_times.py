@@ -13,8 +13,6 @@ This bench regenerates the latency table from the calibrated models and
 measures the compression-ratio comparison on live data.
 """
 
-import numpy as np
-
 from conftest import write_result
 from _sender_lab import make_workload
 from repro.compression.draco import DracoCodec, DracoConfig
@@ -22,7 +20,7 @@ from repro.compression.gpcc import GPCCCodec
 from repro.compression.vpcc import VPCCCodec
 from repro.core.config import HORIZON_S, SessionConfig
 from repro.core.sender import LiVoSender
-from repro.geometry.pointcloud import PointCloud
+from repro.geometry.camera import unproject_views
 
 SINGLE_PERSON_POINTS = 70_000      # ~1 MB at 15 B/point
 FULL_SCENE_POINTS = 740_000        # ~10.6 MB
@@ -65,11 +63,10 @@ def test_intro_compression_ratio_claim(benchmark, results_dir):
 
     def build():
         # Draco on the fused cloud of the last frame.
-        clouds = [
-            camera.unproject(view.depth_mm, view.color)
-            for camera, view in zip(rig.cameras, frames[-1].views)
-        ]
-        cloud = PointCloud.merge(clouds)
+        views = frames[-1].views
+        cloud = unproject_views(
+            rig.cameras, [view.depth_mm for view in views], [view.color for view in views]
+        )
         draco_bytes = DracoCodec(DracoConfig(11, 7)).encode(cloud).size_bytes
 
         # LiVo's 2D pipeline at matched quality-ish settings: steady-state

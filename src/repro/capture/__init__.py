@@ -9,7 +9,6 @@ sees exactly the data layout real hardware would produce.
 """
 
 from repro.capture.dataset import PANOPTIC_VIDEOS, VideoSpec, load_video
-from repro.capture.renderer import render_rgbd
 from repro.capture.rgbd import MultiViewFrame, RGBDFrame
 from repro.capture.rig import CaptureRig, default_rig
 from repro.capture.scene import Scene, make_scene
@@ -18,7 +17,6 @@ __all__ = [
     "PANOPTIC_VIDEOS",
     "VideoSpec",
     "load_video",
-    "render_rgbd",
     "MultiViewFrame",
     "RGBDFrame",
     "CaptureRig",

@@ -1,4 +1,4 @@
-"""Z-buffer point-splat renderer: scene samples -> per-camera RGB-D images.
+"""Z-buffer point-splat renderer: scene sample batches -> per-camera RGB-D images.
 
 This stands in for the physical Kinect sensor: the scene's sampled
 surface points are projected through each camera's pinhole model and
@@ -6,22 +6,18 @@ splatted into a depth buffer; the nearest point per pixel wins.  Output
 is a pixel-aligned color + uint16 millimeter depth pair -- the same
 format the Azure Kinect SDK yields after alignment.
 
-The renderer is split into two halves so the kernel-cache layer
-(:mod:`repro.perf`) can reuse work across frames:
-
-- :func:`project_splats` -- world points -> visible ``(flat_pixel, z,
-  color)`` splat arrays for one camera (pure function of the points);
-- :func:`splat_image` -- splat arrays -> the z-buffered, hole-filled
-  RGB-D frame.
-
-:class:`ProjectionCache` caches the :func:`project_splats` output of
-*static* sample batches per ``(camera, scene epoch)`` and resolves it to
-a static z-buffer image once; each frame it projects the dynamic points
-in one call, reduces them to their per-pixel winners and merges those
-into the static image under the comparator of :func:`splat_image`'s
-stable lexsort (nearest ``z``, ties to the later point), so the cached
-path is byte-identical to projecting the full point set from scratch
-(asserted by ``TestIncrementalCapture`` under tests/).
+There is one renderer, :func:`render_frame`.  Per camera, a
+:class:`ProjectionCache` projects each *static* sample batch once per
+scene epoch (:func:`project_splats`) and resolves those splats to a
+static z-buffer image; each frame it projects the dynamic points in one
+call, reduces them to their per-pixel winners and merges those into the
+static image -- nearest ``z``, ties to the later point in batch order.
+Small sampling holes are then filled in one pass over the stacked
+views (:func:`fill_holes_batch`).  The images are defined by a
+z-buffer over the concatenated batches that sorts every splat by pixel
+and then by descending depth and lets the last write win; it lives in
+``tests/reference/render.py`` as the oracle the renderer must match
+byte for byte.
 """
 
 from __future__ import annotations
@@ -34,12 +30,9 @@ from repro.geometry.camera import RGBDCamera
 from repro.perf.counters import CacheCounters
 
 __all__ = [
-    "render_rgbd",
-    "render_views",
-    "fill_holes",
     "fill_holes_batch",
     "project_splats",
-    "splat_image",
+    "render_frame",
     "ProjectionCache",
 ]
 
@@ -49,23 +42,6 @@ __all__ = [
 _NEIGHBOR_SHIFTS = tuple(
     (dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if (dy, dx) != (0, 0)
 )
-
-
-def fill_holes(
-    depth: np.ndarray, color: np.ndarray, iterations: int = 2, min_neighbors: int = 3
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fill small sampling holes from valid 8-neighborhoods.
-
-    Point-splat rendering leaves scattered empty pixels that a real
-    time-of-flight sensor would not: Kinect depth maps are dense over
-    surfaces.  Each pass fills invalid pixels having at least
-    ``min_neighbors`` valid neighbors with the neighbor mean (depth and
-    color alike), which restores the piecewise-smooth structure 2D
-    codecs rely on.  One image is a stack of one
-    (:func:`fill_holes_batch`).
-    """
-    depths, colors = fill_holes_batch(depth[None], color[None], iterations, min_neighbors)
-    return depths[0], colors[0]
 
 
 def _quantized(values: np.ndarray, dtype: type) -> np.ndarray:
@@ -79,7 +55,14 @@ def _quantized(values: np.ndarray, dtype: type) -> np.ndarray:
 def fill_holes_batch(
     depths: np.ndarray, colors: np.ndarray, iterations: int = 2, min_neighbors: int = 3
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`fill_holes` over a ``(N, H, W)`` stack of images at once.
+    """Fill small sampling holes of a ``(N, H, W)`` stack of images.
+
+    Point-splat rendering leaves scattered empty pixels that a real
+    time-of-flight sensor would not: Kinect depth maps are dense over
+    surfaces.  Each pass fills invalid pixels having at least
+    ``min_neighbors`` valid 8-neighbors with the neighbor mean (depth
+    and color alike), which restores the piecewise-smooth structure 2D
+    codecs rely on.
 
     Only the holes are visited.  Each pass gathers the eight neighbors
     of every still-invalid pixel out of a zero-bordered float64 copy of
@@ -163,87 +146,6 @@ def _depth_mm(z: np.ndarray) -> np.ndarray:
     return np.clip(np.rint(z * 1000.0), 1, 65535).astype(np.uint16)
 
 
-def splat_image(
-    camera: RGBDCamera,
-    flat: np.ndarray,
-    z: np.ndarray,
-    colors: np.ndarray,
-    background_color: int = 0,
-    hole_fill_iterations: int = 2,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Z-buffer splat arrays into a ``(color, depth)`` image pair.
-
-    The splat order only matters through the stable lexsort, so any
-    concatenation of :func:`project_splats` outputs that preserves the
-    original point order produces identical images.
-    """
-    height = camera.intrinsics.height
-    width = camera.intrinsics.width
-    depth = np.zeros((height, width), dtype=np.uint16)
-    color = np.full((height, width, 3), background_color, dtype=np.uint8)
-
-    if len(flat):
-        # Z-buffer via sort: order by pixel then descending depth, so the
-        # last write per pixel is the nearest point.
-        order = np.lexsort((-z, flat))
-        flat = flat[order]
-        zv = z[order]
-        cv = colors[order]
-
-        depth_flat = depth.reshape(-1)
-        color_flat = color.reshape(-1, 3)
-        depth_flat[flat] = _depth_mm(zv)
-        color_flat[flat] = cv
-        if hole_fill_iterations > 0:
-            depth, color = fill_holes(depth, color, iterations=hole_fill_iterations)
-    return depth, color
-
-
-def render_rgbd(
-    camera: RGBDCamera,
-    points: np.ndarray,
-    colors: np.ndarray,
-    sequence: int = 0,
-    timestamp_s: float = 0.0,
-    background_color: int = 0,
-    hole_fill_iterations: int = 2,
-) -> RGBDFrame:
-    """Render world-space colored points into one camera's RGB-D frame.
-
-    Points outside the camera's depth range or image bounds are dropped
-    (a real time-of-flight sensor reports them as invalid / zero depth).
-    Small sampling holes are filled (see :func:`fill_holes`) to match
-    the dense output of a real depth sensor.
-    """
-    flat, z, visible_colors = project_splats(camera, points, colors)
-    depth, color = splat_image(
-        camera,
-        flat,
-        z,
-        visible_colors,
-        background_color=background_color,
-        hole_fill_iterations=hole_fill_iterations,
-    )
-    return RGBDFrame(
-        color, depth, camera_id=camera.camera_id, sequence=sequence, timestamp_s=timestamp_s
-    )
-
-
-def render_views(
-    cameras: list[RGBDCamera],
-    points: np.ndarray,
-    colors: np.ndarray,
-    sequence: int = 0,
-    timestamp_s: float = 0.0,
-) -> MultiViewFrame:
-    """Render the same world sample set through every camera in a rig."""
-    views = [
-        render_rgbd(camera, points, colors, sequence=sequence, timestamp_s=timestamp_s)
-        for camera in cameras
-    ]
-    return MultiViewFrame(views, sequence=sequence, timestamp_s=timestamp_s)
-
-
 def _nearest_per_pixel(
     flat: np.ndarray, z: np.ndarray, num_pixels: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -253,7 +155,7 @@ def _nearest_per_pixel(
     for each, an index into the inputs.  A stable sort on the pixel
     alone keeps input order inside every equal-pixel run, so the last
     position that attains the run's minimum ``z`` is the splat a stable
-    ``lexsort((-z, flat))`` would write last.  The pixel index is sorted
+    sort by pixel, then by descending ``z``, would write last.  The pixel index is sorted
     in the narrowest type that holds ``num_pixels``: numpy's stable sort
     of 16-bit keys, which covers sensor-sized images, is a radix sort.
     """
@@ -284,7 +186,7 @@ class ProjectionCache:
 
     Byte-identity argument: the full render's winner at a pixel is the
     splat with minimum ``z``, ties broken toward the *largest index* in
-    the batch-order concatenation (stable lexsort + last-write-wins).
+    the batch-order concatenation (stable two-key sort + last-write-wins).
     Within the static and within the dynamic subset, concatenation
     order is input order, which :func:`_nearest_per_pixel` honors;
     between a static and a dynamic winner with equal ``z``, the later
@@ -292,8 +194,8 @@ class ProjectionCache:
     concatenation index.  Restricting the choice to each subset first
     and comparing the two subset winners under the same ``(z, order)``
     comparator selects the same global winner, so the merged image
-    equals the full lexsort z-buffer bit for bit (asserted against
-    :func:`render_rgbd` in the parity suite).
+    equals the full z-buffer bit for bit (asserted against the oracle
+    in ``tests/reference/render.py``).
     """
 
     def __init__(self, camera: RGBDCamera) -> None:
@@ -324,7 +226,7 @@ class ProjectionCache:
         return flat, z, colors
 
     def _static_image(
-        self, batches: list[SampleBatch], background_color: int
+        self, batches: list[SampleBatch]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The static splats resolved to flat per-pixel winner images.
 
@@ -333,13 +235,10 @@ class ProjectionCache:
         splat lands), the batch position it came from (-1 where empty),
         and the quantized depth/color exactly as the full scatter would
         write them.  Cached until the static batch set changes (scene
-        epoch bump, scene edit, or a different background color).
+        epoch bump or scene edit).
         """
         static = [(pos, b) for pos, b in enumerate(batches) if b.static]
-        key = (
-            tuple((pos, b.key, b.epoch, len(b.points)) for pos, b in static),
-            background_color,
-        )
+        key = tuple((pos, b.key, b.epoch, len(b.points)) for pos, b in static)
         if key == self._image_key:
             for _ in static:
                 self.counters.hit()
@@ -349,7 +248,7 @@ class ProjectionCache:
         z_image = np.full(num_pixels, np.inf)
         position_image = np.full(num_pixels, -1, dtype=np.int64)
         depth_image = np.zeros(num_pixels, dtype=np.uint16)
-        color_image = np.full((num_pixels, 3), background_color, dtype=np.uint8)
+        color_image = np.zeros((num_pixels, 3), dtype=np.uint8)
         if static:
             parts = [self.batch_splats(batch) for _, batch in static]
             flat, z, colors = (np.concatenate(arrays) for arrays in zip(*parts))
@@ -365,24 +264,15 @@ class ProjectionCache:
         self._image = (z_image, position_image, depth_image, color_image)
         return self._image
 
-    def render_arrays(
-        self,
-        batches: list[SampleBatch],
-        background_color: int = 0,
-    ) -> tuple[np.ndarray, np.ndarray, bool]:
-        """Z-buffered but *unfilled* ``(depth, color, needs_fill)`` arrays.
+    def render_arrays(self, batches: list[SampleBatch]) -> tuple[np.ndarray, np.ndarray]:
+        """Z-buffered but *unfilled* ``(depth, color)`` arrays.
 
-        The capture source fills the holes of a whole rig's stack in
-        one pass (:func:`fill_holes_batch`); :func:`fill_holes` on one
-        view's arrays is the same fill.  ``needs_fill`` mirrors the
-        scalar path's skip condition (no splats at all means nothing to
-        fill).
+        :func:`render_frame` fills the holes of a whole rig's stack in
+        one pass (:func:`fill_holes_batch`).
         """
         height = self.camera.intrinsics.height
         width = self.camera.intrinsics.width
-        static_z, static_position, static_depth, static_color = self._static_image(
-            batches, background_color
-        )
+        static_z, static_position, static_depth, static_color = self._static_image(batches)
         depth = static_depth.copy()
         color = static_color.copy()
 
@@ -407,7 +297,37 @@ class ProjectionCache:
             depth[pixels] = _depth_mm(z[wins])
             color[pixels] = np.concatenate([b.colors for _, b in dynamic])[index]
 
-        depth = depth.reshape(height, width)
-        color = color.reshape(height, width, 3)
-        needs_fill = bool(dynamic or self._image_key[0])
-        return depth, color, needs_fill
+        return depth.reshape(height, width), color.reshape(height, width, 3)
+
+
+def render_frame(
+    caches: list[ProjectionCache],
+    batches: list[SampleBatch],
+    sequence: int,
+    timestamp_s: float,
+) -> MultiViewFrame:
+    """One synchronized multi-view capture of a scene's sample batches.
+
+    Each camera's z-buffer comes unfilled out of its cache
+    (:meth:`ProjectionCache.render_arrays`) and the hole filling runs
+    once over the stacked ``(N, H, W)`` images (:func:`fill_holes_batch`),
+    bit-identical to filling each camera separately.  A
+    :class:`~repro.capture.rgbd.MultiViewFrame` holds views of one
+    resolution, so one stack covers the rig.
+    """
+    unfilled = [cache.render_arrays(batches) for cache in caches]
+    depths, colors = fill_holes_batch(
+        np.stack([depth for depth, _ in unfilled]),
+        np.stack([color for _, color in unfilled]),
+    )
+    views = [
+        RGBDFrame(
+            color,
+            depth,
+            camera_id=cache.camera.camera_id,
+            sequence=sequence,
+            timestamp_s=timestamp_s,
+        )
+        for cache, depth, color in zip(caches, depths, colors)
+    ]
+    return MultiViewFrame(views, sequence=sequence, timestamp_s=timestamp_s)

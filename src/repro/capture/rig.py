@@ -5,13 +5,16 @@ encircling a scene" (section 3.1), frame-synchronized (Kinect sync cable,
 footnote 1) and one-shot calibrated into a common world frame (Zhang's
 method).  Our cameras are calibrated exactly by construction; the rig
 exposes the same per-interval capture of N synchronized frames.
+
+A long-lived capture goes through
+:class:`repro.perf.capture.CachedFrameSource`, which keeps each
+camera's projection cache across frames; :meth:`CaptureRig.capture` is
+the same render with fresh caches, for one-off captures.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
-from repro.capture.renderer import render_views
+from repro.capture.renderer import ProjectionCache, render_frame
 from repro.capture.rgbd import MultiViewFrame
 from repro.capture.scene import Scene
 from repro.geometry.camera import CameraIntrinsics, RGBDCamera, ring_of_cameras
@@ -41,17 +44,16 @@ class CaptureRig:
         return len(self.cameras)
 
     def capture(self, scene: Scene, sequence: int) -> MultiViewFrame:
-        """Capture one synchronized multi-view frame of ``scene``."""
-        timestamp = sequence * self.frame_interval_s
-        points, colors = scene.sample(timestamp)
-        return render_views(
-            self.cameras, points, colors, sequence=sequence, timestamp_s=timestamp
-        )
+        """Capture one synchronized multi-view frame of ``scene``.
 
-    def stream(self, scene: Scene, num_frames: int, start: int = 0) -> Iterator[MultiViewFrame]:
-        """Yield ``num_frames`` consecutive captures starting at ``start``."""
-        for sequence in range(start, start + num_frames):
-            yield self.capture(scene, sequence)
+        Renders through :func:`~repro.capture.renderer.render_frame`
+        with fresh per-camera caches, so the frame is byte-identical to
+        a :class:`~repro.perf.capture.CachedFrameSource` capture of the
+        same scene and sequence.
+        """
+        timestamp = sequence * self.frame_interval_s
+        caches = [ProjectionCache(camera) for camera in self.cameras]
+        return render_frame(caches, scene.sample_batches(timestamp), sequence, timestamp)
 
 
 def default_rig(

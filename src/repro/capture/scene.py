@@ -3,9 +3,10 @@
 Substitute for the Panoptic dataset videos (Table 3).  A scene is a set
 of surface primitives -- articulated "people" built from ellipsoids,
 box-shaped props/furniture, and a room shell (floor + walls).  Each
-primitive can animate over time.  Scenes are *sampled*: ``sample(t)``
-returns a dense set of colored surface points that the renderer splats
-into per-camera RGB-D images.
+primitive can animate over time.  Scenes are *sampled*:
+``sample_batches(t)`` returns a dense set of colored surface points,
+one batch per primitive, that the renderer splats into per-camera RGB-D
+images.
 
 What matters for the reproduction is not photorealism but the variables
 the paper's evaluation manipulates: the number of participants/objects
@@ -370,6 +371,8 @@ class Scene:
     ) -> None:
         if not primitives:
             raise ValueError("a scene needs at least one primitive")
+        if sample_budget < 1:
+            raise ValueError("sample_budget must be at least 1")
         self.primitives = list(primitives)
         self.name = name
         self.num_objects = num_objects if num_objects is not None else len(primitives)
@@ -396,24 +399,6 @@ class Scene:
         areas = np.array([p.area() for p in self.primitives])
         self._weights = areas / areas.sum()
 
-    def sample(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Sample the whole scene at time ``t``.
-
-        Returns ``(points, colors)``.  Sampling is deterministic in
-        ``(seed, t)`` so capture replays are reproducible, while the
-        sample pattern still varies frame to frame like real sensor
-        noise does.
-
-        Defined as the concatenation of :meth:`sample_batches` so the
-        monolithic and batch sampling paths see byte-identical points:
-        a session replayed with the kernel-cache layer disabled matches
-        the incremental-capture replay exactly.
-        """
-        batches = self.sample_batches(t)
-        points = np.concatenate([b.points for b in batches], axis=0)
-        colors = np.concatenate([b.colors for b in batches], axis=0)
-        return points, colors
-
     def _batch_counts(self) -> np.ndarray:
         """Per-primitive sample counts (time-independent)."""
         counts = np.floor(self._weights * self.sample_budget).astype(int)
@@ -421,17 +406,16 @@ class Scene:
         return counts
 
     def sample_batches(self, t: float) -> list[SampleBatch]:
-        """Sample the scene as per-primitive batches tagged static/dynamic.
+        """Sample the scene at time ``t`` as per-primitive batches.
 
-        This is the incremental-capture entry point.  Unlike
-        :meth:`sample`, every primitive draws from its *own* seeded RNG
-        stream, so a static primitive's batch -- sampled once per epoch
-        and cached -- stays byte-identical across frames while dynamic
-        primitives still resample deterministically in ``(seed, t)``.
-        Concatenating the batches in order yields the same
-        ``(points, colors)`` layout :meth:`sample` produces (same budget,
-        same primitive order, uint8 colors), just with decoupled random
-        streams; renderers may consume either form interchangeably.
+        The batches together hold ``sample_budget`` points, split by
+        surface area, in primitive order, with uint8 colors.  Every
+        primitive draws from its *own* seeded RNG stream, so a static
+        primitive's batch -- sampled once per epoch and cached -- stays
+        byte-identical across frames, while dynamic primitives resample
+        deterministically in ``(seed, epoch, t)``: capture replays are
+        reproducible, and the sample pattern still varies frame to frame
+        like real sensor noise does.
         """
         frame_key = int(round(t * 1000.0)) & 0xFFFFFFFF
         counts = self._batch_counts()

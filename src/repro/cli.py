@@ -37,6 +37,15 @@ def _ranged(kind, low, high=float("inf")):
 _positive_int = _ranged(int, 1)
 
 
+def _output_dir(text: str) -> Path:
+    """An argparse type: a directory path that is, or can become, a directory."""
+    path = Path(text)
+    for part in (path, *path.parents):
+        if part.exists() and not part.is_dir():
+            raise argparse.ArgumentTypeError(f"{part} exists and is not a directory")
+    return path
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser."""
     from repro.capture.dataset import video_names
@@ -112,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
         "export", help="dump one capture's frames and point cloud to files"
     )
     export.add_argument("--video", choices=videos, default="band2")
-    export.add_argument("--out", required=True, help="output directory")
+    export.add_argument("--out", type=_output_dir, required=True, help="output directory")
     export.add_argument("--frame", type=_ranged(int, 0), default=0)
 
     multiway = sub.add_parser(
@@ -289,26 +298,24 @@ def _cmd_analyze_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    import numpy as np
-
     from repro.capture.dataset import load_video
     from repro.capture.rig import default_rig
-    from repro.geometry.pointcloud import PointCloud
+    from repro.geometry.camera import unproject_views
     from repro.viz import depth_to_color, write_ply, write_ppm
 
-    out = Path(args.out)
+    out = args.out
     out.mkdir(parents=True, exist_ok=True)
     _, scene = load_video(args.video, sample_budget=20_000)
     rig = default_rig(num_cameras=8, width=64, height=48)
     frame = rig.capture(scene, args.frame)
-    for view, camera in zip(frame.views, rig.cameras):
+    for view in frame.views:
         write_ppm(out / f"cam{view.camera_id:02d}_color.ppm", view.color)
         write_ppm(out / f"cam{view.camera_id:02d}_depth.ppm", depth_to_color(view.depth_mm))
-    clouds = [
-        camera.unproject(view.depth_mm, view.color)
-        for camera, view in zip(rig.cameras, frame.views)
-    ]
-    cloud = PointCloud.merge(clouds)
+    cloud = unproject_views(
+        rig.cameras,
+        [view.depth_mm for view in frame.views],
+        [view.color for view in frame.views],
+    )
     write_ply(out / "frame.ply", cloud)
     print(f"wrote {2 * len(frame.views)} images and frame.ply ({len(cloud)} points) to {out}")
     return 0

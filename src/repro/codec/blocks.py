@@ -2,9 +2,9 @@
 
 2D video codecs operate on fixed-size pixel blocks ("2D video codecs
 predict macroblocks (8x8 or 16x16 pixel blocks) within and between
-frames", paper section 3.2).  These helpers turn a 2D plane into an
-``(num_blocks, B, B)`` stack and back, padding by edge replication so
-every plane size is legal.
+frames", paper section 3.2).  These helpers turn a plane (or a stack of
+them) into an ``(num_blocks, B, B)`` stack and back, padding by edge
+replication so every plane size is legal.
 """
 
 from __future__ import annotations
@@ -12,9 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "pad_to_blocks",
     "split_blocks",
-    "split_blocks_nd",
     "merge_blocks",
     "block_grid_shape",
 ]
@@ -49,35 +47,14 @@ def _edge_padded(planes: np.ndarray, block_size: int) -> np.ndarray:
     return padded
 
 
-def pad_to_blocks(plane: np.ndarray, block_size: int = DEFAULT_BLOCK_SIZE) -> np.ndarray:
-    """Pad a 2D plane with edge replication to a multiple of the block size."""
-    if plane.ndim != 2:
-        raise ValueError(f"expected a 2D plane, got shape {plane.shape}")
-    return _edge_padded(plane, block_size)
+def split_blocks(planes: np.ndarray, block_size: int = DEFAULT_BLOCK_SIZE) -> np.ndarray:
+    """Split planes ``(..., H, W)`` into ``(..., N, B, B)`` blocks, row-major.
 
-
-def split_blocks(plane: np.ndarray, block_size: int = DEFAULT_BLOCK_SIZE) -> np.ndarray:
-    """Split a (padded) plane into an ``(N, B, B)`` stack, row-major order."""
-    plane = pad_to_blocks(plane, block_size)
-    height, width = plane.shape
-    rows = height // block_size
-    cols = width // block_size
-    return (
-        plane.reshape(rows, block_size, cols, block_size)
-        .swapaxes(1, 2)
-        .reshape(rows * cols, block_size, block_size)
-    )
-
-
-def split_blocks_nd(planes: np.ndarray, block_size: int = DEFAULT_BLOCK_SIZE) -> np.ndarray:
-    """Split a stack of planes ``(..., H, W)`` into ``(..., N, B, B)`` blocks.
-
-    The batched twin of :func:`split_blocks`: every leading axis is
-    preserved and each plane is edge-padded and split exactly as the 2D
-    function would, so ``split_blocks_nd(x)[i] == split_blocks(x[i])``
-    element for element.  One call covers a whole structure-of-arrays
-    bucket (e.g. all sessions' planes, or all motion-shifted references)
-    instead of one pad per plane.
+    Every leading axis is preserved and each plane is edge-padded to
+    block multiples first, so one call covers a single plane or a whole
+    structure-of-arrays bucket (e.g. all sessions' planes, or all
+    motion-shifted references).  A plane that is already a block
+    multiple is split without a copy.
     """
     if planes.ndim < 2:
         raise ValueError(f"expected (..., H, W) planes, got shape {planes.shape}")

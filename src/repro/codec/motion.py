@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.codec.blocks import block_grid_shape, split_blocks_nd
+from repro.codec.blocks import block_grid_shape, split_blocks
 
 __all__ = [
     "search_offsets",
@@ -186,7 +186,7 @@ def motion_batch(
     padded, radius, window = _prepare(references, offsets, block_size)
     if len(offsets) > 1:
         block_shape = (num_planes, rows, cols, block_size, block_size)
-        current = split_blocks_nd(planes, block_size).reshape(block_shape)
+        current = split_blocks(planes, block_size).reshape(block_shape)
         scratch = np.empty(block_shape)
         costs = np.empty((num_planes, len(offsets), rows, cols))
         for index, offset in enumerate(offsets):

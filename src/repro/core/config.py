@@ -132,7 +132,7 @@ class SessionConfig:
             raise ValueError("split_step must be positive")
         if self.rmse_every_k < 1:
             raise ValueError("rmse_every_k must be at least 1")
-        for name in ("num_cameras", "camera_width", "camera_height"):
+        for name in ("num_cameras", "camera_width", "camera_height", "scene_sample_budget"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         layout = TileLayout.for_cameras(self.num_cameras, self.camera_height, self.camera_width)

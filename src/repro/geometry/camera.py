@@ -8,8 +8,8 @@ calibration (Zhang's method in the paper; exact by construction here).
 
 The two key vectorized operations are:
 
-- :meth:`RGBDCamera.unproject` -- depth image -> local/world point cloud
-  (receiver-side reconstruction, appendix A.1);
+- :func:`unproject_views` -- a rig's depth images -> one world point
+  cloud (receiver-side reconstruction, appendix A.1);
 - :meth:`RGBDCamera.project` -- world points -> pixel coordinates
   (sender-side synthetic capture and culling tests).
 """
@@ -155,38 +155,6 @@ class RGBDCamera:
     # Projection / unprojection
     # ------------------------------------------------------------------
 
-    def unproject(
-        self,
-        depth_mm: np.ndarray,
-        color: np.ndarray | None = None,
-        to_world: bool = True,
-    ) -> PointCloud:
-        """Convert a depth image (uint16 millimeters) into a point cloud.
-
-        Zero-depth pixels (invalid / culled) are skipped, as in the Azure
-        Kinect SDK.  When ``color`` is given it must be an ``(H, W, 3)``
-        uint8 image pixel-aligned with the depth image.
-        """
-        depth_mm = np.asarray(depth_mm)
-        if depth_mm.shape != (self.intrinsics.height, self.intrinsics.width):
-            raise ValueError(
-                f"depth shape {depth_mm.shape} does not match intrinsics "
-                f"({self.intrinsics.height}, {self.intrinsics.width})"
-            )
-        valid = depth_mm > 0
-        z = depth_mm[valid].astype(np.float64) / 1000.0
-        x = self._x_factor[valid] * z
-        y = self._y_factor[valid] * z
-        local = np.stack([x, y, z], axis=1)
-        positions = (
-            transform_points(self.extrinsics.camera_to_world, local) if to_world else local
-        )
-        if color is not None:
-            colors = np.asarray(color)[valid]
-        else:
-            colors = np.zeros((len(positions), 3), dtype=np.uint8)
-        return PointCloud(positions, colors)
-
     def local_points(self, depth_mm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Camera-local 3D coordinates for *every* pixel of a depth image.
 
@@ -227,66 +195,33 @@ def unproject_views(
 ) -> PointCloud:
     """Unproject many cameras' depth images into one merged world cloud.
 
-    Structure-of-arrays twin of the per-camera loop
-    ``PointCloud.merge([camera.unproject(depth, color) for ...])`` --
-    bit-identical by construction.  When every camera shares the same
-    intrinsics (the rig's common case), the valid masks, depth scaling,
-    and ray-factor multiplies run over one ``(C, H, W)`` stack, so the
-    whole rig unprojects in a handful of numpy calls; only the rigid
-    per-camera transform still runs per camera (each has its own pose).
-    Each camera's points land in a preallocated slice of the output, in
-    the same camera order the merge would concatenate, skipping the
-    intermediate per-camera clouds and their extra copies.
+    Receiver-side reconstruction (appendix A.1): each camera's valid
+    (nonzero, uint16 millimeter) depth pixels become world points along
+    its pixel rays, colored from the pixel-aligned ``(H, W, 3)`` uint8
+    color image when one is given (black otherwise), as in the Azure
+    Kinect SDK.  Each camera's points land in a preallocated slice of
+    the output, in camera order.  The lists must have one entry per
+    camera.
     """
-    cameras = list(cameras)
     depth_images = [np.asarray(depth) for depth in depth_images]
-    count = min(len(cameras), len(depth_images))
-    cameras = cameras[:count]
-    depth_images = depth_images[:count]
+    lengths = [len(cameras), len(depth_images)]
+    if color_images is not None:
+        lengths.append(len(color_images))
+    if len(set(lengths)) != 1:
+        raise ValueError(
+            "one depth (and color) image per camera, got "
+            + " / ".join(map(str, lengths))
+        )
     for camera, depth in zip(cameras, depth_images):
         if depth.shape != (camera.intrinsics.height, camera.intrinsics.width):
             raise ValueError(
                 f"depth shape {depth.shape} does not match intrinsics "
                 f"({camera.intrinsics.height}, {camera.intrinsics.width})"
             )
-    if not cameras:
-        return PointCloud()
-
-    shared = all(
-        camera.intrinsics == cameras[0].intrinsics for camera in cameras[1:]
-    )
-    if shared:
-        # One stacked pass for the intrinsic half.  The boolean index
-        # flattens camera-major (C-order), which is exactly the order
-        # the per-camera merge concatenates.
-        depth_stack = np.stack(depth_images)
-        valid = depth_stack > 0
-        counts = valid.reshape(count, -1).sum(axis=1)
-        z = depth_stack[valid].astype(np.float64) / 1000.0
-        x_factor = np.broadcast_to(cameras[0]._x_factor, depth_stack.shape)
-        y_factor = np.broadcast_to(cameras[0]._y_factor, depth_stack.shape)
-        x = x_factor[valid] * z
-        y = y_factor[valid] * z
-        local = np.stack([x, y, z], axis=1)
-        positions = np.empty_like(local)
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        for index, camera in enumerate(cameras):
-            segment = slice(offsets[index], offsets[index + 1])
-            positions[segment] = transform_points(
-                camera.extrinsics.camera_to_world, local[segment]
-            )
-        if color_images is not None:
-            colors = np.stack([np.asarray(c) for c in color_images[:count]])[valid]
-        else:
-            colors = np.zeros((len(positions), 3), dtype=np.uint8)
-        return PointCloud(positions, colors)
-
-    # Mixed-intrinsics rig: per-camera math, still into one output.
     masks = [depth > 0 for depth in depth_images]
     counts = [int(mask.sum()) for mask in masks]
-    total = int(sum(counts))
-    positions = np.empty((total, 3))
-    colors = np.zeros((total, 3), dtype=np.uint8)
+    positions = np.empty((sum(counts), 3))
+    colors = np.zeros((sum(counts), 3), dtype=np.uint8)
     start = 0
     for index, (camera, depth, mask) in enumerate(zip(cameras, depth_images, masks)):
         stop = start + counts[index]

@@ -3,7 +3,8 @@
 A point cloud is the canonical per-frame 3D representation in the paper:
 each point has a position (geometry, meters) and an RGB color (uint8).
 The class is a thin, validated wrapper over two NumPy arrays so that all
-hot paths stay vectorized.
+hot paths stay vectorized.  A rig's views fuse into one cloud through
+:func:`repro.geometry.camera.unproject_views` (paper appendix A.1).
 """
 
 from __future__ import annotations
@@ -84,18 +85,3 @@ class PointCloud:
     def copy(self) -> "PointCloud":
         """Deep copy."""
         return PointCloud(self.positions.copy(), self.colors.copy())
-
-    @staticmethod
-    def merge(clouds: list["PointCloud"]) -> "PointCloud":
-        """Concatenate several clouds into one.
-
-        Used by the receiver when fusing per-camera unprojections into
-        the full reconstructed scene (paper appendix A.1).
-        """
-        non_empty = [c for c in clouds if not c.is_empty]
-        if not non_empty:
-            return PointCloud()
-        return PointCloud(
-            np.concatenate([c.positions for c in non_empty], axis=0),
-            np.concatenate([c.colors for c in non_empty], axis=0),
-        )

@@ -8,11 +8,12 @@ splits capture along that line: the scene hands out per-primitive
 dynamic, and a per-camera
 :class:`~repro.capture.renderer.ProjectionCache` projects each static
 batch once per scene epoch, re-projecting only the dynamic batches
-every frame, in one call per camera.  The dynamic per-pixel winners
-are merged into the cached static z-buffer under the comparator a full
-render's z-buffer applies, so frames are byte-identical to
-:func:`~repro.capture.renderer.render_views` over the concatenated
-batches (asserted by ``TestIncrementalCapture`` under tests/).
+every frame, in one call per camera
+(:func:`~repro.capture.renderer.render_frame`).  The caches live as
+long as the source, so a frame is byte-identical to a one-off
+``rig.capture(scene, sequence)``, which renders the same way with
+fresh caches (both asserted against the full z-buffer oracle by
+``TestIncrementalCapture`` under tests/).
 
 A finished capture is a pure function of ``(scene epoch, sequence)``
 -- :meth:`Scene.sample_batches` seeds every draw from the epoch and the
@@ -24,12 +25,10 @@ frames are shared, so their pixel arrays are read-only.
 
 from __future__ import annotations
 
-from collections import OrderedDict, defaultdict
+from collections import OrderedDict
 
-import numpy as np
-
-from repro.capture.renderer import ProjectionCache, fill_holes_batch
-from repro.capture.rgbd import MultiViewFrame, RGBDFrame
+from repro.capture.renderer import ProjectionCache, render_frame
+from repro.capture.rgbd import MultiViewFrame
 from repro.capture.rig import CaptureRig, default_rig
 from repro.capture.scene import Scene
 from repro.perf.counters import CacheCounters
@@ -102,43 +101,10 @@ class CachedFrameSource:
         return frame
 
     def _render(self, sequence: int) -> MultiViewFrame:
-        """Render one capture from the scene.
-
-        The per-camera z-buffers are produced unfilled
-        (:meth:`ProjectionCache.render_arrays`) and the hole filling
-        runs once over the stacked ``(N, H, W)`` images
-        (:func:`fill_holes_batch`) -- bit-identical to filling each
-        camera separately, grouped by image shape so mixed-resolution
-        rigs still batch what they can.
-        """
+        """Render one capture from the scene through the long-lived caches."""
         timestamp = sequence * self.rig.frame_interval_s
         batches = self.scene.sample_batches(timestamp)
-
-        def view(cache: ProjectionCache, color, depth) -> RGBDFrame:
-            return RGBDFrame(
-                color,
-                depth,
-                camera_id=cache.camera.camera_id,
-                sequence=sequence,
-                timestamp_s=timestamp,
-            )
-
-        views: list[RGBDFrame | None] = [None] * len(self._caches)
-        pending: dict[tuple, list[tuple[int, np.ndarray, np.ndarray]]] = defaultdict(list)
-        for index, cache in enumerate(self._caches):
-            depth, color, needs_fill = cache.render_arrays(batches)
-            if needs_fill:
-                pending[depth.shape].append((index, depth, color))
-            else:
-                views[index] = view(cache, color, depth)
-        for members in pending.values():
-            depths, colors = fill_holes_batch(
-                np.stack([depth for _, depth, _ in members]),
-                np.stack([color for _, _, color in members]),
-            )
-            for row, (index, _, _) in enumerate(members):
-                views[index] = view(self._caches[index], colors[row], depths[row])
-        return MultiViewFrame(views, sequence=sequence, timestamp_s=timestamp)
+        return render_frame(self._caches, batches, sequence, timestamp)
 
     def counters(self) -> CacheCounters:
         """All per-camera projection counters merged into one line."""

@@ -240,6 +240,8 @@ class ScenarioSpec:
             raise ValueError(f"livo scenarios support schemes {LIVO_SCHEMES}")
         if self.frames <= 0:
             raise ValueError("frames must be positive")
+        if self.sample_budget < 1:
+            raise ValueError("sample_budget must be at least 1")
         if self.user_index < 0:
             raise ValueError("user_index must be non-negative")
         if self.multiway_mode not in ("shared", "unicast", "sfu"):

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.capture.dataset import PANOPTIC_VIDEOS, load_video, video_names
-from repro.capture.renderer import fill_holes, fill_holes_batch, render_rgbd
+from repro.capture.renderer import ProjectionCache, fill_holes_batch, render_frame
 from repro.capture.rgbd import MultiViewFrame, RGBDFrame
 from repro.capture.rig import default_rig
-from repro.capture.scene import Box, Ellipsoid, Person, RoomShell, make_scene
-from repro.geometry.camera import CameraExtrinsics, CameraIntrinsics, RGBDCamera
+from repro.capture.scene import Box, Ellipsoid, Person, RoomShell, SampleBatch, Scene, make_scene
+from repro.geometry.camera import CameraExtrinsics, CameraIntrinsics, RGBDCamera, unproject_views
 from tests.reference.fill_holes import fill_holes_batch_dense
 
 
@@ -116,21 +116,36 @@ class TestPrimitives:
 class TestScene:
     def test_sample_budget_respected(self):
         scene = make_scene("t", num_people=2, num_props=2, sample_budget=5000, seed=0)
-        points, colors = scene.sample(0.0)
-        assert len(points) == 5000
-        assert colors.dtype == np.uint8
+        batches = scene.sample_batches(0.0)
+        assert sum(len(batch.points) for batch in batches) == 5000
+        assert all(batch.colors.dtype == np.uint8 for batch in batches)
+
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_non_positive_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="sample_budget"):
+            make_scene("t", 1, 1, sample_budget=budget)
+        with pytest.raises(ValueError, match="sample_budget"):
+            Scene([Box(np.zeros(3), np.ones(3), np.ones(3))], sample_budget=budget)
 
     def test_deterministic_replay(self):
         scene_a = make_scene("t", 1, 1, sample_budget=2000, seed=7)
         scene_b = make_scene("t", 1, 1, sample_budget=2000, seed=7)
-        pa, ca = scene_a.sample(0.5)
-        pb, cb = scene_b.sample(0.5)
-        np.testing.assert_array_equal(pa, pb)
-        np.testing.assert_array_equal(ca, cb)
+        for a, b in zip(scene_a.sample_batches(0.5), scene_b.sample_batches(0.5), strict=True):
+            np.testing.assert_array_equal(a.points, b.points)
+            np.testing.assert_array_equal(a.colors, b.colors)
 
     def test_object_count(self):
         scene = make_scene("t", num_people=3, num_props=4, seed=1)
         assert scene.num_objects == 7
+
+
+def render_rgbd(camera, points, colors, hole_fill_iterations=2) -> RGBDFrame:
+    """One camera's render of one dynamic batch, filled or not."""
+    batches = [SampleBatch(points, np.asarray(colors, dtype=np.uint8), static=False, key="p")]
+    if hole_fill_iterations == 0:
+        depth, color = ProjectionCache(camera).render_arrays(batches)
+        return RGBDFrame(color, depth)
+    return render_frame([ProjectionCache(camera)], batches, 0, 0.0).views[0]
 
 
 class TestRenderer:
@@ -159,7 +174,7 @@ class TestRenderer:
         points = rng.uniform(-0.5, 0.5, size=(500, 3)) + np.array([0, 0, 2.0])
         colors = rng.integers(0, 255, size=(500, 3), dtype=np.uint8)
         frame = render_rgbd(camera, points, colors, hole_fill_iterations=0)
-        cloud = camera.unproject(frame.depth_mm, frame.color)
+        cloud = unproject_views([camera], [frame.depth_mm], [frame.color])
         assert not cloud.is_empty
         # Reconstructed points lie near some original point (pixel+mm error).
         from scipy.spatial import cKDTree
@@ -280,7 +295,8 @@ class TestHoleFillAgainstReference:
         depth[rng.uniform(size=depth.shape) < 0.3] = 0
         color = rng.integers(0, 256, size=(12, 10, 3)).astype(np.uint8)
         want_depth, want_color = fill_holes_batch_dense(depth[None], color[None])
-        _assert_same_fill(fill_holes(depth, color), (want_depth[0], want_color[0]))
+        depths, colors = fill_holes_batch(depth[None], color[None])
+        _assert_same_fill((depths[0], colors[0]), (want_depth[0], want_color[0]))
 
 
 class TestRigAndDataset:
@@ -296,12 +312,6 @@ class TestRigAndDataset:
         assert multi.num_cameras == 3
         assert multi.sequence == 5
         assert multi.total_points() > 500  # scene is visible
-
-    def test_stream_sequences(self):
-        rig = default_rig(num_cameras=2, width=32, height=24)
-        scene = make_scene("t", 1, 0, sample_budget=3000, seed=3)
-        frames = list(rig.stream(scene, num_frames=3))
-        assert [f.sequence for f in frames] == [0, 1, 2]
 
     def test_dataset_has_five_videos(self):
         assert video_names() == ["band2", "dance5", "office1", "pizza1", "toddler4"]

@@ -6,13 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.codec.blocks import (
-    block_grid_shape,
-    merge_blocks,
-    pad_to_blocks,
-    split_blocks,
-    split_blocks_nd,
-)
+from repro.codec.blocks import block_grid_shape, merge_blocks, split_blocks
 from repro.codec.dct import forward_dct, inverse_dct
 from repro.codec.entropy import decode_levels, encode_levels, zigzag_indices
 from repro.codec.quant import dequantize, qp_to_step, quantize, weight_matrix
@@ -52,8 +46,10 @@ class TestBlocks:
         assert block_grid_shape(65, 81, 8) == (9, 11)
 
     def test_pad_exact_multiple_is_identity(self):
-        plane = np.arange(64, dtype=float).reshape(8, 8)
-        assert pad_to_blocks(plane, 8) is plane
+        plane = np.arange(128, dtype=float).reshape(8, 16)
+        blocks = split_blocks(plane, 8)
+        assert np.shares_memory(blocks, plane)
+        np.testing.assert_array_equal(blocks[1], plane[:, 8:])
 
     @pytest.mark.parametrize(
         "shape", [(1, 1), (18, 24), (17, 401), (26, 72), (3, 18, 24), (2, 5, 1, 1)],
@@ -69,13 +65,11 @@ class TestBlocks:
             [(0, 0)] * len(lead) + [(0, -height % 8), (0, -width % 8)],
             mode="edge",
         )
-        blocks = split_blocks_nd(planes, 8)
+        blocks = split_blocks(planes, 8)
         assert blocks.dtype == dtype
+        assert blocks.shape == (*lead, expected.shape[-2] * expected.shape[-1] // 64, 8, 8)
+        # ``expected`` is a block multiple: splitting it only reshapes.
         for index in np.ndindex(*lead):
-            if not lead:
-                padded = pad_to_blocks(planes, 8)
-                assert padded.dtype == dtype
-                assert np.array_equal(padded, expected)
             assert np.array_equal(blocks[index], split_blocks(expected[index], 8))
 
     def test_split_merge_roundtrip(self):

@@ -13,7 +13,7 @@ from repro.capture.rig import default_rig
 from repro.core.config import RENDER_VOXEL_M, SessionConfig
 from repro.core.receiver import LiVoReceiver
 from repro.core.sender import LiVoSender
-from repro.geometry.pointcloud import PointCloud
+from repro.geometry.camera import unproject_views
 from repro.prediction.pose import Pose
 from repro.prediction.predictor import ViewingDevice
 
@@ -42,11 +42,10 @@ class TestGeometryPreservation:
         pair = receiver.decode_pair(result.color_frame, result.depth_frame)
         reconstructed = receiver.reconstruct(pair)
 
-        captured = PointCloud.merge(
-            [
-                camera.unproject(view.depth_mm, view.color)
-                for camera, view in zip(rig.cameras, frame.views)
-            ]
+        captured = unproject_views(
+            rig.cameras,
+            [view.depth_mm for view in frame.views],
+            [view.color for view in frame.views],
         )
         distances, _ = cKDTree(captured.positions).query(reconstructed.positions)
         assert np.percentile(distances, 95) < 0.05  # 5 cm at worst

@@ -1,7 +1,8 @@
 """Parity suite for the kernel-cache layer (repro.perf).
 
-Every cache in the layer promises *byte-identical* output to its
-uncached twin; these tests hold the layer to that promise:
+Every cache in the layer promises *byte-identical* output to the
+uncached oracle in tests/reference; these tests hold the layer to that
+promise:
 
 - incremental capture vs full re-render across a dynamic scene,
 - the PointSSIM scalar oracle vs the one-shot metric, to full precision,
@@ -9,15 +10,18 @@ uncached twin; these tests hold the layer to that promise:
 - scratch-arena bitstreams vs the pinned plain-encoder bitstreams,
 
 plus regression tests for the satellite fixes (read-only zigzag cache,
-exact integer bit lengths, fill_holes buffer reuse).
+exact integer bit lengths, hole filling).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.capture.renderer import ProjectionCache, fill_holes, render_rgbd, render_views
+from repro.capture.dataset import load_video
+from repro.capture.renderer import ProjectionCache, fill_holes_batch
 from repro.capture.rig import default_rig
 from repro.capture.scene import SampleBatch, Scene, make_scene
 from repro.codec.entropy import _bit_length, decode_levels, encode_levels, zigzag_indices
@@ -31,6 +35,7 @@ from repro.perf.capture import FRAME_MEMO_BYTES, CachedFrameSource
 from repro.prediction.pose import user_traces_for_video
 from repro.transport.traces import trace_1
 from tests.reference.pointssim import pointssim_from_features
+from tests.reference.render import full_render, render_rgbd
 from tests.twins import assert_pinned
 
 
@@ -46,17 +51,10 @@ def _test_scene(sample_budget: int = 15_000) -> Scene:
     )
 
 
-def _full_render(rig, scene, sequence):
-    """The uncached oracle: every sampled point through every camera."""
-    timestamp = sequence * rig.frame_interval_s
-    batches = scene.sample_batches(timestamp)
-    return render_views(
-        rig.cameras,
-        np.concatenate([batch.points for batch in batches]),
-        np.concatenate([batch.colors for batch in batches]),
-        sequence=sequence,
-        timestamp_s=timestamp,
-    )
+def fill_holes(depth, color, iterations=2):
+    """``fill_holes_batch`` on one image: a stack of one."""
+    depths, colors = fill_holes_batch(depth[None], color[None], iterations=iterations)
+    return depths[0], colors[0]
 
 
 def _frames_equal(a, b) -> bool:
@@ -64,6 +62,19 @@ def _frames_equal(a, b) -> bool:
         np.array_equal(va.depth_mm, vb.depth_mm) and np.array_equal(va.color, vb.color)
         for va, vb in zip(a.views, b.views)
     )
+
+
+def _assert_frames_identical(got, want) -> None:
+    """Same pixels, dtypes and stamps, view for view."""
+    assert (got.sequence, got.timestamp_s) == (want.sequence, want.timestamp_s)
+    assert len(got.views) == len(want.views)
+    for view, expected in zip(got.views, want.views):
+        assert (view.camera_id, view.sequence, view.timestamp_s) == (
+            expected.camera_id, expected.sequence, expected.timestamp_s,
+        )
+        for array, want_array in ((view.depth_mm, expected.depth_mm), (view.color, expected.color)):
+            assert array.dtype == want_array.dtype
+            np.testing.assert_array_equal(array, want_array)
 
 
 # ----------------------------------------------------------------------
@@ -110,12 +121,34 @@ TIE_CASES = {
 
 
 class TestIncrementalCapture:
+    @pytest.mark.parametrize("video", ["band2", "office1", "dance5"])
+    @given(
+        sequences=st.lists(st.integers(0, 120), min_size=1, max_size=3),
+        invalidate_before=st.integers(0, 3),
+    )
+    @settings(max_examples=6, deadline=None)
+    def test_rig_source_and_oracle_capture_identically(
+        self, video, sequences, invalidate_before
+    ):
+        # One-off rig captures (fresh caches), a long-lived cached source
+        # and the lexsort oracle agree byte for byte, before and after
+        # a scene edit.
+        _, scene = load_video(video, sample_budget=4000)
+        rig = default_rig(num_cameras=4, width=48, height=36)
+        source = CachedFrameSource(rig, scene)
+        for step, sequence in enumerate(sequences):
+            if step == invalidate_before:
+                scene.invalidate()
+            want = full_render(rig, scene, sequence)
+            _assert_frames_identical(source.capture(sequence), want)
+            _assert_frames_identical(rig.capture(scene, sequence), want)
+
     def test_cached_capture_byte_identical_across_dynamic_scene(self):
         scene = _test_scene()
         rig = default_rig(num_cameras=5)
         cached = CachedFrameSource(rig, scene)
         for sequence in range(6):
-            assert _frames_equal(cached.capture(sequence), _full_render(rig, scene, sequence))
+            assert _frames_equal(cached.capture(sequence), full_render(rig, scene, sequence))
 
     def test_static_splats_are_cached(self):
         scene = _test_scene()
@@ -139,7 +172,7 @@ class TestIncrementalCapture:
         # New epoch reseeds the static batches: frames must change, and
         # must match a fresh uncached render of the new epoch.
         assert not _frames_equal(before, after)
-        assert _frames_equal(after, _full_render(rig, scene, 0))
+        assert _frames_equal(after, full_render(rig, scene, 0))
         # The frame memo keys on the epoch too: the repeat re-rendered.
         assert source.frame_counters.misses == 2
         assert source.capture(0) is after
@@ -151,7 +184,7 @@ class TestIncrementalCapture:
         seen = {}
         for sequence in [3, 0, 3, 1, 0, 5]:
             frame = source.capture(sequence)
-            assert _frames_equal(frame, _full_render(rig, scene, sequence))
+            assert _frames_equal(frame, full_render(rig, scene, sequence))
             assert seen.setdefault(sequence, frame) is frame
         assert (source.frame_counters.hits, source.frame_counters.misses) == (2, 4)
 
@@ -193,8 +226,7 @@ class TestIncrementalCapture:
         points = np.concatenate([b.points for b in batches])
         colors = np.concatenate([b.colors for b in batches])
         direct = render_rgbd(rig.cameras[0], points, colors, sequence=6)
-        depth, color, needs_fill = ProjectionCache(rig.cameras[0]).render_arrays(batches)
-        assert needs_fill
+        depth, color = ProjectionCache(rig.cameras[0]).render_arrays(batches)
         depth, color = fill_holes(depth, color)
         assert np.array_equal(direct.depth_mm, depth)
         assert np.array_equal(direct.color, color)
@@ -212,13 +244,12 @@ class TestIncrementalCapture:
         colors = np.concatenate([b.colors for b in batches] + [np.zeros((0, 3), np.uint8)])
         cache = ProjectionCache(camera)
         for _ in range(2):                      # cold, then from the cached static image
-            depth, color, needs_fill = cache.render_arrays(batches)
+            depth, color = cache.render_arrays(batches)
             unfilled = render_rgbd(camera, points, colors, hole_fill_iterations=0)
             assert np.array_equal(depth, unfilled.depth_mm)
             assert np.array_equal(color, unfilled.color)
             filled = render_rgbd(camera, points, colors)
-            if needs_fill:
-                depth, color = fill_holes(depth, color)
+            depth, color = fill_holes(depth, color)
             assert np.array_equal(depth, filled.depth_mm)
             assert np.array_equal(color, filled.color)
 
@@ -229,9 +260,8 @@ class TestIncrementalCapture:
             np.array([HIDDEN] * 4), np.full((4, 3), 255, np.uint8), static=False, key="a"
         )
         cache = ProjectionCache(camera)
-        depth, color, needs_fill = cache.render_arrays([room, hidden])
+        depth, color = cache.render_arrays([room, hidden])
         alone = render_rgbd(camera, room.points, room.colors, hole_fill_iterations=0)
-        assert needs_fill
         assert np.array_equal(depth, alone.depth_mm)
         assert np.array_equal(color, alone.color)
 

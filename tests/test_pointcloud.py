@@ -57,19 +57,6 @@ class TestPointCloud:
         empty = PointCloud()
         assert empty.transformed(np.eye(4)).is_empty
 
-    def test_merge(self):
-        a, b = random_cloud(10, seed=1), random_cloud(20, seed=2)
-        merged = PointCloud.merge([a, b])
-        assert len(merged) == 30
-        np.testing.assert_array_equal(merged.positions[:10], a.positions)
-
-    def test_merge_skips_empty(self):
-        merged = PointCloud.merge([PointCloud(), random_cloud(5)])
-        assert len(merged) == 5
-
-    def test_merge_all_empty(self):
-        assert PointCloud.merge([PointCloud(), PointCloud()]).is_empty
-
     def test_bounds(self):
         cloud = PointCloud(
             np.array([[0.0, -1.0, 2.0], [3.0, 1.0, -2.0]]),

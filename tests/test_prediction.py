@@ -5,6 +5,7 @@ import pytest
 
 from repro.capture.rig import default_rig
 from repro.capture.scene import make_scene
+from repro.geometry.camera import unproject_views
 from repro.geometry.frustum import Frustum, expand_planes
 from repro.prediction.culling import cull_views, culling_accuracy
 from repro.prediction.kalman import ConstantVelocityKalman, PoseKalmanPredictor
@@ -251,7 +252,7 @@ class TestCulling:
         )
         culled = cull_views(frame, rig.cameras, frustum)
         for view, culled_view, camera in zip(frame.views, culled.views, rig.cameras):
-            cloud = camera.unproject(view.depth_mm)
+            cloud = unproject_views([camera], [view.depth_mm])
             expected_kept = int(frustum.contains(cloud.positions).sum())
             assert culled_view.num_valid_pixels() == expected_kept
 

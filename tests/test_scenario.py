@@ -152,6 +152,13 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match="9x70000 plane"):
             ScenarioSpec.from_dict(fields)
 
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_non_positive_sample_budget_rejected(self, budget):
+        """A scene needs at least one point; the spec fails at load."""
+        fields = get_scenario("clean-baseline").to_dict() | {"sample_budget": budget}
+        with pytest.raises(ValueError, match="sample_budget"):
+            ScenarioSpec.from_dict(fields)
+
     def test_rejoin_after_leave_is_a_consistent_roster(self):
         from dataclasses import replace
 

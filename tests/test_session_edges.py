@@ -165,6 +165,8 @@ class TestBaselineSessionEdges:
         ("num_cameras", 0),
         ("camera_width", 0),
         ("camera_height", -4),
+        ("scene_sample_budget", 0),
+        ("scene_sample_budget", -3),
     ],
 )
 def test_config_rejects_out_of_range_at_construction(field, value):

@@ -18,13 +18,16 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.capture
 import repro.runtime
 from repro import cli, viz
 from repro.analysis import tracetools
+from repro.capture import renderer
 from repro.capture.dataset import load_video
 from repro.capture.renderer import ProjectionCache
+from repro.capture.rig import CaptureRig
 from repro.capture.scene import Scene
-from repro.codec import entropy
+from repro.codec import blocks, entropy
 from repro.codec.motion import gather_prediction
 from repro.codec.video import VideoCodecConfig, _CodecCore
 from repro.compression import vpcc
@@ -42,6 +45,8 @@ from repro.faults.plan import (
     LinkOutage,
 )
 from repro.geometry import frustum as frustum_module
+from repro.geometry.camera import RGBDCamera
+from repro.geometry.pointcloud import PointCloud
 from repro.metrics import image
 from repro.metrics import pointssim as pointssim_module
 from repro.obs import span as span_module
@@ -367,6 +372,21 @@ def test_one_multi_party_driver_and_the_shim_stay_gone():
         (image, "psnr"),
         (image, "masked_rmse"),
         (viz, "write_pgm"),
+        # One z-buffer: render_frame over per-camera ProjectionCaches,
+        # for the cached source and for one-off rig captures alike.
+        (renderer, "render_rgbd"),
+        (renderer, "render_views"),
+        (renderer, "splat_image"),
+        (renderer, "fill_holes"),
+        (repro.capture, "render_rgbd"),
+        (Scene, "sample"),
+        (CaptureRig, "stream"),
+        # One unprojection: unproject_views, camera by camera.
+        (RGBDCamera, "unproject"),
+        (PointCloud, "merge"),
+        # One block splitter, over (..., H, W).
+        (blocks, "split_blocks_nd"),
+        (blocks, "pad_to_blocks"),
     ],
     ids=lambda value: getattr(value, "__name__", value).rsplit(".", 1)[-1],
 )

@@ -143,6 +143,19 @@ class TestCLI:
         assert f"argument {argv[1]}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("target", ["file", "below a file"])
+    def test_export_into_a_file_is_a_usage_error(self, target, tmp_path, capsys):
+        existing = tmp_path / "notes.txt"
+        existing.write_text("keep me")
+        out = existing if target == "file" else existing / "dump"
+        with pytest.raises(SystemExit) as usage:
+            main(["export", "--out", str(out)])
+        assert usage.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"argument --out: {existing} exists and is not a directory" in err
+        assert existing.read_text() == "keep me"
+
     def test_analyze_trace_missing_file_is_an_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.jsonl"
         assert main(["analyze-trace", str(missing)]) == 2
