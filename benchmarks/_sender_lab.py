@@ -5,6 +5,9 @@ constant and study the encoding path alone: encode tiled frames at a
 fixed byte budget/split, reconstruct at the sender (bit-exact with the
 receiver), and score against ground truth.  This module provides that
 loop once.
+
+The lab measures the *unculled* path: its senders never get a pose
+(``observe_pose`` is not called), so every frame is encoded whole.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.capture.dataset import load_video
-from repro.capture.rig import default_rig
 from repro.core.bandwidth_split import SplitController
 from repro.core.config import (
     FPS,
@@ -29,6 +31,7 @@ from repro.depthcodec.scaling import scale_depth, unscale_depth
 from repro.geometry.camera import unproject_views
 from repro.metrics.image import rmse
 from repro.metrics.pointssim import PSSIMResult, pointssim
+from repro.perf.capture import CachedFrameSource
 from repro.prediction.pose import user_traces_for_video
 from repro.prediction.predictor import ViewingDevice
 
@@ -57,14 +60,10 @@ class LabRun:
 def make_workload(video: str = "band2", num_frames: int = 10):
     """A rig, scene frames, and a viewer pose for lab runs."""
     _, scene = load_video(video, sample_budget=LAB_CONFIG.scene_sample_budget)
-    rig = default_rig(
-        num_cameras=LAB_CONFIG.num_cameras,
-        width=LAB_CONFIG.camera_width,
-        height=LAB_CONFIG.camera_height,
-    )
-    frames = [rig.capture(scene, sequence) for sequence in range(num_frames)]
+    source = CachedFrameSource.for_config(LAB_CONFIG, scene)
+    frames = [source.capture(sequence) for sequence in range(num_frames)]
     user = user_traces_for_video(video, num_frames + 5)[0]
-    return rig, frames, user
+    return source.rig, frames, user
 
 
 def run_static_split(

@@ -14,14 +14,11 @@ shared stream's uplink cost.
 import numpy as np
 
 from conftest import write_result
-from repro.capture.dataset import load_video
-from repro.capture.rig import default_rig
 from repro.core.config import FPS, HORIZON_S, SessionConfig
 from repro.geometry.camera import unproject_views
 from repro.geometry.pointcloud import PointCloud
 from repro.metrics.pointssim import pointssim_batch
-from repro.prediction.pose import user_traces_for_video
-from repro.sfu.conference import ConferenceDriver, UnicastBaseline
+from repro.sfu.room import Room
 
 RECEIVER_COUNTS = (1, 2, 4)
 NUM_FRAMES = 8
@@ -34,19 +31,18 @@ def test_ablation_multiway_fanout(benchmark, results_dir):
         num_cameras=8, camera_width=64, camera_height=48,
         scene_sample_budget=20_000, gop_size=8,
     )
-    _, scene = load_video("band2", sample_budget=20_000)
-    rig = default_rig(num_cameras=8, width=64, height=48)
-    traces = user_traces_for_video("band2", NUM_FRAMES + 10, num_traces=3)
+    room = Room(config, "band2", NUM_FRAMES + 10)
+    rig = room.source.rig
 
     def seated(party, num_receivers: int):
         for index in range(num_receivers):
-            party.join(f"r{index}", traces[index % len(traces)])
+            party.join(f"r{index}", room.pose_trace(index))
         return party
 
     def run(party, num_receivers: int) -> tuple[float, int]:
         seated(party, num_receivers)
         for sequence in range(NUM_FRAMES):
-            party.tick(rig.capture(scene, sequence), sequence / FPS, TARGET_BPS, HORIZON_S)
+            party.tick(room.source.capture(sequence), sequence / FPS, TARGET_BPS, HORIZON_S)
         return party.uplink_bytes / NUM_FRAMES, party.encoder_runs // NUM_FRAMES
 
     def cloud_of(multiview) -> PointCloud:
@@ -62,14 +58,14 @@ def test_ablation_multiway_fanout(benchmark, results_dir):
         multiview so it can be compared against the stream unicast
         would have encoded for that receiver.
         """
-        sfu = seated(ConferenceDriver(0, rig, config), num_receivers)
+        sfu = seated(room.conference(0), num_receivers)
         sfu.node.keep_views = True
-        unicast = seated(UnicastBaseline(rig, config), num_receivers)
+        unicast = seated(room.unicast(), num_receivers)
         names = sfu.receiver_names
         pssim_sfu: list[float] = []
         pssim_unicast: list[float] = []
         for sequence in range(NUM_FRAMES):
-            frame = rig.capture(scene, sequence)
+            frame = room.source.capture(sequence)
             forwards = sfu.tick(frame, sequence / FPS, TARGET_BPS, HORIZON_S).decisions
             unicast_results = unicast.tick(frame, sequence / FPS, TARGET_BPS, HORIZON_S)
             for name in names:
@@ -106,8 +102,8 @@ def test_ablation_multiway_fanout(benchmark, results_dir):
         table = {}
         for count in RECEIVER_COUNTS:
             table[count] = {
-                "unicast": run(UnicastBaseline(rig, config), count),
-                "shared": run(ConferenceDriver(0, rig, config), count),
+                "unicast": run(room.unicast(), count),
+                "shared": run(room.conference(0), count),
                 "sfu": run_sfu_paired(count),
             }
         return table

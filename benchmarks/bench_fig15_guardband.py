@@ -12,6 +12,7 @@ import numpy as np
 from conftest import write_result
 from repro.capture.dataset import load_video
 from repro.capture.rig import default_rig
+from repro.perf.capture import CachedFrameSource
 from repro.prediction.culling import culling_accuracy
 from repro.prediction.pose import user_traces_for_video
 from repro.prediction.predictor import FrustumPredictor, ViewingDevice
@@ -27,7 +28,8 @@ def test_fig15_guard_band_grid(benchmark, results_dir):
     rig = default_rig(num_cameras=8, width=64, height=48)
     user = user_traces_for_video("band2", NUM_FRAMES + max(WINDOWS) + 5)[0]
     device = ViewingDevice()
-    frames = {seq: rig.capture(scene, seq) for seq in range(8, NUM_FRAMES, 7)}
+    source = CachedFrameSource(rig, scene)
+    frames = {seq: source.capture(seq) for seq in range(8, NUM_FRAMES, 7)}
 
     def build():
         table = {}

@@ -11,9 +11,9 @@ Run:  python examples/adaptive_split_demo.py
 """
 
 from repro.capture.dataset import load_video
-from repro.capture.rig import default_rig
 from repro.core.config import HORIZON_S, SessionConfig
 from repro.core.sender import LiVoSender
+from repro.perf.capture import CachedFrameSource
 
 NUM_FRAMES = 24
 HIGH_RATE_BPS = 10e6
@@ -28,14 +28,14 @@ def main() -> None:
         split_step=0.02,     # time-compressed line search (demo-length run)
     )
     _, scene = load_video("band2", sample_budget=20_000)
-    rig = default_rig(num_cameras=8, width=64, height=48)
-    sender = LiVoSender(rig.cameras, config)
+    source = CachedFrameSource.for_config(config, scene)
+    sender = LiVoSender(source.rig.cameras, config)
 
     print(f"{'frame':>5s} {'rate':>6s} {'split':>6s} {'depth RMSE':>11s} "
           f"{'color RMSE':>11s} {'depth B':>8s} {'color B':>8s}")
     for sequence in range(NUM_FRAMES):
         rate = HIGH_RATE_BPS if sequence < NUM_FRAMES // 2 else LOW_RATE_BPS
-        frame = rig.capture(scene, sequence)
+        frame = source.capture(sequence)
         result = sender.process(frame, rate, prediction_horizon_s=HORIZON_S)
         depth_rmse = f"{result.depth_rmse:11.1f}" if result.depth_rmse is not None else " " * 11
         color_rmse = f"{result.color_rmse:11.2f}" if result.color_rmse is not None else " " * 11

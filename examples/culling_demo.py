@@ -16,6 +16,7 @@ from repro.capture.rig import default_rig
 from repro.codec.video import VideoCodecConfig, VideoEncoder
 from repro.core.config import FPS, GUARD_BAND_M, HORIZON_S, POSE_FEEDBACK_LAG_FRAMES
 from repro.depthcodec.scaling import scale_depth
+from repro.perf.capture import CachedFrameSource
 from repro.prediction.culling import cull_views, culling_accuracy
 from repro.prediction.pose import user_traces_for_video
 from repro.prediction.predictor import FrustumPredictor, ViewingDevice
@@ -36,6 +37,8 @@ def encoded_size(tiler, encoder, views, sequence, color=True):
 def main() -> None:
     _, scene = load_video("pizza1", sample_budget=20_000)
     rig = default_rig(num_cameras=8, width=64, height=48)
+    # One long-lived source: static splats project once, not every frame.
+    source = CachedFrameSource(rig, scene)
     user = user_traces_for_video("pizza1", NUM_FRAMES + 10)[0]
     device = ViewingDevice()
     predictor = FrustumPredictor(device, guard_band_m=GUARD_BAND_M)
@@ -53,7 +56,7 @@ def main() -> None:
         if sequence >= POSE_FEEDBACK_LAG_FRAMES:
             lagged = sequence - POSE_FEEDBACK_LAG_FRAMES
             predictor.observe(user.pose_at_frame(lagged), lagged / FPS)
-        frame = rig.capture(scene, sequence)
+        frame = source.capture(sequence)
         if not predictor.ready:
             continue
 

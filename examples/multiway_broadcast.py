@@ -9,11 +9,8 @@ receivers' predicted frustums and encodes a single shared stream.
 Run:  python examples/multiway_broadcast.py
 """
 
-from repro.capture.dataset import load_video
-from repro.capture.rig import default_rig
 from repro.core.config import FPS, HORIZON_S, SessionConfig
-from repro.prediction.pose import user_traces_for_video
-from repro.sfu.conference import ConferenceDriver, UnicastBaseline
+from repro.sfu.room import Room
 
 NUM_FRAMES = 10
 RECEIVERS = ["alice", "bob", "carol"]
@@ -24,22 +21,18 @@ def main() -> None:
         num_cameras=8, camera_width=64, camera_height=48,
         scene_sample_budget=20_000, gop_size=8,
     )
-    _, scene = load_video("band2", sample_budget=20_000)
-    rig = default_rig(num_cameras=8, width=64, height=48)
-    traces = user_traces_for_video("band2", NUM_FRAMES + 10, num_traces=3)
+    # The room: band2's scene, one cached capture source, three pose traces.
+    room = Room(config, "band2", NUM_FRAMES + 10)
 
     # Both share one surface: join(name, pose feed), then one tick per frame.
-    # A ConferenceDriver built without downlinks is the shared stream alone.
-    parties = {
-        "unicast": UnicastBaseline(rig, config),
-        "shared": ConferenceDriver(0, rig, config),
-    }
+    # A conference built without downlinks is the shared stream alone.
+    parties = {"unicast": room.unicast(), "shared": room.conference(0)}
     totals = {}
     for mode, party in parties.items():
-        for name, trace in zip(RECEIVERS, traces):
-            party.join(name, trace)
+        for index, name in enumerate(RECEIVERS):
+            party.join(name, room.pose_trace(index))
         for sequence in range(NUM_FRAMES):
-            party.tick(rig.capture(scene, sequence), sequence / FPS, 8e6, HORIZON_S)
+            party.tick(room.source.capture(sequence), sequence / FPS, 8e6, HORIZON_S)
         totals[mode] = party.uplink_bytes
         print(
             f"{mode:8s}: {party.uplink_bytes / NUM_FRAMES:9.0f} bytes/frame, "

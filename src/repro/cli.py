@@ -321,40 +321,29 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_multiway(args: argparse.Namespace) -> int:
-    from repro.capture.dataset import load_video
-    from repro.core.config import FPS, FRAME_INTERVAL_S, HORIZON_S, SessionConfig
-    from repro.perf.capture import CachedFrameSource
-    from repro.prediction.pose import user_traces_for_video
-    from repro.sfu.conference import ConferenceDriver, UnicastBaseline
-    from repro.transport.downlink import DownlinkSet
-    from repro.transport.link import LinkConfig
-    from repro.transport.traces import constant_trace
+def _cmd_multiway(args: argparse.Namespace, usage_error) -> int:
+    from repro.core.config import FRAME_INTERVAL_S, HORIZON_S, SessionConfig
+    from repro.sfu.room import Room
 
-    config = SessionConfig(
-        num_cameras=args.cameras, camera_width=48, camera_height=36,
-        scene_sample_budget=6000, gop_size=10,
-    )
-    _, scene = load_video(args.video, sample_budget=6000)
-    source = CachedFrameSource.for_config(config, scene)
-    rig = source.rig
-    pose_traces = user_traces_for_video(args.video, args.frames + 10)
+    try:
+        config = SessionConfig(
+            num_cameras=args.cameras, camera_width=48, camera_height=36,
+            scene_sample_budget=6000, gop_size=10,
+        )
+    except ValueError as error:  # a rig the tiler cannot mark
+        usage_error(f"argument --cameras: {error}")
+    room = Room(config, args.video, args.frames + 10, args.target_mbps)
     if args.mode == "unicast":
-        party = UnicastBaseline(rig, config)
+        party = room.unicast()
     elif args.mode == "sfu":
-        trace = constant_trace(
-            args.target_mbps, duration_s=args.frames / FPS + 10.0
-        )
-        party = ConferenceDriver(
-            0, rig, config, DownlinkSet(trace, LinkConfig(seed=config.link.seed))
-        )
+        party = room.conference(0, room.downlinks(config.link.seed))
     else:
-        party = ConferenceDriver(0, rig, config)
+        party = room.conference(0)
     for index in range(args.receivers):
-        party.join(f"rx{index}", pose_traces[index % len(pose_traces)])
+        party.join(f"rx{index}", room.pose_trace(index))
     for sequence in range(args.frames):
         party.tick(
-            source.capture(sequence),
+            room.source.capture(sequence),
             sequence * FRAME_INTERVAL_S,
             args.target_mbps * 1e6,
             HORIZON_S,
@@ -374,19 +363,19 @@ def _cmd_multiway(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
+def _cmd_serve(args: argparse.Namespace, usage_error) -> int:
     import signal
     import threading
 
     from repro.service.app import ServiceConfig, ServiceHandle
 
-    config = ServiceConfig(
-        host=args.host,
-        port=args.port,
-        video=args.video,
-        num_cameras=args.cameras,
-        tick_interval_s=args.tick_interval,
-    )
+    try:
+        config = ServiceConfig(
+            host=args.host, port=args.port, video=args.video,
+            num_cameras=args.cameras, tick_interval_s=args.tick_interval,
+        )
+    except ValueError as error:  # a rig the tiler cannot mark
+        usage_error(f"argument --cameras: {error}")
     handle = ServiceHandle(config).start()
     print(
         f"session service on http://{handle.host}:{handle.port} "
@@ -427,7 +416,8 @@ def main(argv: list[str] | None = None) -> int:
         from repro.scenario.cli import main as scenario_main
 
         return scenario_main(argv[1:] if argv[0] == "scenario" else argv)
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "videos":
         return _cmd_videos()
     if args.command == "schemes":
@@ -441,7 +431,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "export":
         return _cmd_export(args)
     if args.command == "multiway":
-        return _cmd_multiway(args)
+        return _cmd_multiway(args, parser.error)
     if args.command == "serve":
-        return _cmd_serve(args)
+        return _cmd_serve(args, parser.error)
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -14,6 +14,7 @@ from typing import ClassVar
 from repro.capture.rig import FPS, FRAME_INTERVAL_S
 from repro.codec.frame import MAX_PLANE_SIDE
 from repro.faults.degradation import ResilienceConfig
+from repro.tiling.marker import MARKER_MIN_WIDTH
 from repro.tiling.tiler import TileLayout
 from repro.transport.link import LinkConfig
 
@@ -141,6 +142,11 @@ class SessionConfig:
                 f"{self.num_cameras} cameras of {self.camera_width}x{self.camera_height} tile "
                 f"to a {layout.frame_height}x{layout.frame_width} plane; a frame header "
                 f"holds at most {MAX_PLANE_SIDE} per side"
+            )
+        if layout.frame_width < MARKER_MIN_WIDTH:
+            raise ValueError(
+                f"{self.num_cameras} cameras of {self.camera_width}x{self.camera_height} tile "
+                f"to a plane {layout.frame_width} px wide; the marker needs {MARKER_MIN_WIDTH}"
             )
         if jobs < 1:
             raise ValueError("jobs must be at least 1")

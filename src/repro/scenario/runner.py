@@ -6,9 +6,9 @@ Two execution paths:
   :class:`repro.core.session.LiVoSession` -- the full interleaved
   replay with fault injection, the watchdog ladder, and the obs
   timeline.
-- ``kind="multiway"`` ticks one
-  :class:`repro.sfu.conference.ConferenceDriver` (``sfu``: with
-  downlinks; ``shared``: without) or the
+- ``kind="multiway"`` opens the spec's room
+  (:class:`repro.sfu.room.Room`) and ticks one conference from it
+  (``sfu``: with downlinks; ``shared``: without) or the
   :class:`~repro.sfu.conference.UnicastBaseline` (``unicast``) through
   the spec's join/leave churn on a simulated clock with a simple
   serialization+propagation delivery model (:func:`_formula_delivery`).
@@ -29,10 +29,9 @@ from repro.capture.dataset import load_video
 from repro.core.config import FPS, FRAME_INTERVAL_S, HORIZON_S, PLAYOUT_DELAY_S
 from repro.core.session import LiVoSession
 from repro.core.stats import FaultEvent, FrameRecord, SessionReport
-from repro.perf.capture import CachedFrameSource
 from repro.prediction.pose import user_traces_for_video
 from repro.scenario.spec import ScenarioSpec
-from repro.sfu.conference import ConferenceDriver, UnicastBaseline
+from repro.sfu.room import Room
 from repro.transport.downlink import DownlinkSet
 from repro.transport.traces import constant_trace
 
@@ -75,30 +74,28 @@ def _run_multiway(spec: ScenarioSpec) -> SessionReport:
     is plenty to regression-pin join/leave behavior.
     """
     config = spec.build_config()
-    _, scene = load_video(spec.video, sample_budget=spec.sample_budget)
-    source = CachedFrameSource.for_config(config, scene)
-    pose_traces = user_traces_for_video(spec.video, spec.frames + 10)
+    room = Room(config, spec.video, spec.frames + 10)
     bandwidth = spec.build_trace()
     downlink_traces = {
         link.peer: constant_trace(link.mbps, duration_s=spec.duration_s + 10.0)
         for link in spec.receiver_links
     }
     if spec.multiway_mode == "unicast":
-        party = UnicastBaseline(source.rig, config)
+        party = room.unicast()
     else:
         # "sfu" forwards down per-receiver links; "shared" is the same
         # driver with none, so only the uplink stream is on the wire.
         downlinks = (
             DownlinkSet(bandwidth, config.link) if spec.multiway_mode == "sfu" else None
         )
-        party = ConferenceDriver(0, source.rig, config, downlinks)
+        party = room.conference(0, downlinks)
 
     # Pose traces go by first-join order: a rejoining peer resumes its own.
     peer_traces: dict[str, object] = {}
 
     def join(peer: str) -> None:
         if peer not in peer_traces:
-            peer_traces[peer] = pose_traces[len(peer_traces) % len(pose_traces)]
+            peer_traces[peer] = room.pose_trace(len(peer_traces))
         party.join(peer, peer_traces[peer], downlink_traces.get(peer))
 
     for peer in spec.initial_peers:
@@ -127,7 +124,7 @@ def _run_multiway(spec: ScenarioSpec) -> SessionReport:
                 )
             )
         if party.receiver_names:
-            frame = source.capture(sequence)
+            frame = room.source.capture(sequence)
             records.append(_formula_delivery(spec, config, party, frame, bandwidth))
         else:
             records.append(FrameRecord(

@@ -3,8 +3,9 @@
 The ROADMAP's "production-scale" north star as a running process:
 ``repro serve`` hosts conferencing sessions behind a REST-ish JSON API,
 ticks them on a worker pool (co-scheduled through the cross-session
-batch plane), and exposes metrics + audit.  ``build_schedule`` draws
-the seeded churn the end-to-end benchmark fires at it.
+batch plane), and exposes metrics + audit -- the one conference host,
+which the fleet (:mod:`repro.sfu.fleet`) drives without HTTP.
+``build_schedule`` draws the seeded churn the benchmark fires at it.
 
 Lazy exports keep ``import repro.service`` cheap; the numpy-heavy media
 stack only loads when a session factory is built.

@@ -37,7 +37,8 @@ import asyncio
 import threading
 from dataclasses import dataclass
 
-from repro.core.config import FPS
+from repro.capture.dataset import video_names
+from repro.core.config import SessionConfig
 from repro.service.http import HttpError, HttpRequest, HttpServer
 from repro.service.registry import (
     LifecycleError,
@@ -45,9 +46,7 @@ from repro.service.registry import (
     SessionRegistry,
 )
 from repro.service.workers import TickWorkerPool
-from repro.sfu.conference import ConferenceDriver
-from repro.transport.downlink import DownlinkSet
-from repro.transport.link import LinkConfig
+from repro.sfu.room import Room
 
 __all__ = ["ServiceConfig", "SessionFactory", "ServiceApp", "ServiceHandle", "SCHEME_RATES"]
 
@@ -90,8 +89,6 @@ class ServiceConfig:
     max_sessions: int = 4096
 
     def __post_init__(self) -> None:
-        if self.num_cameras <= 0 or self.sample_budget <= 0:
-            raise ValueError("num_cameras/sample_budget must be positive")
         if self.tick_interval_s < 0:
             raise ValueError("tick_interval_s must be >= 0")
         if self.seed < 0:
@@ -102,75 +99,24 @@ class ServiceConfig:
             raise ValueError("max_clients_per_session/max_sessions must be >= 1")
         if not 0 <= self.port <= 65535:
             raise ValueError("port must be in 0-65535")
+        if self.video not in video_names():
+            raise ValueError(f"unknown video {self.video!r}; one of {video_names()}")
+        self.session_config()  # camera count, rig layout and budget raise here
 
-
-class _HostedConference(ConferenceDriver):
-    """A conference whose clients arrive by name only.
-
-    HTTP clients bring no pose feed, so each is seated on the next of
-    the service's simulated pose traces, round-robin in join order;
-    ``join`` therefore takes just the name, which is all the registry's
-    mailboxes and the tick pool carry.
-    """
-
-    def __init__(self, index, rig, config, downlinks, pose_traces):
-        super().__init__(index, rig, config, downlinks)
-        self._pose_traces = pose_traces
-
-    def join(self, name: str) -> None:
-        traces = self._pose_traces
-        super().join(name, traces[self.node.book.total_joins % len(traces)])
-
-
-class SessionFactory:
-    """Builds conference drivers over service-wide shared state.
-
-    One scene, rig, cached capture source, downlink trace template, and
-    pose-trace set serve every session -- the same cross-session cache
-    sharing the fleet harness exploits.  The source memoizes finished
-    frames, so sessions at different frame numbers still share: one
-    splat render per sequence for the whole service (98 % of the
-    ``service_churn`` benchmark's captures are memo hits).
-    """
-
-    def __init__(self, config: ServiceConfig) -> None:
-        from repro.capture.dataset import load_video
-        from repro.core.config import SessionConfig
-        from repro.perf.capture import CachedFrameSource
-        from repro.prediction.pose import user_traces_for_video
-        from repro.transport.traces import constant_trace
-
-        self.config = config
-        self.session_config = SessionConfig(
-            num_cameras=config.num_cameras,
-            camera_width=CAMERA_WIDTH,
-            camera_height=CAMERA_HEIGHT,
-            scene_sample_budget=config.sample_budget,
+    def session_config(self) -> SessionConfig:
+        """The config every hosted session runs under."""
+        return SessionConfig(
+            num_cameras=self.num_cameras, camera_width=CAMERA_WIDTH,
+            camera_height=CAMERA_HEIGHT, scene_sample_budget=self.sample_budget,
             gop_size=GOP_SIZE,
         )
-        _, self.scene = load_video(config.video, sample_budget=config.sample_budget)
-        self.source = CachedFrameSource.for_config(self.session_config, self.scene)
-        self.pose_traces = user_traces_for_video(
-            config.video, config.pose_trace_frames
-        )
-        # Long-lived sessions clamp at the trace tail (PoseTrace
-        # clamps); give downlinks a long template trace too.
-        self.downlink_trace = constant_trace(
-            DOWNLINK_MBPS, duration_s=config.pose_trace_frames / FPS + 10.0
-        )
 
-    def __call__(self, index: int, seed: int, receivers: list[str],
-                 target_rate_bps: float) -> object:
-        driver = _HostedConference(
-            index,
-            self.source.rig,
-            self.session_config,
-            DownlinkSet(self.downlink_trace, LinkConfig(seed=self.config.seed + seed)),
-            self.pose_traces,
-        )
-        for name in receivers:
-            driver.join(name)
-        return driver
+
+# The registry's session factory is the service's room, shared by every
+# session: its source memoizes finished frames, so 98 % of the
+# ``service_churn`` benchmark's captures are memo hits.  The name stays
+# for benchmarks/e2e/spans.py, which times ``SessionFactory.__call__``.
+SessionFactory = Room
 
 
 class ServiceApp:
@@ -181,7 +127,10 @@ class ServiceApp:
 
         self.config = config or ServiceConfig()
         self.metrics = MetricsRegistry()
-        self.factory = SessionFactory(self.config)
+        self.factory = SessionFactory(
+            self.config.session_config(), self.config.video,
+            self.config.pose_trace_frames, DOWNLINK_MBPS, self.config.seed,
+        )
         self.registry = SessionRegistry(
             self.factory,
             metrics=self.metrics,

@@ -219,8 +219,11 @@ class SessionRegistry:
         ``kill`` can target it; the driver is built outside the lock;
         the final transition honors any kill that raced in.  A factory
         that raises leaves the record dead with ``error`` set, never
-        stuck in ``creating``.
+        stuck in ``creating``.  More clients than the cap raise ValueError.
         """
+        wanted = len(initial_clients) if initial_clients else receivers
+        if wanted > self.max_clients_per_session:
+            raise ValueError(f"{wanted} clients exceed the cap of {self.max_clients_per_session}")
         with self._lock:
             index = next(self._serial)
             session_id = f"s{index:05d}"

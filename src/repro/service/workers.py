@@ -1,20 +1,20 @@
 """Tick worker pool: advances every running session, frame by frame.
 
-The media plane of the service.  One scheduler thread runs rounds; a
-round
+The media plane of the one conference host: a scheduler thread runs
+rounds for ``repro serve``; the fleet calls :meth:`~TickWorkerPool.
+run_round` once per frame on its own thread.  A round
 
 1. reaps draining sessions (closing their drivers),
 2. applies each running session's queued membership ops (the registry
    mailboxes -- so HTTP joins/leaves never race the tick),
 3. ticks every running session one frame through the cross-session
-   :class:`~repro.runtime.batchplane.BatchPlane` (the fleet harness's
-   schedule, DESIGN.md section 9): sessions co-schedule in lockstep
+   :class:`~repro.runtime.batchplane.BatchPlane` (``run_lockstep``'s one
+   caller, DESIGN.md section 9): sessions co-schedule in lockstep
    cohorts of at most
    :data:`~repro.runtime.batchplane.LOCKSTEP_COHORT`, one cohort after
    another,
-4. records per-session tick latency into ``service.tick_ms`` and
-   paces to ``tick_interval_s`` (0 = free-running, the benchmark
-   mode).
+4. records per-session tick latency into ``service.tick_ms``; the
+   thread paces to ``tick_interval_s`` (0 = free-running).
 
 Failure containment: a session whose tick raises is marked failed and
 drained -- the other sessions in the round are unaffected (each
@@ -122,8 +122,8 @@ class TickWorkerPool:
     def run_round(self) -> int:
         """One scheduling round; returns how many sessions ticked.
 
-        Exposed publicly so tests (and a future step-driven service
-        mode) can advance the media plane without the real-time thread.
+        The scheduler thread's loop body; the fleet and tests call it
+        to advance the media plane one frame on their own thread.
         """
         for record in self.registry.draining_records():
             self.registry.reap(record)

@@ -17,13 +17,12 @@ right-sized stream down each receiver's own emulated link.
 - :mod:`repro.sfu.conference` -- :class:`ConferenceDriver`, the one
   multi-party frame loop (uplink encode -> node, ``join``/``leave``/
   ``tick``), and :class:`UnicastBaseline`, the per-receiver-pipeline
-  control behind the same surface.  This is the entry point: the CLI's
-  ``multiway`` command, the scenario runner, the service and the fleet
-  all drive it;
+  control behind the same surface;
+- :mod:`repro.sfu.room` -- :class:`~repro.sfu.room.Room`, the entry
+  point: every multi-party caller builds its conferences from a room;
 - :mod:`repro.sfu.fleet` -- the fleet capacity harness: hundreds of
-  concurrent conferences, churned by the fleet's seeded schedule,
-  through shared kernel caches (the ``fleet`` workload of
-  ``benchmarks/e2e`` drives it).
+  conferences on the service's registry and tick pool (the ``fleet``
+  workload of ``benchmarks/e2e`` drives it).
 """
 
 from repro.sfu.fleet import FleetConfig, FleetResult, run_fleet

@@ -4,13 +4,10 @@
 predict -> union cull -> prepare -> encode -> node ingest -> node
 forward -- and every multi-party caller drives it:
 
-- :mod:`repro.sfu.fleet` ticks hundreds, in lockstep cohorts, for the
-  capacity benchmark, applying its seeded join/leave schedule from
-  outside;
 - :mod:`repro.service` hosts one per session, joins/leaves arriving
-  over HTTP;
+  over HTTP, and :mod:`repro.sfu.fleet` hundreds on the same host;
 - the scenario runner, the ``multiway`` CLI command and the ablation
-  benchmark tick one directly.
+  benchmark tick one directly, built from a room (:mod:`repro.sfu.room`).
 
 A driver owns the conference's sender, SFU node, per-receiver
 downlinks and its running output digest.  Built with a
@@ -197,6 +194,7 @@ class UnicastBaseline:
         self.device = ViewingDevice()
         # name -> (that receiver's pipeline, its pose feed), join order
         self._pipelines: dict[str, tuple[LiVoSender, object]] = {}
+        self.total_joins = 0
         self.uplink_bytes = 0
         self.encoder_runs = 0
 
@@ -212,6 +210,7 @@ class UnicastBaseline:
             raise ValueError(f"receiver {name!r} already present")
         sender = LiVoSender(self.rig.cameras, self.config, self.device, receiver_id=name)
         self._pipelines[name] = (sender, pose_trace)
+        self.total_joins += 1
 
     def leave(self, name: str) -> None:
         """A receiver leaves and its pipeline goes with it."""

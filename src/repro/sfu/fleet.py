@@ -3,52 +3,49 @@
 The ROADMAP's question is blunt: how many conferences does one core
 sustain?  This harness answers it the way a capacity test should --
 by running N full SFU sessions (uplink encode -> node ingest -> node
-forward) concurrently over one shared capture source, with join/leave
-churn, and measuring wall-clock per session-frame:
+forward) concurrently, with join/leave churn, and measuring wall-clock
+per session-frame:
 
-- **shared kernel caches**: every session consumes the *same*
-  :class:`~repro.perf.capture.CachedFrameSource` capture, so the splat
-  renderer runs once per frame for the whole fleet -- the cross-session
-  sharing a real media server gets from one speaker fanning out to
-  many rooms;
-- **per-session state**: each conference
-  (:class:`~repro.sfu.conference.ConferenceDriver`) owns its uplink
-  encoder, SFU node and per-receiver downlinks/GCC; the fleet owns the
-  join/leave schedule (:func:`_seeded_roster`, seeded per conference, so
-  the fleet replays deterministically);
-- **capacity metrics**: sessions/core at the 30 fps frame budget, p50/
-  p99 session-frame latency, and aggregate uplink savings vs a unicast
-  control group churned by the same rule from its own seeds.
+- **one host**: conferences are hosted the way ``repro serve`` hosts
+  them, minus HTTP -- created through a
+  :class:`~repro.service.registry.SessionRegistry` whose factory is the
+  fleet's :class:`~repro.sfu.room.Room`, churned through its
+  join/leave mailboxes, advanced by
+  :meth:`~repro.service.workers.TickWorkerPool.run_round` on this
+  thread -- so the session digests pin the service's tick path.  A
+  conference whose build or tick raises fails the run;
+- **shared kernel caches**: every session consumes the room's *one*
+  :class:`~repro.perf.capture.CachedFrameSource`, so the splat renderer
+  runs once per frame for the whole fleet -- the cross-session sharing
+  a real media server gets from one speaker fanning out to many rooms;
+- **per-session state**: each conference owns its uplink encoder, SFU
+  node and per-receiver downlinks/GCC; the fleet owns the join/leave
+  schedule (:func:`_seeded_roster`, seeded per conference, so the fleet
+  replays deterministically);
+- **capacity metrics**: session-frames per second (over 30 fps, the
+  sessions one core sustains), p50/p99 session-frame latency, and
+  aggregate uplink savings vs a unicast control group churned by the
+  same rule from its own seeds.
 
-Each frame, the conferences tick on one cross-session
-:class:`~repro.runtime.batchplane.BatchPlane` in cohorts of at most
-:data:`~repro.runtime.batchplane.LOCKSTEP_COHORT`: a cohort ticks in
-lockstep, its equal-shape codec kernel jobs coalesced into stacked SoA
-calls, before the next one starts (DESIGN.md section 9; per-session
-outputs are pinned by the session digests).
 The ``fleet`` workload of ``benchmarks/e2e`` drives this module.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import os
+import itertools
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.capture.dataset import load_video
 from repro.core.config import FPS, HORIZON_S, SessionConfig
 from repro.obs.metrics import MetricsRegistry
-from repro.perf.capture import CachedFrameSource
 from repro.perf.counters import CacheCounters
-from repro.prediction.pose import user_traces_for_video
-from repro.runtime.batchplane import BatchPlane
-from repro.sfu.conference import ConferenceDriver, UnicastBaseline
-from repro.transport.downlink import DownlinkSet
-from repro.transport.link import LinkConfig
-from repro.transport.traces import constant_trace
+from repro.service.registry import RUNNING, SessionRegistry
+from repro.service.workers import TickWorkerPool
+from repro.sfu.room import Room
 
 __all__ = ["FleetConfig", "FleetResult", "run_fleet"]
 
@@ -96,12 +93,9 @@ class FleetResult:
     session_frames: int
     churn_events: int
     wall_s: float
-    cores_available: int
     session_frames_per_s: float
-    sessions_per_core: float
     latency_ms_p50: float
     latency_ms_p99: float
-    latency_ms_mean: float
     sfu_uplink_bytes_per_frame: float
     unicast_uplink_bytes_per_frame: float
     uplink_savings: float
@@ -115,17 +109,19 @@ class FleetResult:
     # One sha256 hex digest per conference over its per-tick outputs
     # (uplink payload bytes, split, forward decisions): the contract a
     # change to the lockstep schedule must keep byte for byte;
-    # ``fleet_digest`` in to_dict compresses them to one line.
+    # ``fleet_digest`` compresses them to one line.
     session_digests: list = field(default_factory=list)
 
     @classmethod
     def fold(
-        cls, fleet: FleetConfig, conferences, batch_plane: BatchPlane, capture: dict,
-        latencies: list[float], wall_s: float, churn_events: int, control: tuple,
+        cls, fleet: FleetConfig, conferences, batch_plane, capture: dict,
+        tick_ms, wall_s: float, churn_events: int, control: tuple,
     ) -> "FleetResult":
-        """The fleet-wide numbers from every conference, the lockstep
-        loop's wall clock and latencies, and the unicast ``control``
-        group's ``(bytes, seconds)`` per frame.
+        """The fleet-wide numbers from every conference, the tick pool's
+        batch plane, the frame loop's wall clock, the per-session tick
+        latencies (``tick_ms``, the service's ``service.tick_ms``
+        histogram) and the unicast ``control`` group's
+        ``(bytes, seconds)`` per frame.
 
         One merged tally per metric and per cache: counters and
         occupancy gauges sum, peaks take the max, hit rates come from
@@ -153,7 +149,6 @@ class FleetResult:
         session_frames = fleet.sessions * fleet.frames
         uplink = sum(c.uplink_bytes for c in conferences) / session_frames
         unicast_bytes_per_frame, control_s = control
-        latencies_ms = np.asarray(latencies) * 1e3
         throughput = session_frames / wall_s if wall_s > 0 else float("inf")
         return cls(
             sessions=fleet.sessions,
@@ -161,12 +156,9 @@ class FleetResult:
             session_frames=session_frames,
             churn_events=churn_events,
             wall_s=wall_s,
-            cores_available=os.cpu_count() or 1,
             session_frames_per_s=throughput,
-            sessions_per_core=throughput / FPS,
-            latency_ms_p50=float(np.percentile(latencies_ms, 50)),
-            latency_ms_p99=float(np.percentile(latencies_ms, 99)),
-            latency_ms_mean=float(latencies_ms.mean()),
+            latency_ms_p50=tick_ms.quantile(0.5),
+            latency_ms_p99=tick_ms.quantile(0.99),
             sfu_uplink_bytes_per_frame=uplink,
             unicast_uplink_bytes_per_frame=unicast_bytes_per_frame,
             uplink_savings=(
@@ -195,74 +187,33 @@ class FleetResult:
             rollup.update(digest.encode("ascii"))
         return rollup.hexdigest()
 
-    def to_dict(self) -> dict:
-        return {
-            "sessions": self.sessions,
-            "frames": self.frames,
-            "session_frames": self.session_frames,
-            "churn_events": self.churn_events,
-            "wall_s": round(self.wall_s, 3),
-            "cores_available": self.cores_available,
-            "session_frames_per_s": round(self.session_frames_per_s, 1),
-            "sessions_per_core": round(self.sessions_per_core, 2),
-            "latency_ms": {
-                "p50": round(self.latency_ms_p50, 3),
-                "p99": round(self.latency_ms_p99, 3),
-                "mean": round(self.latency_ms_mean, 3),
-            },
-            "uplink_bytes_per_frame": {
-                "sfu": round(self.sfu_uplink_bytes_per_frame, 1),
-                "unicast": round(self.unicast_uplink_bytes_per_frame, 1),
-            },
-            "uplink_savings": round(self.uplink_savings, 4),
-            "sfu_downlink_bytes_per_frame": round(self.sfu_downlink_bytes_per_frame, 1),
-            "mean_receivers": round(self.mean_receivers, 2),
-            "control_sessions": self.control_sessions,
-            "control_wall_per_frame_ms": round(self.control_wall_per_frame_ms, 3),
-            # Merged across every conference in the fleet (counters and
-            # occupancy gauges summed, peaks maxed, hit rates from
-            # merged counts) -- NOT a single-session sample.
-            "sfu_metrics_fleet": self.sfu_metrics,
-            "batch_plane_stats": self.batch_plane_stats,
-            "cache_stats": self.cache_stats,
-            "fleet_digest": self.fleet_digest,
-        }
 
+def _seeded_roster(index, seed, fleet: FleetConfig, party, join, leave):
+    """One party's seeded churn rule; returns its step.
 
-def _seeded_roster(party, index, seed, fleet: FleetConfig, pose_traces):
-    """Seat ``party``'s initial receivers; return its seeded churn step.
-
-    ``party`` is a :class:`ConferenceDriver` or a
-    :class:`UnicastBaseline`.  Receivers take the pose traces round-robin
-    in join order.  The returned ``step(sequence)`` applies at most one
-    join or leave every ``fleet.churn_every`` frames, drawn from
-    ``default_rng(seed)``, and returns how many events it applied.
+    ``join`` / ``leave`` take a receiver name (the room seats a joiner);
+    ``party.receiver_names`` is the roster in join order.  The returned
+    ``step(sequence)`` applies at most one join (guests ``s{index}g1``,
+    ``s{index}g2``, ...) or leave every ``fleet.churn_every`` frames,
+    drawn from ``default_rng(seed)``, and returns how many it applied.
     """
     rng = np.random.default_rng(seed)
-    joined = 0
-
-    def join(name: str) -> None:
-        nonlocal joined
-        party.join(name, pose_traces[joined % len(pose_traces)])
-        joined += 1
-
-    for j in range(fleet.receivers):
-        join(f"s{index}r{j}")
+    guests = itertools.count(1)
 
     def step(sequence: int) -> int:
         if sequence == 0 or sequence % fleet.churn_every != 0:
             return 0
         names = party.receiver_names
         if len(names) > 1 and rng.random() < 0.5:
-            party.leave(names[int(rng.integers(len(names)))])
+            leave(names[int(rng.integers(len(names)))])
         else:
-            join(f"s{index}g{joined - fleet.receivers + 1}")
+            join(f"s{index}g{next(guests)}")
         return 1
 
     return step
 
 
-def _run_unicast_control(fleet: FleetConfig, config, rig, source, pose_traces):
+def _run_unicast_control(fleet: FleetConfig, room):
     """The unicast baseline: same churn rule, N cloned sender pipelines.
 
     Its schedules draw from ``seed + 100_003 + index``, not the
@@ -273,12 +224,18 @@ def _run_unicast_control(fleet: FleetConfig, config, rig, source, pose_traces):
     total_bytes = 0
     wall = 0.0
     for index in range(fleet.unicast_control):
-        control = UnicastBaseline(rig, config)
+        control = room.unicast()
+
+        def seat(name):
+            control.join(name, room.pose_trace(control.total_joins))
+
+        for j in range(fleet.receivers):
+            seat(f"s{index}r{j}")
         seed = fleet.seed + 100_003 + index
-        churn = _seeded_roster(control, index, seed, fleet, pose_traces)
+        churn = _seeded_roster(index, seed, fleet, control, seat, control.leave)
         for sequence in range(fleet.frames):
             churn(sequence)
-            frame = source.capture(sequence)
+            frame = room.source.capture(sequence)
             start = time.perf_counter()
             control.tick(frame, sequence / FPS, TARGET_RATE_BPS, HORIZON_S)
             wall += time.perf_counter() - start
@@ -286,8 +243,15 @@ def _run_unicast_control(fleet: FleetConfig, config, rig, source, pose_traces):
     return total_bytes / total_frames, wall / total_frames
 
 
+def _raise_if_failed(record) -> None:
+    """The service drains a conference whose build or tick raised and
+    goes on; a capacity run must not report over it."""
+    if record.state != RUNNING:
+        raise RuntimeError(f"fleet conference {record.session_id} failed: {record.error}")
+
+
 def run_fleet(fleet: FleetConfig) -> FleetResult:
-    """Run the fleet and return its capacity numbers."""
+    """Run the fleet on the service host and return its capacity numbers."""
     config = SessionConfig(
         num_cameras=NUM_CAMERAS,
         camera_width=CAMERA_WIDTH,
@@ -295,49 +259,47 @@ def run_fleet(fleet: FleetConfig) -> FleetResult:
         scene_sample_budget=fleet.sample_budget,
         gop_size=GOP_SIZE,
     )
-    _, scene = load_video(VIDEO, sample_budget=fleet.sample_budget)
-    # ONE capture source for the whole fleet: the shared kernel cache.
-    source = CachedFrameSource.for_config(config, scene)
-    pose_traces = user_traces_for_video(VIDEO, fleet.frames + 10)
-    trace = constant_trace(DOWNLINK_MBPS, duration_s=fleet.frames / FPS + 10.0)
-
-    # Everything from driver construction to the last tick runs under
-    # one try/finally: a failure surfacing mid-run (or building
-    # conference 151 of 200) must still close every driver.
-    conferences: list[ConferenceDriver] = []
-    churns = []
+    # ONE room for the whole fleet: its source is the shared kernel cache.
+    room = Room(config, VIDEO, fleet.frames + 10, DOWNLINK_MBPS, seed=fleet.seed)
+    registry = SessionRegistry(room)
+    pool = TickWorkerPool(registry, room.source)
+    # Everything from the first create to the last round runs under one
+    # try/finally: a failure surfacing mid-run (or building conference
+    # 151 of 200) must still close every driver.
     try:
+        records, churns = [], []
         for index in range(fleet.sessions):
-            seed = fleet.seed + index
-            conference = ConferenceDriver(
-                index, source.rig, config, DownlinkSet(trace, LinkConfig(seed=seed))
+            record = registry.create(
+                seed=index,
+                target_rate_bps=TARGET_RATE_BPS,
+                initial_clients=[f"s{index}r{j}" for j in range(fleet.receivers)],
             )
-            conferences.append(conference)
-            churns.append(_seeded_roster(conference, index, seed, fleet, pose_traces))
-
-        batch_plane = BatchPlane()
-        latencies = []
+            _raise_if_failed(record)
+            records.append(record)
+            # Churn goes through the registry's mailboxes, like HTTP
+            # joins and leaves, and applies at the next round.
+            sid = record.session_id
+            churns.append(_seeded_roster(
+                index, fleet.seed + index, fleet, record.driver,
+                functools.partial(registry.join, sid), functools.partial(registry.leave, sid),
+            ))
         churn_events = 0
         wall_start = time.perf_counter()
         for sequence in range(fleet.frames):
-            now = sequence / FPS
-            frame = source.capture(sequence)
             churn_events += sum(churn(sequence) for churn in churns)
-            outcome = batch_plane.run_lockstep(
-                [
-                    conference.tick_steps(frame, now, TARGET_RATE_BPS, HORIZON_S)
-                    for conference in conferences
-                ]
-            )
-            latencies.extend(outcome.elapsed)
+            pool.run_round()
+            for record in records:
+                _raise_if_failed(record)
         wall_s = time.perf_counter() - wall_start
-        # Before the unicast control group reuses the shared source.
-        capture = source.counters().to_dict()
+        # Before the unicast control group reuses the shared source, and
+        # the drivers before the registry reaps them off their records.
+        capture = room.source.counters().to_dict()
+        conferences = [record.driver for record in records]
     finally:
-        for conference in conferences:
-            conference.close()
+        registry.close()
 
-    control = _run_unicast_control(fleet, config, source.rig, source, pose_traces)
+    control = _run_unicast_control(fleet, room)
     return FleetResult.fold(
-        fleet, conferences, batch_plane, capture, latencies, wall_s, churn_events, control
+        fleet, conferences, pool.plane, capture,
+        registry.metrics.histogram("service.tick_ms"), wall_s, churn_events, control,
     )

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["MARKER_HEIGHT", "MARKER_BITS", "encode_marker", "decode_marker"]
+__all__ = ["MARKER_HEIGHT", "MARKER_BITS", "MARKER_MIN_WIDTH", "encode_marker", "decode_marker"]
 
 MARKER_HEIGHT = 8
 MARKER_BITS = 32
+MARKER_MIN_WIDTH = 2 * MARKER_BITS   # two pixels per bit cell
 
 
 def _cell_edges(width: int) -> np.ndarray:
@@ -42,8 +43,8 @@ def encode_marker(sequence: int, width: int, high_value: int, dtype) -> np.ndarr
     """
     if not 0 <= sequence < 2**MARKER_BITS:
         raise ValueError(f"sequence must fit in {MARKER_BITS} bits, got {sequence}")
-    if width < 2 * MARKER_BITS:
-        raise ValueError(f"marker needs width >= {2 * MARKER_BITS}, got {width}")
+    if width < MARKER_MIN_WIDTH:
+        raise ValueError(f"marker needs width >= {MARKER_MIN_WIDTH}, got {width}")
     strip = np.zeros((MARKER_HEIGHT, width), dtype=dtype)
     edges = _cell_edges(width)
     for bit in range(MARKER_BITS):

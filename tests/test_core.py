@@ -121,6 +121,14 @@ class TestSessionConfig:
         edge = SessionConfig(num_cameras=1, camera_width=65_535, camera_height=1)
         assert edge.camera_width == 65_535
 
+    def test_rig_must_be_wide_enough_for_the_marker(self):
+        # One 32-px camera tiles to a 32-px plane; the 32-bit sequence
+        # marker needs two pixels per bit, so the first tick would fail.
+        with pytest.raises(ValueError, match="32 px wide; the marker needs 64"):
+            SessionConfig(num_cameras=1, camera_width=32, camera_height=24)
+        edge = SessionConfig(num_cameras=2, camera_width=32, camera_height=24)
+        assert edge.num_cameras == 2
+
     def test_scheme_registry_rows(self):
         assert SCHEMES["LiVo"].bandwidth_adaptive == "Direct"
         assert SCHEMES["MeshReduce"].bandwidth_adaptive == "Indirect"

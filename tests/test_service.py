@@ -380,6 +380,11 @@ class TestServiceConfig:
             ("max_sessions", 0),
             ("port", -1),
             ("port", 65536),
+            # Would build, answer `running`, then die on the first tick
+            # (the marker needs 64 px; one 32-px camera tiles to 32).
+            ("num_cameras", 1),
+            # Would raise a bare KeyError out of ServiceApp.
+            ("video", "nope"),
         ],
     )
     def test_unusable_value_rejected(self, field, value):
@@ -848,63 +853,96 @@ class TestLoadgen:
 
 
 class TestFleetTeardownRegression:
-    """ISSUE 10 satellite: a raising stage must not leak drivers."""
+    """A raising tick fails the fleet run loudly and leaks no driver."""
 
-    def test_injected_tick_failure_still_closes_everything(self, monkeypatch):
-        import repro.sfu.fleet as fleet_module
-        from repro.sfu import FleetConfig, run_fleet
-        from repro.sfu.conference import ConferenceDriver
+    @staticmethod
+    def _exploding(monkeypatch, explodes):
+        """Make the room build conferences whose tick raises once
+        ``explodes(driver)`` holds; returns the list they land in."""
+        import repro.sfu.room as room_module
 
         built = []
 
-        class _Exploding(ConferenceDriver):
-            def __init__(self, index, *args, **kwargs):
-                super().__init__(index, *args, **kwargs)
+        class _Exploding(room_module.RoomConference):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
                 built.append(self)
-                self._boom = index == 1
 
             def tick_steps(self, frame, now, target_rate_bps, horizon_s):
-                if self._boom and self.frames_ticked >= 2:
+                if explodes(self):
                     raise RuntimeError("injected stage failure")
-                return super().tick_steps(
-                    frame, now, target_rate_bps, horizon_s
-                )
+                return super().tick_steps(frame, now, target_rate_bps, horizon_s)
 
-        monkeypatch.setattr(fleet_module, "ConferenceDriver", _Exploding)
+        monkeypatch.setattr(room_module, "RoomConference", _Exploding)
+        return built
 
+    def test_injected_tick_failure_still_closes_everything(self, monkeypatch):
+        from repro.sfu import FleetConfig, run_fleet
+
+        built = self._exploding(
+            monkeypatch, lambda driver: driver.index == 1 and driver.frames_ticked >= 2
+        )
         config = FleetConfig(
             sessions=3, frames=6, receivers=2, churn_every=3,
             sample_budget=1500, unicast_control=1,
         )
+        # The service would drain the session and go on; the fleet
+        # must not report a capacity number over a dead conference.
         with pytest.raises(RuntimeError, match="injected stage failure"):
             run_fleet(config)
         assert len(built) == 3
         assert all(driver.closed for driver in built)
 
     def test_batch_plane_failure_also_tears_down(self, monkeypatch):
-        import repro.sfu.fleet as fleet_module
         from repro.sfu import FleetConfig, run_fleet
-        from repro.sfu.conference import ConferenceDriver
 
-        built = []
-
-        class _Exploding(ConferenceDriver):
-            def __init__(self, index, *args, **kwargs):
-                super().__init__(index, *args, **kwargs)
-                built.append(self)
-
-            def tick_steps(self, frame, now, target_rate_bps, horizon_s):
-                if self.index == 0 and self.frames_ticked >= 1:
-                    raise RuntimeError("injected lockstep failure")
-                return super().tick_steps(
-                    frame, now, target_rate_bps, horizon_s
-                )
-
-        monkeypatch.setattr(fleet_module, "ConferenceDriver", _Exploding)
+        built = self._exploding(
+            monkeypatch, lambda driver: driver.index == 0 and driver.frames_ticked >= 1
+        )
         config = FleetConfig(
             sessions=2, frames=5, receivers=2, churn_every=3,
             sample_budget=1500, unicast_control=1,
         )
-        with pytest.raises(RuntimeError, match="injected lockstep failure"):
+        with pytest.raises(RuntimeError, match="injected stage failure"):
             run_fleet(config)
         assert built and all(driver.closed for driver in built)
+
+    def test_build_failure_fails_the_run(self, monkeypatch):
+        import repro.sfu.room as room_module
+        from repro.sfu import FleetConfig, run_fleet
+
+        built = self._exploding(monkeypatch, lambda driver: False)
+        original = room_module.Room.__call__
+
+        def flaky(room, index, *args, **kwargs):
+            if index == 2:
+                raise RuntimeError("injected build failure")
+            return original(room, index, *args, **kwargs)
+
+        monkeypatch.setattr(room_module.Room, "__call__", flaky)
+        config = FleetConfig(
+            sessions=4, frames=3, receivers=2, sample_budget=1500, unicast_control=1,
+        )
+        with pytest.raises(RuntimeError, match="injected build failure"):
+            run_fleet(config)
+        assert len(built) == 2 and all(driver.closed for driver in built)
+
+    def test_roster_over_the_client_cap_fails_loudly(self):
+        from repro.sfu import FleetConfig, run_fleet
+
+        config = FleetConfig(sessions=1, frames=2, receivers=65, sample_budget=1500)
+        with pytest.raises(ValueError, match="exceed the cap of 64"):
+            run_fleet(config)
+
+    def test_churned_join_past_the_client_cap_fails_loudly(self):
+        # 64 seated receivers, a churn step every frame: the first drawn
+        # join is one past the registry's cap and must raise, not be
+        # refused quietly.
+        from repro.sfu import FleetConfig, run_fleet
+
+        config = FleetConfig(
+            sessions=1, frames=8, receivers=64, churn_every=1, sample_budget=300,
+            unicast_control=1,
+        )
+        with pytest.raises(LifecycleError, match="is full"):
+            run_fleet(config)

@@ -405,9 +405,8 @@ class TestFleet:
         assert result.churn_events > 0
         assert result.sfu_uplink_bytes_per_frame <= result.unicast_uplink_bytes_per_frame
         assert result.latency_ms_p99 >= result.latency_ms_p50
-        payload = result.to_dict()
-        assert payload["sessions"] == 3
-        metrics = payload["sfu_metrics_fleet"]
+        assert result.sessions == 3
+        metrics = result.sfu_metrics
         assert "sfu.frames_ingested" in metrics
         # Fleet-wide aggregation: ingested frames across 3 sessions x 6
         # frames, not one sample conference's 6.

@@ -282,6 +282,33 @@ def test_one_multi_party_driver_and_the_shim_stay_gone():
     ) == ["core/session.py", "sfu/conference.py"]
 
 
+def _modules_matching(pattern: str) -> list[str]:
+    package = Path(repro.__file__).parent
+    return sorted(
+        str(path.relative_to(package))
+        for path in package.rglob("*.py")
+        if re.search(pattern, path.read_text())
+    )
+
+
+def test_one_conference_host_and_one_room_builder():
+    # The fleet runs on the service host: the tick pool's round is the
+    # one lockstep driver (BatchPlane.run delegates to it in-module),
+    # and the fleet builds no driver or plane of its own.
+    assert _modules_matching(r"\.run_lockstep\(") == ["runtime/batchplane.py", "service/workers.py"]
+    fleet_source = (Path(repro.__file__).parent / "sfu" / "fleet.py").read_text()
+    assert not re.search(r"\b(ConferenceDriver|RoomConference|BatchPlane)\(", fleet_source)
+    # Every multi-party room opens in one place: the conferences, the
+    # unicast control and the shared capture source are built there
+    # (the two-party session builds its own source).
+    assert _modules_matching(r"\b(ConferenceDriver|RoomConference|UnicastBaseline)\(") == [
+        "sfu/room.py"
+    ]
+    assert _modules_matching(r"CachedFrameSource(\.for_config)?\(") == [
+        "core/session.py", "sfu/room.py"
+    ]
+
+
 @pytest.mark.parametrize(
     "owner,name",
     [

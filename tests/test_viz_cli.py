@@ -129,6 +129,9 @@ class TestCLI:
             ["multiway", "--video", "nope"],
             ["serve", "--video", "nope"],
             ["serve", "--cameras", "0"],
+            # Rigs that tile narrower than the 64-px sequence marker.
+            ["multiway", "--cameras", "1"],
+            ["serve", "--cameras", "1"],
             ["serve", "--tick-interval", "-1"],
             ["serve", "--port", "99999"],
             ["export", "--frame", "-1"],
