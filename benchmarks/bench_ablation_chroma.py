@@ -34,7 +34,7 @@ def test_ablation_chroma_subsampling(benchmark, results_dir):
         for frame in frames:
             tiled = tiler.compose([v.color for v in frame.views], frame.sequence)
             encoded, recon = encoder.encode(tiled, qp=QP)
-            decoded = decoder.decode(encoded)
+            decoded = decoder.to_image(decoder.decode(encoded))
             np.testing.assert_array_equal(decoded, recon)
             total_bytes += encoded.size_bytes
             truth = rgb_to_ycbcr(tiled)

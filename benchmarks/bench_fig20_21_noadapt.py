@@ -6,8 +6,6 @@ fixed-quality encoder overruns the link whenever capacity dips, and the
 resulting losses/stalls swamp the session.
 """
 
-import numpy as np
-
 from conftest import write_result
 from repro.capture.dataset import load_video
 from repro.core.config import SchemeFlags, SessionConfig

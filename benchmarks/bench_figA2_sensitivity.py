@@ -6,8 +6,6 @@ quality barely moves -- and depth needs roughly 7x more bitrate per
 point before saturating.  This asymmetry justifies the split design.
 """
 
-import numpy as np
-
 from conftest import write_result
 from _sender_lab import make_workload, run_static_split
 

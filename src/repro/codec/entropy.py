@@ -132,7 +132,8 @@ def _pack_bitfields_segmented(
     ``LOCKSTEP_COHORT``), which bounds that cost, but the fused scatter
     bought no throughput when it was measured (DESIGN.md section 9).
     The batched entropy coder's win comes from sharing the surrounding
-    zigzag/significance/magnitude math, not from fusing the bit scatter.
+    zigzag/significance/magnitude math and the fixed-width class pack
+    (:func:`_pack_classes`), not from fusing this scatter.
     """
     counts = np.asarray(counts, dtype=np.int64)
     bounds = np.zeros(len(counts) + 1, dtype=np.int64)
@@ -174,20 +175,77 @@ def _unpack_bitfields(data: bytes, lengths: np.ndarray) -> np.ndarray:
     return codes
 
 
-# All 64 powers of two; searchsorted against this table gives the exact
-# integer bit length.  The float-log2 route misclassifies magnitudes
-# whose log2 lands on a representation boundary (e.g. values just below
-# a power of two at >= 2^53, where float64 can no longer represent the
-# integer exactly) -- a wrong bit length corrupts the mantissa masking
-# and the decoder reconstructs a different magnitude.
-_POW2 = np.uint64(1) << np.arange(64, dtype=np.uint64)
+# ----------------------------------------------------------------------
+# Fixed-width class stream
+# ----------------------------------------------------------------------
+#
+# Every class code is 5 bits, so eight codes fill exactly five bytes.
+# A class stream is whole 40-bit groups, MSB-first, its last group
+# zero-padded and cut to the ``ceil(5 n / 8)`` bytes its ``n`` codes
+# need: byte for byte what the variable-length packer writes for
+# 5-bit codewords.  Each output byte is a few column shifts of the
+# ``(groups, 8)`` code matrix (and each code a few of the ``(groups,
+# 5)`` byte matrix), so nothing is sized per bit or per word.
+
+_GROUP_CODES = 8   # 5-bit codes per group ...
+_GROUP_BYTES = 5   # ... and the bytes they fill
 
 
-def _bit_length(values: np.ndarray) -> np.ndarray:
-    """Exact bit length of positive integers, vectorized."""
-    return np.searchsorted(_POW2, values.astype(np.uint64), side="right").astype(
-        np.int64
-    )
+def _class_stream_bytes(count: int) -> int:
+    return (5 * count + 7) // 8
+
+
+def _pack_classes(classes: np.ndarray, counts: np.ndarray) -> list[bytes]:
+    """Pack 5-bit class codes into one byte stream per segment.
+
+    ``counts[s]`` consecutive codes belong to segment ``s``.  Every
+    segment is padded to whole groups, so a bucket of segments packs in
+    one pass and each stream is a slice of the result, byte-identical to
+    packing that segment alone.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    group_starts = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(-(-counts // _GROUP_CODES), out=group_starts[1:])
+    code_starts = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=code_starts[1:])
+    codes = np.zeros((int(group_starts[-1]), _GROUP_CODES), dtype=np.uint8)
+    # Each code moves right by its segment's padding so far.
+    padding = np.repeat(_GROUP_CODES * group_starts[:-1] - code_starts[:-1], counts)
+    codes.reshape(-1)[np.arange(len(classes)) + padding] = classes
+    packed = np.empty((len(codes), _GROUP_BYTES), dtype=np.uint8)
+    packed[:, 0] = (codes[:, 0] << 3) | (codes[:, 1] >> 2)
+    packed[:, 1] = (codes[:, 1] << 6) | (codes[:, 2] << 1) | (codes[:, 3] >> 4)
+    packed[:, 2] = (codes[:, 3] << 4) | (codes[:, 4] >> 1)
+    packed[:, 3] = (codes[:, 4] << 7) | (codes[:, 5] << 2) | (codes[:, 6] >> 3)
+    packed[:, 4] = (codes[:, 6] << 5) | codes[:, 7]
+    stream = packed.tobytes()
+    return [
+        stream[_GROUP_BYTES * start : _GROUP_BYTES * start + _class_stream_bytes(count)]
+        for start, count in zip(group_starts[:-1].tolist(), counts.tolist())
+    ]
+
+
+def _unpack_classes(data: bytes, count: int) -> np.ndarray:
+    """``count`` 5-bit class codes out of a class stream (uint8).
+
+    Raises ``ValueError`` when ``data`` is shorter than ``count`` codes need.
+    """
+    needed = _class_stream_bytes(count)
+    if len(data) < needed:
+        raise ValueError(f"class stream holds {len(data)} bytes, {count} classes need {needed}")
+    num_bytes = _GROUP_BYTES * -(-count // _GROUP_CODES)
+    packed = np.frombuffer(data[:num_bytes].ljust(num_bytes, b"\0"), dtype=np.uint8)
+    packed = packed.reshape(-1, _GROUP_BYTES)
+    codes = np.empty((len(packed), _GROUP_CODES), dtype=np.uint8)
+    codes[:, 0] = packed[:, 0] >> 3
+    codes[:, 1] = ((packed[:, 0] & 7) << 2) | (packed[:, 1] >> 6)
+    codes[:, 2] = (packed[:, 1] >> 1) & 31
+    codes[:, 3] = ((packed[:, 1] & 1) << 4) | (packed[:, 2] >> 4)
+    codes[:, 4] = ((packed[:, 2] & 15) << 1) | (packed[:, 3] >> 7)
+    codes[:, 5] = (packed[:, 3] >> 2) & 31
+    codes[:, 6] = ((packed[:, 3] & 3) << 3) | (packed[:, 4] >> 5)
+    codes[:, 7] = packed[:, 4] & 31
+    return codes.reshape(-1)[:count]
 
 
 # ----------------------------------------------------------------------
@@ -198,7 +256,10 @@ def _bit_length(values: np.ndarray) -> np.ndarray:
 def _magnitude_codes(nonzero: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bit lengths and magnitude codewords of nonzero int64 levels."""
     magnitudes = np.abs(nonzero).astype(np.uint64)
-    bit_lengths = _bit_length(magnitudes)
+    # frexp's exponent is the bit length of every integer float64 holds
+    # exactly, which covers all of int32.  A magnitude past 2**32 may
+    # round, but its exponent is still at least 33.
+    bit_lengths = np.frexp(nonzero.astype(np.float64))[1].astype(np.int64)
     if len(bit_lengths) and bit_lengths.max() > 32:
         # The class stream has 5 bits: a wider magnitude would wrap its
         # class and decode to different levels.
@@ -226,11 +287,12 @@ def encode_levels(levels: np.ndarray, effort: int = 6) -> bytes:
 def encode_levels_batch(stacks: np.ndarray, effort: int = 6) -> list[bytes]:
     """Serialize ``(S, N, B, B)`` level stacks to ``S`` compressed payloads.
 
-    The zigzag reorder, significance bitmap, and magnitude-class math run
-    once over the whole stack.  The variable-length bit packing and the
-    DEFLATE calls stay per stack (each payload is an independent bit
-    stream -- see :func:`_pack_bitfields_segmented`), so a payload does
-    not depend on which other stacks it was encoded with.
+    The zigzag reorder, significance bitmap, magnitude-class math and
+    the fixed-width class pack run once over the whole stack.  The
+    variable-length magnitude pack and the DEFLATE calls stay per stack
+    (each payload is an independent bit stream -- see
+    :func:`_pack_bitfields_segmented`), so a payload does not depend on
+    which other stacks it was encoded with.
     """
     if stacks.ndim != 4 or stacks.shape[2] != stacks.shape[3]:
         raise ValueError(f"expected (S, N, B, B) level stacks, got {stacks.shape}")
@@ -250,9 +312,7 @@ def encode_levels_batch(stacks: np.ndarray, effort: int = 6) -> list[bytes]:
 
     nonzero = flat[significant].astype(np.int64)               # stack-major
     bit_lengths, codes = _magnitude_codes(nonzero)
-    class_streams = _pack_bitfields_segmented(
-        bit_lengths - 1, np.full(len(nonzero), 5, dtype=np.int64), counts
-    )
+    class_streams = _pack_classes((bit_lengths - 1).astype(np.uint8), counts)
     magnitude_streams = _pack_bitfields_segmented(codes, bit_lengths, counts)
 
     payloads = []
@@ -309,17 +369,16 @@ def decode_levels(data: bytes) -> np.ndarray:
     flat = np.zeros(total, dtype=np.int64)
 
     if num_nonzero:
-        class_codes = _unpack_bitfields(
-            _inflate(class_blob, "class"), np.full(num_nonzero, 5, dtype=np.int64)
+        bit_lengths = _unpack_classes(_inflate(class_blob, "class"), num_nonzero).astype(
+            np.int64
+        ) + 1
+        # A 5-bit class caps a codeword at 32 bits, so int64 holds it,
+        # its magnitude and the negated magnitude exactly.
+        codes = _unpack_bitfields(_inflate(magnitude_blob, "magnitude"), bit_lengths).astype(
+            np.int64
         )
-        bit_lengths = class_codes.astype(np.int64) + 1
-        codes = _unpack_bitfields(_inflate(magnitude_blob, "magnitude"), bit_lengths)
-        signs = (codes & np.uint64(1)).astype(bool)
-        mantissas = codes >> np.uint64(1)
-        magnitudes = mantissas | (np.uint64(1) << (bit_lengths - 1).astype(np.uint64))
-        values = magnitudes.astype(np.int64)
-        values[signs] = -values[signs]
-        flat[significant] = values
+        magnitudes = (codes >> 1) | (1 << (bit_lengths - 1))
+        flat[significant] = magnitudes * (1 - 2 * (codes & 1))
 
     zigzag = zigzag_indices(block_size)
     per_block = flat.reshape(block_size * block_size, num_blocks).T

@@ -502,8 +502,14 @@ class VideoDecoder:
         """Scratch-arena hit/miss counters."""
         return self._core.arena.counters
 
-    def decode(self, frame: EncodedFrame) -> np.ndarray:
-        """Decode one frame to an image array."""
+    def decode(self, frame: EncodedFrame) -> list[np.ndarray]:
+        """Decode one frame to its reconstructed planes.
+
+        The planes are read-only -- they are this decoder's next
+        reference, kept by reference -- and :meth:`to_image` builds the
+        frame's image from them, so a caller that needs no image never
+        converts one.
+        """
         if frame.frame_type is FrameType.INTER and self._reference is None:
             raise ValueError("cannot decode an INTER frame without a reference")
         value_range = (0.0, 255.0) if frame.pixel_format is PixelFormat.RGB8 else (0.0, 65535.0)
@@ -518,17 +524,22 @@ class VideoDecoder:
                 index, frame.height, frame.width, frame.pixel_format,
                 self.config.chroma_subsampling,
             )
-            planes.append(
-                self._core.decode_plane(
-                    mv_bytes,
-                    level_bytes,
-                    reference,
-                    self._core.plane_qp(frame.qp, index, frame.pixel_format),
-                    self._core.plane_weights(index, frame.pixel_format),
-                    plane_height,
-                    plane_width,
-                    value_range,
-                )
+            plane = self._core.decode_plane(
+                mv_bytes,
+                level_bytes,
+                reference,
+                self._core.plane_qp(frame.qp, index, frame.pixel_format),
+                self._core.plane_weights(index, frame.pixel_format),
+                plane_height,
+                plane_width,
+                value_range,
             )
+            plane.setflags(write=False)
+            planes.append(plane)
         self._reference = planes
-        return _planes_to_image(planes, frame.pixel_format, self.config.chroma_subsampling)
+        return planes
+
+    def to_image(self, planes: list[np.ndarray]) -> np.ndarray:
+        """The image of decoded planes: RGB8 from three, GRAY16 from one."""
+        pixel_format = PixelFormat.RGB8 if len(planes) == 3 else PixelFormat.GRAY16
+        return _planes_to_image(planes, pixel_format, self.config.chroma_subsampling)

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.compression.draco import DracoCodec, DracoConfig, DracoEncodedCloud
 from repro.geometry.pointcloud import PointCloud
 

@@ -9,11 +9,11 @@ actual (current) frustum before rendering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from repro.codec.frame import EncodedFrame, FrameType
+from repro.codec.frame import EncodedFrame, FrameType, PixelFormat
 from repro.codec.video import VideoCodecConfig, VideoDecoder
 from repro.core.config import CODEC_SEARCH_RANGE, MAX_DEPTH_MM, RENDER_VOXEL_M, SessionConfig
 from repro.depthcodec.scaling import unscale_depth
@@ -26,13 +26,35 @@ from repro.tiling.tiler import TileLayout, Tiler
 __all__ = ["LiVoReceiver", "DecodedPair"]
 
 
-@dataclass
 class DecodedPair:
-    """A decoded, re-synchronized (color, depth) tile pair."""
+    """A decoded, re-synchronized (color, depth) tile pair.
 
-    sequence: int
-    color_tiles: list[np.ndarray]
-    depth_tiles_mm: list[np.ndarray]
+    It holds each stream's tiler, decoder and decoded planes (read-only)
+    and builds the per-camera tiles -- ``color_tiles`` (RGB) and
+    ``depth_tiles_mm`` -- on first read, so a pair that is never
+    reconstructed never converts its frame to RGB or unscales its depth.
+    """
+
+    def __init__(
+        self,
+        sequence: int,
+        color: tuple[Tiler, VideoDecoder, list[np.ndarray]],
+        depth: tuple[Tiler, VideoDecoder, list[np.ndarray]],
+    ) -> None:
+        self.sequence = sequence
+        self._color = color
+        self._depth = depth
+
+    @cached_property
+    def color_tiles(self) -> list[np.ndarray]:
+        tiler, decoder, planes = self._color
+        return tiler.decompose(decoder.to_image(planes))[0]
+
+    @cached_property
+    def depth_tiles_mm(self) -> list[np.ndarray]:
+        tiler, decoder, planes = self._depth
+        tiles, _ = tiler.decompose(decoder.to_image(planes))
+        return [unscale_depth(tile, MAX_DEPTH_MM) for tile in tiles]
 
 
 class LiVoReceiver:
@@ -87,35 +109,58 @@ class LiVoReceiver:
     def decode_pair(self, color: EncodedFrame, depth: EncodedFrame) -> DecodedPair:
         """Decode a pair and re-synchronize via the embedded markers.
 
-        Raises ValueError if the pair breaks the prediction chain or the
-        decoded markers disagree (streams out of sync).
+        Raises ValueError if the pair breaks the prediction chain, a
+        frame's header does not describe the tile layout, or the decoded
+        markers disagree (streams out of sync).  The returned pair
+        builds its tiles on first read.
         """
         if not self.can_decode(color, depth):
             raise ValueError(
                 "reference chain broken; wait for a keyframe (PLI recovery)"
             )
+        self._check_frame(color, PixelFormat.RGB8)
+        self._check_frame(depth, PixelFormat.GRAY16)
         if color.frame_type is FrameType.INTRA:
             self.color_decoder.reset()
         if depth.frame_type is FrameType.INTRA:
             self.depth_decoder.reset()
-        color_image = self.color_decoder.decode(color)
-        depth_image = self.depth_decoder.decode(depth)
+        color_planes = self.color_decoder.decode(color)
+        depth_planes = self.depth_decoder.decode(depth)
         self._last_color_sequence = color.sequence
         self._last_depth_sequence = depth.sequence
 
-        color_tiles, color_marker = self.color_tiler.decompose(color_image)
-        depth_tiles_scaled, depth_marker = self.depth_tiler.decompose(depth_image)
+        # Only the marker rows are converted here; the tiles wait for a read.
+        rows = self.layout.marker_slice
+        color_marker = self.color_tiler.read_marker(
+            self.color_decoder.to_image([plane[rows] for plane in color_planes])
+        )
+        depth_marker = self.depth_tiler.read_marker(
+            self.depth_decoder.to_image([depth_planes[0][rows]])
+        )
         if color_marker != depth_marker:
             raise ValueError(
                 f"stream desynchronization: color marker {color_marker} != "
                 f"depth marker {depth_marker}"
             )
-        depth_tiles_mm = [
-            unscale_depth(tile, MAX_DEPTH_MM) for tile in depth_tiles_scaled
-        ]
-        pair = DecodedPair(color_marker, color_tiles, depth_tiles_mm)
+        pair = DecodedPair(
+            color_marker,
+            (self.color_tiler, self.color_decoder, color_planes),
+            (self.depth_tiler, self.depth_decoder, depth_planes),
+        )
         self.last_good_pair = pair
         return pair
+
+    def _check_frame(self, frame: EncodedFrame, pixel_format: PixelFormat) -> None:
+        """A frame must be this stream's format at the tiled frame's size
+        (checked before its header sizes anything)."""
+        layout = self.layout
+        expected = (pixel_format, layout.frame_height, layout.frame_width)
+        if (frame.pixel_format, frame.height, frame.width) != expected:
+            raise ValueError(
+                f"expected a {layout.frame_height}x{layout.frame_width} "
+                f"{pixel_format.value} frame, got {frame.height}x{frame.width} "
+                f"{frame.pixel_format.value}"
+            )
 
     def reset_streams(self) -> None:
         """Drop all decoder state after a poisoned bitstream.

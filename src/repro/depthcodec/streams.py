@@ -72,7 +72,7 @@ class DepthStreamCodec:
 
     def decode(self, frame: EncodedFrame) -> np.ndarray:
         """Decode an encoded frame back to millimeter depth."""
-        return self._unpack(self.decoder.decode(frame))
+        return self._unpack(self.decoder.to_image(self.decoder.decode(frame)))
 
     def reset(self) -> None:
         """Drop encoder and decoder reference state."""

@@ -231,8 +231,9 @@ class _EntropyEncodeKernel:
     """CAVLC-style level coding, stackable along a session axis.
 
     The batched path shares the zigzag reorder, significance bitmap,
-    and variable-length bit packing across the bucket (one scatter with
-    byte-aligned per-session segments); DEFLATE stays per session.
+    magnitude classes and the fixed-width class pack across the bucket
+    (byte-aligned per-session segments); the magnitude pack and DEFLATE
+    stay per session.
     """
 
     name = "entropy_encode"

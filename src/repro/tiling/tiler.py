@@ -116,9 +116,10 @@ class Tiler:
         for index in range(layout.num_tiles):
             rows, cols = layout.tile_slice(index)
             images.append(frame[rows, cols].copy())
-        rows, cols = layout.marker_slice
-        strip = frame[rows, cols]
+        return images, self.read_marker(frame[layout.marker_slice])
+
+    def read_marker(self, strip: np.ndarray) -> int:
+        """Sequence number out of a frame's (decoded) marker strip."""
         if self.is_color:
             strip = strip.mean(axis=2)
-        sequence = decode_marker(strip, self._high)
-        return images, sequence
+        return decode_marker(strip, self._high)

@@ -4,7 +4,9 @@ The oracle for ``repro.codec.entropy._pack_bitfields`` /
 ``_unpack_bitfields``: codewords laid out MSB-first at the running sum
 of their lengths, written one bit plane at a time into a per-bit array.
 It defines the wire format; the package's word-level packer must
-reproduce it byte for byte for codeword lengths 1..64.
+reproduce it byte for byte for codeword lengths 1..64, and its
+fixed-width class packer for 5-bit codes.  The table-search bit length
+is the oracle for the entropy coder's ``frexp`` bit lengths.
 """
 
 from __future__ import annotations
@@ -46,3 +48,13 @@ def unpack_bitfields_scalar(data: bytes, lengths: np.ndarray) -> np.ndarray:
         shift = (lengths[mask] - 1 - bit).astype(np.uint64)
         codes[mask] |= bits[offsets[mask] + bit].astype(np.uint64) << shift
     return codes
+
+
+# All 64 powers of two: ``searchsorted`` against them is the exact bit
+# length of any uint64.
+_POW2 = np.uint64(1) << np.arange(64, dtype=np.uint64)
+
+
+def bit_length_searchsorted(values: np.ndarray) -> np.ndarray:
+    """Exact bit length of positive integers (the table-search oracle)."""
+    return np.searchsorted(_POW2, values.astype(np.uint64), side="right").astype(np.int64)

@@ -387,7 +387,7 @@ class TestEncoderLockstepParity:
             assert encoded.payload == serial_payloads[tick]
             # The advertised reconstruction stays bit-exact decodable.
             assert np.array_equal(
-                decoder.decode(encoded), lockstep.last_reconstruction
+                decoder.to_image(decoder.decode(encoded)), lockstep.last_reconstruction
             )
 
 

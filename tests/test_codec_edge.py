@@ -14,9 +14,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.codec.entropy import (
+    _HEADER,
+    _magnitude_codes,
     _pack_bitfields,
     _pack_bitfields_segmented,
+    _pack_classes,
     _unpack_bitfields,
+    _unpack_classes,
     decode_levels,
     encode_levels,
     encode_levels_batch,
@@ -30,7 +34,11 @@ from repro.codec.video import (
     VideoDecoder,
     VideoEncoder,
 )
-from tests.reference.bitfields import pack_bitfields_scalar, unpack_bitfields_scalar
+from tests.reference.bitfields import (
+    bit_length_searchsorted,
+    pack_bitfields_scalar,
+    unpack_bitfields_scalar,
+)
 
 
 class TestBitfieldPacking:
@@ -122,6 +130,132 @@ class TestBitfieldsAgainstReference:
         counts = [len(segment) for segment in segments]
         expected = [pack_bitfields_scalar(*_fields(segment)) for segment in segments]
         assert _pack_bitfields_segmented(codes, lengths, counts) == expected
+
+
+_class_code = st.integers(0, 31)
+# Segment sizes around one 8-code group: empty, one code, a group short
+# by one, exactly one, one past it -- and anything up to a few groups.
+_class_segment = st.one_of(
+    st.sampled_from([0, 1, 7, 8, 9]), st.integers(0, 40)
+).flatmap(lambda count: st.lists(_class_code, min_size=count, max_size=count))
+
+
+def _classes(segments):
+    codes = np.array([code for segment in segments for code in segment], dtype=np.uint8)
+    return codes, [len(segment) for segment in segments]
+
+
+def _fives(count):
+    return np.full(count, 5, dtype=np.int64)
+
+
+class TestClassStream:
+    """The fixed-width 5-bit class packer vs the per-bit oracle."""
+
+    @given(_class_segment)
+    @example([])
+    @example([31])
+    @example([31] * 7)
+    @example([31] * 8)
+    @example([0, 31, 1, 30, 2, 29, 3, 28, 4])
+    @settings(max_examples=80, deadline=None)
+    def test_pack_unpack_match_reference(self, segment):
+        codes, counts = _classes([segment])
+        (packed,) = _pack_classes(codes, counts)
+        assert packed == pack_bitfields_scalar(codes, _fives(len(codes)))
+        assert len(packed) == (5 * len(codes) + 7) // 8
+        unpacked = _unpack_classes(packed, len(codes))
+        assert unpacked.dtype == np.uint8
+        np.testing.assert_array_equal(unpacked, codes)
+        np.testing.assert_array_equal(
+            unpacked, unpack_bitfields_scalar(packed, _fives(len(codes)))
+        )
+
+    @given(st.lists(_class_segment, min_size=1, max_size=8))
+    @example([[], [], []])
+    @example([[], [5] * 9, [], [31]])
+    @example([[1] * 7, [2] * 8, [3] * 9, [4]])
+    @settings(max_examples=80, deadline=None)
+    def test_ragged_bucket_packs_each_segment_alone(self, segments):
+        codes, counts = _classes(segments)
+        expected = [_pack_classes(*_classes([segment]))[0] for segment in segments]
+        assert _pack_classes(codes, counts) == expected
+        assert expected == [
+            pack_bitfields_scalar(np.array(segment, dtype=np.uint64), _fives(len(segment)))
+            for segment in segments
+        ]
+
+    @given(_class_segment.filter(len))
+    @settings(max_examples=40, deadline=None)
+    def test_unpack_rejects_short_stream(self, segment):
+        codes, counts = _classes([segment])
+        (packed,) = _pack_classes(codes, counts)
+        with pytest.raises(ValueError):
+            _unpack_classes(packed[:-1], len(codes))
+
+    def test_truncated_class_blob_raises(self):
+        levels = np.zeros((4, 8, 8), dtype=np.int32)
+        levels[:, 0, :3] = [[1, -2, 300]] * 4
+        payload = encode_levels(levels)
+        num_blocks, block_size, num_nonzero, significance_len, class_len = _HEADER.unpack_from(
+            payload
+        )
+        start = _HEADER.size + significance_len
+        classes = zlib.decompress(payload[start : start + class_len])
+        short = zlib.compress(classes[:-1])
+        forged = (
+            _HEADER.pack(num_blocks, block_size, num_nonzero, significance_len, len(short))
+            + payload[_HEADER.size : start]
+            + short
+            + payload[start + class_len :]
+        )
+        with pytest.raises(ValueError, match="class stream"):
+            decode_levels(forged)
+
+    def test_frexp_bit_lengths_match_table_search(self):
+        values = np.array(
+            [2**k + delta for k in range(33) for delta in (-1, 0, 1) if 2**k + delta > 0],
+            dtype=np.int64,
+        )
+        expected = bit_length_searchsorted(values)
+        fits = expected <= 32
+        for signed in (values, -values):
+            bit_lengths, _ = _magnitude_codes(signed[fits])
+            np.testing.assert_array_equal(bit_lengths, expected[fits])
+            for value in signed[~fits]:
+                with pytest.raises(ValueError):
+                    _magnitude_codes(np.array([value]))
+
+
+_INT32_EXTREMES = [0, 1, -1, 2**31 - 1, -(2**31 - 1), -(2**31)]
+
+
+class TestEntropyBucket:
+    """A bucket encodes every stack as :func:`encode_levels` would alone."""
+
+    @given(
+        num_stacks=st.integers(1, 6),
+        num_blocks=st.sampled_from([0, 1, 2, 5]),
+        block_size=st.sampled_from([2, 4, 8]),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_bucket_equals_per_stack_encodes(self, num_stacks, num_blocks, block_size, data):
+        shape = (num_stacks, num_blocks, block_size, block_size)
+        values = data.draw(
+            st.lists(
+                st.one_of(st.sampled_from(_INT32_EXTREMES), st.integers(-300, 300)),
+                min_size=int(np.prod(shape)),
+                max_size=int(np.prod(shape)),
+            )
+        )
+        stacks = np.array(values, dtype=np.int32).reshape(shape)
+        empty = data.draw(st.lists(st.integers(0, num_stacks - 1), max_size=num_stacks))
+        stacks[empty] = 0
+        payloads = encode_levels_batch(stacks)
+        assert payloads == [encode_levels(stack) for stack in stacks]
+        for payload, stack in zip(payloads, stacks):
+            np.testing.assert_array_equal(decode_levels(payload), stack)
 
 
 class TestEntropyEdgeCases:
@@ -279,7 +413,7 @@ class TestCodecEdgeCases:
         config = VideoCodecConfig(gop_size=2)
         encoder, decoder = VideoEncoder(config), VideoDecoder(config)
         encoded, recon = encoder.encode(image, qp=10)
-        np.testing.assert_array_equal(decoder.decode(encoded), recon)
+        np.testing.assert_array_equal(decoder.to_image(decoder.decode(encoded)), recon)
         assert recon.shape == image.shape
 
     def test_uniform_image_compresses_tiny(self):
@@ -355,7 +489,7 @@ class TestCodecEdgeCases:
         encoded, recon = encoder.encode(frames[1], qp=20)
         assert encoded.frame_type is FrameType.INTRA
         decoder.reset()
-        np.testing.assert_array_equal(decoder.decode(encoded), recon)
+        np.testing.assert_array_equal(decoder.to_image(decoder.decode(encoded)), recon)
 
     @given(qp=st.integers(0, 51))
     @settings(max_examples=10, deadline=None)
@@ -365,7 +499,7 @@ class TestCodecEdgeCases:
         config = VideoCodecConfig(gop_size=1)
         encoder, decoder = VideoEncoder(config), VideoDecoder(config)
         encoded, recon = encoder.encode(image, qp=qp)
-        np.testing.assert_array_equal(decoder.decode(encoded), recon)
+        np.testing.assert_array_equal(decoder.to_image(decoder.decode(encoded)), recon)
 
 
 def _forge_motion_vectors(frame: EncodedFrame, mv_bytes: bytes) -> EncodedFrame:
@@ -398,7 +532,7 @@ class TestForgedMotionVectors:
         mv_bytes = inter.payload[1 + _PLANE_HEADER.size :][:mv_len]
         assert len(zlib.decompress(mv_bytes)) == self.NUM_BLOCKS
         np.testing.assert_array_equal(
-            decoder.decode(_forge_motion_vectors(inter, mv_bytes)), recon
+            decoder.to_image(decoder.decode(_forge_motion_vectors(inter, mv_bytes))), recon
         )
 
     @pytest.mark.parametrize(

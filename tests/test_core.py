@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.capture.dataset import load_video
 from repro.capture.rig import default_rig
+from repro.codec import video as video_codec
 from repro.codec.frame import FrameType
 from repro.core.bandwidth_split import SplitController
 from repro.core import config as paper
@@ -20,7 +21,10 @@ from repro.core.receiver import LiVoReceiver
 from repro.core.schemes import SCHEMES
 from repro.core.sender import LiVoSender
 from repro.core.stats import FrameRecord, SessionReport
+from repro.geometry.camera import unproject_views
 from repro.prediction.pose import Pose
+from repro.tiling.marker import MARKER_HEIGHT
+from tests.reference.receiver import eager_decode_pair
 
 
 class TestSplitController:
@@ -326,6 +330,129 @@ class TestSenderReceiver:
         shown = receiver.render_view(cloud, frustum)
         assert len(shown) < len(cloud)
         assert frustum.contains(shown.positions).all()
+
+
+def _stream(small_setup, count, rate=8e6):
+    """``count`` consecutive sender results (an INTRA, then INTER frames)."""
+    config, rig, scene = small_setup
+    sender = LiVoSender(rig.cameras, config)
+    return [sender.process(rig.capture(scene, index), rate, 0.1) for index in range(count)]
+
+
+class TestLazyTiles:
+    """``decode_pair`` decodes to planes and builds tiles only on read."""
+
+    def test_tiles_equal_the_eager_decode(self, small_setup):
+        config, rig, _ = small_setup
+        receiver = LiVoReceiver(rig.cameras, config)
+        oracle = LiVoReceiver(rig.cameras, config)
+        results = _stream(small_setup, 10)
+        assert {r.color_frame.frame_type for r in results} == {FrameType.INTRA, FrameType.INTER}
+        for result in results:
+            pair = receiver.decode_pair(result.color_frame, result.depth_frame)
+            sequence, color_tiles, depth_tiles_mm = eager_decode_pair(
+                oracle, result.color_frame, result.depth_frame
+            )
+            assert pair.sequence == sequence
+            for lazy, eager in zip(
+                pair.color_tiles + pair.depth_tiles_mm, color_tiles + depth_tiles_mm
+            ):
+                assert lazy.dtype == eager.dtype
+                np.testing.assert_array_equal(lazy, eager)
+            assert pair.color_tiles is pair.color_tiles  # built once
+
+    def test_decoded_planes_are_read_only(self, small_setup):
+        config, rig, _ = small_setup
+        receiver = LiVoReceiver(rig.cameras, config)
+        (result,) = _stream(small_setup, 1)
+        planes = receiver.color_decoder.decode(result.color_frame)
+        assert len(planes) == 3
+        with pytest.raises(ValueError):
+            planes[0][0, 0] = 0.0
+
+    def test_decoding_without_a_render_converts_only_marker_rows(
+        self, small_setup, monkeypatch
+    ):
+        config, rig, _ = small_setup
+        receiver = LiVoReceiver(rig.cameras, config)
+        results = _stream(small_setup, 10)
+        converted = []
+        convert = video_codec.ycbcr_to_rgb
+
+        def spy(ycbcr):
+            converted.append(ycbcr.shape)
+            return convert(ycbcr)
+
+        monkeypatch.setattr(video_codec, "ycbcr_to_rgb", spy)
+        pairs = [receiver.decode_pair(r.color_frame, r.depth_frame) for r in results]
+        strip = (MARKER_HEIGHT, receiver.layout.frame_width, 3)
+        assert converted == [strip] * 10
+        pairs[-1].color_tiles
+        assert converted[-1] == (receiver.layout.frame_height, receiver.layout.frame_width, 3)
+
+    def test_desynced_pair_raises(self, small_setup):
+        config, rig, scene = small_setup
+        sender = LiVoSender(rig.cameras, config)
+        receiver = LiVoReceiver(rig.cameras, config)
+        first = sender.process(rig.capture(scene, 0), 8e6, 0.1)
+        second = sender.process(rig.capture(scene, 1), 8e6, 0.1, force_intra=True)
+        with pytest.raises(ValueError, match="desynchronization"):
+            receiver.decode_pair(first.color_frame, second.depth_frame)
+        assert receiver.decode_pair_safe(
+            first.color_frame.to_bytes(), second.depth_frame.to_bytes()
+        ) is None
+
+    @pytest.mark.parametrize(
+        "forge",
+        [
+            lambda frame: dataclasses.replace(frame, height=frame.height + 8),
+            lambda frame: dataclasses.replace(frame, width=frame.width - 8),
+            # Same block count: the planes decode, only the layout is wrong.
+            lambda frame: dataclasses.replace(frame, height=frame.width, width=frame.height),
+            lambda frame: dataclasses.replace(frame, payload=frame.payload[:-100]),
+        ],
+        ids=["height", "width", "transposed", "damaged-payload"],
+    )
+    @pytest.mark.parametrize("streams", [("color",), ("depth",), ("color", "depth")])
+    def test_forged_frame_is_absorbed_and_resets_both_streams(
+        self, small_setup, forge, streams
+    ):
+        config, rig, _ = small_setup
+        receiver = LiVoReceiver(rig.cameras, config)
+        first, inter, _ = results = _stream(small_setup, 3)
+        assert receiver.decode_pair_safe(*_wire(first)) is not None
+        frames = {"color": inter.color_frame, "depth": inter.depth_frame}
+        for stream in streams:
+            frames[stream] = forge(frames[stream])
+        with pytest.raises(ValueError):
+            LiVoReceiver(rig.cameras, config).decode_pair(
+                *(dataclasses.replace(f, frame_type=FrameType.INTRA) for f in frames.values())
+            )
+        assert receiver.decode_pair_safe(
+            frames["color"].to_bytes(), frames["depth"].to_bytes()
+        ) is None
+        assert receiver.decode_failures == 1
+        # Both chains restart: the next INTER pair is refused.
+        assert not receiver.can_decode(results[2].color_frame, results[2].depth_frame)
+
+    def test_freeze_frame_still_reconstructs(self, small_setup):
+        config, rig, _ = small_setup
+        receiver = LiVoReceiver(rig.cameras, config)
+        oracle = LiVoReceiver(rig.cameras, config)
+        first, inter = _stream(small_setup, 2)
+        receiver.decode_pair_safe(*_wire(first))
+        _, color_tiles, depth_tiles_mm = eager_decode_pair(
+            oracle, first.color_frame, first.depth_frame
+        )
+        # The next pair is lost; the frozen pair still renders frame 0.
+        assert receiver.decode_pair_safe(b"", inter.depth_frame.to_bytes()) is None
+        frozen = receiver.freeze_frame()
+        assert frozen is not None and frozen.sequence == 0
+        cloud = receiver.reconstruct(frozen)
+        expected = unproject_views(rig.cameras, depth_tiles_mm, color_tiles)
+        assert not cloud.is_empty
+        np.testing.assert_array_equal(cloud.positions, expected.positions)
+        np.testing.assert_array_equal(cloud.colors, expected.colors)
 
 
 class TestSessionReport:

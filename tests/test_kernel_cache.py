@@ -24,7 +24,7 @@ from repro.capture.dataset import load_video
 from repro.capture.renderer import ProjectionCache, fill_holes_batch
 from repro.capture.rig import default_rig
 from repro.capture.scene import SampleBatch, Scene, make_scene
-from repro.codec.entropy import _bit_length, decode_levels, encode_levels, zigzag_indices
+from repro.codec.entropy import _magnitude_codes, decode_levels, encode_levels, zigzag_indices
 from repro.codec.video import VideoCodecConfig, VideoDecoder, VideoEncoder
 from repro.core.config import SessionConfig
 from repro.core.session import LiVoSession
@@ -377,7 +377,7 @@ class TestScratchArena:
         for image in frames:
             frame, recon = encoder.encode(image, qp=28)
             payloads.append(frame.payload)
-            decodes.append(decoder.decode(frame).tobytes())
+            decodes.append(decoder.to_image(decoder.decode(frame)).tobytes())
             assert np.array_equal(recon, np.frombuffer(
                 decodes[-1], dtype=recon.dtype
             ).reshape(recon.shape))
@@ -463,13 +463,17 @@ class TestSatellites:
         assert np.array_equal(indices, zigzag_indices(8))
 
     def test_bit_length_exact_over_powers_of_two_and_large_magnitudes(self):
+        # Exact up to the 32-bit magnitudes the class stream can carry ...
         values = [1, 2, 3, 4, 7, 8, 9, 255, 256, 1023, 1024]
-        values += [2**b for b in (16, 31, 32, 52, 53, 62, 63)]
-        values += [2**b - 1 for b in (16, 31, 32, 52, 53, 62, 63)]
-        values += [2**53 + 2, 2**62 + 2**10, 2**63 - 1024]
-        array = np.array(values, dtype=np.uint64)
-        expected = np.array([int(v).bit_length() for v in values], dtype=np.int64)
-        assert np.array_equal(_bit_length(array), expected)
+        values += [2**b for b in (16, 30, 31)] + [2**b - 1 for b in (16, 31, 32)]
+        signed = np.array(values + [-v for v in values], dtype=np.int64)
+        expected = np.array([int(v).bit_length() for v in values] * 2, dtype=np.int64)
+        bit_lengths, _ = _magnitude_codes(signed)
+        assert np.array_equal(bit_lengths, expected)
+        # ... and every larger one, where float64 rounds, is rejected.
+        for value in [2**32, 2**33 - 1, 2**52, 2**53 + 2, 2**62 + 2**10, 2**63 - 1024]:
+            with pytest.raises(ValueError):
+                _magnitude_codes(np.array([value, -value], dtype=np.int64))
 
     def test_entropy_roundtrip_with_large_levels(self):
         # Levels near the int32 extremes: the float-log2 bit length broke

@@ -29,7 +29,6 @@ from repro.service.registry import (
     RUNNING,
     LifecycleError,
     SessionNotFound,
-    SessionRecord,
     SessionRegistry,
 )
 

@@ -16,7 +16,7 @@ from repro.core.session import (
     ground_truth_cloud,
 )
 from repro.prediction.pose import user_traces_for_video
-from repro.transport.traces import constant_trace, trace_1, trace_2
+from repro.transport.traces import trace_1, trace_2
 
 FRAMES = 24
 

@@ -140,6 +140,6 @@ class TestTiler:
             ]
             frame = tiler.compose(images, sequence=sequence + 100)
             encoded, _ = encoder.encode(frame, qp=38)
-            decoded = decoder.decode(encoded)
+            decoded = decoder.to_image(decoder.decode(encoded))
             _, recovered = tiler.decompose(decoded)
             assert recovered == sequence + 100
