@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro.capture.dataset import video_names, load_video
-from repro.core.config import SchemeFlags, SessionConfig
-from repro.core.session import DracoOracleSession, LiVoSession, MeshReduceSession
+from repro.core.config import SessionConfig
+from repro.core.session import run_scheme
 from repro.core.stats import SessionReport
 from repro.prediction.pose import user_traces_for_video
 from repro.transport.traces import trace_1, trace_2
@@ -34,7 +34,6 @@ SCHEME_NAMES = ("LiVo", "LiVo-NoCull", "Draco-Oracle", "MeshReduce")
 
 def bench_config(scheme: str) -> SessionConfig:
     """The shared session configuration for grid runs."""
-    flags = SchemeFlags(culling=(scheme != "LiVo-NoCull"))
     return SessionConfig(
         num_cameras=8,
         camera_width=64,
@@ -42,7 +41,7 @@ def bench_config(scheme: str) -> SessionConfig:
         scene_sample_budget=20_000,
         gop_size=15,
         quality_every=3,
-        scheme=flags,
+        scheme=scheme,
     )
 
 
@@ -98,21 +97,7 @@ def _run_one(scheme: str, video: str, trace_name: str, user: int) -> GridCell:
     _, scene = load_video(video, sample_budget=config.scene_sample_budget)
     user_trace = user_traces_for_video(video, NUM_FRAMES + 10)[user]
     bandwidth = trace_1(duration_s=20) if trace_name == "trace-1" else trace_2(duration_s=20)
-    if scheme in ("LiVo", "LiVo-NoCull"):
-        report = LiVoSession(config).run(
-            scene, user_trace, bandwidth, NUM_FRAMES, video_name=video,
-            scheme_name=scheme,
-        )
-    elif scheme == "Draco-Oracle":
-        report = DracoOracleSession(config).run(
-            scene, user_trace, bandwidth, NUM_FRAMES, video_name=video
-        )
-    elif scheme == "MeshReduce":
-        report = MeshReduceSession(config).run(
-            scene, user_trace, bandwidth, NUM_FRAMES, video_name=video
-        )
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    report = run_scheme(config, scene, user_trace, bandwidth, NUM_FRAMES, video)
     return _summarize(report, user)
 
 

@@ -8,7 +8,7 @@ resulting losses/stalls swamp the session.
 
 from conftest import write_result
 from repro.capture.dataset import load_video
-from repro.core.config import SchemeFlags, SessionConfig
+from repro.core.config import SessionConfig
 from repro.core.session import LiVoSession
 from repro.prediction.pose import user_traces_for_video
 from repro.transport.traces import trace_2
@@ -16,11 +16,10 @@ from repro.transport.traces import trace_2
 NUM_FRAMES = 36
 
 
-def _config(adaptation: bool) -> SessionConfig:
-    flags = SchemeFlags(culling=adaptation, adaptation=adaptation)
+def _config(scheme: str) -> SessionConfig:
     return SessionConfig(
         num_cameras=8, camera_width=64, camera_height=48,
-        scene_sample_budget=20_000, gop_size=15, quality_every=3, scheme=flags,
+        scene_sample_budget=20_000, gop_size=15, quality_every=3, scheme=scheme,
     )
 
 
@@ -31,12 +30,11 @@ def test_fig20_21_noadapt_quality_drop(benchmark, results_dir):
             _, scene = load_video(video, sample_budget=20_000)
             user = user_traces_for_video(video, NUM_FRAMES + 10)[0]
             bandwidth = trace_2(duration_s=20)
-            livo = LiVoSession(_config(True)).run(
+            livo = LiVoSession(_config("LiVo")).run(
                 scene, user, bandwidth, NUM_FRAMES, video_name=video
             )
-            noadapt = LiVoSession(_config(False)).run(
-                scene, user, bandwidth, NUM_FRAMES, video_name=video,
-                scheme_name="LiVo-NoAdapt",
+            noadapt = LiVoSession(_config("LiVo-NoAdapt")).run(
+                scene, user, bandwidth, NUM_FRAMES, video_name=video
             )
             rows[video] = {
                 "LiVo": (livo.pssim_geometry()[0], livo.pssim_color()[0],

@@ -14,7 +14,7 @@ import numpy as np
 
 from conftest import write_result
 from repro.capture.dataset import load_video
-from repro.core.config import JITTER_TARGET_S, SchemeFlags, SessionConfig
+from repro.core.config import JITTER_TARGET_S, SessionConfig
 from repro.core.session import LiVoSession
 from repro.metrics.latency import latency_table
 from repro.prediction.pose import user_traces_for_video
@@ -23,11 +23,11 @@ from repro.transport.traces import trace_1
 NUM_FRAMES = 30
 
 
-def _measure_transmission_ms(culling: bool) -> float:
+def _measure_transmission_ms(scheme: str) -> float:
     config = SessionConfig(
         num_cameras=8, camera_width=64, camera_height=48,
         scene_sample_budget=20_000, gop_size=15, quality_every=10_000,
-        scheme=SchemeFlags(culling=culling),
+        scheme=scheme,
     )
     _, scene = load_video("office1", sample_budget=20_000)
     user = user_traces_for_video("office1", NUM_FRAMES + 10)[0]
@@ -45,8 +45,8 @@ def _measure_transmission_ms(culling: bool) -> float:
 
 def test_table6_latency_breakdown(benchmark, results_dir):
     def build():
-        livo_tx = _measure_transmission_ms(culling=True)
-        nocull_tx = _measure_transmission_ms(culling=False)
+        livo_tx = _measure_transmission_ms("LiVo")
+        nocull_tx = _measure_transmission_ms("LiVo-NoCull")
         return latency_table(livo_tx, nocull_tx)
 
     table = benchmark.pedantic(build, rounds=1, iterations=1)

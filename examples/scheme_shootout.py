@@ -14,12 +14,12 @@ import sys
 
 from repro.capture.dataset import load_video, video_names
 from repro.core import SessionConfig
-from repro.core.session import DracoOracleSession, LiVoSession, MeshReduceSession
-from repro.core.config import SchemeFlags
+from repro.core.session import run_scheme
 from repro.prediction.pose import user_traces_for_video
 from repro.transport.traces import trace_1, trace_2
 
 NUM_FRAMES = 30
+SCHEME_NAMES = ("LiVo", "LiVo-NoCull", "Draco-Oracle", "MeshReduce")
 
 
 def main() -> None:
@@ -32,33 +32,15 @@ def main() -> None:
     user = user_traces_for_video(video, NUM_FRAMES + 10)[0]
     bandwidth = trace_1(duration_s=20) if trace_name == "trace-1" else trace_2(duration_s=20)
 
-    def config(culling: bool = True) -> SessionConfig:
-        return SessionConfig(
-            num_cameras=8, camera_width=64, camera_height=48,
-            scene_sample_budget=20_000, gop_size=15,
-            scheme=SchemeFlags(culling=culling),
-        )
-
     print(f"workload: {video} / {user.name} / {trace_name}, {NUM_FRAMES} frames\n")
     reports = []
-    print("running LiVo ...")
-    reports.append(
-        LiVoSession(config(True)).run(scene, user, bandwidth, NUM_FRAMES, video)
-    )
-    print("running LiVo-NoCull ...")
-    reports.append(
-        LiVoSession(config(False)).run(
-            scene, user, bandwidth, NUM_FRAMES, video, scheme_name="LiVo-NoCull"
+    for scheme in SCHEME_NAMES:
+        print(f"running {scheme} ...")
+        config = SessionConfig(
+            num_cameras=8, camera_width=64, camera_height=48,
+            scene_sample_budget=20_000, gop_size=15, scheme=scheme,
         )
-    )
-    print("running Draco-Oracle ...")
-    reports.append(
-        DracoOracleSession(config()).run(scene, user, bandwidth, NUM_FRAMES, video)
-    )
-    print("running MeshReduce ...")
-    reports.append(
-        MeshReduceSession(config()).run(scene, user, bandwidth, NUM_FRAMES, video)
-    )
+        reports.append(run_scheme(config, scene, user, bandwidth, NUM_FRAMES, video))
 
     print()
     header = (

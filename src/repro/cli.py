@@ -50,6 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser."""
     from repro.capture.dataset import video_names
     from repro.core.config import FRAME_INTERVAL_S
+    from repro.core.schemes import SCHEMES
 
     videos = video_names()
     parser = argparse.ArgumentParser(
@@ -67,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--scheme",
         default="LiVo",
-        choices=["LiVo", "LiVo-NoCull", "LiVo-NoAdapt", "Draco-Oracle", "MeshReduce"],
+        choices=list(SCHEMES),
     )
     run.add_argument(
         "--net-trace", default="trace-1", choices=["trace-1", "trace-2"],
@@ -197,13 +198,14 @@ def _cmd_traces() -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.capture.dataset import load_video
-    from repro.core.config import SchemeFlags, SessionConfig
-    from repro.core.session import DracoOracleSession, LiVoSession, MeshReduceSession
+    from repro.core.config import SessionConfig
+    from repro.core.schemes import LIVO_SCHEMES
+    from repro.core.session import run_scheme
     from repro.prediction.pose import user_traces_for_video
     from repro.transport.traces import trace_1, trace_2
 
     tracing = args.trace is not None or args.spans_jsonl is not None
-    if tracing and args.scheme not in ("LiVo", "LiVo-NoCull", "LiVo-NoAdapt"):
+    if tracing and args.scheme not in LIVO_SCHEMES:
         print(
             "error: --trace/--trace-jsonl instrument the LiVo pipeline only "
             f"(scheme {args.scheme!r} is untraced)",
@@ -217,29 +219,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         trace_1(duration_s=30) if args.net_trace == "trace-1" else trace_2(duration_s=30)
     )
 
-    flags = SchemeFlags(
-        culling=args.scheme == "LiVo",
-        adaptation=args.scheme != "LiVo-NoAdapt",
-    )
     config = SessionConfig(
         num_cameras=args.cameras, camera_width=64, camera_height=48,
-        scene_sample_budget=20_000, gop_size=15, scheme=flags,
+        scene_sample_budget=20_000, gop_size=15, scheme=args.scheme,
         quality_max_points=args.quality_max_points,
         trace=tracing,
     )
-    if args.scheme in ("LiVo", "LiVo-NoCull", "LiVo-NoAdapt"):
-        report = LiVoSession(config).run(
-            scene, user, bandwidth, args.frames,
-            video_name=args.video, scheme_name=args.scheme,
-        )
-    elif args.scheme == "Draco-Oracle":
-        report = DracoOracleSession(config).run(
-            scene, user, bandwidth, args.frames, video_name=args.video
-        )
-    else:
-        report = MeshReduceSession(config).run(
-            scene, user, bandwidth, args.frames, video_name=args.video
-        )
+    report = run_scheme(config, scene, user, bandwidth, args.frames, args.video)
     print(report.summary())
     if args.profile:
         print()

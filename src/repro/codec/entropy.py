@@ -33,7 +33,7 @@ __all__ = [
     "decode_levels",
 ]
 
-_ZIGZAG_CACHE: dict[int, np.ndarray] = {}
+_ZIGZAG_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def zigzag_indices(block_size: int) -> np.ndarray:
@@ -43,6 +43,12 @@ def zigzag_indices(block_size: int) -> np.ndarray:
     a caller mutating it would otherwise silently corrupt every later
     encode/decode using the same block size.
     """
+    return _zigzag_tables(block_size)[0]
+
+
+def _zigzag_tables(block_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The zigzag order of a ``B x B`` block and its inverse (the scan
+    position of each flat index), cached and read-only."""
     if block_size in _ZIGZAG_CACHE:
         return _ZIGZAG_CACHE[block_size]
     order = sorted(
@@ -50,9 +56,11 @@ def zigzag_indices(block_size: int) -> np.ndarray:
         key=lambda idx: _zigzag_key(idx // block_size, idx % block_size),
     )
     indices = np.array(order, dtype=np.int64)
+    inverse = np.argsort(indices)
     indices.setflags(write=False)
-    _ZIGZAG_CACHE[block_size] = indices
-    return indices
+    inverse.setflags(write=False)
+    tables = _ZIGZAG_CACHE[block_size] = (indices, inverse)
+    return tables
 
 
 def _zigzag_key(row: int, col: int) -> tuple[int, int]:
@@ -366,7 +374,9 @@ def decode_levels(data: bytes) -> np.ndarray:
     if num_blocks == 0:
         # Nothing bounds block_size here, so do not build its zigzag.
         return np.zeros((0, block_size, block_size), dtype=np.int32)
-    flat = np.zeros(total, dtype=np.int64)
+    # Coefficient-major scan order: row ``k`` holds zigzag coefficient
+    # ``k`` of every block.
+    scan = np.zeros(total, dtype=np.int32)
 
     if num_nonzero:
         bit_lengths = _unpack_classes(_inflate(class_blob, "class"), num_nonzero).astype(
@@ -378,10 +388,9 @@ def decode_levels(data: bytes) -> np.ndarray:
             np.int64
         )
         magnitudes = (codes >> 1) | (1 << (bit_lengths - 1))
-        flat[significant] = magnitudes * (1 - 2 * (codes & 1))
+        scan[significant] = magnitudes * (1 - 2 * (codes & 1))
 
-    zigzag = zigzag_indices(block_size)
-    per_block = flat.reshape(block_size * block_size, num_blocks).T
-    unscrambled = np.empty_like(per_block)
-    unscrambled[:, zigzag] = per_block
-    return unscrambled.reshape(num_blocks, block_size, block_size).astype(np.int32)
+    # One gather puts each block's coefficients back in natural order.
+    inverse = _zigzag_tables(block_size)[1]
+    levels = scan.reshape(block_size * block_size, num_blocks)[inverse].T
+    return np.ascontiguousarray(levels).reshape(num_blocks, block_size, block_size)

@@ -44,6 +44,13 @@ from repro.runtime.batchplane import (
 __all__ = ["VideoCodecConfig", "VideoEncoder", "VideoDecoder"]
 
 EFFORT = 6  # entropy-coder (DEFLATE) effort, 1 (fast) to 9 (thorough)
+CODEC_SEARCH_RANGE = 1  # motion search window radius in pixels (0 = zero-motion)
+# Chroma planes (a GRAY16 frame has none): frequency-weighting strength,
+# and the extra QP codecs apply because they "compress the Y-channel at
+# higher bitrates ... because humans are sensitive to luminance
+# distortions" (paper section 3.2).
+CHROMA_WEIGHT_STRENGTH = 1.2
+CHROMA_QP_OFFSET = 6
 
 _PLANE_HEADER = struct.Struct("<BII")
 _PLANE_COUNT = {PixelFormat.RGB8: 3, PixelFormat.GRAY16: 1}
@@ -55,14 +62,9 @@ class VideoCodecConfig:
 
     Attributes:
         gop_size: I-frame period (an INTRA frame every ``gop_size`` frames).
-        search_range: motion search window radius in pixels (0 = zero-motion).
         weight_strength: frequency-weighting strength for the luma plane;
             0 gives flat quantization (used for depth, where high-frequency
             discontinuities carry geometry).
-        chroma_weight_strength: frequency weighting for chroma planes.
-        chroma_qp_offset: extra QP applied to chroma planes -- codecs
-            "compress the Y-channel at higher bitrates ... because humans
-            are sensitive to luminance distortions" (paper section 3.2).
         qp_max: largest legal QP for this stream.  8-bit color stays at
             the standard 51; the 16-bit Y depth mode uses the
             high-bit-depth extension so rate control has headroom.
@@ -73,18 +75,13 @@ class VideoCodecConfig:
     """
 
     gop_size: int = 30
-    search_range: int = 1
     weight_strength: float = 0.6
-    chroma_weight_strength: float = 1.2
-    chroma_qp_offset: int = 6
     qp_max: int = QP_MAX
     chroma_subsampling: bool = False
 
     def __post_init__(self) -> None:
         if self.gop_size < 1:
             raise ValueError("gop_size must be at least 1")
-        if self.search_range < 0:
-            raise ValueError("search_range must be non-negative")
 
     @staticmethod
     def for_depth(**overrides) -> "VideoCodecConfig":
@@ -94,14 +91,9 @@ class VideoCodecConfig:
         weighting would crush, producing exactly the artifacts the paper
         works to avoid (sections 3.2, 4.5).
         """
-        params = dict(
-            weight_strength=0.0,
-            chroma_weight_strength=0.0,
-            chroma_qp_offset=0,
-            qp_max=QP_MAX_EXTENDED,
+        return VideoCodecConfig(
+            **{"weight_strength": 0.0, "qp_max": QP_MAX_EXTENDED, **overrides}
         )
-        params.update(overrides)
-        return VideoCodecConfig(**params)
 
 
 @dataclass
@@ -124,23 +116,21 @@ class _CodecCore:
     def __init__(self, config: VideoCodecConfig) -> None:
         self.config = config
         self.arena = ScratchArena()
-        self._offsets = self.arena.search_offsets(config.search_range)
+        self._offsets = self.arena.search_offsets(CODEC_SEARCH_RANGE)
 
     def plane_weights(self, plane_index: int, pixel_format: PixelFormat) -> np.ndarray | None:
         strength = (
-            self.config.weight_strength
-            if plane_index == 0
-            else self.config.chroma_weight_strength
+            CHROMA_WEIGHT_STRENGTH
+            if pixel_format is PixelFormat.RGB8 and plane_index > 0
+            else self.config.weight_strength
         )
-        if pixel_format is PixelFormat.GRAY16:
-            strength = self.config.weight_strength
         if strength == 0.0:
             return None
         return self.arena.weight_matrix(DEFAULT_BLOCK_SIZE, strength)
 
     def plane_qp(self, base_qp: int, plane_index: int, pixel_format: PixelFormat) -> int:
         if pixel_format is PixelFormat.RGB8 and plane_index > 0:
-            return min(self.config.qp_max, base_qp + self.config.chroma_qp_offset)
+            return min(self.config.qp_max, base_qp + CHROMA_QP_OFFSET)
         return base_qp
 
     def encode_plane_steps(
@@ -172,7 +162,7 @@ class _CodecCore:
             (mv_index, predictor) = (
                 yield [
                     motion_request(
-                        plane, reference, self.config.search_range, block_size, ctx=self
+                        plane, reference, CODEC_SEARCH_RANGE, block_size, ctx=self
                     )
                 ]
             )[0]

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 _EXPORTS = {
     "SplitController": "repro.core.bandwidth_split",
-    "SchemeFlags": "repro.core.config",
     "SessionConfig": "repro.core.config",
     "LiVoReceiver": "repro.core.receiver",
     "SCHEMES": "repro.core.schemes",
@@ -24,6 +23,7 @@ _EXPORTS = {
     "DracoOracleSession": "repro.core.session",
     "LiVoSession": "repro.core.session",
     "MeshReduceSession": "repro.core.session",
+    "run_scheme": "repro.core.session",
     "ground_truth_cloud": "repro.core.session",
     "FrameRecord": "repro.core.stats",
     "SessionReport": "repro.core.stats",

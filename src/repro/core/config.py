@@ -13,12 +13,13 @@ from typing import ClassVar
 
 from repro.capture.rig import FPS, FRAME_INTERVAL_S
 from repro.codec.frame import MAX_PLANE_SIDE
+from repro.core.schemes import SCHEMES
 from repro.faults.degradation import ResilienceConfig
 from repro.tiling.marker import MARKER_MIN_WIDTH
 from repro.tiling.tiler import TileLayout
 from repro.transport.link import LinkConfig
 
-__all__ = ["SchemeFlags", "SessionConfig"]
+__all__ = ["SessionConfig"]
 
 # Paper Table 3: average full-scene raw frame size the evaluation videos
 # have at full resolution; used to auto-scale bandwidth traces to our
@@ -41,9 +42,6 @@ POSE_FEEDBACK_LAG_FRAMES = 3
 # The pose prediction horizon: 3 * (1 / 30.0) == 0.1 exactly.
 HORIZON_S = POSE_FEEDBACK_LAG_FRAMES * FRAME_INTERVAL_S
 
-# Codec: motion search radius in pixels.
-CODEC_SEARCH_RANGE = 1
-
 # Transport (appendix A.1).
 JITTER_TARGET_S = 0.1   # "we use 100 ms"
 PLAYOUT_DELAY_S = 0.25  # end-to-end budget, 200-300 ms target
@@ -65,19 +63,6 @@ FIXED_DEPTH_QP = 14
 
 
 @dataclass(frozen=True)
-class SchemeFlags:
-    """What a scheme variant enables.
-
-    LiVo = culling + adaptation; LiVo-NoCull = adaptation only;
-    LiVo-NoAdapt = neither, encoding at ``FIXED_COLOR_QP`` /
-    ``FIXED_DEPTH_QP``.
-    """
-
-    culling: bool = True
-    adaptation: bool = True
-
-
-@dataclass(frozen=True)
 class SessionConfig:
     """Everything a replay session needs."""
 
@@ -89,8 +74,8 @@ class SessionConfig:
     fps: ClassVar[float] = FPS
     frame_interval_s: ClassVar[float] = FRAME_INTERVAL_S
 
-    # Scheme variant.
-    scheme: SchemeFlags = field(default_factory=SchemeFlags)
+    # The scheme, by name: a key of ``repro.core.schemes.SCHEMES``.
+    scheme: str = "LiVo"
 
     # Bandwidth splitting (section 3.3; the rest is SPLIT_*).
     split_step: float = 0.005     # delta, "empirically chosen"
@@ -129,10 +114,14 @@ class SessionConfig:
     trace_scale: float | None = None  # None = auto from raw frame size
 
     def __post_init__(self, jobs: int, executor: str) -> None:
-        if self.split_step <= 0:
-            raise ValueError("split_step must be positive")
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {self.scheme!r}; one of {tuple(SCHEMES)}")
+        if not 0 < self.split_step < math.inf:
+            raise ValueError("split_step must be finite and positive")
         if self.rmse_every_k < 1:
             raise ValueError("rmse_every_k must be at least 1")
+        if self.gop_size < 1:
+            raise ValueError("gop_size must be at least 1")
         for name in ("num_cameras", "camera_width", "camera_height", "scene_sample_budget"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")

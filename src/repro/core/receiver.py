@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.codec.frame import EncodedFrame, FrameType, PixelFormat
 from repro.codec.video import VideoCodecConfig, VideoDecoder
-from repro.core.config import CODEC_SEARCH_RANGE, MAX_DEPTH_MM, RENDER_VOXEL_M, SessionConfig
+from repro.core.config import MAX_DEPTH_MM, RENDER_VOXEL_M, SessionConfig
 from repro.depthcodec.scaling import unscale_depth
 from repro.geometry.camera import RGBDCamera, unproject_views
 from repro.geometry.frustum import Frustum
@@ -64,31 +64,17 @@ class LiVoReceiver:
         self,
         cameras: list[RGBDCamera],
         config: SessionConfig,
-        receiver_id: str | None = None,
     ) -> None:
         self.cameras = cameras
         self.config = config
-        # Identity of this receiver within a multi-party conference
-        # (None in a two-party session).
-        self.receiver_id = receiver_id
         intrinsics = cameras[0].intrinsics
         self.layout = TileLayout.for_cameras(
             len(cameras), intrinsics.height, intrinsics.width
         )
         self.color_tiler = Tiler(self.layout, is_color=True)
         self.depth_tiler = Tiler(self.layout, is_color=False)
-        self.color_decoder = VideoDecoder(
-            VideoCodecConfig(
-                gop_size=config.gop_size,
-                search_range=CODEC_SEARCH_RANGE,
-            )
-        )
-        self.depth_decoder = VideoDecoder(
-            VideoCodecConfig.for_depth(
-                gop_size=config.gop_size,
-                search_range=CODEC_SEARCH_RANGE,
-            )
-        )
+        self.color_decoder = VideoDecoder(VideoCodecConfig(gop_size=config.gop_size))
+        self.depth_decoder = VideoDecoder(VideoCodecConfig.for_depth(gop_size=config.gop_size))
         self._last_color_sequence: int | None = None
         self._last_depth_sequence: int | None = None
         self.last_good_pair: DecodedPair | None = None

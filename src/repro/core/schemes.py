@@ -1,17 +1,19 @@
 """Scheme registry: the systems the evaluation compares (Table 2 rows).
 
 Each entry records the capability columns of Table 2 for the schemes
-this repository implements, plus how to configure a LiVo-variant
-session for it.
+this repository implements.  A scheme is its name: for the three LiVo
+variants the row is also the one place that says whether the sender
+culls (``culls``) and hands its encoders a target bitrate (``adapts``).
+
+This module imports nothing from the package, so ``SessionConfig`` can
+validate a name against it without loading any pipeline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.config import SchemeFlags
-
-__all__ = ["SchemeSpec", "SCHEMES"]
+__all__ = ["SchemeSpec", "SCHEMES", "LIVO_SCHEMES"]
 
 
 @dataclass(frozen=True)
@@ -22,10 +24,15 @@ class SchemeSpec:
     kind: str                     # Conferencing / Live / On-demand
     compression: str              # "2D" or "3D"
     content: str
-    bandwidth_adaptive: str       # Direct / Indirect / No
+    bandwidth_adaptive: str       # Direct / Indirect / Oracle / No
     fps: int
     culls: bool
-    flags: SchemeFlags | None     # None for non-LiVo pipelines
+
+    @property
+    def adapts(self) -> bool:
+        """Direct adaptation: the encoders are given a byte budget
+        (LiVo-NoAdapt encodes at fixed QPs instead)."""
+        return self.bandwidth_adaptive == "Direct"
 
 
 SCHEMES: dict[str, SchemeSpec] = {
@@ -37,7 +44,6 @@ SCHEMES: dict[str, SchemeSpec] = {
         bandwidth_adaptive="Direct",
         fps=30,
         culls=True,
-        flags=SchemeFlags(culling=True, adaptation=True),
     ),
     "LiVo-NoCull": SchemeSpec(
         name="LiVo-NoCull",
@@ -47,7 +53,6 @@ SCHEMES: dict[str, SchemeSpec] = {
         bandwidth_adaptive="Direct",
         fps=30,
         culls=False,
-        flags=SchemeFlags(culling=False, adaptation=True),
     ),
     "LiVo-NoAdapt": SchemeSpec(
         name="LiVo-NoAdapt",
@@ -57,7 +62,6 @@ SCHEMES: dict[str, SchemeSpec] = {
         bandwidth_adaptive="No",
         fps=30,
         culls=False,
-        flags=SchemeFlags(culling=False, adaptation=False),
     ),
     "Draco-Oracle": SchemeSpec(
         name="Draco-Oracle",
@@ -67,7 +71,6 @@ SCHEMES: dict[str, SchemeSpec] = {
         bandwidth_adaptive="Oracle",
         fps=15,
         culls=True,   # perfect culling, by construction (section 4.1)
-        flags=None,
     ),
     "MeshReduce": SchemeSpec(
         name="MeshReduce",
@@ -77,6 +80,9 @@ SCHEMES: dict[str, SchemeSpec] = {
         bandwidth_adaptive="Indirect",
         fps=15,
         culls=False,
-        flags=None,
     ),
 }
+
+# The schemes LiVo's own 2D pipeline runs (``LiVoSession``); the other
+# rows are 3D baselines with replays of their own.
+LIVO_SCHEMES = tuple(name for name, spec in SCHEMES.items() if spec.compression == "2D")

@@ -32,9 +32,10 @@ from repro.codec.frame import EncodedFrame
 from repro.codec.video import VideoCodecConfig, VideoEncoder
 from repro.core.bandwidth_split import SplitController
 from repro.core.config import (
-    CODEC_SEARCH_RANGE, FIXED_COLOR_QP, FIXED_DEPTH_QP, FRAME_INTERVAL_S,
-    MAX_DEPTH_MM, SPLIT_EPSILON, SPLIT_INITIAL, SPLIT_MAX, SPLIT_MIN, SessionConfig,
+    FIXED_COLOR_QP, FIXED_DEPTH_QP, FRAME_INTERVAL_S, MAX_DEPTH_MM, SPLIT_EPSILON,
+    SPLIT_INITIAL, SPLIT_MAX, SPLIT_MIN, SessionConfig,
 )
+from repro.core.schemes import SCHEMES
 from repro.depthcodec.scaling import scale_depth
 from repro.geometry.camera import RGBDCamera
 from repro.metrics.image import rmse
@@ -116,13 +117,11 @@ class LiVoSender:
         cameras: list[RGBDCamera],
         config: SessionConfig,
         device: ViewingDevice | None = None,
-        receiver_id: str | None = None,
     ) -> None:
         self.cameras = cameras
         self.config = config
-        # Which receiver this pipeline serves (multi-way unicast runs
-        # one pipeline per receiver).
-        self.receiver_id = receiver_id
+        # Whether this sender culls and adapts (Table 2's row).
+        self.scheme = SCHEMES[config.scheme]
         intrinsics = cameras[0].intrinsics
         self.layout = TileLayout.for_cameras(
             len(cameras), intrinsics.height, intrinsics.width
@@ -130,18 +129,8 @@ class LiVoSender:
         self.color_tiler = Tiler(self.layout, is_color=True)
         self.depth_tiler = Tiler(self.layout, is_color=False)
 
-        self.color_encoder = VideoEncoder(
-            VideoCodecConfig(
-                gop_size=config.gop_size,
-                search_range=CODEC_SEARCH_RANGE,
-            )
-        )
-        self.depth_encoder = VideoEncoder(
-            VideoCodecConfig.for_depth(
-                gop_size=config.gop_size,
-                search_range=CODEC_SEARCH_RANGE,
-            )
-        )
+        self.color_encoder = VideoEncoder(VideoCodecConfig(gop_size=config.gop_size))
+        self.depth_encoder = VideoEncoder(VideoCodecConfig.for_depth(gop_size=config.gop_size))
         self.split = SplitController(
             initial=SPLIT_INITIAL,
             minimum=SPLIT_MIN,
@@ -202,7 +191,7 @@ class LiVoSender:
         """
         total_points = frame.total_points()
         culled = frame
-        if self.config.scheme.culling and self.predictor.ready:
+        if self.scheme.culls and self.predictor.ready:
             frustum = self.predictor.predict_frustum(prediction_horizon_s)
             culled = cull_views(frame, self.cameras, frustum, self.cull_cache)
         culled_points = culled.total_points()
@@ -291,8 +280,8 @@ class LiVoSender:
             return None
         frames = errors = (None, None)  # (color, depth), as every pair here
         if not prepared.is_empty:
-            scheme = self.config.scheme
-            if scheme.adaptation:
+            adapts = self.scheme.adapts
+            if adapts:
                 budget_bytes = max(target_rate_bps / 8.0 * FRAME_INTERVAL_S, 2.0)
                 depth_budget, color_budget = self.split.allocate(budget_bytes)
                 if color_budget_scale < 1.0:
@@ -323,7 +312,7 @@ class LiVoSender:
                 tracer.end_span(span)
             self._recover_with_intra = False
             frames = tuple(coded)
-            if scheme.adaptation and self._frames_processed % self.config.rmse_every_k == 0:
+            if adapts and self._frames_processed % self.config.rmse_every_k == 0:
                 # Only RMSE frames build the reconstruction images.
                 errors = tuple(rmse(plane, encoder.last_reconstruction) * scale
                                for _, encoder, plane, scale in streams)

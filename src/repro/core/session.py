@@ -45,6 +45,7 @@ from repro.core.config import (
     SessionConfig,
 )
 from repro.core.receiver import LiVoReceiver
+from repro.core.schemes import LIVO_SCHEMES, SCHEMES
 from repro.core.sender import LiVoSender, PreparedFrame, SenderResult
 from repro.core.stats import FaultEvent, FrameRecord, SessionReport
 from repro.faults.boundary import StageFaultBoundary
@@ -77,7 +78,14 @@ __all__ = [
     "LiVoSession",
     "DracoOracleSession",
     "MeshReduceSession",
+    "run_scheme",
 ]
+
+# Draco-Oracle encodes at Table 2's 15 fps; MeshReduce picks its voxel
+# size with this safety margin below the mean capacity (the
+# indirect-adaptation margin).
+ORACLE_FPS = float(SCHEMES["Draco-Oracle"].fps)
+MESHREDUCE_CONSERVATIVENESS = 0.35
 
 
 def ground_truth_cloud(
@@ -401,7 +409,6 @@ class _Call:
         replay: _Replay,
         fault_plan: FaultPlan | None = None,
         tracer: Tracer | None = None,
-        receiver_id: str | None = None,
     ) -> None:
         config = self.config = session.config
         self.session = session
@@ -412,12 +419,12 @@ class _Call:
         self.hardened = resilience.enabled
         self.injector = FaultInjector(fault_plan) if fault_plan is not None else None
         self.watchdog = (
-            StallWatchdog(resilience)
+            StallWatchdog()
             if resilience.enabled and resilience.ladder_enabled
             else None
         )
-        self.sender = LiVoSender(cameras, config, session.device, receiver_id=receiver_id)
-        self.receiver = LiVoReceiver(cameras, config, receiver_id=receiver_id)
+        self.sender = LiVoSender(cameras, config, session.device)
+        self.receiver = LiVoReceiver(cameras, config)
         self.events: list[FaultEvent] = []
         self.boundary = StageFaultBoundary(self.injector, self.events)
         link = EmulatedLink(
@@ -746,7 +753,7 @@ class _Call:
     # Report
     # ------------------------------------------------------------------
 
-    def report(self, scheme_name: str, video_name: str) -> SessionReport:
+    def report(self, video_name: str) -> SessionReport:
         """The finished call: frame records, sorted fault events, stage
         timings, cache counters, the metrics registry and the trace."""
         events, tracer = self.events, self.tracer
@@ -761,7 +768,7 @@ class _Call:
         report = self.session._report(
             self.replay,
             self.quality,
-            scheme_name,
+            self.config.scheme,
             video_name,
             FPS,
             list(self.records.values()),
@@ -814,8 +821,9 @@ class _Call:
 
 
 class LiVoSession(_SessionBase):
-    """LiVo / LiVo-NoCull / LiVo-NoAdapt replay (the scheme comes from
-    ``config.scheme``).
+    """LiVo / LiVo-NoCull / LiVo-NoAdapt replay: ``config.scheme`` names
+    the variant (a baseline's name is a ``ValueError``; :func:`run_scheme`
+    runs any scheme).
 
     The replay interleaves the sender and receiver on one simulated
     clock, a receive then a send per capture tick (:class:`_Call`).
@@ -836,30 +844,23 @@ class LiVoSession(_SessionBase):
         bandwidth_trace: BandwidthTrace,
         num_frames: int,
         video_name: str = "video",
-        scheme_name: str | None = None,
         fault_plan: FaultPlan | None = None,
-        tracer: Tracer | None = None,
-        receiver_id: str | None = None,
     ) -> SessionReport:
         """Replay ``num_frames`` captures through the full pipeline.
 
-        ``tracer`` (or ``config.trace``) turns on per-frame span
-        tracing: one sim-clock root span per capture tick with stage,
-        kernel, worker, transport, and render spans beneath it.  Off by
-        default -- an untraced run's report is byte-identical.
+        ``config.trace`` turns on per-frame span tracing: one sim-clock
+        root span per capture tick with stage, kernel, worker,
+        transport, and render spans beneath it.  Off by default -- an
+        untraced run's report is byte-identical.
         """
         config = self.config
+        if config.scheme not in LIVO_SCHEMES:
+            raise ValueError(
+                f"{config.scheme} is not a LiVo scheme ({', '.join(LIVO_SCHEMES)}); "
+                "run_scheme replays it"
+            )
         replay = self._open(scene, user_trace, bandwidth_trace, num_frames)
-        if tracer is None and config.trace:
-            tracer = Tracer()
-        if scheme_name is None:
-            if config.scheme.culling and config.scheme.adaptation:
-                scheme_name = "LiVo"
-            elif config.scheme.adaptation:
-                scheme_name = "LiVo-NoCull"
-            else:
-                scheme_name = "LiVo-NoAdapt"
-        call = _Call(self, replay, fault_plan, tracer, receiver_id)
+        call = _Call(self, replay, fault_plan, Tracer() if config.trace else None)
         try:
             for sequence in range(num_frames):
                 now = sequence * FRAME_INTERVAL_S
@@ -868,7 +869,7 @@ class LiVoSession(_SessionBase):
             call.drain()
         finally:
             call.quality.close()
-        return call.report(scheme_name, video_name)
+        return call.report(video_name)
 
 
 class DracoOracleSession(_SessionBase):
@@ -881,11 +882,8 @@ class DracoOracleSession(_SessionBase):
         bandwidth_trace: BandwidthTrace,
         num_frames: int,
         video_name: str = "video",
-        oracle_fps: float = 15.0,
     ) -> SessionReport:
         """Replay; ``num_frames`` counts 30 fps capture ticks."""
-        if not oracle_fps > 0:
-            raise ValueError("oracle_fps must be positive")
         config = self.config
         replay = self._open(scene, user_trace, bandwidth_trace, num_frames)
         cameras, first = replay.source.rig.cameras, replay.first
@@ -904,7 +902,7 @@ class DracoOracleSession(_SessionBase):
         # fewer points than the paper's 10.8 MB captures, but the 1/15 s
         # deadline is wall-clock (see DracoOracle.time_multiplier).
         compute_scale = PAPER_FRAME_SIZE_BYTES / max(first.raw_size_bytes(), 1)
-        oracle = DracoOracle(profile, fps=oracle_fps, time_multiplier=compute_scale)
+        oracle = DracoOracle(profile, fps=ORACLE_FPS, time_multiplier=compute_scale)
         cull_stage = Stage("cull", lambda args: culled_cloud(*args))
         encode_stage = Stage(
             "encode",
@@ -942,10 +940,10 @@ class DracoOracleSession(_SessionBase):
 
             return record, render
 
-        stride = max(1, int(round(FPS / oracle_fps)))
+        stride = max(1, int(round(FPS / ORACLE_FPS)))
         return self._replay_baseline(
             replay, range(0, num_frames, stride), step, [cull_stage, encode_stage],
-            "Draco-Oracle", video_name, oracle_fps,
+            "Draco-Oracle", video_name, ORACLE_FPS,
         )
 
 
@@ -959,7 +957,6 @@ class MeshReduceSession(_SessionBase):
         bandwidth_trace: BandwidthTrace,
         num_frames: int,
         video_name: str = "video",
-        conservativeness: float = 0.35,
     ) -> SessionReport:
         """Replay ``num_frames`` 30 fps capture ticks."""
         config = self.config
@@ -967,7 +964,8 @@ class MeshReduceSession(_SessionBase):
         cameras, scaled_trace = replay.source.rig.cameras, replay.scaled_trace
         profile = MeshReduceProfile.build([replay.first], cameras)
         voxel = profile.select_voxel(
-            scaled_trace.stats().mean * 1e6, fps=15.0, conservativeness=conservativeness
+            scaled_trace.stats().mean * 1e6, fps=15.0,
+            conservativeness=MESHREDUCE_CONSERVATIVENESS,
         )
         stream = ReliableByteStream(scaled_trace, config.link.propagation_delay_s)
         pipeline = MeshReducePipeline(cameras, stream, voxel)
@@ -1008,3 +1006,21 @@ class MeshReduceSession(_SessionBase):
             replay, range(num_frames), step, [compress_stage],
             "MeshReduce", video_name, 15.0,
         )
+
+
+# The replays of the baselines; every other scheme is a LiVo variant.
+_BASELINE_REPLAYS = {"Draco-Oracle": DracoOracleSession, "MeshReduce": MeshReduceSession}
+
+
+def run_scheme(
+    config: SessionConfig,
+    scene: Scene,
+    user_trace: PoseTrace,
+    bandwidth_trace: BandwidthTrace,
+    num_frames: int,
+    video_name: str = "video",
+) -> SessionReport:
+    """Replay ``num_frames`` capture ticks through the scheme
+    ``config.scheme`` names, and return its report."""
+    replay = _BASELINE_REPLAYS.get(config.scheme, LiVoSession)
+    return replay(config).run(scene, user_trace, bandwidth_trace, num_frames, video_name)

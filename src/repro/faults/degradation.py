@@ -13,11 +13,12 @@ stalling indefinitely:
   immersive experience; section 3.3's split already encodes that
   priority).
 
-The :class:`StallWatchdog` drives transitions: ``watchdog_misses``
-consecutive missed render deadlines step one level down, and
-``recover_hysteresis`` consecutive on-time frames step one level back
-up.  The asymmetry (fast down, slow up) is classic hysteresis -- it
-prevents oscillating between levels while conditions are marginal.
+The :class:`StallWatchdog` drives transitions: ``WATCHDOG_MISSES``
+consecutive missed render deadlines step one level down (never past
+``MAX_LEVEL``), and ``RECOVER_HYSTERESIS`` consecutive on-time frames
+step one level back up.  The asymmetry (fast down, slow up) is classic
+hysteresis -- it prevents oscillating between levels while conditions
+are marginal.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "LEVEL_HALF_FPS",
     "LEVEL_COARSE_VOXEL",
     "LEVEL_CHROMA_LITE",
+    "MAX_LEVEL",
     "ResilienceConfig",
     "StallWatchdog",
     "level_name",
@@ -39,8 +41,21 @@ LEVEL_HALF_FPS = 1
 LEVEL_COARSE_VOXEL = 2
 LEVEL_CHROMA_LITE = 3
 
-# The coarse-voxel rung renders at this multiple of the render voxel.
+# The ladder's bottom rung.
+MAX_LEVEL = LEVEL_CHROMA_LITE
+
+# Consecutive missed deadlines that step one rung down, and consecutive
+# on-time frames that step one rung back up.
+WATCHDOG_MISSES = 4
+RECOVER_HYSTERESIS = 8
+
+# The half-fps rung keeps every FPS_DIVISOR-th capture tick, the
+# coarse-voxel rung renders at VOXEL_COARSEN times the render voxel,
+# and the chroma-lite rung scales the color byte budget by
+# CHROMA_BUDGET_SCALE.
+FPS_DIVISOR = 2
 VOXEL_COARSEN = 2.0
+CHROMA_BUDGET_SCALE = 0.5
 
 _LEVEL_NAMES = {
     LEVEL_NORMAL: "normal",
@@ -57,7 +72,7 @@ def level_name(level: int) -> str:
 
 @dataclass(frozen=True)
 class ResilienceConfig:
-    """Knobs for the hardened session's fault handling.
+    """Switches for the hardened session's fault handling.
 
     ``enabled`` governs the always-safe hardening (skip failed encodes,
     frame-freeze on undecodable pairs, fused partial rigs); disabling
@@ -68,23 +83,6 @@ class ResilienceConfig:
 
     enabled: bool = True
     ladder_enabled: bool = True
-    watchdog_misses: int = 4
-    recover_hysteresis: int = 8
-    max_level: int = LEVEL_CHROMA_LITE
-    fps_divisor: int = 2
-    chroma_budget_scale: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.watchdog_misses < 1:
-            raise ValueError("watchdog_misses must be at least 1")
-        if self.recover_hysteresis < 1:
-            raise ValueError("recover_hysteresis must be at least 1")
-        if not LEVEL_NORMAL <= self.max_level <= LEVEL_CHROMA_LITE:
-            raise ValueError("max_level must be within the ladder")
-        if self.fps_divisor < 2:
-            raise ValueError("fps_divisor must be at least 2")
-        if not 0.0 < self.chroma_budget_scale <= 1.0:
-            raise ValueError("chroma_budget_scale must be in (0, 1]")
 
 
 class StallWatchdog:
@@ -98,8 +96,7 @@ class StallWatchdog:
     scenario diffs and dashboards can assert on ladder behavior.
     """
 
-    def __init__(self, config: ResilienceConfig) -> None:
-        self.config = config
+    def __init__(self) -> None:
         self.level = LEVEL_NORMAL
         self._misses = 0
         self._goods = 0
@@ -135,7 +132,7 @@ class StallWatchdog:
         registry.counter("ladder.steps_down").inc(self.steps_down)
         registry.counter("ladder.steps_up").inc(self.steps_up)
         registry.counter("ladder.transitions").inc(self.steps_down + self.steps_up)
-        for level in range(LEVEL_NORMAL, self.config.max_level + 1):
+        for level in range(LEVEL_NORMAL, MAX_LEVEL + 1):
             registry.gauge(f"ladder.time_at.{level_name(level)}_s").set(
                 self.time_at_level.get(level, 0.0)
             )
@@ -144,7 +141,7 @@ class StallWatchdog:
         """Whether the ladder's fps reduction skips this capture tick."""
         return (
             self.level >= LEVEL_HALF_FPS
-            and sequence % self.config.fps_divisor != 0
+            and sequence % FPS_DIVISOR != 0
         )
 
     def voxel_scale(self) -> float:
@@ -153,11 +150,7 @@ class StallWatchdog:
 
     def color_budget_scale(self) -> float:
         """Color-stream byte-budget multiplier at the current level."""
-        return (
-            self.config.chroma_budget_scale
-            if self.level >= LEVEL_CHROMA_LITE
-            else 1.0
-        )
+        return CHROMA_BUDGET_SCALE if self.level >= LEVEL_CHROMA_LITE else 1.0
 
     def observe(self, on_time: bool, now: float | None = None) -> int | None:
         """Fold in one render-deadline outcome.
@@ -171,7 +164,7 @@ class StallWatchdog:
         if on_time:
             self._misses = 0
             self._goods += 1
-            if self.level > LEVEL_NORMAL and self._goods >= self.config.recover_hysteresis:
+            if self.level > LEVEL_NORMAL and self._goods >= RECOVER_HYSTERESIS:
                 self._goods = 0
                 self.level -= 1
                 self.steps_up += 1
@@ -179,7 +172,7 @@ class StallWatchdog:
             return None
         self._goods = 0
         self._misses += 1
-        if self.level < self.config.max_level and self._misses >= self.config.watchdog_misses:
+        if self.level < MAX_LEVEL and self._misses >= WATCHDOG_MISSES:
             self._misses = 0
             self.level += 1
             self.steps_down += 1

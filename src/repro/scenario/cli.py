@@ -72,7 +72,7 @@ def _check_invariants(spec, report, enabled: bool) -> int:
         return EXIT_OK
     from repro.scenario.invariants import check_report
 
-    problems = check_report(report, spec)
+    problems = check_report(report)
     if problems:
         print(f"invariant violations ({spec.name}):", file=sys.stderr)
         for problem in problems:

@@ -20,7 +20,7 @@ The checks:
   degradation episode completed, NaN when every episode stayed open,
   0 when the ladder never engaged;
 - **ladder hysteresis**: walking the degrade/recover events moves the
-  ladder one rung at a time and never outside [0, max_level];
+  ladder one rung at a time and never outside [0, MAX_LEVEL];
 - **no leaked spans**: when a trace rode along, every span was closed
   by the session's final drain.
 """
@@ -30,15 +30,14 @@ from __future__ import annotations
 import math
 
 from repro.core.stats import SessionReport
-from repro.faults.degradation import LEVEL_NORMAL, _LEVEL_NAMES
-from repro.scenario.spec import ScenarioSpec
+from repro.faults.degradation import LEVEL_NORMAL, MAX_LEVEL, _LEVEL_NAMES
 
 __all__ = ["check_report"]
 
 _NAME_TO_LEVEL = {name: level for level, name in _LEVEL_NAMES.items()}
 
 
-def _ladder_walk_violations(report: SessionReport, max_level: int) -> list[str]:
+def _ladder_walk_violations(report: SessionReport) -> list[str]:
     """Hysteresis check via the degrade/recover event stream.
 
     Per-frame level diffs cannot be used: several render deadlines can
@@ -63,17 +62,15 @@ def _ladder_walk_violations(report: SessionReport, max_level: int) -> list[str]:
                 f"ladder {event.category} at t={event.time_s:.3f}s jumped "
                 f"{level} -> {new_level} (must move exactly {expected:+d})"
             )
-        if not LEVEL_NORMAL <= new_level <= max_level:
+        if not LEVEL_NORMAL <= new_level <= MAX_LEVEL:
             problems.append(
-                f"ladder left [{LEVEL_NORMAL}, {max_level}] at t={event.time_s:.3f}s"
+                f"ladder left [{LEVEL_NORMAL}, {MAX_LEVEL}] at t={event.time_s:.3f}s"
             )
         level = new_level
     return problems
 
 
-def check_report(
-    report: SessionReport, spec: ScenarioSpec | None = None
-) -> list[str]:
+def check_report(report: SessionReport) -> list[str]:
     """Every violated invariant, as human-readable strings."""
     problems: list[str] = []
 
@@ -133,15 +130,12 @@ def check_report(
     elif mttr != 0.0:
         problems.append(f"never degraded but mttr_s={mttr!r} (must be 0)")
 
-    max_level = 3
-    if spec is not None:
-        max_level = spec.build_config().resilience.max_level
-    problems.extend(_ladder_walk_violations(report, max_level))
+    problems.extend(_ladder_walk_violations(report))
     for frame in report.frames:
-        if not LEVEL_NORMAL <= frame.degradation_level <= max_level:
+        if not LEVEL_NORMAL <= frame.degradation_level <= MAX_LEVEL:
             problems.append(
                 f"frame {frame.sequence}: degradation level "
-                f"{frame.degradation_level} outside [{LEVEL_NORMAL}, {max_level}]"
+                f"{frame.degradation_level} outside [{LEVEL_NORMAL}, {MAX_LEVEL}]"
             )
 
     if report.trace is not None:

@@ -61,7 +61,6 @@ def _run_livo(spec: ScenarioSpec) -> SessionReport:
         spec.build_trace(),
         spec.frames,
         video_name=spec.video,
-        scheme_name=spec.scheme,
         fault_plan=None if spec.faults.is_empty else spec.faults,
     )
 

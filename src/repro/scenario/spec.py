@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.config import FPS, SchemeFlags, SessionConfig
+from repro.core.config import FPS, SessionConfig
+from repro.core.schemes import LIVO_SCHEMES
 from repro.faults.plan import FaultPlan
 from repro.transport.link import LinkConfig
 from repro.transport.traces import BandwidthTrace, trace_1, trace_2
@@ -40,10 +41,7 @@ __all__ = [
     "ChurnEvent",
     "ReceiverLink",
     "ScenarioSpec",
-    "LIVO_SCHEMES",
 ]
-
-LIVO_SCHEMES = ("LiVo", "LiVo-NoCull", "LiVo-NoAdapt")
 
 
 @dataclass(frozen=True)
@@ -236,8 +234,8 @@ class ScenarioSpec:
             raise ValueError("scenario needs a name")
         if self.kind not in ("livo", "multiway"):
             raise ValueError("kind must be 'livo' or 'multiway'")
-        if self.kind == "livo" and self.scheme not in LIVO_SCHEMES:
-            raise ValueError(f"livo scenarios support schemes {LIVO_SCHEMES}")
+        if self.scheme not in LIVO_SCHEMES:
+            raise ValueError(f"scenarios support schemes {LIVO_SCHEMES}")
         if self.frames <= 0:
             raise ValueError("frames must be positive")
         if self.sample_budget < 1:
@@ -345,10 +343,7 @@ class ScenarioSpec:
             quality_every=self.quality_every,
             trace_scale=1.0,
             link=link,
-            scheme=SchemeFlags(
-                culling=self.scheme == "LiVo",
-                adaptation=self.scheme != "LiVo-NoAdapt",
-            ),
+            scheme=self.scheme,
             trace=self.kind == "livo",
         )
 

@@ -66,6 +66,8 @@ CAMERA_WIDTH = 32
 CAMERA_HEIGHT = 16
 GOP_SIZE = 4
 DOWNLINK_MBPS = 4.0
+SAMPLE_BUDGET = 600       # scene samples per capture
+POSE_TRACE_FRAMES = 300   # frames in each receiver's (looping) pose trace
 
 
 def _is_int(value) -> bool:
@@ -81,8 +83,6 @@ class ServiceConfig:
     port: int = 0                   # 0 = pick a free port
     video: str = "office1"
     num_cameras: int = 2
-    sample_budget: int = 600
-    pose_trace_frames: int = 300
     seed: int = 0
     tick_interval_s: float = 0.0    # 0 = free-running (benchmark mode)
     max_clients_per_session: int = 64
@@ -93,8 +93,6 @@ class ServiceConfig:
             raise ValueError("tick_interval_s must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.pose_trace_frames <= 0:
-            raise ValueError("pose_trace_frames must be positive")
         if self.max_clients_per_session < 1 or self.max_sessions < 1:
             raise ValueError("max_clients_per_session/max_sessions must be >= 1")
         if not 0 <= self.port <= 65535:
@@ -107,7 +105,7 @@ class ServiceConfig:
         """The config every hosted session runs under."""
         return SessionConfig(
             num_cameras=self.num_cameras, camera_width=CAMERA_WIDTH,
-            camera_height=CAMERA_HEIGHT, scene_sample_budget=self.sample_budget,
+            camera_height=CAMERA_HEIGHT, scene_sample_budget=SAMPLE_BUDGET,
             gop_size=GOP_SIZE,
         )
 
@@ -129,7 +127,7 @@ class ServiceApp:
         self.metrics = MetricsRegistry()
         self.factory = SessionFactory(
             self.config.session_config(), self.config.video,
-            self.config.pose_trace_frames, DOWNLINK_MBPS, self.config.seed,
+            POSE_TRACE_FRAMES, DOWNLINK_MBPS, self.config.seed,
         )
         self.registry = SessionRegistry(
             self.factory,

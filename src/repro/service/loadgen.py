@@ -33,6 +33,7 @@ OP_STATS = "stats"
 OP_HEALTHZ = "healthz"
 
 POLL_EVERY_SLOTS = 5  # stats+healthz cadence
+KILL_FRACTION = 0.15  # of the unkilled sessions, per storm
 
 
 @dataclass(frozen=True)
@@ -45,15 +46,12 @@ class LoadgenConfig:
     slot_s: float = 0.1
     seed: int = 0
     kill_storms: int = 1
-    kill_fraction: float = 0.15    # of sessions per storm
 
     def __post_init__(self) -> None:
         if self.clients <= 0 or self.receivers_per_session <= 0:
             raise ValueError("clients/receivers_per_session must be positive")
         if self.duration_s <= 0 or self.slot_s <= 0:
             raise ValueError("duration_s/slot_s must be positive")
-        if not 0.0 <= self.kill_fraction <= 1.0:
-            raise ValueError("kill_fraction must be in [0, 1]")
 
 
 def build_schedule(config: LoadgenConfig) -> list[list[dict]]:
@@ -104,7 +102,7 @@ def build_schedule(config: LoadgenConfig) -> list[list[dict]]:
     for storm in range(config.kill_storms):
         slot = int(num_slots * (storm + 1) / (config.kill_storms + 1))
         slot = min(max(slot, 1), num_slots - 1)
-        count = max(1, int(len(unkilled) * config.kill_fraction))
+        count = max(1, int(len(unkilled) * KILL_FRACTION))
         victims = rng.sample(unkilled, min(count, len(unkilled)))
         for session in victims:
             unkilled.remove(session)

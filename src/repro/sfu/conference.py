@@ -208,7 +208,7 @@ class UnicastBaseline:
         node, so no downlink to provision)."""
         if name in self._pipelines:
             raise ValueError(f"receiver {name!r} already present")
-        sender = LiVoSender(self.rig.cameras, self.config, self.device, receiver_id=name)
+        sender = LiVoSender(self.rig.cameras, self.config, self.device)
         self._pipelines[name] = (sender, pose_trace)
         self.total_joins += 1
 

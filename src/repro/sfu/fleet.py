@@ -37,6 +37,7 @@ import hashlib
 import itertools
 import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -57,6 +58,13 @@ CAMERA_HEIGHT = 18
 GOP_SIZE = 6
 DOWNLINK_MBPS = 4.0
 TARGET_RATE_BPS = 2e6
+SAMPLE_BUDGET = 3000
+# Each conference seats RECEIVERS at the start and draws one join or
+# leave every CHURN_EVERY frames; UNICAST_CONTROL conferences run
+# unicast as the uplink baseline.
+RECEIVERS = 3
+CHURN_EVERY = 10
+UNICAST_CONTROL = 4
 
 
 @dataclass(frozen=True)
@@ -65,21 +73,13 @@ class FleetConfig:
 
     sessions: int = 200
     frames: int = 30
-    receivers: int = 3          # initial receivers per conference
-    churn_every: int = 10       # one join/leave per session every k frames
-    sample_budget: int = 3000
     seed: int = 0
-    unicast_control: int = 4    # control conferences run unicast for the baseline
+    # The benchmark worker reads it off the config.
+    churn_every: ClassVar[int] = CHURN_EVERY
 
     def __post_init__(self) -> None:
-        if self.sessions <= 0 or self.frames <= 0 or self.receivers <= 0:
-            raise ValueError("sessions/frames/receivers must be positive")
-        if self.churn_every <= 0:
-            raise ValueError("churn_every must be positive")
-        if self.unicast_control <= 0:
-            raise ValueError("unicast_control must be positive")
-        if self.sample_budget <= 0:
-            raise ValueError("sample_budget must be positive")
+        if self.sessions <= 0 or self.frames <= 0:
+            raise ValueError("sessions/frames must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -167,7 +167,7 @@ class FleetResult:
             sfu_downlink_bytes_per_frame=sum(c.downlink_bytes for c in conferences)
             / session_frames,
             mean_receivers=sum(c.receiver_frames for c in conferences) / session_frames,
-            control_sessions=fleet.unicast_control,
+            control_sessions=UNICAST_CONTROL,
             control_wall_per_frame_ms=control_s * 1e3,
             sfu_metrics={
                 name: registry.get(name).to_dict()
@@ -188,20 +188,20 @@ class FleetResult:
         return rollup.hexdigest()
 
 
-def _seeded_roster(index, seed, fleet: FleetConfig, party, join, leave):
+def _seeded_roster(index, seed, party, join, leave):
     """One party's seeded churn rule; returns its step.
 
     ``join`` / ``leave`` take a receiver name (the room seats a joiner);
     ``party.receiver_names`` is the roster in join order.  The returned
     ``step(sequence)`` applies at most one join (guests ``s{index}g1``,
-    ``s{index}g2``, ...) or leave every ``fleet.churn_every`` frames,
+    ``s{index}g2``, ...) or leave every ``CHURN_EVERY`` frames,
     drawn from ``default_rng(seed)``, and returns how many it applied.
     """
     rng = np.random.default_rng(seed)
     guests = itertools.count(1)
 
     def step(sequence: int) -> int:
-        if sequence == 0 or sequence % fleet.churn_every != 0:
+        if sequence == 0 or sequence % CHURN_EVERY != 0:
             return 0
         names = party.receiver_names
         if len(names) > 1 and rng.random() < 0.5:
@@ -220,19 +220,19 @@ def _run_unicast_control(fleet: FleetConfig, room):
     conferences' ``seed + index``: a sample of the same churn process,
     not a replay of particular conferences (DESIGN.md section 12).
     """
-    total_frames = fleet.unicast_control * fleet.frames
+    total_frames = UNICAST_CONTROL * fleet.frames
     total_bytes = 0
     wall = 0.0
-    for index in range(fleet.unicast_control):
+    for index in range(UNICAST_CONTROL):
         control = room.unicast()
 
         def seat(name):
             control.join(name, room.pose_trace(control.total_joins))
 
-        for j in range(fleet.receivers):
+        for j in range(RECEIVERS):
             seat(f"s{index}r{j}")
         seed = fleet.seed + 100_003 + index
-        churn = _seeded_roster(index, seed, fleet, control, seat, control.leave)
+        churn = _seeded_roster(index, seed, control, seat, control.leave)
         for sequence in range(fleet.frames):
             churn(sequence)
             frame = room.source.capture(sequence)
@@ -256,7 +256,7 @@ def run_fleet(fleet: FleetConfig) -> FleetResult:
         num_cameras=NUM_CAMERAS,
         camera_width=CAMERA_WIDTH,
         camera_height=CAMERA_HEIGHT,
-        scene_sample_budget=fleet.sample_budget,
+        scene_sample_budget=SAMPLE_BUDGET,
         gop_size=GOP_SIZE,
     )
     # ONE room for the whole fleet: its source is the shared kernel cache.
@@ -272,7 +272,7 @@ def run_fleet(fleet: FleetConfig) -> FleetResult:
             record = registry.create(
                 seed=index,
                 target_rate_bps=TARGET_RATE_BPS,
-                initial_clients=[f"s{index}r{j}" for j in range(fleet.receivers)],
+                initial_clients=[f"s{index}r{j}" for j in range(RECEIVERS)],
             )
             _raise_if_failed(record)
             records.append(record)
@@ -280,7 +280,7 @@ def run_fleet(fleet: FleetConfig) -> FleetResult:
             # joins and leaves, and applies at the next round.
             sid = record.session_id
             churns.append(_seeded_roster(
-                index, fleet.seed + index, fleet, record.driver,
+                index, fleet.seed + index, record.driver,
                 functools.partial(registry.join, sid), functools.partial(registry.leave, sid),
             ))
         churn_events = 0

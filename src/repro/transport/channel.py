@@ -41,6 +41,7 @@ __all__ = ["WebRTCConfig", "FrameDelivery", "WebRTCChannel"]
 LOSS_DETECTION_GRACE_S = 0.02  # a loss is seen one propagation delay + this late
 RTT_SMOOTHING = 0.125  # classic SRTT EWMA gain
 LOSS_WINDOW_S = 1.0    # the loss fraction GCC sees covers this much history
+REVERSE_DELAY_S = 0.02  # receiver-to-sender feedback path, one way
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,6 @@ class WebRTCConfig:
     least 2 (a group of one is a full-size copy of every packet).
     """
 
-    reverse_delay_s: float = 0.02
     nack_retries: int = 3
     fec_group_size: int | None = None
 
@@ -200,7 +200,7 @@ class WebRTCChannel:
     def rtt_s(self) -> float:
         """Smoothed application-level RTT estimate."""
         if self._srtt is None:
-            return 2.0 * (self.link.config.propagation_delay_s + self.config.reverse_delay_s)
+            return 2.0 * (self.link.config.propagation_delay_s + REVERSE_DELAY_S)
         return self._srtt
 
     @property
@@ -287,14 +287,14 @@ class WebRTCChannel:
             if is_parity:
                 return  # parity is best-effort; never NACKed
             detection = time_s + self.link.config.propagation_delay_s + LOSS_DETECTION_GRACE_S
-            nack_arrival = detection + self.config.reverse_delay_s
+            nack_arrival = detection + REVERSE_DELAY_S
             self._schedule_nack(nack_arrival, packet, retries_left)
             return
         if is_parity:
             self._fec_repair(packet, arrival)
         else:
             self._deliver_media(packet, arrival)
-        self._schedule(arrival + self.config.reverse_delay_s, "feedback", packet)
+        self._schedule(arrival + REVERSE_DELAY_S, "feedback", packet)
 
     def _fec_repair(self, parity: Packet, arrival: float) -> None:
         """Rebuild the parity group's one lost member, if exactly one is.

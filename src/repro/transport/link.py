@@ -30,6 +30,10 @@ from repro.transport.traces import BandwidthTrace
 
 __all__ = ["LinkConfig", "EmulatedLink"]
 
+# Drop-tail bound expressed as queueing delay (Mahimahi-style bounded
+# buffer): a packet that would wait longer never enters the queue.
+MAX_QUEUE_DELAY_S = 0.3
+
 
 @dataclass(frozen=True)
 class LinkConfig:
@@ -37,8 +41,6 @@ class LinkConfig:
 
     Attributes:
         propagation_delay_s: one-way propagation delay.
-        max_queue_delay_s: drop-tail bound expressed as queueing delay
-            (Mahimahi-style bounded buffer).
         loss_rate: i.i.d. random loss probability.
         seed: RNG seed for loss draws.
         receive_buffer_bytes: receiver UDP socket buffer.  Packets that
@@ -52,7 +54,6 @@ class LinkConfig:
     """
 
     propagation_delay_s: float = 0.02
-    max_queue_delay_s: float = 0.3
     loss_rate: float = 0.0
     seed: int = 0
     receive_buffer_bytes: int | None = None
@@ -61,8 +62,6 @@ class LinkConfig:
     def __post_init__(self) -> None:
         if self.propagation_delay_s < 0:
             raise ValueError("propagation_delay_s must be non-negative")
-        if self.max_queue_delay_s <= 0:
-            raise ValueError("max_queue_delay_s must be positive")
         if not 0.0 <= self.loss_rate < 1.0:
             raise ValueError("loss_rate must be in [0, 1)")
         if self.receive_buffer_bytes is not None and self.receive_buffer_bytes <= 0:
@@ -127,7 +126,7 @@ class EmulatedLink:
         now = packet.send_time_s
         busy = self._queue_free_at > now
         start = self._queue_free_at if busy else now
-        if start - now > config.max_queue_delay_s:
+        if start - now > MAX_QUEUE_DELAY_S:
             # Drop-tail: the packet never enters the queue.
             self.packets_dropped += 1
             return None

@@ -339,18 +339,18 @@ class TestEncoderLockstepParity:
         return frames
 
     def test_lockstep_streams_byte_identical_to_serial(self):
-        config = VideoCodecConfig(gop_size=4, search_range=1)
+        config = VideoCodecConfig(gop_size=4)
         streams = [self._frames(seed) for seed in (11, 12)]
         serial_payloads = [[], []]
         serial_counters = []
         for index, frames in enumerate(streams):
-            encoder = VideoEncoder(VideoCodecConfig(gop_size=4, search_range=1))
+            encoder = VideoEncoder(VideoCodecConfig(gop_size=4))
             for frame in frames:
                 encoded, _ = encoder.encode(frame, qp=26)
                 serial_payloads[index].append(encoded.payload)
             serial_counters.append(encoder.cache_counters.to_dict())
 
-        encoders = [VideoEncoder(config), VideoEncoder(VideoCodecConfig(gop_size=4, search_range=1))]
+        encoders = [VideoEncoder(config), VideoEncoder(VideoCodecConfig(gop_size=4))]
         plane = BatchPlane()
         for tick in range(len(streams[0])):
             outcome = plane.run_lockstep(
@@ -372,14 +372,14 @@ class TestEncoderLockstepParity:
 
     def test_encode_to_target_retry_parity(self):
         frames = self._frames(13, count=4)
-        serial = VideoEncoder(VideoCodecConfig(gop_size=4, search_range=1))
+        serial = VideoEncoder(VideoCodecConfig(gop_size=4))
         serial_payloads = [
             serial.encode_to_target(frame, target_bytes=700)[0].payload
             for frame in frames
         ]
-        lockstep = VideoEncoder(VideoCodecConfig(gop_size=4, search_range=1))
+        lockstep = VideoEncoder(VideoCodecConfig(gop_size=4))
         plane = BatchPlane()
-        decoder = VideoDecoder(VideoCodecConfig(gop_size=4, search_range=1))
+        decoder = VideoDecoder(VideoCodecConfig(gop_size=4))
         for tick, frame in enumerate(frames):
             encoded = plane.run(
                 lockstep.encode_to_target_steps(frame, target_bytes=700)
@@ -441,13 +441,9 @@ class TestSessionParity:
 # ----------------------------------------------------------------------
 
 
-def _parity_fleet():
-    return run_fleet(
-        FleetConfig(
-            sessions=3, frames=6, receivers=2, churn_every=2,
-            sample_budget=2000, unicast_control=1,
-        )
-    )
+def _parity_fleet(fleet_shape):
+    fleet_shape(receivers=2, churn_every=2, sample_budget=2000, unicast_control=1)
+    return run_fleet(FleetConfig(sessions=3, frames=6))
 
 
 FLEET_PINS = {
@@ -469,8 +465,8 @@ FLEET_PINS = {
 
 class TestFleetParity:
     @pytest.fixture
-    def fleet(self, oracle_transform):
-        return _parity_fleet()
+    def fleet(self, oracle_transform, fleet_shape):
+        return _parity_fleet(fleet_shape)
 
     def test_session_digests_identical(self, fleet):
         name = "batchplane:fleet_session_digests"
@@ -485,10 +481,12 @@ class TestFleetParity:
         assert_pinned(name, FLEET_PINS[name](fleet))
 
     @pytest.mark.parametrize("cohort", [1, 2, 4])
-    def test_pins_hold_across_cohort_boundaries(self, cohort, monkeypatch, oracle_transform):
+    def test_pins_hold_across_cohort_boundaries(
+        self, cohort, monkeypatch, oracle_transform, fleet_shape
+    ):
         # The pinned fleet fits one default cohort; these sizes split it.
         monkeypatch.setattr(batchplane, "LOCKSTEP_COHORT", cohort)
-        fleet = _parity_fleet()
+        fleet = _parity_fleet(fleet_shape)
         for name, pinned_value in FLEET_PINS.items():
             assert_pinned(name, pinned_value(fleet))
 

@@ -17,6 +17,7 @@ from repro.capture.rgbd import MultiViewFrame, RGBDFrame
 from repro.codec.frame import EncodedFrame
 from repro.core.config import SessionConfig
 from repro.core.session import LiVoSession, _Call
+from repro.faults import degradation
 from repro.faults.degradation import LEVEL_HALF_FPS, ResilienceConfig
 from repro.faults.plan import EncoderFault, FaultPlan, FrameCorruption
 from repro.obs import Tracer
@@ -228,8 +229,9 @@ class TestResolveHead:
         assert call.observed == [True, False]
         _assert_pruned(call, 1)
 
-    def test_watchdog_transition_becomes_a_ladder_event(self, make_call):
-        call = make_call(resilience=ResilienceConfig(watchdog_misses=2))
+    def test_watchdog_transition_becomes_a_ladder_event(self, make_call, monkeypatch):
+        monkeypatch.setattr(degradation, "WATCHDOG_MISSES", 2)
+        call = make_call()
         _send(call, 2)
         for sequence in range(2):
             assert call.resolve_head(1.0, final=True)

@@ -284,6 +284,14 @@ class TestEntropyEdgeCases:
         levels[2, 3, 3] = -(2**31)
         np.testing.assert_array_equal(decode_levels(encode_levels(levels)), levels)
 
+    @pytest.mark.parametrize("num_blocks", [1, 3, 7])
+    def test_decoded_plane_is_a_contiguous_int32_stack(self, num_blocks):
+        rng = np.random.default_rng(num_blocks)
+        levels = rng.choice(np.array(_INT32_EXTREMES, dtype=np.int32), size=(num_blocks, 8, 8))
+        decoded = decode_levels(encode_levels(levels))
+        assert decoded.dtype == np.int32 and decoded.flags.c_contiguous
+        assert decoded.tobytes() == levels.tobytes()
+
     @pytest.mark.parametrize("value", [2**32, -(2**32), 2**40, -(2**63)])
     def test_magnitudes_past_32_bits_are_rejected(self, value):
         # The class stream has 5 bits; a wider magnitude used to wrap its

@@ -230,7 +230,7 @@ class TestVideoCodecColor:
 
     def test_decoder_matches_encoder_reconstruction(self):
         frames = moving_gradient_video(4)
-        config = VideoCodecConfig(gop_size=4, search_range=1)
+        config = VideoCodecConfig(gop_size=4)
         encoder, decoder = VideoEncoder(config), VideoDecoder(config)
         for frame in frames:
             encoded, recon = encoder.encode(frame, qp=20)
@@ -247,12 +247,13 @@ class TestVideoCodecColor:
         ]
 
     def test_inter_frames_smaller_than_intra(self):
-        # A fixed random texture translating by exactly 2 px per frame:
-        # incompressible spatially, perfectly predictable temporally.
+        # A fixed random texture translating by exactly 1 px per frame
+        # (the motion search radius): incompressible spatially,
+        # perfectly predictable temporally.
         rng = np.random.default_rng(9)
         texture = rng.integers(0, 256, size=(48, 80, 3)).astype(np.uint8)
-        frames = [texture[:, 2 * i : 2 * i + 64] for i in range(4)]
-        encoder = VideoEncoder(VideoCodecConfig(gop_size=10, search_range=2))
+        frames = [texture[:, i : i + 64] for i in range(4)]
+        encoder = VideoEncoder(VideoCodecConfig(gop_size=10))
         sizes = [encoder.encode(f, qp=25)[0].size_bytes for f in frames]
         assert all(size < sizes[0] * 0.8 for size in sizes[1:])
 
@@ -389,7 +390,7 @@ class TestIntraRoundTripProperty:
 class TestRateControl:
     def test_converges_to_target(self):
         frames = moving_gradient_video(30)
-        encoder = VideoEncoder(VideoCodecConfig(gop_size=30, search_range=1))
+        encoder = VideoEncoder(VideoCodecConfig(gop_size=30))
         target = 2500
         sizes = [encoder.encode_to_target(f, target)[0].size_bytes for f in frames]
         # After warmup, P-frame sizes should hover near the budget.

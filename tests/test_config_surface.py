@@ -15,7 +15,7 @@ import pytest
 
 from repro.codec.video import VideoCodecConfig
 from repro.compression.draco import DracoConfig
-from repro.core.config import SchemeFlags, SessionConfig
+from repro.core.config import SessionConfig
 from repro.faults.degradation import ResilienceConfig
 from repro.service.app import ServiceConfig
 from repro.service.loadgen import LoadgenConfig
@@ -30,32 +30,21 @@ FIELDS = {
         "scheme", "split_step", "rmse_every_k", "gop_size", "link", "resilience",
         "quality_max_points", "trace", "quality_every", "trace_scale",
     ),
-    SchemeFlags: ("culling", "adaptation"),
-    VideoCodecConfig: (
-        "gop_size", "search_range", "weight_strength", "chroma_weight_strength",
-        "chroma_qp_offset", "qp_max", "chroma_subsampling",
-    ),
+    VideoCodecConfig: ("gop_size", "weight_strength", "qp_max", "chroma_subsampling"),
     GCCConfig: ("initial_rate_bps", "min_rate_bps", "max_rate_bps"),
-    WebRTCConfig: ("reverse_delay_s", "nack_retries", "fec_group_size"),
+    WebRTCConfig: ("nack_retries", "fec_group_size"),
     LinkConfig: (
-        "propagation_delay_s", "max_queue_delay_s", "loss_rate", "seed",
-        "receive_buffer_bytes", "receive_drain_rate_bps",
+        "propagation_delay_s", "loss_rate", "seed", "receive_buffer_bytes",
+        "receive_drain_rate_bps",
     ),
-    ResilienceConfig: (
-        "enabled", "ladder_enabled", "watchdog_misses", "recover_hysteresis",
-        "max_level", "fps_divisor", "chroma_budget_scale",
-    ),
-    FleetConfig: (
-        "sessions", "frames", "receivers", "churn_every", "sample_budget", "seed",
-        "unicast_control",
-    ),
+    ResilienceConfig: ("enabled", "ladder_enabled"),
+    FleetConfig: ("sessions", "frames", "seed"),
     ServiceConfig: (
-        "host", "port", "video", "num_cameras", "sample_budget", "pose_trace_frames",
-        "seed", "tick_interval_s", "max_clients_per_session", "max_sessions",
+        "host", "port", "video", "num_cameras", "seed", "tick_interval_s",
+        "max_clients_per_session", "max_sessions",
     ),
     LoadgenConfig: (
-        "clients", "receivers_per_session", "duration_s", "slot_s", "seed",
-        "kill_storms", "kill_fraction",
+        "clients", "receivers_per_session", "duration_s", "slot_s", "seed", "kill_storms",
     ),
     DracoConfig: ("quantization_bits", "compression_level"),
 }
@@ -67,22 +56,35 @@ REMOVED = {
         "max_depth_mm", "guard_band_m", "pose_feedback_lag_frames",
         "codec_search_range", "jitter_target_s", "playout_delay_s",
         "render_voxel_m", "codec_efficiency_compensation",
+        # SchemeFlags went whole: the scheme is a name.
+        "culling", "adaptation", "fixed_color_qp", "fixed_depth_qp",
     ),
-    SchemeFlags: ("fixed_color_qp", "fixed_depth_qp"),
-    VideoCodecConfig: ("block_size", "effort"),
+    VideoCodecConfig: (
+        "block_size", "effort", "search_range", "chroma_weight_strength", "chroma_qp_offset",
+    ),
     GCCConfig: (
         "increase_factor", "decrease_factor", "gradient_threshold_s",
         "gradient_smoothing", "loss_decrease_threshold", "loss_increase_threshold",
         "receive_window_s",
     ),
-    WebRTCConfig: ("mtu", "loss_detection_grace_s", "rtt_smoothing", "loss_window_s"),
+    WebRTCConfig: (
+        "mtu", "loss_detection_grace_s", "rtt_smoothing", "loss_window_s", "reverse_delay_s",
+    ),
+    LinkConfig: ("max_queue_delay_s",),
     FleetConfig: (
         "video", "num_cameras", "camera_width", "camera_height", "gop_size",
-        "downlink_mbps", "target_rate_bps",
+        "downlink_mbps", "target_rate_bps", "receivers", "churn_every", "sample_budget",
+        "unicast_control",
     ),
-    ServiceConfig: ("camera_width", "camera_height", "gop_size", "downlink_mbps"),
-    LoadgenConfig: ("poll_every_slots",),
-    ResilienceConfig: ("voxel_coarsen",),
+    ServiceConfig: (
+        "camera_width", "camera_height", "gop_size", "downlink_mbps", "sample_budget",
+        "pose_trace_frames",
+    ),
+    LoadgenConfig: ("poll_every_slots", "kill_fraction"),
+    ResilienceConfig: (
+        "voxel_coarsen", "watchdog_misses", "recover_hysteresis", "max_level", "fps_divisor",
+        "chroma_budget_scale",
+    ),
 }
 
 
@@ -93,7 +95,7 @@ def test_field_names_are_pinned(config_class):
 
 
 def test_settable_surface_total():
-    assert sum(len(names) for names in FIELDS.values()) == 68
+    assert sum(len(names) for names in FIELDS.values()) == 49
 
 
 @pytest.mark.parametrize(
@@ -110,3 +112,10 @@ def test_frame_clock_stays_readable():
     # Readers outside the package (benchmarks) use ``config.fps``.
     config = SessionConfig()
     assert (config.fps, config.frame_interval_s) == (30.0, 1.0 / 30.0)
+
+
+def test_fleet_churn_period_stays_readable():
+    # The benchmark worker reads ``config.churn_every``.
+    from repro.sfu import fleet
+
+    assert FleetConfig(sessions=1, frames=1).churn_every == fleet.CHURN_EVERY == 10

@@ -16,7 +16,7 @@ from repro.codec import video as video_codec
 from repro.codec.frame import FrameType
 from repro.core.bandwidth_split import SplitController
 from repro.core import config as paper
-from repro.core.config import SchemeFlags, SessionConfig
+from repro.core.config import SessionConfig
 from repro.core.receiver import LiVoReceiver
 from repro.core.schemes import SCHEMES
 from repro.core.sender import LiVoSender
@@ -137,7 +137,8 @@ class TestSessionConfig:
         assert SCHEMES["LiVo"].bandwidth_adaptive == "Direct"
         assert SCHEMES["MeshReduce"].bandwidth_adaptive == "Indirect"
         assert SCHEMES["LiVo"].culls and not SCHEMES["LiVo-NoCull"].culls
-        assert not SCHEMES["LiVo-NoAdapt"].flags.adaptation
+        assert SCHEMES["LiVo"].adapts and SCHEMES["LiVo-NoCull"].adapts
+        assert not SCHEMES["LiVo-NoAdapt"].adapts and not SCHEMES["LiVo-NoAdapt"].culls
         assert (paper.FIXED_COLOR_QP, paper.FIXED_DEPTH_QP) == (22, 14)
 
 
@@ -194,7 +195,7 @@ class TestSenderReceiver:
         config, rig, scene = small_setup
         from dataclasses import replace
 
-        nocull = replace(config, scheme=SchemeFlags(culling=False))
+        nocull = replace(config, scheme="LiVo-NoCull")
         sender = LiVoSender(rig.cameras, nocull)
         pose = Pose.looking_at(np.array([0.0, 1.4, -1.8]), np.array([0.0, 1.0, 0.0]))
         sender.observe_pose(pose, 0.0)
@@ -206,9 +207,7 @@ class TestSenderReceiver:
         config, rig, scene = small_setup
         from dataclasses import replace
 
-        noadapt = replace(
-            config, scheme=SchemeFlags(culling=False, adaptation=False)
-        )
+        noadapt = replace(config, scheme="LiVo-NoAdapt")
         sender = LiVoSender(rig.cameras, noadapt)
         frame = rig.capture(scene, 0)
         result = sender.process(frame, 1e6, 0.0)

@@ -5,13 +5,18 @@ import pytest
 
 from repro.capture.rgbd import MultiViewFrame, RGBDFrame
 from repro.codec.frame import HEADER_BYTES, EncodedFrame, FrameType, PixelFormat
+from repro.faults import degradation
 from repro.faults.degradation import (
+    CHROMA_BUDGET_SCALE,
+    FPS_DIVISOR,
     LEVEL_CHROMA_LITE,
     LEVEL_COARSE_VOXEL,
     LEVEL_HALF_FPS,
     LEVEL_NORMAL,
+    MAX_LEVEL,
+    RECOVER_HYSTERESIS,
     VOXEL_COARSEN,
-    ResilienceConfig,
+    WATCHDOG_MISSES,
     StallWatchdog,
     level_name,
 )
@@ -178,48 +183,65 @@ class TestFaultInjector:
             EncodedFrame.from_bytes(mangled)
 
 
+def quick_watchdog(monkeypatch, misses=1, hysteresis=None) -> StallWatchdog:
+    """A watchdog whose ladder steps after ``misses`` misses (and
+    recovers after ``hysteresis`` on-time frames, when given)."""
+    monkeypatch.setattr(degradation, "WATCHDOG_MISSES", misses)
+    if hysteresis is not None:
+        monkeypatch.setattr(degradation, "RECOVER_HYSTERESIS", hysteresis)
+    return StallWatchdog()
+
+
 class TestStallWatchdog:
     def test_steps_down_after_consecutive_misses(self):
-        dog = StallWatchdog(ResilienceConfig(watchdog_misses=3))
-        assert dog.observe(False) is None
-        assert dog.observe(False) is None
+        dog = StallWatchdog()
+        for _ in range(WATCHDOG_MISSES - 1):
+            assert dog.observe(False) is None
         assert dog.observe(False) == LEVEL_HALF_FPS
         assert dog.level == LEVEL_HALF_FPS
 
     def test_on_time_resets_miss_count(self):
-        dog = StallWatchdog(ResilienceConfig(watchdog_misses=2))
-        dog.observe(False)
+        dog = StallWatchdog()
+        for _ in range(WATCHDOG_MISSES - 1):
+            dog.observe(False)
         dog.observe(True)
-        assert dog.observe(False) is None  # streak restarted
+        for _ in range(WATCHDOG_MISSES - 1):
+            assert dog.observe(False) is None  # streak restarted
         assert dog.level == LEVEL_NORMAL
 
     def test_hysteresis_recovery(self):
-        dog = StallWatchdog(ResilienceConfig(watchdog_misses=1, recover_hysteresis=3))
-        dog.observe(False)
+        dog = StallWatchdog()
+        for _ in range(WATCHDOG_MISSES):
+            dog.observe(False)
         assert dog.level == LEVEL_HALF_FPS
-        assert dog.observe(True) is None
-        assert dog.observe(True) is None
+        for _ in range(RECOVER_HYSTERESIS - 1):
+            assert dog.observe(True) is None
         assert dog.observe(True) == LEVEL_NORMAL
         assert dog.steps_down == 1 and dog.steps_up == 1
 
-    def test_ladder_caps_at_max_level(self):
-        dog = StallWatchdog(ResilienceConfig(watchdog_misses=1, max_level=LEVEL_HALF_FPS))
+    def test_ladder_caps_at_max_level(self, monkeypatch):
+        monkeypatch.setattr(degradation, "MAX_LEVEL", LEVEL_HALF_FPS)
+        dog = quick_watchdog(monkeypatch)
         dog.observe(False)
         for _ in range(10):
             assert dog.observe(False) is None
         assert dog.level == LEVEL_HALF_FPS
 
     def test_level_knobs(self):
-        config = ResilienceConfig(watchdog_misses=1)
-        dog = StallWatchdog(config)
+        dog = StallWatchdog()
+
+        def step_down():
+            for _ in range(WATCHDOG_MISSES):
+                dog.observe(False)
+
         assert not dog.skips_tick(1)
         assert dog.voxel_scale() == 1.0 and dog.color_budget_scale() == 1.0
-        dog.observe(False)  # -> half fps
-        assert dog.skips_tick(1) and not dog.skips_tick(2)
-        dog.observe(False)  # -> coarse voxel
+        step_down()  # -> half fps
+        assert dog.skips_tick(1) and not dog.skips_tick(FPS_DIVISOR)
+        step_down()  # -> coarse voxel
         assert dog.voxel_scale() == VOXEL_COARSEN
-        dog.observe(False)  # -> chroma lite
-        assert dog.color_budget_scale() == config.chroma_budget_scale
+        step_down()  # -> chroma lite
+        assert dog.color_budget_scale() == CHROMA_BUDGET_SCALE
         assert dog.level == LEVEL_CHROMA_LITE
 
     def test_level_names(self):
@@ -228,12 +250,12 @@ class TestStallWatchdog:
         assert level_name(99) == "level-99"
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ResilienceConfig(watchdog_misses=0)
-        with pytest.raises(ValueError):
-            ResilienceConfig(fps_divisor=1)
-        with pytest.raises(ValueError):
-            ResilienceConfig(chroma_budget_scale=0.0)
+        # The ladder's tuning is module constants; they stay inside the
+        # ranges its logic assumes.
+        assert WATCHDOG_MISSES >= 1 and RECOVER_HYSTERESIS >= 1
+        assert LEVEL_NORMAL <= MAX_LEVEL <= LEVEL_CHROMA_LITE
+        assert FPS_DIVISOR >= 2
+        assert 0.0 < CHROMA_BUDGET_SCALE <= 1.0
 
 
 class TestFaultPlanValidation:
@@ -303,8 +325,8 @@ class TestFaultPlanValidation:
 class TestWatchdogMetrics:
     """Ladder state exported as gauges/counters (PR6)."""
 
-    def test_time_per_rung_accounting(self):
-        dog = StallWatchdog(ResilienceConfig(watchdog_misses=1, recover_hysteresis=2))
+    def test_time_per_rung_accounting(self, monkeypatch):
+        dog = quick_watchdog(monkeypatch, misses=1, hysteresis=2)
         dog.observe(False, now=1.0)   # 0..1 at normal, then -> half-fps
         dog.observe(True, now=2.0)    # 1..2 at half-fps
         dog.observe(True, now=3.0)    # 2..3 at half-fps, then -> normal
@@ -312,10 +334,10 @@ class TestWatchdogMetrics:
         assert dog.time_at_level[LEVEL_NORMAL] == pytest.approx(3.0)
         assert dog.time_at_level[LEVEL_HALF_FPS] == pytest.approx(2.0)
 
-    def test_metrics_into_registry(self):
+    def test_metrics_into_registry(self, monkeypatch):
         from repro.obs.metrics import MetricsRegistry
 
-        dog = StallWatchdog(ResilienceConfig(watchdog_misses=1))
+        dog = quick_watchdog(monkeypatch)
         dog.observe(False, now=0.5)
         dog.finalize(1.0)
         registry = MetricsRegistry()
@@ -328,8 +350,8 @@ class TestWatchdogMetrics:
         assert "ladder.time_at.chroma-lite_s" in names
 
     def test_untimed_observe_unchanged(self):
-        dog = StallWatchdog(ResilienceConfig(watchdog_misses=2))
-        dog.observe(False)
-        dog.observe(False)
+        dog = StallWatchdog()
+        for _ in range(WATCHDOG_MISSES):
+            dog.observe(False)
         assert dog.level == LEVEL_HALF_FPS
         assert dog.time_at_level == {}

@@ -362,14 +362,14 @@ class TestScratchArena:
     @pytest.mark.parametrize("depth_mode", [False, True])
     def test_bitstreams_byte_identical(self, depth_mode, oracle_transform):
         if depth_mode:
-            config = VideoCodecConfig.for_depth(gop_size=3, search_range=1)
+            config = VideoCodecConfig.for_depth(gop_size=3)
             rng = np.random.default_rng(9)
             frames = [
                 (rng.integers(0, 60000, size=(48, 64))).astype(np.uint16)
                 for _ in range(4)
             ]
         else:
-            config = VideoCodecConfig(gop_size=3, search_range=1)
+            config = VideoCodecConfig(gop_size=3)
             frames = _video_frames()
         encoder = VideoEncoder(config)
         decoder = VideoDecoder(config)
@@ -387,7 +387,7 @@ class TestScratchArena:
         )
 
     def test_arena_counters_record_hits(self):
-        config = VideoCodecConfig(gop_size=4, search_range=1)
+        config = VideoCodecConfig(gop_size=4)
         encoder = VideoEncoder(config)
         for image in _video_frames(num=5):
             encoder.encode(image, qp=30)
@@ -398,7 +398,7 @@ class TestScratchArena:
         # The motion kernel allocates per call: an arena keeps only its
         # small tables, however many plane shapes its stream has coded.
         rng = np.random.default_rng(2)
-        encoder = VideoEncoder(VideoCodecConfig(gop_size=4, search_range=1))
+        encoder = VideoEncoder(VideoCodecConfig(gop_size=4))
         for height, width in ((48, 64), (40, 56), (64, 96)):
             encoder.reset()
             for _ in range(10):
@@ -414,7 +414,7 @@ class TestScratchArena:
         assert sum(array.nbytes for array in held) < 64 * 1024
 
     def test_rate_controlled_encode_identical(self, oracle_transform):
-        encoder = VideoEncoder(VideoCodecConfig(gop_size=3, search_range=1))
+        encoder = VideoEncoder(VideoCodecConfig(gop_size=3))
         assert_pinned(
             "codec:rate_controlled",
             [

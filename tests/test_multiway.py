@@ -267,9 +267,11 @@ class TestChurnParity:
             party.tick(rig.capture(scene, 0), 0.0, 8e6, 0.1)
             party.leave("bob")
             if mode == "unicast":
-                assert [sender.receiver_id for sender in opened] == [
-                    "alice", "bob", "carol",
-                ]
+                # One pipeline per joiner (alice, bob, carol); bob's
+                # went with him.
+                assert len(opened) == 3
+                kept = [sender for sender, _ in party._pipelines.values()]
+                assert kept == [opened[0], opened[2]]
                 assert party.receiver_names == ["alice", "carol"]
                 continue
             assert opened == [party.sender], mode

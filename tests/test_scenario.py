@@ -240,7 +240,7 @@ class TestReplay:
         diff, report = replay_artifact(path)
         assert diff.matches
         assert diff.compared_frames == TINY.frames
-        assert check_report(report, TINY) == []
+        assert check_report(report) == []
 
     def test_mutated_seed_names_first_divergent_frame(self, tiny_run, tmp_path):
         path, _ = tiny_run
@@ -399,7 +399,7 @@ class TestMultiwayRunner:
         assert counts["peer_leave"] == 2
         assert report.num_frames == spec.frames
         assert report.scheme == "Multiway-shared"
-        assert check_report(report, spec) == []
+        assert check_report(report) == []
 
 
 class TestLadderMetricsInReport:

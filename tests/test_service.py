@@ -374,7 +374,6 @@ class TestServiceConfig:
         "field,value",
         [
             ("seed", -3),
-            ("pose_trace_frames", 0),
             ("max_clients_per_session", 0),
             ("max_sessions", 0),
             ("port", -1),
@@ -396,8 +395,7 @@ class TestServiceConfig:
     def test_boundary_values_accepted(self):
         from repro.service.app import ServiceConfig
 
-        ServiceConfig(seed=0, pose_trace_frames=1, max_clients_per_session=1,
-                      max_sessions=1, port=65535)
+        ServiceConfig(seed=0, max_clients_per_session=1, max_sessions=1, port=65535)
 
 
 class TestStatsConsistency:
@@ -428,7 +426,7 @@ class TestCapacity:
         from repro.service.app import ServiceApp, ServiceConfig
         from repro.service.http import HttpRequest
 
-        app = ServiceApp(ServiceConfig(max_sessions=3, sample_budget=400, pose_trace_frames=60))
+        app = ServiceApp(ServiceConfig(max_sessions=3))
         create = HttpRequest("POST", "/v1/sessions", body=b'{"receivers": 1}')
         try:
             ids = [app.handle(create)[1]["session"] for _ in range(3)]
@@ -460,7 +458,7 @@ class TestSharedCapture:
         from repro.service.app import ServiceApp, ServiceConfig
         from repro.service.http import HttpRequest
 
-        app = ServiceApp(ServiceConfig(sample_budget=400, pose_trace_frames=60))
+        app = ServiceApp(ServiceConfig())
         source = app.factory.source
         rendered = []
         render = source._render
@@ -585,7 +583,7 @@ class TestServiceEndToEnd:
     def handle(self):
         from repro.service.app import ServiceConfig, ServiceHandle
 
-        config = ServiceConfig(sample_budget=400, pose_trace_frames=60)
+        config = ServiceConfig()
         with ServiceHandle(config) as handle:
             yield handle
         assert handle.app.registry.live_drivers() == 0
@@ -734,7 +732,7 @@ class TestHostileRequests:
     def handle(self):
         from repro.service.app import ServiceConfig, ServiceHandle
 
-        config = ServiceConfig(sample_budget=400, pose_trace_frames=60, max_clients_per_session=4)
+        config = ServiceConfig(max_clients_per_session=4)
         with ServiceHandle(config) as handle:
             yield handle
         assert handle.app.registry.live_drivers() == 0
@@ -799,7 +797,7 @@ class TestLoadgen:
 
         config = LoadgenConfig(
             clients=40, receivers_per_session=8, duration_s=4.0, seed=0,
-            kill_storms=2, kill_fraction=0.5,
+            kill_storms=2,
         )
         ops = [op for slot in build_schedule(config) for op in slot]
         kinds = {}
@@ -834,9 +832,9 @@ class TestLoadgen:
 
         config = LoadgenConfig(
             clients=24, receivers_per_session=8, duration_s=2.0, seed=5,
-            kill_storms=1, kill_fraction=0.5,
+            kill_storms=1,
         )
-        handle = ServiceHandle(ServiceConfig(sample_budget=400, pose_trace_frames=60)).start()
+        handle = ServiceHandle(ServiceConfig()).start()
         try:
             result = asyncio.run(
                 loadgen_open.drive(handle.host, handle.port, build_schedule(config), config.slot_s)
@@ -875,16 +873,14 @@ class TestFleetTeardownRegression:
         monkeypatch.setattr(room_module, "RoomConference", _Exploding)
         return built
 
-    def test_injected_tick_failure_still_closes_everything(self, monkeypatch):
+    def test_injected_tick_failure_still_closes_everything(self, monkeypatch, fleet_shape):
         from repro.sfu import FleetConfig, run_fleet
 
         built = self._exploding(
             monkeypatch, lambda driver: driver.index == 1 and driver.frames_ticked >= 2
         )
-        config = FleetConfig(
-            sessions=3, frames=6, receivers=2, churn_every=3,
-            sample_budget=1500, unicast_control=1,
-        )
+        fleet_shape(receivers=2, churn_every=3, sample_budget=1500, unicast_control=1)
+        config = FleetConfig(sessions=3, frames=6)
         # The service would drain the session and go on; the fleet
         # must not report a capacity number over a dead conference.
         with pytest.raises(RuntimeError, match="injected stage failure"):
@@ -892,21 +888,19 @@ class TestFleetTeardownRegression:
         assert len(built) == 3
         assert all(driver.closed for driver in built)
 
-    def test_batch_plane_failure_also_tears_down(self, monkeypatch):
+    def test_batch_plane_failure_also_tears_down(self, monkeypatch, fleet_shape):
         from repro.sfu import FleetConfig, run_fleet
 
         built = self._exploding(
             monkeypatch, lambda driver: driver.index == 0 and driver.frames_ticked >= 1
         )
-        config = FleetConfig(
-            sessions=2, frames=5, receivers=2, churn_every=3,
-            sample_budget=1500, unicast_control=1,
-        )
+        fleet_shape(receivers=2, churn_every=3, sample_budget=1500, unicast_control=1)
+        config = FleetConfig(sessions=2, frames=5)
         with pytest.raises(RuntimeError, match="injected stage failure"):
             run_fleet(config)
         assert built and all(driver.closed for driver in built)
 
-    def test_build_failure_fails_the_run(self, monkeypatch):
+    def test_build_failure_fails_the_run(self, monkeypatch, fleet_shape):
         import repro.sfu.room as room_module
         from repro.sfu import FleetConfig, run_fleet
 
@@ -919,29 +913,27 @@ class TestFleetTeardownRegression:
             return original(room, index, *args, **kwargs)
 
         monkeypatch.setattr(room_module.Room, "__call__", flaky)
-        config = FleetConfig(
-            sessions=4, frames=3, receivers=2, sample_budget=1500, unicast_control=1,
-        )
+        fleet_shape(receivers=2, sample_budget=1500, unicast_control=1)
+        config = FleetConfig(sessions=4, frames=3)
         with pytest.raises(RuntimeError, match="injected build failure"):
             run_fleet(config)
         assert len(built) == 2 and all(driver.closed for driver in built)
 
-    def test_roster_over_the_client_cap_fails_loudly(self):
+    def test_roster_over_the_client_cap_fails_loudly(self, fleet_shape):
         from repro.sfu import FleetConfig, run_fleet
 
-        config = FleetConfig(sessions=1, frames=2, receivers=65, sample_budget=1500)
+        fleet_shape(receivers=65, sample_budget=1500)
+        config = FleetConfig(sessions=1, frames=2)
         with pytest.raises(ValueError, match="exceed the cap of 64"):
             run_fleet(config)
 
-    def test_churned_join_past_the_client_cap_fails_loudly(self):
+    def test_churned_join_past_the_client_cap_fails_loudly(self, fleet_shape):
         # 64 seated receivers, a churn step every frame: the first drawn
         # join is one past the registry's cap and must raise, not be
         # refused quietly.
         from repro.sfu import FleetConfig, run_fleet
 
-        config = FleetConfig(
-            sessions=1, frames=8, receivers=64, churn_every=1, sample_budget=300,
-            unicast_control=1,
-        )
+        fleet_shape(receivers=64, churn_every=1, sample_budget=300, unicast_control=1)
+        config = FleetConfig(sessions=1, frames=8)
         with pytest.raises(LifecycleError, match="is full"):
             run_fleet(config)

@@ -8,7 +8,7 @@ paper's evaluation rests on.
 import pytest
 
 from repro.capture.dataset import load_video
-from repro.core.config import SchemeFlags, SessionConfig
+from repro.core.config import SessionConfig
 from repro.core.session import (
     DracoOracleSession,
     LiVoSession,
@@ -64,7 +64,7 @@ class TestLiVoSession:
         livo = LiVoSession(config).run(
             scene, user, trace_2(duration_s=10), FRAMES, video_name="office1"
         )
-        nocull_config = replace(config, scheme=SchemeFlags(culling=False))
+        nocull_config = replace(config, scheme="LiVo-NoCull")
         nocull = LiVoSession(nocull_config).run(
             scene, user, trace_2(duration_s=10), FRAMES, video_name="office1"
         )

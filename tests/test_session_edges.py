@@ -5,8 +5,10 @@ import math
 import pytest
 
 from repro.capture.dataset import load_video
-from repro.core.config import SchemeFlags, SessionConfig
-from repro.core.session import DracoOracleSession, LiVoSession, MeshReduceSession
+from repro.core import session as session_module
+from repro.core.config import SessionConfig
+from repro.core.schemes import SCHEMES
+from repro.core.session import DracoOracleSession, LiVoSession, MeshReduceSession, run_scheme
 from repro.perf.capture import CachedFrameSource
 from repro.prediction.pose import user_traces_for_video
 from repro.transport.traces import constant_trace
@@ -40,22 +42,48 @@ class TestSchemeNaming:
 
     def test_auto_name_nocull(self, tiny_workload):
         scene, user = tiny_workload
-        config = tiny_config(scheme=SchemeFlags(culling=False))
+        config = tiny_config(scheme="LiVo-NoCull")
         report = LiVoSession(config).run(scene, user, constant_trace(100.0), FRAMES)
         assert report.scheme == "LiVo-NoCull"
+        assert report.mean_culled_fraction == 1.0
 
     def test_auto_name_noadapt(self, tiny_workload):
         scene, user = tiny_workload
-        config = tiny_config(scheme=SchemeFlags(culling=False, adaptation=False))
+        config = tiny_config(scheme="LiVo-NoAdapt")
         report = LiVoSession(config).run(scene, user, constant_trace(100.0), FRAMES)
         assert report.scheme == "LiVo-NoAdapt"
 
-    def test_explicit_name_wins(self, tiny_workload):
+    def test_noadapt_keeps_every_point(self, tiny_workload):
+        # The name alone decides: NoAdapt neither adapts nor culls.
         scene, user = tiny_workload
-        report = LiVoSession(tiny_config()).run(
-            scene, user, constant_trace(100.0), FRAMES, scheme_name="custom"
+        report = LiVoSession(tiny_config(scheme="LiVo-NoAdapt")).run(
+            scene, user, constant_trace(100.0), FRAMES
         )
-        assert report.scheme == "custom"
+        assert report.mean_culled_fraction == 1.0
+        assert {frame.culled_points for frame in report.frames} != {0}
+
+    @pytest.mark.parametrize("name", ["custom", "livo", "Draco", ""])
+    def test_unknown_name_rejected_at_construction(self, name):
+        with pytest.raises(ValueError, match="unknown scheme"):
+            tiny_config(scheme=name)
+
+    @pytest.mark.parametrize("name", ["Draco-Oracle", "MeshReduce"])
+    def test_livo_session_rejects_a_baseline_name(self, tiny_workload, monkeypatch, name):
+        def no_capture(*args, **kwargs):
+            raise AssertionError("captured before the scheme check")
+
+        monkeypatch.setattr(CachedFrameSource, "capture", no_capture)
+        scene, user = tiny_workload
+        with pytest.raises(ValueError, match="not a LiVo scheme"):
+            LiVoSession(tiny_config(scheme=name)).run(scene, user, constant_trace(100.0), FRAMES)
+
+    @pytest.mark.parametrize("name", list(SCHEMES))
+    def test_run_scheme_reports_under_its_name(self, tiny_workload, name):
+        scene, user = tiny_workload
+        config = tiny_config(num_cameras=2, camera_width=32, camera_height=24, scheme=name)
+        report = run_scheme(config, scene, user, constant_trace(100.0), 4, "dance5")
+        assert (report.scheme, report.video) == (name, "dance5")
+        assert report.fps_target == SCHEMES[name].fps
 
 
 class TestExplicitTraceScale:
@@ -122,41 +150,25 @@ class TestBaselineSessionEdges:
         with pytest.raises(ValueError):
             MeshReduceSession(tiny_config()).run(scene, user, constant_trace(10.0), 0)
 
-    def test_oracle_respects_custom_fps(self, tiny_workload):
+    def test_oracle_respects_custom_fps(self, tiny_workload, monkeypatch):
+        monkeypatch.setattr(session_module, "ORACLE_FPS", 10.0)
         scene, user = tiny_workload
         report = DracoOracleSession(tiny_config()).run(
-            scene, user, constant_trace(100.0), FRAMES, oracle_fps=10.0
+            scene, user, constant_trace(100.0), FRAMES
         )
         assert report.fps_target == 10.0
         # 30 fps capture ticks strided by 3.
         assert report.num_frames == -(-FRAMES // 3)
 
-    @pytest.mark.parametrize("oracle_fps", [0.0, -15.0])
-    def test_oracle_rejects_non_positive_fps_before_capture(
-        self, tiny_workload, monkeypatch, oracle_fps
-    ):
-        # Divided by zero after frame 0 had been rendered.
-        def no_capture(*args, **kwargs):
-            raise AssertionError("captured before the parameter check")
-
-        monkeypatch.setattr(CachedFrameSource, "capture", no_capture)
-        scene, user = tiny_workload
-        with pytest.raises(ValueError, match="oracle_fps"):
-            DracoOracleSession(tiny_config()).run(
-                scene, user, constant_trace(10.0), FRAMES, oracle_fps=oracle_fps
-            )
-
     @pytest.mark.parametrize("conservativeness", [0.0, -1.0])
     def test_meshreduce_rejects_non_positive_conservativeness(
-        self, tiny_workload, conservativeness
+        self, tiny_workload, monkeypatch, conservativeness
     ):
         # Ran to completion on a non-positive byte budget.
+        monkeypatch.setattr(session_module, "MESHREDUCE_CONSERVATIVENESS", conservativeness)
         scene, user = tiny_workload
         with pytest.raises(ValueError, match="conservativeness"):
-            MeshReduceSession(tiny_config()).run(
-                scene, user, constant_trace(10.0), FRAMES,
-                conservativeness=conservativeness,
-            )
+            MeshReduceSession(tiny_config()).run(scene, user, constant_trace(10.0), FRAMES)
 
 
 @pytest.mark.parametrize(
@@ -167,6 +179,13 @@ class TestBaselineSessionEdges:
         ("camera_height", -4),
         ("scene_sample_budget", 0),
         ("scene_sample_budget", -3),
+        # Caught when the config is built, not inside run() (the
+        # sender's codec config, the split's byte allocation).
+        ("gop_size", 0),
+        ("gop_size", -1),
+        ("split_step", math.nan),
+        ("split_step", math.inf),
+        ("split_step", 0.0),
     ],
 )
 def test_config_rejects_out_of_range_at_construction(field, value):

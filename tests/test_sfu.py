@@ -393,13 +393,11 @@ class TestSFUNode:
 
 
 class TestFleet:
-    def test_tiny_fleet_runs_and_saves_uplink(self):
+    def test_tiny_fleet_runs_and_saves_uplink(self, fleet_shape):
         from repro.sfu import FleetConfig, run_fleet
 
-        fleet = FleetConfig(
-            sessions=3, frames=6, receivers=2, churn_every=3,
-            sample_budget=1500, unicast_control=1,
-        )
+        fleet_shape(receivers=2, churn_every=3, sample_budget=1500, unicast_control=1)
+        fleet = FleetConfig(sessions=3, frames=6)
         result = run_fleet(fleet)
         assert result.session_frames == 18
         assert result.churn_events > 0
@@ -412,13 +410,11 @@ class TestFleet:
         # frames, not one sample conference's 6.
         assert metrics["sfu.frames_ingested"]["value"] == 18
 
-    def test_fleet_byte_deterministic(self):
+    def test_fleet_byte_deterministic(self, fleet_shape):
         from repro.sfu import FleetConfig, run_fleet
 
-        fleet = FleetConfig(
-            sessions=2, frames=5, receivers=2, churn_every=2,
-            sample_budget=1500, unicast_control=1,
-        )
+        fleet_shape(receivers=2, churn_every=2, sample_budget=1500, unicast_control=1)
+        fleet = FleetConfig(sessions=2, frames=5)
         first = run_fleet(fleet)
         second = run_fleet(fleet)
         assert first.sfu_uplink_bytes_per_frame == second.sfu_uplink_bytes_per_frame
@@ -431,14 +427,21 @@ class TestFleet:
         with pytest.raises(ValueError):
             FleetConfig(sessions=0)
         with pytest.raises(ValueError):
-            FleetConfig(churn_every=0)
+            FleetConfig(frames=0)
 
     @pytest.mark.parametrize(
         "field,value", [("sample_budget", 0), ("sample_budget", -5), ("seed", -1)]
     )
-    def test_unusable_budget_or_seed_rejected(self, field, value):
-        # Rejected at construction, not deep inside a run or numpy's rng.
-        from repro.sfu import FleetConfig
+    def test_unusable_budget_or_seed_rejected(self, fleet_shape, field, value):
+        # Rejected before any conference is built, not deep inside a run
+        # or numpy's rng.  The budget is a module constant: run_fleet's
+        # session config rejects it first thing.
+        from repro.sfu import FleetConfig, run_fleet
 
+        if field == "seed":
+            with pytest.raises(ValueError, match=field):
+                FleetConfig(sessions=2, frames=2, seed=value)
+            return
+        fleet_shape(sample_budget=value)
         with pytest.raises(ValueError, match=field):
-            FleetConfig(sessions=2, frames=2, **{field: value})
+            run_fleet(FleetConfig(sessions=2, frames=2))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.transport.channel import WebRTCChannel, WebRTCConfig
+from repro.transport.channel import REVERSE_DELAY_S, WebRTCChannel, WebRTCConfig
 from repro.transport.gcc import GCCConfig, GoogleCongestionControl
 from repro.transport.link import EmulatedLink, LinkConfig
 from repro.transport.packet import Packet
@@ -33,13 +33,13 @@ class TestEmulatedLink:
         assert second == pytest.approx(first + 0.001)
 
     def test_queue_overflow_drops(self):
-        link = EmulatedLink(
-            constant_trace(1.0), LinkConfig(max_queue_delay_s=0.05, propagation_delay_s=0.0)
-        )
-        # Each 1250-byte packet takes 10 ms at 1 Mbps; the 7th waits 60 ms.
-        outcomes = [link.send(make_packet(seq=i, size=1250, t=0.0)) for i in range(8)]
-        assert any(outcome is None for outcome in outcomes)
-        assert link.packets_dropped >= 1
+        link = EmulatedLink(constant_trace(1.0), LinkConfig(propagation_delay_s=0.0))
+        # Each 1250-byte packet takes 10 ms at 1 Mbps; the 32nd would
+        # wait 310 ms, past the 300 ms drop-tail bound.
+        outcomes = [link.send(make_packet(seq=i, size=1250, t=0.0)) for i in range(40)]
+        assert all(outcome is not None for outcome in outcomes[:31])
+        assert all(outcome is None for outcome in outcomes[31:])
+        assert link.packets_dropped == 9
 
     def test_random_loss(self):
         link = EmulatedLink(
@@ -59,7 +59,7 @@ class TestEmulatedLink:
 
     def test_service_spans_interval_boundary(self):
         trace = BandwidthTrace(np.array([0.8, 8.0]), interval_s=1.0)
-        link = EmulatedLink(trace, LinkConfig(propagation_delay_s=0.0, max_queue_delay_s=10))
+        link = EmulatedLink(trace, LinkConfig(propagation_delay_s=0.0))
         # 200 kB at 0.8 Mbps would take 2 s; after 1 s the rate rises.
         arrival = link.send(make_packet(size=200_000, t=0.0))
         # First second serves 100 kB; remaining 100 kB at 8 Mbps = 0.1 s.
@@ -68,8 +68,6 @@ class TestEmulatedLink:
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             LinkConfig(propagation_delay_s=-1)
-        with pytest.raises(ValueError):
-            LinkConfig(max_queue_delay_s=0)
         with pytest.raises(ValueError):
             LinkConfig(loss_rate=1.0)
 
@@ -198,11 +196,13 @@ class TestWebRTCChannel:
 
     def test_rtt_estimate_tracks_path(self):
         link = EmulatedLink(constant_trace(100.0), LinkConfig(propagation_delay_s=0.03))
-        channel = WebRTCChannel(link, WebRTCConfig(reverse_delay_s=0.03))
+        channel = WebRTCChannel(link)
         for frame in range(10):
             channel.send_frame(0, frame, bytes(20_000), now=frame / 30.0)
         channel.process_until(2.0)
-        assert 0.055 < channel.rtt_s < 0.12
+        # The path (30 ms out, REVERSE_DELAY_S back) plus serialization.
+        path_s = 0.03 + REVERSE_DELAY_S
+        assert path_s < channel.rtt_s < path_s + 0.02
         assert channel.one_way_delay_estimate_s == pytest.approx(channel.rtt_s / 2)
 
     def test_gcc_estimate_converges_below_capacity(self):

@@ -26,6 +26,7 @@ from repro.prediction.pose import user_traces_for_video
 from repro.sfu.node import SFUNode
 from repro.transport.channel import WebRTCChannel, WebRTCConfig
 from repro.transport.downlink import DownlinkSet
+from repro.transport import link as link_module
 from repro.transport.link import EmulatedLink, LinkConfig
 from repro.transport.packet import Packet
 from repro.transport.traces import BandwidthTrace, constant_trace, trace_1
@@ -87,9 +88,10 @@ class TestCumulativeModel:
         finish = link._service_finish_time(0.9, 125_000)
         assert finish == pytest.approx(1.0, abs=1e-9)
 
-    def test_send_through_outage_trace(self):
+    def test_send_through_outage_trace(self, monkeypatch):
+        monkeypatch.setattr(link_module, "MAX_QUEUE_DELAY_S", 2.0)
         trace = BandwidthTrace(np.array([20.0, 0.0, 0.0, 20.0]), interval_s=0.25)
-        link = EmulatedLink(trace, LinkConfig(max_queue_delay_s=2.0))
+        link = EmulatedLink(trace)
         packet = Packet(0, 0, 0, 0, 1, 1200, send_time_s=0.24)
         arrival = link.send(packet)
         assert arrival is not None and math.isfinite(arrival)
@@ -162,15 +164,18 @@ def _run_downlinks(link_config: LinkConfig, bursts: int = 240, fps: float = 30.0
 
 @pytest.mark.usefixtures("oracle_transform")
 class TestDownlinkPins:
+    @pytest.fixture(autouse=True)
+    def short_queue(self, monkeypatch):
+        monkeypatch.setattr(link_module, "MAX_QUEUE_DELAY_S", 0.06)
+
     def test_lossy_socket_buffer(self):
         config = LinkConfig(
-            loss_rate=0.05, seed=19, max_queue_delay_s=0.06,
-            receive_buffer_bytes=24_000, receive_drain_rate_bps=40e6,
+            loss_rate=0.05, seed=19, receive_buffer_bytes=24_000, receive_drain_rate_bps=40e6,
         )
         assert_pinned("downlink:lossy_socket_buffer", _run_downlinks(config))
 
     def test_clean(self):
-        config = LinkConfig(seed=19, max_queue_delay_s=0.06)
+        config = LinkConfig(seed=19)
         assert_pinned("downlink:clean", _run_downlinks(config))
 
 
@@ -293,12 +298,9 @@ class TestChannelParity:
             hook_factory=lambda: _EveryNth(29),
         )
 
-    def test_queue_pressure(self):
-        _assert_channel_parity(
-            "queue_pressure",
-            trace_factory=lambda: constant_trace(4.0),
-            link_config=LinkConfig(max_queue_delay_s=0.08),
-        )
+    def test_queue_pressure(self, monkeypatch):
+        monkeypatch.setattr(link_module, "MAX_QUEUE_DELAY_S", 0.08)
+        _assert_channel_parity("queue_pressure", trace_factory=lambda: constant_trace(4.0))
 
     def test_socket_buffer(self):
         _assert_channel_parity(
@@ -309,13 +311,14 @@ class TestChannelParity:
             ),
         )
 
-    def test_zero_capacity_outage_trace(self):
+    def test_zero_capacity_outage_trace(self, monkeypatch):
+        monkeypatch.setattr(link_module, "MAX_QUEUE_DELAY_S", 0.6)
         _assert_channel_parity(
             "zero_capacity_outage_trace",
             trace_factory=lambda: BandwidthTrace(
                 np.array([40.0, 40.0, 0.0, 40.0, 40.0, 40.0]), interval_s=0.25
             ),
-            link_config=LinkConfig(loss_rate=0.05, seed=13, max_queue_delay_s=0.6),
+            link_config=LinkConfig(loss_rate=0.05, seed=13),
         )
 
 

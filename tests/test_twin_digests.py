@@ -31,9 +31,11 @@ from repro.codec import blocks, entropy
 from repro.codec.motion import gather_prediction
 from repro.codec.video import VideoCodecConfig, _CodecCore
 from repro.compression import vpcc
-from repro.core import bandwidth_split, multiway
+from repro.core import bandwidth_split, multiway, schemes
+from repro.core import config as config_module
 from repro.core import session as session_module
 from repro.core.config import SessionConfig
+from repro.core.receiver import LiVoReceiver
 from repro.core.sender import LiVoSender
 from repro.core.session import DracoOracleSession, LiVoSession, MeshReduceSession, _Call
 from repro.core.stats import SessionReport
@@ -414,11 +416,26 @@ def test_one_conference_host_and_one_room_builder():
         # One block splitter, over (..., H, W).
         (blocks, "split_blocks_nd"),
         (blocks, "pad_to_blocks"),
+        # A scheme is its name (SessionConfig.scheme, a key of SCHEMES):
+        # no flag pair, no second label, and the replays take no knob
+        # only tests set.
+        (config_module, "SchemeFlags"),
+        (schemes.SchemeSpec, "flags"),
+        (LiVoSession.run, "scheme_name"),
+        (LiVoSession.run, "tracer"),
+        (LiVoSession.run, "receiver_id"),
+        (DracoOracleSession.run, "oracle_fps"),
+        (MeshReduceSession.run, "conservativeness"),
+        (LiVoSender, "receiver_id"),
+        (LiVoReceiver, "receiver_id"),
+        (_Call.__init__, "receiver_id"),
     ],
     ids=lambda value: getattr(value, "__name__", value).rsplit(".", 1)[-1],
 )
 def test_uncalled_surface_stays_gone(owner, name):
     surface = set(dir(owner))
+    if inspect.isfunction(owner):
+        surface |= _option_names(owner)
     if inspect.isclass(owner):
         # Dataclass fields without a default, and attributes set only
         # on instances, are not on the class itself.
