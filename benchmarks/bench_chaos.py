@@ -31,7 +31,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from repro.analysis import summarize_resilience  # noqa: E402
+from repro.analysis.resilience import summarize_resilience  # noqa: E402
 from repro.capture.dataset import load_video  # noqa: E402
 from repro.core.config import SessionConfig  # noqa: E402
 from repro.core.session import LiVoSession  # noqa: E402

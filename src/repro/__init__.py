@@ -17,14 +17,18 @@ Top-level layout:
 - :mod:`repro.metrics` -- PointSSIM, image metrics, MOS model.
 - :mod:`repro.core` -- the LiVo sender/receiver pipeline and schemes.
 
-Quickstart::
+A package imports none of its submodules: import a name from the
+module that defines it (``repro.core`` and ``repro.codec`` also resolve
+their main names lazily).  Quickstart::
 
-    from repro.capture import load_video, default_rig
+    from repro.capture.dataset import load_video
     from repro.core import LiVoSession, SessionConfig
+    from repro.prediction.pose import user_traces_for_video
+    from repro.transport.traces import trace_1
 
-    spec, scene = load_video("band2")
-    session = LiVoSession(SessionConfig())
-    report = session.run(scene, num_frames=30)
+    _, scene = load_video("band2")
+    user = user_traces_for_video("band2", 40)[0]
+    report = LiVoSession(SessionConfig()).run(scene, user, trace_1(), 30, "band2")
     print(report.summary())
 """
 

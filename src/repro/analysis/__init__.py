@@ -7,12 +7,3 @@
 - :mod:`repro.analysis.tracetools` -- critical paths from span exports
   and their before/after diff (``analyze-trace``).
 """
-
-from repro.analysis.resilience import ResilienceSummary, summarize_resilience
-from repro.analysis.tables import format_table
-
-__all__ = [
-    "ResilienceSummary",
-    "format_table",
-    "summarize_resilience",
-]

@@ -7,20 +7,3 @@ pixel-aligned RGB-D images through the same pinhole projection a Kinect
 applies.  Downstream code (tiling, encoding, culling, reconstruction)
 sees exactly the data layout real hardware would produce.
 """
-
-from repro.capture.dataset import PANOPTIC_VIDEOS, VideoSpec, load_video
-from repro.capture.rgbd import MultiViewFrame, RGBDFrame
-from repro.capture.rig import CaptureRig, default_rig
-from repro.capture.scene import Scene, make_scene
-
-__all__ = [
-    "PANOPTIC_VIDEOS",
-    "VideoSpec",
-    "load_video",
-    "MultiViewFrame",
-    "RGBDFrame",
-    "CaptureRig",
-    "default_rig",
-    "Scene",
-    "make_scene",
-]

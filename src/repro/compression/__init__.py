@@ -12,22 +12,3 @@
   mesh capture, Draco-coded geometry, reliable transport, *indirect*
   bandwidth adaptation from an offline profile.
 """
-
-from repro.compression.draco import DracoCodec, DracoConfig, DracoEncodedCloud
-from repro.compression.mesh import Mesh, decimate_mesh, mesh_from_views, sample_mesh_points
-from repro.compression.meshreduce import MeshReducePipeline, MeshReduceProfile
-from repro.compression.oracle import DracoOracle, OracleProfile
-
-__all__ = [
-    "DracoCodec",
-    "DracoConfig",
-    "DracoEncodedCloud",
-    "Mesh",
-    "decimate_mesh",
-    "mesh_from_views",
-    "sample_mesh_points",
-    "MeshReducePipeline",
-    "MeshReduceProfile",
-    "DracoOracle",
-    "OracleProfile",
-]

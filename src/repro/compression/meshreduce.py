@@ -100,8 +100,8 @@ class MeshReduceProfile:
     def select_voxel(
         self,
         mean_bandwidth_bps: float,
-        fps: float = 15.0,
-        conservativeness: float = 0.35,
+        fps: float,
+        conservativeness: float,
     ) -> float:
         """Finest decimation whose profiled size fits the margin-discounted
         budget; ``conservativeness`` is the fraction of the mean bandwidth
@@ -138,14 +138,12 @@ class MeshReducePipeline:
         cameras: list[RGBDCamera],
         stream: ReliableByteStream,
         voxel_size_m: float,
-        target_fps: float = 15.0,
     ) -> None:
-        if voxel_size_m <= 0 or target_fps <= 0:
-            raise ValueError("voxel_size_m and target_fps must be positive")
+        if voxel_size_m <= 0:
+            raise ValueError("voxel_size_m must be positive")
         self.cameras = cameras
         self.stream = stream
         self.voxel_size_m = float(voxel_size_m)
-        self.target_fps = float(target_fps)
         self._busy_until = 0.0
         self.frames_offered = 0
         self.frames_sent = 0

@@ -22,9 +22,7 @@ from dataclasses import dataclass
 from repro.compression.draco import DracoCodec, DracoConfig, DracoEncodedCloud
 from repro.geometry.pointcloud import PointCloud
 
-__all__ = ["OracleProfile", "OracleChoice", "DracoOracle", "DEFAULT_ORACLE_FPS"]
-
-DEFAULT_ORACLE_FPS = 15.0
+__all__ = ["OracleProfile", "OracleChoice", "DracoOracle"]
 
 # Draco exposes 31 quantization settings and 10 compression levels
 # (section 4.1).  The octree coder saturates above ~14 bits for
@@ -109,7 +107,7 @@ class DracoOracle:
     def __init__(
         self,
         profile: OracleProfile,
-        fps: float = DEFAULT_ORACLE_FPS,
+        fps: float,
         time_multiplier: float = 1.0,
     ) -> None:
         if fps <= 0:

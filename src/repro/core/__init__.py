@@ -20,9 +20,9 @@ _EXPORTS = {
     "SchemeSpec": "repro.core.schemes",
     "LiVoSender": "repro.core.sender",
     "SenderResult": "repro.core.sender",
-    "DracoOracleSession": "repro.core.session",
+    "DracoOracleSession": "repro.core.baselines",
     "LiVoSession": "repro.core.session",
-    "MeshReduceSession": "repro.core.session",
+    "MeshReduceSession": "repro.core.baselines",
     "run_scheme": "repro.core.session",
     "ground_truth_cloud": "repro.core.session",
     "FrameRecord": "repro.core.stats",

@@ -36,16 +36,13 @@ from dataclasses import dataclass
 from repro.capture.rgbd import MultiViewFrame
 from repro.capture.scene import Scene
 from repro.codec.frame import EncodedFrame
-from repro.compression.draco import DracoCodec
-from repro.compression.meshreduce import MeshReducePipeline, MeshReduceProfile
-from repro.compression.oracle import DracoOracle, OracleProfile
 from repro.core.config import (
     CODEC_EFFICIENCY_COMPENSATION, FPS, FRAME_INTERVAL_S, HORIZON_S, JITTER_TARGET_S,
     PAPER_FRAME_SIZE_BYTES, PLAYOUT_DELAY_S, POSE_FEEDBACK_LAG_FRAMES, RENDER_VOXEL_M,
     SessionConfig,
 )
 from repro.core.receiver import LiVoReceiver
-from repro.core.schemes import LIVO_SCHEMES, SCHEMES
+from repro.core.schemes import LIVO_SCHEMES
 from repro.core.sender import LiVoSender, PreparedFrame, SenderResult
 from repro.core.stats import FaultEvent, FrameRecord, SessionReport
 from repro.faults.boundary import StageFaultBoundary
@@ -70,22 +67,9 @@ from repro.runtime.stage import Stage, StageGraph
 from repro.transport.channel import FrameDelivery, WebRTCChannel
 from repro.transport.gcc import GCCConfig
 from repro.transport.link import EmulatedLink
-from repro.transport.tcp import ReliableByteStream
 from repro.transport.traces import BandwidthTrace
 
-__all__ = [
-    "ground_truth_cloud",
-    "LiVoSession",
-    "DracoOracleSession",
-    "MeshReduceSession",
-    "run_scheme",
-]
-
-# Draco-Oracle encodes at Table 2's 15 fps; MeshReduce picks its voxel
-# size with this safety margin below the mean capacity (the
-# indirect-adaptation margin).
-ORACLE_FPS = float(SCHEMES["Draco-Oracle"].fps)
-MESHREDUCE_CONSERVATIVENESS = 0.35
+__all__ = ["ground_truth_cloud", "LiVoSession", "run_scheme"]
 
 
 def ground_truth_cloud(
@@ -279,8 +263,8 @@ class _QualityLane:
 
 
 class _SessionBase:
-    """What the schemes' replays share: set-up, scoring, report, and
-    the two baselines' replay loop."""
+    """What the schemes' replays share: set-up, scoring and report (the
+    baselines' replay loop is :mod:`repro.core.baselines`)."""
 
     def __init__(self, config: SessionConfig | None = None) -> None:
         self.config = config or SessionConfig()
@@ -336,7 +320,7 @@ class _SessionBase:
             fps_target=fps_target,
             duration_s=replay.duration_s,
             frames=frames,
-            mean_capacity_mbps=replay.scaled_trace.stats().mean,
+            mean_capacity_mbps=replay.scaled_trace.mean_mbps,
             trace_scale=replay.scale,
             fault_events=fault_events or [],
         )
@@ -351,43 +335,6 @@ class _SessionBase:
             }
         )
         return report
-
-    def _replay_baseline(
-        self,
-        replay: _Replay,
-        sequences: range,
-        step,
-        stages: list[Stage],
-        scheme: str,
-        video_name: str,
-        fps_target: float,
-    ) -> SessionReport:
-        """The baseline schemes' replay loop.
-
-        Per capture tick in ``sequences``: the capture stage, then the
-        scheme's ``step(frame, sequence, capture_time)``, which runs the
-        scheme's ``stages`` and returns the tick's :class:`FrameRecord`
-        with, for a rendered frame, the ``render`` callable the quality
-        lane samples (None otherwise).
-        """
-        capture_stage = Stage("capture", replay.source.capture)
-        quality = _QualityLane(self, replay)
-        records = []
-        try:
-            for sequence in sequences:
-                frame = capture_stage(sequence)
-                capture_time = sequence * FRAME_INTERVAL_S
-                record, render = step(frame, sequence, capture_time)
-                if render is not None:
-                    quality.sample(record, frame, sequence, render)
-                records.append(record)
-            quality.collect(final=True)
-        finally:
-            quality.close()
-        return self._report(
-            replay, quality, scheme, video_name, fps_target, records,
-            [capture_stage, *stages],
-        )
 
 
 class _Call:
@@ -432,7 +379,7 @@ class _Call:
             config.link,
             fault_hook=self.injector.link_drop if self.injector is not None else None,
         )
-        mean_capacity_bps = scaled_trace.stats().mean * 1e6
+        mean_capacity_bps = scaled_trace.mean_mbps * 1e6
         # Start GCC conservatively relative to the (scaled) link, as a
         # real session starts below capacity and probes upward.
         self.channel = WebRTCChannel(
@@ -872,146 +819,6 @@ class LiVoSession(_SessionBase):
         return call.report(video_name)
 
 
-class DracoOracleSession(_SessionBase):
-    """Draco-Oracle replay at 15 fps with perfect culling (section 4.1)."""
-
-    def run(
-        self,
-        scene: Scene,
-        user_trace: PoseTrace,
-        bandwidth_trace: BandwidthTrace,
-        num_frames: int,
-        video_name: str = "video",
-    ) -> SessionReport:
-        """Replay; ``num_frames`` counts 30 fps capture ticks."""
-        config = self.config
-        replay = self._open(scene, user_trace, bandwidth_trace, num_frames)
-        cameras, first = replay.source.rig.cameras, replay.first
-
-        # Perfect culling: the oracle is handed the receiver's actual
-        # frustum (no prediction error), per the paper's definition.
-        def culled_cloud(frame: MultiViewFrame, sequence: int) -> PointCloud:
-            frustum = self.device.frustum_for(user_trace.pose_at_frame(sequence))
-            merged = _fuse_views(frame, cameras)
-            if merged.is_empty:
-                return merged
-            return merged.select(frustum.contains(merged.positions))
-
-        profile = OracleProfile.build([culled_cloud(first, 0)])
-        # Compute pressure must be paper-equivalent: our frames carry
-        # fewer points than the paper's 10.8 MB captures, but the 1/15 s
-        # deadline is wall-clock (see DracoOracle.time_multiplier).
-        compute_scale = PAPER_FRAME_SIZE_BYTES / max(first.raw_size_bytes(), 1)
-        oracle = DracoOracle(profile, fps=ORACLE_FPS, time_multiplier=compute_scale)
-        cull_stage = Stage("cull", lambda args: culled_cloud(*args))
-        encode_stage = Stage(
-            "encode",
-            lambda args: oracle.encode_frame(*args) if not args[0].is_empty else None,
-        )
-
-        def step(frame: MultiViewFrame, sequence: int, capture_time: float):
-            cloud = cull_stage((frame, sequence))
-            capacity_bps = replay.scaled_trace.capacity_bps_at(capture_time)
-            encoded = encode_stage((cloud, capacity_bps))
-            record = FrameRecord(
-                sequence=sequence,
-                capture_time_s=capture_time,
-                rendered=False,
-                stalled=True,
-                total_points=cloud.num_points,
-                culled_points=cloud.num_points,
-            )
-            if encoded is None:
-                return record, None
-            record.wire_bytes = encoded.size_bytes
-            record.delivery_time_s = (
-                capture_time + encoded.encode_time_s * compute_scale
-                + encoded.size_bytes * 8.0 / capacity_bps
-                + config.link.propagation_delay_s
-            )
-            if not record.delivery_time_s <= capture_time + PLAYOUT_DELAY_S:
-                return record, None
-            record.rendered, record.stalled = True, False
-
-            def render(actual: Frustum):
-                shown = voxel_downsample(DracoCodec.decode(encoded), RENDER_VOXEL_M)
-                shown = shown.select(actual.contains(shown.positions))
-                return lambda truth: shown
-
-            return record, render
-
-        stride = max(1, int(round(FPS / ORACLE_FPS)))
-        return self._replay_baseline(
-            replay, range(0, num_frames, stride), step, [cull_stage, encode_stage],
-            "Draco-Oracle", video_name, ORACLE_FPS,
-        )
-
-
-class MeshReduceSession(_SessionBase):
-    """MeshReduce replay: indirect adaptation, floating frame rate."""
-
-    def run(
-        self,
-        scene: Scene,
-        user_trace: PoseTrace,
-        bandwidth_trace: BandwidthTrace,
-        num_frames: int,
-        video_name: str = "video",
-    ) -> SessionReport:
-        """Replay ``num_frames`` 30 fps capture ticks."""
-        config = self.config
-        replay = self._open(scene, user_trace, bandwidth_trace, num_frames)
-        cameras, scaled_trace = replay.source.rig.cameras, replay.scaled_trace
-        profile = MeshReduceProfile.build([replay.first], cameras)
-        voxel = profile.select_voxel(
-            scaled_trace.stats().mean * 1e6, fps=15.0,
-            conservativeness=MESHREDUCE_CONSERVATIVENESS,
-        )
-        stream = ReliableByteStream(scaled_trace, config.link.propagation_delay_s)
-        pipeline = MeshReducePipeline(cameras, stream, voxel)
-        compress_stage = Stage("compress", lambda args: pipeline.offer_frame(*args))
-
-        def step(frame: MultiViewFrame, sequence: int, capture_time: float):
-            result = compress_stage((frame, capture_time))
-            # MeshReduce never stalls; skipped frames lower its rate
-            # (section 4.3: "instead of experiencing stalls, it exhibits
-            # varying frame rates").
-            record = FrameRecord(
-                sequence=sequence,
-                capture_time_s=capture_time,
-                rendered=result.sent,
-                stalled=False,
-                wire_bytes=result.size_bytes,
-                total_points=frame.total_points(),
-                culled_points=frame.total_points(),
-                delivery_time_s=result.delivery_time_s,
-            )
-            if not result.sent or result.mesh is None:
-                return record, None
-
-            def render(actual: Frustum):
-                # ``shown`` runs later, on the scoring thread: it reads
-                # only this tick's mesh and sequence.
-                def shown(truth: PointCloud) -> PointCloud:
-                    sampled = pipeline.reconstruct(
-                        result.mesh, max(2 * len(truth), 1000), seed=sequence
-                    )
-                    return sampled.select(actual.contains(sampled.positions))
-
-                return shown
-
-            return record, render
-
-        return self._replay_baseline(
-            replay, range(num_frames), step, [compress_stage],
-            "MeshReduce", video_name, 15.0,
-        )
-
-
-# The replays of the baselines; every other scheme is a LiVo variant.
-_BASELINE_REPLAYS = {"Draco-Oracle": DracoOracleSession, "MeshReduce": MeshReduceSession}
-
-
 def run_scheme(
     config: SessionConfig,
     scene: Scene,
@@ -1022,5 +829,9 @@ def run_scheme(
 ) -> SessionReport:
     """Replay ``num_frames`` capture ticks through the scheme
     ``config.scheme`` names, and return its report."""
-    replay = _BASELINE_REPLAYS.get(config.scheme, LiVoSession)
+    replay = LiVoSession
+    if config.scheme not in LIVO_SCHEMES:
+        from repro.core.baselines import REPLAYS
+
+        replay = REPLAYS[config.scheme]
     return replay(config).run(scene, user_trace, bandwidth_trace, num_frames, video_name)

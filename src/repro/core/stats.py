@@ -133,7 +133,7 @@ class SessionReport:
     _metrics = None
 
     def attach_trace(self, tracer) -> None:
-        """Attach the session's span tracer (:class:`repro.obs.Tracer`)."""
+        """Attach the session's span tracer (:class:`repro.obs.tracer.Tracer`)."""
         self._trace = tracer
 
     @property
@@ -142,7 +142,7 @@ class SessionReport:
         return self._trace
 
     def attach_metrics(self, registry) -> None:
-        """Attach the unified :class:`repro.obs.MetricsRegistry`."""
+        """Attach the unified :class:`repro.obs.metrics.MetricsRegistry`."""
         self._metrics = registry
 
     @property

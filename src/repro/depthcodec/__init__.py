@@ -12,37 +12,3 @@ Also implemented, for Fig. 17's comparison:
 - RGB-packed depth (prior work [76, 84]): bit-split packing and
   Pece-style triangle-wave multiplexing into 8-bit color channels.
 """
-
-from repro.depthcodec.packing import (
-    pack_bitsplit_rgb,
-    pack_triangle_rgb,
-    unpack_bitsplit_rgb,
-    unpack_triangle_rgb,
-)
-from repro.depthcodec.scaling import (
-    DEFAULT_MAX_DEPTH_MM,
-    scale_depth,
-    unscale_depth,
-)
-from repro.depthcodec.streams import (
-    DepthStreamCodec,
-    RGBPackedDepthStream,
-    ScaledY16DepthStream,
-    UnscaledY16DepthStream,
-    make_depth_stream,
-)
-
-__all__ = [
-    "DEFAULT_MAX_DEPTH_MM",
-    "scale_depth",
-    "unscale_depth",
-    "pack_bitsplit_rgb",
-    "unpack_bitsplit_rgb",
-    "pack_triangle_rgb",
-    "unpack_triangle_rgb",
-    "DepthStreamCodec",
-    "ScaledY16DepthStream",
-    "UnscaledY16DepthStream",
-    "RGBPackedDepthStream",
-    "make_depth_stream",
-]

@@ -11,42 +11,3 @@ machinery the hardened session uses to survive it
 Everything is seeded: an identical plan produces byte-identical
 session reports across runs, so chaos experiments are replayable.
 """
-
-from repro.faults.degradation import (
-    LEVEL_CHROMA_LITE,
-    LEVEL_COARSE_VOXEL,
-    LEVEL_HALF_FPS,
-    LEVEL_NORMAL,
-    ResilienceConfig,
-    StallWatchdog,
-    level_name,
-)
-from repro.faults.injector import FaultInjector, GilbertElliott
-from repro.faults.plan import (
-    BurstLossWindow,
-    CameraFault,
-    EncoderFault,
-    FaultPlan,
-    FrameCorruption,
-    LinkOutage,
-    chaos_plan,
-)
-
-__all__ = [
-    "BurstLossWindow",
-    "CameraFault",
-    "EncoderFault",
-    "FaultInjector",
-    "FaultPlan",
-    "FrameCorruption",
-    "GilbertElliott",
-    "LinkOutage",
-    "ResilienceConfig",
-    "StallWatchdog",
-    "chaos_plan",
-    "level_name",
-    "LEVEL_NORMAL",
-    "LEVEL_HALF_FPS",
-    "LEVEL_COARSE_VOXEL",
-    "LEVEL_CHROMA_LITE",
-]

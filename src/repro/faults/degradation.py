@@ -92,7 +92,7 @@ class StallWatchdog:
     time-per-rung accounting (``time_at_level``) when its caller passes
     observation times, and can fold its whole state -- current rung,
     transition counts, seconds per rung -- into a
-    :class:`repro.obs.MetricsRegistry` via :meth:`metrics_into`, so
+    :class:`repro.obs.metrics.MetricsRegistry` via :meth:`metrics_into`, so
     scenario diffs and dashboards can assert on ladder behavior.
     """
 

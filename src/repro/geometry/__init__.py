@@ -14,27 +14,3 @@ reproduction builds on:
 - :mod:`repro.geometry.voxel` -- voxel-grid downsampling used by the
   receiver-side renderer (paper appendix A.1).
 """
-
-from repro.geometry.camera import CameraExtrinsics, CameraIntrinsics, RGBDCamera
-from repro.geometry.frustum import Frustum
-from repro.geometry.pointcloud import PointCloud
-from repro.geometry.transforms import (
-    euler_to_rotation,
-    look_at,
-    rotation_to_euler,
-    transform_points,
-)
-from repro.geometry.voxel import voxel_downsample
-
-__all__ = [
-    "CameraExtrinsics",
-    "CameraIntrinsics",
-    "RGBDCamera",
-    "Frustum",
-    "PointCloud",
-    "euler_to_rotation",
-    "look_at",
-    "rotation_to_euler",
-    "transform_points",
-    "voxel_downsample",
-]

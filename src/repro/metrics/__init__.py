@@ -10,19 +10,7 @@
 - :mod:`repro.metrics.latency` -- the per-component latency model
   behind Table 6.
 
-PointSSIM is imported from its own module: it loads ``scipy.spatial``,
-which a process that only encodes and forwards never needs.
+Each metric is imported from its own module: PointSSIM loads
+``scipy.spatial``, which a process that only encodes and forwards never
+needs.
 """
-
-from repro.metrics.image import rmse
-from repro.metrics.latency import LatencyBreakdown, latency_table
-from repro.metrics.mos import CommentModel, MOSModel, SessionQoE
-
-__all__ = [
-    "rmse",
-    "LatencyBreakdown",
-    "latency_table",
-    "CommentModel",
-    "MOSModel",
-    "SessionQoE",
-]

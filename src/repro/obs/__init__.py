@@ -24,49 +24,3 @@ reports are byte-identical to an uninstrumented run.  See DESIGN.md
 section 10 for the span taxonomy (frame -> stage -> kernel) and the
 context-propagation rule into the quality lane's pool threads.
 """
-
-from repro.obs.clock import Clock, FakeClock, WallClock
-from repro.obs.export import (
-    chrome_trace_events,
-    read_spans_jsonl,
-    span_from_dict,
-    span_to_dict,
-    write_chrome_trace,
-    write_spans_jsonl,
-)
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.span import (
-    CLOCK_SIM,
-    CLOCK_WALL,
-    STATUS_ERROR,
-    STATUS_INCOMPLETE,
-    STATUS_OK,
-    Span,
-)
-from repro.obs.timeline import format_timeline, frame_timelines
-from repro.obs.tracer import Tracer
-
-__all__ = [
-    "Clock",
-    "FakeClock",
-    "WallClock",
-    "Span",
-    "Tracer",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "chrome_trace_events",
-    "write_chrome_trace",
-    "write_spans_jsonl",
-    "read_spans_jsonl",
-    "span_to_dict",
-    "span_from_dict",
-    "frame_timelines",
-    "format_timeline",
-    "CLOCK_WALL",
-    "CLOCK_SIM",
-    "STATUS_OK",
-    "STATUS_ERROR",
-    "STATUS_INCOMPLETE",
-]

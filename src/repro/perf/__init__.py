@@ -22,31 +22,3 @@ session (or fleet) and is touched from its thread only.  PointSSIM
 caches nothing: :mod:`repro.metrics.pointssim` keeps no state between
 calls.
 """
-
-from repro.perf.counters import CacheCounters
-from repro.perf.culling import CullCache
-
-__all__ = [
-    "CachedFrameSource",
-    "CacheCounters",
-    "CullCache",
-    "ScratchArena",
-]
-
-# CachedFrameSource and ScratchArena pull in the renderer and codec
-# modules, which themselves use repro.perf.counters -- importing them
-# eagerly here would close an import cycle.  PEP 562 keeps them lazy.
-_LAZY = {
-    "CachedFrameSource": ("repro.perf.capture", "CachedFrameSource"),
-    "ScratchArena": ("repro.perf.scratch", "ScratchArena"),
-}
-
-
-def __getattr__(name: str):
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)

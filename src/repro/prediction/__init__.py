@@ -14,23 +14,3 @@ will never see.  This package provides:
 - :mod:`repro.prediction.culling` -- per-pixel RGB-D view culling in
   camera-local coordinates, without point cloud reconstruction.
 """
-
-from repro.prediction.culling import cull_views, culling_accuracy
-from repro.prediction.kalman import ConstantVelocityKalman, PoseKalmanPredictor
-from repro.prediction.mlp import MLPPosePredictor
-from repro.prediction.pose import Pose, PoseTrace, synthetic_user_trace, user_traces_for_video
-from repro.prediction.predictor import FrustumPredictor, ViewingDevice
-
-__all__ = [
-    "cull_views",
-    "culling_accuracy",
-    "ConstantVelocityKalman",
-    "PoseKalmanPredictor",
-    "MLPPosePredictor",
-    "Pose",
-    "PoseTrace",
-    "synthetic_user_trace",
-    "user_traces_for_video",
-    "FrustumPredictor",
-    "ViewingDevice",
-]

@@ -7,13 +7,3 @@
 - :mod:`repro.runtime.profile` -- stage-timing and cache-counter tables
   for ``--profile``.
 """
-
-from repro.runtime.profile import format_stage_profile
-from repro.runtime.stage import Stage, StageGraph, StageTiming
-
-__all__ = [
-    "Stage",
-    "StageGraph",
-    "StageTiming",
-    "format_stage_profile",
-]

@@ -8,44 +8,3 @@
 - :mod:`repro.scenario.invariants` -- cross-cutting session invariants;
 - :mod:`repro.scenario.cli` -- the ``--scenario`` command surface.
 """
-
-from repro.scenario.invariants import check_report
-from repro.scenario.recorder import (
-    SCHEMA_VERSION,
-    artifact_records,
-    record_scenario,
-    write_artifact,
-)
-from repro.scenario.replay import (
-    ArtifactError,
-    DiffReport,
-    Divergence,
-    diff_records,
-    load_artifact,
-    replay_artifact,
-)
-from repro.scenario.runner import run_scenario
-from repro.scenario.spec import ChurnEvent, ScenarioSpec, TraceSegment, TraceSpec
-from repro.scenario.zoo import SCENARIOS, get_scenario, scenario_names
-
-__all__ = [
-    "SCHEMA_VERSION",
-    "SCENARIOS",
-    "ArtifactError",
-    "ChurnEvent",
-    "DiffReport",
-    "Divergence",
-    "ScenarioSpec",
-    "TraceSegment",
-    "TraceSpec",
-    "artifact_records",
-    "check_report",
-    "diff_records",
-    "get_scenario",
-    "load_artifact",
-    "record_scenario",
-    "replay_artifact",
-    "run_scenario",
-    "scenario_names",
-    "write_artifact",
-]

@@ -138,7 +138,7 @@ def _run_multiway(spec: ScenarioSpec) -> SessionReport:
         fps_target=FPS,
         duration_s=spec.frames * FRAME_INTERVAL_S,
         frames=records,
-        mean_capacity_mbps=bandwidth.stats().mean,
+        mean_capacity_mbps=bandwidth.mean_mbps,
         trace_scale=1.0,
         fault_events=events,
     )

@@ -24,18 +24,3 @@ right-sized stream down each receiver's own emulated link.
   conferences on the service's registry and tick pool (the ``fleet``
   workload of ``benchmarks/e2e`` drives it).
 """
-
-from repro.sfu.fleet import FleetConfig, FleetResult, run_fleet
-from repro.sfu.node import ForwardDecision, SFUNode, TIER_SCALES
-from repro.sfu.receivers import ReceiverBook, ReceiverState
-
-__all__ = [
-    "SFUNode",
-    "ForwardDecision",
-    "TIER_SCALES",
-    "ReceiverBook",
-    "ReceiverState",
-    "FleetConfig",
-    "FleetResult",
-    "run_fleet",
-]

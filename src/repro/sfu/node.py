@@ -148,7 +148,7 @@ class SFUNode:
             link = self.downlinks.add(name, downlink_trace)
             # Seed the estimate at half the downlink's mean capacity,
             # the same conservative start the two-party session uses.
-            initial = max(0.5 * link.trace.stats().mean * 1e6, 1e5)
+            initial = max(0.5 * link.trace.mean_mbps * 1e6, 1e5)
             state.gcc = GoogleCongestionControl(
                 GCCConfig(initial_rate_bps=initial, min_rate_bps=min(1e6, initial))
             )

@@ -12,14 +12,3 @@ block pattern) is written into a reserved strip of each tiled frame so
 the receiver can re-associate color and depth frames that traveled on
 different streams (appendix A.1).
 """
-
-from repro.tiling.marker import decode_marker, encode_marker, MARKER_HEIGHT
-from repro.tiling.tiler import TileLayout, Tiler
-
-__all__ = [
-    "decode_marker",
-    "encode_marker",
-    "MARKER_HEIGHT",
-    "TileLayout",
-    "Tiler",
-]

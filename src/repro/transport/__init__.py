@@ -22,27 +22,3 @@ machinery as a discrete-time simulation:
 - :mod:`repro.transport.downlink` -- per-receiver downlink registry for
   SFU fan-out (one emulated link per receiver).
 """
-
-from repro.transport.channel import FrameDelivery, WebRTCChannel, WebRTCConfig
-from repro.transport.downlink import DownlinkSend, DownlinkSet
-from repro.transport.gcc import GoogleCongestionControl
-from repro.transport.link import EmulatedLink, LinkConfig
-from repro.transport.packet import Packet
-from repro.transport.tcp import ReliableByteStream
-from repro.transport.traces import BandwidthTrace, trace_1, trace_2
-
-__all__ = [
-    "DownlinkSend",
-    "DownlinkSet",
-    "FrameDelivery",
-    "WebRTCChannel",
-    "WebRTCConfig",
-    "GoogleCongestionControl",
-    "EmulatedLink",
-    "LinkConfig",
-    "Packet",
-    "ReliableByteStream",
-    "BandwidthTrace",
-    "trace_1",
-    "trace_2",
-]

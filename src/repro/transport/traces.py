@@ -56,6 +56,10 @@ class BandwidthTrace:
         self.capacities_mbps = capacities
         self.interval_s = float(interval_s)
         self.name = name
+        # The capacities are fixed for the trace's life (the tables
+        # below assume it too): a join or a replay's set-up reads the
+        # mean here, without the percentiles of stats().
+        self.mean_mbps = float(capacities.mean())
         # Cumulative-capacity prefix integral over one loop of the trace.
         self._rates_bps = capacities * 1e6
         cum = np.empty(len(capacities) + 1, dtype=np.float64)
@@ -109,7 +113,7 @@ class BandwidthTrace:
         """Table 4-style summary statistics."""
         c = self.capacities_mbps
         return TraceStats(
-            mean=float(c.mean()),
+            mean=self.mean_mbps,
             max=float(c.max()),
             min=float(c.min()),
             p90=float(np.percentile(c, 90)),

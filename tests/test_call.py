@@ -20,7 +20,7 @@ from repro.core.session import LiVoSession, _Call
 from repro.faults import degradation
 from repro.faults.degradation import LEVEL_HALF_FPS, ResilienceConfig
 from repro.faults.plan import EncoderFault, FaultPlan, FrameCorruption
-from repro.obs import Tracer
+from repro.obs.tracer import Tracer
 from repro.prediction.pose import user_traces_for_video
 from repro.transport.traces import constant_trace
 

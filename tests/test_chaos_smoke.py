@@ -5,7 +5,7 @@ import dataclasses
 
 import pytest
 
-from repro.analysis import summarize_resilience
+from repro.analysis.resilience import summarize_resilience
 from repro.capture.dataset import load_video
 from repro.core.config import SessionConfig
 from repro.core.session import LiVoSession

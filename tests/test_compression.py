@@ -239,14 +239,14 @@ class TestMeshReduce:
     def test_profile_selects_conservatively(self, capture_setup):
         rig, frame = capture_setup
         profile = MeshReduceProfile.build([frame], rig.cameras, voxel_grid=(0.02, 0.1, 0.3))
-        fine = profile.select_voxel(1e9)
-        coarse = profile.select_voxel(1e5)
+        fine = profile.select_voxel(1e9, fps=15, conservativeness=0.35)
+        coarse = profile.select_voxel(1e5, fps=15, conservativeness=0.35)
         assert fine <= coarse
 
     def test_pipeline_skips_while_busy(self, capture_setup):
         rig, frame = capture_setup
         stream = ReliableByteStream(constant_trace(50.0))
-        pipeline = MeshReducePipeline(rig.cameras, stream, voxel_size_m=0.05, target_fps=15)
+        pipeline = MeshReducePipeline(rig.cameras, stream, voxel_size_m=0.05)
         results = []
         for sequence in range(10):
             capture = frame  # static content is fine for scheduling tests

@@ -1,10 +1,12 @@
-"""A hosted conference loads only its media plane.
+"""A process loads only what it runs.
 
 An SFU or service process never scores PointSSIM, so importing the
 service app and the fleet must not pull in ``repro.core.session``, the
 metric or its ``scipy.spatial`` stack; ``repro.core`` exports resolve
 lazily instead.  The codec runs on numpy alone (its DCT is a matrix
-product), so those processes load no scipy module at all.
+product), so those processes load no scipy module at all.  No package
+imports its submodules, so the hosts, the report invariants and the
+LiVo session each load no module their runs never execute.
 """
 
 from __future__ import annotations
@@ -46,6 +48,45 @@ def test_service_and_fleet_leave_the_quality_stack_unloaded():
 
 def test_service_fleet_and_codec_load_no_scipy():
     assert _loaded_after("repro.service.app, repro.sfu.fleet, repro.codec.video", ("scipy",)) == []
+
+
+# What a fleet or service process never runs: the scenario engine, the
+# 3D baselines, the two-party channel's packetizer, FEC and reliable
+# stream, the MLP predictor, and the export, table and model modules.
+UNRUN_BY_HOSTS = (
+    "repro.scenario",
+    "repro.compression",
+    "repro.depthcodec.packing",
+    "repro.faults.injector",
+    "repro.faults.plan",
+    "repro.metrics.latency",
+    "repro.metrics.mos",
+    "repro.obs.export",
+    "repro.obs.timeline",
+    "repro.prediction.mlp",
+    "repro.runtime.profile",
+    "repro.transport.channel",
+    "repro.transport.fec",
+    "repro.transport.rtp",
+    "repro.transport.tcp",
+)
+
+
+@pytest.mark.parametrize("entry", ["repro.sfu.fleet", "repro.service.app"])
+def test_hosts_load_only_what_they_run(entry):
+    # A package imports none of its submodules, so a host pays only for
+    # the modules its own imports name.
+    assert _loaded_after(entry, UNRUN_BY_HOSTS) == []
+
+
+def test_report_invariants_load_no_host():
+    names = ("repro.sfu", "repro.service", "repro.scenario.runner")
+    assert _loaded_after("repro.scenario.invariants", names) == []
+
+
+def test_livo_session_loads_no_baseline():
+    names = ("repro.compression", "repro.core.baselines", "repro.transport.tcp")
+    assert _loaded_after("repro.core.session", names) == []
 
 
 def test_core_exports_resolve():

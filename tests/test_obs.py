@@ -28,8 +28,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.analysis import summarize_resilience
-from repro.analysis.resilience import _mttr
+from repro.analysis.resilience import _mttr, summarize_resilience
 from repro.capture.dataset import load_video
 from repro.capture.rgbd import MultiViewFrame, RGBDFrame
 from repro.capture.rig import default_rig
@@ -38,24 +37,21 @@ from repro.core.sender import LiVoSender
 from repro.core.session import LiVoSession
 from repro.faults.plan import FaultPlan, LinkOutage
 from repro.metrics.latency import LIVO_STAGES, LatencyBreakdown
-from repro.obs import (
-    CLOCK_SIM,
-    CLOCK_WALL,
-    STATUS_INCOMPLETE,
-    FakeClock,
-    MetricsRegistry,
-    Tracer,
+from repro.obs.clock import FakeClock
+from repro.obs.export import (
+    SIM_PID,
     chrome_trace_events,
-    frame_timelines,
-    format_timeline,
     read_spans_jsonl,
     write_chrome_trace,
     write_spans_jsonl,
 )
-from repro.obs.export import SIM_PID
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.span import CLOCK_SIM, CLOCK_WALL, STATUS_INCOMPLETE
+from repro.obs.timeline import format_timeline, frame_timelines
+from repro.obs.tracer import Tracer
 from repro.perf.counters import BatchCounters, CacheCounters
 from repro.prediction.pose import user_traces_for_video
-from repro.runtime import Stage
+from repro.runtime.stage import Stage
 from repro.transport.traces import trace_1
 
 

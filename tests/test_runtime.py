@@ -16,9 +16,10 @@ from repro.capture.rig import default_rig
 from repro.core.config import SessionConfig
 from repro.core.sender import LiVoSender
 import repro.core.session as session_module
-from repro.core.session import DracoOracleSession, LiVoSession, MeshReduceSession
+from repro.core.baselines import DracoOracleSession, MeshReduceSession
+from repro.core.session import LiVoSession
 from repro.prediction.pose import user_traces_for_video
-from repro.runtime import Stage, StageGraph
+from repro.runtime.stage import Stage, StageGraph
 from repro.transport.traces import trace_1
 
 
@@ -120,7 +121,7 @@ class TestParallelSessionParity:
         self, workload, session_class
     ):
         base, scene, user = workload
-        base = {**base, "quality_every": 1}
+        base = {**base, "quality_every": 1, "scheme": session_class.SCHEME}
         serial = session_class(SessionConfig(**base)).run(
             scene, user, trace_1(duration_s=5), 6
         )
@@ -137,7 +138,8 @@ class TestParallelSessionParity:
         self, workload, session_class, monkeypatch
     ):
         base, scene, user = workload
-        config = SessionConfig(**{**base, "quality_every": 1})
+        scheme = getattr(session_class, "SCHEME", "LiVo")
+        config = SessionConfig(**{**base, "quality_every": 1, "scheme": scheme})
         plain = session_class(config).run(scene, user, trace_1(duration_s=5), 12)
         scored_on, futures, in_flight = [], [], []
         score = session_module.pointssim_batch

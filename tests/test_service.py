@@ -874,7 +874,7 @@ class TestFleetTeardownRegression:
         return built
 
     def test_injected_tick_failure_still_closes_everything(self, monkeypatch, fleet_shape):
-        from repro.sfu import FleetConfig, run_fleet
+        from repro.sfu.fleet import FleetConfig, run_fleet
 
         built = self._exploding(
             monkeypatch, lambda driver: driver.index == 1 and driver.frames_ticked >= 2
@@ -889,7 +889,7 @@ class TestFleetTeardownRegression:
         assert all(driver.closed for driver in built)
 
     def test_batch_plane_failure_also_tears_down(self, monkeypatch, fleet_shape):
-        from repro.sfu import FleetConfig, run_fleet
+        from repro.sfu.fleet import FleetConfig, run_fleet
 
         built = self._exploding(
             monkeypatch, lambda driver: driver.index == 0 and driver.frames_ticked >= 1
@@ -902,7 +902,7 @@ class TestFleetTeardownRegression:
 
     def test_build_failure_fails_the_run(self, monkeypatch, fleet_shape):
         import repro.sfu.room as room_module
-        from repro.sfu import FleetConfig, run_fleet
+        from repro.sfu.fleet import FleetConfig, run_fleet
 
         built = self._exploding(monkeypatch, lambda driver: False)
         original = room_module.Room.__call__
@@ -920,7 +920,7 @@ class TestFleetTeardownRegression:
         assert len(built) == 2 and all(driver.closed for driver in built)
 
     def test_roster_over_the_client_cap_fails_loudly(self, fleet_shape):
-        from repro.sfu import FleetConfig, run_fleet
+        from repro.sfu.fleet import FleetConfig, run_fleet
 
         fleet_shape(receivers=65, sample_budget=1500)
         config = FleetConfig(sessions=1, frames=2)
@@ -931,7 +931,7 @@ class TestFleetTeardownRegression:
         # 64 seated receivers, a churn step every frame: the first drawn
         # join is one past the registry's cap and must raise, not be
         # refused quietly.
-        from repro.sfu import FleetConfig, run_fleet
+        from repro.sfu.fleet import FleetConfig, run_fleet
 
         fleet_shape(receivers=64, churn_every=1, sample_budget=300, unicast_control=1)
         config = FleetConfig(sessions=1, frames=8)

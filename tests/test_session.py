@@ -5,16 +5,13 @@ decode -> reconstruct -> score), asserting the qualitative claims the
 paper's evaluation rests on.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.capture.dataset import load_video
 from repro.core.config import SessionConfig
-from repro.core.session import (
-    DracoOracleSession,
-    LiVoSession,
-    MeshReduceSession,
-    ground_truth_cloud,
-)
+from repro.core.session import LiVoSession, ground_truth_cloud, run_scheme
 from repro.prediction.pose import user_traces_for_video
 from repro.transport.traces import trace_1, trace_2
 
@@ -89,8 +86,9 @@ class TestLiVoSession:
 class TestDracoOracleSession:
     def test_runs_at_15_fps(self, workload):
         config, scene, user = workload
-        report = DracoOracleSession(config).run(
-            scene, user, trace_1(duration_s=10), FRAMES, video_name="office1"
+        report = run_scheme(
+            replace(config, scheme="Draco-Oracle"), scene, user, trace_1(duration_s=10),
+            FRAMES, "office1",
         )
         assert report.scheme == "Draco-Oracle"
         assert report.fps_target == 15.0
@@ -103,8 +101,9 @@ class TestDracoOracleSession:
         stall_rates = []
         for user_index in range(3):
             user_n = user_traces_for_video("office1", FRAMES + 10)[user_index]
-            report = DracoOracleSession(config).run(
-                scene, user_n, trace_2(duration_s=10), FRAMES, video_name="office1"
+            report = run_scheme(
+                replace(config, scheme="Draco-Oracle"), scene, user_n, trace_2(duration_s=10),
+                FRAMES, "office1",
             )
             stall_rates.append(report.stall_rate)
         assert max(stall_rates) > 0.2
@@ -113,8 +112,9 @@ class TestDracoOracleSession:
 class TestMeshReduceSession:
     def test_floating_frame_rate(self, workload):
         config, scene, user = workload
-        report = MeshReduceSession(config).run(
-            scene, user, trace_2(duration_s=10), FRAMES, video_name="office1"
+        report = run_scheme(
+            replace(config, scheme="MeshReduce"), scene, user, trace_2(duration_s=10),
+            FRAMES, "office1",
         )
         assert report.scheme == "MeshReduce"
         # No stalls by design; reduced frame rate instead.
@@ -124,8 +124,9 @@ class TestMeshReduceSession:
     def test_conservative_utilization(self, workload):
         """Table 1: indirect adaptation leaves most capacity unused."""
         config, scene, user = workload
-        report = MeshReduceSession(config).run(
-            scene, user, trace_1(duration_s=10), FRAMES, video_name="office1"
+        report = run_scheme(
+            replace(config, scheme="MeshReduce"), scene, user, trace_1(duration_s=10),
+            FRAMES, "office1",
         )
         assert report.utilization < 0.6
 
@@ -136,7 +137,7 @@ class TestSchemeOrdering:
         config, scene, user = workload
         bw = trace_1(duration_s=10)
         livo = LiVoSession(config).run(scene, user, bw, FRAMES, video_name="office1")
-        mesh = MeshReduceSession(config).run(scene, user, bw, FRAMES, video_name="office1")
+        mesh = run_scheme(replace(config, scheme="MeshReduce"), scene, user, bw, FRAMES, "office1")
         livo_geometry, _ = livo.pssim_geometry()
         mesh_geometry, _ = mesh.pssim_geometry()
         assert livo_geometry > mesh_geometry

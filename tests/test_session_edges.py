@@ -1,14 +1,16 @@
 """Edge cases for session drivers and scheme naming."""
 
+import dataclasses
 import math
 
 import pytest
 
 from repro.capture.dataset import load_video
-from repro.core import session as session_module
+from repro.core import baselines
+from repro.core.baselines import DracoOracleSession, MeshReduceSession
 from repro.core.config import SessionConfig
 from repro.core.schemes import SCHEMES
-from repro.core.session import DracoOracleSession, LiVoSession, MeshReduceSession, run_scheme
+from repro.core.session import LiVoSession, run_scheme
 from repro.perf.capture import CachedFrameSource
 from repro.prediction.pose import user_traces_for_video
 from repro.transport.traces import constant_trace
@@ -77,6 +79,25 @@ class TestSchemeNaming:
         with pytest.raises(ValueError, match="not a LiVo scheme"):
             LiVoSession(tiny_config(scheme=name)).run(scene, user, constant_trace(100.0), FRAMES)
 
+    @pytest.mark.parametrize(
+        "replay,name",
+        [
+            (DracoOracleSession, "LiVo"),
+            (DracoOracleSession, "MeshReduce"),
+            (MeshReduceSession, "LiVo-NoCull"),
+            (MeshReduceSession, "Draco-Oracle"),
+        ],
+    )
+    def test_baseline_rejects_another_name(self, tiny_workload, monkeypatch, replay, name):
+        # A baseline used to report its own name for any config.
+        def no_capture(*args, **kwargs):
+            raise AssertionError("captured before the scheme check")
+
+        monkeypatch.setattr(CachedFrameSource, "capture", no_capture)
+        scene, user = tiny_workload
+        with pytest.raises(ValueError, match=f"replays {replay.SCHEME}, not {name}"):
+            replay(tiny_config(scheme=name)).run(scene, user, constant_trace(100.0), FRAMES)
+
     @pytest.mark.parametrize("name", list(SCHEMES))
     def test_run_scheme_reports_under_its_name(self, tiny_workload, name):
         scene, user = tiny_workload
@@ -143,17 +164,22 @@ class TestBaselineSessionEdges:
     def test_oracle_invalid_frames(self, tiny_workload):
         scene, user = tiny_workload
         with pytest.raises(ValueError):
-            DracoOracleSession(tiny_config()).run(scene, user, constant_trace(10.0), 0)
+            DracoOracleSession(tiny_config(scheme="Draco-Oracle")).run(
+                scene, user, constant_trace(10.0), 0
+            )
 
     def test_meshreduce_invalid_frames(self, tiny_workload):
         scene, user = tiny_workload
         with pytest.raises(ValueError):
-            MeshReduceSession(tiny_config()).run(scene, user, constant_trace(10.0), 0)
+            MeshReduceSession(tiny_config(scheme="MeshReduce")).run(
+                scene, user, constant_trace(10.0), 0
+            )
 
     def test_oracle_respects_custom_fps(self, tiny_workload, monkeypatch):
-        monkeypatch.setattr(session_module, "ORACLE_FPS", 10.0)
+        spec = dataclasses.replace(SCHEMES["Draco-Oracle"], fps=10)
+        monkeypatch.setitem(SCHEMES, "Draco-Oracle", spec)
         scene, user = tiny_workload
-        report = DracoOracleSession(tiny_config()).run(
+        report = DracoOracleSession(tiny_config(scheme="Draco-Oracle")).run(
             scene, user, constant_trace(100.0), FRAMES
         )
         assert report.fps_target == 10.0
@@ -165,10 +191,12 @@ class TestBaselineSessionEdges:
         self, tiny_workload, monkeypatch, conservativeness
     ):
         # Ran to completion on a non-positive byte budget.
-        monkeypatch.setattr(session_module, "MESHREDUCE_CONSERVATIVENESS", conservativeness)
+        monkeypatch.setattr(baselines, "MESHREDUCE_CONSERVATIVENESS", conservativeness)
         scene, user = tiny_workload
         with pytest.raises(ValueError, match="conservativeness"):
-            MeshReduceSession(tiny_config()).run(scene, user, constant_trace(10.0), FRAMES)
+            MeshReduceSession(tiny_config(scheme="MeshReduce")).run(
+                scene, user, constant_trace(10.0), FRAMES
+            )
 
 
 @pytest.mark.parametrize(

@@ -14,10 +14,10 @@ from repro.obs.metrics import MetricsRegistry
 from repro.perf import culling
 from repro.perf.culling import CullCache
 from repro.prediction.pose import Pose
-from repro.sfu import SFUNode, TIER_SCALES
+from repro.sfu.node import SFUNode, TIER_SCALES
 from repro.transport.downlink import DownlinkSet, MTU_BYTES
 from repro.transport.link import LinkConfig
-from repro.transport.traces import constant_trace
+from repro.transport.traces import BandwidthTrace, constant_trace
 from tests.twins import assert_pinned
 
 # Batched plane geometry divides by vectorised norms: a degenerate plane
@@ -294,6 +294,18 @@ class TestSFUNode:
             node.add_receiver(name)
         return node, config
 
+    def test_join_reads_the_cached_mean_not_the_stats(self, setup, monkeypatch):
+        # A join used to compute the trace's whole Table 4 summary
+        # (two percentiles) to read its mean.
+        def no_stats(trace):
+            raise AssertionError("add_receiver computed the trace's stats")
+
+        monkeypatch.setattr(BandwidthTrace, "stats", no_stats)
+        node, _ = self.node(setup, downlinks=True)
+        node.add_receiver("late", constant_trace(6.0, 30.0))
+        assert node.receiver_names == ["r0", "r1", "late"]
+        assert node.book.get("late").gcc.config.initial_rate_bps == 0.5 * 6.0 * 1e6
+
     def test_forward_without_ingest_is_empty(self, setup):
         node, _ = self.node(setup)
         assert node.forward(0.0, 0.1, 8e6) == {}
@@ -394,7 +406,7 @@ class TestSFUNode:
 
 class TestFleet:
     def test_tiny_fleet_runs_and_saves_uplink(self, fleet_shape):
-        from repro.sfu import FleetConfig, run_fleet
+        from repro.sfu.fleet import FleetConfig, run_fleet
 
         fleet_shape(receivers=2, churn_every=3, sample_budget=1500, unicast_control=1)
         fleet = FleetConfig(sessions=3, frames=6)
@@ -411,7 +423,7 @@ class TestFleet:
         assert metrics["sfu.frames_ingested"]["value"] == 18
 
     def test_fleet_byte_deterministic(self, fleet_shape):
-        from repro.sfu import FleetConfig, run_fleet
+        from repro.sfu.fleet import FleetConfig, run_fleet
 
         fleet_shape(receivers=2, churn_every=2, sample_budget=1500, unicast_control=1)
         fleet = FleetConfig(sessions=2, frames=5)
@@ -422,7 +434,7 @@ class TestFleet:
         assert first.churn_events == second.churn_events
 
     def test_invalid_config_rejected(self):
-        from repro.sfu import FleetConfig
+        from repro.sfu.fleet import FleetConfig
 
         with pytest.raises(ValueError):
             FleetConfig(sessions=0)
@@ -436,7 +448,7 @@ class TestFleet:
         # Rejected before any conference is built, not deep inside a run
         # or numpy's rng.  The budget is a module constant: run_fleet's
         # session config rejects it first thing.
-        from repro.sfu import FleetConfig, run_fleet
+        from repro.sfu.fleet import FleetConfig, run_fleet
 
         if field == "seed":
             with pytest.raises(ValueError, match=field):

@@ -57,6 +57,22 @@ class TestBandwidthTrace:
         assert trace.duration_s == 5.0
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: trace_1(duration_s=60),
+        lambda: trace_2(duration_s=60),
+        lambda: constant_trace(37.5, 20.0),
+        lambda: trace_2(duration_s=60).scaled(0.013),
+    ],
+    ids=["trace_1", "trace_2", "constant", "scaled"],
+)
+def test_cached_mean_is_the_stats_mean_bit_for_bit(make):
+    trace = make()
+    assert trace.mean_mbps == trace.stats().mean
+    assert trace.mean_mbps.hex() == float(trace.capacities_mbps.mean()).hex()
+
+
 class TestPaperTraces:
     def test_trace1_matches_table4(self):
         stats = trace_1(duration_s=600).stats()

@@ -37,7 +37,8 @@ from repro.core import session as session_module
 from repro.core.config import SessionConfig
 from repro.core.receiver import LiVoReceiver
 from repro.core.sender import LiVoSender
-from repro.core.session import DracoOracleSession, LiVoSession, MeshReduceSession, _Call
+from repro.core.baselines import DracoOracleSession, MeshReduceSession
+from repro.core.session import LiVoSession, _Call
 from repro.core.stats import SessionReport
 from repro.faults.plan import (
     BurstLossWindow,
@@ -147,7 +148,7 @@ def _baseline(session_cls):
     user = user_traces_for_video("office1", 22)[0]
     pinned = []
     for jobs in (1, 2):
-        report = session_cls(SessionConfig(**SMALL, jobs=jobs)).run(
+        report = session_cls(SessionConfig(**SMALL, scheme=session_cls.SCHEME, jobs=jobs)).run(
             scene, user, trace_1(duration_s=5), 12, video_name="office1"
         )
         pinned.append({
@@ -466,9 +467,9 @@ def test_second_jitter_buffer_and_scheme_aggregator_stay_gone():
     import repro.analysis
     import repro.transport
 
-    assert "JitterBuffer" not in repro.transport.__all__
+    assert "JitterBuffer" not in dir(repro.transport)
     assert not {"SchemeSummary", "aggregate_reports", "compare_schemes"} & set(
-        repro.analysis.__all__
+        dir(repro.analysis)
     )
 
 
