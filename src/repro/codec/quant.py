@@ -70,7 +70,7 @@ def quantize(
 
     ``scale`` lets a caller supply the precomputed divisor -- ``step``
     when ``weights`` is None, ``step * weights`` otherwise (see
-    :meth:`repro.perf.scratch.ScratchArena.quant_scale`).  It must equal
+    :func:`repro.perf.scratch.quant_scale`).  It must equal
     what this function would compute; it exists purely to skip the
     recomputation, so results are bit-identical either way.
     """

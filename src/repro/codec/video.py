@@ -33,7 +33,7 @@ from repro.codec.motion import gather_prediction
 from repro.codec.quant import QP_MAX, QP_MAX_EXTENDED, QP_MIN, dequantize
 from repro.codec.rate_control import RateController
 from repro.codec.yuv import rgb_to_ycbcr, ycbcr_to_rgb
-from repro.perf.scratch import ScratchArena
+from repro.perf import scratch
 from repro.runtime.batchplane import (
     drive_serial,
     entropy_encode_request,
@@ -108,15 +108,13 @@ class _PlaneCode:
 class _CodecCore:
     """Plane-level encode/decode shared by encoder and decoder.
 
-    A per-core :class:`ScratchArena` reads the process-wide weight
-    matrices, quantization scales and motion offset table, and counts
-    this core's hits and misses on them.
+    The weight matrices, quantization scales and motion offset table
+    are read from the process-wide memo (:mod:`repro.perf.scratch`).
     """
 
     def __init__(self, config: VideoCodecConfig) -> None:
         self.config = config
-        self.arena = ScratchArena()
-        self._offsets = self.arena.search_offsets(CODEC_SEARCH_RANGE)
+        self._offsets = scratch.search_offsets(CODEC_SEARCH_RANGE)
 
     def plane_weights(self, plane_index: int, pixel_format: PixelFormat) -> np.ndarray | None:
         strength = (
@@ -126,7 +124,7 @@ class _CodecCore:
         )
         if strength == 0.0:
             return None
-        return self.arena.weight_matrix(DEFAULT_BLOCK_SIZE, strength)
+        return scratch.weight_matrix(DEFAULT_BLOCK_SIZE, strength)
 
     def plane_qp(self, base_qp: int, plane_index: int, pixel_format: PixelFormat) -> int:
         if pixel_format is PixelFormat.RGB8 and plane_index > 0:
@@ -160,21 +158,15 @@ class _CodecCore:
             mv_bytes = b""
         else:
             (mv_index, predictor) = (
-                yield [
-                    motion_request(
-                        plane, reference, CODEC_SEARCH_RANGE, block_size, ctx=self
-                    )
-                ]
+                yield [motion_request(plane, reference, CODEC_SEARCH_RANGE, block_size)]
             )[0]
             mv_bytes = zlib.compress(mv_index.tobytes(), level=EFFORT)
 
         residual = current_blocks - predictor
         (levels, recon_delta) = (
-            yield [plane_transform_request(residual, qp, weights, block_size, ctx=self)]
+            yield [plane_transform_request(residual, qp, weights, block_size)]
         )[0]
-        level_bytes = (
-            yield [entropy_encode_request(levels, EFFORT, ctx=self)]
-        )[0]
+        level_bytes = (yield [entropy_encode_request(levels, EFFORT)])[0]
 
         recon_blocks = predictor + recon_delta
         reconstruction = np.clip(
@@ -227,7 +219,7 @@ class _CodecCore:
             )
 
         recon_blocks = predictor + inverse_dct(
-            dequantize(levels, qp, weights, scale=self.arena.quant_scale(qp, weights))
+            dequantize(levels, qp, weights, scale=scratch.quant_scale(qp, weights))
         )
         return np.clip(merge_blocks(recon_blocks, height, width, block_size), *value_range)
 
@@ -346,11 +338,6 @@ class VideoEncoder:
         """Drop reference state; the next frame becomes an I-frame."""
         self._reference = None
         self._frame_index = 0
-
-    @property
-    def cache_counters(self):
-        """Scratch-arena hit/miss counters."""
-        return self._core.arena.counters
 
     @property
     def last_reconstruction(self) -> np.ndarray | None:
@@ -486,11 +473,6 @@ class VideoDecoder:
     def reset(self) -> None:
         """Drop reference state (e.g. after a PLI-triggered keyframe)."""
         self._reference = None
-
-    @property
-    def cache_counters(self):
-        """Scratch-arena hit/miss counters."""
-        return self._core.arena.counters
 
     def decode(self, frame: EncodedFrame) -> list[np.ndarray]:
         """Decode one frame to its reconstructed planes.

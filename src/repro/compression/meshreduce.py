@@ -145,12 +145,9 @@ class MeshReducePipeline:
         self.stream = stream
         self.voxel_size_m = float(voxel_size_m)
         self._busy_until = 0.0
-        self.frames_offered = 0
-        self.frames_sent = 0
 
     def offer_frame(self, frame: MultiViewFrame, now: float) -> MeshReduceFrameResult:
         """Offer one capture; skipped when the encoder/link is still busy."""
-        self.frames_offered += 1
         if now < self._busy_until:
             return MeshReduceFrameResult(frame.sequence, False, 0, 0.0, None, None)
         mesh = decimate_mesh(mesh_from_views(frame, self.cameras), self.voxel_size_m)
@@ -162,16 +159,9 @@ class MeshReducePipeline:
         # The sender is busy encoding; TCP backlog throttles further
         # (MeshReduce uses blocking sockets).
         self._busy_until = max(send_time, self.stream.backlog_delay_at(send_time) * 0.5 + send_time)
-        self.frames_sent += 1
         return MeshReduceFrameResult(
             frame.sequence, True, size, encode_time, delivery.delivery_time_s, mesh
         )
-
-    def achieved_fps(self, duration_s: float) -> float:
-        """Mean sent-frame rate over the session."""
-        if duration_s <= 0:
-            raise ValueError("duration_s must be positive")
-        return self.frames_sent / duration_s
 
     def reconstruct(self, mesh: Mesh, num_points: int, seed: int = 0) -> PointCloud:
         """Receiver-side: sample the mesh for PointSSIM scoring."""

@@ -117,8 +117,6 @@ class DracoOracle:
         self.profile = profile
         self.fps = float(fps)
         self.time_multiplier = float(time_multiplier)
-        self.stalls = 0
-        self.frames = 0
 
     @property
     def frame_interval_s(self) -> float:
@@ -150,18 +148,10 @@ class DracoOracle:
     def encode_frame(
         self, cloud: PointCloud, bandwidth_bps: float
     ) -> DracoEncodedCloud | None:
-        """Select-and-encode one frame; None means a recorded stall."""
-        self.frames += 1
+        """Select-and-encode one frame; None means a stall."""
         if cloud.is_empty:
-            self.stalls += 1
             return None
         choice = self.select(cloud.num_points, bandwidth_bps)
         if choice is None:
-            self.stalls += 1
             return None
         return DracoCodec(choice.config).encode(cloud)
-
-    @property
-    def stall_rate(self) -> float:
-        """Fraction of frames that stalled so far."""
-        return 0.0 if self.frames == 0 else self.stalls / self.frames

@@ -351,12 +351,3 @@ class LiVoSender:
             fail_encode=fail_encode,
             color_budget_scale=color_budget_scale,
         )
-
-    def cache_counters(self):
-        """Merged scratch-arena counters of the two encoders."""
-        from repro.perf.counters import CacheCounters
-
-        merged = CacheCounters("codec_scratch")
-        for encoder in (self.color_encoder, self.depth_encoder):
-            merged.merge(encoder.cache_counters)
-        return merged

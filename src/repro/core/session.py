@@ -60,7 +60,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.span import Span
 from repro.obs.tracer import Tracer
 from repro.perf.capture import CachedFrameSource
-from repro.perf.counters import CacheCounters
 from repro.prediction.pose import PoseTrace
 from repro.prediction.predictor import ViewingDevice
 from repro.runtime.stage import Stage, StageGraph
@@ -114,10 +113,8 @@ def _quality_job(
     """Pure quality-scoring job: build the ground truth, score the shown
     cloud against it.  No session state touched, so it can run on the
     scoring thread; everything it needs arrives as an argument, and
-    nothing outlives the job.  Returns ``(score, featurized)``: the
-    score is None when the truth is empty (nothing to score), and
-    ``featurized`` counts the clouds PointSSIM built features for (two,
-    or none when either cloud is empty).
+    nothing outlives the job.  Returns the score, or None when the truth
+    is empty (nothing to score).
 
     ``shown(truth)`` returns the cloud the scheme displayed (MeshReduce
     sizes its mesh sampling by the truth; the others ignore it).
@@ -130,10 +127,8 @@ def _quality_job(
     def compute():
         truth = ground_truth_cloud(frame, cameras, actual_frustum, render_voxel_m)
         if truth.is_empty:
-            return None, 0
-        displayed = shown(truth)
-        score = pointssim_batch([(truth, displayed)], max_points=max_points)[0]
-        return score, 0 if displayed.is_empty else 2
+            return None
+        return pointssim_batch([(truth, shown(truth))], max_points=max_points)[0]
 
     if tracer is None:
         return compute()
@@ -186,9 +181,7 @@ class _QualityLane:
     :meth:`collect`, and :meth:`close` joins the thread with every
     submitted job finished.  The job gets its subsample bound as an
     argument and PointSSIM keeps nothing between calls, so overlapping
-    runs cannot touch each other's scoring.  ``featurized`` tallies the
-    clouds the jobs built features for, as misses: no job reuses
-    another's features.
+    runs cannot touch each other's scoring.
     """
 
     MAX_IN_FLIGHT = 2
@@ -203,7 +196,6 @@ class _QualityLane:
         self.device = session.device
         self.replay = replay
         self.tracer = tracer
-        self.featurized = CacheCounters("quality_features")
         self.stage = Stage("quality", self._submit)
         if tracer is not None:
             self.stage.attach_tracer(tracer, seq_fn=lambda args: args[2])
@@ -250,8 +242,7 @@ class _QualityLane:
             if not final and not future.done():
                 unresolved.append((record, future))
                 continue
-            score, featurized = future.result()
-            self.featurized.miss(featurized)
+            score = future.result()
             if score is not None:
                 record.pssim_geometry = score.geometry
                 record.pssim_color = score.color
@@ -308,10 +299,9 @@ class _SessionBase:
         frames: list[FrameRecord],
         stages: list[Stage],
         fault_events: list[FaultEvent] | None = None,
-        cache_stats: dict | None = None,
     ) -> SessionReport:
         """The finished report with the timings of ``stages`` (and of
-        the quality lane's) and the cache counters."""
+        the quality lane's) and the capture cache's counters."""
         report = SessionReport(
             scheme=scheme,
             video=video_name,
@@ -328,11 +318,7 @@ class _SessionBase:
             {stage.name: stage.timing for stage in (*stages, quality.stage)}
         )
         report.attach_cache_stats(
-            {
-                **(cache_stats or {}),
-                "capture_projection": replay.source.counters().to_dict(),
-                "quality_features": quality.featurized.to_dict(),
-            }
+            {"capture_projection": replay.source.counters().to_dict()}
         )
         return report
 
@@ -721,10 +707,6 @@ class _Call:
             list(self.records.values()),
             [*self.graph.stages, self.decode_stage],
             fault_events=events,
-            cache_stats={
-                "codec_scratch": self.sender.cache_counters().to_dict(),
-                "transport_batch": self.channel.batch_counters.to_dict(),
-            },
         )
         report.attach_metrics(self._metrics(report))
         if tracer is not None:
@@ -750,12 +732,7 @@ class _Call:
             )
         for category, count in report.fault_counts().items():
             registry.counter(f"faults.{category}").inc(count)
-        for counters in (
-            self.sender.cache_counters(),
-            self.replay.source.counters(),
-            self.quality.featurized,
-        ):
-            counters.metrics_into(registry)
+        self.replay.source.counters().metrics_into(registry)
         self.channel.metrics_into(registry)
         if self.injector is not None:
             self.injector.metrics_into(registry)

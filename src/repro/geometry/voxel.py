@@ -63,8 +63,9 @@ def _group_voxels(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group key triplets: ``(inverse, counts)`` of the sorted-unique keys.
 
     The packed fast path and the ``axis=0`` reference produce identical
-    arrays (asserted in tests/test_perf_fastpath.py); only the grouping
-    kernel differs.
+    arrays (asserted in tests/test_pointcloud.py, ``TestVoxelGrouping``,
+    up to the budget's edge and past it); only the grouping kernel
+    differs.
     """
     packed = _packed_keys(keys)
     if packed is None:

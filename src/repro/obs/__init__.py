@@ -11,7 +11,7 @@ into one causally-linked, per-frame timeline:
   spans place transport and playout on the session's simulated
   timeline.  Traces are deterministic under a :class:`FakeClock`.
 - :class:`MetricsRegistry`: counters, gauges, and histograms with
-  exact streaming quantiles; cache and transport batch counters write
+  exact streaming quantiles; cache counters and the channel write
   themselves into it (``metrics_into``) and the session adds its stage
   timings.
 - Exporters: JSONL and Chrome ``trace_event`` JSON (loads in Perfetto

@@ -7,9 +7,9 @@ them.  The sorted view is cached and invalidated on write, so repeated
 quantile reads cost one sort total.
 
 Producers write themselves in: anything with telemetry has a
-``metrics_into(registry)`` (the channel, the SFU node, the batch plane,
-the watchdog, :class:`repro.perf.counters.CacheCounters`), and the
-registry knows none of them.
+``metrics_into(registry)`` (the channel, the SFU node, the watchdog,
+:class:`repro.perf.counters.CacheCounters`), and the registry knows
+none of them.
 """
 
 from __future__ import annotations

@@ -8,12 +8,16 @@ package holds the caches that remove the redundancy:
   static scene points are projected through each camera once and their
   splat arrays reused every frame (``repro.capture.renderer.ProjectionCache``
   does the per-camera caching).
-- :class:`~repro.perf.scratch.ScratchArena` -- codec scratch: one
-  stream's hit/miss-counted reads of the process-wide weight matrices,
-  quantization divisors and motion offset tables.
+- :mod:`~repro.perf.scratch` -- codec scratch: the process-wide memo
+  of weight matrices, quantization divisors and motion offset tables
+  (shared tables, not a cache per stream, so it keeps no counters).
 - :class:`~repro.perf.culling.CullCache` -- one frame's visibility
   table, built from per-pixel point grids that every cache culling the
   same capture shares.
+
+Only the two caches count hits and misses (``capture_projection``,
+``cull_projection``): a hit there skips work a miss does, and those
+tallies are the ``cache_stats`` a report or a fleet carries.
 
 The codec tables and the point grids are shared process-wide and
 read-only (the tables kept for the process's life, a grid only

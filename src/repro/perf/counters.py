@@ -14,16 +14,6 @@ from dataclasses import dataclass
 __all__ = ["CacheCounters", "BatchCounters"]
 
 
-def _metrics_into(counters, registry) -> None:
-    """Register ``to_dict()``'s tallies in a ``repro.obs`` registry as
-    ``cache.<name>.hits`` / ``.misses`` counters and a ``.hit_rate`` gauge."""
-    entry = counters.to_dict()
-    prefix = f"cache.{counters.name}"
-    registry.counter(f"{prefix}.hits").inc(entry["hits"])
-    registry.counter(f"{prefix}.misses").inc(entry["misses"])
-    registry.gauge(f"{prefix}.hit_rate").set(entry["hit_rate"])
-
-
 @dataclass
 class CacheCounters:
     """Hit/miss tally for one cache."""
@@ -62,20 +52,25 @@ class CacheCounters:
             "hit_rate": round(self.hit_rate, 4),
         }
 
-    metrics_into = _metrics_into
+    def metrics_into(self, registry) -> None:
+        """Register the tallies in a ``repro.obs`` registry as
+        ``cache.<name>.hits`` / ``.misses`` counters and a ``.hit_rate``
+        gauge."""
+        prefix = f"cache.{self.name}"
+        registry.counter(f"{prefix}.hits").inc(self.hits)
+        registry.counter(f"{prefix}.misses").inc(self.misses)
+        registry.gauge(f"{prefix}.hit_rate").set(round(self.hit_rate, 4))
 
 
 @dataclass
 class BatchCounters:
-    """Batched-vs-scalar tally for a vectorized fast path.
+    """Batched-vs-scalar tally of one batch-plane kernel.
 
     Items that went through a batched call count as hits, items that
-    fell back to per-item processing count as misses, so the profile
-    table (which reads hits/misses/hit_rate) shows the batched fraction
-    without special-casing.
+    ran alone count as misses, so ``to_dict`` reads like a cache's
+    hits/misses/hit_rate with the batched fraction as the rate.
     """
 
-    name: str
     batches: int = 0
     batched_items: int = 0
     scalar_items: int = 0
@@ -108,5 +103,3 @@ class BatchCounters:
             "hit_rate": round(self.batched_fraction, 4),
             "batches": self.batches,
         }
-
-    metrics_into = _metrics_into

@@ -1,5 +1,4 @@
-"""Codec scratch: process-wide codec tables, and per-stream arenas that
-count their reads of them.
+"""Codec scratch: the process-wide codec tables.
 
 The block codec rebuilds the same small tables on every plane of every
 frame -- the frequency weight matrix, the step-scaled quantization
@@ -13,14 +12,6 @@ table is identical in value to what the pure ``weight_matrix`` /
 ``search_offsets`` / ``qp_to_step`` functions compute (the offset list
 held as a tuple), so bitstreams equal those of a codec calling them
 fresh per plane (pinned by ``TestScratchArena`` under tests/).
-
-A :class:`ScratchArena` belongs to one ``_CodecCore`` and holds no
-table and no work buffer (the motion kernel reads its candidates
-through strided views and allocates only per-call scratch).  It records
-which keys its stream has asked for, one bit per key, so its
-``codec_scratch`` counters read exactly as private memos would: the
-first ask for a key is a miss, every later one a hit.  Motion searches
-are counted per (window, shape) the same way.
 """
 
 from __future__ import annotations
@@ -29,11 +20,11 @@ import threading
 
 import numpy as np
 
-from repro.codec.motion import search_offsets
-from repro.codec.quant import qp_to_step, weight_matrix
-from repro.perf.counters import CacheCounters
+from repro.codec.motion import search_offsets as _search_offsets
+from repro.codec.quant import qp_to_step
+from repro.codec.quant import weight_matrix as _weight_matrix
 
-__all__ = ["ScratchArena", "table_key"]
+__all__ = ["weight_matrix", "quant_scale", "search_offsets", "table_key"]
 
 # The process-wide memo: every key asked so far, numbered densely, and
 # the table each number names.  Tables live as long as the process, so
@@ -46,8 +37,8 @@ _NUMBER_OF_TABLE: dict[int, int] = {}
 _LOCK = threading.Lock()
 
 
-def _shared(key: tuple, build) -> tuple[int, object]:
-    """``(number, table)`` of ``key``, building the table on first ask."""
+def _shared(key: tuple, build):
+    """The table of ``key``, building it on first ask."""
     number = _NUMBERS.get(key)
     if number is None:
         with _LOCK:
@@ -60,7 +51,7 @@ def _shared(key: tuple, build) -> tuple[int, object]:
                 number = len(_TABLES)
                 _TABLES.append(table)
                 _NUMBERS[key] = number
-    return number, _TABLES[number]
+    return _TABLES[number]
 
 
 def table_key(weights: np.ndarray | None):
@@ -78,66 +69,27 @@ def table_key(weights: np.ndarray | None):
     return weights.tobytes()
 
 
-class ScratchArena:
-    """One stream's reads of the shared codec tables, hit/miss counted."""
+def weight_matrix(block_size: int, strength: float) -> np.ndarray:
+    """Frequency-weight matrix of (size, strength)."""
+    return _shared(
+        ("weights", block_size, strength),
+        lambda: _weight_matrix(block_size, strength),
+    )
 
-    def __init__(self) -> None:
-        # Bit n set: this stream has asked for shared key number n.
-        self._asked = 0
-        self._motion_keys: set[tuple[int, tuple[int, int]]] = set()
-        self.counters = CacheCounters("codec_scratch")
 
-    def _read(self, key: tuple, build):
-        """The shared table of ``key``, counted as this stream's ask."""
-        number, table = _shared(key, build)
-        bit = 1 << number
-        if self._asked & bit:
-            self.counters.hit()
-        else:
-            self.counters.miss()
-            self._asked |= bit
-        return table
+def quant_scale(qp: float, weights: np.ndarray | None):
+    """The quantization divisor ``step`` or ``step * weights``.
 
-    # ------------------------------------------------------------------
-    # Shared tables
-    # ------------------------------------------------------------------
+    Values are exactly what :func:`repro.codec.quant.quantize` computes
+    internally, memoized per (qp, weight table).
+    """
+    return _shared(
+        ("scale", qp, table_key(weights)),
+        lambda: qp_to_step(qp) if weights is None else qp_to_step(qp) * weights,
+    )
 
-    def weight_matrix(self, block_size: int, strength: float) -> np.ndarray:
-        """Frequency-weight matrix of (size, strength)."""
-        return self._read(
-            ("weights", block_size, strength),
-            lambda: weight_matrix(block_size, strength),
-        )
 
-    def quant_scale(self, qp: float, weights: np.ndarray | None):
-        """The quantization divisor ``step`` or ``step * weights``.
-
-        Values are exactly what :func:`repro.codec.quant.quantize`
-        computes internally, memoized per (qp, weight table).
-        """
-        return self._read(
-            ("scale", qp, table_key(weights)),
-            lambda: qp_to_step(qp) if weights is None else qp_to_step(qp) * weights,
-        )
-
-    def search_offsets(self, search_range: int) -> tuple[tuple[int, int], ...]:
-        """Motion offset table of a search range (a tuple: shared, so
-        immutable)."""
-        return self._read(
-            ("offsets", search_range), lambda: tuple(search_offsets(search_range))
-        )
-
-    def count_motion_search(self, num_offsets: int, shape: tuple[int, int]) -> None:
-        """Count one motion search of ``shape`` planes over ``num_offsets``.
-
-        Nothing is held -- the kernel allocates its own per-call
-        scratch -- but the first search of each (window, shape) counts
-        a miss and later ones hit, so ``codec_scratch`` counters track
-        the set of search shapes a stream has seen.
-        """
-        key = (num_offsets, shape)
-        if key in self._motion_keys:
-            self.counters.hit()
-        else:
-            self.counters.miss()
-            self._motion_keys.add(key)
+def search_offsets(search_range: int) -> tuple[tuple[int, int], ...]:
+    """Motion offset table of a search range (a tuple: shared, so
+    immutable)."""
+    return _shared(("offsets", search_range), lambda: tuple(_search_offsets(search_range)))

@@ -38,12 +38,10 @@ Determinism rules (tested in tests/test_batchplane.py):
    :func:`repro.perf.scratch.table_key`), so heterogeneous jobs are
    never co-batched;
 3. sessions are independent -- scatter order equals request order, and
-   a bucket's execution never reads another request's stream state --
-   so lockstep results equal the serial schedule's regardless of how
-   rounds interleave across sessions;
-4. bucketed jobs still ask through their stream's scratch arena (the
-   shared scale memo, the motion-search count), so ``--profile`` cache
-   counters are independent of batching.
+   a kernel is a pure function of its requests (the tables it reads are
+   the process-wide memo's, :mod:`repro.perf.scratch`) -- so lockstep
+   results equal the serial schedule's regardless of how rounds
+   interleave across sessions.
 
 A kernel exception is re-raised *inside* the owning generator (via
 ``generator.throw``) at the yield point, so existing skip-not-crash
@@ -60,10 +58,10 @@ import numpy as np
 
 from repro.codec.dct import forward_dct, inverse_dct
 from repro.codec.entropy import encode_levels, encode_levels_batch
-from repro.codec.motion import motion_batch, search_offsets
-from repro.codec.quant import dequantize, qp_to_step, quantize
+from repro.codec.motion import motion_batch
+from repro.codec.quant import dequantize, quantize
+from repro.perf import scratch
 from repro.perf.counters import BatchCounters
-from repro.perf.scratch import table_key
 
 __all__ = [
     "LOCKSTEP_COHORT",
@@ -89,15 +87,11 @@ class BatchRequest:
             their ``(kind, key)`` are equal.  The key must carry every
             parameter that changes the kernel's math.
         payload: the kernel's positional inputs.
-        ctx: owning stream context (a ``_CodecCore`` for codec kinds)
-            giving the scalar path access to that stream's scratch
-            arena.  Never shared across a bucket's items.
     """
 
     kind: str
     key: tuple
     payload: tuple
-    ctx: object | None = None
 
 
 # ----------------------------------------------------------------------
@@ -105,7 +99,7 @@ class BatchRequest:
 # ----------------------------------------------------------------------
 
 
-def plane_transform_request(residual, qp, weights, block_size, ctx=None) -> BatchRequest:
+def plane_transform_request(residual, qp, weights, block_size) -> BatchRequest:
     """DCT -> quantize -> dequantize -> inverse DCT on a residual stack.
 
     Result: ``(levels, recon_delta)``.  The block count may differ
@@ -114,13 +108,12 @@ def plane_transform_request(residual, qp, weights, block_size, ctx=None) -> Batc
     """
     return BatchRequest(
         kind="plane_transform",
-        key=(block_size, int(qp), table_key(weights)),
+        key=(block_size, int(qp), scratch.table_key(weights)),
         payload=(residual, qp, weights),
-        ctx=ctx,
     )
 
 
-def motion_request(plane, reference, search_range, block_size, ctx=None) -> BatchRequest:
+def motion_request(plane, reference, search_range, block_size) -> BatchRequest:
     """Motion search + compensation of one plane against its reference.
 
     Result: ``(mv_index, predictor)``.  Shape is in the key -- stacking
@@ -131,11 +124,10 @@ def motion_request(plane, reference, search_range, block_size, ctx=None) -> Batc
         kind="motion",
         key=(plane.shape, search_range, block_size),
         payload=(plane, reference),
-        ctx=ctx,
     )
 
 
-def entropy_encode_request(levels, effort, ctx=None) -> BatchRequest:
+def entropy_encode_request(levels, effort) -> BatchRequest:
     """Entropy-code one quantized level stack to its payload bytes.
 
     Result: ``bytes``.  The full stack shape is in the key -- the
@@ -146,7 +138,6 @@ def entropy_encode_request(levels, effort, ctx=None) -> BatchRequest:
         kind="entropy_encode",
         key=(levels.shape, int(effort)),
         payload=(levels, effort),
-        ctx=ctx,
     )
 
 
@@ -160,31 +151,16 @@ class _PlaneTransformKernel:
 
     name = "plane_transform"
 
-    @staticmethod
-    def _scale(request: BatchRequest):
-        """The shared quantization divisor, or a fresh one.
-
-        Routed through the request's arena even on the batched path so
-        cache counters match the serial schedule (determinism rule 4).
-        """
-        _, qp, weights = request.payload
-        core = request.ctx
-        if core is not None:
-            return core.arena.quant_scale(qp, weights)
-        step = qp_to_step(qp)
-        return step if weights is None else step * weights
-
     def single(self, request: BatchRequest):
         residual, qp, weights = request.payload
-        scale = self._scale(request)
+        scale = scratch.quant_scale(qp, weights)
         levels = quantize(forward_dct(residual), qp, weights, scale=scale)
         recon_delta = inverse_dct(dequantize(levels, qp, weights, scale=scale))
         return levels, recon_delta
 
     def batched(self, requests: list[BatchRequest]):
         _, qp, weights = requests[0].payload
-        scales = [self._scale(request) for request in requests]
-        scale = scales[0]
+        scale = scratch.quant_scale(qp, weights)
         counts = [request.payload[0].shape[0] for request in requests]
         stacked = np.concatenate([request.payload[0] for request in requests], axis=0)
         levels = quantize(forward_dct(stacked), qp, weights, scale=scale)
@@ -200,13 +176,6 @@ class _MotionKernel:
 
     name = "motion"
 
-    @staticmethod
-    def _offsets(request: BatchRequest):
-        core = request.ctx
-        if core is not None:
-            return core._offsets
-        return search_offsets(request.key[1])
-
     def single(self, request: BatchRequest):
         return self._search([request])[0]
 
@@ -214,11 +183,8 @@ class _MotionKernel:
         return self._search(requests)
 
     def _search(self, requests: list[BatchRequest]):
-        _, _, block_size = requests[0].key
-        offsets = self._offsets(requests[0])
-        for request in requests:
-            if request.ctx is not None and len(offsets) > 1:
-                request.ctx.arena.count_motion_search(len(offsets), request.payload[0].shape)
+        _, search_range, block_size = requests[0].key
+        offsets = scratch.search_offsets(search_range)
         planes = np.stack([request.payload[0] for request in requests])
         references = np.stack([request.payload[1] for request in requests])
         mv_index, predictor = motion_batch(planes, references, offsets, block_size)
@@ -370,14 +336,12 @@ class BatchPlane:
     """The lockstep scheduler plus its per-kind accounting.
 
     One instance serves a whole fleet run (or one session): it owns the
-    batched-vs-scalar counters surfaced as ``batchplane.*`` metrics.
+    per-kind batched-vs-scalar counters that :meth:`stats` reports.
     """
 
     def __init__(self) -> None:
         self.kernels = dict(KERNELS)
-        self.counters = {
-            name: BatchCounters(f"batchplane_{name}") for name in self.kernels
-        }
+        self.counters = {name: BatchCounters() for name in self.kernels}
         self.rounds = 0
         self.buckets = 0
 
@@ -497,14 +461,3 @@ class BatchPlane:
         payload["rounds"] = self.rounds
         payload["executed_buckets"] = self.buckets
         return payload
-
-    def metrics_into(self, registry) -> None:
-        """Fold the plane's counters into a metrics registry.
-
-        Per-kind tallies land as ``cache.batchplane_<kind>.*`` gauges
-        (profile-table compatible); round/bucket totals as counters.
-        """
-        for counters in self.counters.values():
-            counters.metrics_into(registry)
-        registry.counter("batchplane.rounds").inc(self.rounds)
-        registry.counter("batchplane.buckets").inc(self.buckets)

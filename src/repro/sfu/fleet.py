@@ -131,21 +131,12 @@ class FleetResult:
         reused the source.
         """
         registry = MetricsRegistry()
-        codec_scratch = CacheCounters("codec_scratch")
         cull_projection = CacheCounters("cull_projection")
         for conference in conferences:
             per_conference = MetricsRegistry()
             conference.node.metrics_into(per_conference)
             registry.merge(per_conference)
-            codec_scratch.merge(conference.sender.cache_counters())
             cull_projection.merge(conference.node.cull_cache.counters)
-        cache_stats = {
-            "codec_scratch": codec_scratch.to_dict(),
-            "cull_projection": cull_projection.to_dict(),
-            "capture_projection": capture,
-        }
-        for counters in batch_plane.counters.values():
-            cache_stats[counters.name] = counters.to_dict()
         session_frames = fleet.sessions * fleet.frames
         uplink = sum(c.uplink_bytes for c in conferences) / session_frames
         unicast_bytes_per_frame, control_s = control
@@ -175,7 +166,10 @@ class FleetResult:
                 if not name.startswith("sfu.rx.")
             },
             batch_plane_stats=batch_plane.stats(),
-            cache_stats=cache_stats,
+            cache_stats={
+                "cull_projection": cull_projection.to_dict(),
+                "capture_projection": capture,
+            },
             session_digests=[c.digest.hexdigest() for c in conferences],
         )
 

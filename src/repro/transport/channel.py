@@ -29,7 +29,6 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.perf.counters import BatchCounters
 from repro.transport.fec import parity_packet_for
 from repro.transport.gcc import GCCConfig, GoogleCongestionControl
 from repro.transport.link import EmulatedLink
@@ -111,20 +110,13 @@ class WebRTCChannel:
         self.marker_frames: list[tuple[int, int]] = []
         self.bytes_sent_per_stream = [0] * num_streams
         self._clock = 0.0
-        self.batch_counters = BatchCounters("transport_batch")
         # Fragments parity rebuilt, per frame: their NACKs are cancelled.
         self._fec_repaired: dict[tuple[int, int], set[int]] = {}
         self.fec_repairs = 0
 
     def metrics_into(self, registry) -> None:
-        """Fold this channel's counters into a ``repro.obs`` registry.
-
-        Registers the per-packet offer count under its established
-        ``cache.transport_batch.*`` names (every offer is a ``miss``:
-        nothing is batched) plus per-stream byte totals and
-        loss/abandon counts.
-        """
-        self.batch_counters.metrics_into(registry)
+        """Fold this channel's per-stream byte totals and loss/abandon
+        counts into a ``repro.obs`` registry."""
         for stream_id, sent in enumerate(self.bytes_sent_per_stream):
             registry.counter(f"transport.stream{stream_id}.bytes_sent").inc(sent)
         registry.counter("transport.frames_lost").inc(len(self.frames_lost))
@@ -278,7 +270,6 @@ class WebRTCChannel:
                 self._handle_nack(time_s, *payload)  # type: ignore[misc]
 
     def _handle_offer(self, time_s: float, packet: Packet, retries_left: int) -> None:
-        self.batch_counters.scalar(1)
         packet.send_time_s = time_s
         is_parity = packet.fragment < 0
         arrival = self.link.send(packet)

@@ -342,13 +342,11 @@ class TestEncoderLockstepParity:
         config = VideoCodecConfig(gop_size=4)
         streams = [self._frames(seed) for seed in (11, 12)]
         serial_payloads = [[], []]
-        serial_counters = []
         for index, frames in enumerate(streams):
             encoder = VideoEncoder(VideoCodecConfig(gop_size=4))
             for frame in frames:
                 encoded, _ = encoder.encode(frame, qp=26)
                 serial_payloads[index].append(encoded.payload)
-            serial_counters.append(encoder.cache_counters.to_dict())
 
         encoders = [VideoEncoder(config), VideoEncoder(VideoCodecConfig(gop_size=4))]
         plane = BatchPlane()
@@ -366,9 +364,6 @@ class TestEncoderLockstepParity:
         # Frames 1+ are INTER: motion jobs must actually have co-batched.
         assert plane.counters["motion"].batched_items > 0
         assert plane.counters["plane_transform"].batched_items > 0
-        # Bucketed jobs still touch their own stream's scratch arena, so
-        # its counters do not depend on the schedule.
-        assert [e.cache_counters.to_dict() for e in encoders] == serial_counters
 
     def test_encode_to_target_retry_parity(self):
         frames = self._frames(13, count=4)
@@ -500,7 +495,8 @@ class TestFleetParity:
         assert stats["plane_transform"]["hits"] > stats["plane_transform"]["batches"]
 
     def test_cache_stats_reported_once_fleet_wide(self, fleet):
-        assert set(fleet.cache_stats) >= {
-            "codec_scratch", "cull_projection", "capture_projection",
-        }
-        assert fleet.cache_stats["codec_scratch"]["hits"] > 0
+        # One merged row per real cache; the plane's batched/scalar
+        # tallies are batch_plane_stats, not cache rows.
+        assert set(fleet.cache_stats) == {"cull_projection", "capture_projection"}
+        assert fleet.cache_stats["cull_projection"]["hits"] > 0
+        assert fleet.cache_stats["capture_projection"]["hits"] > 0

@@ -7,7 +7,7 @@ promise:
 - incremental capture vs full re-render across a dynamic scene,
 - the PointSSIM scalar oracle vs the one-shot metric, to full precision,
 - determinism of the stratified subsample mode,
-- scratch-arena bitstreams vs the pinned plain-encoder bitstreams,
+- shared-memo codec bitstreams vs the pinned plain-encoder bitstreams,
 
 plus regression tests for the satellite fixes (read-only zigzag cache,
 exact integer bit lengths, hole filling).
@@ -31,6 +31,7 @@ from repro.core.session import LiVoSession
 from repro.geometry.camera import CameraExtrinsics, CameraIntrinsics, RGBDCamera
 from repro.geometry.pointcloud import PointCloud
 from repro.metrics.pointssim import pointssim, precompute_features, stratified_subsample
+from repro.perf import scratch
 from repro.perf.capture import FRAME_MEMO_BYTES, CachedFrameSource
 from repro.prediction.pose import user_traces_for_video
 from repro.transport.traces import trace_1
@@ -340,7 +341,7 @@ class TestQualityScoring:
 
 
 # ----------------------------------------------------------------------
-# Codec scratch-arena parity
+# Codec scratch-memo parity
 # ----------------------------------------------------------------------
 
 
@@ -355,9 +356,10 @@ def _video_frames(num: int = 4, seed: int = 5) -> list[np.ndarray]:
 
 
 class TestScratchArena:
-    """The arena-backed codec reproduces the bitstreams the arena-less
-    codec (``weight_matrix``/``search_offsets``/``quantize`` called
-    fresh per plane) produced before it was deleted (tests/twins.py)."""
+    """The codec reading the process-wide memo (:mod:`repro.perf.scratch`)
+    reproduces the bitstreams the memo-less codec (``weight_matrix`` /
+    ``search_offsets`` / ``quantize`` called fresh per plane) produced
+    before it was deleted (tests/twins.py)."""
 
     @pytest.mark.parametrize("depth_mode", [False, True])
     def test_bitstreams_byte_identical(self, depth_mode, oracle_transform):
@@ -386,32 +388,26 @@ class TestScratchArena:
             [payloads, decodes],
         )
 
-    def test_arena_counters_record_hits(self):
-        config = VideoCodecConfig(gop_size=4)
-        encoder = VideoEncoder(config)
-        for image in _video_frames(num=5):
-            encoder.encode(image, qp=30)
-        counters = encoder.cache_counters
-        assert counters.hits > counters.misses
-
     def test_arena_holds_tables_not_plane_buffers(self):
-        # The motion kernel allocates per call: an arena keeps only its
-        # small tables, however many plane shapes its stream has coded.
+        # The motion kernel allocates per call: the memo keeps only small
+        # tables keyed by codec parameters, never by plane shape, so
+        # coding more shapes adds nothing to it.
+        def held_bytes():
+            return sum(
+                table.nbytes for table in scratch._TABLES if isinstance(table, np.ndarray)
+            )
+
+        before = held_bytes()
         rng = np.random.default_rng(2)
         encoder = VideoEncoder(VideoCodecConfig(gop_size=4))
+        grown = []
         for height, width in ((48, 64), (40, 56), (64, 96)):
             encoder.reset()
             for _ in range(10):
                 image = rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8)
                 encoder.encode(image, qp=30)
-        held = [
-            value
-            for table in vars(encoder._core.arena).values()
-            if isinstance(table, dict)
-            for value in table.values()
-            if isinstance(value, np.ndarray)
-        ]
-        assert sum(array.nbytes for array in held) < 64 * 1024
+            grown.append(held_bytes() - before)
+        assert grown[0] == grown[-1] < 64 * 1024
 
     def test_rate_controlled_encode_identical(self, oracle_transform):
         encoder = VideoEncoder(VideoCodecConfig(gop_size=3))

@@ -49,7 +49,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.span import CLOCK_SIM, CLOCK_WALL, STATUS_INCOMPLETE
 from repro.obs.timeline import format_timeline, frame_timelines
 from repro.obs.tracer import Tracer
-from repro.perf.counters import BatchCounters, CacheCounters
+from repro.perf.counters import CacheCounters
 from repro.prediction.pose import user_traces_for_video
 from repro.runtime.stage import Stage
 from repro.transport.traces import trace_1
@@ -223,20 +223,14 @@ class TestMetrics:
             registry.get("missing")
 
     def test_cache_stats_shim(self):
-        # The counters own the ``cache.<name>.*`` naming; a batch tally
-        # reads as hits (batched) / misses (scalar) under the same names.
+        # The counters own the ``cache.<name>.*`` naming.
         registry = MetricsRegistry()
-        CacheCounters("quality_features", hits=10, misses=2).metrics_into(registry)
-        assert registry.get("cache.quality_features.hits").value == 10
-        assert registry.get("cache.quality_features.misses").value == 2
-        assert registry.get("cache.quality_features.hit_rate").value == round(10 / 12, 4)
-        batch = BatchCounters("transport_batch")
-        batch.batch(3)
-        batch.scalar(1)
-        batch.metrics_into(registry)
-        assert registry.get("cache.transport_batch.hits").value == 3
-        assert registry.get("cache.transport_batch.misses").value == 1
-        assert registry.get("cache.transport_batch.hit_rate").value == 0.75
+        CacheCounters("capture_projection", hits=10, misses=2).metrics_into(registry)
+        assert registry.get("cache.capture_projection.hits").value == 10
+        assert registry.get("cache.capture_projection.misses").value == 2
+        assert registry.get("cache.capture_projection.hit_rate").value == round(10 / 12, 4)
+        CacheCounters("cull_projection", hits=3, misses=1).metrics_into(registry)
+        assert registry.get("cache.cull_projection.hit_rate").value == 0.75
 
     def test_stage_timings_shim(self):
         # The session writes one ``stage.<name>.ms`` histogram per stage,

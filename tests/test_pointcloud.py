@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.geometry.pointcloud import PointCloud
 from repro.geometry.transforms import make_transform, rotation_y
+from repro.geometry import voxel
 from repro.geometry.voxel import voxel_downsample, voxel_occupancy
 
 
@@ -71,6 +72,55 @@ class TestPointCloud:
         copied = cloud.copy()
         copied.positions[0] = 99.0
         assert cloud.positions[0, 0] != 99.0
+
+
+def _rowwise_downsample(cloud: PointCloud, voxel_size_m: float):
+    """The reference grouping: ``np.unique(axis=0)`` and ``np.add.at``."""
+    keys = np.floor(cloud.positions / voxel_size_m).astype(np.int64)
+    _, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    inverse = inverse.reshape(-1)
+    position_sums = np.zeros((len(counts), 3))
+    np.add.at(position_sums, inverse, cloud.positions)
+    color_sums = np.zeros((len(counts), 3))
+    np.add.at(color_sums, inverse, cloud.colors.astype(np.float64))
+    colors = np.clip(np.rint(color_sums / counts[:, None]), 0, 255).astype(np.uint8)
+    return inverse, counts, position_sums / counts[:, None], colors
+
+
+class TestVoxelGrouping:
+    """The packed-key grouping equals the row-wise reference up to the
+    edge of its per-axis budget, and keys past it take the fallback."""
+
+    EDGE = (1 << 20) - 1
+
+    def _cloud(self, bound: int) -> PointCloud:
+        # Unit voxels, so a point's key is exactly its floored position:
+        # every corner of the +-bound cube, repeated, plus random keys.
+        rng = np.random.default_rng(4)
+        corners = np.array(np.meshgrid(*[(-bound, 0, bound)] * 3)).reshape(3, -1).T
+        keys = np.concatenate(
+            [corners, corners[::-1], rng.integers(-bound, bound + 1, size=(300, 3))]
+        )
+        positions = keys + rng.uniform(0.1, 0.9, size=keys.shape)
+        colors = rng.integers(0, 256, size=keys.shape, dtype=np.uint8)
+        return PointCloud(positions, colors)
+
+    @pytest.mark.parametrize(
+        "bound,packed", [(EDGE, True), (EDGE + 1, False), (3 * EDGE, False)],
+        ids=["budget-edge", "one-past", "far-past"],
+    )
+    def test_grouping_matches_rowwise_reference(self, bound, packed):
+        cloud = self._cloud(bound)
+        keys = voxel.voxel_keys(cloud.positions, 1.0)
+        assert np.abs(keys).max() == bound
+        assert (voxel._packed_keys(keys) is not None) is packed
+        inverse, counts, centroids, colors = _rowwise_downsample(cloud, 1.0)
+        grouped_inverse, grouped_counts = voxel._group_voxels(keys)
+        np.testing.assert_array_equal(grouped_inverse, inverse)
+        np.testing.assert_array_equal(grouped_counts, counts)
+        down = voxel_downsample(cloud, 1.0)
+        np.testing.assert_array_equal(down.positions, centroids)
+        np.testing.assert_array_equal(down.colors, colors)
 
 
 class TestVoxelDownsample:

@@ -106,6 +106,22 @@ class TestSchemeNaming:
         assert (report.scheme, report.video) == (name, "dance5")
         assert report.fps_target == SCHEMES[name].fps
 
+    @pytest.mark.parametrize("name", list(SCHEMES))
+    def test_cache_stats_count_real_caches_only(self, tiny_workload, name):
+        # Every row counts a cache whose hit skips work a miss does: the
+        # capture's projection cache, and no emulated tally.
+        scene, user = tiny_workload
+        config = tiny_config(num_cameras=2, camera_width=32, camera_height=24, scheme=name)
+        report = run_scheme(config, scene, user, constant_trace(100.0), 4, "dance5")
+        assert set(report.cache_stats) == {"capture_projection"}
+        names = report.metrics.names() if report.metrics is not None else []
+        assert not [
+            metric for metric in names
+            if metric.startswith(
+                ("cache.codec_scratch", "cache.transport_batch", "cache.quality_features")
+            )
+        ]
+
 
 class TestExplicitTraceScale:
     def test_trace_scale_override(self, tiny_workload):

@@ -29,8 +29,10 @@ from repro.capture.rig import CaptureRig
 from repro.capture.scene import Scene
 from repro.codec import blocks, entropy
 from repro.codec.motion import gather_prediction
-from repro.codec.video import VideoCodecConfig, _CodecCore
+from repro.codec.video import VideoCodecConfig, VideoDecoder, VideoEncoder, _CodecCore
 from repro.compression import vpcc
+from repro.compression.meshreduce import MeshReducePipeline
+from repro.compression.oracle import DracoOracle
 from repro.core import bandwidth_split, multiway, schemes
 from repro.core import config as config_module
 from repro.core import session as session_module
@@ -38,7 +40,7 @@ from repro.core.config import SessionConfig
 from repro.core.receiver import LiVoReceiver
 from repro.core.sender import LiVoSender
 from repro.core.baselines import DracoOracleSession, MeshReduceSession
-from repro.core.session import LiVoSession, _Call
+from repro.core.session import LiVoSession, _Call, _QualityLane
 from repro.core.stats import SessionReport
 from repro.faults.plan import (
     BurstLossWindow,
@@ -56,9 +58,10 @@ from repro.obs import span as span_module
 from repro.obs import tracer as tracer_module
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
+from repro.perf import scratch
 from repro.perf.capture import CachedFrameSource
+from repro.perf.counters import BatchCounters
 from repro.perf.culling import CullCache
-from repro.perf.scratch import ScratchArena
 from repro.prediction.pose import user_traces_for_video
 from repro.runtime import batchplane
 from repro.runtime.stage import Stage, StageGraph, StageTiming
@@ -315,7 +318,9 @@ def test_one_conference_host_and_one_room_builder():
 @pytest.mark.parametrize(
     "owner,name",
     [
-        (ScratchArena, "block_buffer"),
+        # The codec tables are one process-wide memo read by plain
+        # functions; no per-stream arena replays hit/miss counts.
+        (scratch, "ScratchArena"),
         (Scene, "static_fraction"),
         (CullCache, "forget_camera"),
         # One receivers x cameras visibility table per frame: forward
@@ -430,6 +435,31 @@ def test_one_conference_host_and_one_room_builder():
         (LiVoSender, "receiver_id"),
         (LiVoReceiver, "receiver_id"),
         (_Call.__init__, "receiver_id"),
+        # Counters name what runs: every cache_stats row counts a cache
+        # whose hit skips work.  No emulated codec-scratch, transport or
+        # quality-feature tally, and the batch plane's requests carry no
+        # stream context to count through.
+        (_CodecCore, "arena"),
+        (VideoEncoder, "cache_counters"),
+        (VideoDecoder, "cache_counters"),
+        (LiVoSender, "cache_counters"),
+        (batchplane.BatchRequest, "ctx"),
+        (batchplane.plane_transform_request, "ctx"),
+        (batchplane.motion_request, "ctx"),
+        (batchplane.entropy_encode_request, "ctx"),
+        (batchplane.BatchPlane, "metrics_into"),
+        (BatchCounters, "metrics_into"),
+        (BatchCounters, "name"),
+        (WebRTCChannel, "batch_counters"),
+        (_QualityLane, "featurized"),
+        # The baselines' per-frame accounting lives in their replays'
+        # FrameRecords; the compressors keep no tallies of their own.
+        (DracoOracle, "stalls"),
+        (DracoOracle, "frames"),
+        (DracoOracle, "stall_rate"),
+        (MeshReducePipeline, "frames_offered"),
+        (MeshReducePipeline, "frames_sent"),
+        (MeshReducePipeline, "achieved_fps"),
     ],
     ids=lambda value: getattr(value, "__name__", value).rsplit(".", 1)[-1],
 )

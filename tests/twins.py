@@ -9,7 +9,12 @@ that had the flags, with every one of them **off**, so each digest is
 the output of the implementation that no longer exists.  The one path
 left must reproduce every digest byte for byte.
 
-The file is never re-recorded: the code that produced it is gone.
+The file is never re-recorded: the code that produced it is gone.  The
+one exception is three keys that recorded the emulated cache counters
+by name (``registry:session_faulted``, ``session:draco_oracle``,
+``session:meshreduce``).  Those counters described no real cache, and
+the change that deleted them re-recorded the three keys once; putting
+back exactly the deleted entries reproduces each old digest.
 
 The digests were recorded with ``scipy.fft``'s DCT, whose last-bit
 rounding the package's matrix-product DCT does not share, so every test
