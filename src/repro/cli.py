@@ -9,6 +9,7 @@ Usage (after ``python setup.py develop``)::
     python -m repro run --video band2 --trace /tmp/session.json   # Perfetto
     python -m repro export --video pizza1 --out /tmp/pizza1
     python -m repro multiway --mode sfu --receivers 4   # SFU fan-out
+    python -m repro scenario --replay-corpus tests/goldens   # chaos corpus
 """
 
 from __future__ import annotations
@@ -154,6 +155,44 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--tick-interval", type=_ranged(float, 0.0), default=FRAME_INTERVAL_S,
         help="seconds between tick rounds (0 = free-running)",
+    )
+
+    scenario = sub.add_parser(
+        "scenario",
+        help="deterministic chaos scenarios: record, replay, regress",
+        description="exit 0 success, 1 replay divergence, 2 usage/artifact "
+        "error, 3 invariant violation",
+    )
+    action = scenario.add_mutually_exclusive_group(required=True)
+    action.add_argument(
+        "--scenario", metavar="NAME",
+        help="zoo scenario to run (see --list-scenarios)",
+    )
+    action.add_argument(
+        "--list-scenarios", action="store_true", help="list the scenario zoo"
+    )
+    action.add_argument(
+        "--replay", metavar="PATH", help="replay a recording and diff against it"
+    )
+    action.add_argument(
+        "--replay-corpus", metavar="DIR",
+        help="replay every *.jsonl recording in a directory (CI regression)",
+    )
+    action.add_argument(
+        "--run-zoo", action="store_true",
+        help="run every zoo scenario through the invariant checker",
+    )
+    scenario.add_argument(
+        "--record", metavar="PATH",
+        help="with --scenario: write the run's recording artifact here",
+    )
+    scenario.add_argument(
+        "--frames", type=_positive_int,
+        help="with --scenario: override the spec's frame count",
+    )
+    scenario.add_argument(
+        "--no-invariants", action="store_true",
+        help="skip the invariant checker (diff-only replay)",
     )
 
     return parser
@@ -383,25 +422,8 @@ def _cmd_serve(args: argparse.Namespace, usage_error) -> int:
     return 0 if leaked == 0 else 1
 
 
-_SCENARIO_FLAGS = {
-    "--scenario",
-    "--list-scenarios",
-    "--replay",
-    "--replay-corpus",
-    "--run-zoo",
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
-    if argv is None:
-        argv = sys.argv[1:]
-    # Scenario commands use top-level flags (`python -m repro --scenario
-    # NAME --record r.jsonl`), routed before the subcommand parser.
-    if argv and (argv[0] == "scenario" or argv[0].split("=")[0] in _SCENARIO_FLAGS):
-        from repro.scenario.cli import main as scenario_main
-
-        return scenario_main(argv[1:] if argv[0] == "scenario" else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "videos":
@@ -420,4 +442,8 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_multiway(args, parser.error)
     if args.command == "serve":
         return _cmd_serve(args, parser.error)
+    if args.command == "scenario":
+        from repro.scenario.cli import main as scenario_main
+
+        return scenario_main(args)
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -125,6 +125,11 @@ class SessionConfig:
         for name in ("num_cameras", "camera_width", "camera_height", "scene_sample_budget"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.num_cameras > MAX_PLANE_SIDE**2:
+            raise ValueError(
+                f"num_cameras={self.num_cameras} cannot tile into a frame "
+                f"header's {MAX_PLANE_SIDE}x{MAX_PLANE_SIDE} plane"
+            )
         layout = TileLayout.for_cameras(self.num_cameras, self.camera_height, self.camera_width)
         if max(layout.frame_height, layout.frame_width) > MAX_PLANE_SIDE:
             raise ValueError(

@@ -16,6 +16,8 @@ sender -> channel -> receiver chain crosses:
 
 Plans are plain frozen dataclasses; :class:`repro.faults.injector.
 FaultInjector` executes them deterministically from the plan's seed.
+A scenario artifact serializes a plan with the rest of its spec
+(:meth:`repro.scenario.spec.ScenarioSpec.to_dict`).
 """
 
 from __future__ import annotations
@@ -52,8 +54,8 @@ def _check_no_overlap(windows, label: str) -> None:
         if current.start_s < previous.end_s:
             raise ValueError(
                 f"overlapping {label}: "
-                f"[{previous.start_s:g}, {previous.end_s:g}) and "
-                f"[{current.start_s:g}, {current.end_s:g})"
+                f"[{previous.start_s}, {previous.end_s}) and "
+                f"[{current.start_s}, {current.end_s})"
             )
 
 
@@ -168,6 +170,8 @@ class FaultPlan:
     corrupted_frames: tuple[FrameCorruption, ...] = ()
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         # Tolerate lists at construction; store tuples for hashability.
         object.__setattr__(self, "camera_faults", tuple(self.camera_faults))
         object.__setattr__(self, "link_outages", tuple(self.link_outages))
@@ -186,58 +190,6 @@ class FaultPlan:
         _check_no_overlap(self.burst_loss, "burst-loss windows")
         _check_unique_sequences(self.encoder_faults, "encoder fault")
         _check_unique_sequences(self.corrupted_frames, "frame corruption")
-
-    def to_dict(self) -> dict:
-        """JSON-friendly form (scenario artifact headers)."""
-        return {
-            "seed": self.seed,
-            "camera_faults": [
-                {
-                    "camera_id": f.camera_id,
-                    "start_s": f.start_s,
-                    "end_s": f.end_s,
-                    "mode": f.mode,
-                }
-                for f in self.camera_faults
-            ],
-            "link_outages": [
-                {"start_s": o.start_s, "end_s": o.end_s} for o in self.link_outages
-            ],
-            "burst_loss": [
-                {
-                    "start_s": w.start_s,
-                    "end_s": w.end_s,
-                    "p_enter": w.p_enter,
-                    "p_exit": w.p_exit,
-                    "loss_in_bad": w.loss_in_bad,
-                }
-                for w in self.burst_loss
-            ],
-            "encoder_faults": [f.sequence for f in self.encoder_faults],
-            "corrupted_frames": [f.sequence for f in self.corrupted_frames],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultPlan":
-        """Rebuild a plan serialized by :meth:`to_dict` (validated anew)."""
-        return cls(
-            seed=int(data.get("seed", 0)),
-            camera_faults=tuple(
-                CameraFault(**entry) for entry in data.get("camera_faults", ())
-            ),
-            link_outages=tuple(
-                LinkOutage(**entry) for entry in data.get("link_outages", ())
-            ),
-            burst_loss=tuple(
-                BurstLossWindow(**entry) for entry in data.get("burst_loss", ())
-            ),
-            encoder_faults=tuple(
-                EncoderFault(sequence) for sequence in data.get("encoder_faults", ())
-            ),
-            corrupted_frames=tuple(
-                FrameCorruption(sequence) for sequence in data.get("corrupted_frames", ())
-            ),
-        )
 
     @property
     def is_empty(self) -> bool:

@@ -6,5 +6,5 @@
 - :mod:`repro.scenario.recorder` -- versioned JSONL recording artifacts;
 - :mod:`repro.scenario.replay` -- re-run + structural diff vs a golden;
 - :mod:`repro.scenario.invariants` -- cross-cutting session invariants;
-- :mod:`repro.scenario.cli` -- the ``--scenario`` command surface.
+- :mod:`repro.scenario.cli` -- the ``repro scenario`` subcommand.
 """

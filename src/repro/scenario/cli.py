@@ -1,13 +1,13 @@
-"""Scenario CLI: list, run, record, and replay chaos scenarios.
+"""Scenario commands: list, run, record, and replay chaos scenarios.
 
-Routed from ``python -m repro`` when the first argument is a scenario
-flag (or the ``scenario`` word)::
+The ``scenario`` subcommand of ``python -m repro`` (its flags are one
+required choice, declared in :func:`repro.cli.build_parser`)::
 
-    python -m repro --list-scenarios
-    python -m repro --scenario handoff-cellular-wifi --record r.jsonl
-    python -m repro --replay r.jsonl
-    python -m repro --replay-corpus tests/goldens
-    python -m repro --run-zoo
+    python -m repro scenario --list-scenarios
+    python -m repro scenario --scenario handoff-cellular-wifi --record r.jsonl
+    python -m repro scenario --replay r.jsonl
+    python -m repro scenario --replay-corpus tests/goldens
+    python -m repro scenario --run-zoo
 
 Exit codes: 0 success, 1 replay divergence, 2 usage/artifact error,
 3 invariant violation.
@@ -19,52 +19,12 @@ import argparse
 import sys
 from pathlib import Path
 
-__all__ = ["build_parser", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_DIVERGED = 1
 EXIT_USAGE = 2
 EXIT_INVARIANT = 3
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro scenario",
-        description="deterministic chaos scenarios: record, replay, regress",
-    )
-    parser.add_argument(
-        "--scenario", metavar="NAME", default=None,
-        help="zoo scenario to run (see --list-scenarios)",
-    )
-    parser.add_argument(
-        "--list-scenarios", action="store_true",
-        help="list the scenario zoo and exit",
-    )
-    parser.add_argument(
-        "--record", metavar="PATH", default=None,
-        help="with --scenario: write the run's recording artifact here",
-    )
-    parser.add_argument(
-        "--replay", metavar="PATH", default=None,
-        help="replay a recording and diff against it",
-    )
-    parser.add_argument(
-        "--replay-corpus", metavar="DIR", default=None,
-        help="replay every *.jsonl recording in a directory (CI regression)",
-    )
-    parser.add_argument(
-        "--run-zoo", action="store_true",
-        help="run every zoo scenario through the invariant checker",
-    )
-    parser.add_argument(
-        "--frames", type=int, default=None,
-        help="with --scenario: override the spec's frame count",
-    )
-    parser.add_argument(
-        "--no-invariants", action="store_true",
-        help="skip the invariant checker (diff-only replay)",
-    )
-    return parser
 
 
 def _check_invariants(spec, report, enabled: bool) -> int:
@@ -115,23 +75,16 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 def _replay_one(path: Path, check_invariants: bool) -> int:
     from repro.scenario.replay import ArtifactError, replay_artifact
-    from repro.scenario.spec import ScenarioSpec
 
     try:
-        diff, report = replay_artifact(path)
+        spec, diff, report = replay_artifact(path)
     except ArtifactError as error:
         print(f"error: {path}: {error}", file=sys.stderr)
         return EXIT_USAGE
     print(diff.format())
     if not diff.matches:
         return EXIT_DIVERGED
-    if check_invariants:
-        from repro.scenario.replay import load_artifact
-
-        records, _ = load_artifact(path)
-        spec = ScenarioSpec.from_dict(records[0]["spec"])
-        return _check_invariants(spec, report, True)
-    return EXIT_OK
+    return _check_invariants(spec, report, check_invariants)
 
 
 def _cmd_replay_corpus(directory: str, check_invariants: bool) -> int:
@@ -159,26 +112,8 @@ def _cmd_run_zoo(check_invariants: bool) -> int:
     return worst
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    actions = sum(
-        1
-        for active in (
-            args.list_scenarios,
-            args.scenario is not None,
-            args.replay is not None,
-            args.replay_corpus is not None,
-            args.run_zoo,
-        )
-        if active
-    )
-    if actions != 1:
-        print(
-            "error: pick exactly one of --scenario / --list-scenarios / "
-            "--replay / --replay-corpus / --run-zoo",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+def main(args: argparse.Namespace) -> int:
+    """Run the ``scenario`` subcommand ``repro.cli`` parsed."""
     if args.list_scenarios:
         return _cmd_list()
     if args.scenario is not None:

@@ -9,7 +9,10 @@ regression bisects itself to a stage.
 
 A corrupted artifact (checksum mismatch) is still parsed and diffed
 when possible: the checksum divergence is reported first, followed by
-whatever record-level differences the corruption produced.
+whatever record-level differences the corruption produced.  An
+artifact that cannot be replayed at all -- bad JSON, no header, a
+foreign schema version, a missing or invalid spec -- raises
+:class:`ArtifactError` instead.
 """
 
 from __future__ import annotations
@@ -92,8 +95,8 @@ def load_artifact(path: str | Path) -> tuple[list[dict], bool]:
     """Parse an artifact into (body records, checksum_ok).
 
     Raises :class:`ArtifactError` when the file cannot serve as a
-    replay golden at all: unparseable JSON, no header, or a schema
-    version this code does not speak.
+    replay golden at all: unparseable JSON, a line that is not an
+    object, no header, or a schema version this code does not speak.
     """
     path = Path(path)
     try:
@@ -108,6 +111,8 @@ def load_artifact(path: str | Path) -> tuple[list[dict], bool]:
             records.append(json.loads(line))
         except json.JSONDecodeError as error:
             raise ArtifactError(f"line {number} is not valid JSON: {error}") from error
+        if not isinstance(records[-1], dict):
+            raise ArtifactError(f"line {number} is not a JSON object")
     if not records:
         raise ArtifactError("artifact is empty")
     checksum_ok = False
@@ -214,14 +219,21 @@ def diff_records(golden: list[dict], fresh: list[dict], scenario: str) -> DiffRe
 def replay_artifact(path: str | Path):
     """Re-run a recording and diff it against itself.
 
-    Returns ``(diff, report)`` where ``diff`` is the
-    :class:`DiffReport` and ``report`` the fresh
+    Returns ``(spec, diff, report)``: the spec the header embeds, the
+    :class:`DiffReport`, and the fresh
     :class:`~repro.core.stats.SessionReport` (for invariant checks).
+    A header without a spec, or with one the spec's codec or its own
+    checks reject, raises :class:`ArtifactError`.
     """
     from repro.scenario.runner import run_scenario
 
     golden, checksum_ok = load_artifact(path)
-    spec = ScenarioSpec.from_dict(golden[0]["spec"])
+    if "spec" not in golden[0]:
+        raise ArtifactError("header record has no spec")
+    try:
+        spec = ScenarioSpec.from_dict(golden[0]["spec"])
+    except ValueError as error:
+        raise ArtifactError(str(error)) from error
     report = run_scenario(spec)
     fresh = artifact_records(spec, report)
     # Normalize the fresh records through the same JSON round-trip the
@@ -241,4 +253,4 @@ def replay_artifact(path: str | Path):
                 "body does not match (artifact edited or truncated)",
             ),
         )
-    return diff, report
+    return spec, diff, report

@@ -14,17 +14,25 @@ roster that cannot be played -- a duplicate peer, a ``leave`` of a
 non-member, a ``join`` of a member -- is rejected when the spec is
 built, naming the event.
 
-Specs are frozen dataclasses with a dict loader
-(:meth:`ScenarioSpec.from_dict`), so a recording artifact can embed the
-exact spec it was produced from and a replay needs nothing but the
-artifact.  :meth:`ScenarioSpec.fingerprint` hashes the canonical JSON
-form; two specs with the same fingerprint replay identically.
+Specs are frozen dataclasses, and their fields are the JSON schema:
+:meth:`ScenarioSpec.to_dict` / :meth:`ScenarioSpec.from_dict` are one
+typed walk over them (``_encode`` / ``_decode`` below), so a recording
+artifact can embed the exact spec it was produced from and a replay
+needs nothing but the artifact.  A malformed spec is a ``ValueError``
+naming its path (``spec.trace.segments[0]: unknown field(s) [...]``).
+:meth:`ScenarioSpec.fingerprint` hashes the canonical JSON form; two
+specs with the same fingerprint replay identically.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import math
+import reprlib
+import types
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,13 +73,6 @@ class TraceSegment:
         if self.mbps_end is not None and self.mbps_end < 0:
             raise ValueError("segment end capacity must be non-negative")
 
-    def to_dict(self) -> dict:
-        return {
-            "duration_s": self.duration_s,
-            "mbps": self.mbps,
-            "mbps_end": self.mbps_end,
-        }
-
 
 @dataclass(frozen=True)
 class TraceSpec:
@@ -100,6 +101,8 @@ class TraceSpec:
             raise ValueError("interval_s must be positive")
         if self.jitter_sigma < 0:
             raise ValueError("jitter_sigma must be non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
     def build(self, duration_s: float) -> BandwidthTrace:
         """Materialize the trace (``duration_s`` sizes named traces).
@@ -127,29 +130,6 @@ class TraceSpec:
             )
         return BandwidthTrace(capacities, self.interval_s, name=self.label)
 
-    def to_dict(self) -> dict:
-        return {
-            "segments": [segment.to_dict() for segment in self.segments],
-            "named": self.named,
-            "interval_s": self.interval_s,
-            "jitter_sigma": self.jitter_sigma,
-            "seed": self.seed,
-            "label": self.label,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TraceSpec":
-        return cls(
-            segments=tuple(
-                TraceSegment(**entry) for entry in data.get("segments", ())
-            ),
-            named=data.get("named"),
-            interval_s=data.get("interval_s", 0.1),
-            jitter_sigma=data.get("jitter_sigma", 0.0),
-            seed=data.get("seed", 0),
-            label=data.get("label", "scenario"),
-        )
-
 
 @dataclass(frozen=True)
 class ChurnEvent:
@@ -166,9 +146,6 @@ class ChurnEvent:
             raise ValueError(f"unknown churn action {self.action!r}")
         if not self.peer:
             raise ValueError("churn event needs a peer name")
-
-    def to_dict(self) -> dict:
-        return {"time_s": self.time_s, "action": self.action, "peer": self.peer}
 
 
 @dataclass(frozen=True)
@@ -192,9 +169,6 @@ class ReceiverLink:
             raise ValueError("receiver link capacity must be positive")
         if self.propagation_s is not None and self.propagation_s < 0:
             raise ValueError("receiver link propagation must be non-negative")
-
-    def to_dict(self) -> dict:
-        return {"peer": self.peer, "mbps": self.mbps, "propagation_s": self.propagation_s}
 
 
 @dataclass(frozen=True)
@@ -242,6 +216,8 @@ class ScenarioSpec:
             raise ValueError("sample_budget must be at least 1")
         if self.user_index < 0:
             raise ValueError("user_index must be non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.multiway_mode not in ("shared", "unicast", "sfu"):
             raise ValueError("multiway_mode must be 'shared', 'unicast', or 'sfu'")
         if self.receiver_links:
@@ -348,70 +324,99 @@ class ScenarioSpec:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "kind": self.kind,
-            "video": self.video,
-            "scheme": self.scheme,
-            "frames": self.frames,
-            "seed": self.seed,
-            "user_index": self.user_index,
-            "num_cameras": self.num_cameras,
-            "camera_width": self.camera_width,
-            "camera_height": self.camera_height,
-            "sample_budget": self.sample_budget,
-            "gop_size": self.gop_size,
-            "quality_every": self.quality_every,
-            "trace": self.trace.to_dict(),
-            "faults": self.faults.to_dict(),
-            "link_propagation_s": self.link_propagation_s,
-            "link_loss_rate": self.link_loss_rate,
-            "initial_peers": list(self.initial_peers),
-            "churn": [event.to_dict() for event in self.churn],
-            "multiway_mode": self.multiway_mode,
-            "tags": list(self.tags),
-        } | (
-            # Emitted only when set, so pre-SFU recordings keep their
-            # canonical dict -- and therefore their fingerprint -- bit
-            # for bit (the golden-corpus compatibility contract).
-            {"receiver_links": [link.to_dict() for link in self.receiver_links]}
-            if self.receiver_links
-            else {}
-        )
+        """The spec's JSON form (see :func:`_encode`)."""
+        return _encode(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioSpec":
         """The loader: rebuild (and re-validate) a serialized spec."""
-        return cls(
-            name=data["name"],
-            description=data.get("description", ""),
-            kind=data.get("kind", "livo"),
-            video=data.get("video", "office1"),
-            scheme=data.get("scheme", "LiVo"),
-            frames=data.get("frames", 60),
-            seed=data.get("seed", 0),
-            user_index=data.get("user_index", 0),
-            num_cameras=data.get("num_cameras", 4),
-            camera_width=data.get("camera_width", 32),
-            camera_height=data.get("camera_height", 24),
-            sample_budget=data.get("sample_budget", 6000),
-            gop_size=data.get("gop_size", 10),
-            quality_every=data.get("quality_every", 6),
-            trace=TraceSpec.from_dict(data["trace"]),
-            faults=FaultPlan.from_dict(data.get("faults", {})),
-            link_propagation_s=data.get("link_propagation_s"),
-            link_loss_rate=data.get("link_loss_rate", 0.005),
-            initial_peers=tuple(data.get("initial_peers", ())),
-            churn=tuple(ChurnEvent(**entry) for entry in data.get("churn", ())),
-            multiway_mode=data.get("multiway_mode", "shared"),
-            receiver_links=tuple(
-                ReceiverLink(**entry) for entry in data.get("receiver_links", ())
-            ),
-            tags=tuple(data.get("tags", ())),
-        )
+        return _decode(cls, data, "spec")
 
     def fingerprint(self) -> str:
         """Stable content hash of the spec (12 hex chars)."""
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:12]
+
+
+# ----------------------------------------------------------------------
+# The codec: the dataclass fields are the schema
+# ----------------------------------------------------------------------
+
+
+def _encode(value):
+    """The JSON form of a spec value.
+
+    A dataclass is an object of its fields, a one-field dataclass
+    (``EncoderFault``, ``FrameCorruption``) its bare value, a tuple a
+    list.  One exception: an empty ``receiver_links`` is left out, so
+    pre-SFU recordings keep their canonical dict -- and therefore their
+    fingerprint -- bit for bit (the golden-corpus contract).
+    """
+    if dataclasses.is_dataclass(value):
+        names = [f.name for f in dataclasses.fields(value)]
+        if len(names) == 1:
+            return _encode(getattr(value, names[0]))
+        out = {name: _encode(getattr(value, name)) for name in names}
+        if out.get("receiver_links") == []:
+            del out["receiver_links"]
+        return out
+    if isinstance(value, tuple):
+        return [_encode(item) for item in value]
+    return value
+
+
+def _decode(kind, data, path: str):
+    """Rebuild a value of type ``kind`` from its JSON form ``data``.
+
+    Scalars are typed strictly: an ``int`` is never a bool, a float or a
+    string, and a ``float`` takes a JSON int as it is (so a golden's
+    ``4`` re-encodes as ``4``).  An unknown field, a missing required
+    field, a wrong type, or a value the dataclass itself rejects raises
+    ``ValueError`` naming ``path``.
+    """
+    if typing.get_origin(kind) is types.UnionType:  # X | None
+        if data is None:
+            return None
+        (kind,) = [arg for arg in typing.get_args(kind) if arg is not type(None)]
+    if typing.get_origin(kind) is tuple:  # tuple[X, ...]
+        _expect(isinstance(data, list), "a list", data, path)
+        item = typing.get_args(kind)[0]
+        return tuple(_decode(item, entry, f"{path}[{i}]") for i, entry in enumerate(data))
+    if dataclasses.is_dataclass(kind):
+        fields = dataclasses.fields(kind)
+        hints = typing.get_type_hints(kind)
+        if len(fields) == 1:
+            values = {fields[0].name: _decode(hints[fields[0].name], data, path)}
+        else:
+            _expect(isinstance(data, dict), "an object", data, path)
+            unknown = sorted(set(data) - {f.name for f in fields})
+            if unknown:
+                raise ValueError(f"{path}: unknown field(s) {unknown}")
+            missing = [
+                f.name
+                for f in fields
+                if f.name not in data
+                and f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING
+            ]
+            if missing:
+                raise ValueError(f"{path}: missing field(s) {missing}")
+            values = {
+                name: _decode(hints[name], value, f"{path}.{name}")
+                for name, value in data.items()
+            }
+        try:
+            return kind(**values)
+        except ValueError as error:
+            raise ValueError(f"{path}: {error}") from error
+    if kind is float:
+        finite = type(data) is int or (type(data) is float and math.isfinite(data))
+        _expect(finite, "a finite number", data, path)
+    else:
+        _expect(type(data) is kind, kind.__name__, data, path)
+    return data
+
+
+def _expect(ok: bool, what: str, data, path: str) -> None:
+    if not ok:
+        raise ValueError(f"{path}: expected {what}, got {reprlib.repr(data)}")

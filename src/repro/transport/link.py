@@ -64,6 +64,8 @@ class LinkConfig:
             raise ValueError("propagation_delay_s must be non-negative")
         if not 0.0 <= self.loss_rate < 1.0:
             raise ValueError("loss_rate must be in [0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.receive_buffer_bytes is not None and self.receive_buffer_bytes <= 0:
             raise ValueError("receive_buffer_bytes must be positive")
         if self.receive_drain_rate_bps <= 0:

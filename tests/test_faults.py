@@ -1,5 +1,8 @@
 """Unit tests for the fault-injection subsystem (repro.faults)."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -30,7 +33,13 @@ from repro.faults.plan import (
     LinkOutage,
     chaos_plan,
 )
+from repro.scenario.spec import ScenarioSpec
+from repro.scenario.zoo import get_scenario
 from repro.transport.packet import Packet
+
+
+def _spec_with(plan: FaultPlan) -> ScenarioSpec:
+    return replace(get_scenario("clean-baseline"), faults=plan)
 
 
 def _packet(send_time_s: float, sequence: int = 0) -> Packet:
@@ -74,6 +83,8 @@ class TestFaultPlan:
             BurstLossWindow(0.0, 1.0, p_exit=0.0)
         with pytest.raises(ValueError):
             EncoderFault(-1)
+        with pytest.raises(ValueError, match="seed"):
+            FaultPlan(seed=-3)
 
     def test_window_activity_half_open(self):
         fault = CameraFault(0, 1.0, 2.0)
@@ -288,6 +299,8 @@ class TestFaultPlanValidation:
     def test_overlapping_outages_rejected(self):
         with pytest.raises(ValueError, match="overlapping link outages"):
             FaultPlan(link_outages=(LinkOutage(0.0, 1.0), LinkOutage(0.9, 2.0)))
+        with pytest.raises(ValueError, match="overlapping link outages"):
+            FaultPlan(link_outages=(LinkOutage(0, 10**400), LinkOutage(1, 2)))  # no float
 
     def test_overlapping_burst_windows_rejected(self):
         with pytest.raises(ValueError, match="overlapping burst-loss"):
@@ -313,13 +326,17 @@ class TestFaultPlanValidation:
             FaultPlan(camera_faults=(CameraFault(0, 1.0, 1.0, "dropout"),))
 
     def test_roundtrip_through_dict(self):
-        plan = chaos_plan()
-        rebuilt = FaultPlan.from_dict(plan.to_dict())
-        assert rebuilt == plan
-        assert rebuilt.to_dict() == plan.to_dict()
+        """A plan serializes with the scenario spec that carries it."""
+        spec = _spec_with(chaos_plan())
+        data = json.loads(json.dumps(spec.to_dict()))
+        assert data["faults"]["encoder_faults"] == [12]  # a one-field fault is its value
+        rebuilt = ScenarioSpec.from_dict(data)
+        assert rebuilt.faults == chaos_plan()
+        assert rebuilt.to_dict() == spec.to_dict()
 
     def test_empty_roundtrip(self):
-        assert FaultPlan.from_dict(FaultPlan().to_dict()).is_empty
+        spec = _spec_with(FaultPlan())
+        assert ScenarioSpec.from_dict(spec.to_dict()).faults.is_empty
 
 
 class TestWatchdogMetrics:

@@ -73,12 +73,14 @@ class TestTraceSpec:
             TraceSegment(1.0, -1.0)
         with pytest.raises(ValueError):
             TraceSpec(named="trace-9")
+        with pytest.raises(ValueError, match="seed"):
+            TraceSpec(named="trace-1", seed=-2)
 
 
 class TestScenarioSpec:
     def test_roundtrip(self):
         for spec in SCENARIOS.values():
-            rebuilt = ScenarioSpec.from_dict(spec.to_dict())
+            rebuilt = ScenarioSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
             assert rebuilt == spec
             assert rebuilt.fingerprint() == spec.fingerprint()
 
@@ -124,11 +126,11 @@ class TestScenarioSpec:
         "peers,churn,message",
         [
             (("a", "a"), (), "duplicate peer 'a'"),
-            (("a",), (ChurnEvent(1.0, "leave", "nobody"),), "leave 'nobody' at 1.0s"),
-            (("a",), (ChurnEvent(0.5, "join", "a"),), "join 'a' at 0.5s"),
+            (("a",), ((1.0, "leave", "nobody"),), "leave 'nobody' at 1.0s"),
+            (("a",), ((0.5, "join", "a"),), "join 'a' at 0.5s"),
             (
                 ("a", "b"),
-                (ChurnEvent(0.2, "leave", "b"), ChurnEvent(0.4, "leave", "b")),
+                ((0.2, "leave", "b"), (0.4, "leave", "b")),
                 "leave 'b' at 0.4s",
             ),
         ],
@@ -138,7 +140,10 @@ class TestScenarioSpec:
         """The spec names the offending event; nothing reaches the runner."""
         fields = get_scenario("multiparty-churn").to_dict() | {
             "initial_peers": list(peers),
-            "churn": [event.to_dict() for event in churn],
+            "churn": [
+                {"time_s": time_s, "action": action, "peer": peer}
+                for time_s, action, peer in churn
+            ],
         }
         with pytest.raises(ValueError, match=message):
             ScenarioSpec.from_dict(fields)
@@ -237,7 +242,8 @@ class TestRecorder:
 class TestReplay:
     def test_replay_matches(self, tiny_run):
         path, _ = tiny_run
-        diff, report = replay_artifact(path)
+        spec, diff, report = replay_artifact(path)
+        assert spec == TINY
         assert diff.matches
         assert diff.compared_frames == TINY.frames
         assert check_report(report) == []
@@ -250,7 +256,7 @@ class TestReplay:
         lines[0] = canonical_dumps(header)
         mutated = tmp_path / "mutated.jsonl"
         mutated.write_text("\n".join(lines) + "\n")
-        diff, _ = replay_artifact(mutated)
+        _, diff, _ = replay_artifact(mutated)
         assert not diff.matches
         assert diff.first_divergent_frame is not None
         assert "first divergent frame" in diff.format()
@@ -261,7 +267,7 @@ class TestReplay:
         corrupted.write_text(
             path.read_text().replace('"rendered":true', '"rendered":false', 1)
         )
-        diff, _ = replay_artifact(corrupted)
+        _, diff, _ = replay_artifact(corrupted)
         assert not diff.matches
         kinds = {d.kind for d in diff.divergences}
         assert "checksum" in kinds  # edit broke the trailer
@@ -291,7 +297,7 @@ class TestGoldenCorpus:
         from pathlib import Path
 
         golden = Path(__file__).parent / "goldens" / "multiparty-churn.jsonl"
-        diff, report = replay_artifact(golden)
+        _, diff, report = replay_artifact(golden)
         assert diff.matches, diff.format()
         assert check_report(report) == []
 
@@ -417,32 +423,85 @@ class TestCli:
     def test_list_scenarios(self, capsys):
         from repro.cli import main
 
-        assert main(["--list-scenarios"]) == 0
+        assert main(["scenario", "--list-scenarios"]) == 0
         out = capsys.readouterr().out
         assert "handoff-cellular-wifi" in out
 
     def test_usage_error(self, capsys):
         from repro.cli import main
 
-        assert main(["--list-scenarios", "--run-zoo"]) == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(["scenario", "--list-scenarios", "--run-zoo"])
+        assert exit_info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scenario"],
+            ["scenario", "--scenario", "clean-baseline", "--frames", "0"],
+            ["--list-scenarios"],
+        ],
+        ids=["no-action", "zero-frames", "top-level-flag"],
+    )
+    def test_parser_usage_errors(self, argv, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
 
     def test_unknown_scenario_exit_code(self, capsys):
         from repro.cli import main
 
-        assert main(["--scenario", "nope"]) == 2
+        assert main(["scenario", "--scenario", "nope"]) == 2
 
     def test_record_replay_roundtrip(self, tmp_path, capsys):
         from repro.cli import main
 
         path = tmp_path / "cli.jsonl"
         assert main(
-            ["--scenario", "clean-baseline", "--frames", "15", "--record", str(path)]
+            ["scenario", "--scenario", "clean-baseline", "--frames", "15",
+             "--record", str(path)]
         ) == 0
-        assert main(["--replay", str(path)]) == 0
+        assert main(["scenario", "--replay", str(path)]) == 0
         out = capsys.readouterr().out
         assert "replay OK" in out
 
     def test_replay_missing_file(self, capsys):
         from repro.cli import main
 
-        assert main(["--replay", "/nonexistent/r.jsonl"]) == 2
+        assert main(["scenario", "--replay", "/nonexistent/r.jsonl"]) == 2
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda header: header.pop("spec"), "header record has no spec"),
+            (
+                lambda header: header["spec"]["churn"][0].update(bogus=1),
+                r"spec\.churn\[0\]: unknown field\(s\) \['bogus'\]",
+            ),
+            (
+                lambda header: header["spec"].update(frames=-1),
+                "spec: frames must be positive",
+            ),
+        ],
+        ids=["no-spec", "churn-extra-key", "negative-frames"],
+    )
+    def test_malformed_artifact_is_a_usage_error(self, edit, message, tmp_path, capsys):
+        """An artifact that cannot be replayed exits 2, not 1 (diverged)."""
+        import re
+        from pathlib import Path
+
+        from repro.cli import main
+
+        lines = (
+            Path(__file__).parent / "goldens" / "multiparty-churn.jsonl"
+        ).read_text().splitlines()
+        header = json.loads(lines[0])
+        edit(header)
+        path = tmp_path / "malformed.jsonl"
+        path.write_text("\n".join([canonical_dumps(header), *lines[1:]]) + "\n")
+        assert main(["scenario", "--replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert re.search(message, err)

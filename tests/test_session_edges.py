@@ -219,6 +219,10 @@ class TestBaselineSessionEdges:
     "field,value",
     [
         ("num_cameras", 0),
+        # Too many tiles for any header: caught before the grid search
+        # (a float overflow, or a sqrt(n)-step loop on a large prime).
+        ("num_cameras", 10**400),
+        ("num_cameras", 2**61 - 1),
         ("camera_width", 0),
         ("camera_height", -4),
         ("scene_sample_budget", 0),

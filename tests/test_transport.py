@@ -70,6 +70,8 @@ class TestEmulatedLink:
             LinkConfig(propagation_delay_s=-1)
         with pytest.raises(ValueError):
             LinkConfig(loss_rate=1.0)
+        with pytest.raises(ValueError, match="seed"):
+            LinkConfig(seed=-1)
 
 
 class TestGCC:
