@@ -19,7 +19,6 @@ from repro.core.bandwidth_split import SplitController
 from repro.core.config import (
     FPS,
     HORIZON_S,
-    MAX_DEPTH_MM,
     RENDER_VOXEL_M,
     SPLIT_MAX,
     SPLIT_MIN,
@@ -28,6 +27,7 @@ from repro.core.config import (
 from repro.core.sender import DEPTH_RMSE_SCALE, LiVoSender
 from repro.core.session import ground_truth_cloud
 from repro.depthcodec.scaling import scale_depth, unscale_depth
+from repro.geometry.camera import MAX_DEPTH_MM
 from repro.geometry.camera import unproject_views
 from repro.metrics.image import rmse
 from repro.metrics.pointssim import PSSIMResult, pointssim
@@ -100,7 +100,7 @@ def run_static_split(
     tiled_color = sender.color_tiler.compose(
         [v.color for v in final_frame.views], final_frame.sequence
     )
-    scaled = [scale_depth(v.depth_mm, MAX_DEPTH_MM) for v in final_frame.views]
+    scaled = [scale_depth(v.depth_mm) for v in final_frame.views]
     tiled_depth = sender.depth_tiler.compose(scaled, final_frame.sequence)
     color_recon = sender.color_encoder.last_reconstruction
     depth_recon = sender.depth_encoder.last_reconstruction
@@ -139,7 +139,7 @@ def _untile_views(sender, color_recon, depth_recon):
     color_tiles, _ = sender.color_tiler.decompose(color_recon)
     depth_tiles, _ = sender.depth_tiler.decompose(depth_recon)
     return [
-        (color, unscale_depth(depth, MAX_DEPTH_MM))
+        (color, unscale_depth(depth))
         for color, depth in zip(color_tiles, depth_tiles)
     ]
 

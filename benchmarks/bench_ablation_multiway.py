@@ -18,6 +18,7 @@ from repro.core.config import FPS, HORIZON_S, SessionConfig
 from repro.geometry.camera import unproject_views
 from repro.geometry.pointcloud import PointCloud
 from repro.metrics.pointssim import pointssim_batch
+from repro.prediction.culling import cull_views
 from repro.sfu.room import Room
 
 RECEIVER_COUNTS = (1, 2, 4)
@@ -51,25 +52,35 @@ def test_ablation_multiway_fanout(benchmark, results_dir):
             rig.cameras, [view.depth_mm for view in views], [view.color for view in views]
         )
 
-    def run_sfu_paired(num_receivers: int) -> dict:
-        """SFU and unicast in lockstep: bytes, plus per-receiver parity.
+    def forwarded_views(sfu, tick) -> dict:
+        """Each receiver's share of the frame's union stream: the union
+        culled to the node's predicted frustum for that receiver, or the
+        whole union while its predictor is cold."""
+        union = tick.uplink.culled_multiview
+        frustums = sfu.node.predicted_frustums(tick.sequence, HORIZON_S)
+        return {
+            name: union if name not in frustums
+            else cull_views(union, rig.cameras, frustums[name])
+            for name in sfu.receiver_names
+        }
 
-        ``keep_views`` makes the node hand back each receiver's culled
-        multiview so it can be compared against the stream unicast
-        would have encoded for that receiver.
-        """
+    def run_sfu_paired(num_receivers: int) -> dict:
+        """SFU and unicast in lockstep: bytes, plus per-receiver parity
+        of the SFU's forwarded content against the stream unicast would
+        have encoded for that receiver."""
         sfu = seated(room.conference(0), num_receivers)
-        sfu.node.keep_views = True
         unicast = seated(room.unicast(), num_receivers)
         names = sfu.receiver_names
         pssim_sfu: list[float] = []
         pssim_unicast: list[float] = []
         for sequence in range(NUM_FRAMES):
             frame = room.source.capture(sequence)
-            forwards = sfu.tick(frame, sequence / FPS, TARGET_BPS, HORIZON_S).decisions
+            forwards = forwarded_views(
+                sfu, sfu.tick(frame, sequence / FPS, TARGET_BPS, HORIZON_S)
+            )
             unicast_results = unicast.tick(frame, sequence / FPS, TARGET_BPS, HORIZON_S)
             for name in names:
-                forwarded = forwards[name].forwarded_multiview
+                forwarded = forwards[name]
                 reference = unicast_results[name].culled_multiview
                 for sfu_view, uni_view in zip(forwarded.views, reference.views):
                     assert np.array_equal(sfu_view.color, uni_view.color)
@@ -84,7 +95,7 @@ def test_ablation_multiway_fanout(benchmark, results_dir):
                 # (float-identical to the per-receiver loop).
                 pairs = []
                 for name in names:
-                    pairs.append((full, cloud_of(forwards[name].forwarded_multiview)))
+                    pairs.append((full, cloud_of(forwards[name])))
                     pairs.append(
                         (full, cloud_of(unicast_results[name].culled_multiview))
                     )

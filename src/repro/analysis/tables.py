@@ -4,21 +4,18 @@ from __future__ import annotations
 
 __all__ = ["format_table"]
 
+MIN_WIDTH = 6  # narrowest column, in characters
 
-def format_table(
-    rows: list[dict[str, object]],
-    columns: list[str] | None = None,
-    min_width: int = 6,
-) -> str:
+
+def format_table(rows: list[dict[str, object]]) -> str:
     """Render dict rows as an aligned monospace table.
 
-    Column order follows ``columns`` when given, else the first row's
-    key order.  Numbers are right-aligned, text left-aligned.
+    Columns follow the first row's key order; every row must have them.
+    Numbers are right-aligned, text left-aligned.
     """
     if not rows:
         return "(no rows)"
-    if columns is None:
-        columns = list(rows[0].keys())
+    columns = list(rows[0].keys())
     missing = [c for c in columns if any(c not in row for row in rows)]
     if missing:
         raise ValueError(f"rows missing columns: {missing}")
@@ -30,7 +27,7 @@ def format_table(
 
     rendered = [[cell(row[c]) for c in columns] for row in rows]
     widths = [
-        max(min_width, len(c), *(len(r[i]) for r in rendered))
+        max(MIN_WIDTH, len(c), *(len(r[i]) for r in rendered))
         for i, c in enumerate(columns)
     ]
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.capture.scene import Scene, make_scene
+from repro.capture.scene import SAMPLE_BUDGET, Scene, make_scene
 
 __all__ = ["VideoSpec", "PANOPTIC_VIDEOS", "load_video", "video_names"]
 
@@ -32,7 +32,7 @@ class VideoSpec:
     motion_frequency_hz: float
     seed: int
 
-    def build_scene(self, sample_budget: int = 60_000) -> Scene:
+    def build_scene(self, sample_budget: int) -> Scene:
         """Instantiate the procedural scene for this video."""
         scene = make_scene(
             name=self.name,
@@ -118,7 +118,7 @@ def video_names() -> list[str]:
     return list(PANOPTIC_VIDEOS)
 
 
-def load_video(name: str, sample_budget: int = 60_000) -> tuple[VideoSpec, Scene]:
+def load_video(name: str, sample_budget: int = SAMPLE_BUDGET) -> tuple[VideoSpec, Scene]:
     """Look up a video spec and build its scene."""
     try:
         spec = PANOPTIC_VIDEOS[name]

@@ -43,6 +43,11 @@ _NEIGHBOR_SHIFTS = tuple(
     (dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if (dy, dx) != (0, 0)
 )
 
+# Hole filling runs this many passes, each filling the holes that have at
+# least FILL_MIN_NEIGHBORS valid 8-neighbors.
+FILL_PASSES = 2
+FILL_MIN_NEIGHBORS = 3
+
 
 def _quantized(values: np.ndarray, dtype: type) -> np.ndarray:
     """``values`` rounded and clipped into ``dtype``, always a new array."""
@@ -52,17 +57,15 @@ def _quantized(values: np.ndarray, dtype: type) -> np.ndarray:
     return np.clip(rounded, 0, np.iinfo(dtype).max).astype(dtype)
 
 
-def fill_holes_batch(
-    depths: np.ndarray, colors: np.ndarray, iterations: int = 2, min_neighbors: int = 3
-) -> tuple[np.ndarray, np.ndarray]:
+def fill_holes_batch(depths: np.ndarray, colors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Fill small sampling holes of a ``(N, H, W)`` stack of images.
 
     Point-splat rendering leaves scattered empty pixels that a real
     time-of-flight sensor would not: Kinect depth maps are dense over
-    surfaces.  Each pass fills invalid pixels having at least
-    ``min_neighbors`` valid 8-neighbors with the neighbor mean (depth
-    and color alike), which restores the piecewise-smooth structure 2D
-    codecs rely on.
+    surfaces.  Each of ``FILL_PASSES`` passes fills invalid pixels
+    having at least ``FILL_MIN_NEIGHBORS`` valid 8-neighbors with the
+    neighbor mean (depth and color alike), which restores the
+    piecewise-smooth structure 2D codecs rely on.
 
     Only the holes are visited.  Each pass gathers the eight neighbors
     of every still-invalid pixel out of a zero-bordered float64 copy of
@@ -90,11 +93,11 @@ def fill_holes_batch(
     row, col = np.divmod(within, width)
     holes = (image * (height + 2) + row + 1) * (width + 2) + col + 1
     shifts = np.array([dy * (width + 2) + dx for dy, dx in _NEIGHBOR_SHIFTS])[:, None]
-    for _ in range(iterations):
+    for _ in range(FILL_PASSES):
         neighbor_depth = flat_depth[holes + shifts]                # (8, holes)
         neighbor_valid = neighbor_depth > 0
         neighbor_count = neighbor_valid.sum(axis=0)
-        fill = neighbor_count >= min_neighbors
+        fill = neighbor_count >= FILL_MIN_NEIGHBORS
         if not fill.any():
             break
         filled, neighbor_count = holes[fill], neighbor_count[fill]

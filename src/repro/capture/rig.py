@@ -27,6 +27,10 @@ __all__ = ["CaptureRig", "default_rig", "FPS", "FRAME_INTERVAL_S"]
 FPS = 30.0
 FRAME_INTERVAL_S = 1.0 / FPS
 
+# The default rig's ring: 2.4 m from the scene's axis, 1.4 m up.
+RING_RADIUS_M = 2.4
+RING_HEIGHT_M = 1.4
+
 
 class CaptureRig:
     """N synchronized RGB-D cameras capturing a scene at the paper's ``FPS``."""
@@ -60,8 +64,6 @@ def default_rig(
     num_cameras: int = 10,
     width: int = 80,
     height: int = 60,
-    radius_m: float = 2.4,
-    camera_height_m: float = 1.4,
 ) -> CaptureRig:
     """Ten-camera ring, mirroring the Panoptic dataset's Kinect v2 setup.
 
@@ -72,8 +74,8 @@ def default_rig(
     intrinsics = CameraIntrinsics.from_fov(width, height, horizontal_fov_deg=75.0)
     cameras = ring_of_cameras(
         num_cameras=num_cameras,
-        radius_m=radius_m,
-        height_m=camera_height_m,
+        radius_m=RING_RADIUS_M,
+        height_m=RING_HEIGHT_M,
         intrinsics=intrinsics,
     )
     return CaptureRig(cameras)

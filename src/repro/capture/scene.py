@@ -36,6 +36,15 @@ __all__ = [
 # Chosen so a default 10-camera 80x60 rig sees mostly hole-free images.
 DEFAULT_DENSITY = 900.0
 
+# Points a scene spreads over its surfaces per capture, by default.
+SAMPLE_BUDGET = 60_000
+
+# Every scene's room is this far from its center to each wall.
+ROOM_HALF_WIDTH_M = 2.6
+
+# One skin tone for every participant's head and arms.
+SKIN_COLOR = (224.0, 172.0, 105.0)
+
 
 def _positional_shade(points: np.ndarray, scale: float = 2.0, amplitude: float = 0.15) -> np.ndarray:
     """Smooth spatial shading in [1-amplitude, 1+amplitude].
@@ -268,18 +277,16 @@ class Person(SurfacePrimitive):
     def __init__(
         self,
         position: np.ndarray,
+        motion_amplitude_m: float,
+        motion_frequency_hz: float,
         height_m: float = 1.7,
         clothing_color: np.ndarray | None = None,
-        skin_color: np.ndarray | None = None,
-        motion_amplitude_m: float = 0.15,
-        motion_frequency_hz: float = 0.5,
         phase: float = 0.0,
     ) -> None:
         position = np.asarray(position, dtype=np.float64)
         if clothing_color is None:
             clothing_color = np.array([60.0, 90.0, 160.0])
-        if skin_color is None:
-            skin_color = np.array([224.0, 172.0, 105.0])
+        skin_color = np.array(SKIN_COLOR)
         h = height_m
         sway = np.array([motion_amplitude_m, 0.0, motion_amplitude_m * 0.6])
         self.parts: list[Ellipsoid] = [
@@ -366,7 +373,8 @@ class Scene:
         primitives: list[SurfacePrimitive],
         name: str = "scene",
         num_objects: int | None = None,
-        sample_budget: int = 60_000,
+        *,
+        sample_budget: int,
         seed: int = 0,
     ) -> None:
         if not primitives:
@@ -462,8 +470,7 @@ def make_scene(
     num_props: int,
     motion_amplitude_m: float = 0.15,
     motion_frequency_hz: float = 0.5,
-    room_half_width: float = 2.6,
-    sample_budget: int = 60_000,
+    sample_budget: int = SAMPLE_BUDGET,
     seed: int = 0,
 ) -> Scene:
     """Build a full-scene conference setting.
@@ -473,7 +480,7 @@ def make_scene(
     """
     rng = np.random.default_rng(seed)
     primitives: list[SurfacePrimitive] = [
-        RoomShell(half_width=room_half_width, half_depth=room_half_width)
+        RoomShell(half_width=ROOM_HALF_WIDTH_M, half_depth=ROOM_HALF_WIDTH_M)
     ]
     for index in range(num_people):
         angle = 2.0 * np.pi * index / max(num_people, 1)
@@ -493,9 +500,9 @@ def make_scene(
     for _ in range(num_props):
         position = np.array(
             [
-                rng.uniform(-room_half_width * 0.7, room_half_width * 0.7),
+                rng.uniform(-ROOM_HALF_WIDTH_M * 0.7, ROOM_HALF_WIDTH_M * 0.7),
                 rng.uniform(0.2, 0.9),
-                rng.uniform(-room_half_width * 0.7, room_half_width * 0.7),
+                rng.uniform(-ROOM_HALF_WIDTH_M * 0.7, ROOM_HALF_WIDTH_M * 0.7),
             ]
         )
         half_extents = rng.uniform(0.08, 0.35, size=3)

@@ -33,6 +33,10 @@ __all__ = [
     "decode_levels",
 ]
 
+# DEFLATE level of every stream, 1 (fast) to 9 (thorough): the
+# speed/ratio knob hardware encoders expose, held at one setting.
+EFFORT = 6
+
 _ZIGZAG_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -281,18 +285,14 @@ def _magnitude_codes(nonzero: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _HEADER = struct.Struct("<IHIII")
 
 
-def encode_levels(levels: np.ndarray, effort: int = 6) -> bytes:
-    """Serialize an ``(N, B, B)`` int32 level stack to compressed bytes.
-
-    ``effort`` maps to the DEFLATE level (1 fast .. 9 thorough), modeling
-    the speed/ratio knob hardware encoders expose.
-    """
+def encode_levels(levels: np.ndarray) -> bytes:
+    """Serialize an ``(N, B, B)`` int32 level stack to compressed bytes."""
     if levels.ndim != 3 or levels.shape[1] != levels.shape[2]:
         raise ValueError(f"expected (N, B, B) levels, got {levels.shape}")
-    return encode_levels_batch(levels[None], effort)[0]
+    return encode_levels_batch(levels[None])[0]
 
 
-def encode_levels_batch(stacks: np.ndarray, effort: int = 6) -> list[bytes]:
+def encode_levels_batch(stacks: np.ndarray) -> list[bytes]:
     """Serialize ``(S, N, B, B)`` level stacks to ``S`` compressed payloads.
 
     The zigzag reorder, significance bitmap, magnitude-class math and
@@ -304,8 +304,6 @@ def encode_levels_batch(stacks: np.ndarray, effort: int = 6) -> list[bytes]:
     """
     if stacks.ndim != 4 or stacks.shape[2] != stacks.shape[3]:
         raise ValueError(f"expected (S, N, B, B) level stacks, got {stacks.shape}")
-    if not 1 <= effort <= 9:
-        raise ValueError("effort must be in [1, 9]")
     num_stacks, num_blocks, block_size, _ = stacks.shape
     zigzag = zigzag_indices(block_size)
     flat = (
@@ -325,12 +323,12 @@ def encode_levels_batch(stacks: np.ndarray, effort: int = 6) -> list[bytes]:
 
     payloads = []
     for index in range(num_stacks):
-        significance_blob = zlib.compress(significance_rows[index].tobytes(), effort)
-        class_blob = zlib.compress(class_streams[index], effort)
+        significance_blob = zlib.compress(significance_rows[index].tobytes(), EFFORT)
+        class_blob = zlib.compress(class_streams[index], EFFORT)
         header = _HEADER.pack(
             num_blocks, block_size, counts[index], len(significance_blob), len(class_blob)
         )
-        magnitude_blob = zlib.compress(magnitude_streams[index], effort)
+        magnitude_blob = zlib.compress(magnitude_streams[index], EFFORT)
         payloads.append(header + significance_blob + class_blob + magnitude_blob)
     return payloads
 

@@ -22,29 +22,20 @@ from repro.codec.quant import QP_MAX, QP_MAX_EXTENDED, QP_MIN
 
 __all__ = ["RateController"]
 
+INITIAL_QP = 32         # the first frame's QP, before any observation
+MAX_STEP = 6            # largest per-frame QP move (one size halving)
+SMOOTHING = 0.5         # weight of a new observation in the model's alpha
+RETRY_OVERSHOOT = 1.3   # size/target ratio past which a frame is re-encoded
+
 
 class RateController:
     """Exponential-model rate controller with clamped QP steps."""
 
-    def __init__(
-        self,
-        initial_qp: int = 32,
-        qp_min: int = QP_MIN,
-        qp_max: int = QP_MAX,
-        max_step: int = 6,
-        smoothing: float = 0.5,
-        retry_overshoot: float = 1.3,
-    ) -> None:
-        if not QP_MIN <= qp_min < qp_max <= QP_MAX_EXTENDED:
-            raise ValueError("require QP_MIN <= qp_min < qp_max <= QP_MAX_EXTENDED")
-        if not 0.0 < smoothing <= 1.0:
-            raise ValueError("smoothing must be in (0, 1]")
-        self.qp_min = qp_min
+    def __init__(self, qp_max: int = QP_MAX) -> None:
+        if not QP_MIN < qp_max <= QP_MAX_EXTENDED:
+            raise ValueError("require QP_MIN < qp_max <= QP_MAX_EXTENDED")
         self.qp_max = qp_max
-        self.max_step = max_step
-        self.smoothing = smoothing
-        self.retry_overshoot = retry_overshoot
-        self._last_qp = int(min(max(initial_qp, qp_min), qp_max))
+        self._last_qp = int(min(max(INITIAL_QP, QP_MIN), qp_max))
         self._alpha: float | None = None
 
     @property
@@ -63,8 +54,8 @@ class RateController:
         if self._alpha is None:
             return self._last_qp
         raw = self._model_qp(target_bytes)
-        stepped = min(max(raw, self._last_qp - self.max_step), self._last_qp + self.max_step)
-        return int(round(min(max(stepped, self.qp_min), self.qp_max)))
+        stepped = min(max(raw, self._last_qp - MAX_STEP), self._last_qp + MAX_STEP)
+        return int(round(min(max(stepped, QP_MIN), self.qp_max)))
 
     def retry_qp(self, qp_used: int, size_bytes: int, target_bytes: int) -> int | None:
         """QP for a one-shot re-encode, or None if the first try is fine.
@@ -74,12 +65,12 @@ class RateController:
         (paper section 4.3: "LiVo's infrequent stalls occur when the
         rate-adaptive codec overshoots the bandwidth target").
         """
-        if size_bytes <= target_bytes * self.retry_overshoot:
+        if size_bytes <= target_bytes * RETRY_OVERSHOOT:
             return None
         # From the observed point: bits halve per +6 QP.
         needed = 6.0 * math.log2(size_bytes / target_bytes)
         retry = int(round(qp_used + max(needed, 1.0)))
-        retry = min(max(retry, self.qp_min), self.qp_max)
+        retry = min(max(retry, QP_MIN), self.qp_max)
         return retry if retry > qp_used else None
 
     def update(self, qp_used: int, size_bytes: int, target_bytes: int) -> None:
@@ -90,5 +81,5 @@ class RateController:
         if self._alpha is None:
             self._alpha = observed_alpha
         else:
-            self._alpha += self.smoothing * (observed_alpha - self._alpha)
+            self._alpha += SMOOTHING * (observed_alpha - self._alpha)
         self._last_qp = int(qp_used)

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.codec.blocks import DEFAULT_BLOCK_SIZE, merge_blocks, split_blocks
 from repro.codec.dct import inverse_dct
-from repro.codec.entropy import decode_levels
+from repro.codec.entropy import EFFORT, decode_levels
 from repro.codec.frame import EncodedFrame, FrameType, PixelFormat
 from repro.codec.motion import gather_prediction
 from repro.codec.quant import QP_MAX, QP_MAX_EXTENDED, QP_MIN, dequantize
@@ -43,7 +43,6 @@ from repro.runtime.batchplane import (
 
 __all__ = ["VideoCodecConfig", "VideoEncoder", "VideoDecoder"]
 
-EFFORT = 6  # entropy-coder (DEFLATE) effort, 1 (fast) to 9 (thorough)
 CODEC_SEARCH_RANGE = 1  # motion search window radius in pixels (0 = zero-motion)
 # Chroma planes (a GRAY16 frame has none): frequency-weighting strength,
 # and the extra QP codecs apply because they "compress the Y-channel at
@@ -166,7 +165,7 @@ class _CodecCore:
         (levels, recon_delta) = (
             yield [plane_transform_request(residual, qp, weights, block_size)]
         )[0]
-        level_bytes = (yield [entropy_encode_request(levels, EFFORT)])[0]
+        level_bytes = (yield [entropy_encode_request(levels)])[0]
 
         recon_blocks = predictor + recon_delta
         reconstruction = np.clip(
@@ -320,13 +319,9 @@ def _unpack_planes(payload: bytes, pixel_format: PixelFormat) -> list[tuple[byte
 class VideoEncoder:
     """Stateful single-stream encoder."""
 
-    def __init__(
-        self,
-        config: VideoCodecConfig | None = None,
-        rate_controller: RateController | None = None,
-    ) -> None:
+    def __init__(self, config: VideoCodecConfig | None = None) -> None:
         self.config = config or VideoCodecConfig()
-        self.rate_controller = rate_controller or RateController(qp_max=self.config.qp_max)
+        self.rate_controller = RateController(qp_max=self.config.qp_max)
         self._core = _CodecCore(self.config)
         self._reference: list[np.ndarray] | None = None
         self._frame_index = 0

@@ -26,6 +26,10 @@ from repro.geometry.pointcloud import PointCloud
 
 __all__ = ["Mesh", "mesh_from_views", "decimate_mesh", "sample_mesh_points"]
 
+# A quad edge spanning a larger depth step than this is an object
+# boundary, not a surface, and is left untriangulated.
+MAX_EDGE_DEPTH_GAP_M = 0.30
+
 
 @dataclass
 class Mesh:
@@ -67,14 +71,13 @@ class Mesh:
 def mesh_from_views(
     frame: MultiViewFrame,
     cameras: list[RGBDCamera],
-    max_edge_depth_gap_m: float = 0.30,
 ) -> Mesh:
     """Grid-triangulate each depth map and merge into one mesh.
 
     A 2x2 pixel quad becomes two triangles when all its pixels are valid
     and no edge spans a depth discontinuity larger than
-    ``max_edge_depth_gap_m`` (discontinuities are object boundaries, not
-    surfaces).  The default is tuned to the reduced simulator resolution,
+    ``MAX_EDGE_DEPTH_GAP_M`` (discontinuities are object boundaries, not
+    surfaces).  The threshold is tuned to the reduced simulator resolution,
     where oblique surfaces legitimately change depth by tens of
     centimeters between adjacent pixels.
     """
@@ -103,10 +106,10 @@ def mesh_from_views(
             valid[:-1, :-1] & valid[:-1, 1:] & valid[1:, :-1] & valid[1:, 1:]
         )
         gaps_ok = (
-            (np.abs(depth_m[:-1, :-1] - depth_m[:-1, 1:]) < max_edge_depth_gap_m)
-            & (np.abs(depth_m[:-1, :-1] - depth_m[1:, :-1]) < max_edge_depth_gap_m)
-            & (np.abs(depth_m[1:, 1:] - depth_m[:-1, 1:]) < max_edge_depth_gap_m)
-            & (np.abs(depth_m[1:, 1:] - depth_m[1:, :-1]) < max_edge_depth_gap_m)
+            (np.abs(depth_m[:-1, :-1] - depth_m[:-1, 1:]) < MAX_EDGE_DEPTH_GAP_M)
+            & (np.abs(depth_m[:-1, :-1] - depth_m[1:, :-1]) < MAX_EDGE_DEPTH_GAP_M)
+            & (np.abs(depth_m[1:, 1:] - depth_m[:-1, 1:]) < MAX_EDGE_DEPTH_GAP_M)
+            & (np.abs(depth_m[1:, 1:] - depth_m[1:, :-1]) < MAX_EDGE_DEPTH_GAP_M)
         )
         quads = quad_valid & gaps_ok
         qy, qx = np.nonzero(quads)

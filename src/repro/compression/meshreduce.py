@@ -39,13 +39,14 @@ _BASE_ENCODE_S = 0.030
 _SECONDS_PER_VERTEX = 0.025 / 70_000  # Draco-like linear term
 
 
-def encode_mesh(mesh: Mesh, draco_config: DracoConfig | None = None) -> tuple[int, float]:
+def encode_mesh(mesh: Mesh) -> tuple[int, float]:
     """Encode a mesh; returns (size_bytes, modeled encode time).
 
-    Geometry+color ride the octree coder (as a colored vertex cloud);
-    connectivity is delta-coded face indices through DEFLATE.
+    Geometry+color ride the octree coder (as a colored vertex cloud, at
+    11 quantization bits and compression level 7); connectivity is
+    delta-coded face indices through DEFLATE.
     """
-    config = draco_config or DracoConfig(quantization_bits=11, compression_level=7)
+    config = DracoConfig(quantization_bits=11, compression_level=7)
     if mesh.num_vertices == 0:
         return 0, _BASE_ENCODE_S
     vertex_cloud = PointCloud(mesh.vertices, mesh.colors)

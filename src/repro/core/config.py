@@ -12,6 +12,7 @@ from dataclasses import InitVar, dataclass, field
 from typing import ClassVar
 
 from repro.capture.rig import FPS, FRAME_INTERVAL_S
+from repro.capture.scene import SAMPLE_BUDGET
 from repro.codec.frame import MAX_PLANE_SIDE
 from repro.core.schemes import SCHEMES
 from repro.faults.degradation import ResilienceConfig
@@ -32,9 +33,6 @@ SPLIT_INITIAL = 0.7
 SPLIT_MIN = 0.5       # "the lower limit ensures depth always
 SPLIT_MAX = 0.9       #  gets more bandwidth than color"
 SPLIT_EPSILON = 0.5   # RMSE balance threshold (8-bit units)
-
-# Depth (section 3.2).
-MAX_DEPTH_MM = 6000
 
 # Culling (section 3.4).
 GUARD_BAND_M = 0.20   # "an epsilon of 20 cm ... sweet-spot"
@@ -70,7 +68,7 @@ class SessionConfig:
     num_cameras: int = 10
     camera_width: int = 80
     camera_height: int = 60
-    scene_sample_budget: int = 60_000
+    scene_sample_budget: int = SAMPLE_BUDGET
     fps: ClassVar[float] = FPS
     frame_interval_s: ClassVar[float] = FRAME_INTERVAL_S
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.codec.frame import EncodedFrame, FrameType, PixelFormat
 from repro.codec.video import VideoCodecConfig, VideoDecoder
-from repro.core.config import MAX_DEPTH_MM, RENDER_VOXEL_M, SessionConfig
+from repro.core.config import RENDER_VOXEL_M, SessionConfig
 from repro.depthcodec.scaling import unscale_depth
 from repro.geometry.camera import RGBDCamera, unproject_views
 from repro.geometry.frustum import Frustum
@@ -54,7 +54,7 @@ class DecodedPair:
     def depth_tiles_mm(self) -> list[np.ndarray]:
         tiler, decoder, planes = self._depth
         tiles, _ = tiler.decompose(decoder.to_image(planes))
-        return [unscale_depth(tile, MAX_DEPTH_MM) for tile in tiles]
+        return [unscale_depth(tile) for tile in tiles]
 
 
 class LiVoReceiver:

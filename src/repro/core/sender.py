@@ -32,7 +32,7 @@ from repro.codec.frame import EncodedFrame
 from repro.codec.video import VideoCodecConfig, VideoEncoder
 from repro.core.bandwidth_split import SplitController
 from repro.core.config import (
-    FIXED_COLOR_QP, FIXED_DEPTH_QP, FRAME_INTERVAL_S, MAX_DEPTH_MM, SPLIT_EPSILON,
+    FIXED_COLOR_QP, FIXED_DEPTH_QP, FRAME_INTERVAL_S, SPLIT_EPSILON,
     SPLIT_INITIAL, SPLIT_MAX, SPLIT_MIN, SessionConfig,
 )
 from repro.core.schemes import SCHEMES
@@ -209,7 +209,7 @@ class LiVoSender:
             [view.color for view in culled.views], frame.sequence
         )
         scaled_views = [
-            scale_depth(view.depth_mm, MAX_DEPTH_MM) for view in culled.views
+            scale_depth(view.depth_mm) for view in culled.views
         ]
         tiled_depth = self.depth_tiler.compose(scaled_views, frame.sequence)
         return PreparedFrame(
@@ -333,9 +333,6 @@ class LiVoSender:
         frame: MultiViewFrame,
         target_rate_bps: float,
         prediction_horizon_s: float,
-        force_intra: bool = False,
-        fail_encode: bool = False,
-        color_budget_scale: float = 1.0,
     ) -> SenderResult | None:
         """Run one capture through the full sender pipeline.
 
@@ -343,11 +340,4 @@ class LiVoSender:
         sessions call the stages separately so the runtime can time and
         schedule them.
         """
-        prepared = self.prepare(frame, prediction_horizon_s)
-        return self.encode(
-            prepared,
-            target_rate_bps,
-            force_intra=force_intra,
-            fail_encode=fail_encode,
-            color_budget_scale=color_budget_scale,
-        )
+        return self.encode(self.prepare(frame, prediction_horizon_s), target_rate_bps)

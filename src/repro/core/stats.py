@@ -8,6 +8,9 @@ import numpy as np
 
 __all__ = ["FaultEvent", "FrameRecord", "SessionReport"]
 
+# The rendered-fps series counts frames in windows this long.
+FPS_WINDOW_S = 1.0
+
 
 @dataclass(frozen=True)
 class FaultEvent:
@@ -194,17 +197,17 @@ class SessionReport:
             return 0.0
         return self.rendered_frames / self.duration_s
 
-    def fps_series(self, window_s: float = 1.0) -> np.ndarray:
+    def fps_series(self) -> np.ndarray:
         """Per-window rendered-fps series (for fps std-dev reporting)."""
         if not self.frames:
             return np.zeros(0)
-        num_windows = max(1, int(np.ceil(self.duration_s / window_s)))
+        num_windows = max(1, int(np.ceil(self.duration_s / FPS_WINDOW_S)))
         counts = np.zeros(num_windows)
         for frame in self.frames:
             if frame.rendered:
-                index = min(int(frame.capture_time_s / window_s), num_windows - 1)
+                index = min(int(frame.capture_time_s / FPS_WINDOW_S), num_windows - 1)
                 counts[index] += 1
-        return counts / window_s
+        return counts / FPS_WINDOW_S
 
     # ------------------------------------------------------------------
     # Throughput and utilization (Table 1)

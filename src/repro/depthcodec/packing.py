@@ -65,14 +65,14 @@ def _triangle(phase: np.ndarray) -> np.ndarray:
     return np.where(wrapped <= 1.0, wrapped, 2.0 - wrapped)
 
 
-def pack_triangle_rgb(depth16: np.ndarray, period: float = TRIANGLE_PERIOD) -> np.ndarray:
+def pack_triangle_rgb(depth16: np.ndarray) -> np.ndarray:
     """Pack uint16 depth into (L, Ha, Hb) 8-bit channels."""
     depth16 = np.asarray(depth16, dtype=np.uint16)
     d = depth16.astype(np.float64) / 65535.0
-    half = period / 2.0
+    half = TRIANGLE_PERIOD / 2.0
     coarse = np.clip(np.rint(d * 255.0), 0, 255)
     ha = _triangle(d / half)
-    hb = _triangle((d - period / 4.0) / half)
+    hb = _triangle((d - TRIANGLE_PERIOD / 4.0) / half)
     rgb = np.stack(
         [
             coarse,
@@ -84,13 +84,13 @@ def pack_triangle_rgb(depth16: np.ndarray, period: float = TRIANGLE_PERIOD) -> n
     return rgb.astype(np.uint8)
 
 
-def unpack_triangle_rgb(rgb: np.ndarray, period: float = TRIANGLE_PERIOD) -> np.ndarray:
+def unpack_triangle_rgb(rgb: np.ndarray) -> np.ndarray:
     """Invert :func:`pack_triangle_rgb` (robust to small channel noise)."""
     rgb = np.asarray(rgb)
     coarse = rgb[..., 0].astype(np.float64) / 255.0
     ha = rgb[..., 1].astype(np.float64) / 255.0
     hb = rgb[..., 2].astype(np.float64) / 255.0
-    half = period / 2.0
+    half = TRIANGLE_PERIOD / 2.0
 
     # Candidate reconstructions from each fine channel, for the segment
     # indices nearest the coarse estimate.
@@ -121,7 +121,7 @@ def unpack_triangle_rgb(rgb: np.ndarray, period: float = TRIANGLE_PERIOD) -> np.
         return best
 
     d_a = reconstruct(ha, 0.0)
-    d_b = reconstruct(hb, period / 4.0)
+    d_b = reconstruct(hb, TRIANGLE_PERIOD / 4.0)
     # Use whichever channel sits farther from a fold (values near 0 or 1
     # lose precision under compression).
     fold_distance_a = np.minimum(ha, 1.0 - ha)

@@ -15,35 +15,32 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["DEFAULT_MAX_DEPTH_MM", "scale_depth", "unscale_depth", "scale_factor"]
+from repro.geometry.camera import MAX_DEPTH_MM
 
-# Kinect-class sensors: 5-6 m max range, millimeter resolution.
-DEFAULT_MAX_DEPTH_MM = 6000
+__all__ = ["scale_depth", "unscale_depth", "scale_factor"]
 
 _UINT16_MAX = 65535
 
 
-def scale_factor(max_depth_mm: int = DEFAULT_MAX_DEPTH_MM) -> float:
-    """Multiplier mapping [0, max_depth_mm] onto [0, 65535]."""
-    if max_depth_mm <= 0:
-        raise ValueError("max_depth_mm must be positive")
-    return _UINT16_MAX / max_depth_mm
+def scale_factor() -> float:
+    """Multiplier mapping the sensing range [0, ``MAX_DEPTH_MM``] onto [0, 65535]."""
+    return _UINT16_MAX / MAX_DEPTH_MM
 
 
-def scale_depth(depth_mm: np.ndarray, max_depth_mm: int = DEFAULT_MAX_DEPTH_MM) -> np.ndarray:
+def scale_depth(depth_mm: np.ndarray) -> np.ndarray:
     """Scale millimeter depth to span the full uint16 range.
 
-    Values above ``max_depth_mm`` saturate (real sensors clip range too).
+    Values above ``MAX_DEPTH_MM`` saturate (real sensors clip range too).
     """
     depth_mm = np.asarray(depth_mm)
-    factor = scale_factor(max_depth_mm)
+    factor = scale_factor()
     scaled = np.clip(np.rint(depth_mm.astype(np.float64) * factor), 0, _UINT16_MAX)
     return scaled.astype(np.uint16)
 
 
-def unscale_depth(scaled: np.ndarray, max_depth_mm: int = DEFAULT_MAX_DEPTH_MM) -> np.ndarray:
+def unscale_depth(scaled: np.ndarray) -> np.ndarray:
     """Invert :func:`scale_depth` back to millimeters."""
     scaled = np.asarray(scaled)
-    factor = scale_factor(max_depth_mm)
+    factor = scale_factor()
     depth = np.rint(scaled.astype(np.float64) / factor)
     return np.clip(depth, 0, _UINT16_MAX).astype(np.uint16)

@@ -22,7 +22,7 @@ from repro.depthcodec.packing import (
     unpack_bitsplit_rgb,
     unpack_triangle_rgb,
 )
-from repro.depthcodec.scaling import DEFAULT_MAX_DEPTH_MM, scale_depth, unscale_depth
+from repro.depthcodec.scaling import scale_depth, unscale_depth
 
 __all__ = [
     "DepthStreamCodec",
@@ -83,19 +83,11 @@ class DepthStreamCodec:
 class ScaledY16DepthStream(DepthStreamCodec):
     """LiVo's depth encoding: scale to full 16-bit range, code as Y16."""
 
-    def __init__(
-        self,
-        config: VideoCodecConfig | None = None,
-        max_depth_mm: int = DEFAULT_MAX_DEPTH_MM,
-    ) -> None:
-        super().__init__(config)
-        self.max_depth_mm = int(max_depth_mm)
-
     def _pack(self, depth_mm: np.ndarray) -> np.ndarray:
-        return scale_depth(depth_mm, self.max_depth_mm)
+        return scale_depth(depth_mm)
 
     def _unpack(self, image: np.ndarray) -> np.ndarray:
-        return unscale_depth(image, self.max_depth_mm)
+        return unscale_depth(image)
 
 
 class UnscaledY16DepthStream(DepthStreamCodec):

@@ -27,9 +27,13 @@ __all__ = ["CameraIntrinsics", "CameraExtrinsics", "RGBDCamera", "unproject_view
 
 # Kinect-class depth cameras sense roughly 0.25 m to 6 m (paper section 3.2:
 # "maximum depth range of 5-6 meters ... depth values can range 0-6000 at
-# millimeter resolution").
+# millimeter resolution").  The depth codec scales this range onto 16 bits.
 DEFAULT_MIN_DEPTH_M = 0.25
-DEFAULT_MAX_DEPTH_M = 6.0
+MAX_DEPTH_MM = 6000
+
+# The point 1 m above the floor's center: a ring aims every camera at
+# it, and viewers look around it.
+SCENE_CENTER = (0.0, 1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -123,15 +127,14 @@ class RGBDCamera:
         intrinsics: CameraIntrinsics,
         extrinsics: CameraExtrinsics,
         min_depth_m: float = DEFAULT_MIN_DEPTH_M,
-        max_depth_m: float = DEFAULT_MAX_DEPTH_M,
         camera_id: int = 0,
     ) -> None:
-        if not 0 < min_depth_m < max_depth_m:
-            raise ValueError("require 0 < min_depth_m < max_depth_m")
+        self.max_depth_m = MAX_DEPTH_MM / 1000.0
+        if not 0 < min_depth_m < self.max_depth_m:
+            raise ValueError("require 0 < min_depth_m < the 6 m sensing range")
         self.intrinsics = intrinsics
         self.extrinsics = extrinsics
         self.min_depth_m = float(min_depth_m)
-        self.max_depth_m = float(max_depth_m)
         self.camera_id = int(camera_id)
         self._x_factor, self._y_factor = intrinsics.pixel_rays()
 
@@ -141,14 +144,10 @@ class RGBDCamera:
         target: np.ndarray,
         intrinsics: CameraIntrinsics,
         camera_id: int = 0,
-        max_depth_m: float = DEFAULT_MAX_DEPTH_M,
     ) -> "RGBDCamera":
         """Convenience constructor: camera at ``eye`` aimed at ``target``."""
         return RGBDCamera(
-            intrinsics,
-            CameraExtrinsics(look_at(eye, target)),
-            camera_id=camera_id,
-            max_depth_m=max_depth_m,
+            intrinsics, CameraExtrinsics(look_at(eye, target)), camera_id=camera_id
         )
 
     # ------------------------------------------------------------------
@@ -243,10 +242,8 @@ def ring_of_cameras(
     radius_m: float,
     height_m: float,
     intrinsics: CameraIntrinsics,
-    target: np.ndarray | None = None,
-    max_depth_m: float = DEFAULT_MAX_DEPTH_M,
 ) -> list[RGBDCamera]:
-    """Place ``num_cameras`` in a circle aimed at a common target.
+    """Place ``num_cameras`` in a circle aimed at ``SCENE_CENTER``.
 
     This is the paper's deployment model: "an array of off-the-shelf RGB-D
     cameras encircling a scene" (section 3.1), e.g. the 10 Kinect v2
@@ -254,15 +251,12 @@ def ring_of_cameras(
     """
     if num_cameras <= 0:
         raise ValueError("num_cameras must be positive")
-    if target is None:
-        target = np.array([0.0, 1.0, 0.0])
+    target = np.array(SCENE_CENTER)
     cameras = []
     for index in range(num_cameras):
         angle = 2.0 * np.pi * index / num_cameras
         eye = np.array([radius_m * np.cos(angle), height_m, radius_m * np.sin(angle)])
         cameras.append(
-            RGBDCamera.looking_at(
-                eye, target, intrinsics, camera_id=index, max_depth_m=max_depth_m
-            )
+            RGBDCamera.looking_at(eye, target, intrinsics, camera_id=index)
         )
     return cameras

@@ -35,6 +35,13 @@ __all__ = [
     "planes_contain",
 ]
 
+# The viewing device's optics when a receiver states none: a 60 degree
+# vertical field of view at 16:9, seeing from 10 cm to 10 m.
+VERTICAL_FOV_DEG = 60.0
+ASPECT = 16.0 / 9.0
+NEAR_M = 0.1
+FAR_M = 10.0
+
 
 # ----------------------------------------------------------------------
 # Plane rows: every function takes and returns (..., 4) / (..., 6, 4)
@@ -59,10 +66,10 @@ def unit_planes(rows: np.ndarray) -> np.ndarray:
 def camera_planes(
     position: np.ndarray,
     rotation: np.ndarray,
-    vertical_fov_deg: float = 60.0,
-    aspect: float = 16.0 / 9.0,
-    near_m: float = 0.1,
-    far_m: float = 10.0,
+    vertical_fov_deg: float,
+    aspect: float,
+    near_m: float,
+    far_m: float,
 ) -> np.ndarray:
     """Frustum rows for viewer poses ``(..., 3)`` / ``(..., 3, 3)``.
 
@@ -187,10 +194,10 @@ class Frustum:
     def from_camera(
         position: np.ndarray,
         rotation: np.ndarray,
-        vertical_fov_deg: float = 60.0,
-        aspect: float = 16.0 / 9.0,
-        near_m: float = 0.1,
-        far_m: float = 10.0,
+        vertical_fov_deg: float = VERTICAL_FOV_DEG,
+        aspect: float = ASPECT,
+        near_m: float = NEAR_M,
+        far_m: float = FAR_M,
     ) -> "Frustum":
         """Build a frustum from a viewer pose and device parameters
         (:func:`camera_planes` for one pose)."""

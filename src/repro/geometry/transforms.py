@@ -113,18 +113,16 @@ def transform_points(transform: np.ndarray, points: np.ndarray) -> np.ndarray:
     return points @ transform[:3, :3].T + transform[:3, 3]
 
 
-def look_at(eye: np.ndarray, target: np.ndarray, up: np.ndarray | None = None) -> np.ndarray:
+def look_at(eye: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Camera-to-world transform for a camera at ``eye`` looking at ``target``.
 
     Follows the computer-vision convention: camera +Z points toward the
-    target (forward), +X right, +Y down.  Used to aim the simulated
-    RGB-D cameras at the scene center.
+    target (forward), +X right, +Y down, world +Y up.  Used to aim the
+    simulated RGB-D cameras at the scene center.
     """
     eye = np.asarray(eye, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    if up is None:
-        up = np.array([0.0, 1.0, 0.0])
-    up = np.asarray(up, dtype=np.float64)
+    up = np.array([0.0, 1.0, 0.0])
 
     forward = target - eye
     norm = np.linalg.norm(forward)

@@ -27,6 +27,16 @@ from repro.core.config import FPS
 
 __all__ = ["SessionQoE", "MOSModel", "CommentModel"]
 
+# The model's coefficients (a, b, c, d and the floor above), anchored on
+# the paper's four scheme-level MOS outcomes, and the spread of one
+# rater's score around the model MOS.
+GEOMETRY_GAIN = 0.036
+COLOR_GAIN = 0.010
+STALL_PENALTY = 3.0
+FPS_PENALTY = 1.5
+QUALITY_FLOOR = 20.0
+RATER_NOISE = 0.6
+
 
 @dataclass(frozen=True)
 class SessionQoE:
@@ -47,30 +57,14 @@ class SessionQoE:
 class MOSModel:
     """Objective measurements -> mean opinion score on the 1-5 Likert scale."""
 
-    def __init__(
-        self,
-        geometry_gain: float = 0.036,
-        color_gain: float = 0.010,
-        stall_penalty: float = 3.0,
-        fps_penalty: float = 1.5,
-        quality_floor: float = 20.0,
-        rater_noise: float = 0.6,
-    ) -> None:
-        self.geometry_gain = geometry_gain
-        self.color_gain = color_gain
-        self.stall_penalty = stall_penalty
-        self.fps_penalty = fps_penalty
-        self.quality_floor = quality_floor
-        self.rater_noise = rater_noise
-
     def mean_opinion_score(self, qoe: SessionQoE) -> float:
         """Deterministic model MOS for a session's measurements."""
         score = (
             1.0
-            + self.geometry_gain * max(qoe.pssim_geometry - self.quality_floor, 0.0)
-            + self.color_gain * max(qoe.pssim_color - self.quality_floor, 0.0)
-            - self.stall_penalty * qoe.stall_rate
-            - self.fps_penalty * max(FPS - qoe.mean_fps, 0.0) / FPS
+            + GEOMETRY_GAIN * max(qoe.pssim_geometry - QUALITY_FLOOR, 0.0)
+            + COLOR_GAIN * max(qoe.pssim_color - QUALITY_FLOOR, 0.0)
+            - STALL_PENALTY * qoe.stall_rate
+            - FPS_PENALTY * max(FPS - qoe.mean_fps, 0.0) / FPS
         )
         return float(np.clip(score, 1.0, 5.0))
 
@@ -83,7 +77,7 @@ class MOSModel:
             raise ValueError("num_raters must be positive")
         rng = np.random.default_rng(seed)
         mos = self.mean_opinion_score(qoe)
-        ratings = rng.normal(mos, self.rater_noise, size=num_raters)
+        ratings = rng.normal(mos, RATER_NOISE, size=num_raters)
         return np.clip(np.rint(ratings), 1, 5).astype(int)
 
 

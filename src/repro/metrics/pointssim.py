@@ -48,6 +48,9 @@ __all__ = [
 
 _LUMA = np.array([0.299, 0.587, 0.114])
 
+# Local features pool each point's 9 nearest neighbors.
+NEIGHBORS = 9
+
 
 @dataclass(frozen=True)
 class PSSIMResult:
@@ -112,7 +115,7 @@ def _feature_similarity(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
     return np.clip(similarity, 0.0, 1.0)
 
 
-def precompute_features(cloud: PointCloud, k: int = 9) -> CloudFeatures:
+def precompute_features(cloud: PointCloud, k: int = NEIGHBORS) -> CloudFeatures:
     """Build a cloud's reusable PointSSIM features (the expensive half)."""
     if cloud.is_empty:
         raise ValueError("cannot precompute features of an empty cloud")
@@ -164,7 +167,7 @@ def stratified_subsample(
 
 def pointssim_batch(
     pairs,
-    k: int = 9,
+    k: int = NEIGHBORS,
     proximity_scale: float | None = None,
     max_points: int | None = None,
     seed: int = 0,
@@ -289,7 +292,7 @@ def pointssim_batch(
 def pointssim(
     reference: PointCloud,
     distorted: PointCloud,
-    k: int = 9,
+    k: int = NEIGHBORS,
     proximity_scale: float | None = None,
     max_points: int | None = None,
     seed: int = 0,

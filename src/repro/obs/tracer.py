@@ -119,11 +119,10 @@ class Tracer:
         category: str = "stage",
         trace_id: int | None = None,
         parent_id: int | None = None,
-        attrs: dict | None = None,
     ):
         """Context-managed wall-clock span; errors close it as such."""
         opened = self.start_span(
-            name, category=category, trace_id=trace_id, parent_id=parent_id, attrs=attrs
+            name, category=category, trace_id=trace_id, parent_id=parent_id
         )
         try:
             yield opened
@@ -140,12 +139,10 @@ class Tracer:
         trace_id: int | None,
         start_s: float,
         end_s: float,
-        clock: str = CLOCK_SIM,
         parent_id: int | None = None,
-        status: str = STATUS_OK,
         attrs: dict | None = None,
     ) -> Span:
-        """Record an already-timed span (e.g. on the simulated clock)."""
+        """Record an already-timed span on the simulated clock."""
         span = Span(
             name=name,
             category=category,
@@ -154,8 +151,7 @@ class Tracer:
             parent_id=parent_id,
             start_s=float(start_s),
             end_s=float(end_s),
-            clock=clock,
-            status=status,
+            clock=CLOCK_SIM,
             pid=os.getpid(),
             tid=threading.get_ident(),
             attrs=attrs or {},
@@ -170,7 +166,6 @@ class Tracer:
         category: str,
         trace_id: int | None = None,
         time_s: float | None = None,
-        clock: str = CLOCK_SIM,
         attrs: dict | None = None,
     ) -> Span:
         """Record a zero-duration marker event (fault edges, PLI, ...)."""
@@ -184,7 +179,6 @@ class Tracer:
             trace_id,
             start_s=stamp,
             end_s=stamp,
-            clock=clock,
             attrs=merged,
         )
 
@@ -192,9 +186,7 @@ class Tracer:
     # Frame contexts (one trace per capture sequence)
     # ------------------------------------------------------------------
 
-    def open_frame(
-        self, sequence: int, sim_time_s: float, attrs: dict | None = None
-    ) -> Span:
+    def open_frame(self, sequence: int, sim_time_s: float) -> Span:
         """Open the sim-clock root span for one frame's trace."""
         span = Span(
             name=f"frame {sequence}",
@@ -206,7 +198,6 @@ class Tracer:
             clock=CLOCK_SIM,
             pid=os.getpid(),
             tid=0,
-            attrs=attrs or {},
         )
         with self._lock:
             self._spans.append(span)
@@ -218,7 +209,6 @@ class Tracer:
         sequence: int,
         sim_time_s: float,
         status: str = STATUS_OK,
-        attrs: dict | None = None,
     ) -> None:
         """Close a frame root at its resolution time."""
         span = self._frame_roots.get(sequence)
@@ -226,8 +216,6 @@ class Tracer:
             return
         span.end_s = float(sim_time_s)
         span.status = status
-        if attrs:
-            span.attrs.update(attrs)
 
     def frame_root(self, sequence: int | None) -> int | None:
         """The frame root's span id (parent for that frame's stages)."""

@@ -15,54 +15,49 @@ from repro.prediction.pose import Pose
 
 __all__ = ["ConstantVelocityKalman", "PoseKalmanPredictor"]
 
+# Noise variances of every filter: white acceleration of unit variance
+# against near-exact (1 cm standard deviation) pose reports.
+PROCESS_NOISE = 1.0
+MEASUREMENT_NOISE = 1e-4
+
 
 class ConstantVelocityKalman:
     """Bank of independent 2-state constant-velocity Kalman filters.
 
     State per dimension: ``[value, velocity]``.  Vectorized over all
-    dimensions, so one instance filters the whole 6-DoF pose.
+    dimensions, so one instance filters the whole 6-DoF pose; the first
+    measurement fixes how many dimensions there are.
     """
 
-    def __init__(
-        self,
-        num_dims: int = 6,
-        process_noise: float = 1.0,
-        measurement_noise: float = 1e-4,
-    ) -> None:
-        if num_dims <= 0:
-            raise ValueError("num_dims must be positive")
-        if process_noise <= 0 or measurement_noise <= 0:
-            raise ValueError("noise variances must be positive")
-        self.num_dims = num_dims
-        self.process_noise = float(process_noise)
-        self.measurement_noise = float(measurement_noise)
-        self._state = np.zeros((num_dims, 2))
+    def __init__(self) -> None:
+        self._state: np.ndarray | None = None
         # Per-dim 2x2 covariance, stored stacked.
-        self._covariance = np.tile(np.eye(2) * 1e3, (num_dims, 1, 1))
-        self._initialized = False
+        self._covariance: np.ndarray | None = None
 
     @property
     def initialized(self) -> bool:
         """True once at least one measurement has been folded in."""
-        return self._initialized
+        return self._state is not None
 
     def update(self, measurement: np.ndarray, dt: float) -> None:
         """Predict forward by ``dt`` then correct with a measurement."""
         measurement = np.asarray(measurement, dtype=np.float64)
-        if measurement.shape != (self.num_dims,):
-            raise ValueError(f"expected {self.num_dims}-vector measurement")
-        if not self._initialized:
+        if self._state is None:
+            if measurement.ndim != 1 or not measurement.size:
+                raise ValueError("the first measurement must be a non-empty vector")
+            self._state = np.zeros((measurement.size, 2))
             self._state[:, 0] = measurement
-            self._state[:, 1] = 0.0
-            self._initialized = True
+            self._covariance = np.tile(np.eye(2) * 1e3, (measurement.size, 1, 1))
             return
+        if measurement.shape != (len(self._state),):
+            raise ValueError(f"expected {len(self._state)}-vector measurement")
         if dt < 0:
             raise ValueError("dt must be non-negative")
 
         # Predict.
         transition = np.array([[1.0, dt], [0.0, 1.0]])
         # White-acceleration process noise (discretized).
-        q = self.process_noise * np.array(
+        q = PROCESS_NOISE * np.array(
             [[dt**4 / 4.0, dt**3 / 2.0], [dt**3 / 2.0, dt**2]]
         )
         self._state = self._state @ transition.T
@@ -70,7 +65,7 @@ class ConstantVelocityKalman:
 
         # Correct (H = [1, 0]).
         innovation = measurement - self._state[:, 0]
-        s = self._covariance[:, 0, 0] + self.measurement_noise
+        s = self._covariance[:, 0, 0] + MEASUREMENT_NOISE
         gain = self._covariance[:, :, 0] / s[:, None]          # (D, 2)
         self._state = self._state + gain * innovation[:, None]
         identity = np.eye(2)
@@ -79,7 +74,7 @@ class ConstantVelocityKalman:
 
     def predict(self, horizon_s: float) -> np.ndarray:
         """Extrapolate the filtered state ``horizon_s`` into the future."""
-        if not self._initialized:
+        if self._state is None:
             raise RuntimeError("filter has no measurements yet")
         if horizon_s < 0:
             raise ValueError("horizon_s must be non-negative")
@@ -87,16 +82,16 @@ class ConstantVelocityKalman:
 
     def velocity(self) -> np.ndarray:
         """Current velocity estimates per dimension."""
+        if self._state is None:
+            raise RuntimeError("filter has no measurements yet")
         return self._state[:, 1].copy()
 
 
 class PoseKalmanPredictor:
     """Pose-level wrapper: feed observed poses, predict future poses."""
 
-    def __init__(
-        self, process_noise: float = 1.0, measurement_noise: float = 1e-4
-    ) -> None:
-        self._filter = ConstantVelocityKalman(6, process_noise, measurement_noise)
+    def __init__(self) -> None:
+        self._filter = ConstantVelocityKalman()
         self._last_time: float | None = None
 
     @property

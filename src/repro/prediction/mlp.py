@@ -17,6 +17,10 @@ from repro.prediction.pose import PoseTrace
 
 __all__ = ["MLPPosePredictor"]
 
+# Adam's minibatch size and step size for every fit.
+BATCH_SIZE = 64
+LEARNING_RATE = 1e-3
+
 
 class MLPPosePredictor:
     """Window-of-poses -> future-pose regressor with 3 hidden layers."""
@@ -83,8 +87,6 @@ class MLPPosePredictor:
         self,
         traces: list[PoseTrace],
         epochs: int = 200,
-        batch_size: int = 64,
-        learning_rate: float = 1e-3,
         seed: int = 0,
     ) -> float:
         """Train on pose traces; returns the final epoch's mean loss."""
@@ -106,8 +108,8 @@ class MLPPosePredictor:
         for _ in range(epochs):
             order = rng.permutation(len(inputs))
             losses = []
-            for start in range(0, len(order), batch_size):
-                batch = order[start : start + batch_size]
+            for start in range(0, len(order), BATCH_SIZE):
+                batch = order[start : start + BATCH_SIZE]
                 x, y = inputs[batch], targets[batch]
                 out, activations = self._forward(x)
                 error = out - y
@@ -131,12 +133,12 @@ class MLPPosePredictor:
                     v_w[layer] = beta2 * v_w[layer] + (1 - beta2) * grads_w[layer] ** 2
                     m_hat = m_w[layer] / (1 - beta1**step)
                     v_hat = v_w[layer] / (1 - beta2**step)
-                    self._weights[layer] -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+                    self._weights[layer] -= LEARNING_RATE * m_hat / (np.sqrt(v_hat) + eps)
                     m_b[layer] = beta1 * m_b[layer] + (1 - beta1) * grads_b[layer]
                     v_b[layer] = beta2 * v_b[layer] + (1 - beta2) * grads_b[layer] ** 2
                     m_hat = m_b[layer] / (1 - beta1**step)
                     v_hat = v_b[layer] / (1 - beta2**step)
-                    self._biases[layer] -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+                    self._biases[layer] -= LEARNING_RATE * m_hat / (np.sqrt(v_hat) + eps)
             final_loss = float(np.mean(losses))
         self._trained = True
         return final_loss

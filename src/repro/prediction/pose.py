@@ -16,9 +16,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import FPS
+from repro.geometry.camera import SCENE_CENTER
 from repro.geometry.transforms import euler_to_rotation, look_at, rotation_to_euler
 
 __all__ = ["Pose", "PoseTrace", "synthetic_user_trace", "user_traces_for_video"]
+
+# Synthetic viewers: an orbit about 2 m out, 1.2 s dwells at a viewpoint
+# between 1 s moves, and 1 cm of head jitter.  A video has the paper's
+# three user traces.
+ORBIT_RADIUS_M = 2.0
+DWELL_S = 1.2
+MOVE_S = 1.0
+JITTER_M = 0.01
+NUM_TRACES = 3
 
 
 @dataclass(frozen=True)
@@ -90,27 +100,16 @@ def _ease(t: np.ndarray) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(np.pi * np.clip(t, 0.0, 1.0))
 
 
-def synthetic_user_trace(
-    num_frames: int,
-    scene_center: np.ndarray | None = None,
-    orbit_radius_m: float = 2.0,
-    seed: int = 0,
-    dwell_s: float = 1.2,
-    move_s: float = 1.0,
-    jitter_m: float = 0.01,
-    name: str = "user",
-) -> PoseTrace:
+def synthetic_user_trace(num_frames: int, seed: int = 0, name: str = "user") -> PoseTrace:
     """Generate a dwell-and-move viewer trajectory around a scene.
 
     The viewer alternates between dwelling at a viewpoint (looking at a
-    point near the scene center, with small head jitter) and smoothly
+    point near ``SCENE_CENTER``, with small head jitter) and smoothly
     moving to the next viewpoint on an orbit of varying radius/height.
     """
     if num_frames <= 0:
         raise ValueError("num_frames must be positive")
-    if scene_center is None:
-        scene_center = np.array([0.0, 1.0, 0.0])
-    scene_center = np.asarray(scene_center, dtype=np.float64)
+    scene_center = np.array(SCENE_CENTER)
     rng = np.random.default_rng(seed)
 
     # Viewpoints evolve as a random walk on (angle, radius, height):
@@ -118,7 +117,7 @@ def synthetic_user_trace(
     # teleport across the room.
     state = {
         "angle": rng.uniform(0, 2 * np.pi),
-        "radius": orbit_radius_m * rng.uniform(0.8, 1.1),
+        "radius": ORBIT_RADIUS_M * rng.uniform(0.8, 1.1),
         "height": rng.uniform(1.4, 1.7),
     }
 
@@ -127,8 +126,8 @@ def synthetic_user_trace(
         state["radius"] = float(
             np.clip(
                 state["radius"] + rng.uniform(-0.4, 0.4),
-                orbit_radius_m * 0.6,
-                orbit_radius_m * 1.3,
+                ORBIT_RADIUS_M * 0.6,
+                ORBIT_RADIUS_M * 1.3,
             )
         )
         state["height"] = float(np.clip(state["height"] + rng.uniform(-0.15, 0.15), 1.3, 1.8))
@@ -140,8 +139,8 @@ def synthetic_user_trace(
             ]
         )
 
-    dwell_frames = max(1, int(round(dwell_s * FPS)))
-    move_frames = max(1, int(round(move_s * FPS)))
+    dwell_frames = max(1, int(round(DWELL_S * FPS)))
+    move_frames = max(1, int(round(MOVE_S * FPS)))
 
     positions = np.empty((num_frames, 3))
     targets = np.empty((num_frames, 3))
@@ -173,16 +172,14 @@ def synthetic_user_trace(
         frame = move_end
         current, current_target = next_position, next_target
 
-    positions += rng.normal(0, jitter_m, size=positions.shape)
+    positions += rng.normal(0, JITTER_M, size=positions.shape)
     poses = [
         Pose.looking_at(positions[index], targets[index]) for index in range(num_frames)
     ]
     return PoseTrace(poses, name=name)
 
 
-def user_traces_for_video(
-    video_name: str, num_frames: int, num_traces: int = 3
-) -> list[PoseTrace]:
+def user_traces_for_video(video_name: str, num_frames: int) -> list[PoseTrace]:
     """The paper's three user traces per video, as deterministic synthetics."""
     # zlib.crc32 is stable across interpreter runs (str hash is not).
     import zlib
@@ -194,5 +191,5 @@ def user_traces_for_video(
             seed=base_seed + index,
             name=f"{video_name}-user{index}",
         )
-        for index in range(num_traces)
+        for index in range(NUM_TRACES)
     ]

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import GUARD_BAND_M
-from repro.geometry.frustum import Frustum, camera_planes, expand_planes
+from repro.geometry.frustum import (
+    ASPECT, FAR_M, NEAR_M, VERTICAL_FOV_DEG, Frustum, camera_planes, expand_planes,
+)
 from repro.geometry.transforms import euler_to_rotation
 from repro.prediction.kalman import PoseKalmanPredictor
 from repro.prediction.pose import Pose
@@ -25,10 +27,10 @@ __all__ = ["ViewingDevice", "FrustumPredictor", "guarded_planes"]
 class ViewingDevice:
     """Headset optics the receiver shares at connection setup."""
 
-    vertical_fov_deg: float = 60.0
-    aspect: float = 16.0 / 9.0
-    near_m: float = 0.1
-    far_m: float = 10.0
+    vertical_fov_deg: float = VERTICAL_FOV_DEG
+    aspect: float = ASPECT
+    near_m: float = NEAR_M
+    far_m: float = FAR_M
 
     def __post_init__(self) -> None:
         # Checked where the optics are stated (connection setup), not on
@@ -67,14 +69,12 @@ class FrustumPredictor:
         self,
         device: ViewingDevice | None = None,
         guard_band_m: float = GUARD_BAND_M,
-        process_noise: float = 1.0,
-        measurement_noise: float = 1e-4,
     ) -> None:
         if guard_band_m < 0:
             raise ValueError("guard_band_m must be non-negative")
         self.device = device or ViewingDevice()
         self.guard_band_m = float(guard_band_m)
-        self._kalman = PoseKalmanPredictor(process_noise, measurement_noise)
+        self._kalman = PoseKalmanPredictor()
         self._last_pose: Pose | None = None
 
     @property

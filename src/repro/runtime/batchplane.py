@@ -127,18 +127,13 @@ def motion_request(plane, reference, search_range, block_size) -> BatchRequest:
     )
 
 
-def entropy_encode_request(levels, effort) -> BatchRequest:
+def entropy_encode_request(levels) -> BatchRequest:
     """Entropy-code one quantized level stack to its payload bytes.
 
-    Result: ``bytes``.  The full stack shape is in the key -- the
-    batched coder's shared bit-scatter pass stacks exact-shape level
-    arrays -- along with the DEFLATE effort.
+    Result: ``bytes``.  The full stack shape is the key -- the batched
+    coder's shared bit-scatter pass stacks exact-shape level arrays.
     """
-    return BatchRequest(
-        kind="entropy_encode",
-        key=(levels.shape, int(effort)),
-        payload=(levels, effort),
-    )
+    return BatchRequest(kind="entropy_encode", key=(levels.shape,), payload=levels)
 
 
 # ----------------------------------------------------------------------
@@ -205,13 +200,10 @@ class _EntropyEncodeKernel:
     name = "entropy_encode"
 
     def single(self, request: BatchRequest):
-        levels, effort = request.payload
-        return encode_levels(levels, effort=effort)
+        return encode_levels(request.payload)
 
     def batched(self, requests: list[BatchRequest]):
-        _, effort = requests[0].payload
-        stacked = np.stack([request.payload[0] for request in requests])
-        return encode_levels_batch(stacked, effort=effort)
+        return encode_levels_batch(np.stack([request.payload for request in requests]))
 
 
 KERNELS = {

@@ -91,8 +91,8 @@ def _frame_records(report: SessionReport) -> list[dict]:
     return records
 
 
-def _snapshots(report: SessionReport, every: int) -> list[dict]:
-    """Cumulative state checkpoints every ``every`` frames."""
+def _snapshots(report: SessionReport) -> list[dict]:
+    """Cumulative state checkpoints every ``SNAPSHOT_EVERY`` frames."""
     snapshots = []
     rendered = stalled = skipped = frozen = wire_bytes = 0
     for index, frame in enumerate(report.frames):
@@ -102,7 +102,7 @@ def _snapshots(report: SessionReport, every: int) -> list[dict]:
         frozen += frame.frozen
         wire_bytes += frame.wire_bytes
         last = index == len(report.frames) - 1
-        if (index + 1) % every == 0 or last:
+        if (index + 1) % SNAPSHOT_EVERY == 0 or last:
             snapshots.append(
                 {
                     "kind": "snapshot",
@@ -158,11 +158,7 @@ def _report_digest(report: SessionReport) -> dict:
     }
 
 
-def artifact_records(
-    spec: ScenarioSpec,
-    report: SessionReport,
-    snapshot_every: int = SNAPSHOT_EVERY,
-) -> list[dict]:
+def artifact_records(spec: ScenarioSpec, report: SessionReport) -> list[dict]:
     """The artifact's body: every record except the trailing checksum."""
     records: list[dict] = [
         {
@@ -174,7 +170,7 @@ def artifact_records(
         }
     ]
     records.extend(_frame_records(report))
-    records.extend(_snapshots(report, snapshot_every))
+    records.extend(_snapshots(report))
     for event in report.fault_events:
         records.append({"kind": "event", **asdict(event)})
     records.append(_report_digest(report))

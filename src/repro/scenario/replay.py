@@ -96,7 +96,9 @@ def load_artifact(path: str | Path) -> tuple[list[dict], bool]:
 
     Raises :class:`ArtifactError` when the file cannot serve as a
     replay golden at all: unparseable JSON, a line that is not an
-    object, no header, or a schema version this code does not speak.
+    object, a record without a string ``kind``, a frame record without
+    an integer ``sequence`` (what :func:`diff_records` keys frames by),
+    no header, or a schema version this code does not speak.
     """
     path = Path(path)
     try:
@@ -111,8 +113,13 @@ def load_artifact(path: str | Path) -> tuple[list[dict], bool]:
             records.append(json.loads(line))
         except json.JSONDecodeError as error:
             raise ArtifactError(f"line {number} is not valid JSON: {error}") from error
-        if not isinstance(records[-1], dict):
+        record = records[-1]
+        if not isinstance(record, dict):
             raise ArtifactError(f"line {number} is not a JSON object")
+        if not isinstance(record.get("kind"), str):
+            raise ArtifactError(f"line {number} has no string 'kind'")
+        if record["kind"] == "frame" and type(record.get("sequence")) is not int:
+            raise ArtifactError(f"line {number}: frame record has no integer 'sequence'")
     if not records:
         raise ArtifactError("artifact is empty")
     checksum_ok = False

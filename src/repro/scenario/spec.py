@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.capture.dataset import video_names
 from repro.core.config import FPS, SessionConfig
 from repro.core.schemes import LIVO_SCHEMES
 from repro.faults.plan import FaultPlan
@@ -210,6 +211,8 @@ class ScenarioSpec:
             raise ValueError("kind must be 'livo' or 'multiway'")
         if self.scheme not in LIVO_SCHEMES:
             raise ValueError(f"scenarios support schemes {LIVO_SCHEMES}")
+        if self.video not in video_names():
+            raise ValueError(f"unknown video {self.video!r}; one of {video_names()}")
         if self.frames <= 0:
             raise ValueError("frames must be positive")
         if self.sample_budget < 1:

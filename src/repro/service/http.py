@@ -31,6 +31,8 @@ __all__ = ["HttpError", "HttpRequest", "HttpServer", "JsonClient"]
 # abuse, not traffic.
 _MAX_BODY_BYTES = 1 << 20
 _MAX_HEADER_LINES = 64
+# Pool threads the synchronous handler runs on.
+HANDLER_THREADS = 4
 
 _REASONS = {
     200: "OK", 201: "Created", 202: "Accepted", 400: "Bad Request",
@@ -126,13 +128,13 @@ async def _read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
 class HttpServer:
     """Serve ``handler(request) -> (status, dict)`` over HTTP/1.1.
 
-    The handler is synchronous and runs on ``handler_threads`` pool
+    The handler is synchronous and runs on ``HANDLER_THREADS`` pool
     threads; it must be thread-safe (the registry is).  ``metrics`` --
     when given -- receives ``service.http.*`` counters.
     """
 
     def __init__(self, handler, host: str = "127.0.0.1", port: int = 0,
-                 metrics=None, handler_threads: int = 4) -> None:
+                 metrics=None) -> None:
         self.handler = handler
         self.host = host
         self.port = port
@@ -140,7 +142,7 @@ class HttpServer:
         self._server: asyncio.AbstractServer | None = None
         self._connections: set[asyncio.Task] = set()
         self._pool = ThreadPoolExecutor(
-            max_workers=handler_threads, thread_name_prefix="service-http"
+            max_workers=HANDLER_THREADS, thread_name_prefix="service-http"
         )
 
     def _count(self, name: str) -> None:

@@ -312,13 +312,13 @@ class SessionRegistry:
         self.metrics.counter("service.leaves").inc()
         return {"session": session_id, "client": client, "queued": True}
 
-    def kill(self, session_id: str, reason: str = "killed") -> SessionRecord:
+    def kill(self, session_id: str) -> SessionRecord:
         """Request teardown; idempotent.  The worker pool reaps it."""
         record = self.get(session_id)
         with self._lock:
             if record.state in (DRAINING, DEAD):
                 return record
-            self._set_state(record, DRAINING, reason)
+            self._set_state(record, DRAINING, "killed")
             self.metrics.counter("service.sessions.killed").inc()
         return record
 

@@ -69,7 +69,6 @@ class ForwardDecision:
     bytes: int
     delivery_time_s: float | None = None
     downlink: DownlinkSend | None = None
-    forwarded_multiview: MultiViewFrame | None = None
 
     @property
     def kept_fraction(self) -> float:
@@ -104,7 +103,6 @@ class SFUNode:
         config: SessionConfig,
         device: ViewingDevice | None = None,
         downlinks: DownlinkSet | None = None,
-        keep_views: bool = False,
     ) -> None:
         self.cameras = cameras
         self.config = config
@@ -112,10 +110,6 @@ class SFUNode:
         self.book = ReceiverBook(self.device)
         self.downlinks = downlinks
         self.cull_cache = CullCache()
-        # When set, forward decisions carry the per-receiver culled
-        # multiview (what the receiver would reconstruct from) -- used
-        # by quality benchmarks, too heavy for fleet runs.
-        self.keep_views = keep_views
         # Frame-scoped state written by ingest, read by forward.
         self._cached_sequence: int | None = None
         self._cached_uplink: SenderResult | None = None
@@ -204,16 +198,6 @@ class SFUNode:
         if uplink is not None:
             self.uplink_bytes += uplink.total_bytes
 
-    def _culled_views(self, seen: np.ndarray) -> MultiViewFrame:
-        """One receiver's culled multiview (quality-bench path): its
-        ``(C, H, W)`` slice of the visibility table applied to the union."""
-        source = self._cached_uplink.culled_multiview
-        return MultiViewFrame(
-            [view.culled(mask) for view, mask in zip(source.views, seen)],
-            sequence=source.sequence,
-            timestamp_s=source.timestamp_s,
-        )
-
     def _pick_rung(self, state: ReceiverState, full_bytes: int, budget_bytes: float) -> int:
         """Deepest-necessary tier, ladder-stepped at most one rung/frame."""
         ideal = len(TIER_SCALES) - 1
@@ -229,15 +213,14 @@ class SFUNode:
             return state.rung - 1
         return ideal
 
-    def _visible_shares(self, source: MultiViewFrame) -> tuple[np.ndarray, list[int]]:
-        """Every warm receiver's ``(C, H, W)`` share of the union and its
-        point count, in one read of the frame's visibility table (built
-        by the union cull a moment ago; rebuilt here only if nobody
-        culled with this cache)."""
+    def _visible_points(self, source: MultiViewFrame) -> list[int]:
+        """Every warm receiver's point count of the union, in one read of
+        the frame's visibility table (built by the union cull a moment
+        ago; rebuilt here only if nobody culled with this cache)."""
         depths = [view.depth_mm for view in source.views]
         inside = self.cull_cache.visibility(self.cameras, depths, self._frame_planes)
         seen = inside & (np.stack(depths) > 0)
-        return seen, seen.reshape(len(seen), -1).sum(axis=1).tolist()
+        return seen.reshape(len(seen), -1).sum(axis=1).tolist()
 
     def forward(
         self,
@@ -257,9 +240,9 @@ class SFUNode:
         nothing_sent = uplink.empty or union_points == 0 or uplink_bytes == 0
         frustums = self.predicted_frustums(sequence, horizon_s)
         rows: dict[str, int] = {}
-        seen = kept_points = None
+        kept_points = None
         if frustums and not uplink.empty:
-            seen, kept_points = self._visible_shares(source)
+            kept_points = self._visible_points(source)
             rows = {name: row for row, name in enumerate(frustums)}
 
         downlinks = self.downlinks
@@ -290,9 +273,6 @@ class SFUNode:
             send: DownlinkSend | None = None
             if downlinks is not None and size > 0 and name in downlinks:
                 send = state.offer_downlink(downlinks, now, size)
-            forwarded = None
-            if self.keep_views:
-                forwarded = source if row is None else self._culled_views(seen[row])
             decision = ForwardDecision(
                 receiver=name,
                 sequence=sequence,
@@ -303,7 +283,6 @@ class SFUNode:
                 bytes=size,
                 delivery_time_s=send.delivery_time_s if send is not None else None,
                 downlink=send,
-                forwarded_multiview=forwarded,
             )
             decisions[name] = decision
             self._account(state, decision)

@@ -41,6 +41,7 @@ LOSS_DETECTION_GRACE_S = 0.02  # a loss is seen one propagation delay + this lat
 RTT_SMOOTHING = 0.125  # classic SRTT EWMA gain
 LOSS_WINDOW_S = 1.0    # the loss fraction GCC sees covers this much history
 REVERSE_DELAY_S = 0.02  # receiver-to-sender feedback path, one way
+NUM_STREAMS = 2        # LiVo's two media streams: color and depth
 
 
 @dataclass(frozen=True)
@@ -82,18 +83,17 @@ class WebRTCChannel:
         link: EmulatedLink,
         config: WebRTCConfig | None = None,
         gcc_config: GCCConfig | None = None,
-        num_streams: int = 2,
     ) -> None:
         self.link = link
         self.config = config or WebRTCConfig()
         self.gcc = GoogleCongestionControl(gcc_config)
-        self._assemblers = [FrameAssembler() for _ in range(num_streams)]
+        self._assemblers = [FrameAssembler() for _ in range(NUM_STREAMS)]
         self._events: list[tuple[float, int, str, object]] = []
         self._tiebreak = 0
         self._packet_sequence = 0
         self._frame_send_times: dict[tuple[int, int], float] = {}
         self._deliveries: list[FrameDelivery] = []
-        self._needs_keyframe = [False] * num_streams
+        self._needs_keyframe = [False] * NUM_STREAMS
         self._srtt: float | None = None
         # Loss window: one (time, lost) entry per packet outcome plus
         # running totals, so _loss_fraction is O(1) instead of an
@@ -108,7 +108,7 @@ class WebRTCChannel:
         self._pending_nacks: dict[tuple[int, int], int] = {}
         self._released: set[tuple[int, int]] = set()
         self.marker_frames: list[tuple[int, int]] = []
-        self.bytes_sent_per_stream = [0] * num_streams
+        self.bytes_sent_per_stream = [0] * NUM_STREAMS
         self._clock = 0.0
         # Fragments parity rebuilt, per frame: their NACKs are cancelled.
         self._fec_repaired: dict[tuple[int, int], set[int]] = {}

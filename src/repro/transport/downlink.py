@@ -21,12 +21,10 @@ import math
 from dataclasses import dataclass, replace
 
 from repro.transport.link import EmulatedLink, LinkConfig
-from repro.transport.packet import Packet
+from repro.transport.packet import MTU_BYTES, Packet
 from repro.transport.traces import BandwidthTrace
 
 __all__ = ["DownlinkSet", "DownlinkSend"]
-
-MTU_BYTES = 1200
 
 
 @dataclass(frozen=True)
@@ -59,13 +57,9 @@ class DownlinkSet:
         self,
         default_trace: BandwidthTrace,
         config: LinkConfig | None = None,
-        mtu_bytes: int = MTU_BYTES,
     ) -> None:
-        if mtu_bytes <= 0:
-            raise ValueError("mtu_bytes must be positive")
         self.default_trace = default_trace
         self.config = config or LinkConfig()
-        self.mtu_bytes = int(mtu_bytes)
         self._links: dict[str, EmulatedLink] = {}
         self._join_ordinal = 0
         self.bursts_sent = 0
@@ -115,12 +109,11 @@ class DownlinkSet:
         if size_bytes == 0:
             return DownlinkSend(name, 0, 0, 0, now + link.config.propagation_delay_s, ())
         size_bytes = int(size_bytes)
-        mtu = self.mtu_bytes
-        count = max(1, math.ceil(size_bytes / mtu))
+        count = max(1, math.ceil(size_bytes / MTU_BYTES))
         arrivals: list[float] = []
         sizes: list[int] = []
         for fragment in range(count):
-            size = mtu if fragment < count - 1 else size_bytes - mtu * (count - 1)
+            size = MTU_BYTES if fragment < count - 1 else size_bytes - MTU_BYTES * (count - 1)
             # Nothing downstream of the link reads a downlink packet's
             # identity; the sequence is the link's own offer count.
             arrival = link.send(Packet(link.packets_sent, 0, 0, fragment, count, size, now))

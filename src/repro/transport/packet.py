@@ -4,10 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["Packet", "DEFAULT_MTU"]
+__all__ = ["Packet", "MTU_BYTES"]
 
-# Typical Ethernet payload budget after IP/UDP/RTP headers.
-DEFAULT_MTU = 1200
+# Typical Ethernet payload budget after IP/UDP headers, for the two-party
+# channel's RTP packets and the SFU's downlink bursts alike.
+MTU_BYTES = 1200
 
 
 @dataclass(slots=True)

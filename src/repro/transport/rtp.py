@@ -11,7 +11,7 @@ parity arrived is rebuilt here by XOR.
 from __future__ import annotations
 
 from repro.transport.fec import recover_payload
-from repro.transport.packet import DEFAULT_MTU, Packet
+from repro.transport.packet import MTU_BYTES, Packet
 
 __all__ = ["packetize", "FrameAssembler", "RTP_HEADER_BYTES"]
 
@@ -24,15 +24,12 @@ def packetize(
     data: bytes,
     send_time_s: float,
     first_packet_sequence: int,
-    mtu: int = DEFAULT_MTU,
 ) -> list[Packet]:
     """Cut a frame buffer into RTP-like packets carrying slices of it."""
     view = memoryview(data)
     if not view.nbytes:
         raise ValueError("a frame needs at least one byte")
-    if mtu <= RTP_HEADER_BYTES:
-        raise ValueError("mtu must exceed the RTP header size")
-    payload_per_packet = mtu - RTP_HEADER_BYTES
+    payload_per_packet = MTU_BYTES - RTP_HEADER_BYTES
     num_fragments = -(-view.nbytes // payload_per_packet)
     packets = []
     for fragment in range(num_fragments):

@@ -27,32 +27,27 @@ class StreamDelivery:
     delivery_time_s: float
 
 
+# Share of the bottleneck's capacity the stream's payload gets: TCP
+# dynamics (slow start, loss recovery, header overhead) take the rest.
+EFFICIENCY = 0.9
+
+
 class ReliableByteStream:
     """Fluid TCP-like stream over a trace-driven bottleneck."""
 
-    def __init__(
-        self,
-        trace: BandwidthTrace,
-        propagation_delay_s: float = 0.02,
-        efficiency: float = 0.9,
-    ) -> None:
-        """``efficiency`` discounts capacity for TCP dynamics (slow start,
-        loss recovery, header overhead)."""
-        if not 0 < efficiency <= 1:
-            raise ValueError("efficiency must be in (0, 1]")
+    def __init__(self, trace: BandwidthTrace, propagation_delay_s: float = 0.02) -> None:
         self.trace = trace
         self.propagation_delay_s = float(propagation_delay_s)
-        self.efficiency = float(efficiency)
         self._backlog_clear_at = 0.0
         self.bytes_sent = 0
         self.deliveries: list[StreamDelivery] = []
 
     def _service_finish_time(self, start: float, size_bytes: int) -> float:
-        # Scaling capacity by the efficiency factor is the same as
-        # inflating the payload by 1/efficiency, which lets the shared
+        # Scaling capacity by EFFICIENCY is the same as inflating the
+        # payload by 1/EFFICIENCY, which lets the shared
         # cumulative-capacity inverse (O(log intervals), zero-rate safe)
         # replace the old per-interval walk here too.
-        target = self.trace.cumulative_bits_at(start) + size_bytes * 8.0 / self.efficiency
+        target = self.trace.cumulative_bits_at(start) + size_bytes * 8.0 / EFFICIENCY
         return self.trace.time_for_cumulative(target)
 
     def send(self, message_id: int, size_bytes: int, now: float) -> StreamDelivery:

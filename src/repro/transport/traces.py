@@ -168,29 +168,33 @@ TRACE_1_STATS = TraceStats(mean=216.90, max=262.19, min=151.91, p90=234.41, p10=
 TRACE_2_STATS = TraceStats(mean=89.20, max=106.37, min=36.35, p90=98.09, p10=80.52)
 
 
-def trace_1(duration_s: float = 300.0, interval_s: float = 0.5, seed: int = 1) -> BandwidthTrace:
+# Both paper traces report one capacity sample every half second.
+TRACE_INTERVAL_S = 0.5
+
+
+def trace_1(duration_s: float = 300.0, seed: int = 1) -> BandwidthTrace:
     """Home-WiFi-like trace, scaled: mean ~217 Mbps (Table 4, trace-1).
 
     Stationary environment: mild variability, strong correlation.
     """
-    num_samples = max(2, int(round(duration_s / interval_s)))
+    num_samples = max(2, int(round(duration_s / TRACE_INTERVAL_S)))
     raw = _ar1_lognormal(num_samples, sigma=0.10, correlation=0.95, seed=seed)
-    return BandwidthTrace(_calibrate(raw, TRACE_1_STATS), interval_s, "trace-1")
+    return BandwidthTrace(_calibrate(raw, TRACE_1_STATS), TRACE_INTERVAL_S, "trace-1")
 
 
-def trace_2(duration_s: float = 300.0, interval_s: float = 0.5, seed: int = 2) -> BandwidthTrace:
+def trace_2(duration_s: float = 300.0, seed: int = 2) -> BandwidthTrace:
     """Mall-mobility-like trace, scaled: mean ~89 Mbps (Table 4, trace-2).
 
     Mobile environment: deeper fades, weaker correlation, occasional
     drops toward the 36 Mbps floor.
     """
-    num_samples = max(2, int(round(duration_s / interval_s)))
+    num_samples = max(2, int(round(duration_s / TRACE_INTERVAL_S)))
     raw = _ar1_lognormal(num_samples, sigma=0.35, correlation=0.85, seed=seed)
     # Inject occasional deep fades (walking behind obstacles).
     rng = np.random.default_rng(seed + 1000)
     fade_mask = rng.random(num_samples) < 0.02
     raw = np.where(fade_mask, raw * 0.35, raw)
-    return BandwidthTrace(_calibrate(raw, TRACE_2_STATS), interval_s, "trace-2")
+    return BandwidthTrace(_calibrate(raw, TRACE_2_STATS), TRACE_INTERVAL_S, "trace-2")
 
 
 def constant_trace(mbps: float, duration_s: float = 300.0) -> BandwidthTrace:

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.geometry.camera import MAX_DEPTH_MM
 from repro.geometry.pointcloud import PointCloud
 
 __all__ = ["write_ppm", "depth_to_color", "write_ply"]
@@ -31,16 +32,14 @@ def write_ppm(path: str | Path, image: np.ndarray) -> Path:
     return path
 
 
-def depth_to_color(depth_mm: np.ndarray, max_depth_mm: int = 6000) -> np.ndarray:
-    """Map a depth image to an RGB visualization.
+def depth_to_color(depth_mm: np.ndarray) -> np.ndarray:
+    """Map a depth image to an RGB visualization over the sensing range.
 
     Near is warm, far is cool, invalid (zero) is black -- the standard
     presentation of Kinect depth maps.
     """
     depth_mm = np.asarray(depth_mm, dtype=np.float64)
-    if max_depth_mm <= 0:
-        raise ValueError("max_depth_mm must be positive")
-    normalized = np.clip(depth_mm / max_depth_mm, 0.0, 1.0)
+    normalized = np.clip(depth_mm / MAX_DEPTH_MM, 0.0, 1.0)
     # Simple three-anchor gradient: red -> green -> blue.
     r = np.clip(1.5 - 3.0 * normalized, 0.0, 1.0)
     g = np.clip(1.5 - 3.0 * np.abs(normalized - 0.5), 0.0, 1.0)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.codec.frame import EncodedFrame, FrameType
-from repro.core.config import MAX_DEPTH_MM
 from repro.core.receiver import LiVoReceiver
 from repro.depthcodec.scaling import unscale_depth
 
@@ -30,4 +29,4 @@ def eager_decode_pair(
     depth_tiles, depth_marker = receiver.depth_tiler.decompose(images[1])
     if color_marker != depth_marker:
         raise ValueError(f"color marker {color_marker} != depth marker {depth_marker}")
-    return color_marker, color_tiles, [unscale_depth(tile, MAX_DEPTH_MM) for tile in depth_tiles]
+    return color_marker, color_tiles, [unscale_depth(tile) for tile in depth_tiles]

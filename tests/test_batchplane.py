@@ -99,8 +99,8 @@ class TestEntropyVectorized:
             0,
         ).astype(np.int32)
         stacks[2] = 0  # one all-zero stack hits the empty-nonzero branch
-        payloads = encode_levels_batch(stacks, effort=6)
-        assert payloads == [encode_levels(stack, effort=6) for stack in stacks]
+        payloads = encode_levels_batch(stacks)
+        assert payloads == [encode_levels(stack) for stack in stacks]
         for payload, stack in zip(payloads, stacks):
             assert np.array_equal(decode_levels(payload), stack)
 
@@ -151,7 +151,6 @@ class TestKernelParity:
                     rng.integers(-500, 500, size=(9, 8, 8)),
                     0,
                 ).astype(np.int32),
-                effort=6,
             )
             for _ in range(5)
         ]

@@ -1,11 +1,14 @@
 """Tests for the synthetic capture substrate (scenes, renderer, rig, dataset)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.capture import renderer
 from repro.capture.dataset import PANOPTIC_VIDEOS, load_video, video_names
 from repro.capture.renderer import ProjectionCache, fill_holes_batch, render_frame
 from repro.capture.rgbd import MultiViewFrame, RGBDFrame
@@ -110,7 +113,7 @@ class TestPrimitives:
         assert np.linalg.norm(p1.mean(axis=0) - p0.mean(axis=0)) > 0.01
 
     def test_person_area_positive(self):
-        assert Person(np.zeros(3)).area() > 0
+        assert Person(np.zeros(3), motion_amplitude_m=0.15, motion_frequency_hz=0.5).area() > 0
 
 
 class TestScene:
@@ -236,6 +239,14 @@ def _hole_stacks(draw):
     return _apply_pattern(depths, draw(st.sampled_from(HOLE_PATTERNS))), colors
 
 
+def _fill(depths, colors, passes, min_neighbors):
+    """``fill_holes_batch`` at another pass count and neighbor threshold."""
+    with mock.patch.multiple(
+        renderer, FILL_PASSES=passes, FILL_MIN_NEIGHBORS=min_neighbors
+    ):
+        return fill_holes_batch(depths, colors)
+
+
 def _assert_same_fill(got, want):
     for got_array, want_array in zip(got, want, strict=True):
         assert got_array.dtype == want_array.dtype
@@ -250,7 +261,7 @@ class TestHoleFillAgainstReference:
     def test_batch_fill_matches_dense_reference(self, stack, iterations, min_neighbors):
         depths, colors = stack
         _assert_same_fill(
-            fill_holes_batch(depths, colors, iterations, min_neighbors),
+            _fill(depths, colors, iterations, min_neighbors),
             fill_holes_batch_dense(depths, colors, iterations, min_neighbors),
         )
 
@@ -264,7 +275,7 @@ class TestHoleFillAgainstReference:
         colors = rng.integers(0, 256, size=(*shape, 3)).astype(np.uint8)
         for min_neighbors in (1, 3, 8):
             _assert_same_fill(
-                fill_holes_batch(depths, colors, 3, min_neighbors),
+                _fill(depths, colors, 3, min_neighbors),
                 fill_holes_batch_dense(depths, colors, 3, min_neighbors),
             )
 
@@ -275,7 +286,7 @@ class TestHoleFillAgainstReference:
         depths[0] = 3000
         colors = np.zeros((2, 4, 5, 3), dtype=np.uint8)
         colors[0] = 200
-        out_depths, out_colors = fill_holes_batch(depths, colors, iterations=3, min_neighbors=1)
+        out_depths, out_colors = _fill(depths, colors, 3, 1)
         np.testing.assert_array_equal(out_depths, depths)
         np.testing.assert_array_equal(out_colors, colors)
 

@@ -27,6 +27,7 @@ from repro.codec.entropy import (
 )
 from repro.codec.frame import EncodedFrame, FrameType
 from repro.codec.quant import QP_MAX_EXTENDED
+from repro.codec import rate_control
 from repro.codec.rate_control import RateController
 from repro.codec.video import (
     _PLANE_HEADER,
@@ -322,7 +323,7 @@ def _valid_payloads() -> list[bytes]:
     dense = rng.integers(-40, 40, (6, 4, 4)).astype(np.int32)
     return [
         encode_levels(sparse),
-        encode_levels(dense, effort=1),
+        encode_levels(dense),
         encode_levels(np.zeros((5, 8, 8), dtype=np.int32)),
     ]
 
@@ -562,12 +563,13 @@ class TestForgedMotionVectors:
 
 
 class TestRateControllerEdges:
-    def test_first_frame_uses_initial_qp(self):
-        controller = RateController(initial_qp=37)
+    def test_first_frame_uses_initial_qp(self, monkeypatch):
+        monkeypatch.setattr(rate_control, "INITIAL_QP", 37)
+        controller = RateController()
         assert controller.propose_qp(10_000) == 37
 
     def test_alpha_smoothing_converges(self):
-        controller = RateController(initial_qp=30, smoothing=0.5)
+        controller = RateController()
         # Repeated identical observations: alpha settles, proposals stabilize.
         for _ in range(20):
             controller.update(30, 5000, 5000)
@@ -581,7 +583,7 @@ class TestRateControllerEdges:
         assert controller.propose_qp(1000) == controller.last_qp
 
     def test_extended_range_controller(self):
-        controller = RateController(initial_qp=60, qp_max=QP_MAX_EXTENDED)
+        controller = RateController(qp_max=QP_MAX_EXTENDED)
         controller.update(60, 50_000, 1000)
         # Needs much higher QP; clamped by max_step per frame.
-        assert controller.propose_qp(1000) <= 60 + controller.max_step
+        assert controller.propose_qp(1000) <= 60 + rate_control.MAX_STEP

@@ -207,10 +207,6 @@ class TestEntropy:
         sparse[np.abs(sparse) < 40] = 0
         assert len(encode_levels(sparse)) < len(encode_levels(dense))
 
-    def test_invalid_effort(self):
-        with pytest.raises(ValueError):
-            encode_levels(np.zeros((1, 8, 8), dtype=np.int32), effort=0)
-
     def test_truncated_payload_rejected(self):
         with pytest.raises(ValueError):
             decode_levels(b"abc")

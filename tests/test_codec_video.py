@@ -7,10 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.codec import rate_control
 from repro.codec.blocks import DEFAULT_BLOCK_SIZE, block_grid_shape
 from repro.codec.frame import EncodedFrame, FrameType, PixelFormat
 from repro.codec.motion import gather_prediction, motion_batch, search_offsets
-from repro.codec.quant import DEAD_ZONE_OFFSET, qp_to_step, weight_matrix
+from repro.codec.quant import DEAD_ZONE_OFFSET, QP_MAX_EXTENDED, QP_MIN, qp_to_step, weight_matrix
 from repro.codec.rate_control import RateController
 from repro.codec.video import VideoCodecConfig, VideoDecoder, VideoEncoder
 from repro.runtime.batchplane import drive_serial
@@ -398,7 +399,7 @@ class TestRateControl:
         assert 0.2 * target < steady.mean() < 1.5 * target
 
     def test_rate_halves_per_six_qp_model(self):
-        controller = RateController(initial_qp=30)
+        controller = RateController()
         controller.update(qp_used=30, size_bytes=8000, target_bytes=8000)
         # Target half the size: model should ask for about +6 QP.
         assert controller.propose_qp(4000) == pytest.approx(36, abs=1)
@@ -409,16 +410,17 @@ class TestRateControl:
         retry = controller.retry_qp(30, size_bytes=4000, target_bytes=1000)
         assert retry is not None and retry > 30
 
-    def test_qp_step_clamped(self):
-        controller = RateController(initial_qp=30, max_step=4)
+    def test_qp_step_clamped(self, monkeypatch):
+        monkeypatch.setattr(rate_control, "MAX_STEP", 4)
+        controller = RateController()
         controller.update(30, 100_000, 100_000)
         assert abs(controller.propose_qp(10) - 30) <= 4
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
-            RateController(qp_min=40, qp_max=10)
+            RateController(qp_max=QP_MIN)
         with pytest.raises(ValueError):
-            RateController(smoothing=0.0)
+            RateController(qp_max=QP_MAX_EXTENDED + 1)
 
     def test_encode_to_target_invalid_budget(self):
         encoder = VideoEncoder()

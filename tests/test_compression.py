@@ -9,6 +9,7 @@ from scipy.spatial import cKDTree
 from repro.capture.rig import default_rig
 from repro.capture.scene import make_scene
 from repro.compression.draco import DracoCodec, DracoConfig
+from repro.compression import mesh as mesh_module
 from repro.compression.mesh import decimate_mesh, mesh_from_views, sample_mesh_points
 from repro.compression.meshreduce import (
     MeshReducePipeline,
@@ -187,9 +188,10 @@ class TestMesh:
         assert mesh.num_vertices == frame.total_points()
         assert mesh.num_faces > 0
 
-    def test_faces_do_not_span_discontinuities(self, capture_setup):
+    def test_faces_do_not_span_discontinuities(self, capture_setup, monkeypatch):
         rig, frame = capture_setup
-        mesh = mesh_from_views(frame, rig.cameras, max_edge_depth_gap_m=0.05)
+        monkeypatch.setattr(mesh_module, "MAX_EDGE_DEPTH_GAP_M", 0.05)
+        mesh = mesh_from_views(frame, rig.cameras)
         edges = mesh.vertices[mesh.faces]
         spans = np.linalg.norm(edges[:, 0] - edges[:, 1], axis=1)
         # Adjacent-pixel triangles at our resolution stay small.

@@ -9,9 +9,13 @@ knob means editing this list, and a removed knob stays removed.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.codec.video import VideoCodecConfig
 from repro.compression.draco import DracoConfig
@@ -106,6 +110,48 @@ def test_settable_surface_total():
 def test_removed_field_is_a_type_error(config_class, name):
     with pytest.raises(TypeError, match=name):
         config_class(**{name: None})
+
+
+PACKAGE = Path(repro.__file__).parent
+DEFAULTED_PARAMETERS = 197
+
+
+def _functions():
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield node
+
+
+def test_defaulted_parameter_total():
+    # Every defaulted parameter of every function in the package: a
+    # default is an option a caller may override.  A parameter no
+    # caller outside the tests sets is a module constant instead.
+    total = sum(
+        len(node.args.defaults)
+        + sum(default is not None for default in node.args.kw_defaults)
+        for node in _functions()
+    )
+    assert total == DEFAULTED_PARAMETERS
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "MAX_DEPTH_MM", "MTU_BYTES", "PROCESS_NOISE", "MEASUREMENT_NOISE", "EFFORT",
+        "NEIGHBORS", "VERTICAL_FOV_DEG", "ASPECT", "NEAR_M", "FAR_M", "SCENE_CENTER",
+    ],
+)
+def test_design_value_is_defined_once(name):
+    # Readers import the one definition; none spells the value again.
+    definitions = [
+        path.relative_to(PACKAGE).as_posix()
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(target, ast.Name) and target.id == name for target in node.targets)
+    ]
+    assert len(definitions) == 1, definitions
 
 
 def test_frame_clock_stays_readable():

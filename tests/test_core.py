@@ -20,6 +20,7 @@ from repro.core.config import SessionConfig
 from repro.core.receiver import LiVoReceiver
 from repro.core.schemes import SCHEMES
 from repro.core.sender import LiVoSender
+from repro.core import stats
 from repro.core.stats import FrameRecord, SessionReport
 from repro.geometry.camera import unproject_views
 from repro.prediction.pose import Pose
@@ -258,7 +259,7 @@ class TestSenderReceiver:
         first = sender.process(rig.capture(scene, 0), 8e6, 0.1)
         receiver.decode_pair(first.color_frame, first.depth_frame)
         sender.process(rig.capture(scene, 1), 8e6, 0.1)  # dropped
-        forced = sender.process(rig.capture(scene, 2), 8e6, 0.1, force_intra=True)
+        forced = sender.encode(sender.prepare(rig.capture(scene, 2), 0.1), 8e6, force_intra=True)
         assert forced.color_frame.frame_type is FrameType.INTRA
         pair = receiver.decode_pair(forced.color_frame, forced.depth_frame)
         assert pair.sequence == 2
@@ -280,7 +281,7 @@ class TestSenderReceiver:
         assert receiver.last_good_pair is None
         inter = sender.process(rig.capture(scene, 1), 8e6, 0.1)
         assert not receiver.can_decode(inter.color_frame, inter.depth_frame)  # streams reset
-        forced = sender.process(rig.capture(scene, 2), 8e6, 0.1, force_intra=True)
+        forced = sender.encode(sender.prepare(rig.capture(scene, 2), 0.1), 8e6, force_intra=True)
         pair = receiver.decode_pair_safe(*_wire(forced))
         assert pair is not None and pair.sequence == 2
         assert receiver.decode_failures == 1
@@ -309,7 +310,7 @@ class TestSenderReceiver:
         )
         assert receiver.decode_pair_safe(inter.color_frame.to_bytes(), forged.to_bytes()) is None
         assert receiver.decode_failures == 1
-        forced = sender.process(rig.capture(scene, 2), 8e6, 0.1, force_intra=True)
+        forced = sender.encode(sender.prepare(rig.capture(scene, 2), 0.1), 8e6, force_intra=True)
         pair = receiver.decode_pair_safe(*_wire(forced))
         assert pair is not None and pair.sequence == 2
         assert receiver.decode_failures == 1
@@ -394,7 +395,7 @@ class TestLazyTiles:
         sender = LiVoSender(rig.cameras, config)
         receiver = LiVoReceiver(rig.cameras, config)
         first = sender.process(rig.capture(scene, 0), 8e6, 0.1)
-        second = sender.process(rig.capture(scene, 1), 8e6, 0.1, force_intra=True)
+        second = sender.encode(sender.prepare(rig.capture(scene, 1), 0.1), 8e6, force_intra=True)
         with pytest.raises(ValueError, match="desynchronization"):
             receiver.decode_pair(first.color_frame, second.depth_frame)
         assert receiver.decode_pair_safe(
@@ -499,8 +500,9 @@ class TestSessionReport:
         text = self.make_report().summary()
         assert "LiVo" in text and "band2" in text and "stalls" in text
 
-    def test_fps_series_shape(self):
-        series = self.make_report().fps_series(window_s=0.1)
+    def test_fps_series_shape(self, monkeypatch):
+        monkeypatch.setattr(stats, "FPS_WINDOW_S", 0.1)
+        series = self.make_report().fps_series()
         assert len(series) == 3
 
 

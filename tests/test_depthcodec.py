@@ -34,7 +34,7 @@ def synthetic_depth(height=48, width=64, seed=0):
 
 class TestScaling:
     def test_scale_factor(self):
-        assert scale_factor(6000) == pytest.approx(65535 / 6000)
+        assert scale_factor() == pytest.approx(65535 / 6000)
 
     def test_zero_stays_zero(self):
         depth = np.zeros((4, 4), dtype=np.uint16)
@@ -43,7 +43,7 @@ class TestScaling:
 
     def test_max_depth_maps_to_uint16_max(self):
         depth = np.full((2, 2), 6000, dtype=np.uint16)
-        assert scale_depth(depth, 6000).min() == 65535
+        assert scale_depth(depth).min() == 65535
 
     def test_roundtrip_error_below_one_mm(self):
         depth = np.arange(0, 6000, dtype=np.uint16).reshape(100, 60)
@@ -52,11 +52,7 @@ class TestScaling:
 
     def test_values_beyond_range_saturate(self):
         depth = np.full((2, 2), 9000, dtype=np.uint16)
-        assert scale_depth(depth, 6000).max() == 65535
-
-    def test_invalid_max_depth(self):
-        with pytest.raises(ValueError):
-            scale_depth(np.zeros((2, 2), dtype=np.uint16), 0)
+        assert scale_depth(depth).max() == 65535
 
     @given(st.integers(0, 6000))
     @settings(max_examples=50)

@@ -15,11 +15,14 @@ exact integer bit lengths, hole filling).
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.capture import renderer
 from repro.capture.dataset import load_video
 from repro.capture.renderer import ProjectionCache, fill_holes_batch
 from repro.capture.rig import default_rig
@@ -52,9 +55,10 @@ def _test_scene(sample_budget: int = 15_000) -> Scene:
     )
 
 
-def fill_holes(depth, color, iterations=2):
+def fill_holes(depth, color, passes=renderer.FILL_PASSES):
     """``fill_holes_batch`` on one image: a stack of one."""
-    depths, colors = fill_holes_batch(depth[None], color[None], iterations=iterations)
+    with mock.patch.object(renderer, "FILL_PASSES", passes):
+        depths, colors = fill_holes_batch(depth[None], color[None])
     return depths[0], colors[0]
 
 
@@ -527,7 +531,7 @@ class TestSatellites:
         depth[rng.uniform(size=depth.shape) < 0.35] = 0
         color = rng.integers(0, 256, size=(40, 50, 3)).astype(np.uint8)
         for iterations in (1, 2, 4):
-            got_d, got_c = fill_holes(depth, color, iterations=iterations)
+            got_d, got_c = fill_holes(depth, color, passes=iterations)
             want_d, want_c = reference_fill(depth, color, iterations=iterations)
             assert np.array_equal(got_d, want_d)
             assert np.array_equal(got_c, want_c)

@@ -10,6 +10,7 @@ from repro.geometry.frustum import Frustum, expand_planes
 from repro.prediction.culling import cull_views, culling_accuracy
 from repro.prediction.kalman import ConstantVelocityKalman, PoseKalmanPredictor
 from repro.prediction.mlp import MLPPosePredictor
+from repro.prediction import pose as pose_module
 from repro.prediction.pose import Pose, PoseTrace, synthetic_user_trace, user_traces_for_video
 from repro.prediction.predictor import FrustumPredictor, ViewingDevice
 
@@ -60,15 +61,17 @@ class TestSyntheticTraces:
         b = synthetic_user_trace(60, seed=4).as_matrix()
         np.testing.assert_array_equal(a, b)
 
-    def test_motion_is_smooth(self):
-        trace = synthetic_user_trace(300, seed=2, jitter_m=0.0)
+    def test_motion_is_smooth(self, monkeypatch):
+        monkeypatch.setattr(pose_module, "JITTER_M", 0.0)
+        trace = synthetic_user_trace(300, seed=2)
         positions = trace.as_matrix()[:, :3]
         speed = np.linalg.norm(np.diff(positions, axis=0), axis=1) * 30.0
         # Humans walk, not teleport: under ~4 m/s always.
         assert speed.max() < 4.0
 
-    def test_has_dwell_and_move_phases(self):
-        trace = synthetic_user_trace(300, seed=3, jitter_m=0.0)
+    def test_has_dwell_and_move_phases(self, monkeypatch):
+        monkeypatch.setattr(pose_module, "JITTER_M", 0.0)
+        trace = synthetic_user_trace(300, seed=3)
         positions = trace.as_matrix()[:, :3]
         speed = np.linalg.norm(np.diff(positions, axis=0), axis=1) * 30.0
         assert (speed < 1e-6).any()  # dwelling
@@ -85,7 +88,7 @@ class TestSyntheticTraces:
 
 class TestKalman:
     def test_tracks_constant_velocity_exactly(self):
-        kalman = ConstantVelocityKalman(num_dims=1)
+        kalman = ConstantVelocityKalman()
         dt = 1 / 30
         for frame in range(60):
             kalman.update(np.array([0.5 * frame * dt]), dt if frame else 0.0)
@@ -94,7 +97,7 @@ class TestKalman:
         assert predicted == pytest.approx(expected, abs=0.01)
 
     def test_velocity_estimate(self):
-        kalman = ConstantVelocityKalman(num_dims=1)
+        kalman = ConstantVelocityKalman()
         dt = 1 / 30
         for frame in range(90):
             kalman.update(np.array([2.0 * frame * dt]), dt if frame else 0.0)
@@ -106,8 +109,9 @@ class TestKalman:
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
-            ConstantVelocityKalman(num_dims=0)
-        kalman = ConstantVelocityKalman(num_dims=2)
+            ConstantVelocityKalman().update(np.zeros(0), 0.0)
+        kalman = ConstantVelocityKalman()
+        kalman.update(np.zeros(2), 0.0)
         with pytest.raises(ValueError):
             kalman.update(np.zeros(3), 0.1)
 

@@ -90,6 +90,12 @@ class TestScenarioSpec:
         spec = get_scenario("clean-baseline")
         assert replace(spec, seed=spec.seed + 1).fingerprint() != spec.fingerprint()
 
+    def test_unknown_video_rejected_at_construction(self):
+        from dataclasses import replace
+
+        with pytest.raises(ValueError, match=r"unknown video 'nope'; one of \['band2'"):
+            replace(get_scenario("clean-baseline"), video="nope")
+
     def test_seed_dithers_trace(self):
         from dataclasses import replace
 
@@ -475,17 +481,33 @@ class TestCli:
     @pytest.mark.parametrize(
         "edit,message",
         [
-            (lambda header: header.pop("spec"), "header record has no spec"),
+            (lambda records: records[0].pop("spec"), "header record has no spec"),
             (
-                lambda header: header["spec"]["churn"][0].update(bogus=1),
+                lambda records: records[0]["spec"]["churn"][0].update(bogus=1),
                 r"spec\.churn\[0\]: unknown field\(s\) \['bogus'\]",
             ),
             (
-                lambda header: header["spec"].update(frames=-1),
+                lambda records: records[0]["spec"].update(frames=-1),
                 "spec: frames must be positive",
             ),
+            (
+                lambda records: records[0]["spec"].update(video="nope"),
+                "spec: unknown video 'nope'; one of",
+            ),
+            (
+                lambda records: records[1].pop("sequence"),
+                "line 2: frame record has no integer 'sequence'",
+            ),
+            (
+                lambda records: records[1].update(sequence="0"),
+                "line 2: frame record has no integer 'sequence'",
+            ),
+            (lambda records: records[1].pop("kind"), "line 2 has no string 'kind'"),
         ],
-        ids=["no-spec", "churn-extra-key", "negative-frames"],
+        ids=[
+            "no-spec", "churn-extra-key", "negative-frames", "unknown-video",
+            "frame-without-sequence", "string-sequence", "record-without-kind",
+        ],
     )
     def test_malformed_artifact_is_a_usage_error(self, edit, message, tmp_path, capsys):
         """An artifact that cannot be replayed exits 2, not 1 (diverged)."""
@@ -497,10 +519,10 @@ class TestCli:
         lines = (
             Path(__file__).parent / "goldens" / "multiparty-churn.jsonl"
         ).read_text().splitlines()
-        header = json.loads(lines[0])
-        edit(header)
+        records = [json.loads(line) for line in lines]
+        edit(records)
         path = tmp_path / "malformed.jsonl"
-        path.write_text("\n".join([canonical_dumps(header), *lines[1:]]) + "\n")
+        path.write_text("\n".join(canonical_dumps(record) for record in records) + "\n")
         assert main(["scenario", "--replay", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ")

@@ -6,16 +6,19 @@ import pytest
 from repro.capture.dataset import load_video
 from repro.capture.rgbd import MultiViewFrame
 from repro.capture.rig import default_rig
-from repro.core.config import SessionConfig
+from repro.core.config import FPS, HORIZON_S, SessionConfig
 from repro.core.multiway import cull_views_union
 from repro.core.sender import LiVoSender
 from repro.geometry.frustum import Frustum
 from repro.obs.metrics import MetricsRegistry
 from repro.perf import culling
 from repro.perf.culling import CullCache
+from repro.prediction.culling import cull_views
 from repro.prediction.pose import Pose
 from repro.sfu.node import SFUNode, TIER_SCALES
-from repro.transport.downlink import DownlinkSet, MTU_BYTES
+from repro.sfu.room import Room
+from repro.transport.downlink import DownlinkSet
+from repro.transport.packet import MTU_BYTES
 from repro.transport.link import LinkConfig
 from repro.transport.traces import BandwidthTrace, constant_trace
 from tests.twins import assert_pinned
@@ -397,6 +400,48 @@ class TestSFUNode:
         assert "sfu.rx.r0.bytes" in names
         assert registry.get("sfu.frames_ingested").value == 2
         assert registry.get("sfu.receivers").value == 2.0
+
+
+class TestForwardedContent:
+    """What the SFU forwards each receiver is, view by view, what the
+    unicast pipeline culls for that receiver: the union culled to the
+    node's predicted frustum equals the capture culled to it, because
+    each frustum lies inside the union."""
+
+    def test_sfu_share_equals_unicast_cull(self):
+        config = SessionConfig(
+            num_cameras=3, camera_width=32, camera_height=24,
+            scene_sample_budget=4_000, gop_size=8,
+        )
+        room = Room(config, "band2", 20)
+        sfu, unicast = room.conference(0), room.unicast()
+        for party in (sfu, unicast):
+            for index in range(3):
+                party.join(f"r{index}", room.pose_trace(index))
+        compared = 0
+        for sequence in range(6):
+            if sequence == 3:
+                for party in (sfu, unicast):
+                    party.leave("r1")
+                    party.join("r3", room.pose_trace(3))
+            frame = room.source.capture(sequence)
+            now = sequence / FPS
+            tick = sfu.tick(frame, now, 8e6, HORIZON_S)
+            expected = unicast.tick(frame, now, 8e6, HORIZON_S)
+            union = tick.uplink.culled_multiview
+            frustums = sfu.node.predicted_frustums(sequence, HORIZON_S)
+            assert set(tick.decisions) == set(expected) == set(frustums)
+            for name, decision in tick.decisions.items():
+                forwarded = cull_views(union, room.source.rig.cameras, frustums[name])
+                reference = expected[name].culled_multiview
+                assert decision.kept_points == forwarded.total_points()
+                for sfu_view, unicast_view in zip(
+                    forwarded.views, reference.views, strict=True
+                ):
+                    assert np.array_equal(sfu_view.depth_mm, unicast_view.depth_mm)
+                    assert np.array_equal(sfu_view.color, unicast_view.color)
+                compared += 1
+        assert compared == 18
 
 
 # ----------------------------------------------------------------------

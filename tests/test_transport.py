@@ -8,6 +8,7 @@ from repro.transport.gcc import GCCConfig, GoogleCongestionControl
 from repro.transport.link import EmulatedLink, LinkConfig
 from repro.transport.packet import Packet
 from repro.transport.rtp import RTP_HEADER_BYTES, FrameAssembler, packetize
+from repro.transport import tcp
 from repro.transport.tcp import ReliableByteStream
 from repro.transport.traces import BandwidthTrace, constant_trace
 
@@ -132,8 +133,7 @@ def frame_bytes(n):
 class TestRTP:
     def test_packetize_fragment_count(self):
         data = frame_bytes(3000)
-        packets = packetize(0, 5, data, send_time_s=1.0,
-                            first_packet_sequence=10, mtu=1200)
+        packets = packetize(0, 5, data, send_time_s=1.0, first_packet_sequence=10)
         payload = 1200 - RTP_HEADER_BYTES
         assert len(packets) == -(-3000 // payload)
         assert [p.sequence for p in packets] == list(range(10, 10 + len(packets)))
@@ -150,8 +150,6 @@ class TestRTP:
     def test_packetize_invalid(self):
         with pytest.raises(ValueError):
             packetize(0, 0, b"", 0.0, 0)
-        with pytest.raises(ValueError):
-            packetize(0, 0, bytes(100), 0.0, 0, mtu=10)
 
     def test_assembler_completes_frame(self):
         assembler = FrameAssembler()
@@ -276,27 +274,30 @@ class TestWebRTCChannel:
 
 
 class TestReliableByteStream:
-    def test_in_order_delivery_times(self):
-        stream = ReliableByteStream(constant_trace(8.0), propagation_delay_s=0.0,
-                                    efficiency=1.0)
+    def test_in_order_delivery_times(self, monkeypatch):
+        monkeypatch.setattr(tcp, "EFFICIENCY", 1.0)
+        stream = ReliableByteStream(constant_trace(8.0), propagation_delay_s=0.0)
         first = stream.send(0, 100_000, now=0.0)   # 0.1 s at 8 Mbps
         second = stream.send(1, 100_000, now=0.0)
         assert first.delivery_time_s == pytest.approx(0.1)
         assert second.delivery_time_s == pytest.approx(0.2)
 
-    def test_backlog_accumulates(self):
-        stream = ReliableByteStream(constant_trace(1.0), efficiency=1.0)
+    def test_backlog_accumulates(self, monkeypatch):
+        monkeypatch.setattr(tcp, "EFFICIENCY", 1.0)
+        stream = ReliableByteStream(constant_trace(1.0))
         stream.send(0, 1_000_000, now=0.0)  # 8 s of work
         assert stream.backlog_delay_at(1.0) == pytest.approx(7.0)
 
-    def test_efficiency_discount(self):
-        fast = ReliableByteStream(constant_trace(8.0), propagation_delay_s=0.0, efficiency=1.0)
-        slow = ReliableByteStream(constant_trace(8.0), propagation_delay_s=0.0, efficiency=0.5)
-        assert slow.send(0, 100_000, 0.0).delivery_time_s > fast.send(0, 100_000, 0.0).delivery_time_s
+    def test_efficiency_discount(self, monkeypatch):
+        def delivery_time_s():
+            stream = ReliableByteStream(constant_trace(8.0), propagation_delay_s=0.0)
+            return stream.send(0, 100_000, 0.0).delivery_time_s
+
+        discounted = delivery_time_s()
+        monkeypatch.setattr(tcp, "EFFICIENCY", 1.0)
+        assert discounted > delivery_time_s()
 
     def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            ReliableByteStream(constant_trace(8.0), efficiency=0.0)
         stream = ReliableByteStream(constant_trace(8.0))
         with pytest.raises(ValueError):
             stream.send(0, 0, 0.0)

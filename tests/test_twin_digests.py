@@ -22,16 +22,19 @@ import repro.capture
 import repro.runtime
 from repro import cli, viz
 from repro.analysis import tracetools
+from repro.analysis.tables import format_table
 from repro.capture import renderer
 from repro.capture.dataset import load_video
 from repro.capture.renderer import ProjectionCache
-from repro.capture.rig import CaptureRig
-from repro.capture.scene import Scene
+from repro.capture.rig import CaptureRig, default_rig
+from repro.capture.scene import Person, Scene, make_scene
 from repro.codec import blocks, entropy
 from repro.codec.motion import gather_prediction
+from repro.codec.rate_control import RateController
 from repro.codec.video import VideoCodecConfig, VideoDecoder, VideoEncoder, _CodecCore
 from repro.compression import vpcc
-from repro.compression.meshreduce import MeshReducePipeline
+from repro.compression.mesh import mesh_from_views
+from repro.compression.meshreduce import MeshReducePipeline, encode_mesh
 from repro.compression.oracle import DracoOracle
 from repro.core import bandwidth_split, multiway, schemes
 from repro.core import config as config_module
@@ -42,6 +45,8 @@ from repro.core.sender import LiVoSender
 from repro.core.baselines import DracoOracleSession, MeshReduceSession
 from repro.core.session import LiVoSession, _Call, _QualityLane
 from repro.core.stats import SessionReport
+from repro.depthcodec import packing, scaling
+from repro.depthcodec.streams import ScaledY16DepthStream
 from repro.faults.plan import (
     BurstLossWindow,
     EncoderFault,
@@ -49,10 +54,13 @@ from repro.faults.plan import (
     FrameCorruption,
     LinkOutage,
 )
+from repro.geometry import camera as camera_module
 from repro.geometry import frustum as frustum_module
 from repro.geometry.camera import RGBDCamera
 from repro.geometry.pointcloud import PointCloud
+from repro.geometry.transforms import look_at
 from repro.metrics import image
+from repro.metrics.mos import MOSModel
 from repro.metrics import pointssim as pointssim_module
 from repro.obs import span as span_module
 from repro.obs import tracer as tracer_module
@@ -62,22 +70,31 @@ from repro.perf import scratch
 from repro.perf.capture import CachedFrameSource
 from repro.perf.counters import BatchCounters
 from repro.perf.culling import CullCache
-from repro.prediction.pose import user_traces_for_video
+from repro.prediction.kalman import ConstantVelocityKalman, PoseKalmanPredictor
+from repro.prediction.mlp import MLPPosePredictor
+from repro.prediction.pose import synthetic_user_trace, user_traces_for_video
+from repro.prediction.predictor import FrustumPredictor
 from repro.runtime import batchplane
 from repro.runtime.stage import Stage, StageGraph, StageTiming
+from repro.scenario import recorder
 from repro.service.app import ServiceApp, ServiceConfig
+from repro.service.http import HttpServer
+from repro.service.registry import SessionRegistry
 from repro.service.workers import TickWorkerPool
 from repro.sfu.conference import ConferenceDriver
 from repro.sfu.fleet import FleetConfig, FleetResult, run_fleet
 from repro.sfu.node import ForwardDecision, SFUNode
 from repro.sfu.receivers import ReceiverBook
-from repro.transport import fec, link
+from repro.transport import fec, link, rtp
+from repro.transport import packet as packet_module
 from repro.transport.channel import WebRTCChannel, WebRTCConfig
+from repro.transport.downlink import DownlinkSet
 from repro.transport.gcc import GoogleCongestionControl
 from repro.transport.packet import Packet
 from repro.transport.rtp import FrameAssembler
 from repro.transport.link import EmulatedLink, LinkConfig
-from repro.transport.traces import BandwidthTrace, trace_1
+from repro.transport.tcp import ReliableByteStream
+from repro.transport.traces import BandwidthTrace, trace_1, trace_2
 from tests.twins import assert_pinned
 
 SMALL = dict(
@@ -460,6 +477,90 @@ def test_one_conference_host_and_one_room_builder():
         (MeshReducePipeline, "frames_offered"),
         (MeshReducePipeline, "frames_sent"),
         (MeshReducePipeline, "achieved_fps"),
+        # A value is written once (tests/test_config_surface.py counts
+        # the definitions): the 6 m sensing range, the 1200-byte MTU,
+        # the Kalman noise and the entropy coder's effort are module
+        # constants, and a Kalman filter sizes itself from its first
+        # measurement.
+        (scaling, "DEFAULT_MAX_DEPTH_MM"),
+        (scaling.scale_factor, "max_depth_mm"),
+        (scaling.scale_depth, "max_depth_mm"),
+        (scaling.unscale_depth, "max_depth_mm"),
+        (ScaledY16DepthStream.__init__, "max_depth_mm"),
+        (viz.depth_to_color, "max_depth_mm"),
+        (camera_module, "DEFAULT_MAX_DEPTH_M"),
+        (config_module, "MAX_DEPTH_MM"),
+        (RGBDCamera.__init__, "max_depth_m"),
+        (RGBDCamera.looking_at, "max_depth_m"),
+        (camera_module.ring_of_cameras, "max_depth_m"),
+        (packet_module, "DEFAULT_MTU"),
+        (DownlinkSet.__init__, "mtu_bytes"),
+        (rtp.packetize, "mtu"),
+        (ConstantVelocityKalman.__init__, "num_dims"),
+        (ConstantVelocityKalman.__init__, "process_noise"),
+        (ConstantVelocityKalman.__init__, "measurement_noise"),
+        (PoseKalmanPredictor.__init__, "process_noise"),
+        (PoseKalmanPredictor.__init__, "measurement_noise"),
+        (FrustumPredictor.__init__, "process_noise"),
+        (FrustumPredictor.__init__, "measurement_noise"),
+        (entropy.encode_levels, "effort"),
+        (entropy.encode_levels_batch, "effort"),
+        (batchplane.entropy_encode_request, "effort"),
+        # Knobs no caller outside the tests set are module constants.
+        (VideoEncoder.__init__, "rate_controller"),
+        (RateController.__init__, "initial_qp"),
+        (RateController.__init__, "qp_min"),
+        (RateController.__init__, "max_step"),
+        (RateController.__init__, "smoothing"),
+        (RateController.__init__, "retry_overshoot"),
+        (WebRTCChannel.__init__, "num_streams"),
+        (ReliableByteStream.__init__, "efficiency"),
+        (trace_1, "interval_s"),
+        (trace_2, "interval_s"),
+        (SFUNode.__init__, "keep_views"),
+        (SFUNode, "_culled_views"),
+        (ForwardDecision, "forwarded_multiview"),
+        (synthetic_user_trace, "scene_center"),
+        (synthetic_user_trace, "orbit_radius_m"),
+        (synthetic_user_trace, "dwell_s"),
+        (synthetic_user_trace, "move_s"),
+        (synthetic_user_trace, "jitter_m"),
+        (user_traces_for_video, "num_traces"),
+        (MLPPosePredictor.fit, "batch_size"),
+        (MLPPosePredictor.fit, "learning_rate"),
+        (default_rig, "radius_m"),
+        (default_rig, "camera_height_m"),
+        (camera_module.ring_of_cameras, "target"),
+        (make_scene, "room_half_width"),
+        (Person.__init__, "skin_color"),
+        (look_at, "up"),
+        (renderer.fill_holes_batch, "iterations"),
+        (renderer.fill_holes_batch, "min_neighbors"),
+        (MOSModel, "geometry_gain"),
+        (MOSModel, "color_gain"),
+        (MOSModel, "stall_penalty"),
+        (MOSModel, "fps_penalty"),
+        (MOSModel, "quality_floor"),
+        (MOSModel, "rater_noise"),
+        (mesh_from_views, "max_edge_depth_gap_m"),
+        (encode_mesh, "draco_config"),
+        (packing.pack_triangle_rgb, "period"),
+        (packing.unpack_triangle_rgb, "period"),
+        (LiVoSender.process, "force_intra"),
+        (LiVoSender.process, "fail_encode"),
+        (LiVoSender.process, "color_budget_scale"),
+        (SessionReport.fps_series, "window_s"),
+        (Tracer.add_span, "status"),
+        (Tracer.add_span, "clock"),
+        (Tracer.instant, "clock"),
+        (Tracer.open_frame, "attrs"),
+        (Tracer.close_frame, "attrs"),
+        (Tracer.span, "attrs"),
+        (HttpServer.__init__, "handler_threads"),
+        (SessionRegistry.kill, "reason"),
+        (recorder.artifact_records, "snapshot_every"),
+        (format_table, "columns"),
+        (format_table, "min_width"),
     ],
     ids=lambda value: getattr(value, "__name__", value).rsplit(".", 1)[-1],
 )

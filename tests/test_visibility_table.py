@@ -37,6 +37,7 @@ from tests.reference.frustum import PlaneFrustum, inside_masks, kept_points
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 DEVICE = ViewingDevice()
+OPTICS = (DEVICE.vertical_fov_deg, DEVICE.aspect, DEVICE.near_m, DEVICE.far_m)
 ULP = np.spacing(1.0)
 # Pixels closer than this to a plane's surface may fall on either side.
 SURFACE_M = 1e-9
@@ -44,8 +45,7 @@ SURFACE_M = 1e-9
 
 def oracle_frustum(vector: np.ndarray, guard_band_m: float) -> PlaneFrustum:
     frustum = PlaneFrustum.from_camera(
-        vector[:3], euler_to_rotation(*vector[3:]),
-        DEVICE.vertical_fov_deg, DEVICE.aspect, DEVICE.near_m, DEVICE.far_m,
+        vector[:3], euler_to_rotation(*vector[3:]), *OPTICS
     )
     return frustum.expanded(guard_band_m) if guard_band_m > 0 else frustum
 
@@ -193,9 +193,9 @@ class TestFrustumArray:
         [
             lambda: unit_planes(np.zeros((3, 6, 4))),
             lambda: Frustum(np.zeros((6, 4))),
-            lambda: camera_planes(np.zeros(3), np.zeros((3, 3))),
+            lambda: camera_planes(np.zeros(3), np.zeros((3, 3)), *OPTICS),
             lambda: transform_planes(
-                camera_planes(np.zeros(3), np.eye(3)), np.zeros((4, 4))
+                camera_planes(np.zeros(3), np.eye(3), *OPTICS), np.zeros((4, 4))
             ),
         ],
         ids=["unit_planes", "Frustum", "camera_planes", "transform_planes"],

@@ -32,10 +32,6 @@ class TestViz:
         image = depth_to_color(depth)
         assert not np.array_equal(image[0, 0], image[0, 2])
 
-    def test_depth_to_color_invalid_range(self):
-        with pytest.raises(ValueError):
-            depth_to_color(np.zeros((2, 2), dtype=np.uint16), max_depth_mm=0)
-
     def test_write_ply(self, tmp_path):
         cloud = PointCloud(
             np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]),
