@@ -7,8 +7,9 @@ questions a performance change raises:
 - *where does the time go?* -- :func:`critical_path` reconstructs the
   per-frame critical path from the wall-clock stage spans (stages run
   sequentially within a frame, so the path is the ordered stage chain
-  and its length the sum of stage durations), then aggregates per
-  stage across frames;
+  and its length the sum of stage durations), then folds each stage's
+  spans across frames into the same
+  :class:`~repro.runtime.stage.StageTiming` a report carries;
 - *what did a change do?* -- :func:`diff_critical_paths` lines up two
   reconstructions (before/after) and names the stages that regressed
   or improved, by how much, and how the end-to-end critical path
@@ -26,9 +27,9 @@ from dataclasses import dataclass, field
 
 from repro.obs.export import read_spans_jsonl
 from repro.obs.span import CLOCK_WALL, Span
+from repro.runtime.stage import StageTiming
 
 __all__ = [
-    "StageStat",
     "CriticalPath",
     "StageDelta",
     "CriticalPathDiff",
@@ -49,34 +50,15 @@ DEFAULT_REL_TOLERANCE = 0.05
 
 
 @dataclass
-class StageStat:
-    """Aggregate wall-clock time of one stage across all frames."""
-
-    name: str
-    count: int = 0
-    total_s: float = 0.0
-    max_s: float = 0.0
-
-    @property
-    def mean_s(self) -> float:
-        return self.total_s / self.count if self.count else 0.0
-
-    def add(self, duration_s: float) -> None:
-        self.count += 1
-        self.total_s += duration_s
-        self.max_s = max(self.max_s, duration_s)
-
-
-@dataclass
 class CriticalPath:
     """Per-stage aggregation of a trace's frame critical paths."""
 
-    stages: dict[str, StageStat] = field(default_factory=dict)
+    stages: dict[str, StageTiming] = field(default_factory=dict)
     frames: int = 0
     # Sum over frames of that frame's critical-path length.
     total_s: float = 0.0
 
-    def ordered(self) -> list[StageStat]:
+    def ordered(self) -> list[StageTiming]:
         """Stages, heaviest first."""
         return sorted(self.stages.values(), key=lambda s: -s.total_s)
 
@@ -95,19 +77,18 @@ def critical_path(
     but not the frame denominator.
     """
     path = CriticalPath()
+    samples: dict[str, list[float]] = {}
     frames: set = set()
     for span in spans:
         if span.clock != CLOCK_WALL or span.category not in categories:
             continue
         if span.open or span.instant:
             continue
-        stat = path.stages.get(span.name)
-        if stat is None:
-            stat = path.stages[span.name] = StageStat(span.name)
-        stat.add(span.duration_s)
+        samples.setdefault(span.name, []).append(span.duration_s)
         path.total_s += span.duration_s
         if span.trace_id is not None:
             frames.add(span.trace_id)
+    path.stages = {name: StageTiming(name, tuple(times)) for name, times in samples.items()}
     path.frames = len(frames)
     return path
 

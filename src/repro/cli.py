@@ -77,8 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--trace", metavar="PATH", default=None,
-        help="record per-frame spans and write a Chrome trace_event JSON "
-        "(open in Perfetto / chrome://tracing); LiVo schemes only",
+        help="write the run's spans as a Chrome trace_event JSON "
+        "(open in Perfetto / chrome://tracing)",
     )
     run.add_argument(
         "--trace-jsonl", metavar="PATH", default=None, dest="spans_jsonl",
@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--categories", default="stage",
         help="comma-separated span categories to include (default: stage; "
-        "e.g. stage,kernel,worker)",
+        "e.g. stage,worker)",
     )
     analyze.add_argument(
         "--tolerance", type=float, default=0.05,
@@ -238,19 +238,9 @@ def _cmd_traces() -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.capture.dataset import load_video
     from repro.core.config import SessionConfig
-    from repro.core.schemes import LIVO_SCHEMES
     from repro.core.session import run_scheme
     from repro.prediction.pose import user_traces_for_video
     from repro.transport.traces import trace_1, trace_2
-
-    tracing = args.trace is not None or args.spans_jsonl is not None
-    if tracing and args.scheme not in LIVO_SCHEMES:
-        print(
-            "error: --trace/--trace-jsonl instrument the LiVo pipeline only "
-            f"(scheme {args.scheme!r} is untraced)",
-            file=sys.stderr,
-        )
-        return 2
 
     _, scene = load_video(args.video, sample_budget=20_000)
     user = user_traces_for_video(args.video, args.frames + 10)[args.user]
@@ -262,7 +252,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         num_cameras=args.cameras, camera_width=64, camera_height=48,
         scene_sample_budget=20_000, gop_size=15, scheme=args.scheme,
         quality_max_points=args.quality_max_points,
-        trace=tracing,
     )
     report = run_scheme(config, scene, user, bandwidth, args.frames, args.video)
     print(report.summary())
@@ -271,7 +260,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(report.timing_table())
         print()
         print(report.cache_table())
-    if tracing and report.trace is not None:
+    if args.trace is not None or args.spans_jsonl is not None:
         from repro.obs.export import write_chrome_trace, write_spans_jsonl
 
         spans = report.trace.spans()

@@ -68,11 +68,13 @@ class _BaselineSession(_SessionBase):
 
         Per capture tick in ``sequences``: the capture stage, then the
         scheme's ``step(frame, sequence, capture_time)``, which runs the
-        scheme's ``stages`` and returns the tick's :class:`FrameRecord`
-        with, for a rendered frame, the ``render`` callable the quality
-        lane samples (None otherwise).
+        scheme's ``stages`` (on ``replay.tracer``) and returns the tick's
+        :class:`FrameRecord` with, for a rendered frame, the ``render``
+        callable the quality lane samples (None otherwise).
         """
-        capture_stage = Stage("capture", replay.source.capture)
+        capture_stage = Stage(
+            "capture", replay.source.capture, replay.tracer, seq_fn=lambda sequence: sequence
+        )
         quality = _QualityLane(self, replay)
         records = []
         try:
@@ -126,16 +128,21 @@ class DracoOracleSession(_BaselineSession):
         # deadline is wall-clock (see DracoOracle.time_multiplier).
         compute_scale = PAPER_FRAME_SIZE_BYTES / max(first.raw_size_bytes(), 1)
         oracle = DracoOracle(profile, fps=self.fps, time_multiplier=compute_scale)
-        cull_stage = Stage("cull", lambda args: culled_cloud(*args))
+        # A stage item carries its frame sequence last.
+        cull_stage = Stage(
+            "cull", lambda args: culled_cloud(*args), replay.tracer, seq_fn=lambda args: args[-1]
+        )
         encode_stage = Stage(
             "encode",
-            lambda args: oracle.encode_frame(*args) if not args[0].is_empty else None,
+            lambda args: oracle.encode_frame(*args[:2]) if not args[0].is_empty else None,
+            replay.tracer,
+            seq_fn=lambda args: args[-1],
         )
 
         def step(frame: MultiViewFrame, sequence: int, capture_time: float):
             cloud = cull_stage((frame, sequence))
             capacity_bps = replay.scaled_trace.capacity_bps_at(capture_time)
-            encoded = encode_stage((cloud, capacity_bps))
+            encoded = encode_stage((cloud, capacity_bps, sequence))
             record = FrameRecord(
                 sequence=sequence,
                 capture_time_s=capture_time,
@@ -193,7 +200,10 @@ class MeshReduceSession(_BaselineSession):
         )
         stream = ReliableByteStream(scaled_trace, config.link.propagation_delay_s)
         pipeline = MeshReducePipeline(cameras, stream, voxel)
-        compress_stage = Stage("compress", lambda args: pipeline.offer_frame(*args))
+        compress_stage = Stage(
+            "compress", lambda args: pipeline.offer_frame(*args), replay.tracer,
+            seq_fn=lambda args: args[0].sequence,
+        )
 
         def step(frame: MultiViewFrame, sequence: int, capture_time: float):
             result = compress_stage((frame, capture_time))

@@ -101,12 +101,6 @@ class SessionConfig:
     # scoring exact.
     quality_max_points: int | None = None
 
-    # Observability (repro.obs; DESIGN.md section 10).  Off, a report is
-    # byte-identical to one from a build without repro.obs; on, the session
-    # records a sim-clock root span per frame with stage/kernel/worker/
-    # transport/render spans beneath it (``--trace`` exports them).
-    trace: bool = False
-
     # Evaluation.
     quality_every: int = 3        # PointSSIM every Nth rendered frame
     trace_scale: float | None = None  # None = auto from raw frame size

@@ -144,15 +144,6 @@ class LiVoSender:
         self._frames_processed = 0
         self._recover_with_intra = False
         self.encode_failures = 0
-        self.tracer = None
-
-    def attach_tracer(self, tracer) -> None:
-        """Record per-stream encode spans (``repro.obs``) when tracing.
-
-        The two stream encodes become ``kernel`` spans parented under
-        the encode stage span.
-        """
-        self.tracer = tracer
 
     # ------------------------------------------------------------------
     # Pose feedback
@@ -221,21 +212,6 @@ class LiVoSender:
             culled_multiview=culled,
         )
 
-    def _kernel_spans(self, names: list[str], sequence: int) -> list:
-        """One ``kernel`` span per stream encode (none without a tracer):
-        siblings under the encode stage span, the tracer's current span
-        when the stage runs us."""
-        tracer = self.tracer
-        if tracer is None:
-            return []
-        parent = tracer.current()
-        parent_id = parent.span_id if parent is not None else None
-        return [
-            tracer.start_span(f"encode:{name}", category="kernel",
-                              trace_id=sequence, parent_id=parent_id)
-            for name in names
-        ]
-
     def encode(
         self,
         prepared: PreparedFrame,
@@ -289,33 +265,26 @@ class LiVoSender:
                 steps, args = "encode_to_target_steps", (color_budget, depth_budget)
             else:
                 steps, args = "encode_steps", (FIXED_COLOR_QP, FIXED_DEPTH_QP)
-            # Name, encoder (looked up per frame), plane, RMSE factor.
+            # Encoder (looked up per frame), plane, RMSE factor.
             streams = (
-                ("color", self.color_encoder, prepared.tiled_color, 1.0),
-                ("depth", self.depth_encoder, prepared.tiled_depth, DEPTH_RMSE_SCALE),
+                (self.color_encoder, prepared.tiled_color, 1.0),
+                (self.depth_encoder, prepared.tiled_depth, DEPTH_RMSE_SCALE),
             )
             force_intra = force_intra or self._recover_with_intra
-            tracer = self.tracer
-            spans = self._kernel_spans([name for name, *_ in streams], prepared.sequence)
             try:
                 coded = yield from interleave_steps(
                     getattr(encoder, steps)(plane, arg, force_intra=force_intra)
-                    for (_, encoder, plane, _), arg in zip(streams, args)
+                    for (encoder, plane, _), arg in zip(streams, args)
                 )
             except Exception:
-                # Close the kernel spans as errors: never leak open spans.
-                for span in reversed(spans):
-                    tracer.end_span(span, status="error")
                 self._on_encode_failure()
                 return None
-            for span in reversed(spans):
-                tracer.end_span(span)
             self._recover_with_intra = False
             frames = tuple(coded)
             if adapts and self._frames_processed % self.config.rmse_every_k == 0:
                 # Only RMSE frames build the reconstruction images.
                 errors = tuple(rmse(plane, encoder.last_reconstruction) * scale
-                               for _, encoder, plane, scale in streams)
+                               for encoder, plane, scale in streams)
                 self.split.update(errors[1], errors[0])
             self._frames_processed += 1
         return SenderResult(

@@ -6,11 +6,13 @@ and renders at the receiver against the selected user trace -- exactly
 the methodology the paper uses to compare LiVo, LiVo-NoCull/NoAdapt,
 Draco-Oracle, and MeshReduce under identical workloads.
 
-The per-frame work runs as timed stages (:mod:`repro.runtime`):
+The per-frame work runs as stages (:mod:`repro.runtime`):
 capture -> prepare (cull+tile) -> encode form a
-:class:`~repro.runtime.stage.StageGraph` whose stages are individually
-wall-clock instrumented; decode and quality sampling are stages on the
-receive side.  The session is the scheduler -- the feedback loops (GCC
+:class:`~repro.runtime.stage.StageGraph`; decode and quality sampling
+are stages on the receive side.  Every replay records on one
+:class:`~repro.obs.tracer.Tracer`, opened with it: each stage item is
+one wall-clock span, and the report's stage timings are read off those
+spans.  The session is the scheduler -- the feedback loops (GCC
 rate, bandwidth split, the stall watchdog's degradation ladder, PLI
 keyframe requests) all close within one capture tick, so stages are
 driven tick by tick, in-line, on the session thread.  One thing
@@ -70,6 +72,10 @@ from repro.transport.traces import BandwidthTrace
 
 __all__ = ["ground_truth_cloud", "LiVoSession", "run_scheme"]
 
+# The drain polls and observes deadlines this long after the last
+# capture tick, on the same sim clock; the trace closes there.
+DRAIN_S = 5.0
+
 
 def ground_truth_cloud(
     frame: MultiViewFrame,
@@ -107,8 +113,8 @@ def _quality_job(
     render_voxel_m: float,
     shown,
     max_points: int | None,
-    tracer: Tracer | None = None,
-    parent: Span | None = None,
+    tracer: Tracer,
+    parent: Span,
 ):
     """Pure quality-scoring job: build the ground truth, score the shown
     cloud against it.  No session state touched, so it can run on the
@@ -119,26 +125,20 @@ def _quality_job(
     ``shown(truth)`` returns the cloud the scheme displayed (MeshReduce
     sizes its mesh sampling by the truth; the others ignore it).
 
-    With a ``tracer``, the scoring runs inside a ``quality:pointssim``
-    span on it, parented under ``parent`` (the submitting ``quality``
-    stage span, captured on the session thread).
+    The scoring runs inside a ``quality:pointssim`` span on ``tracer``,
+    parented under ``parent`` (the submitting ``quality`` stage span,
+    captured on the session thread).
     """
-
-    def compute():
-        truth = ground_truth_cloud(frame, cameras, actual_frustum, render_voxel_m)
-        if truth.is_empty:
-            return None
-        return pointssim_batch([(truth, shown(truth))], max_points=max_points)[0]
-
-    if tracer is None:
-        return compute()
     with tracer.span(
         "quality:pointssim",
         category="worker",
         trace_id=parent.trace_id,
         parent_id=parent.span_id,
     ):
-        return compute()
+        truth = ground_truth_cloud(frame, cameras, actual_frustum, render_voxel_m)
+        if truth.is_empty:
+            return None
+        return pointssim_batch([(truth, shown(truth))], max_points=max_points)[0]
 
 
 @dataclass
@@ -166,6 +166,7 @@ class _Replay:
     scaled_trace: BandwidthTrace
     scale: float
     duration_s: float
+    tracer: Tracer
 
 
 class _QualityLane:
@@ -186,19 +187,11 @@ class _QualityLane:
 
     MAX_IN_FLIGHT = 2
 
-    def __init__(
-        self,
-        session: "_SessionBase",
-        replay: _Replay,
-        tracer: Tracer | None = None,
-    ) -> None:
+    def __init__(self, session: "_SessionBase", replay: _Replay) -> None:
         self.config = session.config
         self.device = session.device
         self.replay = replay
-        self.tracer = tracer
-        self.stage = Stage("quality", self._submit)
-        if tracer is not None:
-            self.stage.attach_tracer(tracer, seq_fn=lambda args: args[2])
+        self.stage = Stage("quality", self._submit, replay.tracer, seq_fn=lambda args: args[2])
         self._counter = 0
         self._pending: list[tuple[FrameRecord, Future]] = []
         self.pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="pointssim")
@@ -225,8 +218,8 @@ class _QualityLane:
             RENDER_VOXEL_M,
             render(actual),
             self.config.quality_max_points,
-            self.tracer,
-            self.tracer.current() if self.tracer is not None else None,
+            self.replay.tracer,
+            self.replay.tracer.current(),
         )
         in_flight = [future for _, future in self._pending if not future.done()]
         if len(in_flight) >= self.MAX_IN_FLIGHT:
@@ -287,6 +280,7 @@ class _SessionBase:
             scaled_trace=bandwidth_trace.scaled(scale),
             scale=scale,
             duration_s=num_frames * FRAME_INTERVAL_S,
+            tracer=Tracer(),
         )
 
     def _report(
@@ -300,8 +294,9 @@ class _SessionBase:
         stages: list[Stage],
         fault_events: list[FaultEvent] | None = None,
     ) -> SessionReport:
-        """The finished report with the timings of ``stages`` (and of
-        the quality lane's) and the capture cache's counters."""
+        """The finished report: the timings of ``stages`` (and of the
+        quality lane's) in that order, the capture cache's counters, and
+        the replay's trace, closed, with one instant per fault event."""
         report = SessionReport(
             scheme=scheme,
             video=video_name,
@@ -320,6 +315,17 @@ class _SessionBase:
         report.attach_cache_stats(
             {"capture_projection": replay.source.counters().to_dict()}
         )
+        tracer = replay.tracer
+        for event in report.fault_events:
+            tracer.instant(
+                f"fault:{event.category}",
+                "fault",
+                trace_id=event.sequence,
+                time_s=event.time_s,
+                attrs={"detail": event.detail},
+            )
+        tracer.finish(replay.duration_s + DRAIN_S)
+        report.attach_trace(tracer)
         return report
 
 
@@ -341,12 +347,11 @@ class _Call:
         session: "LiVoSession",
         replay: _Replay,
         fault_plan: FaultPlan | None = None,
-        tracer: Tracer | None = None,
     ) -> None:
         config = self.config = session.config
         self.session = session
         self.replay = replay
-        self.tracer = tracer
+        tracer = self.tracer = replay.tracer
         cameras, scaled_trace = replay.source.rig.cameras, replay.scaled_trace
         resilience = config.resilience
         self.hardened = resilience.enabled
@@ -376,9 +381,7 @@ class _Call:
                 max_rate_bps=10.0 * mean_capacity_bps,
             ),
         )
-        # The drain polls and observes deadlines this long after the
-        # last capture tick, on the same sim clock.
-        self.drain_time_s = replay.duration_s + 5.0
+        self.drain_time_s = replay.duration_s + DRAIN_S
 
         self.captures: dict[int, MultiViewFrame] = {}
         self.records: dict[int, FrameRecord] = {}
@@ -393,18 +396,13 @@ class _Call:
         # tuple with the frame sequence riding at index 2.
         self.graph = StageGraph(
             [
-                Stage("capture", self._capture),
-                Stage("prepare", self._prepare),
-                Stage("encode", self._encode),
+                Stage("capture", self._capture, tracer),
+                Stage("prepare", self._prepare, tracer),
+                Stage("encode", self._encode, tracer),
             ]
         )
-        self.decode_stage = Stage("decode", self._decode)
-        if tracer is not None:
-            self.sender.attach_tracer(tracer)
-            for stage in self.graph.stages:
-                stage.attach_tracer(tracer)
-            self.decode_stage.attach_tracer(tracer, seq_fn=lambda args: args[2])
-        self.quality = _QualityLane(session, replay, tracer)
+        self.decode_stage = Stage("decode", self._decode, tracer, seq_fn=lambda args: args[2])
+        self.quality = _QualityLane(session, replay)
 
     # ------------------------------------------------------------------
     # Stage bodies
@@ -444,10 +442,8 @@ class _Call:
     # ------------------------------------------------------------------
 
     def _fate(self, sequence: int, time_s: float, status: str) -> None:
-        """Close a frame's root span with its fate (nothing untraced)."""
+        """Close a frame's root span with its fate."""
         tracer = self.tracer
-        if tracer is None:
-            return
         if status == "rendered":
             # Render span: one frame interval on screen from the
             # jitter-buffered playout point.
@@ -509,18 +505,16 @@ class _Call:
         for delivery in deliveries:
             sequence = delivery.frame_sequence
             self.pair_arrivals.setdefault(sequence, {})[delivery.stream_id] = delivery
-            record = self.records.get(sequence)
-            if self.tracer is not None and record is not None:
-                # One sim-clock transport span per delivered stream:
-                # send tick to last-byte delivery.
-                self.tracer.add_span(
-                    "transport:color" if delivery.stream_id == 0 else "transport:depth",
-                    "transport",
-                    sequence,
-                    record.capture_time_s,
-                    delivery.completion_time_s,
-                    parent_id=self.tracer.frame_root(sequence),
-                )
+            # One sim-clock transport span per delivered stream: send
+            # tick to last-byte delivery (every sent frame has a record).
+            self.tracer.add_span(
+                "transport:color" if delivery.stream_id == 0 else "transport:depth",
+                "transport",
+                sequence,
+                self.records[sequence].capture_time_s,
+                delivery.completion_time_s,
+                parent_id=self.tracer.frame_root(sequence),
+            )
 
     def resolve_head(self, now: float, final: bool) -> bool:
         """Resolve the oldest in-flight frame if its fate is known.
@@ -621,8 +615,7 @@ class _Call:
                 (sequence - lag) * FRAME_INTERVAL_S,
             )
         self.boundary.tick(now)
-        if self.tracer is not None:
-            self.tracer.open_frame(sequence, now)
+        self.tracer.open_frame(sequence, now)
         record = self.records[sequence] = FrameRecord(
             sequence=sequence,
             capture_time_s=now,
@@ -689,7 +682,7 @@ class _Call:
     def report(self, video_name: str) -> SessionReport:
         """The finished call: frame records, sorted fault events, stage
         timings, cache counters, the metrics registry and the trace."""
-        events, tracer = self.events, self.tracer
+        events = self.events
         for stream_id, marker_sequence in self.channel.marker_frames:
             self._event(
                 marker_sequence * FRAME_INTERVAL_S,
@@ -709,17 +702,6 @@ class _Call:
             fault_events=events,
         )
         report.attach_metrics(self._metrics(report))
-        if tracer is not None:
-            for event in events:
-                tracer.instant(
-                    f"fault:{event.category}",
-                    "fault",
-                    trace_id=event.sequence,
-                    time_s=event.time_s,
-                    attrs={"detail": event.detail},
-                )
-            tracer.finish(self.drain_time_s)
-            report.attach_trace(tracer)
         return report
 
     def _metrics(self, report: SessionReport) -> MetricsRegistry:
@@ -772,10 +754,9 @@ class LiVoSession(_SessionBase):
     ) -> SessionReport:
         """Replay ``num_frames`` captures through the full pipeline.
 
-        ``config.trace`` turns on per-frame span tracing: one sim-clock
-        root span per capture tick with stage, kernel, worker,
-        transport, and render spans beneath it.  Off by default -- an
-        untraced run's report is byte-identical.
+        The report's trace holds one sim-clock root span per capture
+        tick with stage, worker, transport and render spans beneath it;
+        the spans never steer the replay.
         """
         config = self.config
         if config.scheme not in LIVO_SCHEMES:
@@ -784,7 +765,7 @@ class LiVoSession(_SessionBase):
                 "run_scheme replays it"
             )
         replay = self._open(scene, user_trace, bandwidth_trace, num_frames)
-        call = _Call(self, replay, fault_plan, Tracer() if config.trace else None)
+        call = _Call(self, replay, fault_plan)
         try:
             for sequence in range(num_frames):
                 now = sequence * FRAME_INTERVAL_S

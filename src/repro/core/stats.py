@@ -78,12 +78,14 @@ class SessionReport:
     _stage_timings = None
 
     def attach_stage_timings(self, timings) -> None:
-        """Attach the runtime's per-stage ``StageTiming`` map."""
+        """Attach the per-stage ``StageTiming`` map (read off the
+        replay's stage spans, in the order the stages are declared)."""
         self._stage_timings = dict(timings)
 
     @property
     def stage_timings(self):
-        """Per-stage wall-clock timings, or None if never instrumented."""
+        """Per-stage wall-clock timings, or None for a report no stage
+        ran for (the multiway runner's)."""
         return self._stage_timings
 
     def asdict(self) -> dict:
@@ -91,9 +93,8 @@ class SessionReport:
 
         Stage timings, cache counters, traces, and metric registries are
         non-field attachments and therefore excluded -- two replays of
-        the same seed compare equal regardless of wall clock, executor
-        kind, or instrumentation, which is exactly what the executor
-        parity tests assert.
+        the same seed compare equal regardless of wall clock, which is
+        exactly what the parity tests assert.
         """
         from dataclasses import asdict as _asdict
 
@@ -130,8 +131,7 @@ class SessionReport:
 
     # Observability attachments (repro.obs), same non-field pattern:
     # traces and metric registries vary run to run and stay invisible
-    # to asdict, so a traced report serializes byte-identically to an
-    # untraced one.
+    # to asdict.
     _trace = None
     _metrics = None
 
@@ -141,7 +141,8 @@ class SessionReport:
 
     @property
     def trace(self):
-        """The attached session tracer, or None when tracing was off."""
+        """The replay's closed span tracer (None for a multiway report:
+        the multiway runner builds no tracer)."""
         return self._trace
 
     def attach_metrics(self, registry) -> None:
@@ -154,7 +155,7 @@ class SessionReport:
         return self._metrics
 
     def frame_timeline(self) -> dict:
-        """Per-frame span timeline summary ({} when tracing was off)."""
+        """Per-frame span timeline summary ({} without a trace)."""
         if self._trace is None:
             return {}
         from repro.obs.timeline import frame_timelines

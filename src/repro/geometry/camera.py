@@ -28,7 +28,7 @@ __all__ = ["CameraIntrinsics", "CameraExtrinsics", "RGBDCamera", "unproject_view
 # Kinect-class depth cameras sense roughly 0.25 m to 6 m (paper section 3.2:
 # "maximum depth range of 5-6 meters ... depth values can range 0-6000 at
 # millimeter resolution").  The depth codec scales this range onto 16 bits.
-DEFAULT_MIN_DEPTH_M = 0.25
+MIN_DEPTH_M = 0.25
 MAX_DEPTH_MM = 6000
 
 # The point 1 m above the floor's center: a ring aims every camera at
@@ -126,15 +126,12 @@ class RGBDCamera:
         self,
         intrinsics: CameraIntrinsics,
         extrinsics: CameraExtrinsics,
-        min_depth_m: float = DEFAULT_MIN_DEPTH_M,
         camera_id: int = 0,
     ) -> None:
+        self.min_depth_m = MIN_DEPTH_M
         self.max_depth_m = MAX_DEPTH_MM / 1000.0
-        if not 0 < min_depth_m < self.max_depth_m:
-            raise ValueError("require 0 < min_depth_m < the 6 m sensing range")
         self.intrinsics = intrinsics
         self.extrinsics = extrinsics
-        self.min_depth_m = float(min_depth_m)
         self.camera_id = int(camera_id)
         self._x_factor, self._y_factor = intrinsics.pixel_rays()
 

@@ -35,8 +35,8 @@ __all__ = [
     "planes_contain",
 ]
 
-# The viewing device's optics when a receiver states none: a 60 degree
-# vertical field of view at 16:9, seeing from 10 cm to 10 m.
+# The viewing device's optics: a 60 degree vertical field of view at
+# 16:9, seeing from 10 cm to 10 m.
 VERTICAL_FOV_DEG = 60.0
 ASPECT = 16.0 / 9.0
 NEAR_M = 0.1
@@ -191,18 +191,11 @@ class Frustum:
         return frustum
 
     @staticmethod
-    def from_camera(
-        position: np.ndarray,
-        rotation: np.ndarray,
-        vertical_fov_deg: float = VERTICAL_FOV_DEG,
-        aspect: float = ASPECT,
-        near_m: float = NEAR_M,
-        far_m: float = FAR_M,
-    ) -> "Frustum":
-        """Build a frustum from a viewer pose and device parameters
-        (:func:`camera_planes` for one pose)."""
+    def from_camera(position: np.ndarray, rotation: np.ndarray) -> "Frustum":
+        """The headset's frustum at one viewer pose (:func:`camera_planes`
+        with the device optics above)."""
         return Frustum.of_unit_rows(
-            camera_planes(position, rotation, vertical_fov_deg, aspect, near_m, far_m)
+            camera_planes(position, rotation, VERTICAL_FOV_DEG, ASPECT, NEAR_M, FAR_M)
         )
 
     def contains(self, points: np.ndarray) -> np.ndarray:

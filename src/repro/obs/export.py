@@ -4,7 +4,7 @@ The Chrome format (one JSON object with a ``traceEvents`` array) loads
 directly in Perfetto or ``chrome://tracing``:
 
 - wall-clock spans become complete (``"ph": "X"``) events on their
-  real process/thread rows, so stage and kernel spans nest by time
+  real process/thread rows, so spans on one thread nest by time
   containment exactly as they executed;
 - sim-clock spans (frame roots, transport, playout) become async
   begin/end pairs (``"ph": "b"/"e"``) under a synthetic "simulated

@@ -7,10 +7,9 @@ The span taxonomy (DESIGN.md section 10) is three levels deep:
   resolution (delivered+decoded, abandoned, skipped, ...);
 - **stage** -- one span per stage execution (capture, prepare, encode,
   decode, quality) on the *wall* clock, parented under the frame root;
-- **kernel** / **worker** -- sub-spans for work inside a stage (the two
-  stream encodes; the PointSSIM job the quality stage submits),
-  parented under the stage span; a ``worker`` span may close on a pool
-  thread after its stage span has.
+- **worker** -- the PointSSIM job the quality stage submits, parented
+  under the stage span; it runs on the scoring thread and may close
+  after its stage span has.
 
 ``transport`` spans ride the sim clock (send tick to last-byte
 delivery per stream); ``fault`` instants mark injected/observed fault

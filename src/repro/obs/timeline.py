@@ -3,12 +3,12 @@
 Collapses the trace into one row per frame -- where each frame's
 milliseconds went, stage by stage -- which is the per-frame analogue
 of Table 6's per-stage latency breakdown and the summary
-:class:`~repro.core.stats.SessionReport` exposes when tracing was on.
+:class:`~repro.core.stats.SessionReport` exposes from its trace.
 """
 
 from __future__ import annotations
 
-from repro.obs.span import CLOCK_SIM, Span
+from repro.obs.span import Span
 
 __all__ = ["frame_timelines", "format_timeline"]
 
@@ -31,7 +31,7 @@ def frame_timelines(spans: list[Span]) -> dict[int, dict]:
                 "end_s": None,
                 "status": None,
                 "stages": {},
-                "kernels": {},
+                "workers": {},
                 "transport_ms": {},
                 "events": [],
             },
@@ -55,12 +55,10 @@ def frame_timelines(spans: list[Span]) -> dict[int, dict]:
             row["transport_ms"][span.name] = (
                 row["transport_ms"].get(span.name, 0.0) + duration_ms
             )
-        elif span.category in ("kernel", "worker"):
-            row["kernels"][span.name] = row["kernels"].get(span.name, 0.0) + duration_ms
-        elif span.clock == CLOCK_SIM:
-            # Sim-clock stages (render/playout) keep sim milliseconds.
-            row["stages"][span.name] = row["stages"].get(span.name, 0.0) + duration_ms
+        elif span.category == "worker":
+            row["workers"][span.name] = row["workers"].get(span.name, 0.0) + duration_ms
         else:
+            # Wall-clock stages; sim-clock ones (render) keep sim milliseconds.
             row["stages"][span.name] = row["stages"].get(span.name, 0.0) + duration_ms
     return dict(sorted(timelines.items()))
 

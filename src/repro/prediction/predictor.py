@@ -25,22 +25,9 @@ __all__ = ["ViewingDevice", "FrustumPredictor", "guarded_planes"]
 
 @dataclass(frozen=True)
 class ViewingDevice:
-    """Headset optics the receiver shares at connection setup."""
-
-    vertical_fov_deg: float = VERTICAL_FOV_DEG
-    aspect: float = ASPECT
-    near_m: float = NEAR_M
-    far_m: float = FAR_M
-
-    def __post_init__(self) -> None:
-        # Checked where the optics are stated (connection setup), not on
-        # the first frame a predictor happens to be warm.
-        if not 0 < self.vertical_fov_deg < 180:
-            raise ValueError("vertical_fov_deg must be in (0, 180)")
-        if not self.aspect > 0:
-            raise ValueError("aspect must be positive")
-        if not 0 < self.near_m < self.far_m:
-            raise ValueError("require 0 < near_m < far_m")
+    """The headset the receiver shares at connection setup: its optics
+    are :mod:`repro.geometry.frustum`'s ``VERTICAL_FOV_DEG``, ``ASPECT``,
+    ``NEAR_M`` and ``FAR_M``."""
 
     def planes_for(self, pose_vectors: np.ndarray) -> np.ndarray:
         """Exact frustum rows ``(..., 6, 4)`` for pose 6-vectors
@@ -51,10 +38,10 @@ class ViewingDevice:
             euler_to_rotation(
                 pose_vectors[..., 3], pose_vectors[..., 4], pose_vectors[..., 5]
             ),
-            vertical_fov_deg=self.vertical_fov_deg,
-            aspect=self.aspect,
-            near_m=self.near_m,
-            far_m=self.far_m,
+            vertical_fov_deg=VERTICAL_FOV_DEG,
+            aspect=ASPECT,
+            near_m=NEAR_M,
+            far_m=FAR_M,
         )
 
     def frustum_for(self, pose: Pose) -> Frustum:

@@ -1,35 +1,32 @@
 """Stages and the stage graph.
 
-A :class:`Stage` wraps one unit of per-frame work with wall-clock
-instrumentation (``perf_counter`` service time per item) and, when a
-tracer is attached, one span per item.  A :class:`StageGraph` chains
-stages and runs them in-line: one item traverses the whole chain before
-the next enters.  The caller is the scheduler (see DESIGN.md section 8
-for why LiVo's stage-per-thread model, appendix A.1, is not run here).
+A :class:`Stage` wraps one unit of per-frame work and records each item
+it serves as one span on the replay's tracer (:mod:`repro.obs`): the
+span is the stage's only clock, and :attr:`Stage.timing` reads the
+per-item service times off the stage's spans.  A :class:`StageGraph`
+chains stages and runs them in-line: one item traverses the whole
+chain before the next enters.  The caller is the scheduler (see
+DESIGN.md section 8 for why LiVo's stage-per-thread model, appendix
+A.1, is not run here).
 
-A stage's timing keeps every sample, so stages serve finite replays
+A stage keeps every span it opened, so stages serve finite replays
 (the two-party session and the baselines); the multi-party tick that a
 service hosts indefinitely calls the SFU node directly instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from time import perf_counter
+from dataclasses import dataclass
 
 __all__ = ["Stage", "StageGraph", "StageTiming"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class StageTiming:
-    """Measured per-item service times for one stage, in seconds."""
+    """Per-item service times of one stage, in seconds (read-only)."""
 
     name: str
-    samples: list = field(default_factory=list)
-
-    def record(self, seconds: float) -> None:
-        """Fold in one measured service time."""
-        self.samples.append(float(seconds))
+    samples: tuple[float, ...]
 
     @property
     def count(self) -> int:
@@ -71,58 +68,46 @@ class StageTiming:
 
 
 class Stage:
-    """One named unit of per-frame work with timing instrumentation.
+    """One named unit of per-frame work, one span per item.
 
     ``fn`` maps an item to an item; everything it does -- fault
     injection at the stage's boundary included (see
-    :mod:`repro.faults.boundary`) -- is inside the stage's service time
-    and span.
+    :mod:`repro.faults.boundary`) -- is inside the item's span.  The
+    span opens on ``tracer`` under the item's frame trace: ``seq_fn``
+    extracts the frame sequence from an item that does not carry it as
+    an ``item.sequence`` attribute.
     """
 
-    def __init__(self, name: str, fn) -> None:
+    def __init__(self, name: str, fn, tracer, seq_fn=None) -> None:
         self.name = name
         self.fn = fn
-        self.timing = StageTiming(name)
-        # Observability attachment (repro.obs).  ``tracer`` is None by
-        # default so the untraced hot path pays a single attribute
-        # check; ``seq_fn`` extracts the frame sequence (trace id) from
-        # an item when it is not carried as an ``item.sequence``
-        # attribute.
-        self.tracer = None
-        self.seq_fn = None
-
-    def attach_tracer(self, tracer, seq_fn=None) -> None:
-        """Emit one span per item under the item's frame trace."""
         self.tracer = tracer
         self.seq_fn = seq_fn
+        self._spans = []
+
+    @property
+    def timing(self) -> StageTiming:
+        """Service times read off this stage's spans, in item order."""
+        return StageTiming(self.name, tuple(span.duration_s for span in self._spans))
 
     def __call__(self, item):
-        start = perf_counter()
         tracer = self.tracer
-        span = None
-        if tracer is not None:
-            sequence = (
-                self.seq_fn(item)
-                if self.seq_fn is not None
-                else getattr(item, "sequence", None)
-            )
-            span = tracer.start_span(
-                self.name,
-                category="stage",
-                trace_id=sequence,
-                parent_id=tracer.frame_root(sequence),
-            )
+        sequence = (
+            self.seq_fn(item) if self.seq_fn is not None else getattr(item, "sequence", None)
+        )
+        span = tracer.start_span(
+            self.name,
+            category="stage",
+            trace_id=sequence,
+            parent_id=tracer.frame_root(sequence),
+        )
+        self._spans.append(span)
         try:
             item = self.fn(item)
         except BaseException:
-            if span is not None:
-                tracer.end_span(span, status="error")
-                span = None
+            tracer.end_span(span, status="error")
             raise
-        finally:
-            if span is not None:
-                tracer.end_span(span)
-            self.timing.record(perf_counter() - start)
+        tracer.end_span(span)
         return item
 
 

@@ -79,7 +79,7 @@ def _frame_records(report: SessionReport) -> list[dict]:
         if row is not None:
             # Sim-clock slice only: status, lifetime, per-stream
             # transport time, and fault instants.  Wall-clock stage and
-            # kernel milliseconds are run-varying and excluded.
+            # worker milliseconds are run-varying and excluded.
             entry["timeline"] = {
                 "status": row["status"],
                 "start_s": row["start_s"],

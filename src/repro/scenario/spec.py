@@ -298,9 +298,7 @@ class ScenarioSpec:
         """The session config this scenario runs under.
 
         ``trace_scale=1.0`` keeps the spec's capacities absolute (they
-        are sized to this rig), and ``trace=True`` records the obs
-        timeline so replays can diff frame fates and the invariant
-        checker can assert no span leaks.  ``spec.seed`` seeds the
+        are sized to this rig).  ``spec.seed`` seeds the
         link's i.i.d. loss RNG, so every scenario's outcome depends on
         it -- mutating a recorded seed is guaranteed to diverge.
         """
@@ -323,7 +321,6 @@ class ScenarioSpec:
             trace_scale=1.0,
             link=link,
             scheme=self.scheme,
-            trace=self.kind == "livo",
         )
 
     def to_dict(self) -> dict:

@@ -20,7 +20,6 @@ from repro.core.session import LiVoSession, _Call
 from repro.faults import degradation
 from repro.faults.degradation import LEVEL_HALF_FPS, ResilienceConfig
 from repro.faults.plan import EncoderFault, FaultPlan, FrameCorruption
-from repro.obs.tracer import Tracer
 from repro.prediction.pose import user_traces_for_video
 from repro.transport.traces import constant_trace
 
@@ -40,7 +39,7 @@ def make_call(workload, monkeypatch):
     call's scoring thread is joined when the test ends."""
     calls = []
 
-    def build(fault_plan=None, tracer=None, **config):
+    def build(fault_plan=None, **config):
         scene, user = workload
         session = LiVoSession(
             SessionConfig(
@@ -49,7 +48,7 @@ def make_call(workload, monkeypatch):
             )
         )
         replay = session._open(scene, user, constant_trace(100.0), 6)
-        call = _Call(session, replay, fault_plan=fault_plan, tracer=tracer)
+        call = _Call(session, replay, fault_plan=fault_plan)
         call.observed, call.released, call.sent = [], [], {}
         if call.watchdog is not None:
             observe = call.watchdog.observe
@@ -240,8 +239,9 @@ class TestResolveHead:
         assert call.watchdog.level == LEVEL_HALF_FPS
 
     def test_frame_fates_reach_the_tracer_through_one_door(self, make_call):
-        tracer = Tracer()
-        call = make_call(tracer=tracer)
+        call = make_call()
+        tracer = call.tracer
+        assert tracer is call.replay.tracer
         _send(call, 3)
         _arrive(call, 0, 0.04, 0.05)
         _arrive(call, 1, 0.30, 0.40)

@@ -102,10 +102,6 @@ class TestProjectionRoundtrip:
 
 
 class TestCameraRange:
-    def test_invalid_depth_range(self, intrinsics):
-        with pytest.raises(ValueError):
-            RGBDCamera(intrinsics, CameraExtrinsics(np.eye(4)), min_depth_m=7.0)
-
     def test_extrinsics_position(self):
         t = np.eye(4)
         t[:3, 3] = [1.0, 2.0, 3.0]

@@ -21,6 +21,7 @@ from repro.codec.video import VideoCodecConfig
 from repro.compression.draco import DracoConfig
 from repro.core.config import SessionConfig
 from repro.faults.degradation import ResilienceConfig
+from repro.prediction.predictor import ViewingDevice
 from repro.service.app import ServiceConfig
 from repro.service.loadgen import LoadgenConfig
 from repro.sfu.fleet import FleetConfig
@@ -32,7 +33,7 @@ FIELDS = {
     SessionConfig: (
         "num_cameras", "camera_width", "camera_height", "scene_sample_budget",
         "scheme", "split_step", "rmse_every_k", "gop_size", "link", "resilience",
-        "quality_max_points", "trace", "quality_every", "trace_scale",
+        "quality_max_points", "quality_every", "trace_scale",
     ),
     VideoCodecConfig: ("gop_size", "weight_strength", "qp_max", "chroma_subsampling"),
     GCCConfig: ("initial_rate_bps", "min_rate_bps", "max_rate_bps"),
@@ -51,6 +52,8 @@ FIELDS = {
         "clients", "receivers_per_session", "duration_s", "slot_s", "seed", "kill_storms",
     ),
     DracoConfig: ("quantization_bits", "compression_level"),
+    # The headset's optics are repro.geometry.frustum's constants.
+    ViewingDevice: (),
 }
 
 # Knobs that became constants: each must stay impossible to pass.
@@ -62,6 +65,8 @@ REMOVED = {
         "render_voxel_m", "codec_efficiency_compensation",
         # SchemeFlags went whole: the scheme is a name.
         "culling", "adaptation", "fixed_color_qp", "fixed_depth_qp",
+        # Every replay records on its tracer.
+        "trace",
     ),
     VideoCodecConfig: (
         "block_size", "effort", "search_range", "chroma_weight_strength", "chroma_qp_offset",
@@ -89,6 +94,7 @@ REMOVED = {
         "voxel_coarsen", "watchdog_misses", "recover_hysteresis", "max_level", "fps_divisor",
         "chroma_budget_scale",
     ),
+    ViewingDevice: ("vertical_fov_deg", "aspect", "near_m", "far_m"),
 }
 
 
@@ -99,7 +105,7 @@ def test_field_names_are_pinned(config_class):
 
 
 def test_settable_surface_total():
-    assert sum(len(names) for names in FIELDS.values()) == 49
+    assert sum(len(names) for names in FIELDS.values()) == 48
 
 
 @pytest.mark.parametrize(
@@ -113,7 +119,7 @@ def test_removed_field_is_a_type_error(config_class, name):
 
 
 PACKAGE = Path(repro.__file__).parent
-DEFAULTED_PARAMETERS = 197
+DEFAULTED_PARAMETERS = 188
 
 
 def _functions():

@@ -322,10 +322,10 @@ class TestSenderReceiver:
         result = sender.process(rig.capture(scene, 0), 8e6, 0.1)
         pair = receiver.decode_pair(result.color_frame, result.depth_frame)
         cloud = receiver.reconstruct(pair)
-        from repro.geometry.frustum import Frustum
+        from repro.geometry.frustum import FAR_M, NEAR_M, Frustum, camera_planes
 
-        frustum = Frustum.from_camera(
-            np.array([0.0, 1.2, -2.0]), np.eye(3), vertical_fov_deg=50.0, aspect=1.5,
+        frustum = Frustum.of_unit_rows(
+            camera_planes(np.array([0.0, 1.2, -2.0]), np.eye(3), 50.0, 1.5, NEAR_M, FAR_M)
         )
         shown = receiver.render_view(cloud, frustum)
         assert len(shown) < len(cloud)

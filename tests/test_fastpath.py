@@ -10,6 +10,7 @@ to the serial one and leaves no thread behind even when the run raises,
 and the trace analyzer names the stages a change actually moved.
 """
 
+import dataclasses
 import threading
 
 import numpy as np
@@ -323,9 +324,11 @@ class TestTraceTools:
         after = critical_path(_synthetic_trace(1.0))
         # Surgical movement: quality collapses, encode swells, capture
         # jitters within tolerance.
-        after.stages["quality"].total_s *= 0.2
-        after.stages["encode"].total_s *= 1.5
-        after.stages["capture"].total_s *= 1.03
+        for name, factor in (("quality", 0.2), ("encode", 1.5), ("capture", 1.03)):
+            timing = after.stages[name]
+            after.stages[name] = dataclasses.replace(
+                timing, samples=tuple(sample * factor for sample in timing.samples)
+            )
         diff = diff_critical_paths(before, after, rel_tolerance=0.05)
         verdicts = {d.name: d.verdict for d in diff.deltas}
         assert verdicts == {
@@ -337,8 +340,7 @@ class TestTraceTools:
     def test_diff_marks_added_and_removed_stages(self):
         before = critical_path(_synthetic_trace(1.0))
         after = critical_path(_synthetic_trace(1.0))
-        after.stages["render"] = after.stages.pop("quality")
-        after.stages["render"].name = "render"
+        after.stages["render"] = dataclasses.replace(after.stages.pop("quality"), name="render")
         diff = diff_critical_paths(before, after)
         verdicts = {d.name: d.verdict for d in diff.deltas}
         assert verdicts["quality"] == "removed"

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry.frustum import Frustum, expand_planes, planes_contain, transform_planes
+from repro.geometry.frustum import (
+    Frustum, camera_planes, expand_planes, planes_contain, transform_planes,
+)
 from repro.geometry.transforms import euler_to_rotation, make_transform, transform_points
 from tests.reference.frustum import Plane
 
@@ -14,18 +16,11 @@ from tests.reference.frustum import Plane
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
-def forward_frustum(**kwargs):
-    """Frustum at origin looking down +Z with default device parameters."""
-    defaults = dict(
-        position=np.zeros(3),
-        rotation=np.eye(3),
-        vertical_fov_deg=60.0,
-        aspect=1.0,
-        near_m=0.1,
-        far_m=10.0,
+def forward_frustum(vertical_fov_deg=60.0, aspect=1.0, near_m=0.1, far_m=10.0):
+    """Frustum at origin looking down +Z with the given optics."""
+    return Frustum.of_unit_rows(
+        camera_planes(np.zeros(3), np.eye(3), vertical_fov_deg, aspect, near_m, far_m)
     )
-    defaults.update(kwargs)
-    return Frustum.from_camera(**defaults)
 
 
 def expanded(frustum, guard_band_m):

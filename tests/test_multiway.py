@@ -14,7 +14,7 @@ from repro.capture.rgbd import MultiViewFrame
 from repro.capture.rig import default_rig
 from repro.core.config import SessionConfig
 from repro.core.multiway import cull_views_union
-from repro.geometry.frustum import Frustum
+from repro.geometry.frustum import Frustum, camera_planes
 from repro.prediction.pose import Pose, PoseTrace
 from repro.runtime.batchplane import BatchPlane
 from repro.sfu.conference import ConferenceDriver, UnicastBaseline
@@ -35,9 +35,8 @@ def setup():
 
 
 def narrow_frustum(position, fov=35.0):
-    return Frustum.from_camera(
-        np.asarray(position, dtype=float), np.eye(3),
-        vertical_fov_deg=fov, aspect=1.4, near_m=0.1, far_m=6.0,
+    return Frustum.of_unit_rows(
+        camera_planes(np.asarray(position, dtype=float), np.eye(3), fov, 1.4, 0.1, 6.0)
     )
 
 

@@ -7,12 +7,12 @@ Contracts under test:
   span on the session tracer under the stage span that submitted it;
 - the metrics registry keeps exact quantiles, and every telemetry
   producer writes itself in under its established names;
-- a traced session emits at least one span per frame for every
+- every session records at least one span per frame for every
   pipeline stage (capture, encode, transport, decode, render), closes
-  every span, and -- the prime directive -- leaves the SessionReport
-  byte-identical to an untraced run;
-- an encoder that raises mid-frame leaves *closed* error spans in
-  the trace, never a leaked open one;
+  every span, and -- the prime directive -- two replays of one workload
+  leave byte-identical SessionReports whatever their spans measured;
+- a stage whose body raises closes its span as an error, never leaks
+  an open one;
 - the stats/analysis bugfixes: MTTR must not count open episodes as
   recoveries, and a measured 0.0 ms latency is a measurement, not a
   missing value.
@@ -25,16 +25,13 @@ import os
 import sys
 import threading
 
-import numpy as np
 import pytest
 
 from repro.analysis.resilience import _mttr, summarize_resilience
 from repro.capture.dataset import load_video
-from repro.capture.rgbd import MultiViewFrame, RGBDFrame
-from repro.capture.rig import default_rig
 from repro.core.config import SessionConfig
-from repro.core.sender import LiVoSender
-from repro.core.session import LiVoSession
+from repro.core.schemes import SCHEMES
+from repro.core.session import LiVoSession, run_scheme
 from repro.faults.plan import FaultPlan, LinkOutage
 from repro.metrics.latency import LIVO_STAGES, LatencyBreakdown
 from repro.obs.clock import FakeClock
@@ -52,6 +49,7 @@ from repro.obs.tracer import Tracer
 from repro.perf.counters import CacheCounters
 from repro.prediction.pose import user_traces_for_video
 from repro.runtime.stage import Stage
+from repro.scenario.invariants import check_report
 from repro.transport.traces import trace_1
 
 
@@ -334,8 +332,7 @@ class TestTimeline:
 class TestStageTracing:
     def test_stage_emits_span_per_item(self):
         tracer = Tracer(FakeClock())
-        stage = Stage("double", lambda x: 2 * x)
-        stage.attach_tracer(tracer, seq_fn=lambda item: item)
+        stage = Stage("double", lambda x: 2 * x, tracer, seq_fn=lambda item: item)
         assert stage(3) == 6
         (span,) = tracer.spans()
         assert span.name == "double" and span.category == "stage"
@@ -347,61 +344,11 @@ class TestStageTracing:
         def boom(item):
             raise RuntimeError("stage body failed")
 
-        stage = Stage("explode", boom)
-        stage.attach_tracer(tracer, seq_fn=lambda item: item)
+        stage = Stage("explode", boom, tracer, seq_fn=lambda item: item)
         with pytest.raises(RuntimeError):
             stage(1)
         (span,) = tracer.spans()
         assert span.status == "error" and span.end_s is not None
-        assert tracer.open_spans() == []
-
-
-def _synthetic_frame(rig, sequence=0):
-    height = rig.cameras[0].intrinsics.height
-    width = rig.cameras[0].intrinsics.width
-    rng = np.random.default_rng(7 + sequence)
-    views = []
-    for index in range(len(rig.cameras)):
-        depth = rng.integers(500, 3000, (height, width)).astype(np.uint16)
-        color = rng.integers(0, 255, (height, width, 3)).astype(np.uint8)
-        views.append(RGBDFrame(color, depth, camera_id=index, sequence=sequence))
-    return MultiViewFrame(views, sequence=sequence)
-
-
-class TestEncodeErrorSpans:
-    def test_raising_encoder_leaves_closed_error_spans_not_leak(self, monkeypatch):
-        """An encoder exception mid-frame: the trace must contain
-        *closed* kernel spans with an error status for the doomed frame,
-        and zero open spans."""
-        rig = default_rig(num_cameras=2, width=32, height=24)
-        config = SessionConfig(
-            num_cameras=2, camera_width=32, camera_height=24, gop_size=5
-        )
-        sender = LiVoSender(rig.cameras, config)
-        tracer = Tracer()
-        sender.attach_tracer(tracer)
-        first = sender.process(_synthetic_frame(rig, 0), 2e6, 0.1)
-        assert first is not None and first.total_bytes > 0
-
-        def broken(*args, **kwargs):
-            raise RuntimeError("encoder died")
-            yield  # pragma: no cover -- makes this a generator, like the real one
-
-        with monkeypatch.context() as patch:
-            patch.setattr(sender.color_encoder, "encode_to_target_steps", broken)
-            crashed = sender.process(_synthetic_frame(rig, 1), 2e6, 0.1)
-        assert crashed is None and sender.encode_failures == 1
-        recovered = sender.process(_synthetic_frame(rig, 2), 2e6, 0.1)
-        assert recovered is not None and recovered.total_bytes > 0
-
-        spans = tracer.spans()
-        doomed = [s for s in spans if s.trace_id == 1 and s.category == "kernel"]
-        assert {s.name for s in doomed} == {"encode:color", "encode:depth"}
-        for span in doomed:
-            assert span.status == "error"
-            assert span.end_s is not None
-        healthy = [s for s in spans if s.trace_id == 0 and s.category == "kernel"]
-        assert healthy and all(s.status == "ok" for s in healthy)
         assert tracer.open_spans() == []
 
 
@@ -421,22 +368,20 @@ FRAMES = 16
 
 @pytest.fixture(scope="module")
 def traced_pair(session_workload):
-    """(untraced report, traced report) over the identical workload."""
+    """Two reports of the identical workload, each with its own trace."""
     config, scene, user = session_workload
-    plain = LiVoSession(config).run(scene, user, trace_1(duration_s=5), FRAMES)
-    traced_config = dataclasses.replace(config, trace=True)
-    traced = LiVoSession(traced_config).run(
-        scene, user, trace_1(duration_s=5), FRAMES
+    return tuple(
+        LiVoSession(config).run(scene, user, trace_1(duration_s=5), FRAMES)
+        for _ in range(2)
     )
-    return plain, traced
 
 
 class TestSessionTracing:
     def test_tracing_never_steers_the_session(self, traced_pair):
         plain, traced = traced_pair
         assert dataclasses.asdict(plain) == dataclasses.asdict(traced)
-        assert plain.trace is None  # default off: no tracer, no cost
-        assert traced.trace is not None
+        assert plain.trace is not None and traced.trace is not None
+        assert plain.trace is not traced.trace
 
     def test_every_frame_has_every_pipeline_stage(self, traced_pair):
         _, traced = traced_pair
@@ -492,8 +437,9 @@ class TestSessionTracing:
         assert set(timelines) == {f.sequence for f in traced.frames}
         table = traced.timeline_table(limit=5)
         assert "capture" in table and "encode" in table
-        assert plain.frame_timeline() == {}
-        assert plain.timeline_table() == "(no trace recorded)"
+        bare = dataclasses.replace(plain)  # fields only: no trace attached
+        assert bare.frame_timeline() == {}
+        assert bare.timeline_table() == "(no trace recorded)"
 
     def test_chrome_export_of_a_real_session(self, traced_pair, tmp_path):
         _, traced = traced_pair
@@ -501,6 +447,43 @@ class TestSessionTracing:
         document = json.loads(path.read_text())
         phases = {event["ph"] for event in document["traceEvents"]}
         assert {"X", "b", "e", "M"} <= phases
+
+
+# The stages each scheme's replay declares, in report order.
+DECLARED_STAGES = {
+    "LiVo": ("capture", "prepare", "encode", "decode", "quality"),
+    "LiVo-NoCull": ("capture", "prepare", "encode", "decode", "quality"),
+    "LiVo-NoAdapt": ("capture", "prepare", "encode", "decode", "quality"),
+    "Draco-Oracle": ("capture", "cull", "encode", "quality"),
+    "MeshReduce": ("capture", "compress", "quality"),
+}
+
+
+class TestEveryReplayTraced:
+    @pytest.mark.parametrize("scheme", list(SCHEMES))
+    def test_stage_timings_are_the_trace_stage_spans(self, session_workload, scheme):
+        """Every scheme's replay returns a closed trace, and its stage
+        timings are that trace's wall-clock stage spans: the declared
+        stages in order, one sample per span, each span's duration."""
+        config, scene, user = session_workload
+        report = run_scheme(
+            dataclasses.replace(config, scheme=scheme), scene, user, trace_1(duration_s=5), 8
+        )
+        assert report.trace is not None and report.trace.open_spans() == []
+        spans = [
+            span for span in report.trace.spans()
+            if span.category == "stage" and span.clock == CLOCK_WALL
+        ]
+        assert spans and all(span.trace_id is not None for span in spans)
+        declared = DECLARED_STAGES[scheme]
+        assert tuple(report.stage_timings) == declared
+        assert {span.name for span in spans} <= set(declared)
+        for name, timing in report.stage_timings.items():
+            durations = tuple(span.duration_s for span in spans if span.name == name)
+            assert timing.count == len(durations)
+            assert timing.samples == durations
+        assert report.stage_timings["capture"].count > 0
+        assert check_report(report) == []
 
 
 class TestQualityJobSpans:
@@ -511,7 +494,7 @@ class TestQualityJobSpans:
         closed span on the session tracer, in that frame's trace, under
         the ``quality`` stage span that submitted it."""
         config, scene, user = session_workload
-        traced = LiVoSession(dataclasses.replace(config, trace=True, jobs=jobs)).run(
+        traced = LiVoSession(dataclasses.replace(config, jobs=jobs)).run(
             scene, user, trace_1(duration_s=5), FRAMES
         )
         spans = traced.trace.spans()

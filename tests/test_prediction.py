@@ -6,7 +6,7 @@ import pytest
 from repro.capture.rig import default_rig
 from repro.capture.scene import make_scene
 from repro.geometry.camera import unproject_views
-from repro.geometry.frustum import Frustum, expand_planes
+from repro.geometry.frustum import Frustum, camera_planes, expand_planes
 from repro.prediction.culling import cull_views, culling_accuracy
 from repro.prediction.kalman import ConstantVelocityKalman, PoseKalmanPredictor
 from repro.prediction.mlp import MLPPosePredictor
@@ -202,23 +202,12 @@ class TestFrustumPredictor:
         predictor.observe(Pose(np.zeros(3), np.zeros(3)), 0.0)
         assert predictor.ready
 
-    @pytest.mark.parametrize(
-        "optics",
-        [
-            dict(near_m=1.0, far_m=0.5),
-            dict(near_m=0.0),
-            dict(aspect=-1.0),
-            dict(aspect=0.0),
-            dict(vertical_fov_deg=0.0),
-            dict(vertical_fov_deg=180.0),
-        ],
-        ids=lambda optics: ",".join(f"{k}={v}" for k, v in optics.items()),
+
+def _frustum(position, vertical_fov_deg, aspect, near_m, far_m):
+    """A viewer frustum looking down +Z with the given optics."""
+    return Frustum.of_unit_rows(
+        camera_planes(position, np.eye(3), vertical_fov_deg, aspect, near_m, far_m)
     )
-    def test_device_optics_validated_at_construction(self, optics):
-        """Not on the first tick a predictor is warm (near/far), and not
-        never (a negative aspect gave a frustum that contains nothing)."""
-        with pytest.raises(ValueError):
-            ViewingDevice(**optics)
 
 
 class TestCulling:
@@ -231,29 +220,20 @@ class TestCulling:
 
     def test_full_scene_frustum_keeps_most(self, setup):
         rig, frame = setup
-        wide = Frustum.from_camera(
-            np.array([0.0, 1.5, -4.0]), np.eye(3), vertical_fov_deg=100.0,
-            aspect=1.8, near_m=0.05, far_m=20.0,
-        )
+        wide = _frustum(np.array([0.0, 1.5, -4.0]), 100.0, 1.8, 0.05, 20.0)
         culled = cull_views(frame, rig.cameras, wide)
         assert culled.total_points() > 0.5 * frame.total_points()
 
     def test_narrow_frustum_cuts_points(self, setup):
         rig, frame = setup
-        narrow = Frustum.from_camera(
-            np.array([0.0, 1.0, -2.0]), np.eye(3), vertical_fov_deg=40.0,
-            aspect=1.0, near_m=0.1, far_m=4.0,
-        )
+        narrow = _frustum(np.array([0.0, 1.0, -2.0]), 40.0, 1.0, 0.1, 4.0)
         culled = cull_views(frame, rig.cameras, narrow)
         assert 0 < culled.total_points() < 0.5 * frame.total_points()
 
     def test_culled_matches_world_frame_test(self, setup):
         """Camera-local culling must equal culling the world point cloud."""
         rig, frame = setup
-        frustum = Frustum.from_camera(
-            np.array([1.0, 1.5, -2.0]), np.eye(3), vertical_fov_deg=50.0,
-            aspect=1.5, near_m=0.1, far_m=6.0,
-        )
+        frustum = _frustum(np.array([1.0, 1.5, -2.0]), 50.0, 1.5, 0.1, 6.0)
         culled = cull_views(frame, rig.cameras, frustum)
         for view, culled_view, camera in zip(frame.views, culled.views, rig.cameras):
             cloud = unproject_views([camera], [view.depth_mm])
@@ -268,10 +248,7 @@ class TestCulling:
 
     def test_culling_accuracy_perfect_prediction(self, setup):
         rig, frame = setup
-        frustum = Frustum.from_camera(
-            np.array([0.0, 1.5, -2.5]), np.eye(3), vertical_fov_deg=60.0,
-            aspect=1.5, near_m=0.1, far_m=8.0,
-        )
+        frustum = _frustum(np.array([0.0, 1.5, -2.5]), 60.0, 1.5, 0.1, 8.0)
         accuracy, kept = culling_accuracy(frame, rig.cameras, frustum, frustum)
         assert accuracy == pytest.approx(1.0)
         assert 0 < kept <= 1.0
@@ -279,15 +256,9 @@ class TestCulling:
     def test_guard_band_raises_accuracy(self, setup):
         """Fig. 15's monotone trend: larger guard band -> higher accuracy."""
         rig, frame = setup
-        actual = Frustum.from_camera(
-            np.array([0.0, 1.5, -2.5]), np.eye(3), vertical_fov_deg=60.0,
-            aspect=1.5, near_m=0.1, far_m=8.0,
-        )
+        actual = _frustum(np.array([0.0, 1.5, -2.5]), 60.0, 1.5, 0.1, 8.0)
         # A deliberately offset prediction.
-        predicted = Frustum.from_camera(
-            np.array([0.25, 1.5, -2.5]), np.eye(3), vertical_fov_deg=60.0,
-            aspect=1.5, near_m=0.1, far_m=8.0,
-        )
+        predicted = _frustum(np.array([0.25, 1.5, -2.5]), 60.0, 1.5, 0.1, 8.0)
         accuracies = []
         kepts = []
         for guard in (0.0, 0.2, 0.5):

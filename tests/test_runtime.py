@@ -18,28 +18,36 @@ from repro.core.sender import LiVoSender
 import repro.core.session as session_module
 from repro.core.baselines import DracoOracleSession, MeshReduceSession
 from repro.core.session import LiVoSession
+from repro.obs.tracer import Tracer
 from repro.prediction.pose import user_traces_for_video
 from repro.runtime.stage import Stage, StageGraph
 from repro.transport.traces import trace_1
 
 
 class TestStageGraph:
-    def _graph(self):
+    def _graph(self, tracer):
         return StageGraph(
-            [Stage("double", lambda x: 2 * x), Stage("inc", lambda x: x + 1)]
+            [Stage("double", lambda x: 2 * x, tracer), Stage("inc", lambda x: x + 1, tracer)]
         )
 
     def test_timings_recorded_per_stage(self):
-        graph = self._graph()
+        tracer = Tracer()
+        graph = self._graph(tracer)
         assert [graph.run_item(item) for item in range(5)] == [1, 3, 5, 7, 9]
         timings = [stage.timing for stage in graph.stages]
         assert [t.name for t in timings] == ["double", "inc"]
         assert all(t.count == 5 for t in timings)
         assert all(t.mean_s >= 0 for t in timings)
+        # The timings are the spans: one per item, in item order.
+        for timing in timings:
+            assert timing.samples == tuple(
+                span.duration_s for span in tracer.spans() if span.name == timing.name
+            )
 
     def test_duplicate_stage_names_rejected(self):
+        tracer = Tracer()
         with pytest.raises(ValueError):
-            StageGraph([Stage("a", lambda x: x), Stage("a", lambda x: x)])
+            StageGraph([Stage("a", lambda x: x, tracer), Stage("a", lambda x: x, tracer)])
 
 
 def _synthetic_frame(rig, sequence=0, empty=False):
@@ -89,6 +97,32 @@ class TestSenderDegeneratePaths:
         assert empty is not None and empty.empty
         assert real2 is not None and not real2.empty
         assert real2.total_bytes > 0
+
+    def test_raising_encoder_skips_the_capture_and_recovers(self, monkeypatch):
+        """An encoder exception mid-frame skips that capture (None), not
+        the session; the next capture encodes again.  Run as the encode
+        stage, the doomed frame's span closes like any other."""
+        rig, sender = self._sender()
+        tracer = Tracer()
+        encode = Stage(
+            "encode", lambda frame: sender.process(frame, 2e6, 0.1), tracer
+        )
+        first = encode(_synthetic_frame(rig, 0))
+        assert first is not None and first.total_bytes > 0
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("encoder died")
+            yield  # pragma: no cover -- makes this a generator, like the real one
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sender.color_encoder, "encode_to_target_steps", broken)
+            crashed = encode(_synthetic_frame(rig, 1))
+        assert crashed is None and sender.encode_failures == 1
+        recovered = encode(_synthetic_frame(rig, 2))
+        assert recovered is not None and recovered.total_bytes > 0
+        assert [span.trace_id for span in tracer.spans()] == [0, 1, 2]
+        assert tracer.open_spans() == []
+        assert encode.timing.count == 3
 
 
 class TestParallelSessionParity:

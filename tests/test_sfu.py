@@ -9,7 +9,7 @@ from repro.capture.rig import default_rig
 from repro.core.config import FPS, HORIZON_S, SessionConfig
 from repro.core.multiway import cull_views_union
 from repro.core.sender import LiVoSender
-from repro.geometry.frustum import Frustum
+from repro.geometry.frustum import Frustum, camera_planes
 from repro.obs.metrics import MetricsRegistry
 from repro.perf import culling
 from repro.perf.culling import CullCache
@@ -40,9 +40,8 @@ def setup():
 
 
 def narrow_frustum(position, fov=35.0):
-    return Frustum.from_camera(
-        np.asarray(position, dtype=float), np.eye(3),
-        vertical_fov_deg=fov, aspect=1.4, near_m=0.1, far_m=6.0,
+    return Frustum.of_unit_rows(
+        camera_planes(np.asarray(position, dtype=float), np.eye(3), fov, 1.4, 0.1, 6.0)
     )
 
 

@@ -561,6 +561,23 @@ def test_one_conference_host_and_one_room_builder():
         (recorder.artifact_records, "snapshot_every"),
         (format_table, "columns"),
         (format_table, "min_width"),
+        # One clock per stage: a stage item is one span on the replay's
+        # tracer, its timing is read off those spans, and the sender
+        # keeps no spans of its own.
+        (Stage, "attach_tracer"),
+        (StageTiming, "record"),
+        (LiVoSender, "attach_tracer"),
+        (LiVoSender, "_kernel_spans"),
+        (LiVoSender, "tracer"),
+        (_Call.__init__, "tracer"),
+        (tracetools, "StageStat"),
+        # The camera's near limit and the headset's optics are constants.
+        (camera_module, "DEFAULT_MIN_DEPTH_M"),
+        (RGBDCamera.__init__, "min_depth_m"),
+        (frustum_module.Frustum.from_camera, "vertical_fov_deg"),
+        (frustum_module.Frustum.from_camera, "aspect"),
+        (frustum_module.Frustum.from_camera, "near_m"),
+        (frustum_module.Frustum.from_camera, "far_m"),
     ],
     ids=lambda value: getattr(value, "__name__", value).rsplit(".", 1)[-1],
 )

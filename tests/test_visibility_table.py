@@ -18,6 +18,10 @@ from repro.capture.rig import default_rig
 from repro.core import multiway
 from repro.core.multiway import cull_views_union
 from repro.geometry.frustum import (
+    ASPECT,
+    FAR_M,
+    NEAR_M,
+    VERTICAL_FOV_DEG,
     Frustum,
     camera_planes,
     planes_contain,
@@ -37,7 +41,7 @@ from tests.reference.frustum import PlaneFrustum, inside_masks, kept_points
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 DEVICE = ViewingDevice()
-OPTICS = (DEVICE.vertical_fov_deg, DEVICE.aspect, DEVICE.near_m, DEVICE.far_m)
+OPTICS = (VERTICAL_FOV_DEG, ASPECT, NEAR_M, FAR_M)
 ULP = np.spacing(1.0)
 # Pixels closer than this to a plane's surface may fall on either side.
 SURFACE_M = 1e-9
@@ -77,7 +81,7 @@ def assert_table_matches_oracle(cameras, vectors, depths, guard_band_m):
     reach_m = (
         np.abs(vectors[:, :3]).sum(axis=1).max()
         + max(np.abs(camera.extrinsics.world_to_camera[:3, 3]).sum() for camera in cameras)
-        + DEVICE.far_m
+        + FAR_M
         + guard_band_m
     )
     assert_rows_close(planes, np.array([o.rows() for o in oracles]), reach_m)
