@@ -68,7 +68,7 @@ def test_ablation_multiway_fanout(benchmark, results_dir):
         """SFU and unicast in lockstep: bytes, plus per-receiver parity
         of the SFU's forwarded content against the stream unicast would
         have encoded for that receiver."""
-        sfu = seated(room.conference(0), num_receivers)
+        sfu = seated(room.conference(), num_receivers)
         unicast = seated(room.unicast(), num_receivers)
         names = sfu.receiver_names
         pssim_sfu: list[float] = []
@@ -114,7 +114,7 @@ def test_ablation_multiway_fanout(benchmark, results_dir):
         for count in RECEIVER_COUNTS:
             table[count] = {
                 "unicast": run(room.unicast(), count),
-                "shared": run(room.conference(0), count),
+                "shared": run(room.conference(), count),
                 "sfu": run_sfu_paired(count),
             }
         return table

@@ -26,7 +26,7 @@ def main() -> None:
 
     # Both share one surface: join(name, pose feed), then one tick per frame.
     # A conference built without downlinks is the shared stream alone.
-    parties = {"unicast": room.unicast(), "shared": room.conference(0)}
+    parties = {"unicast": room.unicast(), "shared": room.conference()}
     totals = {}
     for mode, party in parties.items():
         for index, name in enumerate(RECEIVERS):

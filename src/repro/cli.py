@@ -350,9 +350,9 @@ def _cmd_multiway(args: argparse.Namespace, usage_error) -> int:
     if args.mode == "unicast":
         party = room.unicast()
     elif args.mode == "sfu":
-        party = room.conference(0, room.downlinks(config.link.seed))
+        party = room.conference(room.downlinks(config.link.seed))
     else:
-        party = room.conference(0)
+        party = room.conference()
     for index in range(args.receivers):
         party.join(f"rx{index}", room.pose_trace(index))
     for sequence in range(args.frames):

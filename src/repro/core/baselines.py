@@ -19,7 +19,7 @@ from repro.core.config import (
     FPS, FRAME_INTERVAL_S, PAPER_FRAME_SIZE_BYTES, PLAYOUT_DELAY_S, RENDER_VOXEL_M,
 )
 from repro.core.schemes import SCHEMES
-from repro.core.session import _fuse_views, _QualityLane, _Replay, _SessionBase
+from repro.core.session import _fate, _fuse_views, _QualityLane, _Replay, _SessionBase
 from repro.core.stats import FrameRecord, SessionReport
 from repro.geometry.frustum import Frustum
 from repro.geometry.pointcloud import PointCloud
@@ -66,11 +66,13 @@ class _BaselineSession(_SessionBase):
     ) -> SessionReport:
         """The baseline schemes' replay loop.
 
-        Per capture tick in ``sequences``: the capture stage, then the
-        scheme's ``step(frame, sequence, capture_time)``, which runs the
-        scheme's ``stages`` (on ``replay.tracer``) and returns the tick's
-        :class:`FrameRecord` with, for a rendered frame, the ``render``
-        callable the quality lane samples (None otherwise).
+        Per capture tick in ``sequences``: a frame root on
+        ``replay.tracer``, the capture stage, then the scheme's
+        ``step(frame, sequence, capture_time)``, which runs the scheme's
+        ``stages`` and returns the tick's :class:`FrameRecord`, the
+        ``render`` callable the quality lane samples for a rendered frame
+        (None otherwise), and the frame's fate, which closes the root at
+        its delivery (at its capture when nothing was delivered).
         """
         capture_stage = Stage(
             "capture", replay.source.capture, replay.tracer, seq_fn=lambda sequence: sequence
@@ -79,11 +81,15 @@ class _BaselineSession(_SessionBase):
         records = []
         try:
             for sequence in sequences:
-                frame = capture_stage(sequence)
                 capture_time = sequence * FRAME_INTERVAL_S
-                record, render = step(frame, sequence, capture_time)
+                replay.tracer.open_frame(sequence, capture_time)
+                frame = capture_stage(sequence)
+                record, render, status = step(frame, sequence, capture_time)
                 if render is not None:
                     quality.sample(record, frame, sequence, render)
+                delivered = record.delivery_time_s
+                fate_time = capture_time if delivered is None else delivered
+                _fate(replay.tracer, sequence, fate_time, status)
                 records.append(record)
             quality.collect(final=True)
         finally:
@@ -152,7 +158,7 @@ class DracoOracleSession(_BaselineSession):
                 culled_points=cloud.num_points,
             )
             if encoded is None:
-                return record, None
+                return record, None, "empty"
             record.wire_bytes = encoded.size_bytes
             record.delivery_time_s = (
                 capture_time + encoded.encode_time_s * compute_scale
@@ -160,7 +166,7 @@ class DracoOracleSession(_BaselineSession):
                 + config.link.propagation_delay_s
             )
             if not record.delivery_time_s <= capture_time + PLAYOUT_DELAY_S:
-                return record, None
+                return record, None, "late"
             record.rendered, record.stalled = True, False
 
             def render(actual: Frustum):
@@ -168,7 +174,7 @@ class DracoOracleSession(_BaselineSession):
                 shown = shown.select(actual.contains(shown.positions))
                 return lambda truth: shown
 
-            return record, render
+            return record, render, "rendered"
 
         stride = max(1, int(round(FPS / self.fps)))
         return self._replay(
@@ -220,8 +226,10 @@ class MeshReduceSession(_BaselineSession):
                 culled_points=frame.total_points(),
                 delivery_time_s=result.delivery_time_s,
             )
-            if not result.sent or result.mesh is None:
-                return record, None
+            if not result.sent:
+                # Busy encoder/link skips the tick; an empty mesh has
+                # nothing to send.
+                return record, None, "empty" if result.mesh is not None else "skipped"
 
             def render(actual: Frustum):
                 # ``shown`` runs later, on the scoring thread: it reads
@@ -234,7 +242,7 @@ class MeshReduceSession(_BaselineSession):
 
                 return shown
 
-            return record, render
+            return record, render, "rendered"
 
         return self._replay(replay, range(num_frames), step, [compress_stage], video_name)
 

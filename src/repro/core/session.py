@@ -141,6 +141,21 @@ def _quality_job(
         return pointssim_batch([(truth, shown(truth))], max_points=max_points)[0]
 
 
+def _fate(tracer: Tracer, sequence: int, time_s: float, status: str) -> None:
+    """Close a frame's root span with its fate: ``rendered`` (on screen
+    one frame interval from ``time_s``, its render span), ``late``,
+    ``skipped``, ``empty``, ... -- every scheme's replay speaks this
+    vocabulary."""
+    if status == "rendered":
+        shown_until = time_s + FRAME_INTERVAL_S
+        tracer.add_span(
+            "render", "stage", sequence, time_s, shown_until,
+            parent_id=tracer.frame_root(sequence),
+        )
+        time_s = shown_until
+    tracer.close_frame(sequence, time_s, status=status)
+
+
 @dataclass
 class _Tick:
     """One capture tick's state as it traverses the send-side stages."""
@@ -441,20 +456,6 @@ class _Call:
     # Bookkeeping shared by both sides
     # ------------------------------------------------------------------
 
-    def _fate(self, sequence: int, time_s: float, status: str) -> None:
-        """Close a frame's root span with its fate."""
-        tracer = self.tracer
-        if status == "rendered":
-            # Render span: one frame interval on screen from the
-            # jitter-buffered playout point.
-            shown_until = time_s + FRAME_INTERVAL_S
-            tracer.add_span(
-                "render", "stage", sequence, time_s, shown_until,
-                parent_id=tracer.frame_root(sequence),
-            )
-            time_s = shown_until
-        tracer.close_frame(sequence, time_s, status=status)
-
     def _event(self, now: float, category: str, detail: str, **fields) -> None:
         self.events.append(
             FaultEvent(time_s=now, category=category, detail=detail, **fields)
@@ -558,7 +559,7 @@ class _Call:
             record.stalled = False
             self._sample_quality(record, pair, sequence)
         self._observe_deadline(on_time, now)
-        self._fate(sequence, playout_time, "rendered" if on_time else "late")
+        _fate(self.tracer, sequence, playout_time, "rendered" if on_time else "late")
 
     def _undecodable(self, sequence: int, now: float) -> None:
         """Freeze the last good frame and ask the sender for a keyframe
@@ -572,7 +573,7 @@ class _Call:
                 sequence=sequence,
             )
         self._observe_deadline(False, now)
-        self._fate(sequence, now, "frozen" if record.frozen else "undecodable")
+        _fate(self.tracer, sequence, now, "frozen" if record.frozen else "undecodable")
 
     def _undelivered(self, sequence: int, abandoned: bool, now: float) -> None:
         """Abandoned by the channel, or still in flight at the drain."""
@@ -584,7 +585,7 @@ class _Call:
             )
         self._freeze(record)
         self._observe_deadline(False, now)
-        self._fate(sequence, now, "frozen" if record.frozen else "undelivered")
+        _fate(self.tracer, sequence, now, "frozen" if record.frozen else "undelivered")
 
     def _sample_quality(self, record: FrameRecord, pair, sequence: int) -> None:
         """Offer one rendered frame to the quality lane."""
@@ -625,7 +626,7 @@ class _Call:
         )
         if watchdog is not None and watchdog.skips_tick(sequence):
             record.skipped = True
-            self._fate(sequence, now, "skipped")
+            _fate(self.tracer, sequence, now, "skipped")
             return
         force_intra = (
             channel.needs_keyframe(0)
@@ -653,7 +654,7 @@ class _Call:
                 sequence=sequence,
             )
             self._observe_deadline(False, now)
-            self._fate(sequence, now, "encode_failed")
+            _fate(self.tracer, sequence, now, "encode_failed")
             return
         record.total_points = result.total_points
         if result.empty:
@@ -662,7 +663,7 @@ class _Call:
             # valid, skippable outcome, not a failure; the encoder
             # reference chains are untouched.
             record.empty = True
-            self._fate(sequence, now, "empty")
+            _fate(self.tracer, sequence, now, "empty")
             return
         if force_intra:
             self.rx_request_intra = False

@@ -20,6 +20,8 @@ def frame_timelines(spans: list[Span]) -> dict[int, dict]:
     (``start_s``/``end_s``/``status``), per-stage wall milliseconds
     (``stages``), sim-clock transport milliseconds per stream
     (``transport_ms``), and the frame's fault instants (``events``).
+    Off-thread ``worker`` spans (the quality lane's scoring) are not
+    summarized.
     """
     timelines: dict[int, dict] = {}
 
@@ -31,14 +33,13 @@ def frame_timelines(spans: list[Span]) -> dict[int, dict]:
                 "end_s": None,
                 "status": None,
                 "stages": {},
-                "workers": {},
                 "transport_ms": {},
                 "events": [],
             },
         )
 
     for span in spans:
-        if span.trace_id is None:
+        if span.trace_id is None or span.category == "worker":
             continue
         row = entry(span.trace_id)
         duration_ms = span.duration_s * 1e3
@@ -55,8 +56,6 @@ def frame_timelines(spans: list[Span]) -> dict[int, dict]:
             row["transport_ms"][span.name] = (
                 row["transport_ms"].get(span.name, 0.0) + duration_ms
             )
-        elif span.category == "worker":
-            row["workers"][span.name] = row["workers"].get(span.name, 0.0) + duration_ms
         else:
             # Wall-clock stages; sim-clock ones (render) keep sim milliseconds.
             row["stages"][span.name] = row["stages"].get(span.name, 0.0) + duration_ms

@@ -87,7 +87,7 @@ def _run_multiway(spec: ScenarioSpec) -> SessionReport:
         downlinks = (
             DownlinkSet(bandwidth, config.link) if spec.multiway_mode == "sfu" else None
         )
-        party = room.conference(0, downlinks)
+        party = room.conference(downlinks)
 
     # Pose traces go by first-join order: a rejoining peer resumes its own.
     peer_traces: dict[str, object] = {}

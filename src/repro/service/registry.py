@@ -105,7 +105,7 @@ class SessionRecord:
     joins: int = 0
     leaves: int = 0
     # Registry-side membership truth (enqueue time).  The driver's
-    # receiver book follows by at most one tick boundary.
+    # roster follows by at most one tick boundary.
     clients: set = field(default_factory=set)
     # Membership ops awaiting application at the next tick boundary:
     # ("join"|"leave", client_name).
@@ -151,7 +151,7 @@ class SessionRegistry:
     """Thread-safe owner of every session record.
 
     ``factory`` builds media drivers: a callable
-    ``factory(index, seed, receivers, target_rate_bps) -> driver``
+    ``factory(seed, receivers) -> driver``
     where the driver exposes the :class:`~repro.sfu.conference.
     ConferenceDriver` surface (``join``/``leave``/``tick``/
     ``tick_steps``/``close``).  Driver construction happens *outside*
@@ -239,12 +239,7 @@ class SessionRegistry:
             self._audit_event(CREATING, session_id, f"scheme={scheme}")
         names = list(initial_clients or [f"{session_id}r{j}" for j in range(receivers)])
         try:
-            driver = self._factory(
-                index=index,
-                seed=record.seed,
-                receivers=names,
-                target_rate_bps=record.target_rate_bps,
-            )
+            driver = self._factory(seed=record.seed, receivers=names)
         except Exception as error:  # noqa: BLE001 -- the record must not stay creating
             with self._lock:
                 record.error = f"{type(error).__name__}: {error}"

@@ -2,18 +2,17 @@
 
 The paper leaves multi-way conferencing as future work ("optimizations
 across receivers from a single sender", section 3.1).  This package is
-that optimization done properly, in the architecture SLAMCast's
-multi-client telepresence system uses: the sender uploads *one*
-union-culled encoded stream to a forwarding node; the node holds all
-per-receiver state (frustum predictor, bandwidth estimate, degradation
-rung, depth/color split) and performs per-receiver culling and tier
-selection **once**, against cached union geometry, before forwarding a
-right-sized stream down each receiver's own emulated link.
+that optimization, in the architecture SLAMCast's multi-client
+telepresence system uses: the sender uploads *one* union-culled encoded
+stream to a forwarding node; the node seats every receiver (frustum
+predictor, bandwidth estimate, degradation rung, pose feed) and, per
+frame, reads each receiver's share of the cached union geometry and
+picks its tier before forwarding a right-sized burst down the
+receiver's own emulated link.  The node never re-encodes, so the
+depth/color split stays the sender's.
 
-- :mod:`repro.sfu.receivers` -- the per-receiver state book the node
-  keeps;
-- :mod:`repro.sfu.node` -- :class:`SFUNode`: ingest / forward, stage
-  factories for the runtime, ``sfu.*`` metrics and per-receiver spans;
+- :mod:`repro.sfu.node` -- :class:`SFUNode`: the receiver seats,
+  ingest / forward and the ``sfu.*`` metrics;
 - :mod:`repro.sfu.conference` -- :class:`ConferenceDriver`, the one
   multi-party frame loop (uplink encode -> node, ``join``/``leave``/
   ``tick``), and :class:`UnicastBaseline`, the per-receiver-pipeline

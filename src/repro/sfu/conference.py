@@ -9,12 +9,12 @@ forward -- and every multi-party caller drives it:
 - the scenario runner, the ``multiway`` CLI command and the ablation
   benchmark tick one directly, built from a room (:mod:`repro.sfu.room`).
 
-A driver owns the conference's sender, SFU node, per-receiver
-downlinks and its running output digest.  Built with a
-:class:`~repro.transport.downlink.DownlinkSet` it is the SFU; built
-without, nothing leaves the node and what remains is the *shared*
-stream -- one union-culled encode every receiver consumes -- whose
-uplink is byte for byte the SFU's.  It keeps counters and a running
+A driver owns the conference's sender, its SFU node (which seats the
+receivers and holds their downlinks) and its running output digest.
+Built with a :class:`~repro.transport.downlink.DownlinkSet` it is the
+SFU; built without, nothing leaves the node and what remains is the
+*shared* stream -- one union-culled encode every receiver consumes --
+whose uplink is byte for byte the SFU's.  It keeps counters and a running
 digest, never a per-tick history, so a hosted conference's memory
 stays flat however long it runs.  It exposes:
 
@@ -52,20 +52,27 @@ __all__ = ["ConferenceDriver", "UnicastBaseline"]
 class ConferenceDriver:
     """One conference: uplink sender + SFU node, one frame per tick."""
 
-    def __init__(self, index, rig, config, downlinks=None):
-        self.index = index
+    def __init__(self, rig, config, downlinks=None):
         self.rig = rig
         self.config = config
         self.device = ViewingDevice()
         self.sender = LiVoSender(rig.cameras, config, self.device)
         self.node = SFUNode(rig.cameras, config, self.device, downlinks=downlinks)
-        self.uplink_bytes = 0
-        self.downlink_bytes = 0
         self.encoder_runs = 0
         self.receiver_frames = 0
         self.frames_ticked = 0
         self.digest = hashlib.sha256()
         self._closed = False
+
+    @property
+    def uplink_bytes(self) -> int:
+        """Uplink bytes so far: the node's ingest count."""
+        return self.node.uplink_bytes
+
+    @property
+    def downlink_bytes(self) -> int:
+        """Bytes forwarded so far: the node's forward count."""
+        return self.node.forwarded_bytes
 
     # ------------------------------------------------------------------
     # Membership
@@ -81,8 +88,7 @@ class ConferenceDriver:
         from, and (with downlinks) a fresh link + GCC -- over
         ``downlink_trace`` if given, else the set's default trace.
         A name already present raises ValueError."""
-        state = self.node.add_receiver(name, downlink_trace)
-        state.extras["trace"] = pose_trace
+        self.node.add_receiver(name, downlink_trace).pose_trace = pose_trace
 
     def leave(self, name: str) -> None:
         """A receiver leaves; a name not present raises ValueError."""
@@ -109,9 +115,8 @@ class ConferenceDriver:
 
     def _make_tick(self, frame, now, target_rate_bps, horizon_s) -> SFUTick:
         """Fold in pose reports and build the frame's tick item."""
-        for name in self.node.receiver_names:
-            trace = self.node.book.get(name).extras["trace"]
-            self.node.observe_pose(name, trace.pose_at_frame(frame.sequence), now)
+        for name, seat in self.node.receivers.items():
+            self.node.observe_pose(name, seat.pose_trace.pose_at_frame(frame.sequence), now)
         return SFUTick(
             frame=frame,
             uplink=None,
@@ -121,13 +126,12 @@ class ConferenceDriver:
         )
 
     def _account(self, tick: SFUTick) -> None:
-        """Byte bookkeeping plus the session's running output digest."""
+        """Tick counts plus the session's running output digest."""
         digest = self.digest
         if tick.uplink is not None and tick.uplink.color_frame is not None:
             digest.update(tick.uplink.color_frame.payload)
             digest.update(tick.uplink.depth_frame.payload)
             digest.update(f"{tick.uplink.split:.17g}".encode("ascii"))
-            self.uplink_bytes += tick.uplink.total_bytes
             self.encoder_runs += 2
         else:
             digest.update(b"\x00")
@@ -138,8 +142,7 @@ class ConferenceDriver:
                     f"{name}:{decision.rung}:{decision.kept_points}:"
                     f"{decision.bytes}".encode("ascii")
                 )
-            self.downlink_bytes += sum(d.bytes for d in tick.decisions.values())
-        self.receiver_frames += len(self.node.receiver_names)
+        self.receiver_frames += len(self.node.receivers)
         self.frames_ticked += 1
 
     def tick(self, frame, now, target_rate_bps, horizon_s) -> SFUTick:

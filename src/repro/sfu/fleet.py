@@ -160,11 +160,7 @@ class FleetResult:
             mean_receivers=sum(c.receiver_frames for c in conferences) / session_frames,
             control_sessions=UNICAST_CONTROL,
             control_wall_per_frame_ms=control_s * 1e3,
-            sfu_metrics={
-                name: registry.get(name).to_dict()
-                for name in registry.names()
-                if not name.startswith("sfu.rx.")
-            },
+            sfu_metrics={name: registry.get(name).to_dict() for name in registry.names()},
             batch_plane_stats=batch_plane.stats(),
             cache_stats={
                 "cull_projection": cull_projection.to_dict(),

@@ -41,13 +41,13 @@ from repro.core.sender import SenderResult
 from repro.geometry.camera import RGBDCamera
 from repro.geometry.frustum import Frustum
 from repro.perf.culling import CullCache
-from repro.prediction.predictor import ViewingDevice, guarded_planes
-from repro.sfu.receivers import ReceiverBook, ReceiverState
+from repro.prediction.pose import PoseTrace
+from repro.prediction.predictor import FrustumPredictor, ViewingDevice, guarded_planes
 from repro.transport.downlink import DownlinkSend, DownlinkSet
 from repro.transport.gcc import GCCConfig, GoogleCongestionControl
 from repro.transport.traces import BandwidthTrace
 
-__all__ = ["SFUNode", "ForwardDecision", "SFUTick", "TIER_SCALES"]
+__all__ = ["SFUNode", "ReceiverState", "ForwardDecision", "SFUTick", "TIER_SCALES"]
 
 # Degradation-ladder tiers the node can forward at: fraction of the
 # receiver's full (kept-culled) byte size.  Rung 0 forwards every kept
@@ -57,25 +57,30 @@ TIER_SCALES = (1.0, 0.65, 0.4, 0.25)
 
 
 @dataclass
+class ReceiverState:
+    """One receiver's seat on the node."""
+
+    name: str
+    predictor: FrustumPredictor
+    # Per-downlink congestion estimate; None when the node emulates no
+    # downlinks.
+    gcc: GoogleCongestionControl | None = None
+    # Degradation-ladder rung the node last chose (0 = full tier).
+    rung: int = 0
+    # The pose feed the receiver reports from; the driver sets it at join.
+    pose_trace: PoseTrace | None = None
+
+
+@dataclass
 class ForwardDecision:
     """What the node forwarded to one receiver for one frame."""
 
-    receiver: str
-    sequence: int
     kept_points: int
     union_points: int
     rung: int
-    rate_bps: float
     bytes: int
+    # Last delivered packet's arrival; None with no downlink or all lost.
     delivery_time_s: float | None = None
-    downlink: DownlinkSend | None = None
-
-    @property
-    def kept_fraction(self) -> float:
-        """Fraction of union points inside this receiver's frustum."""
-        if self.union_points == 0:
-            return 0.0
-        return self.kept_points / self.union_points
 
 
 @dataclass
@@ -107,7 +112,9 @@ class SFUNode:
         self.cameras = cameras
         self.config = config
         self.device = device or ViewingDevice()
-        self.book = ReceiverBook(self.device)
+        # One seat per receiver, join order: the iteration order of
+        # every frame, which keeps churned runs byte-deterministic.
+        self.receivers: dict[str, ReceiverState] = {}
         self.downlinks = downlinks
         self.cull_cache = CullCache()
         # Frame-scoped state written by ingest, read by forward.
@@ -122,6 +129,8 @@ class SFUNode:
         self.uplink_bytes = 0
         self.forwarded_bytes = 0
         self.receivers_peak = 0
+        self.total_joins = 0
+        self.total_leaves = 0
 
     # ------------------------------------------------------------------
     # Membership
@@ -130,37 +139,44 @@ class SFUNode:
     @property
     def receiver_names(self) -> list[str]:
         """Receivers currently served, in join order."""
-        return self.book.names
+        return list(self.receivers)
 
     def add_receiver(
         self, name: str, downlink_trace: BandwidthTrace | None = None
     ) -> ReceiverState:
-        """A receiver joins: cold predictor, fresh downlink + GCC."""
-        state = self.book.add(name)
-        self.receivers_peak = max(self.receivers_peak, len(self.book))
+        """A receiver joins: cold predictor, fresh downlink + GCC.  A name
+        already present raises ValueError."""
+        if name in self.receivers:
+            raise ValueError(f"receiver {name!r} already present")
+        seat = self.receivers[name] = ReceiverState(name, FrustumPredictor(self.device))
+        self.total_joins += 1
+        self.receivers_peak = max(self.receivers_peak, len(self.receivers))
         if self.downlinks is not None:
             link = self.downlinks.add(name, downlink_trace)
             # Seed the estimate at half the downlink's mean capacity,
             # the same conservative start the two-party session uses.
             initial = max(0.5 * link.trace.mean_mbps * 1e6, 1e5)
-            state.gcc = GoogleCongestionControl(
+            seat.gcc = GoogleCongestionControl(
                 GCCConfig(initial_rate_bps=initial, min_rate_bps=min(1e6, initial))
             )
-        return state
+        return seat
 
-    def remove_receiver(self, name: str) -> ReceiverState:
-        """A receiver leaves: drop its predictor and downlink."""
-        state = self.book.remove(name)
-        if self.downlinks is not None and name in self.downlinks:
+    def remove_receiver(self, name: str) -> None:
+        """A receiver leaves with its predictor and downlink.  A name not
+        present raises ValueError."""
+        if name not in self.receivers:
+            raise ValueError(f"receiver {name!r} not present")
+        del self.receivers[name]
+        self.total_leaves += 1
+        if self.downlinks is not None:
             self.downlinks.remove(name)
         # Rows are positional: forget the whole frame's prediction
         # rather than leave the stack one row longer than the roster.
         self._frame_frustums = {}
-        return state
 
     def observe_pose(self, name, pose, timestamp_s: float) -> None:
         """Fold in one receiver's delayed pose report."""
-        self.book.observe_pose(name, pose, timestamp_s)
+        self.receivers[name].predictor.observe(pose, timestamp_s)
 
     # ------------------------------------------------------------------
     # Frame phases
@@ -175,14 +191,14 @@ class SFUNode:
         what :meth:`forward` looks the frame's visibility table up by.
         """
         if sequence != self._cached_sequence or not self._frame_frustums:
-            ready = self.book.ready_states()
-            poses = [state.predictor.predict_vector(horizon_s) for state in ready]
+            ready = [seat for seat in self.receivers.values() if seat.predictor.ready]
+            poses = [seat.predictor.predict_vector(horizon_s) for seat in ready]
             self._frame_planes = guarded_planes(
                 self.device, GUARD_BAND_M, np.array(poses).reshape(-1, 6)
             )
             self._frame_frustums = {
-                state.name: Frustum.of_unit_rows(rows)
-                for state, rows in zip(ready, self._frame_planes)
+                seat.name: Frustum.of_unit_rows(rows)
+                for seat, rows in zip(ready, self._frame_planes)
             }
             self._cached_sequence = sequence
         return self._frame_frustums
@@ -198,7 +214,7 @@ class SFUNode:
         if uplink is not None:
             self.uplink_bytes += uplink.total_bytes
 
-    def _pick_rung(self, state: ReceiverState, full_bytes: int, budget_bytes: float) -> int:
+    def _pick_rung(self, seat: ReceiverState, full_bytes: int, budget_bytes: float) -> int:
         """Deepest-necessary tier, ladder-stepped at most one rung/frame."""
         ideal = len(TIER_SCALES) - 1
         for rung, scale in enumerate(TIER_SCALES):
@@ -207,10 +223,10 @@ class SFUNode:
                 break
         # Hysteresis: move toward the ideal one rung at a time, the
         # same +-1 stepping contract the session watchdog's ladder has.
-        if ideal > state.rung:
-            return state.rung + 1
-        if ideal < state.rung:
-            return state.rung - 1
+        if ideal > seat.rung:
+            return seat.rung + 1
+        if ideal < seat.rung:
+            return seat.rung - 1
         return ideal
 
     def _visible_points(self, source: MultiViewFrame) -> list[int]:
@@ -233,21 +249,18 @@ class SFUNode:
         decisions: dict[str, ForwardDecision] = {}
         if uplink is None:
             return decisions
-        sequence = uplink.sequence
         source = uplink.culled_multiview
         union_points = source.total_points()
         uplink_bytes = uplink.total_bytes
         nothing_sent = uplink.empty or union_points == 0 or uplink_bytes == 0
-        frustums = self.predicted_frustums(sequence, horizon_s)
+        frustums = self.predicted_frustums(uplink.sequence, horizon_s)
         rows: dict[str, int] = {}
         kept_points = None
         if frustums and not uplink.empty:
             kept_points = self._visible_points(source)
             rows = {name: row for row, name in enumerate(frustums)}
 
-        downlinks = self.downlinks
-        for state in self.book:
-            name = state.name
+        for name, seat in self.receivers.items():
             row = rows.get(name)
             if nothing_sent:
                 kept = 0
@@ -262,40 +275,38 @@ class SFUNode:
                 full_bytes = (
                     math.ceil(uplink_bytes * kept / union_points) if kept else 0
                 )
-            rate = state.estimated_rate_bps(target_rate_bps)
+            rate = target_rate_bps
+            if seat.gcc is not None:
+                rate = min(seat.gcc.target_rate_bps(), rate)
             budget_bytes = max(rate / 8.0 * FRAME_INTERVAL_S, 2.0)
             if full_bytes > 0:
-                rung = self._pick_rung(state, full_bytes, budget_bytes)
-                size = max(1, int(full_bytes * TIER_SCALES[rung]))
+                seat.rung = self._pick_rung(seat, full_bytes, budget_bytes)
+                size = max(1, int(full_bytes * TIER_SCALES[seat.rung]))
             else:
-                rung = state.rung
                 size = 0
-            send: DownlinkSend | None = None
-            if downlinks is not None and size > 0 and name in downlinks:
-                send = state.offer_downlink(downlinks, now, size)
-            decision = ForwardDecision(
-                receiver=name,
-                sequence=sequence,
+            delivery_time_s = None
+            if self.downlinks is not None and size > 0:
+                delivery_time_s = self.offer_downlink(seat, now, size).delivery_time_s
+            decisions[name] = ForwardDecision(
                 kept_points=kept,
                 union_points=union_points,
-                rung=rung,
-                rate_bps=rate,
+                rung=seat.rung,
                 bytes=size,
-                delivery_time_s=send.delivery_time_s if send is not None else None,
-                downlink=send,
+                delivery_time_s=delivery_time_s,
             )
-            decisions[name] = decision
-            self._account(state, decision)
+            self.forwarded_bytes += size
         return decisions
 
-    def _account(self, state: ReceiverState, decision: ForwardDecision) -> None:
-        """Fold one forward into the receiver's book and the node's byte
-        count."""
-        state.rung = decision.rung
-        state.last_kept_fraction = decision.kept_fraction
-        state.frames_forwarded += 1
-        state.bytes_forwarded += decision.bytes
-        self.forwarded_bytes += decision.bytes
+    def offer_downlink(self, seat: ReceiverState, now: float, size_bytes: int) -> DownlinkSend:
+        """Send one forwarded burst down the receiver's link and feed the
+        outcome to its GCC the way the two-party channel does: each
+        delivered packet's timing, then the burst's loss fraction."""
+        send = self.downlinks.send(seat.name, now, size_bytes)
+        if seat.gcc is not None and send.packets:
+            for arrival, size in zip(send.arrival_times_s, send.delivered_sizes):
+                seat.gcc.on_packet_feedback(now, arrival, size)
+            seat.gcc.on_loss_report((send.packets - send.delivered_packets) / send.packets)
+        return send
 
     # ------------------------------------------------------------------
     # Observability / lifecycle
@@ -306,16 +317,10 @@ class SFUNode:
         registry.counter("sfu.frames_ingested").inc(self.frames_ingested)
         registry.counter("sfu.uplink_bytes").inc(self.uplink_bytes)
         registry.counter("sfu.forwarded_bytes").inc(self.forwarded_bytes)
-        registry.counter("sfu.receiver_joins").inc(self.book.total_joins)
-        registry.counter("sfu.receiver_leaves").inc(self.book.total_leaves)
-        registry.gauge("sfu.receivers").set(len(self.book))
+        registry.counter("sfu.receiver_joins").inc(self.total_joins)
+        registry.counter("sfu.receiver_leaves").inc(self.total_leaves)
+        registry.gauge("sfu.receivers").set(len(self.receivers))
         registry.gauge("sfu.receivers_peak").set(self.receivers_peak)
-        for state in self.book:
-            prefix = f"sfu.rx.{state.name}"
-            registry.counter(f"{prefix}.frames").inc(state.frames_forwarded)
-            registry.counter(f"{prefix}.bytes").inc(state.bytes_forwarded)
-            registry.gauge(f"{prefix}.rung").set(state.rung)
-            registry.gauge(f"{prefix}.kept_fraction").set(state.last_kept_fraction)
         if self.downlinks is not None:
             self.downlinks.metrics_into(registry)
         self.cull_cache.counters.metrics_into(registry)

@@ -53,19 +53,18 @@ class Room:
     def downlinks(self, seed: int) -> DownlinkSet:
         return DownlinkSet(self.downlink_trace, LinkConfig(seed=seed))
 
-    def conference(self, index: int, downlinks: DownlinkSet | None = None):
+    def conference(self, downlinks: DownlinkSet | None = None):
         """An empty conference: the SFU with ``downlinks``, the shared
         stream without."""
-        return RoomConference(index, self, downlinks)
+        return RoomConference(self, downlinks)
 
     def unicast(self) -> UnicastBaseline:
         return UnicastBaseline(self.source.rig, self.config)
 
-    def __call__(self, index: int, seed: int, receivers: list[str],
-                 target_rate_bps: float) -> "RoomConference":
+    def __call__(self, seed: int, receivers: list[str]) -> "RoomConference":
         """The session registry's factory: an SFU conference over links
         seeded ``self.seed + seed``, ``receivers`` seated in order."""
-        conference = self.conference(index, self.downlinks(self.seed + seed))
+        conference = self.conference(self.downlinks(self.seed + seed))
         for name in receivers:
             conference.join(name)
         return conference
@@ -76,11 +75,11 @@ class RoomConference(ConferenceDriver):
     without a pose feed seats by the room's rule, which is all the
     registry's mailboxes and the tick pool carry."""
 
-    def __init__(self, index: int, room: Room, downlinks: DownlinkSet | None = None):
-        super().__init__(index, room.source.rig, room.config, downlinks)
+    def __init__(self, room: Room, downlinks: DownlinkSet | None = None):
+        super().__init__(room.source.rig, room.config, downlinks)
         self.room = room
 
     def join(self, name: str, pose_trace=None, downlink_trace=None) -> None:
         if pose_trace is None:
-            pose_trace = self.room.pose_trace(self.node.book.total_joins)
+            pose_trace = self.room.pose_trace(self.node.total_joins)
         super().join(name, pose_trace, downlink_trace)

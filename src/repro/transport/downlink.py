@@ -39,11 +39,6 @@ class DownlinkSend:
     arrival_times_s: tuple[float, ...]  # delivered arrivals, FIFO order
     delivered_sizes: tuple[int, ...] = ()  # per-delivered-packet bytes (GCC feedback)
 
-    @property
-    def complete(self) -> bool:
-        """Whether every packet of the burst arrived."""
-        return self.delivered_packets == self.packets
-
 
 class DownlinkSet:
     """The SFU's per-receiver emulated downlinks.
@@ -133,10 +128,6 @@ class DownlinkSet:
             arrival_times_s=tuple(arrivals),
             delivered_sizes=tuple(sizes),
         )
-
-    def queue_delay_at(self, name: str, t: float) -> float:
-        """Backlog delay a new packet would see on one downlink."""
-        return self._links[name].queue_delay_at(t)
 
     def metrics_into(self, registry) -> None:
         """Export aggregate downlink counters as ``sfu.downlink.*``."""

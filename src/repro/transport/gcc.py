@@ -18,7 +18,7 @@ Delay feedback arrives one delivered packet at a time
 (:meth:`on_packet_feedback`), followed by a loss report
 (:meth:`on_loss_report`): the two-party ``WebRTCChannel`` reports on
 each feedback and NACK event, the SFU once per forwarded burst
-(``repro.sfu.receivers.ReceiverState.offer_downlink``).
+(``repro.sfu.node.SFUNode.offer_downlink``).
 """
 
 from __future__ import annotations

@@ -177,10 +177,6 @@ class EmulatedLink:
         self._socket_fill_bytes += size_bytes
         return True
 
-    def queue_delay_at(self, t: float) -> float:
-        """Current queueing delay a new packet would see at time ``t``."""
-        return max(0.0, self._queue_free_at - t)
-
     @property
     def loss_fraction(self) -> float:
         """Fraction of offered packets dropped so far."""

@@ -91,8 +91,8 @@ def party_for(mode, rig, config):
         return UnicastBaseline(rig, config)
     if mode == "sfu":
         downlinks = DownlinkSet(constant_trace(8.0, duration_s=5.0), config.link)
-        return ConferenceDriver(0, rig, config, downlinks)
-    return ConferenceDriver(0, rig, config)
+        return ConferenceDriver(rig, config, downlinks)
+    return ConferenceDriver(rig, config)
 
 
 def seated(mode, rig, config, names=("alice", "bob")):
@@ -112,7 +112,7 @@ class TestMultiwaySender:
         # No downlinks: every receiver is offered its share of the one
         # stream, and nothing is put on a link.
         assert set(tick.decisions) == {"alice", "bob"}
-        assert all(d.downlink is None for d in tick.decisions.values())
+        assert all(d.delivery_time_s is None for d in tick.decisions.values())
 
     def test_unicast_mode_per_receiver_encodes(self, setup):
         config, rig, scene = setup
@@ -141,7 +141,7 @@ class TestMultiwaySender:
     def test_before_any_pose_sends_full_scene(self, setup):
         """Nobody to predict for: the union cull is skipped."""
         config, rig, scene = setup
-        driver = ConferenceDriver(0, rig, config)
+        driver = ConferenceDriver(rig, config)
         frame = rig.capture(scene, 0)
         tick = driver.tick(frame, 0.0, 8e6, 0.1)
         assert tick.uplink.culled_multiview.total_points() == frame.total_points()
@@ -157,6 +157,9 @@ class TestMultiwaySender:
             with pytest.raises(ValueError):
                 party.leave("bob")
             assert party.receiver_names == ["alice"], mode
+            if mode == "sfu":
+                # The rejected join provisioned no second link.
+                assert party.node.downlinks.names == ["alice"]
 
     def test_receiver_names(self, setup):
         config, rig, _ = setup
@@ -293,7 +296,7 @@ def test_hosted_conference_memory_stays_bounded():
     _, scene = load_video("pizza1", sample_budget=1500)
     views = [rig.capture(scene, index).views for index in range(4)]
     driver = ConferenceDriver(
-        0, rig, config, DownlinkSet(constant_trace(8.0, duration_s=60.0), config.link)
+        rig, config, DownlinkSet(constant_trace(8.0, duration_s=60.0), config.link)
     )
     for name in ("alice", "bob"):
         driver.join(name, still(POSES[name]))
@@ -344,7 +347,7 @@ def test_conferences_hold_shared_tables_once():
         drivers = []
         for index in range(count):
             driver = ConferenceDriver(
-                index, rig, config,
+                rig, config,
                 DownlinkSet(constant_trace(8.0, duration_s=60.0), LinkConfig(seed=index)),
             )
             for name in ("alice", "bob"):

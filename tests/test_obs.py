@@ -485,6 +485,28 @@ class TestEveryReplayTraced:
         assert report.stage_timings["capture"].count > 0
         assert check_report(report) == []
 
+    @pytest.mark.parametrize("scheme", ["Draco-Oracle", "MeshReduce"])
+    def test_baseline_frames_close_with_their_fate(self, session_workload, scheme):
+        """A baseline replay opens one root per frame record and closes it
+        with the frame's fate, ``rendered`` exactly when the record is;
+        the frame's wall-clock stage spans parent under that root."""
+        config, scene, user = session_workload
+        report = run_scheme(
+            dataclasses.replace(config, scheme=scheme), scene, user, trace_1(duration_s=5), 8
+        )
+        spans = report.trace.spans()
+        roots = {span.trace_id: span for span in spans if span.category == "frame"}
+        assert set(roots) == {frame.sequence for frame in report.frames}
+        for frame in report.frames:
+            root = roots[frame.sequence]
+            assert root.end_s is not None and root.status != STATUS_INCOMPLETE
+            assert (root.status == "rendered") == frame.rendered, frame.sequence
+        assert any(frame.rendered for frame in report.frames)
+        for span in spans:
+            if span.category == "stage" and span.clock == CLOCK_WALL:
+                assert span.parent_id == roots[span.trace_id].span_id, span.name
+        assert None not in {row["status"] for row in report.frame_timeline().values()}
+
 
 class TestQualityJobSpans:
     @pytest.mark.parametrize("jobs", [1, 2])

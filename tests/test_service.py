@@ -80,7 +80,7 @@ class _FakeSource:
 def _fake_factory(fail_at=None):
     built = []
 
-    def factory(index, seed, receivers, target_rate_bps):
+    def factory(seed, receivers):
         driver = _FakeDriver(fail_at=fail_at)
         for name in receivers:
             driver.join(name)
@@ -191,7 +191,7 @@ class TestCreateKillRaces:
         release = threading.Event()
         built = []
 
-        def slow_factory(index, seed, receivers, target_rate_bps):
+        def slow_factory(seed, receivers):
             release.wait(5.0)
             driver = _FakeDriver()
             built.append(driver)
@@ -287,8 +287,8 @@ class TestWorkerPool:
     def test_crashed_session_degrades_without_stopping_others(self):
         factory = _fake_factory()
 
-        def mixed_factory(index, seed, receivers, target_rate_bps):
-            driver = _FakeDriver(fail_at=2 if index == 0 else None)
+        def mixed_factory(seed, receivers):
+            driver = _FakeDriver(fail_at=2 if seed == 0 else None)
             factory.built.append(driver)
             return driver
 
@@ -312,9 +312,7 @@ class TestWorkerPool:
 
     def test_batch_plane_isolates_a_crashing_generator(self):
         registry = SessionRegistry(
-            lambda index, seed, receivers, target_rate_bps: _FakeDriver(
-                fail_at=0 if index == 0 else None
-            )
+            lambda seed, receivers: _FakeDriver(fail_at=0 if seed == 0 else None)
         )
         pool = _pool(registry)
         doomed = registry.create()
@@ -328,7 +326,7 @@ class TestWorkerPool:
         """One due session is still a lockstep round: it ticks, and its
         crash becomes a failed session, not a raised round."""
         registry = SessionRegistry(
-            lambda index, seed, receivers, target_rate_bps: _FakeDriver(fail_at=1)
+            lambda seed, receivers: _FakeDriver(fail_at=1)
         )
         pool = _pool(registry)
         only = registry.create()
@@ -855,7 +853,8 @@ class TestFleetTeardownRegression:
     @staticmethod
     def _exploding(monkeypatch, explodes):
         """Make the room build conferences whose tick raises once
-        ``explodes(driver)`` holds; returns the list they land in."""
+        ``explodes(build_order, driver)`` holds; returns the list they
+        land in, in build order."""
         import repro.sfu.room as room_module
 
         built = []
@@ -866,7 +865,7 @@ class TestFleetTeardownRegression:
                 built.append(self)
 
             def tick_steps(self, frame, now, target_rate_bps, horizon_s):
-                if explodes(self):
+                if explodes(built.index(self), self):
                     raise RuntimeError("injected stage failure")
                 return super().tick_steps(frame, now, target_rate_bps, horizon_s)
 
@@ -877,7 +876,7 @@ class TestFleetTeardownRegression:
         from repro.sfu.fleet import FleetConfig, run_fleet
 
         built = self._exploding(
-            monkeypatch, lambda driver: driver.index == 1 and driver.frames_ticked >= 2
+            monkeypatch, lambda order, driver: order == 1 and driver.frames_ticked >= 2
         )
         fleet_shape(receivers=2, churn_every=3, sample_budget=1500, unicast_control=1)
         config = FleetConfig(sessions=3, frames=6)
@@ -892,7 +891,7 @@ class TestFleetTeardownRegression:
         from repro.sfu.fleet import FleetConfig, run_fleet
 
         built = self._exploding(
-            monkeypatch, lambda driver: driver.index == 0 and driver.frames_ticked >= 1
+            monkeypatch, lambda order, driver: order == 0 and driver.frames_ticked >= 1
         )
         fleet_shape(receivers=2, churn_every=3, sample_budget=1500, unicast_control=1)
         config = FleetConfig(sessions=2, frames=5)
@@ -904,13 +903,13 @@ class TestFleetTeardownRegression:
         import repro.sfu.room as room_module
         from repro.sfu.fleet import FleetConfig, run_fleet
 
-        built = self._exploding(monkeypatch, lambda driver: False)
+        built = self._exploding(monkeypatch, lambda order, driver: False)
         original = room_module.Room.__call__
 
-        def flaky(room, index, *args, **kwargs):
-            if index == 2:
+        def flaky(room, seed, receivers):
+            if seed == 2:
                 raise RuntimeError("injected build failure")
-            return original(room, index, *args, **kwargs)
+            return original(room, seed, receivers)
 
         monkeypatch.setattr(room_module.Room, "__call__", flaky)
         fleet_shape(receivers=2, sample_budget=1500, unicast_control=1)

@@ -306,7 +306,7 @@ class TestSFUNode:
         node, _ = self.node(setup, downlinks=True)
         node.add_receiver("late", constant_trace(6.0, 30.0))
         assert node.receiver_names == ["r0", "r1", "late"]
-        assert node.book.get("late").gcc.config.initial_rate_bps == 0.5 * 6.0 * 1e6
+        assert node.receivers["late"].gcc.config.initial_rate_bps == 0.5 * 6.0 * 1e6
 
     def test_forward_without_ingest_is_empty(self, setup):
         node, _ = self.node(setup)
@@ -381,7 +381,7 @@ class TestSFUNode:
     def test_remove_receiver_clears_state(self, setup):
         node, _ = self.node(setup, downlinks=True)
         node.remove_receiver("r1")
-        assert "r1" not in node.book
+        assert "r1" not in node.receivers
         assert "r1" not in node.downlinks
         with pytest.raises(ValueError):
             node.remove_receiver("r1")
@@ -396,7 +396,6 @@ class TestSFUNode:
         assert "sfu.frames_ingested" in names
         assert "sfu.uplink_bytes" in names
         assert "sfu.forwarded_bytes" in names
-        assert "sfu.rx.r0.bytes" in names
         assert registry.get("sfu.frames_ingested").value == 2
         assert registry.get("sfu.receivers").value == 2.0
 
@@ -413,7 +412,7 @@ class TestForwardedContent:
             scene_sample_budget=4_000, gop_size=8,
         )
         room = Room(config, "band2", 20)
-        sfu, unicast = room.conference(0), room.unicast()
+        sfu, unicast = room.conference(), room.unicast()
         for party in (sfu, unicast):
             for index in range(3):
                 party.join(f"r{index}", room.pose_trace(index))
@@ -441,6 +440,41 @@ class TestForwardedContent:
                     assert np.array_equal(sfu_view.color, unicast_view.color)
                 compared += 1
         assert compared == 18
+
+
+class TestOneSeatPerReceiver:
+    def test_driver_counts_are_the_nodes_and_no_receiver_tally_is_written(self):
+        """On a churned SFU conference the driver reports the node's byte
+        counts, which are the ticks' uplink and forwarded bytes summed,
+        and the node exports no per-receiver ``sfu.rx.*`` names."""
+        config = SessionConfig(
+            num_cameras=3, camera_width=32, camera_height=24,
+            scene_sample_budget=3_000, gop_size=4,
+        )
+        room = Room(config, "band2", 20, downlink_mbps=4.0)
+        driver = room.conference(room.downlinks(3))
+        for index in range(3):
+            driver.join(f"r{index}")
+        node = driver.node
+        uplink = downlink = 0
+        for sequence in range(8):
+            if sequence == 3:
+                driver.leave("r1")
+            if sequence == 5:
+                driver.join("r3")
+            tick = driver.tick(room.source.capture(sequence), sequence / FPS, 2e6, HORIZON_S)
+            uplink += tick.uplink.total_bytes
+            downlink += sum(decision.bytes for decision in tick.decisions.values())
+            assert (driver.uplink_bytes, driver.downlink_bytes) == (uplink, downlink)
+            assert (node.uplink_bytes, node.forwarded_bytes) == (uplink, downlink)
+        assert downlink > 0
+        assert driver.receiver_names == list(node.receivers) == ["r0", "r2", "r3"]
+        registry = MetricsRegistry()
+        node.metrics_into(registry)
+        assert not [name for name in registry.names() if name.startswith("sfu.rx.")]
+        assert registry.get("sfu.receiver_joins").value == 4
+        assert registry.get("sfu.receiver_leaves").value == 1
+        assert registry.get("sfu.forwarded_bytes").value == downlink
 
 
 # ----------------------------------------------------------------------

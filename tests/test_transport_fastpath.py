@@ -145,10 +145,10 @@ def _run_downlinks(link_config: LinkConfig, bursts: int = 240, fps: float = 30.0
     sends, estimates = [], []
     for frame in range(bursts):
         now = frame / fps + float(rng.uniform(0.0, 0.004))
-        for state in node.book:
+        for seat in node.receivers.values():
             # A zero-byte burst touches neither the link nor the GCC.
-            sends.append(state.offer_downlink(downlinks, now, _burst_size(rng)))
-            estimates.append((state.gcc.target_rate_bps(), state.gcc.state))
+            sends.append(node.offer_downlink(seat, now, _burst_size(rng)))
+            estimates.append((seat.gcc.target_rate_bps(), seat.gcc.state))
     return {
         "sends": sends,
         "estimates": estimates,

@@ -12,6 +12,7 @@ import dataclasses
 import functools
 import importlib.util
 import inspect
+import pkgutil
 import re
 from pathlib import Path
 
@@ -20,6 +21,7 @@ import pytest
 import repro
 import repro.capture
 import repro.runtime
+import repro.sfu
 from repro import cli, viz
 from repro.analysis import tracetools
 from repro.analysis.tables import format_table
@@ -83,12 +85,11 @@ from repro.service.registry import SessionRegistry
 from repro.service.workers import TickWorkerPool
 from repro.sfu.conference import ConferenceDriver
 from repro.sfu.fleet import FleetConfig, FleetResult, run_fleet
-from repro.sfu.node import ForwardDecision, SFUNode
-from repro.sfu.receivers import ReceiverBook
+from repro.sfu.node import ForwardDecision, ReceiverState, SFUNode
 from repro.transport import fec, link, rtp
 from repro.transport import packet as packet_module
 from repro.transport.channel import WebRTCChannel, WebRTCConfig
-from repro.transport.downlink import DownlinkSet
+from repro.transport.downlink import DownlinkSend, DownlinkSet
 from repro.transport.gcc import GoogleCongestionControl
 from repro.transport.packet import Packet
 from repro.transport.rtp import FrameAssembler
@@ -358,7 +359,7 @@ def test_one_conference_host_and_one_room_builder():
         (SFUNode, "splits"),
         (ForwardDecision, "depth_bytes"),
         (ForwardDecision, "color_bytes"),
-        (ReceiverBook, "predictors"),
+        (SFUNode, "predictors"),
         (CachedFrameSource, "capture_views"),
         (batchplane, "pointssim_features_request"),
         (LiVoSender, "close"),
@@ -578,11 +579,29 @@ def test_one_conference_host_and_one_room_builder():
         (frustum_module.Frustum.from_camera, "aspect"),
         (frustum_module.Frustum.from_camera, "near_m"),
         (frustum_module.Frustum.from_camera, "far_m"),
+        # One seat per receiver: the node's receivers dict holds each
+        # receiver once, the node counts each byte once, and no
+        # per-receiver tally or accessor outlives its last reader.
+        (repro.sfu, "receivers"),
+        (ReceiverState, "extras"),
+        (ReceiverState, "offer_downlink"),
+        (ReceiverState, "frames_forwarded"),
+        (ReceiverState, "bytes_forwarded"),
+        (ReceiverState, "last_kept_fraction"),
+        (ForwardDecision, "kept_fraction"),
+        (ForwardDecision, "rate_bps"),
+        (ForwardDecision, "downlink"),
+        (DownlinkSet, "queue_delay_at"),
+        (EmulatedLink, "queue_delay_at"),
+        (DownlinkSend, "complete"),
     ],
     ids=lambda value: getattr(value, "__name__", value).rsplit(".", 1)[-1],
 )
 def test_uncalled_surface_stays_gone(owner, name):
     surface = set(dir(owner))
+    if inspect.ismodule(owner) and hasattr(owner, "__path__"):
+        # A package's submodules are surface whether imported or not.
+        surface |= {module.name for module in pkgutil.iter_modules(owner.__path__)}
     if inspect.isfunction(owner):
         surface |= _option_names(owner)
     if inspect.isclass(owner):
