@@ -5,5 +5,6 @@
 - :mod:`repro.analysis.tables` -- plain-text table formatting used by
   the CLI, examples, and benches;
 - :mod:`repro.analysis.tracetools` -- critical paths from span exports
-  and their before/after diff (``analyze-trace``).
+  and their before/after diff (``analyze-trace``), and the one
+  per-stage table ``analyze-trace`` and ``run --profile`` print.
 """

@@ -7,9 +7,11 @@ questions a performance change raises:
 - *where does the time go?* -- :func:`critical_path` reconstructs the
   per-frame critical path from the wall-clock stage spans (stages run
   sequentially within a frame, so the path is the ordered stage chain
-  and its length the sum of stage durations), then folds each stage's
-  spans across frames into the same
-  :class:`~repro.runtime.stage.StageTiming` a report carries;
+  and its length the sum of stage durations), folding each stage's
+  spans across frames through the same
+  :func:`~repro.obs.timeline.stage_timings` view a report reads, and
+  :func:`format_stage_table` prints it as the same table ``run
+  --profile`` prints;
 - *what did a change do?* -- :func:`diff_critical_paths` lines up two
   reconstructions (before/after) and names the stages that regressed
   or improved, by how much, and how the end-to-end critical path
@@ -23,10 +25,11 @@ stages that produced it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.obs.export import read_spans_jsonl
 from repro.obs.span import CLOCK_WALL, Span
+from repro.obs.timeline import STAGE_CATEGORIES, stage_timings
 from repro.runtime.stage import StageTiming
 
 __all__ = [
@@ -38,10 +41,8 @@ __all__ = [
     "diff_critical_paths",
     "format_critical_path",
     "format_diff",
+    "format_stage_table",
 ]
-
-# Wall-clock span categories that constitute executed pipeline work.
-DEFAULT_CATEGORIES = ("stage",)
 
 # A stage moving less than this (relative) is reported as unchanged:
 # wall-clock spans jitter, and a diff full of ±2% noise buries the
@@ -53,10 +54,13 @@ DEFAULT_REL_TOLERANCE = 0.05
 class CriticalPath:
     """Per-stage aggregation of a trace's frame critical paths."""
 
-    stages: dict[str, StageTiming] = field(default_factory=dict)
-    frames: int = 0
-    # Sum over frames of that frame's critical-path length.
-    total_s: float = 0.0
+    stages: dict[str, StageTiming]
+    frames: int
+
+    @property
+    def total_s(self) -> float:
+        """Sum over frames of that frame's critical-path length."""
+        return sum(timing.total_s for timing in self.stages.values())
 
     def ordered(self) -> list[StageTiming]:
         """Stages, heaviest first."""
@@ -64,37 +68,28 @@ class CriticalPath:
 
 
 def critical_path(
-    spans: list[Span], categories: tuple = DEFAULT_CATEGORIES
+    spans: list[Span], categories: tuple = STAGE_CATEGORIES
 ) -> CriticalPath:
     """Reconstruct the per-stage critical path from a span list.
 
-    Only closed wall-clock spans of the given categories participate:
-    sim-clock spans (frame roots, transport, playout) describe the
-    simulated session, not executed work.  Stages within one frame run
-    sequentially in the runtime, so a frame's critical-path length is
-    the sum of its stage durations; the aggregate keys stages by name
-    across frames.  Spans without a trace id count toward stage totals
-    but not the frame denominator.
+    The stages are :func:`~repro.obs.timeline.stage_timings` of every
+    name in ``categories``.  Stages within one frame run sequentially
+    in the runtime, so a frame's critical-path length is the sum of its
+    stage durations; the aggregate keys stages by name across frames.
+    Spans without a trace id count toward stage totals but not the
+    frame denominator.
     """
-    path = CriticalPath()
-    samples: dict[str, list[float]] = {}
-    frames: set = set()
-    for span in spans:
-        if span.clock != CLOCK_WALL or span.category not in categories:
-            continue
-        if span.open or span.instant:
-            continue
-        samples.setdefault(span.name, []).append(span.duration_s)
-        path.total_s += span.duration_s
-        if span.trace_id is not None:
-            frames.add(span.trace_id)
-    path.stages = {name: StageTiming(name, tuple(times)) for name, times in samples.items()}
-    path.frames = len(frames)
-    return path
+    frames = {
+        span.trace_id
+        for span in spans
+        if span.clock == CLOCK_WALL and span.category in categories and not span.open
+    }
+    frames.discard(None)
+    return CriticalPath(stage_timings(spans, None, categories), len(frames))
 
 
 def critical_path_from_jsonl(
-    path, categories: tuple = DEFAULT_CATEGORIES
+    path, categories: tuple = STAGE_CATEGORIES
 ) -> CriticalPath:
     """Load a span JSONL export and reconstruct its critical path."""
     return critical_path(read_spans_jsonl(path), categories=categories)
@@ -194,18 +189,40 @@ def diff_critical_paths(
     return CriticalPathDiff(before=before, after=after, deltas=deltas)
 
 
+def format_stage_table(timings, fps: float | None = None) -> str:
+    """Render ``timings`` (:class:`StageTiming`s) as the per-stage
+    service-time table ``run --profile`` and ``analyze-trace`` print.
+
+    With ``fps`` given, each row is checked against the paper's design
+    rule -- "each stage incurs a delay per frame of less than one
+    inter-frame interval" -- and flagged when it would bound throughput
+    below the capture rate.
+    """
+    header = f"{'stage':<16s} {'n':>5s} {'mean ms':>9s} {'p50 ms':>9s} {'p95 ms':>9s} {'max ms':>9s} {'total s':>9s}"
+    if fps is not None:
+        header += "  sustains"
+    lines = [header, "-" * len(header)]
+    timings = list(timings)
+    for timing in timings:
+        seconds = [timing.mean_s, *map(timing.percentile_s, (50.0, 95.0, 100.0))]
+        row = f"{timing.name:<16s} {timing.count:>5d}"
+        row += "".join(f" {value * 1e3:>9.2f}" for value in seconds)
+        row += f" {timing.total_s:>9.3f}"
+        if fps is not None:
+            row += f"  {'yes' if timing.mean_s <= 1.0 / fps else 'NO':>8s}"
+        lines.append(row)
+    total = sum(timing.total_s for timing in timings)
+    lines.append("-" * len(header))
+    lines.append(f"{'sum':<16s} {'':>5s} {'':>9s} {'':>9s} {'':>9s} {'':>9s} {total:>9.3f}")
+    return "\n".join(lines)
+
+
 def format_critical_path(path: CriticalPath, title: str = "critical path") -> str:
     """Human-readable per-stage breakdown, heaviest first."""
-    lines = [
-        f"{title}: {path.total_s * 1e3:.1f} ms over {path.frames} frames",
-        f"{'stage':16s} {'count':>6s} {'total ms':>10s} {'mean ms':>9s} {'max ms':>9s}",
-    ]
-    for stat in path.ordered():
-        lines.append(
-            f"{stat.name:16s} {stat.count:6d} {stat.total_s * 1e3:10.2f} "
-            f"{stat.mean_s * 1e3:9.3f} {stat.max_s * 1e3:9.3f}"
-        )
-    return "\n".join(lines)
+    return (
+        f"{title}: {path.total_s * 1e3:.1f} ms over {path.frames} frames\n"
+        + format_stage_table(path.ordered())
+    )
 
 
 def format_diff(diff: CriticalPathDiff) -> str:

@@ -298,7 +298,7 @@ def _cmd_analyze_trace(args: argparse.Namespace) -> int:
             critical_path_from_jsonl(trace, categories=categories)
             for trace in args.traces
         ]
-    except OSError as error:
+    except (OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     if len(paths) == 1:

@@ -61,15 +61,15 @@ class _BaselineSession(_SessionBase):
         replay: _Replay,
         sequences: range,
         step,
-        stages: list[Stage],
+        stages: list[str],
         video_name: str,
     ) -> SessionReport:
         """The baseline schemes' replay loop.
 
         Per capture tick in ``sequences``: a frame root on
         ``replay.tracer``, the capture stage, then the scheme's
-        ``step(frame, sequence, capture_time)``, which runs the scheme's
-        ``stages`` and returns the tick's :class:`FrameRecord`, the
+        ``step(frame, sequence, capture_time)``, which runs the stages
+        ``stages`` names and returns the tick's :class:`FrameRecord`, the
         ``render`` callable the quality lane samples for a rendered frame
         (None otherwise), and the frame's fate, which closes the root at
         its delivery (at its capture when nothing was delivered).
@@ -96,7 +96,7 @@ class _BaselineSession(_SessionBase):
             quality.close()
         return self._report(
             replay, quality, self.SCHEME, video_name, self.fps, records,
-            [capture_stage, *stages],
+            [capture_stage.name, *stages],
         )
 
 
@@ -178,7 +178,8 @@ class DracoOracleSession(_BaselineSession):
 
         stride = max(1, int(round(FPS / self.fps)))
         return self._replay(
-            replay, range(0, num_frames, stride), step, [cull_stage, encode_stage], video_name
+            replay, range(0, num_frames, stride), step, [cull_stage.name, encode_stage.name],
+            video_name,
         )
 
 
@@ -244,7 +245,7 @@ class MeshReduceSession(_BaselineSession):
 
             return record, render, "rendered"
 
-        return self._replay(replay, range(num_frames), step, [compress_stage], video_name)
+        return self._replay(replay, range(num_frames), step, [compress_stage.name], video_name)
 
 
 # The replays of the baselines, by scheme name.

@@ -234,7 +234,7 @@ class _QualityLane:
             render(actual),
             self.config.quality_max_points,
             self.replay.tracer,
-            self.replay.tracer.current(),
+            self.stage.span,
         )
         in_flight = [future for _, future in self._pending if not future.done()]
         if len(in_flight) >= self.MAX_IN_FLIGHT:
@@ -306,12 +306,12 @@ class _SessionBase:
         video_name: str,
         fps_target: float,
         frames: list[FrameRecord],
-        stages: list[Stage],
+        stages: list[str],
         fault_events: list[FaultEvent] | None = None,
     ) -> SessionReport:
-        """The finished report: the timings of ``stages`` (and of the
-        quality lane's) in that order, the capture cache's counters, and
-        the replay's trace, closed, with one instant per fault event."""
+        """The finished report: the capture cache's counters, and the
+        replay's trace, closed, with one instant per fault event, read
+        for the timings of ``stages`` and the quality lane's, in order."""
         report = SessionReport(
             scheme=scheme,
             video=video_name,
@@ -323,9 +323,6 @@ class _SessionBase:
             mean_capacity_mbps=replay.scaled_trace.mean_mbps,
             trace_scale=replay.scale,
             fault_events=fault_events or [],
-        )
-        report.attach_stage_timings(
-            {stage.name: stage.timing for stage in (*stages, quality.stage)}
         )
         report.attach_cache_stats(
             {"capture_projection": replay.source.counters().to_dict()}
@@ -340,7 +337,7 @@ class _SessionBase:
                 attrs={"detail": event.detail},
             )
         tracer.finish(replay.duration_s + DRAIN_S)
-        report.attach_trace(tracer)
+        report.attach_trace(tracer, [*stages, quality.stage.name])
         return report
 
 
@@ -681,8 +678,8 @@ class _Call:
     # ------------------------------------------------------------------
 
     def report(self, video_name: str) -> SessionReport:
-        """The finished call: frame records, sorted fault events, stage
-        timings, cache counters, the metrics registry and the trace."""
+        """The finished call: frame records, sorted fault events, cache
+        counters, the metrics registry and the trace."""
         events = self.events
         for stream_id, marker_sequence in self.channel.marker_frames:
             self._event(
@@ -699,23 +696,17 @@ class _Call:
             video_name,
             FPS,
             list(self.records.values()),
-            [*self.graph.stages, self.decode_stage],
+            [stage.name for stage in (*self.graph.stages, self.decode_stage)],
             fault_events=events,
         )
-        report.attach_metrics(self._metrics(report))
+        report.attach_metrics(self._metrics())
         return report
 
-    def _metrics(self, report: SessionReport) -> MetricsRegistry:
-        """One queryable namespace over the call's telemetry, built from
-        already-collected aggregates (the hot path never sees it)."""
+    def _metrics(self) -> MetricsRegistry:
+        """The call's telemetry no other record holds (stage times are
+        the trace's, fault counts and cache tallies the report's), built
+        from already-collected aggregates."""
         registry = MetricsRegistry()
-        for name, timing in report.stage_timings.items():
-            registry.histogram(f"stage.{name}.ms").observe_many(
-                sample * 1e3 for sample in timing.samples
-            )
-        for category, count in report.fault_counts().items():
-            registry.counter(f"faults.{category}").inc(count)
-        self.replay.source.counters().metrics_into(registry)
         self.channel.metrics_into(registry)
         if self.injector is not None:
             self.injector.metrics_into(registry)

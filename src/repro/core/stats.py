@@ -71,46 +71,60 @@ class SessionReport:
     trace_scale: float = 1.0
     fault_events: list[FaultEvent] = field(default_factory=list)
 
-    # Stage timings ride along as a NON-field attribute: wall-clock
-    # measurements vary run to run, so they must stay invisible to
-    # ``dataclasses.asdict`` -- two replays of the same seed compare
-    # equal even though their timings differ.
-    _stage_timings = None
-
-    def attach_stage_timings(self, timings) -> None:
-        """Attach the per-stage ``StageTiming`` map (read off the
-        replay's stage spans, in the order the stages are declared)."""
-        self._stage_timings = dict(timings)
-
-    @property
-    def stage_timings(self):
-        """Per-stage wall-clock timings, or None for a report no stage
-        ran for (the multiway runner's)."""
-        return self._stage_timings
+    # Run-varying attachments -- the replay's trace (wall-clock spans),
+    # cache counters, the metrics registry -- ride along as NON-field
+    # attributes, invisible to ``dataclasses.asdict``: two replays of
+    # the same seed compare equal even though their timings differ.
+    _trace = None
+    _stage_names = ()
+    _cache_stats = None
+    _metrics = None
 
     def asdict(self) -> dict:
         """Deterministic dict of the report's dataclass fields.
 
-        Stage timings, cache counters, traces, and metric registries are
-        non-field attachments and therefore excluded -- two replays of
-        the same seed compare equal regardless of wall clock, which is
-        exactly what the parity tests assert.
+        Traces, cache counters and metric registries are non-field
+        attachments and therefore excluded -- two replays of the same
+        seed compare equal regardless of wall clock, which is exactly
+        what the parity tests assert.
         """
         from dataclasses import asdict as _asdict
 
         return _asdict(self)
 
+    def attach_trace(self, tracer, stage_names) -> None:
+        """Attach the replay's closed span tracer
+        (:class:`repro.obs.tracer.Tracer`) and the names of the stages
+        it declared, in order."""
+        self._trace = tracer
+        self._stage_names = tuple(stage_names)
+
+    @property
+    def trace(self):
+        """The replay's closed span tracer (None for a multiway report:
+        the multiway runner builds no tracer)."""
+        return self._trace
+
+    @property
+    def stage_timings(self):
+        """Per-stage wall-clock timings read off the trace, one row per
+        declared stage in declared order (a stage that served nothing
+        has a count-0 row), or None for a report no stage ran for (the
+        multiway runner's)."""
+        if self._trace is None:
+            return None
+        from repro.obs.timeline import stage_timings
+
+        return stage_timings(self._trace.spans(), self._stage_names)
+
     def timing_table(self) -> str:
         """Human-readable per-stage service-time table (``--profile``)."""
-        if not self._stage_timings:
+        timings = self.stage_timings
+        if not timings:
             return "(no stage timings recorded)"
-        from repro.runtime.profile import format_stage_profile
+        from repro.analysis.tracetools import format_stage_table
 
-        return format_stage_profile(self._stage_timings, fps=self.fps_target)
-
-    # Kernel-cache hit/miss counters, same non-field pattern as stage
-    # timings: run-varying instrumentation, invisible to asdict.
-    _cache_stats = None
+        return format_stage_table(timings.values(), fps=self.fps_target)
 
     def attach_cache_stats(self, stats: dict) -> None:
         """Attach the kernel-cache layer's per-cache counter summaries."""
@@ -122,28 +136,17 @@ class SessionReport:
         return self._cache_stats
 
     def cache_table(self) -> str:
-        """Human-readable kernel-cache counter table (``--profile``)."""
+        """Human-readable kernel-cache hit/miss table (``--profile``)."""
         if not self._cache_stats:
             return "(no kernel-cache counters recorded)"
-        from repro.runtime.profile import format_cache_stats
-
-        return format_cache_stats(self._cache_stats)
-
-    # Observability attachments (repro.obs), same non-field pattern:
-    # traces and metric registries vary run to run and stay invisible
-    # to asdict.
-    _trace = None
-    _metrics = None
-
-    def attach_trace(self, tracer) -> None:
-        """Attach the session's span tracer (:class:`repro.obs.tracer.Tracer`)."""
-        self._trace = tracer
-
-    @property
-    def trace(self):
-        """The replay's closed span tracer (None for a multiway report:
-        the multiway runner builds no tracer)."""
-        return self._trace
+        header = f"{'cache':<22s} {'hits':>8s} {'misses':>8s} {'hit rate':>9s}"
+        lines = [header, "-" * len(header)]
+        for name, entry in self._cache_stats.items():
+            lines.append(
+                f"{name:<22s} {entry['hits']:>8d} {entry['misses']:>8d} "
+                f"{entry['hit_rate'] * 100.0:>8.1f}%"
+            )
+        return "\n".join(lines)
 
     def attach_metrics(self, registry) -> None:
         """Attach the unified :class:`repro.obs.metrics.MetricsRegistry`."""
@@ -164,11 +167,9 @@ class SessionReport:
 
     def timeline_table(self, limit: int | None = 20) -> str:
         """Human-readable per-frame timeline (``--trace`` companion)."""
-        if self._trace is None:
-            return "(no trace recorded)"
-        from repro.obs.timeline import format_timeline, frame_timelines
+        from repro.obs.timeline import format_timeline
 
-        return format_timeline(frame_timelines(self._trace.spans()), limit=limit)
+        return format_timeline(self.frame_timeline(), limit=limit)
 
     # ------------------------------------------------------------------
     # Stalls and frame rate

@@ -1,8 +1,8 @@
 """Unified observability layer: span tracing + one metrics registry.
 
-``repro.obs`` joins the replay's telemetry -- per-stage service times,
-cache hit/miss counters and structured ``FaultEvent`` streams -- into
-one causally-linked, per-frame timeline:
+``repro.obs`` records a replay's work -- one span per stage item and
+scoring job, one instant per ``FaultEvent`` -- on one causally-linked,
+per-frame timeline:
 
 - :class:`Span` / :class:`Tracer`: per-frame trace contexts (one trace
   per capture sequence) with explicit, injectable clocks.  Wall-clock
@@ -10,18 +10,20 @@ one causally-linked, per-frame timeline:
   transport and playout on the session's simulated timeline.  Traces
   are deterministic under a :class:`FakeClock`.
 - :class:`MetricsRegistry`: counters, gauges, and histograms with
-  exact streaming quantiles; cache counters and the channel write
-  themselves into it (``metrics_into``) and the session adds its stage
-  timings.
+  exact streaming quantiles, holding only what no other record holds;
+  producers (the channel, the watchdog, the SFU node, the service)
+  write themselves into it (``metrics_into``).
+- Views of the trace (:mod:`repro.obs.timeline`): per-stage timings
+  (:func:`~repro.obs.timeline.stage_timings`) and per-frame rows.
 - Exporters: JSONL and Chrome ``trace_event`` JSON (loads in Perfetto
-  / ``chrome://tracing``), plus a per-frame timeline summary attached
-  to :class:`~repro.core.stats.SessionReport`.
+  / ``chrome://tracing``).
 
 Every scheme's replay records on one tracer, always: a stage item is
-one span, and the report's stage timings are read off those spans, so
-there is one clock per stage.  The spans never steer a replay; a
-report's fields are the same bytes however long its spans took.  See
-DESIGN.md section 10 for the span taxonomy (frame -> stage -> worker)
-and the context-propagation rule onto the quality lane's scoring
-thread.
+one span, the tracer keeps no context and the stages keep no spans, so
+the trace is the one record of stage time and the report's stage
+timings, ``run --profile`` and ``analyze-trace`` are views of it.  The
+spans never steer a replay; a report's fields are the same bytes
+however long its spans took.  See DESIGN.md section 10 for the span
+taxonomy (frame -> stage -> worker) and how a scoring job names its
+parent on the quality lane's scoring thread.
 """

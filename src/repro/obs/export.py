@@ -84,9 +84,20 @@ def write_spans_jsonl(spans: list[Span], path) -> Path:
 
 
 def read_spans_jsonl(path) -> list[Span]:
-    """Load a JSONL trace back into spans."""
+    """Load a JSONL trace back into spans; a line that is not a JSON
+    object carrying every span field is a ``ValueError`` naming it."""
+    spans = []
     with Path(path).open() as handle:
-        return [span_from_dict(json.loads(line)) for line in handle if line.strip()]
+        for number, line in enumerate(handle, 1):
+            if not line.strip():
+                continue
+            try:
+                spans.append(span_from_dict(json.loads(line)))
+            except KeyError as error:
+                raise ValueError(f"{path}: line {number}: span record lacks {error}") from None
+            except (TypeError, ValueError):
+                raise ValueError(f"{path}: line {number}: not a span record") from None
+    return spans
 
 
 def _args(span: Span) -> dict:

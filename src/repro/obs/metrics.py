@@ -61,10 +61,6 @@ class Histogram:
         self._samples.append(float(value))
         self._sorted = None
 
-    def observe_many(self, values) -> None:
-        self._samples.extend(float(v) for v in values)
-        self._sorted = None
-
     @property
     def count(self) -> int:
         return len(self._samples)
@@ -154,39 +150,21 @@ class MetricsRegistry:
             return {name: self._metrics[name].to_dict() for name in sorted(self._metrics)}
 
     def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry into this one, metric by metric.
+        """Fold another registry's counters and gauges into this one.
 
-        Counters add and histograms concatenate their samples.  Gauges
-        need semantics: ``*peak`` gauges take the max (a fleet's peak is
-        the max of its sessions' peaks), every other gauge *sums* --
-        the additive reading is the fleet-wide one for occupancy-style
-        gauges (``sfu.receivers``, ``sfu.downlink.active``).  After the
-        fold, any ``<name>.hit_rate`` gauge with sibling ``<name>.hits``
-        / ``<name>.misses`` counters is recomputed from the merged
-        counts, so aggregated hit rates are exact rather than
-        last-write-wins.
+        Counters add.  Gauges need semantics: ``*peak`` gauges take the
+        max (a fleet's peak is the max of its sessions' peaks), every
+        other gauge *sums* -- the additive reading is the fleet-wide one
+        for occupancy-style gauges (``sfu.receivers``,
+        ``sfu.downlink.active``).
         """
         for name in other.names():
             metric = other.get(name)
             if isinstance(metric, Counter):
                 self.counter(name).inc(metric.value)
-            elif isinstance(metric, Histogram):
-                self.histogram(name).observe_many(metric._samples)
             else:
                 gauge = self.gauge(name)
                 if name.endswith("peak"):
                     gauge.set(max(gauge.value, metric.value))
                 else:
                     gauge.set(gauge.value + metric.value)
-        with self._lock:
-            names = list(self._metrics)
-        for name in names:
-            if not name.endswith(".hit_rate"):
-                continue
-            prefix = name[: -len(".hit_rate")]
-            with self._lock:
-                hits = self._metrics.get(f"{prefix}.hits")
-                misses = self._metrics.get(f"{prefix}.misses")
-            if isinstance(hits, Counter) and isinstance(misses, Counter):
-                total = hits.value + misses.value
-                self.gauge(name).set(hits.value / total if total else 0.0)

@@ -1,16 +1,43 @@
-"""Per-frame timeline summaries built from a session's span set.
+"""Views of a session's span set: per-stage timings and per-frame rows.
 
-Collapses the trace into one row per frame -- where each frame's
-milliseconds went, stage by stage -- which is the per-frame analogue
-of Table 6's per-stage latency breakdown and the summary
-:class:`~repro.core.stats.SessionReport` exposes from its trace.
+The trace is the one record of where a replay's time went.
+:func:`stage_timings` folds it into one :class:`StageTiming` per stage
+-- Table 6's per-stage latency breakdown, read by the report, ``run
+--profile`` and ``analyze-trace`` alike -- and :func:`frame_timelines`
+collapses it into one row per frame, stage by stage, the per-frame
+analogue :class:`~repro.core.stats.SessionReport` exposes.
 """
 
 from __future__ import annotations
 
-from repro.obs.span import Span
+from repro.obs.span import CLOCK_WALL, Span
+from repro.runtime.stage import StageTiming
 
-__all__ = ["frame_timelines", "format_timeline"]
+__all__ = ["STAGE_CATEGORIES", "stage_timings", "frame_timelines", "format_timeline"]
+
+# Wall-clock span categories that constitute executed pipeline work.
+STAGE_CATEGORIES = ("stage",)
+
+
+def stage_timings(
+    spans: list[Span], names, categories: tuple = STAGE_CATEGORIES
+) -> dict[str, StageTiming]:
+    """Per-item service times of each stage, read off a span list.
+
+    Only closed wall-clock spans of ``categories`` count: sim-clock
+    spans (frame roots, transport, render, fault instants) describe the
+    simulated session, not executed work.  Each name's samples keep span
+    order.  ``names`` fixes the rows and their order -- a named stage
+    that served nothing keeps a count-0 row, other names are left out;
+    None takes every name, in order of first appearance.
+    """
+    samples: dict[str, list[float]] = {name: [] for name in names or ()}
+    for span in spans:
+        if span.clock != CLOCK_WALL or span.category not in categories or span.open:
+            continue
+        if names is None or span.name in samples:
+            samples.setdefault(span.name, []).append(span.duration_s)
+    return {name: StageTiming(name, tuple(times)) for name, times in samples.items()}
 
 
 def frame_timelines(spans: list[Span]) -> dict[int, dict]:

@@ -1,14 +1,11 @@
 """The tracer: span lifecycle and frame contexts.
 
 One :class:`Tracer` instance serves a whole session.  It is
-thread-safe (ids and the span list sit behind a lock) and keeps a
-thread-local "current span" so sub-spans opened inside a stage body
-parent correctly without explicit plumbing.
-
-Scoring jobs record on the same tracer: a quality-scoring job running
-on the session's scoring thread opens its span with the ``trace_id`` and
-``parent_id`` of the ``quality`` stage span that submitted it, both
-captured on the session thread.
+thread-safe (ids and the span list sit behind a lock) and records; it
+keeps no context.  Every span is opened with the ``trace_id`` and
+``parent_id`` its caller names: a stage item under its frame root, a
+quality-scoring job on the session's scoring thread under the
+``quality`` stage span that submitted it.
 """
 
 from __future__ import annotations
@@ -38,10 +35,6 @@ class Tracer:
         self._spans: list[Span] = []
         self._next_id = 1
         self._frame_roots: dict[int, Span] = {}
-        # Context-local span stack; threading.local rather than a
-        # ContextVar because callers are plain threads and each
-        # opens/closes its spans strictly LIFO.
-        self._local = threading.local()
 
     # ------------------------------------------------------------------
     # Span lifecycle
@@ -53,36 +46,14 @@ class Tracer:
             self._next_id += 1
             return span_id
 
-    def _stack(self) -> list:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
-
-    def current(self) -> Span | None:
-        """The innermost open span on this thread, if any."""
-        stack = self._stack()
-        return stack[-1] if stack else None
-
     def start_span(
         self,
         name: str,
         category: str = "stage",
         trace_id: int | None = None,
         parent_id: int | None = None,
-        attrs: dict | None = None,
     ) -> Span:
-        """Open a wall-clock span and make it the current span.
-
-        ``trace_id``/``parent_id`` default to the innermost open span's
-        on this thread, so nested work inherits its frame context.
-        """
-        current = self.current()
-        if trace_id is None and current is not None:
-            trace_id = current.trace_id
-        if parent_id is None and current is not None:
-            parent_id = current.span_id
+        """Open a wall-clock span under ``trace_id`` / ``parent_id``."""
         span = Span(
             name=name,
             category=category,
@@ -93,11 +64,9 @@ class Tracer:
             clock=CLOCK_WALL,
             pid=os.getpid(),
             tid=threading.get_ident(),
-            attrs=attrs or {},
         )
         with self._lock:
             self._spans.append(span)
-        self._stack().append(span)
         return span
 
     def end_span(self, span: Span, status: str = STATUS_OK) -> None:
@@ -106,11 +75,6 @@ class Tracer:
             return
         span.end_s = self.clock.now()
         span.status = status
-        stack = self._stack()
-        if stack and stack[-1] is span:
-            stack.pop()
-        elif span in stack:  # defensive: out-of-order close
-            stack.remove(span)
 
     @contextmanager
     def span(

@@ -1,16 +1,17 @@
 """Stages and the stage graph.
 
 A :class:`Stage` wraps one unit of per-frame work and records each item
-it serves as one span on the replay's tracer (:mod:`repro.obs`): the
-span is the stage's only clock, and :attr:`Stage.timing` reads the
-per-item service times off the stage's spans.  A :class:`StageGraph`
+it serves as one span on the replay's tracer (:mod:`repro.obs`).  The
+trace is the stage's only record: a stage keeps no spans, and
+:func:`repro.obs.timeline.stage_timings` reads the per-item service
+times (:class:`StageTiming`) off the trace.  A :class:`StageGraph`
 chains stages and runs them in-line: one item traverses the whole
 chain before the next enters.  The caller is the scheduler (see
 DESIGN.md section 8 for why LiVo's stage-per-thread model, appendix
 A.1, is not run here).
 
-A stage keeps every span it opened, so stages serve finite replays
-(the two-party session and the baselines); the multi-party tick that a
+The tracer keeps every span, so stages serve finite replays (the
+two-party session and the baselines); the multi-party tick that a
 service hosts indefinitely calls the SFU node directly instead.
 """
 
@@ -44,27 +45,13 @@ class StageTiming:
         return self.total_s / self.count if self.samples else 0.0
 
     def percentile_s(self, q: float) -> float:
-        """Service-time percentile (nearest-rank, no numpy dependency)."""
+        """Service-time percentile (nearest-rank, no numpy dependency;
+        ``q`` = 100 is the worst case)."""
         if not self.samples:
             return 0.0
         ordered = sorted(self.samples)
         rank = min(len(ordered) - 1, max(0, int(round(q / 100.0 * (len(ordered) - 1)))))
         return float(ordered[rank])
-
-    @property
-    def p50_s(self) -> float:
-        """Median service time."""
-        return self.percentile_s(50.0)
-
-    @property
-    def p95_s(self) -> float:
-        """95th-percentile service time."""
-        return self.percentile_s(95.0)
-
-    @property
-    def max_s(self) -> float:
-        """Worst-case service time."""
-        return float(max(self.samples)) if self.samples else 0.0
 
 
 class Stage:
@@ -75,7 +62,9 @@ class Stage:
     :mod:`repro.faults.boundary`) -- is inside the item's span.  The
     span opens on ``tracer`` under the item's frame trace: ``seq_fn``
     extracts the frame sequence from an item that does not carry it as
-    an ``item.sequence`` attribute.
+    an ``item.sequence`` attribute.  Stages run in-line, one item at a
+    time, so ``span`` is the span of the item in flight (the last one
+    served once ``fn`` returns).
     """
 
     def __init__(self, name: str, fn, tracer, seq_fn=None) -> None:
@@ -83,25 +72,19 @@ class Stage:
         self.fn = fn
         self.tracer = tracer
         self.seq_fn = seq_fn
-        self._spans = []
-
-    @property
-    def timing(self) -> StageTiming:
-        """Service times read off this stage's spans, in item order."""
-        return StageTiming(self.name, tuple(span.duration_s for span in self._spans))
+        self.span = None
 
     def __call__(self, item):
         tracer = self.tracer
         sequence = (
             self.seq_fn(item) if self.seq_fn is not None else getattr(item, "sequence", None)
         )
-        span = tracer.start_span(
+        span = self.span = tracer.start_span(
             self.name,
             category="stage",
             trace_id=sequence,
             parent_id=tracer.frame_root(sequence),
         )
-        self._spans.append(span)
         try:
             item = self.fn(item)
         except BaseException:

@@ -249,6 +249,8 @@ class ServiceApp:
     def _session_route(self, method: str, path: str,
                        request: HttpRequest) -> tuple[int, dict]:
         parts = path.split("/")  # ['', 'v1', 'sessions', id, (action)]
+        if len(parts) > 5:
+            raise HttpError(404, f"no route for {method} {path}")
         session_id = parts[3]
         action = parts[4] if len(parts) > 4 else None
         try:

@@ -323,7 +323,6 @@ class SFUNode:
         registry.gauge("sfu.receivers_peak").set(self.receivers_peak)
         if self.downlinks is not None:
             self.downlinks.metrics_into(registry)
-        self.cull_cache.counters.metrics_into(registry)
 
     def close(self) -> None:
         """Drop frame-scoped geometry and per-receiver transports."""

@@ -64,7 +64,7 @@ UNRUN_BY_HOSTS = (
     "repro.obs.export",
     "repro.obs.timeline",
     "repro.prediction.mlp",
-    "repro.runtime.profile",
+    "repro.analysis.tracetools",
     "repro.transport.channel",
     "repro.transport.fec",
     "repro.transport.rtp",

@@ -50,6 +50,7 @@ from repro.perf.counters import CacheCounters
 from repro.prediction.pose import user_traces_for_video
 from repro.runtime.stage import Stage
 from repro.scenario.invariants import check_report
+from repro.sfu.fleet import FleetConfig, run_fleet
 from repro.transport.traces import trace_1
 
 
@@ -81,18 +82,6 @@ class TestTracer:
         assert span.duration_s == 0.25
         assert span.clock == CLOCK_WALL
         assert span.status == "ok"
-
-    def test_nested_spans_inherit_context(self):
-        tracer = Tracer(FakeClock())
-        outer = tracer.start_span("encode", trace_id=7)
-        inner = tracer.start_span("encode:color", category="kernel")
-        assert inner.trace_id == 7
-        assert inner.parent_id == outer.span_id
-        assert tracer.current() is inner
-        tracer.end_span(inner)
-        assert tracer.current() is outer
-        tracer.end_span(outer)
-        assert tracer.current() is None
 
     def test_end_span_idempotent(self):
         tracer = Tracer(FakeClock())
@@ -138,14 +127,16 @@ class TestTracer:
     def test_pool_threads_share_one_tracer(self):
         """More threads than cores open nested spans on one tracer with a
         tiny switch interval: ids stay unique and every inner span nests
-        under its own thread's outer span (one stack per thread)."""
+        under the outer span its thread named as its parent."""
         tracer = Tracer(FakeClock())
         threads_n, rounds = 8, 200
 
         def work(index):
             for _ in range(rounds):
-                with tracer.span("outer", category="worker", trace_id=index):
-                    with tracer.span("inner", category="kernel"):
+                with tracer.span("outer", category="worker", trace_id=index) as outer:
+                    with tracer.span(
+                        "inner", category="kernel", trace_id=index, parent_id=outer.span_id
+                    ):
                         pass
 
         interval = sys.getswitchinterval()
@@ -198,7 +189,8 @@ class TestMetrics:
 
     def test_histogram_exact_quantiles(self):
         histogram = MetricsRegistry().histogram("ms")
-        histogram.observe_many([1.0, 2.0, 3.0, 4.0])
+        for value in (1.0, 2.0, 3.0, 4.0):
+            histogram.observe(value)
         assert histogram.quantile(0.0) == 1.0
         assert histogram.quantile(1.0) == 4.0
         assert histogram.quantile(0.5) == 2.5  # exact interpolation
@@ -230,25 +222,6 @@ class TestMetrics:
         CacheCounters("cull_projection", hits=3, misses=1).metrics_into(registry)
         assert registry.get("cache.cull_projection.hit_rate").value == 0.75
 
-    def test_stage_timings_shim(self):
-        # The session writes one ``stage.<name>.ms`` histogram per stage,
-        # one observation per item, straight from its StageTiming.
-        _, scene = load_video("office1", sample_budget=2000)
-        config = SessionConfig(
-            num_cameras=3, camera_width=32, camera_height=24,
-            scene_sample_budget=2000, gop_size=4,
-        )
-        report = LiVoSession(config).run(
-            scene, user_traces_for_video("office1", 12)[0], trace_1(duration_s=5), 3
-        )
-        assert set(report.stage_timings) == {
-            "capture", "prepare", "encode", "decode", "quality",
-        }
-        for name, timing in report.stage_timings.items():
-            histogram = report.metrics.get(f"stage.{name}.ms")
-            assert histogram.count == timing.count
-            assert histogram.mean == pytest.approx(timing.mean_s * 1e3)
-
 
 def _sample_spans():
     """A tiny deterministic trace: frame root + stage + instant."""
@@ -276,6 +249,28 @@ class TestExport:
         assert [dataclasses.asdict(s) for s in loaded] == [
             dataclasses.asdict(s) for s in spans
         ]
+
+    @pytest.mark.parametrize(
+        "damage,reason",
+        [
+            (lambda line: "[1, 2]", "not a span record"),
+            (lambda line: line.replace('"cat": "stage", ', ""), "lacks 'cat'"),
+            (lambda line: line[:-4], "not a span record"),
+        ],
+        ids=["not-an-object", "missing-field", "truncated"],
+    )
+    def test_damaged_span_file_is_a_usage_error(self, tmp_path, capsys, damage, reason):
+        from repro.cli import main
+
+        path = write_spans_jsonl(_sample_spans(), tmp_path / "trace.jsonl")
+        lines = path.read_text().splitlines()
+        stage_line = next(i for i, line in enumerate(lines) if '"cat": "stage"' in line)
+        lines[stage_line] = damage(lines[stage_line])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"line {stage_line + 1}: .*{reason}"):
+            read_spans_jsonl(path)
+        assert main(["analyze-trace", str(path)]) == 2
+        assert f"line {stage_line + 1}" in capsys.readouterr().err
 
     def test_chrome_events_shape(self):
         events = chrome_trace_events(_sample_spans())
@@ -426,10 +421,31 @@ class TestSessionTracing:
             registry = report.metrics
             assert registry is not None
             names = registry.names()
-            assert any(name.startswith("stage.") for name in names)
             assert any(name.startswith("transport.") for name in names)
             assert registry.get("transport.target_rate_bps").value > 0
         assert "transport.frames_lost" in plain.metrics.names()
+
+    def test_registry_holds_no_copy_of_another_record(self, session_workload, fleet_shape):
+        """Stage times are the trace's, fault counts the report's and
+        cache tallies its ``cache_stats``: the registry copies none."""
+        config, scene, user = session_workload
+        report = LiVoSession(config).run(
+            scene, user, trace_1(duration_s=5), FRAMES,
+            fault_plan=FaultPlan(seed=3, link_outages=(LinkOutage(0.1, 0.3),)),
+        )
+        assert report.fault_counts() and report.cache_stats
+        names = report.metrics.names()
+        assert "faults.link_fault_drops" in names
+        copies = [
+            name for name in names
+            if name.startswith(("stage.", "cache."))
+            or (name.startswith("faults.") and name != "faults.link_fault_drops")
+        ]
+        assert copies == []
+        fleet_shape(receivers=2, churn_every=3, sample_budget=1500, unicast_control=1)
+        fleet = run_fleet(FleetConfig(sessions=2, frames=3))
+        assert "cull_projection" in fleet.cache_stats and fleet.sfu_metrics
+        assert [name for name in fleet.sfu_metrics if name.startswith("cache.")] == []
 
     def test_timeline_summary_on_report(self, traced_pair):
         plain, traced = traced_pair

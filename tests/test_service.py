@@ -770,6 +770,27 @@ class TestHostileRequests:
         bad_after = metrics.get("service.http.bad_requests", {}).get("value", 0)
         assert bad_after == bad_before + malformed
 
+    def test_extra_path_segments_are_404(self, handle):
+        """A session route is ``/v1/sessions/<id>[/<action>]``: a path
+        with more segments names no route, so it neither reads nor acts."""
+        body = b'{"receivers": 1}'
+        status, created = self._exchange(
+            handle, f"POST /v1/sessions HTTP/1.1\r\nContent-Length: {len(body)}", body
+        )
+        assert status == 201
+        base = f"/v1/sessions/{created['session']}"
+        status, _ = self._exchange(handle, f"GET {base}/stats/bogus HTTP/1.1")
+        assert status == 404
+        join = b'{"client": "mallory"}'
+        status, _ = self._exchange(
+            handle, f"POST {base}/join/x HTTP/1.1\r\nContent-Length: {len(join)}", join
+        )
+        assert status == 404
+        status, stats = self._exchange(handle, f"GET {base}/stats HTTP/1.1")
+        assert status == 200
+        assert "mallory" not in stats["clients"] and stats["pending_ops"] == 0
+        self._exchange(handle, f"POST {base}/kill HTTP/1.1")
+
 
 class TestLoadgen:
     def test_schedule_is_deterministic_per_seed(self):

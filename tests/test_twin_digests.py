@@ -66,7 +66,7 @@ from repro.metrics.mos import MOSModel
 from repro.metrics import pointssim as pointssim_module
 from repro.obs import span as span_module
 from repro.obs import tracer as tracer_module
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.perf import scratch
 from repro.perf.capture import CachedFrameSource
@@ -353,6 +353,16 @@ def test_one_conference_host_and_one_room_builder():
         (MetricsRegistry, "absorb_counters"),
         (MetricsRegistry, "absorb_stage_timings"),
         (MetricsRegistry, "absorb_fault_events"),
+        # The trace is the one record of stage time: the tracer keeps no
+        # context, a stage no spans, the report no timing dict, the
+        # registry no copy, and the one stage table is tracetools'.
+        (Tracer, "current"),
+        (Tracer, "_local"),
+        (Stage, "timing"),
+        (Stage, "_spans"),
+        (SessionReport, "attach_stage_timings"),
+        (Histogram, "observe_many"),
+        (repro.runtime, "profile"),
         # The SFU never re-encodes, so it holds no depth/color split:
         # the split is the sender's.
         (bandwidth_split, "SplitBook"),

@@ -10,11 +10,16 @@ the output of the implementation that no longer exists.  The one path
 left must reproduce every digest byte for byte.
 
 The file is never re-recorded: the code that produced it is gone.  The
-one exception is three keys that recorded the emulated cache counters
-by name (``registry:session_faulted``, ``session:draco_oracle``,
-``session:meshreduce``).  Those counters described no real cache, and
-the change that deleted them re-recorded the three keys once; putting
-back exactly the deleted entries reproduces each old digest.
+exceptions are keys that recorded by name entries that were deleted
+later.  Three recorded the emulated cache counters
+(``registry:session_faulted``, ``session:draco_oracle``,
+``session:meshreduce``), which described no real cache; the change that
+deleted them re-recorded the three keys once.  The two ``registry:*``
+keys recorded registry entries that copied another record (stage
+timings, fault counts, cache tallies); the change that made the trace
+the one record of stage time deleted the copies and re-recorded both
+once more.  Each time, putting back exactly the deleted entries
+reproduces each old digest.
 
 The digests were recorded with ``scipy.fft``'s DCT, whose last-bit
 rounding the package's matrix-product DCT does not share, so every test
