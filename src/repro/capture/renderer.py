@@ -7,9 +7,9 @@ is a pixel-aligned color + uint16 millimeter depth pair -- the same
 format the Azure Kinect SDK yields after alignment.
 
 There is one renderer, :func:`render_frame`.  Per camera, a
-:class:`ProjectionCache` projects each *static* sample batch once per
-scene epoch (:func:`project_splats`) and resolves those splats to a
-static z-buffer image; each frame it projects the dynamic points in one
+:class:`ProjectionCache` projects the *static* sample batches once
+(:func:`project_splats`) and keeps only the static z-buffer image they
+resolve to; each frame it projects the dynamic points in one
 call, reduces them to their per-pixel winners and merges those into the
 static image -- nearest ``z``, ties to the later point in batch order.
 Small sampling holes are then filled in one pass over the stacked
@@ -173,19 +173,15 @@ def _nearest_per_pixel(
 
 
 class ProjectionCache:
-    """Per-camera splat cache for incremental capture.
+    """Per-camera static z-buffer image for incremental capture.
 
-    Static sample batches (:class:`~repro.capture.scene.SampleBatch`
-    with ``static=True``) are projected through the camera once and
-    their visible ``(flat, z, color)`` arrays cached, keyed by
-    ``(batch key, scene epoch, batch size)``; dynamic batches are
-    concatenated and projected fresh every frame, in one call.
-
-    On top of the per-batch splat cache sits a *static z-buffer image*:
-    the static splats pre-resolved to their per-pixel winner, cached
-    per scene epoch.  Each frame then only projects the dynamic points,
-    reduces them to their per-pixel winners and merges those into a
-    copy of the static image.
+    A cache renders one scene, whose static sample batches
+    (:class:`~repro.capture.scene.SampleBatch` with ``static=True``)
+    are the same arrays every frame.  On its first call the cache
+    projects them through the camera and resolves the splats to a
+    *static z-buffer image*, keeping only the image; each frame then
+    only projects the dynamic points, in one call, reduces them to
+    their per-pixel winners and merges those into a copy of the image.
 
     Byte-identity argument: the full render's winner at a pixel is the
     splat with minimum ``z``, ties broken toward the *largest index* in
@@ -203,30 +199,8 @@ class ProjectionCache:
 
     def __init__(self, camera: RGBDCamera) -> None:
         self.camera = camera
-        self._static: dict[tuple[str, int, int], tuple] = {}
-        self._image_key: tuple | None = None
         self._image: tuple | None = None
         self.counters = CacheCounters(f"projection[cam{camera.camera_id}]")
-
-    def batch_splats(
-        self, batch: SampleBatch
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Visible splat arrays for one static batch, projected once."""
-        key = (batch.key, batch.epoch, len(batch.points))
-        cached = self._static.get(key)
-        if cached is not None:
-            self.counters.hit()
-            return cached
-        self.counters.miss()
-        flat, z, colors = project_splats(self.camera, batch.points, batch.colors)
-        for array in (flat, z, colors):
-            array.setflags(write=False)
-        # A scene edit changes the epoch in the key; drop stale entries
-        # for the same batch so the cache stays one-entry-per-batch.
-        for stale in [k for k in self._static if k[0] == batch.key and k != key]:
-            del self._static[stale]
-        self._static[key] = (flat, z, colors)
-        return flat, z, colors
 
     def _static_image(
         self, batches: list[SampleBatch]
@@ -237,15 +211,14 @@ class ProjectionCache:
         * width`` entries: winner depth in meters (+inf where no static
         splat lands), the batch position it came from (-1 where empty),
         and the quantized depth/color exactly as the full scatter would
-        write them.  Cached until the static batch set changes (scene
-        epoch bump or scene edit).
+        write them.  Built on the first call, which counts a miss per
+        static batch; every later call counts a hit per static batch.
         """
         static = [(pos, b) for pos, b in enumerate(batches) if b.static]
-        key = tuple((pos, b.key, b.epoch, len(b.points)) for pos, b in static)
-        if key == self._image_key:
-            for _ in static:
-                self.counters.hit()
+        if self._image is not None:
+            self.counters.hit(len(static))
             return self._image
+        self.counters.miss(len(static))
 
         num_pixels = self.camera.intrinsics.height * self.camera.intrinsics.width
         z_image = np.full(num_pixels, np.inf)
@@ -253,7 +226,7 @@ class ProjectionCache:
         depth_image = np.zeros(num_pixels, dtype=np.uint16)
         color_image = np.zeros((num_pixels, 3), dtype=np.uint8)
         if static:
-            parts = [self.batch_splats(batch) for _, batch in static]
+            parts = [project_splats(self.camera, b.points, b.colors) for _, b in static]
             flat, z, colors = (np.concatenate(arrays) for arrays in zip(*parts))
             position = np.repeat([pos for pos, _ in static], [len(p[0]) for p in parts])
             pixels, winner = _nearest_per_pixel(flat, z, num_pixels)
@@ -263,7 +236,6 @@ class ProjectionCache:
             color_image[pixels] = colors[winner]
         for array in (z_image, position_image, depth_image, color_image):
             array.setflags(write=False)
-        self._image_key = key
         self._image = (z_image, position_image, depth_image, color_image)
         return self._image
 

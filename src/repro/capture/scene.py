@@ -13,6 +13,10 @@ the paper's evaluation manipulates: the number of participants/objects
 (scene complexity), the amount of motion (inter-frame redundancy), and
 the spatial extent (culling effectiveness, depth range).  All three are
 explicit parameters here.
+
+A scene is fixed for its run, as a recording is: its primitives, their
+per-primitive sample counts and its static batches never change once
+built, so a capture is keyed by its sequence number alone.
 """
 
 from __future__ import annotations
@@ -66,19 +70,15 @@ class SampleBatch:
     """One primitive's sampled surface points, tagged static or dynamic.
 
     Batch mode (:meth:`Scene.sample_batches`) is what makes incremental
-    capture possible: a *static* batch is sampled once per scene epoch
-    and returns the identical arrays every frame, so a renderer can
-    cache its per-camera projection; *dynamic* batches are resampled
-    every frame.  ``key`` identifies the batch within its scene and
-    ``epoch`` stamps the scene revision it was sampled from -- together
-    they key any downstream cache.
+    capture possible: a *static* batch is sampled once per scene and
+    returns the identical arrays every frame, so a renderer can resolve
+    its per-camera projection once; *dynamic* batches are resampled
+    every frame.
     """
 
     points: np.ndarray
     colors: np.ndarray
     static: bool
-    key: str
-    epoch: int = 0
 
 
 class SurfacePrimitive:
@@ -93,7 +93,7 @@ class SurfacePrimitive:
 
         Static primitives are the incremental-capture fast path: their
         sample batches (and per-camera projections) are computed once
-        per scene epoch.  Default is conservative -- dynamic.
+        per scene.  Default is conservative -- dynamic.
         """
         return False
 
@@ -366,13 +366,12 @@ class Person(SurfacePrimitive):
 
 
 class Scene:
-    """A set of primitives sampled jointly at a fixed point budget."""
+    """A fixed set of primitives sampled jointly at a fixed point budget."""
 
     def __init__(
         self,
         primitives: list[SurfacePrimitive],
         name: str = "scene",
-        num_objects: int | None = None,
         *,
         sample_budget: int,
         seed: int = 0,
@@ -383,35 +382,15 @@ class Scene:
             raise ValueError("sample_budget must be at least 1")
         self.primitives = list(primitives)
         self.name = name
-        self.num_objects = num_objects if num_objects is not None else len(primitives)
         self.sample_budget = int(sample_budget)
         self._seed = int(seed)
+        # The budget split by surface area, the remainder to the largest
+        # share: time-independent, so computed once.
         areas = np.array([p.area() for p in self.primitives])
-        self._weights = areas / areas.sum()
-        self._epoch = 0
-        self._static_batches: dict[int, SampleBatch] = {}
-
-    @property
-    def epoch(self) -> int:
-        """Scene revision counter; bumped by :meth:`invalidate`.
-
-        Downstream caches (static sample batches, per-camera projection
-        caches) key on the epoch so a scene edit flushes them all.
-        """
-        return self._epoch
-
-    def invalidate(self) -> None:
-        """Declare the primitive set changed: bump the epoch, drop caches."""
-        self._epoch += 1
-        self._static_batches.clear()
-        areas = np.array([p.area() for p in self.primitives])
-        self._weights = areas / areas.sum()
-
-    def _batch_counts(self) -> np.ndarray:
-        """Per-primitive sample counts (time-independent)."""
-        counts = np.floor(self._weights * self.sample_budget).astype(int)
+        counts = np.floor(areas / areas.sum() * self.sample_budget).astype(int)
         counts[int(np.argmax(counts))] += self.sample_budget - counts.sum()
-        return counts
+        self._counts = counts
+        self._static_batches: dict[int, SampleBatch] = {}
 
     def sample_batches(self, t: float) -> list[SampleBatch]:
         """Sample the scene at time ``t`` as per-primitive batches.
@@ -419,47 +398,34 @@ class Scene:
         The batches together hold ``sample_budget`` points, split by
         surface area, in primitive order, with uint8 colors.  Every
         primitive draws from its *own* seeded RNG stream, so a static
-        primitive's batch -- sampled once per epoch and cached -- stays
-        byte-identical across frames, while dynamic primitives resample
-        deterministically in ``(seed, epoch, t)``: capture replays are
+        primitive's batch -- sampled on the first call and kept --
+        stays byte-identical across frames, while dynamic primitives
+        resample deterministically in ``(seed, t)``: capture replays are
         reproducible, and the sample pattern still varies frame to frame
         like real sensor noise does.
         """
         frame_key = int(round(t * 1000.0)) & 0xFFFFFFFF
-        counts = self._batch_counts()
         batches: list[SampleBatch] = []
-        for index, (prim, n) in enumerate(zip(self.primitives, counts)):
+        for index, (prim, n) in enumerate(zip(self.primitives, self._counts)):
             if n <= 0:
                 continue
-            if prim.is_static():
-                batch = self._static_batches.get(index)
-                if batch is None or batch.epoch != self._epoch or len(batch.points) != n:
-                    rng = np.random.default_rng(
-                        np.random.SeedSequence((self._seed, self._epoch, index))
-                    )
-                    points, colors = prim.sample(0.0, int(n), rng)
-                    batch = SampleBatch(
-                        points=points,
-                        colors=np.clip(colors, 0, 255).astype(np.uint8),
-                        static=True,
-                        key=f"static-{index}",
-                        epoch=self._epoch,
-                    )
-                    batch.points.setflags(write=False)
-                    batch.colors.setflags(write=False)
-                    self._static_batches[index] = batch
+            static = prim.is_static()
+            if static and index in self._static_batches:
+                batches.append(self._static_batches[index])
+                continue
+            # Every seed keeps a 0 where a scene revision once stood:
+            # dropping it would reseed every stream and change every capture.
+            if static:
+                seed = np.random.SeedSequence((self._seed, 0, index))
             else:
-                rng = np.random.default_rng(
-                    np.random.SeedSequence((self._seed, self._epoch, index, frame_key))
-                )
-                points, colors = prim.sample(t, int(n), rng)
-                batch = SampleBatch(
-                    points=points,
-                    colors=np.clip(colors, 0, 255).astype(np.uint8),
-                    static=False,
-                    key=f"dynamic-{index}",
-                    epoch=self._epoch,
-                )
+                seed = np.random.SeedSequence((self._seed, 0, index, frame_key))
+            rng = np.random.default_rng(seed)
+            points, colors = prim.sample(0.0 if static else t, int(n), rng)
+            batch = SampleBatch(points, np.clip(colors, 0, 255).astype(np.uint8), static)
+            if static:
+                batch.points.setflags(write=False)
+                batch.colors.setflags(write=False)
+                self._static_batches[index] = batch
             batches.append(batch)
         return batches
 
@@ -508,10 +474,4 @@ def make_scene(
         half_extents = rng.uniform(0.08, 0.35, size=3)
         position[1] = max(position[1], half_extents[1])
         primitives.append(Box(position, half_extents, rng.uniform(30, 230, size=3)))
-    return Scene(
-        primitives,
-        name=name,
-        num_objects=num_people + num_props,
-        sample_budget=sample_budget,
-        seed=seed,
-    )
+    return Scene(primitives, name=name, sample_budget=sample_budget, seed=seed)

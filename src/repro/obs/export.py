@@ -56,8 +56,30 @@ def span_to_dict(span: Span) -> dict:
     }
 
 
+# The JSON types each span field may hold.
+_FIELD_TYPES = {
+    "name": str,
+    "cat": str,
+    "trace": (int, type(None)),
+    "span": int,
+    "parent": (int, type(None)),
+    "start_s": (int, float),
+    "end_s": (int, float, type(None)),
+    "clock": str,
+    "status": str,
+    "pid": int,
+    "tid": int,
+    "attrs": dict,
+}
+
+
 def span_from_dict(entry: dict) -> Span:
-    """Rebuild a span from its JSONL form."""
+    """Rebuild a span from its JSONL form; a missing field is a
+    ``KeyError``, a wrongly typed one a ``ValueError`` naming it."""
+    fields = {**entry, "attrs": entry.get("attrs", {})}
+    for key, types in _FIELD_TYPES.items():
+        if not isinstance(fields[key], types):
+            raise ValueError(f"span field {key!r} holds {type(fields[key]).__name__}")
     return Span(
         name=entry["name"],
         category=entry["cat"],
@@ -70,7 +92,7 @@ def span_from_dict(entry: dict) -> Span:
         status=entry["status"],
         pid=entry["pid"],
         tid=entry["tid"],
-        attrs=dict(entry.get("attrs", {})),
+        attrs=dict(fields["attrs"]),
     )
 
 
@@ -85,18 +107,25 @@ def write_spans_jsonl(spans: list[Span], path) -> Path:
 
 def read_spans_jsonl(path) -> list[Span]:
     """Load a JSONL trace back into spans; a line that is not a JSON
-    object carrying every span field is a ``ValueError`` naming it."""
+    object carrying every span field, each of its type, is a
+    ``ValueError`` naming the line (and the field)."""
     spans = []
     with Path(path).open() as handle:
         for number, line in enumerate(handle, 1):
             if not line.strip():
                 continue
             try:
-                spans.append(span_from_dict(json.loads(line)))
+                entry = json.loads(line)
+            except ValueError:
+                entry = None
+            if not isinstance(entry, dict):
+                raise ValueError(f"{path}: line {number}: not a span record")
+            try:
+                spans.append(span_from_dict(entry))
             except KeyError as error:
                 raise ValueError(f"{path}: line {number}: span record lacks {error}") from None
-            except (TypeError, ValueError):
-                raise ValueError(f"{path}: line {number}: not a span record") from None
+            except ValueError as error:
+                raise ValueError(f"{path}: line {number}: {error}") from None
     return spans
 
 

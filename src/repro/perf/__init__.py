@@ -5,9 +5,10 @@ and the codec, which redo work that is identical frame to frame.  This
 package holds the caches that remove the redundancy:
 
 - :class:`~repro.perf.capture.CachedFrameSource` -- incremental capture:
-  static scene points are projected through each camera once and their
-  splat arrays reused every frame (``repro.capture.renderer.ProjectionCache``
-  does the per-camera caching).
+  static scene points are projected through each camera once, into a
+  static z-buffer image reused every frame
+  (``repro.capture.renderer.ProjectionCache`` keeps it per camera), and
+  finished frames are memoized by sequence.
 - :mod:`~repro.perf.scratch` -- codec scratch: the process-wide memo
   of weight matrices, quantization divisors and motion offset tables
   (shared tables, not a cache per stream, so it keeps no counters).

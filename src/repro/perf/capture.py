@@ -6,19 +6,19 @@ room shell, furniture, idle props -- never moves.  The cached source
 splits capture along that line: the scene hands out per-primitive
 :class:`~repro.capture.scene.SampleBatch` objects tagged static or
 dynamic, and a per-camera
-:class:`~repro.capture.renderer.ProjectionCache` projects each static
-batch once per scene epoch, re-projecting only the dynamic batches
-every frame, in one call per camera
+:class:`~repro.capture.renderer.ProjectionCache` resolves the static
+batches to one static z-buffer image on the first frame, re-projecting
+only the dynamic batches every frame, in one call per camera
 (:func:`~repro.capture.renderer.render_frame`).  The caches live as
 long as the source, so a frame is byte-identical to a one-off
 ``rig.capture(scene, sequence)``, which renders the same way with
 fresh caches (both asserted against the full z-buffer oracle by
 ``TestIncrementalCapture`` under tests/).
 
-A finished capture is a pure function of ``(scene epoch, sequence)``
--- :meth:`Scene.sample_batches` seeds every draw from the epoch and the
-frame -- so the source also memoizes whole frames under that key, in a
-byte-bounded LRU: every conference the service hosts at frame *k* is
+A scene is fixed for its run, so a finished capture is a pure function
+of its ``sequence`` -- :meth:`Scene.sample_batches` seeds every draw
+from the scene's seed and the frame -- and the source also memoizes
+whole frames by sequence, in a byte-bounded LRU: every conference the service hosts at frame *k* is
 handed the one frame object rendered for the first of them.  Memoized
 frames are shared, so their pixel arrays are read-only.
 """
@@ -49,7 +49,7 @@ class CachedFrameSource:
 
     Drop-in for the ``rig.capture(scene, sequence)`` call sites: same
     cameras, same clock, same output type.  Finished frames are
-    memoized by ``(scene epoch, sequence)`` up to
+    memoized by ``sequence`` up to
     :data:`FRAME_MEMO_BYTES`; ``frame_counters`` tallies the memo's
     hits and misses.
     """
@@ -58,7 +58,7 @@ class CachedFrameSource:
         self.rig = rig
         self.scene = scene
         self._caches = [ProjectionCache(camera) for camera in rig.cameras]
-        self._frames: OrderedDict[tuple[int, int], MultiViewFrame] = OrderedDict()
+        self._frames: OrderedDict[int, MultiViewFrame] = OrderedDict()
         self._held_bytes = 0
         self.frame_counters = CacheCounters("capture_frames")
 
@@ -78,22 +78,21 @@ class CachedFrameSource:
     def capture(self, sequence: int) -> MultiViewFrame:
         """One synchronized multi-view capture at this sequence number.
 
-        A repeat of a memoized ``(scene epoch, sequence)`` returns the
-        same frame object; its ``color`` / ``depth_mm`` arrays are
+        A repeat of a memoized ``sequence`` returns the same frame
+        object; its ``color`` / ``depth_mm`` arrays are
         read-only (``RGBDFrame.copy()`` gives a writable one).
         """
-        key = (self.scene.epoch, sequence)
-        frame = self._frames.get(key)
+        frame = self._frames.get(sequence)
         if frame is not None:
             self.frame_counters.hit()
-            self._frames.move_to_end(key)
+            self._frames.move_to_end(sequence)
             return frame
         self.frame_counters.miss()
         frame = self._render(sequence)
         for view in frame.views:
             view.color.setflags(write=False)
             view.depth_mm.setflags(write=False)
-        self._frames[key] = frame
+        self._frames[sequence] = frame
         self._held_bytes += _frame_bytes(frame)
         while self._held_bytes > FRAME_MEMO_BYTES:
             _, evicted = self._frames.popitem(last=False)

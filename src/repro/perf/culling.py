@@ -27,8 +27,8 @@ cull (``repro.prediction.culling.cull_views``) is the same build with
   conferences all cull the one shared capture, so the grid is built
   once per camera per capture and every cache culling that capture
   reads the same read-only array.  It is keyed by the capture's depth
-  image itself (object identity, never a sequence number: a scene-epoch
-  bump or a stale-camera fault makes two captures with one sequence),
+  image itself (object identity, never a sequence number: a
+  stale-camera fault makes two captures with one sequence),
   and lives only while some cache holds it for its current frame;
 - the table itself, kept until the next frame (R*C*H*W bools) and
   handed back whenever the same plane rows are asked about again.

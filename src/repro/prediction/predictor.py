@@ -62,7 +62,6 @@ class FrustumPredictor:
         self.device = device or ViewingDevice()
         self.guard_band_m = float(guard_band_m)
         self._kalman = PoseKalmanPredictor()
-        self._last_pose: Pose | None = None
 
     @property
     def ready(self) -> bool:
@@ -72,7 +71,6 @@ class FrustumPredictor:
     def observe(self, pose: Pose, timestamp_s: float) -> None:
         """Fold in a (delayed) pose report from the receiver."""
         self._kalman.observe(pose, timestamp_s)
-        self._last_pose = pose
 
     def predict_pose(self, horizon_s: float) -> Pose:
         """Predicted receiver pose ``horizon_s`` past the last report."""

@@ -139,12 +139,13 @@ class TestScene:
 
     def test_object_count(self):
         scene = make_scene("t", num_people=3, num_props=4, seed=1)
-        assert scene.num_objects == 7
+        # The room shell, then one primitive per person and per prop.
+        assert len(scene.primitives) == 1 + 7
 
 
 def render_rgbd(camera, points, colors, hole_fill_iterations=2) -> RGBDFrame:
     """One camera's render of one dynamic batch, filled or not."""
-    batches = [SampleBatch(points, np.asarray(colors, dtype=np.uint8), static=False, key="p")]
+    batches = [SampleBatch(points, np.asarray(colors, dtype=np.uint8), static=False)]
     if hole_fill_iterations == 0:
         depth, color = ProjectionCache(camera).render_arrays(batches)
         return RGBDFrame(color, depth)
@@ -337,7 +338,7 @@ class TestRigAndDataset:
     def test_load_video(self):
         spec, scene = load_video("dance5", sample_budget=1000)
         assert spec.name == "dance5"
-        assert scene.num_objects == 1
+        assert len(scene.primitives) == 1 + 1
 
     def test_load_unknown_video(self):
         with pytest.raises(KeyError):

@@ -22,6 +22,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 import threading
 
@@ -256,8 +257,12 @@ class TestExport:
             (lambda line: "[1, 2]", "not a span record"),
             (lambda line: line.replace('"cat": "stage", ', ""), "lacks 'cat'"),
             (lambda line: line[:-4], "not a span record"),
+            (
+                lambda line: re.sub(r'"start_s": [^,]*', '"start_s": "soon"', line),
+                "'start_s' holds str",
+            ),
         ],
-        ids=["not-an-object", "missing-field", "truncated"],
+        ids=["not-an-object", "missing-field", "truncated", "wrong-type"],
     )
     def test_damaged_span_file_is_a_usage_error(self, tmp_path, capsys, damage, reason):
         from repro.cli import main

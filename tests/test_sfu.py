@@ -122,20 +122,19 @@ class TestCullCache:
         assert not valid_zero.any()
 
     def test_grids_keyed_by_capture_not_sequence(self, setup):
-        """Two captures with one sequence number -- a scene-epoch bump
-        re-rendering frame 0, a stale camera replaying an older view --
-        never share a point grid or a table: every cull through one
-        long-lived cache equals the same cull with a fresh CullCache()."""
+        """Two captures with one sequence number -- a stale camera
+        replaying an older view -- never share a point grid or a table:
+        every cull through one long-lived cache equals the same cull
+        with a fresh CullCache()."""
         _, rig, scene = setup
         frustum = narrow_frustum([0.0, 1.2, -2.0])
         first = rig.capture(scene, 0)
         later = rig.capture(scene, 9)
-        rerendered = MultiViewFrame(later.views, sequence=0)
         stale = MultiViewFrame(
             [later.views[0], *first.views[1:]], sequence=0
         )
         cache = CullCache()
-        for capture in (first, rerendered, stale, first):
+        for capture in (first, stale, first):
             culled = cull_views_union(capture, rig.cameras, [frustum], cache=cache)
             fresh = cull_views_union(capture, rig.cameras, [frustum], cache=CullCache())
             for a, b in zip(culled.views, fresh.views):

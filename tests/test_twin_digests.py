@@ -29,7 +29,7 @@ from repro.capture import renderer
 from repro.capture.dataset import load_video
 from repro.capture.renderer import ProjectionCache
 from repro.capture.rig import CaptureRig, default_rig
-from repro.capture.scene import Person, Scene, make_scene
+from repro.capture.scene import Person, SampleBatch, Scene, make_scene
 from repro.codec import blocks, entropy
 from repro.codec.motion import gather_prediction
 from repro.codec.rate_control import RateController
@@ -604,6 +604,20 @@ def test_one_conference_host_and_one_room_builder():
         (DownlinkSet, "queue_delay_at"),
         (EmulatedLink, "queue_delay_at"),
         (DownlinkSend, "complete"),
+        # A scene is fixed for its run: a capture is keyed by its
+        # sequence, and a projection cache keeps only its static image.
+        (Scene, "invalidate"),
+        (Scene, "epoch"),
+        (Scene, "_epoch"),
+        (Scene, "_batch_counts"),
+        (Scene, "num_objects"),
+        (Scene.__init__, "num_objects"),
+        (SampleBatch, "epoch"),
+        (SampleBatch, "key"),
+        (ProjectionCache, "batch_splats"),
+        (ProjectionCache, "_static"),
+        (ProjectionCache, "_image_key"),
+        (FrustumPredictor, "_last_pose"),
     ],
     ids=lambda value: getattr(value, "__name__", value).rsplit(".", 1)[-1],
 )
