@@ -57,7 +57,7 @@ def test_ablation_multiway_fanout(benchmark, results_dir):
         culled to the node's predicted frustum for that receiver, or the
         whole union while its predictor is cold."""
         union = tick.uplink.culled_multiview
-        frustums = sfu.node.predicted_frustums(tick.sequence, HORIZON_S)
+        frustums = sfu.node.predicted_frustums(HORIZON_S)
         return {
             name: union if name not in frustums
             else cull_views(union, rig.cameras, frustums[name])

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import threading
 from pathlib import Path
 
 __all__ = ["build_parser", "main"]
@@ -36,6 +37,18 @@ def _ranged(kind, low, high=float("inf")):
 
 
 _positive_int = _ranged(int, 1)
+
+# The fastest link a rate flag admits, in Mbit/s (a terabit): far above
+# any access link, and far below the rates whose bit counts overflow.
+MAX_LINK_MBPS = 1e6
+
+
+def _link_mbps(text: str) -> float:
+    """An argparse type: a link rate in Mbit/s, in ``(0, MAX_LINK_MBPS]``."""
+    value = float(text)
+    if not 0.0 < value <= MAX_LINK_MBPS:
+        raise argparse.ArgumentTypeError(f"must be in (0, {MAX_LINK_MBPS:g}], not {text}")
+    return value
 
 
 def _output_dir(text: str) -> Path:
@@ -140,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     multiway.add_argument("--frames", type=_positive_int, default=30)
     multiway.add_argument("--cameras", type=_positive_int, default=4)
     multiway.add_argument(
-        "--target-mbps", type=float, default=2.0,
+        "--target-mbps", type=_link_mbps, default=2.0,
         help="per-stream encode target (and SFU downlink capacity)",
     )
 
@@ -153,7 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--video", choices=videos, default="office1")
     serve.add_argument("--cameras", type=_positive_int, default=2)
     serve.add_argument(
-        "--tick-interval", type=_ranged(float, 0.0), default=FRAME_INTERVAL_S,
+        "--tick-interval", type=_ranged(float, 0.0, threading.TIMEOUT_MAX),
+        default=FRAME_INTERVAL_S,
         help="seconds between tick rounds (0 = free-running)",
     )
 

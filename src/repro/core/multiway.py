@@ -8,10 +8,11 @@ to the *union* of all receivers' guard-banded frustums and encode a
 single pair of streams every receiver consumes -- one encode, one
 uplink stream, whatever the roster.  :func:`cull_views_union` is that
 cull: it builds the frame's receivers x cameras visibility table
-(:class:`repro.perf.culling.CullCache`) and keeps what any receiver
-sees; the SFU node later reads each receiver's share out of the same
-table.  :class:`repro.sfu.conference.ConferenceDriver` is the frame loop
-around it (and :class:`~repro.sfu.conference.UnicastBaseline` the
+(:func:`repro.prediction.culling.visibility`), keeps what any receiver
+sees and returns the table with the culled frame, and the SFU node's
+forward reads each receiver's share out of that same table.
+:class:`repro.sfu.conference.ConferenceDriver` is the frame loop that
+hands it on (and :class:`~repro.sfu.conference.UnicastBaseline` the
 per-receiver control it is measured against).
 """
 
@@ -31,18 +32,14 @@ def cull_views_union(
     frame: MultiViewFrame,
     cameras: list[RGBDCamera],
     frustums: list[Frustum],
-    cache=None,
-) -> MultiViewFrame:
+) -> tuple[MultiViewFrame, np.ndarray]:
     """Zero pixels outside *every* given frustum (keep the union).
 
-    Builds the frame's receivers x cameras visibility table and keeps a
-    pixel any receiver sees.  ``cache`` is an optional
-    :class:`repro.perf.culling.CullCache`: with it the table outlives
-    the call, and the SFU's forward stage reads each receiver's share
-    of the union from it instead of testing the grids again.  Outputs
-    are byte-identical with or without the cache.
+    Builds the frame's receivers x cameras visibility table, keeps a
+    pixel any receiver sees, and returns ``(culled, inside)``: the
+    culled frame and the table, row ``r`` belonging to ``frustums[r]``.
     """
     if not frustums:
         raise ValueError("need at least one frustum")
     planes = np.stack([frustum.array for frustum in frustums])
-    return cull_to_planes(frame, cameras, planes, cache)
+    return cull_to_planes(frame, cameras, planes)

@@ -39,7 +39,6 @@ from repro.core.schemes import SCHEMES
 from repro.depthcodec.scaling import scale_depth
 from repro.geometry.camera import RGBDCamera
 from repro.metrics.image import rmse
-from repro.perf.culling import CullCache
 from repro.prediction.culling import cull_views
 from repro.prediction.pose import Pose
 from repro.prediction.predictor import FrustumPredictor, ViewingDevice
@@ -139,8 +138,6 @@ class LiVoSender:
             epsilon=SPLIT_EPSILON,
         )
         self.predictor = FrustumPredictor(device or ViewingDevice())
-        # The rig's inverted extrinsics, kept from frame to frame.
-        self.cull_cache = CullCache()
         self._frames_processed = 0
         self._recover_with_intra = False
         self.encode_failures = 0
@@ -184,7 +181,7 @@ class LiVoSender:
         culled = frame
         if self.scheme.culls and self.predictor.ready:
             frustum = self.predictor.predict_frustum(prediction_horizon_s)
-            culled = cull_views(frame, self.cameras, frustum, self.cull_cache)
+            culled = cull_views(frame, self.cameras, frustum)
         culled_points = culled.total_points()
         if culled_points == 0:
             return PreparedFrame(

@@ -16,7 +16,7 @@ The two key vectorized operations are:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -98,20 +98,24 @@ class CameraIntrinsics:
 
 @dataclass(frozen=True)
 class CameraExtrinsics:
-    """Camera pose: a camera-to-world rigid transform."""
+    """Camera pose: a camera-to-world rigid transform.
+
+    A rig is calibrated once, so its inverse, ``world_to_camera`` (world
+    coordinates -> camera-local), is computed here, once, as a read-only
+    array every cull and projection reads.
+    """
 
     camera_to_world: np.ndarray
+    world_to_camera: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         matrix = np.asarray(self.camera_to_world, dtype=np.float64)
         if matrix.shape != (4, 4):
             raise ValueError(f"camera_to_world must be 4x4, got {matrix.shape}")
         object.__setattr__(self, "camera_to_world", matrix)
-
-    @property
-    def world_to_camera(self) -> np.ndarray:
-        """Inverse transform (world coordinates -> camera-local)."""
-        return invert_transform(self.camera_to_world)
+        inverse = invert_transform(matrix)
+        inverse.setflags(write=False)
+        object.__setattr__(self, "world_to_camera", inverse)
 
     @property
     def position(self) -> np.ndarray:

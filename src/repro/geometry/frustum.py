@@ -18,7 +18,7 @@ band, carry them into each camera's frame, test pixel grids -- is a
 row-wise array operation, so the module-level functions take any stack
 ``(..., 6, 4)`` of frustums and broadcast: the SFU builds all of a
 conference's receivers at once and tests them against all cameras in one
-pass (:mod:`repro.perf.culling`).  :class:`Frustum` wraps a single
+pass (:func:`repro.prediction.culling.visibility`).  :class:`Frustum` wraps a single
 ``(6, 4)`` array for the callers that test one viewer's points.
 """
 

@@ -12,18 +12,16 @@ package holds the caches that remove the redundancy:
 - :mod:`~repro.perf.scratch` -- codec scratch: the process-wide memo
   of weight matrices, quantization divisors and motion offset tables
   (shared tables, not a cache per stream, so it keeps no counters).
-- :class:`~repro.perf.culling.CullCache` -- one frame's visibility
-  table, built from per-pixel point grids that every cache culling the
-  same capture shares.
 
-Only the two caches count hits and misses (``capture_projection``,
-``cull_projection``): a hit there skips work a miss does, and those
-tallies are the ``cache_stats`` a report or a fleet carries.
+Only the capture cache counts hits and misses (``capture_projection``):
+a hit there skips work a miss does, and that tally is the
+``cache_stats`` a report or a fleet carries.
 
-The codec tables and the point grids are shared process-wide and
-read-only (the tables kept for the process's life, a grid only
-while some cache culls its capture).  Everything else belongs to one
-session (or fleet) and is touched from its thread only.  PointSSIM
-caches nothing: :mod:`repro.metrics.pointssim` keeps no state between
+The codec tables are shared process-wide and read-only, kept for the
+process's life.  Everything else belongs to one session (or fleet) and
+is touched from its thread only.  Culling keeps nothing between calls:
+:func:`repro.prediction.culling.visibility` builds a frame's point grids
+and table and hands the table back to its caller.  PointSSIM caches
+nothing either: :mod:`repro.metrics.pointssim` keeps no state between
 calls.
 """

@@ -14,64 +14,71 @@ import numpy as np
 
 from repro.capture.rgbd import MultiViewFrame
 from repro.geometry.camera import RGBDCamera
-from repro.geometry.frustum import Frustum
-from repro.perf.culling import CullCache
+from repro.geometry.frustum import Frustum, planes_contain, transform_planes
 
-__all__ = ["cull_views", "cull_to_planes", "culling_accuracy"]
+__all__ = ["visibility", "cull_views", "cull_to_planes", "culling_accuracy"]
+
+
+def visibility(
+    cameras: list[RGBDCamera], depths: list[np.ndarray], planes: np.ndarray
+) -> np.ndarray:
+    """``inside[r, c, y, x]``: pixel of camera ``c`` inside frustum ``r``.
+
+    The frame's visibility table, shape ``(R, C, H, W)``.  The world-frame
+    plane rows ``planes`` ``(R, 6, 4)`` are carried into every camera's
+    local frame in one batched transform ``(R, C, 6, 4)`` and tested
+    against the stacked per-pixel point grids ``(C, H, W, 3)`` by the one
+    six-plane kernel.  Validity (nonzero depth) is *not* folded in: the
+    raw capture and its culled derivatives share a table but not a mask,
+    so callers and it with their own.
+    """
+    points = np.stack(
+        [camera.local_points(depth_mm)[0] for camera, depth_mm in zip(cameras, depths)]
+    )
+    transforms = np.stack([camera.extrinsics.world_to_camera for camera in cameras])
+    local = transform_planes(planes[:, None], transforms)
+    count, height, width = points.shape[:3]
+    return planes_contain(local, points.reshape(count, -1, 3)).reshape(
+        len(planes), count, height, width
+    )
 
 
 def cull_to_planes(
-    frame: MultiViewFrame,
-    cameras: list[RGBDCamera],
-    planes: np.ndarray,
-    cache: CullCache | None = None,
-) -> MultiViewFrame:
+    frame: MultiViewFrame, cameras: list[RGBDCamera], planes: np.ndarray
+) -> tuple[MultiViewFrame, np.ndarray]:
     """Zero the pixels no frustum of ``planes`` ``(R, 6, 4)`` contains.
 
     The one cull: the frustums are carried into every camera's local
     frame and the per-pixel back-projections tested there
-    (:meth:`CullCache.visibility`) -- no point cloud is materialized --
-    and a pixel survives if any frustum sees it.  With a ``cache`` the
-    visibility table stays readable until the cache is handed another
-    capture; without one it is dropped on return.
+    (:func:`visibility`) -- no point cloud is materialized -- and a pixel
+    survives if any frustum sees it.  Returns the culled frame and the
+    visibility table it was cut from.
     """
     if len(frame.views) != len(cameras):
         raise ValueError(
             f"frame has {len(frame.views)} views but {len(cameras)} cameras given"
         )
-    if cache is None:
-        cache = CullCache()
-    cache.begin_frame(frame)
     depths = [view.depth_mm for view in frame.views]
-    inside = cache.visibility(cameras, depths, planes)
+    inside = visibility(cameras, depths, planes)
     keep = inside.any(axis=0) & (np.stack(depths) > 0)
-    return MultiViewFrame(
+    culled = MultiViewFrame(
         [view.culled(mask) for view, mask in zip(frame.views, keep)],
         sequence=frame.sequence,
         timestamp_s=frame.timestamp_s,
     )
+    return culled, inside
 
 
 def cull_views(
-    frame: MultiViewFrame,
-    cameras: list[RGBDCamera],
-    frustum: Frustum,
-    cache: CullCache | None = None,
+    frame: MultiViewFrame, cameras: list[RGBDCamera], frustum: Frustum
 ) -> MultiViewFrame:
     """Zero out pixels outside the (world-frame) frustum, per camera.
 
     The frustum is transformed once into each camera's local frame; each
     pixel is then back-projected to its camera-local 3D point and tested
     against the six planes -- :func:`cull_to_planes` with one frustum.
-    A ``cache`` carries the rig's inverted extrinsics from frame to
-    frame; this cull is the frame's only read of its table and grids,
-    so neither outlives the call.
     """
-    try:
-        return cull_to_planes(frame, cameras, frustum.array[None], cache)
-    finally:
-        if cache is not None:
-            cache.end_frame()
+    return cull_to_planes(frame, cameras, frustum.array[None])[0]
 
 
 def culling_accuracy(
@@ -95,7 +102,7 @@ def culling_accuracy(
         raise ValueError("views/cameras mismatch")
     depths = [view.depth_mm for view in frame.views]
     valid = np.stack(depths) > 0
-    kept, visible = CullCache().visibility(
+    kept, visible = visibility(
         cameras, depths, np.stack([predicted_frustum.array, actual_frustum.array])
     ) & valid
     visible_and_kept = int(np.count_nonzero(kept & visible))

@@ -89,8 +89,12 @@ class ServiceConfig:
     max_sessions: int = 4096
 
     def __post_init__(self) -> None:
-        if self.tick_interval_s < 0:
-            raise ValueError("tick_interval_s must be >= 0")
+        # The scheduler paces with a timed wait, which takes at most
+        # TIMEOUT_MAX seconds; NaN fails both comparisons.
+        if not 0 <= self.tick_interval_s <= threading.TIMEOUT_MAX:
+            raise ValueError(
+                f"tick_interval_s must be in [0, {threading.TIMEOUT_MAX:g}] seconds"
+            )
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.max_clients_per_session < 1 or self.max_sessions < 1:

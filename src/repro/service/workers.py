@@ -27,7 +27,6 @@ chaos profile leans on.
 from __future__ import annotations
 
 import threading
-import time
 from time import perf_counter
 
 from repro.core.config import FPS, HORIZON_S
@@ -172,4 +171,6 @@ class TickWorkerPool:
             if self.tick_interval_s > 0.0:
                 budget = self.tick_interval_s - (perf_counter() - started)
                 if budget > 0:
-                    time.sleep(budget)
+                    # A wait on the stop event, not a sleep: stop()
+                    # returns mid-pace.
+                    self._stop.wait(budget)

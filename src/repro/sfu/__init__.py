@@ -6,13 +6,13 @@ that optimization, in the architecture SLAMCast's multi-client
 telepresence system uses: the sender uploads *one* union-culled encoded
 stream to a forwarding node; the node seats every receiver (frustum
 predictor, bandwidth estimate, degradation rung, pose feed) and, per
-frame, reads each receiver's share of the cached union geometry and
-picks its tier before forwarding a right-sized burst down the
-receiver's own emulated link.  The node never re-encodes, so the
+frame, reads each receiver's share of the union out of the visibility
+table the union cull hands it and picks its tier before forwarding a
+right-sized burst down the receiver's own emulated link.  The node never re-encodes, so the
 depth/color split stays the sender's.
 
 - :mod:`repro.sfu.node` -- :class:`SFUNode`: the receiver seats,
-  ingest / forward and the ``sfu.*`` metrics;
+  frustum prediction, forward and the ``sfu.*`` metrics;
 - :mod:`repro.sfu.conference` -- :class:`ConferenceDriver`, the one
   multi-party frame loop (uplink encode -> node, ``join``/``leave``/
   ``tick``), and :class:`UnicastBaseline`, the per-receiver-pipeline

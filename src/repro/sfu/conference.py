@@ -1,8 +1,10 @@
 """The multi-party frame loop: one uplink encode -> SFU node, per tick.
 
 :class:`ConferenceDriver` is the one place a conference's frame runs --
-predict -> union cull -> prepare -> encode -> node ingest -> node
-forward -- and every multi-party caller drives it:
+predict -> union cull -> prepare -> encode -> node forward, each step
+handed what the one before returned (the frustums, the culled frame and
+its visibility table, the uplink) -- and every multi-party caller
+drives it:
 
 - :mod:`repro.service` hosts one per session, joins/leaves arriving
   over HTTP, and :mod:`repro.sfu.fleet` hundreds on the same host;
@@ -57,7 +59,7 @@ class ConferenceDriver:
         self.config = config
         self.device = ViewingDevice()
         self.sender = LiVoSender(rig.cameras, config, self.device)
-        self.node = SFUNode(rig.cameras, config, self.device, downlinks=downlinks)
+        self.node = SFUNode(self.device, downlinks)
         self.encoder_runs = 0
         self.receiver_frames = 0
         self.frames_ticked = 0
@@ -66,7 +68,7 @@ class ConferenceDriver:
 
     @property
     def uplink_bytes(self) -> int:
-        """Uplink bytes so far: the node's ingest count."""
+        """Uplink bytes so far: the node's count."""
         return self.node.uplink_bytes
 
     @property
@@ -98,33 +100,6 @@ class ConferenceDriver:
     # Ticking
     # ------------------------------------------------------------------
 
-    def _cull_and_prepare(self, tick: SFUTick):
-        """Union-cull against the predicted frustums, then cull + tile."""
-        frustums = self.node.predicted_frustums(tick.sequence, tick.horizon_s)
-        frame = tick.frame
-        if frustums:
-            # Looked up on the module per call: that name is where the
-            # outside-in span tracer of benchmarks/e2e hooks the cull.
-            frame = multiway.cull_views_union(
-                tick.frame,
-                self.rig.cameras,
-                list(frustums.values()),
-                cache=self.node.cull_cache,
-            )
-        return self.sender.prepare(frame, tick.horizon_s)
-
-    def _make_tick(self, frame, now, target_rate_bps, horizon_s) -> SFUTick:
-        """Fold in pose reports and build the frame's tick item."""
-        for name, seat in self.node.receivers.items():
-            self.node.observe_pose(name, seat.pose_trace.pose_at_frame(frame.sequence), now)
-        return SFUTick(
-            frame=frame,
-            uplink=None,
-            now=now,
-            target_rate_bps=target_rate_bps,
-            horizon_s=horizon_s,
-        )
-
     def _account(self, tick: SFUTick) -> None:
         """Tick counts plus the session's running output digest."""
         digest = self.digest
@@ -135,13 +110,12 @@ class ConferenceDriver:
             self.encoder_runs += 2
         else:
             digest.update(b"\x00")
-        if tick.decisions:
-            for name in sorted(tick.decisions):
-                decision = tick.decisions[name]
-                digest.update(
-                    f"{name}:{decision.rung}:{decision.kept_points}:"
-                    f"{decision.bytes}".encode("ascii")
-                )
+        for name in sorted(tick.decisions):
+            decision = tick.decisions[name]
+            digest.update(
+                f"{name}:{decision.rung}:{decision.kept_points}:"
+                f"{decision.bytes}".encode("ascii")
+            )
         self.receiver_frames += len(self.node.receivers)
         self.frames_ticked += 1
 
@@ -153,19 +127,27 @@ class ConferenceDriver:
     def tick_steps(self, frame, now, target_rate_bps, horizon_s):
         """One frame as a request-yielding generator.
 
-        Culling, tiling, node ingest and node forward run inline; only
-        the encode yields its kernel jobs upward, for cross-session
-        bucketing on a lockstep driver.  Returns the finished tick.
+        Predict, union cull, tiling and forward run inline; only the
+        encode yields its kernel jobs upward, for cross-session bucketing
+        on a lockstep driver.  Each step is handed what the one before
+        returned, so nothing of the frame outlives the call.  Returns
+        the finished tick.
         """
-        tick = self._make_tick(frame, now, target_rate_bps, horizon_s)
-        prepared = self._cull_and_prepare(tick)
-        tick.uplink = yield from self.sender.encode_steps(
-            prepared, tick.target_rate_bps
-        )
-        self.node.ingest(tick.frame, tick.uplink, tick.now)
-        tick.decisions = self.node.forward(
-            tick.now, tick.horizon_s, tick.target_rate_bps
-        )
+        node = self.node
+        for name, seat in node.receivers.items():
+            node.observe_pose(name, seat.pose_trace.pose_at_frame(frame.sequence), now)
+        frustums = node.predicted_frustums(horizon_s)
+        culled, inside = frame, None
+        if frustums:
+            # Looked up on the module per call: that name is where the
+            # outside-in span tracer of benchmarks/e2e hooks the cull.
+            culled, inside = multiway.cull_views_union(
+                frame, self.rig.cameras, list(frustums.values())
+            )
+        prepared = self.sender.prepare(culled, horizon_s)
+        uplink = yield from self.sender.encode_steps(prepared, target_rate_bps)
+        decisions = node.forward(uplink, frustums, inside, now, target_rate_bps)
+        tick = SFUTick(frame, uplink, decisions)
         self._account(tick)
         return tick
 
@@ -178,9 +160,8 @@ class ConferenceDriver:
         return self._closed
 
     def close(self) -> None:
-        """Drop node state; safe to call twice."""
+        """Mark the conference closed; safe to call twice."""
         self._closed = True
-        self.node.close()
 
 
 class UnicastBaseline:

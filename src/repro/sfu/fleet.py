@@ -2,7 +2,7 @@
 
 The ROADMAP's question is blunt: how many conferences does one core
 sustain?  This harness answers it the way a capacity test should --
-by running N full SFU sessions (uplink encode -> node ingest -> node
+by running N full SFU sessions (union cull -> uplink encode -> node
 forward) concurrently, with join/leave churn, and measuring wall-clock
 per session-frame:
 
@@ -43,7 +43,6 @@ import numpy as np
 
 from repro.core.config import FPS, HORIZON_S, SessionConfig
 from repro.obs.metrics import MetricsRegistry
-from repro.perf.counters import CacheCounters
 from repro.service.registry import RUNNING, SessionRegistry
 from repro.service.workers import TickWorkerPool
 from repro.sfu.room import Room
@@ -123,20 +122,17 @@ class FleetResult:
         histogram) and the unicast ``control`` group's
         ``(bytes, seconds)`` per frame.
 
-        One merged tally per metric and per cache: counters and
-        occupancy gauges sum, peaks take the max, hit rates come from
-        merged counts -- a fleet-wide figure, never one conference's
+        One merged tally per metric: counters and occupancy gauges sum,
+        peaks take the max -- a fleet-wide figure, never one conference's
         sample or 200 copies of a shared gauge.  ``capture`` is the
-        shared source's counters, snapshotted before the control group
-        reused the source.
+        shared source's cache counters (the fleet's one cache row),
+        snapshotted before the control group reused the source.
         """
         registry = MetricsRegistry()
-        cull_projection = CacheCounters("cull_projection")
         for conference in conferences:
             per_conference = MetricsRegistry()
             conference.node.metrics_into(per_conference)
             registry.merge(per_conference)
-            cull_projection.merge(conference.node.cull_cache.counters)
         session_frames = fleet.sessions * fleet.frames
         uplink = sum(c.uplink_bytes for c in conferences) / session_frames
         unicast_bytes_per_frame, control_s = control
@@ -162,10 +158,7 @@ class FleetResult:
             control_wall_per_frame_ms=control_s * 1e3,
             sfu_metrics={name: registry.get(name).to_dict() for name in registry.names()},
             batch_plane_stats=batch_plane.stats(),
-            cache_stats={
-                "cull_projection": cull_projection.to_dict(),
-                "capture_projection": capture,
-            },
+            cache_stats={"capture_projection": capture},
             session_digests=[c.digest.hexdigest() for c in conferences],
         )
 

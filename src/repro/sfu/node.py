@@ -1,20 +1,23 @@
-"""The SFU node: ingest one uplink stream, forward N tailored downlinks.
+"""The SFU node: forward one uplink stream as N tailored downlinks.
 
-Per frame the node runs two phases, called in turn by
+Per frame the node is called twice by
 :meth:`repro.sfu.conference.ConferenceDriver.tick_steps`:
 
-- **ingest** -- cache the union-culled geometry and encoded sizes of
-  the sender's single uplink stream (one encode per frame, regardless
-  of receiver count);
-- **forward** -- read every receiver's share of the cached union
-  geometry out of the frame's receivers x cameras visibility table
-  (:class:`~repro.perf.culling.CullCache`; the union cull built it a
-  moment earlier from the same predicted frustums, so no frustum is
-  tested twice and receivers never see pixels outside their own view),
-  then for every receiver: pick a degradation-ladder tier that fits the
-  receiver's bandwidth estimate and offer the burst down the receiver's
-  emulated downlink.  The depth/color split is the sender's: a node
-  that never re-encodes cannot re-split a stream.
+- **predict** -- :meth:`SFUNode.predicted_frustums` extrapolates every
+  warm receiver's pose and returns the guard-banded frustums, which the
+  driver hands to the union cull;
+- **forward** -- :meth:`SFUNode.forward` takes the frame's union-culled
+  uplink (one encode per frame, regardless of receiver count) and the
+  receivers x cameras visibility table the union cull built from those
+  same frustums, reads every receiver's share of the union out of the
+  table (so no frustum is tested twice and receivers never see pixels
+  outside their own view), and then for every receiver picks a
+  degradation-ladder tier that fits its bandwidth estimate and offers
+  the burst down its emulated downlink.  The depth/color split is the
+  sender's: a node that never re-encodes cannot re-split a stream.
+
+The node holds its receivers' seats and running counts, never a frame:
+what one frame needs is passed in and dropped on return.
 
 Forwarding is selective, not transcoding: the node never re-encodes.
 A receiver's downlink bytes are the kept fraction of the uplink tiles
@@ -36,11 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.capture.rgbd import MultiViewFrame
-from repro.core.config import FRAME_INTERVAL_S, GUARD_BAND_M, SessionConfig
+from repro.core.config import FRAME_INTERVAL_S, GUARD_BAND_M
 from repro.core.sender import SenderResult
-from repro.geometry.camera import RGBDCamera
 from repro.geometry.frustum import Frustum
-from repro.perf.culling import CullCache
 from repro.prediction.pose import PoseTrace
 from repro.prediction.predictor import FrustumPredictor, ViewingDevice, guarded_planes
 from repro.transport.downlink import DownlinkSend, DownlinkSet
@@ -76,7 +77,6 @@ class ForwardDecision:
     """What the node forwarded to one receiver for one frame."""
 
     kept_points: int
-    union_points: int
     rung: int
     bytes: int
     # Last delivered packet's arrival; None with no downlink or all lost.
@@ -89,10 +89,7 @@ class SFUTick:
 
     frame: MultiViewFrame
     uplink: SenderResult | None
-    now: float
-    target_rate_bps: float
-    horizon_s: float
-    decisions: dict[str, ForwardDecision] | None = None
+    decisions: dict[str, ForwardDecision]
 
     @property
     def sequence(self) -> int:
@@ -104,26 +101,14 @@ class SFUNode:
 
     def __init__(
         self,
-        cameras: list[RGBDCamera],
-        config: SessionConfig,
         device: ViewingDevice | None = None,
         downlinks: DownlinkSet | None = None,
     ) -> None:
-        self.cameras = cameras
-        self.config = config
         self.device = device or ViewingDevice()
         # One seat per receiver, join order: the iteration order of
         # every frame, which keeps churned runs byte-deterministic.
         self.receivers: dict[str, ReceiverState] = {}
         self.downlinks = downlinks
-        self.cull_cache = CullCache()
-        # Frame-scoped state written by ingest, read by forward.
-        self._cached_sequence: int | None = None
-        self._cached_uplink: SenderResult | None = None
-        self._frame_frustums: dict[str, Frustum] = {}
-        # The same frustums as one (R, 6, 4) stack, row r belonging to
-        # the r-th key of _frame_frustums: the visibility table's key.
-        self._frame_planes = np.empty((0, 6, 4))
         # Aggregate counters for metrics_into.
         self.frames_ingested = 0
         self.uplink_bytes = 0
@@ -170,9 +155,6 @@ class SFUNode:
         self.total_leaves += 1
         if self.downlinks is not None:
             self.downlinks.remove(name)
-        # Rows are positional: forget the whole frame's prediction
-        # rather than leave the stack one row longer than the roster.
-        self._frame_frustums = {}
 
     def observe_pose(self, name, pose, timestamp_s: float) -> None:
         """Fold in one receiver's delayed pose report."""
@@ -182,37 +164,20 @@ class SFUNode:
     # Frame phases
     # ------------------------------------------------------------------
 
-    def predicted_frustums(self, sequence: int, horizon_s: float) -> dict[str, Frustum]:
-        """Per-receiver predicted frustums for this frame (memoized).
+    def predicted_frustums(self, horizon_s: float) -> dict[str, Frustum]:
+        """Every ready receiver's predicted frustum, join order.
 
-        Ready receivers only, join order.  All of them are extrapolated,
-        rotated and turned into guard-banded plane rows in one pass; the
-        returned frustums wrap the rows of that one stack, which is also
-        what :meth:`forward` looks the frame's visibility table up by.
+        All of them are extrapolated, rotated and turned into
+        guard-banded plane rows in one pass; the returned frustums wrap
+        the rows of that one stack.  Pure: a second call between the same
+        pose reports returns equal frustums.
         """
-        if sequence != self._cached_sequence or not self._frame_frustums:
-            ready = [seat for seat in self.receivers.values() if seat.predictor.ready]
-            poses = [seat.predictor.predict_vector(horizon_s) for seat in ready]
-            self._frame_planes = guarded_planes(
-                self.device, GUARD_BAND_M, np.array(poses).reshape(-1, 6)
-            )
-            self._frame_frustums = {
-                seat.name: Frustum.of_unit_rows(rows)
-                for seat, rows in zip(ready, self._frame_planes)
-            }
-            self._cached_sequence = sequence
-        return self._frame_frustums
-
-    def ingest(self, frame: MultiViewFrame, uplink: SenderResult | None, now: float) -> None:
-        """Cache one frame's union-culled uplink stream for forwarding,
-        and start the cull cache on its capture (a no-op when the union
-        cull already did)."""
-        self.cull_cache.begin_frame(frame)
-        self._cached_uplink = uplink
-        self._cached_sequence = frame.sequence
-        self.frames_ingested += 1
-        if uplink is not None:
-            self.uplink_bytes += uplink.total_bytes
+        ready = [seat for seat in self.receivers.values() if seat.predictor.ready]
+        poses = [seat.predictor.predict_vector(horizon_s) for seat in ready]
+        planes = guarded_planes(self.device, GUARD_BAND_M, np.array(poses).reshape(-1, 6))
+        return {
+            seat.name: Frustum.of_unit_rows(rows) for seat, rows in zip(ready, planes)
+        }
 
     def _pick_rung(self, seat: ReceiverState, full_bytes: int, budget_bytes: float) -> int:
         """Deepest-necessary tier, ladder-stepped at most one rung/frame."""
@@ -229,35 +194,37 @@ class SFUNode:
             return seat.rung - 1
         return ideal
 
-    def _visible_points(self, source: MultiViewFrame) -> list[int]:
-        """Every warm receiver's point count of the union, in one read of
-        the frame's visibility table (built by the union cull a moment
-        ago; rebuilt here only if nobody culled with this cache)."""
-        depths = [view.depth_mm for view in source.views]
-        inside = self.cull_cache.visibility(self.cameras, depths, self._frame_planes)
-        seen = inside & (np.stack(depths) > 0)
-        return seen.reshape(len(seen), -1).sum(axis=1).tolist()
-
     def forward(
         self,
+        uplink: SenderResult | None,
+        frustums: dict[str, Frustum],
+        inside: np.ndarray | None,
         now: float,
-        horizon_s: float,
         target_rate_bps: float,
     ) -> dict[str, ForwardDecision]:
-        """Forward the cached frame to every receiver, join order."""
-        uplink = self._cached_uplink
+        """Count one frame's uplink and forward it to every receiver,
+        join order.
+
+        ``frustums`` are the frame's :meth:`predicted_frustums` and
+        ``inside`` the visibility table the union cull built from them
+        (row ``r`` for the ``r``-th frustum; ``None`` when no receiver
+        was ready).  A warm receiver's share is its row, masked by the
+        uplink's culled depth; a cold one gets the whole union.
+        """
+        self.frames_ingested += 1
         decisions: dict[str, ForwardDecision] = {}
         if uplink is None:
             return decisions
+        uplink_bytes = uplink.total_bytes
+        self.uplink_bytes += uplink_bytes
         source = uplink.culled_multiview
         union_points = source.total_points()
-        uplink_bytes = uplink.total_bytes
         nothing_sent = uplink.empty or union_points == 0 or uplink_bytes == 0
-        frustums = self.predicted_frustums(uplink.sequence, horizon_s)
         rows: dict[str, int] = {}
         kept_points = None
         if frustums and not uplink.empty:
-            kept_points = self._visible_points(source)
+            seen = inside & (np.stack([view.depth_mm for view in source.views]) > 0)
+            kept_points = seen.reshape(len(seen), -1).sum(axis=1).tolist()
             rows = {name: row for row, name in enumerate(frustums)}
 
         for name, seat in self.receivers.items():
@@ -289,7 +256,6 @@ class SFUNode:
                 delivery_time_s = self.offer_downlink(seat, now, size).delivery_time_s
             decisions[name] = ForwardDecision(
                 kept_points=kept,
-                union_points=union_points,
                 rung=seat.rung,
                 bytes=size,
                 delivery_time_s=delivery_time_s,
@@ -309,7 +275,7 @@ class SFUNode:
         return send
 
     # ------------------------------------------------------------------
-    # Observability / lifecycle
+    # Observability
     # ------------------------------------------------------------------
 
     def metrics_into(self, registry) -> None:
@@ -323,9 +289,3 @@ class SFUNode:
         registry.gauge("sfu.receivers_peak").set(self.receivers_peak)
         if self.downlinks is not None:
             self.downlinks.metrics_into(registry)
-
-    def close(self) -> None:
-        """Drop frame-scoped geometry and per-receiver transports."""
-        self._cached_uplink = None
-        self._frame_frustums = {}
-        self.cull_cache.end_frame()

@@ -31,8 +31,6 @@ __all__ = ["DownlinkSet", "DownlinkSend"]
 class DownlinkSend:
     """Outcome of one forwarded burst on one receiver's downlink."""
 
-    receiver: str
-    size_bytes: int
     packets: int
     delivered_packets: int
     delivery_time_s: float | None  # last delivered packet's arrival (None: all lost)
@@ -102,7 +100,7 @@ class DownlinkSet:
             raise ValueError("size_bytes must be non-negative")
         link = self._links[name]
         if size_bytes == 0:
-            return DownlinkSend(name, 0, 0, 0, now + link.config.propagation_delay_s, ())
+            return DownlinkSend(0, 0, now + link.config.propagation_delay_s, ())
         size_bytes = int(size_bytes)
         count = max(1, math.ceil(size_bytes / MTU_BYTES))
         arrivals: list[float] = []
@@ -120,8 +118,6 @@ class DownlinkSet:
         self.packets_dropped += count - len(arrivals)
         self.bytes_offered += size_bytes
         return DownlinkSend(
-            receiver=name,
-            size_bytes=size_bytes,
             packets=count,
             delivered_packets=len(arrivals),
             delivery_time_s=arrivals[-1] if arrivals else None,

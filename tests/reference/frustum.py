@@ -1,8 +1,8 @@
 """Six ``Plane`` objects per frustum: the scalar chain the culling replaced.
 
 The oracle for ``repro.geometry.frustum`` (one ``(6, 4)`` array per
-frustum) and for the per-frame visibility table of
-``repro.perf.culling.CullCache``.  Every plane is a :class:`Plane` that
+frustum) and for the per-frame visibility table
+``repro.prediction.culling.visibility`` builds.  Every plane is a :class:`Plane` that
 renormalises itself on each ``translated`` / ``transformed``; a grid is
 tested one (frustum, camera) pair at a time, one ``points @ normal +
 offset`` gemv per plane, the masks and-ed together.  It defines which

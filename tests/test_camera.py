@@ -114,6 +114,18 @@ class TestCameraRange:
         ext = CameraExtrinsics(t)
         np.testing.assert_allclose(ext.world_to_camera @ t, np.eye(4), atol=1e-12)
 
+    def test_extrinsics_inverse_is_computed_once(self, intrinsics):
+        """A calibrated rig does not move: every read of a camera's
+        inverse is the one read-only array built at construction."""
+        camera = RGBDCamera.looking_at(
+            np.array([0.0, 1.5, -2.0]), np.array([0.0, 1.0, 0.0]), intrinsics
+        )
+        first = camera.extrinsics.world_to_camera
+        assert camera.extrinsics.world_to_camera is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 3] = 1.0
+
     def test_extrinsics_bad_shape(self):
         with pytest.raises(ValueError):
             CameraExtrinsics(np.eye(3))

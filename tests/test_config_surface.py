@@ -119,7 +119,7 @@ def test_removed_field_is_a_type_error(config_class, name):
 
 
 PACKAGE = Path(repro.__file__).parent
-DEFAULTED_PARAMETERS = 187
+DEFAULTED_PARAMETERS = 184
 
 
 def _functions():

@@ -46,7 +46,7 @@ class TestUnionCulling:
         frame = rig.capture(scene, 0)
         f1 = narrow_frustum([0.6, 1.0, -2.0])
         f2 = narrow_frustum([-0.6, 1.0, -2.0])
-        union = cull_views_union(frame, rig.cameras, [f1, f2])
+        union, _ = cull_views_union(frame, rig.cameras, [f1, f2])
         from repro.prediction.culling import cull_views
 
         only1 = cull_views(frame, rig.cameras, f1)
@@ -62,7 +62,7 @@ class TestUnionCulling:
         frustum = narrow_frustum([0.0, 1.2, -2.0])
         from repro.prediction.culling import cull_views
 
-        union = cull_views_union(frame, rig.cameras, [frustum])
+        union, _ = cull_views_union(frame, rig.cameras, [frustum])
         single = cull_views(frame, rig.cameras, frustum)
         assert union.total_points() == single.total_points()
 
@@ -192,7 +192,7 @@ class TestMultiwaySender:
                 p.predict_frustum(0.1) for p in predictors.values() if p.ready
             ]
             culled = (
-                cull_views_union(frame, rig.cameras, frustums) if frustums else frame
+                cull_views_union(frame, rig.cameras, frustums)[0] if frustums else frame
             )
             expected = manual.process(culled, 8e6, 0.1)
             assert tick.uplink.color_frame.payload == expected.color_frame.payload
@@ -312,7 +312,7 @@ def test_hosted_conference_memory_stays_bounded():
         snapshot = tracemalloc.take_snapshot().filter_traces([package])
         return sum(stat.size for stat in snapshot.statistics("filename"))
 
-    tick(range(50))  # warm: codec scratch, cull cache, GCC state
+    tick(range(50))  # warm: codec scratch, GCC state
     tracemalloc.start()
     try:
         start = held()

@@ -366,6 +366,23 @@ class TestWorkerPool:
         assert time.perf_counter() - started < 5.0
         assert not pool.running and pool.rounds == 0
 
+    def test_stop_during_a_pacing_wait_returns_promptly(self):
+        """The pacing wait between rounds is the stop event's too: with
+        an hour between rounds, stop() still returns at once."""
+        registry = _registry()
+        pool = _pool(registry, tick_interval_s=3600.0)
+        record = registry.create(receivers=1)
+        pool.start()
+        for _ in range(200):
+            if record.frames_ticked >= 1:
+                break
+            threading.Event().wait(0.01)
+        threading.Event().wait(0.05)          # the thread is in its pacing wait
+        started = time.perf_counter()
+        pool.stop(timeout=5.0)
+        assert time.perf_counter() - started < 5.0
+        assert record.frames_ticked == 1 and not pool.running
+
 
 class TestServiceConfig:
     @pytest.mark.parametrize(
@@ -381,6 +398,12 @@ class TestServiceConfig:
             ("num_cameras", 1),
             # Would raise a bare KeyError out of ServiceApp.
             ("video", "nope"),
+            # Would kill the scheduler after its first round: no timed
+            # wait takes longer than threading.TIMEOUT_MAX.
+            ("tick_interval_s", float("inf")),
+            ("tick_interval_s", float("nan")),
+            ("tick_interval_s", 1e10),
+            ("tick_interval_s", -0.5),
         ],
     )
     def test_unusable_value_rejected(self, field, value):
@@ -394,6 +417,7 @@ class TestServiceConfig:
         from repro.service.app import ServiceConfig
 
         ServiceConfig(seed=0, max_clients_per_session=1, max_sessions=1, port=65535)
+        ServiceConfig(tick_interval_s=threading.TIMEOUT_MAX)
 
 
 class TestStatsConsistency:

@@ -1,4 +1,4 @@
-"""Tests for the SFU subsystem: cull cache, node, downlinks, fleet."""
+"""Tests for the SFU subsystem: node, downlinks, fleet."""
 
 import numpy as np
 import pytest
@@ -8,14 +8,12 @@ from repro.capture.rgbd import MultiViewFrame
 from repro.capture.rig import default_rig
 from repro.core.config import FPS, HORIZON_S, SessionConfig
 from repro.core.multiway import cull_views_union
-from repro.core.sender import LiVoSender
+from repro.core.sender import LiVoSender, SenderResult
 from repro.geometry.frustum import Frustum, camera_planes
 from repro.obs.metrics import MetricsRegistry
-from repro.perf import culling
-from repro.perf.culling import CullCache
 from repro.prediction.culling import cull_views
 from repro.prediction.pose import Pose
-from repro.sfu.node import SFUNode, TIER_SCALES
+from repro.sfu.node import SFUNode, SFUTick, TIER_SCALES
 from repro.sfu.room import Room
 from repro.transport.downlink import DownlinkSet
 from repro.transport.packet import MTU_BYTES
@@ -59,124 +57,6 @@ def poses_for(names):
 
 
 # ----------------------------------------------------------------------
-# CullCache
-# ----------------------------------------------------------------------
-
-
-class TestCullCache:
-    def test_cached_union_cull_byte_identical(self, setup):
-        _, rig, scene = setup
-        frame = rig.capture(scene, 0)
-        frustums = [
-            narrow_frustum([0.6, 1.0, -2.0]), narrow_frustum([-0.6, 1.0, -2.0])
-        ]
-        plain = cull_views_union(frame, rig.cameras, frustums)
-        cached = cull_views_union(frame, rig.cameras, frustums, cache=CullCache())
-        for a, b in zip(plain.views, cached.views):
-            assert np.array_equal(a.color, b.color)
-            assert np.array_equal(a.depth_mm, b.depth_mm)
-
-    def test_repeat_cull_hits_cache(self, setup):
-        _, rig, scene = setup
-        frame = rig.capture(scene, 0)
-        frustum = narrow_frustum([0.0, 1.2, -2.0])
-        cache = CullCache()
-        cull_views_union(frame, rig.cameras, [frustum], cache=cache)
-        # One (receiver, camera) row of the table built per camera, and
-        # one point grid each: all misses, nothing to read back yet.
-        cameras = len(rig.cameras)
-        assert (cache.counters.misses, cache.counters.hits) == (2 * cameras, 0)
-        cull_views_union(frame, rig.cameras, [frustum], cache=cache)
-        # Same frame, same planes: every row is read back from the table.
-        assert (cache.counters.misses, cache.counters.hits) == (2 * cameras, cameras)
-
-    def test_new_sequence_invalidates_frame_memos(self, setup):
-        _, rig, scene = setup
-        frustum = narrow_frustum([0.0, 1.2, -2.0])
-        cache = CullCache()
-        first = cull_views_union(
-            rig.capture(scene, 0), rig.cameras, [frustum], cache=cache
-        )
-        second = cull_views_union(
-            rig.capture(scene, 5), rig.cameras, [frustum], cache=cache
-        )
-        plain = cull_views_union(rig.capture(scene, 5), rig.cameras, [frustum])
-        # Frame 5's cached cull matches an uncached cull of frame 5:
-        # frame 0's memoized grids did not leak across the sequence.
-        for a, b in zip(second.views, plain.views):
-            assert np.array_equal(a.depth_mm, b.depth_mm)
-        assert first.total_points() >= 0
-
-    def test_valid_mask_fresh_per_call(self, setup):
-        """Masks come from the passed depth, not the memoized grid."""
-        _, rig, scene = setup
-        frame = rig.capture(scene, 0)
-        camera = rig.cameras[0]
-        cache = CullCache()
-        cache.begin_frame(0)
-        _, valid = cache.local_points(camera, frame.views[0].depth_mm)
-        zeroed = frame.views[0].depth_mm.copy()
-        zeroed[:] = 0
-        _, valid_zero = cache.local_points(camera, zeroed)
-        assert valid.any()
-        assert not valid_zero.any()
-
-    def test_grids_keyed_by_capture_not_sequence(self, setup):
-        """Two captures with one sequence number -- a stale camera
-        replaying an older view -- never share a point grid or a table:
-        every cull through one long-lived cache equals the same cull
-        with a fresh CullCache()."""
-        _, rig, scene = setup
-        frustum = narrow_frustum([0.0, 1.2, -2.0])
-        first = rig.capture(scene, 0)
-        later = rig.capture(scene, 9)
-        stale = MultiViewFrame(
-            [later.views[0], *first.views[1:]], sequence=0
-        )
-        cache = CullCache()
-        for capture in (first, stale, first):
-            culled = cull_views_union(capture, rig.cameras, [frustum], cache=cache)
-            fresh = cull_views_union(capture, rig.cameras, [frustum], cache=CullCache())
-            for a, b in zip(culled.views, fresh.views):
-                assert np.array_equal(a.depth_mm, b.depth_mm)
-                assert np.array_equal(a.color, b.color)
-        assert not np.array_equal(first.views[0].depth_mm, later.views[0].depth_mm)
-
-    def test_caches_culling_one_capture_share_its_grids(self, setup):
-        """Every cache culling one capture reads the same read-only grid
-        per camera; each still counts its own first read a miss."""
-        _, rig, scene = setup
-        frame = rig.capture(scene, 0)
-        frustum = narrow_frustum([0.0, 1.2, -2.0])
-        caches = [CullCache(), CullCache()]
-        for cache in caches:
-            cull_views_union(frame, rig.cameras, [frustum], cache=cache)
-            assert cache.counters.misses == 2 * len(rig.cameras)
-        for camera, view in zip(rig.cameras, frame.views):
-            grids = [cache.local_points(camera, view.depth_mm)[0] for cache in caches]
-            assert grids[0] is grids[1]
-            assert not grids[0].flags.writeable
-
-    def test_two_party_cull_holds_no_grid(self, setup):
-        """The two-party sender keeps one CullCache for its lifetime
-        (the rig's inverted extrinsics), and once its cull returns no
-        grid of the capture is held anywhere."""
-        config, rig, scene = setup
-        sender = LiVoSender(rig.cameras, config)
-        cache = sender.cull_cache
-        sender.observe_pose(poses_for(["r0"])["r0"], 0.0)
-        for sequence in range(3):
-            frame = rig.capture(scene, sequence)
-            prepared = sender.prepare(frame, 0.1)
-            assert prepared.culled_points < prepared.total_points
-            assert sender.cull_cache is cache
-            assert not cache._points and cache._table is None
-            for camera, view in zip(rig.cameras, frame.views):
-                assert (id(view.depth_mm), id(camera)) not in culling._GRIDS
-        assert len(cache._w2c) == len(rig.cameras)
-
-
-# ----------------------------------------------------------------------
 # DownlinkSet
 # ----------------------------------------------------------------------
 
@@ -192,7 +72,6 @@ class TestDownlinkSet:
         size = int(2.5 * MTU_BYTES)
         send = links.send("a", 0.0, size)
         assert send.packets == 3
-        assert send.size_bytes == size
         assert send.delivered_packets == 3
         assert send.delivery_time_s is not None
 
@@ -240,7 +119,7 @@ class TestDownlinkSet:
 
 def drive_node(node, rig, scene, config, frames, target_bps=8e6, churn=None,
                forward_bps=None):
-    """Feed poses + union-culled uplink, collect per-frame decisions.
+    """Feed poses + union-culled uplink, collect one tick per frame.
 
     ``forward_bps`` lets a test starve the downlinks while the uplink
     encode stays rich (defaults to ``target_bps`` for both).
@@ -256,29 +135,27 @@ def drive_node(node, rig, scene, config, frames, target_bps=8e6, churn=None,
         for name in node.receiver_names:
             node.observe_pose(name, poses.get(name) or poses["r0"], now)
         frame = rig.capture(scene, sequence)
-        frustums = node.predicted_frustums(sequence, horizon)
-        culled = (
-            cull_views_union(
-                frame, rig.cameras, list(frustums.values()), cache=node.cull_cache
-            )
+        frustums = node.predicted_frustums(horizon)
+        culled, inside = (
+            cull_views_union(frame, rig.cameras, list(frustums.values()))
             if frustums
-            else frame
+            else (frame, None)
         )
         uplink = sender.process(culled, target_bps, horizon)
-        node.ingest(frame, uplink, now)
-        out.append(
-            node.forward(now, horizon, forward_bps if forward_bps else target_bps)
+        decisions = node.forward(
+            uplink, frustums, inside, now, forward_bps if forward_bps else target_bps
         )
+        out.append(SFUTick(frame, uplink, decisions))
     return out
 
 
-def decisions_signature(runs):
+def decisions_signature(ticks):
     return [
         {
-            name: (d.bytes, d.rung, d.kept_points, d.union_points)
-            for name, d in decisions.items()
+            name: (d.bytes, d.rung, d.kept_points, tick.uplink.culled_multiview.total_points())
+            for name, d in tick.decisions.items()
         }
-        for decisions in runs
+        for tick in ticks
     ]
 
 
@@ -290,7 +167,7 @@ class TestSFUNode:
             if downlinks
             else None
         )
-        node = SFUNode(rig.cameras, config, downlinks=links)
+        node = SFUNode(downlinks=links)
         for name in ("r0", "r1"):
             node.add_receiver(name)
         return node, config
@@ -308,8 +185,9 @@ class TestSFUNode:
         assert node.receivers["late"].gcc.config.initial_rate_bps == 0.5 * 6.0 * 1e6
 
     def test_forward_without_ingest_is_empty(self, setup):
+        """Forwarding a frame that brought no uplink decides nothing."""
         node, _ = self.node(setup)
-        assert node.forward(0.0, 0.1, 8e6) == {}
+        assert node.forward(None, {}, None, 0.0, 8e6) == {}
 
     def test_deterministic_replay(self, setup):
         config, rig, scene = setup
@@ -317,14 +195,13 @@ class TestSFUNode:
         def run():
             node, _ = self.node(setup, downlinks=True)
             out = drive_node(node, rig, scene, config, frames=4)
-            node.close()
             return decisions_signature(out)
 
         assert run() == run()
 
     def test_cull_cache_parity(self, setup, oracle_transform):
-        """The node's memoized culls reproduce what the cache-less node
-        decided before it was deleted (tests/twins.py)."""
+        """Forwarding from the union cull's table reproduces what the node
+        decided when it re-culled every receiver (tests/twins.py)."""
         config, rig, scene = setup
         node, _ = self.node(setup)
         decisions = drive_node(node, rig, scene, config, frames=3)
@@ -341,16 +218,14 @@ class TestSFUNode:
         for name in ("r0", "r1"):
             node.observe_pose(name, poses[name], 0.0)
         frame = rig.capture(scene, 0)
-        frustums = node.predicted_frustums(0, 0.1)
+        frustums = node.predicted_frustums(0.1)
         assert "mute" not in frustums
-        culled = cull_views_union(
-            frame, rig.cameras, list(frustums.values()), cache=node.cull_cache
-        )
+        culled, inside = cull_views_union(frame, rig.cameras, list(frustums.values()))
         uplink = sender.process(culled, 8e6, 0.1)
-        node.ingest(frame, uplink, 0.0)
-        decisions = node.forward(0.0, 0.1, 8e6)
-        assert decisions["mute"].kept_points == decisions["mute"].union_points
-        assert decisions["r0"].kept_points < decisions["r0"].union_points
+        decisions = node.forward(uplink, frustums, inside, 0.0, 8e6)
+        union = uplink.culled_multiview.total_points()
+        assert decisions["mute"].kept_points == union
+        assert decisions["r0"].kept_points < union
 
     def test_rung_descends_one_step_per_frame_under_starvation(self, setup):
         """Rich uplink, starved downlink: the tier ladder steps down one
@@ -360,7 +235,7 @@ class TestSFUNode:
         out = drive_node(
             node, rig, scene, config, frames=5, target_bps=8e6, forward_bps=2e4
         )
-        rungs = [d["r0"].rung for d in out]
+        rungs = [tick.decisions["r0"].rung for tick in out]
         assert rungs[0] == 1  # one step down, not a cliff
         for previous, current in zip(rungs, rungs[1:]):
             assert abs(current - previous) <= 1
@@ -371,9 +246,10 @@ class TestSFUNode:
         config, rig, scene = setup
         node, _ = self.node(setup)
         out = drive_node(node, rig, scene, config, frames=2, target_bps=8e6)
-        for decisions in out:
-            for decision in decisions.values():
-                assert 0 <= decision.kept_points <= decision.union_points
+        for tick in out:
+            union = tick.uplink.culled_multiview.total_points()
+            for decision in tick.decisions.values():
+                assert 0 <= decision.kept_points <= union
                 if decision.kept_points:
                     assert decision.bytes > 0
 
@@ -426,7 +302,7 @@ class TestForwardedContent:
             tick = sfu.tick(frame, now, 8e6, HORIZON_S)
             expected = unicast.tick(frame, now, 8e6, HORIZON_S)
             union = tick.uplink.culled_multiview
-            frustums = sfu.node.predicted_frustums(sequence, HORIZON_S)
+            frustums = sfu.node.predicted_frustums(HORIZON_S)
             assert set(tick.decisions) == set(expected) == set(frustums)
             for name, decision in tick.decisions.items():
                 forwarded = cull_views(union, room.source.rig.cameras, frustums[name])
@@ -474,6 +350,53 @@ class TestOneSeatPerReceiver:
         assert registry.get("sfu.receiver_joins").value == 4
         assert registry.get("sfu.receiver_leaves").value == 1
         assert registry.get("sfu.forwarded_bytes").value == downlink
+
+
+def _frame_state(value, path, seen):
+    """Every (path, value) under ``value`` that is a frame's data."""
+    if id(value) in seen or isinstance(value, (str, bytes, int, float, type(None))):
+        return
+    seen.add(id(value))
+    if isinstance(value, (np.ndarray, SenderResult, MultiViewFrame)):
+        yield path, value
+        return
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, (list, tuple, set)):
+        items = enumerate(value)
+    else:
+        items = getattr(value, "__dict__", {}).items()
+    for key, item in items:
+        yield from _frame_state(item, f"{path}.{key}", seen)
+
+
+class TestNothingOfAFrameOutlivesItsTick:
+    def test_node_holds_no_frame_between_ticks(self):
+        """After a tick the node holds no array, uplink or capture: the
+        frame's frustums, visibility table and uplink were handed from
+        step to step and dropped.  Only the seats' own state (their
+        predictors and links) persists from frame to frame."""
+        config = SessionConfig(
+            num_cameras=3, camera_width=32, camera_height=24,
+            scene_sample_budget=3_000, gop_size=4,
+        )
+        room = Room(config, "band2", 20, downlink_mbps=4.0)
+        driver = room.conference(room.downlinks(3))
+        for index in range(2):
+            driver.join(f"r{index}", room.pose_trace(index))
+        node = driver.node
+        for sequence in range(3):
+            tick = driver.tick(room.source.capture(sequence), sequence / FPS, 2e6, HORIZON_S)
+            assert tick.decisions and tick.uplink.culled_multiview.total_points()
+            seats = {"receivers", "downlinks", "device"}
+            held = [
+                path
+                for name, value in vars(node).items()
+                if name not in seats
+                for path, _ in _frame_state(value, name, set())
+            ]
+            assert held == []
+            assert set(vars(node)) >= seats
 
 
 # ----------------------------------------------------------------------

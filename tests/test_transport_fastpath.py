@@ -136,7 +136,7 @@ def _run_downlinks(link_config: LinkConfig, bursts: int = 240, fps: float = 30.0
     frame and its GCC fed as ``SFUNode.forward`` feeds it."""
     rng = np.random.default_rng(41)
     downlinks = DownlinkSet(trace_1(duration_s=5.0), link_config)
-    node = SFUNode([], SessionConfig(), downlinks=downlinks)
+    node = SFUNode(downlinks=downlinks)
     node.add_receiver("default")
     node.add_receiver(
         "outage", BandwidthTrace(np.array([60.0, 0.0, 0.0, 60.0, 60.0]), interval_s=0.25)
@@ -147,7 +147,11 @@ def _run_downlinks(link_config: LinkConfig, bursts: int = 240, fps: float = 30.0
         now = frame / fps + float(rng.uniform(0.0, 0.004))
         for seat in node.receivers.values():
             # A zero-byte burst touches neither the link nor the GCC.
-            sends.append(node.offer_downlink(seat, now, _burst_size(rng)))
+            size = _burst_size(rng)
+            send = node.offer_downlink(seat, now, size)
+            sends.append(
+                {"receiver": seat.name, "size_bytes": size, **dataclasses.asdict(send)}
+            )
             estimates.append((seat.gcc.target_rate_bps(), seat.gcc.state))
     return {
         "sends": sends,

@@ -1,7 +1,7 @@
 """The per-frame visibility table against the six-``Plane`` oracle.
 
 ``repro.geometry.frustum`` holds a frustum as one ``(6, 4)`` array and
-``repro.perf.culling.CullCache.visibility`` tests all receivers against
+``repro.prediction.culling.visibility`` tests all receivers against
 all cameras in one pass; ``tests/reference/frustum.py`` keeps the scalar
 chain both replaced.  Batched arithmetic may differ from the chain in
 the last ulp of a plane coefficient and nowhere in a mask, except on a
@@ -29,8 +29,7 @@ from repro.geometry.frustum import (
     unit_planes,
 )
 from repro.geometry.transforms import euler_to_rotation
-from repro.perf import culling
-from repro.perf.culling import CullCache
+from repro.prediction import culling
 from repro.prediction.predictor import ViewingDevice, guarded_planes
 from repro.sfu.fleet import FleetConfig, run_fleet
 from repro.sfu.node import SFUNode
@@ -86,7 +85,7 @@ def assert_table_matches_oracle(cameras, vectors, depths, guard_band_m):
     )
     assert_rows_close(planes, np.array([o.rows() for o in oracles]), reach_m)
 
-    inside = CullCache().visibility(cameras, list(depths), planes)
+    inside = culling.visibility(cameras, list(depths), planes)
     assert inside.shape == (len(vectors), *depths.shape)
     expected = inside_masks(oracles, cameras, depths)
     for r, oracle in enumerate(oracles):
@@ -224,9 +223,8 @@ class TestOneTablePerFrame:
         cameras, vectors, depths = random_case(31, 3, 3, 18, 24)
         planes = guarded_planes(DEVICE, 0.2, vectors)
         frustums = [Frustum.of_unit_rows(rows) for rows in planes]
-        cache = CullCache()
-        culled = cull_views_union(frame_from(depths), cameras, frustums, cache=cache)
-        inside = cache.visibility(cameras, list(depths), planes)
+        culled, inside = cull_views_union(frame_from(depths), cameras, frustums)
+        assert np.array_equal(inside, culling.visibility(cameras, list(depths), planes))
         union = inside.any(axis=0) & (depths > 0)
         for view, depth, keep in zip(culled.views, depths, union):
             assert np.array_equal(view.depth_mm, np.where(keep, depth, 0))
@@ -264,6 +262,3 @@ class TestOneTablePerFrame:
         assert calls == {"cull_union": 72, "forward": 72}
         assert tests["cull_union"] == 72
         assert tests["forward"] == 0
-        # Every forward read back the R x C rows its frame's cull built.
-        stats = result.cache_stats["cull_projection"]
-        assert stats["hits"] == stats["misses"] - 72 * 3

@@ -142,6 +142,28 @@ class TestCLI:
         assert f"argument {argv[1]}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # A rate no link has: nothing, negative, unordered, unbounded.
+            ["multiway", "--target-mbps", "0"],
+            ["multiway", "--target-mbps", "-1"],
+            ["multiway", "--target-mbps", "nan"],
+            ["multiway", "--target-mbps", "inf"],
+            # No timed wait is longer than threading.TIMEOUT_MAX.
+            ["serve", "--tick-interval", "inf"],
+            ["serve", "--tick-interval", "nan"],
+            ["serve", "--tick-interval", "1e10"],
+        ],
+        ids=" ".join,
+    )
+    def test_out_of_range_rates_and_intervals_are_usage_errors(self, argv, capsys):
+        # Rejected while parsing: no room is built, no port bound.
+        with pytest.raises(SystemExit) as usage:
+            build_parser().parse_args(argv)
+        assert usage.value.code == 2
+        assert f"argument {argv[1]}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("target", ["file", "below a file"])
     def test_export_into_a_file_is_a_usage_error(self, target, tmp_path, capsys):
         existing = tmp_path / "notes.txt"
